@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Subcommands: ``generate`` (analytic configurations to FLD1 files),
+Subcommands: ``generate`` (analytic configurations to FLD2 files),
 ``decompose`` (gauge potential split), ``cs`` (knot charges on rank-3
 charts), ``chern`` (densities and the second Chern number), ``zeros``
 (zero ledger), and ``verify`` (full cross-check pipeline on a named

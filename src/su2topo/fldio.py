@@ -1,11 +1,12 @@
-"""FLD1 binary field files.
+"""FLD2 binary field files.
 
 Layout (all little-endian):
 
-    bytes 0-3   magic "FLD1"
+    bytes 0-3   magic "FLD2"
     byte  4     kind: 1 spinor, 2 phi, 3 gauge, 4 su2, 5 scalar
     byte  5     rank r (3 or 4)
-    byte  6     flags: bit 0 jets present, bit 1 cell-centered
+    byte  6     flags: bit 0 jets present, bit 1 cell-centered,
+                bit 2 orientation -1
     byte  7     reserved, must be 0
     r times     u32 n_i, f64 origin_i, f64 spacing_i, u8 boundary
                 (boundary: 0 open, 1 periodic)
@@ -13,11 +14,15 @@ Layout (all little-endian):
                 component-fastest within a site, real/imaginary
                 interleaved for complex kinds
     jets        same layout when flagged, axis-major within a site
-    trailer     8 bytes: FNV-1a 64-bit checksum of all preceding bytes
+    trailer     8 bytes: CRC-32 (zlib) of all preceding bytes, as a u64
 
-Writes are atomic (temp file plus rename), so a failed write never leaves
-a partial file behind.  Readers validate magic, header sanity, byte count
-and checksum as distinct error types before touching the payload.
+CRC-32 detects every single-bit error and every error burst of up to 32
+bits.  Writes stream the header and the arrays' own buffers into a temp
+file that is then renamed, so a failed write never leaves a partial file
+behind and no serialized copy of the payload is built.  Readers validate
+magic, header sanity, byte count and checksum as distinct error types
+before touching the payload.  The retired FLD1 format (FNV-1a trailer, no
+orientation) is rejected as bad magic.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import zlib
 
 import numpy as np
 
@@ -33,7 +39,8 @@ from .errors import (BadMagicError, ChecksumError, CountMismatchError,
 from .fields import GaugeField, PhiField, SpinorField, SU2Field
 from .lattice import Grid, ScalarField
 
-MAGIC = b"FLD1"
+MAGIC = b"FLD2"
+RETIRED_MAGIC = b"FLD1"
 
 KIND_SPINOR = 1
 KIND_PHI = 2
@@ -41,19 +48,9 @@ KIND_GAUGE = 3
 KIND_SU2 = 4
 KIND_SCALAR = 5
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash of a byte string."""
-    h = _FNV_OFFSET
-    prime = _FNV_PRIME
-    mask = _MASK64
-    for b in memoryview(data):
-        h = ((h ^ b) * prime) & mask
-    return h
+FLAG_JETS = 1
+FLAG_CELL_CENTERED = 2
+FLAG_REVERSED = 4
 
 
 def _kind_of(field) -> int:
@@ -75,36 +72,39 @@ def _floats_per_site(kind: int, rank: int) -> int:
             KIND_SU2: 8, KIND_SCALAR: 1}[kind]
 
 
-def _payload_bytes(values: np.ndarray) -> bytes:
-    if np.iscomplexobj(values):
-        flat = np.ascontiguousarray(values, dtype="<c16")
-    else:
-        flat = np.ascontiguousarray(values, dtype="<f8")
-    return flat.tobytes()
+def _payload_buffer(values: np.ndarray) -> memoryview:
+    """The little-endian f64 bytes of ``values``, without a copy when the
+    array is already contiguous in that layout."""
+    dtype = "<c16" if np.iscomplexobj(values) else "<f8"
+    return memoryview(np.ascontiguousarray(values, dtype=dtype))
 
 
 def write_field(field, path: str) -> None:
-    """Serialize a field to an FLD1 file atomically."""
+    """Serialize a field to an FLD2 file atomically."""
     kind = _kind_of(field)
     grid = field.grid
     jet = getattr(field, "jet", None)
-    flags = (1 if jet is not None else 0) | (2 if grid.cell_centered else 0)
+    flags = ((FLAG_JETS if jet is not None else 0)
+             | (FLAG_CELL_CENTERED if grid.cell_centered else 0)
+             | (FLAG_REVERSED if grid.orientation == -1 else 0))
 
-    parts = [MAGIC, struct.pack("<BBBB", kind, grid.rank, flags, 0)]
+    header = [MAGIC, struct.pack("<BBBB", kind, grid.rank, flags, 0)]
     for i in range(grid.rank):
-        parts.append(struct.pack("<IddB", grid.shape[i], grid.origin[i],
-                                 grid.spacing[i], 1 if grid.periodic[i] else 0))
-    parts.append(_payload_bytes(field.values))
+        header.append(struct.pack("<IddB", grid.shape[i], grid.origin[i],
+                                  grid.spacing[i], 1 if grid.periodic[i] else 0))
+    parts = [b"".join(header), _payload_buffer(field.values)]
     if jet is not None:
-        parts.append(_payload_bytes(jet))
-    blob = b"".join(parts)
-    blob += struct.pack("<Q", fnv1a64(blob))
+        parts.append(_payload_buffer(jet))
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fld1-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fld-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
+            crc = 0
+            for part in parts:
+                handle.write(part)
+                crc = zlib.crc32(part, crc)
+            handle.write(struct.pack("<Q", crc))
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -115,16 +115,19 @@ def write_field(field, path: str) -> None:
 
 
 def _split_complex(flat: np.ndarray, shape: tuple) -> np.ndarray:
-    return flat.view("<c16").reshape(shape).astype(np.complex128)
+    return flat.view("<c16").reshape(shape)
 
 
 def read_field(path: str):
-    """Deserialize an FLD1 file; the inverse of :func:`write_field`."""
+    """Deserialize an FLD2 file; the inverse of :func:`write_field`."""
     with open(path, "rb") as handle:
         blob = handle.read()
 
+    if blob[:4] == RETIRED_MAGIC:
+        raise BadMagicError(f"{path}: retired FLD1 format, no longer read; "
+                            "regenerate the file to get FLD2")
     if len(blob) < 4 or blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not an FLD1 file")
+        raise BadMagicError(f"{path}: not an FLD2 file")
     if len(blob) < 8:
         raise CountMismatchError(f"{path}: truncated header")
     kind, rank, flags, reserved = struct.unpack("<BBBB", blob[4:8])
@@ -132,12 +135,13 @@ def read_field(path: str):
         raise HeaderError(f"{path}: unknown field kind {kind}")
     if rank not in (3, 4):
         raise HeaderError(f"{path}: unsupported rank {rank}")
-    if flags & ~0b11:
+    if flags & ~(FLAG_JETS | FLAG_CELL_CENTERED | FLAG_REVERSED):
         raise HeaderError(f"{path}: unknown flag bits {flags:#04x}")
     if reserved != 0:
         raise HeaderError(f"{path}: reserved byte is {reserved}, expected 0")
-    has_jet = bool(flags & 1)
-    cell_centered = bool(flags & 2)
+    has_jet = bool(flags & FLAG_JETS)
+    cell_centered = bool(flags & FLAG_CELL_CENTERED)
+    orientation = -1 if flags & FLAG_REVERSED else 1
     if kind == KIND_SCALAR and has_jet:
         raise HeaderError(f"{path}: scalar fields carry no jets")
 
@@ -169,13 +173,15 @@ def read_field(path: str):
             f"{path}: file has {len(blob)} bytes, layout requires {expected}")
 
     stored, = struct.unpack("<Q", blob[-8:])
-    actual = fnv1a64(blob[:-8])
+    actual = zlib.crc32(memoryview(blob)[:-8])
     if stored != actual:
         raise ChecksumError(
             f"{path}: checksum {stored:#018x} != computed {actual:#018x}")
 
     grid = Grid(shape=tuple(shape), origin=tuple(origin), spacing=tuple(spacing),
-                periodic=tuple(periodic), cell_centered=cell_centered)
+                periodic=tuple(periodic), cell_centered=cell_centered,
+                orientation=orientation)
+    # Views of the file bytes; every field constructor copies and freezes them.
     flat = np.frombuffer(blob, dtype="<f8", count=payload_floats,
                          offset=header_size)
     nvals = sites * per_site
@@ -190,16 +196,15 @@ def read_field(path: str):
         normalized = bool(np.max(np.abs(norms - 1.0)) <= 1e-10)
         return SpinorField(grid, values, jet=jet, normalized=normalized)
     if kind == KIND_PHI:
-        values = raw_values.reshape(gshape + (4,)).copy()
-        jet = raw_jet.reshape(gshape + (rank, 4)).copy() if has_jet else None
+        values = raw_values.reshape(gshape + (4,))
+        jet = raw_jet.reshape(gshape + (rank, 4)) if has_jet else None
         return PhiField(grid, values, jet=jet)
     if kind == KIND_GAUGE:
-        values = raw_values.reshape(gshape + (rank, 3)).copy()
-        jet = raw_jet.reshape(gshape + (rank, rank, 3)).copy() if has_jet else None
+        values = raw_values.reshape(gshape + (rank, 3))
+        jet = raw_jet.reshape(gshape + (rank, rank, 3)) if has_jet else None
         return GaugeField(grid, values, jet=jet)
     if kind == KIND_SU2:
         values = _split_complex(raw_values, gshape + (2, 2))
         jet = _split_complex(raw_jet, gshape + (rank, 2, 2)) if has_jet else None
         return SU2Field(grid, values, jet=jet)
-    values = raw_values.reshape(gshape).copy()
-    return ScalarField(grid, values)
+    return ScalarField(grid, raw_values.reshape(gshape))

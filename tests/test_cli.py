@@ -104,6 +104,18 @@ def test_corrupt_file_exits_3(tmp_path, capsys):
     assert "checksum" in err
 
 
+def test_retired_fld1_file_exits_3(tmp_path, capsys):
+    path = str(tmp_path / "old.fld")
+    grid = st.Grid((5, 6, 7), (0.0,) * 3, (0.1,) * 3, (False,) * 3)
+    write_field(st.ScalarField(grid, np.zeros(grid.shape)), path)
+    blob = open(path, "rb").read()
+    open(path, "wb").write(b"FLD1" + blob[4:])
+    code, _, err = run(capsys, "zeros", path, "--no-color")
+    assert code == 3
+    assert "retired FLD1" in err
+    assert "Traceback" not in err
+
+
 def test_generate_timings_flag(tmp_path, capsys):
     report = str(tmp_path / "t.txt")
     code, _, _ = run(capsys, "verify", "linear", "--grid", "12,12,12,12",

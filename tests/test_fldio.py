@@ -1,12 +1,15 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import su2topo as st
 from su2topo import (BadMagicError, ChecksumError, CountMismatchError,
                      FieldFormatError, HeaderError)
-from su2topo.fldio import fnv1a64, read_field, write_field
+from su2topo.fldio import read_field, write_field
 
 
 @pytest.fixture
@@ -28,13 +31,9 @@ def all_fields(g3, g4):
     yield st.GaugeField(g4, rng.normal(size=g4.shape + (4, 3)))
     yield st.random_config(5, "su2", st.box_grid((4, 4, 4), -1.0, 1.0))
     yield st.ScalarField(g3, rng.normal(size=g3.shape))
-
-
-def test_fnv1a64_reference_vectors():
-    # standard FNV-1a test vectors
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+    reversed_g4 = dataclasses.replace(g4, orientation=-1)
+    yield st.PhiField(reversed_g4, rng.normal(size=g4.shape + (4,)),
+                      jet=rng.normal(size=g4.shape + (4, 4)))
 
 
 def test_round_trip_all_kinds(tmp_path, grids):
@@ -46,12 +45,14 @@ def test_round_trip_all_kinds(tmp_path, grids):
         assert type(back) is type(field)
         assert back.grid == field.grid
         assert np.array_equal(np.asarray(back.values), np.asarray(field.values))
+        assert not back.values.flags.writeable
         jet = getattr(field, "jet", None)
         back_jet = getattr(back, "jet", None)
         if jet is None:
             assert back_jet is None
         else:
             assert np.array_equal(back_jet, jet)
+            assert not back_jet.flags.writeable
 
 
 def test_written_twice_is_byte_identical(tmp_path, grids):
@@ -79,6 +80,28 @@ def test_bad_magic(tmp_path, grids):
     blob = open(path, "rb").read()
     open(path, "wb").write(b"XLD1" + blob[4:])
     with pytest.raises(BadMagicError):
+        read_field(path)
+
+
+def test_retired_fld1_magic_is_bad_magic(tmp_path, grids):
+    g3, _ = grids
+    path = str(tmp_path / "f.fld")
+    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    blob = open(path, "rb").read()
+    assert blob[:4] == b"FLD2"
+    open(path, "wb").write(b"FLD1" + blob[4:])
+    with pytest.raises(BadMagicError, match="retired FLD1"):
+        read_field(path)
+
+
+def test_unknown_flag_bit_is_header_error(tmp_path, grids):
+    g3, _ = grids
+    path = str(tmp_path / "f.fld")
+    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    blob = bytearray(open(path, "rb").read())
+    blob[6] |= 8
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(HeaderError):
         read_field(path)
 
 
@@ -146,3 +169,68 @@ def test_normalized_flag_recovered_on_read(tmp_path):
     write_field(psi, path)
     back = read_field(path)
     assert back.normalized
+
+
+def _su2_samples(rng, shape):
+    q = rng.normal(size=shape + (4,))
+    a, b, c, d = np.moveaxis(q / np.linalg.norm(q, axis=-1, keepdims=True), -1, 0)
+    return np.stack([np.stack([a + 1j * b, c + 1j * d], axis=-1),
+                     np.stack([-c + 1j * d, a - 1j * b], axis=-1)], axis=-2)
+
+
+def _random_field(kind, grid, jets, rng):
+    shape, rank = grid.shape, grid.rank
+
+    def cnormal(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    if kind == "spinor":
+        return st.SpinorField(grid, cnormal(shape + (2,)),
+                              jet=cnormal(shape + (rank, 2)) if jets else None)
+    if kind == "phi":
+        return st.PhiField(grid, rng.normal(size=shape + (4,)),
+                           jet=rng.normal(size=shape + (rank, 4)) if jets else None)
+    if kind == "gauge":
+        return st.GaugeField(
+            grid, rng.normal(size=shape + (rank, 3)),
+            jet=rng.normal(size=shape + (rank, rank, 3)) if jets else None)
+    if kind == "su2":
+        return st.SU2Field(grid, _su2_samples(rng, shape),
+                           jet=cnormal(shape + (rank, 2, 2)) if jets else None)
+    return st.ScalarField(grid, rng.normal(size=shape))
+
+
+@hst.composite
+def _fields(draw):
+    rank = draw(hst.sampled_from((3, 4)))
+    coord = hst.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    grid = st.Grid(
+        tuple(draw(hst.integers(4, 6)) for _ in range(rank)),
+        tuple(draw(coord) for _ in range(rank)),
+        tuple(draw(hst.floats(1e-3, 1.0)) for _ in range(rank)),
+        tuple(draw(hst.booleans()) for _ in range(rank)),
+        cell_centered=draw(hst.booleans()),
+        orientation=draw(hst.sampled_from((1, -1))))
+    kind = draw(hst.sampled_from(("spinor", "phi", "gauge", "su2", "scalar")))
+    jets = draw(hst.booleans()) and kind != "scalar"
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    return _random_field(kind, grid, jets, rng)
+
+
+@settings(max_examples=50, deadline=None)
+@given(field=_fields(), flip=hst.integers(0, 2**40), bit=hst.integers(0, 7))
+def test_property_round_trip_and_single_bit_flip(tmp_path_factory, field, flip, bit):
+    path = str(tmp_path_factory.mktemp("fld") / "f.fld")
+    write_field(field, path)
+    back = read_field(path)
+    assert type(back) is type(field)
+    assert back.grid == field.grid
+    assert np.array_equal(back.values, field.values)
+    jet, back_jet = getattr(field, "jet", None), getattr(back, "jet", None)
+    assert (back_jet is None) if jet is None else np.array_equal(back_jet, jet)
+
+    blob = bytearray(open(path, "rb").read())
+    blob[flip % len(blob)] ^= 1 << bit
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(FieldFormatError):
+        read_field(path)
