@@ -32,10 +32,9 @@ from .chern_density import (C2Result, ChernDensity, FieldStrength,
 from .phi_mapping import (Ledger, LedgerAnalysis, ZeroPoint, ZeroSearch,
                           analyze, charge_ledger, jacobian, local_degree,
                           locate_zeros, surface_degree)
-from .generators import (AnalyticConfig, box_grid, identity_map_s3,
-                         linear_phi_field, quaternion_polynomial_field,
-                         quaternion_power_field, random_config, s3_chart_grid,
-                         s3_unit_vectors)
+from .generators import (box_grid, identity_map_s3, linear_phi_field,
+                         quaternion_polynomial_field, quaternion_power_field,
+                         random_config, s3_chart_grid, s3_unit_vectors)
 from .fldio import read_field, write_field
 from .report import ChargeReport, __version__
 

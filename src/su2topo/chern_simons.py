@@ -136,8 +136,7 @@ class AbelianData:
 def _m_and_derivatives(psi: SpinorField):
     m = sigma_model_field(psi)
     dpsi = psi.derivatives()
-    dm = 2.0 * np.einsum("...i,aij,...mj->...ma", np.conj(psi.values),
-                         su2_algebra.SIGMA, dpsi).real
+    dm = 2.0 * su2_algebra.sigma_bilinear(psi.values[..., None, :], dpsi).real
     return m.values, dm
 
 
@@ -159,9 +158,8 @@ def fn_data(psi: SpinorField, residual_factor: float = 50.0):
     berry = np.einsum("...c,...ic->...i", np.conj(psi.values), dpsi)
     c = -2.0 * berry.imag
 
-    cross = np.cross(dm[..., :, None, :], dm[..., None, :, :])
-    h_full = -np.einsum("...a,...ija->...ij", m, cross)
-    h_pairs = np.stack([h_full[..., i, j] for i, j in AbelianData.H_PAIRS], axis=-1)
+    h_pairs = np.stack([-np.sum(m * np.cross(dm[..., i, :], dm[..., j, :]), axis=-1)
+                        for i, j in AbelianData.H_PAIRS], axis=-1)
 
     dc = np.stack([central_diff(c, grid, ax) for ax in range(3)], axis=-2)
     curl_res = 0.0

@@ -32,6 +32,10 @@ from .fields import (GaugeField, PhiField, SpinorField, normalize,
 from .report import ChargeReport, __version__
 
 
+class UsageError(Su2TopoError):
+    """Arguments that parse but do not fit together (exit code 2)."""
+
+
 def _color_enabled(args) -> bool:
     if getattr(args, "no_color", False) or os.environ.get("SU2TOPO_NO_COLOR"):
         return False
@@ -78,15 +82,25 @@ def _parse_box(text: str):
     return spans
 
 
+def _parse_shift(text: str) -> list:
+    try:
+        shift = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad shift spec {text!r}")
+    if len(shift) != 4:
+        raise argparse.ArgumentTypeError("shift needs 4 components")
+    return shift
+
+
 def _box_grid_from_args(args, rank: int):
     spans = args.box if args.box is not None else [(-2.0, 2.0)]
     if len(spans) == 1:
         spans = spans * rank
     if len(spans) != rank:
-        raise argparse.ArgumentTypeError("box spans do not match grid rank")
+        raise UsageError(f"--box gives {len(spans)} spans; the grid has rank {rank}")
     shape = args.grid if args.grid is not None else (16,) * rank
     if len(shape) != rank:
-        raise argparse.ArgumentTypeError("grid rank mismatch")
+        raise UsageError(f"--grid gives {len(shape)} axis sizes; this run needs {rank}")
     return generators.box_grid(shape, [s[0] for s in spans], [s[1] for s in spans])
 
 
@@ -193,7 +207,7 @@ def cmd_generate(args) -> int:
             field = generators.random_config(args.seed or 0,
                                              kind.split("-")[1], grid)
         else:
-            raise Su2TopoError(f"kind {kind!r} needs --chart s3 or a box domain")
+            raise UsageError(f"kind {kind!r} needs --chart s3 or a box domain")
     fldio.write_field(field, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -201,12 +215,15 @@ def cmd_generate(args) -> int:
 
 def _parse_roots(text: str) -> np.ndarray:
     if not text:
-        raise Su2TopoError("qpoly needs --roots 'w,x,y,z;w,x,y,z;...'")
+        raise UsageError("qpoly needs --roots 'w,x,y,z;w,x,y,z;...'")
     roots = []
     for chunk in text.split(";"):
-        vals = [float(v) for v in chunk.split(",")]
+        try:
+            vals = [float(v) for v in chunk.split(",")]
+        except ValueError:
+            raise UsageError(f"root {chunk!r} is not a list of numbers")
         if len(vals) != 4:
-            raise Su2TopoError(f"root {chunk!r} does not have 4 components")
+            raise UsageError(f"root {chunk!r} does not have 4 components")
         roots.append(vals)
     return np.asarray(roots)
 
@@ -236,12 +253,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_cs(args) -> int:
-    report, _ = _run_cs(args)
+    report, _, _ = _run_cs(args)
     _emit_report(report, args, _color_enabled(args))
     return 0 if report.all_passed else 1
 
 
 def _run_cs(args, psi: SpinorField | None = None):
+    """Three routes to Q; returns the report, the normalized spinor and the
+    parallel gauge potential built for the trace route."""
     su2_algebra.self_check()
     if psi is None:
         psi = _load_spinor(args.infile)
@@ -279,7 +298,7 @@ def _run_cs(args, psi: SpinorField | None = None):
                      f"|Q_trace - Q_spinor| = {abs(q_trace - q_spinor):.3e} < {tol}")
     report.add_check("abelian-vs-spinor", abs(q_fn - q_spinor) < tol,
                      f"|Q_fn - Q_spinor| = {abs(q_fn - q_spinor):.3e} < {tol}")
-    return report, psi
+    return report, psi, gauge
 
 
 def cmd_chern(args) -> int:
@@ -388,12 +407,14 @@ def cmd_verify(args) -> int:
         if name == "identity":
             psi = generators.identity_map_s3(resolution)
         else:
-            power = int(name.split(":", 1)[1])
+            try:
+                power = int(name.split(":", 1)[1])
+            except ValueError:
+                raise UsageError(f"bad quaternion power in {name!r}")
             grid = generators.s3_chart_grid(resolution)
             psi = phi_to_spinor(generators.quaternion_power_field(power, grid))
-        report, psi = _run_cs(args, psi=psi)
+        report, psi, gauge = _run_cs(args, psi=psi)
         report.command = f"verify {name}"
-        gauge = parallel_gauge_potential(psi)
         dpsi = covariant_derivative(psi, gauge)
         dnorm = float(np.max(np.abs(dpsi)))
         dec = decompose(psi, gauge)
@@ -414,7 +435,7 @@ def cmd_verify(args) -> int:
         report, _ = _run_zeros(args, phi)
         report.command = f"verify {name}"
     else:
-        raise Su2TopoError(
+        raise UsageError(
             f"unknown verify config {name!r}; choose from {_VERIFY_CONFIGS}")
     _emit_report(report, args, _color_enabled(args))
     return 0 if report.all_passed else 1
@@ -454,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--chart", choices=["s3", "box"], default="box")
     gen.add_argument("--power", type=int, default=1)
     gen.add_argument("--roots", default="")
-    gen.add_argument("--shift", type=lambda s: [float(v) for v in s.split(",")],
-                     default=[0.0, 0.0, 0.0, 0.0])
+    gen.add_argument("--shift", type=_parse_shift, default=[0.0, 0.0, 0.0, 0.0])
     gen.add_argument("--out", required=True)
     common(gen, needs_report=False)
     gen.set_defaults(func=cmd_generate)
@@ -485,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="full cross-check on a named generator")
     ver.add_argument("config", help="|".join(_VERIFY_CONFIGS))
-    ver.add_argument("--shift", type=lambda s: [float(v) for v in s.split(",")],
-                     default=[0.05, -0.03, 0.02, 0.01])
+    ver.add_argument("--shift", type=_parse_shift, default=[0.05, -0.03, 0.02, 0.01])
     common(ver)
     ver.set_defaults(func=cmd_verify)
     return parser
@@ -496,6 +515,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"su2topo: usage error: {exc}", file=sys.stderr)
+        return 2
     except FieldFormatError as exc:
         print(f"su2topo: input error [{exc.code}]: {exc}", file=sys.stderr)
         return 3

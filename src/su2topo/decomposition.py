@@ -35,9 +35,8 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField,
         raise FieldError("spinor and gauge grids differ")
     if dpsi is None:
         dpsi = psi.derivatives()
-    connection = np.einsum("...ma,aij,...j->...mi", gauge.values,
-                           su2_algebra.GENERATORS, psi.values)
-    return dpsi - connection
+    # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
+    return dpsi + 0.5j * su2_algebra.sigma_apply(gauge.values, psi.values[..., None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,19 +50,37 @@ class Decomposition:
     regime: str
 
     def __post_init__(self):
+        # Arrays that are already read-only (as decompose hands over its
+        # own) are kept; writable ones are copied so the caller cannot
+        # mutate the result.
         for name in ("a", "b"):
-            arr = getattr(self, name).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
 
 def _traceless_outer(u: np.ndarray, v: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """weight * (u v^dag - v u^dag) minus half its trace times I."""
-    outer = (np.einsum("...mi,...j->...mij", u, np.conj(v))
-             - np.einsum("...i,...mj->...mij", v, np.conj(u)))
-    outer *= weight[..., None, None, None]
-    tr = np.trace(outer, axis1=-2, axis2=-1)
-    return outer - 0.5 * tr[..., None, None] * su2_algebra.IDENTITY2
+    """weight * (u v^dag - v u^dag) minus half its trace times I.
+
+    ``u`` is a per-axis jet (..., m, 2) and ``v`` a spinor (..., 2).  The
+    result is anti-Hermitian and traceless, so it is written entry by entry:
+    diagonal +-i Im(u0 v0* - u1 v1*) w, off-diagonal (u0 v1* - v0 u1*) w.
+    """
+    u0, u1 = u[..., 0], u[..., 1]
+    v0, v1 = v[..., None, 0], v[..., None, 1]
+    w = weight[..., None]
+    diag = (u0 * np.conj(v0) - u1 * np.conj(v1)).imag * w
+    off = (u0 * np.conj(v1) - v0 * np.conj(u1)) * w
+    out = np.empty(u.shape[:-1] + (2, 2), dtype=np.complex128)
+    out.real[..., 0, 0] = 0.0
+    out.imag[..., 0, 0] = diag
+    out.real[..., 1, 1] = 0.0
+    out.imag[..., 1, 1] = -diag
+    out[..., 0, 1] = off
+    out[..., 1, 0] = -np.conj(off)
+    return out
 
 
 def decompose(psi: SpinorField, gauge: GaugeField, eps_zero: float = 1e-12,
@@ -89,16 +106,18 @@ def decompose(psi: SpinorField, gauge: GaugeField, eps_zero: float = 1e-12,
     dpsi = psi.derivatives()
     dcov = covariant_derivative(psi, gauge, dpsi=dpsi)
     a = _traceless_outer(dpsi, psi.values, weight)
-    b = -_traceless_outer(dcov, psi.values, weight)
+    b = _traceless_outer(dcov, psi.values, -weight)
+    a.setflags(write=False)
+    b.setflags(write=False)
 
     amat = gauge.matrices()
     residual = float(np.max(np.abs(a + b - amat)))
 
     # Independent route: recover the components from trace bilinears.
-    sig = su2_algebra.SIGMA
-    t1 = np.einsum("...i,aij,...mj->...ma", np.conj(psi.values), sig, dpsi)
-    t2 = np.einsum("...i,aij,...mj->...ma", np.conj(psi.values), sig, dcov)
-    comp = 1j * weight[..., None, None] * ((t1 - np.conj(t1)) - (t2 - np.conj(t2)))
+    # i w ((t1 - t1*) - (t2 - t2*)) = -2 w (Im t1 - Im t2)
+    t1 = su2_algebra.sigma_bilinear(psi.values[..., None, :], dpsi)
+    t2 = su2_algebra.sigma_bilinear(psi.values[..., None, :], dcov)
+    comp = -2.0 * weight[..., None, None] * (t1.imag - t2.imag)
     component_residual = float(np.max(np.abs(comp - gauge.values)))
 
     regime = "jet" if psi.has_jet else "fd"
@@ -123,6 +142,5 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
     if not psi.normalized:
         raise FieldError("parallel potential requires a normalized spinor")
     dpsi = psi.derivatives()
-    bilinear = np.einsum("...i,aij,...mj->...ma", np.conj(psi.values),
-                         su2_algebra.SIGMA, dpsi)
+    bilinear = su2_algebra.sigma_bilinear(psi.values[..., None, :], dpsi)
     return GaugeField(psi.grid, -2.0 * bilinear.imag)

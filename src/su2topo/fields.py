@@ -47,8 +47,23 @@ def _check_jet(name: str, jet, grid: Grid, comp_shape: tuple):
         raise FieldError(f"{name} jet shape {jet.shape} != {expected}")
 
 
+class _JetField:
+    """Shared accessors of the fields that may carry an exact jet."""
+
+    def derivatives(self, order: int = 2) -> np.ndarray:
+        """Jet if present, else finite differences of ``order``; the axis
+        index sits before the component axes."""
+        if self.jet is not None:
+            return self.jet
+        return derivative_stack(self.values, self.grid, order)
+
+    @property
+    def has_jet(self) -> bool:
+        return self.jet is not None
+
+
 @dataclass(frozen=True, eq=False)
-class SpinorField:
+class SpinorField(_JetField):
     """Two complex components per site, optionally with exact jets."""
 
     grid: Grid
@@ -70,19 +85,9 @@ class SpinorField:
                 raise FieldError(
                     f"spinor flagged normalized but |Psi|^2 deviates by {dev:.3e}")
 
-    def derivatives(self, order: int = 2) -> np.ndarray:
-        """Jet if present, else finite differences; shape (*shape, rank, 2)."""
-        if self.jet is not None:
-            return self.jet
-        return derivative_stack(self.values, self.grid, order)
-
-    @property
-    def has_jet(self) -> bool:
-        return self.jet is not None
-
 
 @dataclass(frozen=True, eq=False)
-class PhiField:
+class PhiField(_JetField):
     """Four real components per site; the raw (unnormalized) 4-vector field.
 
     Generator-built fields may attach analytic samplers: ``sampler`` maps
@@ -107,18 +112,9 @@ class PhiField:
             _check_jet("phi", jet, self.grid, (4,))
             object.__setattr__(self, "jet", jet)
 
-    def derivatives(self, order: int = 2) -> np.ndarray:
-        if self.jet is not None:
-            return self.jet
-        return derivative_stack(self.values, self.grid, order)
-
-    @property
-    def has_jet(self) -> bool:
-        return self.jet is not None
-
 
 @dataclass(frozen=True, eq=False)
-class UnitField:
+class UnitField(_JetField):
     """Unit 4-vector per site (normalized phi)."""
 
     grid: Grid
@@ -136,15 +132,6 @@ class UnitField:
             jet = _frozen(self.jet, np.float64)
             _check_jet("unit vector", jet, self.grid, (4,))
             object.__setattr__(self, "jet", jet)
-
-    def derivatives(self, order: int = 2) -> np.ndarray:
-        if self.jet is not None:
-            return self.jet
-        return derivative_stack(self.values, self.grid, order)
-
-    @property
-    def has_jet(self) -> bool:
-        return self.jet is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +151,7 @@ class MField:
 
 
 @dataclass(frozen=True, eq=False)
-class GaugeField:
+class GaugeField(_JetField):
     """Real components A[mu][a] per site; matrix form A_mu^a sigma_a/(2i).
 
     The optional jet stores exact derivative samples d_nu A_mu^a with
@@ -188,18 +175,9 @@ class GaugeField:
         """Anti-Hermitian traceless matrices, shape (*shape, rank, 2, 2)."""
         return su2_algebra.matrix_from_components(self.values)
 
-    def derivatives(self, order: int = 2) -> np.ndarray:
-        if self.jet is not None:
-            return self.jet
-        return derivative_stack(self.values, self.grid, order)
-
-    @property
-    def has_jet(self) -> bool:
-        return self.jet is not None
-
 
 @dataclass(frozen=True, eq=False)
-class SU2Field:
+class SU2Field(_JetField):
     """One SU(2) matrix per site.
 
     ``jet2`` optionally stores exact symmetric second derivatives
@@ -228,15 +206,6 @@ class SU2Field:
             if jet2.shape != expected:
                 raise FieldError(f"su2 jet2 shape {jet2.shape} != {expected}")
             object.__setattr__(self, "jet2", jet2)
-
-    def derivatives(self, order: int = 2) -> np.ndarray:
-        if self.jet is not None:
-            return self.jet
-        return derivative_stack(self.values, self.grid, order)
-
-    @property
-    def has_jet(self) -> bool:
-        return self.jet is not None
 
 
 def norm_squared(psi: SpinorField) -> np.ndarray:
@@ -331,19 +300,11 @@ def sigma_model_field(psi: SpinorField, imag_tol: float = 1e-12) -> MField:
     """
     if not psi.normalized:
         raise FieldError("sigma-model projection requires a normalized spinor")
-    m = np.einsum("...i,aij,...j->...a", np.conj(psi.values), su2_algebra.SIGMA,
-                  psi.values)
+    m = su2_algebra.sigma_bilinear(psi.values, psi.values)
     residue = float(np.max(np.abs(m.imag)))
     if residue > imag_tol:
         raise FieldError(f"m field imaginary residue {residue:.3e} > {imag_tol:.1e}")
     return MField(psi.grid, m.real)
-
-
-def gauge_components(matrices: np.ndarray, grid: Grid, jet=None) -> GaugeField:
-    """Project matrices to anti-Hermitian traceless form and componentize."""
-    projected, _ = su2_algebra.project_anti_hermitian_traceless(matrices)
-    comps, _ = su2_algebra.components_from_matrix(projected)
-    return GaugeField(grid, comps, jet=jet)
 
 
 def su2_product(s2: SU2Field, s1: SU2Field) -> SU2Field:

@@ -14,7 +14,7 @@ refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,35 +146,21 @@ def s3_unit_vectors(grid: Grid):
 # generators
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalyticConfig:
-    """Parameters of a named analytic configuration.
+def _quaternion_box_field(grid: Grid, jet_fn) -> PhiField:
+    """Lattice samples, exact jets and analytic samplers of a map of q on a box.
 
-    ``build(grid)`` instantiates the field; parameter validation (power in
-    [-4, 4] and nonzero, root separation at least four cell widths) happens
-    in the individual generators.
+    ``jet_fn(q, dq)`` returns ``(value, jet)`` for quaternions ``q`` (..., 4)
+    whose derivatives along the axes are ``dq`` (..., 4, 4); on a box q is
+    the point itself, so dq is the identity.
     """
+    def evaluate(points):
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        return jet_fn(points, np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy())
 
-    kind: str
-    power: int = 1
-    roots: tuple = ()
-    matrix: tuple = ()
-    shift: tuple = (0.0, 0.0, 0.0, 0.0)
-    seed: int = 0
-
-    def build(self, grid: Grid):
-        if self.kind == "identity":
-            return identity_map_s3(grid.shape)
-        if self.kind == "qpower":
-            return quaternion_power_field(self.power, grid)
-        if self.kind == "qpoly":
-            return quaternion_polynomial_field(np.asarray(self.roots), grid)
-        if self.kind == "linear":
-            matrix = np.asarray(self.matrix) if len(self.matrix) else np.eye(4)
-            return linear_phi_field(matrix, self.shift, grid)
-        if self.kind in ("spinor", "gauge", "su2"):
-            return random_config(self.seed, self.kind, grid)
-        raise FieldError(f"unknown configuration kind {self.kind!r}")
+    value, jet = evaluate(grid.points())
+    return PhiField(grid, value, jet=jet,
+                    sampler=lambda points: evaluate(points)[0],
+                    jacobian_sampler=lambda points: evaluate(points)[1])
 
 
 def identity_map_s3(resolution=32) -> SpinorField:
@@ -201,22 +187,7 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
         q, dq = s3_unit_vectors(grid)
         value, jet = _qpower_with_jet(q, dq, n)
         return PhiField(grid, value, jet=jet)
-    pts = grid.points()
-    dq = np.broadcast_to(np.eye(4), grid.shape + (4, 4)).copy()
-    value, jet = _qpower_with_jet(pts, dq, n)
-
-    def sampler(points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        eye = np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy()
-        return _qpower_with_jet(points, eye, n)[0]
-
-    def jacobian_sampler(points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        eye = np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy()
-        return _qpower_with_jet(points, eye, n)[1]
-
-    return PhiField(grid, value, jet=jet, sampler=sampler,
-                    jacobian_sampler=jacobian_sampler)
+    return _quaternion_box_field(grid, lambda q, dq: _qpower_with_jet(q, dq, n))
 
 
 def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
@@ -243,22 +214,7 @@ def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
                 raise FieldError(
                     f"roots {i} and {j} separated by {gap:.3e} < 4 h = {4*hmax:.3e}")
 
-    pts = grid.points()
-    dq = np.broadcast_to(np.eye(4), grid.shape + (4, 4)).copy()
-    value, jet = _qpoly_with_jet(pts, dq, roots)
-
-    def sampler(points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        eye = np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy()
-        return _qpoly_with_jet(points, eye, roots)[0]
-
-    def jacobian_sampler(points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        eye = np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy()
-        return _qpoly_with_jet(points, eye, roots)[1]
-
-    return PhiField(grid, value, jet=jet, sampler=sampler,
-                    jacobian_sampler=jacobian_sampler)
+    return _quaternion_box_field(grid, lambda q, dq: _qpoly_with_jet(q, dq, roots))
 
 
 def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:

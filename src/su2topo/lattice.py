@@ -13,7 +13,7 @@ results do not depend on any sweep or worker order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,8 +2,12 @@
 
 Generators follow the anti-Hermitian convention ``T_a = sigma_a / (2i)``;
 every other module must take its constants from here so sign conventions
-cannot drift.  ``self_check`` replays the algebraic identities the rest of
-the package relies on and is executed once per process by the CLI.
+cannot drift.  For the same reason the Pauli contractions of spinors on
+whole grids go through the closed-form kernels here: :func:`sigma_bilinear`
+(``u^dag sigma_a v``) and :func:`sigma_apply` (``(c_a sigma_a) v``).  They
+use only the four nonzero entries of each ``sigma_a`` instead of a generic
+three-operand einsum.  ``self_check`` replays the algebraic identities the
+rest of the package relies on and is executed once per process by the CLI.
 """
 
 from __future__ import annotations
@@ -30,6 +34,35 @@ GENERATORS = SIGMA / 2.0j
 IDENTITY2.setflags(write=False)
 SIGMA.setflags(write=False)
 GENERATORS.setflags(write=False)
+
+
+def sigma_bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u^dag sigma_a v`` for spinor batches, with the color axis ``a`` last.
+
+    ``u`` and ``v`` have shape ``(..., 2)`` and broadcast over the leading
+    axes, so ``u[..., None, :]`` pairs one spinor with a per-axis jet.
+    """
+    u0, u1 = np.conj(u[..., 0]), np.conj(u[..., 1])
+    v0, v1 = v[..., 0], v[..., 1]
+    p01, p10 = u0 * v1, u1 * v0
+    out = np.empty(np.broadcast_shapes(u0.shape, v0.shape) + (3,),
+                   dtype=np.complex128)
+    out[..., 0] = p01 + p10
+    out[..., 1] = 1j * (p10 - p01)
+    out[..., 2] = u0 * v0 - u1 * v1
+    return out
+
+
+def sigma_apply(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(c_a sigma_a) v`` for real components ``c`` (..., 3) and spinors ``v``
+    (..., 2); leading axes broadcast as in :func:`sigma_bilinear`."""
+    c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2]
+    v0, v1 = v[..., 0], v[..., 1]
+    out = np.empty(np.broadcast_shapes(c1.shape, v0.shape) + (2,),
+                   dtype=np.complex128)
+    out[..., 0] = c3 * v0 + (c1 - 1j * c2) * v1
+    out[..., 1] = (c1 + 1j * c2) * v0 - c3 * v1
+    return out
 
 
 def _maxabs(x) -> float:

@@ -137,3 +137,38 @@ def test_bad_grid_spec_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["cs", "x.fld", "--grid", "bogus"])
     assert info.value.code == 2
+
+
+def test_verify_identity_builds_the_parallel_potential_once(capsys, monkeypatch):
+    import su2topo.cli as cli
+    calls = []
+    real = cli.parallel_gauge_potential
+
+    def counted(psi):
+        calls.append(psi.grid.shape)
+        return real(psi)
+
+    monkeypatch.setattr(cli, "parallel_gauge_potential", counted)
+    # At 16^3 the trace route's O(h^2) error exceeds the default --tol.
+    code, out, _ = run(capsys, "verify", "identity", "--grid", "16,16,16",
+                       "--no-color", "--tol", "0.1")
+    assert code == 0
+    assert "parallel-condition" in out
+    assert calls == [(16, 16, 16)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "qpoly", "--grid", "16,16,16"],
+    ["verify", "qpoly", "--box=-2:2,-1:1"],
+    ["generate", "--kind", "qpoly", "--roots", "a,b,c,d", "--out", "x.fld"],
+    ["generate", "--kind", "qpoly", "--roots=0,0,0", "--out", "x.fld"],
+    ["verify", "qpower:x"],
+])
+def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("su2topo: usage error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.fld").exists()

@@ -172,3 +172,15 @@ def test_transformation_laws(seed):
     b_law = rot(dec.b)
     assert np.max(np.abs(dec2.a - a_law)) < 1e-10
     assert np.max(np.abs(dec2.b - b_law)) < 1e-10
+
+
+def test_decomposition_arrays_are_frozen_and_detached():
+    grid = small_grid()
+    psi = st.random_config(3, "spinor", grid)
+    dec = st.decompose(psi, st.random_config(4, "gauge", grid))
+    assert not dec.a.flags.writeable and not dec.b.flags.writeable
+    mine = np.array(dec.a)
+    wrapped = st.Decomposition(mine, dec.b, 0.0, 0.0, "jet")
+    assert wrapped.b is dec.b
+    mine[...] = 0.0
+    assert np.array_equal(wrapped.a, dec.a) and not wrapped.a.flags.writeable

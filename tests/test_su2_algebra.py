@@ -97,3 +97,65 @@ def test_projection_residual():
     assert residual > 0.0
     y2, residual2 = alg.project_anti_hermitian_traceless(y)
     assert residual2 < 1e-15
+
+
+def _random_spinors(rng, shape):
+    return rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+
+
+def _bilinear_reference(u, v, sigma=alg.SIGMA):
+    return np.einsum("...i,aij,...j->...a", np.conj(u), sigma, v)
+
+
+def _apply_reference(c, v, sigma=alg.SIGMA):
+    return np.einsum("...a,aij,...j->...i", c, sigma, v)
+
+
+def _kernel_cases(seed):
+    """(u, v) pairs: same-shape batches and one spinor against a 3-axis jet."""
+    rng = np.random.default_rng(seed)
+    psi = _random_spinors(rng, (4, 5))
+    jet = 3.0 * _random_spinors(rng, (4, 5, 3))
+    return [(psi, _random_spinors(rng, (4, 5))), (psi[..., None, :], jet)]
+
+
+def _deviation(got, ref, *operands):
+    scale = np.prod([np.max(np.abs(x)) for x in operands])
+    return np.max(np.abs(got - ref)) / scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sigma_bilinear_matches_einsum(seed):
+    for u, v in _kernel_cases(seed):
+        got = alg.sigma_bilinear(u, v)
+        ref = _bilinear_reference(u, v)
+        assert got.shape == ref.shape
+        assert _deviation(got, ref, u, v) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sigma_apply_matches_einsum(seed):
+    rng = np.random.default_rng(100 + seed)
+    for _, v in _kernel_cases(seed):
+        c = rng.normal(size=v.shape[:-1] + (3,))
+        got = alg.sigma_apply(c, v)
+        ref = _apply_reference(c, v)
+        assert got.shape == ref.shape
+        assert _deviation(got, ref, c, v) <= 1e-15
+    psi = _random_spinors(rng, (4, 5))
+    c = rng.normal(size=(4, 5, 3, 3))
+    got = alg.sigma_apply(c, psi[..., None, :])
+    assert got.shape == (4, 5, 3, 2)
+    assert _deviation(got, _apply_reference(c, psi[..., None, :]), c, psi) <= 1e-15
+
+
+@pytest.mark.parametrize("a", range(3))
+def test_kernel_comparison_catches_one_flipped_sigma(a):
+    flipped = alg.SIGMA.copy()
+    flipped[a] *= -1.0
+    u, v = _kernel_cases(7)[1]
+    c = np.random.default_rng(7).normal(size=v.shape[:-1] + (3,))
+    assert _deviation(alg.sigma_bilinear(u, v), _bilinear_reference(u, v, flipped),
+                      u, v) > 1e-2
+    assert _deviation(alg.sigma_apply(c, v), _apply_reference(c, v, flipped),
+                      c, v) > 1e-2
