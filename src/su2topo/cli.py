@@ -19,14 +19,15 @@ import csv
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import chern_simons as cs
 from . import fldio, generators, phi_mapping, su2_algebra
 from .chern_density import chern_density, second_chern_number
-from .decomposition import covariant_derivative, decompose, parallel_gauge_potential
-from .errors import FieldFormatError, Su2TopoError
+from .decomposition import decompose, parallel_gauge_potential
+from .errors import FieldError, FieldFormatError, LatticeError, Su2TopoError
 from .fields import (GaugeField, PhiField, SpinorField, normalize,
                      phi_to_spinor, spinor_to_phi, unit_vector)
 from .report import ChargeReport, __version__
@@ -34,6 +35,16 @@ from .report import ChargeReport, __version__
 
 class UsageError(Su2TopoError):
     """Arguments that parse but do not fit together (exit code 2)."""
+
+
+@contextmanager
+def _usage_errors():
+    """Report the library's rejection of command-line values as a usage
+    error: no input file is involved in building a generated field."""
+    try:
+        yield
+    except (FieldError, LatticeError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _color_enabled(args) -> bool:
@@ -187,27 +198,28 @@ def _load_spinor(path: str) -> SpinorField:
 
 def cmd_generate(args) -> int:
     kind = args.kind
-    if kind in ("identity", "qpower") and args.chart == "s3":
-        resolution = args.grid if args.grid is not None else (32, 32, 32)
-        if kind == "identity":
-            field = spinor_to_phi(generators.identity_map_s3(resolution))
+    with _usage_errors():
+        if kind in ("identity", "qpower") and args.chart == "s3":
+            resolution = args.grid if args.grid is not None else (32, 32, 32)
+            if kind == "identity":
+                field = spinor_to_phi(generators.identity_map_s3(resolution))
+            else:
+                grid = generators.s3_chart_grid(resolution)
+                field = generators.quaternion_power_field(args.power, grid)
         else:
-            grid = generators.s3_chart_grid(resolution)
-            field = generators.quaternion_power_field(args.power, grid)
-    else:
-        grid = _box_grid_from_args(args, 4)
-        if kind == "qpower":
-            field = generators.quaternion_power_field(args.power, grid)
-        elif kind == "qpoly":
-            roots = _parse_roots(args.roots)
-            field = generators.quaternion_polynomial_field(roots, grid)
-        elif kind == "linear":
-            field = generators.linear_phi_field(np.eye(4), args.shift, grid)
-        elif kind in ("random-spinor", "random-gauge", "random-su2"):
-            field = generators.random_config(args.seed or 0,
-                                             kind.split("-")[1], grid)
-        else:
-            raise UsageError(f"kind {kind!r} needs --chart s3 or a box domain")
+            grid = _box_grid_from_args(args, 4)
+            if kind == "qpower":
+                field = generators.quaternion_power_field(args.power, grid)
+            elif kind == "qpoly":
+                roots = _parse_roots(args.roots)
+                field = generators.quaternion_polynomial_field(roots, grid)
+            elif kind == "linear":
+                field = generators.linear_phi_field(np.eye(4), args.shift, grid)
+            elif kind in ("random-spinor", "random-gauge", "random-su2"):
+                field = generators.random_config(args.seed or 0,
+                                                 kind.split("-")[1], grid)
+            else:
+                raise UsageError(f"kind {kind!r} needs --chart s3 or a box domain")
     fldio.write_field(field, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -404,34 +416,35 @@ def cmd_verify(args) -> int:
     su2_algebra.self_check()
     if name == "identity" or name.startswith("qpower:"):
         resolution = args.grid if args.grid is not None else (32, 32, 32)
-        if name == "identity":
-            psi = generators.identity_map_s3(resolution)
-        else:
-            try:
-                power = int(name.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"bad quaternion power in {name!r}")
-            grid = generators.s3_chart_grid(resolution)
-            psi = phi_to_spinor(generators.quaternion_power_field(power, grid))
+        with _usage_errors():
+            if name == "identity":
+                psi = generators.identity_map_s3(resolution)
+            else:
+                try:
+                    power = int(name.split(":", 1)[1])
+                except ValueError:
+                    raise UsageError(f"bad quaternion power in {name!r}")
+                grid = generators.s3_chart_grid(resolution)
+                psi = phi_to_spinor(generators.quaternion_power_field(power, grid))
         report, psi, gauge = _run_cs(args, psi=psi)
         report.command = f"verify {name}"
-        dpsi = covariant_derivative(psi, gauge)
-        dnorm = float(np.max(np.abs(dpsi)))
         dec = decompose(psi, gauge)
+        dnorm = float(np.max(np.abs(dec.covariant)))
         bnorm = float(np.max(np.abs(dec.b)))
         report.results["parallel_condition"] = {"max_DPsi": dnorm, "max_b": bnorm}
         report.add_check("parallel-condition", dnorm < 1e-10 and bnorm < 1e-10,
                          f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e} < 1e-10")
     elif name in ("linear", "qpoly"):
-        grid = _box_grid_from_args(args, 4)
-        if name == "linear":
-            phi = generators.linear_phi_field(np.eye(4), args.shift, grid)
-        else:
-            hmax = max(grid.spacing)
-            gap = max(1.2, 5.0 * hmax)
-            roots = np.array([[-gap / 2, 0.1, -0.05, 0.2],
-                              [gap / 2, -0.1, 0.05, -0.2]])
-            phi = generators.quaternion_polynomial_field(roots, grid)
+        with _usage_errors():
+            grid = _box_grid_from_args(args, 4)
+            if name == "linear":
+                phi = generators.linear_phi_field(np.eye(4), args.shift, grid)
+            else:
+                hmax = max(grid.spacing)
+                gap = max(1.2, 5.0 * hmax)
+                roots = np.array([[-gap / 2, 0.1, -0.05, 0.2],
+                                  [gap / 2, -0.1, 0.05, -0.2]])
+                phi = generators.quaternion_polynomial_field(roots, grid)
         report, _ = _run_zeros(args, phi)
         report.command = f"verify {name}"
     else:

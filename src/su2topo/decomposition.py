@@ -41,21 +41,26 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField,
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Matrix fields a_mu, b_mu with their exactness diagnostics."""
+    """Matrix fields a_mu, b_mu with their exactness diagnostics.
+
+    ``covariant`` holds the D_mu Psi samples the split was built from
+    (``(*shape, rank, 2)``), so callers need not recompute them.
+    """
 
     a: np.ndarray
     b: np.ndarray
     residual: float
     component_residual: float
     regime: str
+    covariant: np.ndarray | None = None
 
     def __post_init__(self):
         # Arrays that are already read-only (as decompose hands over its
         # own) are kept; writable ones are copied so the caller cannot
         # mutate the result.
-        for name in ("a", "b"):
+        for name in ("a", "b", "covariant"):
             arr = getattr(self, name)
-            if arr.flags.writeable:
+            if arr is not None and arr.flags.writeable:
                 arr = arr.copy()
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
@@ -107,8 +112,8 @@ def decompose(psi: SpinorField, gauge: GaugeField, eps_zero: float = 1e-12,
     dcov = covariant_derivative(psi, gauge, dpsi=dpsi)
     a = _traceless_outer(dpsi, psi.values, weight)
     b = _traceless_outer(dcov, psi.values, -weight)
-    a.setflags(write=False)
-    b.setflags(write=False)
+    for arr in (dcov, a, b):
+        arr.setflags(write=False)
 
     amat = gauge.matrices()
     residual = float(np.max(np.abs(a + b - amat)))
@@ -128,7 +133,7 @@ def decompose(psi: SpinorField, gauge: GaugeField, eps_zero: float = 1e-12,
                 f"decomposition identity violated with exact jets: "
                 f"matrix residual {residual:.3e}, "
                 f"component residual {component_residual:.3e}")
-    return Decomposition(a, b, residual, component_residual, regime)
+    return Decomposition(a, b, residual, component_residual, regime, dcov)
 
 
 def parallel_gauge_potential(psi: SpinorField) -> GaugeField:

@@ -10,6 +10,12 @@ prod_j (q - c_j) plant zeros at chosen roots.
 4-vector fields built here also carry analytic samplers for off-lattice
 evaluation, which the zero search uses for machine-precision root
 refinement.
+
+On a box, q is the point itself, so d_mu q = e_mu: the product-rule terms
+e_mu s and p e_mu of the jets are signed permutations of the components of
+s and p, and no identity jet is materialised.  ``qmul`` is written component
+by component in the operation order of the vector form; the rank-3 chart
+keeps its exact chart jets and the generic product rule.
 """
 
 from __future__ import annotations
@@ -29,13 +35,20 @@ from .lattice import Grid
 # --------------------------------------------------------------------------
 
 def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternion arrays."""
-    p0, pv = p[..., 0], p[..., 1:]
-    q0, qv = q[..., 0], q[..., 1:]
+    """Hamilton product of quaternion arrays.
+
+    Written component by component in the operation order of the vector
+    form p0 q0 - p.q, p0 q + q0 p + p x q, so the result is bit-identical
+    to it; the ``+ 0.0`` turns a -0.0 dot product into +0.0, as ``np.sum``
+    does.
+    """
+    p0, p1, p2, p3 = (p[..., a] for a in range(4))
+    q0, q1, q2, q3 = (q[..., a] for a in range(4))
     out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[..., 0] = p0 * q0 - np.sum(pv * qv, axis=-1)
-    out[..., 1:] = (p0[..., None] * qv + q0[..., None] * pv
-                    + np.cross(pv, qv))
+    out[..., 0] = p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3 + 0.0)
+    out[..., 1] = p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2)
+    out[..., 2] = p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3)
+    out[..., 3] = p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1)
     return out
 
 
@@ -45,19 +58,58 @@ def qconj(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _qpower_with_jet(q: np.ndarray, dq: np.ndarray, n: int):
-    """q^n with product-rule jets; dq has the derivative axis at -2."""
+# Products with the basis units e_mu = 1, i, j, k are signed permutations:
+# (e_mu p)[a] = LEFT[mu, a] p[PERM[mu, a]] and (p e_mu)[a] = RIGHT[mu, a]
+# p[PERM[mu, a]].  A sign flip is exact, so they equal qmul with a unit
+# operand entry for entry; only an entry that is exactly zero may differ
+# from it, in the sign of the zero.
+_UNIT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_UNIT_LEFT = np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]])
+_UNIT_RIGHT = np.array([[1.0, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1]])
+
+
+def _unit_products(p: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Stack (..., 4, 4) of signed unit products of p, unit axis at -2."""
+    out = p[..., _UNIT_PERM]
+    out *= signs
+    return out
+
+
+def _qpower_with_jet(q: np.ndarray, dq: np.ndarray | None, n: int):
+    """q^n with product-rule jets; dq has the derivative axis at -2.
+
+    ``dq=None`` is the box, where q is the point itself and d_mu q = e_mu
+    at every point (conj(e_mu) = -e_mu for mu > 0 once n < 0): the terms
+    dq q^k and q dq are then signed unit products.
+    """
     if n == 0:
         raise FieldError("quaternion power needs n != 0")
+    box = dq is None
+    if box:
+        dq = np.eye(4)
     if n < 0:
         q = qconj(q)
         dq = qconj_jet(dq)
         n = -n
+    # on the box, d_mu q = signs[mu] e_mu
+    signs = np.diagonal(dq)[:, None] if box else None
     value = q
-    jet = dq
+    jet = None if box else dq
     for _ in range(n - 1):
-        jet = qmul(dq, value[..., None, :]) + qmul(q[..., None, :], jet)
+        if box:
+            left = _unit_products(value, _UNIT_LEFT * signs)
+            if jet is None:
+                right = _unit_products(q, _UNIT_RIGHT * signs)
+            else:
+                right = qmul(q[..., None, :], jet)
+        else:
+            left = qmul(dq, value[..., None, :])
+            right = qmul(q[..., None, :], jet)
+        left += right
+        jet = left
         value = qmul(q, value)
+    if jet is None:
+        jet = np.broadcast_to(dq, q.shape[:-1] + (4, 4))
     return value, jet
 
 
@@ -67,14 +119,25 @@ def qconj_jet(dq: np.ndarray) -> np.ndarray:
     return out
 
 
-def _qpoly_with_jet(q: np.ndarray, dq: np.ndarray, roots: np.ndarray):
-    """Left-ordered product prod_j (q - c_j) with product-rule jets."""
+def _qpoly_with_jet(q: np.ndarray, roots: np.ndarray):
+    """Left-ordered product prod_j (q - c_j) with product-rule jets.
+
+    q is a box point, so d_mu q = e_mu and the product-rule terms
+    e_mu (q - c) and P e_mu are signed unit products.
+    """
     value = q - roots[0]
-    jet = dq
+    jet = None
     for root in roots[1:]:
         factor = q - root
-        jet = qmul(jet, factor[..., None, :]) + qmul(value[..., None, :], dq)
+        if jet is None:
+            left = _unit_products(factor, _UNIT_LEFT)
+        else:
+            left = qmul(jet, factor[..., None, :])
+        left += _unit_products(value, _UNIT_RIGHT)
+        jet = left
         value = qmul(value, factor)
+    if jet is None:
+        jet = np.broadcast_to(np.eye(4), q.shape[:-1] + (4, 4))
     return value, jet
 
 
@@ -149,13 +212,11 @@ def s3_unit_vectors(grid: Grid):
 def _quaternion_box_field(grid: Grid, jet_fn) -> PhiField:
     """Lattice samples, exact jets and analytic samplers of a map of q on a box.
 
-    ``jet_fn(q, dq)`` returns ``(value, jet)`` for quaternions ``q`` (..., 4)
-    whose derivatives along the axes are ``dq`` (..., 4, 4); on a box q is
-    the point itself, so dq is the identity.
+    ``jet_fn(q)`` returns ``(value, jet)`` for box points ``q`` (..., 4),
+    the jet with the derivative axis at -2.
     """
     def evaluate(points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return jet_fn(points, np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy())
+        return jet_fn(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
     value, jet = evaluate(grid.points())
     return PhiField(grid, value, jet=jet,
@@ -187,7 +248,7 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
         q, dq = s3_unit_vectors(grid)
         value, jet = _qpower_with_jet(q, dq, n)
         return PhiField(grid, value, jet=jet)
-    return _quaternion_box_field(grid, lambda q, dq: _qpower_with_jet(q, dq, n))
+    return _quaternion_box_field(grid, lambda q: _qpower_with_jet(q, None, n))
 
 
 def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
@@ -214,7 +275,7 @@ def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
                 raise FieldError(
                     f"roots {i} and {j} separated by {gap:.3e} < 4 h = {4*hmax:.3e}")
 
-    return _quaternion_box_field(grid, lambda q, dq: _qpoly_with_jet(q, dq, roots))
+    return _quaternion_box_field(grid, lambda q: _qpoly_with_jet(q, roots))
 
 
 def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:

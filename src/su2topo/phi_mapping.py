@@ -15,7 +15,9 @@ class.
 
 Zero search: 4-cells where every component changes sign across the 16
 corners seed damped Newton iterations (sign screening over-fires on coarse
-grids, so Newton is the arbiter).  Analytic samplers attached by the
+grids, so Newton is the arbiter).  The screen takes the corner minimum and
+maximum one axis at a time, as pairwise passes over neighbouring slices
+(rolled on periodic axes).  Analytic samplers attached by the
 generators give machine-precision roots; lattice-only fields fall back on
 the multilinear interpolant with O(h^2) positions.
 """
@@ -137,6 +139,27 @@ def _newton(evaluate, jac, x0: np.ndarray, bounds, tol: float, max_iter: int):
     return x, best, best < tol
 
 
+def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Mask of the 4-cells whose 16 corners show both signs in every component.
+
+    A cell spans sites k and k+1 on each axis (k+1 wraps on periodic axes),
+    so the corner min/max is taken one axis at a time: pairwise over
+    neighbouring slices, 4 passes instead of 16 corner copies.  Min and max
+    are exact, so the order of the passes does not change the mask.
+    """
+    mins = maxs = values
+    for ax in range(grid.rank):
+        if grid.periodic[ax]:
+            mins = np.minimum(mins, np.roll(mins, -1, axis=ax))
+            maxs = np.maximum(maxs, np.roll(maxs, -1, axis=ax))
+        else:
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            mins = np.minimum(mins[lo], mins[hi])
+            maxs = np.maximum(maxs[lo], maxs[hi])
+    return np.all((mins < 0.0) & (maxs > 0.0), axis=-1)
+
+
 def locate_zeros(phi: PhiField, newton_tol: float = 1e-10,
                  max_iter: int = 40) -> ZeroSearch:
     """Find the isolated zeros of phi on a rank-4 grid.
@@ -153,22 +176,7 @@ def locate_zeros(phi: PhiField, newton_tol: float = 1e-10,
     values = phi.values
     hmax = max(grid.spacing)
 
-    cells_shape = tuple(n if grid.periodic[i] else n - 1
-                        for i, n in enumerate(grid.shape))
-    mins = None
-    maxs = None
-    for corner in range(16):
-        take = values
-        for ax in range(4):
-            n = cells_shape[ax]
-            if (corner >> ax) & 1:
-                idx = (np.arange(n) + 1) % grid.shape[ax]
-            else:
-                idx = np.arange(n)
-            take = np.take(take, idx, axis=ax)
-        mins = take if mins is None else np.minimum(mins, take)
-        maxs = take if maxs is None else np.maximum(maxs, take)
-    candidate = np.all((mins < 0.0) & (maxs > 0.0), axis=-1)
+    candidate = _sign_change_cells(values, grid)
 
     norms = np.linalg.norm(values, axis=-1)
     site_tol = 1e-9 * max(1.0, float(np.max(norms)))

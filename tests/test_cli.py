@@ -157,12 +157,37 @@ def test_verify_identity_builds_the_parallel_potential_once(capsys, monkeypatch)
     assert calls == [(16, 16, 16)]
 
 
+def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypatch):
+    import su2topo.cli as cli
+    import su2topo.decomposition as decomposition
+    calls = []
+    real = decomposition.covariant_derivative
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "covariant_derivative", counted)
+    monkeypatch.setattr(cli, "covariant_derivative", counted, raising=False)
+    code, out, _ = run(capsys, "verify", "identity", "--grid", "16,16,16",
+                       "--no-color", "--tol", "0.1")
+    assert code == 0
+    assert "max_DPsi" in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "qpoly", "--grid", "16,16,16"],
     ["verify", "qpoly", "--box=-2:2,-1:1"],
     ["generate", "--kind", "qpoly", "--roots", "a,b,c,d", "--out", "x.fld"],
     ["generate", "--kind", "qpoly", "--roots=0,0,0", "--out", "x.fld"],
     ["verify", "qpower:x"],
+    # values the generators reject: no file is involved, so usage errors
+    ["verify", "identity", "--grid", "3,3,3"],
+    ["verify", "qpower:0"],
+    ["verify", "linear", "--grid", "2,2,2,2"],
+    ["verify", "linear", "--box=1:-1"],
+    ["generate", "--kind", "linear", "--grid", "2,2,2,2", "--out", "x.fld"],
 ])
 def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -172,3 +172,138 @@ def test_su2_jet2_matches_fd_of_jet():
     interior = (slice(2, -2),) * 4
     err = np.max(np.abs((fd_of_jet - s.jet2)[interior]))
     assert err < 60.0 * max(grid.spacing) ** 2
+
+
+# --------------------------------------------------------------------------
+# quaternion kernels against the vector-form reference
+# --------------------------------------------------------------------------
+
+def _qmul_reference(p, q):
+    """The vector form p0 q0 - p.q, p0 q + q0 p + p x q (np.sum, np.cross)."""
+    p0, pv = p[..., 0], p[..., 1:]
+    q0, qv = q[..., 0], q[..., 1:]
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., 0] = p0 * q0 - np.sum(pv * qv, axis=-1)
+    out[..., 1:] = (p0[..., None] * qv + q0[..., None] * pv
+                    + np.cross(pv, qv))
+    return out
+
+
+def _qconj_reference(q):
+    out = q.copy()
+    out[..., 1:] *= -1.0
+    return out
+
+
+def _qpower_reference(q, dq, n):
+    """q^n by the generic product rule with a materialised dq."""
+    if n < 0:
+        q, dq, n = _qconj_reference(q), _qconj_reference(dq), -n
+    value, jet = q, dq
+    for _ in range(n - 1):
+        jet = (_qmul_reference(dq, value[..., None, :])
+               + _qmul_reference(q[..., None, :], jet))
+        value = _qmul_reference(q, value)
+    return value, jet
+
+
+def _qpoly_reference(q, dq, roots):
+    """prod_j (q - c_j) by the generic product rule with a materialised dq."""
+    value, jet = q - roots[0], dq
+    for root in roots[1:]:
+        factor = q - root
+        jet = (_qmul_reference(jet, factor[..., None, :])
+               + _qmul_reference(value[..., None, :], dq))
+        value = _qmul_reference(value, factor)
+    return value, jet
+
+
+def _bit_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _with_signed_zeros(rng, x):
+    x = x.copy()
+    hit = rng.random(x.shape) < 0.25
+    x[hit] = np.where(rng.random(np.count_nonzero(hit)) < 0.5, 0.0, -0.0)
+    return x
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_qmul_matches_vector_form_bit_for_bit(seed):
+    from su2topo.generators import qmul
+    rng = np.random.default_rng(seed)
+    p, q = rng.normal(size=(2, 64, 4))
+    jet = rng.normal(size=(64, 4, 4))
+    cases = [(p, q), (jet, q[:, None, :]), (q[:, None, :], jet),
+             (_with_signed_zeros(rng, jet), _with_signed_zeros(rng, q)[:, None, :])]
+    for a, b in cases:
+        assert _bit_equal(qmul(a, b), _qmul_reference(a, b))
+
+
+def _box_points():
+    # no coordinate is exactly zero on this box (even point counts)
+    grid = st.box_grid((10, 10, 10, 10), -1.0, 1.0)
+    rng = np.random.default_rng(5)
+    return grid, rng.uniform(-1.0, 1.0, size=(40, 4))
+
+
+_ROOTS = np.array([[-0.55, 0.1, -0.05, 0.2], [0.5, -0.1, 0.05, -0.2],
+                   [0.05, 0.6, 0.5, -0.5]])
+
+
+def _box_fields():
+    grid, _ = _box_points()
+    for k in (1, 2, 3):
+        yield (st.quaternion_polynomial_field(_ROOTS[:k], grid),
+               lambda q, dq, k=k: _qpoly_reference(q, dq, _ROOTS[:k]))
+    for n in (1, 2, 3, 4, -1, -2, -3, -4):
+        yield (st.quaternion_power_field(n, grid),
+               lambda q, dq, n=n: _qpower_reference(q, dq, n))
+
+
+def _generic(reference, points):
+    eye = np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy()
+    return reference(points, eye)
+
+
+def test_box_jets_equal_generic_product_rule():
+    grid, pts = _box_points()
+    for phi, reference in _box_fields():
+        value, jet = _generic(reference, grid.points())
+        assert _bit_equal(phi.values, value)
+        assert _bit_equal(phi.jet, jet)
+        value, jet = _generic(reference, pts)
+        assert _bit_equal(phi.sampler(pts), value)
+        assert _bit_equal(phi.jacobian_sampler(pts), jet)
+
+
+def test_box_jets_with_zero_coordinates_differ_only_in_zero_signs():
+    # An odd point count puts x = 0 on every axis; there a jet entry that is
+    # exactly zero may carry the other sign of zero than the generic
+    # product's sum of signed zero terms.  Every value is equal.
+    grid = st.box_grid((5, 5, 5, 5), -1.0, 1.0)
+    for n in (2, -3, 4):
+        phi = st.quaternion_power_field(n, grid)
+        value, jet = _generic(lambda q, dq: _qpower_reference(q, dq, n),
+                              grid.points())
+        assert _bit_equal(phi.values, value)
+        assert np.array_equal(phi.jet, jet)
+        same_sign = np.signbit(phi.jet) == np.signbit(jet)
+        assert np.all(same_sign | (jet == 0.0))
+
+
+@pytest.mark.parametrize("table", ["_UNIT_LEFT", "_UNIT_RIGHT"])
+def test_flipped_unit_sign_breaks_the_jet_comparison(monkeypatch, table):
+    import su2topo.generators as gen
+    grid, _ = _box_points()
+    value, jet = _generic(lambda q, dq: _qpoly_reference(q, dq, _ROOTS[:2]),
+                          grid.points())
+    for mu in range(4):
+        for a in range(4):
+            flipped = getattr(gen, table).copy()
+            flipped[mu, a] *= -1.0
+            monkeypatch.setattr(gen, table, flipped)
+            phi = st.quaternion_polynomial_field(_ROOTS[:2], grid)
+            assert _bit_equal(phi.values, value)
+            assert not np.array_equal(phi.jet, jet), (table, mu, a)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import su2topo as st
 from su2topo import ZeroLocationError
 from su2topo.generators import _qpoly_with_jet
-from su2topo.phi_mapping import surface_degree
+from su2topo.phi_mapping import _sign_change_cells, surface_degree
 
 
 def box(n=16, half=1.0):
@@ -70,14 +72,11 @@ def test_locate_zeros_too_close_raises():
     h = max(grid.spacing)
     # separated by 0.7 h: far enough to survive dedup, too close to resolve
     roots = np.array([[-0.35 * h, 0.0, 0.0, 0.0], [0.35 * h, 0.0, 0.0, 0.0]])
-    pts = grid.points()
-    eye = np.broadcast_to(np.eye(4), grid.shape + (4, 4)).copy()
-    values, jet = _qpoly_with_jet(pts, eye, roots)
+    values, jet = _qpoly_with_jet(grid.points(), roots)
 
     def sampler(points):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        e = np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy()
-        return _qpoly_with_jet(points, e, roots)[0]
+        return _qpoly_with_jet(points, roots)[0]
 
     phi = st.PhiField(grid, values, jet=jet, sampler=sampler)
     with pytest.raises(ZeroLocationError):
@@ -234,3 +233,64 @@ def test_boundary_zero_rejected():
     assert len(search.zeros) == 1
     with pytest.raises(ZeroLocationError):
         st.local_degree(phi, search.zeros[0])
+
+
+# --------------------------------------------------------------------------
+# sign screen against the 16-corner reference
+# --------------------------------------------------------------------------
+
+def _corner_screen_reference(values, grid):
+    """Min/max over the 16 corners of each cell, one full copy per corner."""
+    cells_shape = tuple(n if grid.periodic[i] else n - 1
+                        for i, n in enumerate(grid.shape))
+    mins = maxs = None
+    for corner in range(16):
+        take = values
+        for ax in range(4):
+            idx = np.arange(cells_shape[ax])
+            if (corner >> ax) & 1:
+                idx = (idx + 1) % grid.shape[ax]
+            take = np.take(take, idx, axis=ax)
+        mins = take if mins is None else np.minimum(mins, take)
+        maxs = take if maxs is None else np.maximum(maxs, take)
+    return np.all((mins < 0.0) & (maxs > 0.0), axis=-1)
+
+
+@settings(max_examples=60)
+@given(shape=hst.tuples(*[hst.integers(4, 7)] * 4),
+       periodic=hst.tuples(*[hst.booleans()] * 4),
+       cell_centered=hst.booleans(),
+       negative=hst.floats(0.02, 0.25),
+       seed=hst.integers(0, 2**32 - 1))
+def test_sign_screen_matches_corner_reference(shape, periodic, cell_centered,
+                                              negative, seed):
+    grid = st.Grid(shape, (0.0,) * 4, (0.25,) * 4, periodic,
+                   cell_centered=cell_centered)
+    rng = np.random.default_rng(seed)
+    # Sites are negative with the drawn probability, so from few to most
+    # cells are candidates; the coarse levels give ties and exact zeros.
+    levels = rng.integers(0, 3, size=shape + (4,)).astype(np.float64)
+    values = np.where(rng.random(levels.shape) < negative, -1.0 - levels, levels)
+    mask = _sign_change_cells(values, grid)
+    expected = _corner_screen_reference(values, grid)
+    assert mask.shape == expected.shape
+    assert np.array_equal(mask, expected)
+
+
+def test_sign_screen_finds_a_change_across_the_periodic_wrap():
+    grid = st.Grid((6, 5, 5, 5), (0.0,) * 4, (0.25,) * 4,
+                   (True, False, False, False))
+    x = grid.points()
+    values = np.empty(grid.shape + (4,))
+    # phi^0 is +1 on the first site of axis 0, -1 on its last, 0 between:
+    # only the cell from the last site back to the first sees both signs.
+    values[..., 0] = 0.0
+    values[0, ..., 0] = 1.0
+    values[-1, ..., 0] = -1.0
+    values[..., 1:] = x[..., 1:] - 0.55
+    mask = _sign_change_cells(values, grid)
+    assert np.array_equal(mask, _corner_screen_reference(values, grid))
+    assert [tuple(c) for c in np.argwhere(mask)] == [(5, 2, 2, 2)]
+
+    open_grid = st.Grid(grid.shape, grid.origin, grid.spacing, (False,) * 4)
+    assert not _sign_change_cells(values, open_grid).any()
