@@ -19,7 +19,8 @@ import csv
 import os
 import sys
 import time
-from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,31 +38,14 @@ class UsageError(Su2TopoError):
     """Arguments that parse but do not fit together (exit code 2)."""
 
 
-@contextmanager
-def _usage_errors():
-    """Report the library's rejection of command-line values as a usage
-    error: no input file is involved in building a generated field."""
-    try:
-        yield
-    except (FieldError, LatticeError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _color_enabled(args) -> bool:
-    if getattr(args, "no_color", False) or os.environ.get("SU2TOPO_NO_COLOR"):
+    if args.no_color or os.environ.get("SU2TOPO_NO_COLOR"):
         return False
     return sys.stdout.isatty()
 
 
-def _status(text: str, passed: bool, color: bool) -> str:
-    if not color:
-        return text
-    code = "32" if passed else "31"
-    return f"\x1b[{code}m{text}\x1b[0m"
-
-
 def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads:
         return max(1, int(args.threads))
     env = os.environ.get("SU2TOPO_THREADS")
     if env:
@@ -103,26 +87,36 @@ def _parse_shift(text: str) -> list:
     return shift
 
 
-def _box_grid_from_args(args, rank: int):
+def _chart_grid(args, chart: str):
+    """The grid of ``--grid``/``--box`` on a chart: the rank-3 "s3" chart of
+    the unit 3-sphere (32^3 by default) or a rank-4 "box" (16^4 on
+    [-2, 2]^4 by default)."""
+    rank = 3 if chart == "s3" else 4
+    shape = args.grid if args.grid is not None else ((32,) * 3 if rank == 3 else (16,) * 4)
+    if len(shape) != rank:
+        raise UsageError(f"--grid gives {len(shape)} axis sizes; this run needs {rank}")
+    if chart == "s3":
+        if args.box is not None:
+            raise UsageError("--box bounds a box domain; the s3 chart has fixed bounds")
+        return generators.s3_chart_grid(shape)
     spans = args.box if args.box is not None else [(-2.0, 2.0)]
     if len(spans) == 1:
         spans = spans * rank
     if len(spans) != rank:
         raise UsageError(f"--box gives {len(spans)} spans; the grid has rank {rank}")
-    shape = args.grid if args.grid is not None else (16,) * rank
-    if len(shape) != rank:
-        raise UsageError(f"--grid gives {len(shape)} axis sizes; this run needs {rank}")
     return generators.box_grid(shape, [s[0] for s in spans], [s[1] for s in spans])
 
 
-def _emit_report(report: ChargeReport, args, color: bool) -> None:
-    text = report.render(include_timings=getattr(args, "timings", False))
-    if getattr(args, "report", None):
+def _emit_report(report: ChargeReport, args) -> int:
+    """Write the report where the flags ask; the exit code of the run."""
+    text = report.render(include_timings=args.timings)
+    if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(text)
-    if getattr(args, "csv", None):
+    if args.csv:
         _write_csv(report, args.csv)
-    sys.stdout.write(text if not color else _colorize_report(text))
+    sys.stdout.write(_colorize_report(text) if _color_enabled(args) else text)
+    return 0 if report.all_passed else 1
 
 
 def _write_csv(report: ChargeReport, path: str) -> None:
@@ -153,9 +147,9 @@ def _colorize_report(text: str) -> str:
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.endswith("PASS"):
-            out.append(line.replace("PASS", _status("PASS", True, True)))
+            out.append(line.replace("PASS", "\x1b[32mPASS\x1b[0m"))
         elif stripped.endswith("FAIL"):
-            out.append(line.replace("FAIL", _status("FAIL", False, True)))
+            out.append(line.replace("FAIL", "\x1b[31mFAIL\x1b[0m"))
         else:
             out.append(line)
     return "\n".join(out) + "\n"
@@ -172,62 +166,31 @@ def _grid_summary(grid) -> dict:
     }
 
 
-def _config_echo(args, grid) -> dict:
+def _config_echo(args, grid, threads: int | None = None) -> dict:
     from .conventions import ORIENTATION_SIGN
-    return {
+    config = {
         "grid": _grid_summary(grid),
         "tolerance": args.tol,
         "orientation_calibration": ORIENTATION_SIGN,
-        "seed": getattr(args, "seed", None) or 0,
-        "threads": _thread_count(args),
     }
+    if threads is not None:
+        config["threads"] = threads
+    return config
 
 
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
-def _load_spinor(path: str) -> SpinorField:
-    field = fldio.read_field(path)
+def _as_spinor(field, source: str) -> SpinorField:
     if isinstance(field, SpinorField):
         return field
     if isinstance(field, PhiField):
         return phi_to_spinor(field)
-    raise Su2TopoError(f"{path}: expected a spinor or phi field")
-
-
-def cmd_generate(args) -> int:
-    kind = args.kind
-    with _usage_errors():
-        if kind in ("identity", "qpower") and args.chart == "s3":
-            resolution = args.grid if args.grid is not None else (32, 32, 32)
-            if kind == "identity":
-                field = spinor_to_phi(generators.identity_map_s3(resolution))
-            else:
-                grid = generators.s3_chart_grid(resolution)
-                field = generators.quaternion_power_field(args.power, grid)
-        else:
-            grid = _box_grid_from_args(args, 4)
-            if kind == "qpower":
-                field = generators.quaternion_power_field(args.power, grid)
-            elif kind == "qpoly":
-                roots = _parse_roots(args.roots)
-                field = generators.quaternion_polynomial_field(roots, grid)
-            elif kind == "linear":
-                field = generators.linear_phi_field(np.eye(4), args.shift, grid)
-            elif kind in ("random-spinor", "random-gauge", "random-su2"):
-                field = generators.random_config(args.seed or 0,
-                                                 kind.split("-")[1], grid)
-            else:
-                raise UsageError(f"kind {kind!r} needs --chart s3 or a box domain")
-    fldio.write_field(field, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    raise Su2TopoError(f"{source}: expected a spinor or phi field")
 
 
 def _parse_roots(text: str) -> np.ndarray:
-    if not text:
-        raise UsageError("qpoly needs --roots 'w,x,y,z;w,x,y,z;...'")
     roots = []
     for chunk in text.split(";"):
         try:
@@ -240,8 +203,67 @@ def _parse_roots(text: str) -> np.ndarray:
     return np.asarray(roots)
 
 
+def _qpoly_roots(args, grid) -> np.ndarray:
+    """``--roots``, or two roots at least five cells apart."""
+    if args.roots:
+        return _parse_roots(args.roots)
+    gap = max(1.2, 5.0 * max(grid.spacing))
+    return np.array([[-gap / 2, 0.1, -0.05, 0.2], [gap / 2, -0.1, 0.05, -0.2]])
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A named configuration: the charts it is defined on, its builder
+    ``(grid, args) -> field`` and, for ``verify``, its config name (the
+    first chart is the one ``verify`` uses)."""
+
+    charts: tuple
+    build: Callable
+    verify: str | None = None
+
+
+_KINDS = {
+    "identity": _Kind(("s3",), lambda grid, args: generators.identity_map_s3(grid.shape),
+                      verify="identity"),
+    "qpower": _Kind(("s3", "box"),
+                    lambda grid, args: generators.quaternion_power_field(args.power, grid),
+                    verify="qpower:N"),
+    "qpoly": _Kind(("box",), lambda grid, args: generators.quaternion_polynomial_field(
+        _qpoly_roots(args, grid), grid), verify="qpoly"),
+    "linear": _Kind(("box",), lambda grid, args: generators.linear_phi_field(
+        np.eye(4), args.shift, grid), verify="linear"),
+    **{f"random-{kind}": _Kind(("box",), lambda grid, args, kind=kind:
+                               generators.random_config(args.seed, kind, grid))
+       for kind in ("spinor", "gauge", "su2")},
+}
+
+_VERIFY_CONFIGS = tuple(k.verify for k in _KINDS.values() if k.verify)
+
+
+def _build(kind: str, chart: str, args):
+    """The field of a registry kind on the chart grid of ``args``."""
+    charts = _KINDS[kind].charts
+    if chart not in charts:
+        raise UsageError(f"kind {kind!r} is defined on the {' and '.join(charts)} "
+                         f"chart only, not on {chart}")
+    try:
+        return _KINDS[kind].build(_chart_grid(args, chart), args)
+    except (FieldError, LatticeError) as exc:
+        # the library rejects a command-line value; no input file is involved
+        raise UsageError(str(exc)) from exc
+
+
+def cmd_generate(args) -> int:
+    field = _build(args.kind, args.chart, args)
+    if args.chart == "s3" and isinstance(field, SpinorField):
+        field = spinor_to_phi(field)    # chart maps are stored as 4-vector fields
+    fldio.write_field(field, args.out)
+    print(f"wrote {args.out}")
+    return 0
+
+
 def cmd_decompose(args) -> int:
-    psi = _load_spinor(args.psi)
+    psi = _as_spinor(fldio.read_field(args.psi), args.psi)
     if args.gauge:
         gauge = fldio.read_field(args.gauge)
         if not isinstance(gauge, GaugeField):
@@ -260,14 +282,16 @@ def cmd_decompose(args) -> int:
     report.add_check("reconstruction", result.residual < tol,
                      f"|a+b-A| = {result.residual:.3e} < {tol:.3e}")
     report.timings["decompose_s"] = time.perf_counter() - start
-    _emit_report(report, args, _color_enabled(args))
-    return 0 if report.all_passed else 1
+    return _emit_report(report, args)
 
 
 def cmd_cs(args) -> int:
     report, _, _ = _run_cs(args)
-    _emit_report(report, args, _color_enabled(args))
-    return 0 if report.all_passed else 1
+    return _emit_report(report, args)
+
+
+def _charge_entry(q: float) -> dict:
+    return {"value": q, "nearest": int(round(q)), "deviation": abs(q - round(q))}
 
 
 def _run_cs(args, psi: SpinorField | None = None):
@@ -275,7 +299,7 @@ def _run_cs(args, psi: SpinorField | None = None):
     parallel gauge potential built for the trace route."""
     su2_algebra.self_check()
     if psi is None:
-        psi = _load_spinor(args.infile)
+        psi = _as_spinor(fldio.read_field(args.infile), args.infile)
     if not psi.normalized:
         psi = normalize(psi)
     report = ChargeReport("cs", config=_config_echo(args, psi.grid))
@@ -286,21 +310,18 @@ def _run_cs(args, psi: SpinorField | None = None):
     start = time.perf_counter()
     q_spinor = cs.knot_charge(psi, method="spinor")
     timings["spinor_s"] = time.perf_counter() - start
-    results["Q_spinor"] = {"value": q_spinor, "nearest": int(round(q_spinor)),
-                           "deviation": abs(q_spinor - round(q_spinor))}
+    results["Q_spinor"] = _charge_entry(q_spinor)
 
     start = time.perf_counter()
     gauge = parallel_gauge_potential(psi)
     q_trace = cs.knot_charge(psi, method="trace", gauge=gauge)
     timings["trace_s"] = time.perf_counter() - start
-    results["Q_trace"] = {"value": q_trace, "nearest": int(round(q_trace)),
-                          "deviation": abs(q_trace - round(q_trace))}
+    results["Q_trace"] = _charge_entry(q_trace)
 
     start = time.perf_counter()
     data, q_fn = cs.fn_data(psi)
     timings["abelian_s"] = time.perf_counter() - start
-    results["Q_fn"] = {"value": q_fn, "nearest": int(round(q_fn)),
-                       "deviation": abs(q_fn - round(q_fn)),
+    results["Q_fn"] = {**_charge_entry(q_fn),
                        "exactness_residual": data.exactness_residual}
 
     report.results["charges"] = results
@@ -316,14 +337,8 @@ def _run_cs(args, psi: SpinorField | None = None):
 def cmd_chern(args) -> int:
     field = fldio.read_field(args.infile)
     report = ChargeReport("chern", config=_config_echo(args, field.grid))
-    if isinstance(field, PhiField):
-        psi = phi_to_spinor(field)
-        phi = field
-    elif isinstance(field, SpinorField):
-        psi = field
-        phi = spinor_to_phi(field)
-    else:
-        raise Su2TopoError(f"{args.infile}: expected a spinor or phi field")
+    psi = _as_spinor(field, args.infile)
+    phi = field if isinstance(field, PhiField) else spinor_to_phi(psi)
 
     methods = ["spinor", "unit", "trace"] if args.method == "all" else [args.method]
     results = {}
@@ -347,8 +362,7 @@ def cmd_chern(args) -> int:
         spread = max(values) - min(values)
         report.add_check("method-agreement", spread < args.tol,
                          f"max spread {spread:.3e} < {args.tol}")
-    _emit_report(report, args, _color_enabled(args))
-    return 0 if report.all_passed else 1
+    return _emit_report(report, args)
 
 
 def _zero_entry(zero) -> dict:
@@ -367,10 +381,10 @@ def _zero_entry(zero) -> dict:
 
 def _run_zeros(args, phi: PhiField):
     su2_algebra.self_check()
-    report = ChargeReport("zeros", config=_config_echo(args, phi.grid))
+    threads = _thread_count(args)
+    report = ChargeReport("zeros", config=_config_echo(args, phi.grid, threads))
     start = time.perf_counter()
-    analysis = phi_mapping.analyze(phi, ledger_tol=args.tol,
-                                   threads=_thread_count(args))
+    analysis = phi_mapping.analyze(phi, ledger_tol=args.tol, threads=threads)
     report.timings["ledger_s"] = time.perf_counter() - start
     ledger = analysis.ledger
     report.results["ledger"] = {
@@ -403,55 +417,35 @@ def cmd_zeros(args) -> int:
     if not isinstance(field, PhiField):
         raise Su2TopoError(f"{args.infile}: expected a phi or spinor field")
     report, _ = _run_zeros(args, field)
-    _emit_report(report, args, _color_enabled(args))
-    return 0 if report.all_passed else 1
-
-
-_VERIFY_CONFIGS = ("identity", "qpower:2", "qpower:-1", "qpower:3",
-                   "linear", "qpoly")
+    return _emit_report(report, args)
 
 
 def cmd_verify(args) -> int:
     name = args.config
+    kind, colon, power = name.partition(":")
+    if kind not in _KINDS or _KINDS[kind].verify != kind + (":N" if colon else ""):
+        raise UsageError(
+            f"unknown verify config {name!r}; choose from {_VERIFY_CONFIGS}")
+    if colon:
+        try:
+            args.power = int(power)
+        except ValueError:
+            raise UsageError(f"bad quaternion power in {name!r}")
     su2_algebra.self_check()
-    if name == "identity" or name.startswith("qpower:"):
-        resolution = args.grid if args.grid is not None else (32, 32, 32)
-        with _usage_errors():
-            if name == "identity":
-                psi = generators.identity_map_s3(resolution)
-            else:
-                try:
-                    power = int(name.split(":", 1)[1])
-                except ValueError:
-                    raise UsageError(f"bad quaternion power in {name!r}")
-                grid = generators.s3_chart_grid(resolution)
-                psi = phi_to_spinor(generators.quaternion_power_field(power, grid))
+    chart = _KINDS[kind].charts[0]
+    if chart == "s3":
+        psi = _as_spinor(_build(kind, chart, args), name)
         report, psi, gauge = _run_cs(args, psi=psi)
-        report.command = f"verify {name}"
         dec = decompose(psi, gauge)
         dnorm = float(np.max(np.abs(dec.covariant)))
         bnorm = float(np.max(np.abs(dec.b)))
         report.results["parallel_condition"] = {"max_DPsi": dnorm, "max_b": bnorm}
         report.add_check("parallel-condition", dnorm < 1e-10 and bnorm < 1e-10,
                          f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e} < 1e-10")
-    elif name in ("linear", "qpoly"):
-        with _usage_errors():
-            grid = _box_grid_from_args(args, 4)
-            if name == "linear":
-                phi = generators.linear_phi_field(np.eye(4), args.shift, grid)
-            else:
-                hmax = max(grid.spacing)
-                gap = max(1.2, 5.0 * hmax)
-                roots = np.array([[-gap / 2, 0.1, -0.05, 0.2],
-                                  [gap / 2, -0.1, 0.05, -0.2]])
-                phi = generators.quaternion_polynomial_field(roots, grid)
-        report, _ = _run_zeros(args, phi)
-        report.command = f"verify {name}"
     else:
-        raise UsageError(
-            f"unknown verify config {name!r}; choose from {_VERIFY_CONFIGS}")
-    _emit_report(report, args, _color_enabled(args))
-    return 0 if report.all_passed else 1
+        report, _ = _run_zeros(args, _build(kind, chart, args))
+    report.command = f"verify {name}"
+    return _emit_report(report, args)
 
 
 # --------------------------------------------------------------------------
@@ -465,62 +459,68 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_report=True):
+    # Each subcommand takes only the flags it reads.
+    def domain_flags(p):
         p.add_argument("--grid", type=_parse_grid, default=None,
                        help="axis sizes n0,n1,n2[,n3]")
         p.add_argument("--box", type=_parse_box, default=None,
-                       help="per-axis bounds lo:hi[,lo:hi...]")
+                       help="per-axis bounds lo:hi[,lo:hi...] of a box chart")
+
+    def threads_flag(p):
+        p.add_argument("--threads", type=int, default=None,
+                       help="zero-ledger workers (default SU2TOPO_THREADS or 1)")
+
+    def report_flags(p):
         p.add_argument("--tol", type=float, default=0.05)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--no-color", action="store_true")
-        if needs_report:
-            p.add_argument("--report", default=None, help="write report to file")
-            p.add_argument("--csv", default=None,
-                           help="write flat plot-ready rows to a CSV file")
-            p.add_argument("--timings", action="store_true",
-                           help="include wall-clock timings in the report")
+        p.add_argument("--report", default=None, help="write report to file")
+        p.add_argument("--csv", default=None,
+                       help="write flat plot-ready rows to a CSV file")
+        p.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings in the report")
 
     gen = sub.add_parser("generate", help="write an analytic configuration")
-    gen.add_argument("--kind", required=True,
-                     choices=["identity", "qpower", "qpoly", "linear",
-                              "random-spinor", "random-gauge", "random-su2"])
+    gen.add_argument("--kind", required=True, choices=list(_KINDS))
     gen.add_argument("--chart", choices=["s3", "box"], default="box")
     gen.add_argument("--power", type=int, default=1)
-    gen.add_argument("--roots", default="")
+    gen.add_argument("--roots", default=None)
     gen.add_argument("--shift", type=_parse_shift, default=[0.0, 0.0, 0.0, 0.0])
     gen.add_argument("--out", required=True)
-    common(gen, needs_report=False)
+    gen.add_argument("--seed", type=int, default=0)
+    domain_flags(gen)
     gen.set_defaults(func=cmd_generate)
 
     dec = sub.add_parser("decompose", help="split a gauge potential")
     dec.add_argument("--psi", required=True)
     dec.add_argument("--gauge", default=None)
-    common(dec)
+    report_flags(dec)
     dec.set_defaults(func=cmd_decompose)
 
     csp = sub.add_parser("cs", help="knot charges on a rank-3 chart")
     csp.add_argument("infile")
-    common(csp)
+    report_flags(csp)
     csp.set_defaults(func=cmd_cs)
 
     chn = sub.add_parser("chern", help="Chern density and second Chern number")
     chn.add_argument("infile")
     chn.add_argument("--method", choices=["trace", "spinor", "unit", "all"],
                      default="all")
-    common(chn)
+    report_flags(chn)
     chn.set_defaults(func=cmd_chern)
 
     zer = sub.add_parser("zeros", help="zero ledger of a 4-vector field")
     zer.add_argument("infile")
-    common(zer)
+    threads_flag(zer)
+    report_flags(zer)
     zer.set_defaults(func=cmd_zeros)
 
     ver = sub.add_parser("verify", help="full cross-check on a named generator")
     ver.add_argument("config", help="|".join(_VERIFY_CONFIGS))
     ver.add_argument("--shift", type=_parse_shift, default=[0.05, -0.03, 0.02, 0.01])
-    common(ver)
-    ver.set_defaults(func=cmd_verify)
+    domain_flags(ver)
+    threads_flag(ver)
+    report_flags(ver)
+    ver.set_defaults(func=cmd_verify, roots=None)
     return parser
 
 

@@ -20,50 +20,19 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, derivative_stack
+from .lattice import Grid, LatticeField
 
 NORM_TOL = 1e-10
 
 
-def _frozen(values: np.ndarray, dtype) -> np.ndarray:
-    out = np.asarray(values, dtype=dtype).copy()
-    out.setflags(write=False)
-    return out
-
-
-def _check_samples(name: str, values: np.ndarray, grid: Grid, comp_shape: tuple):
-    expected = grid.shape + comp_shape
-    if values.shape != expected:
-        raise FieldError(f"{name} shape {values.shape} != {expected}")
-    if not np.all(np.isfinite(values.view(np.float64))):
-        raise FieldError(f"{name} contains non-finite samples")
-
-
-def _check_jet(name: str, jet, grid: Grid, comp_shape: tuple):
-    if jet is None:
-        return
-    expected = grid.shape + (grid.rank,) + comp_shape
-    if jet.shape != expected:
-        raise FieldError(f"{name} jet shape {jet.shape} != {expected}")
-
-
-class _JetField:
-    """Shared accessors of the fields that may carry an exact jet."""
-
-    def derivatives(self, order: int = 2) -> np.ndarray:
-        """Jet if present, else finite differences of ``order``; the axis
-        index sits before the component axes."""
-        if self.jet is not None:
-            return self.jet
-        return derivative_stack(self.values, self.grid, order)
-
-    @property
-    def has_jet(self) -> bool:
-        return self.jet is not None
+def _check_unit_norm(field) -> None:
+    dev = np.max(np.abs(np.sum(field.values * field.values, axis=-1) - 1.0))
+    if dev > NORM_TOL:
+        raise FieldError(f"{field.LABEL} norm deviates by {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
-class SpinorField(_JetField):
+class SpinorField(LatticeField):
     """Two complex components per site, optionally with exact jets."""
 
     grid: Grid
@@ -71,23 +40,28 @@ class SpinorField(_JetField):
     jet: np.ndarray | None = None
     normalized: bool = False
 
-    def __post_init__(self):
-        values = _frozen(self.values, np.complex128)
-        _check_samples("spinor", values, self.grid, (2,))
-        object.__setattr__(self, "values", values)
-        if self.jet is not None:
-            jet = _frozen(self.jet, np.complex128)
-            _check_jet("spinor", jet, self.grid, (2,))
-            object.__setattr__(self, "jet", jet)
+    DTYPE = np.complex128
+    COMPONENTS = (2,)
+    FLD_KIND = 1
+    LABEL = "spinor"
+
+    def _check_values(self):
         if self.normalized:
             dev = np.max(np.abs(norm_squared(self) - 1.0))
             if dev > NORM_TOL:
                 raise FieldError(
                     f"spinor flagged normalized but |Psi|^2 deviates by {dev:.3e}")
 
+    @classmethod
+    def from_samples(cls, grid: Grid, values: np.ndarray, jet=None):
+        """Flagged normalized when every sample is unit to ``NORM_TOL``."""
+        norms = np.sum(values.real**2 + values.imag**2, axis=-1)
+        normalized = bool(np.max(np.abs(norms - 1.0)) <= NORM_TOL)
+        return cls(grid, values, jet=jet, normalized=normalized)
+
 
 @dataclass(frozen=True, eq=False)
-class PhiField(_JetField):
+class PhiField(LatticeField):
     """Four real components per site; the raw (unnormalized) 4-vector field.
 
     Generator-built fields may attach analytic samplers: ``sampler`` maps
@@ -103,55 +77,42 @@ class PhiField(_JetField):
     sampler: object = field(default=None, repr=False, compare=False)
     jacobian_sampler: object = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        values = _frozen(self.values, np.float64)
-        _check_samples("phi", values, self.grid, (4,))
-        object.__setattr__(self, "values", values)
-        if self.jet is not None:
-            jet = _frozen(self.jet, np.float64)
-            _check_jet("phi", jet, self.grid, (4,))
-            object.__setattr__(self, "jet", jet)
+    COMPONENTS = (4,)
+    FLD_KIND = 2
+    LABEL = "phi"
 
 
 @dataclass(frozen=True, eq=False)
-class UnitField(_JetField):
+class UnitField(LatticeField):
     """Unit 4-vector per site (normalized phi)."""
 
     grid: Grid
     values: np.ndarray
     jet: np.ndarray | None = None
 
-    def __post_init__(self):
-        values = _frozen(self.values, np.float64)
-        _check_samples("unit vector", values, self.grid, (4,))
-        dev = np.max(np.abs(np.sum(values * values, axis=-1) - 1.0))
-        if dev > NORM_TOL:
-            raise FieldError(f"unit field norm deviates by {dev:.3e}")
-        object.__setattr__(self, "values", values)
-        if self.jet is not None:
-            jet = _frozen(self.jet, np.float64)
-            _check_jet("unit vector", jet, self.grid, (4,))
-            object.__setattr__(self, "jet", jet)
+    COMPONENTS = (4,)
+    LABEL = "unit vector"
+
+    def _check_values(self):
+        _check_unit_norm(self)
 
 
 @dataclass(frozen=True, eq=False)
-class MField:
+class MField(LatticeField):
     """Unit 3-vector per site (sigma-model projection of a unit spinor)."""
 
     grid: Grid
     values: np.ndarray
 
-    def __post_init__(self):
-        values = _frozen(self.values, np.float64)
-        _check_samples("m field", values, self.grid, (3,))
-        dev = np.max(np.abs(np.sum(values * values, axis=-1) - 1.0))
-        if dev > 1e-10:
-            raise FieldError(f"m field norm deviates by {dev:.3e}")
-        object.__setattr__(self, "values", values)
+    COMPONENTS = (3,)
+    LABEL = "m field"
+
+    def _check_values(self):
+        _check_unit_norm(self)
 
 
 @dataclass(frozen=True, eq=False)
-class GaugeField(_JetField):
+class GaugeField(LatticeField):
     """Real components A[mu][a] per site; matrix form A_mu^a sigma_a/(2i).
 
     The optional jet stores exact derivative samples d_nu A_mu^a with
@@ -162,14 +123,12 @@ class GaugeField(_JetField):
     values: np.ndarray
     jet: np.ndarray | None = None
 
-    def __post_init__(self):
-        values = _frozen(self.values, np.float64)
-        _check_samples("gauge field", values, self.grid, (self.grid.rank, 3))
-        object.__setattr__(self, "values", values)
-        if self.jet is not None:
-            jet = _frozen(self.jet, np.float64)
-            _check_jet("gauge field", jet, self.grid, (self.grid.rank, 3))
-            object.__setattr__(self, "jet", jet)
+    FLD_KIND = 3
+    LABEL = "gauge field"
+
+    @classmethod
+    def component_shape(cls, rank: int) -> tuple:
+        return (rank, 3)
 
     def matrices(self) -> np.ndarray:
         """Anti-Hermitian traceless matrices, shape (*shape, rank, 2, 2)."""
@@ -177,7 +136,7 @@ class GaugeField(_JetField):
 
 
 @dataclass(frozen=True, eq=False)
-class SU2Field(_JetField):
+class SU2Field(LatticeField):
     """One SU(2) matrix per site.
 
     ``jet2`` optionally stores exact symmetric second derivatives
@@ -190,22 +149,20 @@ class SU2Field(_JetField):
     jet: np.ndarray | None = None
     jet2: np.ndarray | None = None
 
-    def __post_init__(self):
-        values = _frozen(self.values, np.complex128)
-        _check_samples("su2 field", values, self.grid, (2, 2))
-        if not su2_algebra.is_su2(values):
+    DTYPE = np.complex128
+    COMPONENTS = (2, 2)
+    FLD_KIND = 4
+    LABEL = "su2 field"
+
+    def _check_values(self):
+        if not su2_algebra.is_su2(self.values):
             raise FieldError("su2 field entries violate S^dag S = I, det S = 1")
-        object.__setattr__(self, "values", values)
-        if self.jet is not None:
-            jet = _frozen(self.jet, np.complex128)
-            _check_jet("su2 field", jet, self.grid, (2, 2))
-            object.__setattr__(self, "jet", jet)
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.jet2 is not None:
-            jet2 = _frozen(self.jet2, np.complex128)
-            expected = self.grid.shape + (self.grid.rank, self.grid.rank, 2, 2)
-            if jet2.shape != expected:
-                raise FieldError(f"su2 jet2 shape {jet2.shape} != {expected}")
-            object.__setattr__(self, "jet2", jet2)
+            rank = self.grid.rank
+            self._freeze("jet2", self.grid.shape + (rank, rank, 2, 2))
 
 
 def norm_squared(psi: SpinorField) -> np.ndarray:
@@ -213,9 +170,13 @@ def norm_squared(psi: SpinorField) -> np.ndarray:
     return np.sum(np.abs(psi.values) ** 2, axis=-1)
 
 
-def _worst_site(norms: np.ndarray, eps_zero: float):
-    site = np.unravel_index(int(np.argmin(norms)), norms.shape)
-    return site, float(norms[site])
+def _check_nonvanishing(norms: np.ndarray, eps_zero: float, name: str) -> None:
+    """Raise :class:`NormalizationError` at the smallest norm below ``eps_zero``."""
+    if np.min(norms) < eps_zero:
+        site = np.unravel_index(int(np.argmin(norms)), norms.shape)
+        raise NormalizationError(
+            f"{name} norm {float(norms[site]):.3e} < {eps_zero:.1e} at site {site}",
+            site=site)
 
 
 def normalize(psi: SpinorField, eps_zero: float = 1e-12) -> SpinorField:
@@ -227,10 +188,7 @@ def normalize(psi: SpinorField, eps_zero: float = 1e-12) -> SpinorField:
     or re-gridded by the caller, never clamped.
     """
     norms = np.sqrt(norm_squared(psi))
-    if np.min(norms) < eps_zero:
-        site, val = _worst_site(norms, eps_zero)
-        raise NormalizationError(
-            f"spinor norm {val:.3e} < {eps_zero:.1e} at site {site}", site=site)
+    _check_nonvanishing(norms, eps_zero, "spinor")
     values = psi.values / norms[..., None]
     jet = None
     if psi.jet is not None:
@@ -241,35 +199,19 @@ def normalize(psi: SpinorField, eps_zero: float = 1e-12) -> SpinorField:
 
 
 def spinor_to_phi(psi: SpinorField) -> PhiField:
-    """Real 4-vector components (Re Psi1, Im Psi1, Re Psi2, Im Psi2)."""
-    values = np.empty(psi.grid.shape + (4,))
-    values[..., 0] = psi.values[..., 0].real
-    values[..., 1] = psi.values[..., 0].imag
-    values[..., 2] = psi.values[..., 1].real
-    values[..., 3] = psi.values[..., 1].imag
-    jet = None
-    if psi.jet is not None:
-        jet = np.empty(psi.grid.shape + (psi.grid.rank, 4))
-        jet[..., 0] = psi.jet[..., 0].real
-        jet[..., 1] = psi.jet[..., 0].imag
-        jet[..., 2] = psi.jet[..., 1].real
-        jet[..., 3] = psi.jet[..., 1].imag
-    return PhiField(psi.grid, values, jet=jet)
+    """Real 4-vector components (Re Psi1, Im Psi1, Re Psi2, Im Psi2).
+
+    That is the memory layout of the complex pair, so both conversions
+    reinterpret the samples and are exact.
+    """
+    jet = None if psi.jet is None else psi.jet.view(np.float64)
+    return PhiField(psi.grid, psi.values.view(np.float64), jet=jet)
 
 
 def phi_to_spinor(phi: PhiField) -> SpinorField:
     """Exact inverse of :func:`spinor_to_phi`."""
-    values = np.empty(phi.grid.shape + (2,), dtype=np.complex128)
-    values[..., 0] = phi.values[..., 0] + 1j * phi.values[..., 1]
-    values[..., 1] = phi.values[..., 2] + 1j * phi.values[..., 3]
-    jet = None
-    if phi.jet is not None:
-        jet = np.empty(phi.grid.shape + (phi.grid.rank, 2), dtype=np.complex128)
-        jet[..., 0] = phi.jet[..., 0] + 1j * phi.jet[..., 1]
-        jet[..., 1] = phi.jet[..., 2] + 1j * phi.jet[..., 3]
-    norms = np.sum(values.real**2 + values.imag**2, axis=-1)
-    normalized = bool(np.max(np.abs(norms - 1.0)) <= NORM_TOL)
-    return SpinorField(phi.grid, values, jet=jet, normalized=normalized)
+    jet = None if phi.jet is None else phi.jet.view(np.complex128)
+    return SpinorField.from_samples(phi.grid, phi.values.view(np.complex128), jet)
 
 
 def unit_vector(phi: PhiField, eps_zero: float = 1e-12) -> UnitField:
@@ -279,10 +221,7 @@ def unit_vector(phi: PhiField, eps_zero: float = 1e-12) -> UnitField:
     ``eps_zero`` raise :class:`NormalizationError`.
     """
     norms = np.linalg.norm(phi.values, axis=-1)
-    if np.min(norms) < eps_zero:
-        site, val = _worst_site(norms, eps_zero)
-        raise NormalizationError(
-            f"phi norm {val:.3e} < {eps_zero:.1e} at site {site}", site=site)
+    _check_nonvanishing(norms, eps_zero, "phi")
     values = phi.values / norms[..., None]
     jet = None
     if phi.jet is not None:

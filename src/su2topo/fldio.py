@@ -42,48 +42,27 @@ from .lattice import Grid, ScalarField
 MAGIC = b"FLD2"
 RETIRED_MAGIC = b"FLD1"
 
-KIND_SPINOR = 1
-KIND_PHI = 2
-KIND_GAUGE = 3
-KIND_SU2 = 4
-KIND_SCALAR = 5
+# Kind codes, component shapes and dtypes are declared by the field classes.
+_FIELD_CLASSES = {cls.FLD_KIND: cls
+          for cls in (SpinorField, PhiField, GaugeField, SU2Field, ScalarField)}
 
 FLAG_JETS = 1
 FLAG_CELL_CENTERED = 2
 FLAG_REVERSED = 4
 
 
-def _kind_of(field) -> int:
-    if isinstance(field, SpinorField):
-        return KIND_SPINOR
-    if isinstance(field, PhiField):
-        return KIND_PHI
-    if isinstance(field, GaugeField):
-        return KIND_GAUGE
-    if isinstance(field, SU2Field):
-        return KIND_SU2
-    if isinstance(field, ScalarField):
-        return KIND_SCALAR
-    raise FieldFormatError(f"cannot serialize {type(field).__name__}")
-
-
-def _floats_per_site(kind: int, rank: int) -> int:
-    return {KIND_SPINOR: 4, KIND_PHI: 4, KIND_GAUGE: 3 * rank,
-            KIND_SU2: 8, KIND_SCALAR: 1}[kind]
-
-
-def _payload_buffer(values: np.ndarray) -> memoryview:
-    """The little-endian f64 bytes of ``values``, without a copy when the
-    array is already contiguous in that layout."""
-    dtype = "<c16" if np.iscomplexobj(values) else "<f8"
-    return memoryview(np.ascontiguousarray(values, dtype=dtype))
+def _file_dtype(cls) -> np.dtype:
+    """Little-endian sample dtype of a field class: f64 or f64 pairs."""
+    return np.dtype(cls.DTYPE).newbyteorder("<")
 
 
 def write_field(field, path: str) -> None:
     """Serialize a field to an FLD2 file atomically."""
-    kind = _kind_of(field)
+    kind = getattr(field, "FLD_KIND", None)
+    if kind is None:
+        raise FieldFormatError(f"cannot serialize {type(field).__name__}")
     grid = field.grid
-    jet = getattr(field, "jet", None)
+    jet = field.jet
     flags = ((FLAG_JETS if jet is not None else 0)
              | (FLAG_CELL_CENTERED if grid.cell_centered else 0)
              | (FLAG_REVERSED if grid.orientation == -1 else 0))
@@ -92,9 +71,11 @@ def write_field(field, path: str) -> None:
     for i in range(grid.rank):
         header.append(struct.pack("<IddB", grid.shape[i], grid.origin[i],
                                   grid.spacing[i], 1 if grid.periodic[i] else 0))
-    parts = [b"".join(header), _payload_buffer(field.values)]
-    if jet is not None:
-        parts.append(_payload_buffer(jet))
+    # Contiguous arrays already in the file layout are written without a copy.
+    dtype = _file_dtype(type(field))
+    parts = [b"".join(header),
+             *(memoryview(np.ascontiguousarray(array, dtype=dtype))
+               for array in (field.values, jet) if array is not None)]
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fld-")
@@ -114,10 +95,6 @@ def write_field(field, path: str) -> None:
         raise
 
 
-def _split_complex(flat: np.ndarray, shape: tuple) -> np.ndarray:
-    return flat.view("<c16").reshape(shape)
-
-
 def read_field(path: str):
     """Deserialize an FLD2 file; the inverse of :func:`write_field`."""
     with open(path, "rb") as handle:
@@ -131,7 +108,8 @@ def read_field(path: str):
     if len(blob) < 8:
         raise CountMismatchError(f"{path}: truncated header")
     kind, rank, flags, reserved = struct.unpack("<BBBB", blob[4:8])
-    if kind not in (KIND_SPINOR, KIND_PHI, KIND_GAUGE, KIND_SU2, KIND_SCALAR):
+    cls = _FIELD_CLASSES.get(kind)
+    if cls is None:
         raise HeaderError(f"{path}: unknown field kind {kind}")
     if rank not in (3, 4):
         raise HeaderError(f"{path}: unsupported rank {rank}")
@@ -142,8 +120,8 @@ def read_field(path: str):
     has_jet = bool(flags & FLAG_JETS)
     cell_centered = bool(flags & FLAG_CELL_CENTERED)
     orientation = -1 if flags & FLAG_REVERSED else 1
-    if kind == KIND_SCALAR and has_jet:
-        raise HeaderError(f"{path}: scalar fields carry no jets")
+    if has_jet and "jet" not in cls.__dataclass_fields__:
+        raise HeaderError(f"{path}: {cls.LABEL}s carry no jets")
 
     header_size = 8 + rank * 21
     if len(blob) < header_size:
@@ -165,7 +143,9 @@ def read_field(path: str):
         periodic.append(boundary == 1)
 
     sites = int(np.prod(shape))
-    per_site = _floats_per_site(kind, rank)
+    comps = cls.component_shape(rank)
+    dtype = _file_dtype(cls)
+    per_site = int(np.prod(comps)) * dtype.itemsize // 8
     payload_floats = sites * per_site * (1 + (rank if has_jet else 0))
     expected = header_size + 8 * payload_floats + 8
     if len(blob) != expected:
@@ -185,26 +165,7 @@ def read_field(path: str):
     flat = np.frombuffer(blob, dtype="<f8", count=payload_floats,
                          offset=header_size)
     nvals = sites * per_site
-    raw_values = flat[:nvals]
-    raw_jet = flat[nvals:] if has_jet else None
-    gshape = tuple(shape)
-
-    if kind == KIND_SPINOR:
-        values = _split_complex(raw_values, gshape + (2,))
-        jet = _split_complex(raw_jet, gshape + (rank, 2)) if has_jet else None
-        norms = np.sum(values.real**2 + values.imag**2, axis=-1)
-        normalized = bool(np.max(np.abs(norms - 1.0)) <= 1e-10)
-        return SpinorField(grid, values, jet=jet, normalized=normalized)
-    if kind == KIND_PHI:
-        values = raw_values.reshape(gshape + (4,))
-        jet = raw_jet.reshape(gshape + (rank, 4)) if has_jet else None
-        return PhiField(grid, values, jet=jet)
-    if kind == KIND_GAUGE:
-        values = raw_values.reshape(gshape + (rank, 3))
-        jet = raw_jet.reshape(gshape + (rank, rank, 3)) if has_jet else None
-        return GaugeField(grid, values, jet=jet)
-    if kind == KIND_SU2:
-        values = _split_complex(raw_values, gshape + (2, 2))
-        jet = _split_complex(raw_jet, gshape + (rank, 2, 2)) if has_jet else None
-        return SU2Field(grid, values, jet=jet)
-    return ScalarField(grid, raw_values.reshape(gshape))
+    values = flat[:nvals].view(dtype).reshape(grid.shape + comps)
+    jet = (flat[nvals:].view(dtype).reshape(grid.shape + (rank,) + comps)
+           if has_jet else None)
+    return cls.from_samples(grid, values, jet)

@@ -82,14 +82,12 @@ def _qpower_with_jet(q: np.ndarray, dq: np.ndarray | None, n: int):
     at every point (conj(e_mu) = -e_mu for mu > 0 once n < 0): the terms
     dq q^k and q dq are then signed unit products.
     """
-    if n == 0:
-        raise FieldError("quaternion power needs n != 0")
     box = dq is None
     if box:
         dq = np.eye(4)
     if n < 0:
         q = qconj(q)
-        dq = qconj_jet(dq)
+        dq = qconj(dq)
         n = -n
     # on the box, d_mu q = signs[mu] e_mu
     signs = np.diagonal(dq)[:, None] if box else None
@@ -111,12 +109,6 @@ def _qpower_with_jet(q: np.ndarray, dq: np.ndarray | None, n: int):
     if jet is None:
         jet = np.broadcast_to(dq, q.shape[:-1] + (4, 4))
     return value, jet
-
-
-def qconj_jet(dq: np.ndarray) -> np.ndarray:
-    out = dq.copy()
-    out[..., 1:] *= -1.0
-    return out
 
 
 def _qpoly_with_jet(q: np.ndarray, roots: np.ndarray):
@@ -209,10 +201,10 @@ def s3_unit_vectors(grid: Grid):
 # generators
 # --------------------------------------------------------------------------
 
-def _quaternion_box_field(grid: Grid, jet_fn) -> PhiField:
-    """Lattice samples, exact jets and analytic samplers of a map of q on a box.
+def _box_field(grid: Grid, jet_fn) -> PhiField:
+    """Lattice samples, exact jets and analytic samplers of a map on a box.
 
-    ``jet_fn(q)`` returns ``(value, jet)`` for box points ``q`` (..., 4),
+    ``jet_fn(x)`` returns ``(value, jet)`` for box points ``x`` (..., 4),
     the jet with the derivative axis at -2.
     """
     def evaluate(points):
@@ -248,7 +240,7 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
         q, dq = s3_unit_vectors(grid)
         value, jet = _qpower_with_jet(q, dq, n)
         return PhiField(grid, value, jet=jet)
-    return _quaternion_box_field(grid, lambda q: _qpower_with_jet(q, None, n))
+    return _box_field(grid, lambda q: _qpower_with_jet(q, None, n))
 
 
 def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
@@ -275,7 +267,7 @@ def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
                 raise FieldError(
                     f"roots {i} and {j} separated by {gap:.3e} < 4 h = {4*hmax:.3e}")
 
-    return _quaternion_box_field(grid, lambda q: _qpoly_with_jet(q, roots))
+    return _box_field(grid, lambda q: _qpoly_with_jet(q, roots))
 
 
 def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:
@@ -286,21 +278,12 @@ def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:
     if abs(np.linalg.det(matrix)) < 1e-12:
         raise FieldError("matrix must be nonsingular")
     shift = np.asarray(shift, dtype=np.float64).reshape(4)
-    pts = grid.points()
-    value = np.einsum("ab,...b->...a", matrix, pts - shift)
-    jet = np.broadcast_to(matrix.T[None, None, None, None, :, :],
-                          grid.shape + (4, 4)).copy()
 
-    def sampler(points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.einsum("ab,...b->...a", matrix, points - shift)
+    def jet_fn(points):
+        value = np.einsum("ab,...b->...a", matrix, points - shift)
+        return value, np.broadcast_to(matrix.T, points.shape[:-1] + (4, 4)).copy()
 
-    def jacobian_sampler(points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.broadcast_to(matrix.T, points.shape[:-1] + (4, 4)).copy()
-
-    return PhiField(grid, value, jet=jet, sampler=sampler,
-                    jacobian_sampler=jacobian_sampler)
+    return _box_field(grid, jet_fn)
 
 
 # --------------------------------------------------------------------------

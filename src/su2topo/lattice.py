@@ -142,23 +142,76 @@ class Grid:
             raise LatticeError(f"axis {axis} out of range for rank {self.rank}")
 
 
+class LatticeField:
+    """Base of the per-site field containers.
+
+    Subclasses are frozen dataclasses whose leading fields are ``grid`` and
+    ``values``, plus ``jet`` where the kind may carry exact first-derivative
+    samples (axis index before the component axes).  Each declares its
+    sample ``DTYPE``, its per-site ``component_shape`` and its FLD kind code
+    (``None``: not serializable).  Construction copies ``values`` and
+    ``jet`` to that dtype, freezes them and checks their shapes and that the
+    samples are finite; subclasses add only their own invariant on the
+    samples, ``_check_values``, which runs before the jet is copied.
+    """
+
+    DTYPE = np.float64
+    COMPONENTS = ()
+    FLD_KIND = None
+    LABEL = "field"
+    jet = None
+
+    @classmethod
+    def component_shape(cls, rank: int) -> tuple:
+        """Per-site component shape on a grid of ``rank``."""
+        return cls.COMPONENTS
+
+    @classmethod
+    def from_samples(cls, grid: Grid, values: np.ndarray, jet=None):
+        """The field of bare samples, such as an FLD file holds."""
+        return cls(grid, values) if jet is None else cls(grid, values, jet=jet)
+
+    def __post_init__(self):
+        grid = self.grid
+        comps = self.component_shape(grid.rank)
+        self._freeze("values", grid.shape + comps)
+        if not np.all(np.isfinite(self.values.view(np.float64))):
+            raise FieldError(f"{self.LABEL} contains non-finite samples")
+        self._check_values()
+        if self.jet is not None:
+            self._freeze("jet", grid.shape + (grid.rank,) + comps)
+
+    def _check_values(self) -> None:
+        """The kind's own invariant on the frozen samples; none here."""
+
+    def _freeze(self, name: str, expected: tuple) -> None:
+        array = np.asarray(getattr(self, name), dtype=self.DTYPE).copy()
+        if array.shape != expected:
+            raise FieldError(f"{self.LABEL} {name} shape {array.shape} != {expected}")
+        array.setflags(write=False)
+        object.__setattr__(self, name, array)
+
+    def derivatives(self, order: int = 2) -> np.ndarray:
+        """Jet if present, else finite differences of ``order``; the axis
+        index sits before the component axes."""
+        if self.jet is not None:
+            return self.jet
+        return derivative_stack(self.values, self.grid, order)
+
+    @property
+    def has_jet(self) -> bool:
+        return self.jet is not None
+
+
 @dataclass(frozen=True, eq=False)
-class ScalarField:
+class ScalarField(LatticeField):
     """One real sample per grid site."""
 
     grid: Grid
     values: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != self.grid.shape:
-            raise FieldError(
-                f"scalar field shape {values.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise FieldError("scalar field contains non-finite samples")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+    FLD_KIND = 5
+    LABEL = "scalar field"
 
 
 def _moved(values: np.ndarray, axis: int):

@@ -1,8 +1,14 @@
+import argparse
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import su2topo as st
-from su2topo.cli import main
+from su2topo.cli import build_parser, main
 from su2topo.fldio import write_field
 
 
@@ -135,7 +141,7 @@ def test_threads_env_override(tmp_path, capsys, monkeypatch):
 
 def test_bad_grid_spec_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
-        main(["cs", "x.fld", "--grid", "bogus"])
+        main(["verify", "linear", "--grid", "bogus"])
     assert info.value.code == 2
 
 
@@ -188,6 +194,19 @@ def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypa
     ["verify", "linear", "--grid", "2,2,2,2"],
     ["verify", "linear", "--box=1:-1"],
     ["generate", "--kind", "linear", "--grid", "2,2,2,2", "--out", "x.fld"],
+    # kind/chart/box combinations that have no meaning
+    ["generate", "--kind", "linear", "--chart", "s3", "--grid", "6,6,6,6",
+     "--out", "x.fld"],
+    ["generate", "--kind", "qpoly", "--chart", "s3", "--roots=0,0,0,0",
+     "--out", "x.fld"],
+    ["generate", "--kind", "random-spinor", "--chart", "s3", "--out", "x.fld"],
+    ["generate", "--kind", "random-gauge", "--chart", "s3", "--out", "x.fld"],
+    ["generate", "--kind", "random-su2", "--chart", "s3", "--out", "x.fld"],
+    ["generate", "--kind", "identity", "--chart", "s3", "--box=-1:1",
+     "--out", "x.fld"],
+    ["verify", "identity", "--grid", "8,8,8", "--box=5:6"],
+    ["verify", "qpower:2", "--grid", "8,8,8", "--box=-1:1"],
+    ["verify", "identity", "--grid", "8,8,8,8"],
 ])
 def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -197,3 +216,154 @@ def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "x.fld").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cs", "x.fld", "--seed", "1"],
+    ["zeros", "x.fld", "--grid", "4,4,4,4"],
+    ["chern", "x.fld", "--box=0:1"],
+    ["decompose", "--psi", "x.fld", "--threads", "2"],
+    ["generate", "--kind", "linear", "--grid", "6,6,6,6", "--out", "x.fld",
+     "--tol", "0.1"],
+])
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, tmp_path, monkeypatch,
+                                                 argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.fld").exists()
+
+
+GRID4 = st.box_grid((6, 6, 6, 6), -2.0, 2.0)
+ROOTS = np.array([[-0.9, 0.1, 0.0, 0.2], [0.9, 0.0, -0.1, 0.0]])
+
+
+@pytest.mark.parametrize("argv, build", [
+    pytest.param(["--kind", "identity", "--chart", "s3", "--grid", "8,8,8"],
+                 lambda: st.spinor_to_phi(st.identity_map_s3((8, 8, 8))),
+                 id="identity-s3"),
+    pytest.param(["--kind", "qpower", "--chart", "s3", "--power", "2",
+                  "--grid", "8,9,10"],
+                 lambda: st.quaternion_power_field(2, st.s3_chart_grid((8, 9, 10))),
+                 id="qpower-s3-positive"),
+    pytest.param(["--kind", "qpower", "--chart", "s3", "--power", "-1",
+                  "--grid", "8,8,8"],
+                 lambda: st.quaternion_power_field(-1, st.s3_chart_grid((8, 8, 8))),
+                 id="qpower-s3-negative"),
+    pytest.param(["--kind", "qpower", "--power", "3", "--grid", "6,6,6,6",
+                  "--box=-2:2"],
+                 lambda: st.quaternion_power_field(3, GRID4),
+                 id="qpower-box-positive"),
+    pytest.param(["--kind", "qpower", "--power", "-2", "--grid", "6,6,6,6",
+                  "--box=-2:2"],
+                 lambda: st.quaternion_power_field(-2, GRID4),
+                 id="qpower-box-negative"),
+    pytest.param(["--kind", "qpoly", "--grid", "10,10,10,10", "--box=-2:2",
+                  "--roots=-0.9,0.1,0,0.2;0.9,0,-0.1,0"],
+                 lambda: st.quaternion_polynomial_field(
+                     ROOTS, st.box_grid((10, 10, 10, 10), -2.0, 2.0)),
+                 id="qpoly"),
+    pytest.param(["--kind", "linear", "--grid", "6,6,6,6", "--box=-2:2",
+                  "--shift", "0.1,0,0,0.02"],
+                 lambda: st.linear_phi_field(np.eye(4), [0.1, 0.0, 0.0, 0.02], GRID4),
+                 id="linear"),
+    pytest.param(["--kind", "random-spinor", "--seed", "3", "--grid", "6,6,6,6",
+                  "--box=-2:2"],
+                 lambda: st.random_config(3, "spinor", GRID4), id="random-spinor"),
+    pytest.param(["--kind", "random-gauge", "--seed", "4", "--grid", "6,6,6,6",
+                  "--box=-2:2"],
+                 lambda: st.random_config(4, "gauge", GRID4), id="random-gauge"),
+    pytest.param(["--kind", "random-su2", "--grid", "6,6,6,6", "--box=-2:2"],
+                 lambda: st.random_config(0, "su2", GRID4), id="random-su2"),
+])
+def test_generate_writes_the_library_field(tmp_path, capsys, argv, build):
+    cli_path, lib_path = tmp_path / "cli.fld", tmp_path / "lib.fld"
+    code, _, _ = run(capsys, "generate", *argv, "--out", str(cli_path))
+    assert code == 0
+    write_field(build(), str(lib_path))
+    assert cli_path.read_bytes() == lib_path.read_bytes()
+
+
+def _subcommand_actions():
+    """Each subcommand's arguments, read from the parser's own table."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in sub.choices.items()}
+
+
+def _join(values):
+    return ",".join(str(v) for v in values)
+
+
+SMALL_INT = hst.integers(-5, 5)
+ARGV_VALUES = {
+    "grid": hst.lists(hst.integers(1, 8), min_size=2, max_size=5).map(_join),
+    "box": hst.lists(hst.sampled_from(["-2:2", "-1:1", "0:1", "1:-1", "5:6"]),
+                     min_size=1, max_size=4).map(_join),
+    "shift": hst.lists(hst.sampled_from([0.0, 0.05, -0.3]),
+                       min_size=3, max_size=5).map(_join),
+    "threads": hst.integers(-1, 2),
+    "seed": SMALL_INT,
+    "power": SMALL_INT,
+    "tol": hst.sampled_from([1e-12, 0.05, 0.2, 1.0]),
+    "roots": hst.sampled_from(["-0.9,0.1,0,0.2;0.9,0,-0.1,0", "0,0,0,0",
+                               "a,b,c,d", "1,2,3"]),
+    "config": hst.sampled_from(["identity", "qpower:2", "qpower:-1", "linear",
+                                "qpoly", "qpower:x", "bogus"]),
+}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    grid = st.box_grid((6, 6, 6, 6), -1.0, 1.0)
+    fields = {"phi.fld": st.linear_phi_field(np.eye(4), [0.1, 0.0, 0.0, 0.0], grid),
+              "psi4.fld": st.random_config(1, "spinor", grid),
+              "gauge.fld": st.random_config(2, "gauge", grid),
+              "psi3.fld": st.identity_map_s3((8, 8, 8))}
+    for name, field in fields.items():
+        write_field(field, str(root / name))
+    return root, [str(root / name) for name in [*fields, "missing.fld"]]
+
+
+@settings(max_examples=30)
+@given(data=hst.data())
+def test_random_argv_keeps_the_exit_code_contract(argv_files, data):
+    root, files = argv_files
+    actions = _subcommand_actions()
+    command = data.draw(hst.sampled_from(sorted(actions)))
+    optional = [a for a in actions[command] if a.option_strings and not a.required]
+    chosen = data.draw(hst.lists(hst.sampled_from(optional), unique=True, max_size=4))
+    argv = [command]
+    for action in [a for a in actions[command] if a.required] + chosen:
+        if action.option_strings:
+            argv.append(action.option_strings[-1])
+        if action.nargs == 0:
+            continue
+        if action.choices:
+            value = data.draw(hst.sampled_from(sorted(action.choices)))
+        elif action.dest in ARGV_VALUES:
+            value = data.draw(ARGV_VALUES[action.dest])
+        elif action.dest in ("out", "report", "csv"):
+            value = str(root / f"out.{action.dest}")
+        else:
+            value = data.draw(hst.sampled_from(files))
+        # "=" keeps a value that starts with "-" from reading as a flag
+        if action.option_strings:
+            argv[-1] += f"={value}"
+        else:
+            argv.append(value)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -205,13 +205,6 @@ def test_gauge_transform_composition():
     assert np.max(np.abs(gauge_a.values - gauge_b.values)) < 1e-9
 
 
-def test_fields_are_immutable():
-    grid = small_grid()
-    psi = st.random_config(21, "spinor", grid)
-    with pytest.raises(ValueError):
-        psi.values[0, 0, 0, 0] = 0.0
-
-
 def test_face_restrict_keeps_in_face_jet():
     grid = small_grid()
     psi = st.random_config(22, "spinor", grid)
@@ -219,3 +212,88 @@ def test_face_restrict_keeps_in_face_jet():
     assert face.grid.rank == 3
     assert face.jet.shape == face.grid.shape + (3, 2)
     np.testing.assert_array_equal(face.values, psi.values[:, -1])
+
+
+def _unit_rows(rng, shape, n):
+    rows = rng.normal(size=shape + (n,))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+def _contract_arrays(cls, grid):
+    """Valid constructor arrays of one field class on ``grid``."""
+    rng = np.random.default_rng(3)
+    shape, rank = grid.shape, grid.rank
+    if cls is st.SpinorField:
+        spinor = _unit_rows(rng, shape, 4)
+        return {"values": spinor[..., 0::2] + 1j * spinor[..., 1::2],
+                "jet": rng.normal(size=shape + (rank, 2)) + 0j}
+    if cls is st.PhiField:
+        return {"values": rng.normal(size=shape + (4,)),
+                "jet": rng.normal(size=shape + (rank, 4))}
+    if cls is st.UnitField:
+        return {"values": _unit_rows(rng, shape, 4),
+                "jet": rng.normal(size=shape + (rank, 4))}
+    if cls is st.MField:
+        return {"values": _unit_rows(rng, shape, 3)}
+    if cls is st.GaugeField:
+        return {"values": rng.normal(size=shape + (rank, 3)),
+                "jet": rng.normal(size=shape + (rank, rank, 3))}
+    if cls is st.SU2Field:
+        su2 = st.random_config(4, "su2", grid)
+        return {"values": np.array(su2.values), "jet": np.array(su2.jet),
+                "jet2": np.array(su2.jet2)}
+    return {"values": rng.normal(size=shape)}
+
+
+CONTRACT_CLASSES = [st.SpinorField, st.PhiField, st.UnitField, st.MField,
+                    st.GaugeField, st.SU2Field, st.ScalarField]
+
+
+@pytest.mark.parametrize("cls", CONTRACT_CLASSES, ids=lambda c: c.__name__)
+def test_field_constructor_contract(cls):
+    grid = st.box_grid((4, 4, 5, 4), -1.0, 1.0)
+    arrays = _contract_arrays(cls, grid)
+    extra = {"normalized": True} if cls is st.SpinorField else {}
+
+    def build(**changes):
+        return cls(grid, **{**arrays, **extra, **changes})
+
+    # wrong sample or jet shape, non-finite samples
+    for name, array in arrays.items():
+        with pytest.raises(FieldError):
+            build(**{name: array[:-1]})
+    bad = arrays["values"].copy()
+    bad.reshape(-1)[5] = np.nan
+    with pytest.raises(FieldError):
+        build(values=bad)
+
+    # read-only arrays, detached from the caller's
+    field = build()
+    kept = {name: array.copy() for name, array in arrays.items()}
+    for name, array in arrays.items():
+        stored = getattr(field, name)
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored.reshape(-1)[0] = 0.0
+        array[...] = 0.0
+        np.testing.assert_array_equal(stored, kept[name])
+    if "jet" in arrays:
+        assert field.has_jet
+
+    # each class's own invariant
+    doubled = 2.0 * kept["values"]
+    if cls is st.SpinorField:
+        assert field.normalized
+        with pytest.raises(FieldError):
+            cls(grid, doubled, normalized=True)
+        assert not cls(grid, doubled).normalized
+        phi = st.spinor_to_phi(field)
+        assert st.phi_to_spinor(phi).normalized
+        assert not st.phi_to_spinor(st.PhiField(grid, 2.0 * phi.values)).normalized
+    elif cls in (st.UnitField, st.MField, st.SU2Field):
+        with pytest.raises(FieldError):
+            cls(grid, doubled)
+    if cls is st.SU2Field:
+        assert field.jet2.shape == grid.shape + (4, 4, 2, 2)
+        with pytest.raises(FieldError):
+            cls(grid, kept["values"], jet2=kept["jet2"][..., 0, :, :, :])
