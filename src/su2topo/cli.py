@@ -45,15 +45,21 @@ def _color_enabled(args) -> bool:
 
 
 def _thread_count(args) -> int:
-    if args.threads:
-        return max(1, int(args.threads))
+    """``--threads``, else ``SU2TOPO_THREADS``, else 1; each must be >= 1."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, not {args.threads}")
+        return args.threads
     env = os.environ.get("SU2TOPO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"SU2TOPO_THREADS must be a positive integer, not {env!r}")
+    return threads
 
 
 def _parse_grid(text: str) -> tuple:
@@ -105,6 +111,15 @@ def _chart_grid(args, chart: str):
     if len(spans) != rank:
         raise UsageError(f"--box gives {len(spans)} spans; the grid has rank {rank}")
     return generators.box_grid(shape, [s[0] for s in spans], [s[1] for s in spans])
+
+
+def _bound_check(report: ChargeReport, name: str, label: str, value: float,
+                 bound: float, op: str = "<", fmt: str = "") -> None:
+    """Add the check ``value op bound`` (``op`` is ``<`` or ``<=``); the
+    detail prints the comparison that holds, so a FAIL reads ``>=`` or ``>``."""
+    passed = value < bound if op == "<" else value <= bound
+    shown = op if passed else {"<": ">=", "<=": ">"}[op]
+    report.add_check(name, passed, f"{label} {shown} {bound:{fmt}}")
 
 
 def _emit_report(report: ChargeReport, args) -> int:
@@ -279,8 +294,8 @@ def cmd_decompose(args) -> int:
         "component_residual": result.component_residual,
     }
     tol = args.tol if result.regime == "jet" else 50.0 * max(psi.grid.spacing) ** 2
-    report.add_check("reconstruction", result.residual < tol,
-                     f"|a+b-A| = {result.residual:.3e} < {tol:.3e}")
+    _bound_check(report, "reconstruction", f"|a+b-A| = {result.residual:.3e}",
+                 result.residual, tol, fmt=".3e")
     report.timings["decompose_s"] = time.perf_counter() - start
     return _emit_report(report, args)
 
@@ -325,12 +340,11 @@ def _run_cs(args, psi: SpinorField | None = None):
                        "exactness_residual": data.exactness_residual}
 
     report.results["charges"] = results
-    report.add_check("quantization", abs(q_spinor - round(q_spinor)) < tol,
-                     f"|Q - nearest| = {abs(q_spinor - round(q_spinor)):.3e} < {tol}")
-    report.add_check("trace-vs-spinor", abs(q_trace - q_spinor) < tol,
-                     f"|Q_trace - Q_spinor| = {abs(q_trace - q_spinor):.3e} < {tol}")
-    report.add_check("abelian-vs-spinor", abs(q_fn - q_spinor) < tol,
-                     f"|Q_fn - Q_spinor| = {abs(q_fn - q_spinor):.3e} < {tol}")
+    for name, label, value in (
+            ("quantization", "|Q - nearest|", abs(q_spinor - round(q_spinor))),
+            ("trace-vs-spinor", "|Q_trace - Q_spinor|", abs(q_trace - q_spinor)),
+            ("abelian-vs-spinor", "|Q_fn - Q_spinor|", abs(q_fn - q_spinor))):
+        _bound_check(report, name, f"{label} = {value:.3e}", value, tol)
     return report, psi, gauge
 
 
@@ -360,8 +374,8 @@ def cmd_chern(args) -> int:
     if len(results) > 1:
         values = [entry["value"] for entry in results.values()]
         spread = max(values) - min(values)
-        report.add_check("method-agreement", spread < args.tol,
-                         f"max spread {spread:.3e} < {args.tol}")
+        _bound_check(report, "method-agreement", f"max spread {spread:.3e}",
+                     spread, args.tol)
     return _emit_report(report, args)
 
 
@@ -379,9 +393,8 @@ def _zero_entry(zero) -> dict:
     }
 
 
-def _run_zeros(args, phi: PhiField):
+def _run_zeros(args, phi: PhiField, threads: int):
     su2_algebra.self_check()
-    threads = _thread_count(args)
     report = ChargeReport("zeros", config=_config_echo(args, phi.grid, threads))
     start = time.perf_counter()
     analysis = phi_mapping.analyze(phi, ledger_tol=args.tol, threads=threads)
@@ -400,23 +413,25 @@ def _run_zeros(args, phi: PhiField):
         "suspicious_cells": len(analysis.search.suspicious_cells),
     }
     report.zeros = [_zero_entry(z) for z in ledger.zeros]
-    report.add_check("ledger-equivalence", ledger.passed,
-                     f"|C2 - sum(beta*eta)| = {ledger.discrepancy:.3e} "
-                     f"< {ledger.tolerance}")
+    _bound_check(report, "ledger-equivalence",
+                 f"|C2 - sum(beta*eta)| = {ledger.discrepancy:.3e}",
+                 ledger.discrepancy, ledger.tolerance)
     report.add_check("euler-alias", ledger.chi == ledger.index_sum,
                      f"chi = {ledger.chi} equals ledger sum {ledger.index_sum}")
-    report.add_check("quadrature-reliable", analysis.c2.reliable,
-                     f"excluded fraction {analysis.c2.excluded_fraction:.4f} <= 0.05")
+    _bound_check(report, "quadrature-reliable",
+                 f"excluded fraction {analysis.c2.excluded_fraction:.4f}",
+                 analysis.c2.excluded_fraction, 0.05, op="<=")
     return report, analysis
 
 
 def cmd_zeros(args) -> int:
+    threads = _thread_count(args)
     field = fldio.read_field(args.infile)
     if isinstance(field, SpinorField):
         field = spinor_to_phi(field)
     if not isinstance(field, PhiField):
         raise Su2TopoError(f"{args.infile}: expected a phi or spinor field")
-    report, _ = _run_zeros(args, field)
+    report, _ = _run_zeros(args, field, threads)
     return _emit_report(report, args)
 
 
@@ -431,6 +446,7 @@ def cmd_verify(args) -> int:
             args.power = int(power)
         except ValueError:
             raise UsageError(f"bad quaternion power in {name!r}")
+    threads = _thread_count(args)
     su2_algebra.self_check()
     chart = _KINDS[kind].charts[0]
     if chart == "s3":
@@ -440,10 +456,11 @@ def cmd_verify(args) -> int:
         dnorm = float(np.max(np.abs(dec.covariant)))
         bnorm = float(np.max(np.abs(dec.b)))
         report.results["parallel_condition"] = {"max_DPsi": dnorm, "max_b": bnorm}
-        report.add_check("parallel-condition", dnorm < 1e-10 and bnorm < 1e-10,
-                         f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e} < 1e-10")
+        _bound_check(report, "parallel-condition",
+                     f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e}",
+                     max(dnorm, bnorm), 1e-10)
     else:
-        report, _ = _run_zeros(args, _build(kind, chart, args))
+        report, _ = _run_zeros(args, _build(kind, chart, args), threads)
     report.command = f"verify {name}"
     return _emit_report(report, args)
 

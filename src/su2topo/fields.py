@@ -64,18 +64,17 @@ class SpinorField(LatticeField):
 class PhiField(LatticeField):
     """Four real components per site; the raw (unnormalized) 4-vector field.
 
-    Generator-built fields may attach analytic samplers: ``sampler`` maps
-    points ``(n, rank)`` to values ``(n, 4)``, ``jacobian_sampler`` to
-    derivative stacks ``(n, rank, 4)``.  Samplers never affect lattice
-    data; they only sharpen off-lattice evaluation (zero refinement and
-    sphere sampling).
+    Generator-built fields may attach an analytic ``sampler``: it maps
+    points ``(n, rank)`` to ``(values, jacobians)`` of shapes ``(n, 4)``
+    and ``(n, rank, 4)``, the derivative axis first as in ``jet``.  The
+    sampler never affects lattice data; it only sharpens off-lattice
+    evaluation (zero refinement and sphere sampling).
     """
 
     grid: Grid
     values: np.ndarray
     jet: np.ndarray | None = None
     sampler: object = field(default=None, repr=False, compare=False)
-    jacobian_sampler: object = field(default=None, repr=False, compare=False)
 
     COMPONENTS = (4,)
     FLD_KIND = 2

@@ -14,6 +14,8 @@ Layout (all little-endian):
                 component-fastest within a site, real/imaginary
                 interleaved for complex kinds
     jets        same layout when flagged, axis-major within a site
+                (first derivatives only: an su2 field's jet2 is not
+                stored and reads back as None)
     trailer     8 bytes: CRC-32 (zlib) of all preceding bytes, as a u64
 
 CRC-32 detects every single-bit error and every error burst of up to 32

@@ -7,9 +7,9 @@ degree-n references: q^n has boundary degree n (negative powers go through
 the conjugate, q^-1 = conj(q) on unit quaternions), and products
 prod_j (q - c_j) plant zeros at chosen roots.
 
-4-vector fields built here also carry analytic samplers for off-lattice
-evaluation, which the zero search uses for machine-precision root
-refinement.
+4-vector fields built here also carry an analytic sampler of values and
+jets for off-lattice evaluation, which the zero search uses for
+machine-precision root refinement.
 
 On a box, q is the point itself, so d_mu q = e_mu: the product-rule terms
 e_mu s and p e_mu of the jets are signed permutations of the components of
@@ -165,25 +165,34 @@ def box_grid(shape, lo, hi, cell_centered: bool = False) -> Grid:
                 periodic=(False,) * len(shape), cell_centered=cell_centered)
 
 
-def s3_unit_vectors(grid: Grid):
-    """Chart points as unit 4-vectors with exact chart jets.
-
-    Returns ``(n, dn)`` with shapes ``(*shape, 4)`` and ``(*shape, 3, 4)``.
-    """
+def _chart_trig(grid: Grid):
     chi = grid.coords(0)[:, None, None]
     theta = grid.coords(1)[None, :, None]
     phi = grid.coords(2)[None, None, :]
-    shape = grid.shape
-    sc, cc = np.sin(chi), np.cos(chi)
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
+    return (np.sin(chi), np.cos(chi), np.sin(theta), np.cos(theta),
+            np.sin(phi), np.cos(phi))
 
+
+def s3_points(grid: Grid) -> np.ndarray:
+    """Chart points as unit 4-vectors of shape ``(*shape, 4)``, without jets."""
+    sc, cc, st, ct, sp, cp = _chart_trig(grid)
+    shape = grid.shape
     n = np.empty(shape + (4,))
     n[..., 0] = np.broadcast_to(cc, shape)
     n[..., 1] = sc * ct
     n[..., 2] = sc * st * cp
     n[..., 3] = sc * st * sp
+    return n
 
+
+def s3_unit_vectors(grid: Grid):
+    """Chart points as unit 4-vectors with exact chart jets.
+
+    Returns ``(n, dn)`` with shapes ``(*shape, 4)`` and ``(*shape, 3, 4)``.
+    """
+    sc, cc, st, ct, sp, cp = _chart_trig(grid)
+    shape = grid.shape
+    n = s3_points(grid)
     dn = np.zeros(shape + (3, 4))
     dn[..., 0, 0] = np.broadcast_to(-sc, shape)
     dn[..., 0, 1] = cc * ct
@@ -202,7 +211,7 @@ def s3_unit_vectors(grid: Grid):
 # --------------------------------------------------------------------------
 
 def _box_field(grid: Grid, jet_fn) -> PhiField:
-    """Lattice samples, exact jets and analytic samplers of a map on a box.
+    """Lattice samples, exact jets and the analytic sampler of a map on a box.
 
     ``jet_fn(x)`` returns ``(value, jet)`` for box points ``x`` (..., 4),
     the jet with the derivative axis at -2.
@@ -211,9 +220,7 @@ def _box_field(grid: Grid, jet_fn) -> PhiField:
         return jet_fn(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
     value, jet = evaluate(grid.points())
-    return PhiField(grid, value, jet=jet,
-                    sampler=lambda points: evaluate(points)[0],
-                    jacobian_sampler=lambda points: evaluate(points)[1])
+    return PhiField(grid, value, jet=jet, sampler=evaluate)
 
 
 def identity_map_s3(resolution=32) -> SpinorField:

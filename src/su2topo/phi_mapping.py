@@ -17,9 +17,13 @@ Zero search: 4-cells where every component changes sign across the 16
 corners seed damped Newton iterations (sign screening over-fires on coarse
 grids, so Newton is the arbiter).  The screen takes the corner minimum and
 maximum one axis at a time, as pairwise passes over neighbouring slices
-(rolled on periodic axes).  Analytic samplers attached by the
-generators give machine-precision roots; lattice-only fields fall back on
-the multilinear interpolant with O(h^2) positions.
+(rolled on periodic axes).
+
+Newton reads phi through one evaluator that returns values and derivative
+stacks together: the analytic sampler attached by the generators, which
+gives machine-precision roots, or for lattice-only fields the multilinear
+interpolant and its exact gradient, with O(h^2) positions.  Sphere sampling
+needs values only: it takes the sampler's values or plain interpolation.
 """
 
 from __future__ import annotations
@@ -33,17 +37,22 @@ import numpy as np
 from .chern_density import chern_density, exclusion_mask, second_chern_number
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
 from .fields import PhiField, UnitField
+from .generators import s3_chart_grid, s3_points
 from .lattice import (Grid, ScalarField, central_diff, integrate_values,
                       interpolate, interpolate_with_gradient)
 
 DEGENERACY_TOL = 1e-8
+NEWTON_TOL = 1e-10           # |phi| at an accepted (refined) zero
+NEWTON_MAX_ITER = 40
+SPHERE_RESOLUTION = (32, 32, 64)   # (chi, theta, phi) samples, first attempt
+SPHERE_REFINEMENTS = 2       # resolution doublings before a degree is rejected
 
 
-def jacobian(phi: PhiField, order: int = 2) -> ScalarField:
+def jacobian(phi: PhiField) -> ScalarField:
     """det[d_mu phi^a] per site, positive where phi preserves orientation."""
     if phi.grid.rank != 4:
         raise FieldError("the Jacobian determinant needs a rank-4 grid")
-    return ScalarField(phi.grid, np.linalg.det(phi.derivatives(order)))
+    return ScalarField(phi.grid, np.linalg.det(phi.derivatives()))
 
 
 @dataclass(frozen=True)
@@ -76,67 +85,61 @@ class ZeroSearch:
 
 
 def _evaluator(phi: PhiField):
+    """``points (n, 4) -> (values (n, 4), jacobians (n, 4, 4))`` of phi."""
     if phi.sampler is not None:
         return phi.sampler
+    return lambda pts: interpolate_with_gradient(phi.values, phi.grid, pts)
+
+
+def _values_evaluator(phi: PhiField):
+    """``points (n, 4) -> values (n, 4)`` of phi, for sphere sampling."""
+    if phi.sampler is not None:
+        return lambda pts: phi.sampler(pts)[0]
     return lambda pts: interpolate(phi.values, phi.grid, pts)
 
 
-def _jacobian_matrix(phi: PhiField, point: np.ndarray) -> np.ndarray:
-    """4x4 matrix J[a, mu] = d phi^a / d x^mu at one point."""
-    if phi.jacobian_sampler is not None:
-        stack = np.asarray(phi.jacobian_sampler(point[None]))[0]  # (mu, a)
-        return stack.T
-    if phi.sampler is not None:
-        step = 1e-6 * (1.0 + np.max(np.abs(point)))
-        cols = []
-        for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = step
-            cols.append((phi.sampler((point + e)[None])[0]
-                         - phi.sampler((point - e)[None])[0]) / (2.0 * step))
-        return np.stack(cols, axis=1)
-    _, grads = interpolate_with_gradient(phi.values, phi.grid, point[None])
-    return grads[0].T  # (a, mu)
+def _value_and_matrix(evaluate, x: np.ndarray):
+    """phi(x) and the 4x4 matrix J[a, mu] = d phi^a / d x^mu at one point."""
+    values, jacobians = evaluate(x[None])
+    return np.asarray(values)[0], np.asarray(jacobians)[0].T
 
 
-def _jacobian_at(phi: PhiField, jac_field: ScalarField, point: np.ndarray) -> float:
-    if phi.jacobian_sampler is not None or phi.sampler is not None:
-        return float(np.linalg.det(_jacobian_matrix(phi, point)))
-    return float(interpolate(jac_field.values, phi.grid, point[None])[0])
+def _newton(evaluate, x0: np.ndarray, bounds):
+    """Damped Newton iteration toward phi(x) = 0 inside a cell neighborhood.
 
-
-def _newton(evaluate, jac, x0: np.ndarray, bounds, tol: float, max_iter: int):
-    """Damped Newton iteration toward phi(x) = 0 inside a cell neighborhood."""
+    ``evaluate`` is an :func:`_evaluator`; each step uses the Jacobian from
+    the evaluation that accepted its starting point.  Returns ``(x,
+    |phi(x)|, converged, J(x))``.
+    """
     lo, hi = bounds
     x = x0.copy()
-    fx = np.asarray(evaluate(x[None]))[0]
+    fx, jx = _value_and_matrix(evaluate, x)
     best = float(np.linalg.norm(fx))
-    for _ in range(max_iter):
-        if best < tol:
-            return x, best, True
-        j = jac(x)
+    for _ in range(NEWTON_MAX_ITER):
+        if best < NEWTON_TOL:
+            break
         try:
-            step = np.linalg.solve(j, fx)
+            step = np.linalg.solve(jx, fx)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(j, fx, rcond=None)[0]
+            step = np.linalg.lstsq(jx, fx, rcond=None)[0]
         lam = 1.0
         moved = False
         while lam > 2.0**-10:
             xn = x - lam * step
             if np.all(xn >= lo) and np.all(xn <= hi):
                 try:
-                    fn = np.asarray(evaluate(xn[None]))[0]
+                    fn, jn = _value_and_matrix(evaluate, xn)
                 except LatticeError:
                     fn = None
                 if fn is not None:
                     nn = float(np.linalg.norm(fn))
-                    if nn < best * (1.0 - 0.25 * lam) or nn < tol:
-                        x, fx, best, moved = xn, fn, nn, True
+                    if nn < best * (1.0 - 0.25 * lam) or nn < NEWTON_TOL:
+                        x, fx, jx, best, moved = xn, fn, jn, nn, True
                         break
             lam *= 0.5
         if not moved:
-            return x, best, best < tol
-    return x, best, best < tol
+            break
+    return x, best, best < NEWTON_TOL, jx
 
 
 def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -160,15 +163,16 @@ def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.all((mins < 0.0) & (maxs > 0.0), axis=-1)
 
 
-def locate_zeros(phi: PhiField, newton_tol: float = 1e-10,
-                 max_iter: int = 40) -> ZeroSearch:
+def locate_zeros(phi: PhiField) -> ZeroSearch:
     """Find the isolated zeros of phi on a rank-4 grid.
 
     Candidate cells are 4-cells whose 16 corners show both signs in every
     component; lattice sites where phi itself (nearly) vanishes seed
     candidates directly.  Accepted zeros are deduplicated at half a cell
     width; two surviving zeros within one cell width mean the grid cannot
-    separate them and raise :class:`ZeroLocationError`.
+    separate them and raise :class:`ZeroLocationError`.  A zero's
+    ``jacobian`` is det J from the sampler's last Newton evaluation, or for
+    lattice-only fields the interpolated site Jacobian :func:`jacobian`.
     """
     grid = phi.grid
     if grid.rank != 4:
@@ -183,13 +187,6 @@ def locate_zeros(phi: PhiField, newton_tol: float = 1e-10,
     seed_sites = np.argwhere(norms < site_tol)
 
     evaluate = _evaluator(phi)
-    jac_field = None
-    if phi.sampler is None and phi.jacobian_sampler is None:
-        jac_field = jacobian(phi)
-
-    def jac(x):
-        return _jacobian_matrix(phi, x)
-
     starts = []
     offset = 0.5 if grid.cell_centered else 0.0
     for cell in np.argwhere(candidate):
@@ -206,20 +203,20 @@ def locate_zeros(phi: PhiField, newton_tol: float = 1e-10,
     for cell, center in starts:
         half = np.array([1.5 * h for h in grid.spacing])
         bounds = (center - half, center + half)
-        x, fnorm, ok = _newton(evaluate, jac, center, bounds, newton_tol, max_iter)
+        x, fnorm, ok, jmat = _newton(evaluate, center, bounds)
         if ok:
-            accepted.append((cell, x, fnorm))
+            accepted.append((cell, x, fnorm, jmat))
         else:
             suspicious.append(cell)
 
     accepted.sort(key=lambda item: item[0])
     unique = []
-    for cell, x, fnorm in accepted:
-        for _, ux, _ in unique:
+    for cell, x, fnorm, jmat in accepted:
+        for _, ux, _, _ in unique:
             if np.linalg.norm(x - ux) < 0.5 * hmax:
                 break
         else:
-            unique.append((cell, x, fnorm))
+            unique.append((cell, x, fnorm, jmat))
 
     for i in range(len(unique)):
         for j in range(i + 1, len(unique)):
@@ -229,52 +226,37 @@ def locate_zeros(phi: PhiField, newton_tol: float = 1e-10,
                     f"two zeros separated by {dist:.3e} < cell width {hmax:.3e}; "
                     "refine the grid to separate them")
 
+    jac_field = None if phi.sampler is not None else jacobian(phi).values
     zeros = []
-    for cell, x, fnorm in unique:
-        det = _jacobian_at(phi, jac_field, x)
+    for cell, x, fnorm, jmat in unique:
+        if jac_field is None:
+            det = float(np.linalg.det(jmat))
+        else:
+            det = float(interpolate(jac_field, grid, x[None])[0])
         zeros.append(ZeroPoint(position=tuple(float(v) for v in x),
-                               cell_index=cell, refined=fnorm < newton_tol,
+                               cell_index=cell, refined=fnorm < NEWTON_TOL,
                                phi_norm=fnorm, jacobian=det))
     return ZeroSearch(tuple(zeros), tuple(suspicious))
 
 
-def _sphere_chart(resolution) -> Grid:
-    nchi, ntheta, nphi = resolution
-    return Grid(shape=(nchi, ntheta, nphi), origin=(0.0, 0.0, 0.0),
-                spacing=(np.pi / nchi, np.pi / ntheta, 2.0 * np.pi / nphi),
-                periodic=(False, False, True), cell_centered=True)
-
-
-def _chart_unit_vectors(grid: Grid) -> np.ndarray:
-    chi = grid.coords(0)[:, None, None]
-    theta = grid.coords(1)[None, :, None]
-    phi = grid.coords(2)[None, None, :]
-    u = np.empty(grid.shape + (4,))
-    u[..., 0] = np.broadcast_to(np.cos(chi), grid.shape)
-    u[..., 1] = np.sin(chi) * np.cos(theta)
-    u[..., 2] = np.sin(chi) * np.sin(theta) * np.cos(phi)
-    u[..., 3] = np.sin(chi) * np.sin(theta) * np.sin(phi)
-    return u
-
-
-def surface_degree(evaluate, center, radius: float,
-                   resolution=(32, 32, 64), max_refinements: int = 2):
+def surface_degree(evaluate, center, radius: float):
     """Degree of phi/|phi| over the 3-sphere of ``radius`` around ``center``.
 
     ``evaluate`` maps points ``(n, 4)`` to values ``(n, 4)``.  The sphere
-    is sampled on a cell-centered hyperspherical chart; the angular
-    resolution doubles automatically while the rounding deviation exceeds
-    0.1, and a deviation that stays >= 0.2 raises
+    is sampled on the cell-centered hyperspherical chart
+    :func:`~su2topo.generators.s3_chart_grid`, starting at
+    ``SPHERE_RESOLUTION``; the angular resolution doubles automatically
+    while the rounding deviation exceeds 0.1, up to ``SPHERE_REFINEMENTS``
+    times, and a deviation that stays >= 0.2 raises
     :class:`DegreeResolutionError`.
 
     Returns ``(degree, raw_value, deviation)``.
     """
     center = np.asarray(center, dtype=np.float64)
-    resolution = tuple(int(r) for r in resolution)
-    for attempt in range(max_refinements + 1):
-        agrid = _sphere_chart(resolution)
-        u = _chart_unit_vectors(agrid)
-        pts = (center + radius * u.reshape(-1, 4))
+    resolution = SPHERE_RESOLUTION
+    for attempt in range(SPHERE_REFINEMENTS + 1):
+        agrid = s3_chart_grid(resolution)
+        pts = (center + radius * s3_points(agrid).reshape(-1, 4))
         try:
             samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
         except LatticeError as exc:
@@ -293,7 +275,7 @@ def surface_degree(evaluate, center, radius: float,
         value = integrate_values(dets, agrid) / (2.0 * np.pi**2)
         degree = int(np.rint(value))
         deviation = abs(value - degree)
-        if deviation <= 0.1 or attempt == max_refinements:
+        if deviation <= 0.1 or attempt == SPHERE_REFINEMENTS:
             if deviation >= 0.2:
                 raise DegreeResolutionError(
                     f"surface degree {value:.4f} not near an integer at "
@@ -303,8 +285,8 @@ def surface_degree(evaluate, center, radius: float,
     raise AssertionError("unreachable")
 
 
-def local_degree(phi: PhiField, zero: ZeroPoint, radius: float | None = None,
-                 resolution=(32, 32, 64)) -> ZeroPoint:
+def local_degree(phi: PhiField, zero: ZeroPoint,
+                 radius: float | None = None) -> ZeroPoint:
     """Classify one zero: local degree d, Hopf index beta, Brouwer degree eta.
 
     For regular zeros (|Jacobian| above 1e-8) eta is the Jacobian sign and
@@ -316,9 +298,8 @@ def local_degree(phi: PhiField, zero: ZeroPoint, radius: float | None = None,
     grid = phi.grid
     if radius is None:
         radius = 3.0 * max(grid.spacing)
-    evaluate = _evaluator(phi)
-    degree, value, deviation = surface_degree(evaluate, zero.position, radius,
-                                              resolution)
+    degree, value, deviation = surface_degree(_values_evaluator(phi),
+                                              zero.position, radius)
     if degree == 0:
         return replace(zero, degree=0, beta=None, eta=None,
                        degenerate=abs(zero.jacobian) <= DEGENERACY_TOL,
@@ -419,36 +400,33 @@ class LedgerAnalysis:
     excision_radius: float
 
 
-def analyze(phi: PhiField, newton_tol: float = 1e-10,
-            ledger_tol: float = 0.05, radius: float | None = None,
-            resolution=(32, 32, 64), threads: int = 1) -> LedgerAnalysis:
+def analyze(phi: PhiField, ledger_tol: float = 0.05,
+            threads: int = 1) -> LedgerAnalysis:
     """Locate zeros, classify them, and build the ledger.
 
-    The density route excises balls of three cell widths around located
-    zeros, integrates the unit-route density over the remainder, and adds
-    the ledger-estimated charge of the excised balls; the residual
-    quadrature is then a direct measure of how completely the charge
-    concentrates at the zeros.
+    Each zero's degree sphere has a radius of three cell widths, shrunk to
+    0.45 of the smallest zero separation.  The density route excises balls
+    of three cell widths around located zeros, integrates the unit-route
+    density over the remainder, and adds the ledger-estimated charge of the
+    excised balls; the residual quadrature is then a direct measure of how
+    completely the charge concentrates at the zeros.
     """
-    search = locate_zeros(phi, newton_tol=newton_tol)
+    search = locate_zeros(phi)
     excision = 3.0 * max(phi.grid.spacing)
-    if radius is None:
-        radius = excision
-        positions = [np.asarray(z.position) for z in search.zeros]
-        if len(positions) > 1:
-            gap = min(np.linalg.norm(a - b) for i, a in enumerate(positions)
-                      for b in positions[i + 1:])
-            radius = min(radius, 0.45 * gap)   # keep other zeros off the sphere
+    radius = excision
+    positions = [np.asarray(z.position) for z in search.zeros]
+    if len(positions) > 1:
+        gap = min(np.linalg.norm(a - b) for i, a in enumerate(positions)
+                  for b in positions[i + 1:])
+        radius = min(radius, 0.45 * gap)   # keep other zeros off the sphere
 
     zeros = list(search.zeros)
     if threads > 1 and len(zeros) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             classified = list(pool.map(
-                lambda z: local_degree(phi, z, radius=radius, resolution=resolution),
-                zeros))
+                lambda z: local_degree(phi, z, radius=radius), zeros))
     else:
-        classified = [local_degree(phi, z, radius=radius, resolution=resolution)
-                      for z in zeros]
+        classified = [local_degree(phi, z, radius=radius) for z in zeros]
 
     centers = [z.position for z in classified]
     keep = exclusion_mask(phi.grid, centers, excision)

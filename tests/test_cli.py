@@ -139,6 +139,26 @@ def test_threads_env_override(tmp_path, capsys, monkeypatch):
     assert "threads: 2" in open(report).read()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "identity", "--grid", "16,16,16", "--tol", "1e-9"],
+    ["verify", "linear", "--grid", "12,12,12,12", "--box=-1:1", "--tol", "0"],
+])
+def test_failed_bound_checks_print_the_comparison_that_holds(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--no-color")
+    assert code == 1
+    checks = out.split("checks:")[1].split("\n    - name: ")[1:]
+    statuses = {}
+    for block in checks:
+        name, status, detail = (line.split(": ", 1)[-1]
+                                for line in block.splitlines()[:3])
+        statuses[name] = status
+        if name == "euler-alias":
+            continue
+        holds = " >= " in detail or " > " in detail
+        assert holds == (status == "FAIL"), (name, status, detail)
+    assert "FAIL" in statuses.values() and "PASS" in statuses.values()
+
+
 def test_bad_grid_spec_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "linear", "--grid", "bogus"])
@@ -207,8 +227,17 @@ def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypa
     ["verify", "identity", "--grid", "8,8,8", "--box=5:6"],
     ["verify", "qpower:2", "--grid", "8,8,8", "--box=-1:1"],
     ["verify", "identity", "--grid", "8,8,8,8"],
+    # thread counts below 1, given or from the environment; checked before
+    # the input file is opened
+    ["zeros", "x.fld", "--threads", "0"],
+    ["verify", "qpoly", "--threads=-1"],
+    ({"SU2TOPO_THREADS": "abc"}, ["zeros", "x.fld"]),
+    ({"SU2TOPO_THREADS": "0"}, ["verify", "linear"]),
 ])
 def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
+    env, argv = argv if isinstance(argv, tuple) else ({}, argv)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 2

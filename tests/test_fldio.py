@@ -53,6 +53,10 @@ def test_round_trip_all_kinds(tmp_path, grids):
         else:
             assert np.array_equal(back_jet, jet)
             assert not back_jet.flags.writeable
+        if isinstance(field, st.SU2Field):
+            # FLD2 has no layout for second derivatives (README, FLD2)
+            assert field.jet2 is not None
+            assert back.jet2 is None
 
 
 def test_written_twice_is_byte_identical(tmp_path, grids):

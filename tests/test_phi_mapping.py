@@ -76,7 +76,7 @@ def test_locate_zeros_too_close_raises():
 
     def sampler(points):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return _qpoly_with_jet(points, roots)[0]
+        return _qpoly_with_jet(points, roots)
 
     phi = st.PhiField(grid, values, jet=jet, sampler=sampler)
     with pytest.raises(ZeroLocationError):
@@ -126,7 +126,8 @@ def test_degree_additivity_over_enclosing_sphere():
     search = st.locate_zeros(phi)
     zeros = [st.local_degree(phi, z) for z in search.zeros]
     total = sum(z.degree for z in zeros)
-    big_degree, _, dev = surface_degree(phi.sampler, np.zeros(4), 1.6)
+    big_degree, _, dev = surface_degree(lambda p: phi.sampler(p)[0],
+                                        np.zeros(4), 1.6)
     assert big_degree == total
     assert dev < 0.1
 
@@ -142,7 +143,8 @@ def test_orientation_flip_property():
     flipped_jet = phi.jet @ flip
 
     def sampler(points):
-        return phi.sampler(points) @ flip
+        values, jacobians = phi.sampler(points)
+        return values @ flip, jacobians @ flip
 
     flipped = st.PhiField(grid, flipped_values, jet=flipped_jet, sampler=sampler)
     flipped_analysis = st.analyze(flipped)
@@ -208,10 +210,12 @@ def test_ledger_excludes_degree_zero_with_warning():
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = points.copy()
         out[:, 3] = points[:, 3] ** 2   # fold: no sign change, degree 0
-        return out
+        jacobians = np.broadcast_to(np.eye(4), points.shape + (4,)).copy()
+        jacobians[:, 3, 3] = 2.0 * points[:, 3]
+        return out, jacobians
 
     pts = grid.points()
-    values = sampler(pts.reshape(-1, 4)).reshape(grid.shape + (4,))
+    values = sampler(pts.reshape(-1, 4))[0].reshape(grid.shape + (4,))
     phi = st.PhiField(grid, values, sampler=sampler)
     search = st.locate_zeros(phi)
     assert len(search.zeros) == 1
@@ -294,3 +298,40 @@ def test_sign_screen_finds_a_change_across_the_periodic_wrap():
 
     open_grid = st.Grid(grid.shape, grid.origin, grid.spacing, (False,) * 4)
     assert not _sign_change_cells(values, open_grid).any()
+
+
+# --------------------------------------------------------------------------
+# the sampler and the interpolant read the same zeros
+# --------------------------------------------------------------------------
+
+def _evaluator_cases():
+    g16 = box(16)
+    roots = [[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]]
+    return [
+        ("linear", lambda: st.linear_phi_field(
+            np.eye(4), [0.05, -0.03, 0.02, 0.01], g16), True),
+        ("qpoly", lambda: st.quaternion_polynomial_field(
+            roots, st.box_grid((24,) * 4, -2.0, 2.0)), True),
+        ("qpower-1", lambda: st.quaternion_power_field(-1, g16), True),
+        # the interpolant splits the degree-2 zero of q^2 into two
+        # degree-1 zeros; only the ledger sum is shared
+        ("qpower2", lambda: st.quaternion_power_field(2, g16), False),
+    ]
+
+
+@pytest.mark.parametrize("name, build, same_zeros", _evaluator_cases(),
+                         ids=[case[0] for case in _evaluator_cases()])
+def test_sampler_and_lattice_only_copy_agree(name, build, same_zeros):
+    phi = build()
+    bare = st.PhiField(phi.grid, phi.values, jet=phi.jet)
+    assert phi.sampler is not None and bare.sampler is None
+    sampled = st.analyze(phi).ledger
+    interpolated = st.analyze(bare).ledger
+    assert interpolated.index_sum == sampled.index_sum
+    if not same_zeros:
+        return
+    assert ([(z.degree, z.beta, z.eta) for z in interpolated.zeros]
+            == [(z.degree, z.beta, z.eta) for z in sampled.zeros])
+    cell = np.array(phi.grid.spacing)
+    for a, b in zip(sampled.zeros, interpolated.zeros):
+        assert np.all(np.abs(np.subtract(a.position, b.position)) < cell)
