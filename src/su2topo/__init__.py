@@ -2,8 +2,9 @@
 
 The package decomposes gauge potentials through spinors, evaluates
 Chern-Simons and Chern densities by independent routes, and cross-checks
-volume quadrature against the ledger of isolated zeros of the associated
-4-vector field (Brouwer degrees times Hopf indices).
+the ledger of isolated zeros of the associated 4-vector field (Brouwer
+degrees times Hopf indices) against the Chern-Simons flux through the
+boundary of the box.
 """
 
 from .conventions import ORIENTATION_SIGN
@@ -24,9 +25,8 @@ from .decomposition import (Decomposition, covariant_derivative, decompose,
                             parallel_gauge_potential)
 from .chern_simons import (AbelianData, CSDensity, cs_density, fn_data,
                            fn_pointwise, knot_charge, trace_pointwise)
-from .chern_density import (C2Result, ChernDensity, FieldStrength,
-                            boundary_cs_sum, chern_charge_pair, chern_density,
-                            exclusion_mask, field_strength, second_chern_number,
+from .chern_density import (ChernDensity, FieldStrength, boundary_cs_sum,
+                            chern_charge_pair, chern_density, field_strength,
                             spinor_chern_values, unit_chern_values,
                             unit_chern_values_literal)
 from .phi_mapping import (Ledger, LedgerAnalysis, ZeroPoint, ZeroSearch,

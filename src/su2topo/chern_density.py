@@ -10,14 +10,14 @@ Three pointwise routes to the density rho(x):
 The spinor and unit forms are the same algebraic function of first
 derivatives (they agree at machine epsilon on jets).  On exactly unit data
 the density vanishes pointwise away from zeros of the underlying 4-vector
-field: the whole charge concentrates at those zeros.  Quadrature therefore
-excises small balls around located zeros and reports the excised charge
-from the zero ledger; the remaining volume integral measures how well the
-density really does vanish elsewhere.
+field: the whole charge concentrates at those zeros, where the unit
+spinor is singular.
 
 Integrating rho over the volume gives the second Chern number, which by
 Stokes also equals the sum of oriented Chern-Simons boundary integrals
-over the eight 3-faces of a 4-box.
+over the eight 3-faces of a 4-box.  The faces of a box whose zeros lie
+inside it carry no singularity, so the boundary sum is the route the zero
+ledger is checked against.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ import numpy as np
 
 from . import su2_algebra
 from .conventions import EPS4, ORIENTATION_SIGN, PAIRS4
-from .errors import FieldError
-from .fields import GaugeField, SpinorField, UnitField, face_restrict
+from .errors import FieldError, NormalizationError
+from .fields import (GaugeField, PhiField, SpinorField, UnitField, face_restrict,
+                     normalize, phi_to_spinor)
 from .lattice import Grid, ScalarField, integrate
 from .chern_simons import spinor_cs_values
 
@@ -172,72 +173,7 @@ def _eps4_pair_contract_dot(pairs: np.ndarray) -> np.ndarray:
     return 8.0 * (dot(0, 5) - dot(1, 4) + dot(2, 3))
 
 
-@dataclass(frozen=True)
-class C2Result:
-    """Second Chern number with excision bookkeeping.
-
-    ``value = quadrature + excised_charge``: the volume quadrature runs
-    over unmasked sites only, and the charge concentrated inside excised
-    balls is supplied from the zero ledger.  ``reliable`` drops when more
-    than 5% of the volume was excluded.
-    """
-
-    value: float
-    quadrature: float
-    excised_charge: float
-    excluded_fraction: float
-    nearest: int
-    deviation: float
-    reliable: bool
-
-
-def second_chern_number(rho: ScalarField, mask: np.ndarray | None = None,
-                        excised_charge: float = 0.0) -> C2Result:
-    """Integrate a Chern density, excluding masked-out sites.
-
-    ``mask`` is a per-site boolean array, True where the site participates
-    in the quadrature.  Excluded sites carry zero weight; the excluded
-    volume fraction is reported and the result is flagged unreliable above
-    5%.
-    """
-    grid = rho.grid
-    if grid.rank != 4:
-        raise FieldError("the second Chern number is a rank-4 quadrature")
-    weights = grid.quadrature_weights()
-    if mask is None:
-        excluded = 0.0
-        quadrature = float(np.sum(rho.values * weights))
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != grid.shape:
-            raise FieldError("mask shape differs from grid shape")
-        total = float(np.sum(weights))
-        excluded = float(np.sum(weights[~mask])) / total
-        quadrature = float(np.sum(np.where(mask, rho.values, 0.0) * weights))
-    value = quadrature + excised_charge
-    nearest = int(np.rint(value))
-    return C2Result(value=value, quadrature=quadrature, excised_charge=excised_charge,
-                    excluded_fraction=excluded, nearest=nearest,
-                    deviation=abs(value - nearest), reliable=excluded <= 0.05)
-
-
-def exclusion_mask(grid: Grid, centers, radius: float) -> np.ndarray:
-    """Boolean keep-mask that drops sites within ``radius`` of any center."""
-    keep = np.ones(grid.shape, dtype=bool)
-    if not len(centers):
-        return keep
-    pts = grid.points()
-    for center in centers:
-        delta = pts - np.asarray(center, dtype=np.float64)
-        for ax in range(grid.rank):
-            if grid.periodic[ax]:
-                extent = grid.axis_extent(ax)
-                delta[..., ax] -= extent * np.rint(delta[..., ax] / extent)
-        keep &= np.sum(delta**2, axis=-1) > radius * radius
-    return keep
-
-
-def boundary_cs_sum(psi: SpinorField):
+def boundary_cs_sum(field):
     """Oriented sum of spinor Chern-Simons integrals over the 8 faces.
 
     The face orthogonal to axis ``m`` contributes with sign (-1)^m (top
@@ -245,9 +181,14 @@ def boundary_cs_sum(psi: SpinorField):
     telescopes to the volume integral of the spinor Chern density; the
     discrepancy is pure quadrature error, O(h^2) on vertex-centered boxes.
 
+    A :class:`SpinorField` is summed as given.  A :class:`PhiField` is
+    restricted to each face first and only that face is converted to a
+    unit spinor, so no normalized copy of the whole grid is built; phi
+    vanishing on a face raises :class:`NormalizationError`.
+
     Returns ``(real_sum, imag_residue)``.
     """
-    grid = psi.grid
+    grid = field.grid
     if grid.rank != 4:
         raise FieldError("boundary flux sums need a rank-4 box")
     if any(grid.periodic) or grid.cell_centered:
@@ -257,7 +198,14 @@ def boundary_cs_sum(psi: SpinorField):
     for axis in range(4):
         face_sign = (-1.0) ** axis
         for side, side_sign in ((1, 1.0), (0, -1.0)):
-            face = face_restrict(psi, axis, side)
+            face = face_restrict(field, axis, side)
+            if isinstance(face, PhiField):
+                try:
+                    face = normalize(phi_to_spinor(face))
+                except NormalizationError as exc:
+                    raise NormalizationError(
+                        f"phi vanishes on the {('low', 'high')[side]} face of axis "
+                        f"{axis}: {exc}", site=exc.site) from exc
             raw = spinor_cs_values(face.values, face.derivatives())
             flux = np.sum(raw * face.grid.quadrature_weights())
             total += face_sign * side_sign * flux

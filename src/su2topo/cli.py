@@ -26,11 +26,12 @@ import numpy as np
 
 from . import chern_simons as cs
 from . import fldio, generators, phi_mapping, su2_algebra
-from .chern_density import chern_density, second_chern_number
+from .chern_density import chern_density
 from .decomposition import decompose, parallel_gauge_potential
 from .errors import FieldError, FieldFormatError, LatticeError, Su2TopoError
 from .fields import (GaugeField, PhiField, SpinorField, normalize,
                      phi_to_spinor, spinor_to_phi, unit_vector)
+from .lattice import integrate
 from .report import ChargeReport, __version__
 
 
@@ -114,12 +115,11 @@ def _chart_grid(args, chart: str):
 
 
 def _bound_check(report: ChargeReport, name: str, label: str, value: float,
-                 bound: float, op: str = "<", fmt: str = "") -> None:
-    """Add the check ``value op bound`` (``op`` is ``<`` or ``<=``); the
-    detail prints the comparison that holds, so a FAIL reads ``>=`` or ``>``."""
-    passed = value < bound if op == "<" else value <= bound
-    shown = op if passed else {"<": ">=", "<=": ">"}[op]
-    report.add_check(name, passed, f"{label} {shown} {bound:{fmt}}")
+                 bound: float, fmt: str = "") -> None:
+    """Add the check ``value < bound``; the detail prints the comparison
+    that holds, so a FAIL reads ``>=``."""
+    passed = value < bound
+    report.add_check(name, passed, f"{label} {'<' if passed else '>='} {bound:{fmt}}")
 
 
 def _emit_report(report: ChargeReport, args) -> int:
@@ -365,11 +365,9 @@ def cmd_chern(args) -> int:
         else:
             gauge = parallel_gauge_potential(normalize(psi))
             rho = chern_density(gauge, "trace")
-        c2 = second_chern_number(rho.field)
+        c2 = integrate(rho.field)
         report.timings[f"{method}_s"] = time.perf_counter() - start
-        results[f"C2_{method}"] = {"value": c2.value, "nearest": c2.nearest,
-                                   "deviation": c2.deviation,
-                                   "imag_residue": rho.imag_residue}
+        results[f"C2_{method}"] = {**_charge_entry(c2), "imag_residue": rho.imag_residue}
     report.results["chern"] = results
     if len(results) > 1:
         values = [entry["value"] for entry in results.values()]
@@ -404,23 +402,16 @@ def _run_zeros(args, phi: PhiField, threads: int):
         "zero_count": len(ledger.zeros),
         "index_sum": ledger.index_sum,
         "chi": ledger.chi,
-        "C2_density": ledger.density_c2,
-        "C2_quadrature": analysis.c2.quadrature,
-        "excised_charge": analysis.c2.excised_charge,
-        "excluded_fraction": analysis.c2.excluded_fraction,
-        "excision_radius": analysis.excision_radius,
+        "C2_boundary": ledger.boundary_c2,
         "discrepancy": ledger.discrepancy,
         "suspicious_cells": len(analysis.search.suspicious_cells),
     }
     report.zeros = [_zero_entry(z) for z in ledger.zeros]
     _bound_check(report, "ledger-equivalence",
-                 f"|C2 - sum(beta*eta)| = {ledger.discrepancy:.3e}",
+                 f"|C2_boundary - sum(beta*eta)| = {ledger.discrepancy:.3e}",
                  ledger.discrepancy, ledger.tolerance)
     report.add_check("euler-alias", ledger.chi == ledger.index_sum,
                      f"chi = {ledger.chi} equals ledger sum {ledger.index_sum}")
-    _bound_check(report, "quadrature-reliable",
-                 f"excluded fraction {analysis.c2.excluded_fraction:.4f}",
-                 analysis.c2.excluded_fraction, 0.05, op="<=")
     return report, analysis
 
 
@@ -544,6 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        tol = getattr(args, "tol", 1.0)
+        if not 0.0 < tol < float("inf"):
+            raise UsageError(f"--tol must be a finite positive number, not {tol}")
         return args.func(args)
     except UsageError as exc:
         print(f"su2topo: usage error: {exc}", file=sys.stderr)

@@ -103,7 +103,7 @@ def decompose(psi: SpinorField, gauge: GaugeField, eps_zero: float = 1e-12,
         raise FieldError("spinor and gauge grids differ")
     density = norm_squared(psi)
     if np.min(density) < eps_zero**2:
-        site = np.unravel_index(int(np.argmin(density)), density.shape)
+        site = tuple(map(int, np.unravel_index(int(np.argmin(density)), density.shape)))
         raise NormalizationError(
             f"spinor norm below {eps_zero:.1e} at site {site}", site=site)
     weight = 1.0 / density

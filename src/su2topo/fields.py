@@ -172,7 +172,7 @@ def norm_squared(psi: SpinorField) -> np.ndarray:
 def _check_nonvanishing(norms: np.ndarray, eps_zero: float, name: str) -> None:
     """Raise :class:`NormalizationError` at the smallest norm below ``eps_zero``."""
     if np.min(norms) < eps_zero:
-        site = np.unravel_index(int(np.argmin(norms)), norms.shape)
+        site = tuple(map(int, np.unravel_index(int(np.argmin(norms)), norms.shape)))
         raise NormalizationError(
             f"{name} norm {float(norms[site]):.3e} < {eps_zero:.1e} at site {site}",
             site=site)
@@ -320,21 +320,23 @@ def pure_gauge_potential(s: SU2Field) -> GaugeField:
     return GaugeField(s.grid, comps)
 
 
-def face_restrict(psi: SpinorField, axis: int, side: int) -> SpinorField:
-    """Restrict a rank-4 spinor to one boundary face of an open axis.
+def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
+    """Restrict a rank-4 field to one boundary face of an open axis.
 
     ``side`` is 0 for the low face, 1 for the high face.  Jets keep only
     the in-face derivative components.  Faces of vertex-centered grids lie
-    exactly on the domain boundary, as boundary-flux sums require.
+    exactly on the domain boundary, as boundary-flux sums require.  The
+    face is a field of the same kind built from its bare samples, so a
+    phi field's sampler is dropped and a spinor is flagged normalized
+    when its face samples are unit.
     """
-    grid = psi.grid
+    grid = field.grid
     if grid.periodic[axis]:
         raise FieldError("boundary faces exist only on open axes")
     index = 0 if side == 0 else grid.shape[axis] - 1
-    face_grid = grid.drop_axis(axis)
-    values = np.take(psi.values, index, axis=axis)
+    values = np.take(field.values, index, axis=axis)
     jet = None
-    if psi.jet is not None:
+    if field.jet is not None:
         keep = [i for i in range(grid.rank) if i != axis]
-        jet = np.take(psi.jet, index, axis=axis)[..., keep, :]
-    return SpinorField(face_grid, values, jet=jet, normalized=psi.normalized)
+        jet = np.take(field.jet, index, axis=axis)[..., keep, :]
+    return type(field).from_samples(grid.drop_axis(axis), values, jet)

@@ -9,9 +9,10 @@ d_j measured as a surface integral over a small 3-sphere:
     d_j = 1/(2 pi^2) Int det[n, d_chi n, d_theta n, d_phi n] dchi dtheta dphi
 
 with n = phi/|phi| sampled on the sphere.  The ledger then states
-C_2 = sum_j beta_j eta_j and cross-checks it against the density-route
-value; the sum doubles as the Euler characteristic through the top Chern
-class.
+C_2 = sum_j beta_j eta_j and cross-checks it against the Chern-Simons flux
+of the unit spinor through the 8 faces of the box, which by Stokes is the
+same C_2 computed from the boundary alone; the sum doubles as the Euler
+characteristic through the top Chern class.
 
 Zero search: 4-cells where every component changes sign across the 16
 corners seed damped Newton iterations (sign screening over-fires on coarse
@@ -34,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chern_density import chern_density, exclusion_mask, second_chern_number
+from .chern_density import boundary_cs_sum
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
-from .fields import PhiField, UnitField
+from .fields import PhiField
 from .generators import s3_chart_grid, s3_points
 from .lattice import (Grid, ScalarField, central_diff, integrate_values,
                       interpolate, interpolate_with_gradient)
@@ -323,11 +324,11 @@ def local_degree(phi: PhiField, zero: ZeroPoint,
 
 @dataclass(frozen=True)
 class Ledger:
-    """The zero ledger against the density-route second Chern number."""
+    """The zero ledger against the boundary-flux second Chern number."""
 
     zeros: tuple
     index_sum: int
-    density_c2: float
+    boundary_c2: float
     discrepancy: float
     tolerance: float
     passed: bool
@@ -338,8 +339,8 @@ class Ledger:
         return self.index_sum
 
 
-def charge_ledger(zeros, density_c2: float, tolerance: float = 0.05) -> Ledger:
-    """Assemble the ledger sum and compare with the density-route value.
+def charge_ledger(zeros, boundary_c2: float, tolerance: float = 0.05) -> Ledger:
+    """Assemble the ledger sum and compare with the boundary-flux value.
 
     Zeros with degree 0 are excluded (with a warning); the FAIL state is
     carried in ``passed``, never swallowed.
@@ -355,39 +356,10 @@ def charge_ledger(zeros, density_c2: float, tolerance: float = 0.05) -> Ledger:
         kept.append(zero)
     kept.sort(key=lambda z: z.cell_index)
     index_sum = int(sum(z.beta * z.eta for z in kept))
-    discrepancy = abs(density_c2 - index_sum)
-    return Ledger(zeros=tuple(kept), index_sum=index_sum, density_c2=density_c2,
+    discrepancy = abs(boundary_c2 - index_sum)
+    return Ledger(zeros=tuple(kept), index_sum=index_sum, boundary_c2=boundary_c2,
                   discrepancy=discrepancy, tolerance=tolerance,
                   passed=bool(discrepancy < tolerance))
-
-
-def masked_unit_density(phi: PhiField, keep: np.ndarray) -> ScalarField:
-    """Unit-route Chern density with masked sites zeroed.
-
-    Sites excluded by ``keep`` (inside excision balls around zeros) take a
-    safe placeholder direction before differentiation; their density
-    samples are zeroed afterwards, and with an excision radius of three
-    cell widths no finite-difference stencil of a kept site reaches the
-    singular core.
-    """
-    norms = np.linalg.norm(phi.values, axis=-1)
-    floor = max(1e-30, 1e-6 * float(np.max(norms)))
-    safe = np.maximum(norms, floor)
-    n_values = phi.values / safe[..., None]
-    bad = norms < floor
-    if np.any(bad):
-        n_values = n_values.copy()
-        n_values[bad] = np.array([1.0, 0.0, 0.0, 0.0])
-    jet = None
-    if phi.jet is not None:
-        radial = np.einsum("...a,...ma->...m", phi.values, phi.jet)
-        jet = (phi.jet / safe[..., None, None]
-               - phi.values[..., None, :] * (radial / safe[..., None] ** 3)[..., None])
-        jet = np.where(keep[..., None, None], jet, 0.0)
-    unit = UnitField(phi.grid, n_values, jet=jet)
-    rho = chern_density(unit, "unit")
-    values = np.where(keep, rho.field.values, 0.0)
-    return ScalarField(phi.grid, values)
 
 
 @dataclass(frozen=True)
@@ -395,25 +367,21 @@ class LedgerAnalysis:
     """Full zero-ledger pipeline output."""
 
     ledger: Ledger
-    c2: object
     search: ZeroSearch
-    excision_radius: float
 
 
 def analyze(phi: PhiField, ledger_tol: float = 0.05,
             threads: int = 1) -> LedgerAnalysis:
-    """Locate zeros, classify them, and build the ledger.
+    """Locate zeros, classify them, and check the ledger against the boundary.
 
     Each zero's degree sphere has a radius of three cell widths, shrunk to
-    0.45 of the smallest zero separation.  The density route excises balls
-    of three cell widths around located zeros, integrates the unit-route
-    density over the remainder, and adds the ledger-estimated charge of the
-    excised balls; the residual quadrature is then a direct measure of how
-    completely the charge concentrates at the zeros.
+    0.45 of the smallest zero separation.  The ledger sum is compared with
+    :func:`~su2topo.chern_density.boundary_cs_sum` of phi, which reads only
+    the 8 faces of the box: the two sides share no computed quantity, so a
+    missed or misclassified zero shows as a discrepancy.
     """
     search = locate_zeros(phi)
-    excision = 3.0 * max(phi.grid.spacing)
-    radius = excision
+    radius = 3.0 * max(phi.grid.spacing)
     positions = [np.asarray(z.position) for z in search.zeros]
     if len(positions) > 1:
         gap = min(np.linalg.norm(a - b) for i, a in enumerate(positions)
@@ -428,11 +396,6 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05,
     else:
         classified = [local_degree(phi, z, radius=radius) for z in zeros]
 
-    centers = [z.position for z in classified]
-    keep = exclusion_mask(phi.grid, centers, excision)
-    rho = masked_unit_density(phi, keep)
-    excised = float(sum(z.beta * z.eta for z in classified if z.degree))
-    c2 = second_chern_number(rho, mask=keep, excised_charge=excised)
-    ledger = charge_ledger(classified, c2.value, tolerance=ledger_tol)
-    return LedgerAnalysis(ledger=ledger, c2=c2, search=search,
-                          excision_radius=excision)
+    flux, _ = boundary_cs_sum(phi)
+    ledger = charge_ledger(classified, flux, tolerance=ledger_tol)
+    return LedgerAnalysis(ledger=ledger, search=search)

@@ -160,7 +160,7 @@ def test_criterion_09_ledger_theorem():
     lin = st.linear_phi_field(np.eye(4), [0.05, -0.03, 0.02, 0.01], grid)
     analysis = st.analyze(lin)
     ok_a = ([(z.beta, z.eta) for z in analysis.ledger.zeros] == [(1, 1)]
-            and abs(analysis.ledger.density_c2 - 1.0) < 0.02)
+            and abs(analysis.ledger.boundary_c2 - 1.0) < 0.02)
 
     # (b) orientation flip
     m = np.eye(4)
@@ -168,7 +168,7 @@ def test_criterion_09_ledger_theorem():
     flipped = st.linear_phi_field(m, [0.05, -0.03, 0.02, 0.01], grid)
     analysis_b = st.analyze(flipped)
     ok_b = ([(z.beta, z.eta) for z in analysis_b.ledger.zeros] == [(1, -1)]
-            and abs(analysis_b.ledger.density_c2 + 1.0) < 0.02)
+            and abs(analysis_b.ledger.boundary_c2 + 1.0) < 0.02)
 
     # (c) two-root quaternion polynomial on 24^4
     grid24 = st.box_grid((24, 24, 24, 24), -2.0, 2.0)
@@ -180,7 +180,7 @@ def test_criterion_09_ledger_theorem():
                   for p, r in zip(positions, sorted(map(tuple, roots))))
     ok_c = (len(analysis_c.ledger.zeros) == 2 and pos_err < 1e-8
             and analysis_c.ledger.index_sum == 2
-            and abs(analysis_c.ledger.density_c2 - 2.0) < 0.05)
+            and abs(analysis_c.ledger.boundary_c2 - 2.0) < 0.05)
 
     # (d) degenerate quaternion square
     gridq = st.box_grid((16, 16, 16, 16), -1.0, 1.0)
@@ -191,10 +191,10 @@ def test_criterion_09_ledger_theorem():
     elapsed = time.perf_counter() - start
     report(9, "ledger theorem",
            ok_a and ok_b and ok_c and ok_d and elapsed < 300.0,
-           f"(a) C2 = {analysis.ledger.density_c2:+.4f}; "
-           f"(b) C2 = {analysis_b.ledger.density_c2:+.4f}; "
+           f"(a) C2 = {analysis.ledger.boundary_c2:+.4f}; "
+           f"(b) C2 = {analysis_b.ledger.boundary_c2:+.4f}; "
            f"(c) sum = {analysis_c.ledger.index_sum}, "
-           f"root error {pos_err:.2e}, C2 = {analysis_c.ledger.density_c2:.4f}; "
+           f"root error {pos_err:.2e}, C2 = {analysis_c.ledger.boundary_c2:.4f}; "
            f"(d) d = {zero.degree}, deviation {zero.degree_deviation:.3f}; "
            f"runtime {elapsed:.0f}s (< 300s)")
 

@@ -139,6 +139,18 @@ def test_chern_weil_stokes_consistency():
     assert residues[1] / residues[2] > 3.0
 
 
+def test_boundary_flux_of_phi_normalizes_face_by_face():
+    grid = st.box_grid((16, 16, 16, 16), -2.0, 2.0)
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    phi = st.quaternion_polynomial_field(roots, grid)
+    face = st.face_restrict(phi, 2, 0)
+    assert isinstance(face, st.PhiField) and face.sampler is None
+    np.testing.assert_array_equal(face.jet, phi.jet[:, :, 0][..., [0, 1, 3], :])
+    # normalizing each face gives the faces of the normalized spinor
+    psi = st.normalize(st.phi_to_spinor(phi))
+    assert st.boundary_cs_sum(phi) == st.boundary_cs_sum(psi)
+
+
 def test_c2_converges_to_integer_under_refinement():
     # zero-free box: the FD spinor route must settle on the integer 0
     base = st.box_grid((10, 10, 10, 10), -1.0, 1.0)
@@ -146,48 +158,26 @@ def test_c2_converges_to_integer_under_refinement():
     for grid in (base, base.refine(2)):
         psi = st.normalize(st.random_config(42, "spinor", grid))
         nojet = st.SpinorField(grid, psi.values, normalized=True)
-        c2 = st.second_chern_number(st.chern_density(nojet, "spinor").field)
-        assert c2.nearest == 0
-        devs.append(c2.deviation)
+        c2 = st.integrate(st.chern_density(nojet, "spinor").field)
+        assert round(c2) == 0
+        devs.append(abs(c2))
     assert devs[0] / devs[1] >= 3.0
 
-    # jet-route ledger deviations sit at the rounding floor at any size
-    for n in (12, 16):
-        grid = st.box_grid((n, n, n, n), -2.0, 2.0)
+    # the boundary flux the ledger is checked against converges at O(h^2)
+    base = st.box_grid((12, 12, 12, 12), -2.0, 2.0)
+    errors = []
+    for grid in (base, base.refine(2)):
         lin = st.linear_phi_field(np.eye(4), [0.05, -0.03, 0.02, 0.01], grid)
-        analysis = st.analyze(lin)
-        assert abs(analysis.ledger.density_c2 - 1.0) < 1e-10
+        ledger = st.analyze(lin).ledger
+        assert ledger.passed
+        errors.append(abs(ledger.boundary_c2 - 1.0))
+    assert 3.0 <= errors[0] / errors[1] <= 5.0
 
 
 def test_second_chern_number_zero_density():
     grid = small_grid()
     rho = st.ScalarField(grid, np.zeros(grid.shape))
-    result = st.second_chern_number(rho)
-    assert result.value == 0.0
-    assert result.nearest == 0
-    assert result.reliable
-
-
-def test_second_chern_number_mask_bookkeeping():
-    grid = small_grid(8)
-    rho = st.ScalarField(grid, np.ones(grid.shape))
-    mask = np.ones(grid.shape, dtype=bool)
-    mask[:2] = False
-    result = st.second_chern_number(rho, mask=mask, excised_charge=1.5)
-    weights = grid.quadrature_weights()
-    expected_quad = float(np.sum(weights[mask]))
-    assert result.quadrature == pytest.approx(expected_quad)
-    assert result.value == pytest.approx(expected_quad + 1.5)
-    assert result.excluded_fraction > 0.05
-    assert not result.reliable
-
-
-def test_exclusion_mask_radius():
-    grid = small_grid(8)
-    keep = st.exclusion_mask(grid, [np.zeros(4)], 0.5)
-    pts = grid.points()
-    dist2 = np.sum(pts**2, axis=-1)
-    np.testing.assert_array_equal(keep, dist2 > 0.25)
+    assert st.integrate(rho) == 0.0
 
 
 def test_chern_density_input_validation():

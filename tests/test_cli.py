@@ -141,7 +141,7 @@ def test_threads_env_override(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "identity", "--grid", "16,16,16", "--tol", "1e-9"],
-    ["verify", "linear", "--grid", "12,12,12,12", "--box=-1:1", "--tol", "0"],
+    ["verify", "linear", "--grid", "12,12,12,12", "--box=-1:1", "--tol", "1e-9"],
 ])
 def test_failed_bound_checks_print_the_comparison_that_holds(capsys, argv):
     code, out, _ = run(capsys, *argv, "--no-color")
@@ -202,6 +202,75 @@ def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypa
     assert len(calls) == 1
 
 
+def _ledger_check(out):
+    block = out.split("name: ledger-equivalence\n")[1]
+    return block.splitlines()[0].split(": ", 1)[1]
+
+
+def test_dropping_a_zero_fails_the_ledger(capsys, monkeypatch):
+    import su2topo.phi_mapping as phi_mapping
+    real = phi_mapping.locate_zeros
+
+    def drop_one(phi):
+        search = real(phi)
+        return phi_mapping.ZeroSearch(search.zeros[1:], search.suspicious_cells)
+
+    monkeypatch.setattr(phi_mapping, "locate_zeros", drop_one)
+    code, out, _ = run(capsys, "verify", "qpoly", "--no-color")
+    assert code == 1
+    assert "index_sum: 1" in out
+    assert _ledger_check(out) == "FAIL"
+
+
+def test_flipping_one_eta_fails_the_ledger(capsys, monkeypatch):
+    import dataclasses
+    import su2topo.phi_mapping as phi_mapping
+    real = phi_mapping.local_degree
+
+    def flip_left(phi, zero, radius=None):
+        classified = real(phi, zero, radius=radius)
+        if zero.position[0] > 0.0:
+            return classified
+        return dataclasses.replace(classified, eta=-classified.eta)
+
+    monkeypatch.setattr(phi_mapping, "local_degree", flip_left)
+    code, out, _ = run(capsys, "verify", "qpoly", "--no-color")
+    assert code == 1
+    assert "index_sum: 0" in out
+    assert _ledger_check(out) == "FAIL"
+
+
+def test_zeros_without_jets_passes_the_ledger(tmp_path, capsys):
+    grid = st.box_grid((24, 24, 24, 24), -2.0, 2.0)
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    phi = st.quaternion_polynomial_field(roots, grid)
+    path = str(tmp_path / "bare.fld")
+    write_field(st.PhiField(grid, phi.values), path)
+    code, out, _ = run(capsys, "zeros", path, "--no-color")
+    assert code == 0
+    assert "index_sum: 2" in out
+    assert "C2_boundary: 1.97" in out
+
+
+def test_zero_next_to_a_face_fails_the_ledger(capsys):
+    # the zero sits 0.05 from the x0 = 2 face: the faces no longer resolve it
+    code, out, _ = run(capsys, "verify", "linear", "--grid", "16,16,16,16",
+                       "--shift", "1.95,0.01,0.02,0.03", "--no-color")
+    assert code == 1
+    assert "index_sum: 1" in out
+    assert _ledger_check(out) == "FAIL"
+
+
+def test_zero_on_a_face_site_is_an_error(capsys):
+    code, out, err = run(capsys, "verify", "linear", "--grid", "9,9,9,9",
+                         "--box=-2:2", "--shift", "2,0,0,0", "--no-color")
+    assert code == 3
+    assert err.startswith("su2topo: error: phi vanishes on the high face of axis 0")
+    assert err.count("\n") == 1
+    assert "at site (4, 4, 4)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "qpoly", "--grid", "16,16,16"],
     ["verify", "qpoly", "--box=-2:2,-1:1"],
@@ -233,6 +302,10 @@ def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypa
     ["verify", "qpoly", "--threads=-1"],
     ({"SU2TOPO_THREADS": "abc"}, ["zeros", "x.fld"]),
     ({"SU2TOPO_THREADS": "0"}, ["verify", "linear"]),
+    # a tolerance that is not a finite positive number
+    ["zeros", "x.fld", "--tol", "nan"],
+    ["cs", "x.fld", "--tol=-1"],
+    ["verify", "linear", "--tol", "0"],
 ])
 def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
     env, argv = argv if isinstance(argv, tuple) else ({}, argv)

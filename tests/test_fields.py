@@ -43,6 +43,20 @@ def test_normalize_zero_site_raises_with_site():
     assert info.value.site == (2, 3, 1, 0)
 
 
+def test_normalization_error_site_is_plain_ints():
+    grid = small_grid()
+    values = np.ones(grid.shape + (2,), dtype=complex)
+    values[2, 3, 1, 0] = 0.0
+    psi = st.SpinorField(grid, values)
+    gauge = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
+    for call in (lambda: st.normalize(psi), lambda: st.decompose(psi, gauge)):
+        with pytest.raises(NormalizationError) as info:
+            call()
+        assert info.value.site == (2, 3, 1, 0)
+        assert all(type(i) is int for i in info.value.site)
+        assert str(info.value).endswith("at site (2, 3, 1, 0)")
+
+
 def test_normalize_idempotent():
     grid = small_grid()
     psi = st.random_config(5, "spinor", grid)

@@ -155,8 +155,8 @@ def test_orientation_flip_property():
     assert [z.beta for z in analysis.ledger.zeros] == \
         [z.beta for z in flipped_analysis.ledger.zeros]
     assert flipped_analysis.ledger.index_sum == -analysis.ledger.index_sum
-    assert flipped_analysis.ledger.density_c2 == pytest.approx(
-        -analysis.ledger.density_c2, abs=1e-10)
+    assert flipped_analysis.ledger.boundary_c2 == pytest.approx(
+        -analysis.ledger.boundary_c2, abs=1e-10)
 
 
 def test_regular_zeros_have_unit_hopf_index():
@@ -170,12 +170,15 @@ def test_regular_zeros_have_unit_hopf_index():
 
 
 def test_ledger_trivial_no_zeros():
-    grid = box(12)
-    phi = st.linear_phi_field(np.eye(4), [5.0, 5.0, 5.0, 5.0], grid)
-    analysis = st.analyze(phi)
-    assert analysis.ledger.index_sum == 0
-    assert analysis.ledger.density_c2 == pytest.approx(0.0, abs=1e-10)
-    assert analysis.ledger.passed
+    # no zeros: the boundary flux is pure O(h^2) quadrature error
+    errors = []
+    for grid in (box(12), box(12).refine(2)):
+        phi = st.linear_phi_field(np.eye(4), [5.0, 5.0, 5.0, 5.0], grid)
+        analysis = st.analyze(phi)
+        assert analysis.ledger.index_sum == 0
+        assert analysis.ledger.passed
+        errors.append(abs(analysis.ledger.boundary_c2))
+    assert 3.0 <= errors[0] / errors[1] <= 5.0
 
 
 def test_ledger_two_root_polynomial():
@@ -186,7 +189,7 @@ def test_ledger_two_root_polynomial():
     ledger = analysis.ledger
     assert ledger.index_sum == 2
     assert all(z.beta == 1 and z.eta == 1 for z in ledger.zeros)
-    assert abs(ledger.density_c2 - 2.0) < 0.05
+    assert abs(ledger.boundary_c2 - 2.0) < 0.05
     assert ledger.passed
     assert ledger.chi == ledger.index_sum
 
@@ -199,7 +202,7 @@ def test_ledger_quaternion_square_degenerate_charge():
     assert len(ledger.zeros) == 1
     assert ledger.zeros[0].degenerate
     assert ledger.index_sum == 2
-    assert abs(ledger.density_c2 - 2.0) < 0.04
+    assert abs(ledger.boundary_c2 - 2.0) < 0.04
     assert ledger.passed
 
 
@@ -222,7 +225,7 @@ def test_ledger_excludes_degree_zero_with_warning():
     zero = st.local_degree(phi, search.zeros[0])
     assert zero.degree == 0
     with pytest.warns(UserWarning):
-        ledger = st.charge_ledger([zero], density_c2=0.0)
+        ledger = st.charge_ledger([zero], boundary_c2=0.0)
     assert ledger.index_sum == 0
     assert not ledger.zeros
 
