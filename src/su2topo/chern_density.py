@@ -173,6 +173,15 @@ def _eps4_pair_contract_dot(pairs: np.ndarray) -> np.ndarray:
     return 8.0 * (dot(0, 5) - dot(1, 4) + dot(2, 3))
 
 
+def check_flux_box(grid: Grid) -> None:
+    """Raise :class:`FieldError` unless ``grid`` is a box whose 8 faces
+    :func:`boundary_cs_sum` can sum: rank 4, open and vertex-centered."""
+    if grid.rank != 4:
+        raise FieldError("boundary flux sums need a rank-4 box")
+    if any(grid.periodic) or grid.cell_centered:
+        raise FieldError("boundary flux sums need an open vertex-centered box")
+
+
 def boundary_cs_sum(field):
     """Oriented sum of spinor Chern-Simons integrals over the 8 faces.
 
@@ -189,10 +198,7 @@ def boundary_cs_sum(field):
     Returns ``(real_sum, imag_residue)``.
     """
     grid = field.grid
-    if grid.rank != 4:
-        raise FieldError("boundary flux sums need a rank-4 box")
-    if any(grid.periodic) or grid.cell_centered:
-        raise FieldError("boundary flux sums need an open vertex-centered box")
+    check_flux_box(grid)
     total = 0.0 + 0.0j
     sign_global = ORIENTATION_SIGN * grid.orientation
     for axis in range(4):
@@ -206,7 +212,7 @@ def boundary_cs_sum(field):
                     raise NormalizationError(
                         f"phi vanishes on the {('low', 'high')[side]} face of axis "
                         f"{axis}: {exc}", site=exc.site) from exc
-            raw = spinor_cs_values(face.values, face.derivatives())
+            raw = spinor_cs_values(face.current[..., 0], face.derivatives())
             flux = np.sum(raw * face.grid.quadrature_weights())
             total += face_sign * side_sign * flux
     total *= sign_global

@@ -16,6 +16,12 @@ pointwise identity (1/4) eps C H = eps Tr(A dA - 2/3 AAA) ties the Abelian
 and non-Abelian integrands together.  The spinor and Abelian integrands
 are algebraic in first derivatives and therefore exact with jets; the
 trace route needs dA by finite differences and carries O(h^2) error.
+
+All three read the spinor current J_i^A = Psi^dag sigma_A d_i Psi
+(sigma_0 = 1), ``SpinorField.current``, computed once per field: the
+spinor route takes Psi^dag d_i Psi = J^0, the trace route the parallel
+potential A^a = -2 Im J^a, and the Abelian route d m^a = 2 Re J^a and
+C = -2 Im J^0.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import su2_algebra
 from .conventions import ORIENTATION_SIGN
 from .decomposition import parallel_gauge_potential
 from .errors import FieldError, ReconstructionError
 from .fields import GaugeField, SpinorField, sigma_model_field
-from .lattice import ScalarField, central_diff, integrate
+from .lattice import ScalarField, derivative_stack, integrate
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
 
@@ -42,11 +47,36 @@ def _eps3_contract(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return out
 
 
-def spinor_cs_values(values: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
-    """Raw (complex) spinor Chern-Simons integrand from value/jet arrays."""
-    s1 = np.einsum("...c,...ic->...i", np.conj(values), dvalues)
-    s2 = np.einsum("...jc,...kc->...jk", np.conj(dvalues), dvalues)
-    return -_eps3_contract(s1, s2) / (4.0 * np.pi**2)
+def spinor_cs_values(j0: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
+    """Raw (complex) spinor Chern-Simons integrand.
+
+    ``j0`` is J_i^0 = Psi^dag d_i Psi (..., 3), the first entry of
+    ``SpinorField.current``, and ``dvalues`` the jets d_i Psi (..., 3, 2).
+    Only the antisymmetric part of s2_jk = d_j Psi^dag d_k Psi enters the
+    contraction, and s2_jk - s2_kj = 2i Im s2_jk.
+    """
+    re, im = dvalues.real, dvalues.imag
+    out = np.zeros(j0.shape[:-1], dtype=np.complex128)
+    for i, j, k in _CYCLIC3:
+        im_s2 = ((re[..., j, 0] * im[..., k, 0] - im[..., j, 0] * re[..., k, 0])
+                 + (re[..., j, 1] * im[..., k, 1] - im[..., j, 1] * re[..., k, 1]))
+        out += j0[..., i] * im_s2
+    out *= 2j
+    return -out / (4.0 * np.pi**2)
+
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """det of (..., 3, 3) matrices, expanded along the first row."""
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+
+
+def _triple(m: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m . (u x v) for (..., 3) vectors."""
+    return (m[..., 0] * (u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1])
+            + m[..., 1] * (u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2])
+            + m[..., 2] * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]))
 
 
 def trace_cs_values(a: np.ndarray, da: np.ndarray) -> np.ndarray:
@@ -60,7 +90,7 @@ def trace_cs_values(a: np.ndarray, da: np.ndarray) -> np.ndarray:
         term1 += np.einsum("...a,...a->...", a[..., i, :],
                            da[..., j, k, :] - da[..., k, j, :])
     # eps^{ijk} eps^{abc} A_i^a A_j^b A_k^c = 3! det(A)
-    term2 = 6.0 * np.linalg.det(a)
+    term2 = 6.0 * _det3(a)
     return -(term1 - term2 / 3.0) / (16.0 * np.pi**2)
 
 
@@ -88,7 +118,7 @@ def cs_density(psi: SpinorField, gauge: GaugeField | None = None,
     if method == "spinor":
         if not psi.normalized:
             raise FieldError("spinor-route density requires a normalized spinor")
-        raw = sign * spinor_cs_values(psi.values, psi.derivatives())
+        raw = sign * spinor_cs_values(psi.current[..., 0], psi.derivatives())
         residue = float(np.max(np.abs(raw.imag)))
         return CSDensity(ScalarField(grid, raw.real), "spinor", residue)
     if method == "trace":
@@ -133,35 +163,30 @@ class AbelianData:
         return h
 
 
-def _m_and_derivatives(psi: SpinorField):
-    m = sigma_model_field(psi)
-    dpsi = psi.derivatives()
-    dm = 2.0 * su2_algebra.sigma_bilinear(psi.values[..., None, :], dpsi).real
-    return m.values, dm
-
-
 def fn_data(psi: SpinorField, residual_factor: float = 50.0):
     """Abelian data and the Faddeev-Niemi charge Q_fn of a normalized spinor.
 
-    Raises when the exactness residual exceeds ``residual_factor * h^2``
-    times the curvature scale, which would mean the chosen potential does
-    not actually generate H.
+    The gradient d_i m^a = 2 Re J_i^a and the potential C_i = -2 Im J_i^0
+    are read from the spinor current ``psi.current``.  Raises when the
+    exactness residual exceeds ``residual_factor * h^2`` times the
+    curvature scale, which would mean the chosen potential does not
+    actually generate H.
     """
     grid = psi.grid
     if grid.rank != 3:
         raise FieldError("the Abelian route lives on rank-3 charts")
     if not psi.normalized:
         raise FieldError("the Abelian route requires a normalized spinor")
-    m, dm = _m_and_derivatives(psi)
-    dpsi = psi.derivatives()
+    m = sigma_model_field(psi).values
+    current = psi.current
+    dm = 2.0 * current[..., 1:].real
+    c = -2.0 * current[..., 0].imag
 
-    berry = np.einsum("...c,...ic->...i", np.conj(psi.values), dpsi)
-    c = -2.0 * berry.imag
+    h_pairs = np.empty(grid.shape + (3,))
+    for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
+        h_pairs[..., idx] = -_triple(m, dm[..., i, :], dm[..., j, :])
 
-    h_pairs = np.stack([-np.sum(m * np.cross(dm[..., i, :], dm[..., j, :]), axis=-1)
-                        for i, j in AbelianData.H_PAIRS], axis=-1)
-
-    dc = np.stack([central_diff(c, grid, ax) for ax in range(3)], axis=-2)
+    dc = derivative_stack(c, grid)
     curl_res = 0.0
     for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
         curl_res = max(curl_res, float(np.max(np.abs(

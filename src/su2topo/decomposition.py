@@ -8,7 +8,14 @@ The potential splits site by site into A_mu = a_mu + b_mu with
 where D is the covariant derivative and the trace parts subtract half the
 matrix trace times the identity.  The split is an exact algebraic identity
 in (Psi, dPsi, A): `a` transforms like a connection, `b` like a vector, and
-`b` vanishes exactly when Psi is parallel (D Psi = 0).  With exact jets all
+`b` vanishes exactly when Psi is parallel (D Psi = 0).
+
+Both parts are read from Psi bilinears.  `a` comes from the spinor current
+J_mu^A = Psi^dag sigma_A d_mu Psi (sigma_0 = 1), computed once per field as
+``SpinorField.current``; the parallel potential A^a = -2 Im J^a comes from
+the same array.  `b` comes from Psi^dag sigma_a D_mu Psi, a bilinear of the
+computed covariant derivative: deriving it from J by the Pauli product rule
+would make the reconstruction check true by construction.  With exact jets all
 residuals here sit at machine epsilon; with finite differences they relax
 to O(h^2) and the reported regime says which applied.
 """
@@ -24,8 +31,7 @@ from .errors import FieldError, NormalizationError, ReconstructionError
 from .fields import GaugeField, SpinorField, norm_squared
 
 
-def covariant_derivative(psi: SpinorField, gauge: GaugeField,
-                         dpsi: np.ndarray | None = None) -> np.ndarray:
+def covariant_derivative(psi: SpinorField, gauge: GaugeField) -> np.ndarray:
     """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi.
 
     Returns per-axis spinor samples, shape ``(*shape, rank, 2)``.  The
@@ -33,10 +39,9 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField,
     """
     if psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
-    if dpsi is None:
-        dpsi = psi.derivatives()
     # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
-    return dpsi + 0.5j * su2_algebra.sigma_apply(gauge.values, psi.values[..., None, :])
+    connection = su2_algebra.sigma_apply(gauge.values, psi.values[..., None, :])
+    return psi.derivatives() + 0.5j * connection
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,25 +71,24 @@ class Decomposition:
                 object.__setattr__(self, name, arr)
 
 
-def _traceless_outer(u: np.ndarray, v: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """weight * (u v^dag - v u^dag) minus half its trace times I.
+def _anti_hermitian(im_t: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The traceless anti-Hermitian matrices c_a sigma_a / (2i) whose
+    components are c = -2 weight Im t, written entry by entry.
 
-    ``u`` is a per-axis jet (..., m, 2) and ``v`` a spinor (..., 2).  The
-    result is anti-Hermitian and traceless, so it is written entry by entry:
-    diagonal +-i Im(u0 v0* - u1 v1*) w, off-diagonal (u0 v1* - v0 u1*) w.
+    ``im_t`` is ``Im(Psi^dag sigma_a X)`` per axis (..., m, 3) and
+    ``weight`` per site (...).  The entries are +-i w Im t_3 on the
+    diagonal and w (Im t_2 + i Im t_1) above it.
     """
-    u0, u1 = u[..., 0], u[..., 1]
-    v0, v1 = v[..., None, 0], v[..., None, 1]
-    w = weight[..., None]
-    diag = (u0 * np.conj(v0) - u1 * np.conj(v1)).imag * w
-    off = (u0 * np.conj(v1) - v0 * np.conj(u1)) * w
-    out = np.empty(u.shape[:-1] + (2, 2), dtype=np.complex128)
+    w = im_t * weight[..., None, None]
+    out = np.empty(im_t.shape[:-1] + (2, 2), dtype=np.complex128)
     out.real[..., 0, 0] = 0.0
-    out.imag[..., 0, 0] = diag
+    out.imag[..., 0, 0] = w[..., 2]
     out.real[..., 1, 1] = 0.0
-    out.imag[..., 1, 1] = -diag
-    out[..., 0, 1] = off
-    out[..., 1, 0] = -np.conj(off)
+    out.imag[..., 1, 1] = -w[..., 2]
+    out.real[..., 0, 1] = w[..., 1]
+    out.imag[..., 0, 1] = w[..., 0]
+    out.real[..., 1, 0] = -w[..., 1]
+    out.imag[..., 1, 0] = w[..., 0]
     return out
 
 
@@ -94,10 +98,18 @@ def decompose(psi: SpinorField, gauge: GaugeField, eps_zero: float = 1e-12,
 
     Psi need not be normalized: both parts carry explicit 1/(Psi^dag Psi)
     weights, so the split is invariant under constant rescaling of Psi.
-    The reconstruction a + b = A and an independent trace-form recomputation
-    of the components are checked; in the jet regime a violation beyond
-    ``tol`` (relative to the field scale) raises, because it can only mean
-    an algebra bug.
+    Their components are a^c = -2 w Im t1^c and b^c = 2 w Im t2^c with
+    w = 1/(Psi^dag Psi), t1 = J^a (the spinor current, ``psi.current``)
+    and t2 = Psi^dag sigma_a D Psi of the computed covariant derivative.
+
+    Two residuals are checked: the matrix reconstruction max|a + b - A| and
+    the component form max|-2 w (Im t1 - Im t2) - A^c|.  Both come from the
+    same bilinears, so they are not independent routes: they catch a wrong
+    current, a wrong covariant derivative or a wrong matrix assembly.  The
+    matrix entries carry half the components, so the matrix residual is
+    about half the component residual.  In the jet regime a violation
+    beyond ``tol`` (relative to the field scale) raises, because it can
+    only mean an algebra bug.
     """
     if psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
@@ -108,22 +120,30 @@ def decompose(psi: SpinorField, gauge: GaugeField, eps_zero: float = 1e-12,
             f"spinor norm below {eps_zero:.1e} at site {site}", site=site)
     weight = 1.0 / density
 
-    dpsi = psi.derivatives()
-    dcov = covariant_derivative(psi, gauge, dpsi=dpsi)
-    a = _traceless_outer(dpsi, psi.values, weight)
-    b = _traceless_outer(dcov, psi.values, -weight)
+    dcov = covariant_derivative(psi, gauge)
+    im_t1 = psi.current[..., 1:].imag
+    im_t2 = su2_algebra.sigma_bilinear(psi.values[..., None, :], dcov).imag
+
+    # The components a^c + b^c = -2 w (Im t1 - Im t2) against A^c.
+    comp = im_t1 - im_t2
+    comp *= -2.0 * weight[..., None, None]
+    comp -= gauge.values
+    component_residual = float(np.max(np.abs(comp)))
+    del comp
+
+    a = _anti_hermitian(im_t1, weight)
+    b = _anti_hermitian(im_t2, -weight)
+    del im_t2
     for arr in (dcov, a, b):
         arr.setflags(write=False)
 
-    amat = gauge.matrices()
-    residual = float(np.max(np.abs(a + b - amat)))
-
-    # Independent route: recover the components from trace bilinears.
-    # i w ((t1 - t1*) - (t2 - t2*)) = -2 w (Im t1 - Im t2)
-    t1 = su2_algebra.sigma_bilinear(psi.values[..., None, :], dpsi)
-    t2 = su2_algebra.sigma_bilinear(psi.values[..., None, :], dcov)
-    comp = -2.0 * weight[..., None, None] * (t1.imag - t2.imag)
-    component_residual = float(np.max(np.abs(comp - gauge.values)))
+    # a + b - A on the entries (0, 0) and (0, 1); the other two repeat them
+    # up to sign and conjugation.  A_00 = -i A^3/2, A_01 = -(A^2 + i A^1)/2.
+    comps = gauge.values
+    diag = a.imag[..., 0, 0] + b.imag[..., 0, 0] + 0.5 * comps[..., 2]
+    off = np.hypot(a.real[..., 0, 1] + b.real[..., 0, 1] + 0.5 * comps[..., 1],
+                   a.imag[..., 0, 1] + b.imag[..., 0, 1] + 0.5 * comps[..., 0])
+    residual = max(float(np.max(np.abs(diag))), float(np.max(off)))
 
     regime = "jet" if psi.has_jet else "fd"
     if regime == "jet":
@@ -146,6 +166,4 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
     """
     if not psi.normalized:
         raise FieldError("parallel potential requires a normalized spinor")
-    dpsi = psi.derivatives()
-    bilinear = su2_algebra.sigma_bilinear(psi.values[..., None, :], dpsi)
-    return GaugeField(psi.grid, -2.0 * bilinear.imag)
+    return GaugeField(psi.grid, -2.0 * psi.current[..., 1:].imag)

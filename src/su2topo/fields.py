@@ -15,6 +15,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,22 @@ class SpinorField(LatticeField):
             if dev > NORM_TOL:
                 raise FieldError(
                     f"spinor flagged normalized but |Psi|^2 deviates by {dev:.3e}")
+
+    @cached_property
+    def current(self) -> np.ndarray:
+        """The spinor current J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1.
+
+        Shape ``(*shape, rank, 4)``, read-only, computed on first use from
+        :meth:`derivatives` and kept with the (immutable) field.  Every
+        rank-3 route reads its Psi-dPsi bilinears from here: the parallel
+        potential ``-2 Im J^a``, the sigma-model gradient ``d m^a = 2 Re J^a``
+        (normalized Psi), the Berry potential ``-2 Im J^0`` and the spinor
+        Chern-Simons factor ``J^0``.
+        """
+        current = su2_algebra.spinor_current(self.values[..., None, :],
+                                             self.derivatives())
+        current.setflags(write=False)
+        return current
 
     @classmethod
     def from_samples(cls, grid: Grid, values: np.ndarray, jet=None):

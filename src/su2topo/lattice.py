@@ -227,11 +227,39 @@ def central_diff(values: np.ndarray, grid: Grid, axis: int, order: int = 2) -> n
     boundary stencils on open axes match that order.
     """
     grid._check_axis(axis)
+    values = _check_stencil(values, grid, order)
+    out = np.empty_like(values, dtype=np.result_type(values, np.float64))
+    _diff_into(out, values, grid, axis, order)
+    return out
+
+
+def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
+    """Stack of axis derivatives, shape ``(*shape, rank, *components)``.
+
+    Each axis derivative is written into its slot of one preallocated
+    array, with the stencils of :func:`central_diff`.
+    """
+    values = _check_stencil(values, grid, order)
+    rank = grid.rank
+    out = np.empty(values.shape[:rank] + (rank,) + values.shape[rank:],
+                   dtype=np.result_type(values, np.float64))
+    for axis in range(rank):
+        _diff_into(out[(slice(None),) * rank + (axis,)], values, grid, axis, order)
+    return out
+
+
+def _check_stencil(values, grid: Grid, order: int) -> np.ndarray:
     if order not in (2, 4):
         raise LatticeError(f"stencil order must be 2 or 4, got {order}")
     values = np.asarray(values)
     if values.shape[: grid.rank] != grid.shape:
         raise LatticeError("value array does not match grid shape")
+    return values
+
+
+def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
+               order: int) -> None:
+    """Write the ``order`` derivative of ``values`` along ``axis`` into ``out``."""
     h = grid.spacing[axis]
     n = grid.shape[axis]
 
@@ -239,15 +267,17 @@ def central_diff(values: np.ndarray, grid: Grid, axis: int, order: int = 2) -> n
         up1 = np.roll(values, -1, axis)
         dn1 = np.roll(values, 1, axis)
         if order == 2:
-            return (up1 - dn1) / (2.0 * h)
+            np.subtract(up1, dn1, out=out)
+            out /= 2.0 * h
+            return
         up2 = np.roll(values, -2, axis)
         dn2 = np.roll(values, 2, axis)
-        return (-up2 + 8.0 * up1 - 8.0 * dn1 + dn2) / (12.0 * h)
+        out[...] = (-up2 + 8.0 * up1 - 8.0 * dn1 + dn2) / (12.0 * h)
+        return
 
     if order == 4 and n < 5:
         raise LatticeError("fourth-order open stencil needs at least 5 points")
 
-    out = np.empty_like(values, dtype=np.result_type(values, np.float64))
     f = _moved(values, axis)
     d = _moved(out, axis)
     if order == 2:
@@ -260,13 +290,6 @@ def central_diff(values: np.ndarray, grid: Grid, axis: int, order: int = 2) -> n
         d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
         d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
         d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-    return out
-
-
-def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
-    """Stack of axis derivatives, shape ``(*shape, rank, *components)``."""
-    return np.stack([central_diff(values, grid, ax, order) for ax in range(grid.rank)],
-                    axis=grid.rank)
 
 
 def integrate_values(values: np.ndarray, grid: Grid) -> float:
@@ -304,17 +327,16 @@ def _fractional_index(grid: Grid, points: np.ndarray) -> tuple:
     return bases, fracs
 
 
-def interpolate(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of grid samples at arbitrary points.
+def interpolation_corners(grid: Grid, points: np.ndarray):
+    """Yield the ``2**rank`` corners that multilinear interpolation reads.
 
-    ``points`` has shape ``(npts, rank)``; the result keeps any trailing
-    component axes of ``values``.  Periodic axes wrap; open axes reject
-    points outside the sampled interval.
+    Each corner is ``(index, weight)``: a tuple of per-axis site arrays
+    (wrapped on periodic axes) and the weight array, one entry per point
+    of ``points`` ``(npts, rank)``.  Open axes reject points outside the
+    sampled interval.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     bases, fracs = _fractional_index(grid, points)
-    comp_shape = values.shape[grid.rank:]
-    out = np.zeros((points.shape[0],) + comp_shape, dtype=values.dtype)
     for corner in range(1 << grid.rank):
         weight = np.ones(points.shape[0])
         index = []
@@ -325,7 +347,21 @@ def interpolate(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
                 idx %= grid.shape[i]
             weight = weight * (fracs[i] if bit else 1.0 - fracs[i])
             index.append(idx)
-        out += weight.reshape((-1,) + (1,) * len(comp_shape)) * values[tuple(index)]
+        yield tuple(index), weight
+
+
+def interpolate(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of grid samples at arbitrary points.
+
+    ``points`` has shape ``(npts, rank)``; the result keeps any trailing
+    component axes of ``values``.  Periodic axes wrap; open axes reject
+    points outside the sampled interval.
+    """
+    npts = np.atleast_2d(points).shape[0]
+    comp_shape = values.shape[grid.rank:]
+    out = np.zeros((npts,) + comp_shape, dtype=values.dtype)
+    for index, weight in interpolation_corners(grid, points):
+        out += weight.reshape((-1,) + (1,) * len(comp_shape)) * values[index]
     return out
 
 

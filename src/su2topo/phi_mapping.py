@@ -35,12 +35,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chern_density import boundary_cs_sum
+from .chern_density import boundary_cs_sum, check_flux_box
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
 from .fields import PhiField
 from .generators import s3_chart_grid, s3_points
 from .lattice import (Grid, ScalarField, central_diff, integrate_values,
-                      interpolate, interpolate_with_gradient)
+                      interpolate, interpolate_with_gradient, interpolation_corners)
 
 DEGENERACY_TOL = 1e-8
 NEWTON_TOL = 1e-10           # |phi| at an accepted (refined) zero
@@ -173,7 +173,8 @@ def locate_zeros(phi: PhiField) -> ZeroSearch:
     width; two surviving zeros within one cell width mean the grid cannot
     separate them and raise :class:`ZeroLocationError`.  A zero's
     ``jacobian`` is det J from the sampler's last Newton evaluation, or for
-    lattice-only fields the interpolated site Jacobian :func:`jacobian`.
+    lattice-only fields the site Jacobian :func:`jacobian` interpolated at
+    the zero (:func:`_zero_jacobian`).
     """
     grid = phi.grid
     if grid.rank != 4:
@@ -227,17 +228,48 @@ def locate_zeros(phi: PhiField) -> ZeroSearch:
                     f"two zeros separated by {dist:.3e} < cell width {hmax:.3e}; "
                     "refine the grid to separate them")
 
-    jac_field = None if phi.sampler is not None else jacobian(phi).values
     zeros = []
     for cell, x, fnorm, jmat in unique:
-        if jac_field is None:
+        if phi.sampler is not None:
             det = float(np.linalg.det(jmat))
         else:
-            det = float(interpolate(jac_field, grid, x[None])[0])
+            det = _zero_jacobian(phi, x)
         zeros.append(ZeroPoint(position=tuple(float(v) for v in x),
                                cell_index=cell, refined=fnorm < NEWTON_TOL,
                                phi_norm=fnorm, jacobian=det))
     return ZeroSearch(tuple(zeros), tuple(suspicious))
+
+
+def _zero_jacobian(phi: PhiField, x: np.ndarray) -> float:
+    """``interpolate(jacobian(phi).values, phi.grid, x[None])[0]`` from the 16
+    sites that interpolation reads, without the whole-grid Jacobian.
+
+    The site Jacobians come from the jet, or from :func:`jacobian` on a 4^4
+    window that holds every corner with the stencil neighbours it has in
+    the full grid: the corners sit where the window's stencils are those of
+    the full grid (the interior stencil, or the one-sided one on a true
+    boundary), so each determinant is the full-grid one.
+    """
+    grid = phi.grid
+    corners = list(interpolation_corners(grid, x[None]))
+    take = []
+    for axis, base in enumerate(corners[0][0]):
+        b, n = int(base[0]), grid.shape[axis]
+        if grid.periodic[axis]:
+            take.append((b - 1 + np.arange(4)) % n)
+        else:
+            start = min(max(b - 1, 0), n - 4)
+            take.append(np.arange(start, start + 4))
+    window = np.ix_(*take)
+    wgrid = Grid((4,) * 4, (0.0,) * 4, grid.spacing, (False,) * 4)
+    jet = None if phi.jet is None else phi.jet[window]
+    dets = jacobian(PhiField(wgrid, phi.values[window], jet=jet)).values
+    det = np.zeros(1)
+    for index, weight in corners:
+        local = tuple((int(idx[0]) - int(t[0])) % n
+                      for idx, t, n in zip(index, take, grid.shape))
+        det += weight * dets[local]
+    return float(det[0])
 
 
 def surface_degree(evaluate, center, radius: float):
@@ -378,8 +410,10 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05,
     0.45 of the smallest zero separation.  The ledger sum is compared with
     :func:`~su2topo.chern_density.boundary_cs_sum` of phi, which reads only
     the 8 faces of the box: the two sides share no computed quantity, so a
-    missed or misclassified zero shows as a discrepancy.
+    missed or misclassified zero shows as a discrepancy.  A grid whose faces
+    cannot be summed is rejected before the search.
     """
+    check_flux_box(phi.grid)
     search = locate_zeros(phi)
     radius = 3.0 * max(phi.grid.spacing)
     positions = [np.asarray(z.position) for z in search.zeros]

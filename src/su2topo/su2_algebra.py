@@ -4,9 +4,10 @@ Generators follow the anti-Hermitian convention ``T_a = sigma_a / (2i)``;
 every other module must take its constants from here so sign conventions
 cannot drift.  For the same reason the Pauli contractions of spinors on
 whole grids go through the closed-form kernels here: :func:`sigma_bilinear`
-(``u^dag sigma_a v``) and :func:`sigma_apply` (``(c_a sigma_a) v``).  They
-use only the four nonzero entries of each ``sigma_a`` instead of a generic
-three-operand einsum.  ``self_check`` replays the algebraic identities the
+(``u^dag sigma_a v``), :func:`spinor_current` (the same with ``sigma_0 = 1``
+prepended) and :func:`sigma_apply` (``(c_a sigma_a) v``).  They use only the
+four nonzero entries of each ``sigma_a`` instead of a generic three-operand
+einsum.  ``self_check`` replays the algebraic identities the
 rest of the package relies on and is executed once per process by the CLI.
 """
 
@@ -50,6 +51,24 @@ def sigma_bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out[..., 0] = p01 + p10
     out[..., 1] = 1j * (p10 - p01)
     out[..., 2] = u0 * v0 - u1 * v1
+    return out
+
+
+def spinor_current(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u^dag sigma_A v`` with ``sigma_0 = 1``: the index ``A`` last, of length 4.
+
+    Broadcasting is that of :func:`sigma_bilinear`, and entries 1 to 3 are
+    its result bit for bit: they are built from the same four products.
+    """
+    u0, u1 = np.conj(u[..., 0]), np.conj(u[..., 1])
+    v0, v1 = v[..., 0], v[..., 1]
+    p00, p01, p10, p11 = u0 * v0, u0 * v1, u1 * v0, u1 * v1
+    out = np.empty(np.broadcast_shapes(u0.shape, v0.shape) + (4,),
+                   dtype=np.complex128)
+    out[..., 0] = p00 + p11
+    out[..., 1] = p01 + p10
+    out[..., 2] = 1j * (p10 - p01)
+    out[..., 3] = p00 - p11
     return out
 
 

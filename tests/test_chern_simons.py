@@ -3,6 +3,7 @@ import pytest
 
 import su2topo as st
 from su2topo import FieldError
+from su2topo import chern_simons as cs
 
 
 def constant_psi(grid):
@@ -125,3 +126,36 @@ def test_knot_charge_refinement_ratio():
     errs = [abs(st.knot_charge(st.identity_map_s3(n), method="spinor") - 1.0)
             for n in (12, 24)]
     assert 3.0 < errs[0] / errs[1] < 5.0
+
+
+# --------------------------------------------------------------------------
+# closed-form kernels against the generic numpy forms they replaced
+# --------------------------------------------------------------------------
+
+def _spinor_cs_reference(values, dvalues):
+    """Spinor integrand with s1 and s2 as full einsum contractions."""
+    s1 = np.einsum("...c,...ic->...i", np.conj(values), dvalues)
+    s2 = np.einsum("...jc,...kc->...jk", np.conj(dvalues), dvalues)
+    out = np.zeros(s1.shape[:-1], dtype=complex)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out += s1[..., i] * (s2[..., j, k] - s2[..., k, j])
+    return -out / (4.0 * np.pi**2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closed_form_kernels_match_numpy(seed):
+    rng = np.random.default_rng(seed)
+    a = 2.0 * rng.normal(size=(500, 3, 3))
+    scale = np.max(np.abs(a)) ** 3
+    assert np.max(np.abs(cs._det3(a) - np.linalg.det(a))) <= 1e-14 * scale
+    # a flipped cofactor sign is far outside that bound
+    assert np.max(np.abs(cs._det3(a[..., ::-1, :]) - np.linalg.det(a))) > 1e-3 * scale
+
+    m, u, v = rng.normal(size=(3, 500, 3))
+    assert np.array_equal(cs._triple(m, u, v), np.sum(m * np.cross(u, v), axis=-1))
+
+    values = rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))
+    dvalues = rng.normal(size=(500, 3, 2)) + 1j * rng.normal(size=(500, 3, 2))
+    j0 = np.einsum("...c,...ic->...i", np.conj(values), dvalues)
+    assert np.array_equal(cs.spinor_cs_values(j0, dvalues),
+                          _spinor_cs_reference(values, dvalues))

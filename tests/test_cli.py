@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,79 @@ def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypa
     assert code == 0
     assert "max_DPsi" in out
     assert len(calls) == 1
+
+
+def test_verify_identity_computes_the_spinor_current_once(capsys, monkeypatch):
+    import su2topo.su2_algebra as alg
+    calls = []
+    real = alg.spinor_current
+
+    def counted(u, v):
+        calls.append(v.shape)
+        return real(u, v)
+
+    monkeypatch.setattr(alg, "spinor_current", counted)
+    code, out, _ = run(capsys, "verify", "identity", "--grid", "16,16,16",
+                       "--no-color", "--tol", "0.1")
+    assert code == 0
+    assert "max_DPsi" in out
+    assert calls == [(16, 16, 16, 3, 2)]
+
+
+def _charges(out):
+    """The printed value of each Q_* entry, as floats."""
+    return {name: float(value) for name, value in
+            re.findall(r"(Q_\w+):\n\s+value: (\S+)", out)}
+
+
+# Charges printed before the spinor current and the closed-form kernels;
+# the rewrite keeps them within 4 ulp.
+_PINNED = {
+    "verify-48": {"Q_spinor": 1.0001785090721933, "Q_trace": 0.9927189162201279,
+                  "Q_fn": 1.0001785090721935},
+    "cs-32": {"Q_spinor": 1.0004017081549652, "Q_trace": 0.9837262947457115,
+              "Q_fn": 1.0004017081549654},
+}
+
+
+def _assert_pinned(got, want):
+    assert set(got) == set(want)
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 4 * np.spacing(value), name
+
+
+def test_identity_charges_stay_pinned(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "identity", "--grid", "48,48,48",
+                       "--no-color")
+    assert code == 0
+    _assert_pinned(_charges(out), _PINNED["verify-48"])
+
+    path = str(tmp_path / "id32.fld")
+    assert run(capsys, "generate", "--kind", "identity", "--chart", "s3",
+               "--grid", "32,32,32", "--out", path)[0] == 0
+    code, out, _ = run(capsys, "cs", path, "--no-color")
+    assert code == 0
+    _assert_pinned(_charges(out), _PINNED["cs-32"])
+
+
+@pytest.mark.parametrize("periodic, cell_centered", [((False, True, False, False), False),
+                                                     ((False,) * 4, True)])
+def test_zeros_rejects_an_unsummable_grid_before_the_search(
+        tmp_path, capsys, monkeypatch, periodic, cell_centered):
+    import su2topo.phi_mapping as phi_mapping
+    calls = []
+    monkeypatch.setattr(phi_mapping, "locate_zeros",
+                        lambda phi: calls.append(1) or phi_mapping.ZeroSearch((), ()))
+    grid = st.Grid((8,) * 4, (-1.0,) * 4, (0.25,) * 4, periodic, cell_centered)
+    phi = st.linear_phi_field(np.eye(4), [0.04, -0.03, 0.02, 0.01], grid)
+    path = str(tmp_path / "phi.fld")
+    write_field(phi, path)
+    code, out, err = run(capsys, "zeros", path, "--no-color")
+    assert code == 3
+    assert out == ""
+    assert err == ("su2topo: error: boundary flux sums need an open "
+                   "vertex-centered box\n")
+    assert calls == []
 
 
 def _ledger_check(out):

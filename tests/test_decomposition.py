@@ -184,3 +184,62 @@ def test_decomposition_arrays_are_frozen_and_detached():
     assert wrapped.b is dec.b
     mine[...] = 0.0
     assert np.array_equal(wrapped.a, dec.a) and not wrapped.a.flags.writeable
+
+
+def _traceless_outer_reference(u, v, weight):
+    """weight * (u v^dag - v u^dag) minus half its trace, as full matrices."""
+    outer = (u[..., :, None] * np.conj(v)[..., None, None, :]
+             - v[..., None, :, None] * np.conj(u)[..., None, :])
+    outer = outer * weight[..., None, None, None]
+    half_trace = 0.5 * np.trace(outer, axis1=-2, axis2=-1)
+    return outer - half_trace[..., None, None] * np.eye(2)
+
+
+@pytest.mark.parametrize("jets", [True, False])
+def test_decompose_matches_the_outer_product_formula(jets):
+    grid = small_grid()
+    psi = st.random_config(41, "spinor", grid)
+    if not jets:
+        psi = st.SpinorField(grid, psi.values)
+    gauge = st.random_config(42, "gauge", grid)
+    dec = st.decompose(psi, gauge)
+    weight = 1.0 / st.norm_squared(psi)
+    a = _traceless_outer_reference(psi.derivatives(), psi.values, weight)
+    b = _traceless_outer_reference(dec.covariant, psi.values, -weight)
+    scale = np.max(np.abs(a)) + np.max(np.abs(b))
+    assert np.max(np.abs(dec.a - a)) <= 1e-15 * scale
+    assert np.max(np.abs(dec.b - b)) <= 1e-15 * scale
+    assert np.max(np.abs(dec.a + dec.b - gauge.matrices())) == pytest.approx(
+        dec.residual, abs=1e-15 * scale)
+
+
+def test_decompose_fails_on_a_scaled_current(monkeypatch):
+    import su2topo.su2_algebra as alg
+    real = alg.spinor_current
+
+    def scaled(u, v):
+        current = real(u, v)
+        current[..., 1:] *= 1.0 + 1e-9
+        return current
+
+    monkeypatch.setattr(alg, "spinor_current", scaled)
+    grid = small_grid()
+    psi = st.random_config(43, "spinor", grid)
+    with pytest.raises(st.ReconstructionError):
+        st.decompose(psi, st.random_config(44, "gauge", grid))
+
+
+def test_decompose_fails_on_a_perturbed_covariant_derivative(monkeypatch):
+    import su2topo.decomposition as decomposition
+    real = decomposition.covariant_derivative
+
+    def perturbed(*args, **kwargs):
+        dcov = real(*args, **kwargs)
+        dcov[..., 0, 1] += 1e-9
+        return dcov
+
+    monkeypatch.setattr(decomposition, "covariant_derivative", perturbed)
+    grid = small_grid()
+    psi = st.random_config(45, "spinor", grid)
+    with pytest.raises(st.ReconstructionError):
+        st.decompose(psi, st.random_config(46, "gauge", grid))

@@ -5,8 +5,10 @@ from hypothesis import strategies as hst
 
 import su2topo as st
 from su2topo import ZeroLocationError
+from su2topo.fldio import read_field, write_field
 from su2topo.generators import _qpoly_with_jet
-from su2topo.phi_mapping import _sign_change_cells, surface_degree
+from su2topo.lattice import interpolate
+from su2topo.phi_mapping import _sign_change_cells, _zero_jacobian, surface_degree
 
 
 def box(n=16, half=1.0):
@@ -338,3 +340,45 @@ def test_sampler_and_lattice_only_copy_agree(name, build, same_zeros):
     cell = np.array(phi.grid.spacing)
     for a, b in zip(sampled.zeros, interpolated.zeros):
         assert np.all(np.abs(np.subtract(a.position, b.position)) < cell)
+
+
+# --------------------------------------------------------------------------
+# the zero Jacobian of lattice-only fields
+# --------------------------------------------------------------------------
+
+def _lattice_only_cases(tmp_path):
+    roots = [[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]]
+    qpoly = st.quaternion_polynomial_field(roots, st.box_grid((24,) * 4, -2.0, 2.0))
+    path = str(tmp_path / "qpoly.fld")
+    write_field(qpoly, path)
+    linear = st.linear_phi_field(np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
+                                           [0.1, 0.0, 1.0, 0.2], [0.0, 0.4, 0.0, 1.0]]),
+                                 [0.05, -0.03, 0.02, 0.01], box(16))
+    return {"jet 24^4 qpoly file": read_field(path),
+            "jet-less 16^4 linear": st.PhiField(linear.grid, linear.values)}
+
+
+def test_zero_jacobian_equals_the_whole_grid_route(tmp_path):
+    for name, phi in _lattice_only_cases(tmp_path).items():
+        assert phi.sampler is None, name
+        full = st.jacobian(phi).values
+        zeros = st.locate_zeros(phi).zeros
+        assert zeros, name
+        for zero in zeros:
+            x = np.asarray(zero.position)[None]
+            assert zero.jacobian == interpolate(full, phi.grid, x)[0], name
+
+
+def test_zero_jacobian_on_periodic_and_boundary_cells():
+    # periodic wraps, cell-centered sites and points in the boundary cells
+    grid = st.Grid((6, 5, 7, 4), (0.0, 0.3, -1.0, 2.0), (0.3, 0.2, 0.25, 0.5),
+                   (False, True, False, True), cell_centered=True)
+    rng = np.random.default_rng(5)
+    phi = st.PhiField(grid, rng.normal(size=grid.shape + (4,)))
+    full = st.jacobian(phi).values
+    lo = np.array([grid.coords(i)[0] for i in range(4)])
+    hi = np.array([grid.coords(i)[-1] for i in range(4)])
+    for t in rng.random((200, 4)):
+        x = lo + t * (hi - lo)
+        x[[1, 3]] += rng.uniform(-2.0, 2.0, size=2)   # across the periodic wrap
+        assert _zero_jacobian(phi, x) == interpolate(full, grid, x[None])[0]

@@ -159,3 +159,13 @@ def test_kernel_comparison_catches_one_flipped_sigma(a):
                       u, v) > 1e-2
     assert _deviation(alg.sigma_apply(c, v), _apply_reference(c, v, flipped),
                       c, v) > 1e-2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_spinor_current_extends_sigma_bilinear(seed):
+    for u, v in _kernel_cases(seed):
+        current = alg.spinor_current(u, v)
+        assert current.shape == v.shape[:-1] + (4,)
+        assert np.array_equal(current[..., 1:], alg.sigma_bilinear(u, v))
+        j0 = np.einsum("...c,...c->...", np.conj(u), v)
+        assert _deviation(current[..., 0], j0, u, v) <= 1e-15
