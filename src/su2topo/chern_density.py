@@ -61,10 +61,6 @@ class FieldStrength:
             mu, nu, sign = nu, mu, -1.0
         return sign * self.pairs[..., PAIRS4.index((mu, nu)), :]
 
-    def matrices(self) -> np.ndarray:
-        """Anti-Hermitian traceless matrix form, shape (*shape, 6, 2, 2)."""
-        return su2_algebra.matrix_from_components(self.pairs)
-
 
 def field_strength(gauge: GaugeField) -> FieldStrength:
     """F_mn = d_m A_n - d_n A_m - [A_m, A_n] on a rank-4 grid.

@@ -39,14 +39,6 @@ from .lattice import ScalarField, derivative_stack, integrate
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
 
 
-def _eps3_contract(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """eps^{ijk} s1_i s2_{jk} for (*shape, 3) and (*shape, 3, 3) arrays."""
-    out = np.zeros(s1.shape[:-1], dtype=np.result_type(s1, s2))
-    for i, j, k in _CYCLIC3:
-        out += s1[..., i] * (s2[..., j, k] - s2[..., k, j])
-    return out
-
-
 def spinor_cs_values(j0: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
     """Raw (complex) spinor Chern-Simons integrand.
 
@@ -153,22 +145,17 @@ class AbelianData:
 
     H_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-    def h_matrix(self) -> np.ndarray:
-        """Full antisymmetric H_{ij}, shape (*shape, 3, 3)."""
-        shape = self.h_pairs.shape[:-1]
-        h = np.zeros(shape + (3, 3))
-        for idx, (i, j) in enumerate(self.H_PAIRS):
-            h[..., i, j] = self.h_pairs[..., idx]
-            h[..., j, i] = -self.h_pairs[..., idx]
-        return h
+
+#: Exactness residuals above this times h^2 times the curvature scale raise.
+RESIDUAL_FACTOR = 50.0
 
 
-def fn_data(psi: SpinorField, residual_factor: float = 50.0):
+def fn_data(psi: SpinorField):
     """Abelian data and the Faddeev-Niemi charge Q_fn of a normalized spinor.
 
     The gradient d_i m^a = 2 Re J_i^a and the potential C_i = -2 Im J_i^0
     are read from the spinor current ``psi.current``.  Raises when the
-    exactness residual exceeds ``residual_factor * h^2`` times the
+    exactness residual exceeds ``RESIDUAL_FACTOR * h^2`` times the
     curvature scale, which would mean the chosen potential does not
     actually generate H.
     """
@@ -193,7 +180,7 @@ def fn_data(psi: SpinorField, residual_factor: float = 50.0):
             dc[..., i, j] - dc[..., j, i] - h_pairs[..., idx]))))
     h_scale = 1.0 + float(np.max(np.abs(h_pairs)))
     h2 = max(h * h for h in grid.spacing)
-    if curl_res > residual_factor * h2 * h_scale:
+    if curl_res > RESIDUAL_FACTOR * h2 * h_scale:
         raise ReconstructionError(
             f"Abelian potential is not a potential for H: residual {curl_res:.3e}")
 
@@ -204,9 +191,13 @@ def fn_data(psi: SpinorField, residual_factor: float = 50.0):
 
 
 def fn_pointwise(data: AbelianData) -> np.ndarray:
-    """(1/4) eps_{ijk} C_i H_jk, the Abelian side of the integrand identity."""
-    h = data.h_matrix()
-    return 0.25 * _eps3_contract(data.c, h)
+    """(1/4) eps_{ijk} C_i H_jk, the Abelian side of the integrand identity.
+
+    With H stored as the pairs (H_01, H_02, H_12), the contraction is
+    2 (C_0 H_12 - C_1 H_02 + C_2 H_01).
+    """
+    c, h = data.c, data.h_pairs
+    return 0.5 * (c[..., 0] * h[..., 2] - c[..., 1] * h[..., 1] + c[..., 2] * h[..., 0])
 
 
 def trace_pointwise(gauge: GaugeField) -> np.ndarray:

@@ -7,17 +7,17 @@ The potential splits site by site into A_mu = a_mu + b_mu with
 
 where D is the covariant derivative and the trace parts subtract half the
 matrix trace times the identity.  The split is an exact algebraic identity
-in (Psi, dPsi, A): `a` transforms like a connection, `b` like a vector, and
-`b` vanishes exactly when Psi is parallel (D Psi = 0).
+in (Psi, dPsi, A), whatever the derivative samples are: `a` transforms
+like a connection, `b` like a vector, and `b` vanishes exactly when Psi is
+parallel (D Psi = 0).
 
-Both parts are read from Psi bilinears.  `a` comes from the spinor current
+Both parts are su(2)-valued 1-forms, so both are :class:`GaugeField`s with
+components read from Psi bilinears.  `a` comes from the spinor current
 J_mu^A = Psi^dag sigma_A d_mu Psi (sigma_0 = 1), computed once per field as
 ``SpinorField.current``; the parallel potential A^a = -2 Im J^a comes from
 the same array.  `b` comes from Psi^dag sigma_a D_mu Psi, a bilinear of the
 computed covariant derivative: deriving it from J by the Pauli product rule
-would make the reconstruction check true by construction.  With exact jets all
-residuals here sit at machine epsilon; with finite differences they relax
-to O(h^2) and the reported regime says which applied.
+would make the reconstruction check true by construction.
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2_algebra
-from .errors import FieldError, NormalizationError, ReconstructionError
-from .fields import GaugeField, SpinorField, norm_squared
+from .errors import FieldError, ReconstructionError
+from .fields import GaugeField, SpinorField, _check_nonvanishing, norm_squared
+
+#: Largest max|a^c + b^c - A^c| accepted, relative to 1 + max|A^c|.
+RECONSTRUCTION_TOL = 1e-12
 
 
 def covariant_derivative(psi: SpinorField, gauge: GaugeField) -> np.ndarray:
@@ -46,114 +49,56 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Matrix fields a_mu, b_mu with their exactness diagnostics.
+    """The parts a_mu, b_mu of A_mu = a_mu + b_mu as gauge fields.
 
-    ``covariant`` holds the D_mu Psi samples the split was built from
-    (``(*shape, rank, 2)``), so callers need not recompute them.
+    ``residual`` is max|a^c + b^c - A^c| over sites, axes and colors.
+    ``covariant`` holds the read-only D_mu Psi samples the split was built
+    from (``(*shape, rank, 2)``), so callers need not recompute them.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    a: GaugeField
+    b: GaugeField
     residual: float
-    component_residual: float
-    regime: str
-    covariant: np.ndarray | None = None
-
-    def __post_init__(self):
-        # Arrays that are already read-only (as decompose hands over its
-        # own) are kept; writable ones are copied so the caller cannot
-        # mutate the result.
-        for name in ("a", "b", "covariant"):
-            arr = getattr(self, name)
-            if arr is not None and arr.flags.writeable:
-                arr = arr.copy()
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+    covariant: np.ndarray
 
 
-def _anti_hermitian(im_t: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """The traceless anti-Hermitian matrices c_a sigma_a / (2i) whose
-    components are c = -2 weight Im t, written entry by entry.
-
-    ``im_t`` is ``Im(Psi^dag sigma_a X)`` per axis (..., m, 3) and
-    ``weight`` per site (...).  The entries are +-i w Im t_3 on the
-    diagonal and w (Im t_2 + i Im t_1) above it.
-    """
-    w = im_t * weight[..., None, None]
-    out = np.empty(im_t.shape[:-1] + (2, 2), dtype=np.complex128)
-    out.real[..., 0, 0] = 0.0
-    out.imag[..., 0, 0] = w[..., 2]
-    out.real[..., 1, 1] = 0.0
-    out.imag[..., 1, 1] = -w[..., 2]
-    out.real[..., 0, 1] = w[..., 1]
-    out.imag[..., 0, 1] = w[..., 0]
-    out.real[..., 1, 0] = -w[..., 1]
-    out.imag[..., 1, 0] = w[..., 0]
-    return out
-
-
-def decompose(psi: SpinorField, gauge: GaugeField, eps_zero: float = 1e-12,
-              tol: float = 1e-12) -> Decomposition:
+def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
     """Split A into its spinor-gauge part `a` and covariant part `b`.
 
     Psi need not be normalized: both parts carry explicit 1/(Psi^dag Psi)
     weights, so the split is invariant under constant rescaling of Psi.
-    Their components are a^c = -2 w Im t1^c and b^c = 2 w Im t2^c with
-    w = 1/(Psi^dag Psi), t1 = J^a (the spinor current, ``psi.current``)
-    and t2 = Psi^dag sigma_a D Psi of the computed covariant derivative.
+    Their components are a^c = -2 w Im J^c and b^c = 2 w Im t^c with
+    w = 1/(Psi^dag Psi), J the spinor current (``psi.current``) and
+    t = Psi^dag sigma_a D Psi of the computed covariant derivative.
 
-    Two residuals are checked: the matrix reconstruction max|a + b - A| and
-    the component form max|-2 w (Im t1 - Im t2) - A^c|.  Both come from the
-    same bilinears, so they are not independent routes: they catch a wrong
-    current, a wrong covariant derivative or a wrong matrix assembly.  The
-    matrix entries carry half the components, so the matrix residual is
-    about half the component residual.  In the jet regime a violation
-    beyond ``tol`` (relative to the field scale) raises, because it can
-    only mean an algebra bug.
+    The split is algebraic in (Psi, dPsi, A), so one rule holds with exact
+    jets and with finite differences alike: a residual max|a + b - A|
+    beyond ``RECONSTRUCTION_TOL`` times 1 + max|A| raises
+    :class:`ReconstructionError`.  It catches a wrong current or a wrong
+    covariant derivative.  A spinor norm below ``fields.EPS_ZERO`` raises
+    :class:`NormalizationError`.
     """
     if psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
     density = norm_squared(psi)
-    if np.min(density) < eps_zero**2:
-        site = tuple(map(int, np.unravel_index(int(np.argmin(density)), density.shape)))
-        raise NormalizationError(
-            f"spinor norm below {eps_zero:.1e} at site {site}", site=site)
-    weight = 1.0 / density
+    _check_nonvanishing(np.sqrt(density), "spinor")
+    weight = 2.0 / density     # 2w
 
     dcov = covariant_derivative(psi, gauge)
-    im_t1 = psi.current[..., 1:].imag
-    im_t2 = su2_algebra.sigma_bilinear(psi.values[..., None, :], dcov).imag
+    dcov.setflags(write=False)
+    a = psi.current[..., 1:].imag * -weight[..., None, None]
+    b = su2_algebra.sigma_bilinear(psi.values[..., None, :], dcov).imag
+    b *= weight[..., None, None]
 
-    # The components a^c + b^c = -2 w (Im t1 - Im t2) against A^c.
-    comp = im_t1 - im_t2
-    comp *= -2.0 * weight[..., None, None]
-    comp -= gauge.values
-    component_residual = float(np.max(np.abs(comp)))
-    del comp
-
-    a = _anti_hermitian(im_t1, weight)
-    b = _anti_hermitian(im_t2, -weight)
-    del im_t2
-    for arr in (dcov, a, b):
-        arr.setflags(write=False)
-
-    # a + b - A on the entries (0, 0) and (0, 1); the other two repeat them
-    # up to sign and conjugation.  A_00 = -i A^3/2, A_01 = -(A^2 + i A^1)/2.
-    comps = gauge.values
-    diag = a.imag[..., 0, 0] + b.imag[..., 0, 0] + 0.5 * comps[..., 2]
-    off = np.hypot(a.real[..., 0, 1] + b.real[..., 0, 1] + 0.5 * comps[..., 1],
-                   a.imag[..., 0, 1] + b.imag[..., 0, 1] + 0.5 * comps[..., 0])
-    residual = max(float(np.max(np.abs(diag))), float(np.max(off)))
-
-    regime = "jet" if psi.has_jet else "fd"
-    if regime == "jet":
-        scale = 1.0 + float(np.max(np.abs(gauge.values)))
-        if residual > tol * scale or component_residual > tol * scale:
-            raise ReconstructionError(
-                f"decomposition identity violated with exact jets: "
-                f"matrix residual {residual:.3e}, "
-                f"component residual {component_residual:.3e}")
-    return Decomposition(a, b, residual, component_residual, regime, dcov)
+    mismatch = a + b
+    mismatch -= gauge.values
+    residual = float(np.max(np.abs(mismatch)))
+    scale = 1.0 + float(np.max(np.abs(gauge.values)))
+    if residual > RECONSTRUCTION_TOL * scale:
+        raise ReconstructionError(
+            f"decomposition identity violated: max|a + b - A| = {residual:.3e}")
+    return Decomposition(GaugeField(psi.grid, a), GaugeField(psi.grid, b),
+                         residual, dcov)
 
 
 def parallel_gauge_potential(psi: SpinorField) -> GaugeField:

@@ -24,6 +24,10 @@ from .errors import FieldError, NormalizationError
 from .lattice import Grid, LatticeField
 
 NORM_TOL = 1e-10
+#: Norms below this mark a zero of the field (see :func:`normalize`).
+EPS_ZERO = 1e-12
+#: Largest imaginary residue of m_a = Psi^dag sigma_a Psi accepted.
+IMAG_TOL = 1e-12
 
 
 def _check_unit_norm(field) -> None:
@@ -186,25 +190,25 @@ def norm_squared(psi: SpinorField) -> np.ndarray:
     return np.sum(np.abs(psi.values) ** 2, axis=-1)
 
 
-def _check_nonvanishing(norms: np.ndarray, eps_zero: float, name: str) -> None:
-    """Raise :class:`NormalizationError` at the smallest norm below ``eps_zero``."""
-    if np.min(norms) < eps_zero:
+def _check_nonvanishing(norms: np.ndarray, name: str) -> None:
+    """Raise :class:`NormalizationError` at the smallest norm below ``EPS_ZERO``."""
+    if np.min(norms) < EPS_ZERO:
         site = tuple(map(int, np.unravel_index(int(np.argmin(norms)), norms.shape)))
         raise NormalizationError(
-            f"{name} norm {float(norms[site]):.3e} < {eps_zero:.1e} at site {site}",
+            f"{name} norm {float(norms[site]):.3e} < {EPS_ZERO:.1e} at site {site}",
             site=site)
 
 
-def normalize(psi: SpinorField, eps_zero: float = 1e-12) -> SpinorField:
+def normalize(psi: SpinorField) -> SpinorField:
     """Rescale to unit norm, transporting the jet by the quotient rule.
 
     Raises :class:`NormalizationError` with the offending site when the
-    norm drops below ``eps_zero``: a vanishing spinor marks a zero of the
+    norm drops below ``EPS_ZERO``: a vanishing spinor marks a zero of the
     4-vector field, which carries topological charge and must be excluded
     or re-gridded by the caller, never clamped.
     """
     norms = np.sqrt(norm_squared(psi))
-    _check_nonvanishing(norms, eps_zero, "spinor")
+    _check_nonvanishing(norms, "spinor")
     values = psi.values / norms[..., None]
     jet = None
     if psi.jet is not None:
@@ -230,14 +234,14 @@ def phi_to_spinor(phi: PhiField) -> SpinorField:
     return SpinorField.from_samples(phi.grid, phi.values.view(np.complex128), jet)
 
 
-def unit_vector(phi: PhiField, eps_zero: float = 1e-12) -> UnitField:
+def unit_vector(phi: PhiField) -> UnitField:
     """n = phi / |phi| with quotient-rule jets.
 
     Zero points of phi are the singular points of n; sites below
-    ``eps_zero`` raise :class:`NormalizationError`.
+    ``EPS_ZERO`` raise :class:`NormalizationError`.
     """
     norms = np.linalg.norm(phi.values, axis=-1)
-    _check_nonvanishing(norms, eps_zero, "phi")
+    _check_nonvanishing(norms, "phi")
     values = phi.values / norms[..., None]
     jet = None
     if phi.jet is not None:
@@ -247,18 +251,18 @@ def unit_vector(phi: PhiField, eps_zero: float = 1e-12) -> UnitField:
     return UnitField(phi.grid, values, jet=jet)
 
 
-def sigma_model_field(psi: SpinorField, imag_tol: float = 1e-12) -> MField:
+def sigma_model_field(psi: SpinorField) -> MField:
     """m_a = Psi^dag sigma_a Psi for a normalized spinor.
 
     The imaginary residue of the bilinear is a data-corruption indicator
-    and raises above ``imag_tol``.
+    and raises above ``IMAG_TOL``.
     """
     if not psi.normalized:
         raise FieldError("sigma-model projection requires a normalized spinor")
     m = su2_algebra.sigma_bilinear(psi.values, psi.values)
     residue = float(np.max(np.abs(m.imag)))
-    if residue > imag_tol:
-        raise FieldError(f"m field imaginary residue {residue:.3e} > {imag_tol:.1e}")
+    if residue > IMAG_TOL:
+        raise FieldError(f"m field imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")
     return MField(psi.grid, m.real)
 
 

@@ -347,8 +347,11 @@ def random_config(seed: int, kind: str, grid: Grid):
     trigonometric amplitude is bounded by construction), ``"gauge"`` emits
     per-axis color components with a jet, and ``"su2"`` builds unitary
     matrices from a normalized random quaternion field, including exact
-    second derivatives for jet-carrying products.
+    second derivatives for jet-carrying products.  The seed must be a
+    non-negative integer.
     """
+    if seed < 0:
+        raise FieldError(f"random seed must be non-negative, not {seed}")
     rng = np.random.default_rng(seed)
     pts = grid.points()
     rank = grid.rank

@@ -68,10 +68,6 @@ class Grid:
     def site_count(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
     def coords(self, axis: int) -> np.ndarray:
         """Sample coordinates along one axis."""
         self._check_axis(axis)

@@ -294,7 +294,7 @@ def surface_degree(evaluate, center, radius: float):
             samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
         except LatticeError as exc:
             raise ZeroLocationError(
-                f"sampling sphere of radius {radius:.3e} around {tuple(center)} "
+                f"sampling sphere of radius {radius:.3e} around {tuple(center.tolist())} "
                 "leaves the domain; zeros this close to the boundary are "
                 "rejected") from exc
         norms = np.linalg.norm(samples, axis=-1)

@@ -84,29 +84,35 @@ def sigma_apply(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Tolerance of the matrix predicates ``is_hermitian`` ... ``is_su2``.
+MATRIX_TOL = 1e-12
+#: Largest imaginary residue :func:`components_from_matrix` discards.
+COMPONENT_TOL = 1e-10
+
+
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
 
-def is_hermitian(x: np.ndarray, tol: float = 1e-12) -> bool:
-    return _maxabs(x - np.conj(np.swapaxes(x, -1, -2))) <= tol
+def is_hermitian(x: np.ndarray) -> bool:
+    return _maxabs(x - np.conj(np.swapaxes(x, -1, -2))) <= MATRIX_TOL
 
 
-def is_anti_hermitian(x: np.ndarray, tol: float = 1e-12) -> bool:
-    return _maxabs(x + np.conj(np.swapaxes(x, -1, -2))) <= tol
+def is_anti_hermitian(x: np.ndarray) -> bool:
+    return _maxabs(x + np.conj(np.swapaxes(x, -1, -2))) <= MATRIX_TOL
 
 
-def is_traceless(x: np.ndarray, tol: float = 1e-12) -> bool:
-    return _maxabs(np.trace(x, axis1=-2, axis2=-1)) <= tol
+def is_traceless(x: np.ndarray) -> bool:
+    return _maxabs(np.trace(x, axis1=-2, axis2=-1)) <= MATRIX_TOL
 
 
-def is_unitary(x: np.ndarray, tol: float = 1e-12) -> bool:
+def is_unitary(x: np.ndarray) -> bool:
     prod = np.swapaxes(np.conj(x), -1, -2) @ x
-    return _maxabs(prod - IDENTITY2) <= tol
+    return _maxabs(prod - IDENTITY2) <= MATRIX_TOL
 
 
-def is_su2(x: np.ndarray, tol: float = 1e-12) -> bool:
-    return is_unitary(x, tol) and _maxabs(np.linalg.det(x) - 1.0) <= tol
+def is_su2(x: np.ndarray) -> bool:
+    return is_unitary(x) and _maxabs(np.linalg.det(x) - 1.0) <= MATRIX_TOL
 
 
 def clifford_decompose(x: np.ndarray, require_hermitian: bool = False):
@@ -120,7 +126,7 @@ def clifford_decompose(x: np.ndarray, require_hermitian: bool = False):
     if x.shape[-2:] != (2, 2):
         raise FieldError(f"expected (..., 2, 2) matrices, got {x.shape}")
     if require_hermitian and not is_hermitian(x):
-        raise FieldError("matrix is not Hermitian within 1e-12")
+        raise FieldError(f"matrix is not Hermitian within {MATRIX_TOL:.0e}")
     s = 0.5 * np.trace(x, axis1=-2, axis2=-1)
     v = 0.5 * np.einsum("...ij,aji->...a", x, SIGMA)
     return s, v
@@ -138,7 +144,7 @@ def matrix_from_components(v: np.ndarray) -> np.ndarray:
     return np.einsum("...a,aij->...ij", np.asarray(v, dtype=np.complex128), GENERATORS)
 
 
-def components_from_matrix(x: np.ndarray, tol: float = 1e-10):
+def components_from_matrix(x: np.ndarray):
     """Real components ``v_a`` of an anti-Hermitian traceless matrix.
 
     Inverse of :func:`matrix_from_components`; returns ``(v, residue)``
@@ -146,7 +152,7 @@ def components_from_matrix(x: np.ndarray, tol: float = 1e-10):
     """
     v = 1.0j * np.einsum("...ij,aji->...a", np.asarray(x, dtype=np.complex128), SIGMA)
     residue = _maxabs(v.imag)
-    if residue > tol:
+    if residue > COMPONENT_TOL:
         raise FieldError(f"matrix components have imaginary residue {residue:.3e}")
     return v.real.copy(), residue
 

@@ -30,7 +30,8 @@ def test_criterion_01_decomposition_identity():
         gauge = st.random_config(2000 + seed, "gauge", grid)
         dec = st.decompose(psi, gauge)
         amat = gauge.matrices()
-        worst = max(worst, float(np.max(np.abs(dec.a + dec.b - amat))))
+        worst = max(worst, float(np.max(np.abs(
+            dec.a.matrices() + dec.b.matrices() - amat))))
     elapsed = time.perf_counter() - start
     report(1, "decomposition identity",
            worst < 1e-12 and elapsed < 10.0,
@@ -51,9 +52,10 @@ def test_criterion_02_transformation_laws():
         sdag = np.conj(np.swapaxes(s.values, -1, -2))
         rot = lambda x: s.values[..., None, :, :] @ x @ sdag[..., None, :, :]
         a_law, _ = project_anti_hermitian_traceless(
-            rot(dec.a) + s.jet @ sdag[..., None, :, :])
-        worst_a = max(worst_a, float(np.max(np.abs(dec2.a - a_law))))
-        worst_b = max(worst_b, float(np.max(np.abs(dec2.b - rot(dec.b)))))
+            rot(dec.a.matrices()) + s.jet @ sdag[..., None, :, :])
+        worst_a = max(worst_a, float(np.max(np.abs(dec2.a.matrices() - a_law))))
+        worst_b = max(worst_b, float(np.max(np.abs(
+            dec2.b.matrices() - rot(dec.b.matrices())))))
     report(2, "transformation laws",
            worst_a < 1e-10 and worst_b < 1e-10,
            f"gauge-law residual {worst_a:.3e}, covariance residual "
@@ -70,7 +72,8 @@ def test_criterion_03_parallel_condition():
         gauge = st.parallel_gauge_potential(psi)
         worst_d = max(worst_d, float(np.max(np.abs(
             st.covariant_derivative(psi, gauge)))))
-        worst_b = max(worst_b, float(np.max(np.abs(st.decompose(psi, gauge).b))))
+        worst_b = max(worst_b, float(np.max(np.abs(
+            st.decompose(psi, gauge).b.matrices()))))
     report(3, "parallel condition",
            worst_d < 1e-12 and worst_b < 1e-12,
            f"max|DPsi| = {worst_d:.3e}, max|b| = {worst_b:.3e} (each < 1e-12)")

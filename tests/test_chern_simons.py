@@ -112,11 +112,12 @@ def test_h_bianchi_closure():
     for n in (12, 24):
         psi = st.identity_map_s3(n)
         data, _ = st.fn_data(psi)
-        h = data.h_matrix()
+        h = data.h_pairs                       # H_01, H_02, H_12
         closure = np.zeros(psi.grid.shape)
         from su2topo.lattice import central_diff
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            dh = central_diff(h[..., j, k], psi.grid, i)
+        # cyclic (i, j, k) with H_jk = H_12, H_20 = -H_02, H_01
+        for i, h_jk in ((0, h[..., 2]), (1, -h[..., 1]), (2, h[..., 0])):
+            dh = central_diff(h_jk, psi.grid, i)
             closure = closure + 2.0 * dh
         errors[n] = np.max(np.abs(closure))
     assert errors[12] / errors[24] > 3.0

@@ -82,6 +82,23 @@ def test_decompose_subcommand(tmp_path, capsys):
     assert "reconstruction" in out
 
 
+def test_decompose_without_jets_is_held_to_tol(tmp_path, capsys):
+    # the split is algebraic in the derivative samples, so bare lattice
+    # input reassembles A at rounding level and meets the same --tol
+    grid = st.box_grid((8, 8, 8, 8), -1.0, 1.0)
+    psi = st.random_config(5, "spinor", grid)
+    gauge = st.random_config(6, "gauge", grid)
+    psi_path, gauge_path = str(tmp_path / "psi.fld"), str(tmp_path / "a.fld")
+    write_field(st.SpinorField(grid, psi.values), psi_path)
+    write_field(st.GaugeField(grid, gauge.values), gauge_path)
+    code, out, _ = run(capsys, "decompose", "--psi", psi_path,
+                       "--gauge", gauge_path, "--no-color", "--tol", "1e-14")
+    assert code == 0
+    residual = float(re.search(r"reconstruction_residual: (\S+)", out).group(1))
+    assert residual < 1e-14
+    assert "regime" not in out and "component_residual" not in out
+
+
 def test_chern_subcommand_methods_agree(tmp_path, capsys):
     grid = st.box_grid((10, 10, 10, 10), -1.0, 1.0)
     psi = st.normalize(st.random_config(4, "spinor", grid))
@@ -247,6 +264,9 @@ def test_identity_charges_stay_pinned(tmp_path, capsys):
                        "--no-color")
     assert code == 0
     _assert_pinned(_charges(out), _PINNED["verify-48"])
+    # max_b is the largest entry modulus of b's matrices, bit for bit
+    assert "max_DPsi: 5.661048867003677e-16\n" in out
+    assert "max_b: 4.724974980969774e-16\n" in out
 
     path = str(tmp_path / "id32.fld")
     assert run(capsys, "generate", "--kind", "identity", "--chart", "s3",
@@ -335,6 +355,17 @@ def test_zero_next_to_a_face_fails_the_ledger(capsys):
     assert _ledger_check(out) == "FAIL"
 
 
+def test_degree_sphere_error_prints_plain_floats(tmp_path, capsys):
+    path = str(tmp_path / "lin.fld")
+    assert run(capsys, "generate", "--kind", "linear", "--shift",
+               "1.8,0.01,0.02,0.03", "--out", path)[0] == 0
+    code, out, err = run(capsys, "zeros", path, "--no-color")
+    assert code == 3
+    assert err.startswith("su2topo: error: sampling sphere of radius")
+    assert "around (1.8, 0.01" in err
+    assert "np.float64" not in err and err.count("\n") == 1
+
+
 def test_zero_on_a_face_site_is_an_error(capsys):
     code, out, err = run(capsys, "verify", "linear", "--grid", "9,9,9,9",
                          "--box=-2:2", "--shift", "2,0,0,0", "--no-color")
@@ -380,6 +411,8 @@ def test_zero_on_a_face_site_is_an_error(capsys):
     ["zeros", "x.fld", "--tol", "nan"],
     ["cs", "x.fld", "--tol=-1"],
     ["verify", "linear", "--tol", "0"],
+    # a seed numpy's generator rejects
+    ["generate", "--kind", "random-spinor", "--seed", "-1", "--out", "x.fld"],
 ])
 def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
     env, argv = argv if isinstance(argv, tuple) else ({}, argv)

@@ -58,8 +58,8 @@ def test_decompose_trivial_configuration():
                          jet=np.zeros(grid.shape + (4, 2), dtype=complex))
     zero = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
     dec = st.decompose(psi, zero)
-    assert np.max(np.abs(dec.a)) == 0.0
-    assert np.max(np.abs(dec.b)) == 0.0
+    assert np.max(np.abs(dec.a.matrices())) == 0.0
+    assert np.max(np.abs(dec.b.matrices())) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -68,10 +68,8 @@ def test_decompose_reconstruction_random(seed):
     psi = st.random_config(100 + seed, "spinor", grid)
     gauge = st.random_config(200 + seed, "gauge", grid)
     dec = st.decompose(psi, gauge)
-    assert dec.regime == "jet"
     assert dec.residual < 1e-12
-    assert dec.component_residual < 1e-12
-    for part in (dec.a, dec.b):
+    for part in (dec.a.matrices(), dec.b.matrices()):
         assert np.max(np.abs(part + np.conj(np.swapaxes(part, -1, -2)))) < 1e-12
         assert np.max(np.abs(np.trace(part, axis1=-2, axis2=-1))) < 1e-12
 
@@ -83,8 +81,8 @@ def test_decompose_scale_invariance():
     scaled = st.SpinorField(grid, 3.7 * psi.values, jet=3.7 * psi.jet)
     dec1 = st.decompose(psi, gauge)
     dec2 = st.decompose(scaled, gauge)
-    assert np.max(np.abs(dec1.a - dec2.a)) < 1e-12
-    assert np.max(np.abs(dec1.b - dec2.b)) < 1e-12
+    assert np.max(np.abs(dec1.a.matrices() - dec2.a.matrices())) < 1e-12
+    assert np.max(np.abs(dec1.b.matrices() - dec2.b.matrices())) < 1e-12
 
 
 def test_decompose_rejects_vanishing_spinor():
@@ -97,15 +95,14 @@ def test_decompose_rejects_vanishing_spinor():
         st.decompose(psi, gauge)
 
 
-def test_decompose_fd_regime_reported():
+def test_decompose_without_jets_is_exact():
     grid = small_grid()
     psi = st.random_config(33, "spinor", grid)
     nojet = st.SpinorField(grid, psi.values)
     gauge = st.random_config(34, "gauge", grid)
     dec = st.decompose(nojet, gauge)
-    assert dec.regime == "fd"
     # the split reassembles A for any derivative samples: the gradient
-    # terms cancel between a and b, so even the FD regime is exact here
+    # terms cancel between a and b, so finite differences are exact here
     assert dec.residual < 1e-12
 
 
@@ -151,7 +148,7 @@ def test_parallel_condition_identity_map():
     d = st.covariant_derivative(psi, gauge)
     assert np.max(np.abs(d)) < 1e-12
     dec = st.decompose(psi, gauge)
-    assert np.max(np.abs(dec.b)) < 1e-12
+    assert np.max(np.abs(dec.b.matrices())) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -168,22 +165,23 @@ def test_transformation_laws(seed):
     rot = lambda x: s.values[..., None, :, :] @ x @ sdag[..., None, :, :]
     from su2topo.su2_algebra import project_anti_hermitian_traceless
     a_law, _ = project_anti_hermitian_traceless(
-        rot(dec.a) + s.jet @ sdag[..., None, :, :])
-    b_law = rot(dec.b)
-    assert np.max(np.abs(dec2.a - a_law)) < 1e-10
-    assert np.max(np.abs(dec2.b - b_law)) < 1e-10
+        rot(dec.a.matrices()) + s.jet @ sdag[..., None, :, :])
+    b_law = rot(dec.b.matrices())
+    assert np.max(np.abs(dec2.a.matrices() - a_law)) < 1e-10
+    assert np.max(np.abs(dec2.b.matrices() - b_law)) < 1e-10
 
 
-def test_decomposition_arrays_are_frozen_and_detached():
+def test_decomposition_parts_are_gauge_fields():
+    # GaugeField copies and freezes its samples; the covariant derivative
+    # handed back with them is read-only as well
     grid = small_grid()
     psi = st.random_config(3, "spinor", grid)
     dec = st.decompose(psi, st.random_config(4, "gauge", grid))
-    assert not dec.a.flags.writeable and not dec.b.flags.writeable
-    mine = np.array(dec.a)
-    wrapped = st.Decomposition(mine, dec.b, 0.0, 0.0, "jet")
-    assert wrapped.b is dec.b
-    mine[...] = 0.0
-    assert np.array_equal(wrapped.a, dec.a) and not wrapped.a.flags.writeable
+    for part in (dec.a, dec.b):
+        assert isinstance(part, st.GaugeField) and part.grid == grid
+        assert part.jet is None and not part.values.flags.writeable
+    assert dec.covariant.shape == grid.shape + (4, 2)
+    assert not dec.covariant.flags.writeable
 
 
 def _traceless_outer_reference(u, v, weight):
@@ -207,9 +205,9 @@ def test_decompose_matches_the_outer_product_formula(jets):
     a = _traceless_outer_reference(psi.derivatives(), psi.values, weight)
     b = _traceless_outer_reference(dec.covariant, psi.values, -weight)
     scale = np.max(np.abs(a)) + np.max(np.abs(b))
-    assert np.max(np.abs(dec.a - a)) <= 1e-15 * scale
-    assert np.max(np.abs(dec.b - b)) <= 1e-15 * scale
-    assert np.max(np.abs(dec.a + dec.b - gauge.matrices())) == pytest.approx(
+    assert np.max(np.abs(dec.a.matrices() - a)) <= 1e-15 * scale
+    assert np.max(np.abs(dec.b.matrices() - b)) <= 1e-15 * scale
+    assert np.max(np.abs(dec.a.values + dec.b.values - gauge.values)) == pytest.approx(
         dec.residual, abs=1e-15 * scale)
 
 
@@ -225,8 +223,10 @@ def test_decompose_fails_on_a_scaled_current(monkeypatch):
     monkeypatch.setattr(alg, "spinor_current", scaled)
     grid = small_grid()
     psi = st.random_config(43, "spinor", grid)
-    with pytest.raises(st.ReconstructionError):
-        st.decompose(psi, st.random_config(44, "gauge", grid))
+    gauge = st.random_config(44, "gauge", grid)
+    for field in (psi, st.SpinorField(grid, psi.values)):     # jets, then none
+        with pytest.raises(st.ReconstructionError):
+            st.decompose(field, gauge)
 
 
 def test_decompose_fails_on_a_perturbed_covariant_derivative(monkeypatch):
@@ -241,5 +241,7 @@ def test_decompose_fails_on_a_perturbed_covariant_derivative(monkeypatch):
     monkeypatch.setattr(decomposition, "covariant_derivative", perturbed)
     grid = small_grid()
     psi = st.random_config(45, "spinor", grid)
-    with pytest.raises(st.ReconstructionError):
-        st.decompose(psi, st.random_config(46, "gauge", grid))
+    gauge = st.random_config(46, "gauge", grid)
+    for field in (psi, st.SpinorField(grid, psi.values)):     # jets, then none
+        with pytest.raises(st.ReconstructionError):
+            st.decompose(field, gauge)
