@@ -14,21 +14,18 @@ from .errors import (BadMagicError, ChecksumError, CountMismatchError,
                      ReconstructionError, Su2TopoError, ZeroLocationError)
 from .lattice import (Grid, ScalarField, central_diff, derivative_stack,
                       integrate, integrate_values, interpolate)
-from .su2_algebra import (GENERATORS, IDENTITY2, SIGMA, clifford_decompose,
-                          clifford_reconstruct, self_check)
-from .fields import (GaugeField, MField, PhiField, SpinorField, SU2Field,
-                     UnitField, face_restrict, gauge_transform, normalize,
-                     norm_squared, phi_to_spinor, pure_gauge_potential,
-                     sigma_model_field, spinor_to_phi, su2_dagger,
-                     su2_product, unit_vector)
+from .su2_algebra import GENERATORS, IDENTITY2, SIGMA, self_check
+from .fields import (GaugeField, PhiField, SpinorField, SU2Field, face_restrict,
+                     gauge_transform, normalize, norm_squared, phi_to_spinor,
+                     pure_gauge_potential, sigma_model_field, spinor_to_phi,
+                     su2_dagger, su2_product)
 from .decomposition import (Decomposition, covariant_derivative, decompose,
                             parallel_gauge_potential)
-from .chern_simons import (AbelianData, CSDensity, cs_density, fn_data,
+from .chern_simons import (AbelianData, Density, cs_density, fn_data,
                            fn_pointwise, knot_charge, trace_pointwise)
-from .chern_density import (ChernDensity, FieldStrength, boundary_cs_sum,
-                            chern_charge_pair, chern_density, field_strength,
-                            spinor_chern_values, unit_chern_values,
-                            unit_chern_values_literal)
+from .chern_density import (FieldStrength, boundary_cs_sum, chern_density,
+                            field_strength, spinor_chern_values,
+                            unit_chern_values, unit_chern_values_literal)
 from .phi_mapping import (Ledger, LedgerAnalysis, ZeroPoint, ZeroSearch,
                           analyze, charge_ledger, jacobian, local_degree,
                           locate_zeros, surface_degree)

@@ -29,10 +29,10 @@ import numpy as np
 from . import su2_algebra
 from .conventions import EPS4, ORIENTATION_SIGN, PAIRS4
 from .errors import FieldError, NormalizationError
-from .fields import (GaugeField, PhiField, SpinorField, UnitField, face_restrict,
-                     normalize, phi_to_spinor)
-from .lattice import Grid, ScalarField, integrate
-from .chern_simons import spinor_cs_values
+from .fields import (GaugeField, PhiField, SpinorField, face_restrict, normalize,
+                     phi_to_spinor)
+from .lattice import Grid, ScalarField
+from .chern_simons import Density, spinor_cs_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,47 +118,37 @@ def unit_chern_values_literal(dvalues: np.ndarray) -> np.ndarray:
                      EPS4, EPS4, dvalues, dvalues, dvalues, dvalues) / (12.0 * np.pi**2)
 
 
-@dataclass(frozen=True, eq=False)
-class ChernDensity:
-    field: ScalarField
-    method: str
-    imag_residue: float
-
-
-def chern_density(source, method: str) -> ChernDensity:
+def chern_density(source, method: str) -> Density:
     """Chern density by the requested route.
 
     ``source`` is a :class:`SpinorField` for ``method="spinor"`` (typically
     normalized; any smooth spinor is accepted, the formula is the exterior
-    derivative of its Chern-Simons form either way), a :class:`UnitField`
-    for ``"unit"``, and a :class:`GaugeField` or :class:`FieldStrength`
-    for ``"trace"``.
+    derivative of its Chern-Simons form either way), a normalized
+    :class:`SpinorField` for ``"unit"`` (the real view of its derivatives
+    is dn of the unit 4-vector n), and a :class:`GaugeField` or
+    :class:`FieldStrength` for ``"trace"``.
     """
-    if method == "spinor":
+    if method in ("spinor", "unit"):
         if not isinstance(source, SpinorField):
-            raise FieldError("spinor route needs a SpinorField")
+            raise FieldError(f"{method} route needs a SpinorField")
         grid = source.grid
         if grid.rank != 4:
             raise FieldError("Chern densities live on rank-4 grids")
-        raw = spinor_chern_values(source.derivatives())
-        raw = raw * (ORIENTATION_SIGN * grid.orientation)
+        sign = ORIENTATION_SIGN * grid.orientation
+        if method == "unit":
+            if not source.normalized:
+                raise FieldError("unit route needs a normalized spinor")
+            raw = unit_chern_values(source.derivatives().view(np.float64)) * sign
+            return Density(ScalarField(grid, raw), "unit", 0.0)
+        raw = spinor_chern_values(source.derivatives()) * sign
         residue = float(np.max(np.abs(raw.imag)))
-        return ChernDensity(ScalarField(grid, raw.real), "spinor", residue)
-    if method == "unit":
-        if not isinstance(source, UnitField):
-            raise FieldError("unit route needs a UnitField")
-        grid = source.grid
-        if grid.rank != 4:
-            raise FieldError("Chern densities live on rank-4 grids")
-        raw = unit_chern_values(source.derivatives())
-        raw = raw * (ORIENTATION_SIGN * grid.orientation)
-        return ChernDensity(ScalarField(grid, raw), "unit", 0.0)
+        return Density(ScalarField(grid, raw.real), "spinor", residue)
     if method == "trace":
         strength = source if isinstance(source, FieldStrength) else field_strength(source)
         grid = strength.grid
         dot = _eps4_pair_contract_dot(strength.pairs)
         raw = -dot / (64.0 * np.pi**2) * (ORIENTATION_SIGN * grid.orientation)
-        return ChernDensity(ScalarField(grid, raw), "trace", 0.0)
+        return Density(ScalarField(grid, raw), "trace", 0.0)
     raise FieldError(f"unknown Chern density method {method!r}")
 
 
@@ -214,14 +204,3 @@ def boundary_cs_sum(field):
     total *= sign_global
     return float(total.real), float(abs(total.imag))
 
-
-def chern_charge_pair(psi: SpinorField):
-    """Volume Chern number and boundary Chern-Simons sum of a 4-box spinor.
-
-    Returns ``(volume, boundary, boundary_imag_residue)``; the two values
-    agree to O(h^2) on zero-free boxes.
-    """
-    rho = chern_density(psi, "spinor")
-    volume = integrate(rho.field)
-    boundary, residue = boundary_cs_sum(psi)
-    return volume, boundary, residue

@@ -87,8 +87,9 @@ def trace_cs_values(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CSDensity:
-    """Chern-Simons density samples with their method tag."""
+class Density:
+    """Density samples (Chern-Simons or Chern) with their method tag and the
+    largest imaginary part the route discarded."""
 
     field: ScalarField
     method: str
@@ -96,7 +97,7 @@ class CSDensity:
 
 
 def cs_density(psi: SpinorField, gauge: GaugeField | None = None,
-               method: str = "spinor") -> CSDensity:
+               method: str = "spinor") -> Density:
     """Chern-Simons density on a rank-3 chart.
 
     ``method="spinor"`` uses Psi and its jets only (exact); ``"trace"``
@@ -112,7 +113,7 @@ def cs_density(psi: SpinorField, gauge: GaugeField | None = None,
             raise FieldError("spinor-route density requires a normalized spinor")
         raw = sign * spinor_cs_values(psi.current[..., 0], psi.derivatives())
         residue = float(np.max(np.abs(raw.imag)))
-        return CSDensity(ScalarField(grid, raw.real), "spinor", residue)
+        return Density(ScalarField(grid, raw.real), "spinor", residue)
     if method == "trace":
         if gauge is None:
             gauge = parallel_gauge_potential(psi)
@@ -120,7 +121,7 @@ def cs_density(psi: SpinorField, gauge: GaugeField | None = None,
             raise FieldError("gauge grid differs from spinor grid")
         da = gauge.derivatives()
         raw = sign * trace_cs_values(gauge.values, da)
-        return CSDensity(ScalarField(grid, raw), "trace", 0.0)
+        return Density(ScalarField(grid, raw), "trace", 0.0)
     raise FieldError(f"unknown Chern-Simons method {method!r}")
 
 
@@ -164,7 +165,7 @@ def fn_data(psi: SpinorField):
         raise FieldError("the Abelian route lives on rank-3 charts")
     if not psi.normalized:
         raise FieldError("the Abelian route requires a normalized spinor")
-    m = sigma_model_field(psi).values
+    m = sigma_model_field(psi)
     current = psi.current
     dm = 2.0 * current[..., 1:].real
     c = -2.0 * current[..., 0].imag

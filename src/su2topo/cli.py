@@ -28,9 +28,10 @@ from . import chern_simons as cs
 from . import fldio, generators, phi_mapping, su2_algebra
 from .chern_density import chern_density
 from .decomposition import decompose, parallel_gauge_potential
-from .errors import FieldError, FieldFormatError, LatticeError, Su2TopoError
+from .errors import (FieldError, FieldFormatError, LatticeError,
+                     ReconstructionError, Su2TopoError)
 from .fields import (GaugeField, PhiField, SpinorField, normalize,
-                     phi_to_spinor, spinor_to_phi, unit_vector)
+                     phi_to_spinor, spinor_to_phi)
 from .lattice import integrate
 from .report import ChargeReport, __version__
 
@@ -285,12 +286,17 @@ def cmd_decompose(args) -> int:
             raise Su2TopoError(f"{args.gauge}: expected a gauge field")
     else:
         gauge = parallel_gauge_potential(normalize(psi))
-    start = time.perf_counter()
-    result = decompose(psi, gauge)
     report = ChargeReport("decompose", config=_config_echo(args, psi.grid))
-    report.results["decomposition"] = {"reconstruction_residual": result.residual}
-    _bound_check(report, "reconstruction", f"|a+b-A| = {result.residual:.3e}",
-                 result.residual, args.tol, fmt=".3e")
+    start = time.perf_counter()
+    try:
+        result = decompose(psi, gauge)
+    except ReconstructionError as exc:
+        # the identity itself failed: a check verdict, not an input error
+        report.add_check("reconstruction", False, str(exc))
+    else:
+        report.results["decomposition"] = {"reconstruction_residual": result.residual}
+        _bound_check(report, "reconstruction", f"|a+b-A| = {result.residual:.3e}",
+                     result.residual, args.tol, fmt=".3e")
     report.timings["decompose_s"] = time.perf_counter() - start
     return _emit_report(report, args)
 
@@ -347,19 +353,18 @@ def cmd_chern(args) -> int:
     field = fldio.read_field(args.infile)
     report = ChargeReport("chern", config=_config_echo(args, field.grid))
     psi = _as_spinor(field, args.infile)
-    phi = field if isinstance(field, PhiField) else spinor_to_phi(psi)
 
     methods = ["spinor", "unit", "trace"] if args.method == "all" else [args.method]
+    unit = normalize(psi) if methods != ["spinor"] else None
     results = {}
     for method in methods:
         start = time.perf_counter()
         if method == "spinor":
             rho = chern_density(psi, "spinor")
         elif method == "unit":
-            rho = chern_density(unit_vector(phi), "unit")
+            rho = chern_density(unit, "unit")
         else:
-            gauge = parallel_gauge_potential(normalize(psi))
-            rho = chern_density(gauge, "trace")
+            rho = chern_density(parallel_gauge_potential(unit), "trace")
         c2 = integrate(rho.field)
         report.timings[f"{method}_s"] = time.perf_counter() - start
         results[f"C2_{method}"] = {**_charge_entry(c2), "imag_residue": rho.imag_residue}

@@ -2,8 +2,10 @@
 
 A spinor sample Psi = (Psi1, Psi2) is equivalent to four real components
 (phi0, phi1, phi2, phi3) via Psi1 = phi0 + i phi1, Psi2 = phi2 + i phi3.
-Normalizing phi gives the unit 4-vector n, and a normalized spinor projects
-onto the unit 3-vector m_a = Psi^dag sigma_a Psi.
+The unit spinor Psi/|Psi| is therefore the unit 4-vector n = phi/|phi|:
+a normalized :class:`SpinorField` is the unit field, its real view is n,
+and its bilinear m_a = Psi^dag sigma_a Psi is the unit 3-vector.  Every
+container here is one of the FLD file kinds.
 
 Every container optionally carries a "jet": exact first-derivative samples,
 one per grid axis per site.  Identities that are algebraic in a field and
@@ -23,17 +25,12 @@ from . import su2_algebra
 from .errors import FieldError, NormalizationError
 from .lattice import Grid, LatticeField
 
+#: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
 #: Norms below this mark a zero of the field (see :func:`normalize`).
 EPS_ZERO = 1e-12
 #: Largest imaginary residue of m_a = Psi^dag sigma_a Psi accepted.
 IMAG_TOL = 1e-12
-
-
-def _check_unit_norm(field) -> None:
-    dev = np.max(np.abs(np.sum(field.values * field.values, axis=-1) - 1.0))
-    if dev > NORM_TOL:
-        raise FieldError(f"{field.LABEL} norm deviates by {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,19 +40,16 @@ class SpinorField(LatticeField):
     grid: Grid
     values: np.ndarray
     jet: np.ndarray | None = None
-    normalized: bool = False
 
     DTYPE = np.complex128
     COMPONENTS = (2,)
     FLD_KIND = 1
     LABEL = "spinor"
 
-    def _check_values(self):
-        if self.normalized:
-            dev = np.max(np.abs(norm_squared(self) - 1.0))
-            if dev > NORM_TOL:
-                raise FieldError(
-                    f"spinor flagged normalized but |Psi|^2 deviates by {dev:.3e}")
+    @cached_property
+    def normalized(self) -> bool:
+        """Whether every |Psi|^2 is 1 to ``NORM_TOL``, read from the samples."""
+        return bool(np.max(np.abs(norm_squared(self) - 1.0)) <= NORM_TOL)
 
     @cached_property
     def current(self) -> np.ndarray:
@@ -72,13 +66,6 @@ class SpinorField(LatticeField):
                                              self.derivatives())
         current.setflags(write=False)
         return current
-
-    @classmethod
-    def from_samples(cls, grid: Grid, values: np.ndarray, jet=None):
-        """Flagged normalized when every sample is unit to ``NORM_TOL``."""
-        norms = np.sum(values.real**2 + values.imag**2, axis=-1)
-        normalized = bool(np.max(np.abs(norms - 1.0)) <= NORM_TOL)
-        return cls(grid, values, jet=jet, normalized=normalized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,35 +87,6 @@ class PhiField(LatticeField):
     COMPONENTS = (4,)
     FLD_KIND = 2
     LABEL = "phi"
-
-
-@dataclass(frozen=True, eq=False)
-class UnitField(LatticeField):
-    """Unit 4-vector per site (normalized phi)."""
-
-    grid: Grid
-    values: np.ndarray
-    jet: np.ndarray | None = None
-
-    COMPONENTS = (4,)
-    LABEL = "unit vector"
-
-    def _check_values(self):
-        _check_unit_norm(self)
-
-
-@dataclass(frozen=True, eq=False)
-class MField(LatticeField):
-    """Unit 3-vector per site (sigma-model projection of a unit spinor)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    COMPONENTS = (3,)
-    LABEL = "m field"
-
-    def _check_values(self):
-        _check_unit_norm(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +173,7 @@ def normalize(psi: SpinorField) -> SpinorField:
         dnorm = np.einsum("...c,...mc->...m", np.conj(psi.values), psi.jet).real / norms[..., None]
         jet = (psi.jet / norms[..., None, None]
                - psi.values[..., None, :] * (dnorm / norms[..., None] ** 2)[..., None])
-    return SpinorField(psi.grid, values, jet=jet, normalized=True)
+    return SpinorField(psi.grid, values, jet=jet)
 
 
 def spinor_to_phi(psi: SpinorField) -> PhiField:
@@ -231,31 +189,14 @@ def spinor_to_phi(psi: SpinorField) -> PhiField:
 def phi_to_spinor(phi: PhiField) -> SpinorField:
     """Exact inverse of :func:`spinor_to_phi`."""
     jet = None if phi.jet is None else phi.jet.view(np.complex128)
-    return SpinorField.from_samples(phi.grid, phi.values.view(np.complex128), jet)
+    return SpinorField(phi.grid, phi.values.view(np.complex128), jet=jet)
 
 
-def unit_vector(phi: PhiField) -> UnitField:
-    """n = phi / |phi| with quotient-rule jets.
+def sigma_model_field(psi: SpinorField) -> np.ndarray:
+    """m_a = Psi^dag sigma_a Psi of a normalized spinor, shape ``(*shape, 3)``.
 
-    Zero points of phi are the singular points of n; sites below
-    ``EPS_ZERO`` raise :class:`NormalizationError`.
-    """
-    norms = np.linalg.norm(phi.values, axis=-1)
-    _check_nonvanishing(norms, "phi")
-    values = phi.values / norms[..., None]
-    jet = None
-    if phi.jet is not None:
-        radial = np.einsum("...a,...ma->...m", phi.values, phi.jet)
-        jet = (phi.jet / norms[..., None, None]
-               - phi.values[..., None, :] * (radial / norms[..., None] ** 3)[..., None])
-    return UnitField(phi.grid, values, jet=jet)
-
-
-def sigma_model_field(psi: SpinorField) -> MField:
-    """m_a = Psi^dag sigma_a Psi for a normalized spinor.
-
-    The imaginary residue of the bilinear is a data-corruption indicator
-    and raises above ``IMAG_TOL``.
+    |m| = |Psi|^2 = 1 site by site.  The imaginary residue of the bilinear
+    is a data-corruption indicator and raises above ``IMAG_TOL``.
     """
     if not psi.normalized:
         raise FieldError("sigma-model projection requires a normalized spinor")
@@ -263,7 +204,7 @@ def sigma_model_field(psi: SpinorField) -> MField:
     residue = float(np.max(np.abs(m.imag)))
     if residue > IMAG_TOL:
         raise FieldError(f"m field imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")
-    return MField(psi.grid, m.real)
+    return m.real
 
 
 def su2_product(s2: SU2Field, s1: SU2Field) -> SU2Field:
@@ -304,7 +245,7 @@ def gauge_transform(psi: SpinorField, gauge: GaugeField, s: SU2Field):
     if psi.jet is not None:
         new_jet = (np.einsum("...mij,...j->...mi", ds, psi.values)
                    + np.einsum("...ij,...mj->...mi", s.values, psi.jet))
-    psi_out = SpinorField(psi.grid, new_values, jet=new_jet, normalized=psi.normalized)
+    psi_out = SpinorField(psi.grid, new_values, jet=new_jet)
 
     amat = gauge.matrices()
     transformed = (s.values[..., None, :, :] @ amat @ sdag[..., None, :, :]
@@ -348,8 +289,7 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     the in-face derivative components.  Faces of vertex-centered grids lie
     exactly on the domain boundary, as boundary-flux sums require.  The
     face is a field of the same kind built from its bare samples, so a
-    phi field's sampler is dropped and a spinor is flagged normalized
-    when its face samples are unit.
+    phi field's sampler is dropped.
     """
     grid = field.grid
     if grid.periodic[axis]:

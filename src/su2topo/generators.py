@@ -153,16 +153,14 @@ def s3_chart_grid(resolution) -> Grid:
                 periodic=(False, False, True), cell_centered=True)
 
 
-def box_grid(shape, lo, hi, cell_centered: bool = False) -> Grid:
-    """Open rectangular box grid with uniform per-axis bounds lists."""
+def box_grid(shape, lo, hi) -> Grid:
+    """Open vertex-centered box grid with uniform per-axis bounds lists."""
     shape = tuple(int(n) for n in shape)
     lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), (len(shape),))
     hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (len(shape),))
-    spacing = tuple(
-        (hi[i] - lo[i]) / (shape[i] if cell_centered else shape[i] - 1)
-        for i in range(len(shape)))
+    spacing = tuple((hi[i] - lo[i]) / (shape[i] - 1) for i in range(len(shape)))
     return Grid(shape=shape, origin=tuple(lo), spacing=spacing,
-                periodic=(False,) * len(shape), cell_centered=cell_centered)
+                periodic=(False,) * len(shape))
 
 
 def _chart_trig(grid: Grid):

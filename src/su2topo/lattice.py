@@ -64,10 +64,6 @@ class Grid:
     def rank(self) -> int:
         return len(self.shape)
 
-    @property
-    def site_count(self) -> int:
-        return int(np.prod(self.shape))
-
     def coords(self, axis: int) -> np.ndarray:
         """Sample coordinates along one axis."""
         self._check_axis(axis)
@@ -144,16 +140,15 @@ class LatticeField:
     Subclasses are frozen dataclasses whose leading fields are ``grid`` and
     ``values``, plus ``jet`` where the kind may carry exact first-derivative
     samples (axis index before the component axes).  Each declares its
-    sample ``DTYPE``, its per-site ``component_shape`` and its FLD kind code
-    (``None``: not serializable).  Construction copies ``values`` and
-    ``jet`` to that dtype, freezes them and checks their shapes and that the
-    samples are finite; subclasses add only their own invariant on the
+    sample ``DTYPE``, its per-site ``component_shape`` and its ``FLD_KIND``
+    code: every field kind is a file kind.  Construction copies ``values``
+    and ``jet`` to that dtype, freezes them and checks their shapes and that
+    the samples are finite; subclasses add only their own invariant on the
     samples, ``_check_values``, which runs before the jet is copied.
     """
 
     DTYPE = np.float64
     COMPONENTS = ()
-    FLD_KIND = None
     LABEL = "field"
     jet = None
 
@@ -193,10 +188,6 @@ class LatticeField:
         if self.jet is not None:
             return self.jet
         return derivative_stack(self.values, self.grid, order)
-
-    @property
-    def has_jet(self) -> bool:
-        return self.jet is not None
 
 
 @dataclass(frozen=True, eq=False)

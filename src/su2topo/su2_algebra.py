@@ -84,7 +84,7 @@ def sigma_apply(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Tolerance of the matrix predicates ``is_hermitian`` ... ``is_su2``.
+#: Tolerance of the matrix predicates ``is_anti_hermitian`` ... ``is_su2``.
 MATRIX_TOL = 1e-12
 #: Largest imaginary residue :func:`components_from_matrix` discards.
 COMPONENT_TOL = 1e-10
@@ -92,10 +92,6 @@ COMPONENT_TOL = 1e-10
 
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
-
-
-def is_hermitian(x: np.ndarray) -> bool:
-    return _maxabs(x - np.conj(np.swapaxes(x, -1, -2))) <= MATRIX_TOL
 
 
 def is_anti_hermitian(x: np.ndarray) -> bool:
@@ -113,30 +109,6 @@ def is_unitary(x: np.ndarray) -> bool:
 
 def is_su2(x: np.ndarray) -> bool:
     return is_unitary(x) and _maxabs(np.linalg.det(x) - 1.0) <= MATRIX_TOL
-
-
-def clifford_decompose(x: np.ndarray, require_hermitian: bool = False):
-    """Split 2x2 matrices over the Clifford basis (I, sigma_a).
-
-    Returns ``(s, v)`` with ``s = Tr(X)/2`` and ``v_a = Tr(X sigma_a)/2``,
-    so that ``s*I + v_a*sigma_a`` reassembles ``X``.  Works on any batch of
-    matrices with shape ``(..., 2, 2)``.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[-2:] != (2, 2):
-        raise FieldError(f"expected (..., 2, 2) matrices, got {x.shape}")
-    if require_hermitian and not is_hermitian(x):
-        raise FieldError(f"matrix is not Hermitian within {MATRIX_TOL:.0e}")
-    s = 0.5 * np.trace(x, axis1=-2, axis2=-1)
-    v = 0.5 * np.einsum("...ij,aji->...a", x, SIGMA)
-    return s, v
-
-
-def clifford_reconstruct(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`clifford_decompose`."""
-    s = np.asarray(s, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    return s[..., None, None] * IDENTITY2 + np.einsum("...a,aij->...ij", v, SIGMA)
 
 
 def matrix_from_components(v: np.ndarray) -> np.ndarray:

@@ -146,7 +146,8 @@ def test_criterion_08_chern_weil_stokes():
     diffs = []
     for grid in (base, base.refine(2)):
         psi = st.random_config(8080, "spinor", grid)
-        volume, boundary, _ = st.chern_charge_pair(psi)
+        volume = st.integrate(st.chern_density(psi, "spinor").field)
+        boundary, _ = st.boundary_cs_sum(psi)
         diffs.append(abs(volume - boundary))
     ratio = diffs[0] / diffs[1]
     h2 = max(base.spacing) ** 2

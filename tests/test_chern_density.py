@@ -77,14 +77,9 @@ def test_constant_field_zero_density_all_methods():
     values = np.zeros(grid.shape + (2,), dtype=complex)
     values[..., 0] = 1.0
     psi = st.SpinorField(grid, values,
-                         jet=np.zeros(grid.shape + (4, 2), dtype=complex),
-                         normalized=True)
+                         jet=np.zeros(grid.shape + (4, 2), dtype=complex))
     assert np.max(np.abs(st.chern_density(psi, "spinor").field.values)) == 0.0
-    unit_values = np.zeros(grid.shape + (4,))
-    unit_values[..., 0] = 1.0
-    unit = st.UnitField(grid, unit_values,
-                        jet=np.zeros(grid.shape + (4, 4)))
-    assert np.max(np.abs(st.chern_density(unit, "unit").field.values)) == 0.0
+    assert np.max(np.abs(st.chern_density(psi, "unit").field.values)) == 0.0
     gauge = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
     assert np.max(np.abs(st.chern_density(gauge, "trace").field.values)) == 0.0
 
@@ -94,8 +89,7 @@ def test_exact_unit_jets_give_vanishing_density():
     # from zeros: all four tangent vectors lie in a 3-space
     grid = small_grid(8)
     psi = st.random_config(7, "spinor", grid)
-    unit = st.unit_vector(st.spinor_to_phi(psi))
-    rho = st.chern_density(unit, "unit")
+    rho = st.chern_density(st.normalize(psi), "unit")
     assert np.max(np.abs(rho.field.values)) < 1e-12
 
 
@@ -104,7 +98,7 @@ def test_spinor_vs_trace_density_fd_scaling():
     for n in (8, 16):
         grid = small_grid(n)
         psi = st.normalize(st.random_config(8, "spinor", grid))
-        nojet = st.SpinorField(grid, psi.values, normalized=True)
+        nojet = st.SpinorField(grid, psi.values)
         rho_s = st.chern_density(nojet, "spinor").field.values
         gauge = st.parallel_gauge_potential(psi)
         rho_t = st.chern_density(gauge, "trace").field.values
@@ -131,7 +125,8 @@ def test_chern_weil_stokes_consistency():
     residues = {}
     for factor, grid in ((1, base), (2, base.refine(2))):
         psi = st.random_config(3, "spinor", grid)
-        volume, boundary, residue = st.chern_charge_pair(psi)
+        volume = st.integrate(st.chern_density(psi, "spinor").field)
+        boundary, residue = st.boundary_cs_sum(psi)
         diffs[factor] = abs(volume - boundary)
         residues[factor] = residue
     assert 3.0 < diffs[1] / diffs[2] < 5.0
@@ -157,7 +152,7 @@ def test_c2_converges_to_integer_under_refinement():
     devs = []
     for grid in (base, base.refine(2)):
         psi = st.normalize(st.random_config(42, "spinor", grid))
-        nojet = st.SpinorField(grid, psi.values, normalized=True)
+        nojet = st.SpinorField(grid, psi.values)
         c2 = st.integrate(st.chern_density(nojet, "spinor").field)
         assert round(c2) == 0
         devs.append(abs(c2))
@@ -188,3 +183,9 @@ def test_chern_density_input_validation():
     psi3 = st.identity_map_s3(8)
     with pytest.raises(FieldError):
         st.chern_density(psi3, "spinor")
+    # the unit route reads dn from a normalized rank-4 spinor only
+    psi = st.random_config(10, "spinor", grid)
+    assert not psi.normalized
+    for source in (psi, st.spinor_to_phi(st.normalize(psi)), gauge, psi3):
+        with pytest.raises(FieldError):
+            st.chern_density(source, "unit")

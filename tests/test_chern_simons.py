@@ -10,7 +10,7 @@ def constant_psi(grid):
     values = np.zeros(grid.shape + (2,), dtype=complex)
     values[..., 0] = 1.0
     jet = np.zeros(grid.shape + (3, 2), dtype=complex)
-    return st.SpinorField(grid, values, jet=jet, normalized=True)
+    return st.SpinorField(grid, values, jet=jet)
 
 
 def test_constant_spinor_zero_density_both_methods():
@@ -70,7 +70,7 @@ def test_global_phase_invariance():
     psi = st.identity_map_s3(12)
     alpha = 0.731
     rotated = st.SpinorField(psi.grid, np.exp(1j * alpha) * psi.values,
-                             jet=np.exp(1j * alpha) * psi.jet, normalized=True)
+                             jet=np.exp(1j * alpha) * psi.jet)
     w1 = st.cs_density(psi, method="spinor").field.values
     w2 = st.cs_density(rotated, method="spinor").field.values
     assert np.max(np.abs(w1 - w2)) < 1e-14

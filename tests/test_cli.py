@@ -82,6 +82,26 @@ def test_decompose_subcommand(tmp_path, capsys):
     assert "reconstruction" in out
 
 
+def test_violated_decomposition_identity_is_a_failed_check(tmp_path, capsys,
+                                                           monkeypatch):
+    # a wrong covariant derivative breaks a + b = A beyond rounding: the run
+    # reports a FAIL (exit 1), not an input error (exit 3)
+    import su2topo.decomposition as decomposition
+    real = decomposition.covariant_derivative
+    monkeypatch.setattr(decomposition, "covariant_derivative",
+                        lambda psi, gauge: real(psi, gauge) * (1.0 + 1e-6))
+    grid = st.box_grid((6, 6, 6, 6), -1.0, 1.0)
+    psi_path, gauge_path = str(tmp_path / "psi.fld"), str(tmp_path / "a.fld")
+    write_field(st.random_config(0, "spinor", grid), psi_path)
+    write_field(st.random_config(1, "gauge", grid), gauge_path)
+    code, out, err = run(capsys, "decompose", "--psi", psi_path,
+                         "--gauge", gauge_path, "--no-color")
+    assert code == 1
+    assert re.search(r"name: reconstruction\n\s+status: FAIL\n\s+detail: "
+                     r"decomposition identity violated", out)
+    assert "overall: FAIL" in out and err == ""
+
+
 def test_decompose_without_jets_is_held_to_tol(tmp_path, capsys):
     # the split is algebraic in the derivative samples, so bare lattice
     # input reassembles A at rounding level and meets the same --tol

@@ -111,8 +111,7 @@ def test_parallel_potential_constant_spinor_is_zero():
     values = np.zeros(grid.shape + (2,), dtype=complex)
     values[..., 0] = 1.0
     psi = st.SpinorField(grid, values,
-                         jet=np.zeros(grid.shape + (4, 2), dtype=complex),
-                         normalized=True)
+                         jet=np.zeros(grid.shape + (4, 2), dtype=complex))
     gauge = st.parallel_gauge_potential(psi)
     assert np.max(np.abs(gauge.values)) == 0.0
 
@@ -135,7 +134,7 @@ def test_parallel_potential_real_spinor_sigma2_channel():
     values = np.stack([np.cos(t) + 0j, np.sin(t) + 0j], axis=-1)
     jet = np.stack([-np.sin(t)[..., None] * dt + 0j,
                     np.cos(t)[..., None] * dt + 0j], axis=-1)
-    psi = st.SpinorField(grid, values, jet=jet, normalized=True)
+    psi = st.SpinorField(grid, values, jet=jet)
     gauge = st.parallel_gauge_potential(psi)
     assert np.max(np.abs(gauge.values[..., 0])) < 1e-12
     assert np.max(np.abs(gauge.values[..., 2])) < 1e-12

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import su2topo as st
-from su2topo import FieldError, NormalizationError
+from su2topo import FieldError, NormalizationError, fldio
+from su2topo.lattice import LatticeField
 
 
 def small_grid():
@@ -22,6 +23,18 @@ def test_normalize_unit_spinor_unchanged():
     out = st.normalize(psi)
     assert out.normalized
     assert np.max(np.abs(out.values - psi.values)) == 0.0
+
+
+def test_normalized_is_read_from_the_samples():
+    # one answer whichever way the unit samples arrive
+    psi = st.identity_map_s3(8)
+    for field in (st.SpinorField(psi.grid, psi.values, jet=psi.jet),
+                  st.SpinorField.from_samples(psi.grid, psi.values, psi.jet),
+                  st.SpinorField(psi.grid, psi.values)):
+        assert field.normalized
+    grid = small_grid()
+    assert not constant_spinor(grid, (1.0, 1e-4)).normalized
+    assert constant_spinor(grid, (1.0, 1e-6)).normalized   # |Psi|^2 - 1 = 1e-12
 
 
 def test_normalize_scales_components():
@@ -112,17 +125,22 @@ def test_phi_norm_equals_spinor_norm():
     assert np.max(np.abs(lhs - st.norm_squared(psi))) < 1e-14
 
 
+def unit_vector(phi):
+    """n = phi/|phi|, the real view of the normalized spinor."""
+    return st.spinor_to_phi(st.normalize(st.phi_to_spinor(phi)))
+
+
 def test_unit_vector_examples():
     grid = small_grid()
     values = np.zeros(grid.shape + (4,))
     values[..., 0] = 3.0
     values[..., 2] = 4.0
-    unit = st.unit_vector(st.PhiField(grid, values))
+    unit = unit_vector(st.PhiField(grid, values))
     assert np.allclose(unit.values[0, 0, 0, 0], [0.6, 0, 0.8, 0])
 
     values = np.zeros(grid.shape + (4,))
     values[..., 3] = -2.0
-    unit = st.unit_vector(st.PhiField(grid, values))
+    unit = unit_vector(st.PhiField(grid, values))
     assert np.allclose(unit.values[..., 3], -1.0)
 
 
@@ -131,33 +149,33 @@ def test_unit_vector_zero_site_raises():
     values = np.ones(grid.shape + (4,))
     values[1, 1, 1, 1] = 0.0   # wipe the whole 4-vector at one site
     with pytest.raises(NormalizationError) as info:
-        st.unit_vector(st.PhiField(grid, values))
+        unit_vector(st.PhiField(grid, values))
     assert info.value.site == (1, 1, 1, 1)
 
 
 def test_unit_vector_jets_tangent():
     grid = small_grid()
     psi = st.random_config(9, "spinor", grid)
-    unit = st.unit_vector(st.spinor_to_phi(psi))
+    unit = unit_vector(st.spinor_to_phi(psi))
     radial = np.einsum("...a,...ma->...m", unit.values, unit.jet)
     assert np.max(np.abs(radial)) < 1e-14
 
 
 def test_sigma_model_north_pole():
     grid = small_grid()
-    psi = st.SpinorField(grid, constant_spinor(grid).values, normalized=True)
+    psi = st.SpinorField(grid, constant_spinor(grid).values)
     m = st.sigma_model_field(psi)
-    assert np.allclose(m.values[..., 2], 1.0)
-    assert np.max(np.abs(m.values[..., :2])) < 1e-15
+    assert m.shape == grid.shape + (3,)
+    assert np.allclose(m[..., 2], 1.0)
+    assert np.max(np.abs(m[..., :2])) < 1e-15
 
 
 def test_sigma_model_equal_superposition():
     grid = small_grid()
     amp = 1.0 / np.sqrt(2.0)
-    psi = st.SpinorField(grid, constant_spinor(grid, (amp, amp)).values,
-                         normalized=True)
+    psi = st.SpinorField(grid, constant_spinor(grid, (amp, amp)).values)
     m = st.sigma_model_field(psi)
-    assert np.allclose(m.values[..., 0], 1.0)
+    assert np.allclose(m[..., 0], 1.0)
 
 
 def test_sigma_model_requires_normalized_flag():
@@ -166,7 +184,7 @@ def test_sigma_model_requires_normalized_flag():
     with pytest.raises(FieldError):
         st.sigma_model_field(psi)
     m = st.sigma_model_field(st.normalize(psi))
-    norms = np.sum(m.values**2, axis=-1)
+    norms = np.sum(m**2, axis=-1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
@@ -244,11 +262,6 @@ def _contract_arrays(cls, grid):
     if cls is st.PhiField:
         return {"values": rng.normal(size=shape + (4,)),
                 "jet": rng.normal(size=shape + (rank, 4))}
-    if cls is st.UnitField:
-        return {"values": _unit_rows(rng, shape, 4),
-                "jet": rng.normal(size=shape + (rank, 4))}
-    if cls is st.MField:
-        return {"values": _unit_rows(rng, shape, 3)}
     if cls is st.GaugeField:
         return {"values": rng.normal(size=shape + (rank, 3)),
                 "jet": rng.normal(size=shape + (rank, rank, 3))}
@@ -259,18 +272,17 @@ def _contract_arrays(cls, grid):
     return {"values": rng.normal(size=shape)}
 
 
-CONTRACT_CLASSES = [st.SpinorField, st.PhiField, st.UnitField, st.MField,
-                    st.GaugeField, st.SU2Field, st.ScalarField]
+CONTRACT_CLASSES = [st.SpinorField, st.PhiField, st.GaugeField, st.SU2Field,
+                    st.ScalarField]
 
 
 @pytest.mark.parametrize("cls", CONTRACT_CLASSES, ids=lambda c: c.__name__)
 def test_field_constructor_contract(cls):
     grid = st.box_grid((4, 4, 5, 4), -1.0, 1.0)
     arrays = _contract_arrays(cls, grid)
-    extra = {"normalized": True} if cls is st.SpinorField else {}
 
     def build(**changes):
-        return cls(grid, **{**arrays, **extra, **changes})
+        return cls(grid, **{**arrays, **changes})
 
     # wrong sample or jet shape, non-finite samples
     for name, array in arrays.items():
@@ -292,22 +304,34 @@ def test_field_constructor_contract(cls):
         array[...] = 0.0
         np.testing.assert_array_equal(stored, kept[name])
     if "jet" in arrays:
-        assert field.has_jet
+        assert field.jet is not None
 
     # each class's own invariant
     doubled = 2.0 * kept["values"]
     if cls is st.SpinorField:
         assert field.normalized
-        with pytest.raises(FieldError):
-            cls(grid, doubled, normalized=True)
         assert not cls(grid, doubled).normalized
         phi = st.spinor_to_phi(field)
         assert st.phi_to_spinor(phi).normalized
         assert not st.phi_to_spinor(st.PhiField(grid, 2.0 * phi.values)).normalized
-    elif cls in (st.UnitField, st.MField, st.SU2Field):
+    elif cls is st.SU2Field:
         with pytest.raises(FieldError):
             cls(grid, doubled)
-    if cls is st.SU2Field:
         assert field.jet2.shape == grid.shape + (4, 4, 2, 2)
         with pytest.raises(FieldError):
             cls(grid, kept["values"], jet2=kept["jet2"][..., 0, :, :, :])
+
+
+@pytest.mark.parametrize("cls", LatticeField.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_field_kind_is_a_file_kind(cls, tmp_path):
+    assert cls in CONTRACT_CLASSES
+    assert fldio._FIELD_CLASSES[cls.FLD_KIND] is cls
+    grid = st.box_grid((4, 4, 5, 4), -1.0, 1.0)
+    arrays = _contract_arrays(cls, grid)
+    field = cls(grid, arrays["values"], **({"jet": arrays["jet"]} if "jet" in arrays else {}))
+    path = str(tmp_path / "field.fld")
+    fldio.write_field(field, path)
+    back = fldio.read_field(path)
+    assert type(back) is cls and back.grid == grid
+    np.testing.assert_array_equal(back.values, field.values)
+    np.testing.assert_array_equal(back.jet, field.jet)

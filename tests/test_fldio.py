@@ -61,7 +61,7 @@ def test_round_trip_all_kinds(tmp_path, grids):
 
 def test_written_twice_is_byte_identical(tmp_path, grids):
     g3, _ = grids
-    field = st.ScalarField(g3, np.linspace(0, 1, g3.site_count).reshape(g3.shape))
+    field = st.ScalarField(g3, np.linspace(0, 1, int(np.prod(g3.shape))).reshape(g3.shape))
     p1, p2 = str(tmp_path / "a.fld"), str(tmp_path / "b.fld")
     write_field(field, p1)
     write_field(field, p2)
@@ -122,7 +122,7 @@ def test_truncated_file_is_count_mismatch(tmp_path, grids):
 def test_payload_corruption_is_checksum_error(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.arange(g3.site_count, dtype=float)
+    write_field(st.ScalarField(g3, np.arange(int(np.prod(g3.shape)), dtype=float)
                                .reshape(g3.shape)), path)
     blob = bytearray(open(path, "rb").read())
     blob[200] ^= 0x10
@@ -134,7 +134,7 @@ def test_payload_corruption_is_checksum_error(tmp_path, grids):
 def test_every_single_byte_corruption_detected(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.linspace(-1, 1, g3.site_count)
+    write_field(st.ScalarField(g3, np.linspace(-1, 1, int(np.prod(g3.shape)))
                                .reshape(g3.shape)), path)
     blob = open(path, "rb").read()
     rng = np.random.default_rng(99)

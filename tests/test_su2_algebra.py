@@ -2,12 +2,6 @@ import numpy as np
 import pytest
 
 from su2topo import su2_algebra as alg
-from su2topo.errors import FieldError
-
-
-def random_hermitian(rng):
-    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return 0.5 * (x + x.conj().T)
 
 
 def random_su2(rng):
@@ -33,42 +27,6 @@ def test_element_identities_all_tuples():
 
 def test_self_check_runs():
     alg.self_check(force=True)
-
-
-def test_clifford_identity_matrix():
-    s, v = alg.clifford_decompose(alg.IDENTITY2)
-    assert s == pytest.approx(1.0)
-    assert np.max(np.abs(v)) < 1e-15
-
-
-def test_clifford_sigma3():
-    s, v = alg.clifford_decompose(alg.SIGMA[2])
-    assert abs(s) < 1e-15
-    assert np.max(np.abs(v - np.array([0, 0, 1.0]))) < 1e-15
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_clifford_reconstruction_random_hermitian(seed):
-    rng = np.random.default_rng(seed)
-    x = random_hermitian(rng)
-    s, v = alg.clifford_decompose(x, require_hermitian=True)
-    back = alg.clifford_reconstruct(s, v)
-    assert np.max(np.abs(back - x)) < 1e-14
-
-
-def test_clifford_hermitian_flag_rejects():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    with pytest.raises(FieldError):
-        alg.clifford_decompose(x, require_hermitian=True)
-
-
-def test_clifford_batched():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
-    s, v = alg.clifford_decompose(x)
-    back = alg.clifford_reconstruct(s, v)
-    assert np.max(np.abs(back - x)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(4))
