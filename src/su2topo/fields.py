@@ -8,9 +8,10 @@ and its bilinear m_a = Psi^dag sigma_a Psi is the unit 3-vector.  Every
 container here is one of the FLD file kinds.
 
 Every container optionally carries a "jet": exact first-derivative samples,
-one per grid axis per site.  Identities that are algebraic in a field and
-its first derivatives are then testable at machine epsilon instead of
-hiding behind O(h^2) discretization error.  Fields are immutable after
+one per grid axis per site (a generator-built phi field computes its jet
+from its analytic sampler instead of storing one).  Identities that are
+algebraic in a field and its first derivatives are then testable at
+machine epsilon instead of hiding behind O(h^2) discretization error.  Fields are immutable after
 construction and safe to share across workers.
 """
 
@@ -75,8 +76,10 @@ class PhiField(LatticeField):
     Generator-built fields may attach an analytic ``sampler``: it maps
     points ``(n, rank)`` to ``(values, jacobians)`` of shapes ``(n, 4)``
     and ``(n, rank, 4)``, the derivative axis first as in ``jet``.  The
-    sampler never affects lattice data; it only sharpens off-lattice
-    evaluation (zero refinement and sphere sampling).
+    sampler sharpens off-lattice evaluation (zero refinement and sphere
+    sampling) and, when no jet is stored, is the field's exact jet: such a
+    field is not bare input, and neither :meth:`exact_jet` nor
+    :func:`face_restrict` ever falls back to stencils for it.
     """
 
     grid: Grid
@@ -87,6 +90,29 @@ class PhiField(LatticeField):
     COMPONENTS = (4,)
     FLD_KIND = 2
     LABEL = "phi"
+
+    def exact_jet(self) -> np.ndarray | None:
+        """The stored jet, else the sampler's jet, else None.
+
+        The sampler's jet is filled into one new ``(*shape, rank, 4)`` array
+        an axis-0 slab at a time, one sampler call per slab, so no
+        whole-grid temporaries are built; it is not kept with the field.
+        """
+        if self.jet is not None or self.sampler is None:
+            return self.jet
+        grid = self.grid
+        out = np.empty(grid.shape + (grid.rank, 4))
+        for index in range(grid.shape[0]):
+            out[index] = self._sampled_jet(0, index)
+        return out
+
+    def _sampled_jet(self, axis: int, index: int) -> np.ndarray:
+        """The sampler's jet on the sites with ``index`` on ``axis``."""
+        grid = self.grid
+        face = grid.drop_axis(axis)
+        points = np.insert(face.points(), axis, grid.coords(axis)[index], axis=-1)
+        _, jacobians = self.sampler(points.reshape(-1, grid.rank))
+        return np.reshape(jacobians, face.shape + (grid.rank, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +213,10 @@ def spinor_to_phi(psi: SpinorField) -> PhiField:
 
 
 def phi_to_spinor(phi: PhiField) -> SpinorField:
-    """Exact inverse of :func:`spinor_to_phi`."""
-    jet = None if phi.jet is None else phi.jet.view(np.complex128)
+    """Exact inverse of :func:`spinor_to_phi`; the spinor keeps phi's exact
+    jet, a generator-built field's sampled one included."""
+    jet = phi.exact_jet()
+    jet = None if jet is None else jet.view(np.complex128)
     return SpinorField(phi.grid, phi.values.view(np.complex128), jet=jet)
 
 
@@ -286,18 +314,22 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     """Restrict a rank-4 field to one boundary face of an open axis.
 
     ``side`` is 0 for the low face, 1 for the high face.  Jets keep only
-    the in-face derivative components.  Faces of vertex-centered grids lie
-    exactly on the domain boundary, as boundary-flux sums require.  The
-    face is a field of the same kind built from its bare samples, so a
-    phi field's sampler is dropped.
+    the in-face derivative components.  A phi field with a sampler and no
+    stored jet gets its face jet from the sampler, evaluated on the face's
+    sites only.  Faces of vertex-centered grids lie exactly on the domain
+    boundary, as boundary-flux sums require.  The face is a field of the
+    same kind built from its samples and jet, so a phi field's sampler is
+    dropped.
     """
     grid = field.grid
     if grid.periodic[axis]:
         raise FieldError("boundary faces exist only on open axes")
     index = 0 if side == 0 else grid.shape[axis] - 1
     values = np.take(field.values, index, axis=axis)
+    keep = [i for i in range(grid.rank) if i != axis]
     jet = None
     if field.jet is not None:
-        keep = [i for i in range(grid.rank) if i != axis]
         jet = np.take(field.jet, index, axis=axis)[..., keep, :]
+    elif getattr(field, "sampler", None) is not None:
+        jet = field._sampled_jet(axis, index)[..., keep, :]
     return type(field).from_samples(grid.drop_axis(axis), values, jet)

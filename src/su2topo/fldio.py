@@ -59,12 +59,16 @@ def _file_dtype(cls) -> np.dtype:
 
 
 def write_field(field, path: str) -> None:
-    """Serialize a field to an FLD2 file atomically."""
+    """Serialize a field to an FLD2 file atomically.
+
+    The jets written are the field's exact jet: the stored one, or for a
+    generator-built phi field the one its sampler computes.
+    """
     kind = getattr(field, "FLD_KIND", None)
     if kind is None:
         raise FieldFormatError(f"cannot serialize {type(field).__name__}")
     grid = field.grid
-    jet = field.jet
+    jet = field.exact_jet()
     flags = ((FLAG_JETS if jet is not None else 0)
              | (FLAG_CELL_CENTERED if grid.cell_centered else 0)
              | (FLAG_REVERSED if grid.orientation == -1 else 0))

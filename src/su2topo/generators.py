@@ -1,15 +1,18 @@
 """Analytic test configurations with exact jets.
 
-Every generator emits exact first-derivative samples so that ground-truth
-charges never depend on finite-difference error; discretization studies
-and correctness tests stay decoupled.  Quaternion-valued maps double as
+Every generator gives exact first derivatives so that ground-truth charges
+never depend on finite-difference error; discretization studies and
+correctness tests stay decoupled.  Quaternion-valued maps double as
 degree-n references: q^n has boundary degree n (negative powers go through
 the conjugate, q^-1 = conj(q) on unit quaternions), and products
 prod_j (q - c_j) plant zeros at chosen roots.
 
-4-vector fields built here also carry an analytic sampler of values and
-jets for off-lattice evaluation, which the zero search uses for
-machine-precision root refinement.
+4-vector fields on a box store their lattice values only and carry an
+analytic sampler of values and jets.  The zero search uses it for
+machine-precision root refinement, and every exact jet of the field comes
+from it (:meth:`~su2topo.fields.PhiField.exact_jet`): the boundary flux
+reads jets on the 8 faces, and a file write reads them on the whole grid.
+The other generators store their jets.
 
 On a box, q is the point itself, so d_mu q = e_mu: the product-rule terms
 e_mu s and p e_mu of the jets are signed permutations of the components of
@@ -75,6 +78,17 @@ def _unit_products(p: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _qpower_values(q: np.ndarray, n: int) -> np.ndarray:
+    """q^n; the value half of :func:`_qpower_with_jet`, operation for operation."""
+    if n < 0:
+        q = qconj(q)
+        n = -n
+    value = q
+    for _ in range(n - 1):
+        value = qmul(q, value)
+    return value
+
+
 def _qpower_with_jet(q: np.ndarray, dq: np.ndarray | None, n: int):
     """q^n with product-rule jets; dq has the derivative axis at -2.
 
@@ -109,6 +123,15 @@ def _qpower_with_jet(q: np.ndarray, dq: np.ndarray | None, n: int):
     if jet is None:
         jet = np.broadcast_to(dq, q.shape[:-1] + (4, 4))
     return value, jet
+
+
+def _qpoly_values(q: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """prod_j (q - c_j); the value half of :func:`_qpoly_with_jet`,
+    operation for operation."""
+    value = q - roots[0]
+    for root in roots[1:]:
+        value = qmul(value, q - root)
+    return value
 
 
 def _qpoly_with_jet(q: np.ndarray, roots: np.ndarray):
@@ -208,17 +231,19 @@ def s3_unit_vectors(grid: Grid):
 # generators
 # --------------------------------------------------------------------------
 
-def _box_field(grid: Grid, jet_fn) -> PhiField:
-    """Lattice samples, exact jets and the analytic sampler of a map on a box.
+def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
+    """Lattice samples and the analytic sampler of a map on a box.
 
-    ``jet_fn(x)`` returns ``(value, jet)`` for box points ``x`` (..., 4),
-    the jet with the derivative axis at -2.
+    ``value_fn(x)`` returns the values and ``jet_fn(x)`` returns
+    ``(value, jet)`` for box points ``x`` (..., 4), the jet with the
+    derivative axis at -2.  Both compute the values with the same
+    operations, so the stored samples equal the sampler's bit for bit.  No
+    jet is stored: the field's exact jet comes from the sampler.
     """
     def evaluate(points):
         return jet_fn(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
-    value, jet = evaluate(grid.points())
-    return PhiField(grid, value, jet=jet, sampler=evaluate)
+    return PhiField(grid, value_fn(grid.points()), sampler=evaluate)
 
 
 def identity_map_s3(resolution=32) -> SpinorField:
@@ -245,7 +270,8 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
         q, dq = s3_unit_vectors(grid)
         value, jet = _qpower_with_jet(q, dq, n)
         return PhiField(grid, value, jet=jet)
-    return _box_field(grid, lambda q: _qpower_with_jet(q, None, n))
+    return _box_field(grid, lambda q: _qpower_values(q, n),
+                      lambda q: _qpower_with_jet(q, None, n))
 
 
 def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
@@ -272,7 +298,8 @@ def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
                 raise FieldError(
                     f"roots {i} and {j} separated by {gap:.3e} < 4 h = {4*hmax:.3e}")
 
-    return _box_field(grid, lambda q: _qpoly_with_jet(q, roots))
+    return _box_field(grid, lambda q: _qpoly_values(q, roots),
+                      lambda q: _qpoly_with_jet(q, roots))
 
 
 def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:
@@ -284,11 +311,14 @@ def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:
         raise FieldError("matrix must be nonsingular")
     shift = np.asarray(shift, dtype=np.float64).reshape(4)
 
-    def jet_fn(points):
-        value = np.einsum("ab,...b->...a", matrix, points - shift)
-        return value, np.broadcast_to(matrix.T, points.shape[:-1] + (4, 4)).copy()
+    def value_fn(points):
+        return np.einsum("ab,...b->...a", matrix, points - shift)
 
-    return _box_field(grid, jet_fn)
+    def jet_fn(points):
+        return (value_fn(points),
+                np.broadcast_to(matrix.T, points.shape[:-1] + (4, 4)).copy())
+
+    return _box_field(grid, value_fn, jet_fn)
 
 
 # --------------------------------------------------------------------------

@@ -182,11 +182,16 @@ class LatticeField:
         array.setflags(write=False)
         object.__setattr__(self, name, array)
 
+    def exact_jet(self) -> np.ndarray | None:
+        """Exact first-derivative samples, or None for bare samples."""
+        return self.jet
+
     def derivatives(self, order: int = 2) -> np.ndarray:
-        """Jet if present, else finite differences of ``order``; the axis
-        index sits before the component axes."""
-        if self.jet is not None:
-            return self.jet
+        """The exact jet if there is one, else finite differences of
+        ``order``; the axis index sits before the component axes."""
+        jet = self.exact_jet()
+        if jet is not None:
+            return jet
         return derivative_stack(self.values, self.grid, order)
 
 

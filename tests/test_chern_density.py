@@ -140,7 +140,7 @@ def test_boundary_flux_of_phi_normalizes_face_by_face():
     phi = st.quaternion_polynomial_field(roots, grid)
     face = st.face_restrict(phi, 2, 0)
     assert isinstance(face, st.PhiField) and face.sampler is None
-    np.testing.assert_array_equal(face.jet, phi.jet[:, :, 0][..., [0, 1, 3], :])
+    np.testing.assert_array_equal(face.jet, phi.derivatives()[:, :, 0][..., [0, 1, 3], :])
     # normalizing each face gives the faces of the normalized spinor
     psi = st.normalize(st.phi_to_spinor(phi))
     assert st.boundary_cs_sum(phi) == st.boundary_cs_sum(psi)

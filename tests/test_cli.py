@@ -102,6 +102,24 @@ def test_violated_decomposition_identity_is_a_failed_check(tmp_path, capsys,
     assert "overall: FAIL" in out and err == ""
 
 
+def test_abelian_route_off_by_more_than_rounding_fails(capsys, monkeypatch):
+    # Q_fn and Q_spinor integrate one current, so a relative error of 1e-9
+    # in Q_fn is far outside rounding and FAILs the check (exit 1)
+    import su2topo.chern_simons as chern_simons
+    real = chern_simons.fn_data
+
+    def scaled(psi):
+        data, q = real(psi)
+        return data, q * (1.0 + 1e-9)
+
+    monkeypatch.setattr(chern_simons, "fn_data", scaled)
+    code, out, err = run(capsys, "verify", "identity", "--no-color")
+    assert code == 1 and err == ""
+    assert re.search(r"name: abelian-vs-spinor\n\s+status: FAIL\n\s+detail: "
+                     r"\|Q_fn - Q_spinor\| = \S+ >= 1\.000e-12", out)
+    assert out.count("status: FAIL") == 1
+
+
 def test_decompose_without_jets_is_held_to_tol(tmp_path, capsys):
     # the split is algebraic in the derivative samples, so bare lattice
     # input reassembles A at rounding level and meets the same --tol

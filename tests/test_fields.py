@@ -335,3 +335,18 @@ def test_every_field_kind_is_a_file_kind(cls, tmp_path):
     assert type(back) is cls and back.grid == grid
     np.testing.assert_array_equal(back.values, field.values)
     np.testing.assert_array_equal(back.jet, field.jet)
+
+
+def test_face_restrict_of_a_sampler_backed_phi_is_the_jet_face():
+    grid = st.box_grid((12, 12, 12, 12), -2.0, 2.0)
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    phi = st.quaternion_polynomial_field(roots, grid)
+    assert phi.jet is None
+    stored = st.PhiField(grid, phi.values, jet=phi.derivatives())
+    for axis in range(4):
+        for side in (0, 1):
+            face = st.face_restrict(phi, axis, side)
+            expected = st.face_restrict(stored, axis, side)
+            assert face.sampler is None and face.grid == expected.grid
+            np.testing.assert_array_equal(face.values, expected.values)
+            np.testing.assert_array_equal(face.jet, expected.jet)

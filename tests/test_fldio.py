@@ -238,3 +238,15 @@ def test_property_round_trip_and_single_bit_flip(tmp_path_factory, field, flip, 
     open(path, "wb").write(bytes(blob))
     with pytest.raises(FieldFormatError):
         read_field(path)
+
+
+def test_sampler_backed_field_writes_its_exact_jet(tmp_path):
+    grid = st.box_grid((12, 12, 12, 12), -2.0, 2.0)
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    phi = st.quaternion_polynomial_field(roots, grid)
+    assert phi.jet is None
+    sampled, stored = tmp_path / "sampled.fld", tmp_path / "stored.fld"
+    write_field(phi, str(sampled))
+    write_field(st.PhiField(grid, phi.values, jet=phi.derivatives()), str(stored))
+    assert sampled.read_bytes() == stored.read_bytes()
+    np.testing.assert_array_equal(read_field(str(sampled)).jet, phi.derivatives())

@@ -32,7 +32,7 @@ def test_quaternion_power_one_equals_linear():
     power = st.quaternion_power_field(1, grid)
     linear = st.linear_phi_field(np.eye(4), np.zeros(4), grid)
     assert np.array_equal(power.values, linear.values)
-    assert np.array_equal(power.jet, linear.jet)
+    assert np.array_equal(power.derivatives(), linear.derivatives())
 
 
 def test_quaternion_square_fixed_point():
@@ -273,7 +273,7 @@ def test_box_jets_equal_generic_product_rule():
     for phi, reference in _box_fields():
         value, jet = _generic(reference, grid.points())
         assert _bit_equal(phi.values, value)
-        assert _bit_equal(phi.jet, jet)
+        assert _bit_equal(phi.derivatives(), jet)
         value, jet = _generic(reference, pts)
         sampled_value, sampled_jet = phi.sampler(pts)
         assert _bit_equal(sampled_value, value)
@@ -290,8 +290,8 @@ def test_box_jets_with_zero_coordinates_differ_only_in_zero_signs():
         value, jet = _generic(lambda q, dq: _qpower_reference(q, dq, n),
                               grid.points())
         assert _bit_equal(phi.values, value)
-        assert np.array_equal(phi.jet, jet)
-        same_sign = np.signbit(phi.jet) == np.signbit(jet)
+        assert np.array_equal(phi.derivatives(), jet)
+        same_sign = np.signbit(phi.derivatives()) == np.signbit(jet)
         assert np.all(same_sign | (jet == 0.0))
 
 
@@ -308,4 +308,20 @@ def test_flipped_unit_sign_breaks_the_jet_comparison(monkeypatch, table):
             monkeypatch.setattr(gen, table, flipped)
             phi = st.quaternion_polynomial_field(_ROOTS[:2], grid)
             assert _bit_equal(phi.values, value)
-            assert not np.array_equal(phi.jet, jet), (table, mu, a)
+            assert not np.array_equal(phi.derivatives(), jet), (table, mu, a)
+
+
+def test_box_field_stores_values_only():
+    # tracemalloc sees numpy's allocations; storing a jet (4x the values)
+    # or building one in passing lifts the peak past the bound
+    import tracemalloc
+    roots = np.array([[0.6, -0.1, 0.05, -0.2], [-0.6, 0.1, -0.05, 0.2]])
+    grid = st.box_grid((24,) * 4, -2.0, 2.0)
+    tracemalloc.start()
+    try:
+        phi = st.quaternion_polynomial_field(roots, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.jet is None and phi.sampler is not None
+    assert peak < 6 * phi.values.nbytes

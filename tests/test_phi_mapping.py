@@ -142,7 +142,7 @@ def test_orientation_flip_property():
 
     flip = np.diag([-1.0, 1.0, 1.0, 1.0])
     flipped_values = phi.values @ flip
-    flipped_jet = phi.jet @ flip
+    flipped_jet = phi.derivatives() @ flip
 
     def sampler(points):
         values, jacobians = phi.sampler(points)
@@ -237,7 +237,7 @@ def test_boundary_zero_rejected():
     # this close to the boundary leaves the interpolation domain
     grid = box(12)
     analytic = st.linear_phi_field(np.eye(4), [0.98, 0.0, 0.0, 0.0], grid)
-    phi = st.PhiField(grid, analytic.values, jet=analytic.jet)
+    phi = st.PhiField(grid, analytic.values, jet=analytic.derivatives())
     search = st.locate_zeros(phi)
     assert len(search.zeros) == 1
     with pytest.raises(ZeroLocationError):
@@ -328,7 +328,7 @@ def _evaluator_cases():
                          ids=[case[0] for case in _evaluator_cases()])
 def test_sampler_and_lattice_only_copy_agree(name, build, same_zeros):
     phi = build()
-    bare = st.PhiField(phi.grid, phi.values, jet=phi.jet)
+    bare = st.PhiField(phi.grid, phi.values, jet=phi.derivatives())
     assert phi.sampler is not None and bare.sampler is None
     sampled = st.analyze(phi).ledger
     interpolated = st.analyze(bare).ledger
@@ -382,3 +382,19 @@ def test_zero_jacobian_on_periodic_and_boundary_cells():
         x = lo + t * (hi - lo)
         x[[1, 3]] += rng.uniform(-2.0, 2.0, size=2)   # across the periodic wrap
         assert _zero_jacobian(phi, x) == interpolate(full, grid, x[None])[0]
+
+
+def test_sampler_backed_field_runs_no_stencil(monkeypatch):
+    import su2topo.lattice as lattice
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    phi = st.quaternion_polynomial_field(roots, box(16, 2.0))
+    expected = st.analyze(phi).ledger
+
+    def no_stencils(*args, **kwargs):
+        raise AssertionError("finite differences on a field with exact jets")
+
+    monkeypatch.setattr(lattice, "derivative_stack", no_stencils)
+    assert st.analyze(phi).ledger == expected
+    # the lattice-only copy differentiates its face samples
+    with pytest.raises(AssertionError, match="finite differences"):
+        st.analyze(st.PhiField(phi.grid, phi.values))
