@@ -25,7 +25,7 @@ from .chern_simons import (AbelianData, Density, cs_density, fn_data,
                            fn_pointwise, knot_charge, trace_pointwise)
 from .chern_density import (FieldStrength, boundary_cs_sum, chern_density,
                             field_strength, spinor_chern_values,
-                            unit_chern_values, unit_chern_values_literal)
+                            unit_chern_values)
 from .phi_mapping import (Ledger, LedgerAnalysis, ZeroPoint, ZeroSearch,
                           analyze, charge_ledger, jacobian, local_degree,
                           locate_zeros, surface_degree)

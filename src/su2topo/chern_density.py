@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import su2_algebra
-from .conventions import EPS4, ORIENTATION_SIGN, PAIRS4
+from .conventions import ORIENTATION_SIGN, PAIRS4
 from .errors import FieldError, NormalizationError
 from .fields import (GaugeField, PhiField, SpinorField, face_restrict, normalize,
                      phi_to_spinor)
-from .lattice import Grid, ScalarField
+from .lattice import Grid, ScalarField, read_only
 from .chern_simons import Density, spinor_cs_values
 
 
@@ -40,36 +39,20 @@ class FieldStrength:
     """Components F_mn^a for mu < nu, antisymmetric by storage.
 
     ``pairs`` has shape ``(*shape, 6, 3)`` indexed by
-    :data:`su2topo.conventions.PAIRS4`; ``algebra_residual`` is the largest
-    disagreement between the matrix-form and component-form evaluations.
+    :data:`su2topo.conventions.PAIRS4`.
     """
 
     grid: Grid
     pairs: np.ndarray
-    algebra_residual: float
-
-    def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.float64).copy()
-        pairs.setflags(write=False)
-        object.__setattr__(self, "pairs", pairs)
-
-    def component(self, mu: int, nu: int) -> np.ndarray:
-        if mu == nu:
-            return np.zeros(self.grid.shape + (3,))
-        sign = 1.0
-        if mu > nu:
-            mu, nu, sign = nu, mu, -1.0
-        return sign * self.pairs[..., PAIRS4.index((mu, nu)), :]
 
 
 def field_strength(gauge: GaugeField) -> FieldStrength:
-    """F_mn = d_m A_n - d_n A_m - [A_m, A_n] on a rank-4 grid.
+    """F_mn = d_m A_n - d_n A_m - [A_m, A_n] on a rank-4 grid, in components.
 
     Derivatives come from the gauge jet when present (exact), otherwise
-    from second-order finite differences.  The component form
-    ``dA - dA - eps_abc A^b A^c`` is cross-checked against the matrix
-    commutator form; the two differ only by exact algebra, so the recorded
-    residual sits at rounding level.
+    from second-order finite differences.  With T_a = sigma_a/(2i) the
+    commutator is [A_m, A_n]^a = eps_abc A_m^b A_n^c, so
+    F_mn^a = dA - dA - (A_m x A_n)^a; the returned pairs are read-only.
     """
     grid = gauge.grid
     if grid.rank != 4:
@@ -81,17 +64,7 @@ def field_strength(gauge: GaugeField) -> FieldStrength:
         curl = da[..., mu, nu, :] - da[..., nu, mu, :]
         comm = np.cross(a[..., mu, :], a[..., nu, :])
         pairs[..., idx, :] = curl - comm
-
-    amat = gauge.matrices()
-    damat = su2_algebra.matrix_from_components(da)
-    residual = 0.0
-    for idx, (mu, nu) in enumerate(PAIRS4):
-        fmat = (damat[..., mu, nu, :, :] - damat[..., nu, mu, :, :]
-                - (amat[..., mu, :, :] @ amat[..., nu, :, :]
-                   - amat[..., nu, :, :] @ amat[..., mu, :, :]))
-        diff = fmat - su2_algebra.matrix_from_components(pairs[..., idx, :])
-        residual = max(residual, float(np.max(np.abs(diff))))
-    return FieldStrength(grid, pairs, residual)
+    return FieldStrength(grid, read_only(pairs))
 
 
 def spinor_chern_values(dvalues: np.ndarray) -> np.ndarray:
@@ -110,12 +83,6 @@ def spinor_chern_values(dvalues: np.ndarray) -> np.ndarray:
 def unit_chern_values(dvalues: np.ndarray) -> np.ndarray:
     """Unit/4-vector-route density (2/pi^2) det[d_m v^a] from ``(..., 4, 4)``."""
     return (2.0 / np.pi**2) * np.linalg.det(dvalues)
-
-
-def unit_chern_values_literal(dvalues: np.ndarray) -> np.ndarray:
-    """Reference epsilon-contraction form of :func:`unit_chern_values`."""
-    return np.einsum("mnlr,abcd,...ma,...nb,...lc,...rd->...",
-                     EPS4, EPS4, dvalues, dvalues, dvalues, dvalues) / (12.0 * np.pi**2)
 
 
 def chern_density(source, method: str) -> Density:
@@ -139,7 +106,7 @@ def chern_density(source, method: str) -> Density:
             if not source.normalized:
                 raise FieldError("unit route needs a normalized spinor")
             raw = unit_chern_values(source.derivatives().view(np.float64)) * sign
-            return Density(ScalarField(grid, raw), "unit", 0.0)
+            return Density(ScalarField(grid, read_only(raw)), "unit", 0.0)
         raw = spinor_chern_values(source.derivatives()) * sign
         residue = float(np.max(np.abs(raw.imag)))
         return Density(ScalarField(grid, raw.real), "spinor", residue)
@@ -148,7 +115,7 @@ def chern_density(source, method: str) -> Density:
         grid = strength.grid
         dot = _eps4_pair_contract_dot(strength.pairs)
         raw = -dot / (64.0 * np.pi**2) * (ORIENTATION_SIGN * grid.orientation)
-        return Density(ScalarField(grid, raw), "trace", 0.0)
+        return Density(ScalarField(grid, read_only(raw)), "trace", 0.0)
     raise FieldError(f"unknown Chern density method {method!r}")
 
 

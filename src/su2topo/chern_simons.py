@@ -22,6 +22,12 @@ All three read the spinor current J_i^A = Psi^dag sigma_A d_i Psi
 spinor route takes Psi^dag d_i Psi = J^0, the trace route the parallel
 potential A^a = -2 Im J^a, and the Abelian route d m^a = 2 Re J^a and
 C = -2 Im J^0.
+
+Every integrand is pointwise in (Psi, dPsi), or in (A, dA) with dA from
+the neighbouring planes, so each route runs one axis-0 slab at a time
+(:func:`~su2topo.lattice.slabs`) and writes its whole-grid density, c and
+h_pairs; the charge is then the unchanged :func:`~su2topo.lattice.integrate`
+of that density, and residues and residuals are maxima over the slabs.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .conventions import ORIENTATION_SIGN
 from .decomposition import parallel_gauge_potential
 from .errors import FieldError, ReconstructionError
 from .fields import GaugeField, SpinorField, sigma_model_field
-from .lattice import ScalarField, derivative_stack, integrate
+from .lattice import ScalarField, derivative_stack, integrate, read_only, slabs
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
 
@@ -108,20 +114,26 @@ def cs_density(psi: SpinorField, gauge: GaugeField | None = None,
     if grid.rank != 3:
         raise FieldError("Chern-Simons densities live on rank-3 charts")
     sign = ORIENTATION_SIGN * grid.orientation
+    density = np.empty(grid.shape)
     if method == "spinor":
         if not psi.normalized:
             raise FieldError("spinor-route density requires a normalized spinor")
-        raw = sign * spinor_cs_values(psi.current[..., 0], psi.derivatives())
-        residue = float(np.max(np.abs(raw.imag)))
-        return Density(ScalarField(grid, raw.real), "spinor", residue)
+        residue = 0.0
+        for slab in slabs(grid):
+            raw = sign * spinor_cs_values(psi.current[slab][..., 0],
+                                          psi.derivatives(slab=slab))
+            residue = max(residue, float(np.max(np.abs(raw.imag))))
+            density[slab] = raw.real
+        return Density(ScalarField(grid, read_only(density)), "spinor", residue)
     if method == "trace":
         if gauge is None:
             gauge = parallel_gauge_potential(psi)
         if gauge.grid != grid:
             raise FieldError("gauge grid differs from spinor grid")
-        da = gauge.derivatives()
-        raw = sign * trace_cs_values(gauge.values, da)
-        return Density(ScalarField(grid, raw), "trace", 0.0)
+        for slab in slabs(grid):
+            density[slab] = sign * trace_cs_values(gauge.values[slab],
+                                                   gauge.derivatives(slab=slab))
+        return Density(ScalarField(grid, read_only(density)), "trace", 0.0)
     raise FieldError(f"unknown Chern-Simons method {method!r}")
 
 
@@ -165,29 +177,36 @@ def fn_data(psi: SpinorField):
         raise FieldError("the Abelian route lives on rank-3 charts")
     if not psi.normalized:
         raise FieldError("the Abelian route requires a normalized spinor")
-    m = sigma_model_field(psi)
-    current = psi.current
-    dm = 2.0 * current[..., 1:].real
-    c = -2.0 * current[..., 0].imag
-
+    sign = ORIENTATION_SIGN * grid.orientation
+    c = np.empty(grid.shape + (3,))
     h_pairs = np.empty(grid.shape + (3,))
-    for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
-        h_pairs[..., idx] = -_triple(m, dm[..., i, :], dm[..., j, :])
+    density = np.empty(grid.shape)
+    for slab in slabs(grid):
+        m = sigma_model_field(psi, slab)
+        current = psi.current[slab]
+        dm = 2.0 * current[..., 1:].real
+        np.multiply(current[..., 0].imag, -2.0, out=c[slab])
+        for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
+            h_pairs[slab][..., idx] = -_triple(m, dm[..., i, :], dm[..., j, :])
+        density[slab] = _fn_values(c[slab], h_pairs[slab]) * sign / (8.0 * np.pi**2)
 
-    dc = derivative_stack(c, grid)
+    # dc reads the planes next to each slab, so c is whole before this pass
     curl_res = 0.0
-    for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
-        curl_res = max(curl_res, float(np.max(np.abs(
-            dc[..., i, j] - dc[..., j, i] - h_pairs[..., idx]))))
-    h_scale = 1.0 + float(np.max(np.abs(h_pairs)))
+    h_max = 0.0
+    for slab in slabs(grid):
+        dc = derivative_stack(c, grid, slab=slab)
+        h = h_pairs[slab]
+        for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
+            curl_res = max(curl_res, float(np.max(np.abs(
+                dc[..., i, j] - dc[..., j, i] - h[..., idx]))))
+        h_max = max(h_max, float(np.max(np.abs(h))))
     h2 = max(h * h for h in grid.spacing)
-    if curl_res > RESIDUAL_FACTOR * h2 * h_scale:
+    if curl_res > RESIDUAL_FACTOR * h2 * (1.0 + h_max):
         raise ReconstructionError(
             f"Abelian potential is not a potential for H: residual {curl_res:.3e}")
 
-    data = AbelianData(c, h_pairs, curl_res)
-    integrand = fn_pointwise(data) * (ORIENTATION_SIGN * grid.orientation)
-    q_fn = integrate(ScalarField(grid, integrand / (8.0 * np.pi**2)))
+    data = AbelianData(read_only(c), read_only(h_pairs), curl_res)
+    q_fn = integrate(ScalarField(grid, read_only(density)))
     return data, q_fn
 
 
@@ -197,7 +216,11 @@ def fn_pointwise(data: AbelianData) -> np.ndarray:
     With H stored as the pairs (H_01, H_02, H_12), the contraction is
     2 (C_0 H_12 - C_1 H_02 + C_2 H_01).
     """
-    c, h = data.c, data.h_pairs
+    return _fn_values(data.c, data.h_pairs)
+
+
+def _fn_values(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """:func:`fn_pointwise` of the potential ``c`` and curvature pairs ``h``."""
     return 0.5 * (c[..., 0] * h[..., 2] - c[..., 1] * h[..., 1] + c[..., 2] * h[..., 0])
 
 

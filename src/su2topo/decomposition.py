@@ -18,6 +18,13 @@ J_mu^A = Psi^dag sigma_A d_mu Psi (sigma_0 = 1), computed once per field as
 the same array.  `b` comes from Psi^dag sigma_a D_mu Psi, a bilinear of the
 computed covariant derivative: deriving it from J by the Pauli product rule
 would make the reconstruction check true by construction.
+
+Every part is pointwise in (Psi, dPsi, A), so the covariant derivative, a,
+b and the residual run one axis-0 slab at a time
+(:func:`~su2topo.lattice.slabs`) into the whole-grid arrays returned; each
+entry is bit for bit the whole-grid evaluation, and the residual's maximum
+is exact in any order.  The fresh arrays are handed to their fields
+read-only, which adopt them without a copy.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numpy as np
 from . import su2_algebra
 from .errors import FieldError, ReconstructionError
 from .fields import GaugeField, SpinorField, _check_nonvanishing, norm_squared
+from .lattice import read_only, slabs
 
 #: Largest max|a^c + b^c - A^c| accepted, relative to 1 + max|A^c|.
 RECONSTRUCTION_TOL = 1e-12
@@ -37,14 +45,20 @@ RECONSTRUCTION_TOL = 1e-12
 def covariant_derivative(psi: SpinorField, gauge: GaugeField) -> np.ndarray:
     """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi.
 
-    Returns per-axis spinor samples, shape ``(*shape, rank, 2)``.  The
-    adjoint counterpart is the entrywise conjugate of the result.
+    Returns per-axis spinor samples, shape ``(*shape, rank, 2)``, a new
+    writable array filled slab by slab.  The adjoint counterpart is the
+    entrywise conjugate of the result.
     """
     if psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
-    # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
-    connection = su2_algebra.sigma_apply(gauge.values, psi.values[..., None, :])
-    return psi.derivatives() + 0.5j * connection
+    grid = psi.grid
+    out = np.empty(grid.shape + (grid.rank, 2), dtype=np.complex128)
+    for slab in slabs(grid):
+        # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
+        connection = su2_algebra.sigma_apply(gauge.values[slab],
+                                             psi.values[slab][..., None, :])
+        np.add(psi.derivatives(slab=slab), 0.5j * connection, out=out[slab])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,24 +94,29 @@ def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
     """
     if psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
+    grid = psi.grid
     density = norm_squared(psi)
     _check_nonvanishing(np.sqrt(density), "spinor")
-    weight = 2.0 / density     # 2w
 
-    dcov = covariant_derivative(psi, gauge)
-    dcov.setflags(write=False)
-    a = psi.current[..., 1:].imag * -weight[..., None, None]
-    b = su2_algebra.sigma_bilinear(psi.values[..., None, :], dcov).imag
-    b *= weight[..., None, None]
-
-    mismatch = a + b
-    mismatch -= gauge.values
-    residual = float(np.max(np.abs(mismatch)))
-    scale = 1.0 + float(np.max(np.abs(gauge.values)))
-    if residual > RECONSTRUCTION_TOL * scale:
+    dcov = read_only(covariant_derivative(psi, gauge))
+    a = np.empty(gauge.values.shape)
+    b = np.empty(gauge.values.shape)
+    residual = 0.0
+    amax = 0.0
+    for slab in slabs(grid):
+        weight = (2.0 / density[slab])[..., None, None]     # 2w
+        current = psi.current[slab]
+        np.multiply(current[..., 1:].imag, -weight, out=a[slab])
+        t = su2_algebra.sigma_bilinear(psi.values[slab][..., None, :], dcov[slab])
+        np.multiply(t.imag, weight, out=b[slab])
+        mismatch = a[slab] + b[slab]
+        mismatch -= gauge.values[slab]
+        residual = max(residual, float(np.max(np.abs(mismatch))))
+        amax = max(amax, float(np.max(np.abs(gauge.values[slab]))))
+    if residual > RECONSTRUCTION_TOL * (1.0 + amax):
         raise ReconstructionError(
             f"decomposition identity violated: max|a + b - A| = {residual:.3e}")
-    return Decomposition(GaugeField(psi.grid, a), GaugeField(psi.grid, b),
+    return Decomposition(GaugeField(grid, read_only(a)), GaugeField(grid, read_only(b)),
                          residual, dcov)
 
 
@@ -111,4 +130,4 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
     """
     if not psi.normalized:
         raise FieldError("parallel potential requires a normalized spinor")
-    return GaugeField(psi.grid, -2.0 * psi.current[..., 1:].imag)
+    return GaugeField(psi.grid, read_only(-2.0 * psi.current[..., 1:].imag))

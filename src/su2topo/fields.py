@@ -12,7 +12,16 @@ one per grid axis per site (a generator-built phi field computes its jet
 from its analytic sampler instead of storing one).  Identities that are
 algebraic in a field and its first derivatives are then testable at
 machine epsilon instead of hiding behind O(h^2) discretization error.  Fields are immutable after
-construction and safe to share across workers.
+construction and safe to share across workers.  A constructor adopts an
+array that nothing can write any more (read-only, aligned, no writable
+base) and copies any other, so the conversions here hand over the fresh
+arrays they build as :func:`~su2topo.lattice.read_only`, and views of a
+field's own arrays, without a second copy of the grid.
+
+The spinor current is filled one axis-0 slab at a time
+(:func:`~su2topo.lattice.slabs`): only a slab of finite differences exists
+at once for bare samples, and every entry equals the whole-grid evaluation
+bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, LatticeField
+from .lattice import Grid, LatticeField, read_only, slabs
 
 #: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
@@ -57,16 +66,20 @@ class SpinorField(LatticeField):
         """The spinor current J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1.
 
         Shape ``(*shape, rank, 4)``, read-only, computed on first use from
-        :meth:`derivatives` and kept with the (immutable) field.  Every
-        rank-3 route reads its Psi-dPsi bilinears from here: the parallel
-        potential ``-2 Im J^a``, the sigma-model gradient ``d m^a = 2 Re J^a``
-        (normalized Psi), the Berry potential ``-2 Im J^0`` and the spinor
-        Chern-Simons factor ``J^0``.
+        :meth:`derivatives` and kept with the (immutable) field.  It is
+        written one axis-0 slab at a time, one ``spinor_current`` call per
+        slab, so each site is computed once.  Every rank-3 route reads its
+        Psi-dPsi bilinears from here: the parallel potential ``-2 Im J^a``,
+        the sigma-model gradient ``d m^a = 2 Re J^a`` (normalized Psi), the
+        Berry potential ``-2 Im J^0`` and the spinor Chern-Simons factor
+        ``J^0``.
         """
-        current = su2_algebra.spinor_current(self.values[..., None, :],
-                                             self.derivatives())
-        current.setflags(write=False)
-        return current
+        grid = self.grid
+        current = np.empty(grid.shape + (grid.rank, 4), dtype=np.complex128)
+        for slab in slabs(grid):
+            su2_algebra.spinor_current(self.values[slab][..., None, :],
+                                       self.derivatives(slab=slab), out=current[slab])
+        return read_only(current)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +147,10 @@ class GaugeField(LatticeField):
     def component_shape(cls, rank: int) -> tuple:
         return (rank, 3)
 
-    def matrices(self) -> np.ndarray:
-        """Anti-Hermitian traceless matrices, shape (*shape, rank, 2, 2)."""
-        return su2_algebra.matrix_from_components(self.values)
+    def matrices(self, slab: slice = slice(None)) -> np.ndarray:
+        """Anti-Hermitian traceless matrices, shape (*shape, rank, 2, 2), on
+        the planes ``slab`` of axis 0."""
+        return su2_algebra.matrix_from_components(self.values[slab])
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +207,12 @@ def normalize(psi: SpinorField) -> SpinorField:
     """
     norms = np.sqrt(norm_squared(psi))
     _check_nonvanishing(norms, "spinor")
-    values = psi.values / norms[..., None]
+    values = read_only(psi.values / norms[..., None])
     jet = None
     if psi.jet is not None:
         dnorm = np.einsum("...c,...mc->...m", np.conj(psi.values), psi.jet).real / norms[..., None]
-        jet = (psi.jet / norms[..., None, None]
-               - psi.values[..., None, :] * (dnorm / norms[..., None] ** 2)[..., None])
+        jet = read_only(psi.jet / norms[..., None, None]
+                        - psi.values[..., None, :] * (dnorm / norms[..., None] ** 2)[..., None])
     return SpinorField(psi.grid, values, jet=jet)
 
 
@@ -206,7 +220,8 @@ def spinor_to_phi(psi: SpinorField) -> PhiField:
     """Real 4-vector components (Re Psi1, Im Psi1, Re Psi2, Im Psi2).
 
     That is the memory layout of the complex pair, so both conversions
-    reinterpret the samples and are exact.
+    reinterpret the samples and are exact; the new field adopts the
+    read-only views and shares the samples.
     """
     jet = None if psi.jet is None else psi.jet.view(np.float64)
     return PhiField(psi.grid, psi.values.view(np.float64), jet=jet)
@@ -216,19 +231,21 @@ def phi_to_spinor(phi: PhiField) -> SpinorField:
     """Exact inverse of :func:`spinor_to_phi`; the spinor keeps phi's exact
     jet, a generator-built field's sampled one included."""
     jet = phi.exact_jet()
-    jet = None if jet is None else jet.view(np.complex128)
+    jet = None if jet is None else read_only(jet).view(np.complex128)
     return SpinorField(phi.grid, phi.values.view(np.complex128), jet=jet)
 
 
-def sigma_model_field(psi: SpinorField) -> np.ndarray:
+def sigma_model_field(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray:
     """m_a = Psi^dag sigma_a Psi of a normalized spinor, shape ``(*shape, 3)``.
 
     |m| = |Psi|^2 = 1 site by site.  The imaginary residue of the bilinear
-    is a data-corruption indicator and raises above ``IMAG_TOL``.
+    is a data-corruption indicator and raises above ``IMAG_TOL``.  Only
+    the planes ``slab`` of axis 0 are computed.
     """
     if not psi.normalized:
         raise FieldError("sigma-model projection requires a normalized spinor")
-    m = su2_algebra.sigma_bilinear(psi.values, psi.values)
+    values = psi.values[slab]
+    m = su2_algebra.sigma_bilinear(values, values)
     residue = float(np.max(np.abs(m.imag)))
     if residue > IMAG_TOL:
         raise FieldError(f"m field imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")

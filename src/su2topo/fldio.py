@@ -167,7 +167,8 @@ def read_field(path: str):
     grid = Grid(shape=tuple(shape), origin=tuple(origin), spacing=tuple(spacing),
                 periodic=tuple(periodic), cell_centered=cell_centered,
                 orientation=orientation)
-    # Views of the file bytes; every field constructor copies and freezes them.
+    # Views of the file bytes.  The payload starts 8 + 21*rank bytes in, so
+    # they are unaligned and the field constructor copies and freezes them.
     flat = np.frombuffer(blob, dtype="<f8", count=payload_floats,
                          offset=header_size)
     nvals = sites * per_site

@@ -12,7 +12,8 @@ analytic sampler of values and jets.  The zero search uses it for
 machine-precision root refinement, and every exact jet of the field comes
 from it (:meth:`~su2topo.fields.PhiField.exact_jet`): the boundary flux
 reads jets on the 8 faces, and a file write reads them on the whole grid.
-The other generators store their jets.
+The other generators store their jets.  Every generator hands its fresh
+arrays to the field read-only, so the field adopts them without a copy.
 
 On a box, q is the point itself, so d_mu q = e_mu: the product-rule terms
 e_mu s and p e_mu of the jets are signed permutations of the components of
@@ -30,7 +31,7 @@ import numpy as np
 from . import su2_algebra
 from .errors import FieldError
 from .fields import GaugeField, PhiField, SpinorField, SU2Field, phi_to_spinor
-from .lattice import Grid
+from .lattice import Grid, read_only
 
 
 # --------------------------------------------------------------------------
@@ -243,14 +244,14 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
     def evaluate(points):
         return jet_fn(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
-    return PhiField(grid, value_fn(grid.points()), sampler=evaluate)
+    return PhiField(grid, read_only(value_fn(grid.points())), sampler=evaluate)
 
 
 def identity_map_s3(resolution=32) -> SpinorField:
     """The canonical unit-norm spinor of the 3-sphere chart (degree +1)."""
     grid = s3_chart_grid(resolution)
     n, dn = s3_unit_vectors(grid)
-    phi = PhiField(grid, n, jet=dn)
+    phi = PhiField(grid, read_only(n), jet=read_only(dn))
     return phi_to_spinor(phi)
 
 
@@ -269,7 +270,7 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
     if grid.rank == 3:
         q, dq = s3_unit_vectors(grid)
         value, jet = _qpower_with_jet(q, dq, n)
-        return PhiField(grid, value, jet=jet)
+        return PhiField(grid, read_only(value), jet=read_only(jet))
     return _box_field(grid, lambda q: _qpower_values(q, n),
                       lambda q: _qpower_with_jet(q, None, n))
 
@@ -395,7 +396,7 @@ def random_config(seed: int, kind: str, grid: Grid):
                 values[..., comp] += unit * v
                 jet[..., comp] += unit * dv
         values += base
-        return SpinorField(grid, values, jet=jet)
+        return SpinorField(grid, read_only(values), jet=read_only(jet))
 
     if kind == "gauge":
         values = np.zeros(grid.shape + (rank, 3))
@@ -406,7 +407,7 @@ def random_config(seed: int, kind: str, grid: Grid):
                 v, dv = chan.evaluate(pts)
                 values[..., mu, a] = v
                 jet[..., mu, a] = dv
-        return GaugeField(grid, values, jet=jet)
+        return GaugeField(grid, read_only(values), jet=read_only(jet))
 
     if kind == "su2":
         p = np.zeros(grid.shape + (4,))
@@ -442,6 +443,7 @@ def random_config(seed: int, kind: str, grid: Grid):
         values = np.einsum("...a,aij->...ij", q, basis)
         jet = np.einsum("...ma,aij->...mij", dq, basis)
         jet2 = np.einsum("...mna,aij->...mnij", d2q, basis)
-        return SU2Field(grid, values, jet=jet, jet2=jet2)
+        return SU2Field(grid, read_only(values), jet=read_only(jet),
+                        jet2=read_only(jet2))
 
     raise FieldError(f"unknown random field kind {kind!r}")

@@ -6,9 +6,16 @@ on the boundary layers of open axes.  Quadrature is the midpoint rule on
 periodic and cell-centered axes and the trapezoidal rule on vertex-centered
 open axes; both are O(h^2) on smooth integrands.
 
+Pointwise work runs one axis-0 slab at a time (:func:`slabs`): a route
+reads each slab of its inputs, with ``derivative_stack(..., slab=...)``
+reading the ``order // 2`` neighbouring planes the stencils need, and
+writes into the whole-grid arrays it returns.  Every value is computed by
+the same operations as on the whole grid, so slabbing changes no bit.
+
 All operations are pure: fields are immutable after construction and the
-final reductions run in a fixed (numpy pairwise) summation order, so
-results do not depend on any sweep or worker order.
+final reductions run in a fixed (numpy pairwise) summation order on the
+whole-grid arrays, so results do not depend on any sweep, slab or worker
+order.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ from .errors import FieldError, LatticeError
 
 OPEN = "open"
 PERIODIC = "periodic"
+
+#: Sites per axis-0 slab in slab-wise evaluation; a slab holds one plane at least.
+SLAB_SITES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -141,10 +151,18 @@ class LatticeField:
     ``values``, plus ``jet`` where the kind may carry exact first-derivative
     samples (axis index before the component axes).  Each declares its
     sample ``DTYPE``, its per-site ``component_shape`` and its ``FLD_KIND``
-    code: every field kind is a file kind.  Construction copies ``values``
-    and ``jet`` to that dtype, freezes them and checks their shapes and that
-    the samples are finite; subclasses add only their own invariant on the
-    samples, ``_check_values``, which runs before the jet is copied.
+    code: every field kind is a file kind.  Construction freezes ``values``
+    and ``jet`` as read-only arrays of that dtype and checks their shapes
+    and that the samples are finite; subclasses add only their own
+    invariant on the samples, ``_check_values``, which runs before the jet
+    is frozen.
+
+    An array that is already read-only and aligned, of the kind's dtype and
+    with no writable array in its ``.base`` chain, is adopted without a
+    copy: nothing can change it any more.  Library code hands the fresh
+    arrays it builds for a field over that way (:func:`read_only`).  Every
+    other array is copied, an FLD file's payload view included: it is
+    unaligned.
     """
 
     DTYPE = np.float64
@@ -176,23 +194,54 @@ class LatticeField:
         """The kind's own invariant on the frozen samples; none here."""
 
     def _freeze(self, name: str, expected: tuple) -> None:
-        array = np.asarray(getattr(self, name), dtype=self.DTYPE).copy()
+        array = np.asarray(getattr(self, name), dtype=self.DTYPE)
+        if not _immutable(array):
+            array = read_only(array.copy())
         if array.shape != expected:
             raise FieldError(f"{self.LABEL} {name} shape {array.shape} != {expected}")
-        array.setflags(write=False)
         object.__setattr__(self, name, array)
 
     def exact_jet(self) -> np.ndarray | None:
         """Exact first-derivative samples, or None for bare samples."""
         return self.jet
 
-    def derivatives(self, order: int = 2) -> np.ndarray:
+    def derivatives(self, order: int = 2, slab: slice = slice(None)) -> np.ndarray:
         """The exact jet if there is one, else finite differences of
-        ``order``; the axis index sits before the component axes."""
+        ``order``, on the planes ``slab`` of axis 0; the axis index sits
+        before the component axes."""
         jet = self.exact_jet()
         if jet is not None:
-            return jet
-        return derivative_stack(self.values, self.grid, order)
+            return jet[slab]
+        return derivative_stack(self.values, self.grid, order, slab)
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only so that a field constructor adopts it."""
+    array.setflags(write=False)
+    return array
+
+
+def _immutable(array: np.ndarray) -> bool:
+    """Whether ``array`` is read-only and aligned and only read-only arrays
+    lie under it, so that no writable alias of its data exists."""
+    if not array.flags.aligned:
+        return False
+    while array is not None:
+        if not isinstance(array, np.ndarray) or array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+def slabs(grid: Grid):
+    """Yield the axis-0 slabs of ``grid`` in order, as slices.
+
+    Each slab holds at most ``SLAB_SITES`` sites, and one plane at least.
+    """
+    plane = int(np.prod(grid.shape[1:]))
+    step = max(1, SLAB_SITES // plane)
+    for start in range(0, grid.shape[0], step):
+        yield slice(start, min(start + step, grid.shape[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,18 +274,25 @@ def central_diff(values: np.ndarray, grid: Grid, axis: int, order: int = 2) -> n
     return out
 
 
-def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2) -> np.ndarray:
+def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,
+                     slab: slice = slice(None)) -> np.ndarray:
     """Stack of axis derivatives, shape ``(*shape, rank, *components)``.
 
     Each axis derivative is written into its slot of one preallocated
-    array, with the stencils of :func:`central_diff`.
+    array, with the stencils of :func:`central_diff`.  Given ``slab``, a
+    slice of axis 0 (as :func:`slabs` yields), only those planes are
+    computed: the axis-0 stencils read ``order // 2`` planes beyond the slab
+    (wrapping when axis 0 is periodic, one-sided at its true ends), and the
+    result equals ``derivative_stack(values, grid, order)[slab]`` bit for bit.
     """
     values = _check_stencil(values, grid, order)
     rank = grid.rank
-    out = np.empty(values.shape[:rank] + (rank,) + values.shape[rank:],
+    block = values[slab]
+    out = np.empty(block.shape[:rank] + (rank,) + block.shape[rank:],
                    dtype=np.result_type(values, np.float64))
-    for axis in range(rank):
-        _diff_into(out[(slice(None),) * rank + (axis,)], values, grid, axis, order)
+    _diff_into(out[(slice(None),) * rank + (0,)], values, grid, 0, order, slab)
+    for axis in range(1, rank):
+        _diff_into(out[(slice(None),) * rank + (axis,)], block, grid, axis, order)
     return out
 
 
@@ -250,21 +306,24 @@ def _check_stencil(values, grid: Grid, order: int) -> np.ndarray:
 
 
 def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
-               order: int) -> None:
-    """Write the ``order`` derivative of ``values`` along ``axis`` into ``out``."""
+               order: int, rows: slice = slice(None)) -> None:
+    """Write the ``order`` derivative of ``values`` along ``axis`` into ``out``,
+    at the sites whose index on ``axis`` lies in ``rows``."""
     h = grid.spacing[axis]
     n = grid.shape[axis]
+    lo, hi, _ = rows.indices(n)
 
     if grid.periodic[axis]:
-        up1 = np.roll(values, -1, axis)
-        dn1 = np.roll(values, 1, axis)
+        index = np.arange(lo, hi)
+
+        def at(shift):
+            return np.take(values, index + shift, axis=axis, mode="wrap")
+
         if order == 2:
-            np.subtract(up1, dn1, out=out)
+            np.subtract(at(1), at(-1), out=out)
             out /= 2.0 * h
-            return
-        up2 = np.roll(values, -2, axis)
-        dn2 = np.roll(values, 2, axis)
-        out[...] = (-up2 + 8.0 * up1 - 8.0 * dn1 + dn2) / (12.0 * h)
+        else:
+            out[...] = (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
         return
 
     if order == 4 and n < 5:
@@ -272,16 +331,32 @@ def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
 
     f = _moved(values, axis)
     d = _moved(out, axis)
+    # central stencils on the rows at least order // 2 from either end
+    a, b = max(lo, order // 2), min(hi, n - order // 2)
+    if a < b:
+        if order == 2:
+            d[a - lo:b - lo] = (f[a + 1:b + 1] - f[a - 1:b - 1]) / (2.0 * h)
+        else:
+            d[a - lo:b - lo] = (-f[a + 2:b + 2] + 8.0 * f[a + 1:b + 1]
+                                - 8.0 * f[a - 1:b - 1] + f[a - 2:b - 2]) / (12.0 * h)
+    # one-sided stencils on the end rows
     if order == 2:
-        d[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-        d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+        ends = {0: lambda: (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h),
+                n - 1: lambda: (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)}
     else:
-        d[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
-        d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-        d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-        d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-        d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+        ends = {
+            0: lambda: (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3]
+                        - 3.0 * f[4]) / (12.0 * h),
+            1: lambda: (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3]
+                        + f[4]) / (12.0 * h),
+            n - 2: lambda: (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4]
+                            - f[-5]) / (12.0 * h),
+            n - 1: lambda: (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4]
+                            + 3.0 * f[-5]) / (12.0 * h),
+        }
+    for row, stencil in ends.items():
+        if lo <= row < hi:
+            d[row - lo] = stencil()
 
 
 def integrate_values(values: np.ndarray, grid: Grid) -> float:

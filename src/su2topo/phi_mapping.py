@@ -144,9 +144,12 @@ def _newton(evaluate, x0: np.ndarray, bounds):
 
 
 def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Mask of the 4-cells whose 16 corners show both signs in every component.
+    """Mask of the 4-cells whose 16 corners span 0 in every component.
 
-    A cell spans sites k and k+1 on each axis (k+1 wraps on periodic axes),
+    The range is closed (min <= 0 <= max), so a zero whose coordinates lie
+    on lattice planes, where a component is exactly 0 on a whole plane of
+    corners, still marks the cells around it; Newton and the half-cell
+    deduplication settle the extra candidates.  A cell spans sites k and k+1 on each axis (k+1 wraps on periodic axes),
     so the corner min/max is taken one axis at a time: pairwise over
     neighbouring slices, 4 passes instead of 16 corner copies.  Min and max
     are exact, so the order of the passes does not change the mask.
@@ -161,13 +164,13 @@ def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
             hi = (slice(None),) * ax + (slice(1, None),)
             mins = np.minimum(mins[lo], mins[hi])
             maxs = np.maximum(maxs[lo], maxs[hi])
-    return np.all((mins < 0.0) & (maxs > 0.0), axis=-1)
+    return np.all((mins <= 0.0) & (maxs >= 0.0), axis=-1)
 
 
 def locate_zeros(phi: PhiField) -> ZeroSearch:
     """Find the isolated zeros of phi on a rank-4 grid.
 
-    Candidate cells are 4-cells whose 16 corners show both signs in every
+    Candidate cells are 4-cells whose 16 corners span 0 in every
     component; lattice sites where phi itself (nearly) vanishes seed
     candidates directly.  Accepted zeros are deduplicated at half a cell
     width; two surviving zeros within one cell width mean the grid cannot

@@ -3,11 +3,43 @@ import pytest
 
 import su2topo as st
 from su2topo import FieldError
-from su2topo.conventions import PAIRS4
+from su2topo.conventions import EPS4, PAIRS4
+from su2topo.su2_algebra import matrix_from_components
 
 
 def small_grid(n=6):
     return st.box_grid((n, n, n, n), -1.0, 1.0)
+
+
+def component(strength, mu, nu):
+    """F_mn^a for any axis pair, read from the stored mu < nu pairs."""
+    if mu == nu:
+        return np.zeros(strength.grid.shape + (3,))
+    sign = 1.0
+    if mu > nu:
+        mu, nu, sign = nu, mu, -1.0
+    return sign * strength.pairs[..., PAIRS4.index((mu, nu)), :]
+
+
+def commutator_form_residual(gauge, strength):
+    """Largest gap between the stored components and the matrix form
+    F_mn = dA_n - dA_m - [A_m, A_n] with matrix commutators."""
+    amat = gauge.matrices()
+    damat = matrix_from_components(gauge.derivatives())
+    residual = 0.0
+    for idx, (mu, nu) in enumerate(PAIRS4):
+        fmat = (damat[..., mu, nu, :, :] - damat[..., nu, mu, :, :]
+                - (amat[..., mu, :, :] @ amat[..., nu, :, :]
+                   - amat[..., nu, :, :] @ amat[..., mu, :, :]))
+        diff = fmat - matrix_from_components(strength.pairs[..., idx, :])
+        residual = max(residual, float(np.max(np.abs(diff))))
+    return residual
+
+
+def unit_chern_values_literal(dvalues):
+    """Reference epsilon-contraction form of ``unit_chern_values``."""
+    return np.einsum("mnlr,abcd,...ma,...nb,...lc,...rd->...",
+                     EPS4, EPS4, dvalues, dvalues, dvalues, dvalues) / (12.0 * np.pi**2)
 
 
 def test_field_strength_zero_potential():
@@ -24,20 +56,33 @@ def test_field_strength_constant_commutator_channel():
     comps[..., 1, 1] = 0.7   # A_1^2
     gauge = st.GaugeField(grid, comps)
     strength = st.field_strength(gauge)
-    f01 = strength.component(0, 1)
+    f01 = component(strength, 0, 1)
     # only the third color channel survives: -eps_{3bc} A_0^b A_1^c
     assert np.max(np.abs(f01[..., :2])) < 1e-14
     assert np.allclose(f01[..., 2], -1.2 * 0.7)
     for mu, nu in PAIRS4[1:]:
-        assert np.max(np.abs(strength.component(mu, nu))) < 1e-14
-    assert strength.algebra_residual < 1e-12
+        assert np.max(np.abs(component(strength, mu, nu))) < 1e-14
+    assert commutator_form_residual(gauge, strength) < 1e-12
 
 
 def test_field_strength_antisymmetry_accessor():
     grid = small_grid()
     gauge = st.random_config(1, "gauge", grid)
     strength = st.field_strength(gauge)
-    assert np.max(np.abs(strength.component(2, 1) + strength.component(1, 2))) == 0.0
+    assert np.max(np.abs(component(strength, 2, 1) + component(strength, 1, 2))) == 0.0
+
+
+@pytest.mark.parametrize("jets", [True, False], ids=["jets", "stencils"])
+def test_field_strength_matches_the_matrix_commutator_form(jets):
+    # the component form against the matrix form F = dA - dA - [A, A]
+    grid = small_grid()
+    gauge = st.random_config(2, "gauge", grid)
+    if not jets:
+        gauge = st.GaugeField(grid, gauge.values)
+    strength = st.field_strength(gauge)
+    scale = float(np.max(np.abs(strength.pairs)))
+    assert commutator_form_residual(gauge, strength) < 1e-14 * scale
+    assert not strength.pairs.flags.writeable
 
 
 def test_pure_gauge_flatness_scaling():
@@ -68,7 +113,7 @@ def test_unit_det_route_matches_epsilon_contraction():
     rng = np.random.default_rng(6)
     dphi = rng.normal(size=(64, 4, 4))
     fast = st.unit_chern_values(dphi)
-    literal = st.unit_chern_values_literal(dphi)
+    literal = unit_chern_values_literal(dphi)
     assert np.max(np.abs(fast - literal)) < 1e-12 * np.max(np.abs(fast))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import su2topo as st
 from su2topo import FieldError, NormalizationError, fldio
-from su2topo.lattice import LatticeField
+from su2topo.lattice import LatticeField, read_only
 
 
 def small_grid():
@@ -305,6 +305,27 @@ def test_field_constructor_contract(cls):
         np.testing.assert_array_equal(stored, kept[name])
     if "jet" in arrays:
         assert field.jet is not None
+
+    # a read-only aligned array with no writable base is adopted; a
+    # read-only view of a writable base and an unaligned view are copied
+    owned = {name: read_only(array.copy()) for name, array in kept.items()}
+    adopted = build(**owned)
+    for name, array in owned.items():
+        assert np.shares_memory(getattr(adopted, name), array)
+    for name, array in kept.items():
+        view = array.copy()[...]
+        view.setflags(write=False)
+        assert view.base.flags.writeable
+        buffer = np.empty(array.nbytes + 1, dtype=np.uint8)
+        buffer[1:] = array.reshape(-1).view(np.uint8)
+        buffer.setflags(write=False)
+        unaligned = buffer[1:].view(array.dtype).reshape(array.shape)
+        assert not unaligned.flags.aligned and not unaligned.flags.writeable
+        for source in (view, unaligned):
+            stored = getattr(cls(grid, **{**kept, name: source}), name)
+            assert not np.shares_memory(stored, source)
+            assert stored.flags.aligned and not stored.flags.writeable
+            np.testing.assert_array_equal(stored, array)
 
     # each class's own invariant
     doubled = 2.0 * kept["values"]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from su2topo import Grid, LatticeError, ScalarField, central_diff, integrate
-from su2topo.lattice import derivative_stack, integrate_values, interpolate
+from su2topo.lattice import derivative_stack, integrate_values, interpolate, slabs
 
 
 def periodic_grid(n=64):
@@ -168,3 +170,46 @@ def test_derivative_stack_shape():
     values = np.zeros(grid.shape + (2,))
     stack = derivative_stack(values, grid)
     assert stack.shape == grid.shape + (3, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=hst.integers(3, 4).flatmap(
+           lambda rank: hst.tuples(*[hst.integers(4, 9)] * rank)),
+       data=hst.data(),
+       order=hst.sampled_from([2, 4]),
+       components=hst.sampled_from([(), (2,), (3, 2)]),
+       complex_values=hst.booleans(),
+       seed=hst.integers(0, 2**32 - 1))
+def test_slab_derivatives_equal_the_whole_grid_stack(shape, data, order, components,
+                                                     complex_values, seed):
+    rank = len(shape)
+    periodic = data.draw(hst.tuples(*[hst.booleans()] * rank))
+    assume(order == 2 or all(p or n >= 5 for n, p in zip(shape, periodic)))
+    rng = np.random.default_rng(seed)
+    grid = Grid(shape, (0.0,) * rank, tuple(rng.uniform(0.1, 1.0, rank)), periodic)
+    values = rng.normal(size=shape + components)
+    if complex_values:
+        values = values + 1j * rng.normal(size=values.shape)
+    whole = derivative_stack(values, grid, order)
+    # every run of axis-0 planes, the single planes and both ends included
+    for lo in range(shape[0]):
+        for hi in range(lo + 1, shape[0] + 1):
+            part = derivative_stack(values, grid, order, slice(lo, hi))
+            assert part.dtype == whole.dtype
+            assert np.array_equal(part, whole[lo:hi])
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 6), (96, 96, 96), (7, 300, 300), (5, 4, 4, 4)])
+def test_slabs_tile_axis_0_within_the_budget(shape, monkeypatch):
+    import su2topo.lattice as lattice
+    grid = Grid(shape, (0.0,) * len(shape), (0.1,) * len(shape), (False,) * len(shape))
+    for budget in (1, 100, lattice.SLAB_SITES):
+        monkeypatch.setattr(lattice, "SLAB_SITES", budget)
+        parts = list(slabs(grid))
+        assert parts[0].start == 0 and parts[-1].stop == shape[0]
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        plane = int(np.prod(shape[1:]))
+        for part in parts:
+            planes = part.stop - part.start
+            assert planes >= 1
+            assert planes == 1 or planes * plane <= budget

@@ -262,7 +262,7 @@ def _corner_screen_reference(values, grid):
             take = np.take(take, idx, axis=ax)
         mins = take if mins is None else np.minimum(mins, take)
         maxs = take if maxs is None else np.maximum(maxs, take)
-    return np.all((mins < 0.0) & (maxs > 0.0), axis=-1)
+    return np.all((mins <= 0.0) & (maxs >= 0.0), axis=-1)
 
 
 @settings(max_examples=60)
@@ -291,18 +291,19 @@ def test_sign_screen_finds_a_change_across_the_periodic_wrap():
                    (True, False, False, False))
     x = grid.points()
     values = np.empty(grid.shape + (4,))
-    # phi^0 is +1 on the first site of axis 0, -1 on its last, 0 between:
-    # only the cell from the last site back to the first sees both signs.
-    values[..., 0] = 0.0
-    values[0, ..., 0] = 1.0
+    # phi^0 is -1 on the last site of axis 0 and +1 elsewhere: the signs
+    # change in the cell before the last site and in the cell from the
+    # last site back to the first, which exists only on a periodic axis.
+    values[..., 0] = 1.0
     values[-1, ..., 0] = -1.0
     values[..., 1:] = x[..., 1:] - 0.55
     mask = _sign_change_cells(values, grid)
     assert np.array_equal(mask, _corner_screen_reference(values, grid))
-    assert [tuple(c) for c in np.argwhere(mask)] == [(5, 2, 2, 2)]
+    assert [tuple(c) for c in np.argwhere(mask)] == [(4, 2, 2, 2), (5, 2, 2, 2)]
 
     open_grid = st.Grid(grid.shape, grid.origin, grid.spacing, (False,) * 4)
-    assert not _sign_change_cells(values, open_grid).any()
+    open_mask = _sign_change_cells(values, open_grid)
+    assert [tuple(c) for c in np.argwhere(open_mask)] == [(4, 2, 2, 2)]
 
 
 # --------------------------------------------------------------------------
