@@ -21,8 +21,10 @@ from .fields import (GaugeField, PhiField, SpinorField, SU2Field, face_restrict,
                      su2_dagger, su2_product)
 from .decomposition import (Decomposition, covariant_derivative, decompose,
                             parallel_gauge_potential)
-from .chern_simons import (AbelianData, Density, cs_density, fn_data,
-                           fn_pointwise, knot_charge, trace_pointwise)
+# The function chern_simons.chern_simons is left out here: as a package
+# attribute it would shadow its module.
+from .chern_simons import (AbelianData, Density, KnotCharges, fn_pointwise,
+                           trace_pointwise)
 from .chern_density import (FieldStrength, boundary_cs_sum, chern_density,
                             field_strength, spinor_chern_values,
                             unit_chern_values)

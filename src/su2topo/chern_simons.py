@@ -18,16 +18,18 @@ are algebraic in first derivatives and therefore exact with jets; the
 trace route needs dA by finite differences and carries O(h^2) error.
 
 All three read the spinor current J_i^A = Psi^dag sigma_A d_i Psi
-(sigma_0 = 1), ``SpinorField.current``, computed once per field: the
-spinor route takes Psi^dag d_i Psi = J^0, the trace route the parallel
-potential A^a = -2 Im J^a, and the Abelian route d m^a = 2 Re J^a and
-C = -2 Im J^0.
+(sigma_0 = 1): the spinor route takes Psi^dag d_i Psi = J^0, the trace
+route the parallel potential A^a = -2 Im J^a, and the Abelian route
+d m^a = 2 Re J^a and C = -2 Im J^0.
 
-Every integrand is pointwise in (Psi, dPsi), or in (A, dA) with dA from
-the neighbouring planes, so each route runs one axis-0 slab at a time
-(:func:`~su2topo.lattice.slabs`) and writes its whole-grid density, c and
-h_pairs; the charge is then the unchanged :func:`~su2topo.lattice.integrate`
-of that density, and residues and residuals are maxima over the slabs.
+:func:`chern_simons` runs the three routes in one sweep over the axis-0
+slabs (:func:`~su2topo.lattice.slabs`).  It computes J once per slab
+(``SpinorField.current``, which is never stored) and from it the spinor
+and Abelian densities, c, h_pairs and the whole-grid A.  dA and dC read the
+planes next to each slab, so a second pass over the finished A and c gives
+the trace density and the exactness residual.  The charges are the
+unchanged :func:`~su2topo.lattice.integrate` of the whole-grid densities,
+and residues and residuals are maxima over the slabs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import ORIENTATION_SIGN
-from .decomposition import parallel_gauge_potential
+from .decomposition import parallel_components
 from .errors import FieldError, ReconstructionError
 from .fields import GaugeField, SpinorField, sigma_model_field
 from .lattice import ScalarField, derivative_stack, integrate, read_only, slabs
@@ -102,47 +104,6 @@ class Density:
     imag_residue: float
 
 
-def cs_density(psi: SpinorField, gauge: GaugeField | None = None,
-               method: str = "spinor") -> Density:
-    """Chern-Simons density on a rank-3 chart.
-
-    ``method="spinor"`` uses Psi and its jets only (exact); ``"trace"``
-    uses the gauge potential (built from Psi by the parallel condition if
-    not supplied) and finite differences for dA.
-    """
-    grid = psi.grid
-    if grid.rank != 3:
-        raise FieldError("Chern-Simons densities live on rank-3 charts")
-    sign = ORIENTATION_SIGN * grid.orientation
-    density = np.empty(grid.shape)
-    if method == "spinor":
-        if not psi.normalized:
-            raise FieldError("spinor-route density requires a normalized spinor")
-        residue = 0.0
-        for slab in slabs(grid):
-            raw = sign * spinor_cs_values(psi.current[slab][..., 0],
-                                          psi.derivatives(slab=slab))
-            residue = max(residue, float(np.max(np.abs(raw.imag))))
-            density[slab] = raw.real
-        return Density(ScalarField(grid, read_only(density)), "spinor", residue)
-    if method == "trace":
-        if gauge is None:
-            gauge = parallel_gauge_potential(psi)
-        if gauge.grid != grid:
-            raise FieldError("gauge grid differs from spinor grid")
-        for slab in slabs(grid):
-            density[slab] = sign * trace_cs_values(gauge.values[slab],
-                                                   gauge.derivatives(slab=slab))
-        return Density(ScalarField(grid, read_only(density)), "trace", 0.0)
-    raise FieldError(f"unknown Chern-Simons method {method!r}")
-
-
-def knot_charge(psi: SpinorField, method: str = "spinor",
-                gauge: GaugeField | None = None) -> float:
-    """Integrated knot charge Q over the chart (integer on closed charts)."""
-    return integrate(cs_density(psi, gauge=gauge, method=method).field)
-
-
 @dataclass(frozen=True, eq=False)
 class AbelianData:
     """Abelian potential C_i, curvature pairs H_{ij} (i<j), and diagnostics.
@@ -159,41 +120,82 @@ class AbelianData:
     H_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+@dataclass(frozen=True, eq=False)
+class KnotCharges:
+    """The three routes to the knot charge Q of one normalized spinor.
+
+    ``spinor``, ``trace`` and ``fn`` are the route densities, ``q_spinor``,
+    ``q_trace`` and ``q_fn`` their integrals, ``gauge`` the parallel
+    potential the trace route differentiated and ``abelian`` the Abelian
+    data of the FN (Faddeev-Niemi) route.
+    """
+
+    spinor: Density
+    trace: Density
+    fn: Density
+    gauge: GaugeField
+    abelian: AbelianData
+
+    @property
+    def q_spinor(self) -> float:
+        return integrate(self.spinor.field)
+
+    @property
+    def q_trace(self) -> float:
+        return integrate(self.trace.field)
+
+    @property
+    def q_fn(self) -> float:
+        return integrate(self.fn.field)
+
+
 #: Exactness residuals above this times h^2 times the curvature scale raise.
 RESIDUAL_FACTOR = 50.0
 
 
-def fn_data(psi: SpinorField):
-    """Abelian data and the Faddeev-Niemi charge Q_fn of a normalized spinor.
+def chern_simons(psi: SpinorField) -> KnotCharges:
+    """The spinor, trace and Abelian knot-charge routes of a normalized
+    spinor on a rank-3 chart, in one sweep.
 
-    The gradient d_i m^a = 2 Re J_i^a and the potential C_i = -2 Im J_i^0
-    are read from the spinor current ``psi.current``.  Raises when the
-    exactness residual exceeds ``RESIDUAL_FACTOR * h^2`` times the
-    curvature scale, which would mean the chosen potential does not
-    actually generate H.
+    The spinor density uses Psi and its jets only (exact); the trace
+    density differentiates the parallel potential A = -2 Im J^a by finite
+    differences; the Abelian route reads d_i m^a = 2 Re J_i^a and the
+    potential C_i = -2 Im J_i^0.  Raises when the exactness residual of C
+    exceeds ``RESIDUAL_FACTOR * h^2`` times the curvature scale, which
+    would mean the chosen potential does not actually generate H.
     """
     grid = psi.grid
     if grid.rank != 3:
-        raise FieldError("the Abelian route lives on rank-3 charts")
+        raise FieldError("Chern-Simons densities live on rank-3 charts")
     if not psi.normalized:
-        raise FieldError("the Abelian route requires a normalized spinor")
+        raise FieldError("the knot-charge routes require a normalized spinor")
     sign = ORIENTATION_SIGN * grid.orientation
+    spinor = np.empty(grid.shape)
+    trace = np.empty(grid.shape)
+    fn = np.empty(grid.shape)
+    gauge = np.empty(grid.shape + (3, 3))
     c = np.empty(grid.shape + (3,))
     h_pairs = np.empty(grid.shape + (3,))
-    density = np.empty(grid.shape)
+    residue = 0.0
     for slab in slabs(grid):
+        current = psi.current(slab=slab)
+        raw = sign * spinor_cs_values(current[..., 0], psi.derivatives(slab=slab))
+        residue = max(residue, float(np.max(np.abs(raw.imag))))
+        spinor[slab] = raw.real
+        parallel_components(current, out=gauge[slab])
         m = sigma_model_field(psi, slab)
-        current = psi.current[slab]
         dm = 2.0 * current[..., 1:].real
         np.multiply(current[..., 0].imag, -2.0, out=c[slab])
         for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
             h_pairs[slab][..., idx] = -_triple(m, dm[..., i, :], dm[..., j, :])
-        density[slab] = _fn_values(c[slab], h_pairs[slab]) * sign / (8.0 * np.pi**2)
+        fn[slab] = _fn_values(c[slab], h_pairs[slab]) * sign / (8.0 * np.pi**2)
 
-    # dc reads the planes next to each slab, so c is whole before this pass
+    # dA and dC read the planes next to each slab, so A and c are whole now
     curl_res = 0.0
     h_max = 0.0
     for slab in slabs(grid):
+        trace[slab] = sign * trace_cs_values(gauge[slab],
+                                             derivative_stack(gauge, grid, slab=slab))
         dc = derivative_stack(c, grid, slab=slab)
         h = h_pairs[slab]
         for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
@@ -205,9 +207,12 @@ def fn_data(psi: SpinorField):
         raise ReconstructionError(
             f"Abelian potential is not a potential for H: residual {curl_res:.3e}")
 
-    data = AbelianData(read_only(c), read_only(h_pairs), curl_res)
-    q_fn = integrate(ScalarField(grid, read_only(density)))
-    return data, q_fn
+    def density(values, method, imag_residue=0.0):
+        return Density(ScalarField(grid, read_only(values)), method, imag_residue)
+
+    return KnotCharges(density(spinor, "spinor", residue), density(trace, "trace"),
+                       density(fn, "fn"), GaugeField(grid, read_only(gauge)),
+                       AbelianData(read_only(c), read_only(h_pairs), curl_res))
 
 
 def fn_pointwise(data: AbelianData) -> np.ndarray:

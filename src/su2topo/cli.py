@@ -32,7 +32,7 @@ from .errors import (FieldError, FieldFormatError, LatticeError,
                      ReconstructionError, Su2TopoError)
 from .fields import (GaugeField, PhiField, SpinorField, normalize,
                      phi_to_spinor, spinor_to_phi)
-from .lattice import integrate, slabs
+from .lattice import integrate
 from .report import ChargeReport, __version__
 
 #: Bound, relative to max(1, |Q|), of a check whose two routes share every
@@ -315,8 +315,8 @@ def _charge_entry(q: float) -> dict:
 
 
 def _run_cs(args, psi: SpinorField | None = None):
-    """Three routes to Q; returns the report, the normalized spinor and the
-    parallel gauge potential built for the trace route."""
+    """Three routes to Q in one sweep; returns the report, the normalized
+    spinor and the parallel gauge potential the trace route differentiated."""
     su2_algebra.self_check()
     if psi is None:
         psi = _as_spinor(fldio.read_field(args.infile), args.infile)
@@ -324,27 +324,17 @@ def _run_cs(args, psi: SpinorField | None = None):
         psi = normalize(psi)
     report = ChargeReport("cs", config=_config_echo(args, psi.grid))
     tol = args.tol
-    timings = report.timings
-    results = {}
 
     start = time.perf_counter()
-    q_spinor = cs.knot_charge(psi, method="spinor")
-    timings["spinor_s"] = time.perf_counter() - start
-    results["Q_spinor"] = _charge_entry(q_spinor)
-
-    start = time.perf_counter()
-    gauge = parallel_gauge_potential(psi)
-    q_trace = cs.knot_charge(psi, method="trace", gauge=gauge)
-    timings["trace_s"] = time.perf_counter() - start
-    results["Q_trace"] = _charge_entry(q_trace)
-
-    start = time.perf_counter()
-    data, q_fn = cs.fn_data(psi)
-    timings["abelian_s"] = time.perf_counter() - start
-    results["Q_fn"] = {**_charge_entry(q_fn),
-                       "exactness_residual": data.exactness_residual}
-
-    report.results["charges"] = results
+    charges = cs.chern_simons(psi)
+    q_spinor, q_trace, q_fn = charges.q_spinor, charges.q_trace, charges.q_fn
+    report.timings["charges_s"] = time.perf_counter() - start
+    report.results["charges"] = {
+        "Q_spinor": _charge_entry(q_spinor),
+        "Q_trace": _charge_entry(q_trace),
+        "Q_fn": {**_charge_entry(q_fn),
+                 "exactness_residual": charges.abelian.exactness_residual},
+    }
     for name, label, value in (
             ("quantization", "|Q - nearest|", abs(q_spinor - round(q_spinor))),
             ("trace-vs-spinor", "|Q_trace - Q_spinor|", abs(q_trace - q_spinor))):
@@ -353,7 +343,7 @@ def _run_cs(args, psi: SpinorField | None = None):
     gap = abs(q_fn - q_spinor)
     _bound_check(report, "abelian-vs-spinor", f"|Q_fn - Q_spinor| = {gap:.3e}", gap,
                  ROUNDING_TOL * max(1.0, abs(q_spinor)), fmt=".3e")
-    return report, psi, gauge
+    return report, psi, charges.gauge
 
 
 def cmd_chern(args) -> int:
@@ -451,11 +441,7 @@ def cmd_verify(args) -> int:
         psi = _as_spinor(_build(kind, chart, args), name)
         report, psi, gauge = _run_cs(args, psi=psi)
         dec = decompose(psi, gauge)
-        # maxima are exact in any order, so take them slab by slab
-        dnorm = bnorm = 0.0
-        for slab in slabs(psi.grid):
-            dnorm = max(dnorm, float(np.max(np.abs(dec.covariant[slab]))))
-            bnorm = max(bnorm, float(np.max(np.abs(dec.b.matrices(slab)))))
+        dnorm, bnorm = dec.max_covariant, dec.max_b
         report.results["parallel_condition"] = {"max_DPsi": dnorm, "max_b": bnorm}
         _bound_check(report, "parallel-condition",
                      f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e}",

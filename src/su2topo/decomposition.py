@@ -13,23 +13,27 @@ parallel (D Psi = 0).
 
 Both parts are su(2)-valued 1-forms, so both are :class:`GaugeField`s with
 components read from Psi bilinears.  `a` comes from the spinor current
-J_mu^A = Psi^dag sigma_A d_mu Psi (sigma_0 = 1), computed once per field as
-``SpinorField.current``; the parallel potential A^a = -2 Im J^a comes from
-the same array.  `b` comes from Psi^dag sigma_a D_mu Psi, a bilinear of the
-computed covariant derivative: deriving it from J by the Pauli product rule
-would make the reconstruction check true by construction.
+J_mu^A = Psi^dag sigma_A d_mu Psi (sigma_0 = 1), which
+``SpinorField.current`` computes per slab when asked; the parallel
+potential A^a = -2 Im J^a comes from the same current.  `b` comes from
+Psi^dag sigma_a D_mu Psi, a bilinear of the computed covariant derivative:
+deriving it from J by the Pauli product rule would make the reconstruction
+check true by construction.
 
-Every part is pointwise in (Psi, dPsi, A), so the covariant derivative, a,
-b and the residual run one axis-0 slab at a time
-(:func:`~su2topo.lattice.slabs`) into the whole-grid arrays returned; each
-entry is bit for bit the whole-grid evaluation, and the residual's maximum
-is exact in any order.  The fresh arrays are handed to their fields
-read-only, which adopt them without a copy.
+Every part is pointwise in (Psi, dPsi, A), so one per-slab kernel
+(:func:`_parts`) gives D Psi, a and b on one axis-0 slab
+(:func:`~su2topo.lattice.slabs`) at a time.  :func:`decompose` runs it
+once over the grid and keeps only the reductions (the reconstruction
+residual, max|D Psi| and max|b|); no whole-grid a, b or D Psi is built
+unless a caller reads ``Decomposition.a`` or ``.b``, which the same kernel
+then fills.  Each entry is bit for bit the whole-grid evaluation, and
+maxima are exact in any order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,38 +46,69 @@ from .lattice import read_only, slabs
 RECONSTRUCTION_TOL = 1e-12
 
 
-def covariant_derivative(psi: SpinorField, gauge: GaugeField) -> np.ndarray:
-    """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi.
+def covariant_derivative(psi: SpinorField, gauge: GaugeField,
+                         slab: slice = slice(None)) -> np.ndarray:
+    """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi on the planes ``slab``
+    of axis 0.
 
-    Returns per-axis spinor samples, shape ``(*shape, rank, 2)``, a new
-    writable array filled slab by slab.  The adjoint counterpart is the
-    entrywise conjugate of the result.
+    Returns per-axis spinor samples, shape ``(*slab_shape, rank, 2)``, a new
+    writable array.  The adjoint counterpart is the entrywise conjugate of
+    the result.
     """
     if psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
-    grid = psi.grid
-    out = np.empty(grid.shape + (grid.rank, 2), dtype=np.complex128)
-    for slab in slabs(grid):
-        # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
-        connection = su2_algebra.sigma_apply(gauge.values[slab],
-                                             psi.values[slab][..., None, :])
-        np.add(psi.derivatives(slab=slab), 0.5j * connection, out=out[slab])
-    return out
+    # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
+    connection = su2_algebra.sigma_apply(gauge.values[slab],
+                                         psi.values[slab][..., None, :])
+    return psi.derivatives(slab=slab) + 0.5j * connection
+
+
+def _parts(psi: SpinorField, gauge: GaugeField, slab: slice):
+    """Components of a and b, and D Psi, on the planes ``slab`` of axis 0.
+
+    a^c = -2 w Im J^c and b^c = 2 w Im t^c with w = 1/(Psi^dag Psi), J the
+    spinor current and t = Psi^dag sigma_c D Psi.
+    """
+    weight = (2.0 / norm_squared(psi, slab))[..., None, None]     # 2w
+    a = np.multiply(psi.current(slab=slab)[..., 1:].imag, -weight)
+    dcov = covariant_derivative(psi, gauge, slab=slab)
+    t = su2_algebra.sigma_bilinear(psi.values[slab][..., None, :], dcov)
+    return a, np.multiply(t.imag, weight), dcov
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """The parts a_mu, b_mu of A_mu = a_mu + b_mu as gauge fields.
+    """The split A_mu = a_mu + b_mu of one (Psi, A) pair.
 
-    ``residual`` is max|a^c + b^c - A^c| over sites, axes and colors.
-    ``covariant`` holds the read-only D_mu Psi samples the split was built
-    from (``(*shape, rank, 2)``), so callers need not recompute them.
+    ``residual`` is max|a^c + b^c - A^c| over sites, axes and colors,
+    ``max_covariant`` is max|D_mu Psi| over the spinor entries and
+    ``max_b`` is max|b_mu| over the entries of its matrix form.  The parts
+    ``a`` and ``b`` are :class:`GaugeField`s built slab by slab on first
+    read.
     """
 
-    a: GaugeField
-    b: GaugeField
+    psi: SpinorField
+    gauge: GaugeField
     residual: float
-    covariant: np.ndarray
+    max_covariant: float
+    max_b: float
+
+    @cached_property
+    def a(self) -> GaugeField:
+        """The spinor-gauge part, which transforms like a connection."""
+        return self._part(0)
+
+    @cached_property
+    def b(self) -> GaugeField:
+        """The covariant part, which vanishes where Psi is parallel."""
+        return self._part(1)
+
+    def _part(self, index: int) -> GaugeField:
+        grid = self.gauge.grid
+        out = np.empty(self.gauge.values.shape)
+        for slab in slabs(grid):
+            out[slab] = _parts(self.psi, self.gauge, slab)[index]
+        return GaugeField(grid, read_only(out))
 
 
 def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
@@ -81,9 +116,6 @@ def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
 
     Psi need not be normalized: both parts carry explicit 1/(Psi^dag Psi)
     weights, so the split is invariant under constant rescaling of Psi.
-    Their components are a^c = -2 w Im J^c and b^c = 2 w Im t^c with
-    w = 1/(Psi^dag Psi), J the spinor current (``psi.current``) and
-    t = Psi^dag sigma_a D Psi of the computed covariant derivative.
 
     The split is algebraic in (Psi, dPsi, A), so one rule holds with exact
     jets and with finite differences alike: a residual max|a + b - A|
@@ -94,30 +126,21 @@ def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
     """
     if psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
-    grid = psi.grid
-    density = norm_squared(psi)
-    _check_nonvanishing(np.sqrt(density), "spinor")
+    _check_nonvanishing(np.sqrt(norm_squared(psi)), "spinor")
 
-    dcov = read_only(covariant_derivative(psi, gauge))
-    a = np.empty(gauge.values.shape)
-    b = np.empty(gauge.values.shape)
-    residual = 0.0
-    amax = 0.0
-    for slab in slabs(grid):
-        weight = (2.0 / density[slab])[..., None, None]     # 2w
-        current = psi.current[slab]
-        np.multiply(current[..., 1:].imag, -weight, out=a[slab])
-        t = su2_algebra.sigma_bilinear(psi.values[slab][..., None, :], dcov[slab])
-        np.multiply(t.imag, weight, out=b[slab])
-        mismatch = a[slab] + b[slab]
+    residual = amax = dmax = bmax = 0.0
+    for slab in slabs(psi.grid):
+        a, b, dcov = _parts(psi, gauge, slab)
+        mismatch = a + b
         mismatch -= gauge.values[slab]
         residual = max(residual, float(np.max(np.abs(mismatch))))
         amax = max(amax, float(np.max(np.abs(gauge.values[slab]))))
+        dmax = max(dmax, float(np.max(np.abs(dcov))))
+        bmax = max(bmax, float(np.max(np.abs(su2_algebra.matrix_from_components(b)))))
     if residual > RECONSTRUCTION_TOL * (1.0 + amax):
         raise ReconstructionError(
             f"decomposition identity violated: max|a + b - A| = {residual:.3e}")
-    return Decomposition(GaugeField(grid, read_only(a)), GaugeField(grid, read_only(b)),
-                         residual, dcov)
+    return Decomposition(psi, gauge, residual, dmax, bmax)
 
 
 def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
@@ -125,9 +148,18 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
 
     For a normalized spinor this solves the parallel condition D Psi = 0
     exactly, and feeding the result back into :func:`decompose` returns
-    b = 0 at machine epsilon when jets are exact.  The components are real
-    by construction.
+    b = 0 at machine epsilon when jets are exact.  The components
+    A^a = -2 Im J^a are real by construction and are filled slab by slab.
     """
     if not psi.normalized:
         raise FieldError("parallel potential requires a normalized spinor")
-    return GaugeField(psi.grid, read_only(-2.0 * psi.current[..., 1:].imag))
+    grid = psi.grid
+    out = np.empty(grid.shape + (grid.rank, 3))
+    for slab in slabs(grid):
+        parallel_components(psi.current(slab=slab), out=out[slab])
+    return GaugeField(grid, read_only(out))
+
+
+def parallel_components(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A^a = -2 Im J^a of a spinor current ``J``, written into ``out``."""
+    return np.multiply(current[..., 1:].imag, -2.0, out=out)

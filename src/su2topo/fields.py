@@ -18,10 +18,10 @@ base) and copies any other, so the conversions here hand over the fresh
 arrays they build as :func:`~su2topo.lattice.read_only`, and views of a
 field's own arrays, without a second copy of the grid.
 
-The spinor current is filled one axis-0 slab at a time
-(:func:`~su2topo.lattice.slabs`): only a slab of finite differences exists
-at once for bare samples, and every entry equals the whole-grid evaluation
-bit for bit.
+The spinor current is not stored: :meth:`SpinorField.current` computes it
+for one axis-0 slab (:func:`~su2topo.lattice.slabs`) when asked, so only a
+slab of it, and of finite differences for bare samples, exists at once;
+every entry equals the whole-grid evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, LatticeField, read_only, slabs
+from .lattice import Grid, LatticeField, read_only
 
 #: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
@@ -61,25 +61,20 @@ class SpinorField(LatticeField):
         """Whether every |Psi|^2 is 1 to ``NORM_TOL``, read from the samples."""
         return bool(np.max(np.abs(norm_squared(self) - 1.0)) <= NORM_TOL)
 
-    @cached_property
-    def current(self) -> np.ndarray:
-        """The spinor current J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1.
+    def current(self, slab: slice = slice(None)) -> np.ndarray:
+        """The spinor current J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1,
+        on the planes ``slab`` of axis 0.
 
-        Shape ``(*shape, rank, 4)``, read-only, computed on first use from
-        :meth:`derivatives` and kept with the (immutable) field.  It is
-        written one axis-0 slab at a time, one ``spinor_current`` call per
-        slab, so each site is computed once.  Every rank-3 route reads its
-        Psi-dPsi bilinears from here: the parallel potential ``-2 Im J^a``,
+        Shape ``(*slab_shape, rank, 4)``, a new array computed from
+        :meth:`derivatives` on every call and not kept with the field, so
+        callers ask for it one slab at a time.  Every rank-3 route reads its
+        Psi-dPsi bilinears from it: the parallel potential ``-2 Im J^a``,
         the sigma-model gradient ``d m^a = 2 Re J^a`` (normalized Psi), the
         Berry potential ``-2 Im J^0`` and the spinor Chern-Simons factor
         ``J^0``.
         """
-        grid = self.grid
-        current = np.empty(grid.shape + (grid.rank, 4), dtype=np.complex128)
-        for slab in slabs(grid):
-            su2_algebra.spinor_current(self.values[slab][..., None, :],
-                                       self.derivatives(slab=slab), out=current[slab])
-        return read_only(current)
+        return su2_algebra.spinor_current(self.values[slab][..., None, :],
+                                          self.derivatives(slab=slab))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +142,9 @@ class GaugeField(LatticeField):
     def component_shape(cls, rank: int) -> tuple:
         return (rank, 3)
 
-    def matrices(self, slab: slice = slice(None)) -> np.ndarray:
-        """Anti-Hermitian traceless matrices, shape (*shape, rank, 2, 2), on
-        the planes ``slab`` of axis 0."""
-        return su2_algebra.matrix_from_components(self.values[slab])
+    def matrices(self) -> np.ndarray:
+        """Anti-Hermitian traceless matrices, shape (*shape, rank, 2, 2)."""
+        return su2_algebra.matrix_from_components(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +177,10 @@ class SU2Field(LatticeField):
             self._freeze("jet2", self.grid.shape + (rank, rank, 2, 2))
 
 
-def norm_squared(psi: SpinorField) -> np.ndarray:
-    """Pointwise Psi^dag Psi (real, equals phi_a phi_a)."""
-    return np.sum(np.abs(psi.values) ** 2, axis=-1)
+def norm_squared(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray:
+    """Pointwise Psi^dag Psi (real, equals phi_a phi_a) on the planes
+    ``slab`` of axis 0."""
+    return np.sum(np.abs(psi.values[slab]) ** 2, axis=-1)
 
 
 def _check_nonvanishing(norms: np.ndarray, name: str) -> None:

@@ -21,9 +21,10 @@ Layout (all little-endian):
 CRC-32 detects every single-bit error and every error burst of up to 32
 bits.  Writes stream the header and the arrays' own buffers into a temp
 file that is then renamed, so a failed write never leaves a partial file
-behind and no serialized copy of the payload is built.  Readers validate
-magic, header sanity, byte count and checksum as distinct error types
-before touching the payload.  The retired FLD1 format (FNV-1a trailer, no
+behind and no serialized copy of the payload is built.  Reads validate
+magic, header sanity and byte count as distinct error types before the
+payload is read into one array, then the checksum before it is used; the
+field adopts views of that array without a copy.  The retired FLD1 format (FNV-1a trailer, no
 orientation) is rejected as bad magic.
 """
 
@@ -102,64 +103,76 @@ def write_field(field, path: str) -> None:
 
 
 def read_field(path: str):
-    """Deserialize an FLD2 file; the inverse of :func:`write_field`."""
+    """Deserialize an FLD2 file; the inverse of :func:`write_field`.
+
+    The header is read and checked first; the file size (``os.fstat``) is
+    checked against the layout before any payload buffer is allocated, so
+    a corrupt header cannot ask for a huge one.  The payload is then read
+    straight into one aligned ``<f8`` array and checksummed there, and the
+    field adopts read-only views of it without a copy.
+    """
     with open(path, "rb") as handle:
-        blob = handle.read()
+        size = os.fstat(handle.fileno()).st_size
+        head = handle.read(8)
+        if head[:4] == RETIRED_MAGIC:
+            raise BadMagicError(f"{path}: retired FLD1 format, no longer read; "
+                                "regenerate the file to get FLD2")
+        if len(head) < 4 or head[:4] != MAGIC:
+            raise BadMagicError(f"{path}: not an FLD2 file")
+        if len(head) < 8:
+            raise CountMismatchError(f"{path}: truncated header")
+        kind, rank, flags, reserved = struct.unpack("<BBBB", head[4:8])
+        cls = _FIELD_CLASSES.get(kind)
+        if cls is None:
+            raise HeaderError(f"{path}: unknown field kind {kind}")
+        if rank not in (3, 4):
+            raise HeaderError(f"{path}: unsupported rank {rank}")
+        if flags & ~(FLAG_JETS | FLAG_CELL_CENTERED | FLAG_REVERSED):
+            raise HeaderError(f"{path}: unknown flag bits {flags:#04x}")
+        if reserved != 0:
+            raise HeaderError(f"{path}: reserved byte is {reserved}, expected 0")
+        has_jet = bool(flags & FLAG_JETS)
+        cell_centered = bool(flags & FLAG_CELL_CENTERED)
+        orientation = -1 if flags & FLAG_REVERSED else 1
+        if has_jet and "jet" not in cls.__dataclass_fields__:
+            raise HeaderError(f"{path}: {cls.LABEL}s carry no jets")
 
-    if blob[:4] == RETIRED_MAGIC:
-        raise BadMagicError(f"{path}: retired FLD1 format, no longer read; "
-                            "regenerate the file to get FLD2")
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: not an FLD2 file")
-    if len(blob) < 8:
-        raise CountMismatchError(f"{path}: truncated header")
-    kind, rank, flags, reserved = struct.unpack("<BBBB", blob[4:8])
-    cls = _FIELD_CLASSES.get(kind)
-    if cls is None:
-        raise HeaderError(f"{path}: unknown field kind {kind}")
-    if rank not in (3, 4):
-        raise HeaderError(f"{path}: unsupported rank {rank}")
-    if flags & ~(FLAG_JETS | FLAG_CELL_CENTERED | FLAG_REVERSED):
-        raise HeaderError(f"{path}: unknown flag bits {flags:#04x}")
-    if reserved != 0:
-        raise HeaderError(f"{path}: reserved byte is {reserved}, expected 0")
-    has_jet = bool(flags & FLAG_JETS)
-    cell_centered = bool(flags & FLAG_CELL_CENTERED)
-    orientation = -1 if flags & FLAG_REVERSED else 1
-    if has_jet and "jet" not in cls.__dataclass_fields__:
-        raise HeaderError(f"{path}: {cls.LABEL}s carry no jets")
+        axes = handle.read(rank * 21)
+        if len(axes) < rank * 21:
+            raise CountMismatchError(f"{path}: truncated axis records")
+        shape, origin, spacing, periodic = [], [], [], []
+        for off in range(0, rank * 21, 21):
+            n, o, h, boundary = struct.unpack("<IddB", axes[off:off + 21])
+            if n < 4:
+                raise HeaderError(f"{path}: axis with {n} < 4 points")
+            if not (np.isfinite(o) and np.isfinite(h) and h > 0):
+                raise HeaderError(f"{path}: bad axis origin/spacing")
+            if boundary not in (0, 1):
+                raise HeaderError(f"{path}: bad boundary code {boundary}")
+            shape.append(n)
+            origin.append(o)
+            spacing.append(h)
+            periodic.append(boundary == 1)
 
-    header_size = 8 + rank * 21
-    if len(blob) < header_size:
-        raise CountMismatchError(f"{path}: truncated axis records")
-    shape, origin, spacing, periodic = [], [], [], []
-    off = 8
-    for _ in range(rank):
-        n, o, h, boundary = struct.unpack("<IddB", blob[off:off + 21])
-        off += 21
-        if n < 4:
-            raise HeaderError(f"{path}: axis with {n} < 4 points")
-        if not (np.isfinite(o) and np.isfinite(h) and h > 0):
-            raise HeaderError(f"{path}: bad axis origin/spacing")
-        if boundary not in (0, 1):
-            raise HeaderError(f"{path}: bad boundary code {boundary}")
-        shape.append(n)
-        origin.append(o)
-        spacing.append(h)
-        periodic.append(boundary == 1)
+        sites = int(np.prod(shape))
+        comps = cls.component_shape(rank)
+        dtype = _file_dtype(cls)
+        per_site = int(np.prod(comps)) * dtype.itemsize // 8
+        payload_floats = sites * per_site * (1 + (rank if has_jet else 0))
+        expected = 8 + len(axes) + 8 * payload_floats + 8
+        if size != expected:
+            raise CountMismatchError(
+                f"{path}: file has {size} bytes, layout requires {expected}")
 
-    sites = int(np.prod(shape))
-    comps = cls.component_shape(rank)
-    dtype = _file_dtype(cls)
-    per_site = int(np.prod(comps)) * dtype.itemsize // 8
-    payload_floats = sites * per_site * (1 + (rank if has_jet else 0))
-    expected = header_size + 8 * payload_floats + 8
-    if len(blob) != expected:
-        raise CountMismatchError(
-            f"{path}: file has {len(blob)} bytes, layout requires {expected}")
+        flat = np.empty(payload_floats, dtype="<f8")
+        payload = memoryview(flat).cast("B")
+        got = handle.readinto(payload)
+        trailer = handle.read()
+        if got != len(payload) or len(trailer) != 8:
+            raise CountMismatchError(f"{path}: file changed size while being read")
 
-    stored, = struct.unpack("<Q", blob[-8:])
-    actual = zlib.crc32(memoryview(blob)[:-8])
+    stored, = struct.unpack("<Q", trailer)
+    actual = zlib.crc32(payload, zlib.crc32(axes, zlib.crc32(head)))
     if stored != actual:
         raise ChecksumError(
             f"{path}: checksum {stored:#018x} != computed {actual:#018x}")
@@ -167,10 +180,8 @@ def read_field(path: str):
     grid = Grid(shape=tuple(shape), origin=tuple(origin), spacing=tuple(spacing),
                 periodic=tuple(periodic), cell_centered=cell_centered,
                 orientation=orientation)
-    # Views of the file bytes.  The payload starts 8 + 21*rank bytes in, so
-    # they are unaligned and the field constructor copies and freezes them.
-    flat = np.frombuffer(blob, dtype="<f8", count=payload_floats,
-                         offset=header_size)
+    # Read-only views of the one payload array: the field adopts them.
+    flat.setflags(write=False)
     nvals = sites * per_site
     values = flat[:nvals].view(dtype).reshape(grid.shape + comps)
     jet = (flat[nvals:].view(dtype).reshape(grid.shape + (rank,) + comps)

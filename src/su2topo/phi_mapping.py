@@ -293,13 +293,7 @@ def surface_degree(evaluate, center, radius: float):
     for attempt in range(SPHERE_REFINEMENTS + 1):
         agrid = s3_chart_grid(resolution)
         pts = (center + radius * s3_points(agrid).reshape(-1, 4))
-        try:
-            samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
-        except LatticeError as exc:
-            raise ZeroLocationError(
-                f"sampling sphere of radius {radius:.3e} around {tuple(center.tolist())} "
-                "leaves the domain; zeros this close to the boundary are "
-                "rejected") from exc
+        samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
         norms = np.linalg.norm(samples, axis=-1)
         if np.min(norms) <= 0.0 or not np.all(np.isfinite(norms)):
             raise ZeroLocationError(
@@ -321,6 +315,25 @@ def surface_degree(evaluate, center, radius: float):
     raise AssertionError("unreachable")
 
 
+def _check_sphere_inside(grid: Grid, center, radius: float) -> None:
+    """Raise :class:`ZeroLocationError` when the sphere of ``radius`` around
+    ``center`` reaches past the first or last sites of an open axis.
+
+    The rule is checked before any sampling, so a field with an analytic
+    sampler, which could evaluate outside the box, gets the same verdict
+    as a lattice-only one, whose interpolant cannot.
+    """
+    for axis in range(grid.rank):
+        coords = grid.coords(axis)
+        if not grid.periodic[axis] and (center[axis] - radius < coords[0]
+                                        or center[axis] + radius > coords[-1]):
+            # 6 digits: the two evaluators refine a zero to different last bits
+            where = ", ".join(f"{float(x):.6g}" for x in center)
+            raise ZeroLocationError(
+                f"sampling sphere of radius {radius:.3e} around ({where}) leaves "
+                "the domain; zeros this close to the boundary are rejected")
+
+
 def local_degree(phi: PhiField, zero: ZeroPoint,
                  radius: float | None = None) -> ZeroPoint:
     """Classify one zero: local degree d, Hopf index beta, Brouwer degree eta.
@@ -334,6 +347,7 @@ def local_degree(phi: PhiField, zero: ZeroPoint,
     grid = phi.grid
     if radius is None:
         radius = 3.0 * max(grid.spacing)
+    _check_sphere_inside(grid, zero.position, radius)
     degree, value, deviation = surface_degree(_values_evaluator(phi),
                                               zero.position, radius)
     if degree == 0:
@@ -425,6 +439,9 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05,
                   for b in positions[i + 1:])
         radius = min(radius, 0.45 * gap)   # keep other zeros off the sphere
 
+    # the faces first: a zero on a face site is reported as such, not as a
+    # degree sphere that leaves the box
+    flux, _ = boundary_cs_sum(phi)
     zeros = list(search.zeros)
     if threads > 1 and len(zeros) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -432,7 +449,5 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05,
                 lambda z: local_degree(phi, z, radius=radius), zeros))
     else:
         classified = [local_degree(phi, z, radius=radius) for z in zeros]
-
-    flux, _ = boundary_cs_sum(phi)
     ledger = charge_ledger(classified, flux, tolerance=ledger_tol)
     return LedgerAnalysis(ledger=ledger, search=search)

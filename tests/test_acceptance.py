@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import su2topo as st
+from su2topo.chern_simons import chern_simons
 from su2topo.cli import main as cli_main
 from su2topo.fldio import read_field, write_field
 
@@ -85,7 +86,7 @@ def test_criterion_04_spinor_cs_form():
     for n in (24, 48, 96):
         start = time.perf_counter()
         psi = st.identity_map_s3(n)
-        errs[n] = abs(st.knot_charge(psi, method="spinor") - 1.0)
+        errs[n] = abs(chern_simons(psi).q_spinor - 1.0)
         if n == 96:
             t96 = time.perf_counter() - start
     r1, r2 = errs[24] / errs[48], errs[48] / errs[96]
@@ -100,8 +101,8 @@ def test_criterion_05_quantization():
     worst_q = worst_fn = 0.0
     for n in (-2, -1, 1, 2, 3):
         psi = st.phi_to_spinor(st.quaternion_power_field(n, grid))
-        q = st.knot_charge(psi, method="spinor")
-        _, q_fn = st.fn_data(psi)
+        charges = chern_simons(psi)
+        q, q_fn = charges.q_spinor, charges.q_fn
         worst_q = max(worst_q, abs(q - n))
         worst_fn = max(worst_fn, abs(q_fn - q))
     report(5, "knot charge quantization",
@@ -114,10 +115,9 @@ def test_criterion_06_abelian_identity():
     constants = []
     for n in (16, 32, 64):
         psi = st.identity_map_s3(n)
-        gauge = st.parallel_gauge_potential(psi)
-        data, _ = st.fn_data(psi)
-        residual = float(np.max(np.abs(st.fn_pointwise(data)
-                                       - st.trace_pointwise(gauge))))
+        charges = chern_simons(psi)
+        residual = float(np.max(np.abs(st.fn_pointwise(charges.abelian)
+                                       - st.trace_pointwise(charges.gauge))))
         constants.append(residual / max(psi.grid.spacing) ** 2)
     drift = max(constants) / min(constants)
     report(6, "Abelian/non-Abelian integrand identity", drift < 2.0,

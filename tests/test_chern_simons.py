@@ -15,18 +15,18 @@ def constant_psi(grid):
 
 def test_constant_spinor_zero_density_both_methods():
     grid = st.s3_chart_grid(8)
-    psi = constant_psi(grid)
-    for method in ("spinor", "trace"):
-        density = st.cs_density(psi, method=method)
+    charges = cs.chern_simons(constant_psi(grid))
+    for density in (charges.spinor, charges.trace, charges.fn):
         assert np.max(np.abs(density.field.values)) < 1e-15
-        assert st.knot_charge(psi, method=method) == pytest.approx(0.0, abs=1e-14)
+    for q in (charges.q_spinor, charges.q_trace, charges.q_fn):
+        assert q == pytest.approx(0.0, abs=1e-14)
 
 
 def test_spinor_density_requires_rank3():
     grid = st.box_grid((6, 6, 6, 6), -1.0, 1.0)
     psi = st.normalize(st.random_config(0, "spinor", grid))
     with pytest.raises(FieldError):
-        st.cs_density(psi, method="spinor")
+        cs.chern_simons(psi)
 
 
 def test_spinor_density_requires_normalized():
@@ -34,12 +34,11 @@ def test_spinor_density_requires_normalized():
     psi = st.identity_map_s3(8)
     scaled = st.SpinorField(grid, 2.0 * psi.values, jet=2.0 * psi.jet)
     with pytest.raises(FieldError):
-        st.cs_density(scaled, method="spinor")
+        cs.chern_simons(scaled)
 
 
 def test_identity_map_charge_and_imag_residue():
-    psi = st.identity_map_s3(24)
-    density = st.cs_density(psi, method="spinor")
+    density = cs.chern_simons(st.identity_map_s3(24)).spinor
     assert density.imag_residue < 1e-10
     q = st.integrate(density.field)
     assert abs(q - 1.0) < 1e-2
@@ -48,21 +47,37 @@ def test_identity_map_charge_and_imag_residue():
 def test_cross_method_pointwise_agreement():
     residuals = {}
     for n in (12, 24):
-        psi = st.identity_map_s3(n)
-        gauge = st.parallel_gauge_potential(psi)
-        w_spinor = st.cs_density(psi, method="spinor").field.values
-        w_trace = st.cs_density(psi, gauge=gauge, method="trace").field.values
-        h2 = max(psi.grid.spacing) ** 2
+        charges = cs.chern_simons(st.identity_map_s3(n))
+        w_spinor = charges.spinor.field.values
+        w_trace = charges.trace.field.values
+        h2 = max(charges.gauge.grid.spacing) ** 2
         residuals[n] = np.max(np.abs(w_spinor - w_trace)) / h2
     # fitted constant stays put under refinement (the gap is pure FD error)
     assert residuals[12] / residuals[24] < 2.0
     assert residuals[24] / residuals[12] < 2.0
 
 
+def test_sweep_matches_the_whole_grid_routes():
+    # each route of the slab sweep against its whole-grid evaluation
+    psi = st.identity_map_s3(12)
+    charges = cs.chern_simons(psi)
+    sign = st.ORIENTATION_SIGN * psi.grid.orientation
+    current = psi.current()
+    raw = sign * cs.spinor_cs_values(current[..., 0], psi.derivatives())
+    assert np.array_equal(charges.spinor.field.values, raw.real)
+    gauge = st.parallel_gauge_potential(psi)
+    assert np.array_equal(charges.gauge.values, gauge.values)
+    assert np.array_equal(charges.trace.field.values,
+                          sign * cs.trace_cs_values(gauge.values, gauge.derivatives()))
+    assert np.array_equal(charges.abelian.c, -2.0 * current[..., 0].imag)
+    fn = sign * cs.fn_pointwise(charges.abelian) / (8.0 * np.pi**2)
+    assert np.array_equal(charges.fn.field.values, fn)
+
+
 def test_quaternion_square_charge():
     grid = st.s3_chart_grid(48)
     psi = st.phi_to_spinor(st.quaternion_power_field(2, grid))
-    q = st.knot_charge(psi, method="spinor")
+    q = cs.chern_simons(psi).q_spinor
     assert abs(q - 2.0) < 0.02
 
 
@@ -71,37 +86,33 @@ def test_global_phase_invariance():
     alpha = 0.731
     rotated = st.SpinorField(psi.grid, np.exp(1j * alpha) * psi.values,
                              jet=np.exp(1j * alpha) * psi.jet)
-    w1 = st.cs_density(psi, method="spinor").field.values
-    w2 = st.cs_density(rotated, method="spinor").field.values
+    w1 = cs.chern_simons(psi).spinor.field.values
+    w2 = cs.chern_simons(rotated).spinor.field.values
     assert np.max(np.abs(w1 - w2)) < 1e-14
 
 
-def test_fn_data_constant_spinor():
-    grid = st.s3_chart_grid(8)
-    psi = constant_psi(grid)
-    data, q_fn = st.fn_data(psi)
-    assert np.max(np.abs(data.c)) == 0.0
-    assert np.max(np.abs(data.h_pairs)) == 0.0
-    assert q_fn == 0.0
+def test_abelian_route_constant_spinor():
+    charges = cs.chern_simons(constant_psi(st.s3_chart_grid(8)))
+    assert np.max(np.abs(charges.abelian.c)) == 0.0
+    assert np.max(np.abs(charges.abelian.h_pairs)) == 0.0
+    assert charges.q_fn == 0.0
 
 
 def test_fn_charge_matches_spinor_charge():
     psi = st.identity_map_s3(24)
-    q = st.knot_charge(psi, method="spinor")
-    data, q_fn = st.fn_data(psi)
-    assert abs(q_fn - q) < 0.02 * max(1.0, abs(q))
-    assert data.exactness_residual < 50.0 * max(psi.grid.spacing) ** 2
+    charges = cs.chern_simons(psi)
+    q = charges.q_spinor
+    assert abs(charges.q_fn - q) < 0.02 * max(1.0, abs(q))
+    assert charges.abelian.exactness_residual < 50.0 * max(psi.grid.spacing) ** 2
 
 
 def test_abelian_nonabelian_pointwise_identity():
     constants = {}
     for n in (12, 24):
-        psi = st.identity_map_s3(n)
-        gauge = st.parallel_gauge_potential(psi)
-        data, _ = st.fn_data(psi)
-        lhs = st.fn_pointwise(data)
-        rhs = st.trace_pointwise(gauge)
-        h2 = max(psi.grid.spacing) ** 2
+        charges = cs.chern_simons(st.identity_map_s3(n))
+        lhs = st.fn_pointwise(charges.abelian)
+        rhs = st.trace_pointwise(charges.gauge)
+        h2 = max(charges.gauge.grid.spacing) ** 2
         constants[n] = np.max(np.abs(lhs - rhs)) / h2
     assert constants[12] / constants[24] < 2.0
     assert constants[24] / constants[12] < 2.0
@@ -111,8 +122,7 @@ def test_h_bianchi_closure():
     errors = {}
     for n in (12, 24):
         psi = st.identity_map_s3(n)
-        data, _ = st.fn_data(psi)
-        h = data.h_pairs                       # H_01, H_02, H_12
+        h = cs.chern_simons(psi).abelian.h_pairs      # H_01, H_02, H_12
         closure = np.zeros(psi.grid.shape)
         from su2topo.lattice import central_diff
         # cyclic (i, j, k) with H_jk = H_12, H_20 = -H_02, H_01
@@ -123,8 +133,27 @@ def test_h_bianchi_closure():
     assert errors[12] / errors[24] > 3.0
 
 
+def test_exactness_residual_raises_on_a_wrong_potential(monkeypatch):
+    # a Berry potential C = -2 Im J^0 of the wrong sign gives dC = -H, with
+    # H built from J^1..3 only: the residual check raises.  The bound is
+    # O(h^2) times the curvature scale, so the chart must be fine enough
+    # for 2|H| to exceed it.
+    psi = st.identity_map_s3(64)
+    cs.chern_simons(psi)
+    real = st.SpinorField.current
+
+    def flipped(self, slab=slice(None)):
+        current = real(self, slab=slab)
+        current[..., 0] = np.conj(current[..., 0])
+        return current
+
+    monkeypatch.setattr(st.SpinorField, "current", flipped)
+    with pytest.raises(st.ReconstructionError, match="not a potential for H"):
+        cs.chern_simons(psi)
+
+
 def test_knot_charge_refinement_ratio():
-    errs = [abs(st.knot_charge(st.identity_map_s3(n), method="spinor") - 1.0)
+    errs = [abs(cs.chern_simons(st.identity_map_s3(n)).q_spinor - 1.0)
             for n in (12, 24)]
     assert 3.0 < errs[0] / errs[1] < 5.0
 

@@ -89,7 +89,7 @@ def test_violated_decomposition_identity_is_a_failed_check(tmp_path, capsys,
     import su2topo.decomposition as decomposition
     real = decomposition.covariant_derivative
     monkeypatch.setattr(decomposition, "covariant_derivative",
-                        lambda psi, gauge: real(psi, gauge) * (1.0 + 1e-6))
+                        lambda *args, **kwargs: real(*args, **kwargs) * (1.0 + 1e-6))
     grid = st.box_grid((6, 6, 6, 6), -1.0, 1.0)
     psi_path, gauge_path = str(tmp_path / "psi.fld"), str(tmp_path / "a.fld")
     write_field(st.random_config(0, "spinor", grid), psi_path)
@@ -104,15 +104,12 @@ def test_violated_decomposition_identity_is_a_failed_check(tmp_path, capsys,
 
 def test_abelian_route_off_by_more_than_rounding_fails(capsys, monkeypatch):
     # Q_fn and Q_spinor integrate one current, so a relative error of 1e-9
-    # in Q_fn is far outside rounding and FAILs the check (exit 1)
+    # in the Abelian density, and so in Q_fn, is far outside rounding and
+    # FAILs the check (exit 1)
     import su2topo.chern_simons as chern_simons
-    real = chern_simons.fn_data
-
-    def scaled(psi):
-        data, q = real(psi)
-        return data, q * (1.0 + 1e-9)
-
-    monkeypatch.setattr(chern_simons, "fn_data", scaled)
+    real = chern_simons._fn_values
+    monkeypatch.setattr(chern_simons, "_fn_values",
+                        lambda c, h: real(c, h) * (1.0 + 1e-9))
     code, out, err = run(capsys, "verify", "identity", "--no-color")
     assert code == 1 and err == ""
     assert re.search(r"name: abelian-vs-spinor\n\s+status: FAIL\n\s+detail: "
@@ -222,71 +219,81 @@ def test_bad_grid_spec_exits_2(capsys):
 
 
 def test_verify_identity_builds_the_parallel_potential_once(capsys, monkeypatch):
-    import su2topo.cli as cli
-    calls = []
-    real = cli.parallel_gauge_potential
+    # the charge sweep writes A and decompose reads it; no other gauge
+    # field is built (decompose's parts a and b are not read by verify)
+    built = []
+    real = st.GaugeField.__post_init__
 
-    def counted(psi):
-        calls.append(psi.grid.shape)
-        return real(psi)
+    def counted(self):
+        built.append(self.grid.shape)
+        real(self)
 
-    monkeypatch.setattr(cli, "parallel_gauge_potential", counted)
+    monkeypatch.setattr(st.GaugeField, "__post_init__", counted)
     # At 16^3 the trace route's O(h^2) error exceeds the default --tol.
     code, out, _ = run(capsys, "verify", "identity", "--grid", "16,16,16",
                        "--no-color", "--tol", "0.1")
     assert code == 0
     assert "parallel-condition" in out
-    assert calls == [(16, 16, 16)]
+    assert built == [(16, 16, 16)]
+
+
+def _plane_hits(slabs, planes):
+    """How often each axis-0 plane is covered by the ``slabs``."""
+    hits = np.zeros(planes, dtype=int)
+    for slab in slabs:
+        hits[slab] += 1
+    return hits
 
 
 def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypatch):
-    import su2topo.cli as cli
+    # decompose asks for D Psi slab by slab: every plane exactly once
     import su2topo.decomposition as decomposition
-    calls = []
+    slabs = []
     real = decomposition.covariant_derivative
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(psi, gauge, slab=slice(None)):
+        slabs.append(slab)
+        return real(psi, gauge, slab=slab)
 
     monkeypatch.setattr(decomposition, "covariant_derivative", counted)
-    monkeypatch.setattr(cli, "covariant_derivative", counted, raising=False)
-    code, out, _ = run(capsys, "verify", "identity", "--grid", "16,16,16",
-                       "--no-color", "--tol", "0.1")
-    assert code == 0
-    assert "max_DPsi" in out
-    assert len(calls) == 1
-
-
-def test_verify_identity_computes_the_spinor_current_once(capsys, monkeypatch):
-    # the current is filled slab by slab: the calls' destinations must tile
-    # the whole grid, each site exactly once
-    import su2topo.su2_algebra as alg
-    calls = []
-    real = alg.spinor_current
-
-    def counted(u, v, out=None):
-        row = (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
-        calls.append((row, v.shape))
-        return real(u, v, out=out)
-
-    monkeypatch.setattr(alg, "spinor_current", counted)
     code, out, _ = run(capsys, "verify", "identity", "--grid", "48,48,48",
                        "--no-color")
     assert code == 0
     assert "max_DPsi" in out
-    assert len(calls) > 1
-    hits = np.zeros(48, dtype=int)
-    for row, shape in calls:
-        assert shape[1:] == (48, 48, 3, 2)
-        hits[row:row + shape[0]] += 1
-    assert np.all(hits == 1)
+    assert len(slabs) > 1
+    assert np.all(_plane_hits(slabs, 48) == 1)
+
+
+def test_verify_identity_computes_the_spinor_current_once_per_sweep(capsys,
+                                                                    monkeypatch):
+    # J is never stored: the charge sweep and decompose each ask for it slab
+    # by slab, in order, and each sweep covers every plane exactly once
+    slabs = []
+    real = st.SpinorField.current
+
+    def counted(self, slab=slice(None)):
+        slabs.append(slab)
+        return real(self, slab=slab)
+
+    monkeypatch.setattr(st.SpinorField, "current", counted)
+    code, out, _ = run(capsys, "verify", "identity", "--grid", "48,48,48",
+                       "--no-color")
+    assert code == 0
+    assert "max_DPsi" in out
+    restarts = [i for i, slab in enumerate(slabs) if slab.start == 0]
+    assert len(restarts) == 2 and restarts[0] == 0
+    for sweep in (slabs[:restarts[1]], slabs[restarts[1]:]):
+        assert len(sweep) > 1
+        assert all(a.stop == b.start for a, b in zip(sweep, sweep[1:]))
+        assert np.all(_plane_hits(sweep, 48) == 1)
 
 
 def test_verify_identity_peak_memory_is_bounded_by_the_field(capsys):
-    # The rank-3 routes run slab by slab and build only the whole-grid
-    # arrays they return.  Traced peak over the spinor-with-jets bytes at
-    # 48^3: 7.58 with whole-grid temporaries, 5.70 slab by slab.
+    # The charge routes run in one slab sweep that never stores the spinor
+    # current, and decompose keeps only its maxima.  Traced peak over the
+    # spinor-with-jets bytes at 48^3: 7.58 with whole-grid temporaries, 5.70
+    # slab by slab with J and a, b, D Psi stored, 3.04 streaming; the bound
+    # leaves 0.26 of margin.
     import tracemalloc
     field_bytes = 48**3 * (2 + 3 * 2) * 16
     tracemalloc.start()
@@ -297,7 +304,7 @@ def test_verify_identity_peak_memory_is_bounded_by_the_field(capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 6.5 * field_bytes
+    assert peak < 3.3 * field_bytes
 
 
 def _charges(out):
@@ -409,13 +416,31 @@ def test_zeros_without_jets_passes_the_ledger(tmp_path, capsys):
     assert "C2_boundary: 1.97" in out
 
 
-def test_zero_next_to_a_face_fails_the_ledger(capsys):
-    # the zero sits 0.05 from the x0 = 2 face: the faces no longer resolve it
-    code, out, _ = run(capsys, "verify", "linear", "--grid", "16,16,16,16",
-                       "--shift", "1.95,0.01,0.02,0.03", "--no-color")
-    assert code == 1
-    assert "index_sum: 1" in out
-    assert _ledger_check(out) == "FAIL"
+def test_zero_next_to_a_face_is_rejected(capsys):
+    # the zero sits 0.05 from the x0 = 2 face, inside its degree sphere
+    code, out, err = run(capsys, "verify", "linear", "--grid", "16,16,16,16",
+                         "--shift", "1.95,0.01,0.02,0.03", "--no-color")
+    assert code == 3 and out == ""
+    assert err.startswith("su2topo: error: sampling sphere of radius")
+    assert "zeros this close to the boundary are rejected" in err
+
+
+def test_zero_next_to_a_face_gets_one_verdict_on_both_evaluators(tmp_path, capsys):
+    # the analytic sampler could sample past the face, the lattice-only
+    # interpolant cannot; both reject the zero before sampling, alike
+    shift = "1.9,0.01,0.02,0.03"
+    sampled = run(capsys, "verify", "linear", "--grid", "9,9,9,9", "--box=-2:2",
+                  "--shift", shift, "--no-color")
+    path = str(tmp_path / "lin.fld")
+    assert run(capsys, "generate", "--kind", "linear", "--grid", "9,9,9,9",
+               "--box=-2:2", "--shift", shift, "--out", path)[0] == 0
+    lattice = run(capsys, "zeros", path, "--no-color")
+    assert sampled == lattice
+    code, out, err = sampled
+    assert code == 3 and out == ""
+    assert err == ("su2topo: error: sampling sphere of radius 1.500e+00 around "
+                   "(1.9, 0.01, 0.02, 0.03) leaves the domain; zeros this close "
+                   "to the boundary are rejected\n")
 
 
 def test_zero_on_lattice_planes_is_found(capsys):

@@ -119,6 +119,43 @@ def test_truncated_file_is_count_mismatch(tmp_path, grids):
         read_field(path)
 
 
+@pytest.mark.parametrize("change", [-1, 1])
+def test_file_one_byte_off_is_count_mismatch(tmp_path, grids, change):
+    # the size is checked against the header's layout before any payload
+    # buffer is allocated or read
+    g3, _ = grids
+    path = str(tmp_path / "f.fld")
+    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[:-1] if change < 0 else blob + b"\0")
+    with pytest.raises(CountMismatchError, match=f"file has {len(blob) + change} bytes"):
+        read_field(path)
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array at the bottom of ``array``'s base chain."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("kind", ["spinor", "phi"])
+def test_read_values_and_jet_are_views_of_one_payload(tmp_path, grids, kind):
+    # the payload is read into one array, and the field adopts read-only
+    # views of it: no copy of values or jet is made
+    g3, g4 = grids
+    field = next(f for f in all_fields(g3, g4) if f.LABEL == kind)
+    path = str(tmp_path / "f.fld")
+    write_field(field, path)
+    back = read_field(path)
+    owner = _owner(back.values)
+    assert owner is _owner(back.jet)
+    assert owner.nbytes == back.values.nbytes + back.jet.nbytes
+    assert owner.base is None and not owner.flags.writeable
+    assert np.shares_memory(owner, back.values) and np.shares_memory(owner, back.jet)
+    assert not np.shares_memory(back.values, back.jet)
+
+
 def test_payload_corruption_is_checksum_error(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
