@@ -165,7 +165,8 @@ def boundary_cs_sum(field):
                     raise NormalizationError(
                         f"phi vanishes on the {('low', 'high')[side]} face of axis "
                         f"{axis}: {exc}", site=exc.site) from exc
-            raw = spinor_cs_values(face.current()[..., 0], face.derivatives())
+            dvalues = face.derivatives()
+            raw = spinor_cs_values(face.current(dvalues=dvalues)[..., 0], dvalues)
             flux = np.sum(raw * face.grid.quadrature_weights())
             total += face_sign * side_sign * flux
     total *= sign_global

@@ -23,8 +23,9 @@ route the parallel potential A^a = -2 Im J^a, and the Abelian route
 d m^a = 2 Re J^a and C = -2 Im J^0.
 
 :func:`chern_simons` runs the three routes in one sweep over the axis-0
-slabs (:func:`~su2topo.lattice.slabs`).  It computes J once per slab
-(``SpinorField.current``, which is never stored) and from it the spinor
+slabs (:func:`~su2topo.lattice.slabs`).  It takes d Psi once per slab
+(finite differences for bare samples), computes J from it
+(``SpinorField.current``, which is never stored) and from both the spinor
 and Abelian densities, c, h_pairs and the whole-grid A.  dA and dC read the
 planes next to each slab, so a second pass over the finished A and c gives
 the trace density and the exactness residual.  The charges are the
@@ -149,8 +150,10 @@ class KnotCharges:
         return integrate(self.fn.field)
 
 
-#: Exactness residuals above this times h^2 times the curvature scale raise.
-RESIDUAL_FACTOR = 50.0
+#: Exactness residuals above this times (h/L)^2 times the scale of dC and H
+#: raise.  Correct fields read at most about 101 (q^4 on a 24^3 chart), a
+#: Berry potential of the wrong sign about 1150 at 24^3 and 2040 at 32^3.
+RESIDUAL_FACTOR = 320.0
 
 
 def chern_simons(psi: SpinorField) -> KnotCharges:
@@ -161,8 +164,12 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
     density differentiates the parallel potential A = -2 Im J^a by finite
     differences; the Abelian route reads d_i m^a = 2 Re J_i^a and the
     potential C_i = -2 Im J_i^0.  Raises when the exactness residual of C
-    exceeds ``RESIDUAL_FACTOR * h^2`` times the curvature scale, which
-    would mean the chosen potential does not actually generate H.
+    exceeds ``RESIDUAL_FACTOR * (h/L)^2`` times max(max|H|, max|d_i C_j|),
+    which would mean the chosen potential does not actually generate H.
+    h/L is the largest spacing over covered length of an axis: the
+    residual is the O(h^2) error of the stencils on C, so the bound does
+    not depend on the size of the box, and the scale of dC keeps it above
+    the stencil error of bare samples where H vanishes.
     """
     grid = psi.grid
     if grid.rank != 3:
@@ -178,8 +185,9 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
     h_pairs = np.empty(grid.shape + (3,))
     residue = 0.0
     for slab in slabs(grid):
-        current = psi.current(slab=slab)
-        raw = sign * spinor_cs_values(current[..., 0], psi.derivatives(slab=slab))
+        dvalues = psi.derivatives(slab=slab)
+        current = psi.current(slab=slab, dvalues=dvalues)
+        raw = sign * spinor_cs_values(current[..., 0], dvalues)
         residue = max(residue, float(np.max(np.abs(raw.imag))))
         spinor[slab] = raw.real
         parallel_components(current, out=gauge[slab])
@@ -191,8 +199,7 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
         fn[slab] = _fn_values(c[slab], h_pairs[slab]) * sign / (8.0 * np.pi**2)
 
     # dA and dC read the planes next to each slab, so A and c are whole now
-    curl_res = 0.0
-    h_max = 0.0
+    curl_res = h_max = dc_max = 0.0
     for slab in slabs(grid):
         trace[slab] = sign * trace_cs_values(gauge[slab],
                                              derivative_stack(gauge, grid, slab=slab))
@@ -202,8 +209,9 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
             curl_res = max(curl_res, float(np.max(np.abs(
                 dc[..., i, j] - dc[..., j, i] - h[..., idx]))))
         h_max = max(h_max, float(np.max(np.abs(h))))
-    h2 = max(h * h for h in grid.spacing)
-    if curl_res > RESIDUAL_FACTOR * h2 * (1.0 + h_max):
+        dc_max = max(dc_max, float(np.max(dc)), -float(np.min(dc)))
+    resolution = max((h / grid.axis_extent(i)) ** 2 for i, h in enumerate(grid.spacing))
+    if curl_res > RESIDUAL_FACTOR * resolution * max(h_max, dc_max):
         raise ReconstructionError(
             f"Abelian potential is not a potential for H: residual {curl_res:.3e}")
 

@@ -22,7 +22,8 @@ check true by construction.
 
 Every part is pointwise in (Psi, dPsi, A), so one per-slab kernel
 (:func:`_parts`) gives D Psi, a and b on one axis-0 slab
-(:func:`~su2topo.lattice.slabs`) at a time.  :func:`decompose` runs it
+(:func:`~su2topo.lattice.slabs`) at a time, from one d Psi of the slab
+(so bare samples are differenced once).  :func:`decompose` runs it
 once over the grid and keeps only the reductions (the reconstruction
 residual, max|D Psi| and max|b|); no whole-grid a, b or D Psi is built
 unless a caller reads ``Decomposition.a`` or ``.b``, which the same kernel
@@ -47,9 +48,11 @@ RECONSTRUCTION_TOL = 1e-12
 
 
 def covariant_derivative(psi: SpinorField, gauge: GaugeField,
-                         slab: slice = slice(None)) -> np.ndarray:
+                         slab: slice = slice(None),
+                         dvalues: np.ndarray | None = None) -> np.ndarray:
     """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi on the planes ``slab``
-    of axis 0.
+    of axis 0, from ``dvalues``, the slab's ``psi.derivatives`` (taken here
+    when not given).
 
     Returns per-axis spinor samples, shape ``(*slab_shape, rank, 2)``, a new
     writable array.  The adjoint counterpart is the entrywise conjugate of
@@ -60,18 +63,22 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField,
     # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
     connection = su2_algebra.sigma_apply(gauge.values[slab],
                                          psi.values[slab][..., None, :])
-    return psi.derivatives(slab=slab) + 0.5j * connection
+    if dvalues is None:
+        dvalues = psi.derivatives(slab=slab)
+    return dvalues + 0.5j * connection
 
 
 def _parts(psi: SpinorField, gauge: GaugeField, slab: slice):
     """Components of a and b, and D Psi, on the planes ``slab`` of axis 0.
 
     a^c = -2 w Im J^c and b^c = 2 w Im t^c with w = 1/(Psi^dag Psi), J the
-    spinor current and t = Psi^dag sigma_c D Psi.
+    spinor current and t = Psi^dag sigma_c D Psi.  Both read the slab's
+    d Psi, taken once.
     """
     weight = (2.0 / norm_squared(psi, slab))[..., None, None]     # 2w
-    a = np.multiply(psi.current(slab=slab)[..., 1:].imag, -weight)
-    dcov = covariant_derivative(psi, gauge, slab=slab)
+    dvalues = psi.derivatives(slab=slab)
+    a = np.multiply(psi.current(slab=slab, dvalues=dvalues)[..., 1:].imag, -weight)
+    dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues)
     t = su2_algebra.sigma_bilinear(psi.values[slab][..., None, :], dcov)
     return a, np.multiply(t.imag, weight), dcov
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, LatticeField, read_only
+from .lattice import Grid, LatticeField, read_only, slabs
 
 #: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
@@ -61,20 +61,24 @@ class SpinorField(LatticeField):
         """Whether every |Psi|^2 is 1 to ``NORM_TOL``, read from the samples."""
         return bool(np.max(np.abs(norm_squared(self) - 1.0)) <= NORM_TOL)
 
-    def current(self, slab: slice = slice(None)) -> np.ndarray:
+    def current(self, slab: slice = slice(None),
+                dvalues: np.ndarray | None = None) -> np.ndarray:
         """The spinor current J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1,
         on the planes ``slab`` of axis 0.
 
         Shape ``(*slab_shape, rank, 4)``, a new array computed from
-        :meth:`derivatives` on every call and not kept with the field, so
-        callers ask for it one slab at a time.  Every rank-3 route reads its
-        Psi-dPsi bilinears from it: the parallel potential ``-2 Im J^a``,
-        the sigma-model gradient ``d m^a = 2 Re J^a`` (normalized Psi), the
-        Berry potential ``-2 Im J^0`` and the spinor Chern-Simons factor
-        ``J^0``.
+        ``dvalues``, the slab's :meth:`derivatives` (taken here when not
+        given), on every call and not kept with the field, so callers ask
+        for it one slab at a time.  A caller that reads d Psi itself passes
+        it in, so bare samples are differenced once per slab.  Every rank-3
+        route reads its Psi-dPsi bilinears from it: the parallel potential
+        ``-2 Im J^a``, the sigma-model gradient ``d m^a = 2 Re J^a``
+        (normalized Psi), the Berry potential ``-2 Im J^0`` and the spinor
+        Chern-Simons factor ``J^0``.
         """
-        return su2_algebra.spinor_current(self.values[slab][..., None, :],
-                                          self.derivatives(slab=slab))
+        if dvalues is None:
+            dvalues = self.derivatives(slab=slab)
+        return su2_algebra.spinor_current(self.values[slab][..., None, :], dvalues)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,28 +103,31 @@ class PhiField(LatticeField):
     FLD_KIND = 2
     LABEL = "phi"
 
-    def exact_jet(self) -> np.ndarray | None:
-        """The stored jet, else the sampler's jet, else None.
+    def exact_jet(self, slab: slice = slice(None)) -> np.ndarray | None:
+        """The stored jet, else the sampler's jet, else None, on the planes
+        ``slab`` of axis 0.
 
-        The sampler's jet is filled into one new ``(*shape, rank, 4)`` array
-        an axis-0 slab at a time, one sampler call per slab, so no
-        whole-grid temporaries are built; it is not kept with the field.
+        The sampler is asked for the sites of those planes only; the whole
+        grid's jet is filled into one new ``(*shape, rank, 4)`` array an
+        axis-0 slab (:func:`~su2topo.lattice.slabs`) at a time, one sampler
+        call per slab, so no whole-grid temporaries are built.  A sampled
+        jet is not kept with the field.
         """
         if self.jet is not None or self.sampler is None:
-            return self.jet
+            return super().exact_jet(slab)
         grid = self.grid
+        if slab != slice(None):
+            return self._sampled_jet(grid.points(slab))
         out = np.empty(grid.shape + (grid.rank, 4))
-        for index in range(grid.shape[0]):
-            out[index] = self._sampled_jet(0, index)
+        for part in slabs(grid):
+            out[part] = self._sampled_jet(grid.points(part))
         return out
 
-    def _sampled_jet(self, axis: int, index: int) -> np.ndarray:
-        """The sampler's jet on the sites with ``index`` on ``axis``."""
-        grid = self.grid
-        face = grid.drop_axis(axis)
-        points = np.insert(face.points(), axis, grid.coords(axis)[index], axis=-1)
-        _, jacobians = self.sampler(points.reshape(-1, grid.rank))
-        return np.reshape(jacobians, face.shape + (grid.rank, 4))
+    def _sampled_jet(self, points: np.ndarray) -> np.ndarray:
+        """The sampler's jet at ``points`` ``(..., rank)``, shape
+        ``(..., rank, 4)``."""
+        _, jacobians = self.sampler(points.reshape(-1, self.grid.rank))
+        return np.reshape(jacobians, points.shape + (4,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,5 +350,7 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     if field.jet is not None:
         jet = np.take(field.jet, index, axis=axis)[..., keep, :]
     elif getattr(field, "sampler", None) is not None:
-        jet = field._sampled_jet(axis, index)[..., keep, :]
+        face = grid.drop_axis(axis).points()
+        points = np.insert(face, axis, grid.coords(axis)[index], axis=-1)
+        jet = field._sampled_jet(points)[..., keep, :]
     return type(field).from_samples(grid.drop_axis(axis), values, jet)

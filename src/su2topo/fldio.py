@@ -19,17 +19,19 @@ Layout (all little-endian):
     trailer     8 bytes: CRC-32 (zlib) of all preceding bytes, as a u64
 
 CRC-32 detects every single-bit error and every error burst of up to 32
-bits.  Writes stream the header and the arrays' own buffers into a temp
-file that is then renamed, so a failed write never leaves a partial file
-behind and no serialized copy of the payload is built.  Reads validate
-magic, header sanity and byte count as distinct error types before the
-payload is read into one array, then the checksum before it is used; the
-field adopts views of that array without a copy.  The retired FLD1 format (FNV-1a trailer, no
-orientation) is rejected as bad magic.
+bits.  Writes stream the header, the values' own buffer and the jet one
+axis-0 slab at a time into a temp file that is then renamed, so a failed
+write never leaves a partial file behind, no serialized copy of the
+payload is built and a sampled jet is never whole.  Reads validate magic,
+header sanity and byte count as distinct error types before the payload
+is read into one array, then the checksum before it is used; the field
+adopts views of that array without a copy.  The retired FLD1 format
+(FNV-1a trailer, no orientation) is rejected as bad magic.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import tempfile
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import (BadMagicError, ChecksumError, CountMismatchError,
                      FieldFormatError, HeaderError)
 from .fields import GaugeField, PhiField, SpinorField, SU2Field
-from .lattice import Grid, ScalarField
+from .lattice import Grid, ScalarField, slabs
 
 MAGIC = b"FLD2"
 RETIRED_MAGIC = b"FLD1"
@@ -63,14 +65,17 @@ def write_field(field, path: str) -> None:
     """Serialize a field to an FLD2 file atomically.
 
     The jets written are the field's exact jet: the stored one, or for a
-    generator-built phi field the one its sampler computes.
+    generator-built phi field the one its sampler computes.  The jet is
+    read and written one axis-0 slab at a time (:func:`slabs`), the CRC
+    chained over the parts, so a sampled jet never exists whole.
     """
     kind = getattr(field, "FLD_KIND", None)
     if kind is None:
         raise FieldFormatError(f"cannot serialize {type(field).__name__}")
     grid = field.grid
-    jet = field.exact_jet()
-    flags = ((FLAG_JETS if jet is not None else 0)
+    jets = (field.exact_jet(slab) for slab in slabs(grid))
+    first = next(jets)
+    flags = ((FLAG_JETS if first is not None else 0)
              | (FLAG_CELL_CENTERED if grid.cell_centered else 0)
              | (FLAG_REVERSED if grid.orientation == -1 else 0))
 
@@ -78,11 +83,14 @@ def write_field(field, path: str) -> None:
     for i in range(grid.rank):
         header.append(struct.pack("<IddB", grid.shape[i], grid.origin[i],
                                   grid.spacing[i], 1 if grid.periodic[i] else 0))
-    # Contiguous arrays already in the file layout are written without a copy.
+    # Contiguous arrays already in the file layout are written without a
+    # copy; the jet slabs are taken one at a time as the loop below writes.
     dtype = _file_dtype(type(field))
-    parts = [b"".join(header),
-             *(memoryview(np.ascontiguousarray(array, dtype=dtype))
-               for array in (field.values, jet) if array is not None)]
+    arrays = ([field.values] if first is None
+              else itertools.chain([field.values, first], jets))
+    parts = itertools.chain([b"".join(header)],
+                            (memoryview(np.ascontiguousarray(array, dtype=dtype))
+                             for array in arrays))
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fld-")

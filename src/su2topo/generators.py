@@ -7,11 +7,13 @@ degree-n references: q^n has boundary degree n (negative powers go through
 the conjugate, q^-1 = conj(q) on unit quaternions), and products
 prod_j (q - c_j) plant zeros at chosen roots.
 
-4-vector fields on a box store their lattice values only and carry an
-analytic sampler of values and jets.  The zero search uses it for
-machine-precision root refinement, and every exact jet of the field comes
-from it (:meth:`~su2topo.fields.PhiField.exact_jet`): the boundary flux
-reads jets on the 8 faces, and a file write reads them on the whole grid.
+4-vector fields on a box store their lattice values only, filled one
+axis-0 slab at a time (:func:`~su2topo.lattice.slabs`) from that slab's
+points, and carry an analytic sampler of values and jets.  The zero search
+uses it for machine-precision root refinement, and every exact jet of the
+field comes from it (:meth:`~su2topo.fields.PhiField.exact_jet`): the
+boundary flux reads jets on the 8 faces, and a file write reads them slab
+by slab.
 The other generators store their jets.  Every generator hands its fresh
 arrays to the field read-only, so the field adopts them without a copy.
 
@@ -31,7 +33,7 @@ import numpy as np
 from . import su2_algebra
 from .errors import FieldError
 from .fields import GaugeField, PhiField, SpinorField, SU2Field, phi_to_spinor
-from .lattice import Grid, read_only
+from .lattice import Grid, read_only, slabs
 
 
 # --------------------------------------------------------------------------
@@ -239,12 +241,17 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
     ``(value, jet)`` for box points ``x`` (..., 4), the jet with the
     derivative axis at -2.  Both compute the values with the same
     operations, so the stored samples equal the sampler's bit for bit.  No
-    jet is stored: the field's exact jet comes from the sampler.
+    jet is stored: the field's exact jet comes from the sampler.  The
+    values are filled one axis-0 slab at a time from that slab's points, so
+    no whole-grid coordinates or product temporaries are built.
     """
     def evaluate(points):
         return jet_fn(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
-    return PhiField(grid, read_only(value_fn(grid.points())), sampler=evaluate)
+    values = np.empty(grid.shape + (4,))
+    for slab in slabs(grid):
+        values[slab] = value_fn(grid.points(slab))
+    return PhiField(grid, read_only(values), sampler=evaluate)
 
 
 def identity_map_s3(resolution=32) -> SpinorField:

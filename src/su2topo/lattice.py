@@ -9,7 +9,9 @@ open axes; both are O(h^2) on smooth integrands.
 Pointwise work runs one axis-0 slab at a time (:func:`slabs`): a route
 reads each slab of its inputs, with ``derivative_stack(..., slab=...)``
 reading the ``order // 2`` neighbouring planes the stencils need, and
-writes into the whole-grid arrays it returns.  Every value is computed by
+writes into the whole-grid arrays it returns.  ``Grid.points(slab)`` gives
+the coordinates of a slab's planes only, so a generator samples its map
+slab by slab without whole-grid coordinates.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
 
 All operations are pure: fields are immutable after construction and the
@@ -81,10 +83,11 @@ class Grid:
         n = self.shape[axis]
         return self.origin[axis] + (np.arange(n) + off) * self.spacing[axis]
 
-    def points(self) -> np.ndarray:
-        """All site coordinates, shape ``(*shape, rank)``."""
-        axes = np.meshgrid(*[self.coords(i) for i in range(self.rank)], indexing="ij")
-        return np.stack(axes, axis=-1)
+    def points(self, slab: slice = slice(None)) -> np.ndarray:
+        """Site coordinates on the planes ``slab`` of axis 0, shape
+        ``(*slab_shape, rank)``; all sites by default."""
+        axes = [self.coords(0)[slab]] + [self.coords(i) for i in range(1, self.rank)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def axis_extent(self, axis: int) -> float:
         """Length of the interval covered by quadrature along one axis."""
@@ -201,17 +204,18 @@ class LatticeField:
             raise FieldError(f"{self.LABEL} {name} shape {array.shape} != {expected}")
         object.__setattr__(self, name, array)
 
-    def exact_jet(self) -> np.ndarray | None:
-        """Exact first-derivative samples, or None for bare samples."""
-        return self.jet
+    def exact_jet(self, slab: slice = slice(None)) -> np.ndarray | None:
+        """Exact first-derivative samples on the planes ``slab`` of axis 0,
+        or None for bare samples."""
+        return None if self.jet is None else self.jet[slab]
 
     def derivatives(self, order: int = 2, slab: slice = slice(None)) -> np.ndarray:
         """The exact jet if there is one, else finite differences of
         ``order``, on the planes ``slab`` of axis 0; the axis index sits
         before the component axes."""
-        jet = self.exact_jet()
+        jet = self.exact_jet(slab)
         if jet is not None:
-            return jet[slab]
+            return jet
         return derivative_stack(self.values, self.grid, order, slab)
 
 

@@ -18,13 +18,19 @@ Zero search: 4-cells where every component changes sign across the 16
 corners seed damped Newton iterations (sign screening over-fires on coarse
 grids, so Newton is the arbiter).  The screen takes the corner minimum and
 maximum one axis at a time, as pairwise passes over neighbouring slices
-(rolled on periodic axes).
+(rolled on periodic axes).  It runs one axis-0 slab of cells
+(:func:`~su2topo.lattice.slabs`) at a time, reading one halo plane past
+the slab (wrapped when axis 0 is periodic), and the slabs' candidates,
+concatenated in order, are the whole-grid ones in row-major order.
 
 Newton reads phi through one evaluator that returns values and derivative
 stacks together: the analytic sampler attached by the generators, which
 gives machine-precision roots, or for lattice-only fields the multilinear
 interpolant and its exact gradient, with O(h^2) positions.  Sphere sampling
-needs values only: it takes the sampler's values or plain interpolation.
+needs values only: it takes the sampler's values or plain interpolation,
+in one call per sphere resolution.  The 4x4 matrices [n, d n] of the
+degree integrand are stacked and their determinants taken one slab of the
+sphere chart at a time, so no whole-sphere matrix stack is built.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocatio
 from .fields import PhiField
 from .generators import s3_chart_grid, s3_points
 from .lattice import (Grid, ScalarField, central_diff, integrate_values,
-                      interpolate, interpolate_with_gradient, interpolation_corners)
+                      interpolate, interpolate_with_gradient, interpolation_corners,
+                      slabs)
 
 DEGENERACY_TOL = 1e-8
 NEWTON_TOL = 1e-10           # |phi| at an accepted (refined) zero
@@ -143,19 +150,29 @@ def _newton(evaluate, x0: np.ndarray, bounds):
     return x, best, best < NEWTON_TOL, jx
 
 
-def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Mask of the 4-cells whose 16 corners span 0 in every component.
+def _sign_change_cells(values: np.ndarray, grid: Grid,
+                       cells: slice = slice(None)) -> np.ndarray:
+    """Mask of the 4-cells whose 16 corners span 0 in every component, for
+    the cells whose axis-0 index lies in ``cells`` (all by default).
 
     The range is closed (min <= 0 <= max), so a zero whose coordinates lie
     on lattice planes, where a component is exactly 0 on a whole plane of
     corners, still marks the cells around it; Newton and the half-cell
-    deduplication settle the extra candidates.  A cell spans sites k and k+1 on each axis (k+1 wraps on periodic axes),
-    so the corner min/max is taken one axis at a time: pairwise over
-    neighbouring slices, 4 passes instead of 16 corner copies.  Min and max
-    are exact, so the order of the passes does not change the mask.
+    deduplication settle the extra candidates.  A cell spans sites k and
+    k+1 on each axis (k+1 wraps on periodic axes), so the cells of rows
+    ``cells`` read those site planes and one halo plane past them, wrapped
+    when axis 0 is periodic.  The corner min/max is taken one axis at a
+    time: pairwise over neighbouring slices, 4 passes instead of 16 corner
+    copies.  Min and max are exact, so neither the order of the passes nor
+    the rows of a call change the mask.
     """
-    mins = maxs = values
-    for ax in range(grid.rank):
+    n = grid.shape[0]
+    start, stop, _ = cells.indices(n if grid.periodic[0] else n - 1)
+    block = (values[start:stop + 1] if stop < n
+             else values[np.arange(start, stop + 1) % n])
+    mins = np.minimum(block[:-1], block[1:])
+    maxs = np.maximum(block[:-1], block[1:])
+    for ax in range(1, grid.rank):
         if grid.periodic[ax]:
             mins = np.minimum(mins, np.roll(mins, -1, axis=ax))
             maxs = np.maximum(maxs, np.roll(maxs, -1, axis=ax))
@@ -165,6 +182,31 @@ def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
             mins = np.minimum(mins[lo], mins[hi])
             maxs = np.maximum(maxs[lo], maxs[hi])
     return np.all((mins <= 0.0) & (maxs >= 0.0), axis=-1)
+
+
+def _screen(values: np.ndarray, grid: Grid):
+    """The Newton starts of the zero search: ``(cells, sites)``, index arrays
+    ``(k, 4)`` in row-major order.
+
+    ``cells`` are the 4-cells :func:`_sign_change_cells` marks and ``sites``
+    the lattice sites where |phi| < 1e-9 max(1, max|phi|).  Both are taken
+    one axis-0 slab (:func:`~su2topo.lattice.slabs`) of cells or sites at a
+    time; a slab's norms are taken again only when its smallest norm is
+    below that threshold, which is known once every slab is seen.  The
+    lists are those of ``np.argwhere`` on the whole-grid masks.
+    """
+    cells, lows = [], []
+    top = 0.0
+    for slab in slabs(grid):
+        cells.append(np.argwhere(_sign_change_cells(values, grid, slab))
+                     + (slab.start, 0, 0, 0))
+        norms = np.linalg.norm(values[slab], axis=-1)
+        top = max(top, float(np.max(norms)))
+        lows.append((slab, float(np.min(norms))))
+    site_tol = 1e-9 * max(1.0, top)
+    sites = [np.argwhere(np.linalg.norm(values[slab], axis=-1) < site_tol)
+             + (slab.start, 0, 0, 0) for slab, low in lows if low < site_tol]
+    return np.concatenate(cells), np.concatenate([np.empty((0, 4), int)] + sites)
 
 
 def locate_zeros(phi: PhiField) -> ZeroSearch:
@@ -182,19 +224,13 @@ def locate_zeros(phi: PhiField) -> ZeroSearch:
     grid = phi.grid
     if grid.rank != 4:
         raise FieldError("zero location needs a rank-4 grid")
-    values = phi.values
     hmax = max(grid.spacing)
-
-    candidate = _sign_change_cells(values, grid)
-
-    norms = np.linalg.norm(values, axis=-1)
-    site_tol = 1e-9 * max(1.0, float(np.max(norms)))
-    seed_sites = np.argwhere(norms < site_tol)
+    cells, seed_sites = _screen(phi.values, grid)
 
     evaluate = _evaluator(phi)
     starts = []
     offset = 0.5 if grid.cell_centered else 0.0
-    for cell in np.argwhere(candidate):
+    for cell in cells:
         center = np.array([grid.origin[i] + (cell[i] + 0.5 + offset) * grid.spacing[i]
                            for i in range(4)])
         starts.append((tuple(int(c) for c in cell), center))
@@ -284,7 +320,9 @@ def surface_degree(evaluate, center, radius: float):
     ``SPHERE_RESOLUTION``; the angular resolution doubles automatically
     while the rounding deviation exceeds 0.1, up to ``SPHERE_REFINEMENTS``
     times, and a deviation that stays >= 0.2 raises
-    :class:`DegreeResolutionError`.
+    :class:`DegreeResolutionError`.  Each attempt evaluates phi once and
+    takes the three chart derivatives of n on the whole sphere; the
+    determinants are taken one chart slab at a time.
 
     Returns ``(degree, raw_value, deviation)``.
     """
@@ -300,8 +338,9 @@ def surface_degree(evaluate, center, radius: float):
                 "phi vanishes on the sampling sphere; another zero within radius")
         n = samples / norms[..., None]
         rows = [n] + [central_diff(n, agrid, ax) for ax in range(3)]
-        mats = np.stack(rows, axis=-2)
-        dets = np.linalg.det(mats)
+        dets = np.empty(agrid.shape)
+        for slab in slabs(agrid):
+            dets[slab] = np.linalg.det(np.stack([row[slab] for row in rows], axis=-2))
         value = integrate_values(dets, agrid) / (2.0 * np.pi**2)
         degree = int(np.rint(value))
         deviation = abs(value - degree)

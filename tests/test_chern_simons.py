@@ -136,20 +136,48 @@ def test_h_bianchi_closure():
 def test_exactness_residual_raises_on_a_wrong_potential(monkeypatch):
     # a Berry potential C = -2 Im J^0 of the wrong sign gives dC = -H, with
     # H built from J^1..3 only: the residual check raises.  The bound is
-    # O(h^2) times the curvature scale, so the chart must be fine enough
-    # for 2|H| to exceed it.
-    psi = st.identity_map_s3(64)
-    cs.chern_simons(psi)
+    # O((h/L)^2) times the curvature scale, so from 24^3 on, and at the
+    # 32^3 default of verify, 2|H| exceeds it.
+    charts = [st.identity_map_s3(n) for n in (24, 32, 64)]
+    for psi in charts:
+        cs.chern_simons(psi)
     real = st.SpinorField.current
 
-    def flipped(self, slab=slice(None)):
-        current = real(self, slab=slab)
+    def flipped(self, slab=slice(None), **kwargs):
+        current = real(self, slab=slab, **kwargs)
         current[..., 0] = np.conj(current[..., 0])
         return current
 
     monkeypatch.setattr(st.SpinorField, "current", flipped)
-    with pytest.raises(st.ReconstructionError, match="not a potential for H"):
-        cs.chern_simons(psi)
+    for psi in charts:
+        with pytest.raises(st.ReconstructionError, match="not a potential for H"):
+            cs.chern_simons(psi)
+
+
+@pytest.mark.parametrize("half", [0.5, 4.0])
+def test_exactness_check_does_not_depend_on_the_box_size(half):
+    # Correct fields on boxes of any size pass: the bound scales with
+    # (h/L)^2, not h^2, so a 24^3 random spinor on [-0.5, 0.5]^3, which read
+    # 164 times the old h^2 (1 + max|H|) bound, is within it.
+    grid = st.box_grid((24,) * 3, -half, half)
+    for seed in range(3):
+        psi = st.normalize(st.random_config(seed, "spinor", grid))
+        for field in (psi, st.SpinorField(grid, psi.values)):   # jets, then none
+            charges = cs.chern_simons(field)
+            assert charges.abelian.exactness_residual > 0.0
+
+
+def test_exactness_check_holds_where_h_vanishes():
+    # A pure phase e^{i theta} (1, 0) has m constant and H = 0; its bare
+    # samples still give an O(h^2) curl of C, which the scale of dC covers.
+    grid = st.box_grid((16,) * 3, -1.0, 1.0)
+    x = grid.points()
+    theta = np.sin(x[..., 0]) * x[..., 1] + x[..., 2] ** 2
+    values = np.zeros(grid.shape + (2,), dtype=complex)
+    values[..., 0] = np.exp(1j * theta)
+    charges = cs.chern_simons(st.SpinorField(grid, values))
+    assert np.max(np.abs(charges.abelian.h_pairs)) == 0.0
+    assert charges.abelian.exactness_residual > 1e-3
 
 
 def test_knot_charge_refinement_ratio():
@@ -189,3 +217,33 @@ def test_closed_form_kernels_match_numpy(seed):
     j0 = np.einsum("...c,...ic->...i", np.conj(values), dvalues)
     assert np.array_equal(cs.spinor_cs_values(j0, dvalues),
                           _spinor_cs_reference(values, dvalues))
+
+
+def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
+    # the charge sweep and decompose each take d Psi of a jet-less spinor
+    # once per slab and hand it to the current, the spinor density and
+    # D Psi (twice per slab each before)
+    from su2topo import decomposition, lattice
+    psi = st.identity_map_s3(24)
+    bare = st.SpinorField(psi.grid, psi.values)
+    monkeypatch.setattr(lattice, "SLAB_SITES", 4 * 24 * 24)
+    calls = []
+    real = lattice.derivative_stack
+
+    def counted(values, grid, order=2, slab=slice(None)):
+        if values is bare.values:
+            calls.append(slab)
+        return real(values, grid, order, slab)
+
+    monkeypatch.setattr(lattice, "derivative_stack", counted)
+    charges = cs.chern_simons(bare)
+    sweeps = [list(calls)]
+    calls.clear()
+    decomposition.decompose(bare, charges.gauge)
+    sweeps.append(list(calls))
+    for sweep in sweeps:
+        assert len(sweep) == 6
+        hits = np.zeros(24, dtype=int)
+        for slab in sweep:
+            hits[slab] += 1
+        assert np.all(hits == 1)

@@ -371,3 +371,37 @@ def test_face_restrict_of_a_sampler_backed_phi_is_the_jet_face():
             assert face.sampler is None and face.grid == expected.grid
             np.testing.assert_array_equal(face.values, expected.values)
             np.testing.assert_array_equal(face.jet, expected.jet)
+
+
+@pytest.mark.parametrize("budget", [1, 3000, None])
+def test_sampled_jet_of_a_slab_samples_those_planes(budget, monkeypatch):
+    # exact_jet(slab) asks the sampler for the slab's sites only, and every
+    # slab, and the whole jet filled slab by slab, equals one sampler call
+    # per plane bit for bit
+    from su2topo import lattice
+    if budget is not None:
+        monkeypatch.setattr(lattice, "SLAB_SITES", budget)
+    grid = st.box_grid((7, 6, 5, 6), -2.0, 2.0)
+    phi = st.quaternion_power_field(3, grid)
+    asked = []
+    sampler = phi.sampler
+
+    def counted(points):
+        asked.append(len(points))
+        return sampler(points)
+
+    phi = st.PhiField(grid, phi.values, sampler=counted)
+    planes = [sampler(grid.points(slice(k, k + 1)).reshape(-1, 4))[1]
+              for k in range(grid.shape[0])]
+    expected = np.concatenate(planes).reshape(grid.shape + (4, 4))
+    plane = 6 * 5 * 6
+    for lo in range(grid.shape[0]):
+        for hi in range(lo + 1, grid.shape[0] + 1):
+            asked.clear()
+            assert np.array_equal(phi.exact_jet(slice(lo, hi)), expected[lo:hi])
+            assert np.array_equal(phi.derivatives(slab=slice(lo, hi)), expected[lo:hi])
+            assert asked == [(hi - lo) * plane] * 2
+    asked.clear()
+    assert np.array_equal(phi.exact_jet(), expected)
+    assert sum(asked) == grid.shape[0] * plane
+    assert len(asked) == len(list(lattice.slabs(grid)))

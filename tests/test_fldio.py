@@ -287,3 +287,23 @@ def test_sampler_backed_field_writes_its_exact_jet(tmp_path):
     write_field(st.PhiField(grid, phi.values, jet=phi.derivatives()), str(stored))
     assert sampled.read_bytes() == stored.read_bytes()
     np.testing.assert_array_equal(read_field(str(sampled)).jet, phi.derivatives())
+
+
+def test_sampled_jet_is_written_slab_by_slab(tmp_path):
+    # the jet of a sampler-backed field (4x its values) never exists whole:
+    # the traced peak of the write stays below it (measured 2.30x the
+    # values at 20^4, 4.55x when the whole jet was built first)
+    import tracemalloc
+    grid = st.box_grid((20, 20, 20, 20), -2.0, 2.0)
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    phi = st.quaternion_polynomial_field(roots, grid)
+    path = str(tmp_path / "phi.fld")
+    tracemalloc.start()
+    try:
+        write_field(phi, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * phi.values.nbytes
+    back = read_field(path)
+    assert np.array_equal(back.jet, phi.exact_jet())

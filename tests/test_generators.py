@@ -326,3 +326,25 @@ def test_box_field_stores_values_only():
         tracemalloc.stop()
     assert phi.jet is None and phi.sampler is not None
     assert peak < 6 * phi.values.nbytes
+
+
+@pytest.mark.parametrize("budget", [1, None])
+def test_box_values_filled_by_slab_equal_the_whole_grid_map(budget, monkeypatch):
+    # the generators fill the values one slab at a time; every sample is the
+    # map evaluated on the whole grid's points, bit for bit
+    from su2topo import lattice
+    from su2topo.generators import _qpoly_values, _qpower_values
+    if budget is not None:
+        monkeypatch.setattr(lattice, "SLAB_SITES", budget)
+    grid = st.box_grid((18, 17, 16, 17), -2.0, 2.0)
+    x = grid.points()
+    matrix = np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
+                       [0.1, 0.0, 1.0, 0.2], [0.0, 0.4, 0.0, 1.0]])
+    shift = np.array([0.05, -0.03, 0.02, 0.01])
+    cases = [(st.quaternion_polynomial_field(_ROOTS[:2], grid), _qpoly_values(x, _ROOTS[:2])),
+             (st.linear_phi_field(matrix, shift, grid),
+              np.einsum("ab,...b->...a", matrix, x - shift))]
+    cases += [(st.quaternion_power_field(n, grid), _qpower_values(x, n))
+              for n in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    for phi, expected in cases:
+        assert _bit_equal(phi.values, expected)

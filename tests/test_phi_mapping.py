@@ -8,7 +8,9 @@ from su2topo import ZeroLocationError
 from su2topo.fldio import read_field, write_field
 from su2topo.generators import _qpoly_with_jet
 from su2topo.lattice import interpolate
-from su2topo.phi_mapping import _sign_change_cells, _zero_jacobian, surface_degree
+from su2topo import lattice, phi_mapping
+from su2topo.phi_mapping import (_screen, _sign_change_cells, _zero_jacobian,
+                                  surface_degree)
 
 
 def box(n=16, half=1.0):
@@ -304,6 +306,126 @@ def test_sign_screen_finds_a_change_across_the_periodic_wrap():
     open_grid = st.Grid(grid.shape, grid.origin, grid.spacing, (False,) * 4)
     open_mask = _sign_change_cells(values, open_grid)
     assert [tuple(c) for c in np.argwhere(open_mask)] == [(4, 2, 2, 2)]
+
+
+@settings(max_examples=40)
+@given(shape=hst.tuples(*[hst.integers(4, 7)] * 4),
+       periodic0=hst.booleans(),
+       plane_budget=hst.booleans(),
+       negative=hst.floats(0.02, 0.25),
+       scale=hst.sampled_from([1e-3, 1.0, 1e4]),
+       seed=hst.integers(0, 2**32 - 1))
+def test_slab_screen_lists_the_whole_grid_candidates(shape, periodic0, plane_budget,
+                                                     negative, scale, seed):
+    # the screen runs one slab of cells at a time with a halo plane; its
+    # starts are np.argwhere of the whole-grid masks, in the same order
+    grid = st.Grid(shape, (0.0,) * 4, (0.25,) * 4, (periodic0, False, True, False))
+    rng = np.random.default_rng(seed)
+    levels = rng.integers(0, 3, size=shape + (4,)).astype(np.float64)
+    values = scale * np.where(rng.random(levels.shape) < negative, -1.0 - levels, levels)
+    # seed sites: one zero, and one just below the threshold the largest
+    # norm sets, which any slab's own largest norm may not reach
+    top = np.linalg.norm(values, axis=-1).max()
+    values[tuple(rng.integers(0, n) for n in shape)] = 0.0
+    values[tuple(rng.integers(0, n) for n in shape)] = [0.9e-9 * max(1.0, top), 0, 0, 0]
+    with pytest.MonkeyPatch.context() as mp:
+        if plane_budget:
+            mp.setattr(lattice, "SLAB_SITES", 1)
+        cells, sites = _screen(values, grid)
+    mask = _sign_change_cells(values, grid)
+    assert np.array_equal(mask, _corner_screen_reference(values, grid))
+    assert np.array_equal(cells, np.argwhere(mask))
+    norms = np.linalg.norm(values, axis=-1)
+    assert np.array_equal(sites, np.argwhere(norms < 1e-9 * max(1.0, norms.max())))
+
+
+def _whole_stack_degree(evaluate, center, radius):
+    """:func:`surface_degree` as it was before the per-slab determinants:
+    one whole-sphere matrix stack per attempt."""
+    from su2topo.generators import s3_chart_grid, s3_points
+    from su2topo.lattice import central_diff, integrate_values
+    resolution = phi_mapping.SPHERE_RESOLUTION
+    for attempt in range(phi_mapping.SPHERE_REFINEMENTS + 1):
+        agrid = s3_chart_grid(resolution)
+        pts = center + radius * s3_points(agrid).reshape(-1, 4)
+        samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
+        n = samples / np.linalg.norm(samples, axis=-1)[..., None]
+        mats = np.stack([n] + [central_diff(n, agrid, ax) for ax in range(3)], axis=-2)
+        value = integrate_values(np.linalg.det(mats), agrid) / (2.0 * np.pi**2)
+        degree = int(np.rint(value))
+        if abs(value - degree) <= 0.1 or attempt == phi_mapping.SPHERE_REFINEMENTS:
+            return degree, value, abs(value - degree)
+        resolution = tuple(2 * r for r in resolution)
+
+
+@pytest.mark.parametrize("plane_budget", [False, True])
+@pytest.mark.parametrize("stretch", [np.diag([1.0, 1.0, 1.0, 8.0]),
+                                     np.diag([1.0, -1.0, 12.0, 1.0])])
+def test_refined_surface_degree_equals_the_whole_stack(monkeypatch, stretch,
+                                                       plane_budget):
+    # a coarse first sphere makes the stretched map refine twice; each
+    # attempt samples phi once and the per-slab determinants give the
+    # whole-stack degree, value and deviation bit for bit
+    monkeypatch.setattr(phi_mapping, "SPHERE_RESOLUTION", (8, 8, 16))
+    if plane_budget:
+        monkeypatch.setattr(lattice, "SLAB_SITES", 1)
+    phi = st.linear_phi_field(stretch, np.zeros(4), box(9))
+    calls = []
+
+    def evaluate(points):
+        calls.append(len(points))
+        return phi.sampler(points)[0]
+
+    got = surface_degree(evaluate, np.zeros(4), 0.5)
+    assert calls == [8 * 8 * 16, 16 * 16 * 32, 32 * 32 * 64]
+    expected = _whole_stack_degree(evaluate, np.zeros(4), 0.5)
+    assert got[0] == expected[0] == int(np.sign(np.linalg.det(stretch)))
+    assert got[1:] == expected[1:]
+    assert got[2] <= 0.1
+
+
+def _planted_zero(where, index, frac, grid):
+    """A zero position: on a site, on lattice planes, at a cell centre, or on
+    an axis-0 plane (a slab boundary when each slab is one plane)."""
+    h = np.array(grid.spacing)
+    site = np.array([grid.coords(i)[k] for i, k in enumerate(index)])
+    if where == "site":
+        return site
+    if where == "centre":
+        return np.array([grid.origin[i] + (k + 0.5) * h[i] for i, k in enumerate(index)])
+    off = site + np.asarray(frac) * h
+    if where == "planes":
+        return np.where(np.asarray(frac) < 0.5, site, off)
+    return np.concatenate([site[:1], off[1:]])          # "slab boundary"
+
+
+@settings(max_examples=24)
+@given(where=hst.sampled_from(["site", "planes", "centre", "slab boundary"]),
+       index=hst.tuples(*[hst.integers(3, 5)] * 4),
+       frac=hst.tuples(*[hst.floats(0.0, 0.99)] * 4),
+       aligned=hst.booleans(),
+       seed=hst.integers(0, 2**32 - 1))
+def test_planted_zero_gets_one_ledger_on_both_evaluators(where, index, frac,
+                                                         aligned, seed):
+    # One linear zero, planted at least three cells from every face; each
+    # slab holds one plane.  A signed permutation puts components to 0 on
+    # whole lattice planes; a random rotation does not.
+    grid = box(10)
+    rng = np.random.default_rng(seed)
+    if aligned:
+        matrix = np.eye(4)[rng.permutation(4)] * rng.choice([-1.0, 1.0], size=4)
+    else:
+        matrix, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    zero = _planted_zero(where, index, frac, grid)
+    phi = st.linear_phi_field(matrix, zero, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "SLAB_SITES", 1)
+        ledgers = [st.analyze(field).ledger
+                   for field in (phi, st.PhiField(grid, phi.values))]
+    for ledger in ledgers:
+        assert len(ledger.zeros) == 1
+        assert ledger.index_sum == int(np.sign(np.linalg.det(matrix)))
+        assert np.max(np.abs(np.subtract(ledger.zeros[0].position, zero))) < 1e-8
 
 
 # --------------------------------------------------------------------------
