@@ -1,6 +1,8 @@
 """Chern density on rank-4 grids and the second Chern number.
 
-Three pointwise routes to the density rho(x):
+Three pointwise routes to the density rho(x), one function each
+(:func:`spinor_chern_density`, :func:`unit_chern_density` and
+:func:`trace_chern_density`):
 
   spinor:  rho = -1/(4 pi^2) eps^{mnlr} d_m Psi^dag d_n Psi d_l Psi^dag d_r Psi
   unit:    rho = 1/(12 pi^2) eps^{mnlr} eps_{abcd}
@@ -22,8 +24,6 @@ ledger is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conventions import ORIENTATION_SIGN, PAIRS4
@@ -34,25 +34,15 @@ from .lattice import Grid, ScalarField, read_only
 from .chern_simons import Density, spinor_cs_values
 
 
-@dataclass(frozen=True, eq=False)
-class FieldStrength:
-    """Components F_mn^a for mu < nu, antisymmetric by storage.
-
-    ``pairs`` has shape ``(*shape, 6, 3)`` indexed by
-    :data:`su2topo.conventions.PAIRS4`.
-    """
-
-    grid: Grid
-    pairs: np.ndarray
-
-
-def field_strength(gauge: GaugeField) -> FieldStrength:
+def field_strength(gauge: GaugeField) -> np.ndarray:
     """F_mn = d_m A_n - d_n A_m - [A_m, A_n] on a rank-4 grid, in components.
 
     Derivatives come from the gauge jet when present (exact), otherwise
     from second-order finite differences.  With T_a = sigma_a/(2i) the
     commutator is [A_m, A_n]^a = eps_abc A_m^b A_n^c, so
-    F_mn^a = dA - dA - (A_m x A_n)^a; the returned pairs are read-only.
+    F_mn^a = dA - dA - (A_m x A_n)^a.  Returns the read-only components
+    F_mn^a for mu < nu, antisymmetric by storage: shape ``(*shape, 6, 3)``
+    indexed by :data:`su2topo.conventions.PAIRS4`.
     """
     grid = gauge.grid
     if grid.rank != 4:
@@ -64,7 +54,7 @@ def field_strength(gauge: GaugeField) -> FieldStrength:
         curl = da[..., mu, nu, :] - da[..., nu, mu, :]
         comm = np.cross(a[..., mu, :], a[..., nu, :])
         pairs[..., idx, :] = curl - comm
-    return FieldStrength(grid, read_only(pairs))
+    return read_only(pairs)
 
 
 def spinor_chern_values(dvalues: np.ndarray) -> np.ndarray:
@@ -85,38 +75,41 @@ def unit_chern_values(dvalues: np.ndarray) -> np.ndarray:
     return (2.0 / np.pi**2) * np.linalg.det(dvalues)
 
 
-def chern_density(source, method: str) -> Density:
-    """Chern density by the requested route.
+def _route_sign(source, kind: type, route: str) -> float:
+    """The orientation sign of a route's density; raises
+    :class:`FieldError` unless ``source`` is a rank-4 ``kind`` field."""
+    if not isinstance(source, kind):
+        raise FieldError(f"{route} route needs a {kind.__name__}")
+    if source.grid.rank != 4:
+        raise FieldError("Chern densities live on rank-4 grids")
+    return ORIENTATION_SIGN * source.grid.orientation
 
-    ``source`` is a :class:`SpinorField` for ``method="spinor"`` (typically
-    normalized; any smooth spinor is accepted, the formula is the exterior
-    derivative of its Chern-Simons form either way), a normalized
-    :class:`SpinorField` for ``"unit"`` (the real view of its derivatives
-    is dn of the unit 4-vector n), and a :class:`GaugeField` or
-    :class:`FieldStrength` for ``"trace"``.
-    """
-    if method in ("spinor", "unit"):
-        if not isinstance(source, SpinorField):
-            raise FieldError(f"{method} route needs a SpinorField")
-        grid = source.grid
-        if grid.rank != 4:
-            raise FieldError("Chern densities live on rank-4 grids")
-        sign = ORIENTATION_SIGN * grid.orientation
-        if method == "unit":
-            if not source.normalized:
-                raise FieldError("unit route needs a normalized spinor")
-            raw = unit_chern_values(source.derivatives().view(np.float64)) * sign
-            return Density(ScalarField(grid, read_only(raw)), "unit", 0.0)
-        raw = spinor_chern_values(source.derivatives()) * sign
-        residue = float(np.max(np.abs(raw.imag)))
-        return Density(ScalarField(grid, raw.real), "spinor", residue)
-    if method == "trace":
-        strength = source if isinstance(source, FieldStrength) else field_strength(source)
-        grid = strength.grid
-        dot = _eps4_pair_contract_dot(strength.pairs)
-        raw = -dot / (64.0 * np.pi**2) * (ORIENTATION_SIGN * grid.orientation)
-        return Density(ScalarField(grid, read_only(raw)), "trace", 0.0)
-    raise FieldError(f"unknown Chern density method {method!r}")
+
+def spinor_chern_density(psi: SpinorField) -> Density:
+    """Spinor-route density of a rank-4 spinor: typically normalized, but
+    any smooth spinor is accepted (the formula is the exterior derivative
+    of its Chern-Simons form either way)."""
+    sign = _route_sign(psi, SpinorField, "spinor")
+    raw = spinor_chern_values(psi.derivatives()) * sign
+    return Density(ScalarField(psi.grid, raw.real), float(np.max(np.abs(raw.imag))))
+
+
+def unit_chern_density(psi: SpinorField) -> Density:
+    """Unit-route density of a normalized rank-4 spinor: the real view of
+    its derivatives is dn of the unit 4-vector n."""
+    sign = _route_sign(psi, SpinorField, "unit")
+    if not psi.normalized:
+        raise FieldError("unit route needs a normalized spinor")
+    raw = unit_chern_values(psi.derivatives().view(np.float64)) * sign
+    return Density(ScalarField(psi.grid, read_only(raw)), 0.0)
+
+
+def trace_chern_density(gauge: GaugeField) -> Density:
+    """Trace-route density of a rank-4 gauge field, from its
+    :func:`field_strength`."""
+    sign = _route_sign(gauge, GaugeField, "trace")
+    raw = -_eps4_pair_contract_dot(field_strength(gauge)) / (64.0 * np.pi**2) * sign
+    return Density(ScalarField(gauge.grid, read_only(raw)), 0.0)
 
 
 def _eps4_pair_contract_dot(pairs: np.ndarray) -> np.ndarray:

@@ -97,11 +97,10 @@ def trace_cs_values(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Density:
-    """Density samples (Chern-Simons or Chern) with their method tag and the
-    largest imaginary part the route discarded."""
+    """Density samples (Chern-Simons or Chern) with the largest imaginary
+    part the route discarded."""
 
     field: ScalarField
-    method: str
     imag_residue: float
 
 
@@ -196,7 +195,7 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
         np.multiply(current[..., 0].imag, -2.0, out=c[slab])
         for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
             h_pairs[slab][..., idx] = -_triple(m, dm[..., i, :], dm[..., j, :])
-        fn[slab] = _fn_values(c[slab], h_pairs[slab]) * sign / (8.0 * np.pi**2)
+        fn[slab] = fn_pointwise(c[slab], h_pairs[slab]) * sign / (8.0 * np.pi**2)
 
     # dA and dC read the planes next to each slab, so A and c are whole now
     curl_res = h_max = dc_max = 0.0
@@ -215,25 +214,21 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
         raise ReconstructionError(
             f"Abelian potential is not a potential for H: residual {curl_res:.3e}")
 
-    def density(values, method, imag_residue=0.0):
-        return Density(ScalarField(grid, read_only(values)), method, imag_residue)
+    def density(values, imag_residue=0.0):
+        return Density(ScalarField(grid, read_only(values)), imag_residue)
 
-    return KnotCharges(density(spinor, "spinor", residue), density(trace, "trace"),
-                       density(fn, "fn"), GaugeField(grid, read_only(gauge)),
+    return KnotCharges(density(spinor, residue), density(trace),
+                       density(fn), GaugeField(grid, read_only(gauge)),
                        AbelianData(read_only(c), read_only(h_pairs), curl_res))
 
 
-def fn_pointwise(data: AbelianData) -> np.ndarray:
-    """(1/4) eps_{ijk} C_i H_jk, the Abelian side of the integrand identity.
+def fn_pointwise(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(1/4) eps_{ijk} C_i H_jk of the potential ``c`` and curvature pairs
+    ``h``, the Abelian side of the integrand identity.
 
     With H stored as the pairs (H_01, H_02, H_12), the contraction is
     2 (C_0 H_12 - C_1 H_02 + C_2 H_01).
     """
-    return _fn_values(data.c, data.h_pairs)
-
-
-def _fn_values(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """:func:`fn_pointwise` of the potential ``c`` and curvature pairs ``h``."""
     return 0.5 * (c[..., 0] * h[..., 2] - c[..., 1] * h[..., 1] + c[..., 2] * h[..., 0])
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import chern_simons as cs
 from . import fldio, generators, phi_mapping, su2_algebra
-from .chern_density import chern_density
+from .chern_density import spinor_chern_density, trace_chern_density, unit_chern_density
 from .decomposition import decompose, parallel_gauge_potential
 from .errors import (FieldError, FieldFormatError, LatticeError,
                      ReconstructionError, Su2TopoError)
@@ -89,14 +89,23 @@ def _parse_box(text: str):
     return spans
 
 
-def _parse_shift(text: str) -> list:
+def _parse_vector(text: str) -> list:
+    """A 4-vector ``x0,x1,x2,x3``: ``--shift`` or one of ``--roots``."""
     try:
-        shift = [float(v) for v in text.split(",")]
+        vector = [float(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad shift spec {text!r}")
-    if len(shift) != 4:
-        raise argparse.ArgumentTypeError("shift needs 4 components")
-    return shift
+        raise argparse.ArgumentTypeError(f"bad 4-vector {text!r}")
+    if len(vector) != 4:
+        raise argparse.ArgumentTypeError(f"{text!r} does not have 4 components")
+    return vector
+
+
+class _KindFlag(argparse.Action):
+    """Store a kind flag and note it as given, for :func:`_build` to check."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.kind_flags = {*getattr(namespace, "kind_flags", ()), self.dest}
 
 
 def _chart_grid(args, chart: str):
@@ -210,35 +219,23 @@ def _as_spinor(field, source: str) -> SpinorField:
     raise Su2TopoError(f"{source}: expected a spinor or phi field")
 
 
-def _parse_roots(text: str) -> np.ndarray:
-    roots = []
-    for chunk in text.split(";"):
-        try:
-            vals = [float(v) for v in chunk.split(",")]
-        except ValueError:
-            raise UsageError(f"root {chunk!r} is not a list of numbers")
-        if len(vals) != 4:
-            raise UsageError(f"root {chunk!r} does not have 4 components")
-        roots.append(vals)
-    return np.asarray(roots)
-
-
 def _qpoly_roots(args, grid) -> np.ndarray:
     """``--roots``, or two roots at least five cells apart."""
     if args.roots:
-        return _parse_roots(args.roots)
+        return np.asarray(args.roots)
     gap = max(1.2, 5.0 * max(grid.spacing))
     return np.array([[-gap / 2, 0.1, -0.05, 0.2], [gap / 2, -0.1, 0.05, -0.2]])
 
 
 @dataclass(frozen=True)
 class _Kind:
-    """A named configuration: the charts it is defined on, its builder
-    ``(grid, args) -> field`` and, for ``verify``, its config name (the
-    first chart is the one ``verify`` uses)."""
+    """A named configuration: its charts, its ``build(grid, args) -> field``,
+    the one kind flag ``build`` reads, if any, and for ``verify`` its config
+    name (the first chart is the one ``verify`` uses)."""
 
     charts: tuple
     build: Callable
+    flag: str | None = None
     verify: str | None = None
 
 
@@ -247,14 +244,14 @@ _KINDS = {
                       verify="identity"),
     "qpower": _Kind(("s3", "box"),
                     lambda grid, args: generators.quaternion_power_field(args.power, grid),
-                    verify="qpower:N"),
+                    flag="power", verify="qpower:N"),
     "qpoly": _Kind(("box",), lambda grid, args: generators.quaternion_polynomial_field(
-        _qpoly_roots(args, grid), grid), verify="qpoly"),
+        _qpoly_roots(args, grid), grid), flag="roots", verify="qpoly"),
     "linear": _Kind(("box",), lambda grid, args: generators.linear_phi_field(
-        np.eye(4), args.shift, grid), verify="linear"),
+        np.eye(4), args.shift, grid), flag="shift", verify="linear"),
     **{f"random-{kind}": _Kind(("box",), lambda grid, args, kind=kind:
-                               generators.random_config(args.seed, kind, grid))
-       for kind in ("spinor", "gauge", "su2")},
+                               generators.random_config(args.seed, kind, grid), flag="seed")
+       for kind in ("spinor", "gauge")},
 }
 
 _VERIFY_CONFIGS = tuple(k.verify for k in _KINDS.values() if k.verify)
@@ -266,6 +263,9 @@ def _build(kind: str, chart: str, args):
     if chart not in charts:
         raise UsageError(f"kind {kind!r} is defined on the {' and '.join(charts)} "
                          f"chart only, not on {chart}")
+    stray = sorted(getattr(args, "kind_flags", set()) - {_KINDS[kind].flag})
+    if stray:
+        raise UsageError(f"kind {kind!r} does not read --{', --'.join(stray)}")
     try:
         return _KINDS[kind].build(_chart_grid(args, chart), args)
     except (FieldError, LatticeError) as exc:
@@ -315,8 +315,8 @@ def _charge_entry(q: float) -> dict:
 
 
 def _run_cs(args, psi: SpinorField | None = None):
-    """Three routes to Q in one sweep; returns the report, the normalized
-    spinor and the parallel gauge potential the trace route differentiated."""
+    """Three routes to Q in one sweep: the report, the normalized spinor and
+    the trace route's parallel potential (None when ``exactness`` FAILs)."""
     su2_algebra.self_check()
     if psi is None:
         psi = _as_spinor(fldio.read_field(args.infile), args.infile)
@@ -326,7 +326,12 @@ def _run_cs(args, psi: SpinorField | None = None):
     tol = args.tol
 
     start = time.perf_counter()
-    charges = cs.chern_simons(psi)
+    try:
+        charges = cs.chern_simons(psi)
+    except ReconstructionError as exc:
+        # dC = H does not hold: a check verdict, not an input error
+        report.add_check("exactness", False, str(exc))
+        return report, psi, None
     q_spinor, q_trace, q_fn = charges.q_spinor, charges.q_trace, charges.q_fn
     report.timings["charges_s"] = time.perf_counter() - start
     report.results["charges"] = {
@@ -353,15 +358,13 @@ def cmd_chern(args) -> int:
 
     methods = ["spinor", "unit", "trace"] if args.method == "all" else [args.method]
     unit = normalize(psi) if methods != ["spinor"] else None
+    routes = {"spinor": lambda: spinor_chern_density(psi),
+              "unit": lambda: unit_chern_density(unit),
+              "trace": lambda: trace_chern_density(parallel_gauge_potential(unit))}
     results = {}
     for method in methods:
         start = time.perf_counter()
-        if method == "spinor":
-            rho = chern_density(psi, "spinor")
-        elif method == "unit":
-            rho = chern_density(unit, "unit")
-        else:
-            rho = chern_density(parallel_gauge_potential(unit), "trace")
+        rho = routes[method]()
         c2 = integrate(rho.field)
         report.timings[f"{method}_s"] = time.perf_counter() - start
         results[f"C2_{method}"] = {**_charge_entry(c2), "imag_residue": rho.imag_residue}
@@ -440,12 +443,13 @@ def cmd_verify(args) -> int:
     if chart == "s3":
         psi = _as_spinor(_build(kind, chart, args), name)
         report, psi, gauge = _run_cs(args, psi=psi)
-        dec = decompose(psi, gauge)
-        dnorm, bnorm = dec.max_covariant, dec.max_b
-        report.results["parallel_condition"] = {"max_DPsi": dnorm, "max_b": bnorm}
-        _bound_check(report, "parallel-condition",
-                     f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e}",
-                     max(dnorm, bnorm), 1e-10)
+        if gauge is not None:
+            dec = decompose(psi, gauge)
+            dnorm, bnorm = dec.max_covariant, dec.max_b
+            report.results["parallel_condition"] = {"max_DPsi": dnorm, "max_b": bnorm}
+            _bound_check(report, "parallel-condition",
+                         f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e}",
+                         max(dnorm, bnorm), 1e-10)
     else:
         report, _ = _run_zeros(args, _build(kind, chart, args), threads)
     report.command = f"verify {name}"
@@ -486,11 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write an analytic configuration")
     gen.add_argument("--kind", required=True, choices=list(_KINDS))
     gen.add_argument("--chart", choices=["s3", "box"], default="box")
-    gen.add_argument("--power", type=int, default=1)
-    gen.add_argument("--roots", default=None)
-    gen.add_argument("--shift", type=_parse_shift, default=[0.0, 0.0, 0.0, 0.0])
+    gen.add_argument("--power", type=int, default=1, action=_KindFlag)
+    gen.add_argument("--roots", default=None, action=_KindFlag,
+                     type=lambda text: [_parse_vector(root) for root in text.split(";")])
+    gen.add_argument("--shift", type=_parse_vector, default=[0.0] * 4, action=_KindFlag)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=0, action=_KindFlag)
     domain_flags(gen)
     gen.set_defaults(func=cmd_generate)
 
@@ -520,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="full cross-check on a named generator")
     ver.add_argument("config", help="|".join(_VERIFY_CONFIGS))
-    ver.add_argument("--shift", type=_parse_shift, default=[0.05, -0.03, 0.02, 0.01])
+    ver.add_argument("--shift", type=_parse_vector, default=[0.05, -0.03, 0.02, 0.01],
+                     action=_KindFlag)
     domain_flags(ver)
     threads_flag(ver)
     report_flags(ver)

@@ -103,11 +103,11 @@ class PhiField(LatticeField):
     FLD_KIND = 2
     LABEL = "phi"
 
-    def exact_jet(self, slab: slice = slice(None)) -> np.ndarray | None:
+    def exact_jet(self, slab: slice | tuple = slice(None)) -> np.ndarray | None:
         """The stored jet, else the sampler's jet, else None, on the planes
-        ``slab`` of axis 0.
+        ``slab`` of axis 0 (or a block of per-axis slices).
 
-        The sampler is asked for the sites of those planes only; the whole
+        The sampler is asked for the sites of that block only; the whole
         grid's jet is filled into one new ``(*shape, rank, 4)`` array an
         axis-0 slab (:func:`~su2topo.lattice.slabs`) at a time, one sampler
         call per slab, so no whole-grid temporaries are built.  A sampled
@@ -117,17 +117,12 @@ class PhiField(LatticeField):
             return super().exact_jet(slab)
         grid = self.grid
         if slab != slice(None):
-            return self._sampled_jet(grid.points(slab))
+            points = grid.points(slab)
+            return np.reshape(self.sampler(points.reshape(-1, grid.rank))[1], points.shape + (4,))
         out = np.empty(grid.shape + (grid.rank, 4))
         for part in slabs(grid):
-            out[part] = self._sampled_jet(grid.points(part))
+            out[part] = self.exact_jet(part)
         return out
-
-    def _sampled_jet(self, points: np.ndarray) -> np.ndarray:
-        """The sampler's jet at ``points`` ``(..., rank)``, shape
-        ``(..., rank, 4)``."""
-        _, jacobians = self.sampler(points.reshape(-1, self.grid.rank))
-        return np.reshape(jacobians, points.shape + (4,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,10 +327,10 @@ def pure_gauge_potential(s: SU2Field) -> GaugeField:
 def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     """Restrict a rank-4 field to one boundary face of an open axis.
 
-    ``side`` is 0 for the low face, 1 for the high face.  Jets keep only
-    the in-face derivative components.  A phi field with a sampler and no
-    stored jet gets its face jet from the sampler, evaluated on the face's
-    sites only.  Faces of vertex-centered grids lie exactly on the domain
+    ``side`` is 0 for the low face, 1 for the high face.  The face's jet is
+    :meth:`~LatticeField.exact_jet` of its one-plane slice, so a sampler is
+    evaluated on the face's sites only; it keeps the in-face derivative
+    components.  Faces of vertex-centered grids lie exactly on the domain
     boundary, as boundary-flux sums require.  The face is a field of the
     same kind built from its samples and jet, so a phi field's sampler is
     dropped.
@@ -344,13 +339,8 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     if grid.periodic[axis]:
         raise FieldError("boundary faces exist only on open axes")
     index = 0 if side == 0 else grid.shape[axis] - 1
-    values = np.take(field.values, index, axis=axis)
-    keep = [i for i in range(grid.rank) if i != axis]
-    jet = None
-    if field.jet is not None:
-        jet = np.take(field.jet, index, axis=axis)[..., keep, :]
-    elif getattr(field, "sampler", None) is not None:
-        face = grid.drop_axis(axis).points()
-        points = np.insert(face, axis, grid.coords(axis)[index], axis=-1)
-        jet = field._sampled_jet(points)[..., keep, :]
-    return type(field).from_samples(grid.drop_axis(axis), values, jet)
+    face = (slice(None),) * axis + (slice(index, index + 1),)
+    jet = field.exact_jet(face)
+    if jet is not None:
+        jet = jet.squeeze(axis)[..., [i for i in range(grid.rank) if i != axis], :]
+    return type(field).from_samples(grid.drop_axis(axis), field.values[face].squeeze(axis), jet)

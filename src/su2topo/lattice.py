@@ -10,8 +10,8 @@ Pointwise work runs one axis-0 slab at a time (:func:`slabs`): a route
 reads each slab of its inputs, with ``derivative_stack(..., slab=...)``
 reading the ``order // 2`` neighbouring planes the stencils need, and
 writes into the whole-grid arrays it returns.  ``Grid.points(slab)`` gives
-the coordinates of a slab's planes only, so a generator samples its map
-slab by slab without whole-grid coordinates.  Every value is computed by
+the coordinates of a slab's planes (or a face's sites) only, so a map is
+sampled there without whole-grid coordinates.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
 
 All operations are pure: fields are immutable after construction and the
@@ -23,6 +23,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -83,10 +84,11 @@ class Grid:
         n = self.shape[axis]
         return self.origin[axis] + (np.arange(n) + off) * self.spacing[axis]
 
-    def points(self, slab: slice = slice(None)) -> np.ndarray:
-        """Site coordinates on the planes ``slab`` of axis 0, shape
-        ``(*slab_shape, rank)``; all sites by default."""
-        axes = [self.coords(0)[slab]] + [self.coords(i) for i in range(1, self.rank)]
+    def points(self, slab: slice | tuple = slice(None)) -> np.ndarray:
+        """Site coordinates on the planes ``slab`` of axis 0, or on the block
+        a tuple of per-axis slices picks, shape ``(*block_shape, rank)``."""
+        parts = (slab if isinstance(slab, tuple) else (slab,)) + (slice(None),) * self.rank
+        axes = [self.coords(i)[parts[i]] for i in range(self.rank)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def axis_extent(self, axis: int) -> float:
@@ -204,9 +206,9 @@ class LatticeField:
             raise FieldError(f"{self.LABEL} {name} shape {array.shape} != {expected}")
         object.__setattr__(self, name, array)
 
-    def exact_jet(self, slab: slice = slice(None)) -> np.ndarray | None:
-        """Exact first-derivative samples on the planes ``slab`` of axis 0,
-        or None for bare samples."""
+    def exact_jet(self, slab: slice | tuple = slice(None)) -> np.ndarray | None:
+        """Exact first-derivative samples on the planes ``slab`` of axis 0 (or
+        a block of per-axis slices), or None for bare samples."""
         return None if self.jet is None else self.jet[slab]
 
     def derivatives(self, order: int = 2, slab: slice = slice(None)) -> np.ndarray:
@@ -401,24 +403,19 @@ def _fractional_index(grid: Grid, points: np.ndarray) -> tuple:
 def interpolation_corners(grid: Grid, points: np.ndarray):
     """Yield the ``2**rank`` corners that multilinear interpolation reads.
 
-    Each corner is ``(index, weight)``: a tuple of per-axis site arrays
-    (wrapped on periodic axes) and the weight array, one entry per point
-    of ``points`` ``(npts, rank)``.  Open axes reject points outside the
-    sampled interval.
+    Each corner is ``(index, bits, factors)``: per-axis site arrays (wrapped
+    on periodic axes), 0/1 offsets and weight factors, whose product in axis
+    order is the weight, one entry per point of ``points`` ``(npts, rank)``.
+    Open axes reject points outside the sampled interval.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     bases, fracs = _fractional_index(grid, points)
     for corner in range(1 << grid.rank):
-        weight = np.ones(points.shape[0])
-        index = []
-        for i in range(grid.rank):
-            bit = (corner >> i) & 1
-            idx = bases[i] + bit
-            if grid.periodic[i]:
-                idx %= grid.shape[i]
-            weight = weight * (fracs[i] if bit else 1.0 - fracs[i])
-            index.append(idx)
-        yield tuple(index), weight
+        bits = tuple((corner >> i) & 1 for i in range(grid.rank))
+        index = tuple((base + bit) % n if periodic else base + bit
+                      for base, bit, n, periodic in zip(bases, bits, grid.shape,
+                                                        grid.periodic))
+        yield index, bits, [frac if bit else 1.0 - frac for frac, bit in zip(fracs, bits)]
 
 
 def interpolate(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
@@ -431,8 +428,8 @@ def interpolate(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarra
     npts = np.atleast_2d(points).shape[0]
     comp_shape = values.shape[grid.rank:]
     out = np.zeros((npts,) + comp_shape, dtype=values.dtype)
-    for index, weight in interpolation_corners(grid, points):
-        out += weight.reshape((-1,) + (1,) * len(comp_shape)) * values[index]
+    for index, _, factors in interpolation_corners(grid, points):
+        out += reduce(np.multiply, factors).reshape((-1,) + (1,) * len(comp_shape)) * values[index]
     return out
 
 
@@ -443,35 +440,16 @@ def interpolate_with_gradient(values: np.ndarray, grid: Grid, points: np.ndarray
     ``(npts, rank, *components)``; the gradient is the analytic derivative
     of the multilinear interpolant itself.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    bases, fracs = _fractional_index(grid, points)
+    npts = np.atleast_2d(points).shape[0]
     comp_shape = values.shape[grid.rank:]
-    npts = points.shape[0]
     vals = np.zeros((npts,) + comp_shape, dtype=values.dtype)
     grads = np.zeros((npts, grid.rank) + comp_shape, dtype=values.dtype)
-    pad = (1,) * len(comp_shape)
-    for corner in range(1 << grid.rank):
-        index = []
-        w_axis = []
-        dw_axis = []
-        for i in range(grid.rank):
-            bit = (corner >> i) & 1
-            idx = bases[i] + bit
-            if grid.periodic[i]:
-                idx %= grid.shape[i]
-            index.append(idx)
-            w_axis.append(fracs[i] if bit else 1.0 - fracs[i])
-            sign = 1.0 if bit else -1.0
-            dw_axis.append(np.full(npts, sign / grid.spacing[i]))
-        corner_vals = values[tuple(index)]
-        weight = np.ones(npts)
-        for w in w_axis:
-            weight = weight * w
-        vals += weight.reshape((-1,) + pad) * corner_vals
-        for ax in range(grid.rank):
-            w = dw_axis[ax]
-            for j in range(grid.rank):
-                if j != ax:
-                    w = w * w_axis[j]
-            grads[:, ax] += w.reshape((-1,) + pad) * corner_vals
+    pad = (-1,) + (1,) * len(comp_shape)
+    for index, bits, factors in interpolation_corners(grid, points):
+        corner_vals = values[index]
+        vals += reduce(np.multiply, factors).reshape(pad) * corner_vals
+        for ax, bit in enumerate(bits):
+            slope = (1.0 if bit else -1.0) / grid.spacing[ax]
+            weight = reduce(np.multiply, factors[:ax] + factors[ax + 1:], slope)
+            grads[:, ax] += weight.reshape(pad) * corner_vals
     return vals, grads

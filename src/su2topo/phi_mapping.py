@@ -38,6 +38,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -304,10 +305,10 @@ def _zero_jacobian(phi: PhiField, x: np.ndarray) -> float:
     jet = None if phi.jet is None else phi.jet[window]
     dets = jacobian(PhiField(wgrid, phi.values[window], jet=jet)).values
     det = np.zeros(1)
-    for index, weight in corners:
+    for index, _, factors in corners:
         local = tuple((int(idx[0]) - int(t[0])) % n
                       for idx, t, n in zip(index, take, grid.shape))
-        det += weight * dets[local]
+        det += reduce(np.multiply, factors) * dets[local]
     return float(det[0])
 
 

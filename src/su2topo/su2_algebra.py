@@ -54,20 +54,16 @@ def sigma_bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def spinor_current(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def spinor_current(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``u^dag sigma_A v`` with ``sigma_0 = 1``: the index ``A`` last, of length 4.
 
     Broadcasting is that of :func:`sigma_bilinear`, and entries 1 to 3 are
     its result bit for bit: they are built from the same four products.
-    The result is written into ``out`` when one is given (a complex array
-    of the broadcast shape plus ``(4,)``), and returned.
     """
     u0, u1 = np.conj(u[..., 0]), np.conj(u[..., 1])
     v0, v1 = v[..., 0], v[..., 1]
     p00, p01, p10, p11 = u0 * v0, u0 * v1, u1 * v0, u1 * v1
-    if out is None:
-        out = np.empty(np.broadcast_shapes(u0.shape, v0.shape) + (4,),
-                       dtype=np.complex128)
+    out = np.empty(np.broadcast_shapes(u0.shape, v0.shape) + (4,), dtype=np.complex128)
     out[..., 0] = p00 + p11
     out[..., 1] = p01 + p10
     out[..., 2] = 1j * (p10 - p01)

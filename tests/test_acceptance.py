@@ -116,7 +116,8 @@ def test_criterion_06_abelian_identity():
     for n in (16, 32, 64):
         psi = st.identity_map_s3(n)
         charges = chern_simons(psi)
-        residual = float(np.max(np.abs(st.fn_pointwise(charges.abelian)
+        abelian = charges.abelian
+        residual = float(np.max(np.abs(st.fn_pointwise(abelian.c, abelian.h_pairs)
                                        - st.trace_pointwise(charges.gauge))))
         constants.append(residual / max(psi.grid.spacing) ** 2)
     drift = max(constants) / min(constants)
@@ -146,7 +147,7 @@ def test_criterion_08_chern_weil_stokes():
     diffs = []
     for grid in (base, base.refine(2)):
         psi = st.random_config(8080, "spinor", grid)
-        volume = st.integrate(st.chern_density(psi, "spinor").field)
+        volume = st.integrate(st.spinor_chern_density(psi).field)
         boundary, _ = st.boundary_cs_sum(psi)
         diffs.append(abs(volume - boundary))
     ratio = diffs[0] / diffs[1]

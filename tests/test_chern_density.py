@@ -14,11 +14,11 @@ def small_grid(n=6):
 def component(strength, mu, nu):
     """F_mn^a for any axis pair, read from the stored mu < nu pairs."""
     if mu == nu:
-        return np.zeros(strength.grid.shape + (3,))
+        return np.zeros(strength.shape[:-2] + (3,))
     sign = 1.0
     if mu > nu:
         mu, nu, sign = nu, mu, -1.0
-    return sign * strength.pairs[..., PAIRS4.index((mu, nu)), :]
+    return sign * strength[..., PAIRS4.index((mu, nu)), :]
 
 
 def commutator_form_residual(gauge, strength):
@@ -31,7 +31,7 @@ def commutator_form_residual(gauge, strength):
         fmat = (damat[..., mu, nu, :, :] - damat[..., nu, mu, :, :]
                 - (amat[..., mu, :, :] @ amat[..., nu, :, :]
                    - amat[..., nu, :, :] @ amat[..., mu, :, :]))
-        diff = fmat - matrix_from_components(strength.pairs[..., idx, :])
+        diff = fmat - matrix_from_components(strength[..., idx, :])
         residual = max(residual, float(np.max(np.abs(diff))))
     return residual
 
@@ -46,7 +46,7 @@ def test_field_strength_zero_potential():
     grid = small_grid()
     gauge = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
     strength = st.field_strength(gauge)
-    assert np.max(np.abs(strength.pairs)) == 0.0
+    assert np.max(np.abs(strength)) == 0.0
 
 
 def test_field_strength_constant_commutator_channel():
@@ -80,9 +80,9 @@ def test_field_strength_matches_the_matrix_commutator_form(jets):
     if not jets:
         gauge = st.GaugeField(grid, gauge.values)
     strength = st.field_strength(gauge)
-    scale = float(np.max(np.abs(strength.pairs)))
+    scale = float(np.max(np.abs(strength)))
     assert commutator_form_residual(gauge, strength) < 1e-14 * scale
-    assert not strength.pairs.flags.writeable
+    assert not strength.flags.writeable
 
 
 def test_pure_gauge_flatness_scaling():
@@ -92,7 +92,7 @@ def test_pure_gauge_flatness_scaling():
         s = st.random_config(22, "su2", grid)
         gauge = st.pure_gauge_potential(s)
         strength = st.field_strength(gauge)
-        constants[n] = np.max(np.abs(strength.pairs)) / max(grid.spacing) ** 2
+        constants[n] = np.max(np.abs(strength)) / max(grid.spacing) ** 2
     assert constants[8] / constants[16] < 2.0
     assert constants[16] / constants[8] < 2.0
 
@@ -123,10 +123,10 @@ def test_constant_field_zero_density_all_methods():
     values[..., 0] = 1.0
     psi = st.SpinorField(grid, values,
                          jet=np.zeros(grid.shape + (4, 2), dtype=complex))
-    assert np.max(np.abs(st.chern_density(psi, "spinor").field.values)) == 0.0
-    assert np.max(np.abs(st.chern_density(psi, "unit").field.values)) == 0.0
+    assert np.max(np.abs(st.spinor_chern_density(psi).field.values)) == 0.0
+    assert np.max(np.abs(st.unit_chern_density(psi).field.values)) == 0.0
     gauge = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
-    assert np.max(np.abs(st.chern_density(gauge, "trace").field.values)) == 0.0
+    assert np.max(np.abs(st.trace_chern_density(gauge).field.values)) == 0.0
 
 
 def test_exact_unit_jets_give_vanishing_density():
@@ -134,7 +134,7 @@ def test_exact_unit_jets_give_vanishing_density():
     # from zeros: all four tangent vectors lie in a 3-space
     grid = small_grid(8)
     psi = st.random_config(7, "spinor", grid)
-    rho = st.chern_density(st.normalize(psi), "unit")
+    rho = st.unit_chern_density(st.normalize(psi))
     assert np.max(np.abs(rho.field.values)) < 1e-12
 
 
@@ -144,9 +144,9 @@ def test_spinor_vs_trace_density_fd_scaling():
         grid = small_grid(n)
         psi = st.normalize(st.random_config(8, "spinor", grid))
         nojet = st.SpinorField(grid, psi.values)
-        rho_s = st.chern_density(nojet, "spinor").field.values
+        rho_s = st.spinor_chern_density(nojet).field.values
         gauge = st.parallel_gauge_potential(psi)
-        rho_t = st.chern_density(gauge, "trace").field.values
+        rho_t = st.trace_chern_density(gauge).field.values
         constants[n] = np.max(np.abs(rho_s - rho_t)) / max(grid.spacing) ** 2
     # bounded by C h^2 with a non-growing constant (decay may be faster)
     assert constants[16] < 2.0 * constants[8]
@@ -157,10 +157,10 @@ def test_trace_density_gauge_invariant_with_exact_jets():
     gauge = st.random_config(21, "gauge", grid)
     s = st.random_config(22, "su2", grid)
     psi = st.random_config(23, "spinor", grid)
-    rho1 = st.chern_density(st.field_strength(gauge), "trace").field.values
+    rho1 = st.trace_chern_density(gauge).field.values
     _, gauge2, _ = st.gauge_transform(psi, gauge, s)
     assert gauge2.jet is not None
-    rho2 = st.chern_density(st.field_strength(gauge2), "trace").field.values
+    rho2 = st.trace_chern_density(gauge2).field.values
     assert np.max(np.abs(rho1 - rho2)) < 1e-9
 
 
@@ -170,7 +170,7 @@ def test_chern_weil_stokes_consistency():
     residues = {}
     for factor, grid in ((1, base), (2, base.refine(2))):
         psi = st.random_config(3, "spinor", grid)
-        volume = st.integrate(st.chern_density(psi, "spinor").field)
+        volume = st.integrate(st.spinor_chern_density(psi).field)
         boundary, residue = st.boundary_cs_sum(psi)
         diffs[factor] = abs(volume - boundary)
         residues[factor] = residue
@@ -183,9 +183,15 @@ def test_boundary_flux_of_phi_normalizes_face_by_face():
     grid = st.box_grid((16, 16, 16, 16), -2.0, 2.0)
     roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
     phi = st.quaternion_polynomial_field(roots, grid)
-    face = st.face_restrict(phi, 2, 0)
-    assert isinstance(face, st.PhiField) and face.sampler is None
-    np.testing.assert_array_equal(face.jet, phi.derivatives()[:, :, 0][..., [0, 1, 3], :])
+    jet = phi.exact_jet()
+    for axis in range(4):
+        keep = [i for i in range(4) if i != axis]
+        for side, index in ((0, 0), (1, -1)):
+            # the sampler-backed face jet is the face of the whole exact jet
+            face = st.face_restrict(phi, axis, side)
+            assert isinstance(face, st.PhiField) and face.sampler is None
+            np.testing.assert_array_equal(face.values, np.take(phi.values, index, axis))
+            np.testing.assert_array_equal(face.jet, np.take(jet, index, axis)[..., keep, :])
     # normalizing each face gives the faces of the normalized spinor
     psi = st.normalize(st.phi_to_spinor(phi))
     assert st.boundary_cs_sum(phi) == st.boundary_cs_sum(psi)
@@ -198,7 +204,7 @@ def test_c2_converges_to_integer_under_refinement():
     for grid in (base, base.refine(2)):
         psi = st.normalize(st.random_config(42, "spinor", grid))
         nojet = st.SpinorField(grid, psi.values)
-        c2 = st.integrate(st.chern_density(nojet, "spinor").field)
+        c2 = st.integrate(st.spinor_chern_density(nojet).field)
         assert round(c2) == 0
         devs.append(abs(c2))
     assert devs[0] / devs[1] >= 3.0
@@ -224,13 +230,18 @@ def test_chern_density_input_validation():
     grid = small_grid()
     gauge = st.random_config(9, "gauge", grid)
     with pytest.raises(FieldError):
-        st.chern_density(gauge, "spinor")
+        st.spinor_chern_density(gauge)
     psi3 = st.identity_map_s3(8)
     with pytest.raises(FieldError):
-        st.chern_density(psi3, "spinor")
+        st.spinor_chern_density(psi3)
     # the unit route reads dn from a normalized rank-4 spinor only
     psi = st.random_config(10, "spinor", grid)
     assert not psi.normalized
     for source in (psi, st.spinor_to_phi(st.normalize(psi)), gauge, psi3):
         with pytest.raises(FieldError):
-            st.chern_density(source, "unit")
+            st.unit_chern_density(source)
+    # the trace route reads a rank-4 gauge field only
+    gauge3 = st.random_config(11, "gauge", st.box_grid((6, 6, 6), -1.0, 1.0))
+    for source in (psi, gauge3):
+        with pytest.raises(FieldError):
+            st.trace_chern_density(source)

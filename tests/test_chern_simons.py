@@ -70,7 +70,8 @@ def test_sweep_matches_the_whole_grid_routes():
     assert np.array_equal(charges.trace.field.values,
                           sign * cs.trace_cs_values(gauge.values, gauge.derivatives()))
     assert np.array_equal(charges.abelian.c, -2.0 * current[..., 0].imag)
-    fn = sign * cs.fn_pointwise(charges.abelian) / (8.0 * np.pi**2)
+    abelian = charges.abelian
+    fn = sign * cs.fn_pointwise(abelian.c, abelian.h_pairs) / (8.0 * np.pi**2)
     assert np.array_equal(charges.fn.field.values, fn)
 
 
@@ -110,7 +111,7 @@ def test_abelian_nonabelian_pointwise_identity():
     constants = {}
     for n in (12, 24):
         charges = cs.chern_simons(st.identity_map_s3(n))
-        lhs = st.fn_pointwise(charges.abelian)
+        lhs = st.fn_pointwise(charges.abelian.c, charges.abelian.h_pairs)
         rhs = st.trace_pointwise(charges.gauge)
         h2 = max(charges.gauge.grid.spacing) ** 2
         constants[n] = np.max(np.abs(lhs - rhs)) / h2

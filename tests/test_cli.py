@@ -107,14 +107,35 @@ def test_abelian_route_off_by_more_than_rounding_fails(capsys, monkeypatch):
     # in the Abelian density, and so in Q_fn, is far outside rounding and
     # FAILs the check (exit 1)
     import su2topo.chern_simons as chern_simons
-    real = chern_simons._fn_values
-    monkeypatch.setattr(chern_simons, "_fn_values",
+    real = chern_simons.fn_pointwise
+    monkeypatch.setattr(chern_simons, "fn_pointwise",
                         lambda c, h: real(c, h) * (1.0 + 1e-9))
     code, out, err = run(capsys, "verify", "identity", "--no-color")
     assert code == 1 and err == ""
     assert re.search(r"name: abelian-vs-spinor\n\s+status: FAIL\n\s+detail: "
                      r"\|Q_fn - Q_spinor\| = \S+ >= 1\.000e-12", out)
     assert out.count("status: FAIL") == 1
+
+
+def test_a_failed_exactness_check_is_a_fail_line(capsys, monkeypatch):
+    # a Berry potential of the wrong sign breaks dC = H: verify reports the
+    # library's message as one FAIL line and exits 1, without the parallel
+    # condition, which needs the charge sweep's potential
+    real = st.SpinorField.current
+
+    def flipped(self, slab=slice(None), **kwargs):
+        current = real(self, slab=slab, **kwargs)
+        current[..., 0] = np.conj(current[..., 0])
+        return current
+
+    monkeypatch.setattr(st.SpinorField, "current", flipped)
+    code, out, err = run(capsys, "verify", "identity", "--grid", "32,32,32",
+                         "--no-color")
+    assert code == 1 and err == ""
+    assert re.search(r"name: exactness\n\s+status: FAIL\n\s+detail: Abelian potential "
+                     r"is not a potential for H: residual \S+\n", out)
+    assert out.count("status: FAIL") == 1 and "overall: FAIL" in out
+    assert "parallel-condition" not in out and "Q_spinor" not in out
 
 
 def test_decompose_without_jets_is_held_to_tol(tmp_path, capsys):
@@ -497,8 +518,6 @@ def test_zero_on_a_face_site_is_an_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "qpoly", "--grid", "16,16,16"],
     ["verify", "qpoly", "--box=-2:2,-1:1"],
-    ["generate", "--kind", "qpoly", "--roots", "a,b,c,d", "--out", "x.fld"],
-    ["generate", "--kind", "qpoly", "--roots=0,0,0", "--out", "x.fld"],
     ["verify", "qpower:x"],
     # values the generators reject: no file is involved, so usage errors
     ["verify", "identity", "--grid", "3,3,3"],
@@ -513,7 +532,6 @@ def test_zero_on_a_face_site_is_an_error(capsys):
      "--out", "x.fld"],
     ["generate", "--kind", "random-spinor", "--chart", "s3", "--out", "x.fld"],
     ["generate", "--kind", "random-gauge", "--chart", "s3", "--out", "x.fld"],
-    ["generate", "--kind", "random-su2", "--chart", "s3", "--out", "x.fld"],
     ["generate", "--kind", "identity", "--chart", "s3", "--box=-1:1",
      "--out", "x.fld"],
     ["verify", "identity", "--grid", "8,8,8", "--box=5:6"],
@@ -531,6 +549,20 @@ def test_zero_on_a_face_site_is_an_error(capsys):
     ["verify", "linear", "--tol", "0"],
     # a seed numpy's generator rejects
     ["generate", "--kind", "random-spinor", "--seed", "-1", "--out", "x.fld"],
+    # kind flags the kind does not read, even at their default values
+    ["generate", "--kind", "linear", "--grid", "6,6,6,6", "--power", "3", "--seed", "5",
+     "--roots", "0,0,0,0", "--out", "x.fld"],
+    ["generate", "--kind", "linear", "--power", "1", "--out", "x.fld"],
+    ["generate", "--kind", "linear", "--seed", "0", "--out", "x.fld"],
+    ["generate", "--kind", "linear", "--roots=0.1,0,0,0", "--out", "x.fld"],
+    ["generate", "--kind", "qpower", "--chart", "s3", "--shift", "1,1,1,1",
+     "--seed", "3", "--out", "x.fld"],
+    ["generate", "--kind", "qpoly", "--power", "2", "--out", "x.fld"],
+    ["generate", "--kind", "identity", "--chart", "s3", "--seed", "1", "--out", "x.fld"],
+    ["generate", "--kind", "random-gauge", "--shift", "0,0,0,0", "--out", "x.fld"],
+    ["generate", "--kind", "random-spinor", "--roots=0,0,0,0", "--out", "x.fld"],
+    ["verify", "identity", "--shift", "1,2,3,4"],
+    ["verify", "qpoly", "--shift", "0.05,-0.03,0.02,0.01"],
 ])
 def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
     env, argv = argv if isinstance(argv, tuple) else ({}, argv)
@@ -561,6 +593,25 @@ def test_flags_a_subcommand_does_not_read_exit_2(capsys, tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert info.value.code == 2
     assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.fld").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--roots", "a,b,c,d"],
+    ["--roots=0,0,0"],
+    ["--roots=0,0,0,0;1,1"],
+    ["--shift", "1,2,3"],
+    ["--shift", "x,0,0,0"],
+])
+def test_malformed_vectors_exit_2_at_parse_time(capsys, tmp_path, monkeypatch, argv):
+    # --roots and --shift are read as 4-vectors before anything is built
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--kind", "qpoly", *argv, "--out", "x.fld"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert f"error: argument {argv[0].split('=')[0]}: " in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.fld").exists()
 
@@ -604,8 +655,6 @@ ROOTS = np.array([[-0.9, 0.1, 0.0, 0.2], [0.9, 0.0, -0.1, 0.0]])
     pytest.param(["--kind", "random-gauge", "--seed", "4", "--grid", "6,6,6,6",
                   "--box=-2:2"],
                  lambda: st.random_config(4, "gauge", GRID4), id="random-gauge"),
-    pytest.param(["--kind", "random-su2", "--grid", "6,6,6,6", "--box=-2:2"],
-                 lambda: st.random_config(0, "su2", GRID4), id="random-su2"),
 ])
 def test_generate_writes_the_library_field(tmp_path, capsys, argv, build):
     cli_path, lib_path = tmp_path / "cli.fld", tmp_path / "lib.fld"

@@ -218,8 +218,8 @@ def test_decompose_fails_on_a_scaled_current(monkeypatch):
     import su2topo.su2_algebra as alg
     real = alg.spinor_current
 
-    def scaled(u, v, out=None):
-        current = real(u, v, out=out)
+    def scaled(u, v):
+        current = real(u, v)
         current[..., 1:] *= 1.0 + 1e-9
         return current
 

@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from su2topo import Grid, LatticeError, ScalarField, central_diff, integrate
-from su2topo.lattice import derivative_stack, integrate_values, interpolate, slabs
+from su2topo.lattice import (_fractional_index, derivative_stack, integrate_values,
+                             interpolate, interpolate_with_gradient, slabs)
 
 
 def periodic_grid(n=64):
@@ -157,6 +158,97 @@ def test_interpolation_reproduces_multilinear_data():
     got = interpolate(values, grid, sample)
     expected = 1.0 + 2.0 * sample[:, 0] - 0.7 * sample[:, 1]
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def reference_interpolate(values, grid, points):
+    """The corner loop of ``interpolate`` as it was before the corners
+    carried their per-axis factors: the weight built up axis by axis."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    bases, fracs = _fractional_index(grid, points)
+    comp_shape = values.shape[grid.rank:]
+    out = np.zeros((points.shape[0],) + comp_shape, dtype=values.dtype)
+    for corner in range(1 << grid.rank):
+        weight = np.ones(points.shape[0])
+        index = []
+        for i in range(grid.rank):
+            bit = (corner >> i) & 1
+            idx = bases[i] + bit
+            if grid.periodic[i]:
+                idx %= grid.shape[i]
+            weight = weight * (fracs[i] if bit else 1.0 - fracs[i])
+            index.append(idx)
+        out += weight.reshape((-1,) + (1,) * len(comp_shape)) * values[tuple(index)]
+    return out
+
+
+def reference_interpolate_with_gradient(values, grid, points):
+    """The separate corner loop ``interpolate_with_gradient`` had."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    bases, fracs = _fractional_index(grid, points)
+    comp_shape = values.shape[grid.rank:]
+    npts = points.shape[0]
+    vals = np.zeros((npts,) + comp_shape, dtype=values.dtype)
+    grads = np.zeros((npts, grid.rank) + comp_shape, dtype=values.dtype)
+    pad = (1,) * len(comp_shape)
+    for corner in range(1 << grid.rank):
+        index = []
+        w_axis = []
+        dw_axis = []
+        for i in range(grid.rank):
+            bit = (corner >> i) & 1
+            idx = bases[i] + bit
+            if grid.periodic[i]:
+                idx %= grid.shape[i]
+            index.append(idx)
+            w_axis.append(fracs[i] if bit else 1.0 - fracs[i])
+            sign = 1.0 if bit else -1.0
+            dw_axis.append(np.full(npts, sign / grid.spacing[i]))
+        corner_vals = values[tuple(index)]
+        weight = np.ones(npts)
+        for w in w_axis:
+            weight = weight * w
+        vals += weight.reshape((-1,) + pad) * corner_vals
+        for ax in range(grid.rank):
+            w = dw_axis[ax]
+            for j in range(grid.rank):
+                if j != ax:
+                    w = w * w_axis[j]
+            grads[:, ax] += w.reshape((-1,) + pad) * corner_vals
+    return vals, grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=hst.integers(3, 4).flatmap(
+           lambda rank: hst.tuples(*[hst.integers(4, 7)] * rank)),
+       data=hst.data(),
+       cell_centered=hst.booleans(),
+       components=hst.sampled_from([(4,), (3, 2)]),
+       seed=hst.integers(0, 2**32 - 1))
+def test_interpolation_equals_the_reference_corner_loops(shape, data, cell_centered,
+                                                        components, seed):
+    # one corner loop feeds both interpolants; they equal the two loops
+    # they replaced byte for byte
+    rank = len(shape)
+    periodic = data.draw(hst.tuples(*[hst.booleans()] * rank))
+    rng = np.random.default_rng(seed)
+    grid = Grid(shape, tuple(rng.uniform(-1.0, 1.0, rank)),
+                tuple(rng.uniform(0.1, 1.0, rank)), periodic, cell_centered)
+    values = rng.normal(size=shape + components)
+    off = 0.5 if cell_centered else 0.0
+    lo = np.array(grid.origin) + off * np.array(grid.spacing)
+    span = np.array([(n - 1) * h for n, h in zip(shape, grid.spacing)])
+    # periodic axes also take points past either end, which wrap
+    points = lo + rng.uniform(0.0, 1.0, (40, rank)) * span
+    points[:, list(periodic)] += rng.uniform(-2.0, 2.0, (40, sum(periodic))) * span[list(periodic)]
+    points[0] = lo                                     # a site and a far corner
+    points[1] = lo + span
+    got = interpolate(values, grid, points)
+    assert got.tobytes() == reference_interpolate(values, grid, points).tobytes()
+    vals, grads = interpolate_with_gradient(values, grid, points)
+    ref_vals, ref_grads = reference_interpolate_with_gradient(values, grid, points)
+    assert vals.tobytes() == ref_vals.tobytes() and vals.shape == ref_vals.shape
+    assert grads.tobytes() == ref_grads.tobytes() and grads.shape == ref_grads.shape
+    assert got.tobytes() == vals.tobytes()
 
 
 def test_interpolation_rejects_outside_open_axis():
