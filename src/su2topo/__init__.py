@@ -10,8 +10,9 @@ boundary of the box.
 from .conventions import ORIENTATION_SIGN
 from .errors import (BadMagicError, ChecksumError, CountMismatchError,
                      DegreeResolutionError, FieldError, FieldFormatError,
-                     HeaderError, LatticeError, NormalizationError,
-                     ReconstructionError, Su2TopoError, ZeroLocationError)
+                     FileChangedError, HeaderError, LatticeError,
+                     NormalizationError, ReconstructionError, Su2TopoError,
+                     ZeroLocationError)
 from .lattice import (Grid, ScalarField, central_diff, derivative_stack,
                       integrate, integrate_values, interpolate)
 from .su2_algebra import GENERATORS, IDENTITY2, SIGMA, self_check

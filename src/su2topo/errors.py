@@ -60,3 +60,9 @@ class CountMismatchError(FieldFormatError):
 
 class ChecksumError(FieldFormatError):
     code = "checksum"
+
+
+class FileChangedError(FieldFormatError):
+    """A verified file changed or vanished before a later read of its jet."""
+
+    code = "file-changed"

@@ -87,42 +87,62 @@ class PhiField(LatticeField):
 
     Generator-built fields may attach an analytic ``sampler``: it maps
     points ``(n, rank)`` to ``(values, jacobians)`` of shapes ``(n, 4)``
-    and ``(n, rank, 4)``, the derivative axis first as in ``jet``.  The
-    sampler sharpens off-lattice evaluation (zero refinement and sphere
+    and ``(n, rank, 4)``, the derivative axis first as in ``jet``; called
+    with ``jet=False`` it may skip the jacobians and return None for them.
+    The sampler sharpens off-lattice evaluation (zero refinement and sphere
     sampling) and, when no jet is stored, is the field's exact jet: such a
     field is not bare input, and neither :meth:`exact_jet` nor
     :func:`face_restrict` ever falls back to stencils for it.
+
+    ``block_jet`` maps a block (an axis-0 slice, or a tuple of per-axis
+    slices) to the exact jet of its sites when no jet is stored.  A
+    sampler's block jet is its jacobians at the block's points, and is set
+    from the sampler unless given; a field read from an FLD file gets one
+    that reads the block from the file (:func:`~su2topo.fldio.read_field`).
     """
 
     grid: Grid
     values: np.ndarray
     jet: np.ndarray | None = None
     sampler: object = field(default=None, repr=False, compare=False)
+    block_jet: object = field(default=None, repr=False, compare=False)
 
     COMPONENTS = (4,)
     FLD_KIND = 2
     LABEL = "phi"
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.block_jet is None and self.sampler is not None:
+            object.__setattr__(self, "block_jet", _sampled_jet(self.grid, self.sampler))
+
     def exact_jet(self, slab: slice | tuple = slice(None)) -> np.ndarray | None:
-        """The stored jet, else the sampler's jet, else None, on the planes
+        """The stored jet, else the block jet, else None, on the planes
         ``slab`` of axis 0 (or a block of per-axis slices).
 
-        The sampler is asked for the sites of that block only; the whole
-        grid's jet is filled into one new ``(*shape, rank, 4)`` array an
-        axis-0 slab (:func:`~su2topo.lattice.slabs`) at a time, one sampler
-        call per slab, so no whole-grid temporaries are built.  A sampled
-        jet is not kept with the field.
+        ``block_jet`` is asked for that block only; the whole grid's jet
+        is filled into one new ``(*shape, rank, 4)`` array an axis-0 slab
+        (:func:`~su2topo.lattice.slabs`) at a time, one call per slab, so
+        no whole-grid temporaries are built.  A block jet is not kept with
+        the field.
         """
-        if self.jet is not None or self.sampler is None:
+        if self.jet is not None or self.block_jet is None:
             return super().exact_jet(slab)
-        grid = self.grid
         if slab != slice(None):
-            points = grid.points(slab)
-            return np.reshape(self.sampler(points.reshape(-1, grid.rank))[1], points.shape + (4,))
+            return self.block_jet(slab)
+        grid = self.grid
         out = np.empty(grid.shape + (grid.rank, 4))
         for part in slabs(grid):
-            out[part] = self.exact_jet(part)
+            out[part] = self.block_jet(part)
         return out
+
+
+def _sampled_jet(grid: Grid, sampler):
+    """The block jet of ``sampler``: its jacobians at the block's points."""
+    def block_jet(block):
+        points = grid.points(block)
+        return np.reshape(sampler(points.reshape(-1, grid.rank))[1], points.shape + (4,))
+    return block_jet
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,17 +350,25 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     ``side`` is 0 for the low face, 1 for the high face.  The face's jet is
     :meth:`~LatticeField.exact_jet` of its one-plane slice, so a sampler is
     evaluated on the face's sites only; it keeps the in-face derivative
-    components.  Faces of vertex-centered grids lie exactly on the domain
-    boundary, as boundary-flux sums require.  The face is a field of the
-    same kind built from its samples and jet, so a phi field's sampler is
-    dropped.
+    components.  A component axis that runs over the grid axes (a gauge
+    field's A_mu) keeps its in-face entries too, in the values and the jet.
+    Faces of vertex-centered grids lie exactly on the domain boundary, as
+    boundary-flux sums require.  The face is a field of the same kind built
+    from its samples and jet, so a phi field's sampler is dropped.
     """
     grid = field.grid
     if grid.periodic[axis]:
         raise FieldError("boundary faces exist only on open axes")
     index = 0 if side == 0 else grid.shape[axis] - 1
     face = (slice(None),) * axis + (slice(index, index + 1),)
+    keep = [i for i in range(grid.rank) if i != axis]
+    # component axes whose length follows the rank are indexed by grid axes
+    comps = (Ellipsis,) + tuple(
+        keep if n != m else slice(None)
+        for n, m in zip(field.component_shape(grid.rank),
+                        field.component_shape(grid.rank - 1)))
     jet = field.exact_jet(face)
     if jet is not None:
-        jet = jet.squeeze(axis)[..., [i for i in range(grid.rank) if i != axis], :]
-    return type(field).from_samples(grid.drop_axis(axis), field.values[face].squeeze(axis), jet)
+        jet = jet.squeeze(axis)[(slice(None),) * (grid.rank - 1) + (keep,)][comps]
+    return type(field).from_samples(grid.drop_axis(axis),
+                                    field.values[face].squeeze(axis)[comps], jet)

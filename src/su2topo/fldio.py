@@ -23,10 +23,16 @@ bits.  Writes stream the header, the values' own buffer and the jet one
 axis-0 slab at a time into a temp file that is then renamed, so a failed
 write never leaves a partial file behind, no serialized copy of the
 payload is built and a sampled jet is never whole.  Reads validate magic,
-header sanity and byte count as distinct error types before the payload
-is read into one array, then the checksum before it is used; the field
-adopts views of that array without a copy.  The retired FLD1 format
-(FNV-1a trailer, no orientation) is rejected as bad magic.
+header sanity and byte count as distinct error types, then read the
+payload and check the checksum over every byte before the field is built.
+A spinor, gauge or su2 payload is read into one array and the field adopts
+views of it without a copy.  A phi file's values are read whole, but its
+jet is checksummed one axis-0 plane at a time through one reused buffer
+and stays in the file: the field's ``block_jet`` reads the planes a block
+covers when something asks for them (the zero search reads only the box
+faces and a 4^4 window per zero), after checking that the file is still
+the one that was verified.  The retired FLD1 format (FNV-1a trailer, no
+orientation) is rejected as bad magic.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import zlib
 import numpy as np
 
 from .errors import (BadMagicError, ChecksumError, CountMismatchError,
-                     FieldFormatError, HeaderError)
+                     FieldFormatError, FileChangedError, HeaderError)
 from .fields import GaugeField, PhiField, SpinorField, SU2Field
 from .lattice import Grid, ScalarField, slabs
 
@@ -115,12 +121,17 @@ def read_field(path: str):
 
     The header is read and checked first; the file size (``os.fstat``) is
     checked against the layout before any payload buffer is allocated, so
-    a corrupt header cannot ask for a huge one.  The payload is then read
-    straight into one aligned ``<f8`` array and checksummed there, and the
-    field adopts read-only views of it without a copy.
+    a corrupt header cannot ask for a huge one.  The CRC is checked over
+    every byte before the field is returned.  The values, and the jet of
+    every kind but phi, are read straight into one aligned ``<f8`` array,
+    and the field adopts read-only views of it without a copy.  A phi
+    file's jet is checksummed one axis-0 plane at a time through one
+    reused buffer and not kept: the field's ``block_jet`` reads it from
+    the file block by block (:class:`_FileJet`).
     """
     with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
+        stat = os.fstat(handle.fileno())
+        size = stat.st_size
         head = handle.read(8)
         if head[:4] == RETIRED_MAGIC:
             raise BadMagicError(f"{path}: retired FLD1 format, no longer read; "
@@ -166,21 +177,30 @@ def read_field(path: str):
         comps = cls.component_shape(rank)
         dtype = _file_dtype(cls)
         per_site = int(np.prod(comps)) * dtype.itemsize // 8
-        payload_floats = sites * per_site * (1 + (rank if has_jet else 0))
+        nvals = sites * per_site
+        payload_floats = nvals * (1 + (rank if has_jet else 0))
         expected = 8 + len(axes) + 8 * payload_floats + 8
         if size != expected:
             raise CountMismatchError(
                 f"{path}: file has {size} bytes, layout requires {expected}")
 
-        flat = np.empty(payload_floats, dtype="<f8")
-        payload = memoryview(flat).cast("B")
-        got = handle.readinto(payload)
+        # a phi jet is checksummed plane by plane and left in the file
+        in_file = has_jet and "block_jet" in cls.__dataclass_fields__
+        flat = np.empty(nvals if in_file else payload_floats, dtype="<f8")
+        parts = [memoryview(flat).cast("B")]
+        if in_file:
+            plane = memoryview(bytearray(8 * nvals * rank // shape[0]))
+            parts += [plane] * shape[0]
+        actual = zlib.crc32(axes, zlib.crc32(head))
+        for part in parts:
+            if handle.readinto(part) != len(part):
+                raise CountMismatchError(f"{path}: file changed size while being read")
+            actual = zlib.crc32(part, actual)
         trailer = handle.read()
-        if got != len(payload) or len(trailer) != 8:
+        if len(trailer) != 8:
             raise CountMismatchError(f"{path}: file changed size while being read")
 
     stored, = struct.unpack("<Q", trailer)
-    actual = zlib.crc32(payload, zlib.crc32(axes, zlib.crc32(head)))
     if stored != actual:
         raise ChecksumError(
             f"{path}: checksum {stored:#018x} != computed {actual:#018x}")
@@ -190,8 +210,97 @@ def read_field(path: str):
                 orientation=orientation)
     # Read-only views of the one payload array: the field adopts them.
     flat.setflags(write=False)
-    nvals = sites * per_site
     values = flat[:nvals].view(dtype).reshape(grid.shape + comps)
+    if in_file:
+        jet = _FileJet(path, stat, 8 + len(axes) + 8 * nvals, grid.shape,
+                       (rank,) + comps, dtype)
+        return cls(grid, values, block_jet=jet)
     jet = (flat[nvals:].view(dtype).reshape(grid.shape + (rank,) + comps)
            if has_jet else None)
     return cls.from_samples(grid, values, jet)
+
+
+def _identity(stat: os.stat_result) -> tuple:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+class _FileJet:
+    """The block jet of a phi file whose checksum :func:`read_field` verified.
+
+    A block (an axis-0 slice, or a tuple of per-axis slices with positive
+    steps) is read as runs of whole sites: a run fixes the block's indices
+    on the axes before some axis and spans that axis from the block's first
+    index to its last, with every later axis whole.  The axis is chosen
+    for the fewest bytes read, a read counting as ``READ_BYTES``: axis-0
+    slabs are one read, a face of axis 1 one row per plane, a face of the
+    last axis whole planes.  Runs go through one small buffer per call, or
+    straight into the result where a run is exactly its part of the block;
+    no file mapping is used, since mapped pages count in the resident set.
+    Each call first checks (``os.fstat``) that the file has the device,
+    inode, size and modification time it had when it was verified, and
+    raises :class:`FileChangedError` if not: a changed file is an input
+    error, never other bytes.
+    """
+
+    #: Bytes that one read costs as much as, in choosing how to read a block.
+    READ_BYTES = 1 << 15
+
+    def __init__(self, path: str, stat: os.stat_result, offset: int,
+                 shape: tuple, site_shape: tuple, dtype: np.dtype):
+        self.path = os.path.abspath(path)
+        self.identity = _identity(stat)
+        self.offset = offset
+        self.shape = shape
+        self.site_shape = site_shape
+        self.dtype = dtype
+
+    def __call__(self, block: slice | tuple) -> np.ndarray:
+        shape = self.shape
+        parts = ((block if isinstance(block, tuple) else (block,))
+                 + (slice(None),) * len(shape))[:len(shape)]
+        ranges = [range(*part.indices(n)) for part, n in zip(parts, shape)]
+        out = np.empty(tuple(map(len, ranges)) + self.site_shape,
+                       dtype=self.dtype.newbyteorder("="))
+        if out.size == 0:
+            return out
+        site = int(np.prod(self.site_shape)) * self.dtype.itemsize
+        sites_after = [int(np.prod(shape[axis + 1:])) for axis in range(len(shape))]
+        spans = [r[-1] + 1 - r.start for r in ranges]
+
+        def run_shape(axis):
+            return (spans[axis],) + shape[axis + 1:] + self.site_shape
+
+        def cost(axis):         # in bytes, of reading runs along ``axis``
+            reads = int(np.prod(out.shape[:axis]))
+            return reads * (self.READ_BYTES + spans[axis] * sites_after[axis] * site)
+
+        # runs along axis 0 are read only straight into the result, so a
+        # buffer never holds more than one plane
+        axis = min((axis for axis in range(len(shape))
+                    if axis or run_shape(0) == out.shape), key=cost)
+        run = ranges[axis]
+        buffer = (None if run_shape(axis) == out.shape[axis:]
+                  else np.empty(run_shape(axis), self.dtype))
+        inner = (slice(None, None, run.step),) + parts[axis + 1:]
+        with self._open() as handle:
+            for k in np.ndindex(*out.shape[:axis]):
+                first = sum(r[i] * n for r, i, n in zip(ranges, k, sites_after))
+                handle.seek(self.offset + (first + run.start * sites_after[axis]) * site)
+                target = out[k] if buffer is None else buffer
+                if handle.readinto(memoryview(target).cast("B")) != target.nbytes:
+                    raise FileChangedError(f"{self.path}: file shrank after it was verified")
+                if buffer is not None:
+                    out[k] = buffer[inner]
+        return out
+
+    def _open(self):
+        try:
+            handle = open(self.path, "rb")
+        except OSError as exc:
+            raise FileChangedError(
+                f"{self.path}: cannot be opened again after it was verified: {exc}") from exc
+        if _identity(os.fstat(handle.fileno())) != self.identity:
+            handle.close()
+            raise FileChangedError(
+                f"{self.path}: file changed after it was read and verified; read it again")
+        return handle

@@ -240,13 +240,16 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
     ``value_fn(x)`` returns the values and ``jet_fn(x)`` returns
     ``(value, jet)`` for box points ``x`` (..., 4), the jet with the
     derivative axis at -2.  Both compute the values with the same
-    operations, so the stored samples equal the sampler's bit for bit.  No
-    jet is stored: the field's exact jet comes from the sampler.  The
-    values are filled one axis-0 slab at a time from that slab's points, so
-    no whole-grid coordinates or product temporaries are built.
+    operations, so the stored samples equal the sampler's bit for bit, and
+    the sampler asked for values only (``jet=False``, the degree spheres)
+    returns ``value_fn``'s without computing a jet.  No jet is stored: the
+    field's exact jet comes from the sampler.  The values are filled one
+    axis-0 slab at a time from that slab's points, so no whole-grid
+    coordinates or product temporaries are built.
     """
-    def evaluate(points):
-        return jet_fn(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+    def evaluate(points, jet=True):
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        return jet_fn(points) if jet else (value_fn(points), None)
 
     values = np.empty(grid.shape + (4,))
     for slab in slabs(grid):

@@ -165,9 +165,9 @@ class LatticeField:
     An array that is already read-only and aligned, of the kind's dtype and
     with no writable array in its ``.base`` chain, is adopted without a
     copy: nothing can change it any more.  Library code hands the fresh
-    arrays it builds for a field over that way (:func:`read_only`).  Every
-    other array is copied, an FLD file's payload view included: it is
-    unaligned.
+    arrays it builds for a field over that way (:func:`read_only`), and so
+    does the FLD reader with views of its aligned payload.  Every other
+    array is copied.
     """
 
     DTYPE = np.float64

@@ -27,14 +27,15 @@ Newton reads phi through one evaluator that returns values and derivative
 stacks together: the analytic sampler attached by the generators, which
 gives machine-precision roots, or for lattice-only fields the multilinear
 interpolant and its exact gradient, with O(h^2) positions.  Sphere sampling
-needs values only: it takes the sampler's values or plain interpolation,
-in one call per sphere resolution.  The 4x4 matrices [n, d n] of the
-degree integrand are stacked and their determinants taken one slab of the
-sphere chart at a time, so no whole-sphere matrix stack is built.
+needs values only: it calls the sampler with ``jet=False``, or plain
+interpolation, once per sphere resolution.  The 4x4 matrices [n, d n] of
+the degree integrand are stacked and their determinants taken one slab of
+the sphere chart at a time, so no whole-sphere matrix stack is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -103,7 +104,7 @@ def _evaluator(phi: PhiField):
 def _values_evaluator(phi: PhiField):
     """``points (n, 4) -> values (n, 4)`` of phi, for sphere sampling."""
     if phi.sampler is not None:
-        return lambda pts: phi.sampler(pts)[0]
+        return lambda pts: phi.sampler(pts, jet=False)[0]
     return lambda pts: interpolate(phi.values, phi.grid, pts)
 
 
@@ -284,11 +285,14 @@ def _zero_jacobian(phi: PhiField, x: np.ndarray) -> float:
     """``interpolate(jacobian(phi).values, phi.grid, x[None])[0]`` from the 16
     sites that interpolation reads, without the whole-grid Jacobian.
 
-    The site Jacobians come from the jet, or from :func:`jacobian` on a 4^4
-    window that holds every corner with the stencil neighbours it has in
-    the full grid: the corners sit where the window's stencils are those of
-    the full grid (the interior stencil, or the one-sided one on a true
-    boundary), so each determinant is the full-grid one.
+    The site Jacobians come from the exact jet, or from :func:`jacobian`
+    on a 4^4 window that holds every corner with the stencil neighbours it
+    has in the full grid: the corners sit where the window's stencils are
+    those of the full grid (the interior stencil, or the one-sided one on
+    a true boundary), so each determinant is the full-grid one.  The
+    window's jet is read through :meth:`~PhiField.exact_jet`, one block per
+    run of consecutive sites on each axis (two on an axis where the window
+    wraps).
     """
     grid = phi.grid
     corners = list(interpolation_corners(grid, x[None]))
@@ -300,16 +304,34 @@ def _zero_jacobian(phi: PhiField, x: np.ndarray) -> float:
         else:
             start = min(max(b - 1, 0), n - 4)
             take.append(np.arange(start, start + 4))
-    window = np.ix_(*take)
     wgrid = Grid((4,) * 4, (0.0,) * 4, grid.spacing, (False,) * 4)
-    jet = None if phi.jet is None else phi.jet[window]
-    dets = jacobian(PhiField(wgrid, phi.values[window], jet=jet)).values
+    jet = _window_jet(phi, take)
+    dets = jacobian(PhiField(wgrid, phi.values[np.ix_(*take)], jet=jet)).values
     det = np.zeros(1)
     for index, _, factors in corners:
         local = tuple((int(idx[0]) - int(t[0])) % n
                       for idx, t, n in zip(index, take, grid.shape))
         det += reduce(np.multiply, factors) * dets[local]
     return float(det[0])
+
+
+def _window_jet(phi: PhiField, take) -> np.ndarray | None:
+    """``exact_jet`` of phi on the window of per-axis sites ``take``, whose
+    sites run consecutively on each axis but may wrap once past the end."""
+    runs = []
+    for t in take:
+        cut = int(np.argmin(t))        # where a wrapped run restarts at 0
+        runs.append([(slice(lo, hi), slice(int(t[lo]), int(t[lo]) + hi - lo))
+                     for lo, hi in ((0, cut), (cut, len(t))) if hi > lo])
+    jet = None
+    for parts in itertools.product(*runs):
+        block = phi.exact_jet(tuple(source for _, source in parts))
+        if block is None:
+            return None
+        if jet is None:
+            jet = np.empty(tuple(map(len, take)) + block.shape[4:])
+        jet[tuple(target for target, _ in parts)] = block
+    return jet
 
 
 def surface_degree(evaluate, center, radius: float):

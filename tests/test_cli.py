@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import os
 import re
 
 import numpy as np
@@ -182,6 +183,50 @@ def test_corrupt_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "zeros", path, "--no-color")
     assert code == 3
     assert "checksum" in err
+
+
+def _phi_file(tmp_path, n=12):
+    path = str(tmp_path / "phi.fld")
+    grid = st.box_grid((n,) * 4, -2.0, 2.0)
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    write_field(st.quaternion_polynomial_field(roots, grid), path)
+    return path
+
+
+@pytest.mark.parametrize("plane", ["first", "last"])
+def test_corrupt_jet_plane_exits_3(tmp_path, capsys, plane):
+    # a phi file's jet is checksummed one plane at a time and left in the
+    # file; a flipped bit in its first or its last plane still exits 3
+    path = _phi_file(tmp_path)
+    blob = bytearray(open(path, "rb").read())
+    jet_start = 8 + 4 * 21 + 8 * 4 * 12**4
+    plane_bytes = 8 * 4 * 4 * 12**3
+    assert len(blob) == jet_start + 12 * plane_bytes + 8
+    pos = jet_start + 17 if plane == "first" else len(blob) - 8 - plane_bytes // 2
+    blob[pos] ^= 0x04
+    open(path, "wb").write(bytes(blob))
+    code, out, err = run(capsys, "zeros", path, "--no-color")
+    assert code == 3 and out == ""
+    assert "checksum" in err and "Traceback" not in err
+
+
+def test_file_changed_after_its_read_exits_3(tmp_path, capsys, monkeypatch):
+    # the zero search reads the jet from the file after the read verified
+    # it: a file cut short in between is one input error, exit 3
+    from su2topo import fldio
+    path = _phi_file(tmp_path)
+    read = fldio.read_field
+
+    def read_then_truncate(name):
+        field = read(name)
+        os.truncate(name, os.path.getsize(name) - 8)
+        return field
+
+    monkeypatch.setattr(fldio, "read_field", read_then_truncate)
+    code, out, err = run(capsys, "zeros", path, "--no-color")
+    assert code == 3 and out == ""
+    assert err.startswith("su2topo: input error [file-changed]: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_retired_fld1_file_exits_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import os
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as hst
 
 import su2topo as st
 from su2topo import (BadMagicError, ChecksumError, CountMismatchError,
-                     FieldFormatError, HeaderError)
+                     FieldFormatError, FileChangedError, HeaderError)
+from su2topo import fldio
 from su2topo.fldio import read_field, write_field
 
 
@@ -46,17 +48,24 @@ def test_round_trip_all_kinds(tmp_path, grids):
         assert back.grid == field.grid
         assert np.array_equal(np.asarray(back.values), np.asarray(field.values))
         assert not back.values.flags.writeable
-        jet = getattr(field, "jet", None)
-        back_jet = getattr(back, "jet", None)
+        jet, back_jet = field.exact_jet(), back.exact_jet()
         if jet is None:
             assert back_jet is None
         else:
             assert np.array_equal(back_jet, jet)
-            assert not back_jet.flags.writeable
+            _assert_jet_resident_unless_phi(back)
         if isinstance(field, st.SU2Field):
             # FLD2 has no layout for second derivatives (README, FLD2)
             assert field.jet2 is not None
             assert back.jet2 is None
+
+
+def _assert_jet_resident_unless_phi(back):
+    # a phi file's jet stays in the file; other kinds hold it read-only
+    if isinstance(back, st.PhiField):
+        assert back.jet is None and back.block_jet is not None
+    else:
+        assert not back.jet.flags.writeable
 
 
 def test_written_twice_is_byte_identical(tmp_path, grids):
@@ -142,17 +151,24 @@ def _owner(array: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["spinor", "phi"])
 def test_read_values_and_jet_are_views_of_one_payload(tmp_path, grids, kind):
     # the payload is read into one array, and the field adopts read-only
-    # views of it: no copy of values or jet is made
+    # views of it: no copy of values or jet is made; a phi file's jet is
+    # not read into it but from the file, block by block
     g3, g4 = grids
     field = next(f for f in all_fields(g3, g4) if f.LABEL == kind)
     path = str(tmp_path / "f.fld")
     write_field(field, path)
     back = read_field(path)
     owner = _owner(back.values)
+    assert owner.base is None and not owner.flags.writeable
+    assert np.shares_memory(owner, back.values)
+    if kind == "phi":
+        assert back.jet is None
+        assert owner.nbytes == back.values.nbytes
+        assert np.array_equal(back.exact_jet(), field.jet)
+        return
     assert owner is _owner(back.jet)
     assert owner.nbytes == back.values.nbytes + back.jet.nbytes
-    assert owner.base is None and not owner.flags.writeable
-    assert np.shares_memory(owner, back.values) and np.shares_memory(owner, back.jet)
+    assert np.shares_memory(owner, back.jet)
     assert not np.shares_memory(back.values, back.jet)
 
 
@@ -267,8 +283,10 @@ def test_property_round_trip_and_single_bit_flip(tmp_path_factory, field, flip, 
     assert type(back) is type(field)
     assert back.grid == field.grid
     assert np.array_equal(back.values, field.values)
-    jet, back_jet = getattr(field, "jet", None), getattr(back, "jet", None)
+    jet, back_jet = field.exact_jet(), back.exact_jet()
     assert (back_jet is None) if jet is None else np.array_equal(back_jet, jet)
+    if jet is not None:
+        _assert_jet_resident_unless_phi(back)
 
     blob = bytearray(open(path, "rb").read())
     blob[flip % len(blob)] ^= 1 << bit
@@ -286,7 +304,9 @@ def test_sampler_backed_field_writes_its_exact_jet(tmp_path):
     write_field(phi, str(sampled))
     write_field(st.PhiField(grid, phi.values, jet=phi.derivatives()), str(stored))
     assert sampled.read_bytes() == stored.read_bytes()
-    np.testing.assert_array_equal(read_field(str(sampled)).jet, phi.derivatives())
+    back = read_field(str(sampled))
+    assert back.jet is None
+    np.testing.assert_array_equal(back.exact_jet(), phi.derivatives())
 
 
 def test_sampled_jet_is_written_slab_by_slab(tmp_path):
@@ -306,4 +326,117 @@ def test_sampled_jet_is_written_slab_by_slab(tmp_path):
         tracemalloc.stop()
     assert peak < 3.0 * phi.values.nbytes
     back = read_field(path)
-    assert np.array_equal(back.jet, phi.exact_jet())
+    assert back.jet is None
+    assert np.array_equal(back.exact_jet(), phi.exact_jet())
+
+
+def _stored_phi(shape=(6, 5, 7, 4), periodic=(False, True, False, True)):
+    rng = np.random.default_rng(3)
+    grid = st.Grid(shape, (0.0,) * 4, (0.1, 0.2, 0.3, 0.4), periodic)
+    return st.PhiField(grid, rng.normal(size=shape + (4,)),
+                       jet=rng.normal(size=shape + (4, 4)))
+
+
+def _slice(rng, n):
+    start, stop = sorted(int(k) for k in rng.integers(0, n + 1, size=2))
+    return slice(start, stop, int(rng.integers(1, 3)))
+
+
+@pytest.mark.parametrize("read_bytes", [0, None, 1 << 40])
+def test_file_jet_blocks_equal_the_stored_jet(tmp_path, monkeypatch, read_bytes):
+    # every block a phi file's jet serves equals that block of the jet it
+    # was written from, bit for bit: axis-0 slabs, blocks of per-axis
+    # slices with steps, empty blocks and the whole jet, read as the
+    # shortest runs (a read costs nothing), the default plan, or the
+    # fewest reads
+    if read_bytes is not None:
+        monkeypatch.setattr(fldio._FileJet, "READ_BYTES", read_bytes)
+    phi = _stored_phi()
+    path = str(tmp_path / "phi.fld")
+    write_field(phi, path)
+    back = read_field(path)
+    assert back.jet is None
+    rng = np.random.default_rng(7)
+    blocks = [slice(None), slice(2, 5), slice(3, 3)]
+    blocks += [tuple(_slice(rng, n) for n in phi.grid.shape[:rank])
+               for rank in (1, 2, 3, 4) for _ in range(50)]
+    for block in blocks:
+        got = back.exact_jet(block)
+        assert got.dtype == phi.jet.dtype
+        assert np.array_equal(got, phi.jet[block]), block
+    assert np.array_equal(back.exact_jet(), phi.jet)
+    # written again, the field read from the file gives the same bytes
+    again = str(tmp_path / "again.fld")
+    write_field(back, again)
+    assert open(again, "rb").read() == open(path, "rb").read()
+
+
+class _CountedReads(io.FileIO):
+    reads = []
+
+    def readinto(self, buffer):
+        self.reads.append(len(memoryview(buffer).cast("B")))
+        return super().readinto(buffer)
+
+
+def test_file_jet_reads_runs_of_the_block(tmp_path, monkeypatch):
+    # a block is read in runs of whole sites along the axis that reads the
+    # fewest bytes, a read counting as READ_BYTES: one read of a face of
+    # axis 0, one row per plane for axis 1, a row's run of sites per row
+    # for axis 2, and whole planes for the last axis
+    rng = np.random.default_rng(4)
+    shape = (6, 24, 24, 24)
+    grid = st.Grid(shape, (0.0,) * 4, (0.1,) * 4, (False,) * 4)
+    phi = st.PhiField(grid, rng.normal(size=shape + (4,)),
+                      jet=rng.normal(size=shape + (4, 4)))
+    path = str(tmp_path / "phi.fld")
+    write_field(phi, path)
+    back = read_field(path)
+    monkeypatch.setattr(fldio, "open", lambda p, mode: _CountedReads(p, mode),
+                        raising=False)
+    site = 4 * 4 * 8
+    plans = {0: [24**3 * site], 1: [24**2 * site] * 6, 2: [24 * site] * (6 * 24),
+             3: [24**3 * site] * 6}
+    for axis, reads in plans.items():
+        face = (slice(None),) * axis + (slice(shape[axis] - 1, shape[axis]),)
+        _CountedReads.reads.clear()
+        assert np.array_equal(back.exact_jet(face), phi.jet[face])
+        assert _CountedReads.reads == reads, axis
+    # with reads free, only the block's own sites are read; with reads
+    # dear, one run per plane from the block's first row to its last, and
+    # a slab of whole planes in one read straight into the result
+    block = (slice(1, 5), slice(2, 9, 3), slice(0, 24, 5), slice(3, 7))
+    slab = (slice(1, 5),)
+    for read_bytes, piece, reads in [(0, block, [4 * site] * (4 * 3 * 5)),
+                                     (1 << 40, block, [7 * 24**2 * site] * 4),
+                                     (1 << 40, slab, [4 * 24**3 * site])]:
+        monkeypatch.setattr(fldio._FileJet, "READ_BYTES", read_bytes)
+        _CountedReads.reads.clear()
+        assert np.array_equal(back.exact_jet(piece), phi.jet[piece])
+        assert _CountedReads.reads == reads
+
+
+@pytest.mark.parametrize("change", ["truncate", "rewrite", "replace", "remove"])
+def test_jet_of_a_changed_file_is_an_input_error(tmp_path, change):
+    # the jet is read after the checksum was verified: a file that changed
+    # since then (shorter, rewritten in place, replaced or gone) raises
+    # FileChangedError instead of serving other bytes
+    phi = _stored_phi()
+    path = str(tmp_path / "phi.fld")
+    write_field(phi, path)
+    back = read_field(path)
+    face = (slice(None), slice(0, 1))
+    assert np.array_equal(back.exact_jet(face), phi.jet[face])
+    size = os.path.getsize(path)
+    if change == "truncate":
+        os.truncate(path, size - 8)
+    elif change == "rewrite":
+        with open(path, "r+b") as handle:     # same inode, same size
+            handle.seek(size - 100)
+            handle.write(b"\x7f")
+    elif change == "replace":
+        write_field(dataclasses.replace(phi, jet=2.0 * phi.jet), path)
+    else:
+        os.remove(path)
+    with pytest.raises(FileChangedError, match="after it was"):
+        back.exact_jet(face)

@@ -146,7 +146,7 @@ def test_orientation_flip_property():
     flipped_values = phi.values @ flip
     flipped_jet = phi.derivatives() @ flip
 
-    def sampler(points):
+    def sampler(points, jet=True):
         values, jacobians = phi.sampler(points)
         return values @ flip, jacobians @ flip
 
@@ -213,7 +213,7 @@ def test_ledger_quaternion_square_degenerate_charge():
 def test_ledger_excludes_degree_zero_with_warning():
     grid = box(17)
 
-    def sampler(points):
+    def sampler(points, jet=True):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = points.copy()
         out[:, 3] = points[:, 3] ** 2   # fold: no sign change, degree 0
@@ -478,7 +478,30 @@ def _lattice_only_cases(tmp_path):
                                            [0.1, 0.0, 1.0, 0.2], [0.0, 0.4, 0.0, 1.0]]),
                                  [0.05, -0.03, 0.02, 0.01], box(16))
     return {"jet 24^4 qpoly file": read_field(path),
+            "jet periodic file": read_field(_periodic_phi_file(tmp_path)[0]),
             "jet-less 16^4 linear": st.PhiField(linear.grid, linear.values)}
+
+
+def _periodic_phi_file(tmp_path):
+    """A phi file with exact jets on a grid periodic in axes 0 and 3, with
+    phi0 and phi3 sines of those axes: of its four zeros, one lies in the
+    first cell of axis 0 and one in the seam cell of axis 3, so their 4^4
+    Jacobian windows wrap.  Returns the path and the stored-jet field."""
+    grid = st.Grid((12, 10, 10, 12), (0.0, -1.0, -1.0, 0.0), (0.5, 0.2, 0.2, 0.5),
+                   (True, False, False, True))
+    x = grid.points()
+    k = 2.0 * np.pi / 6.0                    # one period over 12 sites of 0.5
+    phase0, phase3 = k * (x[..., 0] - 0.15), k * (x[..., 3] - 5.8)
+    values = np.stack([np.sin(phase0), x[..., 1] - 0.05, x[..., 2] + 0.03,
+                       np.sin(phase3)], axis=-1)
+    jet = np.zeros(grid.shape + (4, 4))
+    jet[..., 0, 0] = k * np.cos(phase0)
+    jet[..., 1, 1] = jet[..., 2, 2] = 1.0
+    jet[..., 3, 3] = k * np.cos(phase3)
+    phi = st.PhiField(grid, values, jet=jet)
+    path = str(tmp_path / "periodic.fld")
+    write_field(phi, path)
+    return path, phi
 
 
 def test_zero_jacobian_equals_the_whole_grid_route(tmp_path):
@@ -521,3 +544,104 @@ def test_sampler_backed_field_runs_no_stencil(monkeypatch):
     # the lattice-only copy differentiates its face samples
     with pytest.raises(AssertionError, match="finite differences"):
         st.analyze(st.PhiField(phi.grid, phi.values))
+
+
+def test_zeros_of_a_jet_file_equal_those_of_the_stored_jet(tmp_path):
+    # a phi file serves its jet from the file; the zero search, the
+    # Jacobians, the degrees and the boundary flux equal, bit for bit,
+    # those of the same file held as an in-memory stored-jet field
+    cases = _lattice_only_cases(tmp_path)
+    phi = cases["jet 24^4 qpoly file"]
+    assert phi.jet is None and phi.block_jet is not None
+    stored = st.PhiField(phi.grid, phi.values, jet=phi.exact_jet())
+    got, expected = st.analyze(phi), st.analyze(stored)
+    assert len(got.ledger.zeros) == 2
+    assert got.ledger.boundary_c2 == expected.ledger.boundary_c2
+    for a, b in zip(got.ledger.zeros, expected.ledger.zeros):
+        assert (a.position, a.jacobian, a.degree, a.degree_deviation) == \
+            (b.position, b.jacobian, b.degree, b.degree_deviation)
+    assert got == expected
+
+
+def test_wrapped_zero_windows_read_the_file_jet(tmp_path):
+    # analyze rejects periodic boxes, so the wrapped Jacobian windows of a
+    # periodic file are checked through locate_zeros
+    path, stored = _periodic_phi_file(tmp_path)
+    phi = read_field(path)
+    assert phi.jet is None
+    got, expected = st.locate_zeros(phi), st.locate_zeros(stored)
+    assert len(got.zeros) == 4 and got == expected
+    grid = phi.grid
+    bases = [[int(np.floor((z.position[ax] - grid.origin[ax]) / grid.spacing[ax]))
+              % grid.shape[ax] for ax in (0, 3)] for z in got.zeros]
+    # a base cell 0 or n-2, n-1 on a periodic axis wraps the 4-site window
+    assert any(b[0] == 0 for b in bases) and any(b[1] == 11 for b in bases)
+
+
+def test_zeros_on_a_jet_file_keep_only_the_values_resident(tmp_path):
+    # the jet (4x the values) stays in the file.  Every jet reader on the
+    # zeros path (read, zero search, boundary flux) peaks within a few jet
+    # planes of the values, and the whole analysis, whose degree spheres
+    # read values only, within one plane of a values-only copy of the file
+    import tracemalloc
+    grid = st.box_grid((20, 20, 20, 20), -2.0, 2.0)
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    phi = st.quaternion_polynomial_field(roots, grid)
+    path, bare_path = str(tmp_path / "phi.fld"), str(tmp_path / "bare.fld")
+    write_field(phi, path)
+    write_field(st.PhiField(grid, phi.values), bare_path)
+    values, plane = phi.values.nbytes, phi.values.nbytes * 4 // 20
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def jet_readers():
+        field = read_field(path)
+        st.locate_zeros(field)
+        st.boundary_cs_sum(field)
+
+    # measured 4.8 planes above the values; a resident jet is 20 more
+    assert peak(jet_readers) < values + 6 * plane
+    analysis = []
+    jet_peak = peak(lambda: analysis.append(st.analyze(read_field(path))))
+    bare_peak = peak(lambda: st.analyze(read_field(bare_path)))
+    assert analysis[0].ledger.index_sum == 2
+    assert jet_peak < bare_peak + plane
+
+
+@pytest.mark.parametrize("build, jet_fn", [
+    (lambda: st.quaternion_polynomial_field(
+        np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]]),
+        box(16, 2.0)), "_qpoly_with_jet"),
+    (lambda: st.quaternion_power_field(2, box(16)), "_qpower_with_jet"),
+    (lambda: st.quaternion_power_field(-1, box(16)), "_qpower_with_jet"),
+], ids=["qpoly", "qpower2", "qpower-1"])
+def test_degree_spheres_sample_values_only(build, jet_fn, monkeypatch):
+    # asked for values only, the box sampler runs the values function that
+    # filled the lattice and no product-rule jet; the degrees and their
+    # deviations equal those of the jet-computing sampler bit for bit
+    from su2topo import generators
+    phi = build()
+    computes_jets = st.PhiField(phi.grid, phi.values,
+                                sampler=lambda points, jet=True: phi.sampler(points))
+    zeros = st.locate_zeros(phi).zeros
+    assert zeros
+    expected = [st.local_degree(computes_jets, zero) for zero in zeros]
+    pts = np.random.default_rng(2).uniform(-0.9, 0.9, size=(500, 4))
+    values = phi.sampler(pts)[0]
+
+    def no_jets(*args):
+        raise AssertionError("a jet was computed for values-only sampling")
+
+    monkeypatch.setattr(generators, jet_fn, no_jets)
+    got, none = phi.sampler(pts, jet=False)
+    assert none is None and np.array_equal(got, values)
+    for zero, reference in zip(zeros, expected):
+        degree = st.local_degree(phi, zero)
+        assert degree.degree == reference.degree != 0
+        assert degree.degree_deviation == reference.degree_deviation
