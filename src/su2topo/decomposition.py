@@ -89,7 +89,8 @@ class Decomposition:
 
     ``residual`` is max|a^c + b^c - A^c| over sites, axes and colors,
     ``max_covariant`` is max|D_mu Psi| over the spinor entries and
-    ``max_b`` is max|b_mu| over the entries of its matrix form.  The parts
+    ``max_b`` is max|b_mu| over the entries of its matrix form, taken in
+    closed form from the components without building the matrices.  The parts
     ``a`` and ``b`` are :class:`GaugeField`s built slab by slab on first
     read.
     """
@@ -143,7 +144,12 @@ def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
         residual = max(residual, float(np.max(np.abs(mismatch))))
         amax = max(amax, float(np.max(np.abs(gauge.values[slab]))))
         dmax = max(dmax, float(np.max(np.abs(dcov))))
-        bmax = max(bmax, float(np.max(np.abs(su2_algebra.matrix_from_components(b)))))
+        # the entries of b^a sigma_a/(2i) are -i b^3/2 on the diagonal and
+        # -(b^2 + i b^1)/2 off it; np.abs of that complex is the matrix's
+        # own modulus bit for bit (np.hypot is not)
+        half = 0.5 * b
+        bmax = max(bmax, float(np.max(np.abs(half[..., 2]))),
+                   float(np.max(np.abs(half[..., 1] + 1j * half[..., 0]))))
     if residual > RECONSTRUCTION_TOL * (1.0 + amax):
         raise ReconstructionError(
             f"decomposition identity violated: max|a + b - A| = {residual:.3e}")

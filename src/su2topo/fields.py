@@ -8,8 +8,13 @@ and its bilinear m_a = Psi^dag sigma_a Psi is the unit 3-vector.  Every
 container here is one of the FLD file kinds.
 
 Every container optionally carries a "jet": exact first-derivative samples,
-one per grid axis per site (a generator-built phi field computes its jet
-from its analytic sampler instead of storing one).  Identities that are
+one per grid axis per site.  A phi or spinor field may instead compute its
+jet block by block when asked (``block_jet``, see
+:meth:`~su2topo.lattice.LatticeField.exact_jet`): a generator-built box
+field from its analytic sampler, a chart field from the chart formula, a
+phi field read from an FLD file from the file's planes.  The conversions
+and :func:`normalize` hand such a block jet on, so no whole jet is
+stored.  Identities that are
 algebraic in a field and its first derivatives are then testable at
 machine epsilon instead of hiding behind O(h^2) discretization error.  Fields are immutable after
 construction and safe to share across workers.  A constructor adopts an
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, LatticeField, read_only, slabs
+from .lattice import Grid, LatticeField, read_only
 
 #: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
@@ -45,11 +50,18 @@ IMAG_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SpinorField(LatticeField):
-    """Two complex components per site, optionally with exact jets."""
+    """Two complex components per site, optionally with exact jets.
+
+    The jet is stored, or computed block by block when asked
+    (``block_jet``): a chart generator's comes from the chart formula, and
+    :func:`phi_to_spinor` hands on a phi field's block jet as a complex
+    view.
+    """
 
     grid: Grid
     values: np.ndarray
     jet: np.ndarray | None = None
+    block_jet: object = field(default=None, repr=False, compare=False)
 
     DTYPE = np.complex128
     COMPONENTS = (2,)
@@ -91,14 +103,17 @@ class PhiField(LatticeField):
     with ``jet=False`` it may skip the jacobians and return None for them.
     The sampler sharpens off-lattice evaluation (zero refinement and sphere
     sampling) and, when no jet is stored, is the field's exact jet: such a
-    field is not bare input, and neither :meth:`exact_jet` nor
+    field is not bare input, and neither
+    :meth:`~su2topo.lattice.LatticeField.exact_jet` nor
     :func:`face_restrict` ever falls back to stencils for it.
 
     ``block_jet`` maps a block (an axis-0 slice, or a tuple of per-axis
     slices) to the exact jet of its sites when no jet is stored.  A
     sampler's block jet is its jacobians at the block's points, and is set
-    from the sampler unless given; a field read from an FLD file gets one
-    that reads the block from the file (:func:`~su2topo.fldio.read_field`).
+    from the sampler unless given; a rank-3 chart generator's evaluates
+    the chart formula on the block, and a field read from an FLD file gets
+    one that reads the block from the file
+    (:func:`~su2topo.fldio.read_field`).
     """
 
     grid: Grid
@@ -115,26 +130,6 @@ class PhiField(LatticeField):
         super().__post_init__()
         if self.block_jet is None and self.sampler is not None:
             object.__setattr__(self, "block_jet", _sampled_jet(self.grid, self.sampler))
-
-    def exact_jet(self, slab: slice | tuple = slice(None)) -> np.ndarray | None:
-        """The stored jet, else the block jet, else None, on the planes
-        ``slab`` of axis 0 (or a block of per-axis slices).
-
-        ``block_jet`` is asked for that block only; the whole grid's jet
-        is filled into one new ``(*shape, rank, 4)`` array an axis-0 slab
-        (:func:`~su2topo.lattice.slabs`) at a time, one call per slab, so
-        no whole-grid temporaries are built.  A block jet is not kept with
-        the field.
-        """
-        if self.jet is not None or self.block_jet is None:
-            return super().exact_jet(slab)
-        if slab != slice(None):
-            return self.block_jet(slab)
-        grid = self.grid
-        out = np.empty(grid.shape + (grid.rank, 4))
-        for part in slabs(grid):
-            out[part] = self.block_jet(part)
-        return out
 
 
 def _sampled_jet(grid: Grid, sampler):
@@ -217,6 +212,11 @@ def _check_nonvanishing(norms: np.ndarray, name: str) -> None:
 def normalize(psi: SpinorField) -> SpinorField:
     """Rescale to unit norm, transporting the jet by the quotient rule.
 
+    The quotient rule is pointwise, so a spinor whose jet is computed block
+    by block gets a normalized one that is too: each block reads
+    ``psi.exact_jet`` of that block, and equals the whole-grid rule bit
+    for bit.  A stored jet gives a stored one.
+
     Raises :class:`NormalizationError` with the offending site when the
     norm drops below ``EPS_ZERO``: a vanishing spinor marks a zero of the
     4-vector field, which carries topological charge and must be excluded
@@ -225,31 +225,47 @@ def normalize(psi: SpinorField) -> SpinorField:
     norms = np.sqrt(norm_squared(psi))
     _check_nonvanishing(norms, "spinor")
     values = read_only(psi.values / norms[..., None])
-    jet = None
-    if psi.jet is not None:
-        dnorm = np.einsum("...c,...mc->...m", np.conj(psi.values), psi.jet).real / norms[..., None]
-        jet = read_only(psi.jet / norms[..., None, None]
-                        - psi.values[..., None, :] * (dnorm / norms[..., None] ** 2)[..., None])
-    return SpinorField(psi.grid, values, jet=jet)
+
+    def quotient(block):
+        jet = psi.exact_jet(block)
+        if jet is None:
+            return None
+        samples, norm = psi.values[block], norms[block][..., None]
+        dnorm = np.einsum("...c,...mc->...m", np.conj(samples), jet).real / norm
+        return jet / norm[..., None] - samples[..., None, :] * (dnorm / norm ** 2)[..., None]
+
+    if psi.jet is None and psi.block_jet is not None:
+        return SpinorField(psi.grid, values, block_jet=quotient)
+    jet = quotient(slice(None))
+    return SpinorField(psi.grid, values, jet=None if jet is None else read_only(jet))
+
+
+def _reinterpret(field: LatticeField, kind, dtype) -> LatticeField:
+    """The field of ``kind`` whose samples and jet, stored or block by
+    block, are ``dtype`` views of those of ``field``.  A block that is not
+    contiguous (a sampler's may not be) is copied first."""
+    jet, block_jet = field.jet, field.block_jet
+    return kind(field.grid, field.values.view(dtype),
+                jet=None if jet is None else jet.view(dtype),
+                block_jet=None if block_jet is None
+                else lambda block: np.ascontiguousarray(block_jet(block)).view(dtype))
 
 
 def spinor_to_phi(psi: SpinorField) -> PhiField:
     """Real 4-vector components (Re Psi1, Im Psi1, Re Psi2, Im Psi2).
 
     That is the memory layout of the complex pair, so both conversions
-    reinterpret the samples and are exact; the new field adopts the
-    read-only views and shares the samples.
+    reinterpret the samples and the jet and are exact; the new field
+    adopts the read-only views and shares the samples, and a block jet is
+    handed on as a view of each block.
     """
-    jet = None if psi.jet is None else psi.jet.view(np.float64)
-    return PhiField(psi.grid, psi.values.view(np.float64), jet=jet)
+    return _reinterpret(psi, PhiField, np.float64)
 
 
 def phi_to_spinor(phi: PhiField) -> SpinorField:
     """Exact inverse of :func:`spinor_to_phi`; the spinor keeps phi's exact
-    jet, a generator-built field's sampled one included."""
-    jet = phi.exact_jet()
-    jet = None if jet is None else read_only(jet).view(np.complex128)
-    return SpinorField(phi.grid, phi.values.view(np.complex128), jet=jet)
+    jet, stored or block by block (a sampled, chart or file one)."""
+    return _reinterpret(phi, SpinorField, np.complex128)
 
 
 def sigma_model_field(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray:
@@ -303,10 +319,10 @@ def gauge_transform(psi: SpinorField, gauge: GaugeField, s: SU2Field):
     sdag = np.conj(np.swapaxes(s.values, -1, -2))
 
     new_values = np.einsum("...ij,...j->...i", s.values, psi.values)
-    new_jet = None
-    if psi.jet is not None:
+    new_jet = psi.exact_jet()
+    if new_jet is not None:
         new_jet = (np.einsum("...mij,...j->...mi", ds, psi.values)
-                   + np.einsum("...ij,...mj->...mi", s.values, psi.jet))
+                   + np.einsum("...ij,...mj->...mi", s.values, new_jet))
     psi_out = SpinorField(psi.grid, new_values, jet=new_jet)
 
     amat = gauge.matrices()

@@ -184,8 +184,9 @@ def read_field(path: str):
             raise CountMismatchError(
                 f"{path}: file has {size} bytes, layout requires {expected}")
 
-        # a phi jet is checksummed plane by plane and left in the file
-        in_file = has_jet and "block_jet" in cls.__dataclass_fields__
+        # a phi jet is checksummed plane by plane and left in the file; the
+        # other kinds' jets, a spinor's included, are read whole
+        in_file = has_jet and cls is PhiField
         flat = np.empty(nvals if in_file else payload_floats, dtype="<f8")
         parts = [memoryview(flat).cast("B")]
         if in_file:

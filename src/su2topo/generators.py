@@ -11,17 +11,20 @@ prod_j (q - c_j) plant zeros at chosen roots.
 axis-0 slab at a time (:func:`~su2topo.lattice.slabs`) from that slab's
 points, and carry an analytic sampler of values and jets.  The zero search
 uses it for machine-precision root refinement, and every exact jet of the
-field comes from it (:meth:`~su2topo.fields.PhiField.exact_jet`): the
+field comes from it (:meth:`~su2topo.lattice.LatticeField.exact_jet`): the
 boundary flux reads jets on the 8 faces, and a file write reads them slab
 by slab.
-The other generators store their jets.  Every generator hands its fresh
+Fields on the rank-3 chart also store their values only: the sin and cos
+of the chart coordinates are taken once, and the exact jet of a block is
+the chart formula on that block, equal to the whole chart's bit for bit.
+The random fields store their jets.  Every generator hands its fresh
 arrays to the field read-only, so the field adopts them without a copy.
 
 On a box, q is the point itself, so d_mu q = e_mu: the product-rule terms
 e_mu s and p e_mu of the jets are signed permutations of the components of
 s and p, and no identity jet is materialised.  ``qmul`` is written component
 by component in the operation order of the vector form; the rank-3 chart
-keeps its exact chart jets and the generic product rule.
+computes its exact chart jets per block with the generic product rule.
 """
 
 from __future__ import annotations
@@ -189,18 +192,30 @@ def box_grid(shape, lo, hi) -> Grid:
                 periodic=(False,) * len(shape))
 
 
-def _chart_trig(grid: Grid):
-    chi = grid.coords(0)[:, None, None]
-    theta = grid.coords(1)[None, :, None]
-    phi = grid.coords(2)[None, None, :]
-    return (np.sin(chi), np.cos(chi), np.sin(theta), np.cos(theta),
-            np.sin(phi), np.cos(phi))
+def _chart_trig(grid: Grid) -> tuple:
+    """sin and cos of each chart coordinate, one 1-D pair per axis.
+
+    Computed once per grid and sliced per block: sin and cos of a shorter
+    array are not promised the same bits (SIMD paths depend on length).
+    """
+    return tuple((np.sin(x), np.cos(x)) for x in map(grid.coords, range(3)))
 
 
-def s3_points(grid: Grid) -> np.ndarray:
-    """Chart points as unit 4-vectors of shape ``(*shape, 4)``, without jets."""
-    sc, cc, st, ct, sp, cp = _chart_trig(grid)
-    shape = grid.shape
+def _block_trig(trig: tuple, block) -> tuple:
+    """The factors of ``trig`` on ``block`` (an axis-0 slice or a tuple of
+    per-axis slices), shaped to broadcast."""
+    parts = (block if isinstance(block, tuple) else (block,)) + (slice(None),) * 3
+    return tuple(f[(None,) * axis + (parts[axis],) + (None,) * (2 - axis)]
+                 for axis, pair in enumerate(trig) for f in pair)
+
+
+def s3_points(grid: Grid, block=slice(None), trig=None) -> np.ndarray:
+    """Chart points as unit 4-vectors of shape ``(*block_shape, 4)``,
+    without jets, on the planes ``block`` of axis 0 (or a block of per-axis
+    slices); ``trig`` is :func:`_chart_trig` of the grid, computed here
+    when not given."""
+    sc, cc, st, ct, sp, cp = _block_trig(trig or _chart_trig(grid), block)
+    shape = np.broadcast_shapes(sc.shape, st.shape, sp.shape)
     n = np.empty(shape + (4,))
     n[..., 0] = np.broadcast_to(cc, shape)
     n[..., 1] = sc * ct
@@ -209,14 +224,18 @@ def s3_points(grid: Grid) -> np.ndarray:
     return n
 
 
-def s3_unit_vectors(grid: Grid):
-    """Chart points as unit 4-vectors with exact chart jets.
+def s3_unit_vectors(grid: Grid, block=slice(None), trig=None):
+    """Chart points as unit 4-vectors with exact chart jets, on ``block``
+    as in :func:`s3_points`.
 
-    Returns ``(n, dn)`` with shapes ``(*shape, 4)`` and ``(*shape, 3, 4)``.
+    Returns ``(n, dn)`` with shapes ``(*block_shape, 4)`` and
+    ``(*block_shape, 3, 4)``; each entry equals the whole chart's bit for
+    bit.
     """
-    sc, cc, st, ct, sp, cp = _chart_trig(grid)
-    shape = grid.shape
-    n = s3_points(grid)
+    trig = trig or _chart_trig(grid)
+    sc, cc, st, ct, sp, cp = _block_trig(trig, block)
+    n = s3_points(grid, block, trig)
+    shape = n.shape[:-1]
     dn = np.zeros(shape + (3, 4))
     dn[..., 0, 0] = np.broadcast_to(-sc, shape)
     dn[..., 0, 1] = cc * ct
@@ -258,10 +277,15 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
 
 
 def identity_map_s3(resolution=32) -> SpinorField:
-    """The canonical unit-norm spinor of the 3-sphere chart (degree +1)."""
+    """The canonical unit-norm spinor of the 3-sphere chart (degree +1).
+
+    Only the values are stored; the exact jet of a block is the chart
+    formula :func:`s3_unit_vectors` on that block.
+    """
     grid = s3_chart_grid(resolution)
-    n, dn = s3_unit_vectors(grid)
-    phi = PhiField(grid, read_only(n), jet=read_only(dn))
+    trig = _chart_trig(grid)
+    phi = PhiField(grid, read_only(s3_points(grid, trig=trig)),
+                   block_jet=lambda block: s3_unit_vectors(grid, block, trig)[1])
     return phi_to_spinor(phi)
 
 
@@ -269,18 +293,21 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
     """phi = q^n with exact jets.
 
     On a rank-3 chart, q runs over the unit quaternions of the 3-sphere
-    (phi stays unit-norm).  On a rank-4 box, q = x0 + x1 i + x2 j + x3 k;
-    negative powers use conjugate-quaternion products so the field stays
-    polynomial with boundary degree n.
+    (phi stays unit-norm); the values are stored, and the exact jet of a
+    block is :func:`_qpower_with_jet` of that block's chart points and
+    chart jets.  On a rank-4 box, q = x0 + x1 i + x2 j + x3 k; negative
+    powers use conjugate-quaternion products so the field stays polynomial
+    with boundary degree n.
     """
     if n == 0:
         raise FieldError("quaternion power needs n != 0")
     if not -4 <= n <= 4:
         raise FieldError("quaternion power limited to |n| <= 4")
     if grid.rank == 3:
-        q, dq = s3_unit_vectors(grid)
-        value, jet = _qpower_with_jet(q, dq, n)
-        return PhiField(grid, read_only(value), jet=read_only(jet))
+        trig = _chart_trig(grid)
+        return PhiField(grid, read_only(_qpower_values(s3_points(grid, trig=trig), n)),
+                        block_jet=lambda block: _qpower_with_jet(
+                            *s3_unit_vectors(grid, block, trig), n)[1])
     return _box_field(grid, lambda q: _qpower_values(q, n),
                       lambda q: _qpower_with_jet(q, None, n))
 

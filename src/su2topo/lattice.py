@@ -162,6 +162,11 @@ class LatticeField:
     invariant on the samples, ``_check_values``, which runs before the jet
     is frozen.
 
+    A kind that can carry a jet may declare a ``block_jet`` field instead:
+    a function from a block (an axis-0 slice, or a tuple of per-axis
+    slices) to the exact jet of its sites, which :meth:`exact_jet` asks
+    when no jet is stored.  The field then keeps its values only.
+
     An array that is already read-only and aligned, of the kind's dtype and
     with no writable array in its ``.base`` chain, is adopted without a
     copy: nothing can change it any more.  Library code hands the fresh
@@ -174,6 +179,7 @@ class LatticeField:
     COMPONENTS = ()
     LABEL = "field"
     jet = None
+    block_jet = None
 
     @classmethod
     def component_shape(cls, rank: int) -> tuple:
@@ -208,8 +214,26 @@ class LatticeField:
 
     def exact_jet(self, slab: slice | tuple = slice(None)) -> np.ndarray | None:
         """Exact first-derivative samples on the planes ``slab`` of axis 0 (or
-        a block of per-axis slices), or None for bare samples."""
-        return None if self.jet is None else self.jet[slab]
+        a block of per-axis slices), or None for bare samples.
+
+        The stored jet comes first, else ``block_jet`` is asked for that
+        block only.  The whole grid's block jet is filled into one new
+        array an axis-0 slab (:func:`slabs`) at a time, one call per slab,
+        so no whole-grid temporaries are built.  A block jet is not kept
+        with the field.
+        """
+        if self.jet is not None:
+            return self.jet[slab]
+        if self.block_jet is None:
+            return None
+        if slab != slice(None):
+            return self.block_jet(slab)
+        grid = self.grid
+        out = np.empty(grid.shape + (grid.rank,) + self.component_shape(grid.rank),
+                       dtype=self.DTYPE)
+        for part in slabs(grid):
+            out[part] = self.block_jet(part)
+        return out
 
     def derivatives(self, order: int = 2, slab: slice = slice(None)) -> np.ndarray:
         """The exact jet if there is one, else finite differences of

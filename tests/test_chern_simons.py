@@ -32,7 +32,7 @@ def test_spinor_density_requires_rank3():
 def test_spinor_density_requires_normalized():
     grid = st.s3_chart_grid(8)
     psi = st.identity_map_s3(8)
-    scaled = st.SpinorField(grid, 2.0 * psi.values, jet=2.0 * psi.jet)
+    scaled = st.SpinorField(grid, 2.0 * psi.values, jet=2.0 * psi.exact_jet())
     with pytest.raises(FieldError):
         cs.chern_simons(scaled)
 
@@ -86,7 +86,7 @@ def test_global_phase_invariance():
     psi = st.identity_map_s3(12)
     alpha = 0.731
     rotated = st.SpinorField(psi.grid, np.exp(1j * alpha) * psi.values,
-                             jet=np.exp(1j * alpha) * psi.jet)
+                             jet=np.exp(1j * alpha) * psi.exact_jet())
     w1 = cs.chern_simons(psi).spinor.field.values
     w2 = cs.chern_simons(rotated).spinor.field.values
     assert np.max(np.abs(w1 - w2)) < 1e-14
@@ -248,3 +248,31 @@ def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
         for slab in sweep:
             hits[slab] += 1
         assert np.all(hits == 1)
+
+
+def test_chart_sweeps_keep_only_the_values_resident(monkeypatch):
+    # The identity spinor stores no jet: both sweeps take it slab by slab
+    # from the chart formula.  At one plane a slab, the generator, the
+    # three knot-charge routes and decompose peak below the values, the
+    # sweep's whole-grid outputs and three slabs of temporaries (d Psi, the
+    # current and the derivative stacks of A and c, about 1 KB a site).
+    # The 10.6 MB jet of 48^3 sites does not fit in that allowance.
+    import tracemalloc
+    from su2topo import lattice
+    n = 48
+    monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
+    sites = n**3
+    values = sites * 2 * 16
+    outputs = sites * 8 * (3 + 9 + 3 + 3)      # three densities, A, c and H
+    slabs = 3 * n * n * 1024
+    tracemalloc.start()
+    try:
+        psi = st.identity_map_s3(n)
+        charges = cs.chern_simons(psi)
+        st.decompose(psi, charges.gauge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = values + outputs + slabs
+    assert peak < bound
+    assert psi.jet is None and peak + sites * 3 * 2 * 16 > bound

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -429,6 +430,27 @@ def test_identity_charges_stay_pinned(tmp_path, capsys):
     code, out, _ = run(capsys, "cs", path, "--no-color")
     assert code == 0
     _assert_pinned(_charges(out), _PINNED["cs-32"])
+
+
+# SHA-256 of the 16^3 chart files, with their jets; a converter that drops
+# the jet writes a file a quarter of the size
+_CHART_FILE_DIGESTS = {
+    ("identity",): "2036541b1ee9347cfcbc71054adbd443a5902fe783c1d1dd012c0692b5de8f9d",
+    ("qpower", "--power", "2"):
+        "2cdad064652f0a2cb01c2181d0ec025e25b2b4210ed0b2c152cc3469f133137b",
+    ("qpower", "--power", "-3"):
+        "b5e00d2b42402869743b8f21b14498a01c785334d8d6eec29f9408141a7a6a42",
+}
+
+
+@pytest.mark.parametrize("kind", list(_CHART_FILE_DIGESTS), ids=" ".join)
+def test_chart_files_keep_their_bytes(kind, tmp_path, capsys):
+    path = tmp_path / "chart.fld"
+    assert run(capsys, "generate", "--kind", *kind, "--chart", "s3",
+               "--grid", "16,16,16", "--out", str(path))[0] == 0
+    data = path.read_bytes()
+    assert len(data) == 8 + 3 * 21 + 16**3 * 4 * 4 * 8 + 8
+    assert hashlib.sha256(data).hexdigest() == _CHART_FILE_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("periodic, cell_centered", [((False, True, False, False), False),

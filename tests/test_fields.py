@@ -28,8 +28,9 @@ def test_normalize_unit_spinor_unchanged():
 def test_normalized_is_read_from_the_samples():
     # one answer whichever way the unit samples arrive
     psi = st.identity_map_s3(8)
-    for field in (st.SpinorField(psi.grid, psi.values, jet=psi.jet),
-                  st.SpinorField.from_samples(psi.grid, psi.values, psi.jet),
+    for field in (psi,
+                  st.SpinorField(psi.grid, psi.values, jet=psi.exact_jet()),
+                  st.SpinorField.from_samples(psi.grid, psi.values, psi.exact_jet()),
                   st.SpinorField(psi.grid, psi.values)):
         assert field.normalized
     grid = small_grid()

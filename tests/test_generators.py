@@ -12,7 +12,10 @@ def test_identity_map_unit_norm_and_jets():
     assert psi.normalized
     norms = st.norm_squared(psi)
     assert np.max(np.abs(norms - 1.0)) < 1e-14
-    assert psi.jet is not None
+    # no jet is stored; the exact one is the chart formula's, bit for bit
+    assert psi.jet is None
+    _, dn = st.s3_unit_vectors(psi.grid)
+    assert np.array_equal(psi.exact_jet(), dn.view(np.complex128))
 
 
 def test_identity_map_is_calibration_configuration():
@@ -221,7 +224,10 @@ def _qpoly_reference(q, dq, roots):
 
 
 def _bit_equal(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    # complex arrays are compared as their float pairs, signs of zero included
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.view(np.float64)),
+                               np.signbit(b.view(np.float64))))
 
 
 def _with_signed_zeros(rng, x):
@@ -348,3 +354,99 @@ def test_box_values_filled_by_slab_equal_the_whole_grid_map(budget, monkeypatch)
               for n in (-4, -3, -2, -1, 1, 2, 3, 4)]
     for phi, expected in cases:
         assert _bit_equal(phi.values, expected)
+
+
+def _chart_reference(grid):
+    """Whole-chart points and chart jets by the formula as first written:
+    sin and cos of the broadcast axis coordinates, every product taken on
+    the whole grid.  The block jets of the chart fields must equal it."""
+    chi = grid.coords(0)[:, None, None]
+    theta = grid.coords(1)[None, :, None]
+    phi = grid.coords(2)[None, None, :]
+    sc, cc, st_, ct = np.sin(chi), np.cos(chi), np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    shape = grid.shape
+    n = np.empty(shape + (4,))
+    n[..., 0] = np.broadcast_to(cc, shape)
+    n[..., 1] = sc * ct
+    n[..., 2] = sc * st_ * cp
+    n[..., 3] = sc * st_ * sp
+    dn = np.zeros(shape + (3, 4))
+    dn[..., 0, 0] = np.broadcast_to(-sc, shape)
+    dn[..., 0, 1] = cc * ct
+    dn[..., 0, 2] = cc * st_ * cp
+    dn[..., 0, 3] = cc * st_ * sp
+    dn[..., 1, 1] = -sc * st_
+    dn[..., 1, 2] = sc * ct * cp
+    dn[..., 1, 3] = sc * ct * sp
+    dn[..., 2, 2] = -sc * st_ * sp
+    dn[..., 2, 3] = sc * st_ * cp
+    return n, dn
+
+
+def _chart_cases(grid):
+    """(name, field, reference values, reference jet) of every chart
+    generator on ``grid``; the references are the whole-chart formula's."""
+    from su2topo.generators import _qpower_with_jet
+    n, dn = _chart_reference(grid)
+    psi = st.identity_map_s3(grid.shape)
+    yield "identity", psi, n.view(np.complex128), dn.view(np.complex128)
+    for power in (1, -1, 2, -2, 3, -3, 4, -4):
+        value, jet = _qpower_with_jet(n, dn, power)
+        yield f"qpower{power}", st.quaternion_power_field(power, grid), value, jet
+
+
+def _blocks(grid):
+    n0, n1, n2 = grid.shape
+    return [slice(0, 1), slice(2, 5), slice(n0 - 2, n0), slice(1, n0 - 1, 3),
+            (slice(1, 4), slice(2, n1, 3), slice(0, n2, 5)),
+            (slice(None), slice(n1 - 1, n1), slice(None))]
+
+
+def _assert_jets_equal(field, reference, blocks):
+    assert field.jet is None and field.block_jet is not None
+    assert _bit_equal(field.exact_jet(), reference)
+    for block in blocks:
+        assert _bit_equal(field.exact_jet(block), reference[block]), block
+
+
+@pytest.mark.parametrize("shape", [(9, 10, 12), (24, 24, 24)], ids=str)
+def test_chart_jets_equal_the_whole_chart_formula(shape, monkeypatch):
+    # five planes a slab leave an uneven last slab on both charts
+    from su2topo import lattice
+    monkeypatch.setattr(lattice, "SLAB_SITES", 5 * shape[1] * shape[2])
+    grid = st.s3_chart_grid(shape)
+    blocks = _blocks(grid)
+    s = st.random_config(5, "su2", grid)
+    gauge = st.random_config(6, "gauge", grid)
+    for name, field, values, jet in _chart_cases(grid):
+        assert _bit_equal(field.values, values), name
+        _assert_jets_equal(field, jet, blocks)
+        # each conversion hands the block jet on as a view of each block
+        if isinstance(field, st.SpinorField):
+            phi, psi = st.spinor_to_phi(field), field
+            _assert_jets_equal(phi, jet.view(np.float64), blocks)
+            _assert_jets_equal(st.phi_to_spinor(phi), jet, blocks)
+        else:
+            psi = st.phi_to_spinor(field)
+            _assert_jets_equal(psi, jet.view(np.complex128), blocks)
+            _assert_jets_equal(st.spinor_to_phi(psi), jet, blocks)
+            jet = jet.view(np.complex128)
+        # normalize transports each block as the whole-grid quotient rule
+        scaled = st.SpinorField(grid, 2.5 * psi.values,
+                                block_jet=lambda block: 2.5 * psi.exact_jet(block))
+        stored = st.SpinorField(grid, 2.5 * psi.values, jet=2.5 * jet)
+        unit, expected = st.normalize(scaled), st.normalize(stored)
+        assert _bit_equal(unit.values, expected.values), name
+        _assert_jets_equal(unit, expected.jet, blocks)
+        # gauge_transform reads the exact jet and stores the result's; its
+        # su(2) matrix products cost 0.5 s at 24^3, so there only the
+        # identity is transformed
+        if grid.shape == (24, 24, 24) and name != "identity":
+            continue
+        psi2, gauge2, _ = st.gauge_transform(psi, gauge, s)
+        want, want_gauge, _ = st.gauge_transform(
+            st.SpinorField(grid, psi.values, jet=jet), gauge, s)
+        assert _bit_equal(psi2.jet, want.jet), name
+        assert _bit_equal(psi2.values, want.values)
+        assert _bit_equal(gauge2.values, want_gauge.values)
