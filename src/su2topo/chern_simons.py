@@ -26,24 +26,34 @@ d m^a = 2 Re J^a and C = -2 Im J^0.
 slabs (:func:`~su2topo.lattice.slabs`).  It takes d Psi once per slab
 (finite differences for bare samples), computes J from it
 (``SpinorField.current``, which is never stored) and from both the spinor
-and Abelian densities, c, h_pairs and the whole-grid A.  dA and dC read the
-planes next to each slab, so a second pass over the finished A and c gives
-the trace density and the exactness residual.  The charges are the
-unchanged :func:`~su2topo.lattice.integrate` of the whole-grid densities,
-and residues and residuals are maxima over the slabs.
+and Abelian densities and the slab's A, c and h_pairs.  dA and dC read
+the planes next to each slab, so the trace density and the exactness
+residual run a slab behind, on windows of the planes their stencils need
+(:func:`~su2topo.lattice.stencil_windows`): A and c are held as a halo of
+planes and H for the slabs still to be read, never for the whole grid.
+Asked for the parallel condition, the sweep also runs the per-slab kernel
+of :func:`~su2topo.decomposition.decompose` on the slab's d Psi, J, norms
+and A.  The charges are the unchanged :func:`~su2topo.lattice.integrate`
+of the whole-grid densities, and residues, residuals and the
+decomposition's reductions are maxima over the slabs.  A library caller
+that reads ``KnotCharges.gauge``, ``abelian.c`` or ``abelian.h_pairs``
+gets them built slab by slab by the same kernel, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .conventions import ORIENTATION_SIGN
-from .decomposition import parallel_components
+from .decomposition import (Decomposition, decompose, parallel_components,
+                            parallel_gauge_potential, slab_maxima)
 from .errors import FieldError, ReconstructionError
-from .fields import GaugeField, SpinorField, sigma_model_field
-from .lattice import ScalarField, derivative_stack, integrate, read_only, slabs
+from .fields import GaugeField, SpinorField, norm_squared, sigma_model_field
+from .lattice import (ScalarField, derivative_stack, integrate, read_only,
+                      stencil_windows)
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
 
@@ -110,14 +120,22 @@ class AbelianData:
 
     ``exactness_residual`` is max |d_i C_j - d_j C_i - H_ij| with finite
     differences on C; it must shrink as O(h^2) or the potential choice is
-    inconsistent with the curvature.
+    inconsistent with the curvature.  ``c`` and ``h_pairs`` are built
+    slab by slab from ``psi`` on first read, by the sweep's kernel.
     """
 
-    c: np.ndarray
-    h_pairs: np.ndarray
+    psi: SpinorField
     exactness_residual: float
 
     H_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return _rebuilt(self.psi, 1)
+
+    @cached_property
+    def h_pairs(self) -> np.ndarray:
+        return _rebuilt(self.psi, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +144,21 @@ class KnotCharges:
 
     ``spinor``, ``trace`` and ``fn`` are the route densities, ``q_spinor``,
     ``q_trace`` and ``q_fn`` their integrals, ``gauge`` the parallel
-    potential the trace route differentiated and ``abelian`` the Abelian
-    data of the FN (Faddeev-Niemi) route.
+    potential the trace route differentiated, built from ``psi`` slab by
+    slab on first read, and ``abelian`` the Abelian data of the FN
+    (Faddeev-Niemi) route.  ``parallel`` is ``decompose(psi, gauge)``,
+    the parallel condition b = 0 on that potential: from the reductions
+    the sweep took when asked (``parallel_maxima``), else by
+    :func:`~su2topo.decomposition.decompose`; reading it raises
+    :class:`ReconstructionError` as ``decompose`` does.
     """
 
+    psi: SpinorField
     spinor: Density
     trace: Density
     fn: Density
-    gauge: GaugeField
     abelian: AbelianData
+    parallel_maxima: tuple | None = field(default=None, repr=False)
 
     @property
     def q_spinor(self) -> float:
@@ -148,6 +172,17 @@ class KnotCharges:
     def q_fn(self) -> float:
         return integrate(self.fn.field)
 
+    @cached_property
+    def gauge(self) -> GaugeField:
+        return parallel_gauge_potential(self.psi)
+
+    @cached_property
+    def parallel(self) -> Decomposition:
+        if self.parallel_maxima is None:
+            return decompose(self.psi, self.gauge)
+        return Decomposition.from_maxima(self.psi, self.parallel_maxima,
+                                         lambda: self.gauge)
+
 
 #: Exactness residuals above this times (h/L)^2 times the scale of dC and H
 #: raise.  Correct fields read at most about 101 (q^4 on a 24^3 chart), a
@@ -155,7 +190,30 @@ class KnotCharges:
 RESIDUAL_FACTOR = 320.0
 
 
-def chern_simons(psi: SpinorField) -> KnotCharges:
+def _potentials(psi: SpinorField, slab: slice, current: np.ndarray) -> tuple:
+    """The sweep's kernel: the parallel potential A^a = -2 Im J^a, the
+    Abelian potential C = -2 Im J^0 and the curvature pairs
+    H_ij = -m . (d_i m x d_j m), d m^a = 2 Re J^a, on the planes ``slab``
+    of axis 0, from the slab's spinor current."""
+    m = sigma_model_field(psi, slab)
+    dm = 2.0 * current[..., 1:].real
+    h_pairs = np.empty(m.shape)
+    for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
+        h_pairs[..., idx] = -_triple(m, dm[..., i, :], dm[..., j, :])
+    return (parallel_components(current), np.multiply(current[..., 0].imag, -2.0),
+            h_pairs)
+
+
+def _rebuilt(psi: SpinorField, index: int) -> np.ndarray:
+    """The whole-grid C or H (``index`` 1 or 2 of :func:`_potentials`),
+    filled slab by slab, read-only."""
+    out = np.empty(psi.grid.shape + (3,))
+    for slab, _, current in psi.slab_currents():
+        out[slab] = _potentials(psi, slab, current)[index]
+    return read_only(out)
+
+
+def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
     """The spinor, trace and Abelian knot-charge routes of a normalized
     spinor on a rank-3 chart, in one sweep.
 
@@ -169,6 +227,11 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
     residual is the O(h^2) error of the stencils on C, so the bound does
     not depend on the size of the box, and the scale of dC keeps it above
     the stencil error of bare samples where H vanishes.
+
+    With ``parallel``, the sweep also runs the per-slab kernel of
+    :func:`~su2topo.decomposition.decompose` on each slab's d Psi,
+    current, norms and A, so ``KnotCharges.parallel`` needs no second
+    sweep.
     """
     grid = psi.grid
     if grid.rank != 3:
@@ -176,34 +239,37 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
     if not psi.normalized:
         raise FieldError("the knot-charge routes require a normalized spinor")
     sign = ORIENTATION_SIGN * grid.orientation
+    order = 2                       # of the dA and dC stencils
     spinor = np.empty(grid.shape)
     trace = np.empty(grid.shape)
     fn = np.empty(grid.shape)
-    gauge = np.empty(grid.shape + (3, 3))
-    c = np.empty(grid.shape + (3,))
-    h_pairs = np.empty(grid.shape + (3,))
+    h_of = {}                       # H of the slabs the second pass has not read
     residue = 0.0
-    for slab in slabs(grid):
-        dvalues = psi.derivatives(slab=slab)
-        current = psi.current(slab=slab, dvalues=dvalues)
-        raw = sign * spinor_cs_values(current[..., 0], dvalues)
-        residue = max(residue, float(np.max(np.abs(raw.imag))))
-        spinor[slab] = raw.real
-        parallel_components(current, out=gauge[slab])
-        m = sigma_model_field(psi, slab)
-        dm = 2.0 * current[..., 1:].real
-        np.multiply(current[..., 0].imag, -2.0, out=c[slab])
-        for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
-            h_pairs[slab][..., idx] = -_triple(m, dm[..., i, :], dm[..., j, :])
-        fn[slab] = fn_pointwise(c[slab], h_pairs[slab]) * sign / (8.0 * np.pi**2)
+    maxima = (0.0,) * 4 if parallel else None
 
-    # dA and dC read the planes next to each slab, so A and c are whole now
+    def first_pass():
+        nonlocal residue, maxima
+        for slab, dvalues, current in psi.slab_currents():
+            raw = sign * spinor_cs_values(current[..., 0], dvalues)
+            residue = max(residue, float(np.max(np.abs(raw.imag))))
+            spinor[slab] = raw.real
+            gauge, c, h_pairs = _potentials(psi, slab, current)
+            fn[slab] = fn_pointwise(c, h_pairs) * sign / (8.0 * np.pi**2)
+            if parallel:
+                maxima = tuple(map(max, maxima, slab_maxima(
+                    psi, slab, dvalues, current, norm_squared(psi, slab), gauge)))
+            h_of[slab.start] = h_pairs
+            yield slab, (gauge, c)
+
+    # dA and dC read the planes next to each slab: a slab's second pass
+    # runs once they are swept, and only those planes are held
     curl_res = h_max = dc_max = 0.0
-    for slab in slabs(grid):
-        trace[slab] = sign * trace_cs_values(gauge[slab],
-                                             derivative_stack(gauge, grid, slab=slab))
-        dc = derivative_stack(c, grid, slab=slab)
-        h = h_pairs[slab]
+    for slab, (gauge, c), first in stencil_windows(grid, order, first_pass()):
+        own = slice(slab.start - first, slab.stop - first)
+        trace[slab] = sign * trace_cs_values(
+            gauge[own], derivative_stack(gauge, grid, order, slab, first))
+        dc = derivative_stack(c, grid, order, slab, first)
+        h = h_of.pop(slab.start)
         for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
             curl_res = max(curl_res, float(np.max(np.abs(
                 dc[..., i, j] - dc[..., j, i] - h[..., idx]))))
@@ -217,9 +283,8 @@ def chern_simons(psi: SpinorField) -> KnotCharges:
     def density(values, imag_residue=0.0):
         return Density(ScalarField(grid, read_only(values)), imag_residue)
 
-    return KnotCharges(density(spinor, residue), density(trace),
-                       density(fn), GaugeField(grid, read_only(gauge)),
-                       AbelianData(read_only(c), read_only(h_pairs), curl_res))
+    return KnotCharges(psi, density(spinor, residue), density(trace), density(fn),
+                       AbelianData(psi, curl_res), maxima)
 
 
 def fn_pointwise(c: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -306,17 +306,16 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_cs(args) -> int:
-    report, _, _ = _run_cs(args)
-    return _emit_report(report, args)
+    return _emit_report(_run_cs(args), args)
 
 
 def _charge_entry(q: float) -> dict:
     return {"value": q, "nearest": int(round(q)), "deviation": abs(q - round(q))}
 
 
-def _run_cs(args, psi: SpinorField | None = None):
-    """Three routes to Q in one sweep: the report, the normalized spinor and
-    the trace route's parallel potential (None when ``exactness`` FAILs)."""
+def _run_cs(args, psi: SpinorField | None = None, parallel: bool = False) -> ChargeReport:
+    """Three routes to Q in one sweep, and with ``parallel`` the parallel
+    condition b = 0 on the trace route's potential from the same sweep."""
     su2_algebra.self_check()
     if psi is None:
         psi = _as_spinor(fldio.read_field(args.infile), args.infile)
@@ -327,11 +326,11 @@ def _run_cs(args, psi: SpinorField | None = None):
 
     start = time.perf_counter()
     try:
-        charges = cs.chern_simons(psi)
+        charges = cs.chern_simons(psi, parallel=parallel)
     except ReconstructionError as exc:
         # dC = H does not hold: a check verdict, not an input error
         report.add_check("exactness", False, str(exc))
-        return report, psi, None
+        return report
     q_spinor, q_trace, q_fn = charges.q_spinor, charges.q_trace, charges.q_fn
     report.timings["charges_s"] = time.perf_counter() - start
     report.results["charges"] = {
@@ -348,7 +347,19 @@ def _run_cs(args, psi: SpinorField | None = None):
     gap = abs(q_fn - q_spinor)
     _bound_check(report, "abelian-vs-spinor", f"|Q_fn - Q_spinor| = {gap:.3e}", gap,
                  ROUNDING_TOL * max(1.0, abs(q_spinor)), fmt=".3e")
-    return report, psi, charges.gauge
+    if parallel:
+        try:
+            dec = charges.parallel
+        except ReconstructionError as exc:
+            # the decomposition identity itself failed, as in ``decompose``
+            report.add_check("reconstruction", False, str(exc))
+        else:
+            dnorm, bnorm = dec.max_covariant, dec.max_b
+            report.results["parallel_condition"] = {"max_DPsi": dnorm, "max_b": bnorm}
+            _bound_check(report, "parallel-condition",
+                         f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e}",
+                         max(dnorm, bnorm), 1e-10)
+    return report
 
 
 def cmd_chern(args) -> int:
@@ -441,15 +452,7 @@ def cmd_verify(args) -> int:
     su2_algebra.self_check()
     chart = _KINDS[kind].charts[0]
     if chart == "s3":
-        psi = _as_spinor(_build(kind, chart, args), name)
-        report, psi, gauge = _run_cs(args, psi=psi)
-        if gauge is not None:
-            dec = decompose(psi, gauge)
-            dnorm, bnorm = dec.max_covariant, dec.max_b
-            report.results["parallel_condition"] = {"max_DPsi": dnorm, "max_b": bnorm}
-            _bound_check(report, "parallel-condition",
-                         f"max|DPsi| = {dnorm:.3e}, max|b| = {bnorm:.3e}",
-                         max(dnorm, bnorm), 1e-10)
+        report = _run_cs(args, _as_spinor(_build(kind, chart, args), name), parallel=True)
     else:
         report, _ = _run_zeros(args, _build(kind, chart, args), threads)
     report.command = f"verify {name}"

@@ -22,65 +22,97 @@ check true by construction.
 
 Every part is pointwise in (Psi, dPsi, A), so one per-slab kernel
 (:func:`_parts`) gives D Psi, a and b on one axis-0 slab
-(:func:`~su2topo.lattice.slabs`) at a time, from one d Psi of the slab
-(so bare samples are differenced once).  :func:`decompose` runs it
-once over the grid and keeps only the reductions (the reconstruction
-residual, max|D Psi| and max|b|); no whole-grid a, b or D Psi is built
-unless a caller reads ``Decomposition.a`` or ``.b``, which the same kernel
-then fills.  Each entry is bit for bit the whole-grid evaluation, and
-maxima are exact in any order.
+(:func:`~su2topo.lattice.slabs`) at a time, from the slab's d Psi, spinor
+current, norms Psi^dag Psi and components of A, each taken once (so bare
+samples are differenced once).  :func:`slab_maxima` reduces it to the
+reconstruction residual, max|A|, max|D Psi| and max|b| of the slab.
+:func:`decompose` runs that over the grid, checking each slab's norms
+before it divides by them, and keeps only the reductions; the knot-charge
+sweep (:func:`~su2topo.chern_simons.chern_simons`) runs the same kernel
+on the inputs it already holds, for the parallel condition on its own
+potential.  No whole-grid a, b or D Psi is built unless a caller reads
+``Decomposition.a`` or ``.b``, which the same kernel then fills.  Each
+entry is bit for bit the whole-grid evaluation, and maxima are exact in
+any order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, ReconstructionError
-from .fields import GaugeField, SpinorField, _check_nonvanishing, norm_squared
-from .lattice import read_only, slabs
+from .fields import (EPS_ZERO, GaugeField, SpinorField, _check_nonvanishing,
+                     norm_squared)
+from .lattice import read_only
 
 #: Largest max|a^c + b^c - A^c| accepted, relative to 1 + max|A^c|.
 RECONSTRUCTION_TOL = 1e-12
 
 
-def covariant_derivative(psi: SpinorField, gauge: GaugeField,
+def covariant_derivative(psi: SpinorField, gauge: GaugeField | np.ndarray,
                          slab: slice = slice(None),
                          dvalues: np.ndarray | None = None) -> np.ndarray:
     """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi on the planes ``slab``
     of axis 0, from ``dvalues``, the slab's ``psi.derivatives`` (taken here
-    when not given).
+    when not given).  ``gauge`` is A on the grid of ``psi``, or the
+    components of A on the planes ``slab`` only.
 
     Returns per-axis spinor samples, shape ``(*slab_shape, rank, 2)``, a new
     writable array.  The adjoint counterpart is the entrywise conjugate of
     the result.
     """
-    if psi.grid != gauge.grid:
-        raise FieldError("spinor and gauge grids differ")
+    if isinstance(gauge, GaugeField):
+        if psi.grid != gauge.grid:
+            raise FieldError("spinor and gauge grids differ")
+        gauge = gauge.values[slab]
     # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
-    connection = su2_algebra.sigma_apply(gauge.values[slab],
-                                         psi.values[slab][..., None, :])
+    connection = su2_algebra.sigma_apply(gauge, psi.values[slab][..., None, :])
     if dvalues is None:
         dvalues = psi.derivatives(slab=slab)
     return dvalues + 0.5j * connection
 
 
-def _parts(psi: SpinorField, gauge: GaugeField, slab: slice):
+def _parts(psi: SpinorField, slab: slice, dvalues: np.ndarray, current: np.ndarray,
+           norms: np.ndarray, gauge: np.ndarray):
     """Components of a and b, and D Psi, on the planes ``slab`` of axis 0.
 
     a^c = -2 w Im J^c and b^c = 2 w Im t^c with w = 1/(Psi^dag Psi), J the
     spinor current and t = Psi^dag sigma_c D Psi.  Both read the slab's
-    d Psi, taken once.
+    d Psi ``dvalues``, its current, its Psi^dag Psi ``norms`` and the
+    components ``gauge`` of A there, as a sweep over the slabs took them.
     """
-    weight = (2.0 / norm_squared(psi, slab))[..., None, None]     # 2w
-    dvalues = psi.derivatives(slab=slab)
-    a = np.multiply(psi.current(slab=slab, dvalues=dvalues)[..., 1:].imag, -weight)
+    weight = (2.0 / norms)[..., None, None]                      # 2w
+    a = np.multiply(current[..., 1:].imag, -weight)
     dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues)
     t = su2_algebra.sigma_bilinear(psi.values[slab][..., None, :], dcov)
     return a, np.multiply(t.imag, weight), dcov
+
+
+def slab_maxima(psi: SpinorField, slab: slice, dvalues: np.ndarray,
+                current: np.ndarray, norms: np.ndarray, gauge: np.ndarray) -> tuple:
+    """The per-slab kernel of :func:`decompose`: max|a + b - A|, max|A|,
+    max|D Psi| and max|b| on the planes ``slab``, from the inputs of
+    :func:`_parts`.
+
+    Maxima are exact in any order, so those of a grid are the entrywise
+    maxima over its slabs.
+    """
+    a, b, dcov = _parts(psi, slab, dvalues, current, norms, gauge)
+    mismatch = a + b
+    mismatch -= gauge
+    # the entries of b^a sigma_a/(2i) are -i b^3/2 on the diagonal and
+    # -(b^2 + i b^1)/2 off it; np.abs of that complex is the matrix's
+    # own modulus bit for bit (np.hypot is not)
+    half = 0.5 * b
+    return (float(np.max(np.abs(mismatch))), float(np.max(np.abs(gauge))),
+            float(np.max(np.abs(dcov))),
+            max(float(np.max(np.abs(half[..., 2]))),
+                float(np.max(np.abs(half[..., 1] + 1j * half[..., 0])))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +124,35 @@ class Decomposition:
     ``max_b`` is max|b_mu| over the entries of its matrix form, taken in
     closed form from the components without building the matrices.  The parts
     ``a`` and ``b`` are :class:`GaugeField`s built slab by slab on first
-    read.
+    read.  ``gauge`` is A, from ``potential`` on first read: the field
+    given to :func:`decompose`, or the parallel potential that
+    :class:`~su2topo.chern_simons.KnotCharges` builds when asked.
     """
 
     psi: SpinorField
-    gauge: GaugeField
     residual: float
     max_covariant: float
     max_b: float
+    potential: Callable[[], GaugeField] = field(repr=False)
+
+    @classmethod
+    def from_maxima(cls, psi: SpinorField, maxima: tuple,
+                    potential: Callable[[], GaugeField]) -> "Decomposition":
+        """The split whose sweep took the :func:`slab_maxima` ``maxima``.
+
+        A residual max|a + b - A| beyond ``RECONSTRUCTION_TOL`` times
+        1 + max|A| raises :class:`ReconstructionError`.
+        """
+        residual, amax, dmax, bmax = maxima
+        if residual > RECONSTRUCTION_TOL * (1.0 + amax):
+            raise ReconstructionError(
+                f"decomposition identity violated: max|a + b - A| = {residual:.3e}")
+        return cls(psi, residual, dmax, bmax, potential)
+
+    @cached_property
+    def gauge(self) -> GaugeField:
+        """A, the potential that was split."""
+        return self.potential()
 
     @cached_property
     def a(self) -> GaugeField:
@@ -112,11 +165,12 @@ class Decomposition:
         return self._part(1)
 
     def _part(self, index: int) -> GaugeField:
-        grid = self.gauge.grid
-        out = np.empty(self.gauge.values.shape)
-        for slab in slabs(grid):
-            out[slab] = _parts(self.psi, self.gauge, slab)[index]
-        return GaugeField(grid, read_only(out))
+        psi, gauge = self.psi, self.gauge
+        out = np.empty(gauge.values.shape)
+        for slab, dvalues, current in psi.slab_currents():
+            out[slab] = _parts(psi, slab, dvalues, current, norm_squared(psi, slab),
+                               gauge.values[slab])[index]
+        return GaugeField(psi.grid, read_only(out))
 
 
 def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
@@ -130,30 +184,20 @@ def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
     beyond ``RECONSTRUCTION_TOL`` times 1 + max|A| raises
     :class:`ReconstructionError`.  It catches a wrong current or a wrong
     covariant derivative.  A spinor norm below ``fields.EPS_ZERO`` raises
-    :class:`NormalizationError`.
+    :class:`NormalizationError` at the smallest norm of the grid; no slab
+    with such a norm reaches the kernel.
     """
     if psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
-    _check_nonvanishing(np.sqrt(norm_squared(psi)), "spinor")
-
-    residual = amax = dmax = bmax = 0.0
-    for slab in slabs(psi.grid):
-        a, b, dcov = _parts(psi, gauge, slab)
-        mismatch = a + b
-        mismatch -= gauge.values[slab]
-        residual = max(residual, float(np.max(np.abs(mismatch))))
-        amax = max(amax, float(np.max(np.abs(gauge.values[slab]))))
-        dmax = max(dmax, float(np.max(np.abs(dcov))))
-        # the entries of b^a sigma_a/(2i) are -i b^3/2 on the diagonal and
-        # -(b^2 + i b^1)/2 off it; np.abs of that complex is the matrix's
-        # own modulus bit for bit (np.hypot is not)
-        half = 0.5 * b
-        bmax = max(bmax, float(np.max(np.abs(half[..., 2]))),
-                   float(np.max(np.abs(half[..., 1] + 1j * half[..., 0]))))
-    if residual > RECONSTRUCTION_TOL * (1.0 + amax):
-        raise ReconstructionError(
-            f"decomposition identity violated: max|a + b - A| = {residual:.3e}")
-    return Decomposition(psi, gauge, residual, dmax, bmax)
+    maxima = (0.0,) * 4
+    for slab, dvalues, current in psi.slab_currents():
+        norms = norm_squared(psi, slab)
+        if np.sqrt(np.min(norms)) < EPS_ZERO:
+            # the error names the first smallest norm of the whole grid
+            _check_nonvanishing(np.sqrt(norm_squared(psi)), "spinor")
+        maxima = tuple(map(max, maxima, slab_maxima(psi, slab, dvalues, current, norms,
+                                                    gauge.values[slab])))
+    return Decomposition.from_maxima(psi, maxima, lambda: gauge)
 
 
 def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
@@ -168,11 +212,11 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
         raise FieldError("parallel potential requires a normalized spinor")
     grid = psi.grid
     out = np.empty(grid.shape + (grid.rank, 3))
-    for slab in slabs(grid):
-        parallel_components(psi.current(slab=slab), out=out[slab])
+    for slab, _, current in psi.slab_currents():
+        parallel_components(current, out=out[slab])
     return GaugeField(grid, read_only(out))
 
 
-def parallel_components(current: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A^a = -2 Im J^a of a spinor current ``J``, written into ``out``."""
+def parallel_components(current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A^a = -2 Im J^a of a spinor current ``J``, written into ``out`` if given."""
     return np.multiply(current[..., 1:].imag, -2.0, out=out)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, LatticeField, read_only
+from .lattice import Grid, LatticeField, read_only, slabs
 
 #: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
@@ -91,6 +91,14 @@ class SpinorField(LatticeField):
         if dvalues is None:
             dvalues = self.derivatives(slab=slab)
         return su2_algebra.spinor_current(self.values[slab][..., None, :], dvalues)
+
+    def slab_currents(self):
+        """Yield ``(slab, dvalues, current)`` for each axis-0 slab
+        (:func:`~su2topo.lattice.slabs`): the slab's :meth:`derivatives`,
+        taken once, and the :meth:`current` computed from them."""
+        for slab in slabs(self.grid):
+            dvalues = self.derivatives(slab=slab)
+            yield slab, dvalues, self.current(slab=slab, dvalues=dvalues)
 
 
 @dataclass(frozen=True, eq=False)

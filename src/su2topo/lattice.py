@@ -9,7 +9,10 @@ open axes; both are O(h^2) on smooth integrands.
 Pointwise work runs one axis-0 slab at a time (:func:`slabs`): a route
 reads each slab of its inputs, with ``derivative_stack(..., slab=...)``
 reading the ``order // 2`` neighbouring planes the stencils need, and
-writes into the whole-grid arrays it returns.  ``Grid.points(slab)`` gives
+writes into the whole-grid arrays it returns.  A route that differentiates
+what its own sweep computes runs those stencils a slab behind, on windows
+of the planes they read (:func:`stencil_windows`), so that input is never
+held for the whole grid.  ``Grid.points(slab)`` gives
 the coordinates of a slab's planes (or a face's sites) only, so a map is
 sampled there without whole-grid coordinates.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
@@ -22,6 +25,7 @@ order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -305,7 +309,7 @@ def central_diff(values: np.ndarray, grid: Grid, axis: int, order: int = 2) -> n
 
 
 def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,
-                     slab: slice = slice(None)) -> np.ndarray:
+                     slab: slice = slice(None), first: int | None = None) -> np.ndarray:
     """Stack of axis derivatives, shape ``(*shape, rank, *components)``.
 
     Each axis derivative is written into its slot of one preallocated
@@ -314,37 +318,98 @@ def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,
     computed: the axis-0 stencils read ``order // 2`` planes beyond the slab
     (wrapping when axis 0 is periodic, one-sided at its true ends), and the
     result equals ``derivative_stack(values, grid, order)[slab]`` bit for bit.
+
+    Given ``first``, ``values`` is not the whole grid but a window of axis-0
+    planes whose first is plane ``first`` (counted on past either end of a
+    periodic axis 0, so it may be negative): it must hold the planes
+    ``stencil_planes(grid, order, slab)``, as :func:`stencil_windows` gives
+    them, and the result is again that of the whole grid bit for bit.
     """
-    values = _check_stencil(values, grid, order)
+    values = _check_stencil(values, grid, order, window=first is not None)
+    first = first or 0
     rank = grid.rank
-    block = values[slab]
+    lo, hi, _ = slab.indices(grid.shape[0])
+    block = values[lo - first:hi - first]
     out = np.empty(block.shape[:rank] + (rank,) + block.shape[rank:],
                    dtype=np.result_type(values, np.float64))
-    _diff_into(out[(slice(None),) * rank + (0,)], values, grid, 0, order, slab)
+    _diff_into(out[(slice(None),) * rank + (0,)], values, grid, 0, order, slab, first)
     for axis in range(1, rank):
         _diff_into(out[(slice(None),) * rank + (axis,)], block, grid, axis, order)
     return out
 
 
-def _check_stencil(values, grid: Grid, order: int) -> np.ndarray:
+def stencil_planes(grid: Grid, order: int, slab: slice) -> range:
+    """The axis-0 planes that the ``order`` stencils of the planes ``slab``
+    read: ``order // 2`` beyond each side, counted on past the ends of a
+    periodic axis 0, and on an open one the ``order + 1`` planes of the
+    one-sided stencils at a true end."""
+    n, halo = grid.shape[0], order // 2
+    lo, hi, _ = slab.indices(n)
+    if grid.periodic[0]:
+        return range(lo - halo, hi + halo)
+    start, stop = max(0, lo - halo), min(n, hi + halo)
+    if lo < halo:
+        stop = min(n, max(stop, order + 1))
+    if hi > n - halo:
+        start = max(0, min(start, n - order - 1))
+    return range(start, stop)
+
+
+def stencil_windows(grid: Grid, order: int, blocks):
+    """Run axis-0 stencils one slab behind the sweep that makes their input.
+
+    ``blocks`` yields ``(slab, arrays)`` for the slabs of :func:`slabs` in
+    order, each array holding the slab's planes of one whole-grid quantity.
+    For each slab, as soon as every plane of its :func:`stencil_planes`
+    has arrived, this yields ``(slab, windows, first)``: each array's
+    window of those planes and the index of the first, for
+    ``derivative_stack(window, grid, order, slab, first)``.  A plane is
+    dropped once no slab still to come reads it, so on an open axis 0 only
+    a halo of planes stays; on a periodic one the first slab waits for the
+    last planes, and keeps its own planes until the end.
+    """
+    n = grid.shape[0]
+    reads = {part.start: stencil_planes(grid, order, part) for part in slabs(grid)}
+    readers = Counter(plane % n for planes in reads.values() for plane in planes)
+    held, pending = {}, []
+    for slab, arrays in blocks:
+        for plane in range(slab.start, slab.stop):
+            held[plane] = [array[plane - slab.start] for array in arrays]
+        pending.append(slab)
+        for part in [p for p in pending if all(q % n in held for q in reads[p.start])]:
+            pending.remove(part)
+            planes = reads[part.start]
+            yield part, [np.stack([held[q % n][k] for q in planes])
+                         for k in range(len(arrays))], planes.start
+            for plane in planes:
+                readers[plane % n] -= 1
+                if not readers[plane % n]:
+                    del held[plane % n]
+
+
+def _check_stencil(values, grid: Grid, order: int, window: bool = False) -> np.ndarray:
     if order not in (2, 4):
         raise LatticeError(f"stencil order must be 2 or 4, got {order}")
     values = np.asarray(values)
-    if values.shape[: grid.rank] != grid.shape:
+    skip = 1 if window else 0      # a window's length on axis 0 is its own
+    if values.shape[skip:grid.rank] != grid.shape[skip:]:
         raise LatticeError("value array does not match grid shape")
     return values
 
 
 def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
-               order: int, rows: slice = slice(None)) -> None:
+               order: int, rows: slice = slice(None), first: int = 0) -> None:
     """Write the ``order`` derivative of ``values`` along ``axis`` into ``out``,
-    at the sites whose index on ``axis`` lies in ``rows``."""
+    at the sites whose index on ``axis`` lies in ``rows``.  ``values`` may be a
+    window of planes on ``axis`` whose first is plane ``first`` (see
+    :func:`derivative_stack`); one that holds a true end of an open axis
+    reaches that end."""
     h = grid.spacing[axis]
     n = grid.shape[axis]
     lo, hi, _ = rows.indices(n)
 
     if grid.periodic[axis]:
-        index = np.arange(lo, hi)
+        index = np.arange(lo - first, hi - first)
 
         def at(shift):
             return np.take(values, index + shift, axis=axis, mode="wrap")
@@ -364,11 +429,12 @@ def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
     # central stencils on the rows at least order // 2 from either end
     a, b = max(lo, order // 2), min(hi, n - order // 2)
     if a < b:
+        s, e = a - first, b - first
         if order == 2:
-            d[a - lo:b - lo] = (f[a + 1:b + 1] - f[a - 1:b - 1]) / (2.0 * h)
+            d[a - lo:b - lo] = (f[s + 1:e + 1] - f[s - 1:e - 1]) / (2.0 * h)
         else:
-            d[a - lo:b - lo] = (-f[a + 2:b + 2] + 8.0 * f[a + 1:b + 1]
-                                - 8.0 * f[a - 1:b - 1] + f[a - 2:b - 2]) / (12.0 * h)
+            d[a - lo:b - lo] = (-f[s + 2:e + 2] + 8.0 * f[s + 1:e + 1]
+                                - 8.0 * f[s - 1:e - 1] + f[s - 2:e - 2]) / (12.0 * h)
     # one-sided stencils on the end rows
     if order == 2:
         ends = {0: lambda: (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h),

@@ -57,11 +57,38 @@ def test_cross_method_pointwise_agreement():
     assert residuals[24] / residuals[12] < 2.0
 
 
-def test_sweep_matches_the_whole_grid_routes():
-    # each route of the slab sweep against its whole-grid evaluation
-    psi = st.identity_map_s3(12)
-    charges = cs.chern_simons(psi)
-    sign = st.ORIENTATION_SIGN * psi.grid.orientation
+def _periodic_spinor():
+    """A normalized bare spinor on a grid periodic on axis 0 only."""
+    grid = st.Grid((9, 10, 12), (0.0, -1.0, -1.0), (2 * np.pi / 9, 0.2, 0.15),
+                   (True, False, False))
+    x = grid.points()
+    f = 0.6 + 0.3 * np.sin(x[..., 0]) * x[..., 1]
+    values = np.stack([np.cos(f) * np.exp(1j * (np.cos(x[..., 0]) + x[..., 2])),
+                       np.sin(f) * np.exp(1j * x[..., 1] * x[..., 2])], axis=-1)
+    return st.SpinorField(grid, values)
+
+
+def test_sweep_matches_the_whole_grid_routes(monkeypatch):
+    # each route of the slab sweep against its whole-grid evaluation, bit
+    # for bit, with the whole grid as one slab and with slabs of 1, 2 and 5
+    # planes (the last one shorter), so the trace and dC stencils read
+    # windows of held planes, wrapped ones on a periodic axis 0
+    from su2topo import lattice
+    for make in (lambda: st.identity_map_s3(12), _periodic_spinor):
+        for planes in (None, 1, 2, 5):
+            psi = make()
+            with monkeypatch.context() as mp:
+                if planes is not None:
+                    mp.setattr(lattice, "SLAB_SITES",
+                               planes * psi.grid.shape[1] * psi.grid.shape[2])
+                    assert next(lattice.slabs(psi.grid)) == slice(0, planes)
+                _assert_sweep_matches_the_whole_grid(psi)
+
+
+def _assert_sweep_matches_the_whole_grid(psi):
+    grid = psi.grid
+    charges = cs.chern_simons(psi, parallel=True)
+    sign = st.ORIENTATION_SIGN * grid.orientation
     current = psi.current()
     raw = sign * cs.spinor_cs_values(current[..., 0], psi.derivatives())
     assert np.array_equal(charges.spinor.field.values, raw.real)
@@ -69,10 +96,24 @@ def test_sweep_matches_the_whole_grid_routes():
     assert np.array_equal(charges.gauge.values, gauge.values)
     assert np.array_equal(charges.trace.field.values,
                           sign * cs.trace_cs_values(gauge.values, gauge.derivatives()))
-    assert np.array_equal(charges.abelian.c, -2.0 * current[..., 0].imag)
-    abelian = charges.abelian
-    fn = sign * cs.fn_pointwise(abelian.c, abelian.h_pairs) / (8.0 * np.pi**2)
+    c = -2.0 * current[..., 0].imag
+    assert np.array_equal(charges.abelian.c, c)
+    m, dm = st.sigma_model_field(psi), 2.0 * current[..., 1:].real
+    h = np.stack([-cs._triple(m, dm[..., i, :], dm[..., j, :])
+                  for i, j in cs.AbelianData.H_PAIRS], axis=-1)
+    assert np.array_equal(charges.abelian.h_pairs, h)
+    fn = sign * cs.fn_pointwise(c, h) / (8.0 * np.pi**2)
     assert np.array_equal(charges.fn.field.values, fn)
+    dc = st.derivative_stack(c, grid)
+    residual = max(float(np.max(np.abs(dc[..., i, j] - dc[..., j, i] - h[..., idx])))
+                   for idx, (i, j) in enumerate(cs.AbelianData.H_PAIRS))
+    assert charges.abelian.exactness_residual == residual
+    # the parallel condition the sweep took is decompose's on the same A
+    dec = st.decompose(psi, gauge)
+    swept = charges.parallel
+    assert (swept.residual, swept.max_covariant, swept.max_b) == (
+        dec.residual, dec.max_covariant, dec.max_b)
+    assert np.array_equal(swept.b.values, dec.b.values)
 
 
 def test_quaternion_square_charge():
@@ -221,9 +262,9 @@ def test_closed_form_kernels_match_numpy(seed):
 
 
 def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
-    # the charge sweep and decompose each take d Psi of a jet-less spinor
-    # once per slab and hand it to the current, the spinor density and
-    # D Psi (twice per slab each before)
+    # the charge sweep (with the parallel condition), the lazily built
+    # potential and decompose each take d Psi of a jet-less spinor once per
+    # slab and hand it to the current, the spinor density and D Psi
     from su2topo import decomposition, lattice
     psi = st.identity_map_s3(24)
     bare = st.SpinorField(psi.grid, psi.values)
@@ -237,10 +278,14 @@ def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
         return real(values, grid, order, slab)
 
     monkeypatch.setattr(lattice, "derivative_stack", counted)
-    charges = cs.chern_simons(bare)
+    charges = cs.chern_simons(bare, parallel=True)
+    assert charges.parallel.max_covariant > 0.0
     sweeps = [list(calls)]
     calls.clear()
-    decomposition.decompose(bare, charges.gauge)
+    gauge = charges.gauge          # built on first read, by a sweep of its own
+    sweeps.append(list(calls))
+    calls.clear()
+    decomposition.decompose(bare, gauge)
     sweeps.append(list(calls))
     for sweep in sweeps:
         assert len(sweep) == 6
@@ -251,28 +296,42 @@ def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
 
 
 def test_chart_sweeps_keep_only_the_values_resident(monkeypatch):
-    # The identity spinor stores no jet: both sweeps take it slab by slab
-    # from the chart formula.  At one plane a slab, the generator, the
-    # three knot-charge routes and decompose peak below the values, the
-    # sweep's whole-grid outputs and three slabs of temporaries (d Psi, the
-    # current and the derivative stacks of A and c, about 1 KB a site).
-    # The 10.6 MB jet of 48^3 sites does not fit in that allowance.
+    # The identity spinor stores no jet: the one sweep of the knot charges
+    # and the parallel condition takes it slab by slab from the chart
+    # formula, and holds A and c only as a halo of planes and H only for
+    # the slabs the trace pass has not read.  At one plane a slab it peaks
+    # below the values, the three whole-grid densities and three slabs of
+    # temporaries (d Psi, the current, the decomposition kernel and the
+    # derivative stacks of A and c, about 1 KB a site).  Neither the
+    # 10.6 MB jet of 48^3 sites nor a whole-grid A, c and H (13.3 MB) fits
+    # in that allowance.
     import tracemalloc
     from su2topo import lattice
     n = 48
     monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
     sites = n**3
     values = sites * 2 * 16
-    outputs = sites * 8 * (3 + 9 + 3 + 3)      # three densities, A, c and H
+    outputs = sites * 8 * 3                    # the three densities
     slabs = 3 * n * n * 1024
     tracemalloc.start()
     try:
         psi = st.identity_map_s3(n)
-        charges = cs.chern_simons(psi)
-        st.decompose(psi, charges.gauge)
+        charges = cs.chern_simons(psi, parallel=True)
+        assert charges.parallel.max_b < 1e-10
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     bound = values + outputs + slabs
     assert peak < bound
     assert psi.jet is None and peak + sites * 3 * 2 * 16 > bound
+    assert peak + sites * 8 * (9 + 3 + 3) > bound
+
+
+def test_parallel_reads_decompose_without_the_sweep():
+    # KnotCharges.parallel is decompose(psi, gauge) whether or not the
+    # sweep was asked for its reductions
+    psi = st.identity_map_s3(12)
+    swept = cs.chern_simons(psi, parallel=True).parallel
+    later = cs.chern_simons(psi).parallel
+    assert (swept.residual, swept.max_covariant, swept.max_b) == (
+        later.residual, later.max_covariant, later.max_b)

@@ -119,6 +119,25 @@ def test_abelian_route_off_by_more_than_rounding_fails(capsys, monkeypatch):
     assert out.count("status: FAIL") == 1
 
 
+@pytest.mark.parametrize("config", ["identity", "qpower:2"])
+def test_a_violated_decomposition_identity_is_a_reconstruction_fail(capsys, monkeypatch,
+                                                                    config):
+    # a + b = A fails in the charge sweep's decomposition kernel: verify
+    # keeps the charges and their checks and reports the library's message
+    # as a reconstruction FAIL line with exit 1, as decompose does (it used
+    # to exit 3 with no report)
+    import su2topo.decomposition as decomposition
+    monkeypatch.setattr(decomposition, "RECONSTRUCTION_TOL", 0.0)
+    code, out, err = run(capsys, "verify", config, "--grid", "16,16,16",
+                         "--no-color", "--tol", "0.5")
+    assert code == 1 and err == ""
+    assert re.search(r"name: reconstruction\n\s+status: FAIL\n\s+detail: decomposition "
+                     r"identity violated: max\|a \+ b - A\| = \S+\n", out)
+    assert out.count("status: FAIL") == 1 and "overall: FAIL" in out
+    assert "Q_spinor" in out and "name: exactness" not in out
+    assert "parallel-condition" not in out and "max_DPsi" not in out
+
+
 def test_a_failed_exactness_check_is_a_fail_line(capsys, monkeypatch):
     # a Berry potential of the wrong sign breaks dC = H: verify reports the
     # library's message as one FAIL line and exits 1, without the parallel
@@ -286,22 +305,32 @@ def test_bad_grid_spec_exits_2(capsys):
 
 
 def test_verify_identity_builds_the_parallel_potential_once(capsys, monkeypatch):
-    # the charge sweep writes A and decompose reads it; no other gauge
-    # field is built (decompose's parts a and b are not read by verify)
-    built = []
+    # the charge sweep computes A slab by slab, once, and hands each slab
+    # to the trace stencils and the decomposition kernel; no whole-grid
+    # gauge field is built (the parts a and b are not read by verify)
+    from su2topo import chern_simons, lattice
+    monkeypatch.setattr(lattice, "SLAB_SITES", 3 * 16 * 16)
+    built, slabs = [], []
     real = st.GaugeField.__post_init__
+    real_components = chern_simons.parallel_components
 
     def counted(self):
         built.append(self.grid.shape)
         real(self)
 
+    def components(current, out=None):
+        slabs.append(current.shape[0])
+        return real_components(current, out)
+
     monkeypatch.setattr(st.GaugeField, "__post_init__", counted)
+    monkeypatch.setattr(chern_simons, "parallel_components", components)
     # At 16^3 the trace route's O(h^2) error exceeds the default --tol.
     code, out, _ = run(capsys, "verify", "identity", "--grid", "16,16,16",
                        "--no-color", "--tol", "0.1")
     assert code == 0
     assert "parallel-condition" in out
-    assert built == [(16, 16, 16)]
+    assert built == []
+    assert slabs == [3, 3, 3, 3, 3, 1]
 
 
 def _plane_hits(slabs, planes):
@@ -333,34 +362,41 @@ def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypa
 
 def test_verify_identity_computes_the_spinor_current_once_per_sweep(capsys,
                                                                     monkeypatch):
-    # J is never stored: the charge sweep and decompose each ask for it slab
-    # by slab, in order, and each sweep covers every plane exactly once
-    slabs = []
-    real = st.SpinorField.current
+    # J and the chart jet are never stored: the one sweep of the knot
+    # charges and the parallel condition asks for each slab by slab, in
+    # order, and covers every plane exactly once (twice, in two sweeps,
+    # when the parallel condition ran a decompose sweep of its own)
+    from su2topo import lattice
+    calls = {"current": [], "exact_jet": []}
+    real_current, real_jet = st.SpinorField.current, st.SpinorField.exact_jet
 
-    def counted(self, slab=slice(None), **kwargs):
-        slabs.append(slab)
-        return real(self, slab=slab, **kwargs)
+    def current(self, slab=slice(None), **kwargs):
+        calls["current"].append(slab)
+        return real_current(self, slab=slab, **kwargs)
 
-    monkeypatch.setattr(st.SpinorField, "current", counted)
+    def exact_jet(self, slab=slice(None)):
+        calls["exact_jet"].append(slab)
+        return real_jet(self, slab)
+
+    monkeypatch.setattr(st.SpinorField, "current", current)
+    monkeypatch.setattr(st.SpinorField, "exact_jet", exact_jet)
     code, out, _ = run(capsys, "verify", "identity", "--grid", "48,48,48",
                        "--no-color")
     assert code == 0
     assert "max_DPsi" in out
-    restarts = [i for i, slab in enumerate(slabs) if slab.start == 0]
-    assert len(restarts) == 2 and restarts[0] == 0
-    for sweep in (slabs[:restarts[1]], slabs[restarts[1]:]):
-        assert len(sweep) > 1
-        assert all(a.stop == b.start for a, b in zip(sweep, sweep[1:]))
-        assert np.all(_plane_hits(sweep, 48) == 1)
+    for slabs in calls.values():
+        assert slabs == list(lattice.slabs(st.s3_chart_grid(48)))
+        assert len(slabs) > 1
+        assert np.all(_plane_hits(slabs, 48) == 1)
 
 
 def test_verify_identity_peak_memory_is_bounded_by_the_field(capsys):
-    # The charge routes run in one slab sweep that never stores the spinor
-    # current, and decompose keeps only its maxima.  Traced peak over the
+    # The charge routes and the parallel condition run in one slab sweep
+    # that never stores the spinor current.  Traced peak over the
     # spinor-with-jets bytes at 48^3: 7.58 with whole-grid temporaries, 5.70
-    # slab by slab with J and a, b, D Psi stored, 3.04 streaming; the bound
-    # leaves 0.26 of margin.
+    # slab by slab with J and a, b, D Psi stored, 3.04 streaming, 2.40 with
+    # the chart jet taken per slab, 2.07 with A, c and H held as a halo;
+    # the bound is the one set at 3.04.
     import tracemalloc
     field_bytes = 48**3 * (2 + 3 * 2) * 16
     tracemalloc.start()

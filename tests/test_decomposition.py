@@ -95,6 +95,30 @@ def test_decompose_rejects_vanishing_spinor():
         st.decompose(psi, gauge)
 
 
+def test_decompose_names_the_smallest_norm_of_the_grid(monkeypatch):
+    # norms are checked slab by slab, before the kernel divides by them: no
+    # division warning, and the error names the first smallest norm of the
+    # whole grid, not the first slab's norm below EPS_ZERO
+    import warnings
+    from su2topo import lattice
+    monkeypatch.setattr(lattice, "SLAB_SITES", 6**3)      # one plane a slab
+    grid = small_grid()
+    values = np.ones(grid.shape + (2,), dtype=complex)
+    values[1, 2, 3, 4] = (1e-14, 0.0)       # below EPS_ZERO, in an early slab
+    values[4, 0, 1, 2] = 0.0                # the smallest, in a later slab
+    values[5, 1, 1, 1] = 0.0                # as small, after it
+    psi = st.SpinorField(grid, values)
+    gauge = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
+    with pytest.raises(NormalizationError) as whole:
+        st.normalize(psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormalizationError) as info:
+            st.decompose(psi, gauge)
+    assert info.value.site == whole.value.site == (4, 0, 1, 2)
+    assert str(info.value) == str(whole.value)
+
+
 def test_decompose_without_jets_is_exact():
     grid = small_grid()
     psi = st.random_config(33, "spinor", grid)

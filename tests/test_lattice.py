@@ -5,7 +5,8 @@ from hypothesis import strategies as hst
 
 from su2topo import Grid, LatticeError, ScalarField, central_diff, integrate
 from su2topo.lattice import (_fractional_index, derivative_stack, integrate_values,
-                             interpolate, interpolate_with_gradient, slabs)
+                             interpolate, interpolate_with_gradient, slabs,
+                             stencil_planes, stencil_windows)
 
 
 def periodic_grid(n=64):
@@ -289,6 +290,56 @@ def test_slab_derivatives_equal_the_whole_grid_stack(shape, data, order, compone
             part = derivative_stack(values, grid, order, slice(lo, hi))
             assert part.dtype == whole.dtype
             assert np.array_equal(part, whole[lo:hi])
+
+
+@pytest.mark.parametrize("planes", [1, 2, 3, 20])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("order", [2, 4])
+def test_windowed_stacks_equal_the_whole_grid_stack(order, periodic, planes, monkeypatch):
+    # a second sweep reads windows of the planes its axis-0 stencils need,
+    # handed out as soon as they have arrived, and gets the whole-grid
+    # stack bit for bit, at the ends of an open axis 0 and across the wrap
+    # of a periodic one
+    import su2topo.lattice as lattice
+    grid = Grid((11, 5, 4), (0.0, 0.0, 0.0), (0.3, 0.2, 0.1), (periodic, False, True))
+    monkeypatch.setattr(lattice, "SLAB_SITES", planes * 20)
+    rng = np.random.default_rng(order + planes)
+    values = rng.normal(size=grid.shape + (3, 2))
+    other = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    parts = list(slabs(grid))
+    arrived = []
+
+    def blocks():
+        for slab in parts:
+            arrived.append(slab.stop)
+            yield slab, (values[slab], other[slab])
+
+    done = []
+    for slab, (window, window2), first in stencil_windows(grid, order, blocks()):
+        reads = stencil_planes(grid, order, slab)
+        assert first == reads.start and window.shape[0] == len(reads)
+        for array, win in ((values, window), (other, window2)):
+            assert np.array_equal(derivative_stack(win, grid, order, slab, first),
+                                  derivative_stack(array, grid, order)[slab])
+        # handed out at the first arrival that completes the window
+        wraps = reads.start < 0 or reads.stop > grid.shape[0]
+        wanted = grid.shape[0] if wraps else reads.stop
+        assert arrived[-1] == min(p.stop for p in parts if p.stop >= wanted)
+        done.append(slab)
+    assert sorted(done, key=lambda part: part.start) == parts
+
+
+def test_stencil_planes_reach_the_one_sided_ends():
+    grid = Grid((10, 4, 4), (0.0,) * 3, (0.1,) * 3, (False,) * 3)
+    assert stencil_planes(grid, 2, slice(0, 1)) == range(0, 3)
+    assert stencil_planes(grid, 2, slice(4, 6)) == range(3, 7)
+    assert stencil_planes(grid, 2, slice(9, 10)) == range(7, 10)
+    assert stencil_planes(grid, 4, slice(1, 2)) == range(0, 5)
+    assert stencil_planes(grid, 4, slice(8, 9)) == range(5, 10)
+    wrapped = Grid((10, 4, 4), (0.0,) * 3, (0.1,) * 3, (True, False, False))
+    assert stencil_planes(wrapped, 4, slice(0, 10)) == range(-2, 12)
+    with pytest.raises(LatticeError):
+        derivative_stack(np.zeros((3, 4, 5)), grid, 2, slice(0, 1), first=0)
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 6), (96, 96, 96), (7, 300, 300), (5, 4, 4, 4)])
