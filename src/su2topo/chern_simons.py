@@ -146,10 +146,10 @@ class KnotCharges:
     ``q_trace`` and ``q_fn`` their integrals, ``gauge`` the parallel
     potential the trace route differentiated, built from ``psi`` slab by
     slab on first read, and ``abelian`` the Abelian data of the FN
-    (Faddeev-Niemi) route.  ``parallel`` is ``decompose(psi, gauge)``,
-    the parallel condition b = 0 on that potential: from the reductions
-    the sweep took when asked (``parallel_maxima``), else by
-    :func:`~su2topo.decomposition.decompose`; reading it raises
+    (Faddeev-Niemi) route.  ``parallel`` is ``decompose(psi)``, the
+    parallel condition b = 0 on that potential taken slab by slab: from
+    the reductions the sweep took when asked (``parallel_maxima``), else
+    by :func:`~su2topo.decomposition.decompose`; reading it raises
     :class:`ReconstructionError` as ``decompose`` does.
     """
 
@@ -179,9 +179,8 @@ class KnotCharges:
     @cached_property
     def parallel(self) -> Decomposition:
         if self.parallel_maxima is None:
-            return decompose(self.psi, self.gauge)
-        return Decomposition.from_maxima(self.psi, self.parallel_maxima,
-                                         lambda: self.gauge)
+            return decompose(self.psi)
+        return Decomposition.from_maxima(self.psi, self.parallel_maxima)
 
 
 #: Exactness residuals above this times (h/L)^2 times the scale of dC and H

@@ -284,12 +284,13 @@ def cmd_generate(args) -> int:
 
 def cmd_decompose(args) -> int:
     psi = _as_spinor(fldio.read_field(args.psi), args.psi)
+    gauge = None
     if args.gauge:
         gauge = fldio.read_field(args.gauge)
         if not isinstance(gauge, GaugeField):
             raise Su2TopoError(f"{args.gauge}: expected a gauge field")
-    else:
-        gauge = parallel_gauge_potential(normalize(psi))
+    elif not psi.normalized:
+        psi = normalize(psi)    # the parallel potential is a unit spinor's
     report = ChargeReport("decompose", config=_config_echo(args, psi.grid))
     start = time.perf_counter()
     try:

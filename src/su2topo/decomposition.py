@@ -22,25 +22,21 @@ check true by construction.
 
 Every part is pointwise in (Psi, dPsi, A), so one per-slab kernel
 (:func:`_parts`) gives D Psi, a and b on one axis-0 slab
-(:func:`~su2topo.lattice.slabs`) at a time, from the slab's d Psi, spinor
-current, norms Psi^dag Psi and components of A, each taken once (so bare
-samples are differenced once).  :func:`slab_maxima` reduces it to the
-reconstruction residual, max|A|, max|D Psi| and max|b| of the slab.
-:func:`decompose` runs that over the grid, checking each slab's norms
-before it divides by them, and keeps only the reductions; the knot-charge
-sweep (:func:`~su2topo.chern_simons.chern_simons`) runs the same kernel
-on the inputs it already holds, for the parallel condition on its own
-potential.  No whole-grid a, b or D Psi is built unless a caller reads
-``Decomposition.a`` or ``.b``, which the same kernel then fills.  Each
-entry is bit for bit the whole-grid evaluation, and maxima are exact in
-any order.
+(:func:`~su2topo.lattice.slabs`) at a time from the slab's d Psi, current,
+norms Psi^dag Psi and A, each taken once.  A is the given potential's
+slab or, with none given, the parallel potential of the slab's own
+current, never held whole.  :func:`decompose` keeps only the kernel's
+maxima (:func:`slab_maxima`), as the knot-charge sweep
+(:func:`~su2topo.chern_simons.chern_simons`) does on the inputs it holds;
+the same kernel fills ``Decomposition.a`` and ``.b`` when they are read.
+Every entry is bit for bit the whole-grid evaluation, and maxima are exact
+in any order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -124,20 +120,20 @@ class Decomposition:
     ``max_b`` is max|b_mu| over the entries of its matrix form, taken in
     closed form from the components without building the matrices.  The parts
     ``a`` and ``b`` are :class:`GaugeField`s built slab by slab on first
-    read.  ``gauge`` is A, from ``potential`` on first read: the field
-    given to :func:`decompose`, or the parallel potential that
-    :class:`~su2topo.chern_simons.KnotCharges` builds when asked.
+    read.  ``gauge`` is A, the field given to :func:`decompose`, or None
+    for the parallel potential, which each slab takes from its own
+    current.
     """
 
     psi: SpinorField
     residual: float
     max_covariant: float
     max_b: float
-    potential: Callable[[], GaugeField] = field(repr=False)
+    gauge: GaugeField | None = field(default=None, repr=False)
 
     @classmethod
     def from_maxima(cls, psi: SpinorField, maxima: tuple,
-                    potential: Callable[[], GaugeField]) -> "Decomposition":
+                    gauge: GaugeField | None = None) -> "Decomposition":
         """The split whose sweep took the :func:`slab_maxima` ``maxima``.
 
         A residual max|a + b - A| beyond ``RECONSTRUCTION_TOL`` times
@@ -147,12 +143,7 @@ class Decomposition:
         if residual > RECONSTRUCTION_TOL * (1.0 + amax):
             raise ReconstructionError(
                 f"decomposition identity violated: max|a + b - A| = {residual:.3e}")
-        return cls(psi, residual, dmax, bmax, potential)
-
-    @cached_property
-    def gauge(self) -> GaugeField:
-        """A, the potential that was split."""
-        return self.potential()
+        return cls(psi, residual, dmax, bmax, gauge)
 
     @cached_property
     def a(self) -> GaugeField:
@@ -165,19 +156,30 @@ class Decomposition:
         return self._part(1)
 
     def _part(self, index: int) -> GaugeField:
-        psi, gauge = self.psi, self.gauge
-        out = np.empty(gauge.values.shape)
-        for slab, dvalues, current in psi.slab_currents():
+        psi, grid = self.psi, self.psi.grid
+        out = np.empty(grid.shape + (grid.rank, 3))
+        for slab, dvalues, current, gauge in _slab_inputs(psi, self.gauge):
             out[slab] = _parts(psi, slab, dvalues, current, norm_squared(psi, slab),
-                               gauge.values[slab])[index]
-        return GaugeField(psi.grid, read_only(out))
+                               gauge)[index]
+        return GaugeField(grid, read_only(out))
 
 
-def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
+def _slab_inputs(psi: SpinorField, gauge: GaugeField | None):
+    """``psi.slab_currents()`` with the slab's A appended: that of
+    ``gauge``, or without one the parallel potential of the current."""
+    for slab, dvalues, current in psi.slab_currents():
+        yield slab, dvalues, current, (parallel_components(current) if gauge is None
+                                       else gauge.values[slab])
+
+
+def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decomposition:
     """Split A into its spinor-gauge part `a` and covariant part `b`.
 
-    Psi need not be normalized: both parts carry explicit 1/(Psi^dag Psi)
-    weights, so the split is invariant under constant rescaling of Psi.
+    Without ``gauge``, A is the parallel potential of a normalized ``psi``
+    (:class:`FieldError` if not), taken per slab from its current.  With
+    one, Psi need not be normalized: both parts carry explicit
+    1/(Psi^dag Psi) weights, so the split is invariant under constant
+    rescaling of Psi.
 
     The split is algebraic in (Psi, dPsi, A), so one rule holds with exact
     jets and with finite differences alike: a residual max|a + b - A|
@@ -187,17 +189,19 @@ def decompose(psi: SpinorField, gauge: GaugeField) -> Decomposition:
     :class:`NormalizationError` at the smallest norm of the grid; no slab
     with such a norm reaches the kernel.
     """
-    if psi.grid != gauge.grid:
+    if gauge is None and not psi.normalized:
+        raise FieldError("parallel potential requires a normalized spinor")
+    if gauge is not None and psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
     maxima = (0.0,) * 4
-    for slab, dvalues, current in psi.slab_currents():
+    for slab, dvalues, current, potential in _slab_inputs(psi, gauge):
         norms = norm_squared(psi, slab)
         if np.sqrt(np.min(norms)) < EPS_ZERO:
             # the error names the first smallest norm of the whole grid
             _check_nonvanishing(np.sqrt(norm_squared(psi)), "spinor")
         maxima = tuple(map(max, maxima, slab_maxima(psi, slab, dvalues, current, norms,
-                                                    gauge.values[slab])))
-    return Decomposition.from_maxima(psi, maxima, lambda: gauge)
+                                                    potential)))
+    return Decomposition.from_maxima(psi, maxima, gauge)
 
 
 def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
@@ -210,11 +214,10 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
     """
     if not psi.normalized:
         raise FieldError("parallel potential requires a normalized spinor")
-    grid = psi.grid
-    out = np.empty(grid.shape + (grid.rank, 3))
+    out = np.empty(psi.grid.shape + (psi.grid.rank, 3))
     for slab, _, current in psi.slab_currents():
         parallel_components(current, out=out[slab])
-    return GaugeField(grid, read_only(out))
+    return GaugeField(psi.grid, read_only(out))
 
 
 def parallel_components(current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -7,16 +7,16 @@ a normalized :class:`SpinorField` is the unit field, its real view is n,
 and its bilinear m_a = Psi^dag sigma_a Psi is the unit 3-vector.  Every
 container here is one of the FLD file kinds.
 
-Every container optionally carries a "jet": exact first-derivative samples,
-one per grid axis per site.  A phi or spinor field may instead compute its
-jet block by block when asked (``block_jet``, see
-:meth:`~su2topo.lattice.LatticeField.exact_jet`): a generator-built box
-field from its analytic sampler, a chart field from the chart formula, a
-phi field read from an FLD file from the file's planes.  The conversions
-and :func:`normalize` hand such a block jet on, so no whole jet is
-stored.  Identities that are
-algebraic in a field and its first derivatives are then testable at
-machine epsilon instead of hiding behind O(h^2) discretization error.  Fields are immutable after
+Every container but the scalar one may carry a "jet": exact
+first-derivative samples, one per grid axis per site, stored or computed
+block by block when asked (``block_jet``, see
+:meth:`~su2topo.lattice.LatticeField.exact_jet`): a box field's from its
+sampler, a chart field's from the chart formula, a file's from its planes.
+Code here reads jets through ``exact_jet``, and the conversions and
+:func:`normalize` hand a block jet on, so no whole jet is stored.
+Identities algebraic in a field and its first derivatives are then
+testable at machine epsilon instead of hiding behind O(h^2)
+discretization error.  Fields are immutable after
 construction and safe to share across workers.  A constructor adopts an
 array that nothing can write any more (read-only, aligned, no writable
 base) and copies any other, so the conversions here hand over the fresh
@@ -53,9 +53,9 @@ class SpinorField(LatticeField):
     """Two complex components per site, optionally with exact jets.
 
     The jet is stored, or computed block by block when asked
-    (``block_jet``): a chart generator's comes from the chart formula, and
-    :func:`phi_to_spinor` hands on a phi field's block jet as a complex
-    view.
+    (``block_jet``): a chart generator's comes from the chart formula, a
+    file's is read from the file, and :func:`phi_to_spinor` hands on a phi
+    field's block jet as a complex view.
     """
 
     grid: Grid
@@ -159,6 +159,7 @@ class GaugeField(LatticeField):
     grid: Grid
     values: np.ndarray
     jet: np.ndarray | None = None
+    block_jet: object = field(default=None, repr=False, compare=False)
 
     FLD_KIND = 3
     LABEL = "gauge field"
@@ -185,6 +186,7 @@ class SU2Field(LatticeField):
     values: np.ndarray
     jet: np.ndarray | None = None
     jet2: np.ndarray | None = None
+    block_jet: object = field(default=None, repr=False, compare=False)
 
     DTYPE = np.complex128
     COMPONENTS = (2, 2)
@@ -296,18 +298,17 @@ def sigma_model_field(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray
 def su2_product(s2: SU2Field, s1: SU2Field) -> SU2Field:
     """Pointwise product S2 S1 with product-rule jets."""
     values = s2.values @ s1.values
-    jet = None
-    if s2.jet is not None and s1.jet is not None:
-        jet = s2.jet @ s1.values[..., None, :, :] + s2.values[..., None, :, :] @ s1.jet
+    jet2, jet1 = s2.exact_jet(), s1.exact_jet()
+    jet = (None if jet2 is None or jet1 is None
+           else jet2 @ s1.values[..., None, :, :] + s2.values[..., None, :, :] @ jet1)
     return SU2Field(s2.grid, values, jet=jet)
 
 
 def su2_dagger(s: SU2Field) -> SU2Field:
     """Pointwise Hermitian conjugate with conjugated jets."""
-    dag = np.conj(np.swapaxes(s.values, -1, -2))
-    jet = None if s.jet is None else np.conj(np.swapaxes(s.jet, -1, -2))
-    jet2 = None if s.jet2 is None else np.conj(np.swapaxes(s.jet2, -1, -2))
-    return SU2Field(s.grid, dag, jet=jet, jet2=jet2)
+    values, jet, jet2 = (None if x is None else np.conj(np.swapaxes(x, -1, -2))
+                         for x in (s.values, s.exact_jet(), s.jet2))
+    return SU2Field(s.grid, values, jet=jet, jet2=jet2)
 
 
 def gauge_transform(psi: SpinorField, gauge: GaugeField, s: SU2Field):
@@ -323,7 +324,8 @@ def gauge_transform(psi: SpinorField, gauge: GaugeField, s: SU2Field):
     """
     if psi.grid is not s.grid and psi.grid != s.grid:
         raise FieldError("spinor and transformation grids differ")
-    ds = s.derivatives()
+    sjet = s.exact_jet()
+    ds = s.derivatives() if sjet is None else sjet
     sdag = np.conj(np.swapaxes(s.values, -1, -2))
 
     new_values = np.einsum("...ij,...j->...i", s.values, psi.values)
@@ -340,9 +342,10 @@ def gauge_transform(psi: SpinorField, gauge: GaugeField, s: SU2Field):
     comps, _ = su2_algebra.components_from_matrix(projected)
 
     new_gjet = None
-    if gauge.jet is not None and s.jet is not None and s.jet2 is not None:
-        da = su2_algebra.matrix_from_components(gauge.jet)  # (*s, n, m, 2, 2)
-        dsdag = np.conj(np.swapaxes(s.jet, -1, -2))
+    gjet = None if sjet is None or s.jet2 is None else gauge.exact_jet()
+    if gjet is not None:
+        da = su2_algebra.matrix_from_components(gjet)  # (*s, n, m, 2, 2)
+        dsdag = np.conj(np.swapaxes(sjet, -1, -2))
         s_b = s.values[..., None, None, :, :]
         sd_b = sdag[..., None, None, :, :]
         ds_n = ds[..., :, None, :, :]        # derivative axis n

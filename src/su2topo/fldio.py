@@ -24,15 +24,14 @@ axis-0 slab at a time into a temp file that is then renamed, so a failed
 write never leaves a partial file behind, no serialized copy of the
 payload is built and a sampled jet is never whole.  Reads validate magic,
 header sanity and byte count as distinct error types, then read the
-payload and check the checksum over every byte before the field is built.
-A spinor, gauge or su2 payload is read into one array and the field adopts
-views of it without a copy.  A phi file's values are read whole, but its
-jet is checksummed one axis-0 plane at a time through one reused buffer
-and stays in the file: the field's ``block_jet`` reads the planes a block
-covers when something asks for them (the zero search reads only the box
-faces and a 4^4 window per zero), after checking that the file is still
-the one that was verified.  The retired FLD1 format (FNV-1a trailer, no
-orientation) is rejected as bad magic.
+values whole and checksum every byte before the field is built.  A jet,
+of any kind, is checksummed one axis-0 plane at a time through one reused
+buffer and stays in the file: the field's ``block_jet`` reads the planes
+a block covers when something asks for them (the zero search reads only
+the box faces and a 4^4 window per zero, ``decompose`` one slab at a
+time), after checking that the file is still the one that was verified.
+The retired FLD1 format (FNV-1a trailer, no orientation) is rejected as
+bad magic.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 from .errors import (BadMagicError, ChecksumError, CountMismatchError,
                      FieldFormatError, FileChangedError, HeaderError)
 from .fields import GaugeField, PhiField, SpinorField, SU2Field
-from .lattice import Grid, ScalarField, slabs
+from .lattice import Grid, ScalarField, read_only, slabs
 
 MAGIC = b"FLD2"
 RETIRED_MAGIC = b"FLD1"
@@ -122,12 +121,10 @@ def read_field(path: str):
     The header is read and checked first; the file size (``os.fstat``) is
     checked against the layout before any payload buffer is allocated, so
     a corrupt header cannot ask for a huge one.  The CRC is checked over
-    every byte before the field is returned.  The values, and the jet of
-    every kind but phi, are read straight into one aligned ``<f8`` array,
-    and the field adopts read-only views of it without a copy.  A phi
-    file's jet is checksummed one axis-0 plane at a time through one
-    reused buffer and not kept: the field's ``block_jet`` reads it from
-    the file block by block (:class:`_FileJet`).
+    every byte before the field is returned.  The field adopts a read-only
+    view of the aligned ``<f8`` array the values are read into; a jet is
+    checksummed plane by plane and read from the file block by block
+    (:class:`_FileJet`).
     """
     with open(path, "rb") as handle:
         stat = os.fstat(handle.fileno())
@@ -153,7 +150,7 @@ def read_field(path: str):
         has_jet = bool(flags & FLAG_JETS)
         cell_centered = bool(flags & FLAG_CELL_CENTERED)
         orientation = -1 if flags & FLAG_REVERSED else 1
-        if has_jet and "jet" not in cls.__dataclass_fields__:
+        if has_jet and "block_jet" not in cls.__dataclass_fields__:
             raise HeaderError(f"{path}: {cls.LABEL}s carry no jets")
 
         axes = handle.read(rank * 21)
@@ -173,23 +170,18 @@ def read_field(path: str):
             spacing.append(h)
             periodic.append(boundary == 1)
 
-        sites = int(np.prod(shape))
         comps = cls.component_shape(rank)
         dtype = _file_dtype(cls)
-        per_site = int(np.prod(comps)) * dtype.itemsize // 8
-        nvals = sites * per_site
-        payload_floats = nvals * (1 + (rank if has_jet else 0))
-        expected = 8 + len(axes) + 8 * payload_floats + 8
+        nvals = int(np.prod(shape)) * int(np.prod(comps)) * dtype.itemsize // 8
+        expected = 8 + len(axes) + 8 * nvals * (1 + (rank if has_jet else 0)) + 8
         if size != expected:
             raise CountMismatchError(
                 f"{path}: file has {size} bytes, layout requires {expected}")
 
-        # a phi jet is checksummed plane by plane and left in the file; the
-        # other kinds' jets, a spinor's included, are read whole
-        in_file = has_jet and cls is PhiField
-        flat = np.empty(nvals if in_file else payload_floats, dtype="<f8")
+        # a jet is checksummed plane by plane and left in the file
+        flat = np.empty(nvals, dtype="<f8")
         parts = [memoryview(flat).cast("B")]
-        if in_file:
+        if has_jet:
             plane = memoryview(bytearray(8 * nvals * rank // shape[0]))
             parts += [plane] * shape[0]
         actual = zlib.crc32(axes, zlib.crc32(head))
@@ -209,16 +201,11 @@ def read_field(path: str):
     grid = Grid(shape=tuple(shape), origin=tuple(origin), spacing=tuple(spacing),
                 periodic=tuple(periodic), cell_centered=cell_centered,
                 orientation=orientation)
-    # Read-only views of the one payload array: the field adopts them.
-    flat.setflags(write=False)
-    values = flat[:nvals].view(dtype).reshape(grid.shape + comps)
-    if in_file:
-        jet = _FileJet(path, stat, 8 + len(axes) + 8 * nvals, grid.shape,
-                       (rank,) + comps, dtype)
-        return cls(grid, values, block_jet=jet)
-    jet = (flat[nvals:].view(dtype).reshape(grid.shape + (rank,) + comps)
-           if has_jet else None)
-    return cls.from_samples(grid, values, jet)
+    values = read_only(flat).view(dtype).reshape(grid.shape + comps)
+    if not has_jet:
+        return cls(grid, values)
+    return cls(grid, values, block_jet=_FileJet(
+        path, stat, 8 + len(axes) + 8 * nvals, grid.shape, (rank,) + comps, dtype))
 
 
 def _identity(stat: os.stat_result) -> tuple:
@@ -226,12 +213,14 @@ def _identity(stat: os.stat_result) -> tuple:
 
 
 class _FileJet:
-    """The block jet of a phi file whose checksum :func:`read_field` verified.
+    """The block jet of a file whose checksum :func:`read_field` verified.
 
-    A block (an axis-0 slice, or a tuple of per-axis slices with positive
-    steps) is read as runs of whole sites: a run fixes the block's indices
-    on the axes before some axis and spans that axis from the block's first
-    index to its last, with every later axis whole.  The axis is chosen
+    A block (an axis-0 slice, or a tuple of per-axis slices) is read
+    ascending, then reversed along the axes whose step is negative, as
+    indexing a stored jet gives it.  It is read as runs of whole sites: a
+    run fixes the block's indices on the axes before some axis and spans
+    that axis from the block's first index to its last, with every later
+    axis whole.  The axis is chosen
     for the fewest bytes read, a read counting as ``READ_BYTES``: axis-0
     slabs are one read, a face of axis 1 one row per plane, a face of the
     last axis whole planes.  Runs go through one small buffer per call, or
@@ -260,6 +249,10 @@ class _FileJet:
         parts = ((block if isinstance(block, tuple) else (block,))
                  + (slice(None),) * len(shape))[:len(shape)]
         ranges = [range(*part.indices(n)) for part, n in zip(parts, shape)]
+        if any(r.step < 0 for r in ranges):
+            ascending = [r if r.step > 0 else r[::-1] for r in ranges]
+            return self(tuple(slice(r.start, r.stop, r.step) for r in ascending))[
+                tuple(slice(None, None, 1 if r.step > 0 else -1) for r in ranges)]
         out = np.empty(tuple(map(len, ranges)) + self.site_shape,
                        dtype=self.dtype.newbyteorder("="))
         if out.size == 0:

@@ -166,16 +166,16 @@ class LatticeField:
     invariant on the samples, ``_check_values``, which runs before the jet
     is frozen.
 
-    A kind that can carry a jet may declare a ``block_jet`` field instead:
-    a function from a block (an axis-0 slice, or a tuple of per-axis
-    slices) to the exact jet of its sites, which :meth:`exact_jet` asks
-    when no jet is stored.  The field then keeps its values only.
+    A kind that can carry a jet also declares a ``block_jet`` field: a
+    function from a block (an axis-0 slice, or a tuple of per-axis slices)
+    to the exact jet of its sites, which :meth:`exact_jet` asks when no
+    jet is stored.  The field then keeps its values only.
 
     An array that is already read-only and aligned, of the kind's dtype and
     with no writable array in its ``.base`` chain, is adopted without a
     copy: nothing can change it any more.  Library code hands the fresh
     arrays it builds for a field over that way (:func:`read_only`), and so
-    does the FLD reader with views of its aligned payload.  Every other
+    does the FLD reader with a view of its aligned values.  Every other
     array is copied.
     """
 

@@ -85,6 +85,29 @@ def test_sweep_matches_the_whole_grid_routes(monkeypatch):
                 _assert_sweep_matches_the_whole_grid(psi)
 
 
+def test_decompose_takes_the_parallel_potential_slab_by_slab(monkeypatch):
+    # without a potential, decompose takes each slab's A from that slab's
+    # own current: bit for bit the split of the whole-grid parallel
+    # potential, with the whole grid as one slab and with slabs of 1, 2
+    # and 5 planes
+    from su2topo import lattice
+    for make in (lambda: st.identity_map_s3(12), _periodic_spinor):
+        for planes in (None, 1, 2, 5):
+            psi = make()
+            with monkeypatch.context() as mp:
+                if planes is not None:
+                    mp.setattr(lattice, "SLAB_SITES",
+                               planes * psi.grid.shape[1] * psi.grid.shape[2])
+                assert len(list(lattice.slabs(psi.grid))) == (
+                    1 if planes is None else -(-psi.grid.shape[0] // planes))
+                dec = st.decompose(psi)
+                whole = st.decompose(psi, st.parallel_gauge_potential(psi))
+                assert (dec.residual, dec.max_covariant, dec.max_b) == (
+                    whole.residual, whole.max_covariant, whole.max_b)
+                assert np.array_equal(dec.a.values, whole.a.values)
+                assert np.array_equal(dec.b.values, whole.b.values)
+
+
 def _assert_sweep_matches_the_whole_grid(psi):
     grid = psi.grid
     charges = cs.chern_simons(psi, parallel=True)

@@ -84,6 +84,28 @@ def test_decompose_subcommand(tmp_path, capsys):
     assert "reconstruction" in out
 
 
+def test_decompose_reads_no_jet_of_its_gauge_file(tmp_path, capsys, monkeypatch):
+    # the split reads the values of A only: the gauge file's jet stays in
+    # the file unread, while the spinor's is read from its file
+    from su2topo import fldio
+    grid = st.box_grid((6, 6, 6, 6), -1.0, 1.0)
+    psi_path, gauge_path = str(tmp_path / "psi.fld"), str(tmp_path / "a.fld")
+    write_field(st.random_config(1, "spinor", grid), psi_path)
+    write_field(st.random_config(2, "gauge", grid), gauge_path)
+    reads = []
+    real = fldio._FileJet.__call__
+
+    def counted(self, block):
+        reads.append(self.path)
+        return real(self, block)
+
+    monkeypatch.setattr(fldio._FileJet, "__call__", counted)
+    code, out, _ = run(capsys, "decompose", "--psi", psi_path,
+                       "--gauge", gauge_path, "--no-color", "--tol", "1e-10")
+    assert code == 0 and "overall: PASS" in out
+    assert reads and set(reads) == {os.path.abspath(psi_path)}
+
+
 def test_violated_decomposition_identity_is_a_failed_check(tmp_path, capsys,
                                                            monkeypatch):
     # a wrong covariant derivative breaks a + b = A beyond rounding: the run
@@ -215,19 +237,29 @@ def _phi_file(tmp_path, n=12):
 
 @pytest.mark.parametrize("plane", ["first", "last"])
 def test_corrupt_jet_plane_exits_3(tmp_path, capsys, plane):
-    # a phi file's jet is checksummed one plane at a time and left in the
-    # file; a flipped bit in its first or its last plane still exits 3
-    path = _phi_file(tmp_path)
-    blob = bytearray(open(path, "rb").read())
-    jet_start = 8 + 4 * 21 + 8 * 4 * 12**4
-    plane_bytes = 8 * 4 * 4 * 12**3
-    assert len(blob) == jet_start + 12 * plane_bytes + 8
-    pos = jet_start + 17 if plane == "first" else len(blob) - 8 - plane_bytes // 2
-    blob[pos] ^= 0x04
-    open(path, "wb").write(bytes(blob))
-    code, out, err = run(capsys, "zeros", path, "--no-color")
-    assert code == 3 and out == ""
-    assert "checksum" in err and "Traceback" not in err
+    # a file's jet is checksummed one plane at a time and left in the
+    # file; a flipped bit in its first or its last plane still exits 3, in
+    # a phi, a spinor and a gauge file
+    grid = st.box_grid((12,) * 4, -2.0, 2.0)
+    paths = {"phi": _phi_file(tmp_path)}
+    for kind in ("spinor", "gauge"):
+        paths[kind] = str(tmp_path / f"{kind}.fld")
+        write_field(st.random_config(1, kind, grid), paths[kind])
+    bad = str(tmp_path / "bad.fld")
+    for kind, floats, argv in (("phi", 4, ["zeros", bad]),
+                               ("spinor", 4, ["decompose", "--psi", bad]),
+                               ("gauge", 12, ["decompose", "--psi", paths["spinor"],
+                                              "--gauge", bad])):
+        blob = bytearray(open(paths[kind], "rb").read())
+        jet_start = 8 + 4 * 21 + 8 * floats * 12**4
+        plane_bytes = 8 * floats * 4 * 12**3
+        assert len(blob) == jet_start + 12 * plane_bytes + 8
+        pos = jet_start + 17 if plane == "first" else len(blob) - 8 - plane_bytes // 2
+        blob[pos] ^= 0x04
+        open(bad, "wb").write(bytes(blob))
+        code, out, err = run(capsys, *argv, "--no-color")
+        assert code == 3 and out == "", kind
+        assert "checksum" in err and "Traceback" not in err
 
 
 def test_file_changed_after_its_read_exits_3(tmp_path, capsys, monkeypatch):
@@ -487,6 +519,49 @@ def test_chart_files_keep_their_bytes(kind, tmp_path, capsys):
     data = path.read_bytes()
     assert len(data) == 8 + 3 * 21 + 16**3 * 4 * 4 * 8 + 8
     assert hashlib.sha256(data).hexdigest() == _CHART_FILE_DIGESTS[kind]
+
+
+# Exit code and SHA-256 of the report of runs on small files, recorded
+# while decompose still built the whole parallel potential and spinor and
+# gauge jets were still read whole.  "chart" is a 16^3 identity chart
+# file, "qpoly" the 12^4 two-root file, "spinor" and "gauge" 10^4 random
+# files; the grids of the first two differ from the gauge file's (exit 3).
+_REPORT_DIGESTS = {
+    ("decompose", "--psi", "chart"):
+        (0, "5755dad2862c6b79d66191da54dccf038665866a8aacc946bba954f9a8936070"),
+    ("decompose", "--psi", "chart", "--gauge", "gauge"):
+        (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("decompose", "--psi", "qpoly"):
+        (0, "8f35f4782c0a872a5ff6a7a1d3a83231147155a55ad7fdf90479bf38a4406dc8"),
+    ("decompose", "--psi", "qpoly", "--gauge", "gauge"):
+        (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("decompose", "--psi", "spinor"):
+        (0, "50057c7712c054625fe5aff22fcfa5cefd7b66872e329fc77477aee89c45e34e"),
+    ("decompose", "--psi", "spinor", "--gauge", "gauge"):
+        (0, "50057c7712c054625fe5aff22fcfa5cefd7b66872e329fc77477aee89c45e34e"),
+    ("cs", "chart"):
+        (1, "fa22b7dbbf5627982ae790494d5b8f5b94e6aad8d9eac8284804ce37e20e6035"),
+    ("chern", "spinor"):
+        (0, "49d4bd6006f54355f88d39a7c517f5b8c3d1523ffbac921e6859d1eaa3e8e5df"),
+}
+
+
+@pytest.fixture(scope="module")
+def report_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reports")
+    paths = {"qpoly": _phi_file(root)}
+    for name, argv in (("chart", ["identity", "--chart", "s3", "--grid", "16,16,16"]),
+                       ("spinor", ["random-spinor", "--grid", "10,10,10,10", "--seed", "1"]),
+                       ("gauge", ["random-gauge", "--grid", "10,10,10,10", "--seed", "2"])):
+        paths[name] = str(root / f"{name}.fld")
+        assert main(["generate", "--kind", *argv, "--out", paths[name]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("argv", list(_REPORT_DIGESTS), ids=" ".join)
+def test_reports_keep_their_bytes(argv, report_files, capsys):
+    code, out, _ = run(capsys, *(report_files.get(arg, arg) for arg in argv), "--no-color")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _REPORT_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("periodic, cell_centered", [((False, True, False, False), False),

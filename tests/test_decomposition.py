@@ -147,6 +147,37 @@ def test_parallel_potential_requires_normalized():
         st.parallel_gauge_potential(psi)
 
 
+def test_decompose_without_a_potential_requires_normalized():
+    grid = small_grid()
+    psi = st.random_config(35, "spinor", grid)
+    with pytest.raises(FieldError, match="normalized"):
+        st.decompose(psi)
+
+
+def test_decompose_takes_no_whole_grid_potential(monkeypatch):
+    # Without a potential, each slab takes A from its own current.  At one
+    # plane a slab, decompose on the identity chart spinor (no jet stored)
+    # peaks below the values and three slabs of temporaries (d Psi, the
+    # current, A and the kernel, about 1 KB a site; one slab measured
+    # 1.15 KB), and a whole-grid A (8 MB at 48^3) does not fit in that.
+    import tracemalloc
+    from su2topo import lattice
+    n = 48
+    monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
+    sites = n**3
+    bound = sites * 2 * 16 + 3 * n * n * 1024
+    tracemalloc.start()
+    try:
+        psi = st.identity_map_s3(n)
+        dec = st.decompose(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.max_b < 1e-10 and dec.gauge is None
+    assert peak < bound
+    assert peak + sites * 3 * 3 * 8 > bound
+
+
 def test_parallel_potential_real_spinor_sigma2_channel():
     # Psi = (cos t, sin t) real: only the sigma_2 component survives,
     # equal to 2 dt.

@@ -376,8 +376,43 @@ def test_every_field_kind_is_a_file_kind(cls, tmp_path):
     np.testing.assert_array_equal(back.values, field.values)
     np.testing.assert_array_equal(back.exact_jet(), field.exact_jet())
     if field.jet is not None:
-        # a phi file's jet is read from the file block by block, not kept
-        assert (back.jet is None) == (cls is st.PhiField)
+        # a file's jet is read from the file block by block, not kept
+        assert back.jet is None and back.block_jet is not None
+
+
+def test_su2_algebra_keeps_the_jet_of_a_file(tmp_path):
+    # an su2 or gauge field read back from a file keeps its jet through
+    # su2_product, su2_dagger and gauge_transform: every result is bit for
+    # bit that of the in-memory field, less the jet2 that FLD2 does not
+    # store
+    import dataclasses
+    grid = small_grid()
+    s, s1 = st.random_config(5, "su2", grid), st.random_config(6, "su2", grid)
+    psi, gauge = st.random_config(7, "spinor", grid), st.random_config(8, "gauge", grid)
+    back = {}
+    for name, field in (("s", s), ("gauge", gauge)):
+        path = str(tmp_path / f"{name}.fld")
+        fldio.write_field(field, path)
+        back[name] = fldio.read_field(path)
+        assert back[name].jet is None
+    stored = dataclasses.replace(s, jet2=None)
+    for got, want in ((st.su2_product(back["s"], s1), st.su2_product(stored, s1)),
+                      (st.su2_product(s1, back["s"]), st.su2_product(s1, stored)),
+                      (st.su2_dagger(back["s"]), st.su2_dagger(stored))):
+        assert got.jet is not None
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.jet, want.jet)
+    # S from the file gives psi' its jet; A from the file gives A' its jet
+    for args, ref, jets in (((psi, gauge, back["s"]), (psi, gauge, stored), 1),
+                            ((psi, back["gauge"], s), (psi, gauge, s), 2)):
+        got, want = st.gauge_transform(*args), st.gauge_transform(*ref)
+        assert got[2] == want[2]
+        for field, expected in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(field.values, expected.values)
+            assert (field.jet is None) == (expected.jet is None)
+            if field.jet is not None:
+                np.testing.assert_array_equal(field.jet, expected.jet)
+        assert sum(field.jet is not None for field in got[:2]) == jets
 
 
 def test_face_restrict_of_a_sampler_backed_phi_is_the_jet_face():

@@ -53,19 +53,16 @@ def test_round_trip_all_kinds(tmp_path, grids):
             assert back_jet is None
         else:
             assert np.array_equal(back_jet, jet)
-            _assert_jet_resident_unless_phi(back)
+            _assert_jet_in_the_file(back)
         if isinstance(field, st.SU2Field):
             # FLD2 has no layout for second derivatives (README, FLD2)
             assert field.jet2 is not None
             assert back.jet2 is None
 
 
-def _assert_jet_resident_unless_phi(back):
-    # a phi file's jet stays in the file; other kinds hold it read-only
-    if isinstance(back, st.PhiField):
-        assert back.jet is None and back.block_jet is not None
-    else:
-        assert not back.jet.flags.writeable
+def _assert_jet_in_the_file(back):
+    # a file's jet stays in the file, whatever the kind: none is kept
+    assert back.jet is None and isinstance(back.block_jet, fldio._FileJet)
 
 
 def test_written_twice_is_byte_identical(tmp_path, grids):
@@ -150,9 +147,9 @@ def _owner(array: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", ["spinor", "phi"])
 def test_read_values_and_jet_are_views_of_one_payload(tmp_path, grids, kind):
-    # the payload is read into one array, and the field adopts read-only
-    # views of it: no copy of values or jet is made; a phi file's jet is
-    # not read into it but from the file, block by block
+    # the values are read into one array, and the field adopts a read-only
+    # view of it: no copy is made; the jet is not read into it but from
+    # the file, block by block
     g3, g4 = grids
     field = next(f for f in all_fields(g3, g4) if f.LABEL == kind)
     path = str(tmp_path / "f.fld")
@@ -161,15 +158,9 @@ def test_read_values_and_jet_are_views_of_one_payload(tmp_path, grids, kind):
     owner = _owner(back.values)
     assert owner.base is None and not owner.flags.writeable
     assert np.shares_memory(owner, back.values)
-    if kind == "phi":
-        assert back.jet is None
-        assert owner.nbytes == back.values.nbytes
-        assert np.array_equal(back.exact_jet(), field.jet)
-        return
-    assert owner is _owner(back.jet)
-    assert owner.nbytes == back.values.nbytes + back.jet.nbytes
-    assert np.shares_memory(owner, back.jet)
-    assert not np.shares_memory(back.values, back.jet)
+    assert back.jet is None
+    assert owner.nbytes == back.values.nbytes
+    assert np.array_equal(back.exact_jet(), field.jet)
 
 
 def test_payload_corruption_is_checksum_error(tmp_path, grids):
@@ -286,7 +277,7 @@ def test_property_round_trip_and_single_bit_flip(tmp_path_factory, field, flip, 
     jet, back_jet = field.exact_jet(), back.exact_jet()
     assert (back_jet is None) if jet is None else np.array_equal(back_jet, jet)
     if jet is not None:
-        _assert_jet_resident_unless_phi(back)
+        _assert_jet_in_the_file(back)
 
     blob = bytearray(open(path, "rb").read())
     blob[flip % len(blob)] ^= 1 << bit
@@ -339,16 +330,19 @@ def _stored_phi(shape=(6, 5, 7, 4), periodic=(False, True, False, True)):
 
 def _slice(rng, n):
     start, stop = sorted(int(k) for k in rng.integers(0, n + 1, size=2))
-    return slice(start, stop, int(rng.integers(1, 3)))
+    step = int(rng.integers(1, 3))
+    if rng.integers(2):
+        return slice(start, stop, step)
+    return slice(stop, start - 1 if start else None, -step)
 
 
 @pytest.mark.parametrize("read_bytes", [0, None, 1 << 40])
 def test_file_jet_blocks_equal_the_stored_jet(tmp_path, monkeypatch, read_bytes):
     # every block a phi file's jet serves equals that block of the jet it
     # was written from, bit for bit: axis-0 slabs, blocks of per-axis
-    # slices with steps, empty blocks and the whole jet, read as the
-    # shortest runs (a read costs nothing), the default plan, or the
-    # fewest reads
+    # slices with positive and negative steps, empty blocks and the whole
+    # jet, read as the shortest runs (a read costs nothing), the default
+    # plan, or the fewest reads
     if read_bytes is not None:
         monkeypatch.setattr(fldio._FileJet, "READ_BYTES", read_bytes)
     phi = _stored_phi()
@@ -357,7 +351,8 @@ def test_file_jet_blocks_equal_the_stored_jet(tmp_path, monkeypatch, read_bytes)
     back = read_field(path)
     assert back.jet is None
     rng = np.random.default_rng(7)
-    blocks = [slice(None), slice(2, 5), slice(3, 3)]
+    blocks = [slice(None), slice(2, 5), slice(3, 3), slice(None, None, -1),
+              (slice(None), slice(4, 1, -1)), (slice(1, 4), slice(2, 2, -1))]
     blocks += [tuple(_slice(rng, n) for n in phi.grid.shape[:rank])
                for rank in (1, 2, 3, 4) for _ in range(50)]
     for block in blocks:
