@@ -139,7 +139,11 @@ def boundary_cs_sum(field):
     A :class:`SpinorField` is summed as given.  A :class:`PhiField` is
     restricted to each face first and only that face is converted to a
     unit spinor, so no normalized copy of the whole grid is built; phi
-    vanishing on a face raises :class:`NormalizationError`.
+    vanishing on a face raises :class:`NormalizationError`.  Each face's
+    integrand is filled from its ``slab_currents()`` (a face without a
+    stored jet reads its jet one slab at a time, see
+    :func:`~su2topo.fields.face_restrict`) and summed by one ``np.sum``
+    over the whole face.
 
     Returns ``(real_sum, imag_residue)``.
     """
@@ -158,10 +162,17 @@ def boundary_cs_sum(field):
                     raise NormalizationError(
                         f"phi vanishes on the {('low', 'high')[side]} face of axis "
                         f"{axis}: {exc}", site=exc.site) from exc
-            dvalues = face.derivatives()
-            raw = spinor_cs_values(face.current(dvalues=dvalues)[..., 0], dvalues)
-            flux = np.sum(raw * face.grid.quadrature_weights())
-            total += face_sign * side_sign * flux
+            total += face_sign * side_sign * _face_flux(face)
     total *= sign_global
     return float(total.real), float(abs(total.imag))
+
+
+def _face_flux(face: SpinorField) -> complex:
+    """The spinor Chern-Simons integral over one face: its integrand filled
+    slab by slab from ``face.slab_currents()``, then one ``np.sum``."""
+    raw = np.empty(face.grid.shape, dtype=np.complex128)
+    for slab, dvalues, current in face.slab_currents():
+        raw[slab] = spinor_cs_values(current[..., 0], dvalues)
+        del dvalues, current        # not held while the next slab is computed
+    return np.sum(raw * face.grid.quadrature_weights())
 

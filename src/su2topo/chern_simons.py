@@ -48,8 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from .conventions import ORIENTATION_SIGN
-from .decomposition import (Decomposition, decompose, parallel_components,
-                            parallel_gauge_potential, slab_maxima)
+from .decomposition import (Decomposition, decompose, fold_maxima,
+                            parallel_components, parallel_gauge_potential, slab_maxima)
 from .errors import FieldError, ReconstructionError
 from .fields import GaugeField, SpinorField, norm_squared, sigma_model_field
 from .lattice import (ScalarField, derivative_stack, integrate, read_only,
@@ -255,8 +255,8 @@ def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
             gauge, c, h_pairs = _potentials(psi, slab, current)
             fn[slab] = fn_pointwise(c, h_pairs) * sign / (8.0 * np.pi**2)
             if parallel:
-                maxima = tuple(map(max, maxima, slab_maxima(
-                    psi, slab, dvalues, current, norm_squared(psi, slab), gauge)))
+                maxima = fold_maxima(maxima, slab_maxima(
+                    psi, slab, dvalues, current, norm_squared(psi, slab), gauge))
             h_of[slab.start] = h_pairs
             yield slab, (gauge, c)
 

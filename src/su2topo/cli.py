@@ -277,7 +277,12 @@ def cmd_generate(args) -> int:
     field = _build(args.kind, args.chart, args)
     if args.chart == "s3" and isinstance(field, SpinorField):
         field = spinor_to_phi(field)    # chart maps are stored as 4-vector fields
-    fldio.write_field(field, args.out)
+    try:
+        fldio.write_field(field, args.out)
+    except FieldError as exc:
+        # a box field computes its values as they are written, from the
+        # command-line values alone
+        raise UsageError(str(exc)) from exc
     print(f"wrote {args.out}")
     return 0
 
@@ -289,6 +294,13 @@ def cmd_decompose(args) -> int:
         gauge = fldio.read_field(args.gauge)
         if not isinstance(gauge, GaugeField):
             raise Su2TopoError(f"{args.gauge}: expected a gauge field")
+        if gauge.grid != psi.grid:
+            shapes = ["x".join(map(str, field.grid.shape)) for field in (psi, gauge)]
+            same = (" (same shape; origin, spacing, boundaries or centering differ)"
+                    if shapes[0] == shapes[1] else "")
+            raise Su2TopoError(f"spinor and gauge grids differ: {args.psi} is on a "
+                               f"{shapes[0]} grid, {args.gauge} on a {shapes[1]} "
+                               f"grid{same}")
     elif not psi.normalized:
         psi = normalize(psi)    # the parallel potential is a unit spinor's
     report = ChargeReport("decompose", config=_config_echo(args, psi.grid))

@@ -96,7 +96,7 @@ def slab_maxima(psi: SpinorField, slab: slice, dvalues: np.ndarray,
     :func:`_parts`.
 
     Maxima are exact in any order, so those of a grid are the entrywise
-    maxima over its slabs.
+    maxima over its slabs (:func:`fold_maxima`).
     """
     a, b, dcov = _parts(psi, slab, dvalues, current, norms, gauge)
     mismatch = a + b
@@ -109,6 +109,16 @@ def slab_maxima(psi: SpinorField, slab: slice, dvalues: np.ndarray,
             float(np.max(np.abs(dcov))),
             max(float(np.max(np.abs(half[..., 2]))),
                 float(np.max(np.abs(half[..., 1] + 1j * half[..., 0])))))
+
+
+def fold_maxima(maxima: tuple, more: tuple) -> tuple:
+    """The entrywise maxima of two :func:`slab_maxima` tuples, as floats.
+
+    A NaN in either survives (``np.maximum``; the builtin ``max(0.0,
+    nan)`` is 0.0), so a non-finite sample fails the reconstruction
+    check instead of vanishing from it.
+    """
+    return tuple(map(float, np.maximum(maxima, more)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +147,10 @@ class Decomposition:
         """The split whose sweep took the :func:`slab_maxima` ``maxima``.
 
         A residual max|a + b - A| beyond ``RECONSTRUCTION_TOL`` times
-        1 + max|A| raises :class:`ReconstructionError`.
+        1 + max|A|, or a NaN among them, raises :class:`ReconstructionError`.
         """
         residual, amax, dmax, bmax = maxima
-        if residual > RECONSTRUCTION_TOL * (1.0 + amax):
+        if not residual <= RECONSTRUCTION_TOL * (1.0 + amax):
             raise ReconstructionError(
                 f"decomposition identity violated: max|a + b - A| = {residual:.3e}")
         return cls(psi, residual, dmax, bmax, gauge)
@@ -199,8 +209,8 @@ def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decompositio
         if np.sqrt(np.min(norms)) < EPS_ZERO:
             # the error names the first smallest norm of the whole grid
             _check_nonvanishing(np.sqrt(norm_squared(psi)), "spinor")
-        maxima = tuple(map(max, maxima, slab_maxima(psi, slab, dvalues, current, norms,
-                                                    potential)))
+        maxima = fold_maxima(maxima, slab_maxima(psi, slab, dvalues, current, norms,
+                                                 potential))
     return Decomposition.from_maxima(psi, maxima, gauge)
 
 

@@ -122,6 +122,12 @@ class PhiField(LatticeField):
     the chart formula on the block, and a field read from an FLD file gets
     one that reads the block from the file
     (:func:`~su2topo.fldio.read_field`).
+
+    ``block_values`` maps a block to its samples in the same way, for a
+    field built with ``values=None``: a box generator's computes them from
+    the block's points, so the field stores no samples at all and
+    :meth:`~su2topo.lattice.LatticeField.values_at` serves each block.
+    Chart, random and file fields store their values.
     """
 
     grid: Grid
@@ -129,6 +135,7 @@ class PhiField(LatticeField):
     jet: np.ndarray | None = None
     sampler: object = field(default=None, repr=False, compare=False)
     block_jet: object = field(default=None, repr=False, compare=False)
+    block_values: object = field(default=None, repr=False, compare=False)
 
     COMPONENTS = (4,)
     FLD_KIND = 2
@@ -374,14 +381,17 @@ def pure_gauge_potential(s: SU2Field) -> GaugeField:
 def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     """Restrict a rank-4 field to one boundary face of an open axis.
 
-    ``side`` is 0 for the low face, 1 for the high face.  The face's jet is
-    :meth:`~LatticeField.exact_jet` of its one-plane slice, so a sampler is
-    evaluated on the face's sites only; it keeps the in-face derivative
-    components.  A component axis that runs over the grid axes (a gauge
-    field's A_mu) keeps its in-face entries too, in the values and the jet.
-    Faces of vertex-centered grids lie exactly on the domain boundary, as
-    boundary-flux sums require.  The face is a field of the same kind built
-    from its samples and jet, so a phi field's sampler is dropped.
+    ``side`` is 0 for the low face, 1 for the high face.  The face's values
+    are :meth:`~LatticeField.values_at` of its one-plane block, so a field
+    that computes its samples computes the face's only.  Its jet keeps the
+    in-face derivative components: a stored jet's face is stored, and a
+    block jet (a sampler's or a file's) is handed on, each block of the
+    face read as the parent's block jet of that block, so the face's jet
+    is never whole.  A component axis that runs over the grid axes (a
+    gauge field's A_mu) keeps its in-face entries too, in the values and
+    the jet.  Faces of vertex-centered grids lie exactly on the domain
+    boundary, as boundary-flux sums require.  The face is a field of the
+    same kind, so a phi field's sampler is dropped.
     """
     grid = field.grid
     if grid.periodic[axis]:
@@ -394,8 +404,18 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
         keep if n != m else slice(None)
         for n, m in zip(field.component_shape(grid.rank),
                         field.component_shape(grid.rank - 1)))
+
+    def restrict(jet):
+        return jet.squeeze(axis)[(slice(None),) * (grid.rank - 1) + (keep,)][comps]
+
+    fgrid = grid.drop_axis(axis)
+    values = field.values_at(face).squeeze(axis)[comps]
+    if field.jet is None and field.block_jet is not None:
+        def block_jet(block):
+            parts = ((block if isinstance(block, tuple) else (block,))
+                     + (slice(None),) * grid.rank)[:grid.rank - 1]
+            return restrict(field.exact_jet(parts[:axis] + (face[axis],) + parts[axis:]))
+        return type(field)(fgrid, values, block_jet=block_jet)
     jet = field.exact_jet(face)
-    if jet is not None:
-        jet = jet.squeeze(axis)[(slice(None),) * (grid.rank - 1) + (keep,)][comps]
-    return type(field).from_samples(grid.drop_axis(axis),
-                                    field.values[face].squeeze(axis)[comps], jet)
+    return type(field).from_samples(fgrid, values,
+                                    None if jet is None else restrict(jet))

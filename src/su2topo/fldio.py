@@ -25,11 +25,12 @@ write never leaves a partial file behind, no serialized copy of the
 payload is built and a sampled jet is never whole.  Reads validate magic,
 header sanity and byte count as distinct error types, then read the
 values whole and checksum every byte before the field is built.  A jet,
-of any kind, is checksummed one axis-0 plane at a time through one reused
-buffer and stays in the file: the field's ``block_jet`` reads the planes
-a block covers when something asks for them (the zero search reads only
-the box faces and a 4^4 window per zero, ``decompose`` one slab at a
-time), after checking that the file is still the one that was verified.
+of any kind, is checksummed, and checked finite, one axis-0 plane at a
+time through one reused buffer and stays in the file: the field's
+``block_jet`` reads the planes a block covers when something asks for
+them (the zero search reads only the box faces, a face slab at a time,
+and a 4^4 window per zero, ``decompose`` one slab at a time), after
+checking that the file is still the one that was verified.
 The retired FLD1 format (FNV-1a trailer, no orientation) is rejected as
 bad magic.
 """
@@ -44,8 +45,8 @@ import zlib
 
 import numpy as np
 
-from .errors import (BadMagicError, ChecksumError, CountMismatchError,
-                     FieldFormatError, FileChangedError, HeaderError)
+from .errors import (BadMagicError, ChecksumError, CountMismatchError, FieldError,
+                     FieldFormatError, FileChangedError, HeaderError, LatticeError)
 from .fields import GaugeField, PhiField, SpinorField, SU2Field
 from .lattice import Grid, ScalarField, read_only, slabs
 
@@ -70,9 +71,10 @@ def write_field(field, path: str) -> None:
     """Serialize a field to an FLD2 file atomically.
 
     The jets written are the field's exact jet: the stored one, or for a
-    generator-built phi field the one its sampler computes.  The jet is
-    read and written one axis-0 slab at a time (:func:`slabs`), the CRC
-    chained over the parts, so a sampled jet never exists whole.
+    generator-built phi field the one its sampler computes.  The values
+    and then the jet are read and written one axis-0 slab at a time
+    (:func:`slabs`), the CRC chained over the parts, so values or a jet
+    that a field computes per block never exist whole.
     """
     kind = getattr(field, "FLD_KIND", None)
     if kind is None:
@@ -89,10 +91,10 @@ def write_field(field, path: str) -> None:
         header.append(struct.pack("<IddB", grid.shape[i], grid.origin[i],
                                   grid.spacing[i], 1 if grid.periodic[i] else 0))
     # Contiguous arrays already in the file layout are written without a
-    # copy; the jet slabs are taken one at a time as the loop below writes.
+    # copy; the slabs are taken one at a time as the loop below writes.
     dtype = _file_dtype(type(field))
-    arrays = ([field.values] if first is None
-              else itertools.chain([field.values, first], jets))
+    arrays = itertools.chain((field.values_at(slab) for slab in slabs(grid)),
+                             [] if first is None else itertools.chain([first], jets))
     parts = itertools.chain([b"".join(header)],
                             (memoryview(np.ascontiguousarray(array, dtype=dtype))
                              for array in arrays))
@@ -123,8 +125,12 @@ def read_field(path: str):
     a corrupt header cannot ask for a huge one.  The CRC is checked over
     every byte before the field is returned.  The field adopts a read-only
     view of the aligned ``<f8`` array the values are read into; a jet is
-    checksummed plane by plane and read from the file block by block
-    (:class:`_FileJet`).
+    checksummed and checked finite plane by plane (a non-finite entry
+    raises :class:`~su2topo.errors.FieldError` once the checksum holds)
+    and read from the file block by block (:class:`_FileJet`).  Axes that
+    :class:`~su2topo.lattice.Grid` rejects (coordinates that are not
+    finite and strictly increasing) raise :class:`HeaderError` once the
+    size is checked, before any payload is read.
     """
     with open(path, "rb") as handle:
         stat = os.fstat(handle.fileno())
@@ -177,18 +183,28 @@ def read_field(path: str):
         if size != expected:
             raise CountMismatchError(
                 f"{path}: file has {size} bytes, layout requires {expected}")
+        try:
+            grid = Grid(shape=tuple(shape), origin=tuple(origin), spacing=tuple(spacing),
+                        periodic=tuple(periodic), cell_centered=cell_centered,
+                        orientation=orientation)
+        except LatticeError as exc:
+            raise HeaderError(f"{path}: {exc}") from exc
 
-        # a jet is checksummed plane by plane and left in the file
+        # a jet is checksummed, and checked finite, plane by plane and left
+        # in the file
         flat = np.empty(nvals, dtype="<f8")
         parts = [memoryview(flat).cast("B")]
         if has_jet:
-            plane = memoryview(bytearray(8 * nvals * rank // shape[0]))
-            parts += [plane] * shape[0]
+            plane = np.empty(nvals * rank // shape[0], dtype="<f8")
+            parts += [memoryview(plane).cast("B")] * shape[0]
         actual = zlib.crc32(axes, zlib.crc32(head))
-        for part in parts:
+        finite_jet = True
+        for k, part in enumerate(parts):
             if handle.readinto(part) != len(part):
                 raise CountMismatchError(f"{path}: file changed size while being read")
             actual = zlib.crc32(part, actual)
+            if k and not np.all(np.isfinite(plane)):
+                finite_jet = False
         trailer = handle.read()
         if len(trailer) != 8:
             raise CountMismatchError(f"{path}: file changed size while being read")
@@ -197,10 +213,9 @@ def read_field(path: str):
     if stored != actual:
         raise ChecksumError(
             f"{path}: checksum {stored:#018x} != computed {actual:#018x}")
+    if not finite_jet:
+        raise FieldError(f"{path}: {cls.LABEL} jet contains non-finite samples")
 
-    grid = Grid(shape=tuple(shape), origin=tuple(origin), spacing=tuple(spacing),
-                periodic=tuple(periodic), cell_centered=cell_centered,
-                orientation=orientation)
     values = read_only(flat).view(dtype).reshape(grid.shape + comps)
     if not has_jet:
         return cls(grid, values)

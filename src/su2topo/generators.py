@@ -7,13 +7,15 @@ degree-n references: q^n has boundary degree n (negative powers go through
 the conjugate, q^-1 = conj(q) on unit quaternions), and products
 prod_j (q - c_j) plant zeros at chosen roots.
 
-4-vector fields on a box store their lattice values only, filled one
-axis-0 slab at a time (:func:`~su2topo.lattice.slabs`) from that slab's
-points, and carry an analytic sampler of values and jets.  The zero search
-uses it for machine-precision root refinement, and every exact jet of the
-field comes from it (:meth:`~su2topo.lattice.LatticeField.exact_jet`): the
-boundary flux reads jets on the 8 faces, and a file write reads them slab
-by slab.
+4-vector fields on a box store nothing: the values of a block are the map
+at that block's points, computed when the block is read
+(:meth:`~su2topo.lattice.LatticeField.values_at`), and an analytic sampler
+gives values and jets anywhere.  The zero search uses it for
+machine-precision root refinement, and every exact jet of the field comes
+from it (:meth:`~su2topo.lattice.LatticeField.exact_jet`): the zero screen
+reads the values one slab at a time, the boundary flux reads values and
+jets on the 8 faces slab by slab, and a file write reads both slab by
+slab.
 Fields on the rank-3 chart also store their values only: the sin and cos
 of the chart coordinates are taken once, and the exact jet of a block is
 the chart formula on that block, equal to the whole chart's bit for bit.
@@ -36,7 +38,7 @@ import numpy as np
 from . import su2_algebra
 from .errors import FieldError
 from .fields import GaugeField, PhiField, SpinorField, SU2Field, phi_to_spinor
-from .lattice import Grid, read_only, slabs
+from .lattice import Grid, read_only
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +189,8 @@ def box_grid(shape, lo, hi) -> Grid:
     shape = tuple(int(n) for n in shape)
     lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), (len(shape),))
     hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (len(shape),))
-    spacing = tuple((hi[i] - lo[i]) / (shape[i] - 1) for i in range(len(shape)))
+    with np.errstate(over="ignore"):        # an infinite spacing is the grid's to reject
+        spacing = tuple((hi[i] - lo[i]) / (shape[i] - 1) for i in range(len(shape)))
     return Grid(shape=shape, origin=tuple(lo), spacing=spacing,
                 periodic=(False,) * len(shape))
 
@@ -254,26 +257,28 @@ def s3_unit_vectors(grid: Grid, block=slice(None), trig=None):
 # --------------------------------------------------------------------------
 
 def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
-    """Lattice samples and the analytic sampler of a map on a box.
+    """The field of a map on a box, with its analytic sampler; it stores
+    neither values nor jet.
 
     ``value_fn(x)`` returns the values and ``jet_fn(x)`` returns
     ``(value, jet)`` for box points ``x`` (..., 4), the jet with the
     derivative axis at -2.  Both compute the values with the same
-    operations, so the stored samples equal the sampler's bit for bit, and
-    the sampler asked for values only (``jet=False``, the degree spheres)
-    returns ``value_fn``'s without computing a jet.  No jet is stored: the
-    field's exact jet comes from the sampler.  The values are filled one
-    axis-0 slab at a time from that slab's points, so no whole-grid
-    coordinates or product temporaries are built.
+    operations, so the sampler's values equal the lattice samples bit for
+    bit, and the sampler asked for values only (``jet=False``, the degree
+    spheres) returns ``value_fn``'s without computing a jet.  The samples
+    of a block are ``value_fn`` of that block's points, computed when the
+    block is read (``block_values``, checked finite as it is served) and
+    not kept; a whole-grid read is filled one axis-0 slab at a time
+    (:func:`~su2topo.lattice.slabs`), so no whole-grid coordinates or
+    product temporaries are built.  The exact jet of a block comes from
+    the sampler.
     """
     def evaluate(points, jet=True):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return jet_fn(points) if jet else (value_fn(points), None)
 
-    values = np.empty(grid.shape + (4,))
-    for slab in slabs(grid):
-        values[slab] = value_fn(grid.points(slab))
-    return PhiField(grid, read_only(values), sampler=evaluate)
+    return PhiField(grid, None, sampler=evaluate,
+                    block_values=lambda block: value_fn(grid.points(block)))
 
 
 def identity_map_s3(resolution=32) -> SpinorField:

@@ -14,7 +14,9 @@ what its own sweep computes runs those stencils a slab behind, on windows
 of the planes they read (:func:`stencil_windows`), so that input is never
 held for the whole grid.  ``Grid.points(slab)`` gives
 the coordinates of a slab's planes (or a face's sites) only, so a map is
-sampled there without whole-grid coordinates.  Every value is computed by
+sampled there without whole-grid coordinates, and a field that computes
+its samples serves them a block at a time
+(:meth:`LatticeField.values_at`) without storing them.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
 
 All operations are pure: fields are immutable after construction and the
@@ -48,6 +50,10 @@ class Grid:
     vertex-centered grids and at ``origin[i] + (k + 1/2)*spacing[i]`` for
     cell-centered ones.  Cell-centered placement keeps coordinate-singular
     chart boundaries (e.g. the poles of angular charts) off the sample set.
+    Origins and spacings must be finite and spacings normal positive
+    floats, and every axis's coordinates and extent finite, the
+    coordinates strictly increasing: an origin of 1e308 or a spacing that
+    overflows or is subnormal is rejected (:class:`LatticeError`).
     """
 
     shape: tuple
@@ -70,12 +76,25 @@ class Grid:
             raise LatticeError(f"need at least 4 points per axis, got {shape}")
         if any(h <= 0 for h in spacing):
             raise LatticeError(f"spacings must be positive, got {spacing}")
+        if not np.all(np.isfinite(origin + spacing)):
+            raise LatticeError(
+                f"origins and spacings must be finite, got {origin}, {spacing}")
+        if min(spacing) < np.finfo(np.float64).tiny:
+            raise LatticeError(f"spacings must be normal floats, got {spacing}")
         if self.orientation not in (-1, 1):
             raise LatticeError("orientation must be +1 or -1")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "periodic", periodic)
+        for axis in range(len(shape)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                coords, extent = self.coords(axis), self.axis_extent(axis)
+                increasing = np.all(np.diff(coords) > 0)
+            if not (np.all(np.isfinite(coords)) and increasing and np.isfinite(extent)):
+                raise LatticeError(f"axis {axis} coordinates from {origin[axis]!r} by "
+                                   f"{spacing[axis]!r} are not finite and strictly "
+                                   "increasing")
 
     @property
     def rank(self) -> int:
@@ -153,6 +172,22 @@ class Grid:
             raise LatticeError(f"axis {axis} out of range for rank {self.rank}")
 
 
+class _Samples:
+    """The ``values`` of a field: the stored array, or for a field that
+    stores none, :meth:`LatticeField.values_at` of the whole grid.  Read on
+    the class it raises :class:`AttributeError`, so the dataclass field
+    ``values`` has no default."""
+
+    def __get__(self, field, owner=None):
+        if field is None:
+            raise AttributeError("values")
+        stored = field.__dict__["values"]
+        return field.values_at() if stored is None else stored
+
+    def __set__(self, field, array):
+        field.__dict__["values"] = array
+
+
 class LatticeField:
     """Base of the per-site field containers.
 
@@ -169,7 +204,12 @@ class LatticeField:
     A kind that can carry a jet also declares a ``block_jet`` field: a
     function from a block (an axis-0 slice, or a tuple of per-axis slices)
     to the exact jet of its sites, which :meth:`exact_jet` asks when no
-    jet is stored.  The field then keeps its values only.
+    jet is stored.  The field then keeps its values only.  A kind may
+    declare a ``block_values`` field the same way, a function from a block
+    to its samples: given one and ``values=None``, the field stores no
+    samples, and :meth:`values_at` asks it for each block it serves and
+    checks that block's samples are finite.  ``values`` still reads the
+    whole grid, filled slab by slab and not kept.
 
     An array that is already read-only and aligned, of the kind's dtype and
     with no writable array in its ``.base`` chain, is adopted without a
@@ -184,6 +224,8 @@ class LatticeField:
     LABEL = "field"
     jet = None
     block_jet = None
+    block_values = None
+    values = _Samples()
 
     @classmethod
     def component_shape(cls, rank: int) -> tuple:
@@ -198,15 +240,20 @@ class LatticeField:
     def __post_init__(self):
         grid = self.grid
         comps = self.component_shape(grid.rank)
-        self._freeze("values", grid.shape + comps)
-        if not np.all(np.isfinite(self.values.view(np.float64))):
-            raise FieldError(f"{self.LABEL} contains non-finite samples")
-        self._check_values()
+        # served samples are checked block by block as they are served
+        if self.__dict__["values"] is not None or self.block_values is None:
+            self._freeze("values", grid.shape + comps)
+            self._check_finite(self.values)
+            self._check_values()
         if self.jet is not None:
             self._freeze("jet", grid.shape + (grid.rank,) + comps)
 
     def _check_values(self) -> None:
         """The kind's own invariant on the frozen samples; none here."""
+
+    def _check_finite(self, samples: np.ndarray) -> None:
+        if not np.all(np.isfinite(samples)):
+            raise FieldError(f"{self.LABEL} contains non-finite samples")
 
     def _freeze(self, name: str, expected: tuple) -> None:
         array = np.asarray(getattr(self, name), dtype=self.DTYPE)
@@ -216,27 +263,42 @@ class LatticeField:
             raise FieldError(f"{self.LABEL} {name} shape {array.shape} != {expected}")
         object.__setattr__(self, name, array)
 
+    def values_at(self, block: slice | tuple = slice(None)) -> np.ndarray:
+        """The samples on the planes ``block`` of axis 0, or on a block of
+        per-axis slices: the stored ones, else those ``block_values``
+        computes for that block, checked finite (:class:`FieldError`)."""
+        def served(part):
+            samples = self.block_values(part)
+            self._check_finite(samples)
+            return samples
+        return read_only(self._blockwise(self.__dict__["values"], served, block, ()))
+
     def exact_jet(self, slab: slice | tuple = slice(None)) -> np.ndarray | None:
         """Exact first-derivative samples on the planes ``slab`` of axis 0 (or
         a block of per-axis slices), or None for bare samples.
 
         The stored jet comes first, else ``block_jet`` is asked for that
-        block only.  The whole grid's block jet is filled into one new
-        array an axis-0 slab (:func:`slabs`) at a time, one call per slab,
-        so no whole-grid temporaries are built.  A block jet is not kept
-        with the field.
+        block only.
         """
-        if self.jet is not None:
-            return self.jet[slab]
-        if self.block_jet is None:
+        return self._blockwise(self.jet, self.block_jet, slab, (self.grid.rank,))
+
+    def _blockwise(self, stored, compute, block, axes: tuple):
+        """``stored[block]``, else ``compute(block)``, else None.  Computed
+        for the whole grid, the result is filled into one new array an
+        axis-0 slab (:func:`slabs`) at a time, one call per slab, so no
+        whole-grid temporaries are built; nothing computed is kept with
+        the field.  ``axes`` are the per-site axes before the components."""
+        if stored is not None:
+            return stored[block]
+        if compute is None:
             return None
-        if slab != slice(None):
-            return self.block_jet(slab)
+        if block != slice(None):
+            return compute(block)
         grid = self.grid
-        out = np.empty(grid.shape + (grid.rank,) + self.component_shape(grid.rank),
+        out = np.empty(grid.shape + axes + self.component_shape(grid.rank),
                        dtype=self.DTYPE)
         for part in slabs(grid):
-            out[part] = self.block_jet(part)
+            out[part] = compute(part)
         return out
 
     def derivatives(self, order: int = 2, slab: slice = slice(None)) -> np.ndarray:

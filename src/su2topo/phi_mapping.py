@@ -18,19 +18,23 @@ Zero search: 4-cells where every component changes sign across the 16
 corners seed damped Newton iterations (sign screening over-fires on coarse
 grids, so Newton is the arbiter).  The screen takes the corner minimum and
 maximum one axis at a time, as pairwise passes over neighbouring slices
-(rolled on periodic axes).  It runs one axis-0 slab of cells
-(:func:`~su2topo.lattice.slabs`) at a time, reading one halo plane past
-the slab (wrapped when axis 0 is periodic), and the slabs' candidates,
-concatenated in order, are the whole-grid ones in row-major order.
+(rolled on periodic axes).  It reads phi's values one axis-0 slab
+(:func:`~su2topo.lattice.slabs`) at a time, through
+:meth:`~su2topo.lattice.LatticeField.values_at`, so a generated field
+computes each plane once and never holds its values whole: each slab's
+cells are screened with the one plane carried from the slab before, and
+the slabs' candidates, concatenated in order, are the whole-grid ones in
+row-major order.
 
 Newton reads phi through one evaluator that returns values and derivative
 stacks together: the analytic sampler attached by the generators, which
 gives machine-precision roots, or for lattice-only fields the multilinear
 interpolant and its exact gradient, with O(h^2) positions.  Sphere sampling
 needs values only: it calls the sampler with ``jet=False``, or plain
-interpolation, once per sphere resolution.  The 4x4 matrices [n, d n] of
-the degree integrand are stacked and their determinants taken one slab of
-the sphere chart at a time, so no whole-sphere matrix stack is built.
+interpolation, on one chi-slab of the sphere chart at a time, and the
+chart derivatives of n and the determinants of the 4x4 matrices
+[n, d n] follow a slab behind, so no attempt holds more of the sphere
+than a few slabs and its (n,) determinants.
 """
 
 from __future__ import annotations
@@ -47,9 +51,9 @@ from .chern_density import boundary_cs_sum, check_flux_box
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
 from .fields import PhiField
 from .generators import s3_chart_grid, s3_points
-from .lattice import (Grid, ScalarField, central_diff, integrate_values,
+from .lattice import (Grid, ScalarField, derivative_stack, integrate_values,
                       interpolate, interpolate_with_gradient, interpolation_corners,
-                      slabs)
+                      slabs, stencil_windows)
 
 DEGENERACY_TOL = 1e-8
 NEWTON_TOL = 1e-10           # |phi| at an accepted (refined) zero
@@ -152,28 +156,30 @@ def _newton(evaluate, x0: np.ndarray, bounds):
     return x, best, best < NEWTON_TOL, jx
 
 
-def _sign_change_cells(values: np.ndarray, grid: Grid,
-                       cells: slice = slice(None)) -> np.ndarray:
-    """Mask of the 4-cells whose 16 corners span 0 in every component, for
-    the cells whose axis-0 index lies in ``cells`` (all by default).
+def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Mask of the 4-cells whose 16 corners span 0 in every component, on
+    the whole grid: :func:`_cell_mask` of the site planes and the planes one
+    step above them (a cell spans sites k and k+1 on each axis, and k+1
+    wraps on periodic axes)."""
+    if grid.periodic[0]:
+        return _cell_mask(values, np.roll(values, -1, axis=0), grid)
+    return _cell_mask(values[:-1], values[1:], grid)
+
+
+def _cell_mask(lower: np.ndarray, upper: np.ndarray, grid: Grid) -> np.ndarray:
+    """The sign-change mask of the rows of cells between the axis-0 site
+    planes ``lower`` and the planes ``upper`` one step above them.
 
     The range is closed (min <= 0 <= max), so a zero whose coordinates lie
     on lattice planes, where a component is exactly 0 on a whole plane of
     corners, still marks the cells around it; Newton and the half-cell
-    deduplication settle the extra candidates.  A cell spans sites k and
-    k+1 on each axis (k+1 wraps on periodic axes), so the cells of rows
-    ``cells`` read those site planes and one halo plane past them, wrapped
-    when axis 0 is periodic.  The corner min/max is taken one axis at a
-    time: pairwise over neighbouring slices, 4 passes instead of 16 corner
-    copies.  Min and max are exact, so neither the order of the passes nor
-    the rows of a call change the mask.
+    deduplication settle the extra candidates.  The corner min/max is
+    taken one axis at a time: pairwise over neighbouring slices, 4 passes
+    instead of 16 corner copies.  Min and max are exact, so neither the
+    order of the passes nor the rows of a call change the mask.
     """
-    n = grid.shape[0]
-    start, stop, _ = cells.indices(n if grid.periodic[0] else n - 1)
-    block = (values[start:stop + 1] if stop < n
-             else values[np.arange(start, stop + 1) % n])
-    mins = np.minimum(block[:-1], block[1:])
-    maxs = np.maximum(block[:-1], block[1:])
+    mins = np.minimum(lower, upper)
+    maxs = np.maximum(lower, upper)
     for ax in range(1, grid.rank):
         if grid.periodic[ax]:
             mins = np.minimum(mins, np.roll(mins, -1, axis=ax))
@@ -186,27 +192,45 @@ def _sign_change_cells(values: np.ndarray, grid: Grid,
     return np.all((mins <= 0.0) & (maxs >= 0.0), axis=-1)
 
 
-def _screen(values: np.ndarray, grid: Grid):
+def _screen(phi: PhiField):
     """The Newton starts of the zero search: ``(cells, sites)``, index arrays
     ``(k, 4)`` in row-major order.
 
     ``cells`` are the 4-cells :func:`_sign_change_cells` marks and ``sites``
     the lattice sites where |phi| < 1e-9 max(1, max|phi|).  Both are taken
-    one axis-0 slab (:func:`~su2topo.lattice.slabs`) of cells or sites at a
-    time; a slab's norms are taken again only when its smallest norm is
-    below that threshold, which is known once every slab is seen.  The
-    lists are those of ``np.argwhere`` on the whole-grid masks.
+    from phi's values one axis-0 slab (:func:`~su2topo.lattice.slabs`) at
+    a time, as :meth:`~su2topo.lattice.LatticeField.values_at` serves
+    them, so each plane is read once: when a slab arrives, the row of
+    cells between the last plane of the slab before, carried on, and its
+    first plane is screened, then the rows between its own planes (on a
+    periodic axis 0 the first plane is kept too, for the row that wraps).
+    A slab's norms are taken again only when its smallest norm is below
+    that threshold, which is known once every slab is seen.  The lists
+    are those of ``np.argwhere`` on the whole-grid masks.
     """
+    grid = phi.grid
     cells, lows = [], []
     top = 0.0
+    first = carried = None
+
+    def screen(lower, upper, row):
+        cells.append(np.argwhere(_cell_mask(lower, upper, grid)) + (row, 0, 0, 0))
+
     for slab in slabs(grid):
-        cells.append(np.argwhere(_sign_change_cells(values, grid, slab))
-                     + (slab.start, 0, 0, 0))
-        norms = np.linalg.norm(values[slab], axis=-1)
+        block = phi.values_at(slab)
+        if carried is not None:
+            screen(carried, block[:1], slab.start - 1)
+        screen(block[:-1], block[1:], slab.start)
+        norms = np.linalg.norm(block, axis=-1)
         top = max(top, float(np.max(norms)))
         lows.append((slab, float(np.min(norms))))
+        carried = block[-1:]
+        if first is None and grid.periodic[0]:
+            first = block[:1]
+    if first is not None:
+        screen(carried, first, grid.shape[0] - 1)
     site_tol = 1e-9 * max(1.0, top)
-    sites = [np.argwhere(np.linalg.norm(values[slab], axis=-1) < site_tol)
+    sites = [np.argwhere(np.linalg.norm(phi.values_at(slab), axis=-1) < site_tol)
              + (slab.start, 0, 0, 0) for slab, low in lows if low < site_tol]
     return np.concatenate(cells), np.concatenate([np.empty((0, 4), int)] + sites)
 
@@ -227,7 +251,7 @@ def locate_zeros(phi: PhiField) -> ZeroSearch:
     if grid.rank != 4:
         raise FieldError("zero location needs a rank-4 grid")
     hmax = max(grid.spacing)
-    cells, seed_sites = _screen(phi.values, grid)
+    cells, seed_sites = _screen(phi)
 
     evaluate = _evaluator(phi)
     starts = []
@@ -343,9 +367,13 @@ def surface_degree(evaluate, center, radius: float):
     ``SPHERE_RESOLUTION``; the angular resolution doubles automatically
     while the rounding deviation exceeds 0.1, up to ``SPHERE_REFINEMENTS``
     times, and a deviation that stays >= 0.2 raises
-    :class:`DegreeResolutionError`.  Each attempt evaluates phi once and
-    takes the three chart derivatives of n on the whole sphere; the
-    determinants are taken one chart slab at a time.
+    :class:`DegreeResolutionError`.  Each attempt evaluates phi on one
+    chi-slab of the chart (:func:`~su2topo.lattice.slabs`) at a time and
+    takes the three chart derivatives of n a slab behind, on the planes
+    their stencils read (:func:`~su2topo.lattice.stencil_windows`; chi and
+    theta open, phi periodic), so only the determinants of the 4x4
+    matrices [n, d n] are kept for the whole sphere; each equals the
+    whole-sphere evaluation bit for bit.
 
     Returns ``(degree, raw_value, deviation)``.
     """
@@ -353,17 +381,10 @@ def surface_degree(evaluate, center, radius: float):
     resolution = SPHERE_RESOLUTION
     for attempt in range(SPHERE_REFINEMENTS + 1):
         agrid = s3_chart_grid(resolution)
-        pts = (center + radius * s3_points(agrid).reshape(-1, 4))
-        samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
-        norms = np.linalg.norm(samples, axis=-1)
-        if np.min(norms) <= 0.0 or not np.all(np.isfinite(norms)):
-            raise ZeroLocationError(
-                "phi vanishes on the sampling sphere; another zero within radius")
-        n = samples / norms[..., None]
-        rows = [n] + [central_diff(n, agrid, ax) for ax in range(3)]
         dets = np.empty(agrid.shape)
-        for slab in slabs(agrid):
-            dets[slab] = np.linalg.det(np.stack([row[slab] for row in rows], axis=-2))
+        for slab, (n,), first in stencil_windows(
+                agrid, 2, _sphere_slabs(evaluate, center, radius, agrid)):
+            dets[slab] = _slab_dets(n, agrid, slab, first)
         value = integrate_values(dets, agrid) / (2.0 * np.pi**2)
         degree = int(np.rint(value))
         deviation = abs(value - degree)
@@ -375,6 +396,28 @@ def surface_degree(evaluate, center, radius: float):
             return degree, value, deviation
         resolution = tuple(2 * r for r in resolution)
     raise AssertionError("unreachable")
+
+
+def _slab_dets(n: np.ndarray, agrid: Grid, slab: slice, first: int) -> np.ndarray:
+    """det[n, d n] on the planes ``slab`` of the sphere chart, from the
+    window ``n`` of the planes whose first is ``first``."""
+    rows = n[slab.start - first:slab.stop - first, ..., None, :]
+    dn = derivative_stack(n, agrid, 2, slab, first)
+    return np.linalg.det(np.concatenate([rows, dn], axis=-2))
+
+
+def _sphere_slabs(evaluate, center: np.ndarray, radius: float, agrid: Grid):
+    """Yield ``(slab, [n])`` for each chi-slab of the sphere chart
+    ``agrid``: n = phi/|phi| at the slab's points, for
+    :func:`~su2topo.lattice.stencil_windows`."""
+    for slab in slabs(agrid):
+        points = center + radius * s3_points(agrid, slab)
+        samples = np.asarray(evaluate(points.reshape(-1, 4))).reshape(points.shape)
+        norms = np.linalg.norm(samples, axis=-1)
+        if np.min(norms) <= 0.0 or not np.all(np.isfinite(norms)):
+            raise ZeroLocationError(
+                "phi vanishes on the sampling sphere; another zero within radius")
+        yield slab, [samples / norms[..., None]]
 
 
 def _check_sphere_inside(grid: Grid, center, radius: float) -> None:

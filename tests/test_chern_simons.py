@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import su2topo as st
+from conftest import peak_traced_bytes
 from su2topo import FieldError
 from su2topo import chern_simons as cs
 
@@ -328,7 +329,6 @@ def test_chart_sweeps_keep_only_the_values_resident(monkeypatch):
     # derivative stacks of A and c, about 1 KB a site).  Neither the
     # 10.6 MB jet of 48^3 sites nor a whole-grid A, c and H (13.3 MB) fits
     # in that allowance.
-    import tracemalloc
     from su2topo import lattice
     n = 48
     monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
@@ -336,14 +336,13 @@ def test_chart_sweeps_keep_only_the_values_resident(monkeypatch):
     values = sites * 2 * 16
     outputs = sites * 8 * 3                    # the three densities
     slabs = 3 * n * n * 1024
-    tracemalloc.start()
-    try:
+
+    def sweep():
         psi = st.identity_map_s3(n)
-        charges = cs.chern_simons(psi, parallel=True)
-        assert charges.parallel.max_b < 1e-10
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        assert cs.chern_simons(psi, parallel=True).parallel.max_b < 1e-10
+        return psi
+
+    peak, psi = peak_traced_bytes(sweep)
     bound = values + outputs + slabs
     assert peak < bound
     assert psi.jet is None and peak + sites * 3 * 2 * 16 > bound

@@ -4,6 +4,8 @@ import hashlib
 import io
 import os
 import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import su2topo as st
+from conftest import peak_traced_bytes
 from su2topo.cli import build_parser, main
 from su2topo.fldio import write_field
 
@@ -235,6 +238,94 @@ def _phi_file(tmp_path, n=12):
     return path
 
 
+def _patch(path, offset, data):
+    """Overwrite bytes of an FLD file at ``offset`` and rewrite its CRC, so
+    that only the semantic checks can reject it."""
+    blob = bytearray(open(path, "rb").read())
+    blob[offset:offset + len(data)] = data
+    blob[-8:] = struct.pack("<Q", zlib.crc32(bytes(blob[:-8])))
+    open(path, "wb").write(bytes(blob))
+
+
+_FILE_COMMANDS = (("decompose", "--psi"), ("cs",), ("chern",), ("zeros",))
+
+
+def _chart_file(tmp_path, name="chart.fld"):
+    path = str(tmp_path / name)
+    assert main(["generate", "--kind", "identity", "--chart", "s3", "--grid", "8,8,8",
+                 "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_jet_exits_3_on_every_command(tmp_path, capsys, entry):
+    # one NaN in the jet of an 8^3 chart file, CRC rewritten: every command
+    # that reads the file stops with one input error, before any verdict
+    path = _chart_file(tmp_path)
+    capsys.readouterr()
+    _patch(path, 8 + 3 * 21 + 8**3 * 4 * 8 + 8 * 1000, struct.pack("<d", entry))
+    for command in _FILE_COMMANDS:
+        code, out, err = run(capsys, *command, path, "--no-color")
+        assert (code, out) == (3, ""), command
+        assert err == (f"su2topo: error: {path}: phi jet contains non-finite "
+                       "samples\n"), command
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("field_at, value", [
+    (12, 1e308), (4, 1e308), (4, -1e308), (12, 1e-320)],
+    ids=["spacing 1e308", "origin 1e308", "origin -1e308", "subnormal spacing"])
+def test_degenerate_grid_headers_exit_3(tmp_path, capsys, axis, field_at, value):
+    # a header whose coordinates overflow, collapse or step subnormally is
+    # an input error on every command, with no traceback
+    paths = [_chart_file(tmp_path), _phi_file(tmp_path)]
+    capsys.readouterr()
+    for path in paths:
+        _patch(path, 8 + 21 * axis + field_at, struct.pack("<d", value))
+        for command in _FILE_COMMANDS:
+            code, out, err = run(capsys, *command, path, "--no-color")
+            assert (code, out) == (3, ""), (path, command)
+            assert err.startswith(f"su2topo: input error [bad-header]: {path}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("box", ["--box=-1e308:1e308", "--box=1e308:1.0000000000000002e308",
+                                 "--box=0:1e-310", "--box=0:2e308"])
+@pytest.mark.parametrize("command", [["verify", "qpoly"], ["verify", "linear"],
+                                     ["generate", "--kind", "linear", "--out", "x.fld"]])
+def test_degenerate_boxes_on_the_command_line_exit_2(tmp_path, capsys, monkeypatch,
+                                                     box, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command, "--grid", "8,8,8,8", box)
+    assert (code, out) == (2, "")
+    assert err.startswith("su2topo: usage error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.fld").exists()
+
+
+def test_generated_values_that_overflow_exit_2(tmp_path, capsys, monkeypatch):
+    # a box field computes its values while the file is written; a map that
+    # overflows on the given box is still a usage error, and no file is left
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "generate", "--kind", "qpower", "--power", "4",
+                             "--grid", "6,6,6,6", "--box=1e80:2e80", "--out", "x.fld")
+    assert (code, out) == (2, "")
+    assert err == "su2topo: usage error: phi contains non-finite samples\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decompose_on_different_grids_names_both_files(tmp_path, capsys):
+    psi = _chart_file(tmp_path)
+    gauge = str(tmp_path / "gauge.fld")
+    assert main(["generate", "--kind", "random-gauge", "--grid", "6,6,6,6",
+                 "--out", gauge]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "decompose", "--psi", psi, "--gauge", gauge)
+    assert (code, out) == (3, "")
+    assert err == (f"su2topo: error: spinor and gauge grids differ: {psi} is on a "
+                   f"8x8x8 grid, {gauge} on a 6x6x6x6 grid\n")
+
+
 @pytest.mark.parametrize("plane", ["first", "last"])
 def test_corrupt_jet_plane_exits_3(tmp_path, capsys, plane):
     # a file's jet is checksummed one plane at a time and left in the
@@ -429,15 +520,9 @@ def test_verify_identity_peak_memory_is_bounded_by_the_field(capsys):
     # slab by slab with J and a, b, D Psi stored, 3.04 streaming, 2.40 with
     # the chart jet taken per slab, 2.07 with A, c and H held as a halo;
     # the bound is the one set at 3.04.
-    import tracemalloc
     field_bytes = 48**3 * (2 + 3 * 2) * 16
-    tracemalloc.start()
-    try:
-        code, _, _ = run(capsys, "verify", "identity", "--grid", "48,48,48",
-                         "--no-color")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, (code, _, _) = peak_traced_bytes(
+        lambda: run(capsys, "verify", "identity", "--grid", "48,48,48", "--no-color"))
     assert code == 0
     assert peak < 3.3 * field_bytes
 
@@ -448,15 +533,9 @@ def test_verify_qpoly_peak_memory_is_bounded_by_the_values(capsys):
     # time.  Traced peak over the 24^4 values bytes: 4.77 with whole-grid
     # points and product temporaries, 3.20 streaming (the peak is then the
     # first degree sphere); the bound leaves 0.6 of margin.
-    import tracemalloc
     values_bytes = 24**4 * 4 * 8
-    tracemalloc.start()
-    try:
-        code, out, _ = run(capsys, "verify", "qpoly", "--grid", "24,24,24,24",
-                           "--no-color")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, (code, out, _) = peak_traced_bytes(
+        lambda: run(capsys, "verify", "qpoly", "--grid", "24,24,24,24", "--no-color"))
     assert code == 0 and "index_sum: 2" in out
     assert peak < 3.8 * values_bytes
 

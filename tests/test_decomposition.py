@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import su2topo as st
+from conftest import peak_traced_bytes
 from su2topo import FieldError, NormalizationError
 
 
@@ -160,19 +161,12 @@ def test_decompose_takes_no_whole_grid_potential(monkeypatch):
     # peaks below the values and three slabs of temporaries (d Psi, the
     # current, A and the kernel, about 1 KB a site; one slab measured
     # 1.15 KB), and a whole-grid A (8 MB at 48^3) does not fit in that.
-    import tracemalloc
     from su2topo import lattice
     n = 48
     monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
     sites = n**3
     bound = sites * 2 * 16 + 3 * n * n * 1024
-    tracemalloc.start()
-    try:
-        psi = st.identity_map_s3(n)
-        dec = st.decompose(psi)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, dec = peak_traced_bytes(lambda: st.decompose(st.identity_map_s3(n)))
     assert dec.max_b < 1e-10 and dec.gauge is None
     assert peak < bound
     assert peak + sites * 3 * 3 * 8 > bound
@@ -303,3 +297,17 @@ def test_decompose_fails_on_a_perturbed_covariant_derivative(monkeypatch):
     for field in (psi, st.SpinorField(grid, psi.values)):     # jets, then none
         with pytest.raises(st.ReconstructionError):
             st.decompose(field, gauge)
+
+
+def test_folded_maxima_keep_a_nan():
+    # the builtin max(0.0, nan) is 0.0: a NaN residual folded that way
+    # would read as an exact reconstruction
+    from su2topo.decomposition import Decomposition, fold_maxima
+    assert fold_maxima((0.0,) * 4, (1.0, 2.0, 0.5, 0.25)) == (1.0, 2.0, 0.5, 0.25)
+    folded = fold_maxima(fold_maxima((0.0,) * 4, (np.nan, 1.0, 1.0, 1.0)),
+                         (0.5, 2.0, 1.0, 1.0))
+    assert np.isnan(folded[0]) and folded[1:] == (2.0, 1.0, 1.0)
+    assert all(type(x) is float for x in folded)
+    psi = st.identity_map_s3(8)
+    with pytest.raises(st.ReconstructionError, match="nan"):
+        Decomposition.from_maxima(psi, folded)

@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import su2topo as st
+from conftest import peak_traced_bytes
 from su2topo import (BadMagicError, ChecksumError, CountMismatchError,
                      FieldFormatError, FileChangedError, HeaderError)
 from su2topo import fldio
@@ -304,21 +307,74 @@ def test_sampled_jet_is_written_slab_by_slab(tmp_path):
     # the jet of a sampler-backed field (4x its values) never exists whole:
     # the traced peak of the write stays below it (measured 2.30x the
     # values at 20^4, 4.55x when the whole jet was built first)
-    import tracemalloc
     grid = st.box_grid((20, 20, 20, 20), -2.0, 2.0)
     roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
     phi = st.quaternion_polynomial_field(roots, grid)
     path = str(tmp_path / "phi.fld")
-    tracemalloc.start()
-    try:
-        write_field(phi, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_traced_bytes(lambda: write_field(phi, path))
     assert peak < 3.0 * phi.values.nbytes
     back = read_field(path)
     assert back.jet is None
     assert np.array_equal(back.exact_jet(), phi.exact_jet())
+
+
+def test_served_values_are_written_slab_by_slab(tmp_path):
+    # a field that computes its values per block writes them one slab at a
+    # time: the file is that of the stored values, and the write traces
+    # less than the values themselves (measured 0.60 of them), which a
+    # whole read would hold
+    grid = st.box_grid((20, 20, 20, 20), -2.0, 2.0)
+    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    box = st.quaternion_polynomial_field(roots, grid)
+    served = st.PhiField(grid, None, block_values=box.values_at)
+    path, stored_path = str(tmp_path / "served.fld"), str(tmp_path / "stored.fld")
+    peak, _ = peak_traced_bytes(lambda: write_field(served, path))
+    write_field(st.PhiField(grid, box.values), stored_path)
+    assert open(path, "rb").read() == open(stored_path, "rb").read()
+    assert peak < 20**4 * 4 * 8
+
+
+def _patch(path, offset, data, fix_crc=True):
+    """Overwrite bytes of an FLD file at ``offset``, then rewrite its CRC."""
+    blob = bytearray(open(path, "rb").read())
+    blob[offset:offset + len(data)] = data
+    if fix_crc:
+        blob[-8:] = struct.pack("<Q", zlib.crc32(bytes(blob[:-8])))
+    open(path, "wb").write(bytes(blob))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_jet_entry_is_an_error_once_the_checksum_holds(tmp_path, entry):
+    # the reader checks each jet plane as it checksums it; a corrupted
+    # file is still a checksum error first
+    grid = st.box_grid((6, 5, 4, 5), -1.0, 1.0)
+    phi = st.linear_phi_field(np.eye(4), [0.1, 0.0, 0.0, 0.0], grid)
+    path = str(tmp_path / "phi.fld")
+    write_field(phi, path)
+    jet_at = 8 + 4 * 21 + phi.values.nbytes
+    site = jet_at + 8 * (3 * 5 * 4 * 5 * 16 + 77)      # in plane 3
+    _patch(path, site, struct.pack("<d", entry), fix_crc=False)
+    with pytest.raises(ChecksumError):
+        read_field(path)
+    _patch(path, site, struct.pack("<d", entry))
+    with pytest.raises(st.FieldError, match="phi jet contains non-finite samples"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("field_at, value", [
+    (12, 1e308), (12, 1e-320), (12, 5e-324), (4, 1e308), (4, -1e308)],
+    ids=["spacing 1e308", "subnormal spacing", "smallest spacing",
+         "origin 1e308", "origin -1e308"])
+@pytest.mark.parametrize("axis", [0, 2])
+def test_degenerate_axes_are_header_errors(tmp_path, field_at, value, axis):
+    # coordinates that overflow, collapse onto one float, or step by a
+    # subnormal spacing are rejected by the grid, as a header error
+    grid = st.box_grid((6, 5, 4, 5), -1.0, 1.0)
+    path = str(tmp_path / "phi.fld")
+    write_field(st.linear_phi_field(np.eye(4), [0.1, 0.0, 0.0, 0.0], grid), path)
+    _patch(path, 8 + 21 * axis + field_at, struct.pack("<d", value))
+    with pytest.raises(HeaderError, match=f"axis {axis}|normal floats"):
+        read_field(path)
 
 
 def _stored_phi(shape=(6, 5, 7, 4), periodic=(False, True, False, True)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import su2topo as st
+from conftest import peak_traced_bytes
 from su2topo import FieldError
 from su2topo.chern_simons import chern_simons
 from su2topo.lattice import derivative_stack
@@ -321,15 +322,9 @@ def test_flipped_unit_sign_breaks_the_jet_comparison(monkeypatch, table):
 def test_box_field_stores_values_only():
     # tracemalloc sees numpy's allocations; storing a jet (4x the values)
     # or building one in passing lifts the peak past the bound
-    import tracemalloc
     roots = np.array([[0.6, -0.1, 0.05, -0.2], [-0.6, 0.1, -0.05, 0.2]])
     grid = st.box_grid((24,) * 4, -2.0, 2.0)
-    tracemalloc.start()
-    try:
-        phi = st.quaternion_polynomial_field(roots, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, phi = peak_traced_bytes(lambda: st.quaternion_polynomial_field(roots, grid))
     assert phi.jet is None and phi.sampler is not None
     assert peak < 6 * phi.values.nbytes
 
@@ -354,6 +349,76 @@ def test_box_values_filled_by_slab_equal_the_whole_grid_map(budget, monkeypatch)
               for n in (-4, -3, -2, -1, 1, 2, 3, 4)]
     for phi, expected in cases:
         assert _bit_equal(phi.values, expected)
+
+
+def _box_cases(grid):
+    """Box fields on ``grid`` with their values computed on the whole grid."""
+    from su2topo.generators import _qpoly_values, _qpower_values
+    x = grid.points()
+    matrix = np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
+                       [0.1, 0.0, 1.0, 0.2], [0.0, 0.4, 0.0, 1.0]])
+    shift = np.array([0.05, -0.03, 0.02, 0.01])
+    return [(st.quaternion_polynomial_field(_ROOTS[:2], grid), _qpoly_values(x, _ROOTS[:2])),
+            (st.linear_phi_field(matrix, shift, grid),
+             np.einsum("ab,...b->...a", matrix, x - shift)),
+            (st.quaternion_power_field(-3, grid), _qpower_values(x, -3))]
+
+
+@pytest.mark.parametrize("planes", [1, 2, 5])
+def test_box_values_served_per_block_equal_the_whole_grid_map(planes, monkeypatch):
+    # a box field stores no samples: each block it serves is the map at the
+    # block's points, and every block, the slabs of the whole-grid read,
+    # faces and strided blocks, equals the map evaluated on the whole grid
+    from su2topo import lattice
+    grid = st.box_grid((19, 17, 16, 18), -2.0, 2.0)
+    monkeypatch.setattr(lattice, "SLAB_SITES", planes * 17 * 16 * 18)
+    blocks = list(lattice.slabs(grid)) + [
+        (slice(None),) * axis + (slice(index, index + 1),)
+        for axis in range(4) for index in (0, grid.shape[axis] - 1)]
+    blocks += [(slice(1, 9, 3), slice(None, None, -1), slice(2, 5), slice(7, 8))]
+    for phi, expected in _box_cases(grid):
+        assert vars(phi)["values"] is None
+        for block in blocks:
+            got = phi.values_at(block)
+            assert _bit_equal(got, expected[block]) and not got.flags.writeable
+        assert _bit_equal(phi.values, expected)
+
+
+def test_box_field_build_computes_no_samples():
+    # building traces less than one plane of the values: none are computed
+    # until a block is read
+    grid = st.box_grid((16,) * 4, -2.0, 2.0)
+    peak, phi = peak_traced_bytes(lambda: st.quaternion_polynomial_field(_ROOTS[:2], grid))
+    assert peak < 16**3 * 4 * 8
+    assert phi.values.shape == grid.shape + (4,)
+
+
+def test_a_non_finite_box_sample_raises_as_its_block_is_served(tmp_path):
+    from su2topo.fldio import write_field
+    from su2topo.generators import _box_field
+    grid = st.box_grid((8,) * 4, -1.0, 1.0)
+    site = (5, 2, 3, 1)
+    bad = grid.points()[site]
+
+    def value_fn(x):
+        out = x.copy()
+        out[np.all(x == bad, axis=-1), 2] = np.nan
+        return out
+
+    phi = _box_field(grid, value_fn, lambda x: (
+        value_fn(x), np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()))
+    assert _bit_equal(phi.values_at(slice(0, 5)), grid.points(slice(0, 5)))
+    for read in (lambda: phi.values_at(slice(5, 6)), lambda: phi.values,
+                 lambda: phi.values_at((slice(None), slice(2, 3))),
+                 lambda: st.locate_zeros(phi),
+                 lambda: write_field(phi, str(tmp_path / "phi.fld"))):
+        with pytest.raises(FieldError, match="phi contains non-finite samples"):
+            read()
+    assert list(tmp_path.iterdir()) == []
+    # a map that overflows on a far box is caught the same way
+    far = st.quaternion_power_field(4, st.box_grid((6,) * 4, 1e80, 2e80))
+    with pytest.raises(FieldError, match="non-finite"), np.errstate(all="ignore"):
+        far.values_at(slice(0, 1))
 
 
 def _chart_reference(grid):

@@ -23,6 +23,26 @@ def test_grid_validation():
         Grid((8, 8), (0, 0), (0.1, 0.1), (False, False))
 
 
+@pytest.mark.parametrize("origin, spacing, cell_centered", [
+    (0.0, 1e308, False),           # coordinates overflow
+    (-1.0, np.inf, False),
+    (np.nan, 0.1, False),
+    (1e308, 0.1, False),           # every coordinate rounds to the origin
+    (-1e308, 1e290, True),
+    (-2.0, 1e-320, False),         # a subnormal spacing
+    (0.0, 5e-324, False),
+    (1e307, 1e307, False),         # finite coordinates, infinite extent
+])
+def test_grid_rejects_degenerate_axes(origin, spacing, cell_centered):
+    with pytest.raises(LatticeError, match="finite|normal|increasing"), \
+            np.errstate(all="raise"):
+        Grid((4, 20, 5), (0.0, origin, 0.0), (0.1, spacing, 0.1), (False,) * 3,
+             cell_centered)
+    # the neighbours of those values are fine
+    Grid((4, 20, 5), (0.0, 1e300, 0.0), (0.1, 1e290, 0.1), (False,) * 3, cell_centered)
+    Grid((4, 20, 5), (0.0, 0.0, 0.0), (0.1, 2.3e-308, 0.1), (True,) * 3, cell_centered)
+
+
 def test_coords_cell_centered():
     grid = Grid((8, 8, 8), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (False,) * 3,
                 cell_centered=True)

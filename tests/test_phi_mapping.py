@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import su2topo as st
+from conftest import peak_traced_bytes
 from su2topo import ZeroLocationError
 from su2topo.fldio import read_field, write_field
 from su2topo.generators import _qpoly_with_jet
@@ -331,7 +332,7 @@ def test_slab_screen_lists_the_whole_grid_candidates(shape, periodic0, plane_bud
     with pytest.MonkeyPatch.context() as mp:
         if plane_budget:
             mp.setattr(lattice, "SLAB_SITES", 1)
-        cells, sites = _screen(values, grid)
+        cells, sites = _screen(st.PhiField(grid, values))
     mask = _sign_change_cells(values, grid)
     assert np.array_equal(mask, _corner_screen_reference(values, grid))
     assert np.array_equal(cells, np.argwhere(mask))
@@ -364,8 +365,9 @@ def _whole_stack_degree(evaluate, center, radius):
 def test_refined_surface_degree_equals_the_whole_stack(monkeypatch, stretch,
                                                        plane_budget):
     # a coarse first sphere makes the stretched map refine twice; each
-    # attempt samples phi once and the per-slab determinants give the
-    # whole-stack degree, value and deviation bit for bit
+    # attempt samples phi one chi-slab at a time, every site once, and the
+    # streamed determinants give the whole-stack degree, value and
+    # deviation bit for bit
     monkeypatch.setattr(phi_mapping, "SPHERE_RESOLUTION", (8, 8, 16))
     if plane_budget:
         monkeypatch.setattr(lattice, "SLAB_SITES", 1)
@@ -377,11 +379,89 @@ def test_refined_surface_degree_equals_the_whole_stack(monkeypatch, stretch,
         return phi.sampler(points)[0]
 
     got = surface_degree(evaluate, np.zeros(4), 0.5)
-    assert calls == [8 * 8 * 16, 16 * 16 * 32, 32 * 32 * 64]
+    assert calls == [(part.stop - part.start) * res[1] * res[2]
+                     for res in ((8, 8, 16), (16, 16, 32), (32, 32, 64))
+                     for part in lattice.slabs(st.s3_chart_grid(res))]
+    assert sum(calls) == 8 * 8 * 16 + 16 * 16 * 32 + 32 * 32 * 64
+    assert len(calls) == (8 + 16 + 32 if plane_budget else 1 + 1 + 4)
     expected = _whole_stack_degree(evaluate, np.zeros(4), 0.5)
     assert got[0] == expected[0] == int(np.sign(np.linalg.det(stretch)))
     assert got[1:] == expected[1:]
     assert got[2] <= 0.1
+
+
+@pytest.mark.parametrize("planes", [1, 2, 5])
+def test_streamed_sphere_equals_the_whole_stack(planes, monkeypatch):
+    # each attempt's sphere is sampled and differenced one chi-slab of
+    # ``planes`` planes at a time; the degree, value and deviation are the
+    # whole-stack ones bit for bit, on a field whose first sphere settles
+    # and on one that refines twice
+    monkeypatch.setattr(phi_mapping, "SPHERE_RESOLUTION", (8, 10, 16))
+    monkeypatch.setattr(lattice, "SLAB_SITES", planes * 10 * 16)
+    for stretch in (np.diag([1.0, -1.0, 1.0, 1.0]), np.diag([1.0, 1.0, 1.0, 8.0])):
+        phi = st.linear_phi_field(stretch, np.zeros(4), box(9))
+
+        def evaluate(points):
+            return phi.sampler(points, jet=False)[0]
+
+        got = surface_degree(evaluate, np.full(4, 0.01), 0.5)
+        assert got == _whole_stack_degree(evaluate, np.full(4, 0.01), 0.5)
+
+
+def test_refined_sphere_peaks_at_a_multiple_of_one_slab(monkeypatch):
+    # two refinements: the last attempt samples 65536 points, one chi-slab
+    # (8 planes, 16384 points) at a time.  Traced peak over one slab of
+    # n = phi/|phi|: 14.8 streamed, 35.1 with the whole sphere's n and its
+    # three chart derivatives held at once.
+    monkeypatch.setattr(phi_mapping, "SPHERE_RESOLUTION", (8, 8, 16))
+    phi = st.linear_phi_field(np.diag([1.0, 1.0, 1.0, 8.0]), np.zeros(4), box(9))
+    slab_bytes = next(lattice.slabs(st.s3_chart_grid((32, 32, 64)))).stop * 32 * 64 * 4 * 8
+    calls = []
+
+    def evaluate(points):
+        calls.append(len(points))
+        return phi.sampler(points, jet=False)[0]
+
+    peak, (degree, _, _) = peak_traced_bytes(
+        lambda: surface_degree(evaluate, np.zeros(4), 0.5))
+    assert degree == 1 and sum(calls) == 8 * 8 * 16 + 16 * 16 * 32 + 32 * 32 * 64
+    assert peak < 20 * slab_bytes
+
+
+@pytest.mark.parametrize("planes", [1, 2, 5])
+def test_screen_of_served_values_equals_the_whole_grid_screen(planes, monkeypatch):
+    # a box field's screen reads each slab once, carrying one plane; its
+    # starts are those of the whole-grid masks, and the same as a stored
+    # copy's, on an open box and on one periodic in axis 0, with a zero on
+    # a site
+    grid = st.box_grid((13, 9, 10, 11), -1.0, 1.0)
+    periodic = st.Grid(grid.shape, grid.origin, grid.spacing, (True, False, True, False))
+    monkeypatch.setattr(lattice, "SLAB_SITES", planes * 9 * 10 * 11)
+    for g in (grid, periodic):
+        site = g.points()[6, 4, 5, 5]
+        phi = st.quaternion_polynomial_field([site, [0.6, -0.55, 0.6, 0.5]], g)
+        values = phi.values
+        cells, sites = _screen(phi)
+        assert np.array_equal(cells, np.argwhere(_sign_change_cells(values, g)))
+        norms = np.linalg.norm(values, axis=-1)
+        assert np.array_equal(sites, np.argwhere(norms < 1e-9 * max(1.0, norms.max())))
+        assert [6, 4, 5, 5] in sites.tolist() and len(cells)
+        stored = _screen(st.PhiField(g, values))
+        assert np.array_equal(stored[0], cells) and np.array_equal(stored[1], sites)
+
+
+def test_analyze_on_a_box_holds_no_whole_values():
+    # the zero ledger of a box field at 32^4 reads its values per slab: the
+    # whole analysis, the build included, peaks below half of the 33.5 MB
+    # of values that a stored field holds (measured 0.36 of them, against
+    # 1.16 for the build and the analysis with the values stored)
+    grid = box(32, 2.0)
+    roots = np.array([[-0.6, 0.1, -0.05, 0.2], [0.6, -0.1, 0.05, -0.2]])
+    values_bytes = 32**4 * 4 * 8
+    peak, analysis = peak_traced_bytes(
+        lambda: st.analyze(st.quaternion_polynomial_field(roots, grid)))
+    assert analysis.ledger.index_sum == 2 and analysis.ledger.passed
+    assert peak < 0.5 * values_bytes
 
 
 def _planted_zero(where, index, frac, grid):
@@ -583,7 +663,6 @@ def test_zeros_on_a_jet_file_keep_only_the_values_resident(tmp_path):
     # zeros path (read, zero search, boundary flux) peaks within a few jet
     # planes of the values, and the whole analysis, whose degree spheres
     # read values only, within one plane of a values-only copy of the file
-    import tracemalloc
     grid = st.box_grid((20, 20, 20, 20), -2.0, 2.0)
     roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
     phi = st.quaternion_polynomial_field(roots, grid)
@@ -593,12 +672,7 @@ def test_zeros_on_a_jet_file_keep_only_the_values_resident(tmp_path):
     values, plane = phi.values.nbytes, phi.values.nbytes * 4 // 20
 
     def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_traced_bytes(run)[0]
 
     def jet_readers():
         field = read_field(path)
