@@ -16,10 +16,8 @@ from .errors import (BadMagicError, ChecksumError, CountMismatchError,
 from .lattice import (Grid, ScalarField, central_diff, derivative_stack,
                       integrate, integrate_values, interpolate)
 from .su2_algebra import GENERATORS, IDENTITY2, SIGMA, self_check
-from .fields import (GaugeField, PhiField, SpinorField, SU2Field, face_restrict,
-                     gauge_transform, normalize, norm_squared, phi_to_spinor,
-                     pure_gauge_potential, sigma_model_field, spinor_to_phi,
-                     su2_dagger, su2_product)
+from .fields import (GaugeField, PhiField, SpinorField, face_restrict, normalize,
+                     norm_squared, phi_to_spinor, sigma_model_field, spinor_to_phi)
 from .decomposition import (Decomposition, covariant_derivative, decompose,
                             parallel_gauge_potential)
 # The function chern_simons.chern_simons is left out here: as a package

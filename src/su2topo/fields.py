@@ -175,41 +175,6 @@ class GaugeField(LatticeField):
     def component_shape(cls, rank: int) -> tuple:
         return (rank, 3)
 
-    def matrices(self) -> np.ndarray:
-        """Anti-Hermitian traceless matrices, shape (*shape, rank, 2, 2)."""
-        return su2_algebra.matrix_from_components(self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class SU2Field(LatticeField):
-    """One SU(2) matrix per site.
-
-    ``jet2`` optionally stores exact symmetric second derivatives
-    ``(*shape, rank, rank, 2, 2)``; it is needed only where a product of
-    transformed fields must itself carry an exact jet.
-    """
-
-    grid: Grid
-    values: np.ndarray
-    jet: np.ndarray | None = None
-    jet2: np.ndarray | None = None
-    block_jet: object = field(default=None, repr=False, compare=False)
-
-    DTYPE = np.complex128
-    COMPONENTS = (2, 2)
-    FLD_KIND = 4
-    LABEL = "su2 field"
-
-    def _check_values(self):
-        if not su2_algebra.is_su2(self.values):
-            raise FieldError("su2 field entries violate S^dag S = I, det S = 1")
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.jet2 is not None:
-            rank = self.grid.rank
-            self._freeze("jet2", self.grid.shape + (rank, rank, 2, 2))
-
 
 def norm_squared(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray:
     """Pointwise Psi^dag Psi (real, equals phi_a phi_a) on the planes
@@ -300,82 +265,6 @@ def sigma_model_field(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray
     if residue > IMAG_TOL:
         raise FieldError(f"m field imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")
     return m.real
-
-
-def su2_product(s2: SU2Field, s1: SU2Field) -> SU2Field:
-    """Pointwise product S2 S1 with product-rule jets."""
-    values = s2.values @ s1.values
-    jet2, jet1 = s2.exact_jet(), s1.exact_jet()
-    jet = (None if jet2 is None or jet1 is None
-           else jet2 @ s1.values[..., None, :, :] + s2.values[..., None, :, :] @ jet1)
-    return SU2Field(s2.grid, values, jet=jet)
-
-
-def su2_dagger(s: SU2Field) -> SU2Field:
-    """Pointwise Hermitian conjugate with conjugated jets."""
-    values, jet, jet2 = (None if x is None else np.conj(np.swapaxes(x, -1, -2))
-                         for x in (s.values, s.exact_jet(), s.jet2))
-    return SU2Field(s.grid, values, jet=jet, jet2=jet2)
-
-
-def gauge_transform(psi: SpinorField, gauge: GaugeField, s: SU2Field):
-    """Apply Psi -> S Psi, A -> S A S^dag + (dS) S^dag.
-
-    The transformed matrices are re-projected to exact anti-Hermitian
-    traceless form; the projection residual is returned and stays below
-    1e-10 when S carries an exact jet.  When both the gauge field jet and
-    the second-derivative samples of S are available, the transformed
-    gauge field carries an exact jet as well.
-
-    Returns ``(psi', gauge', projection_residual)``.
-    """
-    if psi.grid is not s.grid and psi.grid != s.grid:
-        raise FieldError("spinor and transformation grids differ")
-    sjet = s.exact_jet()
-    ds = s.derivatives() if sjet is None else sjet
-    sdag = np.conj(np.swapaxes(s.values, -1, -2))
-
-    new_values = np.einsum("...ij,...j->...i", s.values, psi.values)
-    new_jet = psi.exact_jet()
-    if new_jet is not None:
-        new_jet = (np.einsum("...mij,...j->...mi", ds, psi.values)
-                   + np.einsum("...ij,...mj->...mi", s.values, new_jet))
-    psi_out = SpinorField(psi.grid, new_values, jet=new_jet)
-
-    amat = gauge.matrices()
-    transformed = (s.values[..., None, :, :] @ amat @ sdag[..., None, :, :]
-                   + ds @ sdag[..., None, :, :])
-    projected, residual = su2_algebra.project_anti_hermitian_traceless(transformed)
-    comps, _ = su2_algebra.components_from_matrix(projected)
-
-    new_gjet = None
-    gjet = None if sjet is None or s.jet2 is None else gauge.exact_jet()
-    if gjet is not None:
-        da = su2_algebra.matrix_from_components(gjet)  # (*s, n, m, 2, 2)
-        dsdag = np.conj(np.swapaxes(sjet, -1, -2))
-        s_b = s.values[..., None, None, :, :]
-        sd_b = sdag[..., None, None, :, :]
-        ds_n = ds[..., :, None, :, :]        # derivative axis n
-        ds_m = ds[..., None, :, :, :]        # gauge axis m
-        dsd_n = dsdag[..., :, None, :, :]
-        a_b = amat[..., None, :, :, :]
-        dmat = (ds_n @ a_b @ sd_b + s_b @ da @ sd_b + s_b @ a_b @ dsd_n
-                + s.jet2 @ sd_b + ds_m @ dsd_n)
-        dproj, _ = su2_algebra.project_anti_hermitian_traceless(dmat)
-        new_gjet, _ = su2_algebra.components_from_matrix(dproj)
-
-    gauge_out = GaugeField(gauge.grid, comps, jet=new_gjet)
-    return psi_out, gauge_out, residual
-
-
-def pure_gauge_potential(s: SU2Field) -> GaugeField:
-    """The flat potential (dS) S^dag of a transformation field."""
-    ds = s.derivatives()
-    sdag = np.conj(np.swapaxes(s.values, -1, -2))
-    matrices = ds @ sdag[..., None, :, :]
-    projected, _ = su2_algebra.project_anti_hermitian_traceless(matrices)
-    comps, _ = su2_algebra.components_from_matrix(projected)
-    return GaugeField(s.grid, comps)
 
 
 def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:

@@ -3,7 +3,8 @@
 Layout (all little-endian):
 
     bytes 0-3   magic "FLD2"
-    byte  4     kind: 1 spinor, 2 phi, 3 gauge, 4 su2, 5 scalar
+    byte  4     kind: 1 spinor, 2 phi, 3 gauge, 5 scalar (4, a retired
+                SU(2) matrix kind, reads as an unknown kind)
     byte  5     rank r (3 or 4)
     byte  6     flags: bit 0 jets present, bit 1 cell-centered,
                 bit 2 orientation -1
@@ -14,8 +15,7 @@ Layout (all little-endian):
                 component-fastest within a site, real/imaginary
                 interleaved for complex kinds
     jets        same layout when flagged, axis-major within a site
-                (first derivatives only: an su2 field's jet2 is not
-                stored and reads back as None)
+                (first derivatives only)
     trailer     8 bytes: CRC-32 (zlib) of all preceding bytes, as a u64
 
 CRC-32 detects every single-bit error and every error burst of up to 32
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import (BadMagicError, ChecksumError, CountMismatchError, FieldError,
                      FieldFormatError, FileChangedError, HeaderError, LatticeError)
-from .fields import GaugeField, PhiField, SpinorField, SU2Field
+from .fields import GaugeField, PhiField, SpinorField
 from .lattice import Grid, ScalarField, read_only, slabs
 
 MAGIC = b"FLD2"
@@ -55,7 +55,7 @@ RETIRED_MAGIC = b"FLD1"
 
 # Kind codes, component shapes and dtypes are declared by the field classes.
 _FIELD_CLASSES = {cls.FLD_KIND: cls
-          for cls in (SpinorField, PhiField, GaugeField, SU2Field, ScalarField)}
+          for cls in (SpinorField, PhiField, GaugeField, ScalarField)}
 
 FLAG_JETS = 1
 FLAG_CELL_CENTERED = 2

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import su2_algebra
 from .errors import FieldError
-from .fields import GaugeField, PhiField, SpinorField, SU2Field, phi_to_spinor
+from .fields import GaugeField, PhiField, SpinorField, phi_to_spinor
 from .lattice import Grid, read_only
 
 
@@ -275,10 +274,14 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
     """
     def evaluate(points, jet=True):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return jet_fn(points) if jet else (value_fn(points), None)
+        # A map that overflows on the box gives non-finite values, which
+        # values_at rejects as one error; its jets overflow only where the
+        # values do.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return jet_fn(points) if jet else (value_fn(points), None)
 
     return PhiField(grid, None, sampler=evaluate,
-                    block_values=lambda block: value_fn(grid.points(block)))
+                    block_values=lambda block: evaluate(grid.points(block), jet=False)[0])
 
 
 def identity_map_s3(resolution=32) -> SpinorField:
@@ -385,12 +388,6 @@ class _TrigChannel:
         jet = np.einsum("...k,ka->...a", coeff, self.freqs)
         return value, jet
 
-    def second_derivatives(self, pts: np.ndarray):
-        phase = np.einsum("ka,...a->...k", self.freqs, pts)
-        c, s = np.cos(phase), np.sin(phase)
-        coeff = -(c * self.cos_amp + s * self.sin_amp)      # (..., k)
-        return np.einsum("...k,ka,kb->...ab", coeff, self.freqs, self.freqs)
-
 
 _GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 
@@ -415,11 +412,9 @@ def random_config(seed: int, kind: str, grid: Grid):
     """Seeded smooth random field with exact jets.
 
     ``kind="spinor"`` keeps the norm at least 0.5 everywhere (the total
-    trigonometric amplitude is bounded by construction), ``"gauge"`` emits
-    per-axis color components with a jet, and ``"su2"`` builds unitary
-    matrices from a normalized random quaternion field, including exact
-    second derivatives for jet-carrying products.  The seed must be a
-    non-negative integer.
+    trigonometric amplitude is bounded by construction) and ``"gauge"``
+    emits per-axis color components with a jet; any other kind raises
+    :class:`FieldError`.  The seed must be a non-negative integer.
     """
     if seed < 0:
         raise FieldError(f"random seed must be non-negative, not {seed}")
@@ -450,42 +445,5 @@ def random_config(seed: int, kind: str, grid: Grid):
                 values[..., mu, a] = v
                 jet[..., mu, a] = dv
         return GaugeField(grid, read_only(values), jet=read_only(jet))
-
-    if kind == "su2":
-        p = np.zeros(grid.shape + (4,))
-        dp = np.zeros(grid.shape + (rank, 4))
-        d2p = np.zeros(grid.shape + (rank, rank, 4))
-        channels = [_random_channel(rng, grid, amplitude=0.5) for _ in range(4)]
-        for a, chan in enumerate(channels):
-            v, dv = chan.evaluate(pts)
-            p[..., a] = v
-            dp[..., a] = dv
-            d2p[..., a] = chan.second_derivatives(pts)
-        p[..., 0] += 2.0
-
-        r = np.linalg.norm(p, axis=-1)
-        q = p / r[..., None]
-        pdp = np.einsum("...a,...ma->...m", p, dp)
-        dq = dp / r[..., None, None] - p[..., None, :] * (pdp / r[..., None] ** 3)[..., None]
-
-        # second derivative of p/|p| by the quotient rule
-        dpdp = np.einsum("...ma,...na->...mn", dp, dp)
-        pd2p = np.einsum("...a,...mna->...mn", p, d2p)
-        g = pdp / r[..., None] ** 3                     # (..., m)
-        d2q = (d2p / r[..., None, None, None]
-               - dp[..., :, None, :] * g[..., None, :, None]
-               - dp[..., None, :, :] * g[..., :, None, None]
-               - p[..., None, None, :] * ((dpdp + pd2p) / r[..., None, None] ** 3)[..., None]
-               + 3.0 * p[..., None, None, :]
-               * (pdp[..., :, None] * pdp[..., None, :] / r[..., None, None] ** 5)[..., None])
-
-        basis = np.zeros((4, 2, 2), dtype=np.complex128)
-        basis[0] = su2_algebra.IDENTITY2
-        basis[1:] = 1.0j * su2_algebra.SIGMA
-        values = np.einsum("...a,aij->...ij", q, basis)
-        jet = np.einsum("...ma,aij->...mij", dq, basis)
-        jet2 = np.einsum("...mna,aij->...mnij", d2q, basis)
-        return SU2Field(grid, read_only(values), jet=read_only(jet),
-                        jet2=read_only(jet2))
 
     raise FieldError(f"unknown random field kind {kind!r}")

@@ -197,9 +197,7 @@ class LatticeField:
     sample ``DTYPE``, its per-site ``component_shape`` and its ``FLD_KIND``
     code: every field kind is a file kind.  Construction freezes ``values``
     and ``jet`` as read-only arrays of that dtype and checks their shapes
-    and that the samples are finite; subclasses add only their own
-    invariant on the samples, ``_check_values``, which runs before the jet
-    is frozen.
+    and that the samples are finite.
 
     A kind that can carry a jet also declares a ``block_jet`` field: a
     function from a block (an axis-0 slice, or a tuple of per-axis slices)
@@ -244,12 +242,8 @@ class LatticeField:
         if self.__dict__["values"] is not None or self.block_values is None:
             self._freeze("values", grid.shape + comps)
             self._check_finite(self.values)
-            self._check_values()
         if self.jet is not None:
             self._freeze("jet", grid.shape + (grid.rank,) + comps)
-
-    def _check_values(self) -> None:
-        """The kind's own invariant on the frozen samples; none here."""
 
     def _check_finite(self, samples: np.ndarray) -> None:
         if not np.all(np.isfinite(samples)):

@@ -1,4 +1,4 @@
-"""Pauli-matrix constants and exact SU(2) algebra.
+"""Pauli-matrix constants and closed-form Pauli kernels.
 
 Generators follow the anti-Hermitian convention ``T_a = sigma_a / (2i)``;
 every other module must take its constants from here so sign conventions
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conventions import EPS3
-from .errors import FieldError, ReconstructionError
+from .errors import ReconstructionError
 
 IDENTITY2 = np.eye(2, dtype=np.complex128)
 
@@ -83,57 +83,8 @@ def sigma_apply(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Tolerance of the matrix predicates ``is_anti_hermitian`` ... ``is_su2``.
-MATRIX_TOL = 1e-12
-#: Largest imaginary residue :func:`components_from_matrix` discards.
-COMPONENT_TOL = 1e-10
-
-
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
-
-
-def is_anti_hermitian(x: np.ndarray) -> bool:
-    return _maxabs(x + np.conj(np.swapaxes(x, -1, -2))) <= MATRIX_TOL
-
-
-def is_traceless(x: np.ndarray) -> bool:
-    return _maxabs(np.trace(x, axis1=-2, axis2=-1)) <= MATRIX_TOL
-
-
-def is_unitary(x: np.ndarray) -> bool:
-    prod = np.swapaxes(np.conj(x), -1, -2) @ x
-    return _maxabs(prod - IDENTITY2) <= MATRIX_TOL
-
-
-def is_su2(x: np.ndarray) -> bool:
-    return is_unitary(x) and _maxabs(np.linalg.det(x) - 1.0) <= MATRIX_TOL
-
-
-def matrix_from_components(v: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian traceless matrix ``v_a sigma_a / (2i)``."""
-    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=np.complex128), GENERATORS)
-
-
-def components_from_matrix(x: np.ndarray):
-    """Real components ``v_a`` of an anti-Hermitian traceless matrix.
-
-    Inverse of :func:`matrix_from_components`; returns ``(v, residue)``
-    where ``residue`` is the largest imaginary part discarded.
-    """
-    v = 1.0j * np.einsum("...ij,aji->...a", np.asarray(x, dtype=np.complex128), SIGMA)
-    residue = _maxabs(v.imag)
-    if residue > COMPONENT_TOL:
-        raise FieldError(f"matrix components have imaginary residue {residue:.3e}")
-    return v.real.copy(), residue
-
-
-def project_anti_hermitian_traceless(x: np.ndarray):
-    """Nearest anti-Hermitian traceless matrix and the projection residual."""
-    y = 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
-    tr = np.trace(y, axis1=-2, axis2=-1)
-    y = y - 0.5 * tr[..., None, None] * IDENTITY2
-    return y, _maxabs(x - y)
 
 
 def anticommutator_residual() -> float:

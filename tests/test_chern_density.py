@@ -4,7 +4,7 @@ import pytest
 import su2topo as st
 from su2topo import FieldError
 from su2topo.conventions import EPS4, PAIRS4
-from su2topo.su2_algebra import matrix_from_components
+from su2_gauge import matrices, transform, transformation
 
 
 def small_grid(n=6):
@@ -24,14 +24,14 @@ def component(strength, mu, nu):
 def commutator_form_residual(gauge, strength):
     """Largest gap between the stored components and the matrix form
     F_mn = dA_n - dA_m - [A_m, A_n] with matrix commutators."""
-    amat = gauge.matrices()
-    damat = matrix_from_components(gauge.derivatives())
+    amat = matrices(gauge.values)
+    damat = matrices(gauge.derivatives())
     residual = 0.0
     for idx, (mu, nu) in enumerate(PAIRS4):
         fmat = (damat[..., mu, nu, :, :] - damat[..., nu, mu, :, :]
                 - (amat[..., mu, :, :] @ amat[..., nu, :, :]
                    - amat[..., nu, :, :] @ amat[..., mu, :, :]))
-        diff = fmat - matrix_from_components(strength[..., idx, :])
+        diff = fmat - matrices(strength[..., idx, :])
         residual = max(residual, float(np.max(np.abs(diff))))
     return residual
 
@@ -89,9 +89,12 @@ def test_pure_gauge_flatness_scaling():
     constants = {}
     for n in (8, 16):
         grid = small_grid(n)
-        s = st.random_config(22, "su2", grid)
-        gauge = st.pure_gauge_potential(s)
-        strength = st.field_strength(gauge)
+        zero = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)),
+                             jet=np.zeros(grid.shape + (4, 4, 3)))
+        _, gauge = transform(st.random_config(23, "spinor", grid), zero,
+                             transformation(grid, 22))
+        # the flat potential (dS) S^dag as bare samples: F from stencils
+        strength = st.field_strength(st.GaugeField(grid, gauge.values))
         constants[n] = np.max(np.abs(strength)) / max(grid.spacing) ** 2
     assert constants[8] / constants[16] < 2.0
     assert constants[16] / constants[8] < 2.0
@@ -155,10 +158,9 @@ def test_spinor_vs_trace_density_fd_scaling():
 def test_trace_density_gauge_invariant_with_exact_jets():
     grid = small_grid(8)
     gauge = st.random_config(21, "gauge", grid)
-    s = st.random_config(22, "su2", grid)
     psi = st.random_config(23, "spinor", grid)
     rho1 = st.trace_chern_density(gauge).field.values
-    _, gauge2, _ = st.gauge_transform(psi, gauge, s)
+    _, gauge2 = transform(psi, gauge, transformation(grid, 22))
     assert gauge2.jet is not None
     rho2 = st.trace_chern_density(gauge2).field.values
     assert np.max(np.abs(rho1 - rho2)) < 1e-9

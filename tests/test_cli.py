@@ -5,6 +5,7 @@ import io
 import os
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -304,13 +305,17 @@ def test_degenerate_boxes_on_the_command_line_exit_2(tmp_path, capsys, monkeypat
 
 def test_generated_values_that_overflow_exit_2(tmp_path, capsys, monkeypatch):
     # a box field computes its values while the file is written; a map that
-    # overflows on the given box is still a usage error, and no file is left
+    # overflows on the given box is still a usage error, and no file is left.
+    # The error is the one line on stderr: outside the test runner a numpy
+    # warning would print there too.
     monkeypatch.chdir(tmp_path)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, out, err = run(capsys, "generate", "--kind", "qpower", "--power", "4",
                              "--grid", "6,6,6,6", "--box=1e80:2e80", "--out", "x.fld")
     assert (code, out) == (2, "")
     assert err == "su2topo: usage error: phi contains non-finite samples\n"
+    assert [str(w.message) for w in caught] == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -370,6 +375,22 @@ def test_file_changed_after_its_read_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("su2topo: input error [file-changed]: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_retired_su2_kind_exits_3(tmp_path, capsys):
+    # kind 4 held one SU(2) matrix a site (8 floats), a kind no command
+    # reads; a CRC-valid file of that layout is an unknown kind
+    path = str(tmp_path / "su2.fld")
+    blob = (b"FLD2" + struct.pack("<BBBB", 4, 3, 0, 0)
+            + struct.pack("<IddB", 4, 0.0, 0.1, 0) * 3
+            + np.zeros(4**3 * 8, dtype="<f8").tobytes())
+    open(path, "wb").write(blob + struct.pack("<Q", zlib.crc32(blob)))
+    with pytest.raises(st.HeaderError, match="unknown field kind 4"):
+        st.read_field(path)
+    for command in _FILE_COMMANDS:
+        code, out, err = run(capsys, *command, path, "--no-color")
+        assert (code, out) == (3, ""), command
+        assert err == f"su2topo: input error [bad-header]: {path}: unknown field kind 4\n"
 
 
 def test_retired_fld1_file_exits_3(tmp_path, capsys):

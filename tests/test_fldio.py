@@ -34,7 +34,6 @@ def all_fields(g3, g4):
     yield st.PhiField(g4, rng.normal(size=g4.shape + (4,)),
                       jet=rng.normal(size=g4.shape + (4, 4)))
     yield st.GaugeField(g4, rng.normal(size=g4.shape + (4, 3)))
-    yield st.random_config(5, "su2", st.box_grid((4, 4, 4), -1.0, 1.0))
     yield st.ScalarField(g3, rng.normal(size=g3.shape))
     reversed_g4 = dataclasses.replace(g4, orientation=-1)
     yield st.PhiField(reversed_g4, rng.normal(size=g4.shape + (4,)),
@@ -57,10 +56,6 @@ def test_round_trip_all_kinds(tmp_path, grids):
         else:
             assert np.array_equal(back_jet, jet)
             _assert_jet_in_the_file(back)
-        if isinstance(field, st.SU2Field):
-            # FLD2 has no layout for second derivatives (README, FLD2)
-            assert field.jet2 is not None
-            assert back.jet2 is None
 
 
 def _assert_jet_in_the_file(back):
@@ -222,13 +217,6 @@ def test_normalized_flag_recovered_on_read(tmp_path):
     assert back.normalized
 
 
-def _su2_samples(rng, shape):
-    q = rng.normal(size=shape + (4,))
-    a, b, c, d = np.moveaxis(q / np.linalg.norm(q, axis=-1, keepdims=True), -1, 0)
-    return np.stack([np.stack([a + 1j * b, c + 1j * d], axis=-1),
-                     np.stack([-c + 1j * d, a - 1j * b], axis=-1)], axis=-2)
-
-
 def _random_field(kind, grid, jets, rng):
     shape, rank = grid.shape, grid.rank
 
@@ -245,9 +233,6 @@ def _random_field(kind, grid, jets, rng):
         return st.GaugeField(
             grid, rng.normal(size=shape + (rank, 3)),
             jet=rng.normal(size=shape + (rank, rank, 3)) if jets else None)
-    if kind == "su2":
-        return st.SU2Field(grid, _su2_samples(rng, shape),
-                           jet=cnormal(shape + (rank, 2, 2)) if jets else None)
     return st.ScalarField(grid, rng.normal(size=shape))
 
 
@@ -262,7 +247,7 @@ def _fields(draw):
         tuple(draw(hst.booleans()) for _ in range(rank)),
         cell_centered=draw(hst.booleans()),
         orientation=draw(hst.sampled_from((1, -1))))
-    kind = draw(hst.sampled_from(("spinor", "phi", "gauge", "su2", "scalar")))
+    kind = draw(hst.sampled_from(("spinor", "phi", "gauge", "scalar")))
     jets = draw(hst.booleans()) and kind != "scalar"
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     return _random_field(kind, grid, jets, rng)

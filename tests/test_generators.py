@@ -3,6 +3,7 @@ import pytest
 
 import su2topo as st
 from conftest import peak_traced_bytes
+from su2_gauge import dagger, transformation
 from su2topo import FieldError
 from su2topo.chern_simons import chern_simons
 from su2topo.lattice import derivative_stack
@@ -150,11 +151,17 @@ def test_random_spinor_norm_bound():
 
 
 def test_random_su2_satisfies_invariants():
+    # the random SU(2) transformation of the gauge-covariance tests
+    # (tests/su2_gauge.py): unitary with unit determinant, non-abelian and
+    # varying in space
     grid = st.box_grid((6, 6, 6, 6), -1.0, 1.0)
-    s = st.random_config(7, "su2", grid)
-    from su2topo.su2_algebra import is_su2
-    assert is_su2(s.values)
-    assert s.jet is not None and s.jet2 is not None
+    s = transformation(grid, 7)[0]
+    assert np.max(np.abs(dagger(s) @ s - np.eye(2))) < 1e-14
+    assert np.max(np.abs(np.linalg.det(s) - 1.0)) < 1e-14
+    for seed in range(5000, 5010):
+        s = transformation(grid, seed)[0]
+        a, b = s[0, 0, 0, 0], s[-1, -1, -1, -1]
+        assert np.max(np.abs(a @ b - b @ a)) > 0.1
 
 
 @pytest.mark.parametrize("kind", ["spinor", "gauge", "su2"])
@@ -162,10 +169,14 @@ def test_random_jets_match_finite_differences(kind):
     constants = {}
     for n in (8, 16):
         grid = st.box_grid((n, n, n, n), -1.0, 1.0)
-        field = st.random_config(11, kind, grid)
-        fd = derivative_stack(field.values, grid)
+        if kind == "su2":
+            values, jet = transformation(grid, 11)[:2]
+        else:
+            field = st.random_config(11, kind, grid)
+            values, jet = field.values, field.jet
+        fd = derivative_stack(values, grid)
         interior = (slice(2, -2),) * 4
-        err = np.max(np.abs((fd - field.jet)[interior]))
+        err = np.max(np.abs((fd - jet)[interior]))
         constants[n] = err / max(grid.spacing) ** 2
     assert constants[8] / constants[16] < 2.0
     assert constants[16] / constants[8] < 2.0
@@ -173,10 +184,10 @@ def test_random_jets_match_finite_differences(kind):
 
 def test_su2_jet2_matches_fd_of_jet():
     grid = st.box_grid((10, 10, 10, 10), -1.0, 1.0)
-    s = st.random_config(13, "su2", grid)
-    fd_of_jet = derivative_stack(s.jet, grid)   # (*s, n, m, 2, 2)
+    _, ds, d2s = transformation(grid, 13)
+    fd_of_jet = derivative_stack(ds, grid)   # (*s, n, m, 2, 2)
     interior = (slice(2, -2),) * 4
-    err = np.max(np.abs((fd_of_jet - s.jet2)[interior]))
+    err = np.max(np.abs((fd_of_jet - d2s)[interior]))
     assert err < 60.0 * max(grid.spacing) ** 2
 
 
@@ -482,8 +493,6 @@ def test_chart_jets_equal_the_whole_chart_formula(shape, monkeypatch):
     monkeypatch.setattr(lattice, "SLAB_SITES", 5 * shape[1] * shape[2])
     grid = st.s3_chart_grid(shape)
     blocks = _blocks(grid)
-    s = st.random_config(5, "su2", grid)
-    gauge = st.random_config(6, "gauge", grid)
     for name, field, values, jet in _chart_cases(grid):
         assert _bit_equal(field.values, values), name
         _assert_jets_equal(field, jet, blocks)
@@ -504,14 +513,3 @@ def test_chart_jets_equal_the_whole_chart_formula(shape, monkeypatch):
         unit, expected = st.normalize(scaled), st.normalize(stored)
         assert _bit_equal(unit.values, expected.values), name
         _assert_jets_equal(unit, expected.jet, blocks)
-        # gauge_transform reads the exact jet and stores the result's; its
-        # su(2) matrix products cost 0.5 s at 24^3, so there only the
-        # identity is transformed
-        if grid.shape == (24, 24, 24) and name != "identity":
-            continue
-        psi2, gauge2, _ = st.gauge_transform(psi, gauge, s)
-        want, want_gauge, _ = st.gauge_transform(
-            st.SpinorField(grid, psi.values, jet=jet), gauge, s)
-        assert _bit_equal(psi2.jet, want.jet), name
-        assert _bit_equal(psi2.values, want.values)
-        assert _bit_equal(gauge2.values, want_gauge.values)

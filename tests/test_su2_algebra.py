@@ -4,15 +4,10 @@ import pytest
 from su2topo import su2_algebra as alg
 
 
-def random_su2(rng):
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    return (q[0] * alg.IDENTITY2 + 1j * np.einsum("a,aij->ij", q[1:], alg.SIGMA))
-
-
 def test_generators_are_anti_hermitian_traceless():
-    assert alg.is_anti_hermitian(alg.GENERATORS)
-    assert alg.is_traceless(alg.GENERATORS)
+    t = alg.GENERATORS
+    assert np.max(np.abs(t + np.conj(np.swapaxes(t, -1, -2)))) <= 1e-12
+    assert np.max(np.abs(np.trace(t, axis1=-2, axis2=-1))) <= 1e-12
 
 
 def test_anticommutator_identity():
@@ -27,34 +22,6 @@ def test_element_identities_all_tuples():
 
 def test_self_check_runs():
     alg.self_check(force=True)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_su2_closure_under_product(seed):
-    rng = np.random.default_rng(seed)
-    a, b = random_su2(rng), random_su2(rng)
-    assert alg.is_su2(a) and alg.is_su2(b)
-    assert alg.is_su2(a @ b)
-
-
-def test_component_matrix_round_trip():
-    rng = np.random.default_rng(9)
-    v = rng.normal(size=(7, 3))
-    mat = alg.matrix_from_components(v)
-    assert alg.is_anti_hermitian(mat) and alg.is_traceless(mat)
-    back, residue = alg.components_from_matrix(mat)
-    assert residue < 1e-14
-    assert np.max(np.abs(back - v)) < 1e-14
-
-
-def test_projection_residual():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    y, residual = alg.project_anti_hermitian_traceless(x)
-    assert alg.is_anti_hermitian(y) and alg.is_traceless(y)
-    assert residual > 0.0
-    y2, residual2 = alg.project_anti_hermitian_traceless(y)
-    assert residual2 < 1e-15
 
 
 def _random_spinors(rng, shape):
