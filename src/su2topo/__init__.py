@@ -13,8 +13,8 @@ from .errors import (BadMagicError, ChecksumError, CountMismatchError,
                      FileChangedError, HeaderError, LatticeError,
                      NormalizationError, ReconstructionError, Su2TopoError,
                      ZeroLocationError)
-from .lattice import (Grid, ScalarField, central_diff, derivative_stack,
-                      integrate, integrate_values, interpolate)
+from .lattice import (Grid, ScalarField, derivative_stack, integrate,
+                      integrate_values, interpolate)
 from .su2_algebra import GENERATORS, IDENTITY2, SIGMA, self_check
 from .fields import (GaugeField, PhiField, SpinorField, face_restrict, normalize,
                      norm_squared, phi_to_spinor, sigma_model_field, spinor_to_phi)

@@ -50,24 +50,6 @@ def _color_enabled(args) -> bool:
     return sys.stdout.isatty()
 
 
-def _thread_count(args) -> int:
-    """``--threads``, else ``SU2TOPO_THREADS``, else 1; each must be >= 1."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be at least 1, not {args.threads}")
-        return args.threads
-    env = os.environ.get("SU2TOPO_THREADS")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"SU2TOPO_THREADS must be a positive integer, not {env!r}")
-    return threads
-
-
 def _parse_grid(text: str) -> tuple:
     try:
         dims = tuple(int(part) for part in text.split(","))
@@ -195,16 +177,13 @@ def _grid_summary(grid) -> dict:
     }
 
 
-def _config_echo(args, grid, threads: int | None = None) -> dict:
+def _config_echo(args, grid) -> dict:
     from .conventions import ORIENTATION_SIGN
-    config = {
+    return {
         "grid": _grid_summary(grid),
         "tolerance": args.tol,
         "orientation_calibration": ORIENTATION_SIGN,
     }
-    if threads is not None:
-        config["threads"] = threads
-    return config
 
 
 # --------------------------------------------------------------------------
@@ -415,11 +394,11 @@ def _zero_entry(zero) -> dict:
     }
 
 
-def _run_zeros(args, phi: PhiField, threads: int):
+def _run_zeros(args, phi: PhiField) -> ChargeReport:
     su2_algebra.self_check()
-    report = ChargeReport("zeros", config=_config_echo(args, phi.grid, threads))
+    report = ChargeReport("zeros", config=_config_echo(args, phi.grid))
     start = time.perf_counter()
-    analysis = phi_mapping.analyze(phi, ledger_tol=args.tol, threads=threads)
+    analysis = phi_mapping.analyze(phi, ledger_tol=args.tol)
     report.timings["ledger_s"] = time.perf_counter() - start
     ledger = analysis.ledger
     report.results["ledger"] = {
@@ -436,18 +415,16 @@ def _run_zeros(args, phi: PhiField, threads: int):
                  ledger.discrepancy, ledger.tolerance)
     report.add_check("euler-alias", ledger.chi == ledger.index_sum,
                      f"chi = {ledger.chi} equals ledger sum {ledger.index_sum}")
-    return report, analysis
+    return report
 
 
 def cmd_zeros(args) -> int:
-    threads = _thread_count(args)
     field = fldio.read_field(args.infile)
     if isinstance(field, SpinorField):
         field = spinor_to_phi(field)
     if not isinstance(field, PhiField):
         raise Su2TopoError(f"{args.infile}: expected a phi or spinor field")
-    report, _ = _run_zeros(args, field, threads)
-    return _emit_report(report, args)
+    return _emit_report(_run_zeros(args, field), args)
 
 
 def cmd_verify(args) -> int:
@@ -461,13 +438,12 @@ def cmd_verify(args) -> int:
             args.power = int(power)
         except ValueError:
             raise UsageError(f"bad quaternion power in {name!r}")
-    threads = _thread_count(args)
     su2_algebra.self_check()
     chart = _KINDS[kind].charts[0]
     if chart == "s3":
         report = _run_cs(args, _as_spinor(_build(kind, chart, args), name), parallel=True)
     else:
-        report, _ = _run_zeros(args, _build(kind, chart, args), threads)
+        report = _run_zeros(args, _build(kind, chart, args))
     report.command = f"verify {name}"
     return _emit_report(report, args)
 
@@ -489,10 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="axis sizes n0,n1,n2[,n3]")
         p.add_argument("--box", type=_parse_box, default=None,
                        help="per-axis bounds lo:hi[,lo:hi...] of a box chart")
-
-    def threads_flag(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="zero-ledger workers (default SU2TOPO_THREADS or 1)")
 
     def report_flags(p):
         p.add_argument("--tol", type=float, default=0.05)
@@ -535,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     zer = sub.add_parser("zeros", help="zero ledger of a 4-vector field")
     zer.add_argument("infile")
-    threads_flag(zer)
     report_flags(zer)
     zer.set_defaults(func=cmd_zeros)
 
@@ -544,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--shift", type=_parse_vector, default=[0.05, -0.03, 0.02, 0.01],
                      action=_KindFlag)
     domain_flags(ver)
-    threads_flag(ver)
     report_flags(ver)
     ver.set_defaults(func=cmd_verify, roots=None)
     return parser

@@ -16,12 +16,12 @@ Code here reads jets through ``exact_jet``, and the conversions and
 :func:`normalize` hand a block jet on, so no whole jet is stored.
 Identities algebraic in a field and its first derivatives are then
 testable at machine epsilon instead of hiding behind O(h^2)
-discretization error.  Fields are immutable after
-construction and safe to share across workers.  A constructor adopts an
-array that nothing can write any more (read-only, aligned, no writable
-base) and copies any other, so the conversions here hand over the fresh
-arrays they build as :func:`~su2topo.lattice.read_only`, and views of a
-field's own arrays, without a second copy of the grid.
+discretization error.  Fields are immutable after construction.  A
+constructor adopts an array that nothing can write any more (read-only,
+aligned, no writable base) and copies any other, so the conversions here
+hand over the fresh arrays they build as
+:func:`~su2topo.lattice.read_only`, and views of a field's own arrays,
+without a second copy of the grid.
 
 The spinor current is not stored: :meth:`SpinorField.current` computes it
 for one axis-0 slab (:func:`~su2topo.lattice.slabs`) when asked, so only a
@@ -178,8 +178,24 @@ class GaugeField(LatticeField):
 
 def norm_squared(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray:
     """Pointwise Psi^dag Psi (real, equals phi_a phi_a) on the planes
-    ``slab`` of axis 0."""
-    return np.sum(np.abs(psi.values[slab]) ** 2, axis=-1)
+    ``slab`` of axis 0; one that overflows raises :class:`FieldError`."""
+    with np.errstate(over="ignore"):
+        norms = np.sum(np.abs(psi.values[slab]) ** 2, axis=-1)
+    _finite_max(norms, psi.LABEL, slab.start or 0)
+    return norms
+
+
+def _finite_max(norms: np.ndarray, name: str, first: int = 0) -> float:
+    """The largest of per-site ``norms``, whose axis 0 starts at plane
+    ``first``.  A norm that is not finite, of samples too large to square,
+    raises :class:`FieldError` naming its site."""
+    top = float(np.max(norms))
+    if not np.isfinite(top):
+        site = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
+        site = (first + int(site[0]),) + tuple(map(int, site[1:]))
+        raise FieldError(f"{name} norm overflows at site {site}: its samples are too "
+                         "large to square")
+    return top
 
 
 def _check_nonvanishing(norms: np.ndarray, name: str) -> None:

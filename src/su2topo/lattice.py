@@ -21,12 +21,12 @@ the same operations as on the whole grid, so slabbing changes no bit.
 
 All operations are pure: fields are immutable after construction and the
 final reductions run in a fixed (numpy pairwise) summation order on the
-whole-grid arrays, so results do not depend on any sweep, slab or worker
-order.
+whole-grid arrays, so results do not depend on the sweep or its slabs.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -122,7 +122,13 @@ class Grid:
         return (n - 1) * h
 
     def quadrature_weights(self) -> np.ndarray:
-        """Outer-product quadrature weights, shape ``(*shape,)``."""
+        """Outer-product quadrature weights, shape ``(*shape,)``.
+
+        Raises :class:`LatticeError` unless the smallest and the largest
+        weight, the products of the per-axis ones, are finite and positive:
+        spacings whose cell volume overflows or underflows to 0 would make
+        every integral infinite or 0.
+        """
         weights = []
         for i in range(self.rank):
             n, h = self.shape[i], self.spacing[i]
@@ -130,6 +136,12 @@ class Grid:
             if not (self.periodic[i] or self.cell_centered):
                 w[0] = w[-1] = 0.5 * h
             weights.append(w)
+        low = math.prod(float(w.min()) for w in weights)
+        high = math.prod(float(w.max()) for w in weights)
+        if not (low > 0.0 and math.isfinite(high)):
+            raise LatticeError(f"quadrature weights from spacings {self.spacing} run "
+                               f"from {low!r} to {high!r}; they must be finite and "
+                               "positive")
         out = weights[0]
         for w in weights[1:]:
             out = np.multiply.outer(out, w)
@@ -349,31 +361,20 @@ def _moved(values: np.ndarray, axis: int):
     return np.moveaxis(values, axis, 0)
 
 
-def central_diff(values: np.ndarray, grid: Grid, axis: int, order: int = 2) -> np.ndarray:
-    """Differentiate grid samples along one axis.
-
-    ``values`` may carry trailing component axes; the leading ``grid.rank``
-    axes must match the grid shape.  The interior stencil is exact for
-    polynomials of degree <= ``order`` along the axis, and the one-sided
-    boundary stencils on open axes match that order.
-    """
-    grid._check_axis(axis)
-    values = _check_stencil(values, grid, order)
-    out = np.empty_like(values, dtype=np.result_type(values, np.float64))
-    _diff_into(out, values, grid, axis, order)
-    return out
-
-
 def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,
                      slab: slice = slice(None), first: int | None = None) -> np.ndarray:
     """Stack of axis derivatives, shape ``(*shape, rank, *components)``.
 
     Each axis derivative is written into its slot of one preallocated
-    array, with the stencils of :func:`central_diff`.  Given ``slab``, a
-    slice of axis 0 (as :func:`slabs` yields), only those planes are
-    computed: the axis-0 stencils read ``order // 2`` planes beyond the slab
-    (wrapping when axis 0 is periodic, one-sided at its true ends), and the
-    result equals ``derivative_stack(values, grid, order)[slab]`` bit for bit.
+    array; ``values`` may carry trailing component axes.  The interior
+    stencils are exact for polynomials of degree <= ``order`` along the
+    axis, and the one-sided boundary stencils on open axes match that order.
+
+    Given ``slab``, a slice of axis 0 (as :func:`slabs` yields), only those
+    planes are computed: the axis-0 stencils read ``order // 2`` planes
+    beyond the slab (wrapping when axis 0 is periodic, one-sided at its true
+    ends), and the result equals ``derivative_stack(values, grid,
+    order)[slab]`` bit for bit.
 
     Given ``first``, ``values`` is not the whole grid but a window of axis-0
     planes whose first is plane ``first`` (counted on past either end of a
@@ -512,11 +513,19 @@ def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
 
 
 def integrate_values(values: np.ndarray, grid: Grid) -> float:
-    """Quadrature of per-site samples over the grid volume."""
+    """Quadrature of per-site samples over the grid volume.
+
+    A sum that is not finite (the samples times the weights overflow, or
+    a sample is not finite) raises :class:`FieldError`.
+    """
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise LatticeError("value array does not match grid shape")
-    return float(np.sum(values * grid.quadrature_weights()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(values * grid.quadrature_weights()))
+    if not math.isfinite(total):
+        raise FieldError(f"quadrature sum over the grid is {total}, not finite")
+    return total
 
 
 def integrate(density: ScalarField) -> float:

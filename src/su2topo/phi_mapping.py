@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from .chern_density import boundary_cs_sum, check_flux_box
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
-from .fields import PhiField
+from .fields import PhiField, _finite_max
 from .generators import s3_chart_grid, s3_points
 from .lattice import (Grid, ScalarField, derivative_stack, integrate_values,
                       interpolate, interpolate_with_gradient, interpolation_corners,
@@ -221,8 +220,9 @@ def _screen(phi: PhiField):
         if carried is not None:
             screen(carried, block[:1], slab.start - 1)
         screen(block[:-1], block[1:], slab.start)
-        norms = np.linalg.norm(block, axis=-1)
-        top = max(top, float(np.max(norms)))
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(block, axis=-1)
+        top = max(top, _finite_max(norms, "phi", slab.start))
         lows.append((slab, float(np.min(norms))))
         carried = block[-1:]
         if first is None and grid.periodic[0]:
@@ -524,8 +524,7 @@ class LedgerAnalysis:
     search: ZeroSearch
 
 
-def analyze(phi: PhiField, ledger_tol: float = 0.05,
-            threads: int = 1) -> LedgerAnalysis:
+def analyze(phi: PhiField, ledger_tol: float = 0.05) -> LedgerAnalysis:
     """Locate zeros, classify them, and check the ledger against the boundary.
 
     Each zero's degree sphere has a radius of three cell widths, shrunk to
@@ -533,7 +532,8 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05,
     :func:`~su2topo.chern_density.boundary_cs_sum` of phi, which reads only
     the 8 faces of the box: the two sides share no computed quantity, so a
     missed or misclassified zero shows as a discrepancy.  A grid whose faces
-    cannot be summed is rejected before the search.
+    cannot be summed is rejected before the search.  The zeros are
+    classified one after another, in the search's order.
     """
     check_flux_box(phi.grid)
     search = locate_zeros(phi)
@@ -547,12 +547,6 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05,
     # the faces first: a zero on a face site is reported as such, not as a
     # degree sphere that leaves the box
     flux, _ = boundary_cs_sum(phi)
-    zeros = list(search.zeros)
-    if threads > 1 and len(zeros) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            classified = list(pool.map(
-                lambda z: local_degree(phi, z, radius=radius), zeros))
-    else:
-        classified = [local_degree(phi, z, radius=radius) for z in zeros]
+    classified = [local_degree(phi, z, radius=radius) for z in search.zeros]
     ledger = charge_ledger(classified, flux, tolerance=ledger_tol)
     return LedgerAnalysis(ledger=ledger, search=search)

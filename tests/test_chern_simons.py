@@ -190,10 +190,10 @@ def test_h_bianchi_closure():
         psi = st.identity_map_s3(n)
         h = cs.chern_simons(psi).abelian.h_pairs      # H_01, H_02, H_12
         closure = np.zeros(psi.grid.shape)
-        from su2topo.lattice import central_diff
+        from su2topo.lattice import derivative_stack
         # cyclic (i, j, k) with H_jk = H_12, H_20 = -H_02, H_01
         for i, h_jk in ((0, h[..., 2]), (1, -h[..., 1]), (2, h[..., 0])):
-            dh = central_diff(h_jk, psi.grid, i)
+            dh = derivative_stack(h_jk, psi.grid)[..., i]
             closure = closure + 2.0 * dh
         errors[n] = np.max(np.abs(closure))
     assert errors[12] / errors[24] > 3.0

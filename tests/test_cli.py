@@ -5,6 +5,7 @@ import io
 import os
 import re
 import struct
+import sys
 import warnings
 import zlib
 
@@ -319,6 +320,55 @@ def test_generated_values_that_overflow_exit_2(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def _one_input_error(capsys, *argv):
+    """Run ``argv`` and return its stderr, asserting exit 3, nothing on
+    stdout, one stderr line and no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--no-color")
+    assert (code, out) == (3, ""), argv
+    assert err.startswith("su2topo: error: ") and err.count("\n") == 1, argv
+    assert [str(w.message) for w in caught] == [], argv
+    return err
+
+
+@pytest.mark.parametrize("command, spacing, message", [
+    ("cs", 1e110, "quadrature weights"),       # h^3 overflows
+    ("cs", 3e102, "quadrature sum"),           # the charge sum overflows
+    ("cs", 1e-150, "quadrature weights"),      # h^3 underflows to 0
+    ("chern", 1e80, "quadrature weights"),
+    ("chern", 1e76, "quadrature sum"),
+])
+def test_spacings_that_break_the_quadrature_exit_3(tmp_path, capsys, command, spacing,
+                                                   message):
+    # every spacing of a CRC-valid 8^3 chart (cs) or 12^4 qpoly (chern)
+    # file rewritten: the grid is valid, but its cell volume or its
+    # integrals are not finite or vanish
+    path = _chart_file(tmp_path) if command == "cs" else _phi_file(tmp_path)
+    capsys.readouterr()
+    rank = 3 if command == "cs" else 4
+    for axis in range(rank):
+        _patch(path, 8 + 21 * axis + 12, struct.pack("<d", spacing))
+    assert message in _one_input_error(capsys, command, path)
+
+
+def test_norms_that_overflow_exit_3(tmp_path, capsys, monkeypatch):
+    # finite samples whose |phi|^2 overflows: an input error on every
+    # command, not a ledger FAIL, a warning or a normalization message
+    monkeypatch.chdir(tmp_path)
+    err = _one_input_error(capsys, "verify", "linear", "--grid", "8,8,8,8",
+                           "--box=1e154:2e154")
+    assert err == "su2topo: error: phi norm overflows at site (0, 0, 0, 0): its " \
+                  "samples are too large to square\n"
+    path = _phi_file(tmp_path)
+    _patch(path, 8 + 4 * 21 + 8 * 1000, struct.pack("<d", 1e300))
+    for command in _FILE_COMMANDS:
+        err = _one_input_error(capsys, *command, path)
+        name = "phi" if command == ("zeros",) else "spinor"
+        assert err == (f"su2topo: error: {name} norm overflows at site (0, 1, 8, 10): "
+                       "its samples are too large to square\n"), command
+
+
 def test_decompose_on_different_grids_names_both_files(tmp_path, capsys):
     psi = _chart_file(tmp_path)
     gauge = str(tmp_path / "gauge.fld")
@@ -413,13 +463,32 @@ def test_generate_timings_flag(tmp_path, capsys):
     assert "timings" in open(report).read()
 
 
-def test_threads_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SU2TOPO_THREADS", "2")
-    report = str(tmp_path / "r.txt")
-    code, _, _ = run(capsys, "verify", "qpoly", "--grid", "16,16,16,16",
-                     "--box=-2:2", "--no-color", "--report", report)
-    assert code == 0
-    assert "threads: 2" in open(report).read()
+def test_threads_variable_is_not_read(tmp_path, capsys, monkeypatch):
+    # zeros are classified one after another; no variable sets a worker count
+    path = _phi_file(tmp_path)
+    plain = run(capsys, "zeros", path, "--no-color")
+    monkeypatch.setenv("SU2TOPO_THREADS", "abc")
+    assert run(capsys, "zeros", path, "--no-color") == plain
+    assert plain[0] == 0 and "threads" not in plain[1]
+
+
+def test_terminal_reports_color_their_verdicts(tmp_path, capsys, monkeypatch):
+    # on a terminal PASS is green and FAIL red; --no-color, SU2TOPO_NO_COLOR
+    # and the --report file stay plain
+    monkeypatch.delenv("SU2TOPO_NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    argv = ["verify", "linear", "--grid", "12,12,12,12", "--box=-1:1", "--tol", "1e-9"]
+    report = tmp_path / "r.txt"
+    code, colored, _ = run(capsys, *argv, "--report", str(report))
+    assert code == 1
+    assert "status: \x1b[32mPASS\x1b[0m" in colored
+    assert "status: \x1b[31mFAIL\x1b[0m" in colored
+    plain = report.read_text()
+    assert "\x1b" not in plain and "status: PASS" in plain and "status: FAIL" in plain
+    assert re.sub(r"\x1b\[\d+m", "", colored) == plain
+    assert run(capsys, *argv, "--no-color") == (1, plain, "")
+    monkeypatch.setenv("SU2TOPO_NO_COLOR", "1")
+    assert run(capsys, *argv) == (1, plain, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -815,12 +884,6 @@ def test_zero_on_a_face_site_is_an_error(capsys):
     ["verify", "identity", "--grid", "8,8,8", "--box=5:6"],
     ["verify", "qpower:2", "--grid", "8,8,8", "--box=-1:1"],
     ["verify", "identity", "--grid", "8,8,8,8"],
-    # thread counts below 1, given or from the environment; checked before
-    # the input file is opened
-    ["zeros", "x.fld", "--threads", "0"],
-    ["verify", "qpoly", "--threads=-1"],
-    ({"SU2TOPO_THREADS": "abc"}, ["zeros", "x.fld"]),
-    ({"SU2TOPO_THREADS": "0"}, ["verify", "linear"]),
     # a tolerance that is not a finite positive number
     ["zeros", "x.fld", "--tol", "nan"],
     ["cs", "x.fld", "--tol=-1"],
@@ -843,9 +906,6 @@ def test_zero_on_a_face_site_is_an_error(capsys):
     ["verify", "qpoly", "--shift", "0.05,-0.03,0.02,0.01"],
 ])
 def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
-    env, argv = argv if isinstance(argv, tuple) else ({}, argv)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -860,6 +920,8 @@ def test_inconsistent_arguments_exit_2(capsys, tmp_path, monkeypatch, argv):
     ["zeros", "x.fld", "--grid", "4,4,4,4"],
     ["chern", "x.fld", "--box=0:1"],
     ["decompose", "--psi", "x.fld", "--threads", "2"],
+    ["zeros", "x.fld", "--threads", "2"],
+    ["verify", "qpoly", "--threads", "1"],
     ["generate", "--kind", "linear", "--grid", "6,6,6,6", "--out", "x.fld",
      "--tol", "0.1"],
 ])
@@ -962,7 +1024,6 @@ ARGV_VALUES = {
                      min_size=1, max_size=4).map(_join),
     "shift": hst.lists(hst.sampled_from([0.0, 0.05, -0.3]),
                        min_size=3, max_size=5).map(_join),
-    "threads": hst.integers(-1, 2),
     "seed": SMALL_INT,
     "power": SMALL_INT,
     "tol": hst.sampled_from([1e-12, 0.05, 0.2, 1.0]),

@@ -2,7 +2,6 @@
 
 import ast
 import pathlib
-import re
 
 import su2topo
 
@@ -14,20 +13,21 @@ REFERENCE_ROUTES = {"trace_pointwise"}
 
 def test_every_public_function_and_class_is_named_in_the_package():
     # "no public function that nothing calls": each public top-level def or
-    # class is named in a module other than __init__, outside its own
-    # definition
-    sources = {path.name: path.read_text().splitlines()
-               for path in sorted(PACKAGE.glob("*.py"))}
+    # class is named by code (a name or an attribute, not a docstring or a
+    # comment) in a module other than __init__, outside its own definition
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    references = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+                  for module, tree in trees.items() if module != "__init__.py"
+                  for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
     unnamed = []
-    for module, lines in sources.items():
-        for node in ast.parse("\n".join(lines)).body:
+    for module, tree in trees.items():
+        for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_") or node.name in REFERENCE_ROUTES):
                 continue
-            word = re.compile(rf"\b{node.name}\b")
-            own = range(node.lineno - 1, node.end_lineno)
-            if not any(word.search(line)
-                       for other, text in sources.items() if other != "__init__.py"
-                       for i, line in enumerate(text) if other != module or i not in own):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (other != module or line not in own)
+                       for other, line, name in references):
                 unnamed.append(f"{module}: {node.name}")
     assert not unnamed, f"named nowhere in the package: {unnamed}"

@@ -344,14 +344,14 @@ def _whole_stack_degree(evaluate, center, radius):
     """:func:`surface_degree` as it was before the per-slab determinants:
     one whole-sphere matrix stack per attempt."""
     from su2topo.generators import s3_chart_grid, s3_points
-    from su2topo.lattice import central_diff, integrate_values
+    from su2topo.lattice import derivative_stack, integrate_values
     resolution = phi_mapping.SPHERE_RESOLUTION
     for attempt in range(phi_mapping.SPHERE_REFINEMENTS + 1):
         agrid = s3_chart_grid(resolution)
         pts = center + radius * s3_points(agrid).reshape(-1, 4)
         samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
         n = samples / np.linalg.norm(samples, axis=-1)[..., None]
-        mats = np.stack([n] + [central_diff(n, agrid, ax) for ax in range(3)], axis=-2)
+        mats = np.concatenate([n[..., None, :], derivative_stack(n, agrid)], axis=-2)
         value = integrate_values(np.linalg.det(mats), agrid) / (2.0 * np.pi**2)
         degree = int(np.rint(value))
         if abs(value - degree) <= 0.1 or attempt == phi_mapping.SPHERE_REFINEMENTS:
