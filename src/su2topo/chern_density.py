@@ -171,7 +171,7 @@ def _face_flux(face: SpinorField) -> complex:
     """The spinor Chern-Simons integral over one face: its integrand filled
     slab by slab from ``face.slab_currents()``, then one ``np.sum``."""
     raw = np.empty(face.grid.shape, dtype=np.complex128)
-    for slab, dvalues, current in face.slab_currents():
+    for slab, _, dvalues, current in face.slab_currents():
         raw[slab] = spinor_cs_values(current[..., 0], dvalues)
         del dvalues, current        # not held while the next slab is computed
     return np.sum(raw * face.grid.quadrature_weights())

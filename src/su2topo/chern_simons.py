@@ -23,8 +23,10 @@ route the parallel potential A^a = -2 Im J^a, and the Abelian route
 d m^a = 2 Re J^a and C = -2 Im J^0.
 
 :func:`chern_simons` runs the three routes in one sweep over the axis-0
-slabs (:func:`~su2topo.lattice.slabs`).  It takes d Psi once per slab
-(finite differences for bare samples), computes J from it
+slabs (:func:`~su2topo.lattice.slabs`).  It reads each slab's samples once
+(a chart field computes them then, see
+:meth:`~su2topo.lattice.LatticeField.values_at`) and takes d Psi once per
+slab (finite differences for bare samples), computes J from them
 (``SpinorField.current``, which is never stored) and from both the spinor
 and Abelian densities and the slab's A, c and h_pairs.  dA and dC read
 the planes next to each slab, so the trace density and the exactness
@@ -32,12 +34,15 @@ residual run a slab behind, on windows of the planes their stencils need
 (:func:`~su2topo.lattice.stencil_windows`): A and c are held as a halo of
 planes and H for the slabs still to be read, never for the whole grid.
 Asked for the parallel condition, the sweep also runs the per-slab kernel
-of :func:`~su2topo.decomposition.decompose` on the slab's d Psi, J, norms
-and A.  The charges are the unchanged :func:`~su2topo.lattice.integrate`
-of the whole-grid densities, and residues, residuals and the
-decomposition's reductions are maxima over the slabs.  A library caller
-that reads ``KnotCharges.gauge``, ``abelian.c`` or ``abelian.h_pairs``
-gets them built slab by slab by the same kernel, bit for bit.
+of :func:`~su2topo.decomposition.decompose` on the slab's samples,
+d Psi, J, norms and A.  Each density is summed as it is swept
+(:class:`~su2topo.lattice.Quadrature`), bit for bit the
+:func:`~su2topo.lattice.integrate` of the whole-grid density, and not
+kept; residues, residuals and the decomposition's reductions are maxima
+over the slabs, folded so that a NaN survives.  A library caller that
+reads ``KnotCharges.spinor``, ``.trace``, ``.fn``, ``.gauge``,
+``abelian.c`` or ``abelian.h_pairs`` gets them built slab by slab by the
+same sweep or kernel, bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from .decomposition import (Decomposition, decompose, fold_maxima,
                             parallel_components, parallel_gauge_potential, slab_maxima)
 from .errors import FieldError, ReconstructionError
 from .fields import GaugeField, SpinorField, norm_squared, sigma_model_field
-from .lattice import (ScalarField, derivative_stack, integrate, read_only,
+from .lattice import (Quadrature, ScalarField, derivative_stack, read_only,
                       stencil_windows)
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
@@ -142,35 +147,37 @@ class AbelianData:
 class KnotCharges:
     """The three routes to the knot charge Q of one normalized spinor.
 
-    ``spinor``, ``trace`` and ``fn`` are the route densities, ``q_spinor``,
-    ``q_trace`` and ``q_fn`` their integrals, ``gauge`` the parallel
-    potential the trace route differentiated, built from ``psi`` slab by
-    slab on first read, and ``abelian`` the Abelian data of the FN
-    (Faddeev-Niemi) route.  ``parallel`` is ``decompose(psi)``, the
-    parallel condition b = 0 on that potential taken slab by slab: from
-    the reductions the sweep took when asked (``parallel_maxima``), else
-    by :func:`~su2topo.decomposition.decompose`; reading it raises
+    ``q_spinor``, ``q_trace`` and ``q_fn`` are the integrals of the route
+    densities, summed as the sweep computed them; ``spinor``, ``trace``
+    and ``fn``, the densities themselves, are rebuilt from ``psi`` by the
+    same sweep on first read, and ``gauge``, the parallel potential the
+    trace route differentiated, slab by slab by its kernel.  ``abelian``
+    is the Abelian data of the FN (Faddeev-Niemi) route.  ``parallel`` is
+    ``decompose(psi)``, the parallel condition b = 0 on that potential
+    taken slab by slab: from the reductions the sweep took when asked
+    (``parallel_maxima``), else by
+    :func:`~su2topo.decomposition.decompose`; reading it raises
     :class:`ReconstructionError` as ``decompose`` does.
     """
 
     psi: SpinorField
-    spinor: Density
-    trace: Density
-    fn: Density
+    q_spinor: float
+    q_trace: float
+    q_fn: float
     abelian: AbelianData
     parallel_maxima: tuple | None = field(default=None, repr=False)
 
-    @property
-    def q_spinor(self) -> float:
-        return integrate(self.spinor.field)
+    @cached_property
+    def spinor(self) -> Density:
+        return _rebuilt_density(self.psi, "spinor")
 
-    @property
-    def q_trace(self) -> float:
-        return integrate(self.trace.field)
+    @cached_property
+    def trace(self) -> Density:
+        return _rebuilt_density(self.psi, "trace")
 
-    @property
-    def q_fn(self) -> float:
-        return integrate(self.fn.field)
+    @cached_property
+    def fn(self) -> Density:
+        return _rebuilt_density(self.psi, "fn")
 
     @cached_property
     def gauge(self) -> GaugeField:
@@ -189,12 +196,13 @@ class KnotCharges:
 RESIDUAL_FACTOR = 320.0
 
 
-def _potentials(psi: SpinorField, slab: slice, current: np.ndarray) -> tuple:
+def _potentials(psi: SpinorField, slab: slice, samples: np.ndarray,
+                current: np.ndarray) -> tuple:
     """The sweep's kernel: the parallel potential A^a = -2 Im J^a, the
     Abelian potential C = -2 Im J^0 and the curvature pairs
     H_ij = -m . (d_i m x d_j m), d m^a = 2 Re J^a, on the planes ``slab``
-    of axis 0, from the slab's spinor current."""
-    m = sigma_model_field(psi, slab)
+    of axis 0, from the slab's samples and spinor current."""
+    m = sigma_model_field(psi, slab, samples)
     dm = 2.0 * current[..., 1:].real
     h_pairs = np.empty(m.shape)
     for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
@@ -207,9 +215,22 @@ def _rebuilt(psi: SpinorField, index: int) -> np.ndarray:
     """The whole-grid C or H (``index`` 1 or 2 of :func:`_potentials`),
     filled slab by slab, read-only."""
     out = np.empty(psi.grid.shape + (3,))
-    for slab, _, current in psi.slab_currents():
-        out[slab] = _potentials(psi, slab, current)[index]
+    for slab, samples, _, current in psi.slab_currents():
+        out[slab] = _potentials(psi, slab, samples, current)[index]
     return read_only(out)
+
+
+def _rebuilt_density(psi: SpinorField, route: str) -> Density:
+    """The whole-grid density of ``route``, filled by :func:`_sweep`."""
+    out = np.empty(psi.grid.shape)
+
+    def keep(name, slab, density):
+        if name == route:
+            out[slab] = density
+
+    residue = _sweep(psi, keep)[0]
+    return Density(ScalarField(psi.grid, read_only(out)),
+                   residue if route == "spinor" else 0.0)
 
 
 def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
@@ -221,69 +242,83 @@ def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
     differences; the Abelian route reads d_i m^a = 2 Re J_i^a and the
     potential C_i = -2 Im J_i^0.  Raises when the exactness residual of C
     exceeds ``RESIDUAL_FACTOR * (h/L)^2`` times max(max|H|, max|d_i C_j|),
-    which would mean the chosen potential does not actually generate H.
-    h/L is the largest spacing over covered length of an axis: the
-    residual is the O(h^2) error of the stencils on C, so the bound does
-    not depend on the size of the box, and the scale of dC keeps it above
-    the stencil error of bare samples where H vanishes.
+    or is not a number, which would mean the chosen potential does not
+    actually generate H.  h/L is the largest spacing over covered length
+    of an axis: the residual is the O(h^2) error of the stencils on C, so
+    the bound does not depend on the size of the box, and the scale of dC
+    keeps it above the stencil error of bare samples where H vanishes.
+    Each density is summed slab by slab as it is swept
+    (:class:`~su2topo.lattice.Quadrature`) and not kept; a charge that is
+    not finite raises :class:`FieldError`.
 
     With ``parallel``, the sweep also runs the per-slab kernel of
-    :func:`~su2topo.decomposition.decompose` on each slab's d Psi,
-    current, norms and A, so ``KnotCharges.parallel`` needs no second
-    sweep.
+    :func:`~su2topo.decomposition.decompose` on each slab's samples,
+    d Psi, current, norms and A, so ``KnotCharges.parallel`` needs no
+    second sweep.
     """
     grid = psi.grid
     if grid.rank != 3:
         raise FieldError("Chern-Simons densities live on rank-3 charts")
     if not psi.normalized:
         raise FieldError("the knot-charge routes require a normalized spinor")
+    sums = {route: Quadrature(grid) for route in ("spinor", "trace", "fn")}
+    _, curl_res, maxima = _sweep(
+        psi, lambda route, slab, density: sums[route].add(slab, density), parallel)
+    return KnotCharges(psi, sums["spinor"].total(), sums["trace"].total(),
+                       sums["fn"].total(), AbelianData(psi, curl_res), maxima)
+
+
+def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
+    """The one sweep of :func:`chern_simons`: ``emit(route, slab, density)``
+    receives each slab's density of each route ("spinor", "trace", "fn")
+    as it is computed, the trace route's a slab behind.  Returns the
+    largest imaginary residue of the spinor route, the exactness residual
+    and, with ``parallel``, the :func:`~su2topo.decomposition.slab_maxima`
+    of the grid (else None); raises :class:`ReconstructionError` as
+    :func:`chern_simons` describes."""
+    grid = psi.grid
     sign = ORIENTATION_SIGN * grid.orientation
     order = 2                       # of the dA and dC stencils
-    spinor = np.empty(grid.shape)
-    trace = np.empty(grid.shape)
-    fn = np.empty(grid.shape)
     h_of = {}                       # H of the slabs the second pass has not read
     residue = 0.0
     maxima = (0.0,) * 4 if parallel else None
 
     def first_pass():
         nonlocal residue, maxima
-        for slab, dvalues, current in psi.slab_currents():
+        for slab, samples, dvalues, current in psi.slab_currents():
             raw = sign * spinor_cs_values(current[..., 0], dvalues)
-            residue = max(residue, float(np.max(np.abs(raw.imag))))
-            spinor[slab] = raw.real
-            gauge, c, h_pairs = _potentials(psi, slab, current)
-            fn[slab] = fn_pointwise(c, h_pairs) * sign / (8.0 * np.pi**2)
+            residue = np.maximum(residue, np.max(np.abs(raw.imag)))
+            emit("spinor", slab, raw.real)
+            gauge, c, h_pairs = _potentials(psi, slab, samples, current)
+            emit("fn", slab, fn_pointwise(c, h_pairs) * sign / (8.0 * np.pi**2))
             if parallel:
                 maxima = fold_maxima(maxima, slab_maxima(
-                    psi, slab, dvalues, current, norm_squared(psi, slab), gauge))
+                    psi, slab, samples, dvalues, current,
+                    norm_squared(psi, slab, samples), gauge))
             h_of[slab.start] = h_pairs
             yield slab, (gauge, c)
 
     # dA and dC read the planes next to each slab: a slab's second pass
-    # runs once they are swept, and only those planes are held
+    # runs once they are swept, and only those planes are held.  Maxima
+    # fold by np.maximum, which keeps a NaN (the builtin max(0.0, nan) is
+    # 0.0).
     curl_res = h_max = dc_max = 0.0
     for slab, (gauge, c), first in stencil_windows(grid, order, first_pass()):
         own = slice(slab.start - first, slab.stop - first)
-        trace[slab] = sign * trace_cs_values(
-            gauge[own], derivative_stack(gauge, grid, order, slab, first))
+        emit("trace", slab, sign * trace_cs_values(
+            gauge[own], derivative_stack(gauge, grid, order, slab, first)))
         dc = derivative_stack(c, grid, order, slab, first)
         h = h_of.pop(slab.start)
         for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
-            curl_res = max(curl_res, float(np.max(np.abs(
-                dc[..., i, j] - dc[..., j, i] - h[..., idx]))))
-        h_max = max(h_max, float(np.max(np.abs(h))))
-        dc_max = max(dc_max, float(np.max(dc)), -float(np.min(dc)))
+            curl_res = np.maximum(curl_res, np.max(np.abs(
+                dc[..., i, j] - dc[..., j, i] - h[..., idx])))
+        h_max = np.maximum(h_max, np.max(np.abs(h)))
+        dc_max = np.maximum(dc_max, np.maximum(np.max(dc), -np.min(dc)))
     resolution = max((h / grid.axis_extent(i)) ** 2 for i, h in enumerate(grid.spacing))
-    if curl_res > RESIDUAL_FACTOR * resolution * max(h_max, dc_max):
+    if not curl_res <= RESIDUAL_FACTOR * resolution * np.maximum(h_max, dc_max):
         raise ReconstructionError(
             f"Abelian potential is not a potential for H: residual {curl_res:.3e}")
-
-    def density(values, imag_residue=0.0):
-        return Density(ScalarField(grid, read_only(values)), imag_residue)
-
-    return KnotCharges(psi, density(spinor, residue), density(trace), density(fn),
-                       AbelianData(psi, curl_res), maxima)
+    return float(residue), float(curl_res), maxima
 
 
 def fn_pointwise(c: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -52,11 +52,13 @@ RECONSTRUCTION_TOL = 1e-12
 
 def covariant_derivative(psi: SpinorField, gauge: GaugeField | np.ndarray,
                          slab: slice = slice(None),
-                         dvalues: np.ndarray | None = None) -> np.ndarray:
+                         dvalues: np.ndarray | None = None,
+                         samples: np.ndarray | None = None) -> np.ndarray:
     """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi on the planes ``slab``
-    of axis 0, from ``dvalues``, the slab's ``psi.derivatives`` (taken here
-    when not given).  ``gauge`` is A on the grid of ``psi``, or the
-    components of A on the planes ``slab`` only.
+    of axis 0, from ``dvalues``, the slab's ``psi.derivatives``, and
+    ``samples``, its ``psi.values_at`` (each taken here when not given).
+    ``gauge`` is A on the grid of ``psi``, or the components of A on the
+    planes ``slab`` only.
 
     Returns per-axis spinor samples, shape ``(*slab_shape, rank, 2)``, a new
     writable array.  The adjoint counterpart is the entrywise conjugate of
@@ -66,31 +68,35 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField | np.ndarray,
         if psi.grid != gauge.grid:
             raise FieldError("spinor and gauge grids differ")
         gauge = gauge.values[slab]
+    if samples is None:
+        samples = psi.values_at(slab)
     # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
-    connection = su2_algebra.sigma_apply(gauge, psi.values[slab][..., None, :])
+    connection = su2_algebra.sigma_apply(gauge, samples[..., None, :])
     if dvalues is None:
         dvalues = psi.derivatives(slab=slab)
     return dvalues + 0.5j * connection
 
 
-def _parts(psi: SpinorField, slab: slice, dvalues: np.ndarray, current: np.ndarray,
-           norms: np.ndarray, gauge: np.ndarray):
+def _parts(psi: SpinorField, slab: slice, samples: np.ndarray, dvalues: np.ndarray,
+           current: np.ndarray, norms: np.ndarray, gauge: np.ndarray):
     """Components of a and b, and D Psi, on the planes ``slab`` of axis 0.
 
     a^c = -2 w Im J^c and b^c = 2 w Im t^c with w = 1/(Psi^dag Psi), J the
     spinor current and t = Psi^dag sigma_c D Psi.  Both read the slab's
-    d Psi ``dvalues``, its current, its Psi^dag Psi ``norms`` and the
-    components ``gauge`` of A there, as a sweep over the slabs took them.
+    ``samples``, its d Psi ``dvalues``, its current, its Psi^dag Psi
+    ``norms`` and the components ``gauge`` of A there, as a sweep over the
+    slabs took them.
     """
     weight = (2.0 / norms)[..., None, None]                      # 2w
     a = np.multiply(current[..., 1:].imag, -weight)
-    dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues)
-    t = su2_algebra.sigma_bilinear(psi.values[slab][..., None, :], dcov)
+    dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues, samples=samples)
+    t = su2_algebra.sigma_bilinear(samples[..., None, :], dcov)
     return a, np.multiply(t.imag, weight), dcov
 
 
-def slab_maxima(psi: SpinorField, slab: slice, dvalues: np.ndarray,
-                current: np.ndarray, norms: np.ndarray, gauge: np.ndarray) -> tuple:
+def slab_maxima(psi: SpinorField, slab: slice, samples: np.ndarray,
+                dvalues: np.ndarray, current: np.ndarray, norms: np.ndarray,
+                gauge: np.ndarray) -> tuple:
     """The per-slab kernel of :func:`decompose`: max|a + b - A|, max|A|,
     max|D Psi| and max|b| on the planes ``slab``, from the inputs of
     :func:`_parts`.
@@ -98,7 +104,7 @@ def slab_maxima(psi: SpinorField, slab: slice, dvalues: np.ndarray,
     Maxima are exact in any order, so those of a grid are the entrywise
     maxima over its slabs (:func:`fold_maxima`).
     """
-    a, b, dcov = _parts(psi, slab, dvalues, current, norms, gauge)
+    a, b, dcov = _parts(psi, slab, samples, dvalues, current, norms, gauge)
     mismatch = a + b
     mismatch -= gauge
     # the entries of b^a sigma_a/(2i) are -i b^3/2 on the diagonal and
@@ -168,18 +174,18 @@ class Decomposition:
     def _part(self, index: int) -> GaugeField:
         psi, grid = self.psi, self.psi.grid
         out = np.empty(grid.shape + (grid.rank, 3))
-        for slab, dvalues, current, gauge in _slab_inputs(psi, self.gauge):
-            out[slab] = _parts(psi, slab, dvalues, current, norm_squared(psi, slab),
-                               gauge)[index]
+        for slab, samples, dvalues, current, gauge in _slab_inputs(psi, self.gauge):
+            out[slab] = _parts(psi, slab, samples, dvalues, current,
+                               norm_squared(psi, slab, samples), gauge)[index]
         return GaugeField(grid, read_only(out))
 
 
 def _slab_inputs(psi: SpinorField, gauge: GaugeField | None):
     """``psi.slab_currents()`` with the slab's A appended: that of
     ``gauge``, or without one the parallel potential of the current."""
-    for slab, dvalues, current in psi.slab_currents():
-        yield slab, dvalues, current, (parallel_components(current) if gauge is None
-                                       else gauge.values[slab])
+    for slab, samples, dvalues, current in psi.slab_currents():
+        yield slab, samples, dvalues, current, (
+            parallel_components(current) if gauge is None else gauge.values[slab])
 
 
 def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decomposition:
@@ -204,13 +210,13 @@ def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decompositio
     if gauge is not None and psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
     maxima = (0.0,) * 4
-    for slab, dvalues, current, potential in _slab_inputs(psi, gauge):
-        norms = norm_squared(psi, slab)
+    for slab, samples, dvalues, current, potential in _slab_inputs(psi, gauge):
+        norms = norm_squared(psi, slab, samples)
         if np.sqrt(np.min(norms)) < EPS_ZERO:
             # the error names the first smallest norm of the whole grid
             _check_nonvanishing(np.sqrt(norm_squared(psi)), "spinor")
-        maxima = fold_maxima(maxima, slab_maxima(psi, slab, dvalues, current, norms,
-                                                 potential))
+        maxima = fold_maxima(maxima, slab_maxima(psi, slab, samples, dvalues, current,
+                                                 norms, potential))
     return Decomposition.from_maxima(psi, maxima, gauge)
 
 
@@ -225,7 +231,7 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
     if not psi.normalized:
         raise FieldError("parallel potential requires a normalized spinor")
     out = np.empty(psi.grid.shape + (psi.grid.rank, 3))
-    for slab, _, current in psi.slab_currents():
+    for slab, _, _, current in psi.slab_currents():
         parallel_components(current, out=out[slab])
     return GaugeField(psi.grid, read_only(out))
 

@@ -23,6 +23,14 @@ hand over the fresh arrays they build as
 :func:`~su2topo.lattice.read_only`, and views of a field's own arrays,
 without a second copy of the grid.
 
+A generated field may store no samples either: a box or chart field
+serves each block's from its formula
+(:meth:`~su2topo.lattice.LatticeField.values_at`), and the conversions
+hand that on.  Code here reads a slab's samples through ``values_at``
+once and passes them on (``samples=``), and :attr:`SpinorField.normalized`
+reads them slab by slab; only :func:`normalize`, whose result stores its
+samples, reads them whole.
+
 The spinor current is not stored: :meth:`SpinorField.current` computes it
 for one axis-0 slab (:func:`~su2topo.lattice.slabs`) when asked, so only a
 slab of it, and of finite differences for bare samples, exists at once;
@@ -55,13 +63,18 @@ class SpinorField(LatticeField):
     The jet is stored, or computed block by block when asked
     (``block_jet``): a chart generator's comes from the chart formula, a
     file's is read from the file, and :func:`phi_to_spinor` hands on a phi
-    field's block jet as a complex view.
+    field's block jet as a complex view.  The samples are stored too, or
+    served block by block (``block_values``, a field built with
+    ``values=None``): :func:`phi_to_spinor` hands on a chart field's, so
+    the routes read each slab's samples through
+    :meth:`~su2topo.lattice.LatticeField.values_at` once and pass them on.
     """
 
     grid: Grid
     values: np.ndarray
     jet: np.ndarray | None = None
     block_jet: object = field(default=None, repr=False, compare=False)
+    block_values: object = field(default=None, repr=False, compare=False)
 
     DTYPE = np.complex128
     COMPONENTS = (2,)
@@ -70,35 +83,46 @@ class SpinorField(LatticeField):
 
     @cached_property
     def normalized(self) -> bool:
-        """Whether every |Psi|^2 is 1 to ``NORM_TOL``, read from the samples."""
-        return bool(np.max(np.abs(norm_squared(self) - 1.0)) <= NORM_TOL)
+        """Whether every |Psi|^2 is 1 to ``NORM_TOL``, read from the samples
+        one slab (:func:`~su2topo.lattice.slabs`) at a time; the largest
+        deviation is exact in any order."""
+        worst = 0.0
+        for slab in slabs(self.grid):
+            worst = np.maximum(worst, np.max(np.abs(norm_squared(self, slab) - 1.0)))
+        return bool(worst <= NORM_TOL)
 
-    def current(self, slab: slice = slice(None),
-                dvalues: np.ndarray | None = None) -> np.ndarray:
+    def current(self, slab: slice = slice(None), dvalues: np.ndarray | None = None,
+                samples: np.ndarray | None = None) -> np.ndarray:
         """The spinor current J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1,
         on the planes ``slab`` of axis 0.
 
         Shape ``(*slab_shape, rank, 4)``, a new array computed from
         ``dvalues``, the slab's :meth:`derivatives` (taken here when not
         given), on every call and not kept with the field, so callers ask
-        for it one slab at a time.  A caller that reads d Psi itself passes
-        it in, so bare samples are differenced once per slab.  Every rank-3
+        for it one slab at a time.  A caller that reads d Psi, or the
+        slab's samples, itself passes them in, so bare samples are
+        differenced, and served ones computed, once per slab.  Every rank-3
         route reads its Psi-dPsi bilinears from it: the parallel potential
         ``-2 Im J^a``, the sigma-model gradient ``d m^a = 2 Re J^a``
         (normalized Psi), the Berry potential ``-2 Im J^0`` and the spinor
         Chern-Simons factor ``J^0``.
         """
+        if samples is None:
+            samples = self.values_at(slab)
         if dvalues is None:
             dvalues = self.derivatives(slab=slab)
-        return su2_algebra.spinor_current(self.values[slab][..., None, :], dvalues)
+        return su2_algebra.spinor_current(samples[..., None, :], dvalues)
 
     def slab_currents(self):
-        """Yield ``(slab, dvalues, current)`` for each axis-0 slab
-        (:func:`~su2topo.lattice.slabs`): the slab's :meth:`derivatives`,
-        taken once, and the :meth:`current` computed from them."""
+        """Yield ``(slab, samples, dvalues, current)`` for each axis-0 slab
+        (:func:`~su2topo.lattice.slabs`): the slab's samples
+        (:meth:`~su2topo.lattice.LatticeField.values_at`) and
+        :meth:`derivatives`, each taken once, and the :meth:`current`
+        computed from them."""
         for slab in slabs(self.grid):
-            dvalues = self.derivatives(slab=slab)
-            yield slab, dvalues, self.current(slab=slab, dvalues=dvalues)
+            samples, dvalues = self.values_at(slab), self.derivatives(slab=slab)
+            yield slab, samples, dvalues, self.current(slab=slab, dvalues=dvalues,
+                                                       samples=samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +149,10 @@ class PhiField(LatticeField):
 
     ``block_values`` maps a block to its samples in the same way, for a
     field built with ``values=None``: a box generator's computes them from
-    the block's points, so the field stores no samples at all and
+    the block's points and a rank-3 chart generator's from the chart
+    formula, so the field stores no samples at all and
     :meth:`~su2topo.lattice.LatticeField.values_at` serves each block.
-    Chart, random and file fields store their values.
+    Random and file fields store their values.
     """
 
     grid: Grid
@@ -176,11 +201,15 @@ class GaugeField(LatticeField):
         return (rank, 3)
 
 
-def norm_squared(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray:
+def norm_squared(psi: SpinorField, slab: slice = slice(None),
+                 samples: np.ndarray | None = None) -> np.ndarray:
     """Pointwise Psi^dag Psi (real, equals phi_a phi_a) on the planes
-    ``slab`` of axis 0; one that overflows raises :class:`FieldError`."""
+    ``slab`` of axis 0, from the slab's ``samples`` (read here when not
+    given); one that overflows raises :class:`FieldError`."""
+    if samples is None:
+        samples = psi.values_at(slab)
     with np.errstate(over="ignore"):
-        norms = np.sum(np.abs(psi.values[slab]) ** 2, axis=-1)
+        norms = np.sum(np.abs(samples) ** 2, axis=-1)
     _finite_max(norms, psi.LABEL, slab.start or 0)
     return norms
 
@@ -220,15 +249,16 @@ def normalize(psi: SpinorField) -> SpinorField:
     4-vector field, which carries topological charge and must be excluded
     or re-gridded by the caller, never clamped.
     """
-    norms = np.sqrt(norm_squared(psi))
+    samples = psi.values_at()
+    norms = np.sqrt(norm_squared(psi, samples=samples))
     _check_nonvanishing(norms, "spinor")
-    values = read_only(psi.values / norms[..., None])
+    values = read_only(samples / norms[..., None])
 
     def quotient(block):
         jet = psi.exact_jet(block)
         if jet is None:
             return None
-        samples, norm = psi.values[block], norms[block][..., None]
+        samples, norm = psi.values_at(block), norms[block][..., None]
         dnorm = np.einsum("...c,...mc->...m", np.conj(samples), jet).real / norm
         return jet / norm[..., None] - samples[..., None, :] * (dnorm / norm ** 2)[..., None]
 
@@ -242,11 +272,16 @@ def _reinterpret(field: LatticeField, kind, dtype) -> LatticeField:
     """The field of ``kind`` whose samples and jet, stored or block by
     block, are ``dtype`` views of those of ``field``.  A block that is not
     contiguous (a sampler's may not be) is copied first."""
-    jet, block_jet = field.jet, field.block_jet
-    return kind(field.grid, field.values.view(dtype),
-                jet=None if jet is None else jet.view(dtype),
-                block_jet=None if block_jet is None
-                else lambda block: np.ascontiguousarray(block_jet(block)).view(dtype))
+    def view(array):
+        return None if array is None else array.view(dtype)
+
+    def per_block(compute):
+        return None if compute is None else (
+            lambda block: np.ascontiguousarray(compute(block)).view(dtype))
+
+    return kind(field.grid, view(field.__dict__["values"]), jet=view(field.jet),
+                block_jet=per_block(field.block_jet),
+                block_values=per_block(field.block_values))
 
 
 def spinor_to_phi(psi: SpinorField) -> PhiField:
@@ -254,29 +289,33 @@ def spinor_to_phi(psi: SpinorField) -> PhiField:
 
     That is the memory layout of the complex pair, so both conversions
     reinterpret the samples and the jet and are exact; the new field
-    adopts the read-only views and shares the samples, and a block jet is
-    handed on as a view of each block.
+    adopts the read-only views and shares the samples, and a block jet or
+    served samples are handed on as a view of each block.
     """
     return _reinterpret(psi, PhiField, np.float64)
 
 
 def phi_to_spinor(phi: PhiField) -> SpinorField:
     """Exact inverse of :func:`spinor_to_phi`; the spinor keeps phi's exact
-    jet, stored or block by block (a sampled, chart or file one)."""
+    jet, stored or block by block (a sampled, chart or file one), and its
+    samples, stored or served (a box or chart generator's)."""
     return _reinterpret(phi, SpinorField, np.complex128)
 
 
-def sigma_model_field(psi: SpinorField, slab: slice = slice(None)) -> np.ndarray:
+def sigma_model_field(psi: SpinorField, slab: slice = slice(None),
+                      samples: np.ndarray | None = None) -> np.ndarray:
     """m_a = Psi^dag sigma_a Psi of a normalized spinor, shape ``(*shape, 3)``.
 
     |m| = |Psi|^2 = 1 site by site.  The imaginary residue of the bilinear
     is a data-corruption indicator and raises above ``IMAG_TOL``.  Only
-    the planes ``slab`` of axis 0 are computed.
+    the planes ``slab`` of axis 0 are computed, from the slab's
+    ``samples`` (read here when not given).
     """
     if not psi.normalized:
         raise FieldError("sigma-model projection requires a normalized spinor")
-    values = psi.values[slab]
-    m = su2_algebra.sigma_bilinear(values, values)
+    if samples is None:
+        samples = psi.values_at(slab)
+    m = su2_algebra.sigma_bilinear(samples, samples)
     residue = float(np.max(np.abs(m.imag)))
     if residue > IMAG_TOL:
         raise FieldError(f"m field imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")

@@ -16,10 +16,11 @@ from it (:meth:`~su2topo.lattice.LatticeField.exact_jet`): the zero screen
 reads the values one slab at a time, the boundary flux reads values and
 jets on the 8 faces slab by slab, and a file write reads both slab by
 slab.
-Fields on the rank-3 chart also store their values only: the sin and cos
-of the chart coordinates are taken once, and the exact jet of a block is
-the chart formula on that block, equal to the whole chart's bit for bit.
-The random fields store their jets.  Every generator hands its fresh
+Fields on the rank-3 chart store nothing either: the sin and cos of the
+chart coordinates are taken once, and the values and the exact jet of a
+block are the chart formula on that block, computed when the block is
+read and equal to the whole chart's bit for bit.  The random fields store
+their values and jets.  Every generator hands its fresh
 arrays to the field read-only, so the field adopts them without a copy.
 
 On a box, q is the point itself, so d_mu q = e_mu: the product-rule terms
@@ -235,9 +236,14 @@ def s3_unit_vectors(grid: Grid, block=slice(None), trig=None):
     bit.
     """
     trig = trig or _chart_trig(grid)
+    return s3_points(grid, block, trig), _chart_jet(trig, block)
+
+
+def _chart_jet(trig: tuple, block) -> np.ndarray:
+    """The ``dn`` of :func:`s3_unit_vectors` on ``block``, from the
+    :func:`_chart_trig` factors ``trig``, without the points."""
     sc, cc, st, ct, sp, cp = _block_trig(trig, block)
-    n = s3_points(grid, block, trig)
-    shape = n.shape[:-1]
+    shape = np.broadcast_shapes(sc.shape, st.shape, sp.shape)
     dn = np.zeros(shape + (3, 4))
     dn[..., 0, 0] = np.broadcast_to(-sc, shape)
     dn[..., 0, 1] = cc * ct
@@ -248,7 +254,7 @@ def s3_unit_vectors(grid: Grid, block=slice(None), trig=None):
     dn[..., 1, 3] = sc * ct * sp
     dn[..., 2, 2] = -sc * st * sp
     dn[..., 2, 3] = sc * st * cp
-    return n, dn
+    return dn
 
 
 # --------------------------------------------------------------------------
@@ -287,13 +293,16 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
 def identity_map_s3(resolution=32) -> SpinorField:
     """The canonical unit-norm spinor of the 3-sphere chart (degree +1).
 
-    Only the values are stored; the exact jet of a block is the chart
-    formula :func:`s3_unit_vectors` on that block.
+    Nothing is stored: the samples of a block are the chart points
+    :func:`s3_points` of that block (``block_values``, checked finite as
+    they are served), and its exact jet is the chart formula of
+    :func:`s3_unit_vectors` there.
     """
     grid = s3_chart_grid(resolution)
     trig = _chart_trig(grid)
-    phi = PhiField(grid, read_only(s3_points(grid, trig=trig)),
-                   block_jet=lambda block: s3_unit_vectors(grid, block, trig)[1])
+    phi = PhiField(grid, None,
+                   block_values=lambda block: s3_points(grid, block, trig),
+                   block_jet=lambda block: _chart_jet(trig, block))
     return phi_to_spinor(phi)
 
 
@@ -301,11 +310,12 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
     """phi = q^n with exact jets.
 
     On a rank-3 chart, q runs over the unit quaternions of the 3-sphere
-    (phi stays unit-norm); the values are stored, and the exact jet of a
-    block is :func:`_qpower_with_jet` of that block's chart points and
-    chart jets.  On a rank-4 box, q = x0 + x1 i + x2 j + x3 k; negative
-    powers use conjugate-quaternion products so the field stays polynomial
-    with boundary degree n.
+    (phi stays unit-norm); nothing is stored: the values of a block are
+    :func:`_qpower_values` of that block's chart points, and its exact jet
+    is :func:`_qpower_with_jet` of those points and their chart jets.  On
+    a rank-4 box, q = x0 + x1 i + x2 j + x3 k; negative powers use
+    conjugate-quaternion products so the field stays polynomial with
+    boundary degree n.
     """
     if n == 0:
         raise FieldError("quaternion power needs n != 0")
@@ -313,7 +323,9 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
         raise FieldError("quaternion power limited to |n| <= 4")
     if grid.rank == 3:
         trig = _chart_trig(grid)
-        return PhiField(grid, read_only(_qpower_values(s3_points(grid, trig=trig), n)),
+        return PhiField(grid, None,
+                        block_values=lambda block: _qpower_values(
+                            s3_points(grid, block, trig), n),
                         block_jet=lambda block: _qpower_with_jet(
                             *s3_unit_vectors(grid, block, trig), n)[1])
     return _box_field(grid, lambda q: _qpower_values(q, n),

@@ -19,9 +19,11 @@ its samples serves them a block at a time
 (:meth:`LatticeField.values_at`) without storing them.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
 
-All operations are pure: fields are immutable after construction and the
-final reductions run in a fixed (numpy pairwise) summation order on the
-whole-grid arrays, so results do not depend on the sweep or its slabs.
+All operations are pure: fields are immutable after construction and
+quadrature runs in one fixed summation order, numpy's pairwise order over
+the whole grid, fed a slab at a time (:class:`Quadrature`) so that no
+whole-grid density need be held; results do not depend on the sweep or
+its slabs.
 """
 
 from __future__ import annotations
@@ -129,6 +131,11 @@ class Grid:
         spacings whose cell volume overflows or underflows to 0 would make
         every integral infinite or 0.
         """
+        weights = self._axis_weights()
+        return reduce(np.multiply.outer, weights[1:], weights[0])
+
+    def _axis_weights(self) -> list:
+        """The per-axis factors of :meth:`quadrature_weights`, checked."""
         weights = []
         for i in range(self.rank):
             n, h = self.shape[i], self.spacing[i]
@@ -142,10 +149,7 @@ class Grid:
             raise LatticeError(f"quadrature weights from spacings {self.spacing} run "
                                f"from {low!r} to {high!r}; they must be finite and "
                                "positive")
-        out = weights[0]
-        for w in weights[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+        return weights
 
     def drop_axis(self, axis: int) -> "Grid":
         """The rank-(r-1) grid of a boundary face orthogonal to ``axis``."""
@@ -512,8 +516,159 @@ def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
             d[row - lo] = stencil()
 
 
+#: Leaf length of numpy's pairwise float64 sum (its ``PW_BLOCKSIZE``).
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_tree(n: int) -> list:
+    """The nodes of numpy's pairwise sum of ``n`` elements, one level a
+    list entry from the root: the sizes and first elements of the level's
+    runs, left to right.  A run of more than ``_PAIRWISE_LEAF`` elements
+    splits at half its length rounded down to a multiple of 8; the others
+    are leaves."""
+    levels = []
+    sizes, firsts = np.array([n]), np.array([0])
+    while sizes.size:
+        levels.append((sizes, firsts))
+        split = sizes > _PAIRWISE_LEAF
+        sizes, firsts = sizes[split], firsts[split]
+        halves = sizes // 2 - sizes // 2 % 8
+        sizes = np.stack((halves, sizes - halves), axis=1).ravel()
+        firsts = np.stack((firsts, firsts + halves), axis=1).ravel()
+    return levels
+
+
+def _leaf_sums(data: np.ndarray, firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sums of the leaves ``data[first:first + length]`` as numpy's
+    pairwise sum takes a leaf: 8 running lanes over the largest multiple
+    of 8 elements, joined in pairs, then the other elements in order (a
+    leaf of fewer than 8 elements is summed in order from 0).  The leaves
+    are summed side by side, a shorter one padded with zeros: a zero
+    changes no sum but the sign of a zero sum, and the total is added to
+    0.0 at the end, as ``np.sum`` adds it, which drops that sign."""
+    tops = lengths - lengths % 8
+    last = data.size - 1
+    lanes = np.zeros((len(lengths), 8))
+    if tops.max():
+        columns = np.arange(tops.max())
+        block = data[np.minimum(firsts[:, None] + columns, last)]
+        block[columns >= tops[:, None]] = 0.0
+        block = block.reshape(len(lengths), -1, 8)
+        lanes = block[:, 0].copy()
+        for step in range(1, block.shape[1]):
+            lanes += block[:, step]
+    total = (((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3]))
+             + ((lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7])))
+    rests = lengths - tops
+    for step in range(rests.max()):
+        column = data[np.minimum(firsts + tops + step, last)]
+        total += np.where(step < rests, column, 0.0)
+    return total
+
+
+class _PairwiseSum:
+    """``np.sum`` of a contiguous float64 vector of ``n`` elements, bit for
+    bit, fed in order in chunks of any length: numpy's pairwise sum, whose
+    leaves (:func:`_pairwise_tree`) are summed as soon as a chunk completes
+    them, so only the elements of one unfinished leaf are held."""
+
+    def __init__(self, n: int):
+        self._levels = _pairwise_tree(n)
+        leaves = [(firsts[sizes <= _PAIRWISE_LEAF], sizes[sizes <= _PAIRWISE_LEAF])
+                  for sizes, firsts in self._levels]
+        firsts, lengths = map(np.concatenate, zip(*leaves))
+        order = np.argsort(firsts)
+        self._firsts, self._lengths = firsts[order], lengths[order]
+        self._ends = self._firsts + self._lengths
+        self._sums = np.empty(len(self._lengths))
+        self._done = 0                  # leaves summed
+        self._carry = np.empty(0)       # elements past the last leaf summed
+
+    def add(self, chunk: np.ndarray) -> None:
+        """Feed the next elements, a 1-D float64 array."""
+        data = np.concatenate((self._carry, chunk)) if self._carry.size else chunk
+        done = self._done
+        start = int(self._ends[done - 1]) if done else 0
+        stop = int(np.searchsorted(self._ends, start + data.size, side="right"))
+        if stop > done:
+            self._sums[done:stop] = _leaf_sums(data, self._firsts[done:stop] - start,
+                                               self._lengths[done:stop])
+            data = data[int(self._ends[stop - 1]) - start:]
+        self._carry = data.copy()
+        self._done = stop
+
+    def total(self) -> float:
+        """The sum of the ``n`` elements; :class:`LatticeError` if fewer were
+        fed."""
+        if self._done < len(self._lengths):
+            raise LatticeError(f"pairwise sum fed {int(self._firsts[self._done])} "
+                               f"elements of {int(self._ends[-1])}")
+        below = None
+        for sizes, firsts in reversed(self._levels):
+            leaf = sizes <= _PAIRWISE_LEAF
+            level = np.empty(sizes.size)
+            level[leaf] = self._sums[np.searchsorted(self._firsts, firsts[leaf])]
+            if below is not None:
+                level[~leaf] = below[0::2] + below[1::2]
+            below = level
+        return 0.0 + float(below[0])
+
+
+class Quadrature:
+    """The quadrature of per-site samples over a grid, fed one axis-0 slab
+    at a time: :func:`integrate_values` of the whole-grid samples, bit for
+    bit, without holding them.
+
+    The sum is that of ``np.sum(values * grid.quadrature_weights())``:
+    numpy's pairwise float64 sum of the weighted samples in C order.
+    :meth:`add` weights a slab's samples and sums the pairwise leaves they
+    complete; only the sites of one unfinished leaf, and slabs fed ahead
+    of their turn (a periodic axis 0's first slab, which a stencil sweep
+    finishes last), wait.  The weights are checked when the quadrature is
+    made (see :meth:`Grid.quadrature_weights`).
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._axes = grid._axis_weights()
+        self._sum = _PairwiseSum(math.prod(grid.shape))
+        self._plane = 0                 # the next axis-0 plane to sum
+        self._ahead = {}                # weighted slabs fed early, by first plane
+
+    def add(self, slab: slice, values: np.ndarray) -> None:
+        """Feed the samples ``values`` on the planes ``slab`` of axis 0."""
+        lo, hi, _ = slab.indices(self.grid.shape[0])
+        weights = reduce(np.multiply.outer, self._axes[1:], self._axes[0][lo:hi])
+        values = np.asarray(values)
+        if values.shape != weights.shape:
+            raise LatticeError("value array does not match grid shape")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._ahead[lo] = (hi, values * weights)
+            while self._plane in self._ahead:
+                self._plane, weighted = self._ahead.pop(self._plane)
+                self._sum.add(weighted.reshape(-1))
+
+    def total(self) -> float:
+        """The quadrature of the samples fed.  Raises :class:`LatticeError`
+        unless every plane was fed once, and :class:`FieldError` on a sum
+        that is not finite (the samples times the weights overflow, or a
+        sample is not finite)."""
+        if self._ahead:
+            raise LatticeError(f"quadrature fed up to plane {self._plane} of "
+                               f"{self.grid.shape[0]}, with {len(self._ahead)} "
+                               "slabs out of turn")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self._sum.total()
+        if not math.isfinite(total):
+            raise FieldError(f"quadrature sum over the grid is {total}, not finite")
+        return total
+
+
 def integrate_values(values: np.ndarray, grid: Grid) -> float:
-    """Quadrature of per-site samples over the grid volume.
+    """Quadrature of per-site samples over the grid volume: the
+    :class:`Quadrature` fed the samples slab by slab (:func:`slabs`),
+    which equals ``np.sum(values * grid.quadrature_weights())`` bit for
+    bit.
 
     A sum that is not finite (the samples times the weights overflow, or
     a sample is not finite) raises :class:`FieldError`.
@@ -521,11 +676,10 @@ def integrate_values(values: np.ndarray, grid: Grid) -> float:
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise LatticeError("value array does not match grid shape")
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(values * grid.quadrature_weights()))
-    if not math.isfinite(total):
-        raise FieldError(f"quadrature sum over the grid is {total}, not finite")
-    return total
+    quadrature = Quadrature(grid)
+    for slab in slabs(grid):
+        quadrature.add(slab, values[slab])
+    return quadrature.total()
 
 
 def integrate(density: ScalarField) -> float:

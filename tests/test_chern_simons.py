@@ -128,6 +128,11 @@ def _assert_sweep_matches_the_whole_grid(psi):
     assert np.array_equal(charges.abelian.h_pairs, h)
     fn = sign * cs.fn_pointwise(c, h) / (8.0 * np.pi**2)
     assert np.array_equal(charges.fn.field.values, fn)
+    # each charge, summed as its density was swept, is numpy's sum of the
+    # whole-grid density times the weights, bit for bit
+    assert (charges.q_spinor, charges.q_trace, charges.q_fn) == tuple(
+        float(np.sum(density.field.values * grid.quadrature_weights()))
+        for density in (charges.spinor, charges.trace, charges.fn))
     dc = st.derivative_stack(c, grid)
     residual = max(float(np.max(np.abs(dc[..., i, j] - dc[..., j, i] - h[..., idx])))
                    for idx, (i, j) in enumerate(cs.AbelianData.H_PAIRS))
@@ -320,22 +325,21 @@ def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
 
 
 def test_chart_sweeps_keep_only_the_values_resident(monkeypatch):
-    # The identity spinor stores no jet: the one sweep of the knot charges
-    # and the parallel condition takes it slab by slab from the chart
-    # formula, and holds A and c only as a halo of planes and H only for
-    # the slabs the trace pass has not read.  At one plane a slab it peaks
-    # below the values, the three whole-grid densities and three slabs of
-    # temporaries (d Psi, the current, the decomposition kernel and the
-    # derivative stacks of A and c, about 1 KB a site).  Neither the
-    # 10.6 MB jet of 48^3 sites nor a whole-grid A, c and H (13.3 MB) fits
-    # in that allowance.
+    # The identity spinor stores neither values nor jet: the one sweep of
+    # the knot charges and the parallel condition computes both slab by
+    # slab from the chart formula, holds A and c only as a halo of planes
+    # and H only for the slabs the trace pass has not read, and sums each
+    # density as it is swept.  At one plane a slab it peaks below two
+    # slabs of temporaries (d Psi, the current, the decomposition kernel
+    # and the derivative stacks of A and c, about 1 KB a site): measured
+    # 4.11 MB, and 10.0 MB with the values and the three densities
+    # resident, under a bound of those and three slabs.  Neither the
+    # 3.5 MB of values nor one whole-grid density (0.9 MB), the 10.6 MB
+    # jet of 48^3 sites or a whole-grid A, c and H (13.3 MB) fits in it.
     from su2topo import lattice
     n = 48
     monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
     sites = n**3
-    values = sites * 2 * 16
-    outputs = sites * 8 * 3                    # the three densities
-    slabs = 3 * n * n * 1024
 
     def sweep():
         psi = st.identity_map_s3(n)
@@ -343,10 +347,74 @@ def test_chart_sweeps_keep_only_the_values_resident(monkeypatch):
         return psi
 
     peak, psi = peak_traced_bytes(sweep)
-    bound = values + outputs + slabs
+    bound = 2 * n * n * 1024
     assert peak < bound
-    assert psi.jet is None and peak + sites * 3 * 2 * 16 > bound
-    assert peak + sites * 8 * (9 + 3 + 3) > bound
+    assert psi.jet is None and psi.__dict__["values"] is None
+    for resident in (sites * 2 * 16, sites * 8, sites * 3 * 2 * 16, sites * 8 * 15):
+        assert peak + resident > bound
+
+
+def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):
+    # A chart spinor serves its samples: the normalization check and the
+    # one sweep each compute every slab once, in order, and nothing fills
+    # the whole grid.  The charges and maxima equal those of the same
+    # samples stored, bit for bit.
+    from su2topo import lattice
+    n = 12
+    monkeypatch.setattr(lattice, "SLAB_SITES", 5 * n * n)     # an uneven last slab
+    served = st.identity_map_s3(n)
+    blocks = []
+
+    def block_values(block):
+        blocks.append(block)
+        return served.block_values(block)
+
+    psi = st.SpinorField(served.grid, None, block_jet=served.block_jet,
+                         block_values=block_values)
+    stored = st.SpinorField(served.grid, served.values, block_jet=served.block_jet)
+    real = lattice._Samples.__get__
+
+    def get(self, field, owner=None):
+        assert field is None or field.__dict__["values"] is not None, "whole-grid fill"
+        return real(self, field, owner)
+
+    monkeypatch.setattr(lattice._Samples, "__get__", get)
+    assert psi.normalized
+    assert blocks == list(lattice.slabs(psi.grid))
+    blocks.clear()
+    charges = cs.chern_simons(psi, parallel=True)
+    assert blocks == list(lattice.slabs(psi.grid))
+    expected = cs.chern_simons(stored, parallel=True)
+    assert (charges.q_spinor, charges.q_trace, charges.q_fn,
+            charges.abelian.exactness_residual, charges.parallel_maxima) == (
+        expected.q_spinor, expected.q_trace, expected.q_fn,
+        expected.abelian.exactness_residual, expected.parallel_maxima)
+
+
+def test_a_nan_in_one_slab_of_the_jet_never_passes(monkeypatch, capsys):
+    # The sweep folds its residues and residuals with np.maximum: a NaN in
+    # one slab's jet reaches the exactness residual, which raises, and
+    # verify reports an exactness FAIL.  (The builtin max(0.0, nan) is 0.0,
+    # which would let the residual check pass.)
+    from su2topo import generators
+    from su2topo.cli import main
+    real = generators._chart_jet
+
+    def poisoned(trig, block):
+        dn = real(trig, block)
+        if block == slice(0, 1):        # the first plane (one plane a slab)
+            dn[0, 3, 1, 2] = np.nan
+        return dn
+
+    monkeypatch.setattr(generators, "_chart_jet", poisoned)
+    from su2topo import lattice
+    monkeypatch.setattr(lattice, "SLAB_SITES", 16 * 16)
+    with pytest.raises(st.ReconstructionError, match="not a potential for H"):
+        cs.chern_simons(st.identity_map_s3(16), parallel=True)
+    assert main(["verify", "identity", "--grid", "16,16,16", "--no-color"]) == 1
+    out = capsys.readouterr().out
+    assert "name: exactness\n      status: FAIL" in out and "overall: FAIL" in out
+    assert "PASS" not in out
 
 
 def test_parallel_reads_decompose_without_the_sweep():

@@ -158,15 +158,16 @@ def test_decompose_without_a_potential_requires_normalized():
 
 def test_decompose_takes_no_whole_grid_potential(monkeypatch):
     # Without a potential, each slab takes A from its own current.  At one
-    # plane a slab, decompose on the identity chart spinor (no jet stored)
-    # peaks below the values and three slabs of temporaries (d Psi, the
+    # plane a slab, decompose on the identity chart spinor (neither values
+    # nor jet stored) peaks below three slabs of temporaries (d Psi, the
     # current, A and the kernel, about 1 KB a site; one slab measured
-    # 1.15 KB), and a whole-grid A (8 MB at 48^3) does not fit in that.
+    # 1.15 KB, the whole run 2.43 MB), and a whole-grid A (8 MB at 48^3)
+    # does not fit in that.
     from su2topo import lattice
     n = 48
     monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
     sites = n**3
-    bound = sites * 2 * 16 + 3 * n * n * 1024
+    bound = 3 * n * n * 1024
     peak, dec = peak_traced_bytes(lambda: st.decompose(st.identity_map_s3(n)))
     assert dec.max_b < 1e-10 and dec.gauge is None
     assert peak < bound

@@ -475,8 +475,19 @@ def _chart_cases(grid):
 def _blocks(grid):
     n0, n1, n2 = grid.shape
     return [slice(0, 1), slice(2, 5), slice(n0 - 2, n0), slice(1, n0 - 1, 3),
+            slice(n0 - 1, 0, -2),
             (slice(1, 4), slice(2, n1, 3), slice(0, n2, 5)),
-            (slice(None), slice(n1 - 1, n1), slice(None))]
+            (slice(None), slice(n1 - 1, n1), slice(None)),
+            (slice(None, None, -1), slice(n1 - 2, 0, -3), slice(n2 - 1, None, -4))]
+
+
+def _assert_served(field, reference, blocks):
+    # no samples are stored: each block's are computed when it is read
+    assert field.__dict__["values"] is None and field.block_values is not None
+    assert _bit_equal(field.values_at(), reference)
+    for block in blocks:
+        got = field.values_at(block)
+        assert _bit_equal(got, reference[block]) and not got.flags.writeable, block
 
 
 def _assert_jets_equal(field, reference, blocks):
@@ -495,15 +506,21 @@ def test_chart_jets_equal_the_whole_chart_formula(shape, monkeypatch):
     blocks = _blocks(grid)
     for name, field, values, jet in _chart_cases(grid):
         assert _bit_equal(field.values, values), name
+        _assert_served(field, values, blocks)
         _assert_jets_equal(field, jet, blocks)
-        # each conversion hands the block jet on as a view of each block
+        # each conversion hands the block jet and the served samples on as
+        # a view of each block
         if isinstance(field, st.SpinorField):
             phi, psi = st.spinor_to_phi(field), field
+            _assert_served(phi, values.view(np.float64), blocks)
             _assert_jets_equal(phi, jet.view(np.float64), blocks)
+            _assert_served(st.phi_to_spinor(phi), values, blocks)
             _assert_jets_equal(st.phi_to_spinor(phi), jet, blocks)
         else:
             psi = st.phi_to_spinor(field)
+            _assert_served(psi, values.view(np.complex128), blocks)
             _assert_jets_equal(psi, jet.view(np.complex128), blocks)
+            _assert_served(st.spinor_to_phi(psi), values, blocks)
             _assert_jets_equal(st.spinor_to_phi(psi), jet, blocks)
             jet = jet.view(np.complex128)
         # normalize transports each block as the whole-grid quotient rule

@@ -4,9 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from su2topo import Grid, LatticeError, ScalarField, integrate
-from su2topo.lattice import (_fractional_index, derivative_stack, integrate_values,
-                             interpolate, interpolate_with_gradient, slabs,
-                             stencil_planes, stencil_windows)
+from su2topo.lattice import (Quadrature, _fractional_index, _PairwiseSum,
+                             derivative_stack, integrate_values, interpolate,
+                             interpolate_with_gradient, slabs, stencil_planes,
+                             stencil_windows)
 
 
 def periodic_grid(n=64):
@@ -146,6 +147,58 @@ def test_integrate_is_linear():
     lhs = integrate_values(2.5 * f - 0.75 * g, grid)
     rhs = 2.5 * integrate_values(f, grid) - 0.75 * integrate_values(g, grid)
     assert abs(lhs - rhs) < 1e-12
+
+
+# The streamed quadrature reproduces numpy's pairwise float64 sum.  These
+# tests pin that summation order: a numpy that sums in another order fails
+# here instead of moving the last bits of a reported charge.
+@pytest.mark.parametrize("n", [1, 5, 7, 8, 9, 64, 100, 127, 128, 129, 216, 1000,
+                               4099, 100003])
+def test_pairwise_sum_equals_numpy_sum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+    cuts = sorted({0, n, *rng.integers(0, n + 1, size=4).tolist()})
+    for chunks in ([values], np.split(values, n), [values[a:b] for a, b in
+                                                    zip(cuts, cuts[1:])]):
+        summed = _PairwiseSum(n)
+        for chunk in chunks:
+            summed.add(chunk)
+        assert summed.total() == float(np.sum(values)), (n, len(chunks))
+    short = _PairwiseSum(n + 1)
+    short.add(values)
+    with pytest.raises(LatticeError):
+        short.total()
+
+
+@pytest.mark.parametrize("shape, periodic, cell_centered", [
+    ((4, 5, 6), (False,) * 3, False),
+    ((33, 17, 29), (False, False, True), True),           # the s3 chart's axes
+    ((96, 96, 96), (False, False, True), True),
+    ((23, 9, 11), (True, False, True), False),
+    ((24, 24, 24, 24), (False,) * 4, False),
+    ((7, 6, 5, 9), (True, True, False, False), True),
+], ids=str)
+def test_streamed_quadrature_equals_the_whole_grid_sum(shape, periodic, cell_centered):
+    rng = np.random.default_rng(sum(shape))
+    rank = len(shape)
+    grid = Grid(shape, (0.0,) * rank, tuple(0.05 + 0.1 * i for i in range(rank)),
+                periodic, cell_centered)
+    values = rng.normal(size=shape)
+    expected = float(np.sum(values * grid.quadrature_weights()))
+    n = shape[0]
+    cuts = sorted({0, n, *rng.integers(1, n, size=3).tolist()})
+    planes = [slice(i, i + 1) for i in range(n)]
+    for parts in (planes, [slice(a, b) for a, b in zip(cuts, cuts[1:])],
+                  [slice(None)], planes[1:] + planes[:1]):      # the first slab last
+        quadrature = Quadrature(grid)
+        for part in parts:
+            quadrature.add(part, values[part])
+        assert quadrature.total() == expected, parts
+    assert integrate_values(values, grid) == expected
+    quadrature = Quadrature(grid)
+    quadrature.add(slice(1, n), values[1:])
+    with pytest.raises(LatticeError):
+        quadrature.total()
 
 
 def test_refinement_shrinks_errors():
