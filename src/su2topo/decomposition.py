@@ -67,7 +67,7 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField | np.ndarray,
     if isinstance(gauge, GaugeField):
         if psi.grid != gauge.grid:
             raise FieldError("spinor and gauge grids differ")
-        gauge = gauge.values[slab]
+        gauge = gauge.values_at(slab)
     if samples is None:
         samples = psi.values_at(slab)
     # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
@@ -185,7 +185,7 @@ def _slab_inputs(psi: SpinorField, gauge: GaugeField | None):
     ``gauge``, or without one the parallel potential of the current."""
     for slab, samples, dvalues, current in psi.slab_currents():
         yield slab, samples, dvalues, current, (
-            parallel_components(current) if gauge is None else gauge.values[slab])
+            parallel_components(current) if gauge is None else gauge.values_at(slab))
 
 
 def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decomposition:

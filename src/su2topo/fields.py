@@ -115,12 +115,13 @@ class SpinorField(LatticeField):
 
     def slab_currents(self):
         """Yield ``(slab, samples, dvalues, current)`` for each axis-0 slab
-        (:func:`~su2topo.lattice.slabs`): the slab's samples
-        (:meth:`~su2topo.lattice.LatticeField.values_at`) and
-        :meth:`derivatives`, each taken once, and the :meth:`current`
-        computed from them."""
+        (:func:`~su2topo.lattice.slabs`): the slab's samples and
+        :meth:`derivatives`, taken once
+        (:meth:`~su2topo.lattice.LatticeField.slab_samples`, which reads
+        bare samples once a slab), and the :meth:`current` computed from
+        them."""
         for slab in slabs(self.grid):
-            samples, dvalues = self.values_at(slab), self.derivatives(slab=slab)
+            samples, dvalues = self.slab_samples(slab)
             yield slab, samples, dvalues, self.current(slab=slab, dvalues=dvalues,
                                                        samples=samples)
 
@@ -151,8 +152,9 @@ class PhiField(LatticeField):
     field built with ``values=None``: a box generator's computes them from
     the block's points and a rank-3 chart generator's from the chart
     formula, so the field stores no samples at all and
-    :meth:`~su2topo.lattice.LatticeField.values_at` serves each block.
-    Random and file fields store their values.
+    :meth:`~su2topo.lattice.LatticeField.values_at` serves each block; a
+    field read from an FLD file reads each block from the file.  Random
+    fields store their values.
     """
 
     grid: Grid
@@ -185,13 +187,16 @@ class GaugeField(LatticeField):
     """Real components A[mu][a] per site; matrix form A_mu^a sigma_a/(2i).
 
     The optional jet stores exact derivative samples d_nu A_mu^a with
-    shape ``(*shape, rank, rank, 3)`` (derivative axis first).
+    shape ``(*shape, rank, rank, 3)`` (derivative axis first).  A field
+    read from an FLD file stores neither: ``block_jet`` and
+    ``block_values`` read each block from the file.
     """
 
     grid: Grid
     values: np.ndarray
     jet: np.ndarray | None = None
     block_jet: object = field(default=None, repr=False, compare=False)
+    block_values: object = field(default=None, repr=False, compare=False)
 
     FLD_KIND = 3
     LABEL = "gauge field"

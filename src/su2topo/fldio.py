@@ -23,13 +23,15 @@ bits.  Writes stream the header, the values' own buffer and the jet one
 axis-0 slab at a time into a temp file that is then renamed, so a failed
 write never leaves a partial file behind, no serialized copy of the
 payload is built and a sampled jet is never whole.  Reads validate magic,
-header sanity and byte count as distinct error types, then read the
-values whole and checksum every byte before the field is built.  A jet,
-of any kind, is checksummed, and checked finite, one axis-0 plane at a
-time through one reused buffer and stays in the file: the field's
-``block_jet`` reads the planes a block covers when something asks for
-them (the zero search reads only the box faces, a face slab at a time,
-and a 4^4 window per zero, ``decompose`` one slab at a time), after
+header sanity and byte count as distinct error types, then checksum every
+byte before the field is built.  The values and a jet, of any kind, are
+checksummed, and checked finite, one axis-0 plane at a time through one
+reused buffer and stay in the file: the field's ``block_values`` and
+``block_jet`` read the planes a block covers when something asks for
+them (the zero search reads the screen's slabs, the box faces a face
+slab at a time, the bounding block of each Newton step's or sphere
+slab's points and a 4^4 window per zero; the charge sweep and
+``decompose`` read one slab and its stencil planes at a time), after
 checking that the file is still the one that was verified.
 The retired FLD1 format (FNV-1a trailer, no orientation) is rejected as
 bad magic.
@@ -38,6 +40,7 @@ bad magic.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import tempfile
@@ -48,7 +51,7 @@ import numpy as np
 from .errors import (BadMagicError, ChecksumError, CountMismatchError, FieldError,
                      FieldFormatError, FileChangedError, HeaderError, LatticeError)
 from .fields import GaugeField, PhiField, SpinorField
-from .lattice import Grid, ScalarField, read_only, slabs
+from .lattice import Grid, ScalarField, slabs
 
 MAGIC = b"FLD2"
 RETIRED_MAGIC = b"FLD1"
@@ -123,11 +126,13 @@ def read_field(path: str):
     The header is read and checked first; the file size (``os.fstat``) is
     checked against the layout before any payload buffer is allocated, so
     a corrupt header cannot ask for a huge one.  The CRC is checked over
-    every byte before the field is returned.  The field adopts a read-only
-    view of the aligned ``<f8`` array the values are read into; a jet is
-    checksummed and checked finite plane by plane (a non-finite entry
-    raises :class:`~su2topo.errors.FieldError` once the checksum holds)
-    and read from the file block by block (:class:`_FileJet`).  Axes that
+    every byte before the field is returned.  The values and a jet are
+    checksummed and checked finite one axis-0 plane at a time through one
+    buffer of a plane (a non-finite entry raises
+    :class:`~su2topo.errors.FieldError`, naming the values or the jet,
+    once the checksum holds), and no payload is kept: the field of any
+    kind is built with ``values=None`` and reads its values, and its jet,
+    from the file block by block (:class:`_FileBlocks`).  Axes that
     :class:`~su2topo.lattice.Grid` rejects (coordinates that are not
     finite and strictly increasing) raise :class:`HeaderError` once the
     size is checked, before any payload is read.
@@ -190,21 +195,22 @@ def read_field(path: str):
         except LatticeError as exc:
             raise HeaderError(f"{path}: {exc}") from exc
 
-        # a jet is checksummed, and checked finite, plane by plane and left
-        # in the file
-        flat = np.empty(nvals, dtype="<f8")
-        parts = [memoryview(flat).cast("B")]
+        # the values and a jet are checksummed, and checked finite, plane
+        # by plane through one buffer, and left in the file
+        plane = nvals // shape[0]
+        buffer = np.empty(plane * (rank if has_jet else 1), dtype="<f8")
+        parts = [("values", buffer[:plane])] * shape[0]
         if has_jet:
-            plane = np.empty(nvals * rank // shape[0], dtype="<f8")
-            parts += [memoryview(plane).cast("B")] * shape[0]
+            parts += [("jet", buffer)] * shape[0]
         actual = zlib.crc32(axes, zlib.crc32(head))
-        finite_jet = True
-        for k, part in enumerate(parts):
-            if handle.readinto(part) != len(part):
+        non_finite = set()
+        for name, part in parts:
+            view = memoryview(part).cast("B")
+            if handle.readinto(view) != len(view):
                 raise CountMismatchError(f"{path}: file changed size while being read")
-            actual = zlib.crc32(part, actual)
-            if k and not np.all(np.isfinite(plane)):
-                finite_jet = False
+            actual = zlib.crc32(view, actual)
+            if not np.all(np.isfinite(part)):
+                non_finite.add(name)
         trailer = handle.read()
         if len(trailer) != 8:
             raise CountMismatchError(f"{path}: file changed size while being read")
@@ -213,26 +219,30 @@ def read_field(path: str):
     if stored != actual:
         raise ChecksumError(
             f"{path}: checksum {stored:#018x} != computed {actual:#018x}")
-    if not finite_jet:
-        raise FieldError(f"{path}: {cls.LABEL} jet contains non-finite samples")
+    for name, verb in (("values", "contain"), ("jet", "contains")):
+        if name in non_finite:
+            raise FieldError(f"{path}: {cls.LABEL} {name} {verb} non-finite samples")
 
-    values = read_only(flat).view(dtype).reshape(grid.shape + comps)
-    if not has_jet:
-        return cls(grid, values)
-    return cls(grid, values, block_jet=_FileJet(
-        path, stat, 8 + len(axes) + 8 * nvals, grid.shape, (rank,) + comps, dtype))
+    offset = 8 + len(axes)
+    blocks = {"block_values": _FileBlocks(path, stat, offset, grid.shape, comps, dtype)}
+    if has_jet:
+        blocks["block_jet"] = _FileBlocks(path, stat, offset + 8 * nvals, grid.shape,
+                                          (rank,) + comps, dtype)
+    return cls(grid, None, **blocks)
 
 
 def _identity(stat: os.stat_result) -> tuple:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-class _FileJet:
-    """The block jet of a file whose checksum :func:`read_field` verified.
+class _FileBlocks:
+    """The block values or block jet of a file whose checksum
+    :func:`read_field` verified: ``site_shape`` entries per site from
+    ``offset`` on.
 
     A block (an axis-0 slice, or a tuple of per-axis slices) is read
     ascending, then reversed along the axes whose step is negative, as
-    indexing a stored jet gives it.  It is read as runs of whole sites: a
+    indexing a stored array gives it.  It is read as runs of whole sites: a
     run fixes the block's indices on the axes before some axis and spans
     that axis from the block's first index to its last, with every later
     axis whole.  The axis is chosen
@@ -272,15 +282,15 @@ class _FileJet:
                        dtype=self.dtype.newbyteorder("="))
         if out.size == 0:
             return out
-        site = int(np.prod(self.site_shape)) * self.dtype.itemsize
-        sites_after = [int(np.prod(shape[axis + 1:])) for axis in range(len(shape))]
+        site = math.prod(self.site_shape) * self.dtype.itemsize
+        sites_after = [math.prod(shape[axis + 1:]) for axis in range(len(shape))]
         spans = [r[-1] + 1 - r.start for r in ranges]
 
         def run_shape(axis):
             return (spans[axis],) + shape[axis + 1:] + self.site_shape
 
         def cost(axis):         # in bytes, of reading runs along ``axis``
-            reads = int(np.prod(out.shape[:axis]))
+            reads = math.prod(out.shape[:axis])
             return reads * (self.READ_BYTES + spans[axis] * sites_after[axis] * site)
 
         # runs along axis 0 are read only straight into the result, so a

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -218,19 +218,20 @@ class LatticeField:
     A kind that can carry a jet also declares a ``block_jet`` field: a
     function from a block (an axis-0 slice, or a tuple of per-axis slices)
     to the exact jet of its sites, which :meth:`exact_jet` asks when no
-    jet is stored.  The field then keeps its values only.  A kind may
-    declare a ``block_values`` field the same way, a function from a block
-    to its samples: given one and ``values=None``, the field stores no
-    samples, and :meth:`values_at` asks it for each block it serves and
-    checks that block's samples are finite.  ``values`` still reads the
-    whole grid, filled slab by slab and not kept.
+    jet is stored.  Every kind declares a ``block_values`` field the same
+    way, a function from a block to its samples: given one and
+    ``values=None``, the field stores no samples, and :meth:`values_at`
+    asks it for each block it serves and checks that block's samples are
+    finite.  Box and chart generators serve their samples so, and a field
+    read from an FLD file reads them from the file.  Library reads take
+    the block they need through :meth:`values_at`; ``values`` still reads
+    the whole grid, filled slab by slab and not kept.
 
     An array that is already read-only and aligned, of the kind's dtype and
     with no writable array in its ``.base`` chain, is adopted without a
     copy: nothing can change it any more.  Library code hands the fresh
-    arrays it builds for a field over that way (:func:`read_only`), and so
-    does the FLD reader with a view of its aligned values.  Every other
-    array is copied.
+    arrays it builds for a field over that way (:func:`read_only`).  Every
+    other array is copied.
     """
 
     DTYPE = np.float64
@@ -314,11 +315,35 @@ class LatticeField:
     def derivatives(self, order: int = 2, slab: slice = slice(None)) -> np.ndarray:
         """The exact jet if there is one, else finite differences of
         ``order``, on the planes ``slab`` of axis 0; the axis index sits
-        before the component axes."""
+        before the component axes.  Bare samples of a slab are read as
+        :meth:`slab_samples` reads them, so a field that serves its samples
+        never fills the whole grid for a slab."""
         jet = self.exact_jet(slab)
         if jet is not None:
             return jet
-        return derivative_stack(self.values, self.grid, order, slab)
+        if slab == slice(None):
+            return derivative_stack(self.values, self.grid, order)
+        return self.slab_samples(slab, order)[1]
+
+    def slab_samples(self, slab: slice, order: int = 2) -> tuple:
+        """``(values_at(slab), derivatives(order, slab))`` of the planes
+        ``slab`` of axis 0.  Bare samples are read once, on the planes the
+        slab's stencils read (:func:`stencil_planes`, wrapped runs on a
+        periodic axis 0), and the slab's own samples are a view of them."""
+        jet = self.exact_jet(slab)
+        if jet is not None:
+            return self.values_at(slab), jet
+        n, planes = self.grid.shape[0], stencil_planes(self.grid, order, slab)
+        runs, plane = [], planes.start
+        while plane < planes.stop:
+            lo = plane % n
+            hi = min(n, lo + planes.stop - plane)
+            runs.append(self.values_at(slice(lo, hi)))
+            plane += hi - lo
+        window = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        lo, hi, _ = slab.indices(n)
+        return (window[lo - planes.start:hi - planes.start],
+                derivative_stack(window, self.grid, order, slab, planes.start))
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -356,6 +381,7 @@ class ScalarField(LatticeField):
 
     grid: Grid
     values: np.ndarray
+    block_values: object = field(default=None, repr=False, compare=False)
 
     FLD_KIND = 5
     LABEL = "scalar field"
@@ -516,21 +542,22 @@ def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
             d[row - lo] = stencil()
 
 
-#: Leaf length of numpy's pairwise float64 sum (its ``PW_BLOCKSIZE``).
-_PAIRWISE_LEAF = 128
+#: Most elements of one subtree of the pairwise sum summed by one reduce.
+_PAIRWISE_RUN = 1 << 14
 
 
 def _pairwise_tree(n: int) -> list:
-    """The nodes of numpy's pairwise sum of ``n`` elements, one level a
-    list entry from the root: the sizes and first elements of the level's
-    runs, left to right.  A run of more than ``_PAIRWISE_LEAF`` elements
-    splits at half its length rounded down to a multiple of 8; the others
-    are leaves."""
+    """The nodes of numpy's pairwise sum of ``n`` elements, down to
+    subtrees of at most ``_PAIRWISE_RUN`` elements, one level a list entry
+    from the root: the sizes and first elements of the level's runs, left
+    to right.  numpy splits a run of more than 128 elements (its
+    ``PW_BLOCKSIZE``) at half its length rounded down to a multiple of 8;
+    runs of at most ``_PAIRWISE_RUN`` are not split here."""
     levels = []
     sizes, firsts = np.array([n]), np.array([0])
     while sizes.size:
         levels.append((sizes, firsts))
-        split = sizes > _PAIRWISE_LEAF
+        split = sizes > _PAIRWISE_RUN
         sizes, firsts = sizes[split], firsts[split]
         halves = sizes // 2 - sizes // 2 % 8
         sizes = np.stack((halves, sizes - halves), axis=1).ravel()
@@ -538,78 +565,58 @@ def _pairwise_tree(n: int) -> list:
     return levels
 
 
-def _leaf_sums(data: np.ndarray, firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The sums of the leaves ``data[first:first + length]`` as numpy's
-    pairwise sum takes a leaf: 8 running lanes over the largest multiple
-    of 8 elements, joined in pairs, then the other elements in order (a
-    leaf of fewer than 8 elements is summed in order from 0).  The leaves
-    are summed side by side, a shorter one padded with zeros: a zero
-    changes no sum but the sign of a zero sum, and the total is added to
-    0.0 at the end, as ``np.sum`` adds it, which drops that sign."""
-    tops = lengths - lengths % 8
-    last = data.size - 1
-    lanes = np.zeros((len(lengths), 8))
-    if tops.max():
-        columns = np.arange(tops.max())
-        block = data[np.minimum(firsts[:, None] + columns, last)]
-        block[columns >= tops[:, None]] = 0.0
-        block = block.reshape(len(lengths), -1, 8)
-        lanes = block[:, 0].copy()
-        for step in range(1, block.shape[1]):
-            lanes += block[:, step]
-    total = (((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3]))
-             + ((lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7])))
-    rests = lengths - tops
-    for step in range(rests.max()):
-        column = data[np.minimum(firsts + tops + step, last)]
-        total += np.where(step < rests, column, 0.0)
-    return total
-
-
 class _PairwiseSum:
     """``np.sum`` of a contiguous float64 vector of ``n`` elements, bit for
-    bit, fed in order in chunks of any length: numpy's pairwise sum, whose
-    leaves (:func:`_pairwise_tree`) are summed as soon as a chunk completes
-    them, so only the elements of one unfinished leaf are held."""
+    bit, fed in order in chunks of any length: numpy's pairwise sum, cut
+    into subtrees of at most ``_PAIRWISE_RUN`` elements
+    (:func:`_pairwise_tree`).  Each subtree is a run of consecutive
+    elements, summed by one ``np.add.reduce`` (numpy's own pairwise sum of
+    it) as soon as the chunks complete it, so only the elements of one
+    unfinished run are held; the runs' sums are joined up the tree as
+    numpy joins them.  A run's sum may
+    differ from numpy's only in the sign of a zero, which changes no sum
+    but the sign of a zero one, and the total is added to 0.0 at the end,
+    as ``np.sum`` adds it, which drops that sign."""
 
     def __init__(self, n: int):
         self._levels = _pairwise_tree(n)
-        leaves = [(firsts[sizes <= _PAIRWISE_LEAF], sizes[sizes <= _PAIRWISE_LEAF])
-                  for sizes, firsts in self._levels]
-        firsts, lengths = map(np.concatenate, zip(*leaves))
+        runs = [(firsts[sizes <= _PAIRWISE_RUN], sizes[sizes <= _PAIRWISE_RUN])
+                for sizes, firsts in self._levels]
+        firsts, sizes = map(np.concatenate, zip(*runs))
         order = np.argsort(firsts)
-        self._firsts, self._lengths = firsts[order], lengths[order]
-        self._ends = self._firsts + self._lengths
-        self._sums = np.empty(len(self._lengths))
-        self._done = 0                  # leaves summed
-        self._carry = np.empty(0)       # elements past the last leaf summed
+        self._firsts, self._sizes = firsts[order], sizes[order]
+        self._sums = np.empty(len(self._sizes))
+        self._done = 0                  # runs summed
+        self._pending = []              # chunks of elements past the last run summed
+        self._held = 0                  # elements in them
 
     def add(self, chunk: np.ndarray) -> None:
         """Feed the next elements, a 1-D float64 array."""
-        data = np.concatenate((self._carry, chunk)) if self._carry.size else chunk
-        done = self._done
-        start = int(self._ends[done - 1]) if done else 0
-        stop = int(np.searchsorted(self._ends, start + data.size, side="right"))
-        if stop > done:
-            self._sums[done:stop] = _leaf_sums(data, self._firsts[done:stop] - start,
-                                               self._lengths[done:stop])
-            data = data[int(self._ends[stop - 1]) - start:]
-        self._carry = data.copy()
-        self._done = stop
+        self._pending.append(chunk)
+        self._held += chunk.size
+        while self._done < len(self._sizes) and self._held >= self._sizes[self._done]:
+            pending = self._pending
+            data = np.concatenate(pending) if len(pending) > 1 else pending[0]
+            size = int(self._sizes[self._done])
+            self._sums[self._done] = np.add.reduce(data[:size])
+            rest = data[size:]          # a view: kept only while it holds elements
+            self._pending, self._held = [rest] if rest.size else [], self._held - size
+            self._done += 1
 
     def total(self) -> float:
         """The sum of the ``n`` elements; :class:`LatticeError` if fewer were
         fed."""
-        if self._done < len(self._lengths):
-            raise LatticeError(f"pairwise sum fed {int(self._firsts[self._done])} "
-                               f"elements of {int(self._ends[-1])}")
+        if self._done < len(self._sizes):
+            fed = int(self._firsts[self._done]) + self._held
+            raise LatticeError(f"pairwise sum fed {fed} elements of "
+                               f"{int(self._firsts[-1] + self._sizes[-1])}")
         below = None
         for sizes, firsts in reversed(self._levels):
-            leaf = sizes <= _PAIRWISE_LEAF
+            run = sizes <= _PAIRWISE_RUN
             level = np.empty(sizes.size)
-            level[leaf] = self._sums[np.searchsorted(self._firsts, firsts[leaf])]
+            level[run] = self._sums[np.searchsorted(self._firsts, firsts[run])]
             if below is not None:
-                level[~leaf] = below[0::2] + below[1::2]
+                level[~run] = below[0::2] + below[1::2]
             below = level
         return 0.0 + float(below[0])
 
@@ -709,53 +716,97 @@ def _fractional_index(grid: Grid, points: np.ndarray) -> tuple:
     return bases, fracs
 
 
-def interpolation_corners(grid: Grid, points: np.ndarray):
+def interpolation_window(grid: Grid, points: np.ndarray) -> list:
+    """The per-axis sites of the smallest block that holds every corner
+    multilinear interpolation reads at ``points`` ``(npts, rank)``: on each
+    axis a run of consecutive sites, which on a periodic axis may wrap once
+    past the end (it starts after the widest gap between the sites read).
+    Open axes reject points outside the sampled interval."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    take = []
+    for base, n, periodic in zip(_fractional_index(grid, points)[0], grid.shape,
+                                 grid.periodic):
+        if not periodic:
+            take.append(np.arange(base.min(), base.max() + 2))
+            continue
+        read = np.zeros(n, dtype=bool)
+        read[base] = read[(base + 1) % n] = True
+        sites = np.flatnonzero(read)
+        gaps = np.diff(sites, append=sites[0] + n)
+        widest = int(np.argmax(gaps))
+        start = sites[(widest + 1) % sites.size]
+        take.append((start + np.arange(n + 1 - gaps[widest])) % n)
+    return take
+
+
+def _corners(grid: Grid, points: np.ndarray, shape: tuple, first):
     """Yield the ``2**rank`` corners that multilinear interpolation reads.
 
-    Each corner is ``(index, bits, factors)``: per-axis site arrays (wrapped
-    on periodic axes), 0/1 offsets and weight factors, whose product in axis
-    order is the weight, one entry per point of ``points`` ``(npts, rank)``.
-    Open axes reject points outside the sampled interval.
+    Each corner is ``(sites, bits, factors)``: the flat indices of its
+    sites in a block of ``shape`` sites whose per-axis first sites are
+    ``first`` (counted on cyclically past the end of a periodic axis; the
+    whole grid if None), 0/1 offsets and weight factors, whose product in
+    axis order is the weight, one entry per point of ``points``
+    ``(npts, rank)``.  Open axes reject points outside the sampled
+    interval.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     bases, fracs = _fractional_index(grid, points)
+    first = (0,) * grid.rank if first is None else first
+    offsets, weights = [], []
+    for axis, (base, frac) in enumerate(zip(bases, fracs)):
+        stride, n = math.prod(shape[axis + 1:]), grid.shape[axis]
+        local = [base + bit - first[axis] for bit in (0, 1)]
+        if grid.periodic[axis]:
+            local = [site % n for site in local]
+        offsets.append([site * stride for site in local])
+        weights.append((1.0 - frac, frac))
     for corner in range(1 << grid.rank):
         bits = tuple((corner >> i) & 1 for i in range(grid.rank))
-        index = tuple((base + bit) % n if periodic else base + bit
-                      for base, bit, n, periodic in zip(bases, bits, grid.shape,
-                                                        grid.periodic))
-        yield index, bits, [frac if bit else 1.0 - frac for frac, bit in zip(fracs, bits)]
+        yield (reduce(np.add, [offset[bit] for offset, bit in zip(offsets, bits)]), bits,
+               [weight[bit] for weight, bit in zip(weights, bits)])
 
 
-def interpolate(values: np.ndarray, grid: Grid, points: np.ndarray) -> np.ndarray:
+def interpolate(values: np.ndarray, grid: Grid, points: np.ndarray,
+                first=None) -> np.ndarray:
     """Multilinear interpolation of grid samples at arbitrary points.
 
     ``points`` has shape ``(npts, rank)``; the result keeps any trailing
     component axes of ``values``.  Periodic axes wrap; open axes reject
-    points outside the sampled interval.
+    points outside the sampled interval.  ``values`` holds the whole grid,
+    or given ``first`` the block whose per-axis first sites those are, as
+    :func:`interpolation_window` gives it; each corner is read with one
+    ``take`` of its sites from the block seen as ``(sites, components)``.
     """
+    rank = grid.rank
     npts = np.atleast_2d(points).shape[0]
-    comp_shape = values.shape[grid.rank:]
+    comp_shape = values.shape[rank:]
+    table = values.reshape((-1,) + comp_shape)
+    pad = (-1,) + (1,) * len(comp_shape)
     out = np.zeros((npts,) + comp_shape, dtype=values.dtype)
-    for index, _, factors in interpolation_corners(grid, points):
-        out += reduce(np.multiply, factors).reshape((-1,) + (1,) * len(comp_shape)) * values[index]
+    for sites, _, factors in _corners(grid, points, values.shape[:rank], first):
+        out += reduce(np.multiply, factors).reshape(pad) * table.take(sites, axis=0)
     return out
 
 
-def interpolate_with_gradient(values: np.ndarray, grid: Grid, points: np.ndarray):
+def interpolate_with_gradient(values: np.ndarray, grid: Grid, points: np.ndarray,
+                              first=None):
     """Multilinear interpolation plus its exact gradient.
 
     Returns ``(vals, grads)`` with ``grads`` of shape
     ``(npts, rank, *components)``; the gradient is the analytic derivative
-    of the multilinear interpolant itself.
+    of the multilinear interpolant itself.  ``values`` and ``first`` are
+    those of :func:`interpolate`.
     """
+    rank = grid.rank
     npts = np.atleast_2d(points).shape[0]
-    comp_shape = values.shape[grid.rank:]
-    vals = np.zeros((npts,) + comp_shape, dtype=values.dtype)
-    grads = np.zeros((npts, grid.rank) + comp_shape, dtype=values.dtype)
+    comp_shape = values.shape[rank:]
+    table = values.reshape((-1,) + comp_shape)
     pad = (-1,) + (1,) * len(comp_shape)
-    for index, bits, factors in interpolation_corners(grid, points):
-        corner_vals = values[index]
+    vals = np.zeros((npts,) + comp_shape, dtype=values.dtype)
+    grads = np.zeros((npts, rank) + comp_shape, dtype=values.dtype)
+    for sites, bits, factors in _corners(grid, points, values.shape[:rank], first):
+        corner_vals = table.take(sites, axis=0)
         vals += reduce(np.multiply, factors).reshape(pad) * corner_vals
         for ax, bit in enumerate(bits):
             slope = (1.0 if bit else -1.0) / grid.spacing[ax]

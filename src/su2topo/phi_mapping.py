@@ -29,12 +29,13 @@ row-major order.
 Newton reads phi through one evaluator that returns values and derivative
 stacks together: the analytic sampler attached by the generators, which
 gives machine-precision roots, or for lattice-only fields the multilinear
-interpolant and its exact gradient, with O(h^2) positions.  Sphere sampling
-needs values only: it calls the sampler with ``jet=False``, or plain
-interpolation, on one chi-slab of the sphere chart at a time, and the
-chart derivatives of n and the determinants of the 4x4 matrices
-[n, d n] follow a slab behind, so no attempt holds more of the sphere
-than a few slabs and its (n,) determinants.
+interpolant and its exact gradient, with O(h^2) positions, read from the
+bounding block of the points only.  Sphere sampling needs values only: it
+calls the sampler with ``jet=False``, or plain interpolation, on one
+chi-slab of the sphere chart at a time, and the chart derivatives of n
+and the determinants of the 4x4 matrices [n, d n] follow a slab behind,
+summed as they are swept, so no attempt holds more of the sphere than a
+few slabs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -50,9 +50,9 @@ from .chern_density import boundary_cs_sum, check_flux_box
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
 from .fields import PhiField, _finite_max
 from .generators import s3_chart_grid, s3_points
-from .lattice import (Grid, ScalarField, derivative_stack, integrate_values,
-                      interpolate, interpolate_with_gradient, interpolation_corners,
-                      slabs, stencil_windows)
+from .lattice import (Grid, Quadrature, ScalarField, derivative_stack, interpolate,
+                      interpolate_with_gradient, interpolation_window, slabs,
+                      stencil_windows)
 
 DEGENERACY_TOL = 1e-8
 NEWTON_TOL = 1e-10           # |phi| at an accepted (refined) zero
@@ -101,14 +101,28 @@ def _evaluator(phi: PhiField):
     """``points (n, 4) -> (values (n, 4), jacobians (n, 4, 4))`` of phi."""
     if phi.sampler is not None:
         return phi.sampler
-    return lambda pts: interpolate_with_gradient(phi.values, phi.grid, pts)
+    return _interpolant(phi, interpolate_with_gradient)
 
 
 def _values_evaluator(phi: PhiField):
     """``points (n, 4) -> values (n, 4)`` of phi, for sphere sampling."""
     if phi.sampler is not None:
         return lambda pts: phi.sampler(pts, jet=False)[0]
-    return lambda pts: interpolate(phi.values, phi.grid, pts)
+    return _interpolant(phi, interpolate)
+
+
+def _interpolant(phi: PhiField, interpolator):
+    """``interpolator`` (:func:`~su2topo.lattice.interpolate` or its
+    gradient form) of phi's samples at the points, read on the bounding
+    block of the points only (:func:`~su2topo.lattice.interpolation_window`)
+    through :meth:`~su2topo.lattice.LatticeField.values_at`; the corners
+    are shifted into the block, so every value is the whole-grid one bit
+    for bit."""
+    def evaluate(points):
+        take = interpolation_window(phi.grid, points)
+        return interpolator(_window(phi.values_at, take), phi.grid, points,
+                            [int(t[0]) for t in take])
+    return evaluate
 
 
 def _value_and_matrix(evaluate, x: np.ndarray):
@@ -314,48 +328,44 @@ def _zero_jacobian(phi: PhiField, x: np.ndarray) -> float:
     has in the full grid: the corners sit where the window's stencils are
     those of the full grid (the interior stencil, or the one-sided one on
     a true boundary), so each determinant is the full-grid one.  The
-    window's jet is read through :meth:`~PhiField.exact_jet`, one block per
-    run of consecutive sites on each axis (two on an axis where the window
-    wraps).
+    window's values and jet are read through
+    :meth:`~su2topo.lattice.LatticeField.values_at` and
+    :meth:`~PhiField.exact_jet`, one block per run of consecutive sites on
+    each axis (two on an axis where the window wraps).
     """
     grid = phi.grid
-    corners = list(interpolation_corners(grid, x[None]))
     take = []
-    for axis, base in enumerate(corners[0][0]):
-        b, n = int(base[0]), grid.shape[axis]
+    for axis, corner in enumerate(interpolation_window(grid, x[None])):
+        b, n = int(corner[0]), grid.shape[axis]
         if grid.periodic[axis]:
             take.append((b - 1 + np.arange(4)) % n)
         else:
             start = min(max(b - 1, 0), n - 4)
             take.append(np.arange(start, start + 4))
     wgrid = Grid((4,) * 4, (0.0,) * 4, grid.spacing, (False,) * 4)
-    jet = _window_jet(phi, take)
-    dets = jacobian(PhiField(wgrid, phi.values[np.ix_(*take)], jet=jet)).values
-    det = np.zeros(1)
-    for index, _, factors in corners:
-        local = tuple((int(idx[0]) - int(t[0])) % n
-                      for idx, t, n in zip(index, take, grid.shape))
-        det += reduce(np.multiply, factors) * dets[local]
-    return float(det[0])
+    window = PhiField(wgrid, _window(phi.values_at, take), jet=_window(phi.exact_jet, take))
+    return float(interpolate(jacobian(window).values, grid, x[None],
+                             [int(t[0]) for t in take])[0])
 
 
-def _window_jet(phi: PhiField, take) -> np.ndarray | None:
-    """``exact_jet`` of phi on the window of per-axis sites ``take``, whose
-    sites run consecutively on each axis but may wrap once past the end."""
+def _window(read, take) -> np.ndarray | None:
+    """``read`` (a field's ``values_at`` or ``exact_jet``) of the block of
+    per-axis sites ``take``, whose sites run consecutively on each axis but
+    may wrap once past the end, or None where ``read`` gives None."""
     runs = []
     for t in take:
         cut = int(np.argmin(t))        # where a wrapped run restarts at 0
         runs.append([(slice(lo, hi), slice(int(t[lo]), int(t[lo]) + hi - lo))
                      for lo, hi in ((0, cut), (cut, len(t))) if hi > lo])
-    jet = None
+    out = None
     for parts in itertools.product(*runs):
-        block = phi.exact_jet(tuple(source for _, source in parts))
+        block = read(tuple(source for _, source in parts))
         if block is None:
             return None
-        if jet is None:
-            jet = np.empty(tuple(map(len, take)) + block.shape[4:])
-        jet[tuple(target for target, _ in parts)] = block
-    return jet
+        if out is None:
+            out = np.empty(tuple(map(len, take)) + block.shape[len(take):], block.dtype)
+        out[tuple(target for target, _ in parts)] = block
+    return out
 
 
 def surface_degree(evaluate, center, radius: float):
@@ -371,9 +381,10 @@ def surface_degree(evaluate, center, radius: float):
     chi-slab of the chart (:func:`~su2topo.lattice.slabs`) at a time and
     takes the three chart derivatives of n a slab behind, on the planes
     their stencils read (:func:`~su2topo.lattice.stencil_windows`; chi and
-    theta open, phi periodic), so only the determinants of the 4x4
-    matrices [n, d n] are kept for the whole sphere; each equals the
-    whole-sphere evaluation bit for bit.
+    theta open, phi periodic), and the determinants of the 4x4 matrices
+    [n, d n] are fed to a :class:`~su2topo.lattice.Quadrature` slab by
+    slab, so no array of the whole sphere is kept; each determinant, and
+    the sum, equals the whole-sphere evaluation bit for bit.
 
     Returns ``(degree, raw_value, deviation)``.
     """
@@ -381,11 +392,11 @@ def surface_degree(evaluate, center, radius: float):
     resolution = SPHERE_RESOLUTION
     for attempt in range(SPHERE_REFINEMENTS + 1):
         agrid = s3_chart_grid(resolution)
-        dets = np.empty(agrid.shape)
+        quadrature = Quadrature(agrid)
         for slab, (n,), first in stencil_windows(
                 agrid, 2, _sphere_slabs(evaluate, center, radius, agrid)):
-            dets[slab] = _slab_dets(n, agrid, slab, first)
-        value = integrate_values(dets, agrid) / (2.0 * np.pi**2)
+            quadrature.add(slab, _slab_dets(n, agrid, slab, first))
+        value = quadrature.total() / (2.0 * np.pi**2)
         degree = int(np.rint(value))
         deviation = abs(value - degree)
         if deviation <= 0.1 or attempt == SPHERE_REFINEMENTS:

@@ -98,17 +98,22 @@ def test_decompose_reads_no_jet_of_its_gauge_file(tmp_path, capsys, monkeypatch)
     write_field(st.random_config(1, "spinor", grid), psi_path)
     write_field(st.random_config(2, "gauge", grid), gauge_path)
     reads = []
-    real = fldio._FileJet.__call__
+    real = fldio._FileBlocks.__call__
 
     def counted(self, block):
-        reads.append(self.path)
+        reads.append((self.path, self.offset))
         return real(self, block)
 
-    monkeypatch.setattr(fldio._FileJet, "__call__", counted)
+    monkeypatch.setattr(fldio._FileBlocks, "__call__", counted)
     code, out, _ = run(capsys, "decompose", "--psi", psi_path,
                        "--gauge", gauge_path, "--no-color", "--tol", "1e-10")
     assert code == 0 and "overall: PASS" in out
-    assert reads and set(reads) == {os.path.abspath(psi_path)}
+    # the values start right after the header, the jet after the values
+    values_at = 8 + 4 * 21
+    paths = {os.path.abspath(path) for path in (psi_path, gauge_path)}
+    assert {path for path, offset in reads if offset == values_at} == paths
+    assert {path for path, offset in reads if offset > values_at} == {
+        os.path.abspath(psi_path)}
 
 
 def test_violated_decomposition_identity_is_a_failed_check(tmp_path, capsys,
@@ -427,6 +432,75 @@ def test_file_changed_after_its_read_exits_3(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("change", ["truncate", "replace"])
+def test_values_of_a_file_changed_after_its_read_exit_3(tmp_path, capsys, monkeypatch,
+                                                         change):
+    # the values, too, are read from the file after the read verified it:
+    # on a values-only file, every command exits 3 with one input error
+    from su2topo import fldio
+    phi = _phi_file(tmp_path)
+    paths = [_bare_copy(phi, str(tmp_path / f"bare{k}.fld")) for k in range(4)]
+    read = fldio.read_field
+
+    def read_then_change(name):
+        field = read(name)
+        if change == "truncate":
+            os.truncate(name, os.path.getsize(name) - 8)
+        else:
+            copy = name + ".copy"
+            open(copy, "wb").write(open(name, "rb").read())
+            os.replace(copy, name)
+        return field
+
+    monkeypatch.setattr(fldio, "read_field", read_then_change)
+    for command, path in zip(_FILE_COMMANDS, paths):
+        code, out, err = run(capsys, *command, path, "--no-color")
+        assert (code, out) == (3, ""), command
+        assert err.startswith("su2topo: input error [file-changed]: "), command
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_exit_3_naming_the_values(tmp_path, capsys, entry):
+    # the reader checks each values plane as it checksums it: a CRC-valid
+    # file with a non-finite value in its first, a middle or its last
+    # plane is one input error on every command, which names the values
+    for plane in (0, 7, 11):
+        path = _phi_file(tmp_path)
+        _patch(path, 8 + 4 * 21 + 8 * (4 * 12**3 * plane + 4 * 100 + 2),
+               struct.pack("<d", entry))
+        for command in _FILE_COMMANDS:
+            err = _one_input_error(capsys, *command, path)
+            assert err == (f"su2topo: error: {path}: phi values contain non-finite "
+                           "samples\n"), (plane, command)
+
+
+def test_bare_cs_reads_each_values_plane_a_bounded_number_of_times(tmp_path, capsys,
+                                                                   monkeypatch):
+    # with one plane a slab, the charge sweep over a values-only chart file
+    # reads each plane once for the norm check and then in the stencil
+    # planes of the slabs that read it (up to 4 next to an open end, whose
+    # one-sided stencils read 3 planes), never the whole grid for a slab;
+    # the report is that of the default slabs
+    from su2topo import fldio, lattice
+    path = _bare_copy(_chart_file(tmp_path), str(tmp_path / "bare.fld"))
+    capsys.readouterr()
+    expected = run(capsys, "cs", path, "--no-color")
+    monkeypatch.setattr(lattice, "SLAB_SITES", 8 * 8)
+    hits, sizes = np.zeros(8, dtype=int), []
+    real = fldio._FileBlocks.__call__
+
+    def counted(self, block):
+        planes = range(*(block[0] if isinstance(block, tuple) else block).indices(8))
+        hits[list(planes)] += 1
+        sizes.append(len(planes))
+        return real(self, block)
+
+    monkeypatch.setattr(fldio._FileBlocks, "__call__", counted)
+    assert run(capsys, "cs", path, "--no-color") == expected
+    assert max(sizes) == 3 and hits.max() == 5, (sizes, hits)
+
+
 def test_retired_su2_kind_exits_3(tmp_path, capsys):
     # kind 4 held one SU(2) matrix a site (8 floats), a kind no command
     # reads; a CRC-valid file of that layout is an unknown kind
@@ -710,6 +784,14 @@ _REPORT_DIGESTS = {
         (0, "50057c7712c054625fe5aff22fcfa5cefd7b66872e329fc77477aee89c45e34e"),
     ("decompose", "--psi", "spinor", "--gauge", "gauge"):
         (0, "50057c7712c054625fe5aff22fcfa5cefd7b66872e329fc77477aee89c45e34e"),
+    ("decompose", "--psi", "spinor-bare"):
+        (0, "50057c7712c054625fe5aff22fcfa5cefd7b66872e329fc77477aee89c45e34e"),
+    ("cs", "chart-bare"):
+        (0, "a87192064db6d2dbf339e152cc7b82c399e2900d5aa726e8602b50918f8013a0"),
+    ("zeros", "qpoly"):
+        (0, "6359da10891dcf41fe6932e3f05e9a5daed14d097445fb4f225e93b96baa21f3"),
+    ("zeros", "qpoly-bare"):
+        (1, "138b40534ca9f254941c1e80034ddf36cb74d5599d62db2315983be593fe5344"),
     ("cs", "chart"):
         (1, "fa22b7dbbf5627982ae790494d5b8f5b94e6aad8d9eac8284804ce37e20e6035"),
     ("chern", "spinor"):
@@ -730,7 +812,16 @@ def report_files(tmp_path_factory):
                        ("gauge", ["random-gauge", "--grid", "10,10,10,10", "--seed", "2"])):
         paths[name] = str(root / f"{name}.fld")
         assert main(["generate", "--kind", *argv, "--out", paths[name]]) == 0
+    for name in ("qpoly", "chart", "spinor"):      # values-only copies
+        paths[f"{name}-bare"] = _bare_copy(paths[name], str(root / f"{name}-bare.fld"))
     return paths
+
+
+def _bare_copy(path, bare):
+    """Write the values of the FLD file ``path``, without its jet, to ``bare``."""
+    field = st.read_field(path)
+    write_field(type(field)(field.grid, field.values), bare)
+    return bare
 
 
 @pytest.mark.parametrize("argv", list(_REPORT_DIGESTS), ids=" ".join)

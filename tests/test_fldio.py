@@ -55,12 +55,16 @@ def test_round_trip_all_kinds(tmp_path, grids):
             assert back_jet is None
         else:
             assert np.array_equal(back_jet, jet)
-            _assert_jet_in_the_file(back)
+        _assert_served_from_the_file(back)
 
 
-def _assert_jet_in_the_file(back):
-    # a file's jet stays in the file, whatever the kind: none is kept
-    assert back.jet is None and isinstance(back.block_jet, fldio._FileJet)
+def _assert_served_from_the_file(back):
+    # a file's values and jet stay in the file, whatever the kind: neither
+    # is kept
+    assert back.__dict__["values"] is None
+    assert isinstance(back.block_values, fldio._FileBlocks)
+    assert back.jet is None
+    assert back.block_jet is None or isinstance(back.block_jet, fldio._FileBlocks)
 
 
 def test_written_twice_is_byte_identical(tmp_path, grids):
@@ -136,28 +140,23 @@ def test_file_one_byte_off_is_count_mismatch(tmp_path, grids, change):
         read_field(path)
 
 
-def _owner(array: np.ndarray) -> np.ndarray:
-    """The array at the bottom of ``array``'s base chain."""
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array
-
-
 @pytest.mark.parametrize("kind", ["spinor", "phi"])
-def test_read_values_and_jet_are_views_of_one_payload(tmp_path, grids, kind):
-    # the values are read into one array, and the field adopts a read-only
-    # view of it: no copy is made; the jet is not read into it but from
-    # the file, block by block
-    g3, g4 = grids
-    field = next(f for f in all_fields(g3, g4) if f.LABEL == kind)
+def test_read_values_and_jet_stay_in_the_file(tmp_path, kind):
+    # the values and the jet are checksummed through one plane buffer and
+    # left in the file: the field stores neither, each is read block by
+    # block from its offset, and the read traces less than half the values
+    # (one jet plane is a quarter of them here)
+    grid = st.Grid((16, 5, 4, 6), (0.0,) * 4, (0.1,) * 4, (False, True, False, False))
+    field = _random_field(kind, grid, True, np.random.default_rng(8))
     path = str(tmp_path / "f.fld")
     write_field(field, path)
-    back = read_field(path)
-    owner = _owner(back.values)
-    assert owner.base is None and not owner.flags.writeable
-    assert np.shares_memory(owner, back.values)
-    assert back.jet is None
-    assert owner.nbytes == back.values.nbytes
+    peak, back = peak_traced_bytes(lambda: read_field(path))
+    _assert_served_from_the_file(back)
+    header = 8 + 21 * grid.rank
+    assert back.block_values.offset == header
+    assert back.block_jet.offset == header + field.values.nbytes
+    assert peak < field.values.nbytes // 2
+    assert np.array_equal(back.values_at(), field.values)
     assert np.array_equal(back.exact_jet(), field.jet)
 
 
@@ -264,8 +263,7 @@ def test_property_round_trip_and_single_bit_flip(tmp_path_factory, field, flip, 
     assert np.array_equal(back.values, field.values)
     jet, back_jet = field.exact_jet(), back.exact_jet()
     assert (back_jet is None) if jet is None else np.array_equal(back_jet, jet)
-    if jet is not None:
-        _assert_jet_in_the_file(back)
+    _assert_served_from_the_file(back)
 
     blob = bytearray(open(path, "rb").read())
     blob[flip % len(blob)] ^= 1 << bit
@@ -385,7 +383,7 @@ def test_file_jet_blocks_equal_the_stored_jet(tmp_path, monkeypatch, read_bytes)
     # jet, read as the shortest runs (a read costs nothing), the default
     # plan, or the fewest reads
     if read_bytes is not None:
-        monkeypatch.setattr(fldio._FileJet, "READ_BYTES", read_bytes)
+        monkeypatch.setattr(fldio._FileBlocks, "READ_BYTES", read_bytes)
     phi = _stored_phi()
     path = str(tmp_path / "phi.fld")
     write_field(phi, path)
@@ -446,7 +444,7 @@ def test_file_jet_reads_runs_of_the_block(tmp_path, monkeypatch):
     for read_bytes, piece, reads in [(0, block, [4 * site] * (4 * 3 * 5)),
                                      (1 << 40, block, [7 * 24**2 * site] * 4),
                                      (1 << 40, slab, [4 * 24**3 * site])]:
-        monkeypatch.setattr(fldio._FileJet, "READ_BYTES", read_bytes)
+        monkeypatch.setattr(fldio._FileBlocks, "READ_BYTES", read_bytes)
         _CountedReads.reads.clear()
         assert np.array_equal(back.exact_jet(piece), phi.jet[piece])
         assert _CountedReads.reads == reads
@@ -476,3 +474,42 @@ def test_jet_of_a_changed_file_is_an_input_error(tmp_path, change):
         os.remove(path)
     with pytest.raises(FileChangedError, match="after it was"):
         back.exact_jet(face)
+
+
+@pytest.mark.parametrize("kind", ["spinor", "phi", "gauge", "scalar"])
+def test_file_values_blocks_equal_the_written_values(tmp_path, kind):
+    # every block a file's values serve equals that block of the values it
+    # was written from, bit for bit: 150 random blocks of per-axis slices,
+    # negative steps and empty blocks among them, for each field kind
+    rng = np.random.default_rng(11)
+    grid = st.Grid((6, 5, 7, 4), (0.0,) * 4, (0.1, 0.2, 0.3, 0.4),
+                   (False, True, False, True))
+    field = _random_field(kind, grid, kind != "scalar", rng)
+    path = str(tmp_path / "f.fld")
+    write_field(field, path)
+    back = read_field(path)
+    _assert_served_from_the_file(back)
+    for _ in range(150):
+        block = tuple(_slice(rng, n) for n in grid.shape[:int(rng.integers(1, 5))])
+        got = back.values_at(block)
+        assert got.dtype == field.values.dtype and not got.flags.writeable
+        assert np.array_equal(got, field.values[block]), block
+    assert np.array_equal(back.values, field.values)
+
+
+@pytest.mark.parametrize("change", ["truncate", "replace"])
+def test_values_of_a_changed_file_are_an_input_error(tmp_path, change):
+    # the values, like the jet, are read after the checksum was verified:
+    # a file cut short or replaced since then raises FileChangedError
+    phi = _stored_phi()
+    path = str(tmp_path / "phi.fld")
+    write_field(st.PhiField(phi.grid, phi.values), path)
+    back = read_field(path)
+    face = (slice(None), slice(0, 1))
+    assert np.array_equal(back.values_at(face), phi.values[face])
+    if change == "truncate":
+        os.truncate(path, os.path.getsize(path) - 8)
+    else:
+        write_field(st.PhiField(phi.grid, 2.0 * phi.values), path)
+    with pytest.raises(FileChangedError, match="after it was"):
+        back.values_at(face)

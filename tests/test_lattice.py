@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from su2topo import Grid, LatticeError, ScalarField, integrate
+from su2topo import Grid, LatticeError, ScalarField, integrate, lattice
 from su2topo.lattice import (Quadrature, _fractional_index, _PairwiseSum,
                              derivative_stack, integrate_values, interpolate,
                              interpolate_with_gradient, slabs, stencil_planes,
@@ -168,6 +168,21 @@ def test_pairwise_sum_equals_numpy_sum_bit_for_bit(n):
     short.add(values)
     with pytest.raises(LatticeError):
         short.total()
+
+
+@pytest.mark.parametrize("n", [96**3, 24**4, 33 * 17 * 29, 3 * 2**14 + 5])
+def test_pairwise_sum_runs_span_chunks(n):
+    # the sum is taken in runs of up to 2^14 elements, each summed once the
+    # chunks fed complete it: fed 9,216 (a 96^2 plane) or 1,000 at a time,
+    # every run spans several chunks, and the sum is still np.sum's
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+    for size in (9216, 1000):
+        assert size < lattice._PAIRWISE_RUN
+        summed = _PairwiseSum(n)
+        for start in range(0, n, size):
+            summed.add(values[start:start + size])
+        assert summed.total() == float(np.sum(values)), (n, size)
 
 
 @pytest.mark.parametrize("shape, periodic, cell_centered", [
