@@ -169,10 +169,11 @@ def boundary_cs_sum(field):
 
 def _face_flux(face: SpinorField) -> complex:
     """The spinor Chern-Simons integral over one face: its integrand filled
-    slab by slab from ``face.slab_currents()``, then one ``np.sum``."""
+    slab by slab from the component-major ``face.slab_currents()``, then
+    one ``np.sum``."""
     raw = np.empty(face.grid.shape, dtype=np.complex128)
     for slab, _, dvalues, current in face.slab_currents():
-        raw[slab] = spinor_cs_values(current[..., 0], dvalues)
+        raw[slab] = spinor_cs_values(current[:, :, 0], dvalues)
         del dvalues, current        # not held while the next slab is computed
     return np.sum(raw * face.grid.quadrature_weights())
 

@@ -35,14 +35,20 @@ residual run a slab behind, on windows of the planes their stencils need
 planes and H for the slabs still to be read, never for the whole grid.
 Asked for the parallel condition, the sweep also runs the per-slab kernel
 of :func:`~su2topo.decomposition.decompose` on the slab's samples,
-d Psi, J, norms and A.  Each density is summed as it is swept
-(:class:`~su2topo.lattice.Quadrature`), bit for bit the
-:func:`~su2topo.lattice.integrate` of the whole-grid density, and not
-kept; residues, residuals and the decomposition's reductions are maxima
-over the slabs, folded so that a NaN survives.  A library caller that
+d Psi, J, norms and A.  Every per-slab kernel here is component-major
+(:func:`~su2topo.lattice.component_major`): a slab has the shape
+``(planes, components..., n1, n2)``, so each ufunc runs over a plane's
+contiguous sites, and the windows of A and c are differenced in that
+layout (``derivative_stack(..., components_first=True)``).  The trace
+density sums its color contraction in einsum's order on color-last rows,
+(A^0 D^0 + A^2 D^2) + A^1 D^1, so every density keeps its bits.  Each
+density is summed as it is swept (:class:`~su2topo.lattice.Quadrature`),
+bit for bit the :func:`~su2topo.lattice.integrate` of the whole-grid
+density, and not kept; residues, residuals and the decomposition's
+reductions are maxima over the slabs, folded so that a NaN survives.  A library caller that
 reads ``KnotCharges.spinor``, ``.trace``, ``.fn``, ``.gauge``,
 ``abelian.c`` or ``abelian.h_pairs`` gets them built slab by slab by the
-same sweep or kernel, bit for bit.
+same sweep or kernel, bit for bit, and site-major as grids are stored.
 """
 
 from __future__ import annotations
@@ -57,54 +63,64 @@ from .decomposition import (Decomposition, decompose, fold_maxima,
                             parallel_components, parallel_gauge_potential, slab_maxima)
 from .errors import FieldError, ReconstructionError
 from .fields import GaugeField, SpinorField, norm_squared, sigma_model_field
-from .lattice import (Quadrature, ScalarField, derivative_stack, read_only,
-                      stencil_windows)
+from .lattice import (Quadrature, ScalarField, component_major, derivative_stack,
+                      read_only, site_major, stencil_windows)
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
 
 
 def spinor_cs_values(j0: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
-    """Raw (complex) spinor Chern-Simons integrand.
+    """Raw (complex) spinor Chern-Simons integrand of a component-major
+    slab.
 
-    ``j0`` is J_i^0 = Psi^dag d_i Psi (..., 3), the first entry of
-    ``SpinorField.current``, and ``dvalues`` the jets d_i Psi (..., 3, 2).
-    Only the antisymmetric part of s2_jk = d_j Psi^dag d_k Psi enters the
-    contraction, and s2_jk - s2_kj = 2i Im s2_jk.
+    ``j0`` is J_i^0 = Psi^dag d_i Psi ``(planes, 3, ...)``, entry 0 of
+    ``SpinorField.current``, and ``dvalues`` the jets d_i Psi
+    ``(planes, 3, 2, ...)``.  Only the antisymmetric part of
+    s2_jk = d_j Psi^dag d_k Psi enters the contraction, and
+    s2_jk - s2_kj = 2i Im s2_jk.
     """
     re, im = dvalues.real, dvalues.imag
-    out = np.zeros(j0.shape[:-1], dtype=np.complex128)
+    out = np.zeros(j0.shape[:1] + j0.shape[2:], dtype=np.complex128)
     for i, j, k in _CYCLIC3:
-        im_s2 = ((re[..., j, 0] * im[..., k, 0] - im[..., j, 0] * re[..., k, 0])
-                 + (re[..., j, 1] * im[..., k, 1] - im[..., j, 1] * re[..., k, 1]))
-        out += j0[..., i] * im_s2
+        im_s2 = ((re[:, j, 0] * im[:, k, 0] - im[:, j, 0] * re[:, k, 0])
+                 + (re[:, j, 1] * im[:, k, 1] - im[:, j, 1] * re[:, k, 1]))
+        out += j0[:, i] * im_s2
     out *= 2j
     return -out / (4.0 * np.pi**2)
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
-    """det of (..., 3, 3) matrices, expanded along the first row."""
-    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+    """det of component-major 3x3 matrices ``(planes, 3, 3, ...)``,
+    expanded along the first row."""
+    return (m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
+            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
+            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0]))
 
 
 def _triple(m: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m . (u x v) for (..., 3) vectors."""
-    return (m[..., 0] * (u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1])
-            + m[..., 1] * (u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2])
-            + m[..., 2] * (u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]))
+    """m . (u x v) for component-major vectors ``(planes, 3, ...)``."""
+    return (m[:, 0] * (u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1])
+            + m[:, 1] * (u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2])
+            + m[:, 2] * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))
+
+
+def _colour_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^a y^a of component-major color vectors ``(planes, 3, ...)``, summed
+    as (x^0 y^0 + x^2 y^2) + x^1 y^1: the order ``np.einsum('...a,...a->...')``
+    takes on color-last rows, so the trace density keeps its bits."""
+    return (x[:, 0] * y[:, 0] + x[:, 2] * y[:, 2]) + x[:, 1] * y[:, 1]
 
 
 def trace_cs_values(a: np.ndarray, da: np.ndarray) -> np.ndarray:
-    """Trace-route Chern-Simons integrand from components and derivatives.
+    """Trace-route Chern-Simons integrand from component-major components
+    and derivatives.
 
-    ``a`` has shape (*shape, 3, 3) (axis, color); ``da`` has shape
-    (*shape, 3, 3, 3) (derivative axis, axis, color).
+    ``a`` has shape (planes, 3, 3, ...) (axis, color); ``da`` has shape
+    (planes, 3, 3, 3, ...) (derivative axis, axis, color).
     """
-    term1 = np.zeros(a.shape[:-2])
+    term1 = np.zeros(a.shape[:1] + a.shape[3:])
     for i, j, k in _CYCLIC3:
-        term1 += np.einsum("...a,...a->...", a[..., i, :],
-                           da[..., j, k, :] - da[..., k, j, :])
+        term1 += _colour_dot(a[:, i], da[:, j, k] - da[:, k, j])
     # eps^{ijk} eps^{abc} A_i^a A_j^b A_k^c = 3! det(A)
     term2 = 6.0 * _det3(a)
     return -(term1 - term2 / 3.0) / (16.0 * np.pi**2)
@@ -201,22 +217,23 @@ def _potentials(psi: SpinorField, slab: slice, samples: np.ndarray,
     """The sweep's kernel: the parallel potential A^a = -2 Im J^a, the
     Abelian potential C = -2 Im J^0 and the curvature pairs
     H_ij = -m . (d_i m x d_j m), d m^a = 2 Re J^a, on the planes ``slab``
-    of axis 0, from the slab's samples and spinor current."""
+    of axis 0, from the slab's samples and spinor current, all
+    component-major."""
     m = sigma_model_field(psi, slab, samples)
-    dm = 2.0 * current[..., 1:].real
+    dm = 2.0 * current[:, :, 1:].real
     h_pairs = np.empty(m.shape)
     for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
-        h_pairs[..., idx] = -_triple(m, dm[..., i, :], dm[..., j, :])
-    return (parallel_components(current), np.multiply(current[..., 0].imag, -2.0),
+        h_pairs[:, idx] = -_triple(m, dm[:, i], dm[:, j])
+    return (parallel_components(current), np.multiply(current[:, :, 0].imag, -2.0),
             h_pairs)
 
 
 def _rebuilt(psi: SpinorField, index: int) -> np.ndarray:
     """The whole-grid C or H (``index`` 1 or 2 of :func:`_potentials`),
-    filled slab by slab, read-only."""
+    filled slab by slab, site-major and read-only."""
     out = np.empty(psi.grid.shape + (3,))
     for slab, samples, _, current in psi.slab_currents():
-        out[slab] = _potentials(psi, slab, samples, current)[index]
+        out[slab] = site_major(_potentials(psi, slab, samples, current)[index], 3)
     return read_only(out)
 
 
@@ -286,7 +303,7 @@ def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
     def first_pass():
         nonlocal residue, maxima
         for slab, samples, dvalues, current in psi.slab_currents():
-            raw = sign * spinor_cs_values(current[..., 0], dvalues)
+            raw = sign * spinor_cs_values(current[:, :, 0], dvalues)
             residue = np.maximum(residue, np.max(np.abs(raw.imag)))
             emit("spinor", slab, raw.real)
             gauge, c, h_pairs = _potentials(psi, slab, samples, current)
@@ -296,6 +313,7 @@ def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
                     psi, slab, samples, dvalues, current,
                     norm_squared(psi, slab, samples), gauge))
             h_of[slab.start] = h_pairs
+            del samples, dvalues, current, raw   # not held through the trace pass
             yield slab, (gauge, c)
 
     # dA and dC read the planes next to each slab: a slab's second pass
@@ -305,13 +323,13 @@ def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
     curl_res = h_max = dc_max = 0.0
     for slab, (gauge, c), first in stencil_windows(grid, order, first_pass()):
         own = slice(slab.start - first, slab.stop - first)
-        emit("trace", slab, sign * trace_cs_values(
-            gauge[own], derivative_stack(gauge, grid, order, slab, first)))
-        dc = derivative_stack(c, grid, order, slab, first)
+        emit("trace", slab, sign * trace_cs_values(gauge[own], derivative_stack(
+            gauge, grid, order, slab, first, components_first=True)))
+        dc = derivative_stack(c, grid, order, slab, first, components_first=True)
         h = h_of.pop(slab.start)
         for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
             curl_res = np.maximum(curl_res, np.max(np.abs(
-                dc[..., i, j] - dc[..., j, i] - h[..., idx])))
+                dc[:, i, j] - dc[:, j, i] - h[:, idx])))
         h_max = np.maximum(h_max, np.max(np.abs(h)))
         dc_max = np.maximum(dc_max, np.maximum(np.max(dc), -np.min(dc)))
     resolution = max((h / grid.axis_extent(i)) ** 2 for i, h in enumerate(grid.spacing))
@@ -323,15 +341,16 @@ def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
 
 def fn_pointwise(c: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(1/4) eps_{ijk} C_i H_jk of the potential ``c`` and curvature pairs
-    ``h``, the Abelian side of the integrand identity.
+    ``h``, component-major ``(planes, 3, ...)``: the Abelian side of the
+    integrand identity.
 
     With H stored as the pairs (H_01, H_02, H_12), the contraction is
     2 (C_0 H_12 - C_1 H_02 + C_2 H_01).
     """
-    return 0.5 * (c[..., 0] * h[..., 2] - c[..., 1] * h[..., 1] + c[..., 2] * h[..., 0])
+    return 0.5 * (c[:, 0] * h[:, 2] - c[:, 1] * h[:, 1] + c[:, 2] * h[:, 0])
 
 
 def trace_pointwise(gauge: GaugeField) -> np.ndarray:
     """eps_{ijk} Tr(A_i d_j A_k - 2/3 A_i A_j A_k), the non-Abelian side."""
-    da = gauge.derivatives()
-    return 8.0 * np.pi**2 * trace_cs_values(gauge.values, da)
+    a, da = (component_major(block, 3) for block in (gauge.values, gauge.derivatives()))
+    return 8.0 * np.pi**2 * trace_cs_values(a, da)

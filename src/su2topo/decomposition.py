@@ -20,17 +20,21 @@ Psi^dag sigma_a D_mu Psi, a bilinear of the computed covariant derivative:
 deriving it from J by the Pauli product rule would make the reconstruction
 check true by construction.
 
-Every part is pointwise in (Psi, dPsi, A), so one per-slab kernel
-(:func:`_parts`) gives D Psi, a and b on one axis-0 slab
-(:func:`~su2topo.lattice.slabs`) at a time from the slab's d Psi, current,
-norms Psi^dag Psi and A, each taken once.  A is the given potential's
-slab or, with none given, the parallel potential of the slab's own
-current, never held whole.  :func:`decompose` keeps only the kernel's
-maxima (:func:`slab_maxima`), as the knot-charge sweep
+Every part is pointwise in (Psi, dPsi, A), so the per-slab kernels
+(:func:`covariant_derivative` and :func:`_axis_parts`) give D Psi, a and b
+on one axis-0 slab (:func:`~su2topo.lattice.slabs`) at a time from the
+slab's d Psi, current, norms Psi^dag Psi and A, each taken once.  They are
+component-major (:func:`~su2topo.lattice.component_major`): the
+components follow axis 0 and the sites of a plane come last, so every
+ufunc runs over a plane's contiguous sites, and they take one derivative
+axis at a time, so their temporaries stay a fraction of a slab.  A is the
+given potential's slab or, with none given, the parallel potential of the
+slab's own current, never held whole.  :func:`decompose` keeps only the
+kernels' maxima (:func:`slab_maxima`), as the knot-charge sweep
 (:func:`~su2topo.chern_simons.chern_simons`) does on the inputs it holds;
-the same kernel fills ``Decomposition.a`` and ``.b`` when they are read.
-Every entry is bit for bit the whole-grid evaluation, and maxima are exact
-in any order.
+the same kernels fill ``Decomposition.a`` and ``.b``, site-major, when they
+are read.  Every entry is bit for bit the whole-grid evaluation, and
+maxima are exact in any order.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from . import su2_algebra
 from .errors import FieldError, ReconstructionError
 from .fields import (EPS_ZERO, GaugeField, SpinorField, _check_nonvanishing,
                      norm_squared)
-from .lattice import read_only
+from .lattice import component_major, read_only, site_major
 
 #: Largest max|a^c + b^c - A^c| accepted, relative to 1 + max|A^c|.
 RECONSTRUCTION_TOL = 1e-12
@@ -56,65 +60,74 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField | np.ndarray,
                          samples: np.ndarray | None = None) -> np.ndarray:
     """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi on the planes ``slab``
     of axis 0, from ``dvalues``, the slab's ``psi.derivatives``, and
-    ``samples``, its ``psi.values_at`` (each taken here when not given).
-    ``gauge`` is A on the grid of ``psi``, or the components of A on the
-    planes ``slab`` only.
+    ``samples``, its ``psi.values_at``, both component-major (each taken
+    here when not given).  ``gauge`` is A on the grid of ``psi``, or the
+    component-major components of A on the planes ``slab`` only.
 
-    Returns per-axis spinor samples, shape ``(*slab_shape, rank, 2)``, a new
-    writable array.  The adjoint counterpart is the entrywise conjugate of
-    the result.
+    Returns component-major per-axis spinor samples, shape
+    ``(planes, rank, 2, ...)``, a new writable array, computed one
+    derivative axis at a time.  The adjoint counterpart is the entrywise
+    conjugate of the result.
     """
+    rank = psi.grid.rank
     if isinstance(gauge, GaugeField):
         if psi.grid != gauge.grid:
             raise FieldError("spinor and gauge grids differ")
-        gauge = gauge.values_at(slab)
+        gauge = component_major(gauge.values_at(slab), rank)
     if samples is None:
-        samples = psi.values_at(slab)
-    # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
-    connection = su2_algebra.sigma_apply(gauge, samples[..., None, :])
+        samples = component_major(psi.values_at(slab), rank)
     if dvalues is None:
-        dvalues = psi.derivatives(slab=slab)
-    return dvalues + 0.5j * connection
+        dvalues = component_major(psi.derivatives(slab=slab), rank)
+    out = np.empty(dvalues.shape, dtype=np.complex128)
+    for axis in range(rank):
+        # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
+        connection = su2_algebra.sigma_apply(gauge[:, axis], samples)
+        np.add(dvalues[:, axis], 0.5j * connection, out=out[:, axis])
+    return out
 
 
-def _parts(psi: SpinorField, slab: slice, samples: np.ndarray, dvalues: np.ndarray,
-           current: np.ndarray, norms: np.ndarray, gauge: np.ndarray):
-    """Components of a and b, and D Psi, on the planes ``slab`` of axis 0.
+def _axis_parts(samples: np.ndarray, current: np.ndarray, norms: np.ndarray,
+                dcov: np.ndarray):
+    """Yield the component-major components of a_mu and b_mu, one
+    derivative axis mu at a time.
 
     a^c = -2 w Im J^c and b^c = 2 w Im t^c with w = 1/(Psi^dag Psi), J the
     spinor current and t = Psi^dag sigma_c D Psi.  Both read the slab's
-    ``samples``, its d Psi ``dvalues``, its current, its Psi^dag Psi
-    ``norms`` and the components ``gauge`` of A there, as a sweep over the
-    slabs took them.
+    ``samples``, its current, its Psi^dag Psi ``norms`` and its D Psi
+    ``dcov``, as a sweep over the slabs took them.
     """
-    weight = (2.0 / norms)[..., None, None]                      # 2w
-    a = np.multiply(current[..., 1:].imag, -weight)
-    dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues, samples=samples)
-    t = su2_algebra.sigma_bilinear(samples[..., None, :], dcov)
-    return a, np.multiply(t.imag, weight), dcov
+    weight = (2.0 / norms)[:, None]                              # 2w
+    minus = -weight
+    for axis in range(dcov.shape[1]):
+        t = su2_algebra.sigma_bilinear(samples, dcov[:, axis])
+        yield np.multiply(current[:, axis, 1:].imag, minus), np.multiply(t.imag, weight)
 
 
 def slab_maxima(psi: SpinorField, slab: slice, samples: np.ndarray,
                 dvalues: np.ndarray, current: np.ndarray, norms: np.ndarray,
                 gauge: np.ndarray) -> tuple:
     """The per-slab kernel of :func:`decompose`: max|a + b - A|, max|A|,
-    max|D Psi| and max|b| on the planes ``slab``, from the inputs of
-    :func:`_parts`.
+    max|D Psi| and max|b| on the planes ``slab``, from the slab's
+    component-major ``samples``, d Psi ``dvalues``, current and A
+    ``gauge``, and its Psi^dag Psi ``norms``.
 
     Maxima are exact in any order, so those of a grid are the entrywise
-    maxima over its slabs (:func:`fold_maxima`).
+    maxima over its derivative axes and its slabs (:func:`fold_maxima`).
     """
-    a, b, dcov = _parts(psi, slab, samples, dvalues, current, norms, gauge)
-    mismatch = a + b
-    mismatch -= gauge
-    # the entries of b^a sigma_a/(2i) are -i b^3/2 on the diagonal and
-    # -(b^2 + i b^1)/2 off it; np.abs of that complex is the matrix's
-    # own modulus bit for bit (np.hypot is not)
-    half = 0.5 * b
-    return (float(np.max(np.abs(mismatch))), float(np.max(np.abs(gauge))),
-            float(np.max(np.abs(dcov))),
-            max(float(np.max(np.abs(half[..., 2]))),
-                float(np.max(np.abs(half[..., 1] + 1j * half[..., 0])))))
+    dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues, samples=samples)
+    residual = bmax = 0.0
+    for axis, (a, b) in enumerate(_axis_parts(samples, current, norms, dcov)):
+        mismatch = a + b
+        mismatch -= gauge[:, axis]
+        # the entries of b^a sigma_a/(2i) are -i b^3/2 on the diagonal and
+        # -(b^2 + i b^1)/2 off it; np.abs of that complex is the matrix's
+        # own modulus bit for bit (np.hypot is not)
+        half = 0.5 * b
+        residual = np.maximum(residual, np.max(np.abs(mismatch)))
+        bmax = np.maximum(bmax, np.maximum(
+            np.max(np.abs(half[:, 2])), np.max(np.abs(half[:, 1] + 1j * half[:, 0]))))
+    return (float(residual), float(np.max(np.abs(gauge))), float(np.max(np.abs(dcov))),
+            float(bmax))
 
 
 def fold_maxima(maxima: tuple, more: tuple) -> tuple:
@@ -175,17 +188,22 @@ class Decomposition:
         psi, grid = self.psi, self.psi.grid
         out = np.empty(grid.shape + (grid.rank, 3))
         for slab, samples, dvalues, current, gauge in _slab_inputs(psi, self.gauge):
-            out[slab] = _parts(psi, slab, samples, dvalues, current,
-                               norm_squared(psi, slab, samples), gauge)[index]
+            dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues,
+                                        samples=samples)
+            for axis, parts in enumerate(_axis_parts(
+                    samples, current, norm_squared(psi, slab, samples), dcov)):
+                out[slab][..., axis, :] = site_major(parts[index], grid.rank)
         return GaugeField(grid, read_only(out))
 
 
 def _slab_inputs(psi: SpinorField, gauge: GaugeField | None):
-    """``psi.slab_currents()`` with the slab's A appended: that of
-    ``gauge``, or without one the parallel potential of the current."""
+    """``psi.slab_currents()`` with the slab's component-major A appended:
+    that of ``gauge``, or without one the parallel potential of the
+    current."""
     for slab, samples, dvalues, current in psi.slab_currents():
         yield slab, samples, dvalues, current, (
-            parallel_components(current) if gauge is None else gauge.values_at(slab))
+            parallel_components(current) if gauge is None
+            else component_major(gauge.values_at(slab), psi.grid.rank))
 
 
 def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decomposition:
@@ -232,10 +250,11 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
         raise FieldError("parallel potential requires a normalized spinor")
     out = np.empty(psi.grid.shape + (psi.grid.rank, 3))
     for slab, _, _, current in psi.slab_currents():
-        parallel_components(current, out=out[slab])
+        out[slab] = site_major(parallel_components(current), psi.grid.rank)
     return GaugeField(psi.grid, read_only(out))
 
 
 def parallel_components(current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A^a = -2 Im J^a of a spinor current ``J``, written into ``out`` if given."""
-    return np.multiply(current[..., 1:].imag, -2.0, out=out)
+    """A^a = -2 Im J^a of a component-major spinor current ``J``, written
+    into ``out`` if given: shape ``(planes, rank, 3, ...)``."""
+    return np.multiply(current[:, :, 1:].imag, -2.0, out=out)

@@ -34,7 +34,11 @@ samples, reads them whole.
 The spinor current is not stored: :meth:`SpinorField.current` computes it
 for one axis-0 slab (:func:`~su2topo.lattice.slabs`) when asked, so only a
 slab of it, and of finite differences for bare samples, exists at once;
-every entry equals the whole-grid evaluation bit for bit.
+every entry equals the whole-grid evaluation bit for bit.  Like every
+per-slab kernel it is component-major
+(:func:`~su2topo.lattice.component_major`): the components follow axis 0
+and the sites of a plane come last, and :meth:`SpinorField.slab_currents`
+transposes each slab's samples and d Psi once, on entry.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, LatticeField, read_only, slabs
+from .lattice import Grid, LatticeField, component_major, read_only, slabs
 
 #: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
@@ -96,32 +100,40 @@ class SpinorField(LatticeField):
         """The spinor current J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1,
         on the planes ``slab`` of axis 0.
 
-        Shape ``(*slab_shape, rank, 4)``, a new array computed from
-        ``dvalues``, the slab's :meth:`derivatives` (taken here when not
-        given), on every call and not kept with the field, so callers ask
-        for it one slab at a time.  A caller that reads d Psi, or the
-        slab's samples, itself passes them in, so bare samples are
-        differenced, and served ones computed, once per slab.  Every rank-3
-        route reads its Psi-dPsi bilinears from it: the parallel potential
-        ``-2 Im J^a``, the sigma-model gradient ``d m^a = 2 Re J^a``
-        (normalized Psi), the Berry potential ``-2 Im J^0`` and the spinor
-        Chern-Simons factor ``J^0``.
+        Component-major (:func:`~su2topo.lattice.component_major`), shape
+        ``(planes, rank, 4, *shape[1:])``: a new array computed from
+        ``dvalues``, the slab's :meth:`derivatives`, and ``samples``, its
+        samples, both component-major (each taken here when not given), on
+        every call and not kept with the field, so callers ask for it one
+        slab at a time.  A caller that reads d Psi, or the slab's samples,
+        itself passes them in, so bare samples are differenced, and served
+        ones computed, once per slab.  Every rank-3 route reads its Psi-dPsi
+        bilinears from it: the parallel potential ``-2 Im J^a``, the
+        sigma-model gradient ``d m^a = 2 Re J^a`` (normalized Psi), the
+        Berry potential ``-2 Im J^0`` and the spinor Chern-Simons factor
+        ``J^0``.
         """
+        rank = self.grid.rank
         if samples is None:
-            samples = self.values_at(slab)
+            samples = component_major(self.values_at(slab), rank)
         if dvalues is None:
-            dvalues = self.derivatives(slab=slab)
-        return su2_algebra.spinor_current(samples[..., None, :], dvalues)
+            dvalues = component_major(self.derivatives(slab=slab), rank)
+        out = np.empty(dvalues.shape[:2] + (4,) + dvalues.shape[3:], dtype=np.complex128)
+        for axis in range(rank):
+            su2_algebra.spinor_current(samples, dvalues[:, axis], out=out[:, axis])
+        return out
 
     def slab_currents(self):
         """Yield ``(slab, samples, dvalues, current)`` for each axis-0 slab
-        (:func:`~su2topo.lattice.slabs`): the slab's samples and
-        :meth:`derivatives`, taken once
+        (:func:`~su2topo.lattice.slabs`), all component-major: the slab's
+        samples and :meth:`derivatives`, taken once
         (:meth:`~su2topo.lattice.LatticeField.slab_samples`, which reads
-        bare samples once a slab), and the :meth:`current` computed from
-        them."""
+        bare samples once a slab) and transposed once, and the
+        :meth:`current` computed from them."""
+        rank = self.grid.rank
         for slab in slabs(self.grid):
-            samples, dvalues = self.slab_samples(slab)
+            samples, dvalues = (component_major(block, rank)
+                                for block in self.slab_samples(slab))
             yield slab, samples, dvalues, self.current(slab=slab, dvalues=dvalues,
                                                        samples=samples)
 
@@ -209,12 +221,15 @@ class GaugeField(LatticeField):
 def norm_squared(psi: SpinorField, slab: slice = slice(None),
                  samples: np.ndarray | None = None) -> np.ndarray:
     """Pointwise Psi^dag Psi (real, equals phi_a phi_a) on the planes
-    ``slab`` of axis 0, from the slab's ``samples`` (read here when not
-    given); one that overflows raises :class:`FieldError`."""
+    ``slab`` of axis 0, from the slab's component-major ``samples``
+    ``(planes, 2, ...)`` (read here when not given): |Psi_1|^2 + |Psi_2|^2
+    of the two component planes, bit for bit numpy's sum over a trailing
+    component axis.  A norm that overflows raises :class:`FieldError`."""
     if samples is None:
-        samples = psi.values_at(slab)
+        samples = np.moveaxis(psi.values_at(slab), -1, 1)
     with np.errstate(over="ignore"):
-        norms = np.sum(np.abs(samples) ** 2, axis=-1)
+        norms = np.abs(samples[:, 0]) ** 2
+        norms += np.abs(samples[:, 1]) ** 2
     _finite_max(norms, psi.LABEL, slab.start or 0)
     return norms
 
@@ -255,7 +270,7 @@ def normalize(psi: SpinorField) -> SpinorField:
     or re-gridded by the caller, never clamped.
     """
     samples = psi.values_at()
-    norms = np.sqrt(norm_squared(psi, samples=samples))
+    norms = np.sqrt(norm_squared(psi, samples=np.moveaxis(samples, -1, 1)))
     _check_nonvanishing(norms, "spinor")
     values = read_only(samples / norms[..., None])
 
@@ -309,17 +324,18 @@ def phi_to_spinor(phi: PhiField) -> SpinorField:
 
 def sigma_model_field(psi: SpinorField, slab: slice = slice(None),
                       samples: np.ndarray | None = None) -> np.ndarray:
-    """m_a = Psi^dag sigma_a Psi of a normalized spinor, shape ``(*shape, 3)``.
+    """m_a = Psi^dag sigma_a Psi of a normalized spinor, component-major
+    (:func:`~su2topo.lattice.component_major`): shape ``(planes, 3, ...)``.
 
     |m| = |Psi|^2 = 1 site by site.  The imaginary residue of the bilinear
     is a data-corruption indicator and raises above ``IMAG_TOL``.  Only
     the planes ``slab`` of axis 0 are computed, from the slab's
-    ``samples`` (read here when not given).
+    component-major ``samples`` (read here when not given).
     """
     if not psi.normalized:
         raise FieldError("sigma-model projection requires a normalized spinor")
     if samples is None:
-        samples = psi.values_at(slab)
+        samples = component_major(psi.values_at(slab), psi.grid.rank)
     m = su2_algebra.sigma_bilinear(samples, samples)
     residue = float(np.max(np.abs(m.imag)))
     if residue > IMAG_TOL:

@@ -19,6 +19,15 @@ its samples serves them a block at a time
 (:meth:`LatticeField.values_at`) without storing them.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
 
+Fields store their samples site-major, ``(*shape, *components)``.  The
+per-slab kernels of the rank-3 sweep take them component-major
+(:func:`component_major`), ``(planes, *components, *shape[1:])``: axis 0
+keeps its planes, and each component is a contiguous array of a plane's
+sites, so their ufuncs run over whole planes instead of the short
+component axes.  :func:`derivative_stack` differences either layout.
+Periodic stencils read slices of their input and wrap only the rows at
+its ends.
+
 All operations are pure: fields are immutable after construction and
 quadrature runs in one fixed summation order, numpy's pairwise order over
 the whole grid, fed a slab at a time (:class:`Quadrature`) so that no
@@ -387,12 +396,26 @@ class ScalarField(LatticeField):
     LABEL = "scalar field"
 
 
-def _moved(values: np.ndarray, axis: int):
-    return np.moveaxis(values, axis, 0)
+def component_major(block: np.ndarray, rank: int) -> np.ndarray:
+    """A new contiguous copy of the site-major ``block`` of a rank-``rank``
+    grid, ``(planes, *plane, *components)``, with its component axes moved
+    right after axis 0: ``(planes, *components, *plane)``, the layout of
+    the per-slab kernels.  Axis 0 keeps its planes, and each component is
+    a contiguous array of a plane's sites."""
+    comps = range(rank, block.ndim)
+    return np.ascontiguousarray(np.moveaxis(block, comps, range(1, 1 + len(comps))))
+
+
+def site_major(block: np.ndarray, rank: int) -> np.ndarray:
+    """The component-major ``block`` as a site-major view, the inverse of
+    :func:`component_major`."""
+    comps = range(1, 1 + block.ndim - rank)
+    return np.moveaxis(block, comps, range(rank, block.ndim))
 
 
 def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,
-                     slab: slice = slice(None), first: int | None = None) -> np.ndarray:
+                     slab: slice = slice(None), first: int | None = None, *,
+                     components_first: bool = False) -> np.ndarray:
     """Stack of axis derivatives, shape ``(*shape, rank, *components)``.
 
     Each axis derivative is written into its slot of one preallocated
@@ -411,17 +434,31 @@ def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,
     periodic axis 0, so it may be negative): it must hold the planes
     ``stencil_planes(grid, order, slab)``, as :func:`stencil_windows` gives
     them, and the result is again that of the whole grid bit for bit.
+
+    With ``components_first``, ``values`` is component-major
+    (:func:`component_major`), ``(planes, *components, *shape[1:])``, and
+    so is the result, with the derivative axis right after axis 0:
+    ``(planes, rank, *components, *shape[1:])``.  Each entry is that of the
+    site-major stack bit for bit.
     """
-    values = _check_stencil(values, grid, order, window=first is not None)
+    values = _check_stencil(values, grid, order, window=first is not None,
+                            components_first=components_first)
     first = first or 0
     rank = grid.rank
     lo, hi, _ = slab.indices(grid.shape[0])
     block = values[lo - first:hi - first]
-    out = np.empty(block.shape[:rank] + (rank,) + block.shape[rank:],
-                   dtype=np.result_type(values, np.float64))
-    _diff_into(out[(slice(None),) * rank + (0,)], values, grid, 0, order, slab, first)
+    dtype = np.result_type(values, np.float64)
+    if components_first:
+        out = np.empty(block.shape[:1] + (rank,) + block.shape[1:], dtype=dtype)
+        slots = [out[:, axis] for axis in range(rank)]
+        skip = values.ndim - rank       # grid axis k > 0 is array axis k + skip
+    else:
+        out = np.empty(block.shape[:rank] + (rank,) + block.shape[rank:], dtype=dtype)
+        slots = [out[(slice(None),) * rank + (axis,)] for axis in range(rank)]
+        skip = 0
+    _diff_into(slots[0], values, grid, 0, order, slab, first)
     for axis in range(1, rank):
-        _diff_into(out[(slice(None),) * rank + (axis,)], block, grid, axis, order)
+        _diff_into(slots[axis], block, grid, axis, order, at=axis + skip)
     return out
 
 
@@ -474,54 +511,64 @@ def stencil_windows(grid: Grid, order: int, blocks):
                     del held[plane % n]
 
 
-def _check_stencil(values, grid: Grid, order: int, window: bool = False) -> np.ndarray:
+def _check_stencil(values, grid: Grid, order: int, window: bool = False,
+                   components_first: bool = False) -> np.ndarray:
     if order not in (2, 4):
         raise LatticeError(f"stencil order must be 2 or 4, got {order}")
     values = np.asarray(values)
-    skip = 1 if window else 0      # a window's length on axis 0 is its own
-    if values.shape[skip:grid.rank] != grid.shape[skip:]:
+    plane = values.shape[values.ndim - grid.rank + 1:] if components_first else (
+        values.shape[1:grid.rank])
+    # a window's length on axis 0 is its own
+    if values.ndim < grid.rank or plane != grid.shape[1:] or (
+            not window and values.shape[0] != grid.shape[0]):
         raise LatticeError("value array does not match grid shape")
     return values
 
 
 def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
-               order: int, rows: slice = slice(None), first: int = 0) -> None:
-    """Write the ``order`` derivative of ``values`` along ``axis`` into ``out``,
-    at the sites whose index on ``axis`` lies in ``rows``.  ``values`` may be a
-    window of planes on ``axis`` whose first is plane ``first`` (see
-    :func:`derivative_stack`); one that holds a true end of an open axis
-    reaches that end."""
+               order: int, rows: slice = slice(None), first: int = 0,
+               at: int | None = None) -> None:
+    """Write the ``order`` derivative of ``values`` along grid ``axis`` into
+    ``out``, at the sites whose index on ``axis`` lies in ``rows``.  The axis
+    is axis ``at`` of ``values`` and ``out`` (``axis`` unless given).
+    ``values`` may be a window of planes on ``axis`` whose first is plane
+    ``first`` (see :func:`derivative_stack`); one that holds a true end of
+    an open axis reaches that end."""
     h = grid.spacing[axis]
     n = grid.shape[axis]
     lo, hi, _ = rows.indices(n)
+    # the stencils are entrywise, so the other axes may come in any order
+    f = np.swapaxes(values, 0, axis if at is None else at)
+    d = np.swapaxes(out, 0, axis if at is None else at)
+
+    def stencil(shifted, target):
+        if order == 2:
+            np.subtract(shifted(1), shifted(-1), out=target)
+            target /= 2.0 * h
+        else:
+            target[...] = (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1)
+                           + shifted(-2)) / (12.0 * h)
 
     if grid.periodic[axis]:
-        index = np.arange(lo - first, hi - first)
-
-        def at(shift):
-            return np.take(values, index + shift, axis=axis, mode="wrap")
-
-        if order == 2:
-            np.subtract(at(1), at(-1), out=out)
-            out /= 2.0 * h
-        else:
-            out[...] = (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
+        # rows whose stencil stays inside ``values`` read slices of it; the
+        # rest wrap around its ends, one row at a time
+        size, halo, s, e = f.shape[0], order // 2, lo - first, hi - first
+        a, b = max(s, halo), min(e, size - halo)
+        if a < b:
+            stencil(lambda shift: f[a + shift:b + shift], d[a - s:b - s])
+        for row in range(s, e):
+            if not a <= row < b:
+                stencil(lambda shift: f[(row + shift) % size], d[row - s])
         return
 
     if order == 4 and n < 5:
         raise LatticeError("fourth-order open stencil needs at least 5 points")
 
-    f = _moved(values, axis)
-    d = _moved(out, axis)
     # central stencils on the rows at least order // 2 from either end
     a, b = max(lo, order // 2), min(hi, n - order // 2)
     if a < b:
         s, e = a - first, b - first
-        if order == 2:
-            d[a - lo:b - lo] = (f[s + 1:e + 1] - f[s - 1:e - 1]) / (2.0 * h)
-        else:
-            d[a - lo:b - lo] = (-f[s + 2:e + 2] + 8.0 * f[s + 1:e + 1]
-                                - 8.0 * f[s - 1:e - 1] + f[s - 2:e - 2]) / (12.0 * h)
+        stencil(lambda shift: f[s + shift:e + shift], d[a - lo:b - lo])
     # one-sided stencils on the end rows
     if order == 2:
         ends = {0: lambda: (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h),
@@ -537,9 +584,9 @@ def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
             n - 1: lambda: (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4]
                             + 3.0 * f[-5]) / (12.0 * h),
         }
-    for row, stencil in ends.items():
+    for row, end in ends.items():
         if lo <= row < hi:
-            d[row - lo] = stencil()
+            d[row - lo] = end()
 
 
 #: Most elements of one subtree of the pairwise sum summed by one reduce.

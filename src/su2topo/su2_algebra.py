@@ -3,12 +3,20 @@
 Generators follow the anti-Hermitian convention ``T_a = sigma_a / (2i)``;
 every other module must take its constants from here so sign conventions
 cannot drift.  For the same reason the Pauli contractions of spinors on
-whole grids go through the closed-form kernels here: :func:`sigma_bilinear`
+grids go through the closed-form kernels here: :func:`sigma_bilinear`
 (``u^dag sigma_a v``), :func:`spinor_current` (the same with ``sigma_0 = 1``
 prepended) and :func:`sigma_apply` (``(c_a sigma_a) v``).  They use only the
 four nonzero entries of each ``sigma_a`` instead of a generic three-operand
-einsum.  ``self_check`` replays the algebraic identities the
-rest of the package relies on and is executed once per process by the CLI.
+einsum.
+
+The kernels take component-major slabs (see
+:func:`~su2topo.lattice.component_major`): axis 0 runs over planes, axis 1
+over the spinor or color components, and the sites of a plane follow, so
+each component is a contiguous array of a plane's sites and every ufunc
+runs over those.  A quantity with a derivative axis, such as a jet, is
+passed one axis at a time.  ``self_check`` replays the algebraic identities
+the rest of the package relies on and is executed once per process by the
+CLI.
 """
 
 from __future__ import annotations
@@ -37,49 +45,60 @@ SIGMA.setflags(write=False)
 GENERATORS.setflags(write=False)
 
 
-def sigma_bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``u^dag sigma_a v`` for spinor batches, with the color axis ``a`` last.
+def _output(shape: tuple, components: int) -> np.ndarray:
+    """A new complex array of ``components`` arrays of ``shape`` stacked on
+    axis 1."""
+    return np.empty(shape[:1] + (components,) + shape[1:], dtype=np.complex128)
 
-    ``u`` and ``v`` have shape ``(..., 2)`` and broadcast over the leading
-    axes, so ``u[..., None, :]`` pairs one spinor with a per-axis jet.
+
+def sigma_bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u^dag sigma_a v`` for component-major spinor slabs, the color axis
+    ``a`` on axis 1.
+
+    ``u`` and ``v`` have shape ``(planes, 2, ...)`` and broadcast; the
+    result has shape ``(planes, 3, ...)``.
     """
-    u0, u1 = np.conj(u[..., 0]), np.conj(u[..., 1])
-    v0, v1 = v[..., 0], v[..., 1]
+    u0, u1 = np.conj(u[:, 0]), np.conj(u[:, 1])
+    v0, v1 = v[:, 0], v[:, 1]
     p01, p10 = u0 * v1, u1 * v0
-    out = np.empty(np.broadcast_shapes(u0.shape, v0.shape) + (3,),
-                   dtype=np.complex128)
-    out[..., 0] = p01 + p10
-    out[..., 1] = 1j * (p10 - p01)
-    out[..., 2] = u0 * v0 - u1 * v1
+    out = _output(np.broadcast_shapes(u0.shape, v0.shape), 3)
+    np.add(p01, p10, out=out[:, 0])
+    out[:, 1] = 1j * (p10 - p01)
+    np.subtract(u0 * v0, u1 * v1, out=out[:, 2])
     return out
 
 
-def spinor_current(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``u^dag sigma_A v`` with ``sigma_0 = 1``: the index ``A`` last, of length 4.
+def spinor_current(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """``u^dag sigma_A v`` with ``sigma_0 = 1``: the index ``A`` on axis 1,
+    of length 4.
 
-    Broadcasting is that of :func:`sigma_bilinear`, and entries 1 to 3 are
-    its result bit for bit: they are built from the same four products.
+    Shapes and broadcasting are those of :func:`sigma_bilinear`; the
+    result is written into ``out`` if given.  Entries 1 to 3 are the
+    result of :func:`sigma_bilinear` bit for bit: they are built from the
+    same four products.
     """
-    u0, u1 = np.conj(u[..., 0]), np.conj(u[..., 1])
-    v0, v1 = v[..., 0], v[..., 1]
+    u0, u1 = np.conj(u[:, 0]), np.conj(u[:, 1])
+    v0, v1 = v[:, 0], v[:, 1]
     p00, p01, p10, p11 = u0 * v0, u0 * v1, u1 * v0, u1 * v1
-    out = np.empty(np.broadcast_shapes(u0.shape, v0.shape) + (4,), dtype=np.complex128)
-    out[..., 0] = p00 + p11
-    out[..., 1] = p01 + p10
-    out[..., 2] = 1j * (p10 - p01)
-    out[..., 3] = p00 - p11
+    if out is None:
+        out = _output(np.broadcast_shapes(u0.shape, v0.shape), 4)
+    np.add(p00, p11, out=out[:, 0])
+    np.add(p01, p10, out=out[:, 1])
+    out[:, 2] = 1j * (p10 - p01)
+    np.subtract(p00, p11, out=out[:, 3])
     return out
 
 
 def sigma_apply(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(c_a sigma_a) v`` for real components ``c`` (..., 3) and spinors ``v``
-    (..., 2); leading axes broadcast as in :func:`sigma_bilinear`."""
-    c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2]
-    v0, v1 = v[..., 0], v[..., 1]
-    out = np.empty(np.broadcast_shapes(c1.shape, v0.shape) + (2,),
-                   dtype=np.complex128)
-    out[..., 0] = c3 * v0 + (c1 - 1j * c2) * v1
-    out[..., 1] = (c1 + 1j * c2) * v0 - c3 * v1
+    """``(c_a sigma_a) v`` for real components ``c`` ``(planes, 3, ...)`` and
+    spinors ``v`` ``(planes, 2, ...)``, which broadcast; the result is a
+    new ``(planes, 2, ...)`` array."""
+    c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
+    v0, v1 = v[:, 0], v[:, 1]
+    out = _output(np.broadcast_shapes(c1.shape, v0.shape), 2)
+    out[:, 0] = c3 * v0 + (c1 - 1j * c2) * v1
+    out[:, 1] = (c1 + 1j * c2) * v0 - c3 * v1
     return out
 
 

@@ -14,6 +14,7 @@ import su2topo as st
 from su2topo.chern_simons import chern_simons
 from su2topo.cli import main as cli_main
 from su2topo.fldio import read_field, write_field
+from su2topo.lattice import component_major
 from su2_gauge import dagger, matrices, transform, transformation
 
 
@@ -116,8 +117,9 @@ def test_criterion_06_abelian_identity():
         psi = st.identity_map_s3(n)
         charges = chern_simons(psi)
         abelian = charges.abelian
-        residual = float(np.max(np.abs(st.fn_pointwise(abelian.c, abelian.h_pairs)
-                                       - st.trace_pointwise(charges.gauge))))
+        lhs = st.fn_pointwise(component_major(abelian.c, 3),
+                              component_major(abelian.h_pairs, 3))
+        residual = float(np.max(np.abs(lhs - st.trace_pointwise(charges.gauge))))
         constants.append(residual / max(psi.grid.spacing) ** 2)
     drift = max(constants) / min(constants)
     report(6, "Abelian/non-Abelian integrand identity", drift < 2.0,

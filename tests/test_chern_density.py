@@ -207,13 +207,14 @@ def _whole_face_flux_sum(phi):
     whole and its integrand computed whole."""
     from su2topo.chern_simons import spinor_cs_values
     from su2topo.conventions import ORIENTATION_SIGN
+    from su2topo.lattice import component_major
     stored = st.PhiField(phi.grid, phi.values, jet=phi.exact_jet())
     total = 0j
     for axis in range(4):
         for side, side_sign in ((1, 1.0), (0, -1.0)):
             face = st.normalize(st.phi_to_spinor(st.face_restrict(stored, axis, side)))
-            dvalues = face.derivatives()
-            raw = spinor_cs_values(face.current(dvalues=dvalues)[..., 0], dvalues)
+            dvalues = component_major(face.derivatives(), 3)
+            raw = spinor_cs_values(face.current(dvalues=dvalues)[:, :, 0], dvalues)
             flux = np.sum(raw * face.grid.quadrature_weights())
             total += (-1.0) ** axis * side_sign * flux
     total *= ORIENTATION_SIGN * phi.grid.orientation

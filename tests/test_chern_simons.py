@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import su2topo as st
+import site_major as oracle
 from conftest import peak_traced_bytes
 from su2topo import FieldError
 from su2topo import chern_simons as cs
+from su2topo.lattice import component_major
 
 
 def constant_psi(grid):
@@ -69,80 +71,87 @@ def _periodic_spinor():
     return st.SpinorField(grid, values)
 
 
-def test_sweep_matches_the_whole_grid_routes(monkeypatch):
-    # each route of the slab sweep against its whole-grid evaluation, bit
-    # for bit, with the whole grid as one slab and with slabs of 1, 2 and 5
-    # planes (the last one shorter), so the trace and dC stencils read
-    # windows of held planes, wrapped ones on a periodic axis 0
+def _sweep_charts():
+    """Chart makers for the sweep oracles: the 12^3 chart, a 17x19x23 one
+    (odd multi-plane slabs), a bare 12^3 chart (finite differences) and a
+    bare spinor periodic on axis 0."""
+    def bare():
+        psi = st.identity_map_s3(12)
+        return st.SpinorField(psi.grid, psi.values)
+    return [lambda: st.identity_map_s3(12), lambda: st.identity_map_s3((17, 19, 23)),
+            bare, _periodic_spinor]
+
+
+def _slab_sizes(monkeypatch, make):
+    """Yield ``make()`` with the whole grid as one slab and with slabs of
+    1, 2 and 5 planes (the last one shorter)."""
     from su2topo import lattice
-    for make in (lambda: st.identity_map_s3(12), _periodic_spinor):
-        for planes in (None, 1, 2, 5):
-            psi = make()
-            with monkeypatch.context() as mp:
-                if planes is not None:
-                    mp.setattr(lattice, "SLAB_SITES",
-                               planes * psi.grid.shape[1] * psi.grid.shape[2])
-                    assert next(lattice.slabs(psi.grid)) == slice(0, planes)
-                _assert_sweep_matches_the_whole_grid(psi)
+    for planes in (None, 1, 2, 5):
+        psi = make()
+        with monkeypatch.context() as mp:
+            if planes is not None:
+                mp.setattr(lattice, "SLAB_SITES",
+                           planes * psi.grid.shape[1] * psi.grid.shape[2])
+            assert len(list(lattice.slabs(psi.grid))) == (
+                1 if planes is None else -(-psi.grid.shape[0] // planes))
+            yield psi
+
+
+def test_sweep_matches_the_whole_grid_routes(monkeypatch):
+    # each route of the component-major slab sweep against the site-major
+    # whole-grid oracle, bit for bit, so the trace and dC stencils read
+    # windows of held planes, wrapped ones on a periodic axis 0
+    for make in _sweep_charts():
+        for psi in _slab_sizes(monkeypatch, make):
+            _assert_sweep_matches_the_whole_grid(psi)
 
 
 def test_decompose_takes_the_parallel_potential_slab_by_slab(monkeypatch):
     # without a potential, decompose takes each slab's A from that slab's
-    # own current: bit for bit the split of the whole-grid parallel
-    # potential, with the whole grid as one slab and with slabs of 1, 2
-    # and 5 planes
-    from su2topo import lattice
-    for make in (lambda: st.identity_map_s3(12), _periodic_spinor):
-        for planes in (None, 1, 2, 5):
-            psi = make()
-            with monkeypatch.context() as mp:
-                if planes is not None:
-                    mp.setattr(lattice, "SLAB_SITES",
-                               planes * psi.grid.shape[1] * psi.grid.shape[2])
-                assert len(list(lattice.slabs(psi.grid))) == (
-                    1 if planes is None else -(-psi.grid.shape[0] // planes))
-                dec = st.decompose(psi)
-                whole = st.decompose(psi, st.parallel_gauge_potential(psi))
-                assert (dec.residual, dec.max_covariant, dec.max_b) == (
-                    whole.residual, whole.max_covariant, whole.max_b)
-                assert np.array_equal(dec.a.values, whole.a.values)
-                assert np.array_equal(dec.b.values, whole.b.values)
+    # own current: bit for bit the site-major split of the whole-grid
+    # parallel potential
+    for make in _sweep_charts():
+        for psi in _slab_sizes(monkeypatch, make):
+            dec = st.decompose(psi)
+            gauge = oracle.parallel_components(oracle.current(psi))
+            a, b, _ = oracle.parts(psi, gauge)
+            residual, _, dmax, bmax = oracle.maxima(psi, gauge)
+            assert (dec.residual, dec.max_covariant, dec.max_b) == (residual, dmax, bmax)
+            assert np.array_equal(dec.a.values, a)
+            assert np.array_equal(dec.b.values, b)
 
 
 def _assert_sweep_matches_the_whole_grid(psi):
     grid = psi.grid
     charges = cs.chern_simons(psi, parallel=True)
     sign = st.ORIENTATION_SIGN * grid.orientation
-    current = psi.current()
-    raw = sign * cs.spinor_cs_values(current[..., 0], psi.derivatives())
-    assert np.array_equal(charges.spinor.field.values, raw.real)
-    gauge = st.parallel_gauge_potential(psi)
-    assert np.array_equal(charges.gauge.values, gauge.values)
-    assert np.array_equal(charges.trace.field.values,
-                          sign * cs.trace_cs_values(gauge.values, gauge.derivatives()))
-    c = -2.0 * current[..., 0].imag
-    assert np.array_equal(charges.abelian.c, c)
-    m, dm = st.sigma_model_field(psi), 2.0 * current[..., 1:].real
-    h = np.stack([-cs._triple(m, dm[..., i, :], dm[..., j, :])
-                  for i, j in cs.AbelianData.H_PAIRS], axis=-1)
-    assert np.array_equal(charges.abelian.h_pairs, h)
-    fn = sign * cs.fn_pointwise(c, h) / (8.0 * np.pi**2)
-    assert np.array_equal(charges.fn.field.values, fn)
+    whole = oracle.routes(psi)
+    assert np.array_equal(charges.spinor.field.values, sign * whole["spinor"].real)
+    assert charges.spinor.imag_residue == np.max(np.abs(whole["spinor"].imag))
+    assert np.array_equal(charges.gauge.values, whole["gauge"])
+    assert np.array_equal(charges.trace.field.values, sign * whole["trace"])
+    assert np.array_equal(charges.abelian.c, whole["c"])
+    assert np.array_equal(charges.abelian.h_pairs, whole["h"])
+    assert np.array_equal(charges.fn.field.values,
+                          sign * whole["fn"] / (8.0 * np.pi**2))
+    assert np.array_equal(st.trace_pointwise(charges.gauge),
+                          8.0 * np.pi**2 * whole["trace"])
     # each charge, summed as its density was swept, is numpy's sum of the
     # whole-grid density times the weights, bit for bit
     assert (charges.q_spinor, charges.q_trace, charges.q_fn) == tuple(
         float(np.sum(density.field.values * grid.quadrature_weights()))
         for density in (charges.spinor, charges.trace, charges.fn))
-    dc = st.derivative_stack(c, grid)
+    dc, h = whole["dc"], whole["h"]
     residual = max(float(np.max(np.abs(dc[..., i, j] - dc[..., j, i] - h[..., idx])))
-                   for idx, (i, j) in enumerate(cs.AbelianData.H_PAIRS))
+                   for idx, (i, j) in enumerate(oracle.H_PAIRS))
     assert charges.abelian.exactness_residual == residual
-    # the parallel condition the sweep took is decompose's on the same A
-    dec = st.decompose(psi, gauge)
-    swept = charges.parallel
+    # the parallel condition the sweep took is the whole-grid split of the
+    # same A, and decompose's
+    assert charges.parallel_maxima == oracle.maxima(psi, whole["gauge"])
+    swept, dec = charges.parallel, st.decompose(psi, charges.gauge)
     assert (swept.residual, swept.max_covariant, swept.max_b) == (
         dec.residual, dec.max_covariant, dec.max_b)
-    assert np.array_equal(swept.b.values, dec.b.values)
+    assert np.array_equal(swept.b.values, oracle.parts(psi, whole["gauge"])[1])
 
 
 def test_quaternion_square_charge():
@@ -181,7 +190,8 @@ def test_abelian_nonabelian_pointwise_identity():
     constants = {}
     for n in (12, 24):
         charges = cs.chern_simons(st.identity_map_s3(n))
-        lhs = st.fn_pointwise(charges.abelian.c, charges.abelian.h_pairs)
+        lhs = st.fn_pointwise(component_major(charges.abelian.c, 3),
+                              component_major(charges.abelian.h_pairs, 3))
         rhs = st.trace_pointwise(charges.gauge)
         h2 = max(charges.gauge.grid.spacing) ** 2
         constants[n] = np.max(np.abs(lhs - rhs)) / h2
@@ -216,7 +226,7 @@ def test_exactness_residual_raises_on_a_wrong_potential(monkeypatch):
 
     def flipped(self, slab=slice(None), **kwargs):
         current = real(self, slab=slab, **kwargs)
-        current[..., 0] = np.conj(current[..., 0])
+        current[:, :, 0] = np.conj(current[:, :, 0])
         return current
 
     monkeypatch.setattr(st.SpinorField, "current", flipped)
@@ -273,21 +283,46 @@ def _spinor_cs_reference(values, dvalues):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_closed_form_kernels_match_numpy(seed):
+    # the kernels take component-major slabs (planes, components..., n1, n2)
     rng = np.random.default_rng(seed)
-    a = 2.0 * rng.normal(size=(500, 3, 3))
+    a = 2.0 * rng.normal(size=(5, 4, 6, 3, 3))          # site-major
     scale = np.max(np.abs(a)) ** 3
-    assert np.max(np.abs(cs._det3(a) - np.linalg.det(a))) <= 1e-14 * scale
+    assert np.max(np.abs(cs._det3(component_major(a, 3)) - np.linalg.det(a))) <= (
+        1e-14 * scale)
     # a flipped cofactor sign is far outside that bound
-    assert np.max(np.abs(cs._det3(a[..., ::-1, :]) - np.linalg.det(a))) > 1e-3 * scale
+    assert np.max(np.abs(cs._det3(component_major(a[..., ::-1, :], 3))
+                         - np.linalg.det(a))) > 1e-3 * scale
 
-    m, u, v = rng.normal(size=(3, 500, 3))
-    assert np.array_equal(cs._triple(m, u, v), np.sum(m * np.cross(u, v), axis=-1))
+    m, u, v = rng.normal(size=(3, 5, 4, 6, 3))
+    assert np.array_equal(cs._triple(*(component_major(x, 3) for x in (m, u, v))),
+                          np.sum(m * np.cross(u, v), axis=-1))
 
-    values = rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))
-    dvalues = rng.normal(size=(500, 3, 2)) + 1j * rng.normal(size=(500, 3, 2))
+    values = rng.normal(size=(5, 4, 6, 2)) + 1j * rng.normal(size=(5, 4, 6, 2))
+    dvalues = rng.normal(size=(5, 4, 6, 3, 2)) + 1j * rng.normal(size=(5, 4, 6, 3, 2))
     j0 = np.einsum("...c,...ic->...i", np.conj(values), dvalues)
-    assert np.array_equal(cs.spinor_cs_values(j0, dvalues),
+    assert np.array_equal(cs.spinor_cs_values(component_major(j0, 3),
+                                              component_major(dvalues, 3)),
                           _spinor_cs_reference(values, dvalues))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_contraction_keeps_its_written_colour_order(seed):
+    # the trace density sums A^a (dA)^a over the colors as
+    # (A^0 D^0 + A^2 D^2) + A^1 D^1, the order numpy's einsum takes on
+    # color-last rows; the plain (0 + 1) + 2 differs in the last bit on
+    # many rows, so the pin would catch a reordering
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 3, 3, 7, 9))
+    da = rng.normal(size=(4, 3, 3, 3, 7, 9))
+    term1 = plain = np.zeros((4, 7, 9))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        x, y = a[:, i], da[:, j, k] - da[:, k, j]
+        term1 = term1 + ((x[:, 0] * y[:, 0] + x[:, 2] * y[:, 2]) + x[:, 1] * y[:, 1])
+        plain = plain + ((x[:, 0] * y[:, 0] + x[:, 1] * y[:, 1]) + x[:, 2] * y[:, 2])
+    det = cs._det3(a)
+    assert np.array_equal(cs.trace_cs_values(a, da),
+                          -(term1 - 6.0 * det / 3.0) / (16.0 * np.pi**2))
+    assert not np.array_equal(term1, plain)
 
 
 def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
@@ -324,18 +359,18 @@ def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
         assert np.all(hits == 1)
 
 
-def test_chart_sweeps_keep_only_the_values_resident(monkeypatch):
+def test_chart_sweep_peaks_below_any_whole_grid_array(monkeypatch):
     # The identity spinor stores neither values nor jet: the one sweep of
     # the knot charges and the parallel condition computes both slab by
     # slab from the chart formula, holds A and c only as a halo of planes
     # and H only for the slabs the trace pass has not read, and sums each
-    # density as it is swept.  At one plane a slab it peaks below two
+    # density as it is swept.  At one plane a slab it peaks below 1.8
     # slabs of temporaries (d Psi, the current, the decomposition kernel
-    # and the derivative stacks of A and c, about 1 KB a site): measured
-    # 4.11 MB, and 10.0 MB with the values and the three densities
-    # resident, under a bound of those and three slabs.  Neither the
-    # 3.5 MB of values nor one whole-grid density (0.9 MB), the 10.6 MB
-    # jet of 48^3 sites or a whole-grid A, c and H (13.3 MB) fits in it.
+    # and the derivative stacks of A and c, at 1 KB a site): measured
+    # 3.68 MB with component-major kernels (4.11 MB site-major, under a
+    # bound of two slabs).  Neither the 3.5 MB of values nor one
+    # whole-grid density (0.9 MB), the 10.6 MB jet of 48^3 sites or a
+    # whole-grid A, c and H (13.3 MB) fits in it beside that peak.
     from su2topo import lattice
     n = 48
     monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
@@ -347,7 +382,7 @@ def test_chart_sweeps_keep_only_the_values_resident(monkeypatch):
         return psi
 
     peak, psi = peak_traced_bytes(sweep)
-    bound = 2 * n * n * 1024
+    bound = 9 * n * n * 1024 // 5
     assert peak < bound
     assert psi.jet is None and psi.__dict__["values"] is None
     for resident in (sites * 2 * 16, sites * 8, sites * 3 * 2 * 16, sites * 8 * 15):

@@ -3,7 +3,7 @@ import pytest
 
 import su2topo as st
 from su2topo import FieldError, NormalizationError, fldio
-from su2topo.lattice import LatticeField, read_only
+from su2topo.lattice import LatticeField, read_only, site_major
 
 
 def small_grid():
@@ -126,6 +126,19 @@ def test_phi_norm_equals_spinor_norm():
     assert np.max(np.abs(lhs - st.norm_squared(psi))) < 1e-14
 
 
+def test_norm_squared_equals_the_trailing_axis_sum():
+    # |Psi_1|^2 + |Psi_2|^2 of the two component planes is numpy's sum over
+    # a trailing component axis bit for bit, over 300 orders of magnitude
+    grid = st.box_grid((6, 7, 8, 9), -1.0, 1.0)
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-150, 150, size=grid.shape + (2,))
+    values = scale * (rng.normal(size=scale.shape) + 1j * rng.normal(size=scale.shape))
+    psi = st.SpinorField(grid, values)
+    expected = np.sum(np.abs(values) ** 2, axis=-1)
+    assert np.array_equal(st.norm_squared(psi), expected)
+    assert np.array_equal(st.norm_squared(psi, slice(2, 4)), expected[2:4])
+
+
 def unit_vector(phi):
     """n = phi/|phi|, the real view of the normalized spinor."""
     return st.spinor_to_phi(st.normalize(st.phi_to_spinor(phi)))
@@ -165,7 +178,7 @@ def test_unit_vector_jets_tangent():
 def test_sigma_model_north_pole():
     grid = small_grid()
     psi = st.SpinorField(grid, constant_spinor(grid).values)
-    m = st.sigma_model_field(psi)
+    m = site_major(st.sigma_model_field(psi), 4)
     assert m.shape == grid.shape + (3,)
     assert np.allclose(m[..., 2], 1.0)
     assert np.max(np.abs(m[..., :2])) < 1e-15
@@ -175,7 +188,7 @@ def test_sigma_model_equal_superposition():
     grid = small_grid()
     amp = 1.0 / np.sqrt(2.0)
     psi = st.SpinorField(grid, constant_spinor(grid, (amp, amp)).values)
-    m = st.sigma_model_field(psi)
+    m = site_major(st.sigma_model_field(psi), 4)
     assert np.allclose(m[..., 0], 1.0)
 
 
@@ -185,7 +198,7 @@ def test_sigma_model_requires_normalized_flag():
     with pytest.raises(FieldError):
         st.sigma_model_field(psi)
     m = st.sigma_model_field(st.normalize(psi))
-    norms = np.sum(m**2, axis=-1)
+    norms = np.sum(m**2, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 

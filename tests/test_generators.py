@@ -30,7 +30,7 @@ def test_identity_map_is_calibration_configuration():
 def test_identity_map_hopf_projection():
     psi = st.identity_map_s3(12)
     m = st.sigma_model_field(psi)
-    assert np.max(np.abs(np.sum(m**2, axis=-1) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.sum(m**2, axis=1) - 1.0)) < 1e-12
 
 
 def test_quaternion_power_one_equals_linear():

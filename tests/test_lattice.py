@@ -425,6 +425,80 @@ def test_windowed_stacks_equal_the_whole_grid_stack(order, periodic, planes, mon
     assert sorted(done, key=lambda part: part.start) == parts
 
 
+def _wrapped_take_diff(values, grid, axis, order, rows=slice(None), first=0):
+    """The periodic stencil as ``np.take(..., mode="wrap")`` copies of every
+    operand, the form the slices replaced."""
+    h = grid.spacing[axis]
+    lo, hi, _ = rows.indices(grid.shape[axis])
+    index = np.arange(lo - first, hi - first)
+
+    def at(shift):
+        return np.take(values, index + shift, axis=axis, mode="wrap")
+
+    if order == 2:
+        out = np.subtract(at(1), at(-1))
+        out /= 2.0 * h
+        return out
+    return (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("shape", [(9, 7, 11), (4, 5, 4)])
+def test_periodic_stencils_by_slices_equal_the_wrapped_takes(order, shape):
+    # interior rows read slices and only the rows at the wraps read their
+    # wrapped neighbours, with the operands and operations of the take
+    # form: bit for bit, on periodic axes 0, 1 and 2, for runs of rows at
+    # both wraps and inside, and on windows of a periodic axis 0 that
+    # start before plane 0 or end past the last plane
+    rng = np.random.default_rng(order)
+    grid = Grid(shape, (0.0,) * 3, (0.3, 0.2, 0.1), (True,) * 3)
+    values = rng.normal(size=shape + (3,)) + 1j * rng.normal(size=shape + (3,))
+    for axis in range(3):
+        n = shape[axis]
+        for rows in (slice(None), slice(0, 1), slice(0, 2), slice(n - 2, n),
+                     slice(n - 1, n), slice(1, n - 1), slice(2, 3)):
+            expected = _wrapped_take_diff(values, grid, axis, order, rows)
+            out = np.empty_like(expected)
+            lattice._diff_into(out, values, grid, axis, order, rows)
+            assert np.array_equal(out, expected)
+    n = shape[0]
+    for slab in (slice(0, 1), slice(0, 2), slice(n - 2, n), slice(n - 1, n), slice(0, n)):
+        planes = stencil_planes(grid, order, slab)
+        assert planes.start < 0 or planes.stop > n
+        window = values[np.arange(planes.start, planes.stop) % n]
+        expected = _wrapped_take_diff(values, grid, 0, order, slab)
+        out = np.empty_like(expected)
+        lattice._diff_into(out, window, grid, 0, order, slab, planes.start)
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("periodic", [(False, False, True), (True, True, False)])
+@pytest.mark.parametrize("components", [(), (3,), (3, 2)])
+def test_component_major_stacks_equal_the_site_major_stack(order, periodic, components):
+    # component-major values (planes, *components, n1, n2) give the
+    # component-major stack (planes, rank, *components, n1, n2) of the same
+    # entries bit for bit: whole, on slabs and on windows of planes
+    from su2topo.lattice import component_major
+    grid = Grid((7, 6, 5), (0.0,) * 3, (0.3, 0.2, 0.1), periodic)
+    rng = np.random.default_rng(len(components))
+    values = rng.normal(size=grid.shape + components)
+    site = derivative_stack(values, grid, order)
+    comp = component_major(values, 3)
+    assert np.array_equal(derivative_stack(comp, grid, order, components_first=True),
+                          component_major(site, 3))
+    for slab in (slice(0, 1), slice(2, 5), slice(6, 7)):
+        planes = stencil_planes(grid, order, slab)
+        window = comp[np.arange(planes.start, planes.stop) % 7]
+        for part in (derivative_stack(comp, grid, order, slab, components_first=True),
+                     derivative_stack(window, grid, order, slab, planes.start,
+                                      components_first=True)):
+            assert np.array_equal(part, component_major(site[slab], 3))
+    if components:      # site-major values do not pass as component-major ones
+        with pytest.raises(LatticeError):
+            derivative_stack(values, grid, order, components_first=True)
+
+
 def test_stencil_planes_reach_the_one_sided_ends():
     grid = Grid((10, 4, 4), (0.0,) * 3, (0.1,) * 3, (False,) * 3)
     assert stencil_planes(grid, 2, slice(0, 1)) == range(0, 3)

@@ -695,7 +695,7 @@ def test_wrapped_zero_windows_read_the_file_jet(tmp_path):
     assert any(b[0] == 0 for b in bases) and any(b[1] == 11 for b in bases)
 
 
-def test_zeros_on_a_jet_file_keep_only_the_values_resident(tmp_path):
+def test_zeros_on_a_jet_file_peaks_below_the_values_and_one_plane(tmp_path):
     # the jet (4x the values) and the values stay in the file.  Every jet
     # reader on the zeros path (read, zero search, boundary flux) peaks
     # within a few jet planes, below the values (5 jet planes) and one

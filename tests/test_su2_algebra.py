@@ -25,23 +25,34 @@ def test_self_check_runs():
 
 
 def _random_spinors(rng, shape):
-    return rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    """Component-major spinor slabs ``(shape[0], 2, *shape[1:])``."""
+    shape = shape[:1] + (2,) + shape[1:]
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _site(x):
+    """A component-major array with its component axis moved last."""
+    return np.moveaxis(x, 1, -1)
 
 
 def _bilinear_reference(u, v, sigma=alg.SIGMA):
-    return np.einsum("...i,aij,...j->...a", np.conj(u), sigma, v)
+    return np.moveaxis(np.einsum("...i,aij,...j->...a", np.conj(_site(u)), sigma,
+                                 _site(v)), -1, 1)
 
 
 def _apply_reference(c, v, sigma=alg.SIGMA):
-    return np.einsum("...a,aij,...j->...i", c, sigma, v)
+    return np.moveaxis(np.einsum("...a,aij,...j->...i", _site(c), sigma, _site(v)), -1, 1)
 
 
 def _kernel_cases(seed):
-    """(u, v) pairs: same-shape batches and one spinor against a 3-axis jet."""
+    """(u, v) pairs of component-major slabs: same-shape slabs, one spinor
+    per site against a slab that broadcasts over the planes, and rows
+    with no plane axes."""
     rng = np.random.default_rng(seed)
-    psi = _random_spinors(rng, (4, 5))
-    jet = 3.0 * _random_spinors(rng, (4, 5, 3))
-    return [(psi, _random_spinors(rng, (4, 5))), (psi[..., None, :], jet)]
+    psi = _random_spinors(rng, (4, 5, 6))
+    return [(psi, 3.0 * _random_spinors(rng, (4, 5, 6))),
+            (psi, _random_spinors(rng, (1, 5, 6))),
+            (_random_spinors(rng, (7,)), _random_spinors(rng, (7,)))]
 
 
 def _deviation(got, ref, *operands):
@@ -62,24 +73,19 @@ def test_sigma_bilinear_matches_einsum(seed):
 def test_sigma_apply_matches_einsum(seed):
     rng = np.random.default_rng(100 + seed)
     for _, v in _kernel_cases(seed):
-        c = rng.normal(size=v.shape[:-1] + (3,))
+        c = rng.normal(size=v.shape[:1] + (3,) + v.shape[2:])
         got = alg.sigma_apply(c, v)
         ref = _apply_reference(c, v)
         assert got.shape == ref.shape
         assert _deviation(got, ref, c, v) <= 1e-15
-    psi = _random_spinors(rng, (4, 5))
-    c = rng.normal(size=(4, 5, 3, 3))
-    got = alg.sigma_apply(c, psi[..., None, :])
-    assert got.shape == (4, 5, 3, 2)
-    assert _deviation(got, _apply_reference(c, psi[..., None, :]), c, psi) <= 1e-15
 
 
 @pytest.mark.parametrize("a", range(3))
 def test_kernel_comparison_catches_one_flipped_sigma(a):
     flipped = alg.SIGMA.copy()
     flipped[a] *= -1.0
-    u, v = _kernel_cases(7)[1]
-    c = np.random.default_rng(7).normal(size=v.shape[:-1] + (3,))
+    u, v = _kernel_cases(7)[0]
+    c = np.random.default_rng(7).normal(size=v.shape[:1] + (3,) + v.shape[2:])
     assert _deviation(alg.sigma_bilinear(u, v), _bilinear_reference(u, v, flipped),
                       u, v) > 1e-2
     assert _deviation(alg.sigma_apply(c, v), _apply_reference(c, v, flipped),
@@ -90,7 +96,12 @@ def test_kernel_comparison_catches_one_flipped_sigma(a):
 def test_spinor_current_extends_sigma_bilinear(seed):
     for u, v in _kernel_cases(seed):
         current = alg.spinor_current(u, v)
-        assert current.shape == v.shape[:-1] + (4,)
-        assert np.array_equal(current[..., 1:], alg.sigma_bilinear(u, v))
-        j0 = np.einsum("...c,...c->...", np.conj(u), v)
-        assert _deviation(current[..., 0], j0, u, v) <= 1e-15
+        shape = np.broadcast_shapes(u.shape, v.shape)
+        assert current.shape == shape[:1] + (4,) + shape[2:]
+        assert np.array_equal(current[:, 1:], alg.sigma_bilinear(u, v))
+        j0 = np.einsum("...c,...c->...", np.conj(_site(u)), _site(v))
+        assert _deviation(current[:, 0], j0, u, v) <= 1e-15
+        # written into a given array, bit for bit
+        out = np.full(current.shape, np.nan, dtype=complex)
+        assert alg.spinor_current(u, v, out=out) is out
+        assert np.array_equal(out, current)
