@@ -42,10 +42,11 @@ contiguous sites, and the windows of A and c are differenced in that
 layout (``derivative_stack(..., components_first=True)``).  The trace
 density sums its color contraction in einsum's order on color-last rows,
 (A^0 D^0 + A^2 D^2) + A^1 D^1, so every density keeps its bits.  Each
-density is summed as it is swept (:class:`~su2topo.lattice.Quadrature`),
-bit for bit the :func:`~su2topo.lattice.integrate` of the whole-grid
-density, and not kept; residues, residuals and the decomposition's
-reductions are maxima over the slabs, folded so that a NaN survives.  A library caller that
+density is summed as it is swept (:class:`~su2topo.lattice.Quadrature`,
+whose total does not depend on the slabs), bit for bit the
+:func:`~su2topo.lattice.integrate` of the whole-grid density, and not
+kept; residues, residuals and the decomposition's reductions are maxima
+over the slabs, folded so that a NaN survives.  A library caller that
 reads ``KnotCharges.spinor``, ``.trace``, ``.fn``, ``.gauge``,
 ``abelian.c`` or ``abelian.h_pairs`` gets them built slab by slab by the
 same sweep or kernel, bit for bit, and site-major as grids are stored.

@@ -28,11 +28,11 @@ component axes.  :func:`derivative_stack` differences either layout.
 Periodic stencils read slices of their input and wrap only the rows at
 its ends.
 
-All operations are pure: fields are immutable after construction and
-quadrature runs in one fixed summation order, numpy's pairwise order over
-the whole grid, fed a slab at a time (:class:`Quadrature`) so that no
-whole-grid density need be held; results do not depend on the sweep or
-its slabs.
+All operations are pure: fields are immutable after construction, and
+quadrature has one summation order of its own, fed a slab at a time
+(:class:`Quadrature`) so that no whole-grid density need be held: each
+axis-0 plane is summed by ``np.add.reduce`` and the plane sums exactly
+by ``math.fsum``, so results do not depend on the sweep or its slabs.
 """
 
 from __future__ import annotations
@@ -589,130 +589,54 @@ def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
             d[row - lo] = end()
 
 
-#: Most elements of one subtree of the pairwise sum summed by one reduce.
-_PAIRWISE_RUN = 1 << 14
-
-
-def _pairwise_tree(n: int) -> list:
-    """The nodes of numpy's pairwise sum of ``n`` elements, down to
-    subtrees of at most ``_PAIRWISE_RUN`` elements, one level a list entry
-    from the root: the sizes and first elements of the level's runs, left
-    to right.  numpy splits a run of more than 128 elements (its
-    ``PW_BLOCKSIZE``) at half its length rounded down to a multiple of 8;
-    runs of at most ``_PAIRWISE_RUN`` are not split here."""
-    levels = []
-    sizes, firsts = np.array([n]), np.array([0])
-    while sizes.size:
-        levels.append((sizes, firsts))
-        split = sizes > _PAIRWISE_RUN
-        sizes, firsts = sizes[split], firsts[split]
-        halves = sizes // 2 - sizes // 2 % 8
-        sizes = np.stack((halves, sizes - halves), axis=1).ravel()
-        firsts = np.stack((firsts, firsts + halves), axis=1).ravel()
-    return levels
-
-
-class _PairwiseSum:
-    """``np.sum`` of a contiguous float64 vector of ``n`` elements, bit for
-    bit, fed in order in chunks of any length: numpy's pairwise sum, cut
-    into subtrees of at most ``_PAIRWISE_RUN`` elements
-    (:func:`_pairwise_tree`).  Each subtree is a run of consecutive
-    elements, summed by one ``np.add.reduce`` (numpy's own pairwise sum of
-    it) as soon as the chunks complete it, so only the elements of one
-    unfinished run are held; the runs' sums are joined up the tree as
-    numpy joins them.  A run's sum may
-    differ from numpy's only in the sign of a zero, which changes no sum
-    but the sign of a zero one, and the total is added to 0.0 at the end,
-    as ``np.sum`` adds it, which drops that sign."""
-
-    def __init__(self, n: int):
-        self._levels = _pairwise_tree(n)
-        runs = [(firsts[sizes <= _PAIRWISE_RUN], sizes[sizes <= _PAIRWISE_RUN])
-                for sizes, firsts in self._levels]
-        firsts, sizes = map(np.concatenate, zip(*runs))
-        order = np.argsort(firsts)
-        self._firsts, self._sizes = firsts[order], sizes[order]
-        self._sums = np.empty(len(self._sizes))
-        self._done = 0                  # runs summed
-        self._pending = []              # chunks of elements past the last run summed
-        self._held = 0                  # elements in them
-
-    def add(self, chunk: np.ndarray) -> None:
-        """Feed the next elements, a 1-D float64 array."""
-        self._pending.append(chunk)
-        self._held += chunk.size
-        while self._done < len(self._sizes) and self._held >= self._sizes[self._done]:
-            pending = self._pending
-            data = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            size = int(self._sizes[self._done])
-            self._sums[self._done] = np.add.reduce(data[:size])
-            rest = data[size:]          # a view: kept only while it holds elements
-            self._pending, self._held = [rest] if rest.size else [], self._held - size
-            self._done += 1
-
-    def total(self) -> float:
-        """The sum of the ``n`` elements; :class:`LatticeError` if fewer were
-        fed."""
-        if self._done < len(self._sizes):
-            fed = int(self._firsts[self._done]) + self._held
-            raise LatticeError(f"pairwise sum fed {fed} elements of "
-                               f"{int(self._firsts[-1] + self._sizes[-1])}")
-        below = None
-        for sizes, firsts in reversed(self._levels):
-            run = sizes <= _PAIRWISE_RUN
-            level = np.empty(sizes.size)
-            level[run] = self._sums[np.searchsorted(self._firsts, firsts[run])]
-            if below is not None:
-                level[~run] = below[0::2] + below[1::2]
-            below = level
-        return 0.0 + float(below[0])
-
-
 class Quadrature:
     """The quadrature of per-site samples over a grid, fed one axis-0 slab
-    at a time: :func:`integrate_values` of the whole-grid samples, bit for
-    bit, without holding them.
+    at a time, in any order, without holding them.
 
-    The sum is that of ``np.sum(values * grid.quadrature_weights())``:
-    numpy's pairwise float64 sum of the weighted samples in C order.
-    :meth:`add` weights a slab's samples and sums the pairwise leaves they
-    complete; only the sites of one unfinished leaf, and slabs fed ahead
-    of their turn (a periodic axis 0's first slab, which a stencil sweep
-    finishes last), wait.  The weights are checked when the quadrature is
-    made (see :meth:`Grid.quadrature_weights`).
+    The sum has one definition: each axis-0 plane's samples times
+    ``grid.quadrature_weights()`` are summed in C order by one
+    ``np.add.reduce``, and the plane sums by ``math.fsum``, which is exact.
+    So the total depends neither on the slabs nor on the order they are
+    fed in (a stencil sweep finishes a periodic axis 0's first slab last),
+    and only the plane sums are held.  The weights are checked when the
+    quadrature is made (see :meth:`Grid.quadrature_weights`).
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._axes = grid._axis_weights()
-        self._sum = _PairwiseSum(math.prod(grid.shape))
-        self._plane = 0                 # the next axis-0 plane to sum
-        self._ahead = {}                # weighted slabs fed early, by first plane
+        self._sums = [None] * grid.shape[0]     # each plane's sum, once fed
 
     def add(self, slab: slice, values: np.ndarray) -> None:
-        """Feed the samples ``values`` on the planes ``slab`` of axis 0."""
+        """Feed the samples ``values`` on the planes ``slab`` of axis 0;
+        :class:`LatticeError` if one of them was fed before."""
         lo, hi, _ = slab.indices(self.grid.shape[0])
         weights = reduce(np.multiply.outer, self._axes[1:], self._axes[0][lo:hi])
         values = np.asarray(values)
         if values.shape != weights.shape:
             raise LatticeError("value array does not match grid shape")
+        if any(s is not None for s in self._sums[lo:hi]):
+            raise LatticeError(f"quadrature fed a plane of {lo}..{hi - 1} twice")
         with np.errstate(over="ignore", invalid="ignore"):
-            self._ahead[lo] = (hi, values * weights)
-            while self._plane in self._ahead:
-                self._plane, weighted = self._ahead.pop(self._plane)
-                self._sum.add(weighted.reshape(-1))
+            weighted = values * weights
+            self._sums[lo:hi] = [float(np.add.reduce(plane.reshape(-1)))
+                                 for plane in weighted]
 
     def total(self) -> float:
         """The quadrature of the samples fed.  Raises :class:`LatticeError`
-        unless every plane was fed once, and :class:`FieldError` on a sum
-        that is not finite (the samples times the weights overflow, or a
-        sample is not finite)."""
-        if self._ahead:
-            raise LatticeError(f"quadrature fed up to plane {self._plane} of "
-                               f"{self.grid.shape[0]}, with {len(self._ahead)} "
-                               "slabs out of turn")
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = self._sum.total()
+        unless every plane was fed, and :class:`FieldError` on a sum that
+        is not finite (the samples times the weights overflow, or a sample
+        is not finite)."""
+        missing = self._sums.count(None)
+        if missing:
+            raise LatticeError(f"quadrature fed {len(self._sums) - missing} of "
+                               f"{len(self._sums)} planes")
+        try:
+            total = math.fsum(self._sums)
+        except OverflowError:       # finite plane sums whose running sum overflows
+            total = math.copysign(math.inf, sum(self._sums))
+        except ValueError:          # plane sums of +inf and -inf
+            total = math.nan
         if not math.isfinite(total):
             raise FieldError(f"quadrature sum over the grid is {total}, not finite")
         return total
@@ -720,9 +644,9 @@ class Quadrature:
 
 def integrate_values(values: np.ndarray, grid: Grid) -> float:
     """Quadrature of per-site samples over the grid volume: the
-    :class:`Quadrature` fed the samples slab by slab (:func:`slabs`),
-    which equals ``np.sum(values * grid.quadrature_weights())`` bit for
-    bit.
+    :class:`Quadrature` fed the samples slab by slab (:func:`slabs`), the
+    exact sum of the planes' ``np.add.reduce`` of ``values *
+    grid.quadrature_weights()``.
 
     A sum that is not finite (the samples times the weights overflow, or
     a sample is not finite) raises :class:`FieldError`.

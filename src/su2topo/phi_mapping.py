@@ -384,7 +384,8 @@ def surface_degree(evaluate, center, radius: float):
     theta open, phi periodic), and the determinants of the 4x4 matrices
     [n, d n] are fed to a :class:`~su2topo.lattice.Quadrature` slab by
     slab, so no array of the whole sphere is kept; each determinant, and
-    the sum, equals the whole-sphere evaluation bit for bit.
+    the sum, which does not depend on the slabs, equals the whole-sphere
+    evaluation bit for bit.
 
     Returns ``(degree, raw_value, deviation)``.
     """

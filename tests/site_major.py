@@ -7,7 +7,10 @@ before it swept slabs; the sweep must equal them bit for bit.  Every
 floating-point operation here is the one the library's kernel performs on
 the same operands, in the same order, except that the trace route's color
 contraction is ``np.einsum``'s, which the library writes out.
+:func:`plane_quadrature` is the quadrature's definition on a whole grid.
 """
+
+import math
 
 import numpy as np
 
@@ -127,6 +130,14 @@ def trace_cs_values(a, da):
 
 def fn_pointwise(c, h):
     return 0.5 * (c[..., 0] * h[..., 2] - c[..., 1] * h[..., 1] + c[..., 2] * h[..., 0])
+
+
+def plane_quadrature(values, grid):
+    """The quadrature of whole-grid samples by its definition: each axis-0
+    plane of ``values * grid.quadrature_weights()`` summed in C order by
+    one ``np.add.reduce``, and the plane sums by ``math.fsum``."""
+    weighted = values * grid.quadrature_weights()
+    return math.fsum(float(np.add.reduce(plane.reshape(-1))) for plane in weighted)
 
 
 def routes(psi):

@@ -136,11 +136,12 @@ def _assert_sweep_matches_the_whole_grid(psi):
                           sign * whole["fn"] / (8.0 * np.pi**2))
     assert np.array_equal(st.trace_pointwise(charges.gauge),
                           8.0 * np.pi**2 * whole["trace"])
-    # each charge, summed as its density was swept, is numpy's sum of the
-    # whole-grid density times the weights, bit for bit
+    # each charge, summed as its density was swept, is the quadrature's
+    # definition on the oracle's whole-grid density, bit for bit
     assert (charges.q_spinor, charges.q_trace, charges.q_fn) == tuple(
-        float(np.sum(density.field.values * grid.quadrature_weights()))
-        for density in (charges.spinor, charges.trace, charges.fn))
+        oracle.plane_quadrature(density, grid) for density in (
+            sign * whole["spinor"].real, sign * whole["trace"],
+            sign * whole["fn"] / (8.0 * np.pi**2)))
     dc, h = whole["dc"], whole["h"]
     residual = max(float(np.max(np.abs(dc[..., i, j] - dc[..., j, i] - h[..., idx])))
                    for idx, (i, j) in enumerate(oracle.H_PAIRS))

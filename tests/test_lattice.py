@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from su2topo import Grid, LatticeError, ScalarField, integrate, lattice
-from su2topo.lattice import (Quadrature, _fractional_index, _PairwiseSum,
-                             derivative_stack, integrate_values, interpolate,
-                             interpolate_with_gradient, slabs, stencil_planes,
-                             stencil_windows)
+import site_major as oracle
+from su2topo import FieldError, Grid, LatticeError, ScalarField, integrate, lattice
+from su2topo.lattice import (Quadrature, _fractional_index, derivative_stack,
+                             integrate_values, interpolate, interpolate_with_gradient,
+                             slabs, stencil_planes, stencil_windows)
 
 
 def periodic_grid(n=64):
@@ -149,42 +151,18 @@ def test_integrate_is_linear():
     assert abs(lhs - rhs) < 1e-12
 
 
-# The streamed quadrature reproduces numpy's pairwise float64 sum.  These
-# tests pin that summation order: a numpy that sums in another order fails
-# here instead of moving the last bits of a reported charge.
-@pytest.mark.parametrize("n", [1, 5, 7, 8, 9, 64, 100, 127, 128, 129, 216, 1000,
-                               4099, 100003])
-def test_pairwise_sum_equals_numpy_sum_bit_for_bit(n):
-    rng = np.random.default_rng(n)
-    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
-    cuts = sorted({0, n, *rng.integers(0, n + 1, size=4).tolist()})
-    for chunks in ([values], np.split(values, n), [values[a:b] for a, b in
-                                                    zip(cuts, cuts[1:])]):
-        summed = _PairwiseSum(n)
-        for chunk in chunks:
-            summed.add(chunk)
-        assert summed.total() == float(np.sum(values)), (n, len(chunks))
-    short = _PairwiseSum(n + 1)
-    short.add(values)
-    with pytest.raises(LatticeError):
-        short.total()
+def _fed(grid, values, parts):
+    """The :class:`Quadrature` of ``values`` fed the slabs ``parts`` in turn."""
+    quadrature = Quadrature(grid)
+    for part in parts:
+        quadrature.add(part, values[part])
+    return quadrature.total()
 
 
-@pytest.mark.parametrize("n", [96**3, 24**4, 33 * 17 * 29, 3 * 2**14 + 5])
-def test_pairwise_sum_runs_span_chunks(n):
-    # the sum is taken in runs of up to 2^14 elements, each summed once the
-    # chunks fed complete it: fed 9,216 (a 96^2 plane) or 1,000 at a time,
-    # every run spans several chunks, and the sum is still np.sum's
-    rng = np.random.default_rng(n)
-    values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
-    for size in (9216, 1000):
-        assert size < lattice._PAIRWISE_RUN
-        summed = _PairwiseSum(n)
-        for start in range(0, n, size):
-            summed.add(values[start:start + size])
-        assert summed.total() == float(np.sum(values)), (n, size)
-
-
+# The quadrature has a summation order of its own: each axis-0 plane's
+# weighted samples summed by one np.add.reduce, and the plane sums exactly
+# by math.fsum (oracle.plane_quadrature).  These tests pin that definition
+# bit for bit, for any slab split and any feed order.
 @pytest.mark.parametrize("shape, periodic, cell_centered", [
     ((4, 5, 6), (False,) * 3, False),
     ((33, 17, 29), (False, False, True), True),           # the s3 chart's axes
@@ -193,27 +171,81 @@ def test_pairwise_sum_runs_span_chunks(n):
     ((24, 24, 24, 24), (False,) * 4, False),
     ((7, 6, 5, 9), (True, True, False, False), True),
 ], ids=str)
-def test_streamed_quadrature_equals_the_whole_grid_sum(shape, periodic, cell_centered):
+def test_streamed_quadrature_equals_the_whole_grid_sum(shape, periodic, cell_centered,
+                                                      monkeypatch):
     rng = np.random.default_rng(sum(shape))
     rank = len(shape)
     grid = Grid(shape, (0.0,) * rank, tuple(0.05 + 0.1 * i for i in range(rank)),
                 periodic, cell_centered)
-    values = rng.normal(size=shape)
-    expected = float(np.sum(values * grid.quadrature_weights()))
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    expected = oracle.plane_quadrature(values, grid)
     n = shape[0]
     cuts = sorted({0, n, *rng.integers(1, n, size=3).tolist()})
     planes = [slice(i, i + 1) for i in range(n)]
-    for parts in (planes, [slice(a, b) for a, b in zip(cuts, cuts[1:])],
-                  [slice(None)], planes[1:] + planes[:1]):      # the first slab last
-        quadrature = Quadrature(grid)
-        for part in parts:
-            quadrature.add(part, values[part])
-        assert quadrature.total() == expected, parts
+    runs = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    for parts in (planes, runs, [slice(None)], planes[1:] + planes[:1],  # the first slab last
+                  runs[::-1]):
+        assert _fed(grid, values, parts) == expected, parts
     assert integrate_values(values, grid) == expected
-    quadrature = Quadrature(grid)
-    quadrature.add(slice(1, n), values[1:])
-    with pytest.raises(LatticeError):
-        quadrature.total()
+    # one plane a slab, in the order a stencil sweep finishes them: on a
+    # periodic axis 0 the first slab waits for the last plane, out of turn
+    monkeypatch.setattr(lattice, "SLAB_SITES", 1)
+    swept = [slab for slab, _, _ in stencil_windows(
+        grid, 2, ((slab, [values[slab]]) for slab in slabs(grid)))]
+    assert (swept[0] != planes[0]) == periodic[0]
+    assert _fed(grid, values, swept) == expected
+    assert integrate_values(values, grid) == expected
+    with pytest.raises(LatticeError, match=f"fed {n - 1} of {n} planes"):
+        _fed(grid, values, planes[1:])
+    with pytest.raises(LatticeError, match="twice"):
+        _fed(grid, values, [slice(None), planes[-1]])
+
+
+def test_quadrature_sums_the_plane_sums_exactly():
+    # plane sums 1e16, 1 and -1e16: summed in turn they give 0, since
+    # 1e16 + 1 rounds to 1e16; the exact sum is 1 in every feed order
+    grid = Grid((4, 4, 4), (0.0,) * 3, (1.0,) * 3, (True,) * 3)
+    values = np.zeros(grid.shape)
+    values[:3, 0, 0] = 1e16, 1.0, -1e16
+    planes = [slice(i, i + 1) for i in range(4)]
+    assert sum(np.add.reduce(plane.reshape(-1)) for plane in values) == 0.0
+    for parts in (planes, planes[::-1], [slice(0, 2), slice(2, 4)], [slice(None)]):
+        assert _fed(grid, values, parts) == 1.0, parts
+
+
+@pytest.mark.parametrize("sums, shown", [
+    ((np.inf, -np.inf), "nan"),         # math.fsum raises ValueError
+    ((1e308, 1e308), "inf"),            # math.fsum raises OverflowError
+    ((-1e308, -1e308), "-inf"),
+])
+def test_plane_sums_without_a_finite_total_are_a_field_error(sums, shown):
+    grid = Grid((4, 4, 4), (0.0,) * 3, (1.0,) * 3, (True,) * 3)
+    values = np.zeros(grid.shape)
+    values[:len(sums), 0, 0] = sums
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError, match=f"quadrature sum over the grid is {shown}, "
+                                             "not finite"):
+            integrate_values(values, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=hst.integers(3, 4).flatmap(
+           lambda rank: hst.tuples(*[hst.integers(4, 7)] * rank)),
+       data=hst.data(),
+       cell_centered=hst.booleans(),
+       seed=hst.integers(0, 2**32 - 1))
+def test_quadrature_does_not_depend_on_slabs_or_feed_order(shape, data, cell_centered,
+                                                           seed):
+    rank, n = len(shape), shape[0]
+    periodic = data.draw(hst.tuples(*[hst.booleans()] * rank))
+    grid = Grid(shape, (0.0,) * rank, tuple(0.05 + 0.1 * i for i in range(rank)),
+                periodic, cell_centered)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    cuts = sorted(data.draw(hst.sets(hst.integers(1, n - 1))) | {0, n})
+    parts = data.draw(hst.permutations([slice(a, b) for a, b in zip(cuts, cuts[1:])]))
+    assert _fed(grid, values, parts) == oracle.plane_quadrature(values, grid)
 
 
 def test_refinement_shrinks_errors():
