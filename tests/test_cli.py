@@ -833,6 +833,46 @@ def test_reports_keep_their_bytes(argv, report_files, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == _REPORT_DIGESTS[argv]
 
 
+# Exit code and SHA-256 of the reports of the box generators' runs, and of
+# the files they write, recorded while box blocks were still sampled at a
+# meshgrid of their points, site-major.  The 32^4 box is the benchmark's
+# for seed 101.
+_BOX_REPORT_DIGESTS = {
+    ("verify", "qpoly", "--grid", "16,16,16,16"):
+        (0, "9302778513be19c681d2aa69e2fdc23cbd9b4490aff3a39ece176c1023371e94"),
+    ("verify", "qpoly", "--grid", "16,16,16,16", "--box=-1.93:2.07"):
+        (0, "621eaa6b2d26feaec3376069637c6c4d7335271900dc2ea370719efa368392ae"),
+    ("verify", "qpoly", "--grid", "32,32,32,32", "--box=-1.989529:2.010471"):
+        (0, "cabe011109cb1252299a84afe46e2de1b3685b9cdece2a697238fcb4f45d2bc4"),
+    ("verify", "linear"):
+        (0, "887806b674b82ba10e947f508aa85d94671bdcb9a2ba1e3bd47449cb00395a8c"),
+    ("verify", "linear", "--grid", "12,12,12,12", "--shift=0.31,-0.2,0.17,0.05"):
+        (0, "21a2226d0fa9e5cd3ed2289e1c94d1f7b24ab19e5e8c6c3b3dd4f0c00a4d134b"),
+}
+
+_BOX_FILE_DIGESTS = {
+    ("qpoly", "--grid", "12,12,12,12"):
+        "bb583fc5b7e1b247aadc8a9bee4879a9929476797ba602d0f78c0f73dc2ae58f",
+    ("qpower", "--power", "-3", "--chart", "box", "--grid", "10,10,10,10"):
+        "352ba4e57f65b89387c1b0ec19de54cc67885fd98fb1a1aa821acb68bf66563e",
+    ("linear",):
+        "6cef7b6609cc902e0c9ed7a35666a2ef5df082936a49d8e5711febc13fbe330f",
+}
+
+
+@pytest.mark.parametrize("argv", list(_BOX_REPORT_DIGESTS), ids=" ".join)
+def test_box_reports_keep_their_bytes(argv, capsys):
+    code, out, _ = run(capsys, *argv, "--no-color")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _BOX_REPORT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("kind", list(_BOX_FILE_DIGESTS), ids=" ".join)
+def test_box_files_keep_their_bytes(kind, tmp_path, capsys):
+    path = tmp_path / "box.fld"
+    assert run(capsys, "generate", "--kind", *kind, "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _BOX_FILE_DIGESTS[kind]
+
+
 @pytest.mark.parametrize("periodic, cell_centered", [((False, True, False, False), False),
                                                      ((False,) * 4, True)])
 def test_zeros_rejects_an_unsummable_grid_before_the_search(
