@@ -50,7 +50,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, LatticeField, component_major, read_only, slabs
+from .lattice import Grid, LatticeField, component_major, read_only, site_major, slabs
 
 #: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
@@ -278,9 +278,16 @@ def normalize(psi: SpinorField) -> SpinorField:
         jet = psi.exact_jet(block)
         if jet is None:
             return None
-        samples, norm = psi.values_at(block), norms[block][..., None]
-        dnorm = np.einsum("...c,...mc->...m", np.conj(samples), jet).real / norm
-        return jet / norm[..., None] - samples[..., None, :] * (dnorm / norm ** 2)[..., None]
+        rank = psi.grid.rank
+        samples, jet = (component_major(x, rank) for x in (psi.values_at(block), jet))
+        norm = norms[block][:, None]
+        sr, si, jr, ji = samples.real, samples.imag, jet.real, jet.imag
+        # Re sum_c conj(Psi_c) d_m Psi_c, in the order of numpy's einsum
+        # over a trailing c, its zero start included
+        dnorm = ((0.0 + (sr[:, None, 0] * jr[:, :, 0] + si[:, None, 0] * ji[:, :, 0]))
+                 + (sr[:, None, 1] * jr[:, :, 1] + si[:, None, 1] * ji[:, :, 1])) / norm
+        out = jet / norm[:, None] - samples[:, None] * (dnorm / norm ** 2)[:, :, None]
+        return site_major(out, rank)
 
     if psi.jet is None and psi.block_jet is not None:
         return SpinorField(psi.grid, values, block_jet=quotient)

@@ -7,12 +7,12 @@ degree-n references: q^n has boundary degree n (negative powers go through
 the conjugate, q^-1 = conj(q) on unit quaternions), and products
 prod_j (q - c_j) plant zeros at chosen roots.
 
-4-vector fields on a box store nothing: the values of a block are the map
-at that block's points, computed when the block is read
-(:meth:`~su2topo.lattice.LatticeField.values_at`), and an analytic sampler
-gives values and jets anywhere.  The zero search uses it for
-machine-precision root refinement, and every exact jet of the field comes
-from it (:meth:`~su2topo.lattice.LatticeField.exact_jet`): the zero screen
+4-vector fields on a box store nothing: the values and the exact jet of a
+block are the map and its product-rule jet on that block, computed when
+the block is read (:meth:`~su2topo.lattice.LatticeField.values_at`,
+:meth:`~su2topo.lattice.LatticeField.exact_jet`), and an analytic sampler
+runs the same kernels at any points.  The zero search uses it for
+machine-precision root refinement and the degree spheres; the zero screen
 reads the values one slab at a time, the boundary flux reads values and
 jets on the 8 faces slab by slab, and a file write reads both slab by
 slab.
@@ -23,11 +23,27 @@ read and equal to the whole chart's bit for bit.  The random fields store
 their values and jets.  Every generator hands its fresh
 arrays to the field read-only, so the field adopts them without a copy.
 
+The quaternion kernels are component-major: a quaternion is its four
+components, each an array of sites, so every ufunc runs over whole arrays
+of sites instead of a trailing axis of length 4.  On a box block the four
+components of q are the block's axis coordinates, each shaped to broadcast
+with length on its own axis only (:func:`_box_axes`), so no meshgrid of
+the block's points is built, and the kernels write the values ``(4, ...)``
+and the jet ``(4, 4, ...)`` (derivative axis first) through views of a
+rank-4 block in the lattice's component-major layout ``(planes, 4, ...)``
+(:func:`~su2topo.lattice.component_major`); the block is served as its
+site-major view (:func:`~su2topo.lattice.site_major`), so a reader that
+takes it component-major again gets it without a copy.  The sampler runs
+the same kernels on the components of its points, ``points.T``.
+
 On a box, q is the point itself, so d_mu q = e_mu: the product-rule terms
-e_mu s and p e_mu of the jets are signed permutations of the components of
-s and p, and no identity jet is materialised.  ``qmul`` is written component
-by component in the operation order of the vector form; the rank-3 chart
-computes its exact chart jets per block with the generic product rule.
+e_mu s and p e_mu of the jets are signed picks of the components of s and
+p, and no identity jet is materialised.  ``qmul`` is written component by
+component in the operation order of the vector form, and the linear map in
+the order of numpy's ``einsum``, so every value and jet entry is the
+site-major evaluation's bit for bit.  The rank-3 chart computes its exact
+chart jets per block with the generic product rule, through component
+views of the chart points.
 """
 
 from __future__ import annotations
@@ -38,35 +54,64 @@ import numpy as np
 
 from .errors import FieldError
 from .fields import GaugeField, PhiField, SpinorField, phi_to_spinor
-from .lattice import Grid, read_only
+from .lattice import Grid, read_only, site_major
 
 
 # --------------------------------------------------------------------------
-# quaternion arithmetic on (..., 4) arrays
+# quaternion arithmetic on component arrays
 # --------------------------------------------------------------------------
 
-def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternion arrays.
+def qmul(p, q, out=None) -> np.ndarray:
+    """Hamilton product of the quaternions ``p`` and ``q``.
 
-    Written component by component in the operation order of the vector
-    form p0 q0 - p.q, p0 q + q0 p + p x q, so the result is bit-identical
-    to it; the ``+ 0.0`` turns a -0.0 dot product into +0.0, as ``np.sum``
+    A quaternion is its four components: four arrays, or an array whose
+    axis 0 runs over them; the components of both broadcast together.  The
+    product is ``(4, ...)``, written into ``out`` when given (a view of
+    any layout whose axis 0 runs over the components).  It is written
+    component by component in the operation order of the vector form
+    p0 q0 - p.q, p0 q + q0 p + p x q, so the result is bit-identical to
+    it; the ``+ 0.0`` turns a -0.0 dot product into +0.0, as ``np.sum``
     does.
     """
-    p0, p1, p2, p3 = (p[..., a] for a in range(4))
-    q0, q1, q2, q3 = (q[..., a] for a in range(4))
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[..., 0] = p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3 + 0.0)
-    out[..., 1] = p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2)
-    out[..., 2] = p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3)
-    out[..., 3] = p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1)
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    if out is None:
+        out = np.empty((4,) + _shape(p, q))
+    out[0] = p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3 + 0.0)
+    out[1] = p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2)
+    out[2] = p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3)
+    out[3] = p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1)
     return out
 
 
-def qconj(q: np.ndarray) -> np.ndarray:
-    out = q.copy()
-    out[..., 1:] *= -1.0
-    return out
+def qconj(q) -> tuple:
+    """The conjugate of the quaternion ``q`` (as in :func:`qmul`), as its
+    four components."""
+    return (q[0],) + tuple(c * -1.0 for c in q[1:])
+
+
+def _shape(*quaternions) -> tuple:
+    """The shape the components of ``quaternions`` broadcast to."""
+    return np.broadcast_shapes(*(np.shape(c) for q in quaternions for c in q))
+
+
+def _shifted(q, c) -> tuple:
+    """The components of q - c for a constant quaternion ``c``."""
+    return tuple(qa - ca for qa, ca in zip(q, c))
+
+
+def _fill(out, q) -> None:
+    """Write the components of the quaternion ``q`` into ``out``, each
+    broadcast to the sites, unless ``q`` is ``out``."""
+    if q is not out:
+        for a in range(4):
+            out[a] = q[a]
+
+
+def _fill_jet(jet, dq) -> None:
+    """Write ``dq`` into ``jet`` ``(rank, 4, ...)``: a jet of that shape,
+    or a ``(rank, 4)`` matrix that is the same at every site."""
+    jet[...] = np.reshape(dq, np.shape(dq) + (1,) * (jet.ndim - np.ndim(dq)))
 
 
 # Products with the basis units e_mu = 1, i, j, k are signed permutations:
@@ -77,91 +122,115 @@ def qconj(q: np.ndarray) -> np.ndarray:
 _UNIT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _UNIT_LEFT = np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]])
 _UNIT_RIGHT = np.array([[1.0, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1]])
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _unit_products(p: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Stack (..., 4, 4) of signed unit products of p, unit axis at -2."""
-    out = p[..., _UNIT_PERM]
-    out *= signs
-    return out
+def _unit(p, signs: np.ndarray, mu: int, a: int) -> np.ndarray:
+    """Component ``a`` of the signed unit product ``signs[mu] * p`` (the
+    sign tables above): a signed pick of one component of ``p``."""
+    return signs[mu, a] * p[_UNIT_PERM[mu, a]]
 
 
-def _qpower_values(q: np.ndarray, n: int) -> np.ndarray:
-    """q^n; the value half of :func:`_qpower_with_jet`, operation for operation."""
+def _qpower_values(q, n: int, out) -> None:
+    """q^n into ``out`` ``(4, ...)``; the value half of
+    :func:`_qpower_with_jet`, operation for operation."""
     if n < 0:
-        q = qconj(q)
-        n = -n
+        q, n = qconj(q), -n
     value = q
-    for _ in range(n - 1):
-        value = qmul(q, value)
-    return value
+    for k in range(2, n + 1):
+        value = qmul(q, value, out if k == n else None)
+    _fill(out, value)
 
 
-def _qpower_with_jet(q: np.ndarray, dq: np.ndarray | None, n: int):
-    """q^n with product-rule jets; dq has the derivative axis at -2.
+def _qpower_with_jet(q, dq, n: int, out, jet) -> None:
+    """q^n into ``out`` (None: not wanted) and its product-rule jet into
+    ``jet`` ``(rank, 4, ...)``, the derivative axis first.
 
-    ``dq=None`` is the box, where q is the point itself and d_mu q = e_mu
-    at every point (conj(e_mu) = -e_mu for mu > 0 once n < 0): the terms
-    dq q^k and q dq are then signed unit products.
+    ``dq`` is the jet of q, of the same layout, or None on the box, where
+    q is the point itself and d_mu q = e_mu at every point (conj(e_mu) =
+    -e_mu for mu > 0 once n < 0): the terms dq q^k and q dq are then
+    signed unit products.
     """
     box = dq is None
     if box:
         dq = np.eye(4)
     if n < 0:
-        q = qconj(q)
-        dq = qconj(dq)
-        n = -n
+        q, n = qconj(q), -n
+        dq = dq * _CONJ.reshape((4,) + (1,) * (dq.ndim - 2))
     # on the box, d_mu q = signs[mu] e_mu
     signs = np.diagonal(dq)[:, None] if box else None
-    value = q
-    jet = None if box else dq
-    for _ in range(n - 1):
-        if box:
-            left = _unit_products(value, _UNIT_LEFT * signs)
-            if jet is None:
-                right = _unit_products(q, _UNIT_RIGHT * signs)
-            else:
-                right = qmul(q[..., None, :], jet)
+    left = _UNIT_LEFT * signs if box else None
+    value, prev = q, None if box else dq
+    if n == 1:
+        _fill_jet(jet, dq)
+    for k in range(2, n + 1):
+        new = jet if k == n else np.empty(jet.shape)
+        if not box:
+            qmul(dq.swapaxes(0, 1), value, new.swapaxes(0, 1))
+            new += qmul(q, prev.swapaxes(0, 1)).swapaxes(0, 1)
+        elif prev is None:
+            for mu in range(4):
+                for a in range(4):
+                    new[mu, a] = (_unit(value, left, mu, a)
+                                  + _unit(q, _UNIT_RIGHT * signs, mu, a))
         else:
-            left = qmul(dq, value[..., None, :])
-            right = qmul(q[..., None, :], jet)
-        left += right
-        jet = left
-        value = qmul(q, value)
-    if jet is None:
-        jet = np.broadcast_to(dq, q.shape[:-1] + (4, 4))
-    return value, jet
+            qmul(q, prev.swapaxes(0, 1), new.swapaxes(0, 1))
+            for mu in range(4):
+                for a in range(4):
+                    new[mu, a] += _unit(value, left, mu, a)
+        prev = new
+        if k < n or out is not None:
+            value = qmul(q, value, out if k == n else None)
+    if out is not None:
+        _fill(out, value)
 
 
-def _qpoly_values(q: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """prod_j (q - c_j); the value half of :func:`_qpoly_with_jet`,
-    operation for operation."""
-    value = q - roots[0]
-    for root in roots[1:]:
-        value = qmul(value, q - root)
-    return value
+def _qpoly_values(q, roots: np.ndarray, out) -> None:
+    """prod_j (q - c_j) into ``out`` ``(4, ...)``; the value half of
+    :func:`_qpoly_with_jet`, operation for operation."""
+    value = _shifted(q, roots[0])
+    for k in range(1, len(roots)):
+        value = qmul(value, _shifted(q, roots[k]), out if k == len(roots) - 1 else None)
+    _fill(out, value)
 
 
-def _qpoly_with_jet(q: np.ndarray, roots: np.ndarray):
-    """Left-ordered product prod_j (q - c_j) with product-rule jets.
+def _qpoly_with_jet(q, roots: np.ndarray, out, jet) -> None:
+    """The left-ordered product prod_j (q - c_j) into ``out`` (None: not
+    wanted) and its product-rule jet into ``jet`` ``(4, 4, ...)``.
 
     q is a box point, so d_mu q = e_mu and the product-rule terms
     e_mu (q - c) and P e_mu are signed unit products.
     """
-    value = q - roots[0]
-    jet = None
-    for root in roots[1:]:
-        factor = q - root
-        if jet is None:
-            left = _unit_products(factor, _UNIT_LEFT)
+    value, last = _shifted(q, roots[0]), len(roots) - 1
+    if last == 0:
+        _fill_jet(jet, np.eye(4))
+    for k in range(1, last + 1):
+        factor = _shifted(q, roots[k])
+        new = jet if k == last else np.empty(jet.shape)
+        if k == 1:
+            for mu in range(4):
+                for a in range(4):
+                    new[mu, a] = (_unit(factor, _UNIT_LEFT, mu, a)
+                                  + _unit(value, _UNIT_RIGHT, mu, a))
         else:
-            left = qmul(jet, factor[..., None, :])
-        left += _unit_products(value, _UNIT_RIGHT)
-        jet = left
-        value = qmul(value, factor)
-    if jet is None:
-        jet = np.broadcast_to(np.eye(4), q.shape[:-1] + (4, 4))
-    return value, jet
+            qmul(prev.swapaxes(0, 1), factor, new.swapaxes(0, 1))
+            for mu in range(4):
+                for a in range(4):
+                    new[mu, a] += _unit(value, _UNIT_RIGHT, mu, a)
+        prev = new
+        if k < last or out is not None:
+            value = qmul(value, factor, out if k == last else None)
+    if out is not None:
+        _fill(out, value)
+
+
+def _component_major_out(shape: tuple, comps: tuple) -> tuple:
+    """A new block of ``shape`` (sites, or points ``(n,)``) with the
+    component axes ``comps`` right after axis 0, the layout of
+    :func:`~su2topo.lattice.component_major`, and its view with the
+    component axes first, for a kernel to write into."""
+    block = np.empty(shape[:1] + comps + shape[1:])
+    return block, np.moveaxis(block, range(1, 1 + len(comps)), range(len(comps)))
 
 
 # --------------------------------------------------------------------------
@@ -261,33 +330,62 @@ def _chart_jet(trig: tuple, block) -> np.ndarray:
 # generators
 # --------------------------------------------------------------------------
 
+def _box_axes(grid: Grid, block) -> tuple:
+    """The four components of q = x on ``block`` (an axis-0 slice or a
+    tuple of per-axis slices): each axis's coordinates on the block,
+    shaped to broadcast, with length on that axis only."""
+    parts = (block if isinstance(block, tuple) else (block,)) + (slice(None),) * 4
+    return tuple(grid.coords(axis)[parts[axis]].reshape((1,) * axis + (-1,) + (1,) * (3 - axis))
+                 for axis in range(4))
+
+
 def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
     """The field of a map on a box, with its analytic sampler; it stores
     neither values nor jet.
 
-    ``value_fn(x)`` returns the values and ``jet_fn(x)`` returns
-    ``(value, jet)`` for box points ``x`` (..., 4), the jet with the
-    derivative axis at -2.  Both compute the values with the same
-    operations, so the sampler's values equal the lattice samples bit for
-    bit, and the sampler asked for values only (``jet=False``, the degree
-    spheres) returns ``value_fn``'s without computing a jet.  The samples
-    of a block are ``value_fn`` of that block's points, computed when the
-    block is read (``block_values``, checked finite as it is served) and
-    not kept; a whole-grid read is filled one axis-0 slab at a time
-    (:func:`~su2topo.lattice.slabs`), so no whole-grid coordinates or
-    product temporaries are built.  The exact jet of a block comes from
-    the sampler.
+    The map's kernels take the components of q and write into views whose
+    leading axes run over the components: ``value_fn(q, out)`` the values
+    ``(4, ...)``, and ``jet_fn(q, out, jet)`` the values (``out=None``:
+    not wanted) and the jet ``(4, 4, ...)``, the derivative axis first.
+    Both compute the values with the same operations, so the sampler's
+    values equal the lattice samples bit for bit, and the sampler asked
+    for values only (``jet=False``, the degree spheres) runs ``value_fn``
+    without computing a jet.  The values (``block_values``, checked finite
+    as they are served) and the jet (``block_jet``) of a block are the
+    kernels on its :func:`_box_axes`, computed when the block is read and
+    not kept, and written component-major, so the site-major block served
+    is a view (:func:`~su2topo.lattice.site_major`); a whole-grid read is
+    filled one axis-0 slab at a time (:func:`~su2topo.lattice.slabs`).
+    The sampler runs the same kernels on the components of its points,
+    ``points.T``, and returns ``(n, 4)`` values and ``(n, 4, 4)`` jets.
     """
-    def evaluate(points, jet=True):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    def run(shape, kernel, q, jet):
         # A map that overflows on the box gives non-finite values, which
         # values_at rejects as one error; its jets overflow only where the
         # values do.
+        block, view = _component_major_out(shape, (4, 4) if jet else (4,))
         with np.errstate(over="ignore", invalid="ignore"):
-            return jet_fn(points) if jet else (value_fn(points), None)
+            kernel(q, None, view) if jet else kernel(q, view)
+        return block
 
-    return PhiField(grid, None, sampler=evaluate,
-                    block_values=lambda block: evaluate(grid.points(block), jet=False)[0])
+    def evaluate(points, jet=True):
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if not jet:
+            return run(points.shape[:1], value_fn, points.T, False), None
+        values, out = _component_major_out(points.shape[:1], (4,))
+        jets, view = _component_major_out(points.shape[:1], (4, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            jet_fn(points.T, out, view)
+        return values, jets
+
+    def served(kernel, jet):
+        def block_array(block):
+            q = _box_axes(grid, block)
+            return site_major(run(_shape(q), kernel, q, jet), 4)
+        return block_array
+
+    return PhiField(grid, None, sampler=evaluate, block_values=served(value_fn, False),
+                    block_jet=served(jet_fn, True))
 
 
 def identity_map_s3(resolution=32) -> SpinorField:
@@ -323,13 +421,23 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
         raise FieldError("quaternion power limited to |n| <= 4")
     if grid.rank == 3:
         trig = _chart_trig(grid)
-        return PhiField(grid, None,
-                        block_values=lambda block: _qpower_values(
-                            s3_points(grid, block, trig), n),
-                        block_jet=lambda block: _qpower_with_jet(
-                            *s3_unit_vectors(grid, block, trig), n)[1])
-    return _box_field(grid, lambda q: _qpower_values(q, n),
-                      lambda q: _qpower_with_jet(q, None, n))
+
+        def block_values(block):
+            q = s3_points(grid, block, trig)
+            values, out = _component_major_out(q.shape[:-1], (4,))
+            _qpower_values(np.moveaxis(q, -1, 0), n, out)
+            return site_major(values, 3)
+
+        def block_jet(block):
+            q, dq = s3_unit_vectors(grid, block, trig)
+            jet, view = _component_major_out(q.shape[:-1], (3, 4))
+            _qpower_with_jet(np.moveaxis(q, -1, 0), np.moveaxis(dq, (-2, -1), (0, 1)), n,
+                             None, view)
+            return site_major(jet, 3)
+
+        return PhiField(grid, None, block_values=block_values, block_jet=block_jet)
+    return _box_field(grid, lambda q, out: _qpower_values(q, n, out),
+                      lambda q, out, jet: _qpower_with_jet(q, None, n, out, jet))
 
 
 def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
@@ -356,8 +464,8 @@ def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
                 raise FieldError(
                     f"roots {i} and {j} separated by {gap:.3e} < 4 h = {4*hmax:.3e}")
 
-    return _box_field(grid, lambda q: _qpoly_values(q, roots),
-                      lambda q: _qpoly_with_jet(q, roots))
+    return _box_field(grid, lambda q, out: _qpoly_values(q, roots, out),
+                      lambda q, out, jet: _qpoly_with_jet(q, roots, out, jet))
 
 
 def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:
@@ -369,12 +477,18 @@ def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:
         raise FieldError("matrix must be nonsingular")
     shift = np.asarray(shift, dtype=np.float64).reshape(4)
 
-    def value_fn(points):
-        return np.einsum("ab,...b->...a", matrix, points - shift)
+    def value_fn(q, out):
+        d = _shifted(q, shift)
+        for a in range(4):
+            # np.einsum("ab,...b->...a", matrix, x - shift), in the order
+            # numpy's einsum sums in, its zero start included
+            out[a] = ((matrix[a, 0] * d[0] + matrix[a, 2] * d[2])
+                      + (matrix[a, 1] * d[1] + matrix[a, 3] * d[3])) + 0.0
 
-    def jet_fn(points):
-        return (value_fn(points),
-                np.broadcast_to(matrix.T, points.shape[:-1] + (4, 4)).copy())
+    def jet_fn(q, out, jet):
+        if out is not None:
+            value_fn(q, out)
+        _fill_jet(jet, matrix.T)
 
     return _box_field(grid, value_fn, jet_fn)
 

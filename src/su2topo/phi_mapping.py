@@ -50,9 +50,9 @@ from .chern_density import boundary_cs_sum, check_flux_box
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
 from .fields import PhiField, _finite_max
 from .generators import s3_chart_grid, s3_points
-from .lattice import (Grid, Quadrature, ScalarField, derivative_stack, interpolate,
-                      interpolate_with_gradient, interpolation_window, slabs,
-                      stencil_windows)
+from .lattice import (Grid, Quadrature, ScalarField, component_major, derivative_stack,
+                      interpolate, interpolate_with_gradient, interpolation_window,
+                      slabs, stencil_windows)
 
 DEGENERACY_TOL = 1e-8
 NEWTON_TOL = 1e-10           # |phi| at an accepted (refined) zero
@@ -169,57 +169,65 @@ def _newton(evaluate, x0: np.ndarray, bounds):
     return x, best, best < NEWTON_TOL, jx
 
 
-def _sign_change_cells(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Mask of the 4-cells whose 16 corners span 0 in every component, on
-    the whole grid: :func:`_cell_mask` of the site planes and the planes one
-    step above them (a cell spans sites k and k+1 on each axis, and k+1
-    wraps on periodic axes)."""
-    if grid.periodic[0]:
-        return _cell_mask(values, np.roll(values, -1, axis=0), grid)
-    return _cell_mask(values[:-1], values[1:], grid)
-
-
 def _cell_mask(lower: np.ndarray, upper: np.ndarray, grid: Grid) -> np.ndarray:
-    """The sign-change mask of the rows of cells between the axis-0 site
-    planes ``lower`` and the planes ``upper`` one step above them.
+    """The sign-change mask of the rows of cells between the component-major
+    axis-0 site planes ``lower`` ``(rows, 4, ...)`` and the planes ``upper``
+    one step above them (a cell spans sites k and k+1 on each axis, and
+    k+1 wraps on periodic axes).
 
-    The range is closed (min <= 0 <= max), so a zero whose coordinates lie
-    on lattice planes, where a component is exactly 0 on a whole plane of
-    corners, still marks the cells around it; Newton and the half-cell
-    deduplication settle the extra candidates.  The corner min/max is
-    taken one axis at a time: pairwise over neighbouring slices, 4 passes
-    instead of 16 corner copies.  Min and max are exact, so neither the
-    order of the passes nor the rows of a call change the mask.
+    A cell spans 0 in a component when some corner is <= 0 and some
+    corner is >= 0: the closed range min <= 0 <= max, so a zero whose
+    coordinates lie on lattice planes, where a component is exactly 0 on
+    a whole plane of corners, still marks the cells around it; Newton and
+    the half-cell deduplication settle the extra candidates.  Both tests
+    are OR-reduced over the corners one axis at a time, pairwise over
+    neighbouring slices: 4 passes instead of 16 corner copies.  On finite
+    values, the only ones :meth:`~su2topo.lattice.LatticeField.values_at`
+    serves, this is the corner min/max rule exactly.
     """
-    mins = np.minimum(lower, upper)
-    maxs = np.maximum(lower, upper)
+    low = (lower <= 0.0) | (upper <= 0.0)
+    high = (lower >= 0.0) | (upper >= 0.0)
     for ax in range(1, grid.rank):
+        axis = ax + 1                      # the components are axis 1
         if grid.periodic[ax]:
-            mins = np.minimum(mins, np.roll(mins, -1, axis=ax))
-            maxs = np.maximum(maxs, np.roll(maxs, -1, axis=ax))
+            low |= np.roll(low, -1, axis=axis)
+            high |= np.roll(high, -1, axis=axis)
         else:
-            lo = (slice(None),) * ax + (slice(None, -1),)
-            hi = (slice(None),) * ax + (slice(1, None),)
-            mins = np.minimum(mins[lo], mins[hi])
-            maxs = np.maximum(maxs[lo], maxs[hi])
-    return np.all((mins <= 0.0) & (maxs >= 0.0), axis=-1)
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            low = low[lo] | low[hi]
+            high = high[lo] | high[hi]
+    span = low & high
+    return span[:, 0] & span[:, 1] & span[:, 2] & span[:, 3]
+
+
+def _norms(block: np.ndarray) -> np.ndarray:
+    """|phi| at the sites of the component-major ``block`` ``(planes, 4,
+    ...)``: sqrt(((x0^2 + x1^2) + x2^2) + x3^2) over the component planes,
+    the order of ``np.linalg.norm`` over a trailing component axis."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(block[:, 0] * block[:, 0] + block[:, 1] * block[:, 1]
+                       + block[:, 2] * block[:, 2] + block[:, 3] * block[:, 3])
 
 
 def _screen(phi: PhiField):
     """The Newton starts of the zero search: ``(cells, sites)``, index arrays
     ``(k, 4)`` in row-major order.
 
-    ``cells`` are the 4-cells :func:`_sign_change_cells` marks and ``sites``
-    the lattice sites where |phi| < 1e-9 max(1, max|phi|).  Both are taken
-    from phi's values one axis-0 slab (:func:`~su2topo.lattice.slabs`) at
-    a time, as :meth:`~su2topo.lattice.LatticeField.values_at` serves
-    them, so each plane is read once: when a slab arrives, the row of
-    cells between the last plane of the slab before, carried on, and its
-    first plane is screened, then the rows between its own planes (on a
-    periodic axis 0 the first plane is kept too, for the row that wraps).
-    A slab's norms are taken again only when its smallest norm is below
-    that threshold, which is known once every slab is seen.  The lists
-    are those of ``np.argwhere`` on the whole-grid masks.
+    ``cells`` are the 4-cells whose 16 corners span 0 in every component
+    (:func:`_cell_mask`) and ``sites`` the lattice sites where |phi| <
+    1e-9 max(1, max|phi|).  Both are taken from phi's values one axis-0
+    slab (:func:`~su2topo.lattice.slabs`) at a time, as
+    :meth:`~su2topo.lattice.LatticeField.values_at` serves them, taken
+    component-major (:func:`~su2topo.lattice.component_major`, no copy for
+    a box field's blocks), so each plane is read once: when a slab
+    arrives, the row of cells between the last plane of the slab before,
+    carried on, and its first plane is screened, then the rows between its
+    own planes (on a periodic axis 0 the first plane is kept too, for the
+    row that wraps).  A slab's norms are taken again only when its
+    smallest norm is below that threshold, which is known once every slab
+    is seen.  The lists are those of ``np.argwhere`` on the whole-grid
+    masks.
     """
     grid = phi.grid
     cells, lows = [], []
@@ -230,12 +238,11 @@ def _screen(phi: PhiField):
         cells.append(np.argwhere(_cell_mask(lower, upper, grid)) + (row, 0, 0, 0))
 
     for slab in slabs(grid):
-        block = phi.values_at(slab)
+        block = component_major(phi.values_at(slab), 4)
         if carried is not None:
             screen(carried, block[:1], slab.start - 1)
         screen(block[:-1], block[1:], slab.start)
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(block, axis=-1)
+        norms = _norms(block)
         top = max(top, _finite_max(norms, "phi", slab.start))
         lows.append((slab, float(np.min(norms))))
         carried = block[-1:]
@@ -244,7 +251,7 @@ def _screen(phi: PhiField):
     if first is not None:
         screen(carried, first, grid.shape[0] - 1)
     site_tol = 1e-9 * max(1.0, top)
-    sites = [np.argwhere(np.linalg.norm(phi.values_at(slab), axis=-1) < site_tol)
+    sites = [np.argwhere(_norms(component_major(phi.values_at(slab), 4)) < site_tol)
              + (slab.start, 0, 0, 0) for slab, low in lows if low < site_tol]
     return np.concatenate(cells), np.concatenate([np.empty((0, 4), int)] + sites)
 

@@ -1,4 +1,4 @@
-"""The rank-3 sweep's kernels in their site-major form, as test oracles.
+"""The library's kernels in their site-major form, as test oracles.
 
 The library's per-slab kernels are component-major: the components follow
 axis 0 and the sites of a plane come last.  The forms here keep the
@@ -6,8 +6,14 @@ components last and evaluate the whole grid at once, as the library did
 before it swept slabs; the sweep must equal them bit for bit.  Every
 floating-point operation here is the one the library's kernel performs on
 the same operands, in the same order, except that the trace route's color
-contraction is ``np.einsum``'s, which the library writes out.
+contraction, the linear map and the quotient rule's Psi^dag d Psi are
+``np.einsum``'s, which the library writes out.
 :func:`plane_quadrature` is the quadrature's definition on a whole grid.
+
+The rank-4 forms take points ``(..., 4)`` with jets ``(..., rank, 4)``:
+the quaternion kernels of the box and chart generators, the box maps'
+values and jets, the zero screen's corner min/max mask on the whole grid,
+and :func:`normalize`'s quotient rule.
 """
 
 import math
@@ -153,3 +159,142 @@ def routes(psi):
     return {"spinor": spinor_cs_values(j[..., 0], psi.derivatives()), "gauge": gauge,
             "trace": trace_cs_values(gauge, derivative_stack(gauge, grid)),
             "c": c, "h": h, "fn": fn_pointwise(c, h), "dc": derivative_stack(c, grid)}
+
+
+# --------------------------------------------------------------------------
+# the generators' quaternion kernels, components last
+# --------------------------------------------------------------------------
+
+UNIT_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+UNIT_LEFT = np.array([[1.0, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]])
+UNIT_RIGHT = np.array([[1.0, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1]])
+
+
+def qmul(p, q):
+    """Hamilton product of ``(..., 4)`` arrays, written component by
+    component in the operation order of the vector form."""
+    p0, p1, p2, p3 = (p[..., a] for a in range(4))
+    q0, q1, q2, q3 = (q[..., a] for a in range(4))
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., 0] = p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3 + 0.0)
+    out[..., 1] = p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2)
+    out[..., 2] = p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3)
+    out[..., 3] = p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1)
+    return out
+
+
+def qconj(q):
+    out = q.copy()
+    out[..., 1:] *= -1.0
+    return out
+
+
+def unit_products(p, signs):
+    """``(..., 4, 4)`` signed unit products of p, unit axis at -2, by a
+    gather of the permuted components."""
+    out = p[..., UNIT_PERM]
+    out *= signs
+    return out
+
+
+def qpower_values(q, n):
+    if n < 0:
+        q, n = qconj(q), -n
+    value = q
+    for _ in range(n - 1):
+        value = qmul(q, value)
+    return value
+
+
+def qpower_with_jet(q, dq, n):
+    """q^n and its jet; ``dq=None`` is the box, d_mu q = e_mu."""
+    box = dq is None
+    if box:
+        dq = np.eye(4)
+    if n < 0:
+        q, dq, n = qconj(q), qconj(dq), -n
+    signs = np.diagonal(dq)[:, None] if box else None
+    value, jet = q, None if box else dq
+    for _ in range(n - 1):
+        if box:
+            left = unit_products(value, UNIT_LEFT * signs)
+            right = (unit_products(q, UNIT_RIGHT * signs) if jet is None
+                     else qmul(q[..., None, :], jet))
+        else:
+            left = qmul(dq, value[..., None, :])
+            right = qmul(q[..., None, :], jet)
+        left += right
+        jet = left
+        value = qmul(q, value)
+    if jet is None:
+        jet = np.broadcast_to(dq, q.shape[:-1] + (4, 4))
+    return value, jet
+
+
+def qpoly_values(q, roots):
+    value = q - roots[0]
+    for root in roots[1:]:
+        value = qmul(value, q - root)
+    return value
+
+
+def qpoly_with_jet(q, roots):
+    """prod_j (q - c_j) and its jet at box points q."""
+    value, jet = q - roots[0], None
+    for root in roots[1:]:
+        factor = q - root
+        left = (unit_products(factor, UNIT_LEFT) if jet is None
+                else qmul(jet, factor[..., None, :]))
+        left += unit_products(value, UNIT_RIGHT)
+        jet = left
+        value = qmul(value, factor)
+    if jet is None:
+        jet = np.broadcast_to(np.eye(4), q.shape[:-1] + (4, 4))
+    return value, jet
+
+
+def linear_values(matrix, shift, x):
+    return np.einsum("ab,...b->...a", matrix, x - shift)
+
+
+def linear_with_jet(matrix, shift, x):
+    return (linear_values(matrix, shift, x),
+            np.broadcast_to(matrix.T, x.shape[:-1] + (4, 4)).copy())
+
+
+# --------------------------------------------------------------------------
+# the zero screen and the quotient rule, components last
+# --------------------------------------------------------------------------
+
+def cell_mask(lower, upper, grid):
+    """The sign-change mask of the rows of cells between the site planes
+    ``lower`` and ``upper`` by the closed corner min/max rule, min <= 0 <=
+    max, the min and max taken pairwise one axis at a time."""
+    mins = np.minimum(lower, upper)
+    maxs = np.maximum(lower, upper)
+    for ax in range(1, grid.rank):
+        if grid.periodic[ax]:
+            mins = np.minimum(mins, np.roll(mins, -1, axis=ax))
+            maxs = np.maximum(maxs, np.roll(maxs, -1, axis=ax))
+        else:
+            lo = (slice(None),) * ax + (slice(None, -1),)
+            hi = (slice(None),) * ax + (slice(1, None),)
+            mins = np.minimum(mins[lo], mins[hi])
+            maxs = np.maximum(maxs[lo], maxs[hi])
+    return np.all((mins <= 0.0) & (maxs >= 0.0), axis=-1)
+
+
+def sign_change_cells(values, grid):
+    """The screen's mask on the whole grid: :func:`cell_mask` of the site
+    planes and the planes one step above them (rolled on a periodic axis 0)."""
+    if grid.periodic[0]:
+        return cell_mask(values, np.roll(values, -1, axis=0), grid)
+    return cell_mask(values[:-1], values[1:], grid)
+
+
+def quotient(samples, jet, norms):
+    """The jet of samples / norms by the quotient rule, for spinor samples
+    ``(..., 2)``, jets ``(..., rank, 2)`` and the norms ``(...)``."""
+    norm = norms[..., None]
+    dnorm = np.einsum("...c,...mc->...m", np.conj(samples), jet).real / norm
+    return jet / norm[..., None] - samples[..., None, :] * (dnorm / norm ** 2)[..., None]

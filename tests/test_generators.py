@@ -7,6 +7,7 @@ from su2_gauge import dagger, transformation
 from su2topo import FieldError
 from su2topo.chern_simons import chern_simons
 from su2topo.lattice import derivative_stack
+from site_major import qpoly_values, qpower_values, qpower_with_jet
 
 
 def test_identity_map_unit_norm_and_jets():
@@ -236,10 +237,11 @@ def _qpoly_reference(q, dq, roots):
 
 
 def _bit_equal(a, b):
-    # complex arrays are compared as their float pairs, signs of zero included
+    # complex arrays are compared as their float pairs, signs of zero
+    # included; a served block may be a view with strided components
     return (a.dtype == b.dtype and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a.view(np.float64)),
-                               np.signbit(b.view(np.float64))))
+            and np.array_equal(np.signbit(np.ascontiguousarray(a).view(np.float64)),
+                               np.signbit(np.ascontiguousarray(b).view(np.float64))))
 
 
 def _with_signed_zeros(rng, x):
@@ -258,7 +260,8 @@ def test_qmul_matches_vector_form_bit_for_bit(seed):
     cases = [(p, q), (jet, q[:, None, :]), (q[:, None, :], jet),
              (_with_signed_zeros(rng, jet), _with_signed_zeros(rng, q)[:, None, :])]
     for a, b in cases:
-        assert _bit_equal(qmul(a, b), _qmul_reference(a, b))
+        product = qmul(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0))
+        assert _bit_equal(np.moveaxis(product, 0, -1), _qmul_reference(a, b))
 
 
 def _box_points():
@@ -345,7 +348,6 @@ def test_box_values_filled_by_slab_equal_the_whole_grid_map(budget, monkeypatch)
     # the generators fill the values one slab at a time; every sample is the
     # map evaluated on the whole grid's points, bit for bit
     from su2topo import lattice
-    from su2topo.generators import _qpoly_values, _qpower_values
     if budget is not None:
         monkeypatch.setattr(lattice, "SLAB_SITES", budget)
     grid = st.box_grid((18, 17, 16, 17), -2.0, 2.0)
@@ -353,10 +355,10 @@ def test_box_values_filled_by_slab_equal_the_whole_grid_map(budget, monkeypatch)
     matrix = np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
                        [0.1, 0.0, 1.0, 0.2], [0.0, 0.4, 0.0, 1.0]])
     shift = np.array([0.05, -0.03, 0.02, 0.01])
-    cases = [(st.quaternion_polynomial_field(_ROOTS[:2], grid), _qpoly_values(x, _ROOTS[:2])),
+    cases = [(st.quaternion_polynomial_field(_ROOTS[:2], grid), qpoly_values(x, _ROOTS[:2])),
              (st.linear_phi_field(matrix, shift, grid),
               np.einsum("ab,...b->...a", matrix, x - shift))]
-    cases += [(st.quaternion_power_field(n, grid), _qpower_values(x, n))
+    cases += [(st.quaternion_power_field(n, grid), qpower_values(x, n))
               for n in (-4, -3, -2, -1, 1, 2, 3, 4)]
     for phi, expected in cases:
         assert _bit_equal(phi.values, expected)
@@ -364,15 +366,14 @@ def test_box_values_filled_by_slab_equal_the_whole_grid_map(budget, monkeypatch)
 
 def _box_cases(grid):
     """Box fields on ``grid`` with their values computed on the whole grid."""
-    from su2topo.generators import _qpoly_values, _qpower_values
     x = grid.points()
     matrix = np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0],
                        [0.1, 0.0, 1.0, 0.2], [0.0, 0.4, 0.0, 1.0]])
     shift = np.array([0.05, -0.03, 0.02, 0.01])
-    return [(st.quaternion_polynomial_field(_ROOTS[:2], grid), _qpoly_values(x, _ROOTS[:2])),
+    return [(st.quaternion_polynomial_field(_ROOTS[:2], grid), qpoly_values(x, _ROOTS[:2])),
             (st.linear_phi_field(matrix, shift, grid),
              np.einsum("ab,...b->...a", matrix, x - shift)),
-            (st.quaternion_power_field(-3, grid), _qpower_values(x, -3))]
+            (st.quaternion_power_field(-3, grid), qpower_values(x, -3))]
 
 
 @pytest.mark.parametrize("planes", [1, 2, 5])
@@ -411,13 +412,17 @@ def test_a_non_finite_box_sample_raises_as_its_block_is_served(tmp_path):
     site = (5, 2, 3, 1)
     bad = grid.points()[site]
 
-    def value_fn(x):
-        out = x.copy()
-        out[np.all(x == bad, axis=-1), 2] = np.nan
-        return out
+    def value_fn(q, out):
+        for a in range(4):
+            out[a] = q[a]
+        out[2][(q[0] == bad[0]) & (q[1] == bad[1]) & (q[2] == bad[2]) & (q[3] == bad[3])] = np.nan
 
-    phi = _box_field(grid, value_fn, lambda x: (
-        value_fn(x), np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()))
+    def jet_fn(q, out, jet):
+        if out is not None:
+            value_fn(q, out)
+        jet[...] = np.eye(4).reshape((4, 4) + (1,) * (jet.ndim - 2))
+
+    phi = _box_field(grid, value_fn, jet_fn)
     assert _bit_equal(phi.values_at(slice(0, 5)), grid.points(slice(0, 5)))
     for read in (lambda: phi.values_at(slice(5, 6)), lambda: phi.values,
                  lambda: phi.values_at((slice(None), slice(2, 3))),
@@ -463,12 +468,11 @@ def _chart_reference(grid):
 def _chart_cases(grid):
     """(name, field, reference values, reference jet) of every chart
     generator on ``grid``; the references are the whole-chart formula's."""
-    from su2topo.generators import _qpower_with_jet
     n, dn = _chart_reference(grid)
     psi = st.identity_map_s3(grid.shape)
     yield "identity", psi, n.view(np.complex128), dn.view(np.complex128)
     for power in (1, -1, 2, -2, 3, -3, 4, -4):
-        value, jet = _qpower_with_jet(n, dn, power)
+        value, jet = qpower_with_jet(n, dn, power)
         yield f"qpower{power}", st.quaternion_power_field(power, grid), value, jet
 
 

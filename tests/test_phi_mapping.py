@@ -7,11 +7,10 @@ import su2topo as st
 from conftest import peak_traced_bytes
 from su2topo import ZeroLocationError
 from su2topo.fldio import read_field, write_field
-from su2topo.generators import _qpoly_with_jet
 from su2topo.lattice import interpolate
 from su2topo import lattice, phi_mapping
-from su2topo.phi_mapping import (_screen, _sign_change_cells, _zero_jacobian,
-                                  surface_degree)
+from su2topo.phi_mapping import _cell_mask, _screen, _zero_jacobian, surface_degree
+from site_major import qpoly_with_jet, sign_change_cells
 
 
 def box(n=16, half=1.0):
@@ -77,11 +76,11 @@ def test_locate_zeros_too_close_raises():
     h = max(grid.spacing)
     # separated by 0.7 h: far enough to survive dedup, too close to resolve
     roots = np.array([[-0.35 * h, 0.0, 0.0, 0.0], [0.35 * h, 0.0, 0.0, 0.0]])
-    values, jet = _qpoly_with_jet(grid.points(), roots)
+    values, jet = qpoly_with_jet(grid.points(), roots)
 
     def sampler(points):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return _qpoly_with_jet(points, roots)
+        return qpoly_with_jet(points, roots)
 
     phi = st.PhiField(grid, values, jet=jet, sampler=sampler)
     with pytest.raises(ZeroLocationError):
@@ -283,10 +282,11 @@ def test_sign_screen_matches_corner_reference(shape, periodic, cell_centered,
     # cells are candidates; the coarse levels give ties and exact zeros.
     levels = rng.integers(0, 3, size=shape + (4,)).astype(np.float64)
     values = np.where(rng.random(levels.shape) < negative, -1.0 - levels, levels)
-    mask = _sign_change_cells(values, grid)
+    mask = sign_change_cells(values, grid)
     expected = _corner_screen_reference(values, grid)
     assert mask.shape == expected.shape
     assert np.array_equal(mask, expected)
+    assert np.array_equal(_screen(st.PhiField(grid, values))[0], np.argwhere(expected))
 
 
 def test_sign_screen_finds_a_change_across_the_periodic_wrap():
@@ -300,13 +300,15 @@ def test_sign_screen_finds_a_change_across_the_periodic_wrap():
     values[..., 0] = 1.0
     values[-1, ..., 0] = -1.0
     values[..., 1:] = x[..., 1:] - 0.55
-    mask = _sign_change_cells(values, grid)
+    mask = sign_change_cells(values, grid)
     assert np.array_equal(mask, _corner_screen_reference(values, grid))
     assert [tuple(c) for c in np.argwhere(mask)] == [(4, 2, 2, 2), (5, 2, 2, 2)]
+    assert _screen(st.PhiField(grid, values))[0].tolist() == [[4, 2, 2, 2], [5, 2, 2, 2]]
 
     open_grid = st.Grid(grid.shape, grid.origin, grid.spacing, (False,) * 4)
-    open_mask = _sign_change_cells(values, open_grid)
+    open_mask = sign_change_cells(values, open_grid)
     assert [tuple(c) for c in np.argwhere(open_mask)] == [(4, 2, 2, 2)]
+    assert _screen(st.PhiField(open_grid, values))[0].tolist() == [[4, 2, 2, 2]]
 
 
 @settings(max_examples=40)
@@ -333,7 +335,7 @@ def test_slab_screen_lists_the_whole_grid_candidates(shape, periodic0, plane_bud
         if plane_budget:
             mp.setattr(lattice, "SLAB_SITES", 1)
         cells, sites = _screen(st.PhiField(grid, values))
-    mask = _sign_change_cells(values, grid)
+    mask = sign_change_cells(values, grid)
     assert np.array_equal(mask, _corner_screen_reference(values, grid))
     assert np.array_equal(cells, np.argwhere(mask))
     norms = np.linalg.norm(values, axis=-1)
@@ -443,7 +445,7 @@ def test_screen_of_served_values_equals_the_whole_grid_screen(planes, monkeypatc
         phi = st.quaternion_polynomial_field([site, [0.6, -0.55, 0.6, 0.5]], g)
         values = phi.values
         cells, sites = _screen(phi)
-        assert np.array_equal(cells, np.argwhere(_sign_change_cells(values, g)))
+        assert np.array_equal(cells, np.argwhere(sign_change_cells(values, g)))
         norms = np.linalg.norm(values, axis=-1)
         assert np.array_equal(sites, np.argwhere(norms < 1e-9 * max(1.0, norms.max())))
         assert [6, 4, 5, 5] in sites.tolist() and len(cells)
