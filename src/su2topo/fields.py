@@ -155,15 +155,16 @@ class PhiField(LatticeField):
     ``block_jet`` maps a block (an axis-0 slice, or a tuple of per-axis
     slices) to the exact jet of its sites when no jet is stored.  A
     sampler's block jet is its jacobians at the block's points, and is set
-    from the sampler unless given; a rank-3 chart generator's evaluates
-    the chart formula on the block, and a field read from an FLD file gets
-    one that reads the block from the file
+    from the sampler unless given; a box generator's runs the sampler's
+    kernels on the block's axis coordinates, a rank-3 chart generator's
+    evaluates the chart formula on the block, and a field read from an FLD
+    file gets one that reads the block from the file
     (:func:`~su2topo.fldio.read_field`).
 
     ``block_values`` maps a block to its samples in the same way, for a
     field built with ``values=None``: a box generator's computes them from
-    the block's points and a rank-3 chart generator's from the chart
-    formula, so the field stores no samples at all and
+    the block's axis coordinates and a rank-3 chart generator's from the
+    chart formula, so the field stores no samples at all and
     :meth:`~su2topo.lattice.LatticeField.values_at` serves each block; a
     field read from an FLD file reads each block from the file.  Random
     fields store their values.
@@ -262,7 +263,14 @@ def normalize(psi: SpinorField) -> SpinorField:
     The quotient rule is pointwise, so a spinor whose jet is computed block
     by block gets a normalized one that is too: each block reads
     ``psi.exact_jet`` of that block, and equals the whole-grid rule bit
-    for bit.  A stored jet gives a stored one.
+    for bit.  A stored jet gives a stored one.  Each block is computed
+    component-major (:func:`~su2topo.lattice.component_major`): the
+    samples ``(planes, 2, ...)`` and the jet ``(planes, rank, 2, ...)``,
+    so every operation runs over a plane's sites instead of component
+    axes of length 2 and 3, with Psi^dag d Psi summed in the order of
+    ``np.einsum`` over a trailing component axis; the block jet is served
+    as a site-major view (:func:`~su2topo.lattice.site_major`) of the
+    component-major result.
 
     Raises :class:`NormalizationError` with the offending site when the
     norm drops below ``EPS_ZERO``: a vanishing spinor marks a zero of the

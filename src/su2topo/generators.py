@@ -126,8 +126,9 @@ _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _unit(p, signs: np.ndarray, mu: int, a: int) -> np.ndarray:
-    """Component ``a`` of the signed unit product ``signs[mu] * p`` (the
-    sign tables above): a signed pick of one component of ``p``."""
+    """Component ``a`` of the unit product of ``p`` whose signs are
+    ``signs`` (e_mu p for ``_UNIT_LEFT``, p e_mu for ``_UNIT_RIGHT``): a
+    signed pick of one component of ``p``, with no gather."""
     return signs[mu, a] * p[_UNIT_PERM[mu, a]]
 
 
@@ -159,7 +160,7 @@ def _qpower_with_jet(q, dq, n: int, out, jet) -> None:
         dq = dq * _CONJ.reshape((4,) + (1,) * (dq.ndim - 2))
     # on the box, d_mu q = signs[mu] e_mu
     signs = np.diagonal(dq)[:, None] if box else None
-    left = _UNIT_LEFT * signs if box else None
+    left, right = (_UNIT_LEFT * signs, _UNIT_RIGHT * signs) if box else (None, None)
     value, prev = q, None if box else dq
     if n == 1:
         _fill_jet(jet, dq)
@@ -171,8 +172,7 @@ def _qpower_with_jet(q, dq, n: int, out, jet) -> None:
         elif prev is None:
             for mu in range(4):
                 for a in range(4):
-                    new[mu, a] = (_unit(value, left, mu, a)
-                                  + _unit(q, _UNIT_RIGHT * signs, mu, a))
+                    new[mu, a] = _unit(value, left, mu, a) + _unit(q, right, mu, a)
         else:
             qmul(q, prev.swapaxes(0, 1), new.swapaxes(0, 1))
             for mu in range(4):

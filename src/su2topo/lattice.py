@@ -12,10 +12,8 @@ reading the ``order // 2`` neighbouring planes the stencils need, and
 writes into the whole-grid arrays it returns.  A route that differentiates
 what its own sweep computes runs those stencils a slab behind, on windows
 of the planes they read (:func:`stencil_windows`), so that input is never
-held for the whole grid.  ``Grid.points(slab)`` gives
-the coordinates of a slab's planes (or a face's sites) only, so a map is
-sampled there without whole-grid coordinates, and a field that computes
-its samples serves them a block at a time
+held for the whole grid.  A field that computes its samples from the
+coordinates (:meth:`Grid.coords`) of a block serves them a block at a time
 (:meth:`LatticeField.values_at`) without storing them.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
 
@@ -595,8 +593,10 @@ class Quadrature:
 
     The sum has one definition: each axis-0 plane's samples times
     ``grid.quadrature_weights()`` are summed in C order by one
-    ``np.add.reduce``, and the plane sums by ``math.fsum``, which is exact.
-    So the total depends neither on the slabs nor on the order they are
+    ``np.add.reduce``, and the plane sums by ``math.fsum``, which is exact
+    (where its running sum overflows, the plane sums are added exactly as
+    fractions, and only a total that rounds past the largest float is not
+    finite).  So the total depends neither on the slabs nor on the order they are
     fed in (a stencil sweep finishes a periodic axis 0's first slab last),
     and only the plane sums are held.  The weights are checked when the
     quadrature is made (see :meth:`Grid.quadrature_weights`).
@@ -634,7 +634,12 @@ class Quadrature:
         try:
             total = math.fsum(self._sums)
         except OverflowError:       # finite plane sums whose running sum overflows
-            total = math.copysign(math.inf, sum(self._sums))
+            from fractions import Fraction      # imported here: it loads decimal
+            exact = sum(map(Fraction, self._sums))
+            try:
+                total = float(exact)
+            except OverflowError:   # the exact total rounds past the largest float
+                total = math.inf if exact > 0 else -math.inf
         except ValueError:          # plane sums of +inf and -inf
             total = math.nan
         if not math.isfinite(total):

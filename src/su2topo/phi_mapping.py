@@ -16,15 +16,20 @@ characteristic through the top Chern class.
 
 Zero search: 4-cells where every component changes sign across the 16
 corners seed damped Newton iterations (sign screening over-fires on coarse
-grids, so Newton is the arbiter).  The screen takes the corner minimum and
-maximum one axis at a time, as pairwise passes over neighbouring slices
-(rolled on periodic axes).  It reads phi's values one axis-0 slab
-(:func:`~su2topo.lattice.slabs`) at a time, through
-:meth:`~su2topo.lattice.LatticeField.values_at`, so a generated field
-computes each plane once and never holds its values whole: each slab's
-cells are screened with the one plane carried from the slab before, and
-the slabs' candidates, concatenated in order, are the whole-grid ones in
-row-major order.
+grids, so Newton is the arbiter).  The screen works on the rank-4 layout
+of the per-slab kernels, component-major ``(planes, 4, n1, n2, n3)``
+(:func:`~su2topo.lattice.component_major`), so each test runs over whole
+planes of sites: a cell spans 0 in a component when some corner is <= 0
+and some corner is >= 0, two boolean tests OR-reduced over the corners
+one axis at a time, as pairwise passes over neighbouring slices (rolled on
+periodic axes), and the norms are summed over the component planes.  It
+reads phi's values one axis-0 slab (:func:`~su2topo.lattice.slabs`) at a
+time, through :meth:`~su2topo.lattice.LatticeField.values_at`, so a
+generated field computes each plane once and never holds its values
+whole (a box field serves its blocks component-major already, so taking
+them so costs no copy): each slab's cells are screened with the one plane
+carried from the slab before, and the slabs' candidates, concatenated in
+order, are the whole-grid ones in row-major order.
 
 Newton reads phi through one evaluator that returns values and derivative
 stacks together: the analytic sampler attached by the generators, which

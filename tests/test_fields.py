@@ -89,6 +89,44 @@ def test_normalize_jet_matches_analytic_quotient():
     assert np.max(np.abs(dnorm.real)) < 1e-14
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("planes", [1, 4])
+def test_normalize_quotient_equals_the_site_major_oracle(planes, monkeypatch):
+    # the quotient rule runs component-major, with einsum's Psi^dag d Psi
+    # written out: the jet of every block equals the site-major einsum
+    # form bit for bit, signs of zero included, on a random spinor with
+    # zero and signed-zero entries and on the faces of a box polynomial
+    import site_major as oracle
+    from su2topo import lattice
+    monkeypatch.setattr(lattice, "SLAB_SITES", planes * 5 * 6 * 7)
+    rng = np.random.default_rng(11)
+    grid = st.box_grid((6, 5, 6, 7), -1.0, 1.0)
+    parts = [rng.normal(size=grid.shape + comps + (2,)) * 10.0 ** rng.integers(-3, 3, size=2)
+             for comps in ((2,), (grid.rank, 2))]
+    for part in parts:
+        part[rng.random(part.shape) < 0.15] = 0.0
+        part[rng.random(part.shape) < 0.15] = -0.0
+    values, jet = (part.view(np.complex128)[..., 0] for part in parts)
+    values[..., 0] += 3.0
+    spinors = [st.SpinorField(grid, values, jet=jet)]
+    box = st.box_grid((9, 9, 9, 9), -2.0, 2.0)
+    phi = st.quaternion_polynomial_field([[-1.1, 0.1, -0.05, 0.2], [1.1, -0.1, 0.05, -0.2]], box)
+    spinors += [st.phi_to_spinor(st.face_restrict(phi, axis, side))
+                for axis in range(4) for side in (0, 1)]
+    for psi in spinors:
+        samples = psi.values
+        norms = np.sqrt(st.norm_squared(psi))
+        expected = oracle.quotient(samples, psi.exact_jet(), norms)
+        unit = st.normalize(psi)
+        assert np.array_equal(_bits(unit.values), _bits(samples / norms[..., None]))
+        assert np.array_equal(_bits(unit.exact_jet()), _bits(expected))
+        for slab in lattice.slabs(psi.grid):
+            assert np.array_equal(_bits(unit.exact_jet(slab)), _bits(expected[slab]))
+
+
 def test_spinor_phi_component_layout():
     grid = small_grid()
     psi = constant_spinor(grid, (1.0 + 2.0j, 3.0 + 4.0j))

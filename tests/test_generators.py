@@ -7,6 +7,7 @@ from su2_gauge import dagger, transformation
 from su2topo import FieldError
 from su2topo.chern_simons import chern_simons
 from su2topo.lattice import derivative_stack
+import site_major as oracle
 from site_major import qpoly_values, qpower_values, qpower_with_jet
 
 
@@ -331,6 +332,90 @@ def test_flipped_unit_sign_breaks_the_jet_comparison(monkeypatch, table):
             phi = st.quaternion_polynomial_field(_ROOTS[:2], grid)
             assert _bit_equal(phi.values, value)
             assert not np.array_equal(phi.derivatives(), jet), (table, mu, a)
+
+
+# --------------------------------------------------------------------------
+# component-major box kernels against the site-major oracles
+# --------------------------------------------------------------------------
+
+# a matrix with an all-negative row: where x - shift is exactly 0 on every
+# axis its four products are -0.0, and only einsum's zero start gives +0.0
+_MATRIX = np.array([[1.0, 0.2, 0.0, 0.1], [-0.5, -1.0, -0.3, -0.2],
+                    [0.1, 0.0, 1.0, 0.2], [0.0, 0.4, -0.7, 1.0]])
+
+
+def _oracle_cases(grid):
+    """(name, field, whole-grid values, whole-grid jet, point sampler) of
+    every box map on ``grid``; the references are the site-major oracles'."""
+    x = grid.points()
+    shift = grid.points()[2, 1, 2, 3]      # a lattice site: x - shift is 0 there
+    for k in (1, 2, 3):
+        roots = _ROOTS[:k]
+        yield (f"qpoly{k}", st.quaternion_polynomial_field(roots, grid),
+               *oracle.qpoly_with_jet(x, roots), lambda p, r=roots: oracle.qpoly_with_jet(p, r))
+        assert _bit_equal(oracle.qpoly_values(x, roots), oracle.qpoly_with_jet(x, roots)[0])
+    for n in (1, 2, 3, 4, -1, -2, -3, -4):
+        yield (f"qpower{n}", st.quaternion_power_field(n, grid),
+               *oracle.qpower_with_jet(x, None, n),
+               lambda p, n=n: oracle.qpower_with_jet(p, None, n))
+        assert _bit_equal(oracle.qpower_values(x, n), oracle.qpower_with_jet(x, None, n)[0])
+    yield ("linear", st.linear_phi_field(_MATRIX, shift, grid),
+           *oracle.linear_with_jet(_MATRIX, shift, x),
+           lambda p: oracle.linear_with_jet(_MATRIX, shift, p))
+
+
+@pytest.mark.parametrize("planes", [1, 3])
+def test_box_blocks_and_samples_equal_the_site_major_oracles(planes, monkeypatch):
+    # odd point counts put x = 0 on axes 0, 1 and 3: zeros of both signs reach
+    # the products.  Every block a field serves, the slabs of a whole-grid
+    # read, the faces (tuple slices) and stepped blocks, equals the
+    # oracle's whole-grid evaluation, values and jets, signs of zero
+    # included; so do the sampler's values and jets at scattered points
+    from su2topo import lattice
+    grid = st.box_grid((11, 11, 10, 11), -1.0, 1.0)
+    monkeypatch.setattr(lattice, "SLAB_SITES", planes * 11 * 10 * 11)
+    blocks = list(lattice.slabs(grid)) + [
+        (slice(None),) * axis + (slice(index, index + 1),)
+        for axis in range(4) for index in (0, grid.shape[axis] - 1)]
+    blocks += [(slice(1, 9, 3), slice(None, None, -1), slice(2, 5), slice(5, 6)),
+               (slice(None, None, 2), slice(1, 7, 2), slice(9, 0, -3))]
+    points = np.random.default_rng(7).uniform(-1.2, 1.2, size=(37, 4))
+    points[:5, 0] = 0.0
+    points[5:9] = grid.points()[4, 3, 3, 2]
+    for name, phi, values, jet, sample in _oracle_cases(grid):
+        assert phi.jet is None and vars(phi)["values"] is None
+        assert _bit_equal(phi.values, values), name
+        assert _bit_equal(phi.exact_jet(), jet), name
+        for block in blocks:
+            got = phi.values_at(block)
+            assert _bit_equal(got, values[block]) and not got.flags.writeable, (name, block)
+            assert _bit_equal(phi.exact_jet(block), jet[block]), (name, block)
+            # served component-major: taking the block so again copies nothing
+            assert np.shares_memory(lattice.component_major(got, 4), got)
+        expected_values, expected_jet = sample(points)
+        got_values, got_jet = phi.sampler(points)
+        assert _bit_equal(got_values, expected_values), name
+        assert _bit_equal(got_jet, expected_jet), name
+        values_only, none = phi.sampler(points, jet=False)
+        assert none is None and _bit_equal(values_only, expected_values), name
+
+
+def test_the_linear_map_is_written_in_the_order_of_einsum():
+    # the linear map writes out np.einsum("ab,...b->...a")'s order on this
+    # numpy: the pairs (0, 2) and (1, 3), then a zero start; the plain
+    # left-to-right order differs from it
+    rng = np.random.default_rng(3)
+    d = rng.normal(size=(4000, 4)) * 10.0 ** rng.integers(-6, 6, size=(4000, 4))
+    d[rng.random(d.shape) < 0.1] = 0.0
+    d[:50] = 0.0
+    expected = np.einsum("ab,...b->...a", _MATRIX, d)
+    phi = st.linear_phi_field(_MATRIX, np.zeros(4), st.box_grid((4,) * 4, -1.0, 1.0))
+    assert _bit_equal(phi.sampler(d, jet=False)[0], expected)
+    # at d = 0 the products of the all-negative row are -0.0, and the zero
+    # start makes their sum +0.0
+    assert np.all(np.signbit(_MATRIX[1] * 0.0)) and not np.any(np.signbit(expected[:50]))
+    plain = sum(_MATRIX[None, :, b] * d[:, None, b] for b in range(4))
+    assert not _bit_equal(plain, expected)
 
 
 def test_box_field_stores_values_only():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -213,9 +214,26 @@ def test_quadrature_sums_the_plane_sums_exactly():
         assert _fed(grid, values, parts) == 1.0, parts
 
 
+def test_plane_sums_whose_running_sum_overflows_have_their_exact_total():
+    # math.fsum raises OverflowError on [1e308, 1e308, -1e308], although
+    # the exact sum, 1e308, is a float; no warning is raised on the way
+    grid = Grid((4, 4, 4), (0.0,) * 3, (1.0,) * 3, (True,) * 3)
+    values = np.zeros(grid.shape)
+    values[:3, 0, 0] = 1e308, 1e308, -1e308
+    with pytest.raises(OverflowError):
+        math.fsum([1e308, 1e308, -1e308])
+    planes = [slice(i, i + 1) for i in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parts in (planes, planes[::-1], [slice(None)]):
+            assert _fed(grid, values, parts) == 1e308, parts
+        assert integrate_values(-values, grid) == -1e308
+
+
 @pytest.mark.parametrize("sums, shown", [
     ((np.inf, -np.inf), "nan"),         # math.fsum raises ValueError
-    ((1e308, 1e308), "inf"),            # math.fsum raises OverflowError
+    ((1e308, 1e308), "inf"),            # the exact total 2e308 rounds past the
+                                        # largest float
     ((-1e308, -1e308), "-inf"),
 ])
 def test_plane_sums_without_a_finite_total_are_a_field_error(sums, shown):

@@ -10,7 +10,7 @@ from su2topo.fldio import read_field, write_field
 from su2topo.lattice import interpolate
 from su2topo import lattice, phi_mapping
 from su2topo.phi_mapping import _cell_mask, _screen, _zero_jacobian, surface_degree
-from site_major import qpoly_with_jet, sign_change_cells
+from site_major import cell_mask, qpoly_with_jet, sign_change_cells
 
 
 def box(n=16, half=1.0):
@@ -309,6 +309,38 @@ def test_sign_screen_finds_a_change_across_the_periodic_wrap():
     open_mask = sign_change_cells(values, open_grid)
     assert [tuple(c) for c in np.argwhere(open_mask)] == [(4, 2, 2, 2)]
     assert _screen(st.PhiField(open_grid, values))[0].tolist() == [[4, 2, 2, 2]]
+
+
+@settings(max_examples=80)
+@given(rows=hst.integers(1, 3),
+       plane=hst.tuples(*[hst.integers(4, 6)] * 3),
+       periodic=hst.tuples(*[hst.booleans()] * 3),
+       zero_planes=hst.lists(hst.tuples(hst.integers(0, 3), hst.integers(1, 3),
+                                        hst.integers(0, 5), hst.sampled_from([0.0, -0.0]),
+                                        hst.booleans()), max_size=6),
+       seed=hst.integers(0, 2**32 - 1))
+def test_boolean_cell_mask_equals_the_corner_min_max_rule(rows, plane, periodic, zero_planes,
+                                                          seed):
+    # component-major planes whose cells span 0 in few to most components:
+    # the boolean mask (some corner <= 0 and some corner >= 0) equals the
+    # site-major corner min/max rule, with zeros of both signs and exact
+    # zeros on whole planes of corners, on open and periodic axes
+    grid = st.Grid((4,) + plane, (0.0,) * 4, (0.25,) * 4, (False,) + periodic)
+    rng = np.random.default_rng(seed)
+    shape = (rows, 4) + plane
+    lower, upper = (rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=shape)
+                    * rng.uniform(0.5, 1e3, size=shape) for _ in range(2))
+    for comp, axis, index, zero, both in zero_planes:
+        take = (slice(None), comp) + (slice(None),) * (axis - 1) + (index % plane[axis - 1],)
+        lower[take] = zero
+        if both:
+            upper[take] = zero
+    mask = _cell_mask(lower, upper, grid)
+    expected = cell_mask(lattice.site_major(lower, 4), lattice.site_major(upper, 4), grid)
+    assert mask.dtype == bool and mask.shape == expected.shape
+    assert np.array_equal(mask, expected)
+    norms = np.linalg.norm(lattice.site_major(lower, 4), axis=-1)
+    assert np.array_equal(phi_mapping._norms(lower), norms)
 
 
 @settings(max_examples=40)
