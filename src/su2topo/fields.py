@@ -294,7 +294,9 @@ def normalize(psi: SpinorField) -> SpinorField:
         # over a trailing c, its zero start included
         dnorm = ((0.0 + (sr[:, None, 0] * jr[:, :, 0] + si[:, None, 0] * ji[:, :, 0]))
                  + (sr[:, None, 1] * jr[:, :, 1] + si[:, None, 1] * ji[:, :, 1])) / norm
-        out = jet / norm[:, None] - samples[:, None] * (dnorm / norm ** 2)[:, :, None]
+        out = jet / norm[:, None]
+        del jet, jr, ji             # not held while the second term is built
+        out -= samples[:, None] * (dnorm / norm ** 2)[:, :, None]
         return site_major(out, rank)
 
     if psi.jet is None and psi.block_jet is not None:
