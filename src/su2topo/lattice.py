@@ -594,9 +594,9 @@ class Quadrature:
     The sum has one definition: each axis-0 plane's samples times
     ``grid.quadrature_weights()`` are summed in C order by one
     ``np.add.reduce``, and the plane sums by ``math.fsum``, which is exact
-    (where its running sum overflows, the plane sums are added exactly as
-    fractions, and only a total that rounds past the largest float is not
-    finite).  So the total depends neither on the slabs nor on the order they are
+    (where its running sum overflows, finite plane sums are added exactly
+    as fractions, and only a total that rounds past the largest float is
+    not finite).  So the total depends neither on the slabs nor on the order they are
     fed in (a stencil sweep finishes a periodic axis 0's first slab last),
     and only the plane sums are held.  The weights are checked when the
     quadrature is made (see :meth:`Grid.quadrature_weights`).
@@ -633,13 +633,15 @@ class Quadrature:
                                f"{len(self._sums)} planes")
         try:
             total = math.fsum(self._sums)
-        except OverflowError:       # finite plane sums whose running sum overflows
-            from fractions import Fraction      # imported here: it loads decimal
-            exact = sum(map(Fraction, self._sums))
-            try:
-                total = float(exact)
-            except OverflowError:   # the exact total rounds past the largest float
-                total = math.inf if exact > 0 else -math.inf
+        except OverflowError:       # a running sum overflows
+            total = math.copysign(math.inf, sum(self._sums))
+            if all(map(math.isfinite, self._sums)):
+                from fractions import Fraction      # imported here: it loads decimal
+                exact = sum(map(Fraction, self._sums))
+                try:
+                    total = float(exact)            # rounded once
+                except OverflowError:               # past the largest float
+                    total = math.inf if exact > 0 else -math.inf
         except ValueError:          # plane sums of +inf and -inf
             total = math.nan
         if not math.isfinite(total):

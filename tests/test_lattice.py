@@ -235,6 +235,7 @@ def test_plane_sums_whose_running_sum_overflows_have_their_exact_total():
     ((1e308, 1e308), "inf"),            # the exact total 2e308 rounds past the
                                         # largest float
     ((-1e308, -1e308), "-inf"),
+    ((1e308, 1e308, np.inf), "inf"),    # math.fsum overflows before the inf
 ])
 def test_plane_sums_without_a_finite_total_are_a_field_error(sums, shown):
     grid = Grid((4, 4, 4), (0.0,) * 3, (1.0,) * 3, (True,) * 3)
