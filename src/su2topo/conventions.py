@@ -43,7 +43,4 @@ def levi_civita(n: int) -> np.ndarray:
 
 
 EPS3 = levi_civita(3)
-EPS4 = levi_civita(4)
-
 EPS3.setflags(write=False)
-EPS4.setflags(write=False)

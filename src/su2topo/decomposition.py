@@ -59,10 +59,11 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField | np.ndarray,
                          dvalues: np.ndarray | None = None,
                          samples: np.ndarray | None = None) -> np.ndarray:
     """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi on the planes ``slab``
-    of axis 0, from ``dvalues``, the slab's ``psi.derivatives``, and
-    ``samples``, its ``psi.values_at``, both component-major (each taken
-    here when not given).  ``gauge`` is A on the grid of ``psi``, or the
-    component-major components of A on the planes ``slab`` only.
+    of axis 0, from ``dvalues``, the slab's derivatives
+    (``psi.slab_samples``), and ``samples``, its ``psi.values_at``, both
+    component-major (each taken here when not given).  ``gauge`` is A on
+    the grid of ``psi``, or the component-major components of A on the
+    planes ``slab`` only.
 
     Returns component-major per-axis spinor samples, shape
     ``(planes, rank, 2, ...)``, a new writable array, computed one
@@ -77,7 +78,7 @@ def covariant_derivative(psi: SpinorField, gauge: GaugeField | np.ndarray,
     if samples is None:
         samples = component_major(psi.values_at(slab), rank)
     if dvalues is None:
-        dvalues = component_major(psi.derivatives(slab=slab), rank)
+        dvalues = component_major(psi.slab_samples(slab)[1], rank)
     out = np.empty(dvalues.shape, dtype=np.complex128)
     for axis in range(rank):
         # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi

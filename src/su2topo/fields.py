@@ -10,10 +10,11 @@ container here is one of the FLD file kinds.
 Every container but the scalar one may carry a "jet": exact
 first-derivative samples, one per grid axis per site, stored or computed
 block by block when asked (``block_jet``, see
-:meth:`~su2topo.lattice.LatticeField.exact_jet`): a box field's from its
-sampler, a chart field's from the chart formula, a file's from its planes.
-Code here reads jets through ``exact_jet``, and the conversions and
-:func:`normalize` hand a block jet on, so no whole jet is stored.
+:meth:`~su2topo.lattice.LatticeField.exact_jet`): a box field's from the
+map's jet kernel, a chart field's from the chart formula, a file's from
+its planes.  Code here reads jets through ``exact_jet``; the conversions
+hand a block jet on, and :func:`normalize` and :func:`face_restrict` serve
+theirs block by block from the input's, so no whole jet is stored.
 Identities algebraic in a field and its first derivatives are then
 testable at machine epsilon instead of hiding behind O(h^2)
 discretization error.  Fields are immutable after construction.  A
@@ -102,10 +103,10 @@ class SpinorField(LatticeField):
 
         Component-major (:func:`~su2topo.lattice.component_major`), shape
         ``(planes, rank, 4, *shape[1:])``: a new array computed from
-        ``dvalues``, the slab's :meth:`derivatives`, and ``samples``, its
-        samples, both component-major (each taken here when not given), on
-        every call and not kept with the field, so callers ask for it one
-        slab at a time.  A caller that reads d Psi, or the slab's samples,
+        ``dvalues``, the slab's derivatives (:meth:`slab_samples`), and
+        ``samples``, its samples, both component-major (each taken here
+        when not given), on every call and not kept with the field, so
+        callers ask for it one slab at a time.  A caller that reads d Psi, or the slab's samples,
         itself passes them in, so bare samples are differenced, and served
         ones computed, once per slab.  Every rank-3 route reads its Psi-dPsi
         bilinears from it: the parallel potential ``-2 Im J^a``, the
@@ -117,7 +118,7 @@ class SpinorField(LatticeField):
         if samples is None:
             samples = component_major(self.values_at(slab), rank)
         if dvalues is None:
-            dvalues = component_major(self.derivatives(slab=slab), rank)
+            dvalues = component_major(self.slab_samples(slab)[1], rank)
         out = np.empty(dvalues.shape[:2] + (4,) + dvalues.shape[3:], dtype=np.complex128)
         for axis in range(rank):
             su2_algebra.spinor_current(samples, dvalues[:, axis], out=out[:, axis])
@@ -126,7 +127,7 @@ class SpinorField(LatticeField):
     def slab_currents(self):
         """Yield ``(slab, samples, dvalues, current)`` for each axis-0 slab
         (:func:`~su2topo.lattice.slabs`), all component-major: the slab's
-        samples and :meth:`derivatives`, taken once
+        samples and derivatives, taken once
         (:meth:`~su2topo.lattice.LatticeField.slab_samples`, which reads
         bare samples once a slab) and transposed once, and the
         :meth:`current` computed from them."""
@@ -146,20 +147,16 @@ class PhiField(LatticeField):
     points ``(n, rank)`` to ``(values, jacobians)`` of shapes ``(n, 4)``
     and ``(n, rank, 4)``, the derivative axis first as in ``jet``; called
     with ``jet=False`` it may skip the jacobians and return None for them.
-    The sampler sharpens off-lattice evaluation (zero refinement and sphere
-    sampling) and, when no jet is stored, is the field's exact jet: such a
-    field is not bare input, and neither
-    :meth:`~su2topo.lattice.LatticeField.exact_jet` nor
-    :func:`face_restrict` ever falls back to stencils for it.
+    The sampler only evaluates points off the lattice (zero refinement and
+    sphere sampling); it is not a jet source, so a field with a sampler
+    and no jet has lattice derivatives from stencils.
 
     ``block_jet`` maps a block (an axis-0 slice, or a tuple of per-axis
-    slices) to the exact jet of its sites when no jet is stored.  A
-    sampler's block jet is its jacobians at the block's points, and is set
-    from the sampler unless given; a box generator's runs the sampler's
-    kernels on the block's axis coordinates, a rank-3 chart generator's
-    evaluates the chart formula on the block, and a field read from an FLD
-    file gets one that reads the block from the file
-    (:func:`~su2topo.fldio.read_field`).
+    slices) to the exact jet of its sites when no jet is stored.  A box
+    generator's runs the map's jet kernel on the block's axis coordinates,
+    a rank-3 chart generator's evaluates the chart formula on the block,
+    and a field read from an FLD file gets one that reads the block from
+    the file (:func:`~su2topo.fldio.read_field`).
 
     ``block_values`` maps a block to its samples in the same way, for a
     field built with ``values=None``: a box generator's computes them from
@@ -180,19 +177,6 @@ class PhiField(LatticeField):
     COMPONENTS = (4,)
     FLD_KIND = 2
     LABEL = "phi"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.block_jet is None and self.sampler is not None:
-            object.__setattr__(self, "block_jet", _sampled_jet(self.grid, self.sampler))
-
-
-def _sampled_jet(grid: Grid, sampler):
-    """The block jet of ``sampler``: its jacobians at the block's points."""
-    def block_jet(block):
-        points = grid.points(block)
-        return np.reshape(sampler(points.reshape(-1, grid.rank))[1], points.shape + (4,))
-    return block_jet
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,12 +244,13 @@ def _check_nonvanishing(norms: np.ndarray, name: str) -> None:
 def normalize(psi: SpinorField) -> SpinorField:
     """Rescale to unit norm, transporting the jet by the quotient rule.
 
-    The quotient rule is pointwise, so a spinor whose jet is computed block
-    by block gets a normalized one that is too: each block reads
-    ``psi.exact_jet`` of that block, and equals the whole-grid rule bit
-    for bit.  A stored jet gives a stored one.  Each block is computed
-    component-major (:func:`~su2topo.lattice.component_major`): the
-    samples ``(planes, 2, ...)`` and the jet ``(planes, rank, 2, ...)``,
+    The quotient rule is pointwise, so the normalized spinor of one with a
+    jet, stored or computed block by block, serves its jet block by block
+    (``block_jet``): each block reads ``psi.exact_jet`` of that block, and
+    equals the whole-grid rule bit for bit.  Bare samples give a bare
+    result.  Each block is computed component-major
+    (:func:`~su2topo.lattice.component_major`): the samples
+    ``(planes, 2, ...)`` and the jet ``(planes, rank, 2, ...)``,
     so every operation runs over a plane's sites instead of component
     axes of length 2 and 3, with Psi^dag d Psi summed in the order of
     ``np.einsum`` over a trailing component axis; the block jet is served
@@ -283,11 +268,9 @@ def normalize(psi: SpinorField) -> SpinorField:
     values = read_only(samples / norms[..., None])
 
     def quotient(block):
-        jet = psi.exact_jet(block)
-        if jet is None:
-            return None
         rank = psi.grid.rank
-        samples, jet = (component_major(x, rank) for x in (psi.values_at(block), jet))
+        samples, jet = (component_major(x, rank)
+                        for x in (psi.values_at(block), psi.exact_jet(block)))
         norm = norms[block][:, None]
         sr, si, jr, ji = samples.real, samples.imag, jet.real, jet.imag
         # Re sum_c conj(Psi_c) d_m Psi_c, in the order of numpy's einsum
@@ -299,16 +282,16 @@ def normalize(psi: SpinorField) -> SpinorField:
         out -= samples[:, None] * (dnorm / norm ** 2)[:, :, None]
         return site_major(out, rank)
 
-    if psi.jet is None and psi.block_jet is not None:
-        return SpinorField(psi.grid, values, block_jet=quotient)
-    jet = quotient(slice(None))
-    return SpinorField(psi.grid, values, jet=None if jet is None else read_only(jet))
+    if psi.jet is None and psi.block_jet is None:
+        return SpinorField(psi.grid, values)
+    return SpinorField(psi.grid, values, block_jet=quotient)
 
 
 def _reinterpret(field: LatticeField, kind, dtype) -> LatticeField:
     """The field of ``kind`` whose samples and jet, stored or block by
     block, are ``dtype`` views of those of ``field``.  A block that is not
-    contiguous (a sampler's may not be) is copied first."""
+    contiguous (a box generator's site-major view may not be) is copied
+    first."""
     def view(array):
         return None if array is None else array.view(dtype)
 
@@ -334,7 +317,7 @@ def spinor_to_phi(psi: SpinorField) -> PhiField:
 
 def phi_to_spinor(phi: PhiField) -> SpinorField:
     """Exact inverse of :func:`spinor_to_phi`; the spinor keeps phi's exact
-    jet, stored or block by block (a sampled, chart or file one), and its
+    jet, stored or block by block (a box, chart or file one), and its
     samples, stored or served (a box or chart generator's)."""
     return _reinterpret(phi, SpinorField, np.complex128)
 
@@ -366,12 +349,12 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     ``side`` is 0 for the low face, 1 for the high face.  The face's values
     are :meth:`~LatticeField.values_at` of its one-plane block, so a field
     that computes its samples computes the face's only.  Its jet keeps the
-    in-face derivative components: a stored jet's face is stored, and a
-    block jet (a sampler's or a file's) is handed on, each block of the
-    face read as the parent's block jet of that block, so the face's jet
-    is never whole.  A component axis that runs over the grid axes (a
-    gauge field's A_mu) keeps its in-face entries too, in the values and
-    the jet.  Faces of vertex-centered grids lie exactly on the domain
+    in-face derivative components and is served block by block
+    (``block_jet``) whenever the field has a jet, stored or served: each
+    block of the face is read as ``exact_jet`` of the field on that block,
+    so the face's jet is never whole; bare samples give a bare face.  A
+    component axis that runs over the grid axes (a gauge field's A_mu)
+    keeps its in-face entries too, in the values and the jet.  Faces of vertex-centered grids lie exactly on the domain
     boundary, as boundary-flux sums require.  The face is a field of the
     same kind, so a phi field's sampler is dropped.
     """
@@ -387,17 +370,14 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
         for n, m in zip(field.component_shape(grid.rank),
                         field.component_shape(grid.rank - 1)))
 
-    def restrict(jet):
-        return jet.squeeze(axis)[(slice(None),) * (grid.rank - 1) + (keep,)][comps]
-
     fgrid = grid.drop_axis(axis)
     values = field.values_at(face).squeeze(axis)[comps]
-    if field.jet is None and field.block_jet is not None:
-        def block_jet(block):
-            parts = ((block if isinstance(block, tuple) else (block,))
-                     + (slice(None),) * grid.rank)[:grid.rank - 1]
-            return restrict(field.exact_jet(parts[:axis] + (face[axis],) + parts[axis:]))
-        return type(field)(fgrid, values, block_jet=block_jet)
-    jet = field.exact_jet(face)
-    return type(field).from_samples(fgrid, values,
-                                    None if jet is None else restrict(jet))
+    if field.jet is None and field.block_jet is None:
+        return type(field)(fgrid, values)
+
+    def block_jet(block):
+        parts = ((block if isinstance(block, tuple) else (block,))
+                 + (slice(None),) * grid.rank)[:grid.rank - 1]
+        jet = field.exact_jet(parts[:axis] + (face[axis],) + parts[axis:])
+        return jet.squeeze(axis)[(slice(None),) * (grid.rank - 1) + (keep,)][comps]
+    return type(field)(fgrid, values, block_jet=block_jet)

@@ -22,7 +22,7 @@ CRC-32 detects every single-bit error and every error burst of up to 32
 bits.  Writes stream the header, the values' own buffer and the jet one
 axis-0 slab at a time into a temp file that is then renamed, so a failed
 write never leaves a partial file behind, no serialized copy of the
-payload is built and a sampled jet is never whole.  Reads validate magic,
+payload is built and a served jet is never whole.  Reads validate magic,
 header sanity and byte count as distinct error types, then checksum every
 byte before the field is built.  The values and a jet, of any kind, are
 checksummed, and checked finite, one axis-0 plane at a time through one
@@ -73,8 +73,8 @@ def _file_dtype(cls) -> np.dtype:
 def write_field(field, path: str) -> None:
     """Serialize a field to an FLD2 file atomically.
 
-    The jets written are the field's exact jet: the stored one, or for a
-    generator-built phi field the one its sampler computes.  The values
+    The jets written are the field's exact jet: the stored one, or the
+    one its ``block_jet`` serves (a generator's or a file's).  The values
     and then the jet are read and written one axis-0 slab at a time
     (:func:`slabs`), the CRC chained over the parts, so values or a jet
     that a field computes per block never exist whole.

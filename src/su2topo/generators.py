@@ -11,7 +11,8 @@ prod_j (q - c_j) plant zeros at chosen roots.
 block are the map and its product-rule jet on that block, computed when
 the block is read (:meth:`~su2topo.lattice.LatticeField.values_at`,
 :meth:`~su2topo.lattice.LatticeField.exact_jet`), and an analytic sampler
-runs the same kernels at any points.  The zero search uses it for
+runs the same kernels at any points; it only evaluates points and is
+not the lattice jet.  The zero search uses it for
 machine-precision root refinement and the degree spheres; the zero screen
 reads the values one slab at a time, the boundary flux reads values and
 jets on the 8 faces slab by slab, and a file write reads both slab by
@@ -133,8 +134,8 @@ def _unit(p, signs: np.ndarray, mu: int, a: int) -> np.ndarray:
 
 
 def _qpower_values(q, n: int, out) -> None:
-    """q^n into ``out`` ``(4, ...)``; the value half of
-    :func:`_qpower_with_jet`, operation for operation."""
+    """q^n into ``out`` ``(4, ...)``, by the same products as the powers
+    of q in :func:`_qpower_with_jet`."""
     if n < 0:
         q, n = qconj(q), -n
     value = q
@@ -143,9 +144,10 @@ def _qpower_values(q, n: int, out) -> None:
     _fill(out, value)
 
 
-def _qpower_with_jet(q, dq, n: int, out, jet) -> None:
-    """q^n into ``out`` (None: not wanted) and its product-rule jet into
-    ``jet`` ``(rank, 4, ...)``, the derivative axis first.
+def _qpower_with_jet(q, dq, n: int, jet) -> None:
+    """The product-rule jet of q^n into ``jet`` ``(rank, 4, ...)``, the
+    derivative axis first; the powers of q it needs are those of
+    :func:`_qpower_values`, operation for operation.
 
     ``dq`` is the jet of q, of the same layout, or None on the box, where
     q is the point itself and d_mu q = e_mu at every point (conj(e_mu) =
@@ -179,24 +181,23 @@ def _qpower_with_jet(q, dq, n: int, out, jet) -> None:
                 for a in range(4):
                     new[mu, a] += _unit(value, left, mu, a)
         prev = new
-        if k < n or out is not None:
-            value = qmul(q, value, out if k == n else None)
-    if out is not None:
-        _fill(out, value)
+        if k < n:
+            value = qmul(q, value)
 
 
 def _qpoly_values(q, roots: np.ndarray, out) -> None:
-    """prod_j (q - c_j) into ``out`` ``(4, ...)``; the value half of
-    :func:`_qpoly_with_jet`, operation for operation."""
+    """prod_j (q - c_j) into ``out`` ``(4, ...)``, by the same products as
+    the partial products in :func:`_qpoly_with_jet`."""
     value = _shifted(q, roots[0])
     for k in range(1, len(roots)):
         value = qmul(value, _shifted(q, roots[k]), out if k == len(roots) - 1 else None)
     _fill(out, value)
 
 
-def _qpoly_with_jet(q, roots: np.ndarray, out, jet) -> None:
-    """The left-ordered product prod_j (q - c_j) into ``out`` (None: not
-    wanted) and its product-rule jet into ``jet`` ``(4, 4, ...)``.
+def _qpoly_with_jet(q, roots: np.ndarray, jet) -> None:
+    """The product-rule jet of the left-ordered product prod_j (q - c_j)
+    into ``jet`` ``(4, 4, ...)``; its partial products are those of
+    :func:`_qpoly_values`, operation for operation.
 
     q is a box point, so d_mu q = e_mu and the product-rule terms
     e_mu (q - c) and P e_mu are signed unit products.
@@ -218,10 +219,8 @@ def _qpoly_with_jet(q, roots: np.ndarray, out, jet) -> None:
                 for a in range(4):
                     new[mu, a] += _unit(value, _UNIT_RIGHT, mu, a)
         prev = new
-        if k < last or out is not None:
-            value = qmul(value, factor, out if k == last else None)
-    if out is not None:
-        _fill(out, value)
+        if k < last:
+            value = qmul(value, factor)
 
 
 def _component_major_out(shape: tuple, comps: tuple) -> tuple:
@@ -345,47 +344,41 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
 
     The map's kernels take the components of q and write into views whose
     leading axes run over the components: ``value_fn(q, out)`` the values
-    ``(4, ...)``, and ``jet_fn(q, out, jet)`` the values (``out=None``:
-    not wanted) and the jet ``(4, 4, ...)``, the derivative axis first.
-    Both compute the values with the same operations, so the sampler's
-    values equal the lattice samples bit for bit, and the sampler asked
-    for values only (``jet=False``, the degree spheres) runs ``value_fn``
-    without computing a jet.  The values (``block_values``, checked finite
+    ``(4, ...)``, and ``jet_fn(q, jet)`` the jet ``(4, 4, ...)``, the
+    derivative axis first.  The values (``block_values``, checked finite
     as they are served) and the jet (``block_jet``) of a block are the
     kernels on its :func:`_box_axes`, computed when the block is read and
     not kept, and written component-major, so the site-major block served
     is a view (:func:`~su2topo.lattice.site_major`); a whole-grid read is
     filled one axis-0 slab at a time (:func:`~su2topo.lattice.slabs`).
-    The sampler runs the same kernels on the components of its points,
-    ``points.T``, and returns ``(n, 4)`` values and ``(n, 4, 4)`` jets.
+    The sampler only evaluates points (Newton steps and degree spheres):
+    it runs ``value_fn``, and ``jet_fn`` too unless asked for values only
+    (``jet=False``), on the components of its points, ``points.T``, and
+    returns ``(n, 4)`` values and ``(n, 4, 4)`` jets (None for values
+    only), so its values equal the lattice samples bit for bit.
     """
-    def run(shape, kernel, q, jet):
+    def run(shape, kernel, q, comps):
         # A map that overflows on the box gives non-finite values, which
         # values_at rejects as one error; its jets overflow only where the
         # values do.
-        block, view = _component_major_out(shape, (4, 4) if jet else (4,))
+        block, view = _component_major_out(shape, comps)
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel(q, None, view) if jet else kernel(q, view)
+            kernel(q, view)
         return block
 
     def evaluate(points, jet=True):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if not jet:
-            return run(points.shape[:1], value_fn, points.T, False), None
-        values, out = _component_major_out(points.shape[:1], (4,))
-        jets, view = _component_major_out(points.shape[:1], (4, 4))
-        with np.errstate(over="ignore", invalid="ignore"):
-            jet_fn(points.T, out, view)
-        return values, jets
+        n, q = points.shape[:1], points.T
+        return run(n, value_fn, q, (4,)), run(n, jet_fn, q, (4, 4)) if jet else None
 
-    def served(kernel, jet):
+    def served(kernel, comps):
         def block_array(block):
             q = _box_axes(grid, block)
-            return site_major(run(_shape(q), kernel, q, jet), 4)
+            return site_major(run(_shape(q), kernel, q, comps), 4)
         return block_array
 
-    return PhiField(grid, None, sampler=evaluate, block_values=served(value_fn, False),
-                    block_jet=served(jet_fn, True))
+    return PhiField(grid, None, sampler=evaluate, block_values=served(value_fn, (4,)),
+                    block_jet=served(jet_fn, (4, 4)))
 
 
 def identity_map_s3(resolution=32) -> SpinorField:
@@ -432,12 +425,12 @@ def quaternion_power_field(n: int, grid: Grid) -> PhiField:
             q, dq = s3_unit_vectors(grid, block, trig)
             jet, view = _component_major_out(q.shape[:-1], (3, 4))
             _qpower_with_jet(np.moveaxis(q, -1, 0), np.moveaxis(dq, (-2, -1), (0, 1)), n,
-                             None, view)
+                             view)
             return site_major(jet, 3)
 
         return PhiField(grid, None, block_values=block_values, block_jet=block_jet)
     return _box_field(grid, lambda q, out: _qpower_values(q, n, out),
-                      lambda q, out, jet: _qpower_with_jet(q, None, n, out, jet))
+                      lambda q, jet: _qpower_with_jet(q, None, n, jet))
 
 
 def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
@@ -465,7 +458,7 @@ def quaternion_polynomial_field(roots, grid: Grid) -> PhiField:
                     f"roots {i} and {j} separated by {gap:.3e} < 4 h = {4*hmax:.3e}")
 
     return _box_field(grid, lambda q, out: _qpoly_values(q, roots, out),
-                      lambda q, out, jet: _qpoly_with_jet(q, roots, out, jet))
+                      lambda q, jet: _qpoly_with_jet(q, roots, jet))
 
 
 def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:
@@ -485,12 +478,7 @@ def linear_phi_field(matrix, shift, grid: Grid) -> PhiField:
             out[a] = ((matrix[a, 0] * d[0] + matrix[a, 2] * d[2])
                       + (matrix[a, 1] * d[1] + matrix[a, 3] * d[3])) + 0.0
 
-    def jet_fn(q, out, jet):
-        if out is not None:
-            value_fn(q, out)
-        _fill_jet(jet, matrix.T)
-
-    return _box_field(grid, value_fn, jet_fn)
+    return _box_field(grid, value_fn, lambda q, jet: _fill_jet(jet, matrix.T))
 
 
 # --------------------------------------------------------------------------

@@ -116,11 +116,9 @@ class Grid:
         n = self.shape[axis]
         return self.origin[axis] + (np.arange(n) + off) * self.spacing[axis]
 
-    def points(self, slab: slice | tuple = slice(None)) -> np.ndarray:
-        """Site coordinates on the planes ``slab`` of axis 0, or on the block
-        a tuple of per-axis slices picks, shape ``(*block_shape, rank)``."""
-        parts = (slab if isinstance(slab, tuple) else (slab,)) + (slice(None),) * self.rank
-        axes = [self.coords(i)[parts[i]] for i in range(self.rank)]
+    def points(self) -> np.ndarray:
+        """Site coordinates, shape ``(*shape, rank)``."""
+        axes = [self.coords(i) for i in range(self.rank)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def axis_extent(self, axis: int) -> float:
@@ -171,25 +169,6 @@ class Grid:
             orientation=self.orientation,
         )
 
-    def refine(self, factor: int = 2) -> "Grid":
-        """A grid with ``factor`` times as many points per axis.
-
-        Open vertex-centered axes keep their endpoints, so the covered
-        interval is identical; periodic and cell-centered axes keep the
-        covered interval by shrinking the spacing.
-        """
-        shape, spacing = [], []
-        for i in range(self.rank):
-            n, h = self.shape[i], self.spacing[i]
-            if self.periodic[i] or self.cell_centered:
-                shape.append(n * factor)
-                spacing.append(h / factor)
-            else:
-                shape.append((n - 1) * factor + 1)
-                spacing.append(h / factor)
-        return Grid(tuple(shape), self.origin, tuple(spacing), self.periodic,
-                    self.cell_centered, self.orientation)
-
     def _check_axis(self, axis: int):
         if not 0 <= axis < self.rank:
             raise LatticeError(f"axis {axis} out of range for rank {self.rank}")
@@ -225,7 +204,9 @@ class LatticeField:
     A kind that can carry a jet also declares a ``block_jet`` field: a
     function from a block (an axis-0 slice, or a tuple of per-axis slices)
     to the exact jet of its sites, which :meth:`exact_jet` asks when no
-    jet is stored.  Every kind declares a ``block_values`` field the same
+    jet is stored; a jet derived from another field's (a normalized
+    spinor's, a boundary face's) is served so, whether that one's was
+    stored or served.  Every kind declares a ``block_values`` field the same
     way, a function from a block to its samples: given one and
     ``values=None``, the field stores no samples, and :meth:`values_at`
     asks it for each block it serves and checks that block's samples are
@@ -253,11 +234,6 @@ class LatticeField:
     def component_shape(cls, rank: int) -> tuple:
         """Per-site component shape on a grid of ``rank``."""
         return cls.COMPONENTS
-
-    @classmethod
-    def from_samples(cls, grid: Grid, values: np.ndarray, jet=None):
-        """The field of bare samples, such as an FLD file holds."""
-        return cls(grid, values) if jet is None else cls(grid, values, jet=jet)
 
     def __post_init__(self):
         grid = self.grid
@@ -319,24 +295,23 @@ class LatticeField:
             out[part] = compute(part)
         return out
 
-    def derivatives(self, order: int = 2, slab: slice = slice(None)) -> np.ndarray:
-        """The exact jet if there is one, else finite differences of
-        ``order``, on the planes ``slab`` of axis 0; the axis index sits
-        before the component axes.  Bare samples of a slab are read as
-        :meth:`slab_samples` reads them, so a field that serves its samples
-        never fills the whole grid for a slab."""
-        jet = self.exact_jet(slab)
+    def derivatives(self, order: int = 2) -> np.ndarray:
+        """The exact jet of the whole grid if there is one, else its finite
+        differences of ``order``; the axis index sits before the component
+        axes.  A slab's derivatives are those of :meth:`slab_samples`."""
+        jet = self.exact_jet()
         if jet is not None:
             return jet
-        if slab == slice(None):
-            return derivative_stack(self.values, self.grid, order)
-        return self.slab_samples(slab, order)[1]
+        return derivative_stack(self.values, self.grid, order)
 
     def slab_samples(self, slab: slice, order: int = 2) -> tuple:
-        """``(values_at(slab), derivatives(order, slab))`` of the planes
-        ``slab`` of axis 0.  Bare samples are read once, on the planes the
-        slab's stencils read (:func:`stencil_planes`, wrapped runs on a
-        periodic axis 0), and the slab's own samples are a view of them."""
+        """``(values_at(slab), derivatives)`` of the planes ``slab`` of axis
+        0: the derivatives are the slab's exact jet if there is one, else
+        its finite differences of ``order``, each entry that of
+        :meth:`derivatives` bit for bit.  Bare samples are read once, on
+        the planes the slab's stencils read (:func:`stencil_planes`,
+        wrapped runs on a periodic axis 0), and the slab's own samples are
+        a view of them."""
         jet = self.exact_jet(slab)
         if jet is not None:
             return self.values_at(slab), jet

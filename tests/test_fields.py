@@ -30,7 +30,6 @@ def test_normalized_is_read_from_the_samples():
     psi = st.identity_map_s3(8)
     for field in (psi,
                   st.SpinorField(psi.grid, psi.values, jet=psi.exact_jet()),
-                  st.SpinorField.from_samples(psi.grid, psi.values, psi.exact_jet()),
                   st.SpinorField(psi.grid, psi.values)):
         assert field.normalized
     grid = small_grid()
@@ -76,16 +75,19 @@ def test_normalize_idempotent():
     psi = st.random_config(5, "spinor", grid)
     once = st.normalize(psi)
     twice = st.normalize(once)
+    for unit in (once, twice):
+        assert unit.jet is None and unit.block_jet is not None
     assert np.max(np.abs(twice.values - once.values)) < 1e-14
-    assert np.max(np.abs(twice.jet - once.jet)) < 1e-14
+    assert np.max(np.abs(twice.exact_jet() - once.exact_jet())) < 1e-14
 
 
 def test_normalize_jet_matches_analytic_quotient():
     grid = small_grid()
     psi = st.random_config(6, "spinor", grid)
     out = st.normalize(psi)
+    assert out.jet is None and out.block_jet is not None
     # the transported jet must differentiate |Psi|^2 = 1 to zero
-    dnorm = np.einsum("...c,...mc->...m", np.conj(out.values), out.jet)
+    dnorm = np.einsum("...c,...mc->...m", np.conj(out.values), out.exact_jet())
     assert np.max(np.abs(dnorm.real)) < 1e-14
 
 
@@ -209,7 +211,8 @@ def test_unit_vector_jets_tangent():
     grid = small_grid()
     psi = st.random_config(9, "spinor", grid)
     unit = unit_vector(st.spinor_to_phi(psi))
-    radial = np.einsum("...a,...ma->...m", unit.values, unit.jet)
+    assert unit.jet is None and unit.block_jet is not None
+    radial = np.einsum("...a,...ma->...m", unit.values, unit.exact_jet())
     assert np.max(np.abs(radial)) < 1e-14
 
 
@@ -245,7 +248,8 @@ def test_face_restrict_keeps_in_face_jet():
     psi = st.random_config(22, "spinor", grid)
     face = st.face_restrict(psi, 1, 1)
     assert face.grid.rank == 3
-    assert face.jet.shape == face.grid.shape + (3, 2)
+    assert face.jet is None and face.block_jet is not None
+    assert face.exact_jet().shape == face.grid.shape + (3, 2)
     np.testing.assert_array_equal(face.values, psi.values[:, -1])
 
 
@@ -262,9 +266,10 @@ def test_face_restrict_of_a_gauge_field_keeps_the_in_face_components():
             values = np.take(gauge.values, index, axis)[..., keep, :]
             jet = np.take(gauge.jet, index, axis)[:, :, :, keep][..., keep, :]
             assert face.values.shape == face.grid.shape + (3, 3)
-            assert face.jet.shape == face.grid.shape + (3, 3, 3)
+            assert face.jet is None and face.block_jet is not None
+            assert face.exact_jet().shape == face.grid.shape + (3, 3, 3)
             np.testing.assert_array_equal(face.values, values)
-            np.testing.assert_array_equal(face.jet, jet)
+            np.testing.assert_array_equal(face.exact_jet(), jet)
 
 
 def _unit_rows(rng, shape, n):
@@ -381,40 +386,41 @@ def test_face_restrict_of_a_sampler_backed_phi_is_the_jet_face():
             face = st.face_restrict(phi, axis, side)
             expected = st.face_restrict(stored, axis, side)
             assert face.sampler is None and face.grid == expected.grid
-            assert face.jet is None and expected.jet is not None
+            for served in (face, expected):
+                assert served.jet is None and served.block_jet is not None
             np.testing.assert_array_equal(face.values, expected.values)
-            np.testing.assert_array_equal(face.exact_jet(), expected.jet)
+            np.testing.assert_array_equal(face.exact_jet(), expected.exact_jet())
 
 
 @pytest.mark.parametrize("budget", [1, 3000, None])
 def test_sampled_jet_of_a_slab_samples_those_planes(budget, monkeypatch):
-    # exact_jet(slab) asks the sampler for the slab's sites only, and every
-    # slab, and the whole jet filled slab by slab, equals one sampler call
-    # per plane bit for bit
+    # exact_jet(slab) asks the block_jet hook once, for exactly that slab,
+    # and exact_jet() once per slab of lattice.slabs; both equal the whole
+    # jet of one hook call bit for bit
     from su2topo import lattice
     if budget is not None:
         monkeypatch.setattr(lattice, "SLAB_SITES", budget)
     grid = st.box_grid((7, 6, 5, 6), -2.0, 2.0)
-    phi = st.quaternion_power_field(3, grid)
-    asked = []
-    sampler = phi.sampler
+    source = st.quaternion_power_field(3, grid)
+    hook, asked = source.block_jet, []
+    whole = np.ascontiguousarray(hook(slice(None)))
 
-    def counted(points):
-        asked.append(len(points))
-        return sampler(points)
+    def counted(block):
+        asked.append(block)
+        return hook(block)
 
-    phi = st.PhiField(grid, phi.values, sampler=counted)
-    planes = [sampler(grid.points(slice(k, k + 1)).reshape(-1, 4))[1]
-              for k in range(grid.shape[0])]
-    expected = np.concatenate(planes).reshape(grid.shape + (4, 4))
-    plane = 6 * 5 * 6
+    phi = st.PhiField(grid, source.values, block_jet=counted)
     for lo in range(grid.shape[0]):
         for hi in range(lo + 1, grid.shape[0] + 1):
             asked.clear()
-            assert np.array_equal(phi.exact_jet(slice(lo, hi)), expected[lo:hi])
-            assert np.array_equal(phi.derivatives(slab=slice(lo, hi)), expected[lo:hi])
-            assert asked == [(hi - lo) * plane] * 2
+            assert np.array_equal(_bits(phi.exact_jet(slice(lo, hi))), _bits(whole[lo:hi]))
+            assert asked == [slice(lo, hi)]
+            # a slab's derivatives are its jet, asked for that slab only
+            assert np.array_equal(_bits(phi.slab_samples(slice(lo, hi))[1]),
+                                  _bits(whole[lo:hi]))
+            assert asked == [slice(lo, hi)] * 2
     asked.clear()
-    assert np.array_equal(phi.exact_jet(), expected)
-    assert sum(asked) == grid.shape[0] * plane
-    assert len(asked) == len(list(lattice.slabs(grid)))
+    assert np.array_equal(_bits(phi.exact_jet()), _bits(whole))
+    assert asked == list(lattice.slabs(grid))
+    # the point sampler is not a jet source
+    assert st.PhiField(grid, source.values, sampler=source.sampler).exact_jet() is None

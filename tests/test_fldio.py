@@ -286,8 +286,8 @@ def test_sampler_backed_field_writes_its_exact_jet(tmp_path):
     np.testing.assert_array_equal(back.exact_jet(), phi.derivatives())
 
 
-def test_sampled_jet_is_written_slab_by_slab(tmp_path):
-    # the jet of a sampler-backed field (4x its values) never exists whole:
+def test_box_jet_is_written_slab_by_slab(tmp_path):
+    # the jet a box field's kernel serves (4x its values) never exists whole:
     # the traced peak of the write stays below it (measured 2.30x the
     # values at 20^4, 4.55x when the whole jet was built first)
     grid = st.box_grid((20, 20, 20, 20), -2.0, 2.0)

@@ -577,14 +577,3 @@ def test_slabs_tile_axis_0_within_the_budget(shape, monkeypatch):
             planes = part.stop - part.start
             assert planes >= 1
             assert planes == 1 or planes * plane <= budget
-
-
-@pytest.mark.parametrize("cell_centered", [False, True])
-def test_points_of_a_slab_are_those_of_the_whole_grid(cell_centered):
-    grid = Grid((7, 5, 6, 4), (-1.0, 0.5, 0.0, 2.0), (0.3, 0.1, 0.2, 0.7),
-                (False, True, False, True), cell_centered=cell_centered)
-    whole = grid.points()
-    assert whole.shape == grid.shape + (4,)
-    for lo in range(grid.shape[0]):
-        for hi in range(lo + 1, grid.shape[0] + 1):
-            assert np.array_equal(grid.points(slice(lo, hi)), whole[lo:hi])

@@ -176,7 +176,7 @@ def test_regular_zeros_have_unit_hopf_index():
 def test_ledger_trivial_no_zeros():
     # no zeros: the boundary flux is pure O(h^2) quadrature error
     errors = []
-    for grid in (box(12), box(12).refine(2)):
+    for grid in (box(12), box(23)):
         phi = st.linear_phi_field(np.eye(4), [5.0, 5.0, 5.0, 5.0], grid)
         analysis = st.analyze(phi)
         assert analysis.ledger.index_sum == 0
