@@ -26,9 +26,11 @@ d m^a = 2 Re J^a and C = -2 Im J^0.
 slabs (:func:`~su2topo.lattice.slabs`).  It reads each slab's samples once
 (a chart field computes them then, see
 :meth:`~su2topo.lattice.LatticeField.values_at`) and takes d Psi once per
-slab (finite differences for bare samples), computes J from them
-(``SpinorField.current``, which is never stored) and from both the spinor
-and Abelian densities and the slab's A, c and h_pairs.  dA and dC read
+slab (finite differences for bare samples) and J from them
+(``SpinorField.slab_currents``, which never stores J), and from these the
+spinor and Abelian densities and the slab's A, c and h_pairs.  The
+kernels take the slab's arrays and read no field; the sweep drops each
+slab's samples, d Psi and J before the trace pass runs.  dA and dC read
 the planes next to each slab, so the trace density and the exactness
 residual run a slab behind, on windows of the planes their stencils need
 (:func:`~su2topo.lattice.stencil_windows`): A and c are held as a halo of
@@ -75,8 +77,8 @@ def spinor_cs_values(j0: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
     slab.
 
     ``j0`` is J_i^0 = Psi^dag d_i Psi ``(planes, 3, ...)``, entry 0 of
-    ``SpinorField.current``, and ``dvalues`` the jets d_i Psi
-    ``(planes, 3, 2, ...)``.  Only the antisymmetric part of
+    the current of ``SpinorField.slab_currents``, and ``dvalues`` the
+    jets d_i Psi ``(planes, 3, 2, ...)``.  Only the antisymmetric part of
     s2_jk = d_j Psi^dag d_k Psi enters the contraction, and
     s2_jk - s2_kj = 2i Im s2_jk.
     """
@@ -213,14 +215,13 @@ class KnotCharges:
 RESIDUAL_FACTOR = 320.0
 
 
-def _potentials(psi: SpinorField, slab: slice, samples: np.ndarray,
-                current: np.ndarray) -> tuple:
+def _potentials(samples: np.ndarray, current: np.ndarray) -> tuple:
     """The sweep's kernel: the parallel potential A^a = -2 Im J^a, the
     Abelian potential C = -2 Im J^0 and the curvature pairs
-    H_ij = -m . (d_i m x d_j m), d m^a = 2 Re J^a, on the planes ``slab``
-    of axis 0, from the slab's samples and spinor current, all
+    H_ij = -m . (d_i m x d_j m), d m^a = 2 Re J^a, of one slab of a
+    normalized spinor, from its samples and spinor current, all
     component-major."""
-    m = sigma_model_field(psi, slab, samples)
+    m = sigma_model_field(samples)
     dm = 2.0 * current[:, :, 1:].real
     h_pairs = np.empty(m.shape)
     for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
@@ -234,7 +235,7 @@ def _rebuilt(psi: SpinorField, index: int) -> np.ndarray:
     filled slab by slab, site-major and read-only."""
     out = np.empty(psi.grid.shape + (3,))
     for slab, samples, _, current in psi.slab_currents():
-        out[slab] = site_major(_potentials(psi, slab, samples, current)[index], 3)
+        out[slab] = site_major(_potentials(samples, current)[index], 3)
     return read_only(out)
 
 
@@ -307,12 +308,11 @@ def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
             raw = sign * spinor_cs_values(current[:, :, 0], dvalues)
             residue = np.maximum(residue, np.max(np.abs(raw.imag)))
             emit("spinor", slab, raw.real)
-            gauge, c, h_pairs = _potentials(psi, slab, samples, current)
+            gauge, c, h_pairs = _potentials(samples, current)
             emit("fn", slab, fn_pointwise(c, h_pairs) * sign / (8.0 * np.pi**2))
             if parallel:
                 maxima = fold_maxima(maxima, slab_maxima(
-                    psi, slab, samples, dvalues, current,
-                    norm_squared(psi, slab, samples), gauge))
+                    samples, dvalues, current, norm_squared(samples, slab.start), gauge))
             h_of[slab.start] = h_pairs
             del samples, dvalues, current, raw   # not held through the trace pass
             yield slab, (gauge, c)

@@ -14,7 +14,7 @@ parallel (D Psi = 0).
 Both parts are su(2)-valued 1-forms, so both are :class:`GaugeField`s with
 components read from Psi bilinears.  `a` comes from the spinor current
 J_mu^A = Psi^dag sigma_A d_mu Psi (sigma_0 = 1), which
-``SpinorField.current`` computes per slab when asked; the parallel
+``SpinorField.slab_currents`` computes per slab; the parallel
 potential A^a = -2 Im J^a comes from the same current.  `b` comes from
 Psi^dag sigma_a D_mu Psi, a bilinear of the computed covariant derivative:
 deriving it from J by the Pauli product rule would make the reconstruction
@@ -23,7 +23,8 @@ check true by construction.
 Every part is pointwise in (Psi, dPsi, A), so the per-slab kernels
 (:func:`covariant_derivative` and :func:`_axis_parts`) give D Psi, a and b
 on one axis-0 slab (:func:`~su2topo.lattice.slabs`) at a time from the
-slab's d Psi, current, norms Psi^dag Psi and A, each taken once.  They are
+slab's samples, d Psi, current, norms Psi^dag Psi and A, each taken once
+by the sweep; no kernel reads a field.  They are
 component-major (:func:`~su2topo.lattice.component_major`): the
 components follow axis 0 and the sites of a plane come last, so every
 ufunc runs over a plane's contiguous sites, and they take one derivative
@@ -54,33 +55,20 @@ from .lattice import component_major, read_only, site_major
 RECONSTRUCTION_TOL = 1e-12
 
 
-def covariant_derivative(psi: SpinorField, gauge: GaugeField | np.ndarray,
-                         slab: slice = slice(None),
-                         dvalues: np.ndarray | None = None,
-                         samples: np.ndarray | None = None) -> np.ndarray:
-    """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi on the planes ``slab``
-    of axis 0, from ``dvalues``, the slab's derivatives
-    (``psi.slab_samples``), and ``samples``, its ``psi.values_at``, both
-    component-major (each taken here when not given).  ``gauge`` is A on
-    the grid of ``psi``, or the component-major components of A on the
-    planes ``slab`` only.
+def covariant_derivative(samples: np.ndarray, dvalues: np.ndarray,
+                         gauge: np.ndarray) -> np.ndarray:
+    """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi of one slab, from its
+    component-major spinor ``samples`` ``(planes, 2, ...)``, d Psi
+    ``dvalues`` ``(planes, rank, 2, ...)`` and components of A ``gauge``
+    ``(planes, rank, 3, ...)``.
 
     Returns component-major per-axis spinor samples, shape
     ``(planes, rank, 2, ...)``, a new writable array, computed one
     derivative axis at a time.  The adjoint counterpart is the entrywise
     conjugate of the result.
     """
-    rank = psi.grid.rank
-    if isinstance(gauge, GaugeField):
-        if psi.grid != gauge.grid:
-            raise FieldError("spinor and gauge grids differ")
-        gauge = component_major(gauge.values_at(slab), rank)
-    if samples is None:
-        samples = component_major(psi.values_at(slab), rank)
-    if dvalues is None:
-        dvalues = component_major(psi.slab_samples(slab)[1], rank)
     out = np.empty(dvalues.shape, dtype=np.complex128)
-    for axis in range(rank):
+    for axis in range(dvalues.shape[1]):
         # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
         connection = su2_algebra.sigma_apply(gauge[:, axis], samples)
         np.add(dvalues[:, axis], 0.5j * connection, out=out[:, axis])
@@ -104,18 +92,17 @@ def _axis_parts(samples: np.ndarray, current: np.ndarray, norms: np.ndarray,
         yield np.multiply(current[:, axis, 1:].imag, minus), np.multiply(t.imag, weight)
 
 
-def slab_maxima(psi: SpinorField, slab: slice, samples: np.ndarray,
-                dvalues: np.ndarray, current: np.ndarray, norms: np.ndarray,
-                gauge: np.ndarray) -> tuple:
+def slab_maxima(samples: np.ndarray, dvalues: np.ndarray, current: np.ndarray,
+                norms: np.ndarray, gauge: np.ndarray) -> tuple:
     """The per-slab kernel of :func:`decompose`: max|a + b - A|, max|A|,
-    max|D Psi| and max|b| on the planes ``slab``, from the slab's
-    component-major ``samples``, d Psi ``dvalues``, current and A
-    ``gauge``, and its Psi^dag Psi ``norms``.
+    max|D Psi| and max|b| of one slab, from its component-major
+    ``samples``, d Psi ``dvalues``, current and A ``gauge``, and its
+    Psi^dag Psi ``norms``.
 
     Maxima are exact in any order, so those of a grid are the entrywise
     maxima over its derivative axes and its slabs (:func:`fold_maxima`).
     """
-    dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues, samples=samples)
+    dcov = covariant_derivative(samples, dvalues, gauge)
     residual = bmax = 0.0
     for axis, (a, b) in enumerate(_axis_parts(samples, current, norms, dcov)):
         mismatch = a + b
@@ -189,10 +176,9 @@ class Decomposition:
         psi, grid = self.psi, self.psi.grid
         out = np.empty(grid.shape + (grid.rank, 3))
         for slab, samples, dvalues, current, gauge in _slab_inputs(psi, self.gauge):
-            dcov = covariant_derivative(psi, gauge, slab=slab, dvalues=dvalues,
-                                        samples=samples)
+            dcov = covariant_derivative(samples, dvalues, gauge)
             for axis, parts in enumerate(_axis_parts(
-                    samples, current, norm_squared(psi, slab, samples), dcov)):
+                    samples, current, norm_squared(samples, slab.start), dcov)):
                 out[slab][..., axis, :] = site_major(parts[index], grid.rank)
         return GaugeField(grid, read_only(out))
 
@@ -221,8 +207,10 @@ def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decompositio
     beyond ``RECONSTRUCTION_TOL`` times 1 + max|A| raises
     :class:`ReconstructionError`.  It catches a wrong current or a wrong
     covariant derivative.  A spinor norm below ``fields.EPS_ZERO`` raises
-    :class:`NormalizationError` at the smallest norm of the grid; no slab
-    with such a norm reaches the kernel.
+    :class:`NormalizationError` at the smallest norm of the grid, as
+    :func:`~su2topo.fields.normalize` does; no slab with such a norm
+    reaches the kernel, and the error reads the slabs from the first such
+    one on, never the whole grid.
     """
     if gauge is None and not psi.normalized:
         raise FieldError("parallel potential requires a normalized spinor")
@@ -230,12 +218,13 @@ def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decompositio
         raise FieldError("spinor and gauge grids differ")
     maxima = (0.0,) * 4
     for slab, samples, dvalues, current, potential in _slab_inputs(psi, gauge):
-        norms = norm_squared(psi, slab, samples)
+        norms = norm_squared(samples, slab.start)
         if np.sqrt(np.min(norms)) < EPS_ZERO:
-            # the error names the first smallest norm of the whole grid
-            _check_nonvanishing(np.sqrt(norm_squared(psi)), "spinor")
-        maxima = fold_maxima(maxima, slab_maxima(psi, slab, samples, dvalues, current,
-                                                 norms, potential))
+            # no earlier slab holds such a norm: the grid's smallest is here
+            # or later
+            _check_nonvanishing(psi, slab.start)
+        maxima = fold_maxima(maxima, slab_maxima(samples, dvalues, current, norms,
+                                                 potential))
     return Decomposition.from_maxima(psi, maxima, gauge)
 
 
@@ -255,7 +244,7 @@ def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
     return GaugeField(psi.grid, read_only(out))
 
 
-def parallel_components(current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A^a = -2 Im J^a of a component-major spinor current ``J``, written
-    into ``out`` if given: shape ``(planes, rank, 3, ...)``."""
-    return np.multiply(current[:, :, 1:].imag, -2.0, out=out)
+def parallel_components(current: np.ndarray) -> np.ndarray:
+    """A^a = -2 Im J^a of a component-major spinor current ``J``: shape
+    ``(planes, rank, 3, ...)``."""
+    return np.multiply(current[:, :, 1:].imag, -2.0)

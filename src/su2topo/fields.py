@@ -27,19 +27,20 @@ without a second copy of the grid.
 A generated field may store no samples either: a box or chart field
 serves each block's from its formula
 (:meth:`~su2topo.lattice.LatticeField.values_at`), and the conversions
-hand that on.  Code here reads a slab's samples through ``values_at``
-once and passes them on (``samples=``), and :attr:`SpinorField.normalized`
-reads them slab by slab; only :func:`normalize`, whose result stores its
-samples, reads them whole.
+hand that on.  :attr:`SpinorField.normalized` and
+:meth:`SpinorField.slab_currents` read the samples one axis-0 slab
+(:func:`~su2topo.lattice.slabs`) at a time; only :func:`normalize`, whose
+result stores its samples, reads them whole.
 
-The spinor current is not stored: :meth:`SpinorField.current` computes it
-for one axis-0 slab (:func:`~su2topo.lattice.slabs`) when asked, so only a
-slab of it, and of finite differences for bare samples, exists at once;
-every entry equals the whole-grid evaluation bit for bit.  Like every
-per-slab kernel it is component-major
-(:func:`~su2topo.lattice.component_major`): the components follow axis 0
-and the sites of a plane come last, and :meth:`SpinorField.slab_currents`
-transposes each slab's samples and d Psi once, on entry.
+The kernels here (:func:`norm_squared`, :func:`sigma_model_field` and the
+spinor current of :meth:`SpinorField.slab_currents`) take one slab's
+arrays and read no field, so only a slab of the current, and of finite
+differences for bare samples, exists at once; every entry equals the
+whole-grid evaluation bit for bit.  Like every per-slab kernel they are
+component-major (:func:`~su2topo.lattice.component_major`): the
+components follow axis 0 and the sites of a plane come last, and
+:meth:`SpinorField.slab_currents` transposes each slab's samples and
+d Psi once, on entry.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class SpinorField(LatticeField):
     file's is read from the file, and :func:`phi_to_spinor` hands on a phi
     field's block jet as a complex view.  The samples are stored too, or
     served block by block (``block_values``, a field built with
-    ``values=None``): :func:`phi_to_spinor` hands on a chart field's, so
-    the routes read each slab's samples through
-    :meth:`~su2topo.lattice.LatticeField.values_at` once and pass them on.
+    ``values=None``): :func:`phi_to_spinor` hands on a chart field's.  The
+    routes take each slab's samples, d Psi and current from
+    :meth:`slab_currents` and pass them to their kernels.
     """
 
     grid: Grid
@@ -93,50 +94,41 @@ class SpinorField(LatticeField):
         deviation is exact in any order."""
         worst = 0.0
         for slab in slabs(self.grid):
-            worst = np.maximum(worst, np.max(np.abs(norm_squared(self, slab) - 1.0)))
+            norms = norm_squared(np.moveaxis(self.values_at(slab), -1, 1), slab.start)
+            worst = np.maximum(worst, np.max(np.abs(norms - 1.0)))
         return bool(worst <= NORM_TOL)
-
-    def current(self, slab: slice = slice(None), dvalues: np.ndarray | None = None,
-                samples: np.ndarray | None = None) -> np.ndarray:
-        """The spinor current J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1,
-        on the planes ``slab`` of axis 0.
-
-        Component-major (:func:`~su2topo.lattice.component_major`), shape
-        ``(planes, rank, 4, *shape[1:])``: a new array computed from
-        ``dvalues``, the slab's derivatives (:meth:`slab_samples`), and
-        ``samples``, its samples, both component-major (each taken here
-        when not given), on every call and not kept with the field, so
-        callers ask for it one slab at a time.  A caller that reads d Psi, or the slab's samples,
-        itself passes them in, so bare samples are differenced, and served
-        ones computed, once per slab.  Every rank-3 route reads its Psi-dPsi
-        bilinears from it: the parallel potential ``-2 Im J^a``, the
-        sigma-model gradient ``d m^a = 2 Re J^a`` (normalized Psi), the
-        Berry potential ``-2 Im J^0`` and the spinor Chern-Simons factor
-        ``J^0``.
-        """
-        rank = self.grid.rank
-        if samples is None:
-            samples = component_major(self.values_at(slab), rank)
-        if dvalues is None:
-            dvalues = component_major(self.slab_samples(slab)[1], rank)
-        out = np.empty(dvalues.shape[:2] + (4,) + dvalues.shape[3:], dtype=np.complex128)
-        for axis in range(rank):
-            su2_algebra.spinor_current(samples, dvalues[:, axis], out=out[:, axis])
-        return out
 
     def slab_currents(self):
         """Yield ``(slab, samples, dvalues, current)`` for each axis-0 slab
         (:func:`~su2topo.lattice.slabs`), all component-major: the slab's
         samples and derivatives, taken once
         (:meth:`~su2topo.lattice.LatticeField.slab_samples`, which reads
-        bare samples once a slab) and transposed once, and the
-        :meth:`current` computed from them."""
+        bare samples once a slab) and transposed once, and the spinor
+        current computed from them (:func:`_slab_current`).  The tuple is
+        built by that helper, so the suspended generator holds no slab
+        array and a sweep that drops a slab's arrays frees them."""
         rank = self.grid.rank
         for slab in slabs(self.grid):
-            samples, dvalues = (component_major(block, rank)
-                                for block in self.slab_samples(slab))
-            yield slab, samples, dvalues, self.current(slab=slab, dvalues=dvalues,
-                                                       samples=samples)
+            yield _slab_current(slab, *(component_major(block, rank)
+                                        for block in self.slab_samples(slab)))
+
+
+def _slab_current(slab: slice, samples: np.ndarray, dvalues: np.ndarray) -> tuple:
+    """``(slab, samples, dvalues, current)``: the spinor current
+    J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1, of one slab's
+    component-major ``samples`` ``(planes, 2, ...)`` and d Psi ``dvalues``
+    ``(planes, rank, 2, ...)``, shape ``(planes, rank, 4, ...)``.
+
+    J is a new array on every call and not kept with the field.  Every
+    rank-3 route reads its Psi-dPsi bilinears from it: the parallel
+    potential ``-2 Im J^a``, the sigma-model gradient ``d m^a = 2 Re J^a``
+    (normalized Psi), the Berry potential ``-2 Im J^0`` and the spinor
+    Chern-Simons factor ``J^0``.
+    """
+    current = np.empty(dvalues.shape[:2] + (4,) + dvalues.shape[3:], dtype=np.complex128)
+    for axis in range(dvalues.shape[1]):
+        su2_algebra.spinor_current(samples, dvalues[:, axis], current[:, axis])
+    return slab, samples, dvalues, current
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,19 +195,16 @@ class GaugeField(LatticeField):
         return (rank, 3)
 
 
-def norm_squared(psi: SpinorField, slab: slice = slice(None),
-                 samples: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise Psi^dag Psi (real, equals phi_a phi_a) on the planes
-    ``slab`` of axis 0, from the slab's component-major ``samples``
-    ``(planes, 2, ...)`` (read here when not given): |Psi_1|^2 + |Psi_2|^2
-    of the two component planes, bit for bit numpy's sum over a trailing
-    component axis.  A norm that overflows raises :class:`FieldError`."""
-    if samples is None:
-        samples = np.moveaxis(psi.values_at(slab), -1, 1)
+def norm_squared(samples: np.ndarray, first: int) -> np.ndarray:
+    """Pointwise Psi^dag Psi (real, equals phi_a phi_a) of a slab's
+    component-major spinor ``samples`` ``(planes, 2, ...)``, whose axis 0
+    starts at plane ``first``: |Psi_1|^2 + |Psi_2|^2 of the two component
+    planes, bit for bit numpy's sum over a trailing component axis.  A
+    norm that overflows raises :class:`FieldError` naming its site."""
     with np.errstate(over="ignore"):
         norms = np.abs(samples[:, 0]) ** 2
         norms += np.abs(samples[:, 1]) ** 2
-    _finite_max(norms, psi.LABEL, slab.start or 0)
+    _finite_max(norms, SpinorField.LABEL, first)
     return norms
 
 
@@ -232,13 +221,24 @@ def _finite_max(norms: np.ndarray, name: str, first: int = 0) -> float:
     return top
 
 
-def _check_nonvanishing(norms: np.ndarray, name: str) -> None:
-    """Raise :class:`NormalizationError` at the smallest norm below ``EPS_ZERO``."""
-    if np.min(norms) < EPS_ZERO:
-        site = tuple(map(int, np.unravel_index(int(np.argmin(norms)), norms.shape)))
+def _check_nonvanishing(psi: SpinorField, start: int) -> None:
+    """Raise :class:`NormalizationError` at the first smallest norm |Psi| of
+    the axis-0 slabs (:func:`~su2topo.lattice.slabs`) from the one that
+    starts at plane ``start`` on, read one at a time, when it is below
+    ``EPS_ZERO``.  A caller that found no such norm before ``start`` names
+    the grid's smallest."""
+    least, site = np.inf, None
+    for slab in slabs(psi.grid):
+        if slab.start >= start:
+            norms = np.sqrt(norm_squared(np.moveaxis(psi.values_at(slab), -1, 1),
+                                         slab.start))
+            index = np.unravel_index(int(np.argmin(norms)), norms.shape)
+            if norms[index] < least:
+                least = float(norms[index])
+                site = (slab.start + int(index[0]),) + tuple(map(int, index[1:]))
+    if least < EPS_ZERO:
         raise NormalizationError(
-            f"{name} norm {float(norms[site]):.3e} < {EPS_ZERO:.1e} at site {site}",
-            site=site)
+            f"spinor norm {least:.3e} < {EPS_ZERO:.1e} at site {site}", site=site)
 
 
 def normalize(psi: SpinorField) -> SpinorField:
@@ -263,8 +263,9 @@ def normalize(psi: SpinorField) -> SpinorField:
     or re-gridded by the caller, never clamped.
     """
     samples = psi.values_at()
-    norms = np.sqrt(norm_squared(psi, samples=np.moveaxis(samples, -1, 1)))
-    _check_nonvanishing(norms, "spinor")
+    norms = np.sqrt(norm_squared(np.moveaxis(samples, -1, 1), 0))
+    if np.min(norms) < EPS_ZERO:
+        _check_nonvanishing(psi, 0)
     values = read_only(samples / norms[..., None])
 
     def quotient(block):
@@ -322,20 +323,15 @@ def phi_to_spinor(phi: PhiField) -> SpinorField:
     return _reinterpret(phi, SpinorField, np.complex128)
 
 
-def sigma_model_field(psi: SpinorField, slab: slice = slice(None),
-                      samples: np.ndarray | None = None) -> np.ndarray:
-    """m_a = Psi^dag sigma_a Psi of a normalized spinor, component-major
-    (:func:`~su2topo.lattice.component_major`): shape ``(planes, 3, ...)``.
+def sigma_model_field(samples: np.ndarray) -> np.ndarray:
+    """m_a = Psi^dag sigma_a Psi of a slab's component-major spinor
+    ``samples`` ``(planes, 2, ...)`` (:func:`~su2topo.lattice.component_major`),
+    shape ``(planes, 3, ...)``.
 
-    |m| = |Psi|^2 = 1 site by site.  The imaginary residue of the bilinear
-    is a data-corruption indicator and raises above ``IMAG_TOL``.  Only
-    the planes ``slab`` of axis 0 are computed, from the slab's
-    component-major ``samples`` (read here when not given).
+    |m| = |Psi|^2, so m is the unit vector of a normalized spinor, which
+    the caller checks.  The imaginary residue of the bilinear is a
+    data-corruption indicator and raises above ``IMAG_TOL``.
     """
-    if not psi.normalized:
-        raise FieldError("sigma-model projection requires a normalized spinor")
-    if samples is None:
-        samples = component_major(psi.values_at(slab), psi.grid.rank)
     m = su2_algebra.sigma_bilinear(samples, samples)
     residue = float(np.max(np.abs(m.imag)))
     if residue > IMAG_TOL:

@@ -8,8 +8,10 @@ open axes; both are O(h^2) on smooth integrands.
 
 Pointwise work runs one axis-0 slab at a time (:func:`slabs`): a route
 reads each slab of its inputs, with ``derivative_stack(..., slab=...)``
-reading the ``order // 2`` neighbouring planes the stencils need, and
-writes into the whole-grid arrays it returns.  A route that differentiates
+reading the ``order // 2`` neighbouring planes the stencils need, hands
+the slab's arrays to kernels that read no field, and folds or sums what
+they return (:class:`Quadrature`), or fills a whole-grid array slab by
+slab where a caller asks for one.  A route that differentiates
 what its own sweep computes runs those stencils a slab behind, on windows
 of the planes they read (:func:`stencil_windows`), so that input is never
 held for the whole grid.  A field that computes its samples from the

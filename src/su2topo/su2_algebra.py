@@ -68,21 +68,17 @@ def sigma_bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def spinor_current(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
-                   ) -> np.ndarray:
+def spinor_current(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``u^dag sigma_A v`` with ``sigma_0 = 1``: the index ``A`` on axis 1,
-    of length 4.
+    of length 4, written into ``out`` and returned.
 
-    Shapes and broadcasting are those of :func:`sigma_bilinear`; the
-    result is written into ``out`` if given.  Entries 1 to 3 are the
-    result of :func:`sigma_bilinear` bit for bit: they are built from the
-    same four products.
+    Shapes and broadcasting are those of :func:`sigma_bilinear`.  Entries
+    1 to 3 are the result of :func:`sigma_bilinear` bit for bit: they are
+    built from the same four products.
     """
     u0, u1 = np.conj(u[:, 0]), np.conj(u[:, 1])
     v0, v1 = v[:, 0], v[:, 1]
     p00, p01, p10, p11 = u0 * v0, u0 * v1, u1 * v0, u1 * v1
-    if out is None:
-        out = _output(np.broadcast_shapes(u0.shape, v0.shape), 4)
     np.add(p00, p11, out=out[:, 0])
     np.add(p01, p10, out=out[:, 1])
     out[:, 2] = 1j * (p10 - p01)

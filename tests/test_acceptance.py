@@ -71,8 +71,9 @@ def test_criterion_03_parallel_condition():
     worst_d = worst_b = 0.0
     for psi in configs:
         gauge = st.parallel_gauge_potential(psi)
-        worst_d = max(worst_d, float(np.max(np.abs(
-            st.covariant_derivative(psi, gauge)))))
+        worst_d = max(worst_d, float(np.max(np.abs(st.covariant_derivative(*(
+            component_major(x, psi.grid.rank)
+            for x in (psi.values, psi.derivatives(), gauge.values)))))))
         worst_b = max(worst_b, float(np.max(np.abs(
             matrices(st.decompose(psi, gauge).b.values)))))
     report(3, "parallel condition",

@@ -223,14 +223,14 @@ def test_exactness_residual_raises_on_a_wrong_potential(monkeypatch):
     charts = [st.identity_map_s3(n) for n in (24, 32, 64)]
     for psi in charts:
         cs.chern_simons(psi)
-    real = st.SpinorField.current
+    real = st.fields._slab_current
 
-    def flipped(self, slab=slice(None), **kwargs):
-        current = real(self, slab=slab, **kwargs)
+    def flipped(*args):
+        slab, samples, dvalues, current = real(*args)
         current[:, :, 0] = np.conj(current[:, :, 0])
-        return current
+        return slab, samples, dvalues, current
 
-    monkeypatch.setattr(st.SpinorField, "current", flipped)
+    monkeypatch.setattr(st.fields, "_slab_current", flipped)
     for psi in charts:
         with pytest.raises(st.ReconstructionError, match="not a potential for H"):
             cs.chern_simons(psi)
@@ -388,6 +388,38 @@ def test_chart_sweep_peaks_below_any_whole_grid_array(monkeypatch):
     assert psi.jet is None and psi.__dict__["values"] is None
     for resident in (sites * 2 * 16, sites * 8, sites * 3 * 2 * 16, sites * 8 * 15):
         assert peak + resident > bound
+
+
+def test_the_first_pass_drops_each_slab_before_the_trace_pass(monkeypatch):
+    # The trace pass runs a slab behind the first pass.  By then the sweep
+    # has dropped the newest slab's component-major samples and d Psi and
+    # its current J, and nothing else holds them: not the suspended
+    # generator of the slabs, whose frame binds no slab array.
+    import weakref
+    from su2topo import fields, lattice, su2_algebra
+    monkeypatch.setattr(lattice, "SLAB_SITES", 1)            # one plane a slab
+    refs, alive = [], []
+    real_major, real_current = fields.component_major, su2_algebra.spinor_current
+    real_trace = cs.trace_cs_values
+
+    def component_major(block, rank):
+        out = real_major(block, rank)
+        refs.append(weakref.ref(out))
+        return out
+
+    def spinor_current(u, v, out):
+        refs.append(weakref.ref(out.base))                    # J of the slab
+        return real_current(u, v, out)
+
+    def trace_cs_values(a, da):
+        alive.append(sum(ref() is not None for ref in refs))
+        return real_trace(a, da)
+
+    monkeypatch.setattr(fields, "component_major", component_major)
+    monkeypatch.setattr(su2_algebra, "spinor_current", spinor_current)
+    monkeypatch.setattr(cs, "trace_cs_values", trace_cs_values)
+    cs.chern_simons(st.identity_map_s3(16))
+    assert len(refs) == 16 * (2 + 3) and alive == [0] * 16
 
 
 def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):

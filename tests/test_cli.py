@@ -174,14 +174,14 @@ def test_a_failed_exactness_check_is_a_fail_line(capsys, monkeypatch):
     # a Berry potential of the wrong sign breaks dC = H: verify reports the
     # library's message as one FAIL line and exits 1, without the parallel
     # condition, which needs the charge sweep's potential
-    real = st.SpinorField.current
+    real = st.fields._slab_current
 
-    def flipped(self, slab=slice(None), **kwargs):
-        current = real(self, slab=slab, **kwargs)
-        current[..., 0] = np.conj(current[..., 0])
-        return current
+    def flipped(*args):
+        slab, samples, dvalues, current = real(*args)
+        current[:, :, 0] = np.conj(current[:, :, 0])
+        return slab, samples, dvalues, current
 
-    monkeypatch.setattr(st.SpinorField, "current", flipped)
+    monkeypatch.setattr(st.fields, "_slab_current", flipped)
     code, out, err = run(capsys, "verify", "identity", "--grid", "32,32,32",
                          "--no-color")
     assert code == 1 and err == ""
@@ -605,9 +605,9 @@ def test_verify_identity_builds_the_parallel_potential_once(capsys, monkeypatch)
         built.append(self.grid.shape)
         real(self)
 
-    def components(current, out=None):
+    def components(current):
         slabs.append(current.shape[0])
-        return real_components(current, out)
+        return real_components(current)
 
     monkeypatch.setattr(st.GaugeField, "__post_init__", counted)
     monkeypatch.setattr(chern_simons, "parallel_components", components)
@@ -629,22 +629,24 @@ def _plane_hits(slabs, planes):
 
 
 def test_verify_identity_computes_the_covariant_derivative_once(capsys, monkeypatch):
-    # decompose asks for D Psi slab by slab: every plane exactly once
+    # decompose asks for D Psi slab by slab, in order: every plane exactly
+    # once
     import su2topo.decomposition as decomposition
-    slabs = []
+    from su2topo import lattice
+    planes = []
     real = decomposition.covariant_derivative
 
-    def counted(psi, gauge, slab=slice(None), **kwargs):
-        slabs.append(slab)
-        return real(psi, gauge, slab=slab, **kwargs)
+    def counted(samples, dvalues, gauge):
+        planes.append(samples.shape[0])
+        return real(samples, dvalues, gauge)
 
     monkeypatch.setattr(decomposition, "covariant_derivative", counted)
     code, out, _ = run(capsys, "verify", "identity", "--grid", "48,48,48",
                        "--no-color")
     assert code == 0
     assert "max_DPsi" in out
-    assert len(slabs) > 1
-    assert np.all(_plane_hits(slabs, 48) == 1)
+    assert len(planes) > 1
+    assert planes == [s.stop - s.start for s in lattice.slabs(st.s3_chart_grid(48))]
 
 
 def test_verify_identity_computes_the_spinor_current_once_per_sweep(capsys,
@@ -655,17 +657,18 @@ def test_verify_identity_computes_the_spinor_current_once_per_sweep(capsys,
     # when the parallel condition ran a decompose sweep of its own)
     from su2topo import lattice
     calls = {"current": [], "exact_jet": []}
-    real_current, real_jet = st.SpinorField.current, st.SpinorField.exact_jet
+    real_current, real_jet = st.fields._slab_current, st.SpinorField.exact_jet
 
-    def current(self, slab=slice(None), **kwargs):
+    def current(slab, samples, dvalues):
         calls["current"].append(slab)
-        return real_current(self, slab=slab, **kwargs)
+        assert samples.shape[0] == dvalues.shape[0] == slab.stop - slab.start
+        return real_current(slab, samples, dvalues)
 
     def exact_jet(self, slab=slice(None)):
         calls["exact_jet"].append(slab)
         return real_jet(self, slab)
 
-    monkeypatch.setattr(st.SpinorField, "current", current)
+    monkeypatch.setattr(st.fields, "_slab_current", current)
     monkeypatch.setattr(st.SpinorField, "exact_jet", exact_jet)
     code, out, _ = run(capsys, "verify", "identity", "--grid", "48,48,48",
                        "--no-color")

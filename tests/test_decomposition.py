@@ -5,18 +5,25 @@ import su2topo as st
 from conftest import peak_traced_bytes
 from su2_gauge import dagger, matrices, transform, transformation
 from su2topo import FieldError, NormalizationError
-from su2topo.lattice import site_major
+import site_major as oracle
+from su2topo.lattice import component_major, site_major
 
 
 def small_grid():
     return st.box_grid((6, 6, 6, 6), -1.0, 1.0)
 
 
+def covariant(psi, gauge):
+    """D Psi of the whole grid by the slab kernel, component-major."""
+    return st.covariant_derivative(*(component_major(x, psi.grid.rank) for x in (
+        psi.values, psi.derivatives(), gauge.values)))
+
+
 def test_covariant_derivative_reduces_to_gradient():
     grid = small_grid()
     psi = st.random_config(1, "spinor", grid)
     zero = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
-    d = st.covariant_derivative(psi, zero)
+    d = covariant(psi, zero)
     assert np.max(np.abs(site_major(d, 4) - psi.jet)) == 0.0
 
 
@@ -27,7 +34,8 @@ def test_covariant_derivative_constant_spinor():
     psi = st.SpinorField(grid, values,
                          jet=np.zeros(grid.shape + (4, 2), dtype=complex))
     gauge = st.random_config(2, "gauge", grid)
-    d = site_major(st.covariant_derivative(psi, gauge), 4)
+    d = site_major(covariant(psi, gauge), 4)
+    assert np.array_equal(d, oracle.covariant_derivative(psi, gauge.values))
     expected = -np.einsum("...ma,aij,...j->...mi", gauge.values,
                           st.GENERATORS, psi.values)
     assert np.max(np.abs(d - expected)) < 1e-15
@@ -49,7 +57,7 @@ def test_covariant_derivative_closed_form_parallel_axis():
     comps = np.zeros(grid.shape + (4, 3))
     comps[..., 0, 2] = c
     gauge = st.GaugeField(grid, comps)
-    d = st.covariant_derivative(psi, gauge)
+    d = covariant(psi, gauge)
     assert np.max(np.abs(d[:, 0])) < 1e-13
 
 
@@ -118,6 +126,37 @@ def test_decompose_names_the_smallest_norm_of_the_grid(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(NormalizationError) as info:
             st.decompose(psi, gauge)
+    assert info.value.site == whole.value.site == (4, 0, 1, 2)
+    assert str(info.value) == str(whole.value)
+
+
+def test_the_zero_path_of_decompose_reads_slabs_only(monkeypatch):
+    # a spinor that serves its samples: decompose, its error path
+    # included, asks for no block as large as the grid (a whole-grid read
+    # is served slab by slab, so it shows in values_at and not in
+    # block_values), and still names the site normalize names
+    from su2topo import lattice
+    monkeypatch.setattr(lattice, "SLAB_SITES", 6**3)      # one plane a slab
+    grid = small_grid()
+    values = np.ones(grid.shape + (2,), dtype=complex)
+    values[1, 2, 3, 4] = (1e-14, 0.0)
+    values[4, 0, 1, 2] = 0.0
+    values[5, 1, 1, 1] = 0.0
+    psi = st.SpinorField(grid, None, block_values=lambda block: values[block])
+    gauge = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
+    blocks = []
+    real = st.SpinorField.values_at
+
+    def values_at(self, block=slice(None)):
+        blocks.append(block)
+        return real(self, block)
+
+    monkeypatch.setattr(st.SpinorField, "values_at", values_at)
+    with pytest.raises(NormalizationError) as info:
+        st.decompose(psi, gauge)
+    assert blocks and all(len(range(6)[block]) < 6 for block in blocks)
+    with pytest.raises(NormalizationError) as whole:
+        st.normalize(psi)
     assert info.value.site == whole.value.site == (4, 0, 1, 2)
     assert str(info.value) == str(whole.value)
 
@@ -196,7 +235,7 @@ def test_parallel_potential_real_spinor_sigma2_channel():
 def test_parallel_condition_identity_map():
     psi = st.identity_map_s3(12)
     gauge = st.parallel_gauge_potential(psi)
-    d = st.covariant_derivative(psi, gauge)
+    d = covariant(psi, gauge)
     assert np.max(np.abs(d)) < 1e-12
     dec = st.decompose(psi, gauge)
     assert np.max(np.abs(matrices(dec.b.values))) < 1e-12
@@ -233,7 +272,7 @@ def test_decomposition_parts_are_gauge_fields():
         assert part.jet is None and not part.values.flags.writeable
     assert dec.a is dec.a
     assert dec.max_b == np.max(np.abs(matrices(dec.b.values)))
-    assert dec.max_covariant == np.max(np.abs(st.covariant_derivative(psi, gauge)))
+    assert dec.max_covariant == np.max(np.abs(covariant(psi, gauge)))
 
 
 def _traceless_outer_reference(u, v, weight):
@@ -253,9 +292,9 @@ def test_decompose_matches_the_outer_product_formula(jets):
         psi = st.SpinorField(grid, psi.values)
     gauge = st.random_config(42, "gauge", grid)
     dec = st.decompose(psi, gauge)
-    weight = 1.0 / st.norm_squared(psi)
+    weight = 1.0 / oracle.norm_squared(psi.values)
     a = _traceless_outer_reference(psi.derivatives(), psi.values, weight)
-    b = _traceless_outer_reference(site_major(st.covariant_derivative(psi, gauge), 4),
+    b = _traceless_outer_reference(oracle.covariant_derivative(psi, gauge.values),
                                    psi.values, -weight)
     scale = np.max(np.abs(a)) + np.max(np.abs(b))
     assert np.max(np.abs(matrices(dec.a.values) - a)) <= 1e-15 * scale
@@ -268,7 +307,7 @@ def test_decompose_fails_on_a_scaled_current(monkeypatch):
     import su2topo.su2_algebra as alg
     real = alg.spinor_current
 
-    def scaled(u, v, out=None):
+    def scaled(u, v, out):
         current = real(u, v, out)
         current[:, 1:] *= 1.0 + 1e-9
         return current
@@ -330,10 +369,10 @@ def test_max_b_keeps_a_nan_in_one_component(monkeypatch, colour):
     psi = st.identity_map_s3(8)
     slab, samples, dvalues, current = next(psi.slab_currents())
     gauge = decomposition.parallel_components(current)
-    norms = st.norm_squared(psi, slab, samples)
-    clean = decomposition.slab_maxima(psi, slab, samples, dvalues, current, norms, gauge)
+    norms = st.norm_squared(samples, slab.start)
+    clean = decomposition.slab_maxima(samples, dvalues, current, norms, gauge)
     assert not np.isnan(clean).any()
     monkeypatch.setattr(decomposition, "_axis_parts", planted)
-    maxima = decomposition.slab_maxima(psi, slab, samples, dvalues, current, norms, gauge)
+    maxima = decomposition.slab_maxima(samples, dvalues, current, norms, gauge)
     assert np.isnan(maxima[3])
     assert maxima[1:3] == clean[1:3]

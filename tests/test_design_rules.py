@@ -47,3 +47,68 @@ def test_every_public_function_and_class_is_named_in_the_package():
                        for other, line, name in references):
                 unnamed.append(f"{module}: {qualified}")
     assert not unnamed, f"named nowhere in the package: {unnamed}"
+
+
+#: The functions of the package that may read a whole grid, each with its
+#: reason.  Every other rank-3 route and kernel reads a slab at a time.
+WHOLE_GRID_READERS = {
+    "_Samples.__get__": "the whole-grid values themselves, filled slab by slab",
+    "LatticeField.derivatives": "the whole-grid derivatives themselves",
+    "LatticeField.__post_init__": "checks that stored samples are finite",
+    "integrate": "the quadrature of a stored density, of the rank-4 Chern routes",
+    "normalize": "its result stores its samples: served block by block "
+                 "instead, the 32^4 boundary flux took 119-137 ms, not 102-106",
+    "field_strength": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",
+    "spinor_chern_density": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",
+    "unit_chern_density": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",
+    "trace_pointwise": "a reference route",
+    "jacobian": "called on the 4^4 window around a zero only",
+    "_zero_jacobian": "reads the 4^4 window around a zero",
+}
+#: Methods that read the whole grid when called without a block;
+#: ``derivatives`` reads it whatever its order.
+BLOCK_READS = {"values_at", "exact_jet"}
+
+
+def _owned_statements(tree: ast.Module):
+    """Yield ``(owner, node)`` for each top-level statement of a module,
+    with the methods of its classes apart: the owner is the function's or
+    the class's name, ``Class.method`` for a method."""
+    for node in tree.body:
+        name = getattr(node, "name", "<module>")
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                yield (f"{name}.{member.name}" if isinstance(member, ast.FunctionDef)
+                       else name), member
+        else:
+            yield name, node
+
+
+def _whole_grid_reads(tree: ast.Module):
+    """Yield ``(owner, line)`` for each whole-grid read of a module:
+    ``.values`` read as an attribute (not called, so a dict's ``.values()``
+    is not one), any ``derivatives(...)`` call, and ``values_at()`` or
+    ``exact_jet()`` without a block."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for owner, statement in _owned_statements(tree):
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Attribute) and node.attr == "values":
+                if id(node) not in called:
+                    yield owner, node.lineno
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "derivatives" or (name in BLOCK_READS and not node.args
+                                             and not node.keywords):
+                    yield owner, node.lineno
+
+
+def test_no_library_code_reads_a_whole_grid_outside_its_exempt_readers():
+    # "the slab budget by construction": a whole-grid read in a function
+    # not listed above is how a grid comes back into memory unnoticed
+    found = [(path.name, owner, line)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for owner, line in _whole_grid_reads(ast.parse(path.read_text()))]
+    unlisted = [hit for hit in found if hit[1] not in WHOLE_GRID_READERS]
+    assert not unlisted, f"whole-grid reads outside the exempt readers: {unlisted}"
+    # and no exemption outlives its read
+    assert {owner for _, owner, _ in found} == set(WHOLE_GRID_READERS)

@@ -95,13 +95,10 @@ def test_kernel_comparison_catches_one_flipped_sigma(a):
 @pytest.mark.parametrize("seed", range(3))
 def test_spinor_current_extends_sigma_bilinear(seed):
     for u, v in _kernel_cases(seed):
-        current = alg.spinor_current(u, v)
         shape = np.broadcast_shapes(u.shape, v.shape)
-        assert current.shape == shape[:1] + (4,) + shape[2:]
+        out = np.full(shape[:1] + (4,) + shape[2:], np.nan, dtype=complex)
+        current = alg.spinor_current(u, v, out)
+        assert current is out
         assert np.array_equal(current[:, 1:], alg.sigma_bilinear(u, v))
         j0 = np.einsum("...c,...c->...", np.conj(_site(u)), _site(v))
         assert _deviation(current[:, 0], j0, u, v) <= 1e-15
-        # written into a given array, bit for bit
-        out = np.full(current.shape, np.nan, dtype=complex)
-        assert alg.spinor_current(u, v, out=out) is out
-        assert np.array_equal(out, current)
