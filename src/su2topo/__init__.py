@@ -24,7 +24,7 @@ from .decomposition import (Decomposition, covariant_derivative, decompose,
 # attribute it would shadow its module.
 from .chern_simons import (AbelianData, Density, KnotCharges, fn_pointwise,
                            trace_pointwise)
-from .chern_density import (boundary_cs_sum, field_strength, spinor_chern_density,
+from .chern_density import (boundary_degree, field_strength, spinor_chern_density,
                             spinor_chern_values, trace_chern_density,
                             unit_chern_density, unit_chern_values)
 from .phi_mapping import (Ledger, LedgerAnalysis, ZeroPoint, ZeroSearch,

@@ -17,8 +17,10 @@ spinor is singular.
 
 Integrating rho over the volume gives the second Chern number, which by
 Stokes also equals the sum of oriented Chern-Simons boundary integrals
-over the eight 3-faces of a 4-box.  The faces of a box whose zeros lie
-inside it carry no singularity, so the boundary sum is the route the zero
+over the eight 3-faces of a 4-box.  For the unit spinor n = phi/|phi| the
+face integrand is the Brouwer degree density of n, det[phi, d phi] /
+(2 pi^2 |phi|^4).  The faces of a box whose zeros lie inside it carry no
+singularity, so that sum (:func:`boundary_degree`) is the route the zero
 ledger is checked against.
 """
 
@@ -28,10 +30,10 @@ import numpy as np
 
 from .conventions import ORIENTATION_SIGN, PAIRS4
 from .errors import FieldError, NormalizationError
-from .fields import (GaugeField, PhiField, SpinorField, face_restrict, normalize,
-                     phi_to_spinor)
-from .lattice import Grid, ScalarField, read_only
-from .chern_simons import Density, spinor_cs_values
+from .fields import (EPS_ZERO, GaugeField, PhiField, SpinorField, _check_nonvanishing,
+                     _norms, face_restrict, phi_to_spinor)
+from .lattice import Grid, Quadrature, ScalarField, component_major, read_only, slabs
+from .chern_simons import Density
 
 
 def field_strength(gauge: GaugeField) -> np.ndarray:
@@ -121,59 +123,62 @@ def _eps4_pair_contract_dot(pairs: np.ndarray) -> np.ndarray:
 
 def check_flux_box(grid: Grid) -> None:
     """Raise :class:`FieldError` unless ``grid`` is a box whose 8 faces
-    :func:`boundary_cs_sum` can sum: rank 4, open and vertex-centered."""
+    :func:`boundary_degree` can sum: rank 4, open and vertex-centered."""
     if grid.rank != 4:
         raise FieldError("boundary flux sums need a rank-4 box")
     if any(grid.periodic) or grid.cell_centered:
         raise FieldError("boundary flux sums need an open vertex-centered box")
 
 
-def boundary_cs_sum(field):
-    """Oriented sum of spinor Chern-Simons integrals over the 8 faces.
-
-    The face orthogonal to axis ``m`` contributes with sign (-1)^m (top
-    minus bottom), matching eps^{0123} = +1 in the volume.  By Stokes this
-    telescopes to the volume integral of the spinor Chern density; the
-    discrepancy is pure quadrature error, O(h^2) on vertex-centered boxes.
-
-    A :class:`SpinorField` is summed as given.  A :class:`PhiField` is
-    restricted to each face first and only that face is converted to a
-    unit spinor, so no normalized copy of the whole grid is built; phi
-    vanishing on a face raises :class:`NormalizationError`.  Each face's
-    integrand is filled from its ``slab_currents()`` (a face without a
-    stored jet reads its jet one slab at a time, see
-    :func:`~su2topo.fields.face_restrict`) and summed by one ``np.sum``
-    over the whole face.
-
-    Returns ``(real_sum, imag_residue)``.
-    """
-    grid = field.grid
+def boundary_degree(phi: PhiField) -> float:
+    """The Chern-Simons flux of the unit spinor of phi through the 8 faces:
+    the degree density of n = phi/|phi| (:func:`_degree_density`) of each
+    face slab (:func:`~su2topo.fields.face_restrict`), fed to a
+    :class:`~su2topo.lattice.Quadrature` of the face.  The face orthogonal
+    to axis ``m`` counts with sign (-1)^m (top minus bottom), as
+    eps^{0123} = +1 in the volume.  By Stokes this is the sum of the
+    degrees of the zeros inside, up to O(h^2) quadrature error.  phi
+    vanishing on a face raises :class:`NormalizationError`, a norm that
+    overflows :class:`FieldError`."""
+    grid = phi.grid
     check_flux_box(grid)
-    total = 0.0 + 0.0j
-    sign_global = ORIENTATION_SIGN * grid.orientation
+    total = 0.0
     for axis in range(4):
-        face_sign = (-1.0) ** axis
         for side, side_sign in ((1, 1.0), (0, -1.0)):
-            face = face_restrict(field, axis, side)
-            if isinstance(face, PhiField):
-                try:
-                    face = normalize(phi_to_spinor(face))
-                except NormalizationError as exc:
-                    raise NormalizationError(
-                        f"phi vanishes on the {('low', 'high')[side]} face of axis "
-                        f"{axis}: {exc}", site=exc.site) from exc
-            total += face_sign * side_sign * _face_flux(face)
-    total *= sign_global
-    return float(total.real), float(abs(total.imag))
+            face = face_restrict(phi, axis, side)
+            quadrature = Quadrature(face.grid)
+            for slab in slabs(face.grid):
+                samples, dvalues = (component_major(block, 3)
+                                    for block in face.slab_samples(slab))
+                norms = _norms(samples)
+                if np.min(norms) < EPS_ZERO or np.max(norms) == np.inf:
+                    try:        # names the site of the zero or of the overflow
+                        _check_nonvanishing(phi_to_spinor(face), slab.start)
+                    except NormalizationError as exc:
+                        raise NormalizationError(
+                            f"phi vanishes on the {('low', 'high')[side]} face of axis "
+                            f"{axis}: {exc}", site=exc.site) from exc
+                quadrature.add(slab, _degree_density(samples, dvalues))
+            total += (-1.0) ** axis * side_sign * quadrature.total()
+    return ORIENTATION_SIGN * grid.orientation * total
 
 
-def _face_flux(face: SpinorField) -> complex:
-    """The spinor Chern-Simons integral over one face: its integrand filled
-    slab by slab from the component-major ``face.slab_currents()``, then
-    one ``np.sum``."""
-    raw = np.empty(face.grid.shape, dtype=np.complex128)
-    for slab, _, dvalues, current in face.slab_currents():
-        raw[slab] = spinor_cs_values(current[:, :, 0], dvalues)
-        del dvalues, current        # not held while the next slab is computed
-    return np.sum(raw * face.grid.quadrature_weights())
+def _degree_density(samples: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
+    """det[phi, d_1 phi, d_2 phi, d_3 phi] / (2 pi^2 |phi|^4) of a rank-3
+    slab's component-major samples ``(planes, 4, ...)`` and derivatives
+    ``(planes, 3, 4, ...)``, with every row divided by |phi| first: det[phi,
+    d phi] overflows where |phi|^2 does not."""
+    norms = _norms(samples)[:, None]
+    rows = (dvalues / norms[:, None]).swapaxes(0, 1)
+    return _det4(samples / norms, *rows) / (2.0 * np.pi**2)
 
+
+def _det4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The determinants of the 4x4 matrices with rows ``a``, ``b``, ``c``
+    and ``d``, each component-major ``(planes, 4, ...)``: the Laplace
+    expansion over the 2x2 minors of the rows a, b and of the rows c, d."""
+    def minor(u, v, i, j):
+        return u[:, i] * v[:, j] - u[:, j] * v[:, i]
+    return (minor(a, b, 0, 1) * minor(c, d, 2, 3) - minor(a, b, 0, 2) * minor(c, d, 1, 3)
+            + minor(a, b, 0, 3) * minor(c, d, 1, 2) + minor(a, b, 1, 2) * minor(c, d, 0, 3)
+            - minor(a, b, 1, 3) * minor(c, d, 0, 2) + minor(a, b, 2, 3) * minor(c, d, 0, 1))

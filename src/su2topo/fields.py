@@ -208,6 +208,15 @@ def norm_squared(samples: np.ndarray, first: int) -> np.ndarray:
     return norms
 
 
+def _norms(block: np.ndarray) -> np.ndarray:
+    """|phi| at the sites of the component-major ``block`` ``(planes, 4,
+    ...)``: sqrt(((x0^2 + x1^2) + x2^2) + x3^2) over the component planes,
+    the order of ``np.linalg.norm`` over a trailing component axis."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(block[:, 0] * block[:, 0] + block[:, 1] * block[:, 1]
+                       + block[:, 2] * block[:, 2] + block[:, 3] * block[:, 3])
+
+
 def _finite_max(norms: np.ndarray, name: str, first: int = 0) -> float:
     """The largest of per-site ``norms``, whose axis 0 starts at plane
     ``first``.  A norm that is not finite, of samples too large to square,

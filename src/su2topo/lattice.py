@@ -130,19 +130,10 @@ class Grid:
             return n * h
         return (n - 1) * h
 
-    def quadrature_weights(self) -> np.ndarray:
-        """Outer-product quadrature weights, shape ``(*shape,)``.
-
-        Raises :class:`LatticeError` unless the smallest and the largest
-        weight, the products of the per-axis ones, are finite and positive:
-        spacings whose cell volume overflows or underflows to 0 would make
-        every integral infinite or 0.
-        """
-        weights = self._axis_weights()
-        return reduce(np.multiply.outer, weights[1:], weights[0])
-
     def _axis_weights(self) -> list:
-        """The per-axis factors of :meth:`quadrature_weights`, checked."""
+        """The per-axis quadrature weights, whose outer product weighs the
+        sites; :class:`LatticeError` unless the smallest and the largest
+        site weight are finite and positive."""
         weights = []
         for i in range(self.rank):
             n, h = self.shape[i], self.spacing[i]
@@ -568,15 +559,15 @@ class Quadrature:
     """The quadrature of per-site samples over a grid, fed one axis-0 slab
     at a time, in any order, without holding them.
 
-    The sum has one definition: each axis-0 plane's samples times
-    ``grid.quadrature_weights()`` are summed in C order by one
-    ``np.add.reduce``, and the plane sums by ``math.fsum``, which is exact
+    The sum has one definition: each axis-0 plane's samples times their
+    weights, the outer product of the per-axis ones, are summed in C order
+    by one ``np.add.reduce``, and the plane sums by ``math.fsum``, which is exact
     (where its running sum overflows, finite plane sums are added exactly
     as fractions, and only a total that rounds past the largest float is
     not finite).  So the total depends neither on the slabs nor on the order they are
     fed in (a stencil sweep finishes a periodic axis 0's first slab last),
     and only the plane sums are held.  The weights are checked when the
-    quadrature is made (see :meth:`Grid.quadrature_weights`).
+    quadrature is made (:meth:`Grid._axis_weights`).
     """
 
     def __init__(self, grid: Grid):
@@ -629,8 +620,7 @@ class Quadrature:
 def integrate_values(values: np.ndarray, grid: Grid) -> float:
     """Quadrature of per-site samples over the grid volume: the
     :class:`Quadrature` fed the samples slab by slab (:func:`slabs`), the
-    exact sum of the planes' ``np.add.reduce`` of ``values *
-    grid.quadrature_weights()``.
+    exact sum of the planes' ``np.add.reduce`` of the weighted samples.
 
     A sum that is not finite (the samples times the weights overflow, or
     a sample is not finite) raises :class:`FieldError`.

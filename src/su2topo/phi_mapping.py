@@ -10,7 +10,8 @@ d_j measured as a surface integral over a small 3-sphere:
 
 with n = phi/|phi| sampled on the sphere.  The ledger then states
 C_2 = sum_j beta_j eta_j and cross-checks it against the Chern-Simons flux
-of the unit spinor through the 8 faces of the box, which by Stokes is the
+of the unit spinor through the 8 faces of the box, the degree density of
+n on the faces, which by Stokes is the
 same C_2 computed from the boundary alone; the sum doubles as the Euler
 characteristic through the top Chern class.
 
@@ -38,7 +39,8 @@ interpolant and its exact gradient, with O(h^2) positions, read from the
 bounding block of the points only.  Sphere sampling needs values only: it
 calls the sampler with ``jet=False``, or plain interpolation, on one
 chi-slab of the sphere chart at a time, and the chart derivatives of n
-and the determinants of the 4x4 matrices [n, d n] follow a slab behind,
+and the determinants of the 4x4 matrices [n, d n] (the faces' kernel)
+follow a slab behind,
 summed as they are swept, so no attempt holds more of the sphere than a
 few slabs.
 """
@@ -51,9 +53,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chern_density import boundary_cs_sum, check_flux_box
+from .chern_density import _det4, boundary_degree, check_flux_box
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
-from .fields import PhiField, _finite_max
+from .fields import PhiField, _finite_max, _norms
 from .generators import s3_chart_grid, s3_points
 from .lattice import (Grid, Quadrature, ScalarField, component_major, derivative_stack,
                       interpolate, interpolate_with_gradient, interpolation_window,
@@ -204,15 +206,6 @@ def _cell_mask(lower: np.ndarray, upper: np.ndarray, grid: Grid) -> np.ndarray:
             high = high[lo] | high[hi]
     span = low & high
     return span[:, 0] & span[:, 1] & span[:, 2] & span[:, 3]
-
-
-def _norms(block: np.ndarray) -> np.ndarray:
-    """|phi| at the sites of the component-major ``block`` ``(planes, 4,
-    ...)``: sqrt(((x0^2 + x1^2) + x2^2) + x3^2) over the component planes,
-    the order of ``np.linalg.norm`` over a trailing component axis."""
-    with np.errstate(over="ignore"):
-        return np.sqrt(block[:, 0] * block[:, 0] + block[:, 1] * block[:, 1]
-                       + block[:, 2] * block[:, 2] + block[:, 3] * block[:, 3])
 
 
 def _screen(phi: PhiField):
@@ -423,25 +416,26 @@ def surface_degree(evaluate, center, radius: float):
 
 
 def _slab_dets(n: np.ndarray, agrid: Grid, slab: slice, first: int) -> np.ndarray:
-    """det[n, d n] on the planes ``slab`` of the sphere chart, from the
-    window ``n`` of the planes whose first is ``first``."""
-    rows = n[slab.start - first:slab.stop - first, ..., None, :]
-    dn = derivative_stack(n, agrid, 2, slab, first)
-    return np.linalg.det(np.concatenate([rows, dn], axis=-2))
+    """det[n, d n] (:func:`~su2topo.chern_density._det4`) on the planes
+    ``slab`` of the sphere chart, from the component-major window ``n`` of
+    the planes whose first is ``first``."""
+    dn = derivative_stack(n, agrid, 2, slab, first, components_first=True)
+    return _det4(n[slab.start - first:slab.stop - first], dn[:, 0], dn[:, 1], dn[:, 2])
 
 
 def _sphere_slabs(evaluate, center: np.ndarray, radius: float, agrid: Grid):
     """Yield ``(slab, [n])`` for each chi-slab of the sphere chart
-    ``agrid``: n = phi/|phi| at the slab's points, for
+    ``agrid``: n = phi/|phi| at the slab's points, component-major, for
     :func:`~su2topo.lattice.stencil_windows`."""
     for slab in slabs(agrid):
         points = center + radius * s3_points(agrid, slab)
-        samples = np.asarray(evaluate(points.reshape(-1, 4))).reshape(points.shape)
-        norms = np.linalg.norm(samples, axis=-1)
+        samples = component_major(
+            np.asarray(evaluate(points.reshape(-1, 4))).reshape(points.shape), 3)
+        norms = _norms(samples)
         if np.min(norms) <= 0.0 or not np.all(np.isfinite(norms)):
             raise ZeroLocationError(
                 "phi vanishes on the sampling sphere; another zero within radius")
-        yield slab, [samples / norms[..., None]]
+        yield slab, [samples / norms[:, None]]
 
 
 def _check_sphere_inside(grid: Grid, center, radius: float) -> None:
@@ -553,9 +547,10 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05) -> LedgerAnalysis:
 
     Each zero's degree sphere has a radius of three cell widths, shrunk to
     0.45 of the smallest zero separation.  The ledger sum is compared with
-    :func:`~su2topo.chern_density.boundary_cs_sum` of phi, which reads only
-    the 8 faces of the box: the two sides share no computed quantity, so a
-    missed or misclassified zero shows as a discrepancy.  A grid whose faces
+    :func:`~su2topo.chern_density.boundary_degree` of phi, which reads only
+    the 8 faces of the box: the two sides share no computed quantity but
+    the determinant kernel, so a missed or misclassified zero shows as a
+    discrepancy.  A grid whose faces
     cannot be summed is rejected before the search.  The zeros are
     classified one after another, in the search's order.
     """
@@ -570,7 +565,7 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05) -> LedgerAnalysis:
 
     # the faces first: a zero on a face site is reported as such, not as a
     # degree sphere that leaves the box
-    flux, _ = boundary_cs_sum(phi)
+    flux = boundary_degree(phi)
     classified = [local_degree(phi, z, radius=radius) for z in search.zeros]
     ledger = charge_ledger(classified, flux, tolerance=ledger_tol)
     return LedgerAnalysis(ledger=ledger, search=search)

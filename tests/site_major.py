@@ -8,7 +8,9 @@ floating-point operation here is the one the library's kernel performs on
 the same operands, in the same order, except that the trace route's color
 contraction, the linear map and the quotient rule's Psi^dag d Psi are
 ``np.einsum``'s, which the library writes out.
-:func:`plane_quadrature` is the quadrature's definition on a whole grid.
+:func:`plane_quadrature` is the quadrature's definition on a whole grid,
+and :func:`boundary_cs_sum` the spinor route of the boundary flux, the
+oracle of the boundary degree.
 
 The rank-4 forms take points ``(..., 4)`` with jets ``(..., rank, 4)``:
 the quaternion kernels of the box and chart generators, the box maps'
@@ -16,10 +18,12 @@ values and jets, the zero screen's corner min/max mask on the whole grid,
 and :func:`normalize`'s quotient rule.
 """
 
+import functools
 import math
 
 import numpy as np
 
+import su2topo as st
 from su2topo.lattice import derivative_stack
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -138,12 +142,38 @@ def fn_pointwise(c, h):
     return 0.5 * (c[..., 0] * h[..., 2] - c[..., 1] * h[..., 1] + c[..., 2] * h[..., 0])
 
 
+def quadrature_weights(grid):
+    """The quadrature weight of every site of ``grid``, shape ``grid.shape``:
+    the outer product of the per-axis weights."""
+    weights = grid._axis_weights()
+    return functools.reduce(np.multiply.outer, weights[1:], weights[0])
+
+
 def plane_quadrature(values, grid):
     """The quadrature of whole-grid samples by its definition: each axis-0
-    plane of ``values * grid.quadrature_weights()`` summed in C order by
+    plane of ``values * quadrature_weights(grid)`` summed in C order by
     one ``np.add.reduce``, and the plane sums by ``math.fsum``."""
-    weighted = values * grid.quadrature_weights()
+    weighted = values * quadrature_weights(grid)
     return math.fsum(float(np.add.reduce(plane.reshape(-1))) for plane in weighted)
+
+
+def boundary_cs_sum(field):
+    """The spinor Chern-Simons flux through the 8 faces of a rank-4 box:
+    each face of a spinor field as given, of a phi field as its unit
+    spinor, its integrand computed whole from its current and summed by
+    one ``np.sum``.  The face orthogonal to axis ``m`` counts with sign
+    (-1)^m, top minus bottom.  Returns ``(real part, |imaginary part|)``;
+    the imaginary part of a closed boundary's sum is quadrature error."""
+    total = 0j
+    for axis in range(4):
+        for side, side_sign in ((1, 1.0), (0, -1.0)):
+            face = st.face_restrict(field, axis, side)
+            if isinstance(face, st.PhiField):
+                face = st.normalize(st.phi_to_spinor(face))
+            raw = spinor_cs_values(current(face)[..., 0], face.derivatives())
+            total += (-1.0) ** axis * side_sign * np.sum(raw * quadrature_weights(face.grid))
+    total *= st.ORIENTATION_SIGN * field.grid.orientation
+    return float(total.real), float(abs(total.imag))
 
 
 def routes(psi):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 import su2topo as st
 from su2topo import FieldError
@@ -177,7 +179,7 @@ def test_chern_weil_stokes_consistency():
     for factor, grid in ((1, base), (2, st.box_grid((19, 19, 19, 19), -1.0, 1.0))):
         psi = st.random_config(3, "spinor", grid)
         volume = st.integrate(st.spinor_chern_density(psi).field)
-        boundary, residue = st.boundary_cs_sum(psi)
+        boundary, residue = oracle.boundary_cs_sum(psi)
         diffs[factor] = abs(volume - boundary)
         residues[factor] = residue
     assert 3.0 < diffs[1] / diffs[2] < 5.0
@@ -185,63 +187,115 @@ def test_chern_weil_stokes_consistency():
     assert residues[1] / residues[2] > 3.0
 
 
-def test_boundary_flux_of_phi_normalizes_face_by_face():
+_ROOTS = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+
+
+def test_boundary_degree_equals_the_spinor_face_flux():
+    # on the unit spinor of phi the Chern-Simons integrand of a face is the
+    # degree density of n = phi/|phi|, so the determinant route equals the
+    # oracle's spinor route within a few ulps on jet faces (measured: 1)
     grid = st.box_grid((16, 16, 16, 16), -2.0, 2.0)
-    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
-    phi = st.quaternion_polynomial_field(roots, grid)
-    jet = phi.exact_jet()
+    qpoly = st.quaternion_polynomial_field(_ROOTS, grid)
+    jet = qpoly.exact_jet()
     for axis in range(4):
         keep = [i for i in range(4) if i != axis]
         for side, index in ((0, 0), (1, -1)):
             # the sampler-backed face jet is the face of the whole exact jet
-            face = st.face_restrict(phi, axis, side)
+            face = st.face_restrict(qpoly, axis, side)
             assert isinstance(face, st.PhiField) and face.sampler is None
             assert face.jet is None
-            np.testing.assert_array_equal(face.values, np.take(phi.values, index, axis))
+            np.testing.assert_array_equal(face.values, np.take(qpoly.values, index, axis))
             np.testing.assert_array_equal(face.exact_jet(),
                                           np.take(jet, index, axis)[..., keep, :])
-    # normalizing each face gives the faces of the normalized spinor
-    psi = st.normalize(st.phi_to_spinor(phi))
-    assert st.boundary_cs_sum(phi) == st.boundary_cs_sum(psi)
+    matrix = np.array([[1.0, 0.2, 0.0, -0.1], [0.1, 0.9, 0.3, 0.0],
+                       [0.0, -0.2, 1.1, 0.2], [0.3, 0.0, 0.1, 0.8]])
+    fields = [qpoly, st.linear_phi_field(matrix, [0.05, -0.03, 0.02, 0.01], grid)]
+    fields += [st.quaternion_power_field(power, st.box_grid((12,) * 4, -1.0, 1.0))
+               for power in (1, -1, 2, -2, 3, -3)]
+    for phi in fields:
+        expected, _ = oracle.boundary_cs_sum(phi)
+        assert abs(st.boundary_degree(phi) - expected) <= 4 * np.spacing(abs(expected))
+        assert abs(expected - round(expected)) < 0.02
 
 
-def _whole_face_flux_sum(phi):
-    """:func:`boundary_cs_sum` of phi as it was before faces were summed slab
-    by slab: each face restricted with its whole jet stored, normalized
-    whole and its integrand computed whole."""
-    from su2topo.chern_simons import spinor_cs_values
-    from su2topo.conventions import ORIENTATION_SIGN
-    from su2topo.lattice import component_major
-    stored = st.PhiField(phi.grid, phi.values, jet=phi.exact_jet())
-    total = 0j
-    for axis in range(4):
-        for side, side_sign in ((1, 1.0), (0, -1.0)):
-            face = st.normalize(st.phi_to_spinor(st.face_restrict(stored, axis, side)))
-            j0 = component_major(oracle.current(face)[..., 0], 3)
-            raw = spinor_cs_values(j0, component_major(face.derivatives(), 3))
-            flux = np.sum(raw * face.grid.quadrature_weights())
-            total += (-1.0) ** axis * side_sign * flux
-    total *= ORIENTATION_SIGN * phi.grid.orientation
-    return float(total.real), float(abs(total.imag))
+def test_the_spinor_density_of_a_unit_chart_spinor_is_its_degree_density():
+    # the rank-3 form of the identity: on the identity chart the spinor
+    # Chern-Simons density of the unit spinor is det[n, d n] / (2 pi^2),
+    # pointwise and in its quadrature
+    from su2topo.chern_density import _degree_density
+    from su2topo.lattice import Quadrature, component_major
+    psi = st.identity_map_s3(24)
+    phi = st.spinor_to_phi(psi)
+    spinor = oracle.spinor_cs_values(oracle.current(psi)[..., 0], psi.derivatives())
+    degree = _degree_density(component_major(phi.values, 3),
+                             component_major(phi.exact_jet(), 3))
+    assert np.max(np.abs(spinor.real - degree)) <= 1e-14 * np.max(np.abs(degree))
+    quadrature = Quadrature(psi.grid)
+    quadrature.add(slice(None), degree)
+    assert abs(quadrature.total() - oracle.plane_quadrature(spinor.real, psi.grid)) < 1e-13
+    assert abs(quadrature.total() - 1.0) < 1e-2
+
+
+def _stacks(seed, exponents, dependence):
+    """Four component-major rows ``(3, 4, 5, 2)`` of random matrices: the
+    rows scaled by 10^exponents, the last one ``dependence`` away from the
+    third (singular at 0), and the stack of the matrices for ``np.linalg.det``."""
+    rng = np.random.default_rng(seed)
+    rows = list(rng.normal(size=(4, 3, 4, 5, 2)))
+    rows[3] = rows[2] + dependence * rows[3]
+    rows = [row * 10.0 ** e for row, e in zip(rows, exponents)]
+    return rows, np.moveaxis(np.stack(rows, axis=1), (1, 2), (-2, -1))
+
+
+@given(seed=hst.integers(0, 2**32 - 1),
+       exponents=hst.lists(hst.integers(-60, 60), min_size=4, max_size=4),
+       dependence=hst.sampled_from([1.0, 1e-4, 1e-9, 1e-15, 0.0]))
+def test_det4_equals_numpys_determinant(seed, exponents, dependence):
+    # the one determinant kernel of the boundary degree and the degree
+    # spheres against numpy's LU route, ill-conditioned stacks included;
+    # the error of either is bounded by rounding times the product of the
+    # row norms (Hadamard's bound on |det|).  numpy's own error reached
+    # 1.35e-14 of it on rows scaled 1, 1, 10 and 1e36; one wrong term of
+    # the expansion is of the order of the bound's scale
+    from su2topo.chern_density import _det4
+    rows, matrices = _stacks(seed, exponents, dependence)
+    scale = np.prod([np.linalg.norm(row, axis=1) for row in rows], axis=0)
+    gap = np.abs(_det4(*rows) - np.linalg.det(matrices))
+    assert np.all(gap <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+def test_degree_density_does_not_depend_on_the_scale_of_phi(scale):
+    # every row is divided by |phi| before the determinant: det[phi, d phi]
+    # / |phi|^4 overflows or underflows at these scales, the density does not
+    from su2topo.chern_density import _degree_density
+    rng = np.random.default_rng(5)
+    samples, dvalues = rng.normal(size=(3, 4, 6, 7)), rng.normal(size=(3, 3, 4, 6, 7))
+    expected = _degree_density(samples, dvalues)
+    got = _degree_density(scale * samples, scale * dvalues)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("planes", [1, 2, 5])
 def test_face_flux_by_slabs_equals_the_whole_faces(planes, monkeypatch, tmp_path):
-    # a box field serves each face's values and hands on its block jet, and
-    # a file field reads its face jets from the file, one face slab at a
-    # time; the flux equals that of whole stored faces bit for bit
+    # a box field serves each face's values and hands on its block jet, a
+    # stored field's faces are views of its arrays, and a file field reads
+    # its face jets from the file, one face slab at a time; the boundary
+    # degree of each equals that of the whole stored faces bit for bit
     from su2topo import lattice
     from su2topo.fldio import read_field, write_field
     grid = st.box_grid((12, 13, 11, 14), -2.0, 2.0)
-    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
-    phi = st.quaternion_polynomial_field(roots, grid)
+    phi = st.quaternion_polynomial_field(_ROOTS, grid)
     path = str(tmp_path / "phi.fld")
     write_field(phi, path)
-    expected = _whole_face_flux_sum(phi)
+    stored = st.PhiField(grid, phi.values, jet=phi.exact_jet())
+    assert all(n * m * k <= lattice.SLAB_SITES for n, m, k in
+               ((13, 11, 14), (12, 11, 14), (12, 13, 14), (12, 13, 11)))
+    expected = st.boundary_degree(stored)       # every face in one slab
     monkeypatch.setattr(lattice, "SLAB_SITES", planes * 11 * 12)
-    for field in (phi, read_field(path)):
-        assert st.boundary_cs_sum(field) == expected
-    assert abs(expected[0] - 2.0) < 0.1
+    for field in (phi, stored, read_field(path)):
+        assert st.boundary_degree(field) == expected
+    assert abs(expected - 2.0) < 0.1
 
 
 def test_c2_converges_to_integer_under_refinement():

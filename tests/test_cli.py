@@ -776,7 +776,10 @@ def test_chart_files_keep_their_bytes(kind, tmp_path, capsys):
 # files; the grids of the first two differ from the gauge file's (exit 3).
 # Those of "cs chart-bare", "chern spinor" and "verify identity" were
 # recorded again when quadrature took its own summation order, the exact
-# sum of plane sums, which moved a value of each by one or two ulps.
+# sum of plane sums, which moved a value of each by one or two ulps, and
+# that of "zeros qpoly-bare" when the boundary flux became the degree of
+# phi/|phi| (exit 1 -> 0, C2_boundary 1.89088352905581 ->
+# 1.9887104657696208).
 _REPORT_DIGESTS = {
     ("decompose", "--psi", "chart"):
         (0, "5755dad2862c6b79d66191da54dccf038665866a8aacc946bba954f9a8936070"),
@@ -797,7 +800,7 @@ _REPORT_DIGESTS = {
     ("zeros", "qpoly"):
         (0, "6359da10891dcf41fe6932e3f05e9a5daed14d097445fb4f225e93b96baa21f3"),
     ("zeros", "qpoly-bare"):
-        (1, "138b40534ca9f254941c1e80034ddf36cb74d5599d62db2315983be593fe5344"),
+        (0, "e0089c82d5ca88ca9c477493ed02aea8776a828dd6efd114999e64bb7c706c7a"),
     ("cs", "chart"):
         (1, "fa22b7dbbf5627982ae790494d5b8f5b94e6aad8d9eac8284804ce37e20e6035"),
     ("chern", "spinor"):
@@ -839,7 +842,9 @@ def test_reports_keep_their_bytes(argv, report_files, capsys):
 # Exit code and SHA-256 of the reports of the box generators' runs, and of
 # the files they write, recorded while box blocks were still sampled at a
 # meshgrid of their points, site-major.  The 32^4 box is the benchmark's
-# for seed 101.
+# for seed 101.  Those of "verify linear" were recorded again when the
+# boundary flux became the degree of phi/|phi|, which moved C2_boundary by
+# one ulp.
 _BOX_REPORT_DIGESTS = {
     ("verify", "qpoly", "--grid", "16,16,16,16"):
         (0, "9302778513be19c681d2aa69e2fdc23cbd9b4490aff3a39ece176c1023371e94"),
@@ -848,9 +853,9 @@ _BOX_REPORT_DIGESTS = {
     ("verify", "qpoly", "--grid", "32,32,32,32", "--box=-1.989529:2.010471"):
         (0, "cabe011109cb1252299a84afe46e2de1b3685b9cdece2a697238fcb4f45d2bc4"),
     ("verify", "linear"):
-        (0, "887806b674b82ba10e947f508aa85d94671bdcb9a2ba1e3bd47449cb00395a8c"),
+        (0, "e140b3af66af62320f3bde55f41a5b81be307b5805d1f15ae9bf184bd3a0b187"),
     ("verify", "linear", "--grid", "12,12,12,12", "--shift=0.31,-0.2,0.17,0.05"):
-        (0, "21a2226d0fa9e5cd3ed2289e1c94d1f7b24ab19e5e8c6c3b3dd4f0c00a4d134b"),
+        (0, "e900533366a13c3fa43bf9b25fc0bc5e290b856a10bead9e1ec3e46f1a54603b"),
 }
 
 _BOX_FILE_DIGESTS = {
@@ -943,7 +948,31 @@ def test_zeros_without_jets_passes_the_ledger(tmp_path, capsys):
     code, out, _ = run(capsys, "zeros", path, "--no-color")
     assert code == 0
     assert "index_sum: 2" in out
-    assert "C2_boundary: 1.97" in out
+    assert "C2_boundary: 1.9974" in out
+
+
+def _boundary_c2(out):
+    return float(re.search(r"C2_boundary: (\S+)\n", out).group(1))
+
+
+def test_bare_files_get_the_ledger_verdict_of_their_jet_files(tmp_path, capsys):
+    # the boundary degree differences phi itself, not n = phi/|phi|, so a
+    # values-only file gets its jet file's C2_boundary and verdict
+    paths = [_phi_file(tmp_path)]
+    for power in (2, -2):
+        for n in (12, 16):
+            paths.append(str(tmp_path / f"qpower{power}-{n}.fld"))
+            assert run(capsys, "generate", "--kind", "qpower", "--power", str(power),
+                       "--chart", "box", "--grid", ",".join([str(n)] * 4),
+                       "--out", paths[-1])[0] == 0
+    for path in paths:
+        code, jet_out, _ = run(capsys, "zeros", path, "--no-color")
+        assert code == 0, path
+        bare = _bare_copy(path, path[:-4] + "-bare.fld")
+        code, bare_out, _ = run(capsys, "zeros", bare, "--no-color")
+        assert code == 0, path
+        jet, got = _boundary_c2(jet_out), _boundary_c2(bare_out)
+        assert abs(got - jet) <= 1e-14 * abs(jet), path
 
 
 def test_zero_next_to_a_face_is_rejected(capsys):

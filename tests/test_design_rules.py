@@ -56,8 +56,8 @@ WHOLE_GRID_READERS = {
     "LatticeField.derivatives": "the whole-grid derivatives themselves",
     "LatticeField.__post_init__": "checks that stored samples are finite",
     "integrate": "the quadrature of a stored density, of the rank-4 Chern routes",
-    "normalize": "its result stores its samples: served block by block "
-                 "instead, the 32^4 boundary flux took 119-137 ms, not 102-106",
+    "normalize": "its result stores its samples, read by the decompose, cs and "
+                 "chern commands",
     "field_strength": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",
     "spinor_chern_density": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",
     "unit_chern_density": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",

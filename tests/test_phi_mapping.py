@@ -749,7 +749,7 @@ def test_zeros_on_a_jet_file_peaks_below_the_values_and_one_plane(tmp_path):
     def jet_readers():
         field = read_field(path)
         st.locate_zeros(field)
-        st.boundary_cs_sum(field)
+        st.boundary_degree(field)
 
     # measured 5.2 planes (10.0 with the values resident); a resident jet
     # is 20 more
