@@ -13,8 +13,7 @@ from .errors import (BadMagicError, ChecksumError, CountMismatchError,
                      FileChangedError, HeaderError, LatticeError,
                      NormalizationError, ReconstructionError, Su2TopoError,
                      ZeroLocationError)
-from .lattice import (Grid, ScalarField, derivative_stack, integrate,
-                      integrate_values, interpolate)
+from .lattice import Grid, ScalarField, derivative_stack, interpolate
 from .su2_algebra import GENERATORS, IDENTITY2, SIGMA, self_check
 from .fields import (GaugeField, PhiField, SpinorField, face_restrict, normalize,
                      norm_squared, phi_to_spinor, sigma_model_field, spinor_to_phi)
@@ -24,9 +23,7 @@ from .decomposition import (Decomposition, covariant_derivative, decompose,
 # attribute it would shadow its module.
 from .chern_simons import (AbelianData, Density, KnotCharges, fn_pointwise,
                            trace_pointwise)
-from .chern_density import (boundary_degree, field_strength, spinor_chern_density,
-                            spinor_chern_values, trace_chern_density,
-                            unit_chern_density, unit_chern_values)
+from .chern_density import boundary_degree, chern_numbers
 from .phi_mapping import (Ledger, LedgerAnalysis, ZeroPoint, ZeroSearch,
                           analyze, charge_ledger, jacobian, local_degree,
                           locate_zeros, surface_degree)

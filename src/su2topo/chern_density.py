@@ -1,8 +1,6 @@
 """Chern density on rank-4 grids and the second Chern number.
 
-Three pointwise routes to the density rho(x), one function each
-(:func:`spinor_chern_density`, :func:`unit_chern_density` and
-:func:`trace_chern_density`):
+Three pointwise routes to the density rho(x) of a rank-4 spinor:
 
   spinor:  rho = -1/(4 pi^2) eps^{mnlr} d_m Psi^dag d_n Psi d_l Psi^dag d_r Psi
   unit:    rho = 1/(12 pi^2) eps^{mnlr} eps_{abcd}
@@ -14,6 +12,20 @@ derivatives (they agree at machine epsilon on jets).  On exactly unit data
 the density vanishes pointwise away from zeros of the underlying 4-vector
 field: the whole charge concentrates at those zeros, where the unit
 spinor is singular.
+
+:func:`chern_numbers` integrates the routes it is asked for in one sweep
+over the axis-0 slabs (``SpinorField.slab_currents``), as the rank-3
+knot-charge sweep does, and feeds each slab's density of each route to
+that route's :class:`~su2topo.lattice.Quadrature`; no density is kept.
+Each route's kernel takes one slab's component-major arrays.  The spinor
+kernel reads d Psi only through Im t_mn, t_mn = sum_c d_m Psi_c^* d_n
+Psi_c, since t_mn - t_nm = 2i Im t_mn, so its density is real by
+construction.  The unit kernel takes the determinant (:func:`_det4`) of
+the four rows d_m n, the real and imaginary parts of d_m Psi.  The trace
+kernel reads the parallel potential A^a = -2 Im J^a of each slab and its
+finite differences, taken a slab behind on windows of the planes their
+stencils read (:func:`~su2topo.lattice.stencil_windows`), so neither A
+nor dA is held for the whole grid.
 
 Integrating rho over the volume gives the second Chern number, which by
 Stokes also equals the sum of oriented Chern-Simons boundary integrals
@@ -28,97 +40,99 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chern_simons import _colour_dot, _im_pair
 from .conventions import ORIENTATION_SIGN, PAIRS4
+from .decomposition import parallel_components
 from .errors import FieldError, NormalizationError
-from .fields import (EPS_ZERO, GaugeField, PhiField, SpinorField, _check_nonvanishing,
-                     _norms, face_restrict, phi_to_spinor)
-from .lattice import Grid, Quadrature, ScalarField, component_major, read_only, slabs
-from .chern_simons import Density
+from .fields import (EPS_ZERO, PhiField, SpinorField, _check_nonvanishing, _norms,
+                     face_restrict, phi_to_spinor)
+from .lattice import (Grid, Quadrature, component_major, derivative_stack, slabs,
+                      stencil_windows)
+
+#: The Chern-density routes, in the order reports list them.
+ROUTES = ("spinor", "unit", "trace")
 
 
-def field_strength(gauge: GaugeField) -> np.ndarray:
-    """F_mn = d_m A_n - d_n A_m - [A_m, A_n] on a rank-4 grid, in components.
+def chern_numbers(psi: SpinorField, routes) -> dict[str, float]:
+    """The second Chern number of a rank-4 spinor by each of ``routes``
+    (names from :data:`ROUTES`), in one sweep over its axis-0 slabs.
 
-    Derivatives come from the gauge jet when present (exact), otherwise
-    from second-order finite differences.  With T_a = sigma_a/(2i) the
-    commutator is [A_m, A_n]^a = eps_abc A_m^b A_n^c, so
-    F_mn^a = dA - dA - (A_m x A_n)^a.  Returns the read-only components
-    F_mn^a for mu < nu, antisymmetric by storage: shape ``(*shape, 6, 3)``
-    indexed by :data:`su2topo.conventions.PAIRS4`.
+    The spinor route accepts any smooth spinor (its density is the
+    exterior derivative of the Chern-Simons form either way); the unit
+    and trace routes need a normalized one.  A route not asked for is not
+    computed, and without the trace route no window of A is held.  Each
+    total is that of the whole-grid density, whatever the slabs.  Raises
+    :class:`FieldError` on a field of the wrong kind or rank, and on a sum
+    that is not finite.
     """
-    grid = gauge.grid
+    if not isinstance(psi, SpinorField):
+        raise FieldError("Chern routes need a SpinorField")
+    grid = psi.grid
     if grid.rank != 4:
-        raise FieldError("field strength needs a rank-4 grid")
-    da = gauge.derivatives()  # (*s, deriv, axis, 3)
-    a = gauge.values
-    pairs = np.empty(grid.shape + (6, 3))
-    for idx, (mu, nu) in enumerate(PAIRS4):
-        curl = da[..., mu, nu, :] - da[..., nu, mu, :]
-        comm = np.cross(a[..., mu, :], a[..., nu, :])
-        pairs[..., idx, :] = curl - comm
-    return read_only(pairs)
-
-
-def spinor_chern_values(dvalues: np.ndarray) -> np.ndarray:
-    """Spinor-route density from derivative samples ``(..., 4, 2)``."""
-    t = np.einsum("...mc,...nc->...mn", np.conj(dvalues), dvalues)
-    p01 = t[..., 0, 1] - t[..., 1, 0]
-    p02 = t[..., 0, 2] - t[..., 2, 0]
-    p03 = t[..., 0, 3] - t[..., 3, 0]
-    p12 = t[..., 1, 2] - t[..., 2, 1]
-    p13 = t[..., 1, 3] - t[..., 3, 1]
-    p23 = t[..., 2, 3] - t[..., 3, 2]
-    contraction = 2.0 * (p01 * p23 - p02 * p13 + p03 * p12)
-    return -contraction / (4.0 * np.pi**2)
-
-
-def unit_chern_values(dvalues: np.ndarray) -> np.ndarray:
-    """Unit/4-vector-route density (2/pi^2) det[d_m v^a] from ``(..., 4, 4)``."""
-    return (2.0 / np.pi**2) * np.linalg.det(dvalues)
-
-
-def _route_sign(source, kind: type, route: str) -> float:
-    """The orientation sign of a route's density; raises
-    :class:`FieldError` unless ``source`` is a rank-4 ``kind`` field."""
-    if not isinstance(source, kind):
-        raise FieldError(f"{route} route needs a {kind.__name__}")
-    if source.grid.rank != 4:
         raise FieldError("Chern densities live on rank-4 grids")
-    return ORIENTATION_SIGN * source.grid.orientation
+    if {"unit", "trace"} & set(routes) and not psi.normalized:
+        raise FieldError("the unit and trace routes need a normalized spinor")
+    sign = ORIENTATION_SIGN * grid.orientation
+    order = 2                       # of the dA stencils
+    sums = {route: Quadrature(grid) for route in routes}
+
+    def first_pass():
+        for slab, _, dvalues, current in psi.slab_currents():
+            for route, kernel in (("spinor", _spinor_values), ("unit", _unit_values)):
+                if route in sums:
+                    sums[route].add(slab, sign * kernel(dvalues))
+            if "trace" in sums:
+                gauge = parallel_components(current)
+                del _, dvalues, current      # not held through the trace pass
+                yield slab, [gauge]
+
+    for slab, (gauge,), first in stencil_windows(grid, order, first_pass()):
+        own = slice(slab.start - first, slab.stop - first)
+        sums["trace"].add(slab, sign * _trace_values(gauge[own], derivative_stack(
+            gauge, grid, order, slab, first, components_first=True)))
+    return {route: quadrature.total() for route, quadrature in sums.items()}
 
 
-def spinor_chern_density(psi: SpinorField) -> Density:
-    """Spinor-route density of a rank-4 spinor: typically normalized, but
-    any smooth spinor is accepted (the formula is the exterior derivative
-    of its Chern-Simons form either way)."""
-    sign = _route_sign(psi, SpinorField, "spinor")
-    raw = spinor_chern_values(psi.derivatives()) * sign
-    return Density(ScalarField(psi.grid, raw.real), float(np.max(np.abs(raw.imag))))
+def _spinor_values(dvalues: np.ndarray) -> np.ndarray:
+    """Spinor-route density of d Psi, component-major ``(planes, 4, 2,
+    ...)``.  With I_mn = Im t_mn, t_mn - t_nm = 2i I_mn, so the contraction
+    2 (p01 p23 - p02 p13 + p03 p12) of p_mn = t_mn - t_nm is
+    -8 (I01 I23 - I02 I13 + I03 I12)."""
+    def im(m, n):
+        return _im_pair(dvalues, m, n)
+    return 8.0 * (im(0, 1) * im(2, 3) - im(0, 2) * im(1, 3) + im(0, 3) * im(1, 2)) \
+        / (4.0 * np.pi**2)
 
 
-def unit_chern_density(psi: SpinorField) -> Density:
-    """Unit-route density of a normalized rank-4 spinor: the real view of
-    its derivatives is dn of the unit 4-vector n."""
-    sign = _route_sign(psi, SpinorField, "unit")
-    if not psi.normalized:
-        raise FieldError("unit route needs a normalized spinor")
-    raw = unit_chern_values(psi.derivatives().view(np.float64)) * sign
-    return Density(ScalarField(psi.grid, read_only(raw)), 0.0)
+def _unit_values(dvalues: np.ndarray) -> np.ndarray:
+    """Unit-route density (2/pi^2) det[d_m n^a] of a normalized spinor's
+    d Psi, component-major ``(planes, 4, 2, ...)``: row m is d_m n, the
+    real and imaginary parts of d_m Psi_0 and of d_m Psi_1."""
+    rows = np.stack((dvalues.real, dvalues.imag), axis=3)
+    rows = rows.reshape(rows.shape[:2] + (4,) + rows.shape[4:])
+    return (2.0 / np.pi**2) * _det4(*rows.swapaxes(0, 1))
 
 
-def trace_chern_density(gauge: GaugeField) -> Density:
-    """Trace-route density of a rank-4 gauge field, from its
-    :func:`field_strength`."""
-    sign = _route_sign(gauge, GaugeField, "trace")
-    raw = -_eps4_pair_contract_dot(field_strength(gauge)) / (64.0 * np.pi**2) * sign
-    return Density(ScalarField(gauge.grid, read_only(raw)), 0.0)
+def _field_strength(gauge: np.ndarray, dgauge: np.ndarray) -> np.ndarray:
+    """F_mn^a = d_m A_n^a - d_n A_m^a - (A_m x A_n)^a for the pairs mu < nu
+    of :data:`~su2topo.conventions.PAIRS4`, from component-major A
+    ``(planes, 4, 3, ...)`` and dA ``(planes, 4, 4, 3, ...)``: with
+    T_a = sigma_a/(2i) the commutator is [A_m, A_n]^a = eps_abc A_m^b
+    A_n^c.  Shape ``(planes, 6, 3, ...)``."""
+    out = np.empty(gauge.shape[:1] + (6,) + gauge.shape[2:])
+    for idx, (mu, nu) in enumerate(PAIRS4):
+        out[:, idx] = (dgauge[:, mu, nu] - dgauge[:, nu, mu]
+                       - np.cross(gauge[:, mu], gauge[:, nu], axis=1))
+    return out
 
 
-def _eps4_pair_contract_dot(pairs: np.ndarray) -> np.ndarray:
-    """eps^{mnlr} F_mn . F_lr with the color dot product folded in."""
-    def dot(i, j):
-        return np.einsum("...a,...a->...", pairs[..., i, :], pairs[..., j, :])
-    return 8.0 * (dot(0, 5) - dot(1, 4) + dot(2, 3))
+def _trace_values(gauge: np.ndarray, dgauge: np.ndarray) -> np.ndarray:
+    """Trace-route density -eps^{mnlr} F_mn . F_lr / (64 pi^2) of
+    component-major A and dA (:func:`_field_strength`), the color dot
+    product summed as :func:`~su2topo.chern_simons._colour_dot` does."""
+    f = _field_strength(gauge, dgauge)
+    return -(8.0 * (_colour_dot(f[:, 0], f[:, 5]) - _colour_dot(f[:, 1], f[:, 4])
+                    + _colour_dot(f[:, 2], f[:, 3]))) / (64.0 * np.pi**2)
 
 
 def check_flux_box(grid: Grid) -> None:

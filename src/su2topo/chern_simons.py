@@ -45,10 +45,10 @@ layout (``derivative_stack(..., components_first=True)``).  The trace
 density sums its color contraction in einsum's order on color-last rows,
 (A^0 D^0 + A^2 D^2) + A^1 D^1, so every density keeps its bits.  Each
 density is summed as it is swept (:class:`~su2topo.lattice.Quadrature`,
-whose total does not depend on the slabs), bit for bit the
-:func:`~su2topo.lattice.integrate` of the whole-grid density, and not
-kept; residues, residuals and the decomposition's reductions are maxima
-over the slabs, folded so that a NaN survives.  A library caller that
+whose total does not depend on the slabs), bit for bit the quadrature of
+the whole-grid density, and not kept; residues, residuals and the
+decomposition's reductions are maxima over the slabs, folded so that a
+NaN survives.  A library caller that
 reads ``KnotCharges.spinor``, ``.trace``, ``.fn``, ``.gauge``,
 ``abelian.c`` or ``abelian.h_pairs`` gets them built slab by slab by the
 same sweep or kernel, bit for bit, and site-major as grids are stored.
@@ -80,16 +80,21 @@ def spinor_cs_values(j0: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
     the current of ``SpinorField.slab_currents``, and ``dvalues`` the
     jets d_i Psi ``(planes, 3, 2, ...)``.  Only the antisymmetric part of
     s2_jk = d_j Psi^dag d_k Psi enters the contraction, and
-    s2_jk - s2_kj = 2i Im s2_jk.
+    s2_jk - s2_kj = 2i Im s2_jk (:func:`_im_pair`).
     """
-    re, im = dvalues.real, dvalues.imag
     out = np.zeros(j0.shape[:1] + j0.shape[2:], dtype=np.complex128)
     for i, j, k in _CYCLIC3:
-        im_s2 = ((re[:, j, 0] * im[:, k, 0] - im[:, j, 0] * re[:, k, 0])
-                 + (re[:, j, 1] * im[:, k, 1] - im[:, j, 1] * re[:, k, 1]))
-        out += j0[:, i] * im_s2
+        out += j0[:, i] * _im_pair(dvalues, j, k)
     out *= 2j
     return -out / (4.0 * np.pi**2)
+
+
+def _im_pair(dvalues: np.ndarray, j: int, k: int) -> np.ndarray:
+    """Im (d_j Psi^dag d_k Psi) of component-major jets ``(planes, rank,
+    2, ...)``, summed over the two spinor components."""
+    re, im = dvalues.real, dvalues.imag
+    return ((re[:, j, 0] * im[:, k, 0] - im[:, j, 0] * re[:, k, 0])
+            + (re[:, j, 1] * im[:, k, 1] - im[:, j, 1] * re[:, k, 1]))
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
@@ -131,8 +136,8 @@ def trace_cs_values(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Density:
-    """Density samples (Chern-Simons or Chern) with the largest imaginary
-    part the route discarded."""
+    """Chern-Simons density samples with the largest imaginary part the
+    route discarded."""
 
     field: ScalarField
     imag_residue: float

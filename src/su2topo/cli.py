@@ -26,13 +26,12 @@ import numpy as np
 
 from . import chern_simons as cs
 from . import fldio, generators, phi_mapping, su2_algebra
-from .chern_density import spinor_chern_density, trace_chern_density, unit_chern_density
-from .decomposition import decompose, parallel_gauge_potential
+from .chern_density import ROUTES, chern_numbers
+from .decomposition import decompose
 from .errors import (FieldError, FieldFormatError, LatticeError,
                      ReconstructionError, Su2TopoError)
 from .fields import (GaugeField, PhiField, SpinorField, normalize,
                      phi_to_spinor, spinor_to_phi)
-from .lattice import integrate
 from .report import ChargeReport, __version__
 
 #: Bound, relative to max(1, |Q|), of a check whose two routes share every
@@ -357,20 +356,11 @@ def _run_cs(args, psi: SpinorField | None = None, parallel: bool = False) -> Cha
 def cmd_chern(args) -> int:
     field = fldio.read_field(args.infile)
     report = ChargeReport("chern", config=_config_echo(args, field.grid))
-    psi = _as_spinor(field, args.infile)
-
-    methods = ["spinor", "unit", "trace"] if args.method == "all" else [args.method]
-    unit = normalize(psi) if methods != ["spinor"] else None
-    routes = {"spinor": lambda: spinor_chern_density(psi),
-              "unit": lambda: unit_chern_density(unit),
-              "trace": lambda: trace_chern_density(parallel_gauge_potential(unit))}
-    results = {}
-    for method in methods:
-        start = time.perf_counter()
-        rho = routes[method]()
-        c2 = integrate(rho.field)
-        report.timings[f"{method}_s"] = time.perf_counter() - start
-        results[f"C2_{method}"] = {**_charge_entry(c2), "imag_residue": rho.imag_residue}
+    psi = normalize(_as_spinor(field, args.infile))
+    start = time.perf_counter()
+    charges = chern_numbers(psi, ROUTES if args.method == "all" else [args.method])
+    report.timings["chern_s"] = time.perf_counter() - start
+    results = {f"C2_{route}": _charge_entry(c2) for route, c2 in charges.items()}
     report.results["chern"] = results
     if len(results) > 1:
         values = [entry["value"] for entry in results.values()]

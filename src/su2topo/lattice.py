@@ -617,28 +617,6 @@ class Quadrature:
         return total
 
 
-def integrate_values(values: np.ndarray, grid: Grid) -> float:
-    """Quadrature of per-site samples over the grid volume: the
-    :class:`Quadrature` fed the samples slab by slab (:func:`slabs`), the
-    exact sum of the planes' ``np.add.reduce`` of the weighted samples.
-
-    A sum that is not finite (the samples times the weights overflow, or
-    a sample is not finite) raises :class:`FieldError`.
-    """
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise LatticeError("value array does not match grid shape")
-    quadrature = Quadrature(grid)
-    for slab in slabs(grid):
-        quadrature.add(slab, values[slab])
-    return quadrature.total()
-
-
-def integrate(density: ScalarField) -> float:
-    """Quadrature of a scalar field over its grid volume."""
-    return integrate_values(density.values, density.grid)
-
-
 def _fractional_index(grid: Grid, points: np.ndarray) -> tuple:
     """Per-axis base indices and fractions for multilinear interpolation."""
     bases, fracs = [], []

@@ -9,8 +9,14 @@ the same operands, in the same order, except that the trace route's color
 contraction, the linear map and the quotient rule's Psi^dag d Psi are
 ``np.einsum``'s, which the library writes out.
 :func:`plane_quadrature` is the quadrature's definition on a whole grid,
-and :func:`boundary_cs_sum` the spinor route of the boundary flux, the
-oracle of the boundary degree.
+:func:`quadrature` the library's quadrature fed a whole grid slab by
+slab, and :func:`boundary_cs_sum` the spinor route of the boundary flux,
+the oracle of the boundary degree.  The three rank-4 Chern-density routes
+are here in the whole-grid forms the library had before it swept them:
+the trace route from the whole-grid :func:`field_strength`, which the
+library's kernel equals bit for bit, and, by other operations, the
+spinor route by ``np.einsum`` over complex t_mn and the unit route by
+``np.linalg.det``, which its kernels equal within a few ulps.
 
 The rank-4 forms take points ``(..., 4)`` with jets ``(..., rank, 4)``:
 the quaternion kernels of the box and chart generators, the box maps'
@@ -24,7 +30,8 @@ import math
 import numpy as np
 
 import su2topo as st
-from su2topo.lattice import derivative_stack
+from su2topo.conventions import PAIRS4
+from su2topo.lattice import Quadrature, derivative_stack, slabs
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 H_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -157,6 +164,15 @@ def plane_quadrature(values, grid):
     return math.fsum(float(np.add.reduce(plane.reshape(-1))) for plane in weighted)
 
 
+def quadrature(values, grid):
+    """The :class:`~su2topo.lattice.Quadrature` of whole-grid samples, fed
+    slab by slab (:func:`~su2topo.lattice.slabs`)."""
+    total = Quadrature(grid)
+    for slab in slabs(grid):
+        total.add(slab, values[slab])
+    return total.total()
+
+
 def boundary_cs_sum(field):
     """The spinor Chern-Simons flux through the 8 faces of a rank-4 box:
     each face of a spinor field as given, of a phi field as its unit
@@ -189,6 +205,41 @@ def routes(psi):
     return {"spinor": spinor_cs_values(j[..., 0], psi.derivatives()), "gauge": gauge,
             "trace": trace_cs_values(gauge, derivative_stack(gauge, grid)),
             "c": c, "h": h, "fn": fn_pointwise(c, h), "dc": derivative_stack(c, grid)}
+
+
+def spinor_chern_values(dvalues):
+    """Spinor-route Chern density of derivative samples ``(..., 4, 2)``,
+    unsigned and complex: the contraction of t_mn - t_nm, t = d Psi^dag d Psi
+    by ``np.einsum``."""
+    t = np.einsum("...mc,...nc->...mn", np.conj(dvalues), dvalues)
+    p = {(m, n): t[..., m, n] - t[..., n, m] for m, n in PAIRS4}
+    contraction = 2.0 * (p[0, 1] * p[2, 3] - p[0, 2] * p[1, 3] + p[0, 3] * p[1, 2])
+    return -contraction / (4.0 * np.pi**2)
+
+
+def unit_chern_values(dvalues):
+    """Unit-route Chern density (2/pi^2) det[d_m v^a] of ``(..., 4, 4)``,
+    unsigned, by ``np.linalg.det``."""
+    return (2.0 / np.pi**2) * np.linalg.det(dvalues)
+
+
+def field_strength(gauge):
+    """F_mn^a = d_m A_n - d_n A_m - (A_m x A_n)^a of a rank-4 gauge field
+    on the whole grid, shape ``(*shape, 6, 3)`` over the pairs mu < nu."""
+    da, a = gauge.derivatives(), gauge.values
+    pairs = np.empty(gauge.grid.shape + (6, 3))
+    for idx, (mu, nu) in enumerate(PAIRS4):
+        pairs[..., idx, :] = (da[..., mu, nu, :] - da[..., nu, mu, :]
+                              - np.cross(a[..., mu, :], a[..., nu, :]))
+    return pairs
+
+
+def trace_chern_values(strength):
+    """Trace-route Chern density -eps^{mnlr} F_mn . F_lr / (64 pi^2) of
+    :func:`field_strength`, unsigned, the color dot by ``np.einsum``."""
+    def dot(i, j):
+        return np.einsum("...a,...a->...", strength[..., i, :], strength[..., j, :])
+    return -(8.0 * (dot(0, 5) - dot(1, 4) + dot(2, 3))) / (64.0 * np.pi**2)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import su2topo as st
+from su2topo.chern_density import _spinor_values, _unit_values
 from su2topo.chern_simons import chern_simons
 from su2topo.cli import main as cli_main
 from su2topo.fldio import read_field, write_field
@@ -135,8 +136,8 @@ def test_criterion_07_chern_density_identity():
     dphi = rng.normal(size=(100000, 4, 4))
     dpsi = np.stack([dphi[..., 0] + 1j * dphi[..., 1],
                      dphi[..., 2] + 1j * dphi[..., 3]], axis=-1)
-    rho_spinor = st.spinor_chern_values(dpsi)
-    rho_unit = st.unit_chern_values(dphi)
+    rho_spinor = _spinor_values(dpsi)
+    rho_unit = _unit_values(dpsi)
     rel = float(np.max(np.abs(rho_spinor - rho_unit)) / np.max(np.abs(rho_unit)))
     elapsed = time.perf_counter() - start
     report(7, "Chern density identity",
@@ -150,7 +151,7 @@ def test_criterion_08_chern_weil_stokes():
     diffs = []
     for grid in (base, st.box_grid((19, 19, 19, 19), -1.0, 1.0)):
         psi = st.random_config(8080, "spinor", grid)
-        volume = st.integrate(st.spinor_chern_density(psi).field)
+        volume = st.chern_numbers(psi, ("spinor",))["spinor"]
         boundary, _ = oracle.boundary_cs_sum(psi)
         diffs.append(abs(volume - boundary))
     ratio = diffs[0] / diffs[1]

@@ -4,14 +4,41 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 import su2topo as st
+from conftest import peak_traced_bytes
 from su2topo import FieldError
+from su2topo.chern_density import (ROUTES, _field_strength, _spinor_values, _trace_values,
+                                   _unit_values)
 from su2topo.conventions import PAIRS4, levi_civita
+from su2topo.lattice import component_major, site_major
 from su2_gauge import matrices, transform, transformation
 import site_major as oracle
 
 
 def small_grid(n=6):
     return st.box_grid((n, n, n, n), -1.0, 1.0)
+
+
+def strength(gauge):
+    """The trace kernel's F_mn of a whole rank-4 gauge field, the whole
+    grid taken as one slab, site-major ``(*shape, 6, 3)``."""
+    a, da = (component_major(x, 4) for x in (gauge.values, gauge.derivatives()))
+    return site_major(_field_strength(a, da), 4)
+
+
+def trace_density(gauge):
+    """The trace kernel's unsigned density of a whole rank-4 gauge field."""
+    return _trace_values(*(component_major(x, 4)
+                           for x in (gauge.values, gauge.derivatives())))
+
+
+def spinor_density(psi):
+    """The spinor kernel's unsigned density of a whole rank-4 spinor."""
+    return _spinor_values(component_major(psi.derivatives(), 4))
+
+
+def unit_density(psi):
+    """The unit kernel's unsigned density of a whole rank-4 spinor."""
+    return _unit_values(component_major(psi.derivatives(), 4))
 
 
 def component(strength, mu, nu):
@@ -43,7 +70,7 @@ EPS4 = levi_civita(4)
 
 
 def unit_chern_values_literal(dvalues):
-    """Reference epsilon-contraction form of ``unit_chern_values``."""
+    """Reference epsilon-contraction form of the unit route."""
     return np.einsum("mnlr,abcd,...ma,...nb,...lc,...rd->...",
                      EPS4, EPS4, dvalues, dvalues, dvalues, dvalues) / (12.0 * np.pi**2)
 
@@ -51,8 +78,7 @@ def unit_chern_values_literal(dvalues):
 def test_field_strength_zero_potential():
     grid = small_grid()
     gauge = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
-    strength = st.field_strength(gauge)
-    assert np.max(np.abs(strength)) == 0.0
+    assert np.max(np.abs(strength(gauge))) == 0.0
 
 
 def test_field_strength_constant_commutator_channel():
@@ -61,34 +87,34 @@ def test_field_strength_constant_commutator_channel():
     comps[..., 0, 0] = 1.2   # A_0^1
     comps[..., 1, 1] = 0.7   # A_1^2
     gauge = st.GaugeField(grid, comps)
-    strength = st.field_strength(gauge)
-    f01 = component(strength, 0, 1)
+    f = strength(gauge)
+    f01 = component(f, 0, 1)
     # only the third color channel survives: -eps_{3bc} A_0^b A_1^c
     assert np.max(np.abs(f01[..., :2])) < 1e-14
     assert np.allclose(f01[..., 2], -1.2 * 0.7)
     for mu, nu in PAIRS4[1:]:
-        assert np.max(np.abs(component(strength, mu, nu))) < 1e-14
-    assert commutator_form_residual(gauge, strength) < 1e-12
+        assert np.max(np.abs(component(f, mu, nu))) < 1e-14
+    assert commutator_form_residual(gauge, f) < 1e-12
 
 
 def test_field_strength_antisymmetry_accessor():
     grid = small_grid()
-    gauge = st.random_config(1, "gauge", grid)
-    strength = st.field_strength(gauge)
-    assert np.max(np.abs(component(strength, 2, 1) + component(strength, 1, 2))) == 0.0
+    f = strength(st.random_config(1, "gauge", grid))
+    assert np.max(np.abs(component(f, 2, 1) + component(f, 1, 2))) == 0.0
 
 
 @pytest.mark.parametrize("jets", [True, False], ids=["jets", "stencils"])
 def test_field_strength_matches_the_matrix_commutator_form(jets):
-    # the component form against the matrix form F = dA - dA - [A, A]
+    # the component form against the matrix form F = dA - dA - [A, A];
+    # the kernel on a whole grid is the whole-grid form bit for bit
     grid = small_grid()
     gauge = st.random_config(2, "gauge", grid)
     if not jets:
         gauge = st.GaugeField(grid, gauge.values)
-    strength = st.field_strength(gauge)
-    scale = float(np.max(np.abs(strength)))
-    assert commutator_form_residual(gauge, strength) < 1e-14 * scale
-    assert not strength.flags.writeable
+    f = strength(gauge)
+    scale = float(np.max(np.abs(f)))
+    assert commutator_form_residual(gauge, f) < 1e-14 * scale
+    np.testing.assert_array_equal(f, oracle.field_strength(gauge))
 
 
 def test_pure_gauge_flatness_scaling():
@@ -100,8 +126,8 @@ def test_pure_gauge_flatness_scaling():
         _, gauge = transform(st.random_config(23, "spinor", grid), zero,
                              transformation(grid, 22))
         # the flat potential (dS) S^dag as bare samples: F from stencils
-        strength = st.field_strength(st.GaugeField(grid, gauge.values))
-        constants[n] = np.max(np.abs(strength)) / max(grid.spacing) ** 2
+        f = strength(st.GaugeField(grid, gauge.values))
+        constants[n] = np.max(np.abs(f)) / max(grid.spacing) ** 2
     assert constants[8] / constants[16] < 2.0
     assert constants[16] / constants[8] < 2.0
 
@@ -111,19 +137,40 @@ def test_single_site_density_identity():
     dphi = rng.normal(size=(5000, 4, 4))
     dpsi = np.stack([dphi[..., 0] + 1j * dphi[..., 1],
                      dphi[..., 2] + 1j * dphi[..., 3]], axis=-1)
-    rho_spinor = st.spinor_chern_values(dpsi)
-    rho_unit = st.unit_chern_values(dphi)
+    rho_spinor = _spinor_values(dpsi)
+    rho_unit = _unit_values(dpsi)
     scale = np.max(np.abs(rho_unit))
     assert np.max(np.abs(rho_spinor - rho_unit)) / scale < 1e-12
-    assert np.max(np.abs(rho_spinor.imag)) < 1e-12 * scale
 
 
 def test_unit_det_route_matches_epsilon_contraction():
     rng = np.random.default_rng(6)
     dphi = rng.normal(size=(64, 4, 4))
-    fast = st.unit_chern_values(dphi)
+    fast = _unit_values(dphi[..., 0::2] + 1j * dphi[..., 1::2])
     literal = unit_chern_values_literal(dphi)
     assert np.max(np.abs(fast - literal)) < 1e-12 * np.max(np.abs(fast))
+
+
+@pytest.mark.parametrize("jets", [True, False], ids=["jets", "stencils"])
+def test_the_kernels_equal_the_whole_grid_forms(jets):
+    # a whole grid is one slab: the trace kernel is the whole-grid form of
+    # F and its contraction bit for bit; the spinor kernel (Im t_mn only,
+    # against the complex einsum) and the unit kernel (the Laplace
+    # expansion, against numpy's LU) within a few ulps of the largest
+    # density (measured: at most 1 and 3)
+    grid = st.box_grid((7, 6, 5, 8), -1.0, 1.0)
+    psi = st.random_config(12, "spinor", grid)
+    if not jets:
+        psi = st.SpinorField(grid, psi.values)
+    dpsi = psi.derivatives()
+    for kernel, whole in ((spinor_density(psi), oracle.spinor_chern_values(dpsi).real),
+                          (unit_density(psi),
+                           oracle.unit_chern_values(dpsi.view(np.float64)))):
+        assert np.max(np.abs(kernel - whole)) <= 8 * np.spacing(np.max(np.abs(whole)))
+    for gauge in (st.parallel_gauge_potential(st.normalize(psi)),
+                  st.random_config(13, "gauge", grid)):
+        np.testing.assert_array_equal(
+            trace_density(gauge), oracle.trace_chern_values(oracle.field_strength(gauge)))
 
 
 def test_constant_field_zero_density_all_methods():
@@ -132,10 +179,11 @@ def test_constant_field_zero_density_all_methods():
     values[..., 0] = 1.0
     psi = st.SpinorField(grid, values,
                          jet=np.zeros(grid.shape + (4, 2), dtype=complex))
-    assert np.max(np.abs(st.spinor_chern_density(psi).field.values)) == 0.0
-    assert np.max(np.abs(st.unit_chern_density(psi).field.values)) == 0.0
+    assert np.max(np.abs(spinor_density(psi))) == 0.0
+    assert np.max(np.abs(unit_density(psi))) == 0.0
     gauge = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
-    assert np.max(np.abs(st.trace_chern_density(gauge).field.values)) == 0.0
+    assert np.max(np.abs(trace_density(gauge))) == 0.0
+    assert st.chern_numbers(psi, ROUTES) == {route: 0.0 for route in ROUTES}
 
 
 def test_exact_unit_jets_give_vanishing_density():
@@ -143,8 +191,7 @@ def test_exact_unit_jets_give_vanishing_density():
     # from zeros: all four tangent vectors lie in a 3-space
     grid = small_grid(8)
     psi = st.random_config(7, "spinor", grid)
-    rho = st.unit_chern_density(st.normalize(psi))
-    assert np.max(np.abs(rho.field.values)) < 1e-12
+    assert np.max(np.abs(unit_density(st.normalize(psi)))) < 1e-12
 
 
 def test_spinor_vs_trace_density_fd_scaling():
@@ -153,9 +200,8 @@ def test_spinor_vs_trace_density_fd_scaling():
         grid = small_grid(n)
         psi = st.normalize(st.random_config(8, "spinor", grid))
         nojet = st.SpinorField(grid, psi.values)
-        rho_s = st.spinor_chern_density(nojet).field.values
-        gauge = st.parallel_gauge_potential(psi)
-        rho_t = st.trace_chern_density(gauge).field.values
+        rho_s = spinor_density(nojet)
+        rho_t = trace_density(st.parallel_gauge_potential(psi))
         constants[n] = np.max(np.abs(rho_s - rho_t)) / max(grid.spacing) ** 2
     # bounded by C h^2 with a non-growing constant (decay may be faster)
     assert constants[16] < 2.0 * constants[8]
@@ -165,26 +211,127 @@ def test_trace_density_gauge_invariant_with_exact_jets():
     grid = small_grid(8)
     gauge = st.random_config(21, "gauge", grid)
     psi = st.random_config(23, "spinor", grid)
-    rho1 = st.trace_chern_density(gauge).field.values
+    rho1 = trace_density(gauge)
     _, gauge2 = transform(psi, gauge, transformation(grid, 22))
     assert gauge2.jet is not None
-    rho2 = st.trace_chern_density(gauge2).field.values
+    rho2 = trace_density(gauge2)
     assert np.max(np.abs(rho1 - rho2)) < 1e-9
 
 
 def test_chern_weil_stokes_consistency():
+    # the spinor route of the raw (not normalized) spinor
     base = st.box_grid((10, 10, 10, 10), -1.0, 1.0)
     diffs = {}
     residues = {}
     for factor, grid in ((1, base), (2, st.box_grid((19, 19, 19, 19), -1.0, 1.0))):
         psi = st.random_config(3, "spinor", grid)
-        volume = st.integrate(st.spinor_chern_density(psi).field)
+        assert not psi.normalized
+        volume = st.chern_numbers(psi, ("spinor",))["spinor"]
         boundary, residue = oracle.boundary_cs_sum(psi)
         diffs[factor] = abs(volume - boundary)
         residues[factor] = residue
     assert 3.0 < diffs[1] / diffs[2] < 5.0
     # the imaginary part of the closed-boundary sum is pure quadrature error
     assert residues[1] / residues[2] > 3.0
+
+
+def _spinors(grid):
+    """A normalized rank-4 spinor with its jet served block by block, and
+    its bare samples."""
+    psi = st.normalize(st.random_config(14, "spinor", grid))
+    return psi, st.SpinorField(grid, psi.values)
+
+
+def test_chern_numbers_by_slabs_equal_the_whole_grid(monkeypatch):
+    # one slab of the whole grid, then slabs of 1, 2 and 5 planes: every
+    # C2 keeps its bits, as the quadrature does not depend on the slabs
+    # and every density is that of the whole grid
+    from su2topo import lattice
+    grid = st.box_grid((11, 6, 5, 7), -1.0, 1.0)
+    monkeypatch.setattr(lattice, "SLAB_SITES", 11 * 6 * 5 * 7)
+    expected = [st.chern_numbers(psi, ROUTES) for psi in _spinors(grid)]
+    assert abs(expected[1]["trace"] - expected[0]["trace"]) > 0.0
+    for planes in (1, 2, 5):
+        monkeypatch.setattr(lattice, "SLAB_SITES", planes * 6 * 5 * 7)
+        assert [st.chern_numbers(psi, ROUTES) for psi in _spinors(grid)] == expected
+
+
+def test_each_route_alone_keeps_the_bits_of_all_routes():
+    grid = st.box_grid((9, 6, 7, 5), -1.0, 1.0)
+    for psi in _spinors(grid):
+        together = st.chern_numbers(psi, ROUTES)
+        assert list(together) == list(ROUTES)
+        for route in ROUTES:
+            assert st.chern_numbers(psi, (route,)) == {route: together[route]}
+
+
+def test_the_chern_sweep_peaks_below_a_whole_grid_jet(monkeypatch):
+    # The normalized spinor serves its jet a slab at a time, and the sweep
+    # holds each slab's d Psi, current and route temporaries, A as a halo
+    # of planes and the derivative stack of A for one slab.  At one plane
+    # a slab it peaks below a whole-grid d Psi (128 B a site): measured
+    # 5.0 MB of the 8.4 MB at 16^4, about 1.2 KB a site of one plane.
+    # Neither a whole-grid F (144 B a site) nor dA (384 B a site) fits
+    # beside that peak below the bound.
+    from su2topo import lattice
+    n = 16
+    monkeypatch.setattr(lattice, "SLAB_SITES", n**3)
+    sites = n**4
+    psi = st.normalize(st.random_config(15, "spinor", small_grid(n)))
+    assert psi.jet is None
+    peak, charges = peak_traced_bytes(lambda: st.chern_numbers(psi, ROUTES))
+    bound = sites * 4 * 2 * 16
+    assert peak < bound
+    for resident in (sites * 6 * 3 * 8, sites * 4 * 4 * 3 * 8):
+        assert peak + resident > bound
+    assert abs(charges["spinor"]) < 1e-12
+
+
+def test_c2_converges_to_integer_under_refinement():
+    # zero-free box: the FD spinor route must settle on the integer 0
+    base = st.box_grid((10, 10, 10, 10), -1.0, 1.0)
+    devs = []
+    for grid in (base, st.box_grid((19, 19, 19, 19), -1.0, 1.0)):
+        psi = st.normalize(st.random_config(42, "spinor", grid))
+        nojet = st.SpinorField(grid, psi.values)
+        c2 = st.chern_numbers(nojet, ("spinor",))["spinor"]
+        assert round(c2) == 0
+        devs.append(abs(c2))
+    assert devs[0] / devs[1] >= 3.0
+
+    # the boundary flux the ledger is checked against converges at O(h^2)
+    base = st.box_grid((12, 12, 12, 12), -2.0, 2.0)
+    errors = []
+    for grid in (base, st.box_grid((23, 23, 23, 23), -2.0, 2.0)):
+        lin = st.linear_phi_field(np.eye(4), [0.05, -0.03, 0.02, 0.01], grid)
+        ledger = st.analyze(lin).ledger
+        assert ledger.passed
+        errors.append(abs(ledger.boundary_c2 - 1.0))
+    assert 3.0 <= errors[0] / errors[1] <= 5.0
+
+
+def test_second_chern_number_zero_density():
+    grid = small_grid()
+    assert oracle.quadrature(np.zeros(grid.shape), grid) == 0.0
+
+
+def test_chern_density_input_validation():
+    grid = small_grid()
+    gauge = st.random_config(9, "gauge", grid)
+    psi3 = st.identity_map_s3(8)
+    psi = st.random_config(10, "spinor", grid)
+    assert not psi.normalized
+    # every route reads a rank-4 spinor only
+    for route in ROUTES:
+        for source in (gauge, psi3, st.spinor_to_phi(st.normalize(psi))):
+            with pytest.raises(FieldError):
+                st.chern_numbers(source, (route,))
+    # the unit and trace routes read a normalized one; the spinor route
+    # any smooth one
+    for route in ("unit", "trace"):
+        with pytest.raises(FieldError, match="normalized"):
+            st.chern_numbers(psi, (route,))
+    assert np.isfinite(st.chern_numbers(psi, ("spinor",))["spinor"])
 
 
 _ROOTS = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
@@ -296,53 +443,3 @@ def test_face_flux_by_slabs_equals_the_whole_faces(planes, monkeypatch, tmp_path
     for field in (phi, stored, read_field(path)):
         assert st.boundary_degree(field) == expected
     assert abs(expected - 2.0) < 0.1
-
-
-def test_c2_converges_to_integer_under_refinement():
-    # zero-free box: the FD spinor route must settle on the integer 0
-    base = st.box_grid((10, 10, 10, 10), -1.0, 1.0)
-    devs = []
-    for grid in (base, st.box_grid((19, 19, 19, 19), -1.0, 1.0)):
-        psi = st.normalize(st.random_config(42, "spinor", grid))
-        nojet = st.SpinorField(grid, psi.values)
-        c2 = st.integrate(st.spinor_chern_density(nojet).field)
-        assert round(c2) == 0
-        devs.append(abs(c2))
-    assert devs[0] / devs[1] >= 3.0
-
-    # the boundary flux the ledger is checked against converges at O(h^2)
-    base = st.box_grid((12, 12, 12, 12), -2.0, 2.0)
-    errors = []
-    for grid in (base, st.box_grid((23, 23, 23, 23), -2.0, 2.0)):
-        lin = st.linear_phi_field(np.eye(4), [0.05, -0.03, 0.02, 0.01], grid)
-        ledger = st.analyze(lin).ledger
-        assert ledger.passed
-        errors.append(abs(ledger.boundary_c2 - 1.0))
-    assert 3.0 <= errors[0] / errors[1] <= 5.0
-
-
-def test_second_chern_number_zero_density():
-    grid = small_grid()
-    rho = st.ScalarField(grid, np.zeros(grid.shape))
-    assert st.integrate(rho) == 0.0
-
-
-def test_chern_density_input_validation():
-    grid = small_grid()
-    gauge = st.random_config(9, "gauge", grid)
-    with pytest.raises(FieldError):
-        st.spinor_chern_density(gauge)
-    psi3 = st.identity_map_s3(8)
-    with pytest.raises(FieldError):
-        st.spinor_chern_density(psi3)
-    # the unit route reads dn from a normalized rank-4 spinor only
-    psi = st.random_config(10, "spinor", grid)
-    assert not psi.normalized
-    for source in (psi, st.spinor_to_phi(st.normalize(psi)), gauge, psi3):
-        with pytest.raises(FieldError):
-            st.unit_chern_density(source)
-    # the trace route reads a rank-4 gauge field only
-    gauge3 = st.random_config(11, "gauge", st.box_grid((6, 6, 6), -1.0, 1.0))
-    for source in (psi, gauge3):
-        with pytest.raises(FieldError):
-            st.trace_chern_density(source)

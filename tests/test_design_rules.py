@@ -50,17 +50,14 @@ def test_every_public_function_and_class_is_named_in_the_package():
 
 
 #: The functions of the package that may read a whole grid, each with its
-#: reason.  Every other rank-3 route and kernel reads a slab at a time.
+#: reason.  Every other route and kernel, on either rank, reads a slab at
+#: a time.
 WHOLE_GRID_READERS = {
     "_Samples.__get__": "the whole-grid values themselves, filled slab by slab",
     "LatticeField.derivatives": "the whole-grid derivatives themselves",
     "LatticeField.__post_init__": "checks that stored samples are finite",
-    "integrate": "the quadrature of a stored density, of the rank-4 Chern routes",
     "normalize": "its result stores its samples, read by the decompose, cs and "
                  "chern commands",
-    "field_strength": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",
-    "spinor_chern_density": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",
-    "unit_chern_density": "a rank-4 Chern route, not yet streamed (ROADMAP item 4)",
     "trace_pointwise": "a reference route",
     "jacobian": "called on the 4^4 window around a zero only",
     "_zero_jacobian": "reads the 4^4 window around a zero",

@@ -10,7 +10,7 @@ from su2topo.fldio import read_field, write_field
 from su2topo.lattice import interpolate
 from su2topo import lattice, phi_mapping
 from su2topo.phi_mapping import _cell_mask, _screen, _zero_jacobian, surface_degree
-from site_major import cell_mask, qpoly_with_jet, sign_change_cells
+from site_major import cell_mask, qpoly_with_jet, quadrature, sign_change_cells
 
 
 def box(n=16, half=1.0):
@@ -378,7 +378,7 @@ def _whole_stack_degree(evaluate, center, radius):
     """:func:`surface_degree` as it was before the per-slab determinants:
     one whole-sphere matrix stack per attempt."""
     from su2topo.generators import s3_chart_grid, s3_points
-    from su2topo.lattice import derivative_stack, integrate_values
+    from su2topo.lattice import derivative_stack
     resolution = phi_mapping.SPHERE_RESOLUTION
     for attempt in range(phi_mapping.SPHERE_REFINEMENTS + 1):
         agrid = s3_chart_grid(resolution)
@@ -386,7 +386,7 @@ def _whole_stack_degree(evaluate, center, radius):
         samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
         n = samples / np.linalg.norm(samples, axis=-1)[..., None]
         mats = np.concatenate([n[..., None, :], derivative_stack(n, agrid)], axis=-2)
-        value = integrate_values(np.linalg.det(mats), agrid) / (2.0 * np.pi**2)
+        value = quadrature(np.linalg.det(mats), agrid) / (2.0 * np.pi**2)
         degree = int(np.rint(value))
         if abs(value - degree) <= 0.1 or attempt == phi_mapping.SPHERE_REFINEMENTS:
             return degree, value, abs(value - degree)
