@@ -237,10 +237,10 @@ def test_corrupt_file_exits_3(tmp_path, capsys):
     assert "checksum" in err
 
 
-def _phi_file(tmp_path, n=12):
+def _phi_file(tmp_path, n=12, first_root=(-0.8, 0.11, -0.07, 0.13)):
     path = str(tmp_path / "phi.fld")
     grid = st.box_grid((n,) * 4, -2.0, 2.0)
-    roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
+    roots = np.array([first_root, [0.8, -0.12, 0.08, -0.1]])
     write_field(st.quaternion_polynomial_field(roots, grid), path)
     return path
 
@@ -342,15 +342,24 @@ def _one_input_error(capsys, *argv):
     ("cs", 3e102, "quadrature sum"),           # the charge sum overflows
     ("cs", 1e-150, "quadrature weights"),      # h^3 underflows to 0
     ("chern", 1e80, "quadrature weights"),     # h^4 overflows
+    ("chern", 1e76, "quadrature sum"),         # the Chern sum overflows
 ])
 def test_spacings_that_break_the_quadrature_exit_3(tmp_path, capsys, command, spacing,
                                                    message):
     # every spacing of a CRC-valid 8^3 chart (cs) or 12^4 qpoly (chern)
     # file rewritten: the grid is valid, but its cell volume or its
     # integrals are not finite or vanish.  chern reads the unit spinor of
-    # the qpoly file, whose densities from the stored jet are rounding
-    # noise, so finite weights give finite sums (about 1e291 at h = 1e76)
-    path = _chart_file(tmp_path) if command == "cs" else _phi_file(tmp_path)
+    # the qpoly file, whose densities from the stored jet vanish up to
+    # rounding noise of size |d n|^4 ~ |phi|^-4: the default qpoly's sum
+    # to about 1e291 at h = 1e76, while a zero of phi 1e-8 off the site
+    # (3, 5, 6, 8) lifts them there past what h^4 = 1e304 leaves finite
+    if command == "cs":
+        path = _chart_file(tmp_path)
+    elif message == "quadrature sum":
+        site = -2.0 + 4.0 / 11 * np.array([3, 5, 6, 8])
+        path = _phi_file(tmp_path, first_root=site + 1e-8)
+    else:
+        path = _phi_file(tmp_path)
     capsys.readouterr()
     rank = 3 if command == "cs" else 4
     for axis in range(rank):
