@@ -17,12 +17,10 @@ from .lattice import Grid, ScalarField, derivative_stack, interpolate
 from .su2_algebra import GENERATORS, IDENTITY2, SIGMA, self_check
 from .fields import (GaugeField, PhiField, SpinorField, face_restrict, normalize,
                      norm_squared, phi_to_spinor, sigma_model_field, spinor_to_phi)
-from .decomposition import (Decomposition, covariant_derivative, decompose,
-                            parallel_gauge_potential)
+from .decomposition import Decomposition, covariant_derivative, decompose
 # The function chern_simons.chern_simons is left out here: as a package
 # attribute it would shadow its module.
-from .chern_simons import (AbelianData, Density, KnotCharges, fn_pointwise,
-                           trace_pointwise)
+from .chern_simons import KnotCharges, fn_pointwise, trace_pointwise
 from .chern_density import boundary_degree, chern_numbers
 from .phi_mapping import (Ledger, LedgerAnalysis, ZeroPoint, ZeroSearch,
                           analyze, charge_ledger, jacobian, local_degree,

@@ -14,18 +14,19 @@ field: the whole charge concentrates at those zeros, where the unit
 spinor is singular.
 
 :func:`chern_numbers` integrates the routes it is asked for in one sweep
-over the axis-0 slabs (``SpinorField.slab_currents``), as the rank-3
+over the axis-0 slabs (``LatticeField.slab_samples``), as the rank-3
 knot-charge sweep does, and feeds each slab's density of each route to
 that route's :class:`~su2topo.lattice.Quadrature`; no density is kept.
 Each route's kernel takes one slab's component-major arrays.  The spinor
 kernel reads d Psi only through Im t_mn, t_mn = sum_c d_m Psi_c^* d_n
 Psi_c, since t_mn - t_nm = 2i Im t_mn, so its density is real by
 construction.  The unit kernel takes the determinant (:func:`_det4`) of
-the four rows d_m n, the real and imaginary parts of d_m Psi.  The trace
-kernel reads the parallel potential A^a = -2 Im J^a of each slab and its
-finite differences, taken a slab behind on windows of the planes their
-stencils read (:func:`~su2topo.lattice.stencil_windows`), so neither A
-nor dA is held for the whole grid.
+the four rows d_m n, the real and imaginary parts of d_m Psi.  Only the
+trace route computes the spinor current J: its kernel reads the parallel
+potential A^a = -2 Im J^a of each slab and its finite differences, taken
+a slab behind on windows of the planes their stencils read
+(:func:`~su2topo.lattice.stencil_windows`), so neither A nor dA is held
+for the whole grid.
 
 Integrating rho over the volume gives the second Chern number, which by
 Stokes also equals the sum of oriented Chern-Simons boundary integrals
@@ -45,7 +46,7 @@ from .conventions import ORIENTATION_SIGN, PAIRS4
 from .decomposition import parallel_components
 from .errors import FieldError, NormalizationError
 from .fields import (EPS_ZERO, PhiField, SpinorField, _check_nonvanishing, _norms,
-                     face_restrict, phi_to_spinor)
+                     _slab_current, face_restrict, phi_to_spinor)
 from .lattice import (Grid, Quadrature, component_major, derivative_stack, slabs,
                       stencil_windows)
 
@@ -60,10 +61,10 @@ def chern_numbers(psi: SpinorField, routes) -> dict[str, float]:
     The spinor route accepts any smooth spinor (its density is the
     exterior derivative of the Chern-Simons form either way); the unit
     and trace routes need a normalized one.  A route not asked for is not
-    computed, and without the trace route no window of A is held.  Each
-    total is that of the whole-grid density, whatever the slabs.  Raises
-    :class:`FieldError` on a field of the wrong kind or rank, and on a sum
-    that is not finite.
+    computed; without the trace route neither the spinor current nor a
+    window of A is.  Each total is that of the whole-grid density,
+    whatever the slabs.  Raises :class:`FieldError` on a field of the
+    wrong kind or rank, and on a sum that is not finite.
     """
     if not isinstance(psi, SpinorField):
         raise FieldError("Chern routes need a SpinorField")
@@ -77,13 +78,14 @@ def chern_numbers(psi: SpinorField, routes) -> dict[str, float]:
     sums = {route: Quadrature(grid) for route in routes}
 
     def first_pass():
-        for slab, _, dvalues, current in psi.slab_currents():
+        for slab in slabs(grid):
+            samples, dvalues = (component_major(block, 4) for block in psi.slab_samples(slab))
             for route, kernel in (("spinor", _spinor_values), ("unit", _unit_values)):
                 if route in sums:
                     sums[route].add(slab, sign * kernel(dvalues))
             if "trace" in sums:
-                gauge = parallel_components(current)
-                del _, dvalues, current      # not held through the trace pass
+                gauge = parallel_components(_slab_current(slab, samples, dvalues)[3])
+                del samples, dvalues         # not held through the trace pass
                 yield slab, [gauge]
 
     for slab, (gauge,), first in stencil_windows(grid, order, first_pass()):

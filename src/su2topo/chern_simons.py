@@ -46,28 +46,24 @@ density sums its color contraction in einsum's order on color-last rows,
 (A^0 D^0 + A^2 D^2) + A^1 D^1, so every density keeps its bits.  Each
 density is summed as it is swept (:class:`~su2topo.lattice.Quadrature`,
 whose total does not depend on the slabs), bit for bit the quadrature of
-the whole-grid density, and not kept; residues, residuals and the
+the whole-grid density, and not kept; the exactness residual and the
 decomposition's reductions are maxima over the slabs, folded so that a
-NaN survives.  A library caller that
-reads ``KnotCharges.spinor``, ``.trace``, ``.fn``, ``.gauge``,
-``abelian.c`` or ``abelian.h_pairs`` gets them built slab by slab by the
-same sweep or kernel, bit for bit, and site-major as grids are stored.
+NaN survives.  No density, potential or curvature is kept whole: a
+caller gets the charges and those maxima (:class:`KnotCharges`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .conventions import ORIENTATION_SIGN
-from .decomposition import (Decomposition, decompose, fold_maxima,
-                            parallel_components, parallel_gauge_potential, slab_maxima)
+from .decomposition import Decomposition, fold_maxima, parallel_components, slab_maxima
 from .errors import FieldError, ReconstructionError
 from .fields import GaugeField, SpinorField, norm_squared, sigma_model_field
-from .lattice import (Quadrature, ScalarField, component_major, derivative_stack,
-                      read_only, site_major, stencil_windows)
+from .lattice import Quadrature, component_major, derivative_stack, stencil_windows
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
 
@@ -134,37 +130,8 @@ def trace_cs_values(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     return -(term1 - term2 / 3.0) / (16.0 * np.pi**2)
 
 
-@dataclass(frozen=True, eq=False)
-class Density:
-    """Chern-Simons density samples with the largest imaginary part the
-    route discarded."""
-
-    field: ScalarField
-    imag_residue: float
-
-
-@dataclass(frozen=True, eq=False)
-class AbelianData:
-    """Abelian potential C_i, curvature pairs H_{ij} (i<j), and diagnostics.
-
-    ``exactness_residual`` is max |d_i C_j - d_j C_i - H_ij| with finite
-    differences on C; it must shrink as O(h^2) or the potential choice is
-    inconsistent with the curvature.  ``c`` and ``h_pairs`` are built
-    slab by slab from ``psi`` on first read, by the sweep's kernel.
-    """
-
-    psi: SpinorField
-    exactness_residual: float
-
-    H_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        return _rebuilt(self.psi, 1)
-
-    @cached_property
-    def h_pairs(self) -> np.ndarray:
-        return _rebuilt(self.psi, 2)
+#: The curvature pairs (i, j), i < j, in the order H_ij is stored.
+H_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,46 +139,28 @@ class KnotCharges:
     """The three routes to the knot charge Q of one normalized spinor.
 
     ``q_spinor``, ``q_trace`` and ``q_fn`` are the integrals of the route
-    densities, summed as the sweep computed them; ``spinor``, ``trace``
-    and ``fn``, the densities themselves, are rebuilt from ``psi`` by the
-    same sweep on first read, and ``gauge``, the parallel potential the
-    trace route differentiated, slab by slab by its kernel.  ``abelian``
-    is the Abelian data of the FN (Faddeev-Niemi) route.  ``parallel`` is
-    ``decompose(psi)``, the parallel condition b = 0 on that potential
-    taken slab by slab: from the reductions the sweep took when asked
-    (``parallel_maxima``), else by
-    :func:`~su2topo.decomposition.decompose`; reading it raises
-    :class:`ReconstructionError` as ``decompose`` does.
+    densities, summed as the sweep computed them.  ``exactness_residual``
+    is max |d_i C_j - d_j C_i - H_ij| of the Abelian potential C of the FN
+    (Faddeev-Niemi) route, with finite differences on C; it must shrink as
+    O(h^2) or the potential choice is inconsistent with the curvature.
+    ``parallel`` is the parallel condition b = 0 on the trace route's
+    potential, from the :func:`~su2topo.decomposition.slab_maxima` the
+    sweep took when asked (``parallel_maxima``), else None; reading it
+    raises :class:`ReconstructionError` as
+    :func:`~su2topo.decomposition.decompose` does.
     """
 
-    psi: SpinorField
     q_spinor: float
     q_trace: float
     q_fn: float
-    abelian: AbelianData
-    parallel_maxima: tuple | None = field(default=None, repr=False)
+    exactness_residual: float
+    parallel_maxima: tuple | None = None
 
     @cached_property
-    def spinor(self) -> Density:
-        return _rebuilt_density(self.psi, "spinor")
-
-    @cached_property
-    def trace(self) -> Density:
-        return _rebuilt_density(self.psi, "trace")
-
-    @cached_property
-    def fn(self) -> Density:
-        return _rebuilt_density(self.psi, "fn")
-
-    @cached_property
-    def gauge(self) -> GaugeField:
-        return parallel_gauge_potential(self.psi)
-
-    @cached_property
-    def parallel(self) -> Decomposition:
+    def parallel(self) -> Decomposition | None:
         if self.parallel_maxima is None:
-            return decompose(self.psi)
-        return Decomposition.from_maxima(self.psi, self.parallel_maxima)
+            return None
+        return Decomposition.from_maxima(self.parallel_maxima)
 
 
 #: Exactness residuals above this times (h/L)^2 times the scale of dC and H
@@ -229,32 +178,10 @@ def _potentials(samples: np.ndarray, current: np.ndarray) -> tuple:
     m = sigma_model_field(samples)
     dm = 2.0 * current[:, :, 1:].real
     h_pairs = np.empty(m.shape)
-    for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
+    for idx, (i, j) in enumerate(H_PAIRS):
         h_pairs[:, idx] = -_triple(m, dm[:, i], dm[:, j])
     return (parallel_components(current), np.multiply(current[:, :, 0].imag, -2.0),
             h_pairs)
-
-
-def _rebuilt(psi: SpinorField, index: int) -> np.ndarray:
-    """The whole-grid C or H (``index`` 1 or 2 of :func:`_potentials`),
-    filled slab by slab, site-major and read-only."""
-    out = np.empty(psi.grid.shape + (3,))
-    for slab, samples, _, current in psi.slab_currents():
-        out[slab] = site_major(_potentials(samples, current)[index], 3)
-    return read_only(out)
-
-
-def _rebuilt_density(psi: SpinorField, route: str) -> Density:
-    """The whole-grid density of ``route``, filled by :func:`_sweep`."""
-    out = np.empty(psi.grid.shape)
-
-    def keep(name, slab, density):
-        if name == route:
-            out[slab] = density
-
-    residue = _sweep(psi, keep)[0]
-    return Density(ScalarField(psi.grid, read_only(out)),
-                   residue if route == "spinor" else 0.0)
 
 
 def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
@@ -285,41 +212,34 @@ def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
         raise FieldError("Chern-Simons densities live on rank-3 charts")
     if not psi.normalized:
         raise FieldError("the knot-charge routes require a normalized spinor")
-    sums = {route: Quadrature(grid) for route in ("spinor", "trace", "fn")}
-    _, curl_res, maxima = _sweep(
-        psi, lambda route, slab, density: sums[route].add(slab, density), parallel)
-    return KnotCharges(psi, sums["spinor"].total(), sums["trace"].total(),
-                       sums["fn"].total(), AbelianData(psi, curl_res), maxima)
+    return _sweep(psi, parallel)
 
 
-def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
-    """The one sweep of :func:`chern_simons`: ``emit(route, slab, density)``
-    receives each slab's density of each route ("spinor", "trace", "fn")
-    as it is computed, the trace route's a slab behind.  Returns the
-    largest imaginary residue of the spinor route, the exactness residual
-    and, with ``parallel``, the :func:`~su2topo.decomposition.slab_maxima`
-    of the grid (else None); raises :class:`ReconstructionError` as
+def _sweep(psi: SpinorField, parallel: bool) -> KnotCharges:
+    """The one sweep of :func:`chern_simons`: each slab's density of each
+    route is fed to that route's :class:`~su2topo.lattice.Quadrature` as
+    it is computed, the trace route's a slab behind, and with
+    ``parallel`` the :func:`~su2topo.decomposition.slab_maxima` of the
+    slabs are folded; raises :class:`ReconstructionError` as
     :func:`chern_simons` describes."""
     grid = psi.grid
     sign = ORIENTATION_SIGN * grid.orientation
     order = 2                       # of the dA and dC stencils
+    sums = {route: Quadrature(grid) for route in ("spinor", "trace", "fn")}
     h_of = {}                       # H of the slabs the second pass has not read
-    residue = 0.0
     maxima = (0.0,) * 4 if parallel else None
 
     def first_pass():
-        nonlocal residue, maxima
+        nonlocal maxima
         for slab, samples, dvalues, current in psi.slab_currents():
-            raw = sign * spinor_cs_values(current[:, :, 0], dvalues)
-            residue = np.maximum(residue, np.max(np.abs(raw.imag)))
-            emit("spinor", slab, raw.real)
+            sums["spinor"].add(slab, (sign * spinor_cs_values(current[:, :, 0], dvalues)).real)
             gauge, c, h_pairs = _potentials(samples, current)
-            emit("fn", slab, fn_pointwise(c, h_pairs) * sign / (8.0 * np.pi**2))
+            sums["fn"].add(slab, fn_pointwise(c, h_pairs) * sign / (8.0 * np.pi**2))
             if parallel:
                 maxima = fold_maxima(maxima, slab_maxima(
                     samples, dvalues, current, norm_squared(samples, slab.start), gauge))
             h_of[slab.start] = h_pairs
-            del samples, dvalues, current, raw   # not held through the trace pass
+            del samples, dvalues, current   # not held through the trace pass
             yield slab, (gauge, c)
 
     # dA and dC read the planes next to each slab: a slab's second pass
@@ -329,11 +249,11 @@ def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
     curl_res = h_max = dc_max = 0.0
     for slab, (gauge, c), first in stencil_windows(grid, order, first_pass()):
         own = slice(slab.start - first, slab.stop - first)
-        emit("trace", slab, sign * trace_cs_values(gauge[own], derivative_stack(
+        sums["trace"].add(slab, sign * trace_cs_values(gauge[own], derivative_stack(
             gauge, grid, order, slab, first, components_first=True)))
         dc = derivative_stack(c, grid, order, slab, first, components_first=True)
         h = h_of.pop(slab.start)
-        for idx, (i, j) in enumerate(AbelianData.H_PAIRS):
+        for idx, (i, j) in enumerate(H_PAIRS):
             curl_res = np.maximum(curl_res, np.max(np.abs(
                 dc[:, i, j] - dc[:, j, i] - h[:, idx])))
         h_max = np.maximum(h_max, np.max(np.abs(h)))
@@ -342,7 +262,8 @@ def _sweep(psi: SpinorField, emit, parallel: bool = False) -> tuple:
     if not curl_res <= RESIDUAL_FACTOR * resolution * np.maximum(h_max, dc_max):
         raise ReconstructionError(
             f"Abelian potential is not a potential for H: residual {curl_res:.3e}")
-    return float(residue), float(curl_res), maxima
+    return KnotCharges(sums["spinor"].total(), sums["trace"].total(), sums["fn"].total(),
+                       float(curl_res), maxima)
 
 
 def fn_pointwise(c: np.ndarray, h: np.ndarray) -> np.ndarray:

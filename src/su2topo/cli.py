@@ -328,7 +328,7 @@ def _run_cs(args, psi: SpinorField | None = None, parallel: bool = False) -> Cha
         "Q_spinor": _charge_entry(q_spinor),
         "Q_trace": _charge_entry(q_trace),
         "Q_fn": {**_charge_entry(q_fn),
-                 "exactness_residual": charges.abelian.exactness_residual},
+                 "exactness_residual": charges.exactness_residual},
     }
     for name, label, value in (
             ("quantization", "|Q - nearest|", abs(q_spinor - round(q_spinor))),

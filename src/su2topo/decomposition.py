@@ -11,8 +11,8 @@ in (Psi, dPsi, A), whatever the derivative samples are: `a` transforms
 like a connection, `b` like a vector, and `b` vanishes exactly when Psi is
 parallel (D Psi = 0).
 
-Both parts are su(2)-valued 1-forms, so both are :class:`GaugeField`s with
-components read from Psi bilinears.  `a` comes from the spinor current
+Both parts are su(2)-valued 1-forms with components read from Psi
+bilinears.  `a` comes from the spinor current
 J_mu^A = Psi^dag sigma_A d_mu Psi (sigma_0 = 1), which
 ``SpinorField.slab_currents`` computes per slab; the parallel
 potential A^a = -2 Im J^a comes from the same current.  `b` comes from
@@ -32,16 +32,13 @@ axis at a time, so their temporaries stay a fraction of a slab.  A is the
 given potential's slab or, with none given, the parallel potential of the
 slab's own current, never held whole.  :func:`decompose` keeps only the
 kernels' maxima (:func:`slab_maxima`), as the knot-charge sweep
-(:func:`~su2topo.chern_simons.chern_simons`) does on the inputs it holds;
-the same kernels fill ``Decomposition.a`` and ``.b``, site-major, when they
-are read.  Every entry is bit for bit the whole-grid evaluation, and
-maxima are exact in any order.
+(:func:`~su2topo.chern_simons.chern_simons`) does on the inputs it holds:
+no part is kept, and maxima are exact in any order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +46,7 @@ from . import su2_algebra
 from .errors import FieldError, ReconstructionError
 from .fields import (EPS_ZERO, GaugeField, SpinorField, _check_nonvanishing,
                      norm_squared)
-from .lattice import component_major, read_only, site_major
+from .lattice import component_major
 
 #: Largest max|a^c + b^c - A^c| accepted, relative to 1 + max|A^c|.
 RECONSTRUCTION_TOL = 1e-12
@@ -130,27 +127,20 @@ def fold_maxima(maxima: tuple, more: tuple) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """The split A_mu = a_mu + b_mu of one (Psi, A) pair.
+    """The reductions of the split A_mu = a_mu + b_mu of one (Psi, A) pair.
 
     ``residual`` is max|a^c + b^c - A^c| over sites, axes and colors,
     ``max_covariant`` is max|D_mu Psi| over the spinor entries and
     ``max_b`` is max|b_mu| over the entries of its matrix form, taken in
-    closed form from the components without building the matrices.  The parts
-    ``a`` and ``b`` are :class:`GaugeField`s built slab by slab on first
-    read.  ``gauge`` is A, the field given to :func:`decompose`, or None
-    for the parallel potential, which each slab takes from its own
-    current.
+    closed form from the components without building the matrices.
     """
 
-    psi: SpinorField
     residual: float
     max_covariant: float
     max_b: float
-    gauge: GaugeField | None = field(default=None, repr=False)
 
     @classmethod
-    def from_maxima(cls, psi: SpinorField, maxima: tuple,
-                    gauge: GaugeField | None = None) -> "Decomposition":
+    def from_maxima(cls, maxima: tuple) -> "Decomposition":
         """The split whose sweep took the :func:`slab_maxima` ``maxima``.
 
         A residual max|a + b - A| beyond ``RECONSTRUCTION_TOL`` times
@@ -160,27 +150,7 @@ class Decomposition:
         if not residual <= RECONSTRUCTION_TOL * (1.0 + amax):
             raise ReconstructionError(
                 f"decomposition identity violated: max|a + b - A| = {residual:.3e}")
-        return cls(psi, residual, dmax, bmax, gauge)
-
-    @cached_property
-    def a(self) -> GaugeField:
-        """The spinor-gauge part, which transforms like a connection."""
-        return self._part(0)
-
-    @cached_property
-    def b(self) -> GaugeField:
-        """The covariant part, which vanishes where Psi is parallel."""
-        return self._part(1)
-
-    def _part(self, index: int) -> GaugeField:
-        psi, grid = self.psi, self.psi.grid
-        out = np.empty(grid.shape + (grid.rank, 3))
-        for slab, samples, dvalues, current, gauge in _slab_inputs(psi, self.gauge):
-            dcov = covariant_derivative(samples, dvalues, gauge)
-            for axis, parts in enumerate(_axis_parts(
-                    samples, current, norm_squared(samples, slab.start), dcov)):
-                out[slab][..., axis, :] = site_major(parts[index], grid.rank)
-        return GaugeField(grid, read_only(out))
+        return cls(residual, dmax, bmax)
 
 
 def _slab_inputs(psi: SpinorField, gauge: GaugeField | None):
@@ -225,23 +195,7 @@ def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decompositio
             _check_nonvanishing(psi, slab.start)
         maxima = fold_maxima(maxima, slab_maxima(samples, dvalues, current, norms,
                                                  potential))
-    return Decomposition.from_maxima(psi, maxima, gauge)
-
-
-def parallel_gauge_potential(psi: SpinorField) -> GaugeField:
-    """The potential i(Psi^dag sigma_a dPsi - dPsi^dag sigma_a Psi).
-
-    For a normalized spinor this solves the parallel condition D Psi = 0
-    exactly, and feeding the result back into :func:`decompose` returns
-    b = 0 at machine epsilon when jets are exact.  The components
-    A^a = -2 Im J^a are real by construction and are filled slab by slab.
-    """
-    if not psi.normalized:
-        raise FieldError("parallel potential requires a normalized spinor")
-    out = np.empty(psi.grid.shape + (psi.grid.rank, 3))
-    for slab, _, _, current in psi.slab_currents():
-        out[slab] = site_major(parallel_components(current), psi.grid.rank)
-    return GaugeField(psi.grid, read_only(out))
+    return Decomposition.from_maxima(maxima)
 
 
 def parallel_components(current: np.ndarray) -> np.ndarray:

@@ -72,8 +72,8 @@ class SpinorField(LatticeField):
     field's block jet as a complex view.  The samples are stored too, or
     served block by block (``block_values``, a field built with
     ``values=None``): :func:`phi_to_spinor` hands on a chart field's.  The
-    routes take each slab's samples, d Psi and current from
-    :meth:`slab_currents` and pass them to their kernels.
+    rank-3 routes and the decomposition take each slab's samples, d Psi
+    and current from :meth:`slab_currents` and pass them to their kernels.
     """
 
     grid: Grid

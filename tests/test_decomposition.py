@@ -68,9 +68,9 @@ def test_decompose_trivial_configuration():
     psi = st.SpinorField(grid, values,
                          jet=np.zeros(grid.shape + (4, 2), dtype=complex))
     zero = st.GaugeField(grid, np.zeros(grid.shape + (4, 3)))
-    dec = st.decompose(psi, zero)
-    assert np.max(np.abs(matrices(dec.a.values))) == 0.0
-    assert np.max(np.abs(matrices(dec.b.values))) == 0.0
+    assert st.decompose(psi, zero).residual == 0.0
+    for part in oracle.swept(psi, "a", "b", gauge=zero).values():
+        assert np.max(np.abs(matrices(part))) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -80,7 +80,7 @@ def test_decompose_reconstruction_random(seed):
     gauge = st.random_config(200 + seed, "gauge", grid)
     dec = st.decompose(psi, gauge)
     assert dec.residual < 1e-12
-    for part in (matrices(dec.a.values), matrices(dec.b.values)):
+    for part in map(matrices, oracle.swept(psi, "a", "b", gauge=gauge).values()):
         assert np.max(np.abs(part + np.conj(np.swapaxes(part, -1, -2)))) < 1e-12
         assert np.max(np.abs(np.trace(part, axis1=-2, axis2=-1))) < 1e-12
 
@@ -90,10 +90,10 @@ def test_decompose_scale_invariance():
     psi = st.random_config(31, "spinor", grid)
     gauge = st.random_config(32, "gauge", grid)
     scaled = st.SpinorField(grid, 3.7 * psi.values, jet=3.7 * psi.jet)
-    dec1 = st.decompose(psi, gauge)
-    dec2 = st.decompose(scaled, gauge)
-    assert np.max(np.abs(matrices(dec1.a.values) - matrices(dec2.a.values))) < 1e-12
-    assert np.max(np.abs(matrices(dec1.b.values) - matrices(dec2.b.values))) < 1e-12
+    parts1 = oracle.swept(psi, "a", "b", gauge=gauge)
+    parts2 = oracle.swept(scaled, "a", "b", gauge=gauge)
+    for name in ("a", "b"):
+        assert np.max(np.abs(matrices(parts1[name]) - matrices(parts2[name]))) < 1e-12
 
 
 def test_decompose_rejects_vanishing_spinor():
@@ -178,15 +178,16 @@ def test_parallel_potential_constant_spinor_is_zero():
     values[..., 0] = 1.0
     psi = st.SpinorField(grid, values,
                          jet=np.zeros(grid.shape + (4, 2), dtype=complex))
-    gauge = st.parallel_gauge_potential(psi)
-    assert np.max(np.abs(gauge.values)) == 0.0
+    assert np.max(np.abs(oracle.swept(psi, "gauge")["gauge"])) == 0.0
 
 
 def test_parallel_potential_requires_normalized():
+    # the rank-4 route that takes the parallel potential of a spinor's
+    # current, the trace Chern density, refuses a spinor that is not unit
     grid = small_grid()
     psi = st.random_config(35, "spinor", grid)
-    with pytest.raises(FieldError):
-        st.parallel_gauge_potential(psi)
+    with pytest.raises(FieldError, match="normalized"):
+        st.chern_numbers(psi, ("trace",))
 
 
 def test_decompose_without_a_potential_requires_normalized():
@@ -209,7 +210,7 @@ def test_decompose_takes_no_whole_grid_potential(monkeypatch):
     sites = n**3
     bound = 3 * n * n * 1024
     peak, dec = peak_traced_bytes(lambda: st.decompose(st.identity_map_s3(n)))
-    assert dec.max_b < 1e-10 and dec.gauge is None
+    assert dec.max_b < 1e-10
     assert peak < bound
     assert peak + sites * 3 * 3 * 8 > bound
 
@@ -226,19 +227,18 @@ def test_parallel_potential_real_spinor_sigma2_channel():
     jet = np.stack([-np.sin(t)[..., None] * dt + 0j,
                     np.cos(t)[..., None] * dt + 0j], axis=-1)
     psi = st.SpinorField(grid, values, jet=jet)
-    gauge = st.parallel_gauge_potential(psi)
-    assert np.max(np.abs(gauge.values[..., 0])) < 1e-12
-    assert np.max(np.abs(gauge.values[..., 2])) < 1e-12
-    assert np.max(np.abs(gauge.values[..., 1] - 2.0 * dt)) < 1e-12
+    gauge = oracle.swept(psi, "gauge")["gauge"]
+    assert np.max(np.abs(gauge[..., 0])) < 1e-12
+    assert np.max(np.abs(gauge[..., 2])) < 1e-12
+    assert np.max(np.abs(gauge[..., 1] - 2.0 * dt)) < 1e-12
 
 
 def test_parallel_condition_identity_map():
     psi = st.identity_map_s3(12)
-    gauge = st.parallel_gauge_potential(psi)
-    d = covariant(psi, gauge)
+    swept = oracle.swept(psi, "gauge", "b")        # b of the parallel potential
+    d = covariant(psi, st.GaugeField(psi.grid, swept["gauge"]))
     assert np.max(np.abs(d)) < 1e-12
-    dec = st.decompose(psi, gauge)
-    assert np.max(np.abs(matrices(dec.b.values))) < 1e-12
+    assert np.max(np.abs(matrices(swept["b"]))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -248,30 +248,26 @@ def test_transformation_laws(seed):
     gauge = st.random_config(400 + seed, "gauge", grid)
     s, ds, d2s = transformation(grid, 500 + seed)
     psi2, gauge2 = transform(psi, gauge, (s, ds, d2s))
-    dec = st.decompose(psi, gauge)
-    dec2 = st.decompose(psi2, gauge2)
+    dec = oracle.swept(psi, "a", "b", gauge=gauge)
+    dec2 = oracle.swept(psi2, "a", "b", gauge=gauge2)
 
     sdag = dagger(s)[..., None, :, :]
-    rot = lambda x: s[..., None, :, :] @ matrices(x.values) @ sdag
-    a_law = rot(dec.a) + ds @ sdag
-    b_law = rot(dec.b)
-    assert np.max(np.abs(matrices(dec2.a.values) - a_law)) < 1e-10
-    assert np.max(np.abs(matrices(dec2.b.values) - b_law)) < 1e-10
+    rot = lambda x: s[..., None, :, :] @ matrices(x) @ sdag
+    a_law = rot(dec["a"]) + ds @ sdag
+    b_law = rot(dec["b"])
+    assert np.max(np.abs(matrices(dec2["a"]) - a_law)) < 1e-10
+    assert np.max(np.abs(matrices(dec2["b"]) - b_law)) < 1e-10
 
 
 def test_decomposition_parts_are_gauge_fields():
-    # the parts are read-only gauge fields, built on first read; the maxima
-    # decompose keeps are those of the parts and of D Psi, bit for bit
+    # decompose keeps no part, only maxima: those of the gauge-field part
+    # b, as its kernels compute it, and of D Psi, bit for bit
     grid = small_grid()
     psi = st.random_config(3, "spinor", grid)
     gauge = st.random_config(4, "gauge", grid)
     dec = st.decompose(psi, gauge)
-    assert "a" not in vars(dec) and "b" not in vars(dec)
-    for part in (dec.a, dec.b):
-        assert isinstance(part, st.GaugeField) and part.grid == grid
-        assert part.jet is None and not part.values.flags.writeable
-    assert dec.a is dec.a
-    assert dec.max_b == np.max(np.abs(matrices(dec.b.values)))
+    b = oracle.swept(psi, "b", gauge=gauge)["b"]
+    assert dec.max_b == np.max(np.abs(matrices(b)))
     assert dec.max_covariant == np.max(np.abs(covariant(psi, gauge)))
 
 
@@ -292,14 +288,15 @@ def test_decompose_matches_the_outer_product_formula(jets):
         psi = st.SpinorField(grid, psi.values)
     gauge = st.random_config(42, "gauge", grid)
     dec = st.decompose(psi, gauge)
+    parts = oracle.swept(psi, "a", "b", gauge=gauge)
     weight = 1.0 / oracle.norm_squared(psi.values)
     a = _traceless_outer_reference(psi.derivatives(), psi.values, weight)
     b = _traceless_outer_reference(oracle.covariant_derivative(psi, gauge.values),
                                    psi.values, -weight)
     scale = np.max(np.abs(a)) + np.max(np.abs(b))
-    assert np.max(np.abs(matrices(dec.a.values) - a)) <= 1e-15 * scale
-    assert np.max(np.abs(matrices(dec.b.values) - b)) <= 1e-15 * scale
-    assert np.max(np.abs(dec.a.values + dec.b.values - gauge.values)) == pytest.approx(
+    assert np.max(np.abs(matrices(parts["a"]) - a)) <= 1e-15 * scale
+    assert np.max(np.abs(matrices(parts["b"]) - b)) <= 1e-15 * scale
+    assert np.max(np.abs(parts["a"] + parts["b"] - gauge.values)) == pytest.approx(
         dec.residual, abs=1e-15 * scale)
 
 
@@ -348,9 +345,8 @@ def test_folded_maxima_keep_a_nan():
                          (0.5, 2.0, 1.0, 1.0))
     assert np.isnan(folded[0]) and folded[1:] == (2.0, 1.0, 1.0)
     assert all(type(x) is float for x in folded)
-    psi = st.identity_map_s3(8)
     with pytest.raises(st.ReconstructionError, match="nan"):
-        Decomposition.from_maxima(psi, folded)
+        Decomposition.from_maxima(folded)
 
 
 @pytest.mark.parametrize("colour", range(3))

@@ -7,10 +7,9 @@ import su2topo
 
 PACKAGE = pathlib.Path(su2topo.__file__).parent
 #: Public routes nothing in the package calls, kept as references that
-#: tests compare the package's own routes against; the pointwise route
-#: tests compare the two knot densities ``KnotCharges.spinor`` and
-#: ``.trace``.
-REFERENCE_ROUTES = {"trace_pointwise", "KnotCharges.spinor", "KnotCharges.trace"}
+#: tests compare the package's own routes against: the pointwise trace
+#: route, against the Abelian one and the swept trace density.
+REFERENCE_ROUTES = {"trace_pointwise"}
 
 
 def _public_definitions(tree: ast.Module):
@@ -109,3 +108,41 @@ def test_no_library_code_reads_a_whole_grid_outside_its_exempt_readers():
     assert not unlisted, f"whole-grid reads outside the exempt readers: {unlisted}"
     # and no exemption outlives its read
     assert {owner for _, owner, _ in found} == set(WHOLE_GRID_READERS)
+
+
+#: The functions of the package that may fill an array of the whole grid,
+#: each with its reason.
+WHOLE_GRID_FILLS = {
+    "LatticeField._blockwise": "the whole-grid values_at() that normalize asks for",
+    "random_config": "random fields store their values and jets",
+}
+FILLS = {"empty", "zeros", "full", "ones"}
+
+
+def _whole_grid_fills(tree: ast.Module):
+    """Yield ``(owner, line)`` for each ``np.empty``, ``np.zeros``,
+    ``np.full`` or ``np.ones`` of a module whose shape expression reads a
+    ``grid.shape`` (of a name or an attribute ``grid``)."""
+    for owner, statement in _owned_statements(tree):
+        for node in ast.walk(statement):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in FILLS and getattr(node.func.value, "id", "") == "np"):
+                continue
+            shape = node.args[:1] + [k.value for k in node.keywords if k.arg == "shape"]
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "shape"
+                   and (getattr(sub.value, "id", None) == "grid"
+                        or getattr(sub.value, "attr", None) == "grid")
+                   for expr in shape for sub in ast.walk(expr)):
+                yield owner, node.lineno
+
+
+def test_no_library_code_fills_a_whole_grid_outside_its_exempt_fills():
+    # a whole-grid array filled slab by slab is as large as one read
+    # whole: a function not listed above that allocates one is how a grid
+    # comes back into memory unnoticed
+    found = [(path.name, owner, line)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for owner, line in _whole_grid_fills(ast.parse(path.read_text()))]
+    unlisted = [hit for hit in found if hit[1] not in WHOLE_GRID_FILLS]
+    assert not unlisted, f"whole-grid fills outside the exempt fills: {unlisted}"
+    assert {owner for _, owner, _ in found} == set(WHOLE_GRID_FILLS)
