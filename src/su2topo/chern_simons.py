@@ -278,6 +278,9 @@ def fn_pointwise(c: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def trace_pointwise(gauge: GaugeField) -> np.ndarray:
-    """eps_{ijk} Tr(A_i d_j A_k - 2/3 A_i A_j A_k), the non-Abelian side."""
-    a, da = (component_major(block, 3) for block in (gauge.values, gauge.derivatives()))
+    """eps_{ijk} Tr(A_i d_j A_k - 2/3 A_i A_j A_k), the non-Abelian side, of
+    a gauge field that stores its samples: dA is its stored jet, else the
+    second-order differences of its samples."""
+    da = derivative_stack(gauge.values, gauge.grid) if gauge.jet is None else gauge.jet
+    a, da = (component_major(block, 3) for block in (gauge.values, da))
     return 8.0 * np.pi**2 * trace_cs_values(a, da)

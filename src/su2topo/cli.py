@@ -358,15 +358,12 @@ def cmd_chern(args) -> int:
     report = ChargeReport("chern", config=_config_echo(args, field.grid))
     psi = normalize(_as_spinor(field, args.infile))
     start = time.perf_counter()
-    charges = chern_numbers(psi, ROUTES if args.method == "all" else [args.method])
+    charges = chern_numbers(psi, ROUTES)
     report.timings["chern_s"] = time.perf_counter() - start
-    results = {f"C2_{route}": _charge_entry(c2) for route, c2 in charges.items()}
-    report.results["chern"] = results
-    if len(results) > 1:
-        values = [entry["value"] for entry in results.values()]
-        spread = max(values) - min(values)
-        _bound_check(report, "method-agreement", f"max spread {spread:.3e}",
-                     spread, args.tol)
+    report.results["chern"] = {f"C2_{route}": _charge_entry(c2)
+                               for route, c2 in charges.items()}
+    spread = max(charges.values()) - min(charges.values())
+    _bound_check(report, "method-agreement", f"max spread {spread:.3e}", spread, args.tol)
     return _emit_report(report, args)
 
 
@@ -490,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     chn = sub.add_parser("chern", help="Chern density and second Chern number")
     chn.add_argument("infile")
-    chn.add_argument("--method", choices=["trace", "spinor", "unit", "all"],
-                     default="all")
     report_flags(chn)
     chn.set_defaults(func=cmd_chern)
 

@@ -20,17 +20,17 @@ testable at machine epsilon instead of hiding behind O(h^2)
 discretization error.  Fields are immutable after construction.  A
 constructor adopts an array that nothing can write any more (read-only,
 aligned, no writable base) and copies any other, so the conversions here
-hand over the fresh arrays they build as
-:func:`~su2topo.lattice.read_only`, and views of a field's own arrays,
-without a second copy of the grid.
+hand over views of a field's own arrays without a second copy of the
+grid.
 
-A generated field may store no samples either: a box or chart field
-serves each block's from its formula
-(:meth:`~su2topo.lattice.LatticeField.values_at`), and the conversions
-hand that on.  :attr:`SpinorField.normalized` and
-:meth:`SpinorField.slab_currents` read the samples one axis-0 slab
-(:func:`~su2topo.lattice.slabs`) at a time; only :func:`normalize`, whose
-result stores its samples, reads them whole.
+A field may store no samples either: a box or chart field serves each
+block's from its formula
+(:meth:`~su2topo.lattice.LatticeField.values_at`), :func:`normalize`
+serves each block's from the input's, and the conversions hand that on.
+:attr:`SpinorField.normalized`, :meth:`SpinorField.slab_currents` and
+:func:`normalize`'s zero check read the samples one axis-0 slab
+(:func:`~su2topo.lattice.slabs`) at a time; nothing here reads them
+whole.
 
 The kernels here (:func:`norm_squared`, :func:`sigma_model_field` and the
 spinor current of :meth:`SpinorField.slab_currents`) take one slab's
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, NormalizationError
-from .lattice import Grid, LatticeField, component_major, read_only, site_major, slabs
+from .lattice import Grid, LatticeField, component_major, site_major, slabs
 
 #: Largest deviation of |Psi|^2 from 1 at which a spinor counts as normalized.
 NORM_TOL = 1e-10
@@ -253,11 +253,13 @@ def _check_nonvanishing(psi: SpinorField, start: int) -> None:
 def normalize(psi: SpinorField) -> SpinorField:
     """Rescale to unit norm, transporting the jet by the quotient rule.
 
-    The quotient rule is pointwise, so the normalized spinor of one with a
-    jet, stored or computed block by block, serves its jet block by block
-    (``block_jet``): each block reads ``psi.exact_jet`` of that block, and
-    equals the whole-grid rule bit for bit.  Bare samples give a bare
-    result.  Each block is computed component-major
+    Both are pointwise, so the normalized spinor stores nothing: it serves
+    its samples block by block (``block_values``), each block
+    ``psi.values_at`` of that block over its own norms, and, for a spinor
+    with a jet, stored or computed block by block, its jet the same way
+    (``block_jet``) from ``psi.exact_jet`` of that block.  Each equals the
+    whole-grid rule bit for bit.  Bare samples give a bare result.  The
+    jet's blocks are computed component-major
     (:func:`~su2topo.lattice.component_major`): the samples
     ``(planes, 2, ...)`` and the jet ``(planes, rank, 2, ...)``,
     so every operation runs over a plane's sites instead of component
@@ -267,21 +269,25 @@ def normalize(psi: SpinorField) -> SpinorField:
     component-major result.
 
     Raises :class:`NormalizationError` with the offending site when the
-    norm drops below ``EPS_ZERO``: a vanishing spinor marks a zero of the
+    norm drops below ``EPS_ZERO``, and :class:`FieldError` where a norm
+    overflows, both found by one sweep of the slabs
+    (:func:`_check_nonvanishing`): a vanishing spinor marks a zero of the
     4-vector field, which carries topological charge and must be excluded
     or re-gridded by the caller, never clamped.
     """
-    samples = psi.values_at()
-    norms = np.sqrt(norm_squared(np.moveaxis(samples, -1, 1), 0))
-    if np.min(norms) < EPS_ZERO:
-        _check_nonvanishing(psi, 0)
-    values = read_only(samples / norms[..., None])
+    _check_nonvanishing(psi, 0)
+
+    # the sweep found no norm that overflows, so no block's norm_squared
+    # names a site
+    def unit(block):
+        samples = psi.values_at(block)
+        return samples / np.sqrt(norm_squared(np.moveaxis(samples, -1, 1), 0))[..., None]
 
     def quotient(block):
         rank = psi.grid.rank
         samples, jet = (component_major(x, rank)
                         for x in (psi.values_at(block), psi.exact_jet(block)))
-        norm = norms[block][:, None]
+        norm = np.sqrt(norm_squared(samples, 0))[:, None]
         sr, si, jr, ji = samples.real, samples.imag, jet.real, jet.imag
         # Re sum_c conj(Psi_c) d_m Psi_c, in the order of numpy's einsum
         # over a trailing c, its zero start included
@@ -292,9 +298,9 @@ def normalize(psi: SpinorField) -> SpinorField:
         out -= samples[:, None] * (dnorm / norm ** 2)[:, :, None]
         return site_major(out, rank)
 
-    if psi.jet is None and psi.block_jet is None:
-        return SpinorField(psi.grid, values)
-    return SpinorField(psi.grid, values, block_jet=quotient)
+    bare = psi.jet is None and psi.block_jet is None
+    return SpinorField(psi.grid, None, block_values=unit,
+                       block_jet=None if bare else quotient)
 
 
 def _reinterpret(field: LatticeField, kind, dtype) -> LatticeField:
@@ -302,15 +308,13 @@ def _reinterpret(field: LatticeField, kind, dtype) -> LatticeField:
     block, are ``dtype`` views of those of ``field``.  A block that is not
     contiguous (a box generator's site-major view may not be) is copied
     first."""
-    def view(array):
-        return None if array is None else array.view(dtype)
-
     def per_block(compute):
         return None if compute is None else (
             lambda block: np.ascontiguousarray(compute(block)).view(dtype))
 
-    return kind(field.grid, view(field.__dict__["values"]), jet=view(field.jet),
-                block_jet=per_block(field.block_jet),
+    values = None if field.values is None else field.values.view(dtype)
+    jet = None if field.jet is None else field.jet.view(dtype)
+    return kind(field.grid, values, jet=jet, block_jet=per_block(field.block_jet),
                 block_values=per_block(field.block_values))
 
 

@@ -10,13 +10,13 @@ Pointwise work runs one axis-0 slab at a time (:func:`slabs`): a route
 reads each slab of its inputs, with ``derivative_stack(..., slab=...)``
 reading the ``order // 2`` neighbouring planes the stencils need, hands
 the slab's arrays to kernels that read no field, and folds or sums what
-they return (:class:`Quadrature`), or fills a whole-grid array slab by
-slab where a caller asks for one.  A route that differentiates
+they return (:class:`Quadrature`).  A route that differentiates
 what its own sweep computes runs those stencils a slab behind, on windows
 of the planes they read (:func:`stencil_windows`), so that input is never
 held for the whole grid.  A field that computes its samples from the
-coordinates (:meth:`Grid.coords`) of a block serves them a block at a time
-(:meth:`LatticeField.values_at`) without storing them.  Every value is computed by
+coordinates (:meth:`Grid.coords`) of a block, or from another field's
+samples, serves them a block at a time (:meth:`LatticeField.values_at`)
+without storing them, and is never read whole.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
 
 Fields store their samples site-major, ``(*shape, *components)``.  The
@@ -167,22 +167,6 @@ class Grid:
             raise LatticeError(f"axis {axis} out of range for rank {self.rank}")
 
 
-class _Samples:
-    """The ``values`` of a field: the stored array, or for a field that
-    stores none, :meth:`LatticeField.values_at` of the whole grid.  Read on
-    the class it raises :class:`AttributeError`, so the dataclass field
-    ``values`` has no default."""
-
-    def __get__(self, field, owner=None):
-        if field is None:
-            raise AttributeError("values")
-        stored = field.__dict__["values"]
-        return field.values_at() if stored is None else stored
-
-    def __set__(self, field, array):
-        field.__dict__["values"] = array
-
-
 class LatticeField:
     """Base of the per-site field containers.
 
@@ -203,10 +187,11 @@ class LatticeField:
     way, a function from a block to its samples: given one and
     ``values=None``, the field stores no samples, and :meth:`values_at`
     asks it for each block it serves and checks that block's samples are
-    finite.  Box and chart generators serve their samples so, and a field
-    read from an FLD file reads them from the file.  Library reads take
-    the block they need through :meth:`values_at`; ``values`` still reads
-    the whole grid, filled slab by slab and not kept.
+    finite.  Box and chart generators and :func:`~su2topo.fields.normalize`
+    serve their samples so, and a field read from an FLD file reads them
+    from the file.  ``values`` is then None: every read takes the block
+    it needs, through :meth:`values_at`, and no served field is ever read
+    whole.
 
     An array that is already read-only and aligned, of the kind's dtype and
     with no writable array in its ``.base`` chain, is adopted without a
@@ -221,7 +206,6 @@ class LatticeField:
     jet = None
     block_jet = None
     block_values = None
-    values = _Samples()
 
     @classmethod
     def component_shape(cls, rank: int) -> tuple:
@@ -232,7 +216,7 @@ class LatticeField:
         grid = self.grid
         comps = self.component_shape(grid.rank)
         # served samples are checked block by block as they are served
-        if self.__dict__["values"] is not None or self.block_values is None:
+        if self.values is not None or self.block_values is None:
             self._freeze("values", grid.shape + comps)
             self._check_finite(self.values)
         if self.jet is not None:
@@ -250,61 +234,32 @@ class LatticeField:
             raise FieldError(f"{self.LABEL} {name} shape {array.shape} != {expected}")
         object.__setattr__(self, name, array)
 
-    def values_at(self, block: slice | tuple = slice(None)) -> np.ndarray:
+    def values_at(self, block: slice | tuple) -> np.ndarray:
         """The samples on the planes ``block`` of axis 0, or on a block of
         per-axis slices: the stored ones, else those ``block_values``
         computes for that block, checked finite (:class:`FieldError`)."""
-        def served(part):
-            samples = self.block_values(part)
-            self._check_finite(samples)
-            return samples
-        return read_only(self._blockwise(self.__dict__["values"], served, block, ()))
+        if self.values is not None:
+            return self.values[block]
+        samples = read_only(self.block_values(block))
+        self._check_finite(samples)
+        return samples
 
-    def exact_jet(self, slab: slice | tuple = slice(None)) -> np.ndarray | None:
-        """Exact first-derivative samples on the planes ``slab`` of axis 0 (or
-        a block of per-axis slices), or None for bare samples.
-
-        The stored jet comes first, else ``block_jet`` is asked for that
-        block only.
-        """
-        return self._blockwise(self.jet, self.block_jet, slab, (self.grid.rank,))
-
-    def _blockwise(self, stored, compute, block, axes: tuple):
-        """``stored[block]``, else ``compute(block)``, else None.  Computed
-        for the whole grid, the result is filled into one new array an
-        axis-0 slab (:func:`slabs`) at a time, one call per slab, so no
-        whole-grid temporaries are built; nothing computed is kept with
-        the field.  ``axes`` are the per-site axes before the components."""
-        if stored is not None:
-            return stored[block]
-        if compute is None:
-            return None
-        if block != slice(None):
-            return compute(block)
-        grid = self.grid
-        out = np.empty(grid.shape + axes + self.component_shape(grid.rank),
-                       dtype=self.DTYPE)
-        for part in slabs(grid):
-            out[part] = compute(part)
-        return out
-
-    def derivatives(self, order: int = 2) -> np.ndarray:
-        """The exact jet of the whole grid if there is one, else its finite
-        differences of ``order``; the axis index sits before the component
-        axes.  A slab's derivatives are those of :meth:`slab_samples`."""
-        jet = self.exact_jet()
-        if jet is not None:
-            return jet
-        return derivative_stack(self.values, self.grid, order)
+    def exact_jet(self, block: slice | tuple) -> np.ndarray | None:
+        """Exact first-derivative samples on the planes ``block`` of axis 0
+        (or a block of per-axis slices): the stored jet's, else those
+        ``block_jet`` computes for that block, else None for bare samples."""
+        if self.jet is not None:
+            return self.jet[block]
+        return None if self.block_jet is None else self.block_jet(block)
 
     def slab_samples(self, slab: slice, order: int = 2) -> tuple:
         """``(values_at(slab), derivatives)`` of the planes ``slab`` of axis
         0: the derivatives are the slab's exact jet if there is one, else
         its finite differences of ``order``, each entry that of
-        :meth:`derivatives` bit for bit.  Bare samples are read once, on
-        the planes the slab's stencils read (:func:`stencil_planes`,
-        wrapped runs on a periodic axis 0), and the slab's own samples are
-        a view of them."""
+        :func:`derivative_stack` of the whole grid bit for bit.  Bare
+        samples are read once, on the planes the slab's stencils read
+        (:func:`stencil_planes`, wrapped runs on a periodic axis 0), and
+        the slab's own samples are a view of them."""
         jet = self.exact_jet(slab)
         if jet is not None:
             return self.values_at(slab), jet

@@ -69,10 +69,14 @@ SPHERE_REFINEMENTS = 2       # resolution doublings before a degree is rejected
 
 
 def jacobian(phi: PhiField) -> ScalarField:
-    """det[d_mu phi^a] per site, positive where phi preserves orientation."""
+    """det[d_mu phi^a] per site, positive where phi preserves orientation,
+    of a field that stores its samples (the 4^4 window of
+    :func:`_zero_jacobian`): from its stored jet, else from second-order
+    differences of its samples."""
     if phi.grid.rank != 4:
         raise FieldError("the Jacobian determinant needs a rank-4 grid")
-    return ScalarField(phi.grid, np.linalg.det(phi.derivatives()))
+    jet = derivative_stack(phi.values, phi.grid) if phi.jet is None else phi.jet
+    return ScalarField(phi.grid, np.linalg.det(jet))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ contraction, the linear map and the quotient rule's Psi^dag d Psi are
 slab, and :func:`boundary_cs_sum` the spinor route of the boundary flux,
 the oracle of the boundary degree.  :func:`swept` is no oracle: it fills
 whole grids of what the library's sweeps compute slab by slab and do not
-keep, by the library's own kernels, for the tests that read them whole.
+keep, by the library's own kernels, for the tests that read them whole,
+and :func:`stored` is the copy of a field that stores its samples and
+jet, through which a test reads a served field whole.
 The three rank-4 Chern-density routes
 are here in the whole-grid forms the library had before it swept them:
 the trace route from the whole-grid :func:`field_strength`, which the
@@ -27,6 +29,7 @@ values and jets, the zero screen's corner min/max mask on the whole grid,
 and :func:`normalize`'s quotient rule.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -80,9 +83,33 @@ def norm_squared(samples):
     return np.sum(np.abs(samples) ** 2, axis=-1)
 
 
+def stored(field):
+    """The copy of ``field`` that stores its samples, and its exact jet if
+    it has one, each filled slab by slab (:func:`~su2topo.lattice.slabs`)
+    from :meth:`~su2topo.lattice.LatticeField.values_at` and
+    :meth:`~su2topo.lattice.LatticeField.exact_jet`: the library reads a
+    served field a block at a time only, and a test that reads it whole
+    reads this copy."""
+    def whole(read):
+        return np.concatenate([read(slab) for slab in slabs(field.grid)])
+
+    changes = {"values": whole(field.values_at), "block_values": None}
+    if field.jet is not None or field.block_jet is not None:
+        changes.update(jet=whole(field.exact_jet), block_jet=None)
+    return dataclasses.replace(field, **changes)
+
+
+def derivatives(field, order=2):
+    """The whole-grid derivatives of ``field``, the axis index before the
+    component axes: its exact jet if it has one, else the finite
+    differences of ``order`` of its samples."""
+    field = stored(field)
+    return derivative_stack(field.values, field.grid, order) if field.jet is None else field.jet
+
+
 def current(psi):
     """J_mu^A of the whole grid, shape ``(*shape, rank, 4)``."""
-    return spinor_current(psi.values[..., None, :], psi.derivatives())
+    return spinor_current(stored(psi).values[..., None, :], derivatives(psi))
 
 
 def parallel_components(current):
@@ -91,11 +118,12 @@ def parallel_components(current):
 
 def covariant_derivative(psi, gauge):
     """D_mu Psi of the whole grid for the components ``gauge`` of A."""
-    return psi.derivatives() + 0.5j * sigma_apply(gauge, psi.values[..., None, :])
+    return derivatives(psi) + 0.5j * sigma_apply(gauge, stored(psi).values[..., None, :])
 
 
 def parts(psi, gauge):
     """The components of a and b, and D Psi, of the whole grid."""
+    psi = stored(psi)
     weight = (2.0 / norm_squared(psi.values))[..., None, None]
     a = np.multiply(current(psi)[..., 1:].imag, -weight)
     dcov = covariant_derivative(psi, gauge)
@@ -114,7 +142,8 @@ def maxima(psi, gauge):
 
 
 def sigma_model_field(psi):
-    return sigma_bilinear(psi.values, psi.values).real
+    samples = stored(psi).values
+    return sigma_bilinear(samples, samples).real
 
 
 def spinor_cs_values(j0, dvalues):
@@ -190,7 +219,7 @@ def boundary_cs_sum(field):
             face = st.face_restrict(field, axis, side)
             if isinstance(face, st.PhiField):
                 face = st.normalize(st.phi_to_spinor(face))
-            raw = spinor_cs_values(current(face)[..., 0], face.derivatives())
+            raw = spinor_cs_values(current(face)[..., 0], derivatives(face))
             total += (-1.0) ** axis * side_sign * np.sum(raw * quadrature_weights(face.grid))
     total *= st.ORIENTATION_SIGN * field.grid.orientation
     return float(total.real), float(abs(total.imag))
@@ -206,7 +235,7 @@ def routes(psi):
     c = -2.0 * j[..., 0].imag
     m, dm = sigma_model_field(psi), 2.0 * j[..., 1:].real
     h = np.stack([-triple(m, dm[..., i, :], dm[..., k, :]) for i, k in H_PAIRS], axis=-1)
-    return {"spinor": spinor_cs_values(j[..., 0], psi.derivatives()), "gauge": gauge,
+    return {"spinor": spinor_cs_values(j[..., 0], derivatives(psi)), "gauge": gauge,
             "trace": trace_cs_values(gauge, derivative_stack(gauge, grid)),
             "c": c, "h": h, "fn": fn_pointwise(c, h), "dc": derivative_stack(c, grid)}
 
@@ -296,7 +325,7 @@ def unit_chern_values(dvalues):
 def field_strength(gauge):
     """F_mn^a = d_m A_n - d_n A_m - (A_m x A_n)^a of a rank-4 gauge field
     on the whole grid, shape ``(*shape, 6, 3)`` over the pairs mu < nu."""
-    da, a = gauge.derivatives(), gauge.values
+    da, a = derivatives(gauge), stored(gauge).values
     pairs = np.empty(gauge.grid.shape + (6, 3))
     for idx, (mu, nu) in enumerate(PAIRS4):
         pairs[..., idx, :] = (da[..., mu, nu, :] - da[..., nu, mu, :]

@@ -9,6 +9,7 @@ d_n d_m S = -(k1_m k1_n + k2_m k2_n) S/4 + (k1_m k2_n + k2_m k1_n) T_1 S T_3.
 import numpy as np
 
 import su2topo as st
+from site_major import stored
 from su2topo.su2_algebra import GENERATORS, SIGMA
 
 T1, T3 = GENERATORS[0], GENERATORS[2]
@@ -46,10 +47,11 @@ def transformation(grid, seed):
 def transform(psi, gauge, sjets):
     """``(S Psi, S A S^dag + (dS) S^dag)``, with exact jets, for ``(S, dS, d2S)``."""
     s, ds, d2s = sjets
+    psi, gauge = stored(psi), stored(gauge)
     psi2 = st.SpinorField(psi.grid, np.einsum("...ij,...j->...i", s, psi.values),
                           jet=np.einsum("...mij,...j->...mi", ds, psi.values)
-                          + np.einsum("...ij,...mj->...mi", s, psi.exact_jet()))
-    a, da = matrices(gauge.values), matrices(gauge.exact_jet())
+                          + np.einsum("...ij,...mj->...mi", s, psi.jet))
+    a, da = matrices(gauge.values), matrices(gauge.jet)
     a2 = (s[..., None, :, :] @ a + ds) @ dagger(s)[..., None, :, :]
     # d_n (S A_m S^dag + d_m S S^dag), the derivative axis n before m
     sn, sdn = s[..., None, None, :, :], dagger(s)[..., None, None, :, :]

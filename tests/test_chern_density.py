@@ -21,24 +21,25 @@ def small_grid(n=6):
 def strength(gauge):
     """The trace kernel's F_mn of a whole rank-4 gauge field, the whole
     grid taken as one slab, site-major ``(*shape, 6, 3)``."""
-    a, da = (component_major(x, 4) for x in (gauge.values, gauge.derivatives()))
+    a, da = (component_major(x, 4)
+             for x in (oracle.stored(gauge).values, oracle.derivatives(gauge)))
     return site_major(_field_strength(a, da), 4)
 
 
 def trace_density(gauge):
     """The trace kernel's unsigned density of a whole rank-4 gauge field."""
     return _trace_values(*(component_major(x, 4)
-                           for x in (gauge.values, gauge.derivatives())))
+                           for x in (oracle.stored(gauge).values, oracle.derivatives(gauge))))
 
 
 def spinor_density(psi):
     """The spinor kernel's unsigned density of a whole rank-4 spinor."""
-    return _spinor_values(component_major(psi.derivatives(), 4))
+    return _spinor_values(component_major(oracle.derivatives(psi), 4))
 
 
 def unit_density(psi):
     """The unit kernel's unsigned density of a whole rank-4 spinor."""
-    return _unit_values(component_major(psi.derivatives(), 4))
+    return _unit_values(component_major(oracle.derivatives(psi), 4))
 
 
 def component(strength, mu, nu):
@@ -54,8 +55,8 @@ def component(strength, mu, nu):
 def commutator_form_residual(gauge, strength):
     """Largest gap between the stored components and the matrix form
     F_mn = dA_n - dA_m - [A_m, A_n] with matrix commutators."""
-    amat = matrices(gauge.values)
-    damat = matrices(gauge.derivatives())
+    amat = matrices(oracle.stored(gauge).values)
+    damat = matrices(oracle.derivatives(gauge))
     residual = 0.0
     for idx, (mu, nu) in enumerate(PAIRS4):
         fmat = (damat[..., mu, nu, :, :] - damat[..., nu, mu, :, :]
@@ -162,7 +163,7 @@ def test_the_kernels_equal_the_whole_grid_forms(jets):
     psi = st.random_config(12, "spinor", grid)
     if not jets:
         psi = st.SpinorField(grid, psi.values)
-    dpsi = psi.derivatives()
+    dpsi = oracle.derivatives(psi)
     for kernel, whole in ((spinor_density(psi), oracle.spinor_chern_values(dpsi).real),
                           (unit_density(psi),
                            oracle.unit_chern_values(dpsi.view(np.float64)))):
@@ -200,7 +201,7 @@ def test_spinor_vs_trace_density_fd_scaling():
     for n in (8, 16):
         grid = small_grid(n)
         psi = st.normalize(st.random_config(8, "spinor", grid))
-        nojet = st.SpinorField(grid, psi.values)
+        nojet = st.SpinorField(grid, oracle.stored(psi).values)
         rho_s = spinor_density(nojet)
         rho_t = trace_density(st.GaugeField(grid, oracle.swept(psi, "gauge")["gauge"]))
         constants[n] = np.max(np.abs(rho_s - rho_t)) / max(grid.spacing) ** 2
@@ -240,7 +241,7 @@ def _spinors(grid):
     """A normalized rank-4 spinor with its jet served block by block, and
     its bare samples."""
     psi = st.normalize(st.random_config(14, "spinor", grid))
-    return psi, st.SpinorField(grid, psi.values)
+    return psi, st.SpinorField(grid, oracle.stored(psi).values)
 
 
 def test_chern_numbers_by_slabs_equal_the_whole_grid(monkeypatch):
@@ -316,7 +317,7 @@ def test_c2_converges_to_integer_under_refinement():
     devs = []
     for grid in (base, st.box_grid((19, 19, 19, 19), -1.0, 1.0)):
         psi = st.normalize(st.random_config(42, "spinor", grid))
-        nojet = st.SpinorField(grid, psi.values)
+        nojet = st.SpinorField(grid, oracle.stored(psi).values)
         c2 = st.chern_numbers(nojet, ("spinor",))["spinor"]
         assert round(c2) == 0
         devs.append(abs(c2))
@@ -366,7 +367,7 @@ def test_boundary_degree_equals_the_spinor_face_flux():
     # oracle's spinor route within a few ulps on jet faces (measured: 1)
     grid = st.box_grid((16, 16, 16, 16), -2.0, 2.0)
     qpoly = st.quaternion_polynomial_field(_ROOTS, grid)
-    jet = qpoly.exact_jet()
+    jet = oracle.stored(qpoly).jet
     for axis in range(4):
         keep = [i for i in range(4) if i != axis]
         for side, index in ((0, 0), (1, -1)):
@@ -374,8 +375,9 @@ def test_boundary_degree_equals_the_spinor_face_flux():
             face = st.face_restrict(qpoly, axis, side)
             assert isinstance(face, st.PhiField) and face.sampler is None
             assert face.jet is None
-            np.testing.assert_array_equal(face.values, np.take(qpoly.values, index, axis))
-            np.testing.assert_array_equal(face.exact_jet(),
+            np.testing.assert_array_equal(face.values,
+                                          np.take(oracle.stored(qpoly).values, index, axis))
+            np.testing.assert_array_equal(oracle.stored(face).jet,
                                           np.take(jet, index, axis)[..., keep, :])
     matrix = np.array([[1.0, 0.2, 0.0, -0.1], [0.1, 0.9, 0.3, 0.0],
                        [0.0, -0.2, 1.1, 0.2], [0.3, 0.0, 0.1, 0.8]])
@@ -396,9 +398,9 @@ def test_the_spinor_density_of_a_unit_chart_spinor_is_its_degree_density():
     from su2topo.lattice import Quadrature, component_major
     psi = st.identity_map_s3(24)
     phi = st.spinor_to_phi(psi)
-    spinor = oracle.spinor_cs_values(oracle.current(psi)[..., 0], psi.derivatives())
-    degree = _degree_density(component_major(phi.values, 3),
-                             component_major(phi.exact_jet(), 3))
+    spinor = oracle.spinor_cs_values(oracle.current(psi)[..., 0], oracle.derivatives(psi))
+    degree = _degree_density(component_major(oracle.stored(phi).values, 3),
+                             component_major(oracle.stored(phi).jet, 3))
     assert np.max(np.abs(spinor.real - degree)) <= 1e-14 * np.max(np.abs(degree))
     quadrature = Quadrature(psi.grid)
     quadrature.add(slice(None), degree)
@@ -458,7 +460,7 @@ def test_face_flux_by_slabs_equals_the_whole_faces(planes, monkeypatch, tmp_path
     phi = st.quaternion_polynomial_field(_ROOTS, grid)
     path = str(tmp_path / "phi.fld")
     write_field(phi, path)
-    stored = st.PhiField(grid, phi.values, jet=phi.exact_jet())
+    stored = oracle.stored(phi)
     assert all(n * m * k <= lattice.SLAB_SITES for n, m, k in
                ((13, 11, 14), (12, 11, 14), (12, 13, 14), (12, 13, 11)))
     expected = st.boundary_degree(stored)       # every face in one slab

@@ -34,8 +34,8 @@ def test_spinor_density_requires_rank3():
 
 def test_spinor_density_requires_normalized():
     grid = st.s3_chart_grid(8)
-    psi = st.identity_map_s3(8)
-    scaled = st.SpinorField(grid, 2.0 * psi.values, jet=2.0 * psi.exact_jet())
+    psi = oracle.stored(st.identity_map_s3(8))
+    scaled = st.SpinorField(grid, 2.0 * psi.values, jet=2.0 * psi.jet)
     with pytest.raises(FieldError):
         cs.chern_simons(scaled)
 
@@ -80,7 +80,7 @@ def _sweep_charts():
     bare spinor periodic on axis 0."""
     def bare():
         psi = st.identity_map_s3(12)
-        return st.SpinorField(psi.grid, psi.values)
+        return st.SpinorField(psi.grid, oracle.stored(psi).values)
     return [lambda: st.identity_map_s3(12), lambda: st.identity_map_s3((17, 19, 23)),
             bare, _periodic_spinor]
 
@@ -170,8 +170,9 @@ def test_quaternion_square_charge():
 def test_global_phase_invariance():
     psi = st.identity_map_s3(12)
     alpha = 0.731
-    rotated = st.SpinorField(psi.grid, np.exp(1j * alpha) * psi.values,
-                             jet=np.exp(1j * alpha) * psi.exact_jet())
+    whole = oracle.stored(psi)
+    rotated = st.SpinorField(psi.grid, np.exp(1j * alpha) * whole.values,
+                             jet=np.exp(1j * alpha) * whole.jet)
     w1 = oracle.swept(psi, "spinor")["spinor"]
     w2 = oracle.swept(rotated, "spinor")["spinor"]
     assert np.max(np.abs(w1 - w2)) < 1e-14
@@ -250,7 +251,7 @@ def test_exactness_check_does_not_depend_on_the_box_size(half):
     grid = st.box_grid((24,) * 3, -half, half)
     for seed in range(3):
         psi = st.normalize(st.random_config(seed, "spinor", grid))
-        for field in (psi, st.SpinorField(grid, psi.values)):   # jets, then none
+        for field in (psi, st.SpinorField(grid, oracle.stored(psi).values)):   # jets, then none
             charges = cs.chern_simons(field)
             assert charges.exactness_residual > 0.0
 
@@ -339,7 +340,7 @@ def test_bare_spinor_is_differenced_once_per_slab(monkeypatch):
     # density and D Psi
     from su2topo import decomposition, lattice
     psi = st.identity_map_s3(24)
-    bare = st.SpinorField(psi.grid, psi.values)
+    bare = st.SpinorField(psi.grid, oracle.stored(psi).values)
     monkeypatch.setattr(lattice, "SLAB_SITES", 4 * 24 * 24)
     gauge = st.GaugeField(psi.grid, oracle.swept(bare, "gauge")["gauge"])
     calls = []
@@ -391,7 +392,7 @@ def test_chart_sweep_peaks_below_any_whole_grid_array(monkeypatch):
     peak, psi = peak_traced_bytes(sweep)
     bound = 9 * n * n * 1024 // 5
     assert peak < bound
-    assert psi.jet is None and psi.__dict__["values"] is None
+    assert psi.jet is None and psi.values is None
     for resident in (sites * 2 * 16, sites * 8, sites * 3 * 2 * 16, sites * 8 * 15):
         assert peak + resident > bound
 
@@ -430,9 +431,8 @@ def test_the_first_pass_drops_each_slab_before_the_trace_pass(monkeypatch):
 
 def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):
     # A chart spinor serves its samples: the normalization check and the
-    # one sweep each compute every slab once, in order, and nothing fills
-    # the whole grid.  The charges and maxima equal those of the same
-    # samples stored, bit for bit.
+    # one sweep each compute every slab once, in order.  The charges and
+    # maxima equal those of the same samples stored, bit for bit.
     from su2topo import lattice
     n = 12
     monkeypatch.setattr(lattice, "SLAB_SITES", 5 * n * n)     # an uneven last slab
@@ -445,14 +445,8 @@ def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):
 
     psi = st.SpinorField(served.grid, None, block_jet=served.block_jet,
                          block_values=block_values)
-    stored = st.SpinorField(served.grid, served.values, block_jet=served.block_jet)
-    real = lattice._Samples.__get__
-
-    def get(self, field, owner=None):
-        assert field is None or field.__dict__["values"] is not None, "whole-grid fill"
-        return real(self, field, owner)
-
-    monkeypatch.setattr(lattice._Samples, "__get__", get)
+    stored = st.SpinorField(served.grid, oracle.stored(served).values,
+                            block_jet=served.block_jet)
     assert psi.normalized
     assert blocks == list(lattice.slabs(psi.grid))
     blocks.clear()
@@ -501,3 +495,28 @@ def test_parallel_reads_decompose_without_the_sweep():
     assert (swept.residual, swept.max_covariant, swept.max_b) == (
         later.residual, later.max_covariant, later.max_b)
     assert cs.chern_simons(psi).parallel is None
+
+
+@pytest.mark.parametrize("jets", [True, False], ids=["jets", "bare"])
+def test_normalized_input_peaks_below_one_grid_of_unit_samples(jets, monkeypatch):
+    # normalize serves its samples and jet block by block and stores
+    # neither: at one-plane slabs the knot charges and the split of a
+    # stored spinor that is not normalized trace less than one whole grid
+    # of unit samples (32 B a site), which a stored result would hold.
+    # Measured at 48^3: 2.77 and 1.98 MB with a jet, 2.75 and 1.96 MB
+    # bare, under 3.54 MB (7.2 and 6.4 MB, 6.3 and 5.5 MB when normalize
+    # stored its samples)
+    from su2topo import lattice
+    monkeypatch.setattr(lattice, "SLAB_SITES", 1)
+    n = 48
+    grid = st.box_grid((n,) * 3, -1.0, 1.0)
+    psi = st.random_config(3, "spinor", grid)
+    if not jets:
+        psi = st.SpinorField(grid, psi.values)
+    assert not psi.normalized
+    assert st.normalize(psi).values is None
+    unit_grid = n**3 * 2 * 16
+    for run in (lambda: cs.chern_simons(st.normalize(psi)),
+                lambda: st.decompose(st.normalize(psi))):
+        peak, _ = peak_traced_bytes(run)
+        assert peak < unit_grid

@@ -16,6 +16,7 @@ from hypothesis import strategies as hst
 
 import su2topo as st
 from conftest import peak_traced_bytes
+from site_major import stored
 from su2topo.cli import build_parser, main
 from su2topo.fldio import write_field
 
@@ -213,11 +214,14 @@ def test_chern_subcommand_methods_agree(tmp_path, capsys):
     psi = st.normalize(st.random_config(4, "spinor", grid))
     path = str(tmp_path / "psi.fld")
     write_field(psi, path)
-    code, out, _ = run(capsys, "chern", path, "--method", "all",
-                       "--no-color", "--tol", "0.2")
+    code, out, _ = run(capsys, "chern", path, "--no-color", "--tol", "0.2")
     assert code == 0
     assert "C2_spinor" in out and "C2_unit" in out and "C2_trace" in out
     assert "method-agreement" in out
+    # every run checks all three routes: a single route would check nothing
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "chern", path, "--method", "spinor", "--no-color")
+    assert info.value.code == 2 and "--method" in capsys.readouterr().err
 
 
 def test_missing_file_exits_3(capsys, tmp_path):
@@ -844,7 +848,7 @@ def report_files(tmp_path_factory):
 def _bare_copy(path, bare):
     """Write the values of the FLD file ``path``, without its jet, to ``bare``."""
     field = st.read_field(path)
-    write_field(type(field)(field.grid, field.values), bare)
+    write_field(type(field)(field.grid, stored(field).values), bare)
     return bare
 
 
@@ -959,7 +963,7 @@ def test_zeros_without_jets_passes_the_ledger(tmp_path, capsys):
     roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
     phi = st.quaternion_polynomial_field(roots, grid)
     path = str(tmp_path / "bare.fld")
-    write_field(st.PhiField(grid, phi.values), path)
+    write_field(st.PhiField(grid, stored(phi).values), path)
     code, out, _ = run(capsys, "zeros", path, "--no-color")
     assert code == 0
     assert "index_sum: 2" in out

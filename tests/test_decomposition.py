@@ -16,7 +16,7 @@ def small_grid():
 def covariant(psi, gauge):
     """D Psi of the whole grid by the slab kernel, component-major."""
     return st.covariant_derivative(*(component_major(x, psi.grid.rank) for x in (
-        psi.values, psi.derivatives(), gauge.values)))
+        oracle.stored(psi).values, oracle.derivatives(psi), gauge.values)))
 
 
 def test_covariant_derivative_reduces_to_gradient():
@@ -290,7 +290,7 @@ def test_decompose_matches_the_outer_product_formula(jets):
     dec = st.decompose(psi, gauge)
     parts = oracle.swept(psi, "a", "b", gauge=gauge)
     weight = 1.0 / oracle.norm_squared(psi.values)
-    a = _traceless_outer_reference(psi.derivatives(), psi.values, weight)
+    a = _traceless_outer_reference(oracle.derivatives(psi), psi.values, weight)
     b = _traceless_outer_reference(oracle.covariant_derivative(psi, gauge.values),
                                    psi.values, -weight)
     scale = np.max(np.abs(a)) + np.max(np.abs(b))

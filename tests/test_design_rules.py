@@ -50,14 +50,10 @@ def test_every_public_function_and_class_is_named_in_the_package():
 
 #: The functions of the package that may read a whole grid, each with its
 #: reason.  Every other route and kernel, on either rank, reads a slab at
-#: a time.
+#: a time, and no field that serves its samples is ever read whole.
 WHOLE_GRID_READERS = {
-    "_Samples.__get__": "the whole-grid values themselves, filled slab by slab",
-    "LatticeField.derivatives": "the whole-grid derivatives themselves",
     "LatticeField.__post_init__": "checks that stored samples are finite",
-    "normalize": "its result stores its samples, read by the decompose, cs and "
-                 "chern commands",
-    "trace_pointwise": "a reference route",
+    "trace_pointwise": "a reference route, of a gauge field that stores its samples",
     "jacobian": "called on the 4^4 window around a zero only",
     "_zero_jacobian": "reads the 4^4 window around a zero",
 }
@@ -82,14 +78,25 @@ def _owned_statements(tree: ast.Module):
 
 def _whole_grid_reads(tree: ast.Module):
     """Yield ``(owner, line)`` for each whole-grid read of a module:
-    ``.values`` read as an attribute (not called, so a dict's ``.values()``
-    is not one), any ``derivatives(...)`` call, and ``values_at()`` or
-    ``exact_jet()`` without a block."""
-    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    ``.values`` read as an attribute, any ``derivatives(...)`` call, and
+    ``values_at()`` or ``exact_jet()`` without a block.  A ``.values`` that
+    is called (a dict's ``.values()``), subscripted (a block of it),
+    tested against None, or reinterpreted by ``.view`` (which reads no
+    sample) is not one."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            exempt.add(id(node.func))
+        elif isinstance(node, ast.Subscript) or (
+                isinstance(node, ast.Attribute) and node.attr == "view"):
+            exempt.add(id(node.value))
+        elif isinstance(node, ast.Compare) and all(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            exempt.update(map(id, [node.left, *node.comparators]))
     for owner, statement in _owned_statements(tree):
         for node in ast.walk(statement):
             if isinstance(node, ast.Attribute) and node.attr == "values":
-                if id(node) not in called:
+                if id(node) not in exempt:
                     yield owner, node.lineno
             elif isinstance(node, ast.Call):
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
@@ -113,7 +120,6 @@ def test_no_library_code_reads_a_whole_grid_outside_its_exempt_readers():
 #: The functions of the package that may fill an array of the whole grid,
 #: each with its reason.
 WHOLE_GRID_FILLS = {
-    "LatticeField._blockwise": "the whole-grid values_at() that normalize asks for",
     "random_config": "random fields store their values and jets",
 }
 FILLS = {"empty", "zeros", "full", "ones"}
@@ -146,3 +152,54 @@ def test_no_library_code_fills_a_whole_grid_outside_its_exempt_fills():
     unlisted = [hit for hit in found if hit[1] not in WHOLE_GRID_FILLS]
     assert not unlisted, f"whole-grid fills outside the exempt fills: {unlisted}"
     assert {owner for _, owner, _ in found} == set(WHOLE_GRID_FILLS)
+
+
+PLANTED = """
+import numpy as np
+
+
+def sums_the_values(field):
+    return np.sum(field.values)
+
+
+def reads_values_at(field):
+    return field.values_at()
+
+
+def reads_the_jet(field):
+    return field.exact_jet()
+
+
+def differences(field):
+    return field.derivatives(4)
+
+
+def fills(grid):
+    return np.empty(grid.shape + (4,))
+
+
+def fills_by_keyword(field):
+    return np.zeros(shape=field.grid.shape)
+
+
+class Field:
+    def whole(self):
+        return self.values
+
+
+def reads_blocks(field, slab):
+    if field.values is None:
+        return field.values_at(slab), field.exact_jet(slab), {}.values()
+    return field.values[slab], field.values.view(np.float64), np.empty(4)
+"""
+
+
+def test_the_guard_reports_each_planted_whole_grid_read_and_fill():
+    # the guard can fail: every kind of whole-grid read and fill planted in
+    # a module is reported, with its owner, and a block read is not
+    tree = ast.parse(PLANTED)
+    assert {owner for owner, _ in _whole_grid_reads(tree)} == {
+        "sums_the_values", "reads_values_at", "reads_the_jet", "differences",
+        "Field.whole"}
+    assert {owner for owner, _ in _whole_grid_fills(tree)} == {"fills",
+                                                               "fills_by_keyword"}

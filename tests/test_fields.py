@@ -5,6 +5,8 @@ import su2topo as st
 from su2topo import FieldError, NormalizationError, fldio
 from su2topo.lattice import LatticeField, component_major, read_only, site_major
 
+import site_major as oracle
+
 
 def small_grid():
     return st.box_grid((6, 6, 6, 6), -1.0, 1.0)
@@ -22,15 +24,14 @@ def test_normalize_unit_spinor_unchanged():
     psi = constant_spinor(grid)
     out = st.normalize(psi)
     assert out.normalized
-    assert np.max(np.abs(out.values - psi.values)) == 0.0
+    assert np.max(np.abs(oracle.stored(out).values - psi.values)) == 0.0
 
 
 def test_normalized_is_read_from_the_samples():
     # one answer whichever way the unit samples arrive
     psi = st.identity_map_s3(8)
-    for field in (psi,
-                  st.SpinorField(psi.grid, psi.values, jet=psi.exact_jet()),
-                  st.SpinorField(psi.grid, psi.values)):
+    whole = oracle.stored(psi)
+    for field in (psi, whole, st.SpinorField(psi.grid, whole.values)):
         assert field.normalized
     grid = small_grid()
     assert not constant_spinor(grid, (1.0, 1e-4)).normalized
@@ -40,20 +41,39 @@ def test_normalized_is_read_from_the_samples():
 def test_normalize_scales_components():
     grid = small_grid()
     psi = constant_spinor(grid, (3.0 + 4.0j, 0.0))
-    out = st.normalize(psi)
-    assert np.allclose(out.values[..., 0], (3 + 4j) / 5.0, atol=1e-15)
-    assert np.max(np.abs(out.values[..., 1])) == 0.0
+    out = oracle.stored(st.normalize(psi)).values
+    assert np.allclose(out[..., 0], (3 + 4j) / 5.0, atol=1e-15)
+    assert np.max(np.abs(out[..., 1])) == 0.0
 
 
-def test_normalize_zero_site_raises_with_site():
+@pytest.mark.parametrize("planes", [None, 1], ids=["one-slab", "plane-slabs"])
+@pytest.mark.parametrize("samples, site, message", [
+    ({(2, 3, 1, 0): 0.0, (2, 3, 1, 1): 0.0}, (2, 3, 1, 0),      # the first of two
+     "spinor norm 0.000e+00 < 1.0e-12"),
+    ({(5, 1, 4, 2): 0.0}, (5, 1, 4, 2), "spinor norm 0.000e+00 < 1.0e-12"),
+    ({(1, 0, 3, 0): 1e-13, (4, 2, 2, 5): 1e-14}, (4, 2, 2, 5),
+     "spinor norm 1.000e-14 < 1.0e-12"),
+    ({(1, 0, 3, 0): 0.0, (4, 2, 2, 5): 1e200}, (4, 2, 2, 5), "spinor norm overflows"),
+], ids=["zero", "last-slab", "smaller-zero", "overflow-after-zero"])
+def test_normalize_zero_site_raises_with_site(samples, site, message, planes, monkeypatch):
+    # one sweep names the smallest norm (the first of equal ones), and an
+    # overflowing one wherever it lies, whether the grid is one slab or
+    # one slab a plane
+    from su2topo import lattice
     grid = small_grid()
+    if planes is not None:
+        monkeypatch.setattr(lattice, "SLAB_SITES", planes)
     values = np.ones(grid.shape + (2,), dtype=complex)
-    values[2, 3, 1, 0] = 0.0
-    values[2, 3, 1, 1] = 0.0
-    psi = st.SpinorField(grid, values)
-    with pytest.raises(NormalizationError) as info:
-        st.normalize(psi)
-    assert info.value.site == (2, 3, 1, 0)
+    for at, sample in samples.items():
+        values[at] = (sample, 0.0)
+    overflow = message.endswith("overflows")
+    with pytest.raises(FieldError if overflow else NormalizationError) as info:
+        st.normalize(st.SpinorField(grid, values))
+    if overflow:
+        assert str(info.value) == (f"{message} at site {site}: its samples are too "
+                                   "large to square")
+    else:
+        assert str(info.value) == f"{message} at site {site}" and info.value.site == site
 
 
 def test_normalization_error_site_is_plain_ints():
@@ -76,9 +96,10 @@ def test_normalize_idempotent():
     once = st.normalize(psi)
     twice = st.normalize(once)
     for unit in (once, twice):
-        assert unit.jet is None and unit.block_jet is not None
+        assert unit.values is None and unit.jet is None and unit.block_jet is not None
+    once, twice = oracle.stored(once), oracle.stored(twice)
     assert np.max(np.abs(twice.values - once.values)) < 1e-14
-    assert np.max(np.abs(twice.exact_jet() - once.exact_jet())) < 1e-14
+    assert np.max(np.abs(twice.jet - once.jet)) < 1e-14
 
 
 def test_normalize_jet_matches_analytic_quotient():
@@ -87,7 +108,8 @@ def test_normalize_jet_matches_analytic_quotient():
     out = st.normalize(psi)
     assert out.jet is None and out.block_jet is not None
     # the transported jet must differentiate |Psi|^2 = 1 to zero
-    dnorm = np.einsum("...c,...mc->...m", np.conj(out.values), out.exact_jet())
+    out = oracle.stored(out)
+    dnorm = np.einsum("...c,...mc->...m", np.conj(out.values), out.jet)
     assert np.max(np.abs(dnorm.real)) < 1e-14
 
 
@@ -98,10 +120,10 @@ def _bits(a):
 @pytest.mark.parametrize("planes", [1, 4])
 def test_normalize_quotient_equals_the_site_major_oracle(planes, monkeypatch):
     # the quotient rule runs component-major, with einsum's Psi^dag d Psi
-    # written out: the jet of every block equals the site-major einsum
-    # form bit for bit, signs of zero included, on a random spinor with
-    # zero and signed-zero entries and on the faces of a box polynomial
-    import site_major as oracle
+    # written out: the samples and the jet of every block equal the
+    # site-major einsum form bit for bit, signs of zero included, on a
+    # random spinor with zero and signed-zero entries and on the faces of
+    # a box polynomial
     from su2topo import lattice
     monkeypatch.setattr(lattice, "SLAB_SITES", planes * 5 * 6 * 7)
     rng = np.random.default_rng(11)
@@ -121,11 +143,11 @@ def test_normalize_quotient_equals_the_site_major_oracle(planes, monkeypatch):
     for psi in spinors:
         samples = psi.values
         norms = np.sqrt(oracle.norm_squared(samples))
-        expected = oracle.quotient(samples, psi.exact_jet(), norms)
+        expected = oracle.quotient(samples, oracle.stored(psi).jet, norms)
         unit = st.normalize(psi)
-        assert np.array_equal(_bits(unit.values), _bits(samples / norms[..., None]))
-        assert np.array_equal(_bits(unit.exact_jet()), _bits(expected))
         for slab in lattice.slabs(psi.grid):
+            assert np.array_equal(_bits(unit.values_at(slab)),
+                                  _bits(samples[slab] / norms[slab][..., None]))
             assert np.array_equal(_bits(unit.exact_jet(slab)), _bits(expected[slab]))
 
 
@@ -189,12 +211,12 @@ def test_unit_vector_examples():
     values = np.zeros(grid.shape + (4,))
     values[..., 0] = 3.0
     values[..., 2] = 4.0
-    unit = unit_vector(st.PhiField(grid, values))
+    unit = oracle.stored(unit_vector(st.PhiField(grid, values)))
     assert np.allclose(unit.values[0, 0, 0, 0], [0.6, 0, 0.8, 0])
 
     values = np.zeros(grid.shape + (4,))
     values[..., 3] = -2.0
-    unit = unit_vector(st.PhiField(grid, values))
+    unit = oracle.stored(unit_vector(st.PhiField(grid, values)))
     assert np.allclose(unit.values[..., 3], -1.0)
 
 
@@ -212,7 +234,8 @@ def test_unit_vector_jets_tangent():
     psi = st.random_config(9, "spinor", grid)
     unit = unit_vector(st.spinor_to_phi(psi))
     assert unit.jet is None and unit.block_jet is not None
-    radial = np.einsum("...a,...ma->...m", unit.values, unit.exact_jet())
+    unit = oracle.stored(unit)
+    radial = np.einsum("...a,...ma->...m", unit.values, unit.jet)
     assert np.max(np.abs(radial)) < 1e-14
 
 
@@ -237,7 +260,7 @@ def test_sigma_model_of_a_normalized_spinor_is_a_unit_vector():
     # a spinor that is not normalized is refused by the knot-charge routes
     # that read m (test_spinor_density_requires_normalized)
     grid = small_grid()
-    psi = st.normalize(st.random_config(10, "spinor", grid))
+    psi = oracle.stored(st.normalize(st.random_config(10, "spinor", grid)))
     m = st.sigma_model_field(component_major(psi.values, 4))
     norms = np.sum(m**2, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
@@ -249,7 +272,7 @@ def test_face_restrict_keeps_in_face_jet():
     face = st.face_restrict(psi, 1, 1)
     assert face.grid.rank == 3
     assert face.jet is None and face.block_jet is not None
-    assert face.exact_jet().shape == face.grid.shape + (3, 2)
+    assert oracle.stored(face).jet.shape == face.grid.shape + (3, 2)
     np.testing.assert_array_equal(face.values, psi.values[:, -1])
 
 
@@ -267,9 +290,8 @@ def test_face_restrict_of_a_gauge_field_keeps_the_in_face_components():
             jet = np.take(gauge.jet, index, axis)[:, :, :, keep][..., keep, :]
             assert face.values.shape == face.grid.shape + (3, 3)
             assert face.jet is None and face.block_jet is not None
-            assert face.exact_jet().shape == face.grid.shape + (3, 3, 3)
             np.testing.assert_array_equal(face.values, values)
-            np.testing.assert_array_equal(face.exact_jet(), jet)
+            np.testing.assert_array_equal(oracle.stored(face).jet, jet)
 
 
 def _unit_rows(rng, shape, n):
@@ -368,11 +390,11 @@ def test_every_field_kind_is_a_file_kind(cls, tmp_path):
     fldio.write_field(field, path)
     back = fldio.read_field(path)
     assert type(back) is cls and back.grid == grid
-    np.testing.assert_array_equal(back.values, field.values)
-    np.testing.assert_array_equal(back.exact_jet(), field.exact_jet())
-    if field.jet is not None:
-        # a file's jet is read from the file block by block, not kept
-        assert back.jet is None and back.block_jet is not None
+    # a file's samples and jet are read from the file block by block, not kept
+    assert back.values is None and back.jet is None
+    assert (back.block_jet is None) == (field.jet is None)
+    np.testing.assert_array_equal(oracle.stored(back).values, field.values)
+    np.testing.assert_array_equal(oracle.stored(back).jet, field.jet)
 
 
 def test_face_restrict_of_a_sampler_backed_phi_is_the_jet_face():
@@ -380,7 +402,7 @@ def test_face_restrict_of_a_sampler_backed_phi_is_the_jet_face():
     roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
     phi = st.quaternion_polynomial_field(roots, grid)
     assert phi.jet is None
-    stored = st.PhiField(grid, phi.values, jet=phi.derivatives())
+    stored = oracle.stored(phi)
     for axis in range(4):
         for side in (0, 1):
             face = st.face_restrict(phi, axis, side)
@@ -389,14 +411,14 @@ def test_face_restrict_of_a_sampler_backed_phi_is_the_jet_face():
             for served in (face, expected):
                 assert served.jet is None and served.block_jet is not None
             np.testing.assert_array_equal(face.values, expected.values)
-            np.testing.assert_array_equal(face.exact_jet(), expected.exact_jet())
+            np.testing.assert_array_equal(oracle.stored(face).jet,
+                                          oracle.stored(expected).jet)
 
 
 @pytest.mark.parametrize("budget", [1, 3000, None])
 def test_sampled_jet_of_a_slab_samples_those_planes(budget, monkeypatch):
     # exact_jet(slab) asks the block_jet hook once, for exactly that slab,
-    # and exact_jet() once per slab of lattice.slabs; both equal the whole
-    # jet of one hook call bit for bit
+    # and equals the whole jet of one hook call bit for bit
     from su2topo import lattice
     if budget is not None:
         monkeypatch.setattr(lattice, "SLAB_SITES", budget)
@@ -409,7 +431,8 @@ def test_sampled_jet_of_a_slab_samples_those_planes(budget, monkeypatch):
         asked.append(block)
         return hook(block)
 
-    phi = st.PhiField(grid, source.values, block_jet=counted)
+    samples = oracle.stored(source).values
+    phi = st.PhiField(grid, samples, block_jet=counted)
     for lo in range(grid.shape[0]):
         for hi in range(lo + 1, grid.shape[0] + 1):
             asked.clear()
@@ -419,8 +442,5 @@ def test_sampled_jet_of_a_slab_samples_those_planes(budget, monkeypatch):
             assert np.array_equal(_bits(phi.slab_samples(slice(lo, hi))[1]),
                                   _bits(whole[lo:hi]))
             assert asked == [slice(lo, hi)] * 2
-    asked.clear()
-    assert np.array_equal(_bits(phi.exact_jet()), _bits(whole))
-    assert asked == list(lattice.slabs(grid))
     # the point sampler is not a jet source
-    assert st.PhiField(grid, source.values, sampler=source.sampler).exact_jet() is None
+    assert st.PhiField(grid, samples, sampler=source.sampler).exact_jet(slice(0, 1)) is None

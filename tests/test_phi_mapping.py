@@ -10,6 +10,7 @@ from su2topo.fldio import read_field, write_field
 from su2topo.lattice import interpolate
 from su2topo import lattice, phi_mapping
 from su2topo.phi_mapping import _cell_mask, _screen, _zero_jacobian, surface_degree
+import site_major as oracle
 from site_major import cell_mask, qpoly_with_jet, quadrature, sign_change_cells
 
 
@@ -19,14 +20,14 @@ def box(n=16, half=1.0):
 
 def test_jacobian_identity():
     phi = st.linear_phi_field(np.eye(4), np.zeros(4), box())
-    jac = st.jacobian(phi)
+    jac = st.jacobian(oracle.stored(phi))
     assert np.max(np.abs(jac.values - 1.0)) < 1e-13
 
 
 def test_jacobian_swapped_components():
     m = np.eye(4)[[1, 0, 2, 3]]
     phi = st.linear_phi_field(m, np.zeros(4), box())
-    jac = st.jacobian(phi)
+    jac = st.jacobian(oracle.stored(phi))
     assert np.max(np.abs(jac.values + 1.0)) < 1e-13
 
 
@@ -35,7 +36,7 @@ def test_jacobian_random_matrix(seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
     phi = st.linear_phi_field(m, np.zeros(4), box())
-    jac = st.jacobian(phi)
+    jac = st.jacobian(oracle.stored(phi))
     assert np.max(np.abs(jac.values - np.linalg.det(m))) < 1e-12 * abs(np.linalg.det(m)) + 1e-12
 
 
@@ -143,8 +144,9 @@ def test_orientation_flip_property():
     analysis = st.analyze(phi)
 
     flip = np.diag([-1.0, 1.0, 1.0, 1.0])
-    flipped_values = phi.values @ flip
-    flipped_jet = phi.derivatives() @ flip
+    whole = oracle.stored(phi)
+    flipped_values = whole.values @ flip
+    flipped_jet = whole.jet @ flip
 
     def sampler(points, jet=True):
         values, jacobians = phi.sampler(points)
@@ -239,7 +241,8 @@ def test_boundary_zero_rejected():
     # this close to the boundary leaves the interpolation domain
     grid = box(12)
     analytic = st.linear_phi_field(np.eye(4), [0.98, 0.0, 0.0, 0.0], grid)
-    phi = st.PhiField(grid, analytic.values, jet=analytic.derivatives())
+    whole = oracle.stored(analytic)
+    phi = st.PhiField(grid, whole.values, jet=whole.jet)
     search = st.locate_zeros(phi)
     assert len(search.zeros) == 1
     with pytest.raises(ZeroLocationError):
@@ -475,7 +478,7 @@ def test_screen_of_served_values_equals_the_whole_grid_screen(planes, monkeypatc
     for g in (grid, periodic):
         site = g.points()[6, 4, 5, 5]
         phi = st.quaternion_polynomial_field([site, [0.6, -0.55, 0.6, 0.5]], g)
-        values = phi.values
+        values = oracle.stored(phi).values
         cells, sites = _screen(phi)
         assert np.array_equal(cells, np.argwhere(sign_change_cells(values, g)))
         norms = np.linalg.norm(values, axis=-1)
@@ -536,7 +539,7 @@ def test_planted_zero_gets_one_ledger_on_both_evaluators(where, index, frac,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "SLAB_SITES", 1)
         ledgers = [st.analyze(field).ledger
-                   for field in (phi, st.PhiField(grid, phi.values))]
+                   for field in (phi, st.PhiField(grid, oracle.stored(phi).values))]
     for ledger in ledgers:
         assert len(ledger.zeros) == 1
         assert ledger.index_sum == int(np.sign(np.linalg.det(matrix)))
@@ -566,7 +569,8 @@ def _evaluator_cases():
                          ids=[case[0] for case in _evaluator_cases()])
 def test_sampler_and_lattice_only_copy_agree(name, build, same_zeros):
     phi = build()
-    bare = st.PhiField(phi.grid, phi.values, jet=phi.derivatives())
+    whole = oracle.stored(phi)
+    bare = st.PhiField(phi.grid, whole.values, jet=whole.jet)
     assert phi.sampler is not None and bare.sampler is None
     sampled = st.analyze(phi).ledger
     interpolated = st.analyze(bare).ledger
@@ -594,7 +598,7 @@ def _lattice_only_cases(tmp_path):
                                  [0.05, -0.03, 0.02, 0.01], box(16))
     return {"jet 24^4 qpoly file": read_field(path),
             "jet periodic file": read_field(_periodic_phi_file(tmp_path)[0]),
-            "jet-less 16^4 linear": st.PhiField(linear.grid, linear.values)}
+            "jet-less 16^4 linear": st.PhiField(linear.grid, oracle.stored(linear).values)}
 
 
 def _periodic_phi_file(tmp_path):
@@ -622,7 +626,7 @@ def _periodic_phi_file(tmp_path):
 def test_zero_jacobian_equals_the_whole_grid_route(tmp_path):
     for name, phi in _lattice_only_cases(tmp_path).items():
         assert phi.sampler is None, name
-        full = st.jacobian(phi).values
+        full = st.jacobian(oracle.stored(phi)).values
         zeros = st.locate_zeros(phi).zeros
         assert zeros, name
         for zero in zeros:
@@ -694,7 +698,7 @@ def test_sampler_backed_field_runs_no_stencil(monkeypatch):
     assert st.analyze(phi).ledger == expected
     # the lattice-only copy differentiates its face samples
     with pytest.raises(AssertionError, match="finite differences"):
-        st.analyze(st.PhiField(phi.grid, phi.values))
+        st.analyze(st.PhiField(phi.grid, oracle.stored(phi).values))
 
 
 def test_zeros_of_a_jet_file_equal_those_of_the_stored_jet(tmp_path):
@@ -704,7 +708,7 @@ def test_zeros_of_a_jet_file_equal_those_of_the_stored_jet(tmp_path):
     cases = _lattice_only_cases(tmp_path)
     phi = cases["jet 24^4 qpoly file"]
     assert phi.jet is None and phi.block_jet is not None
-    stored = st.PhiField(phi.grid, phi.values, jet=phi.exact_jet())
+    stored = oracle.stored(phi)
     got, expected = st.analyze(phi), st.analyze(stored)
     assert len(got.ledger.zeros) == 2
     assert got.ledger.boundary_c2 == expected.ledger.boundary_c2
@@ -740,8 +744,9 @@ def test_zeros_on_a_jet_file_peaks_below_the_values_and_one_plane(tmp_path):
     phi = st.quaternion_polynomial_field(roots, grid)
     path, bare_path = str(tmp_path / "phi.fld"), str(tmp_path / "bare.fld")
     write_field(phi, path)
-    write_field(st.PhiField(grid, phi.values), bare_path)
-    values, plane = phi.values.nbytes, phi.values.nbytes * 4 // 20
+    write_field(st.PhiField(grid, oracle.stored(phi).values), bare_path)
+    values = 20**4 * 4 * 8
+    plane = values * 4 // 20
 
     def peak(run):
         return peak_traced_bytes(run)[0]
@@ -774,7 +779,7 @@ def test_degree_spheres_sample_values_only(build, jet_fn, monkeypatch):
     # deviations equal those of the jet-computing sampler bit for bit
     from su2topo import generators
     phi = build()
-    computes_jets = st.PhiField(phi.grid, phi.values,
+    computes_jets = st.PhiField(phi.grid, oracle.stored(phi).values,
                                 sampler=lambda points, jet=True: phi.sampler(points))
     zeros = st.locate_zeros(phi).zeros
     assert zeros
