@@ -13,7 +13,7 @@ from .errors import (BadMagicError, ChecksumError, CountMismatchError,
                      FileChangedError, HeaderError, LatticeError,
                      NormalizationError, ReconstructionError, Su2TopoError,
                      ZeroLocationError)
-from .lattice import Grid, ScalarField, derivative_stack, interpolate
+from .lattice import Grid, derivative_stack, interpolate
 from .su2_algebra import GENERATORS, IDENTITY2, SIGMA, self_check
 from .fields import (GaugeField, PhiField, SpinorField, face_restrict, normalize,
                      norm_squared, phi_to_spinor, sigma_model_field, spinor_to_phi)
@@ -23,7 +23,7 @@ from .decomposition import Decomposition, covariant_derivative, decompose
 from .chern_simons import KnotCharges, fn_pointwise, trace_pointwise
 from .chern_density import boundary_degree, chern_numbers
 from .phi_mapping import (Ledger, LedgerAnalysis, ZeroPoint, ZeroSearch,
-                          analyze, charge_ledger, jacobian, local_degree,
+                          analyze, charge_ledger, local_degree,
                           locate_zeros, surface_degree)
 from .generators import (box_grid, identity_map_s3, linear_phi_field,
                          quaternion_polynomial_field, quaternion_power_field,

@@ -46,7 +46,7 @@ from .conventions import ORIENTATION_SIGN, PAIRS4
 from .decomposition import parallel_components
 from .errors import FieldError, NormalizationError
 from .fields import (EPS_ZERO, PhiField, SpinorField, _check_nonvanishing, _norms,
-                     _slab_current, face_restrict, phi_to_spinor)
+                     _slab_current, face_restrict, normalize, phi_to_spinor)
 from .lattice import (Grid, Quadrature, component_major, derivative_stack, slabs,
                       stencil_windows)
 
@@ -58,9 +58,10 @@ def chern_numbers(psi: SpinorField, routes) -> dict[str, float]:
     """The second Chern number of a rank-4 spinor by each of ``routes``
     (names from :data:`ROUTES`), in one sweep over its axis-0 slabs.
 
-    The spinor route accepts any smooth spinor (its density is the
-    exterior derivative of the Chern-Simons form either way); the unit
-    and trace routes need a normalized one.  A route not asked for is not
+    The spinor route reads any smooth spinor as it is (its density is the
+    exterior derivative of the Chern-Simons form either way); with the
+    unit or trace route, every route reads the unit spinor
+    (:func:`~su2topo.fields.normalize`).  A route not asked for is not
     computed; without the trace route neither the spinor current nor a
     window of A is.  Each total is that of the whole-grid density,
     whatever the slabs.  Raises :class:`FieldError` on a field of the
@@ -68,11 +69,11 @@ def chern_numbers(psi: SpinorField, routes) -> dict[str, float]:
     """
     if not isinstance(psi, SpinorField):
         raise FieldError("Chern routes need a SpinorField")
+    if {"unit", "trace"} & set(routes):
+        psi = normalize(psi)
     grid = psi.grid
     if grid.rank != 4:
         raise FieldError("Chern densities live on rank-4 grids")
-    if {"unit", "trace"} & set(routes) and not psi.normalized:
-        raise FieldError("the unit and trace routes need a normalized spinor")
     sign = ORIENTATION_SIGN * grid.orientation
     order = 2                       # of the dA stencils
     sums = {route: Quadrature(grid) for route in routes}

@@ -62,7 +62,7 @@ import numpy as np
 from .conventions import ORIENTATION_SIGN
 from .decomposition import Decomposition, fold_maxima, parallel_components, slab_maxima
 from .errors import FieldError, ReconstructionError
-from .fields import GaugeField, SpinorField, norm_squared, sigma_model_field
+from .fields import GaugeField, SpinorField, norm_squared, normalize, sigma_model_field
 from .lattice import Quadrature, component_major, derivative_stack, stencil_windows
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
@@ -185,8 +185,9 @@ def _potentials(samples: np.ndarray, current: np.ndarray) -> tuple:
 
 
 def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
-    """The spinor, trace and Abelian knot-charge routes of a normalized
-    spinor on a rank-3 chart, in one sweep.
+    """The spinor, trace and Abelian knot-charge routes of a spinor on a
+    rank-3 chart, in one sweep over its unit spinor
+    (:func:`~su2topo.fields.normalize`).
 
     The spinor density uses Psi and its jets only (exact); the trace
     density differentiates the parallel potential A = -2 Im J^a by finite
@@ -207,11 +208,9 @@ def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
     d Psi, current, norms and A, so ``KnotCharges.parallel`` needs no
     second sweep.
     """
-    grid = psi.grid
-    if grid.rank != 3:
+    psi = normalize(psi)
+    if psi.grid.rank != 3:
         raise FieldError("Chern-Simons densities live on rank-3 charts")
-    if not psi.normalized:
-        raise FieldError("the knot-charge routes require a normalized spinor")
     return _sweep(psi, parallel)
 
 

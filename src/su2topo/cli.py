@@ -30,8 +30,7 @@ from .chern_density import ROUTES, chern_numbers
 from .decomposition import decompose
 from .errors import (FieldError, FieldFormatError, LatticeError,
                      ReconstructionError, Su2TopoError)
-from .fields import (GaugeField, PhiField, SpinorField, normalize,
-                     phi_to_spinor, spinor_to_phi)
+from .fields import GaugeField, PhiField, SpinorField, phi_to_spinor, spinor_to_phi
 from .report import ChargeReport, __version__
 
 #: Bound, relative to max(1, |Q|), of a check whose two routes share every
@@ -279,8 +278,6 @@ def cmd_decompose(args) -> int:
             raise Su2TopoError(f"spinor and gauge grids differ: {args.psi} is on a "
                                f"{shapes[0]} grid, {args.gauge} on a {shapes[1]} "
                                f"grid{same}")
-    elif not psi.normalized:
-        psi = normalize(psi)    # the parallel potential is a unit spinor's
     report = ChargeReport("decompose", config=_config_echo(args, psi.grid))
     start = time.perf_counter()
     try:
@@ -310,8 +307,6 @@ def _run_cs(args, psi: SpinorField | None = None, parallel: bool = False) -> Cha
     su2_algebra.self_check()
     if psi is None:
         psi = _as_spinor(fldio.read_field(args.infile), args.infile)
-    if not psi.normalized:
-        psi = normalize(psi)
     report = ChargeReport("cs", config=_config_echo(args, psi.grid))
     tol = args.tol
 
@@ -356,7 +351,7 @@ def _run_cs(args, psi: SpinorField | None = None, parallel: bool = False) -> Cha
 def cmd_chern(args) -> int:
     field = fldio.read_field(args.infile)
     report = ChargeReport("chern", config=_config_echo(args, field.grid))
-    psi = normalize(_as_spinor(field, args.infile))
+    psi = _as_spinor(field, args.infile)
     start = time.perf_counter()
     charges = chern_numbers(psi, ROUTES)
     report.timings["chern_s"] = time.perf_counter() - start

@@ -45,7 +45,7 @@ import numpy as np
 from . import su2_algebra
 from .errors import FieldError, ReconstructionError
 from .fields import (EPS_ZERO, GaugeField, SpinorField, _check_nonvanishing,
-                     norm_squared)
+                     norm_squared, normalize)
 from .lattice import component_major
 
 #: Largest max|a^c + b^c - A^c| accepted, relative to 1 + max|A^c|.
@@ -166,11 +166,11 @@ def _slab_inputs(psi: SpinorField, gauge: GaugeField | None):
 def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decomposition:
     """Split A into its spinor-gauge part `a` and covariant part `b`.
 
-    Without ``gauge``, A is the parallel potential of a normalized ``psi``
-    (:class:`FieldError` if not), taken per slab from its current.  With
-    one, Psi need not be normalized: both parts carry explicit
-    1/(Psi^dag Psi) weights, so the split is invariant under constant
-    rescaling of Psi.
+    Without ``gauge``, A is the parallel potential of the unit spinor
+    (:func:`~su2topo.fields.normalize`), taken per slab from its current,
+    and the split is that spinor's.  With one, Psi need not be normalized:
+    both parts carry explicit 1/(Psi^dag Psi) weights, so the split is
+    invariant under constant rescaling of Psi.
 
     The split is algebraic in (Psi, dPsi, A), so one rule holds with exact
     jets and with finite differences alike: a residual max|a + b - A|
@@ -182,9 +182,9 @@ def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decompositio
     reaches the kernel, and the error reads the slabs from the first such
     one on, never the whole grid.
     """
-    if gauge is None and not psi.normalized:
-        raise FieldError("parallel potential requires a normalized spinor")
-    if gauge is not None and psi.grid != gauge.grid:
+    if gauge is None:
+        psi = normalize(psi)
+    elif psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
     maxima = (0.0,) * 4
     for slab, samples, dvalues, current, potential in _slab_inputs(psi, gauge):

@@ -7,12 +7,11 @@ a normalized :class:`SpinorField` is the unit field, its real view is n,
 and its bilinear m_a = Psi^dag sigma_a Psi is the unit 3-vector.  Every
 container here is one of the FLD file kinds.
 
-Every container but the scalar one may carry a "jet": exact
-first-derivative samples, one per grid axis per site, stored or computed
-block by block when asked (``block_jet``, see
-:meth:`~su2topo.lattice.LatticeField.exact_jet`): a box field's from the
-map's jet kernel, a chart field's from the chart formula, a file's from
-its planes.  Code here reads jets through ``exact_jet``; the conversions
+Every container may carry a "jet": exact first-derivative samples, one
+per grid axis per site, stored or computed block by block when asked
+(``block_jet``, see :meth:`~su2topo.lattice.LatticeField.exact_jet`): a
+box field's from the map's jet kernel, a chart field's from the chart
+formula, a file's from its planes.  Code here reads jets through ``exact_jet``; the conversions
 hand a block jet on, and :func:`normalize` and :func:`face_restrict` serve
 theirs block by block from the input's, so no whole jet is stored.
 Identities algebraic in a field and its first derivatives are then
@@ -27,8 +26,8 @@ A field may store no samples either: a box or chart field serves each
 block's from its formula
 (:meth:`~su2topo.lattice.LatticeField.values_at`), :func:`normalize`
 serves each block's from the input's, and the conversions hand that on.
-:attr:`SpinorField.normalized`, :meth:`SpinorField.slab_currents` and
-:func:`normalize`'s zero check read the samples one axis-0 slab
+:meth:`SpinorField.slab_currents` and the one check of :func:`normalize`
+(zero, overflow and unit norms) read the samples one axis-0 slab
 (:func:`~su2topo.lattice.slabs`) at a time; nothing here reads them
 whole.
 
@@ -46,7 +45,6 @@ d Psi once, on entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -86,17 +84,6 @@ class SpinorField(LatticeField):
     COMPONENTS = (2,)
     FLD_KIND = 1
     LABEL = "spinor"
-
-    @cached_property
-    def normalized(self) -> bool:
-        """Whether every |Psi|^2 is 1 to ``NORM_TOL``, read from the samples
-        one slab (:func:`~su2topo.lattice.slabs`) at a time; the largest
-        deviation is exact in any order."""
-        worst = 0.0
-        for slab in slabs(self.grid):
-            norms = norm_squared(np.moveaxis(self.values_at(slab), -1, 1), slab.start)
-            worst = np.maximum(worst, np.max(np.abs(norms - 1.0)))
-        return bool(worst <= NORM_TOL)
 
     def slab_currents(self):
         """Yield ``(slab, samples, dvalues, current)`` for each axis-0 slab
@@ -230,17 +217,19 @@ def _finite_max(norms: np.ndarray, name: str, first: int = 0) -> float:
     return top
 
 
-def _check_nonvanishing(psi: SpinorField, start: int) -> None:
+def _check_nonvanishing(psi: SpinorField, start: int) -> float:
     """Raise :class:`NormalizationError` at the first smallest norm |Psi| of
     the axis-0 slabs (:func:`~su2topo.lattice.slabs`) from the one that
     starts at plane ``start`` on, read one at a time, when it is below
-    ``EPS_ZERO``.  A caller that found no such norm before ``start`` names
-    the grid's smallest."""
-    least, site = np.inf, None
+    ``EPS_ZERO``; else return the largest deviation of |Psi|^2 from 1 in
+    those slabs, exact in any order.  A caller that found no such norm
+    before ``start`` names the grid's smallest."""
+    least, site, worst = np.inf, None, 0.0
     for slab in slabs(psi.grid):
         if slab.start >= start:
-            norms = np.sqrt(norm_squared(np.moveaxis(psi.values_at(slab), -1, 1),
-                                         slab.start))
+            squares = norm_squared(np.moveaxis(psi.values_at(slab), -1, 1), slab.start)
+            worst = max(worst, float(np.max(np.abs(squares - 1.0))))
+            norms = np.sqrt(squares)
             index = np.unravel_index(int(np.argmin(norms)), norms.shape)
             if norms[index] < least:
                 least = float(norms[index])
@@ -248,34 +237,36 @@ def _check_nonvanishing(psi: SpinorField, start: int) -> None:
     if least < EPS_ZERO:
         raise NormalizationError(
             f"spinor norm {least:.3e} < {EPS_ZERO:.1e} at site {site}", site=site)
+    return worst
 
 
 def normalize(psi: SpinorField) -> SpinorField:
-    """Rescale to unit norm, transporting the jet by the quotient rule.
-
-    Both are pointwise, so the normalized spinor stores nothing: it serves
-    its samples block by block (``block_values``), each block
-    ``psi.values_at`` of that block over its own norms, and, for a spinor
-    with a jet, stored or computed block by block, its jet the same way
-    (``block_jet``) from ``psi.exact_jet`` of that block.  Each equals the
-    whole-grid rule bit for bit.  Bare samples give a bare result.  The
-    jet's blocks are computed component-major
+    """The unit spinor Psi/|Psi|, its jet transported by the quotient rule,
+    for every route that needs one: ``psi`` itself if every |Psi|^2 is 1
+    to ``NORM_TOL``.  Else both are pointwise, and the result stores
+    nothing: it serves its samples block by block (``block_values``), each
+    block ``psi.values_at`` of that block over its own norms, and, for a
+    spinor with a jet, stored or computed block by block, its jet the same
+    way (``block_jet``) from ``psi.exact_jet`` of that block.  Each equals
+    the whole-grid rule bit for bit.  Bare samples give a bare result.
+    The jet's blocks are computed component-major
     (:func:`~su2topo.lattice.component_major`): the samples
-    ``(planes, 2, ...)`` and the jet ``(planes, rank, 2, ...)``,
-    so every operation runs over a plane's sites instead of component
-    axes of length 2 and 3, with Psi^dag d Psi summed in the order of
-    ``np.einsum`` over a trailing component axis; the block jet is served
-    as a site-major view (:func:`~su2topo.lattice.site_major`) of the
+    ``(planes, 2, ...)`` and the jet ``(planes, rank, 2, ...)``, so every
+    operation runs over a plane's sites instead of component axes of
+    length 2 and 3, with Psi^dag d Psi summed in the order of ``np.einsum``
+    over a trailing component axis; the block jet is served as a
+    site-major view (:func:`~su2topo.lattice.site_major`) of the
     component-major result.
 
-    Raises :class:`NormalizationError` with the offending site when the
-    norm drops below ``EPS_ZERO``, and :class:`FieldError` where a norm
-    overflows, both found by one sweep of the slabs
-    (:func:`_check_nonvanishing`): a vanishing spinor marks a zero of the
-    4-vector field, which carries topological charge and must be excluded
-    or re-gridded by the caller, never clamped.
+    One sweep of the slabs (:func:`_check_nonvanishing`) decides, and
+    raises :class:`NormalizationError` with the offending site when the
+    norm drops below ``EPS_ZERO`` and :class:`FieldError` where a norm
+    overflows: a vanishing spinor marks a zero of the 4-vector field,
+    which carries topological charge and must be excluded or re-gridded
+    by the caller, never clamped.
     """
-    _check_nonvanishing(psi, 0)
+    if _check_nonvanishing(psi, 0) <= NORM_TOL:
+        return psi
 
     # the sweep found no norm that overflows, so no block's norm_squared
     # names a site

@@ -3,8 +3,8 @@
 Layout (all little-endian):
 
     bytes 0-3   magic "FLD2"
-    byte  4     kind: 1 spinor, 2 phi, 3 gauge, 5 scalar (4, a retired
-                SU(2) matrix kind, reads as an unknown kind)
+    byte  4     kind: 1 spinor, 2 phi, 3 gauge (4, a retired SU(2)
+                matrix kind, and 5, a retired scalar kind, read as unknown)
     byte  5     rank r (3 or 4)
     byte  6     flags: bit 0 jets present, bit 1 cell-centered,
                 bit 2 orientation -1
@@ -51,14 +51,13 @@ import numpy as np
 from .errors import (BadMagicError, ChecksumError, CountMismatchError, FieldError,
                      FieldFormatError, FileChangedError, HeaderError, LatticeError)
 from .fields import GaugeField, PhiField, SpinorField
-from .lattice import Grid, ScalarField, slabs
+from .lattice import Grid, slabs
 
 MAGIC = b"FLD2"
 RETIRED_MAGIC = b"FLD1"
 
 # Kind codes, component shapes and dtypes are declared by the field classes.
-_FIELD_CLASSES = {cls.FLD_KIND: cls
-          for cls in (SpinorField, PhiField, GaugeField, ScalarField)}
+_FIELD_CLASSES = {cls.FLD_KIND: cls for cls in (SpinorField, PhiField, GaugeField)}
 
 FLAG_JETS = 1
 FLAG_CELL_CENTERED = 2
@@ -161,8 +160,6 @@ def read_field(path: str):
         has_jet = bool(flags & FLAG_JETS)
         cell_centered = bool(flags & FLAG_CELL_CENTERED)
         orientation = -1 if flags & FLAG_REVERSED else 1
-        if has_jet and "block_jet" not in cls.__dataclass_fields__:
-            raise HeaderError(f"{path}: {cls.LABEL}s carry no jets")
 
         axes = handle.read(rank * 21)
         if len(axes) < rank * 21:

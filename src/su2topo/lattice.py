@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -303,18 +303,6 @@ def slabs(grid: Grid):
     step = max(1, SLAB_SITES // plane)
     for start in range(0, grid.shape[0], step):
         yield slice(start, min(start + step, grid.shape[0]))
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarField(LatticeField):
-    """One real sample per grid site."""
-
-    grid: Grid
-    values: np.ndarray
-    block_values: object = field(default=None, repr=False, compare=False)
-
-    FLD_KIND = 5
-    LABEL = "scalar field"
 
 
 def component_major(block: np.ndarray, rank: int) -> np.ndarray:

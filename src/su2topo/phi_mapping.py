@@ -57,7 +57,7 @@ from .chern_density import _det4, boundary_degree, check_flux_box
 from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
 from .fields import PhiField, _finite_max, _norms
 from .generators import s3_chart_grid, s3_points
-from .lattice import (Grid, Quadrature, ScalarField, component_major, derivative_stack,
+from .lattice import (Grid, Quadrature, component_major, derivative_stack,
                       interpolate, interpolate_with_gradient, interpolation_window,
                       slabs, stencil_windows)
 
@@ -66,17 +66,6 @@ NEWTON_TOL = 1e-10           # |phi| at an accepted (refined) zero
 NEWTON_MAX_ITER = 40
 SPHERE_RESOLUTION = (32, 32, 64)   # (chi, theta, phi) samples, first attempt
 SPHERE_REFINEMENTS = 2       # resolution doublings before a degree is rejected
-
-
-def jacobian(phi: PhiField) -> ScalarField:
-    """det[d_mu phi^a] per site, positive where phi preserves orientation,
-    of a field that stores its samples (the 4^4 window of
-    :func:`_zero_jacobian`): from its stored jet, else from second-order
-    differences of its samples."""
-    if phi.grid.rank != 4:
-        raise FieldError("the Jacobian determinant needs a rank-4 grid")
-    jet = derivative_stack(phi.values, phi.grid) if phi.jet is None else phi.jet
-    return ScalarField(phi.grid, np.linalg.det(jet))
 
 
 @dataclass(frozen=True)
@@ -267,7 +256,7 @@ def locate_zeros(phi: PhiField) -> ZeroSearch:
     width; two surviving zeros within one cell width mean the grid cannot
     separate them and raise :class:`ZeroLocationError`.  A zero's
     ``jacobian`` is det J from the sampler's last Newton evaluation, or for
-    lattice-only fields the site Jacobian :func:`jacobian` interpolated at
+    lattice-only fields the site Jacobians det[d_mu phi^a] interpolated at
     the zero (:func:`_zero_jacobian`).
     """
     grid = phi.grid
@@ -329,18 +318,20 @@ def locate_zeros(phi: PhiField) -> ZeroSearch:
 
 
 def _zero_jacobian(phi: PhiField, x: np.ndarray) -> float:
-    """``interpolate(jacobian(phi).values, phi.grid, x[None])[0]`` from the 16
-    sites that interpolation reads, without the whole-grid Jacobian.
+    """det[d_mu phi^a] interpolated at ``x`` from the 16 sites that
+    interpolation reads, without the whole-grid Jacobian.
 
-    The site Jacobians come from the exact jet, or from :func:`jacobian`
-    on a 4^4 window that holds every corner with the stencil neighbours it
-    has in the full grid: the corners sit where the window's stencils are
-    those of the full grid (the interior stencil, or the one-sided one on
-    a true boundary), so each determinant is the full-grid one.  The
-    window's values and jet are read through
-    :meth:`~su2topo.lattice.LatticeField.values_at` and
+    The site Jacobians are ``np.linalg.det`` of the jet of a 4^4 window
+    that holds every corner with the stencil neighbours it has in the full
+    grid: the exact jet, else second-order differences of the window's
+    values (read only then).  The corners sit where the window's stencils
+    are those of the full grid (the interior stencil, or the one-sided one
+    on a true boundary), so each determinant is the full-grid one.  The
+    window is read through
+    :meth:`~su2topo.lattice.LatticeField.values_at` or
     :meth:`~PhiField.exact_jet`, one block per run of consecutive sites on
-    each axis (two on an axis where the window wraps).
+    each axis (two on an axis where the window wraps).  A determinant that
+    is not finite raises :class:`FieldError`.
     """
     grid = phi.grid
     take = []
@@ -351,10 +342,16 @@ def _zero_jacobian(phi: PhiField, x: np.ndarray) -> float:
         else:
             start = min(max(b - 1, 0), n - 4)
             take.append(np.arange(start, start + 4))
-    wgrid = Grid((4,) * 4, (0.0,) * 4, grid.spacing, (False,) * 4)
-    window = PhiField(wgrid, _window(phi.values_at, take), jet=_window(phi.exact_jet, take))
-    return float(interpolate(jacobian(window).values, grid, x[None],
-                             [int(t[0]) for t in take])[0])
+    jet = _window(phi.exact_jet, take)
+    if jet is None:
+        jet = derivative_stack(_window(phi.values_at, take),
+                               Grid((4,) * 4, (0.0,) * 4, grid.spacing, (False,) * 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(jet)
+    if not np.all(np.isfinite(det)):
+        raise FieldError("the Jacobian determinant is not finite near the zero at "
+                         f"{tuple(float(v) for v in x)}")
+    return float(interpolate(det, grid, x[None], [int(t[0]) for t in take])[0])
 
 
 def _window(read, take) -> np.ndarray | None:

@@ -26,7 +26,8 @@ spinor route by ``np.einsum`` over complex t_mn and the unit route by
 The rank-4 forms take points ``(..., 4)`` with jets ``(..., rank, 4)``:
 the quaternion kernels of the box and chart generators, the box maps'
 values and jets, the zero screen's corner min/max mask on the whole grid,
-and :func:`normalize`'s quotient rule.
+the site Jacobians (:func:`jacobian`) and :func:`normalize`'s quotient
+rule.
 """
 
 import dataclasses
@@ -105,6 +106,13 @@ def derivatives(field, order=2):
     differences of ``order`` of its samples."""
     field = stored(field)
     return derivative_stack(field.values, field.grid, order) if field.jet is None else field.jet
+
+
+def jacobian(phi):
+    """det[d_mu phi^a] of every site of a rank-4 phi field, from its
+    whole-grid :func:`derivatives`: the site Jacobians that the library
+    takes on the 4^4 window around a zero only."""
+    return np.linalg.det(derivatives(phi))
 
 
 def current(psi):

@@ -245,7 +245,7 @@ def test_criterion_11_field_file_round_trip(tmp_path):
         st.PhiField(g4, rng.normal(size=g4.shape + (4,)),
                     jet=rng.normal(size=g4.shape + (4, 4))),
         st.GaugeField(g4, rng.normal(size=g4.shape + (4, 3))),
-        st.ScalarField(g3, rng.normal(size=g3.shape)),
+        st.PhiField(g3, rng.normal(size=g3.shape + (4,))),
     ]
     kinds_ok = True
     for field in fields:

@@ -227,7 +227,7 @@ def test_chern_weil_stokes_consistency():
     residues = {}
     for factor, grid in ((1, base), (2, st.box_grid((19, 19, 19, 19), -1.0, 1.0))):
         psi = st.random_config(3, "spinor", grid)
-        assert not psi.normalized
+        assert st.normalize(psi) is not psi
         volume = st.chern_numbers(psi, ("spinor",))["spinor"]
         boundary, residue = oracle.boundary_cs_sum(psi)
         diffs[factor] = abs(volume - boundary)
@@ -344,18 +344,19 @@ def test_chern_density_input_validation():
     gauge = st.random_config(9, "gauge", grid)
     psi3 = st.identity_map_s3(8)
     psi = st.random_config(10, "spinor", grid)
-    assert not psi.normalized
+    unit = st.normalize(psi)
+    assert unit is not psi
     # every route reads a rank-4 spinor only
     for route in ROUTES:
         for source in (gauge, psi3, st.spinor_to_phi(st.normalize(psi))):
             with pytest.raises(FieldError):
                 st.chern_numbers(source, (route,))
-    # the unit and trace routes read a normalized one; the spinor route
-    # any smooth one
-    for route in ("unit", "trace"):
-        with pytest.raises(FieldError, match="normalized"):
-            st.chern_numbers(psi, (route,))
-    assert np.isfinite(st.chern_numbers(psi, ("spinor",))["spinor"])
+    # the unit and trace routes read the unit spinor, and every route with
+    # them; the spinor route alone reads any smooth one as it is
+    for routes in (("unit",), ("trace",), ROUTES):
+        assert st.chern_numbers(psi, routes) == st.chern_numbers(unit, routes)
+    alone = st.chern_numbers(psi, ("spinor",))["spinor"]
+    assert np.isfinite(alone) and alone != st.chern_numbers(unit, ("spinor",))["spinor"]
 
 
 _ROOTS = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])

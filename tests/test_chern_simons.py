@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,11 +35,16 @@ def test_spinor_density_requires_rank3():
 
 
 def test_spinor_density_requires_normalized():
+    # the routes read the unit spinor: a spinor that is not normalized gets
+    # the charges and split of its normalize, bit for bit
     grid = st.s3_chart_grid(8)
     psi = oracle.stored(st.identity_map_s3(8))
-    scaled = st.SpinorField(grid, 2.0 * psi.values, jet=2.0 * psi.jet)
-    with pytest.raises(FieldError):
-        cs.chern_simons(scaled)
+    scaled = st.SpinorField(grid, 3.0 * psi.values, jet=3.0 * psi.jet)
+    unit = st.normalize(scaled)
+    assert unit is not scaled
+    got, expected = (dataclasses.astuple(cs.chern_simons(field, parallel=True))
+                     for field in (scaled, unit))
+    assert got == expected
 
 
 def test_identity_map_charge_and_imag_residue():
@@ -430,9 +437,10 @@ def test_the_first_pass_drops_each_slab_before_the_trace_pass(monkeypatch):
 
 
 def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):
-    # A chart spinor serves its samples: the normalization check and the
-    # one sweep each compute every slab once, in order.  The charges and
-    # maxima equal those of the same samples stored, bit for bit.
+    # A chart spinor serves its samples: normalize's check, which returns
+    # the unit spinor itself, and the one sweep each compute every slab
+    # once, in order.  The charges and maxima equal those of the same
+    # samples stored, bit for bit.
     from su2topo import lattice
     n = 12
     monkeypatch.setattr(lattice, "SLAB_SITES", 5 * n * n)     # an uneven last slab
@@ -447,11 +455,11 @@ def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):
                          block_values=block_values)
     stored = st.SpinorField(served.grid, oracle.stored(served).values,
                             block_jet=served.block_jet)
-    assert psi.normalized
+    assert st.normalize(psi) is psi
     assert blocks == list(lattice.slabs(psi.grid))
     blocks.clear()
     charges = cs.chern_simons(psi, parallel=True)
-    assert blocks == list(lattice.slabs(psi.grid))
+    assert blocks == 2 * list(lattice.slabs(psi.grid))
     expected = cs.chern_simons(stored, parallel=True)
     assert (charges.q_spinor, charges.q_trace, charges.q_fn,
             charges.exactness_residual, charges.parallel_maxima) == (
@@ -503,7 +511,7 @@ def test_normalized_input_peaks_below_one_grid_of_unit_samples(jets, monkeypatch
     # neither: at one-plane slabs the knot charges and the split of a
     # stored spinor that is not normalized trace less than one whole grid
     # of unit samples (32 B a site), which a stored result would hold.
-    # Measured at 48^3: 2.77 and 1.98 MB with a jet, 2.75 and 1.96 MB
+    # Measured at 48^3: 2.80 and 2.00 MB with a jet, 2.77 and 1.98 MB
     # bare, under 3.54 MB (7.2 and 6.4 MB, 6.3 and 5.5 MB when normalize
     # stored its samples)
     from su2topo import lattice
@@ -513,10 +521,8 @@ def test_normalized_input_peaks_below_one_grid_of_unit_samples(jets, monkeypatch
     psi = st.random_config(3, "spinor", grid)
     if not jets:
         psi = st.SpinorField(grid, psi.values)
-    assert not psi.normalized
     assert st.normalize(psi).values is None
     unit_grid = n**3 * 2 * 16
-    for run in (lambda: cs.chern_simons(st.normalize(psi)),
-                lambda: st.decompose(st.normalize(psi))):
+    for run in (lambda: cs.chern_simons(psi), lambda: st.decompose(psi)):
         peak, _ = peak_traced_bytes(run)
         assert peak < unit_grid

@@ -232,7 +232,7 @@ def test_missing_file_exits_3(capsys, tmp_path):
 def test_corrupt_file_exits_3(tmp_path, capsys):
     path = str(tmp_path / "f.fld")
     grid = st.Grid((5, 6, 7), (0.0,) * 3, (0.1,) * 3, (False,) * 3)
-    write_field(st.ScalarField(grid, np.zeros(grid.shape)), path)
+    write_field(st.PhiField(grid, np.zeros(grid.shape + (4,))), path)
     blob = bytearray(open(path, "rb").read())
     blob[150] ^= 0x01
     open(path, "wb").write(bytes(blob))
@@ -388,6 +388,32 @@ def test_norms_that_overflow_exit_3(tmp_path, capsys, monkeypatch):
                        "its samples are too large to square\n"), command
 
 
+def test_a_zero_of_the_spinor_exits_3_on_every_unit_route(tmp_path, capsys):
+    # Psi = 0 at one site of a chart file: each command that takes the unit
+    # spinor stops at normalize's check, with the site, whichever route
+    # calls it (chern before its rank check)
+    path = _chart_file(tmp_path)
+    capsys.readouterr()
+    site = (2, 3, 4)
+    _patch(path, 8 + 3 * 21 + 32 * int(np.ravel_multi_index(site, (8, 8, 8))), bytes(32))
+    for command in (("decompose", "--psi"), ("cs",), ("chern",)):
+        err = _one_input_error(capsys, *command, path)
+        assert err == f"su2topo: error: spinor norm 0.000e+00 < 1.0e-12 at site {site}\n"
+
+
+def test_a_jacobian_that_overflows_at_a_zero_exits_3(tmp_path, capsys):
+    # a jet file of the linear map whose jet is scaled by 1e100: the norms
+    # are finite, but the site Jacobians of the zero's window are not
+    grid = st.box_grid((8,) * 4, -1.0, 1.0)
+    phi = stored(st.linear_phi_field(np.eye(4), np.array([0.013, -0.021, 0.032, 0.011]),
+                                     grid))
+    path = str(tmp_path / "steep.fld")
+    write_field(st.PhiField(grid, phi.values, jet=1e100 * phi.jet), path)
+    err = _one_input_error(capsys, "zeros", path)
+    assert err.startswith("su2topo: error: the Jacobian determinant is not finite near "
+                          "the zero at (0.013"), err
+
+
 def test_decompose_on_different_grids_names_both_files(tmp_path, capsys):
     psi = _chart_file(tmp_path)
     gauge = str(tmp_path / "gauge.fld")
@@ -492,49 +518,59 @@ def test_non_finite_values_exit_3_naming_the_values(tmp_path, capsys, entry):
 def test_bare_cs_reads_each_values_plane_a_bounded_number_of_times(tmp_path, capsys,
                                                                    monkeypatch):
     # with one plane a slab, the charge sweep over a values-only chart file
-    # reads each plane once for the norm check and then in the stencil
+    # reads each plane once for normalize's check and then in the stencil
     # planes of the slabs that read it (up to 4 next to an open end, whose
     # one-sided stencils read 3 planes), never the whole grid for a slab;
-    # the report is that of the default slabs
+    # the report is that of the default slabs.  A copy that is not unit
+    # reads its planes as often: the unit spinor normalize serves reads
+    # each plane the sweep asks for once.
     from su2topo import fldio, lattice
     path = _bare_copy(_chart_file(tmp_path), str(tmp_path / "bare.fld"))
-    capsys.readouterr()
-    expected = run(capsys, "cs", path, "--no-color")
-    monkeypatch.setattr(lattice, "SLAB_SITES", 8 * 8)
-    hits, sizes = np.zeros(8, dtype=int), []
+    field = st.read_field(path)
+    scaled = str(tmp_path / "scaled.fld")
+    write_field(type(field)(field.grid, 2.0 * stored(field).values), scaled)
     real = fldio._FileBlocks.__call__
+    for path in (path, scaled):
+        capsys.readouterr()
+        expected = run(capsys, "cs", path, "--no-color")
+        hits, sizes = np.zeros(8, dtype=int), []
 
-    def counted(self, block):
-        planes = range(*(block[0] if isinstance(block, tuple) else block).indices(8))
-        hits[list(planes)] += 1
-        sizes.append(len(planes))
-        return real(self, block)
+        def counted(self, block):
+            planes = range(*(block[0] if isinstance(block, tuple) else block).indices(8))
+            hits[list(planes)] += 1
+            sizes.append(len(planes))
+            return real(self, block)
 
-    monkeypatch.setattr(fldio._FileBlocks, "__call__", counted)
-    assert run(capsys, "cs", path, "--no-color") == expected
-    assert max(sizes) == 3 and hits.max() == 5, (sizes, hits)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "SLAB_SITES", 8 * 8)
+            patch.setattr(fldio._FileBlocks, "__call__", counted)
+            assert run(capsys, "cs", path, "--no-color") == expected
+        assert max(sizes) == 3 and hits.max() == 5, (path, sizes, hits)
 
 
 def test_retired_su2_kind_exits_3(tmp_path, capsys):
-    # kind 4 held one SU(2) matrix a site (8 floats), a kind no command
-    # reads; a CRC-valid file of that layout is an unknown kind
-    path = str(tmp_path / "su2.fld")
-    blob = (b"FLD2" + struct.pack("<BBBB", 4, 3, 0, 0)
-            + struct.pack("<IddB", 4, 0.0, 0.1, 0) * 3
-            + np.zeros(4**3 * 8, dtype="<f8").tobytes())
-    open(path, "wb").write(blob + struct.pack("<Q", zlib.crc32(blob)))
-    with pytest.raises(st.HeaderError, match="unknown field kind 4"):
-        st.read_field(path)
-    for command in _FILE_COMMANDS:
-        code, out, err = run(capsys, *command, path, "--no-color")
-        assert (code, out) == (3, ""), command
-        assert err == f"su2topo: input error [bad-header]: {path}: unknown field kind 4\n"
+    # kind 4 held one SU(2) matrix a site (8 floats) and kind 5 one scalar,
+    # kinds no command reads; a CRC-valid file of either layout is an
+    # unknown kind
+    for kind, floats in ((4, 8), (5, 1)):
+        path = str(tmp_path / f"kind{kind}.fld")
+        blob = (b"FLD2" + struct.pack("<BBBB", kind, 3, 0, 0)
+                + struct.pack("<IddB", 4, 0.0, 0.1, 0) * 3
+                + np.zeros(4**3 * floats, dtype="<f8").tobytes())
+        open(path, "wb").write(blob + struct.pack("<Q", zlib.crc32(blob)))
+        with pytest.raises(st.HeaderError, match=f"unknown field kind {kind}"):
+            st.read_field(path)
+        for command in _FILE_COMMANDS:
+            code, out, err = run(capsys, *command, path, "--no-color")
+            assert (code, out) == (3, ""), command
+            assert err == (f"su2topo: input error [bad-header]: {path}: unknown field "
+                           f"kind {kind}\n")
 
 
 def test_retired_fld1_file_exits_3(tmp_path, capsys):
     path = str(tmp_path / "old.fld")
     grid = st.Grid((5, 6, 7), (0.0,) * 3, (0.1,) * 3, (False,) * 3)
-    write_field(st.ScalarField(grid, np.zeros(grid.shape)), path)
+    write_field(st.PhiField(grid, np.zeros(grid.shape + (4,))), path)
     blob = open(path, "rb").read()
     open(path, "wb").write(b"FLD1" + blob[4:])
     code, _, err = run(capsys, "zeros", path, "--no-color")

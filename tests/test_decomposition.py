@@ -4,7 +4,7 @@ import pytest
 import su2topo as st
 from conftest import peak_traced_bytes
 from su2_gauge import dagger, matrices, transform, transformation
-from su2topo import FieldError, NormalizationError
+from su2topo import NormalizationError
 import site_major as oracle
 from su2topo.lattice import component_major, site_major
 
@@ -183,18 +183,25 @@ def test_parallel_potential_constant_spinor_is_zero():
 
 def test_parallel_potential_requires_normalized():
     # the rank-4 route that takes the parallel potential of a spinor's
-    # current, the trace Chern density, refuses a spinor that is not unit
+    # current, the trace Chern density, reads the unit spinor: a spinor
+    # that is not unit gets the number of its normalize, bit for bit
     grid = small_grid()
     psi = st.random_config(35, "spinor", grid)
-    with pytest.raises(FieldError, match="normalized"):
-        st.chern_numbers(psi, ("trace",))
+    unit = st.normalize(psi)
+    assert unit is not psi
+    assert st.chern_numbers(psi, ("trace",)) == st.chern_numbers(unit, ("trace",))
 
 
 def test_decompose_without_a_potential_requires_normalized():
+    # the parallel potential is the unit spinor's: the split of a spinor
+    # that is not unit is that of its normalize, bit for bit
     grid = small_grid()
     psi = st.random_config(35, "spinor", grid)
-    with pytest.raises(FieldError, match="normalized"):
-        st.decompose(psi)
+    unit = st.normalize(psi)
+    assert unit is not psi
+    got, expected = (st.decompose(field) for field in (psi, unit))
+    assert (got.residual, got.max_covariant, got.max_b) == (
+        expected.residual, expected.max_covariant, expected.max_b)
 
 
 def test_decompose_takes_no_whole_grid_potential(monkeypatch):

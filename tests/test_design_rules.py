@@ -54,8 +54,6 @@ def test_every_public_function_and_class_is_named_in_the_package():
 WHOLE_GRID_READERS = {
     "LatticeField.__post_init__": "checks that stored samples are finite",
     "trace_pointwise": "a reference route, of a gauge field that stores its samples",
-    "jacobian": "called on the 4^4 window around a zero only",
-    "_zero_jacobian": "reads the 4^4 window around a zero",
 }
 #: Methods that read the whole grid when called without a block;
 #: ``derivatives`` reads it whatever its order.
@@ -123,16 +121,34 @@ WHOLE_GRID_FILLS = {
     "random_config": "random fields store their values and jets",
 }
 FILLS = {"empty", "zeros", "full", "ones"}
+#: Joins that assemble a whole grid when they take a block of every slab.
+JOINS = {"concatenate", "stack", "vstack"}
+
+
+def _over_slabs(expr: ast.AST) -> bool:
+    """Whether ``expr`` is a comprehension with a loop over ``slabs(...)``."""
+    return isinstance(expr, (ast.ListComp, ast.GeneratorExp)) and any(
+        isinstance(loop.iter, ast.Call)
+        and getattr(loop.iter.func, "attr", getattr(loop.iter.func, "id", None)) == "slabs"
+        for loop in expr.generators)
 
 
 def _whole_grid_fills(tree: ast.Module):
     """Yield ``(owner, line)`` for each ``np.empty``, ``np.zeros``,
     ``np.full`` or ``np.ones`` of a module whose shape expression reads a
-    ``grid.shape`` (of a name or an attribute ``grid``)."""
+    ``grid.shape`` (of a name or an attribute ``grid``), and each
+    ``np.concatenate``, ``np.stack`` or ``np.vstack`` of a comprehension
+    over ``slabs(...)``."""
     for owner, statement in _owned_statements(tree):
         for node in ast.walk(statement):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in FILLS and getattr(node.func.value, "id", "") == "np"):
+                    and getattr(node.func.value, "id", "") == "np"):
+                continue
+            if node.func.attr in JOINS:
+                if node.args and _over_slabs(node.args[0]):
+                    yield owner, node.lineno
+                continue
+            if node.func.attr not in FILLS:
                 continue
             shape = node.args[:1] + [k.value for k in node.keywords if k.arg == "shape"]
             if any(isinstance(sub, ast.Attribute) and sub.attr == "shape"
@@ -182,6 +198,18 @@ def fills_by_keyword(field):
     return np.zeros(shape=field.grid.shape)
 
 
+def joins_the_slabs(field):
+    return np.concatenate([field.values_at(slab) for slab in slabs(field.grid)])
+
+
+def stacks_the_slabs(grid, unit):
+    return np.stack([unit(slab) for slab in slabs(grid)])
+
+
+def vstacks_the_slabs(grid, unit):
+    return np.vstack([unit(slab) for slab in lattice.slabs(grid)])
+
+
 class Field:
     def whole(self):
         return self.values
@@ -190,7 +218,8 @@ class Field:
 def reads_blocks(field, slab):
     if field.values is None:
         return field.values_at(slab), field.exact_jet(slab), {}.values()
-    return field.values[slab], field.values.view(np.float64), np.empty(4)
+    return (field.values[slab], field.values.view(np.float64), np.empty(4),
+            np.concatenate([field.values_at(slab), field.values_at(slab)]))
 """
 
 
@@ -201,5 +230,46 @@ def test_the_guard_reports_each_planted_whole_grid_read_and_fill():
     assert {owner for owner, _ in _whole_grid_reads(tree)} == {
         "sums_the_values", "reads_values_at", "reads_the_jet", "differences",
         "Field.whole"}
-    assert {owner for owner, _ in _whole_grid_fills(tree)} == {"fills",
-                                                               "fills_by_keyword"}
+    assert {owner for owner, _ in _whole_grid_fills(tree)} == {
+        "fills", "fills_by_keyword", "joins_the_slabs", "stacks_the_slabs",
+        "vstacks_the_slabs"}
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """The names a module binds by ``import`` or ``from ... import`` and
+    never reads, as a name or the base of an attribute, sorted.  A
+    ``from __future__`` import binds nothing."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export, so it is exempt
+    unused = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text()))]
+    assert not unused, f"imported and never used: {unused}"
+
+
+PLANTED_IMPORTS = """
+from __future__ import annotations
+
+import os.path
+import numpy as np
+from . import lattice
+from .fields import normalize, spinor_to_phi as to_phi
+
+
+def convert(x: np.ndarray):
+    return to_phi(x), lattice.slabs
+"""
+
+
+def test_the_import_guard_reports_each_planted_unused_name():
+    assert _unused_imports(ast.parse(PLANTED_IMPORTS)) == ["normalize", "os"]

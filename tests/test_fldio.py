@@ -35,7 +35,7 @@ def all_fields(g3, g4):
     yield st.PhiField(g4, rng.normal(size=g4.shape + (4,)),
                       jet=rng.normal(size=g4.shape + (4, 4)))
     yield st.GaugeField(g4, rng.normal(size=g4.shape + (4, 3)))
-    yield st.ScalarField(g3, rng.normal(size=g3.shape))
+    yield st.PhiField(g3, rng.normal(size=g3.shape + (4,)))
     reversed_g4 = dataclasses.replace(g4, orientation=-1)
     yield st.PhiField(reversed_g4, rng.normal(size=g4.shape + (4,)),
                       jet=rng.normal(size=g4.shape + (4, 4)))
@@ -70,7 +70,8 @@ def _assert_served_from_the_file(back):
 
 def test_written_twice_is_byte_identical(tmp_path, grids):
     g3, _ = grids
-    field = st.ScalarField(g3, np.linspace(0, 1, int(np.prod(g3.shape))).reshape(g3.shape))
+    field = st.PhiField(g3, np.linspace(0, 1, 4 * int(np.prod(g3.shape)))
+                        .reshape(g3.shape + (4,)))
     p1, p2 = str(tmp_path / "a.fld"), str(tmp_path / "b.fld")
     write_field(field, p1)
     write_field(field, p2)
@@ -89,7 +90,7 @@ def test_size_formula_17x4_spinor(tmp_path):
 def test_bad_magic(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    write_field(st.PhiField(g3, np.zeros(g3.shape + (4,))), path)
     blob = open(path, "rb").read()
     open(path, "wb").write(b"XLD1" + blob[4:])
     with pytest.raises(BadMagicError):
@@ -99,7 +100,7 @@ def test_bad_magic(tmp_path, grids):
 def test_retired_fld1_magic_is_bad_magic(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    write_field(st.PhiField(g3, np.zeros(g3.shape + (4,))), path)
     blob = open(path, "rb").read()
     assert blob[:4] == b"FLD2"
     open(path, "wb").write(b"FLD1" + blob[4:])
@@ -110,7 +111,7 @@ def test_retired_fld1_magic_is_bad_magic(tmp_path, grids):
 def test_unknown_flag_bit_is_header_error(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    write_field(st.PhiField(g3, np.zeros(g3.shape + (4,))), path)
     blob = bytearray(open(path, "rb").read())
     blob[6] |= 8
     open(path, "wb").write(bytes(blob))
@@ -121,7 +122,7 @@ def test_unknown_flag_bit_is_header_error(tmp_path, grids):
 def test_truncated_file_is_count_mismatch(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    write_field(st.PhiField(g3, np.zeros(g3.shape + (4,))), path)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-17])
     with pytest.raises(CountMismatchError):
@@ -134,7 +135,7 @@ def test_file_one_byte_off_is_count_mismatch(tmp_path, grids, change):
     # buffer is allocated or read
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    write_field(st.PhiField(g3, np.zeros(g3.shape + (4,))), path)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-1] if change < 0 else blob + b"\0")
     with pytest.raises(CountMismatchError, match=f"file has {len(blob) + change} bytes"):
@@ -165,8 +166,8 @@ def test_read_values_and_jet_stay_in_the_file(tmp_path, kind):
 def test_payload_corruption_is_checksum_error(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.arange(int(np.prod(g3.shape)), dtype=float)
-                               .reshape(g3.shape)), path)
+    write_field(st.PhiField(g3, np.arange(4 * int(np.prod(g3.shape)), dtype=float)
+                            .reshape(g3.shape + (4,))), path)
     blob = bytearray(open(path, "rb").read())
     blob[200] ^= 0x10
     open(path, "wb").write(bytes(blob))
@@ -177,8 +178,8 @@ def test_payload_corruption_is_checksum_error(tmp_path, grids):
 def test_every_single_byte_corruption_detected(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.linspace(-1, 1, int(np.prod(g3.shape)))
-                               .reshape(g3.shape)), path)
+    write_field(st.PhiField(g3, np.linspace(-1, 1, 4 * int(np.prod(g3.shape)))
+                            .reshape(g3.shape + (4,))), path)
     blob = open(path, "rb").read()
     rng = np.random.default_rng(99)
     bad_path = str(tmp_path / "bad.fld")
@@ -194,7 +195,7 @@ def test_every_single_byte_corruption_detected(tmp_path, grids):
 def test_reserved_byte_enforced(tmp_path, grids):
     g3, _ = grids
     path = str(tmp_path / "f.fld")
-    write_field(st.ScalarField(g3, np.zeros(g3.shape)), path)
+    write_field(st.PhiField(g3, np.zeros(g3.shape + (4,))), path)
     blob = bytearray(open(path, "rb").read())
     blob[7] = 1
     open(path, "wb").write(bytes(blob))
@@ -204,7 +205,7 @@ def test_reserved_byte_enforced(tmp_path, grids):
 
 def test_write_failure_leaves_no_partial_file(tmp_path, grids):
     g3, _ = grids
-    field = st.ScalarField(g3, np.zeros(g3.shape))
+    field = st.PhiField(g3, np.zeros(g3.shape + (4,)))
     with pytest.raises(OSError):
         write_field(field, str(tmp_path / "missing" / "f.fld"))
     assert list(tmp_path.iterdir()) == []
@@ -215,7 +216,7 @@ def test_normalized_flag_recovered_on_read(tmp_path):
     path = str(tmp_path / "id.fld")
     write_field(psi, path)
     back = read_field(path)
-    assert back.normalized
+    assert st.normalize(back) is back
 
 
 def _random_field(kind, grid, jets, rng):
@@ -230,11 +231,9 @@ def _random_field(kind, grid, jets, rng):
     if kind == "phi":
         return st.PhiField(grid, rng.normal(size=shape + (4,)),
                            jet=rng.normal(size=shape + (rank, 4)) if jets else None)
-    if kind == "gauge":
-        return st.GaugeField(
-            grid, rng.normal(size=shape + (rank, 3)),
-            jet=rng.normal(size=shape + (rank, rank, 3)) if jets else None)
-    return st.ScalarField(grid, rng.normal(size=shape))
+    return st.GaugeField(
+        grid, rng.normal(size=shape + (rank, 3)),
+        jet=rng.normal(size=shape + (rank, rank, 3)) if jets else None)
 
 
 @hst.composite
@@ -248,8 +247,8 @@ def _fields(draw):
         tuple(draw(hst.booleans()) for _ in range(rank)),
         cell_centered=draw(hst.booleans()),
         orientation=draw(hst.sampled_from((1, -1))))
-    kind = draw(hst.sampled_from(("spinor", "phi", "gauge", "scalar")))
-    jets = draw(hst.booleans()) and kind != "scalar"
+    kind = draw(hst.sampled_from(("spinor", "phi", "gauge")))
+    jets = draw(hst.booleans())
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     return _random_field(kind, grid, jets, rng)
 
@@ -478,7 +477,7 @@ def test_jet_of_a_changed_file_is_an_input_error(tmp_path, change):
         back.exact_jet(face)
 
 
-@pytest.mark.parametrize("kind", ["spinor", "phi", "gauge", "scalar"])
+@pytest.mark.parametrize("kind", ["spinor", "phi", "gauge"])
 def test_file_values_blocks_equal_the_written_values(tmp_path, kind):
     # every block a file's values serve equals that block of the values it
     # was written from, bit for bit: 150 random blocks of per-axis slices,
@@ -486,7 +485,7 @@ def test_file_values_blocks_equal_the_written_values(tmp_path, kind):
     rng = np.random.default_rng(11)
     grid = st.Grid((6, 5, 7, 4), (0.0,) * 4, (0.1, 0.2, 0.3, 0.4),
                    (False, True, False, True))
-    field = _random_field(kind, grid, kind != "scalar", rng)
+    field = _random_field(kind, grid, True, rng)
     path = str(tmp_path / "f.fld")
     write_field(field, path)
     back = read_field(path)

@@ -13,7 +13,7 @@ from site_major import qpoly_values, qpower_values, qpower_with_jet
 
 def test_identity_map_unit_norm_and_jets():
     psi = st.identity_map_s3(12)
-    assert psi.normalized
+    assert st.normalize(psi) is psi
     norms = st.norm_squared(component_major(oracle.stored(psi).values, 3), 0)
     assert np.max(np.abs(norms - 1.0)) < 1e-14
     # no jet is stored; the exact one is the chart formula's, bit for bit

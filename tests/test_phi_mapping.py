@@ -20,15 +20,15 @@ def box(n=16, half=1.0):
 
 def test_jacobian_identity():
     phi = st.linear_phi_field(np.eye(4), np.zeros(4), box())
-    jac = st.jacobian(oracle.stored(phi))
-    assert np.max(np.abs(jac.values - 1.0)) < 1e-13
+    jac = oracle.jacobian(phi)
+    assert np.max(np.abs(jac - 1.0)) < 1e-13
 
 
 def test_jacobian_swapped_components():
     m = np.eye(4)[[1, 0, 2, 3]]
     phi = st.linear_phi_field(m, np.zeros(4), box())
-    jac = st.jacobian(oracle.stored(phi))
-    assert np.max(np.abs(jac.values + 1.0)) < 1e-13
+    jac = oracle.jacobian(phi)
+    assert np.max(np.abs(jac + 1.0)) < 1e-13
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -36,8 +36,8 @@ def test_jacobian_random_matrix(seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
     phi = st.linear_phi_field(m, np.zeros(4), box())
-    jac = st.jacobian(oracle.stored(phi))
-    assert np.max(np.abs(jac.values - np.linalg.det(m))) < 1e-12 * abs(np.linalg.det(m)) + 1e-12
+    jac = oracle.jacobian(phi)
+    assert np.max(np.abs(jac - np.linalg.det(m))) < 1e-12 * abs(np.linalg.det(m)) + 1e-12
 
 
 def test_locate_zero_on_lattice_site():
@@ -626,7 +626,7 @@ def _periodic_phi_file(tmp_path):
 def test_zero_jacobian_equals_the_whole_grid_route(tmp_path):
     for name, phi in _lattice_only_cases(tmp_path).items():
         assert phi.sampler is None, name
-        full = st.jacobian(oracle.stored(phi)).values
+        full = oracle.jacobian(phi)
         zeros = st.locate_zeros(phi).zeros
         assert zeros, name
         for zero in zeros:
@@ -640,7 +640,7 @@ def test_zero_jacobian_on_periodic_and_boundary_cells():
                    (False, True, False, True), cell_centered=True)
     rng = np.random.default_rng(5)
     phi = st.PhiField(grid, rng.normal(size=grid.shape + (4,)))
-    full = st.jacobian(phi).values
+    full = oracle.jacobian(phi)
     lo = np.array([grid.coords(i)[0] for i in range(4)])
     hi = np.array([grid.coords(i)[-1] for i in range(4)])
     for t in rng.random((200, 4)):
