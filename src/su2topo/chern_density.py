@@ -24,9 +24,10 @@ construction.  The unit kernel takes the determinant (:func:`_det4`) of
 the four rows d_m n, the real and imaginary parts of d_m Psi.  Only the
 trace route computes the spinor current J: its kernel reads the parallel
 potential A^a = -2 Im J^a of each slab and its finite differences, taken
-a slab behind on windows of the planes their stencils read
+a slab behind on the slab's own A and the held planes next to it
 (:func:`~su2topo.lattice.stencil_windows`), so neither A nor dA is held
-for the whole grid.
+for the whole grid and no plane is copied.  F reads d_m A_n for m != n
+only, so d_m A_m is not computed.
 
 Integrating rho over the volume gives the second Chern number, which by
 Stokes also equals the sum of oriented Chern-Simons boundary integrals
@@ -62,8 +63,8 @@ def chern_numbers(psi: SpinorField, routes) -> dict[str, float]:
     exterior derivative of the Chern-Simons form either way); with the
     unit or trace route, every route reads the unit spinor
     (:func:`~su2topo.fields.normalize`).  A route not asked for is not
-    computed; without the trace route neither the spinor current nor a
-    window of A is.  Each total is that of the whole-grid density,
+    computed; without the trace route neither the spinor current nor A
+    is.  Each total is that of the whole-grid density,
     whatever the slabs.  Raises :class:`FieldError` on a field of the
     wrong kind or rank, and on a sum that is not finite.
     """
@@ -89,10 +90,9 @@ def chern_numbers(psi: SpinorField, routes) -> dict[str, float]:
                 del samples, dvalues         # not held through the trace pass
                 yield slab, [gauge]
 
-    for slab, (gauge,), first in stencil_windows(grid, order, first_pass()):
-        own = slice(slab.start - first, slab.stop - first)
-        sums["trace"].add(slab, sign * _trace_values(gauge[own], derivative_stack(
-            gauge, grid, order, slab, first, components_first=True)))
+    for slab, (gauge,), (held,) in stencil_windows(grid, order, first_pass()):
+        sums["trace"].add(slab, sign * _trace_values(gauge, derivative_stack(
+            gauge, grid, order, slab, held, components_first=True, diagonal=False)))
     return {route: quadrature.total() for route, quadrature in sums.items()}
 
 

@@ -29,20 +29,25 @@ slabs (:func:`~su2topo.lattice.slabs`).  It reads each slab's samples once
 slab (finite differences for bare samples) and J from them
 (``SpinorField.slab_currents``, which never stores J), and from these the
 spinor and Abelian densities and the slab's A, c and h_pairs.  The
-kernels take the slab's arrays and read no field; the sweep drops each
-slab's samples, d Psi and J before the trace pass runs.  dA and dC read
-the planes next to each slab, so the trace density and the exactness
-residual run a slab behind, on windows of the planes their stencils need
-(:func:`~su2topo.lattice.stencil_windows`): A and c are held as a halo of
-planes and H for the slabs still to be read, never for the whole grid.
-Asked for the parallel condition, the sweep also runs the per-slab kernel
-of :func:`~su2topo.decomposition.decompose` on the slab's samples,
-d Psi, J, norms and A.  Every per-slab kernel here is component-major
+kernels take the slab's arrays and read no field; each runs once a slab,
+for every derivative axis at once, and writes into its output arrays.
+The sweep drops each slab's samples, d Psi and J before the trace pass
+runs.  dA and dC read the planes next to each slab, so the trace density
+and the exactness residual run a slab behind
+(:func:`~su2topo.lattice.stencil_windows`), on each slab's own A and c and
+the planes of its neighbours, held as the first pass made them and never
+copied: A and c are held as a halo of planes and H for the slabs still to
+be read, never for the whole grid.  The trace density reads d_j A_k for
+j != k only, so d_i A_i is not computed; dC is taken whole, since its
+maximum bounds the exactness residual.  Asked for the parallel condition,
+the sweep also runs the per-slab kernel of
+:func:`~su2topo.decomposition.decompose` on the slab's samples, d Psi, J,
+norms and A.  Every per-slab kernel here is component-major
 (:func:`~su2topo.lattice.component_major`): a slab has the shape
 ``(planes, components..., n1, n2)``, so each ufunc runs over a plane's
-contiguous sites, and the windows of A and c are differenced in that
-layout (``derivative_stack(..., components_first=True)``).  The trace
-density sums its color contraction in einsum's order on color-last rows,
+contiguous sites, and A and c are differenced in that layout
+(``derivative_stack(..., components_first=True)``).  The trace density
+sums its color contraction in einsum's order on color-last rows,
 (A^0 D^0 + A^2 D^2) + A^1 D^1, so every density keeps its bits.  Each
 density is summed as it is swept (:class:`~su2topo.lattice.Quadrature`,
 whose total does not depend on the slabs), bit for bit the quadrature of
@@ -62,7 +67,8 @@ import numpy as np
 from .conventions import ORIENTATION_SIGN
 from .decomposition import Decomposition, fold_maxima, parallel_components, slab_maxima
 from .errors import FieldError, ReconstructionError
-from .fields import GaugeField, SpinorField, norm_squared, normalize, sigma_model_field
+from .fields import (GaugeField, SpinorField, _max_abs, norm_squared, normalize,
+                     sigma_model_field)
 from .lattice import Quadrature, component_major, derivative_stack, stencil_windows
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
@@ -246,17 +252,15 @@ def _sweep(psi: SpinorField, parallel: bool) -> KnotCharges:
     # fold by np.maximum, which keeps a NaN (the builtin max(0.0, nan) is
     # 0.0).
     curl_res = h_max = dc_max = 0.0
-    for slab, (gauge, c), first in stencil_windows(grid, order, first_pass()):
-        own = slice(slab.start - first, slab.stop - first)
-        sums["trace"].add(slab, sign * trace_cs_values(gauge[own], derivative_stack(
-            gauge, grid, order, slab, first, components_first=True)))
-        dc = derivative_stack(c, grid, order, slab, first, components_first=True)
+    for slab, (gauge, c), (held_a, held_c) in stencil_windows(grid, order, first_pass()):
+        sums["trace"].add(slab, sign * trace_cs_values(gauge, derivative_stack(
+            gauge, grid, order, slab, held_a, components_first=True, diagonal=False)))
+        dc = derivative_stack(c, grid, order, slab, held_c, components_first=True)
         h = h_of.pop(slab.start)
         for idx, (i, j) in enumerate(H_PAIRS):
-            curl_res = np.maximum(curl_res, np.max(np.abs(
-                dc[:, i, j] - dc[:, j, i] - h[:, idx])))
-        h_max = np.maximum(h_max, np.max(np.abs(h)))
-        dc_max = np.maximum(dc_max, np.maximum(np.max(dc), -np.min(dc)))
+            curl_res = np.maximum(curl_res, _max_abs(dc[:, i, j] - dc[:, j, i] - h[:, idx]))
+        h_max = np.maximum(h_max, _max_abs(h))
+        dc_max = np.maximum(dc_max, _max_abs(dc))
     resolution = max((h / grid.axis_extent(i)) ** 2 for i, h in enumerate(grid.spacing))
     if not curl_res <= RESIDUAL_FACTOR * resolution * np.maximum(h_max, dc_max):
         raise ReconstructionError(

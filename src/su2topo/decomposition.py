@@ -27,8 +27,8 @@ slab's samples, d Psi, current, norms Psi^dag Psi and A, each taken once
 by the sweep; no kernel reads a field.  They are
 component-major (:func:`~su2topo.lattice.component_major`): the
 components follow axis 0 and the sites of a plane come last, so every
-ufunc runs over a plane's contiguous sites, and they take one derivative
-axis at a time, so their temporaries stay a fraction of a slab.  A is the
+ufunc runs over a plane's contiguous sites, and each runs once a slab
+for every derivative axis, Psi broadcast over them.  A is the
 given potential's slab or, with none given, the parallel potential of the
 slab's own current, never held whole.  :func:`decompose` keeps only the
 kernels' maxima (:func:`slab_maxima`), as the knot-charge sweep
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import su2_algebra
 from .errors import FieldError, ReconstructionError
-from .fields import (EPS_ZERO, GaugeField, SpinorField, _check_nonvanishing,
+from .fields import (EPS_ZERO, GaugeField, SpinorField, _check_nonvanishing, _max_abs,
                      norm_squared, normalize)
 from .lattice import component_major
 
@@ -60,33 +60,33 @@ def covariant_derivative(samples: np.ndarray, dvalues: np.ndarray,
     ``(planes, rank, 3, ...)``.
 
     Returns component-major per-axis spinor samples, shape
-    ``(planes, rank, 2, ...)``, a new writable array, computed one
-    derivative axis at a time.  The adjoint counterpart is the entrywise
-    conjugate of the result.
+    ``(planes, rank, 2, ...)``, a new writable array, computed for every
+    derivative axis by one call of each kernel.  The adjoint counterpart
+    is the entrywise conjugate of the result.
     """
+    # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi, Psi broadcast over the axes
     out = np.empty(dvalues.shape, dtype=np.complex128)
-    for axis in range(dvalues.shape[1]):
-        # A^a T_a Psi = -(i/2) (A^a sigma_a) Psi
-        connection = su2_algebra.sigma_apply(gauge[:, axis], samples)
-        np.add(dvalues[:, axis], 0.5j * connection, out=out[:, axis])
-    return out
+    su2_algebra.sigma_apply(gauge.swapaxes(1, 2), samples[:, :, None], out.swapaxes(1, 2))
+    out *= 0.5j
+    return np.add(dvalues, out, out=out)
 
 
 def _axis_parts(samples: np.ndarray, current: np.ndarray, norms: np.ndarray,
-                dcov: np.ndarray):
-    """Yield the component-major components of a_mu and b_mu, one
-    derivative axis mu at a time.
+                dcov: np.ndarray) -> tuple:
+    """The component-major components of a_mu and b_mu of one slab, each
+    ``(planes, rank, 3, ...)``.
 
     a^c = -2 w Im J^c and b^c = 2 w Im t^c with w = 1/(Psi^dag Psi), J the
     spinor current and t = Psi^dag sigma_c D Psi.  Both read the slab's
     ``samples``, its current, its Psi^dag Psi ``norms`` and its D Psi
     ``dcov``, as a sweep over the slabs took them.
     """
-    weight = (2.0 / norms)[:, None]                              # 2w
-    minus = -weight
-    for axis in range(dcov.shape[1]):
-        t = su2_algebra.sigma_bilinear(samples, dcov[:, axis])
-        yield np.multiply(current[:, axis, 1:].imag, minus), np.multiply(t.imag, weight)
+    weight = (2.0 / norms)[:, None, None]                        # 2w
+    t = np.empty(dcov.shape[:2] + (3,) + dcov.shape[3:], dtype=np.complex128)
+    su2_algebra.sigma_bilinear(samples[:, :, None], dcov.swapaxes(1, 2), t.swapaxes(1, 2))
+    b = np.multiply(t.imag, weight)
+    del t                       # not held beside a
+    return np.multiply(current[:, :, 1:].imag, -weight), b
 
 
 def slab_maxima(samples: np.ndarray, dvalues: np.ndarray, current: np.ndarray,
@@ -97,22 +97,20 @@ def slab_maxima(samples: np.ndarray, dvalues: np.ndarray, current: np.ndarray,
     Psi^dag Psi ``norms``.
 
     Maxima are exact in any order, so those of a grid are the entrywise
-    maxima over its derivative axes and its slabs (:func:`fold_maxima`).
+    maxima over its slabs (:func:`fold_maxima`).
     """
     dcov = covariant_derivative(samples, dvalues, gauge)
-    residual = bmax = 0.0
-    for axis, (a, b) in enumerate(_axis_parts(samples, current, norms, dcov)):
-        mismatch = a + b
-        mismatch -= gauge[:, axis]
-        # the entries of b^a sigma_a/(2i) are -i b^3/2 on the diagonal and
-        # -(b^2 + i b^1)/2 off it; np.abs of that complex is the matrix's
-        # own modulus bit for bit (np.hypot is not)
-        half = 0.5 * b
-        residual = np.maximum(residual, np.max(np.abs(mismatch)))
-        bmax = np.maximum(bmax, np.maximum(
-            np.max(np.abs(half[:, 2])), np.max(np.abs(half[:, 1] + 1j * half[:, 0]))))
-    return (float(residual), float(np.max(np.abs(gauge))), float(np.max(np.abs(dcov))),
-            float(bmax))
+    a, b = _axis_parts(samples, current, norms, dcov)
+    mismatch = np.add(a, b, out=a)
+    mismatch -= gauge
+    # the entries of b^a sigma_a/(2i) are -i b^3/2 on the diagonal and
+    # -(b^2 + i b^1)/2 off it; np.abs of that complex is the matrix's
+    # own modulus bit for bit (np.hypot is not)
+    half = np.multiply(b, 0.5, out=b)
+    off = np.empty(half.shape[:2] + half.shape[3:], dtype=np.complex128)
+    off.real, off.imag = half[:, :, 1], half[:, :, 0]
+    return (_max_abs(mismatch), _max_abs(gauge), float(np.max(np.abs(dcov))),
+            float(np.maximum(_max_abs(half[:, :, 2]), np.max(np.abs(off)))))
 
 
 def fold_maxima(maxima: tuple, more: tuple) -> tuple:

@@ -113,8 +113,10 @@ def _slab_current(slab: slice, samples: np.ndarray, dvalues: np.ndarray) -> tupl
     Chern-Simons factor ``J^0``.
     """
     current = np.empty(dvalues.shape[:2] + (4,) + dvalues.shape[3:], dtype=np.complex128)
-    for axis in range(dvalues.shape[1]):
-        su2_algebra.spinor_current(samples, dvalues[:, axis], current[:, axis])
+    # one call for every axis: the derivative axis is moved behind the
+    # component axis, where Psi broadcasts over it
+    su2_algebra.spinor_current(samples[:, :, None], dvalues.swapaxes(1, 2),
+                               current.swapaxes(1, 2))
     return slab, samples, dvalues, current
 
 
@@ -204,6 +206,12 @@ def _norms(block: np.ndarray) -> np.ndarray:
                        + block[:, 2] * block[:, 2] + block[:, 3] * block[:, 3])
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """max|x| of a real array, as max(max x, -min x), which makes no
+    temporary: exact, and a NaN survives."""
+    return abs(float(np.maximum(np.max(x), -np.min(x))))
+
+
 def _finite_max(norms: np.ndarray, name: str, first: int = 0) -> float:
     """The largest of per-site ``norms``, whose axis 0 starts at plane
     ``first``.  A norm that is not finite, of samples too large to square,
@@ -228,7 +236,7 @@ def _check_nonvanishing(psi: SpinorField, start: int) -> float:
     for slab in slabs(psi.grid):
         if slab.start >= start:
             squares = norm_squared(np.moveaxis(psi.values_at(slab), -1, 1), slab.start)
-            worst = max(worst, float(np.max(np.abs(squares - 1.0))))
+            worst = max(worst, _max_abs(squares - 1.0))
             norms = np.sqrt(squares)
             index = np.unravel_index(int(np.argmin(norms)), norms.shape)
             if norms[index] < least:
@@ -337,7 +345,7 @@ def sigma_model_field(samples: np.ndarray) -> np.ndarray:
     data-corruption indicator and raises above ``IMAG_TOL``.
     """
     m = su2_algebra.sigma_bilinear(samples, samples)
-    residue = float(np.max(np.abs(m.imag)))
+    residue = _max_abs(m.imag)
     if residue > IMAG_TOL:
         raise FieldError(f"m field imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")
     return m.real

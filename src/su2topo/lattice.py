@@ -10,13 +10,15 @@ Pointwise work runs one axis-0 slab at a time (:func:`slabs`): a route
 reads each slab of its inputs, with ``derivative_stack(..., slab=...)``
 reading the ``order // 2`` neighbouring planes the stencils need, hands
 the slab's arrays to kernels that read no field, and folds or sums what
-they return (:class:`Quadrature`).  A route that differentiates
-what its own sweep computes runs those stencils a slab behind, on windows
-of the planes they read (:func:`stencil_windows`), so that input is never
-held for the whole grid.  A field that computes its samples from the
-coordinates (:meth:`Grid.coords`) of a block, or from another field's
-samples, serves them a block at a time (:meth:`LatticeField.values_at`)
-without storing them, and is never read whole.  Every value is computed by
+they return (:class:`Quadrature`).  A route that differentiates what its
+own sweep computes runs those stencils a slab behind
+(:func:`stencil_windows`), on each slab's own arrays and the planes of
+other slabs next to it, held where they were made: no plane is copied,
+and that input is never held for the whole grid.  A field that computes
+its samples from the coordinates (:meth:`Grid.coords`) of a block, or
+from another field's samples, serves them a block at a time
+(:meth:`LatticeField.values_at`) without storing them, and is never read
+whole.  Every value is computed by
 the same operations as on the whole grid, so slabbing changes no bit.
 
 Fields store their samples site-major, ``(*shape, *components)``.  The
@@ -272,8 +274,9 @@ class LatticeField:
             plane += hi - lo
         window = runs[0] if len(runs) == 1 else np.concatenate(runs)
         lo, hi, _ = slab.indices(n)
-        return (window[lo - planes.start:hi - planes.start],
-                derivative_stack(window, self.grid, order, slab, planes.start))
+        own = window[lo - planes.start:hi - planes.start]
+        held = {q % n: window[q - planes.start] for q in planes if not lo <= q % n < hi}
+        return own, derivative_stack(own, self.grid, order, slab, held)
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
@@ -323,8 +326,8 @@ def site_major(block: np.ndarray, rank: int) -> np.ndarray:
 
 
 def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,
-                     slab: slice = slice(None), first: int | None = None, *,
-                     components_first: bool = False) -> np.ndarray:
+                     slab: slice = slice(None), held: dict | None = None, *,
+                     components_first: bool = False, diagonal: bool = True) -> np.ndarray:
     """Stack of axis derivatives, shape ``(*shape, rank, *components)``.
 
     Each axis derivative is written into its slot of one preallocated
@@ -338,36 +341,53 @@ def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,
     ends), and the result equals ``derivative_stack(values, grid,
     order)[slab]`` bit for bit.
 
-    Given ``first``, ``values`` is not the whole grid but a window of axis-0
-    planes whose first is plane ``first`` (counted on past either end of a
-    periodic axis 0, so it may be negative): it must hold the planes
-    ``stencil_planes(grid, order, slab)``, as :func:`stencil_windows` gives
-    them, and the result is again that of the whole grid bit for bit.
+    Given ``held``, ``values`` is not the whole grid but the planes
+    ``slab`` only, and ``held`` maps every other plane of
+    ``stencil_planes(grid, order, slab)`` (by its index modulo the axis
+    length) to that plane, as :func:`stencil_windows` gives them: the
+    axis-0 stencils of the rows next to the slab's ends read those planes
+    where they are, and the result is again that of the whole grid bit for
+    bit.
 
     With ``components_first``, ``values`` is component-major
     (:func:`component_major`), ``(planes, *components, *shape[1:])``, and
     so is the result, with the derivative axis right after axis 0:
     ``(planes, rank, *components, *shape[1:])``.  Each entry is that of the
-    site-major stack bit for bit.
+    site-major stack bit for bit.  With ``diagonal=False``, the first
+    component axis runs over the grid axes, as a potential A_i's does, and
+    the entries d_i A_i are not computed: they are NaN.
     """
-    values = _check_stencil(values, grid, order, window=first is not None,
-                            components_first=components_first)
-    first = first or 0
+    values = _check_stencil(values, grid, order, None if held is None else slab,
+                            components_first)
     rank = grid.rank
     lo, hi, _ = slab.indices(grid.shape[0])
+    first = 0 if held is None else lo
     block = values[lo - first:hi - first]
     dtype = np.result_type(values, np.float64)
     if components_first:
         out = np.empty(block.shape[:1] + (rank,) + block.shape[1:], dtype=dtype)
         slots = [out[:, axis] for axis in range(rank)]
         skip = values.ndim - rank       # grid axis k > 0 is array axis k + skip
+        comps = 1                       # the first component axis of values
     else:
         out = np.empty(block.shape[:rank] + (rank,) + block.shape[rank:], dtype=dtype)
         slots = [out[(slice(None),) * rank + (axis,)] for axis in range(rank)]
-        skip = 0
-    _diff_into(slots[0], values, grid, 0, order, slab, first)
-    for axis in range(1, rank):
-        _diff_into(slots[axis], block, grid, axis, order, at=axis + skip)
+        skip, comps = 0, rank
+    for axis in range(rank):
+        # the runs of components to difference: all, or those but d_i A_i
+        indices = [()]
+        if not diagonal:
+            slots[axis][(slice(None),) * comps + (axis,)] = np.nan
+            indices = [(slice(None),) * comps + (part,) for part in
+                       (slice(0, axis), slice(axis + 1, rank)) if part.start < part.stop]
+        for index in indices:
+            if axis == 0:
+                planes = held and {q: plane[index[1:]] for q, plane in held.items()}
+                _diff_into(slots[0][index], values[index], grid, 0, order, slab, first,
+                           held=planes)
+            else:
+                _diff_into(slots[axis][index], block[index], grid, axis, order,
+                           at=axis + skip)
     return out
 
 
@@ -394,61 +414,74 @@ def stencil_windows(grid: Grid, order: int, blocks):
     ``blocks`` yields ``(slab, arrays)`` for the slabs of :func:`slabs` in
     order, each array holding the slab's planes of one whole-grid quantity.
     For each slab, as soon as every plane of its :func:`stencil_planes`
-    has arrived, this yields ``(slab, windows, first)``: each array's
-    window of those planes and the index of the first, for
-    ``derivative_stack(window, grid, order, slab, first)``.  A plane is
-    dropped once no slab still to come reads it, so on an open axis 0 only
-    a halo of planes stays; on a periodic one the first slab waits for the
-    last planes, and keeps its own planes until the end.
+    has arrived, this yields ``(slab, arrays, held)``: the slab's own
+    arrays, the very ones ``blocks`` yielded, and for each a dict of the
+    other planes its stencils read, keyed by their index modulo the axis
+    length, for ``derivative_stack(array, grid, order, slab, held)``.  The
+    planes are views of the arrays that brought them: none is copied.  A
+    plane is dropped once no slab still to come reads it, so on an open
+    axis 0 only a halo of planes stays; on a periodic one the first slab
+    waits for the last planes, and keeps its own planes until the end.
     """
     n = grid.shape[0]
     reads = {part.start: stencil_planes(grid, order, part) for part in slabs(grid)}
     readers = Counter(plane % n for planes in reads.values() for plane in planes)
-    held, pending = {}, []
+    held, own, pending = {}, {}, []
     for slab, arrays in blocks:
+        own[slab.start] = arrays
         for plane in range(slab.start, slab.stop):
             held[plane] = [array[plane - slab.start] for array in arrays]
         pending.append(slab)
         for part in [p for p in pending if all(q % n in held for q in reads[p.start])]:
             pending.remove(part)
-            planes = reads[part.start]
-            yield part, [np.stack([held[q % n][k] for q in planes])
-                         for k in range(len(arrays))], planes.start
-            for plane in planes:
+            planes = {q % n for q in reads[part.start]} - set(range(part.start, part.stop))
+            yield part, own.pop(part.start), [{q: held[q][k] for q in planes}
+                                              for k in range(len(arrays))]
+            for plane in reads[part.start]:
                 readers[plane % n] -= 1
                 if not readers[plane % n]:
                     del held[plane % n]
 
 
-def _check_stencil(values, grid: Grid, order: int, window: bool = False,
+def _check_stencil(values, grid: Grid, order: int, slab: slice | None = None,
                    components_first: bool = False) -> np.ndarray:
+    """``values`` checked against ``grid``: the whole grid, or ``slab``'s planes."""
     if order not in (2, 4):
         raise LatticeError(f"stencil order must be 2 or 4, got {order}")
     values = np.asarray(values)
     plane = values.shape[values.ndim - grid.rank + 1:] if components_first else (
         values.shape[1:grid.rank])
-    # a window's length on axis 0 is its own
-    if values.ndim < grid.rank or plane != grid.shape[1:] or (
-            not window and values.shape[0] != grid.shape[0]):
+    planes = grid.shape[0] if slab is None else len(range(*slab.indices(grid.shape[0])))
+    if values.ndim < grid.rank or plane != grid.shape[1:] or values.shape[0] != planes:
         raise LatticeError("value array does not match grid shape")
     return values
 
 
 def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
                order: int, rows: slice = slice(None), first: int = 0,
-               at: int | None = None) -> None:
+               at: int | None = None, held: dict | None = None) -> None:
     """Write the ``order`` derivative of ``values`` along grid ``axis`` into
     ``out``, at the sites whose index on ``axis`` lies in ``rows``.  The axis
     is axis ``at`` of ``values`` and ``out`` (``axis`` unless given).
-    ``values`` may be a window of planes on ``axis`` whose first is plane
-    ``first`` (see :func:`derivative_stack`); one that holds a true end of
-    an open axis reaches that end."""
+    ``values`` holds the planes on the axis from ``first`` on: the whole
+    axis, or a slab's own planes (see :func:`derivative_stack`), and a plane
+    the stencils read beyond them comes from ``held``, by its index modulo
+    the axis length on a periodic axis.  Rows whose stencils read
+    ``values`` only read slices of it; the rest read their planes one row
+    at a time."""
     h = grid.spacing[axis]
     n = grid.shape[axis]
     lo, hi, _ = rows.indices(n)
     # the stencils are entrywise, so the other axes may come in any order
     f = np.swapaxes(values, 0, axis if at is None else at)
     d = np.swapaxes(out, 0, axis if at is None else at)
+    periodic, halo = grid.periodic[axis], order // 2
+    if order == 4 and n < 5 and not periodic:
+        raise LatticeError("fourth-order open stencil needs at least 5 points")
+
+    def plane(k):
+        k = k % n if periodic else k
+        return f[k - first] if first <= k < first + f.shape[0] else held[k]
 
     def stencil(shifted, target):
         if order == 2:
@@ -458,44 +491,41 @@ def _diff_into(out: np.ndarray, values: np.ndarray, grid: Grid, axis: int,
             target[...] = (-shifted(2) + 8.0 * shifted(1) - 8.0 * shifted(-1)
                            + shifted(-2)) / (12.0 * h)
 
-    if grid.periodic[axis]:
-        # rows whose stencil stays inside ``values`` read slices of it; the
-        # rest wrap around its ends, one row at a time
-        size, halo, s, e = f.shape[0], order // 2, lo - first, hi - first
-        a, b = max(s, halo), min(e, size - halo)
-        if a < b:
-            stencil(lambda shift: f[a + shift:b + shift], d[a - s:b - s])
-        for row in range(s, e):
-            if not a <= row < b:
-                stencil(lambda shift: f[(row + shift) % size], d[row - s])
-        return
-
-    if order == 4 and n < 5:
-        raise LatticeError("fourth-order open stencil needs at least 5 points")
-
-    # central stencils on the rows at least order // 2 from either end
-    a, b = max(lo, order // 2), min(hi, n - order // 2)
-    if a < b:
-        s, e = a - first, b - first
-        stencil(lambda shift: f[s + shift:e + shift], d[a - lo:b - lo])
-    # one-sided stencils on the end rows
+    # one-sided stencils on the end rows of an open axis
     if order == 2:
-        ends = {0: lambda: (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h),
-                n - 1: lambda: (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)}
+        ends = {0: lambda p: (-3.0 * p(0) + 4.0 * p(1) - p(2)) / (2.0 * h),
+                n - 1: lambda p: (3.0 * p(n - 1) - 4.0 * p(n - 2) + p(n - 3)) / (2.0 * h)}
     else:
         ends = {
-            0: lambda: (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3]
-                        - 3.0 * f[4]) / (12.0 * h),
-            1: lambda: (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3]
-                        + f[4]) / (12.0 * h),
-            n - 2: lambda: (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4]
-                            - f[-5]) / (12.0 * h),
-            n - 1: lambda: (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4]
-                            + 3.0 * f[-5]) / (12.0 * h),
+            0: lambda p: (-25.0 * p(0) + 48.0 * p(1) - 36.0 * p(2) + 16.0 * p(3)
+                          - 3.0 * p(4)) / (12.0 * h),
+            1: lambda p: (-3.0 * p(0) - 10.0 * p(1) + 18.0 * p(2) - 6.0 * p(3)
+                          + p(4)) / (12.0 * h),
+            n - 2: lambda p: (3.0 * p(n - 1) + 10.0 * p(n - 2) - 18.0 * p(n - 3)
+                              + 6.0 * p(n - 4) - p(n - 5)) / (12.0 * h),
+            n - 1: lambda p: (25.0 * p(n - 1) - 48.0 * p(n - 2) + 36.0 * p(n - 3)
+                              - 16.0 * p(n - 4) + 3.0 * p(n - 5)) / (12.0 * h),
         }
-    for row, end in ends.items():
-        if lo <= row < hi:
-            d[row - lo] = end()
+    # central stencils that stay inside ``values`` read slices of it
+    a, b = max(lo, first + halo), min(hi, first + f.shape[0] - halo)
+    if not periodic:
+        a, b = max(a, halo), min(b, n - halo)
+    if a < b and at == values.ndim - 1 and all(
+            x.strides[-2] == n * x.strides[-1] for x in (values, out)):
+        # the rows of the last axis run on in memory: one run differences
+        # them all, and what it writes across row ends is rewritten below
+        fm, dm = (np.reshape(x, x.shape[:-2] + (-1,), copy=False) for x in (values, out))
+        stencil(lambda shift: fm[..., a + shift:fm.shape[-1] - a + shift],
+                dm[..., a:dm.shape[-1] - a])
+    elif a < b:
+        stencil(lambda shift: f[a - first + shift:b - first + shift], d[a - lo:b - lo])
+    for row in range(lo, hi):
+        if a <= row < b:
+            continue
+        if periodic or halo <= row < n - halo:
+            stencil(lambda shift: plane(row + shift), d[row - lo])
+        else:
+            d[row - lo] = ends[row](plane)
 
 
 class Quadrature:

@@ -385,9 +385,10 @@ def surface_degree(evaluate, center, radius: float):
     times, and a deviation that stays >= 0.2 raises
     :class:`DegreeResolutionError`.  Each attempt evaluates phi on one
     chi-slab of the chart (:func:`~su2topo.lattice.slabs`) at a time and
-    takes the three chart derivatives of n a slab behind, on the planes
-    their stencils read (:func:`~su2topo.lattice.stencil_windows`; chi and
-    theta open, phi periodic), and the determinants of the 4x4 matrices
+    takes the three chart derivatives of n a slab behind, on the slab's own
+    n and the held planes next to it that their stencils read
+    (:func:`~su2topo.lattice.stencil_windows`; chi and theta open, phi
+    periodic), and the determinants of the 4x4 matrices
     [n, d n] are fed to a :class:`~su2topo.lattice.Quadrature` slab by
     slab, so no array of the whole sphere is kept; each determinant, and
     the sum, which does not depend on the slabs, equals the whole-sphere
@@ -400,9 +401,9 @@ def surface_degree(evaluate, center, radius: float):
     for attempt in range(SPHERE_REFINEMENTS + 1):
         agrid = s3_chart_grid(resolution)
         quadrature = Quadrature(agrid)
-        for slab, (n,), first in stencil_windows(
+        for slab, (n,), (held,) in stencil_windows(
                 agrid, 2, _sphere_slabs(evaluate, center, radius, agrid)):
-            quadrature.add(slab, _slab_dets(n, agrid, slab, first))
+            quadrature.add(slab, _slab_dets(n, held, agrid, slab))
         value = quadrature.total() / (2.0 * np.pi**2)
         degree = int(np.rint(value))
         deviation = abs(value - degree)
@@ -416,12 +417,12 @@ def surface_degree(evaluate, center, radius: float):
     raise AssertionError("unreachable")
 
 
-def _slab_dets(n: np.ndarray, agrid: Grid, slab: slice, first: int) -> np.ndarray:
+def _slab_dets(n: np.ndarray, held: dict, agrid: Grid, slab: slice) -> np.ndarray:
     """det[n, d n] (:func:`~su2topo.chern_density._det4`) on the planes
-    ``slab`` of the sphere chart, from the component-major window ``n`` of
-    the planes whose first is ``first``."""
-    dn = derivative_stack(n, agrid, 2, slab, first, components_first=True)
-    return _det4(n[slab.start - first:slab.stop - first], dn[:, 0], dn[:, 1], dn[:, 2])
+    ``slab`` of the sphere chart, from their component-major n and the
+    ``held`` planes next to them that the stencils read."""
+    dn = derivative_stack(n, agrid, 2, slab, held, components_first=True)
+    return _det4(n, dn[:, 0], dn[:, 1], dn[:, 2])
 
 
 def _sphere_slabs(evaluate, center: np.ndarray, radius: float, agrid: Grid):

@@ -14,7 +14,11 @@ The kernels take component-major slabs (see
 over the spinor or color components, and the sites of a plane follow, so
 each component is a contiguous array of a plane's sites and every ufunc
 runs over those.  A quantity with a derivative axis, such as a jet, is
-passed one axis at a time.  ``self_check`` replays the algebraic identities
+passed whole, in one call, as a view with the derivative axis moved
+behind the component axis, where a spinor without one broadcasts over
+it; the kernels write into ``out`` where given.  Each complex product
+keeps its operands in the order of the one-axis form: numpy's complex
+multiply is not commutative bit for bit.  ``self_check`` replays the algebraic identities
 the rest of the package relies on and is executed once per process by the
 CLI.
 """
@@ -45,26 +49,25 @@ SIGMA.setflags(write=False)
 GENERATORS.setflags(write=False)
 
 
-def _output(shape: tuple, components: int) -> np.ndarray:
-    """A new complex array of ``components`` arrays of ``shape`` stacked on
-    axis 1."""
-    return np.empty(shape[:1] + (components,) + shape[1:], dtype=np.complex128)
-
-
-def sigma_bilinear(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def sigma_bilinear(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``u^dag sigma_a v`` for component-major spinor slabs, the color axis
-    ``a`` on axis 1.
+    ``a`` on axis 1, written into ``out`` (a new array if None) and
+    returned.
 
     ``u`` and ``v`` have shape ``(planes, 2, ...)`` and broadcast; the
     result has shape ``(planes, 3, ...)``.
     """
-    u0, u1 = np.conj(u[:, 0]), np.conj(u[:, 1])
+    u0, u1 = np.conj(u).swapaxes(0, 1)
     v0, v1 = v[:, 0], v[:, 1]
-    p01, p10 = u0 * v1, u1 * v0
-    out = _output(np.broadcast_shapes(u0.shape, v0.shape), 3)
-    np.add(p01, p10, out=out[:, 0])
-    out[:, 1] = 1j * (p10 - p01)
-    np.subtract(u0 * v0, u1 * v1, out=out[:, 2])
+    if out is None:
+        shape = np.broadcast_shapes(u0.shape, v0.shape)
+        out = np.empty(shape[:1] + (3,) + shape[1:], dtype=np.complex128)
+    p01, p10 = np.multiply(u0, v1, out=out[:, 0]), u1 * v0
+    np.subtract(p10, p01, out=out[:, 1])
+    out[:, 1] *= 1j
+    p01 += p10
+    np.multiply(u0, v0, out=out[:, 2])
+    out[:, 2] -= np.multiply(u1, v1, out=p10)
     return out
 
 
@@ -76,25 +79,31 @@ def spinor_current(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     1 to 3 are the result of :func:`sigma_bilinear` bit for bit: they are
     built from the same four products.
     """
-    u0, u1 = np.conj(u[:, 0]), np.conj(u[:, 1])
+    u0, u1 = np.conj(u).swapaxes(0, 1)
     v0, v1 = v[:, 0], v[:, 1]
-    p00, p01, p10, p11 = u0 * v0, u0 * v1, u1 * v0, u1 * v1
-    np.add(p00, p11, out=out[:, 0])
-    np.add(p01, p10, out=out[:, 1])
-    out[:, 2] = 1j * (p10 - p01)
+    p01, p10 = np.multiply(u0, v1, out=out[:, 1]), u1 * v0
+    np.subtract(p10, p01, out=out[:, 2])
+    out[:, 2] *= 1j
+    p01 += p10
+    p00, p11 = np.multiply(u0, v0, out=out[:, 0]), np.multiply(u1, v1, out=p10)
     np.subtract(p00, p11, out=out[:, 3])
+    p00 += p11
     return out
 
 
-def sigma_apply(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+def sigma_apply(c: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``(c_a sigma_a) v`` for real components ``c`` ``(planes, 3, ...)`` and
-    spinors ``v`` ``(planes, 2, ...)``, which broadcast; the result is a
-    new ``(planes, 2, ...)`` array."""
+    spinors ``v`` ``(planes, 2, ...)``, which broadcast, written into
+    ``out`` ``(planes, 2, ...)`` and returned."""
     c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
     v0, v1 = v[:, 0], v[:, 1]
-    out = _output(np.broadcast_shapes(c1.shape, v0.shape), 2)
-    out[:, 0] = c3 * v0 + (c1 - 1j * c2) * v1
-    out[:, 1] = (c1 + 1j * c2) * v0 - c3 * v1
+    ic2 = 1j * c2
+    term = np.subtract(c1, ic2)
+    term *= v1
+    np.add(np.multiply(c3, v0, out=out[:, 0]), term, out=out[:, 0])
+    np.add(c1, ic2, out=out[:, 1])
+    out[:, 1] *= v0
+    out[:, 1] -= np.multiply(c3, v1, out=term)
     return out
 
 

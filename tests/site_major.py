@@ -23,6 +23,11 @@ library's kernel equals bit for bit, and, by other operations, the
 spinor route by ``np.einsum`` over complex t_mn and the unit route by
 ``np.linalg.det``, which its kernels equal within a few ulps.
 
+The ``axis_*`` forms are the component-major kernels of the rank-3 sweep
+as they ran one derivative axis at a time: the current, D Psi, the parts
+a and b and the maxima, which the library now takes for every axis in one
+call and must equal bit for bit, zero signs included.
+
 The rank-4 forms take points ``(..., 4)`` with jets ``(..., rank, 4)``:
 the quaternion kernels of the box and chart generators, the box maps'
 values and jets, the zero screen's corner min/max mask on the whole grid,
@@ -282,8 +287,8 @@ def swept(psi, *names, gauge=None):
             if kept.keys() & {"a", "b"}:
                 dcov = decomposition.covariant_derivative(samples, dvalues, potential)
                 norms = st.norm_squared(samples, slab.start)
-                arrays["a"], arrays["b"] = (np.stack(part, axis=1) for part in zip(
-                    *decomposition._axis_parts(samples, current, norms, dcov)))
+                arrays["a"], arrays["b"] = decomposition._axis_parts(samples, current,
+                                                                     norms, dcov)
             for name, array in kept.items():
                 array[slab] = site_major(arrays[name], grid.rank)
     out.update(kept)
@@ -347,6 +352,88 @@ def trace_chern_values(strength):
     def dot(i, j):
         return np.einsum("...a,...a->...", strength[..., i, :], strength[..., j, :])
     return -(8.0 * (dot(0, 5) - dot(1, 4) + dot(2, 3))) / (64.0 * np.pi**2)
+
+
+# --------------------------------------------------------------------------
+# the component-major kernels one derivative axis at a time
+# --------------------------------------------------------------------------
+
+def axis_sigma_bilinear(u, v):
+    """``u^dag sigma_a v`` of component-major slabs ``(planes, 2, ...)``,
+    the color axis 1, in a new array."""
+    u0, u1 = np.conj(u[:, 0]), np.conj(u[:, 1])
+    v0, v1 = v[:, 0], v[:, 1]
+    p01, p10 = u0 * v1, u1 * v0
+    shape = np.broadcast_shapes(u0.shape, v0.shape)
+    out = np.empty(shape[:1] + (3,) + shape[1:], dtype=np.complex128)
+    np.add(p01, p10, out=out[:, 0])
+    out[:, 1] = 1j * (p10 - p01)
+    np.subtract(u0 * v0, u1 * v1, out=out[:, 2])
+    return out
+
+
+def axis_sigma_apply(c, v):
+    """``(c_a sigma_a) v`` of component-major real ``c`` ``(planes, 3,
+    ...)`` and spinors ``v`` ``(planes, 2, ...)``, in a new array."""
+    c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2]
+    v0, v1 = v[:, 0], v[:, 1]
+    shape = np.broadcast_shapes(c1.shape, v0.shape)
+    out = np.empty(shape[:1] + (2,) + shape[1:], dtype=np.complex128)
+    out[:, 0] = c3 * v0 + (c1 - 1j * c2) * v1
+    out[:, 1] = (c1 + 1j * c2) * v0 - c3 * v1
+    return out
+
+
+def axis_current(samples, dvalues):
+    """The spinor current ``(planes, rank, 4, ...)`` of a slab's
+    component-major samples and d Psi, one derivative axis at a time."""
+    u0, u1 = np.conj(samples[:, 0]), np.conj(samples[:, 1])
+    out = np.empty(dvalues.shape[:2] + (4,) + dvalues.shape[3:], dtype=np.complex128)
+    for axis in range(dvalues.shape[1]):
+        v0, v1 = dvalues[:, axis, 0], dvalues[:, axis, 1]
+        p00, p01, p10, p11 = u0 * v0, u0 * v1, u1 * v0, u1 * v1
+        np.add(p00, p11, out=out[:, axis, 0])
+        np.add(p01, p10, out=out[:, axis, 1])
+        out[:, axis, 2] = 1j * (p10 - p01)
+        np.subtract(p00, p11, out=out[:, axis, 3])
+    return out
+
+
+def axis_covariant_derivative(samples, dvalues, gauge):
+    """D Psi of one component-major slab, one derivative axis at a time."""
+    out = np.empty(dvalues.shape, dtype=np.complex128)
+    for axis in range(dvalues.shape[1]):
+        connection = axis_sigma_apply(gauge[:, axis], samples)
+        np.add(dvalues[:, axis], 0.5j * connection, out=out[:, axis])
+    return out
+
+
+def axis_parts(samples, current, norms, dcov):
+    """The component-major a and b ``(planes, rank, 3, ...)`` of one slab,
+    one derivative axis at a time."""
+    weight = (2.0 / norms)[:, None]
+    minus = -weight
+    parts = [(np.multiply(current[:, axis, 1:].imag, minus),
+              np.multiply(axis_sigma_bilinear(samples, dcov[:, axis]).imag, weight))
+             for axis in range(dcov.shape[1])]
+    return tuple(np.stack(part, axis=1) for part in zip(*parts))
+
+
+def axis_slab_maxima(samples, dvalues, current, norms, gauge):
+    """max|a + b - A|, max|A|, max|D Psi| and max|b| of one slab, folded
+    over the derivative axes one at a time."""
+    dcov = axis_covariant_derivative(samples, dvalues, gauge)
+    a, b = axis_parts(samples, current, norms, dcov)
+    residual = bmax = 0.0
+    for axis in range(dcov.shape[1]):
+        mismatch = a[:, axis] + b[:, axis]
+        mismatch -= gauge[:, axis]
+        half = 0.5 * b[:, axis]
+        residual = np.maximum(residual, np.max(np.abs(mismatch)))
+        bmax = np.maximum(bmax, np.maximum(
+            np.max(np.abs(half[:, 2])), np.max(np.abs(half[:, 1] + 1j * half[:, 0]))))
+    return (float(residual), float(np.max(np.abs(gauge))), float(np.max(np.abs(dcov))),
+            float(bmax))
 
 
 # --------------------------------------------------------------------------

@@ -379,13 +379,14 @@ def test_chart_sweep_peaks_below_any_whole_grid_array(monkeypatch):
     # the knot charges and the parallel condition computes both slab by
     # slab from the chart formula, holds A and c only as a halo of planes
     # and H only for the slabs the trace pass has not read, and sums each
-    # density as it is swept.  At one plane a slab it peaks below 1.8
+    # density as it is swept.  At one plane a slab it peaks below 1.6
     # slabs of temporaries (d Psi, the current, the decomposition kernel
     # and the derivative stacks of A and c, at 1 KB a site): measured
-    # 3.68 MB with component-major kernels (4.11 MB site-major, under a
-    # bound of two slabs).  Neither the 3.5 MB of values nor one
-    # whole-grid density (0.9 MB), the 10.6 MB jet of 48^3 sites or a
-    # whole-grid A, c and H (13.3 MB) fits in it beside that peak.
+    # 3.02 MB with the stencils on held planes, no window copied and d_i
+    # A_i not computed (3.41 MB with windows copied, under a bound of 1.8
+    # slabs; 4.11 MB site-major, under two).  Neither the 3.5 MB of values
+    # nor one whole-grid density (0.9 MB), the 10.6 MB jet of 48^3 sites
+    # or a whole-grid A, c and H (13.3 MB) fits in it beside that peak.
     from su2topo import lattice
     n = 48
     monkeypatch.setattr(lattice, "SLAB_SITES", n * n)
@@ -397,7 +398,7 @@ def test_chart_sweep_peaks_below_any_whole_grid_array(monkeypatch):
         return psi
 
     peak, psi = peak_traced_bytes(sweep)
-    bound = 9 * n * n * 1024 // 5
+    bound = 8 * n * n * 1024 // 5
     assert peak < bound
     assert psi.jet is None and psi.values is None
     for resident in (sites * 2 * 16, sites * 8, sites * 3 * 2 * 16, sites * 8 * 15):
@@ -433,7 +434,7 @@ def test_the_first_pass_drops_each_slab_before_the_trace_pass(monkeypatch):
     monkeypatch.setattr(su2_algebra, "spinor_current", spinor_current)
     monkeypatch.setattr(cs, "trace_cs_values", trace_cs_values)
     cs.chern_simons(st.identity_map_s3(16))
-    assert len(refs) == 16 * (2 + 3) and alive == [0] * 16
+    assert len(refs) == 16 * (2 + 1) and alive == [0] * 16
 
 
 def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):

@@ -364,10 +364,9 @@ def test_max_b_keeps_a_nan_in_one_component(monkeypatch, colour):
     real = decomposition._axis_parts
 
     def planted(*args):
-        for axis, (a, b) in enumerate(real(*args)):
-            if axis == 1:
-                b[0, colour, 2, 3] = np.nan
-            yield a, b
+        a, b = real(*args)
+        b[0, 1, colour, 2, 3] = np.nan
+        return a, b
 
     psi = st.identity_map_s3(8)
     slab, samples, dvalues, current = next(psi.slab_currents())
@@ -379,3 +378,61 @@ def test_max_b_keeps_a_nan_in_one_component(monkeypatch, colour):
     maxima = decomposition.slab_maxima(samples, dvalues, current, norms, gauge)
     assert np.isnan(maxima[3])
     assert maxima[1:3] == clean[1:3]
+
+
+def _assert_same_bits(new, old):
+    """Equal entries, NaNs in the same places and zeros of the same sign,
+    in the real and the imaginary parts."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(new), part(old), equal_nan=True)
+        assert np.array_equal(np.signbit(part(new)), np.signbit(part(old)))
+
+
+def _kernel_inputs():
+    """(name, spinor, gauge or None) of the batched-kernel oracle test: the
+    identity and qpower +-1..+-3 charts at 24^3, a bare copy of the
+    identity chart, and a non-unit random spinor with a random gauge."""
+    grid = st.s3_chart_grid(24)
+    yield "identity", st.identity_map_s3(24), None
+    for n in (1, -1, 2, -2, 3, -3):
+        yield f"qpower:{n}", st.phi_to_spinor(st.quaternion_power_field(n, grid)), None
+    bare = oracle.stored(st.identity_map_s3(24))
+    yield "bare", st.SpinorField(bare.grid, bare.values), None
+    box = st.box_grid((6, 7, 5, 4), -1.0, 1.0)
+    yield "random", st.random_config(47, "spinor", box), st.random_config(48, "gauge", box)
+
+
+@pytest.mark.parametrize("one_plane", [False, True])
+def test_batched_kernels_equal_the_per_axis_kernels(one_plane, monkeypatch):
+    # J, D Psi, a, b and the maxima are taken for every derivative axis by
+    # one call of each kernel, Psi broadcast over the axes; each entry is
+    # that of the per-axis kernels bit for bit, zero signs included, on
+    # slabs of one plane and of many
+    import su2topo.lattice as lattice
+    from su2topo import decomposition, su2_algebra
+    for name, psi, gauge in _kernel_inputs():
+        if one_plane:
+            monkeypatch.setattr(lattice, "SLAB_SITES", int(np.prod(psi.grid.shape[1:])))
+        if gauge is None:
+            psi = st.normalize(psi)
+        for slab, samples, dvalues, current, potential in decomposition._slab_inputs(
+                psi, gauge):
+            _assert_same_bits(current, oracle.axis_current(samples, dvalues))
+            norms = st.norm_squared(samples, slab.start)
+            dcov = decomposition.covariant_derivative(samples, dvalues, potential)
+            _assert_same_bits(dcov, oracle.axis_covariant_derivative(samples, dvalues,
+                                                                     potential))
+            for new, old in zip(decomposition._axis_parts(samples, current, norms, dcov),
+                                oracle.axis_parts(samples, current, norms, dcov)):
+                _assert_same_bits(new, old)
+            for axis in range(psi.grid.rank):
+                _assert_same_bits(su2_algebra.sigma_apply(potential[:, axis], samples,
+                                                          np.empty(samples.shape, complex)),
+                                  oracle.axis_sigma_apply(potential[:, axis], samples))
+            _assert_same_bits(su2_algebra.sigma_bilinear(samples, samples),
+                              oracle.axis_sigma_bilinear(samples, samples))
+            _assert_same_bits(
+                decomposition.slab_maxima(samples, dvalues, current, norms, potential),
+                oracle.axis_slab_maxima(samples, dvalues, current, norms, potential))

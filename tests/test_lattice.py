@@ -443,37 +443,89 @@ def test_slab_derivatives_equal_the_whole_grid_stack(shape, data, order, compone
 @pytest.mark.parametrize("periodic", [False, True])
 @pytest.mark.parametrize("order", [2, 4])
 def test_windowed_stacks_equal_the_whole_grid_stack(order, periodic, planes, monkeypatch):
-    # a second sweep reads windows of the planes its axis-0 stencils need,
-    # handed out as soon as they have arrived, and gets the whole-grid
-    # stack bit for bit, at the ends of an open axis 0 and across the wrap
-    # of a periodic one
+    # a second sweep gets each slab's own arrays, as the first pass made
+    # them, and the held planes next to them that its axis-0 stencils read,
+    # as soon as they have arrived; it gets the whole-grid stack bit for
+    # bit, at the ends of an open axis 0 and across the wrap of a periodic
+    # one, on vertex- and cell-centered grids, for slabs of one plane, of
+    # several with an uneven last one (2 and 3 of 11) and the whole grid
+    # (20), and with d_i A_i left out
     import su2topo.lattice as lattice
-    grid = Grid((11, 5, 4), (0.0, 0.0, 0.0), (0.3, 0.2, 0.1), (periodic, False, True))
     monkeypatch.setattr(lattice, "SLAB_SITES", planes * 20)
-    rng = np.random.default_rng(order + planes)
-    values = rng.normal(size=grid.shape + (3, 2))
-    other = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    parts = list(slabs(grid))
-    arrived = []
+    for cell_centered in (False, True):
+        grid = Grid((11, 5, 4), (0.0, 0.0, 0.0), (0.3, 0.2, 0.1), (periodic, False, True),
+                    cell_centered)
+        rng = np.random.default_rng(order + planes)
+        values = rng.normal(size=grid.shape + (3, 2))
+        other = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        gauge = rng.normal(size=(grid.shape[0], 3, 3) + grid.shape[1:])
+        parts = list(slabs(grid))
+        arrived, made = [], {}
 
-    def blocks():
-        for slab in parts:
-            arrived.append(slab.stop)
-            yield slab, (values[slab], other[slab])
+        def blocks():
+            for slab in parts:
+                arrived.append(slab.stop)
+                made[slab.start] = (values[slab], other[slab], gauge[slab])
+                yield slab, list(made[slab.start])
 
-    done = []
-    for slab, (window, window2), first in stencil_windows(grid, order, blocks()):
-        reads = stencil_planes(grid, order, slab)
-        assert first == reads.start and window.shape[0] == len(reads)
-        for array, win in ((values, window), (other, window2)):
-            assert np.array_equal(derivative_stack(win, grid, order, slab, first),
-                                  derivative_stack(array, grid, order)[slab])
-        # handed out at the first arrival that completes the window
-        wraps = reads.start < 0 or reads.stop > grid.shape[0]
-        wanted = grid.shape[0] if wraps else reads.stop
-        assert arrived[-1] == min(p.stop for p in parts if p.stop >= wanted)
-        done.append(slab)
-    assert sorted(done, key=lambda part: part.start) == parts
+        done = []
+        for slab, owns, helds in stencil_windows(grid, order, blocks()):
+            reads = stencil_planes(grid, order, slab)
+            n = grid.shape[0]
+            assert all(own is mine for own, mine in zip(owns, made[slab.start]))
+            for held in helds:
+                assert set(held) == {q % n for q in reads} - set(range(slab.start, slab.stop))
+            for array, own, held in zip((values, other), owns, helds):
+                assert np.array_equal(derivative_stack(own, grid, order, slab, held),
+                                      derivative_stack(array, grid, order)[slab])
+            offdiagonal = derivative_stack(owns[2], grid, order, slab, helds[2],
+                                           components_first=True, diagonal=False)
+            whole = derivative_stack(gauge, grid, order, components_first=True)[slab]
+            for axis in range(3):
+                assert np.isnan(offdiagonal[:, axis, axis]).all()
+                for k in set(range(3)) - {axis}:
+                    assert np.array_equal(offdiagonal[:, axis, k], whole[:, axis, k])
+            # handed out at the first arrival that completes its planes
+            wraps = reads.start < 0 or reads.stop > n
+            wanted = n if wraps else reads.stop
+            assert arrived[-1] == min(p.stop for p in parts if p.stop >= wanted)
+            done.append(slab)
+        assert sorted(done, key=lambda part: part.start) == parts
+
+
+def test_the_sweeps_copy_no_held_plane(monkeypatch):
+    # at one plane a slab, every array the stencils of the knot-charge, the
+    # Chern and the degree-sphere sweeps read is a slab's own array as
+    # their first pass made it, or a plane of one: no held plane is copied
+    import su2topo as st
+    from su2topo import chern_density, chern_simons, phi_mapping
+    monkeypatch.setattr(lattice, "SLAB_SITES", 1)
+    made, read = [], []
+
+    def tapped(grid, order, blocks):
+        def tap():
+            for slab, arrays in blocks:
+                made.extend(arrays)
+                yield slab, arrays
+        return stencil_windows(grid, order, tap())
+
+    def recorded(values, grid, order=2, slab=slice(None), held=None, **kwargs):
+        read.append([values, *held.values()])
+        return derivative_stack(values, grid, order, slab, held, **kwargs)
+
+    for module in (chern_simons, chern_density, phi_mapping):
+        monkeypatch.setattr(module, "stencil_windows", tapped)
+        monkeypatch.setattr(module, "derivative_stack", recorded)
+    chern_simons.chern_simons(st.identity_map_s3(12))
+    chern_density.chern_numbers(st.random_config(5, "spinor", st.box_grid((5, 4, 4, 4),
+                                                                           -1.0, 1.0)),
+                                ("trace",))
+    phi_mapping.surface_degree(lambda points: points, np.zeros(4), 0.5)
+    assert len(read) == 12 * 2 + 5 + phi_mapping.SPHERE_RESOLUTION[0]
+    for values, *planes in read:
+        assert any(values is array for array in made)
+        assert planes and all(any(np.shares_memory(plane, array) for array in made)
+                              for plane in planes)
 
 
 def _wrapped_take_diff(values, grid, axis, order, rows=slice(None), first=0):
@@ -499,8 +551,8 @@ def test_periodic_stencils_by_slices_equal_the_wrapped_takes(order, shape):
     # interior rows read slices and only the rows at the wraps read their
     # wrapped neighbours, with the operands and operations of the take
     # form: bit for bit, on periodic axes 0, 1 and 2, for runs of rows at
-    # both wraps and inside, and on windows of a periodic axis 0 that
-    # start before plane 0 or end past the last plane
+    # both wraps and inside, and on a slab's own planes of a periodic axis
+    # 0 whose stencils read held planes across the wrap
     rng = np.random.default_rng(order)
     grid = Grid(shape, (0.0,) * 3, (0.3, 0.2, 0.1), (True,) * 3)
     values = rng.normal(size=shape + (3,)) + 1j * rng.normal(size=shape + (3,))
@@ -516,10 +568,10 @@ def test_periodic_stencils_by_slices_equal_the_wrapped_takes(order, shape):
     for slab in (slice(0, 1), slice(0, 2), slice(n - 2, n), slice(n - 1, n), slice(0, n)):
         planes = stencil_planes(grid, order, slab)
         assert planes.start < 0 or planes.stop > n
-        window = values[np.arange(planes.start, planes.stop) % n]
+        held = {q % n: values[q % n] for q in planes if not slab.start <= q % n < slab.stop}
         expected = _wrapped_take_diff(values, grid, 0, order, slab)
         out = np.empty_like(expected)
-        lattice._diff_into(out, window, grid, 0, order, slab, planes.start)
+        lattice._diff_into(out, values[slab], grid, 0, order, slab, slab.start, held=held)
         assert np.array_equal(out, expected)
 
 
@@ -529,7 +581,8 @@ def test_periodic_stencils_by_slices_equal_the_wrapped_takes(order, shape):
 def test_component_major_stacks_equal_the_site_major_stack(order, periodic, components):
     # component-major values (planes, *components, n1, n2) give the
     # component-major stack (planes, rank, *components, n1, n2) of the same
-    # entries bit for bit: whole, on slabs and on windows of planes
+    # entries bit for bit: whole, on slabs of the whole grid, and on a
+    # slab's own planes with the held planes next to it
     from su2topo.lattice import component_major
     grid = Grid((7, 6, 5), (0.0,) * 3, (0.3, 0.2, 0.1), periodic)
     rng = np.random.default_rng(len(components))
@@ -538,11 +591,11 @@ def test_component_major_stacks_equal_the_site_major_stack(order, periodic, comp
     comp = component_major(values, 3)
     assert np.array_equal(derivative_stack(comp, grid, order, components_first=True),
                           component_major(site, 3))
-    for slab in (slice(0, 1), slice(2, 5), slice(6, 7)):
-        planes = stencil_planes(grid, order, slab)
-        window = comp[np.arange(planes.start, planes.stop) % 7]
+    for slab in (slice(0, 1), slice(2, 5), slice(6, 7), slice(0, 7)):
+        held = {q % 7: comp[q % 7] for q in stencil_planes(grid, order, slab)
+                if not slab.start <= q % 7 < slab.stop}
         for part in (derivative_stack(comp, grid, order, slab, components_first=True),
-                     derivative_stack(window, grid, order, slab, planes.start,
+                     derivative_stack(comp[slab], grid, order, slab, held,
                                       components_first=True)):
             assert np.array_equal(part, component_major(site[slab], 3))
     if components:      # site-major values do not pass as component-major ones
@@ -559,8 +612,8 @@ def test_stencil_planes_reach_the_one_sided_ends():
     assert stencil_planes(grid, 4, slice(8, 9)) == range(5, 10)
     wrapped = Grid((10, 4, 4), (0.0,) * 3, (0.1,) * 3, (True, False, False))
     assert stencil_planes(wrapped, 4, slice(0, 10)) == range(-2, 12)
-    with pytest.raises(LatticeError):
-        derivative_stack(np.zeros((3, 4, 5)), grid, 2, slice(0, 1), first=0)
+    with pytest.raises(LatticeError):      # a slab's own planes, not 3
+        derivative_stack(np.zeros((3, 4, 4)), grid, 2, slice(0, 1), {})
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 6), (96, 96, 96), (7, 300, 300), (5, 4, 4, 4)])
