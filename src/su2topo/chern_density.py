@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chern_simons import _colour_dot, _im_pair
 from .conventions import ORIENTATION_SIGN, PAIRS4
-from .decomposition import parallel_components
 from .errors import FieldError, NormalizationError
 from .fields import (EPS_ZERO, PhiField, SpinorField, _check_nonvanishing, _norms,
                      _slab_current, face_restrict, normalize, phi_to_spinor)
 from .lattice import (Grid, Quadrature, component_major, derivative_stack, slabs,
                       stencil_windows)
+from .su2_algebra import _colour_dot, _im_pair, parallel_components
 
 #: The Chern-density routes, in the order reports list them.
 ROUTES = ("spinor", "unit", "trace")
@@ -132,7 +131,7 @@ def _field_strength(gauge: np.ndarray, dgauge: np.ndarray) -> np.ndarray:
 def _trace_values(gauge: np.ndarray, dgauge: np.ndarray) -> np.ndarray:
     """Trace-route density -eps^{mnlr} F_mn . F_lr / (64 pi^2) of
     component-major A and dA (:func:`_field_strength`), the color dot
-    product summed as :func:`~su2topo.chern_simons._colour_dot` does."""
+    product summed as :func:`~su2topo.su2_algebra._colour_dot` does."""
     f = _field_strength(gauge, dgauge)
     return -(8.0 * (_colour_dot(f[:, 0], f[:, 5]) - _colour_dot(f[:, 1], f[:, 4])
                     + _colour_dot(f[:, 2], f[:, 3]))) / (64.0 * np.pi**2)

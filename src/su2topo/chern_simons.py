@@ -65,11 +65,12 @@ from functools import cached_property
 import numpy as np
 
 from .conventions import ORIENTATION_SIGN
-from .decomposition import Decomposition, fold_maxima, parallel_components, slab_maxima
+from .decomposition import Decomposition, fold_maxima, slab_maxima
 from .errors import FieldError, ReconstructionError
 from .fields import (GaugeField, SpinorField, _max_abs, norm_squared, normalize,
                      sigma_model_field)
 from .lattice import Quadrature, component_major, derivative_stack, stencil_windows
+from .su2_algebra import _colour_dot, _im_pair, parallel_components
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
 
@@ -82,21 +83,13 @@ def spinor_cs_values(j0: np.ndarray, dvalues: np.ndarray) -> np.ndarray:
     the current of ``SpinorField.slab_currents``, and ``dvalues`` the
     jets d_i Psi ``(planes, 3, 2, ...)``.  Only the antisymmetric part of
     s2_jk = d_j Psi^dag d_k Psi enters the contraction, and
-    s2_jk - s2_kj = 2i Im s2_jk (:func:`_im_pair`).
+    s2_jk - s2_kj = 2i Im s2_jk (:func:`~su2topo.su2_algebra._im_pair`).
     """
     out = np.zeros(j0.shape[:1] + j0.shape[2:], dtype=np.complex128)
     for i, j, k in _CYCLIC3:
         out += j0[:, i] * _im_pair(dvalues, j, k)
     out *= 2j
     return -out / (4.0 * np.pi**2)
-
-
-def _im_pair(dvalues: np.ndarray, j: int, k: int) -> np.ndarray:
-    """Im (d_j Psi^dag d_k Psi) of component-major jets ``(planes, rank,
-    2, ...)``, summed over the two spinor components."""
-    re, im = dvalues.real, dvalues.imag
-    return ((re[:, j, 0] * im[:, k, 0] - im[:, j, 0] * re[:, k, 0])
-            + (re[:, j, 1] * im[:, k, 1] - im[:, j, 1] * re[:, k, 1]))
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
@@ -112,13 +105,6 @@ def _triple(m: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m[:, 0] * (u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1])
             + m[:, 1] * (u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2])
             + m[:, 2] * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))
-
-
-def _colour_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x^a y^a of component-major color vectors ``(planes, 3, ...)``, summed
-    as (x^0 y^0 + x^2 y^2) + x^1 y^1: the order ``np.einsum('...a,...a->...')``
-    takes on color-last rows, so the trace density keeps its bits."""
-    return (x[:, 0] * y[:, 0] + x[:, 2] * y[:, 2]) + x[:, 1] * y[:, 1]
 
 
 def trace_cs_values(a: np.ndarray, da: np.ndarray) -> np.ndarray:

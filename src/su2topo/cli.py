@@ -9,13 +9,12 @@ emits an explicit consistency line; the exit code is nonzero iff any
 check fails.
 
 Exit codes: 0 success, 1 failed consistency check, 2 usage error,
-3 input file or format error.
+3 input file or format error.  A command imports the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -24,10 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import chern_simons as cs
-from . import fldio, generators, phi_mapping, su2_algebra
-from .chern_density import ROUTES, chern_numbers
-from .decomposition import decompose
+from . import su2_algebra
 from .errors import (FieldError, FieldFormatError, LatticeError,
                      ReconstructionError, Su2TopoError)
 from .fields import GaugeField, PhiField, SpinorField, phi_to_spinor, spinor_to_phi
@@ -92,6 +88,7 @@ def _chart_grid(args, chart: str):
     """The grid of ``--grid``/``--box`` on a chart: the rank-3 "s3" chart of
     the unit 3-sphere (32^3 by default) or a rank-4 "box" (16^4 on
     [-2, 2]^4 by default)."""
+    from . import generators
     rank = 3 if chart == "s3" else 4
     shape = args.grid if args.grid is not None else ((32,) * 3 if rank == 3 else (16,) * 4)
     if len(shape) != rank:
@@ -130,6 +127,7 @@ def _emit_report(report: ChargeReport, args) -> int:
 
 def _write_csv(report: ChargeReport, path: str) -> None:
     """Flat plot-ready export: one row per charge value or per zero."""
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         if report.zeros:
@@ -206,8 +204,9 @@ def _qpoly_roots(args, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Kind:
-    """A named configuration: its charts, its ``build(grid, args) -> field``,
-    the one kind flag ``build`` reads, if any, and for ``verify`` its config
+    """A named configuration: its charts, its ``build(generators, grid,
+    args) -> field`` (:func:`_build` imports the generators module), the
+    one kind flag ``build`` reads, if any, and for ``verify`` its config
     name (the first chart is the one ``verify`` uses)."""
 
     charts: tuple
@@ -217,17 +216,17 @@ class _Kind:
 
 
 _KINDS = {
-    "identity": _Kind(("s3",), lambda grid, args: generators.identity_map_s3(grid.shape),
+    "identity": _Kind(("s3",), lambda gen, grid, args: gen.identity_map_s3(grid.shape),
                       verify="identity"),
     "qpower": _Kind(("s3", "box"),
-                    lambda grid, args: generators.quaternion_power_field(args.power, grid),
+                    lambda gen, grid, args: gen.quaternion_power_field(args.power, grid),
                     flag="power", verify="qpower:N"),
-    "qpoly": _Kind(("box",), lambda grid, args: generators.quaternion_polynomial_field(
+    "qpoly": _Kind(("box",), lambda gen, grid, args: gen.quaternion_polynomial_field(
         _qpoly_roots(args, grid), grid), flag="roots", verify="qpoly"),
-    "linear": _Kind(("box",), lambda grid, args: generators.linear_phi_field(
+    "linear": _Kind(("box",), lambda gen, grid, args: gen.linear_phi_field(
         np.eye(4), args.shift, grid), flag="shift", verify="linear"),
-    **{f"random-{kind}": _Kind(("box",), lambda grid, args, kind=kind:
-                               generators.random_config(args.seed, kind, grid), flag="seed")
+    **{f"random-{kind}": _Kind(("box",), lambda gen, grid, args, kind=kind:
+                               gen.random_config(args.seed, kind, grid), flag="seed")
        for kind in ("spinor", "gauge")},
 }
 
@@ -236,6 +235,7 @@ _VERIFY_CONFIGS = tuple(k.verify for k in _KINDS.values() if k.verify)
 
 def _build(kind: str, chart: str, args):
     """The field of a registry kind on the chart grid of ``args``."""
+    from . import generators
     charts = _KINDS[kind].charts
     if chart not in charts:
         raise UsageError(f"kind {kind!r} is defined on the {' and '.join(charts)} "
@@ -244,13 +244,14 @@ def _build(kind: str, chart: str, args):
     if stray:
         raise UsageError(f"kind {kind!r} does not read --{', --'.join(stray)}")
     try:
-        return _KINDS[kind].build(_chart_grid(args, chart), args)
+        return _KINDS[kind].build(generators, _chart_grid(args, chart), args)
     except (FieldError, LatticeError) as exc:
         # the library rejects a command-line value; no input file is involved
         raise UsageError(str(exc)) from exc
 
 
 def cmd_generate(args) -> int:
+    from . import fldio
     field = _build(args.kind, args.chart, args)
     if args.chart == "s3" and isinstance(field, SpinorField):
         field = spinor_to_phi(field)    # chart maps are stored as 4-vector fields
@@ -265,6 +266,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import fldio
+    from .decomposition import decompose
     psi = _as_spinor(fldio.read_field(args.psi), args.psi)
     gauge = None
     if args.gauge:
@@ -304,8 +307,10 @@ def _charge_entry(q: float) -> dict:
 def _run_cs(args, psi: SpinorField | None = None, parallel: bool = False) -> ChargeReport:
     """Three routes to Q in one sweep, and with ``parallel`` the parallel
     condition b = 0 on the trace route's potential from the same sweep."""
+    from . import chern_simons as cs
     su2_algebra.self_check()
     if psi is None:
+        from . import fldio
         psi = _as_spinor(fldio.read_field(args.infile), args.infile)
     report = ChargeReport("cs", config=_config_echo(args, psi.grid))
     tol = args.tol
@@ -349,6 +354,8 @@ def _run_cs(args, psi: SpinorField | None = None, parallel: bool = False) -> Cha
 
 
 def cmd_chern(args) -> int:
+    from . import fldio
+    from .chern_density import ROUTES, chern_numbers
     field = fldio.read_field(args.infile)
     report = ChargeReport("chern", config=_config_echo(args, field.grid))
     psi = _as_spinor(field, args.infile)
@@ -377,6 +384,7 @@ def _zero_entry(zero) -> dict:
 
 
 def _run_zeros(args, phi: PhiField) -> ChargeReport:
+    from . import phi_mapping
     su2_algebra.self_check()
     report = ChargeReport("zeros", config=_config_echo(args, phi.grid))
     start = time.perf_counter()
@@ -401,6 +409,7 @@ def _run_zeros(args, phi: PhiField) -> ChargeReport:
 
 
 def cmd_zeros(args) -> int:
+    from . import fldio
     field = fldio.read_field(args.infile)
     if isinstance(field, SpinorField):
         field = spinor_to_phi(field)

@@ -157,7 +157,7 @@ def _slab_inputs(psi: SpinorField, gauge: GaugeField | None):
     current."""
     for slab, samples, dvalues, current in psi.slab_currents():
         yield slab, samples, dvalues, current, (
-            parallel_components(current) if gauge is None
+            su2_algebra.parallel_components(current) if gauge is None
             else component_major(gauge.values_at(slab), psi.grid.rank))
 
 
@@ -194,9 +194,3 @@ def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decompositio
         maxima = fold_maxima(maxima, slab_maxima(samples, dvalues, current, norms,
                                                  potential))
     return Decomposition.from_maxima(maxima)
-
-
-def parallel_components(current: np.ndarray) -> np.ndarray:
-    """A^a = -2 Im J^a of a component-major spinor current ``J``: shape
-    ``(planes, rank, 3, ...)``."""
-    return np.multiply(current[:, :, 1:].imag, -2.0)

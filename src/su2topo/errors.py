@@ -32,10 +32,6 @@ class ReconstructionError(Su2TopoError, ArithmeticError):
     """An exact algebraic identity failed beyond tolerance (algebra bug)."""
 
 
-class DegreeResolutionError(Su2TopoError, ArithmeticError):
-    """Surface-degree integral did not settle near an integer."""
-
-
 class ZeroLocationError(Su2TopoError, RuntimeError):
     """Zero search failed: zeros too close for the grid, or on the boundary."""
 

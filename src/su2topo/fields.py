@@ -126,11 +126,10 @@ class PhiField(LatticeField):
 
     Generator-built fields may attach an analytic ``sampler``: it maps
     points ``(n, rank)`` to ``(values, jacobians)`` of shapes ``(n, 4)``
-    and ``(n, rank, 4)``, the derivative axis first as in ``jet``; called
-    with ``jet=False`` it may skip the jacobians and return None for them.
-    The sampler only evaluates points off the lattice (zero refinement and
-    sphere sampling); it is not a jet source, so a field with a sampler
-    and no jet has lattice derivatives from stencils.
+    and ``(n, rank, 4)``, the derivative axis first as in ``jet``.  The
+    sampler only evaluates points off the lattice (zero refinement); it is
+    not a jet source, so a field with a sampler and no jet has lattice
+    derivatives from stencils.
 
     ``block_jet`` maps a block (an axis-0 slice, or a tuple of per-axis
     slices) to the exact jet of its sites when no jet is stored.  A box

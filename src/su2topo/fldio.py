@@ -29,8 +29,8 @@ checksummed, and checked finite, one axis-0 plane at a time through one
 reused buffer and stay in the file: the field's ``block_values`` and
 ``block_jet`` read the planes a block covers when something asks for
 them (the zero search reads the screen's slabs, the box faces a face
-slab at a time, the bounding block of each Newton step's or sphere
-slab's points and a 4^4 window per zero; the charge sweep and
+slab at a time, the bounding block of each Newton step's points and a
+4^4 window per zero; the charge sweep and
 ``decompose`` read one slab and its stencil planes at a time), after
 checking that the file is still the one that was verified.
 The retired FLD1 format (FNV-1a trailer, no orientation) is rejected as
@@ -43,7 +43,6 @@ import itertools
 import math
 import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
@@ -101,6 +100,7 @@ def write_field(field, path: str) -> None:
                             (memoryview(np.ascontiguousarray(array, dtype=dtype))
                              for array in arrays))
 
+    import tempfile                     # only a write needs it
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fld-")
     try:

@@ -13,8 +13,8 @@ the block is read (:meth:`~su2topo.lattice.LatticeField.values_at`,
 :meth:`~su2topo.lattice.LatticeField.exact_jet`), and an analytic sampler
 runs the same kernels at any points; it only evaluates points and is
 not the lattice jet.  The zero search uses it for
-machine-precision root refinement and the degree spheres; the zero screen
-reads the values one slab at a time, the boundary flux reads values and
+machine-precision root refinement; the zero screen and its simplex count
+read the values one slab at a time, the boundary flux reads values and
 jets on the 8 faces slab by slab, and a file write reads both slab by
 slab.
 Fields on the rank-3 chart store nothing either: the sin and cos of the
@@ -351,11 +351,10 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
     not kept, and written component-major, so the site-major block served
     is a view (:func:`~su2topo.lattice.site_major`); a whole-grid read is
     filled one axis-0 slab at a time (:func:`~su2topo.lattice.slabs`).
-    The sampler only evaluates points (Newton steps and degree spheres):
-    it runs ``value_fn``, and ``jet_fn`` too unless asked for values only
-    (``jet=False``), on the components of its points, ``points.T``, and
-    returns ``(n, 4)`` values and ``(n, 4, 4)`` jets (None for values
-    only), so its values equal the lattice samples bit for bit.
+    The sampler only evaluates points (Newton steps): it runs ``value_fn``
+    and ``jet_fn`` on the components of its points, ``points.T``, and
+    returns ``(n, 4)`` values and ``(n, 4, 4)`` jets, so its values equal
+    the lattice samples bit for bit.
     """
     def run(shape, kernel, q, comps):
         # A map that overflows on the box gives non-finite values, which
@@ -366,10 +365,10 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
             kernel(q, view)
         return block
 
-    def evaluate(points, jet=True):
+    def evaluate(points):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n, q = points.shape[:1], points.T
-        return run(n, value_fn, q, (4,)), run(n, jet_fn, q, (4, 4)) if jet else None
+        return run(n, value_fn, q, (4,)), run(n, jet_fn, q, (4, 4))
 
     def served(kernel, comps):
         def block_array(block):

@@ -591,37 +591,33 @@ class Quadrature:
 
 
 def _fractional_index(grid: Grid, points: np.ndarray) -> tuple:
-    """Per-axis base indices and fractions for multilinear interpolation."""
-    bases, fracs = [], []
+    """Base indices and fractions ``(npts, rank)`` of the points ``(npts,
+    rank)`` for multilinear interpolation, all axes at once.  Open axes
+    reject points outside the sampled interval."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     off = 0.5 if grid.cell_centered else 0.0
-    for i in range(grid.rank):
-        t = (points[:, i] - grid.origin[i]) / grid.spacing[i] - off
-        n = grid.shape[i]
-        if grid.periodic[i]:
-            base = np.floor(t).astype(np.int64)
-            frac = t - base
-            base %= n
-        else:
-            if np.any(t < -1e-9) or np.any(t > n - 1 + 1e-9):
-                raise LatticeError("interpolation point outside open-axis domain")
-            t = np.clip(t, 0.0, n - 1.0)
-            base = np.minimum(np.floor(t).astype(np.int64), n - 2)
-            frac = t - base
-        bases.append(base)
-        fracs.append(frac)
-    return bases, fracs
+    t = (points - np.asarray(grid.origin)) / np.asarray(grid.spacing) - off
+    n = np.asarray(grid.shape)
+    periodic = np.asarray(grid.periodic)
+    reach = t[:, ~periodic]
+    if np.any(reach < -1e-9) or np.any(reach > n[~periodic] - 1 + 1e-9):
+        raise LatticeError("interpolation point outside open-axis domain")
+    t = np.where(periodic, t, np.clip(t, 0.0, n - 1.0))
+    base = np.floor(t).astype(np.int64)
+    base = np.where(periodic, base, np.minimum(base, n - 2))
+    return np.where(periodic, base % n, base), t - base
 
 
-def interpolation_window(grid: Grid, points: np.ndarray) -> list:
+def interpolation_window(grid: Grid, points: np.ndarray, index=None) -> list:
     """The per-axis sites of the smallest block that holds every corner
     multilinear interpolation reads at ``points`` ``(npts, rank)``: on each
     axis a run of consecutive sites, which on a periodic axis may wrap once
     past the end (it starts after the widest gap between the sites read).
-    Open axes reject points outside the sampled interval."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    Open axes reject points outside the sampled interval.  ``index`` is
+    the points' :func:`_fractional_index`, if already taken."""
+    bases = (index or _fractional_index(grid, points))[0]
     take = []
-    for base, n, periodic in zip(_fractional_index(grid, points)[0], grid.shape,
-                                 grid.periodic):
+    for base, n, periodic in zip(bases.T, grid.shape, grid.periodic):
         if not periodic:
             take.append(np.arange(base.min(), base.max() + 2))
             continue
@@ -635,77 +631,72 @@ def interpolation_window(grid: Grid, points: np.ndarray) -> list:
     return take
 
 
-def _corners(grid: Grid, points: np.ndarray, shape: tuple, first):
-    """Yield the ``2**rank`` corners that multilinear interpolation reads.
-
-    Each corner is ``(sites, bits, factors)``: the flat indices of its
-    sites in a block of ``shape`` sites whose per-axis first sites are
-    ``first`` (counted on cyclically past the end of a periodic axis; the
-    whole grid if None), 0/1 offsets and weight factors, whose product in
-    axis order is the weight, one entry per point of ``points``
-    ``(npts, rank)``.  Open axes reject points outside the sampled
-    interval.
+def _interpolate(values: np.ndarray, grid: Grid, points: np.ndarray, first, index,
+                 gradient: bool):
+    """Multilinear interpolation of ``values`` at ``points`` ``(npts, rank)``
+    and, with ``gradient``, its gradient (else None), from the ``2**rank``
+    corners of each point: their flat indices in ``values``, a block whose
+    per-axis first sites are ``first`` (counted on cyclically past the end
+    of a periodic axis; the whole grid if None), their weights, the
+    products of the per-axis factors (1 - frac or frac) in axis order, and
+    the gradient's, +-1/h times the other axes' factors in axis order,
+    each built with one broadcast per axis and summed corner by corner.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    bases, fracs = _fractional_index(grid, points)
-    first = (0,) * grid.rank if first is None else first
-    offsets, weights = [], []
-    for axis, (base, frac) in enumerate(zip(bases, fracs)):
-        stride, n = math.prod(shape[axis + 1:]), grid.shape[axis]
-        local = [base + bit - first[axis] for bit in (0, 1)]
+    bases, fracs = index or _fractional_index(grid, points)
+    rank = grid.rank
+    bits = (np.arange(1 << rank)[:, None] >> np.arange(rank)) & 1   # (corner, axis)
+    first = (0,) * rank if first is None else first
+    sites, factors = 0, []
+    for axis in range(rank):
+        local = bases[:, axis] + bits[:, axis, None] - first[axis]
         if grid.periodic[axis]:
-            local = [site % n for site in local]
-        offsets.append([site * stride for site in local])
-        weights.append((1.0 - frac, frac))
-    for corner in range(1 << grid.rank):
-        bits = tuple((corner >> i) & 1 for i in range(grid.rank))
-        yield (reduce(np.add, [offset[bit] for offset, bit in zip(offsets, bits)]), bits,
-               [weight[bit] for weight, bit in zip(weights, bits)])
+            local %= grid.shape[axis]
+        sites = sites + local * math.prod(values.shape[axis + 1:rank])
+        frac = fracs[:, axis]
+        factors.append(np.where(bits[:, axis, None] == 1, frac, 1.0 - frac))
+    comps = values.shape[rank:]
+    pad = (1,) * len(comps)
+    corners = values.reshape((-1,) + comps).take(sites, axis=0)   # (corner, npts, ...)
+    vals = _corner_sum(reduce(np.multiply, factors).reshape(sites.shape + pad) * corners)
+    if not gradient:
+        return vals, None
+    slopes = np.empty(sites.shape + (rank,))
+    for axis in range(rank):
+        slope = np.where(bits[:, axis, None] == 1, 1.0, -1.0) / grid.spacing[axis]
+        slopes[..., axis] = reduce(np.multiply, factors[:axis] + factors[axis + 1:], slope)
+    return vals, _corner_sum(slopes.reshape(slopes.shape + pad) * corners[:, :, None])
+
+
+def _corner_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum of ``terms`` over axis 0, corner by corner from 0 in order."""
+    out = np.zeros(terms.shape[1:], dtype=terms.dtype)
+    for term in terms:
+        out += term
+    return out
 
 
 def interpolate(values: np.ndarray, grid: Grid, points: np.ndarray,
-                first=None) -> np.ndarray:
+                first=None, index=None) -> np.ndarray:
     """Multilinear interpolation of grid samples at arbitrary points.
 
     ``points`` has shape ``(npts, rank)``; the result keeps any trailing
     component axes of ``values``.  Periodic axes wrap; open axes reject
     points outside the sampled interval.  ``values`` holds the whole grid,
     or given ``first`` the block whose per-axis first sites those are, as
-    :func:`interpolation_window` gives it; each corner is read with one
-    ``take`` of its sites from the block seen as ``(sites, components)``.
+    :func:`interpolation_window` gives it; the corners are read with one
+    ``take`` from the block seen as ``(sites, components)``.  ``index``
+    is the points' :func:`_fractional_index`, if already taken.
     """
-    rank = grid.rank
-    npts = np.atleast_2d(points).shape[0]
-    comp_shape = values.shape[rank:]
-    table = values.reshape((-1,) + comp_shape)
-    pad = (-1,) + (1,) * len(comp_shape)
-    out = np.zeros((npts,) + comp_shape, dtype=values.dtype)
-    for sites, _, factors in _corners(grid, points, values.shape[:rank], first):
-        out += reduce(np.multiply, factors).reshape(pad) * table.take(sites, axis=0)
-    return out
+    return _interpolate(values, grid, points, first, index, False)[0]
 
 
 def interpolate_with_gradient(values: np.ndarray, grid: Grid, points: np.ndarray,
-                              first=None):
+                              first=None, index=None):
     """Multilinear interpolation plus its exact gradient.
 
     Returns ``(vals, grads)`` with ``grads`` of shape
     ``(npts, rank, *components)``; the gradient is the analytic derivative
-    of the multilinear interpolant itself.  ``values`` and ``first`` are
-    those of :func:`interpolate`.
+    of the multilinear interpolant itself.  ``values``, ``first`` and
+    ``index`` are those of :func:`interpolate`.
     """
-    rank = grid.rank
-    npts = np.atleast_2d(points).shape[0]
-    comp_shape = values.shape[rank:]
-    table = values.reshape((-1,) + comp_shape)
-    pad = (-1,) + (1,) * len(comp_shape)
-    vals = np.zeros((npts,) + comp_shape, dtype=values.dtype)
-    grads = np.zeros((npts, rank) + comp_shape, dtype=values.dtype)
-    for sites, bits, factors in _corners(grid, points, values.shape[:rank], first):
-        corner_vals = table.take(sites, axis=0)
-        vals += reduce(np.multiply, factors).reshape(pad) * corner_vals
-        for ax, bit in enumerate(bits):
-            slope = (1.0 if bit else -1.0) / grid.spacing[ax]
-            weight = reduce(np.multiply, factors[:ax] + factors[ax + 1:], slope)
-            grads[:, ax] += weight.reshape(pad) * corner_vals
-    return vals, grads
+    return _interpolate(values, grid, points, first, index, True)

@@ -2,47 +2,33 @@
 
 The map x -> phi(x) in R^4 concentrates the whole second Chern number at
 its isolated zeros.  Each zero x_j carries a Brouwer degree eta_j = +-1
-(the orientation, sign of the Jacobian at regular zeros) and a Hopf index
-beta_j >= 1 (the covering multiplicity); their product is the local degree
-d_j measured as a surface integral over a small 3-sphere:
+(the sign of the Jacobian at regular zeros) and a Hopf index beta_j >= 1;
+their product is the local degree d_j.  The ledger states C_2 = sum_j
+beta_j eta_j and cross-checks it against the Chern-Simons flux of the
+unit spinor through the 8 faces of the box, which by Stokes is the same
+C_2 from the boundary alone; the sum doubles as the Euler characteristic
+through the top Chern class.
 
-    d_j = 1/(2 pi^2) Int det[n, d_chi n, d_theta n, d_phi n] dchi dtheta dphi
+The local degrees are an exact count, the simplicial degree of Stenger
+and Kearfott: each 4-cell splits into the 24 Kuhn simplices v_0 = 0,
+v_{k+1} = v_k + e_pi(k), of orientation sgn pi, and the degree of phi is
+the sum of sgn pi sign det[phi_i - phi_0] over the simplices on which the
+linear interpolant of phi's samples takes a small fixed value y
+(:func:`_simplex_count`).  Each such simplex belongs to the Newton zero
+nearest its preimage of y, so the ledger's sum is the whole count however
+Newton splits a degenerate zero.
 
-with n = phi/|phi| sampled on the sphere.  The ledger then states
-C_2 = sum_j beta_j eta_j and cross-checks it against the Chern-Simons flux
-of the unit spinor through the 8 faces of the box, the degree density of
-n on the faces, which by Stokes is the
-same C_2 computed from the boundary alone; the sum doubles as the Euler
-characteristic through the top Chern class.
-
-Zero search: 4-cells where every component changes sign across the 16
-corners seed damped Newton iterations (sign screening over-fires on coarse
-grids, so Newton is the arbiter).  The screen works on the rank-4 layout
-of the per-slab kernels, component-major ``(planes, 4, n1, n2, n3)``
-(:func:`~su2topo.lattice.component_major`), so each test runs over whole
-planes of sites: a cell spans 0 in a component when some corner is <= 0
-and some corner is >= 0, two boolean tests OR-reduced over the corners
-one axis at a time, as pairwise passes over neighbouring slices (rolled on
-periodic axes), and the norms are summed over the component planes.  It
-reads phi's values one axis-0 slab (:func:`~su2topo.lattice.slabs`) at a
-time, through :meth:`~su2topo.lattice.LatticeField.values_at`, so a
-generated field computes each plane once and never holds its values
-whole (a box field serves its blocks component-major already, so taking
-them so costs no copy): each slab's cells are screened with the one plane
-carried from the slab before, and the slabs' candidates, concatenated in
-order, are the whole-grid ones in row-major order.
-
-Newton reads phi through one evaluator that returns values and derivative
-stacks together: the analytic sampler attached by the generators, which
-gives machine-precision roots, or for lattice-only fields the multilinear
-interpolant and its exact gradient, with O(h^2) positions, read from the
-bounding block of the points only.  Sphere sampling needs values only: it
-calls the sampler with ``jet=False``, or plain interpolation, on one
-chi-slab of the sphere chart at a time, and the chart derivatives of n
-and the determinants of the 4x4 matrices [n, d n] (the faces' kernel)
-follow a slab behind,
-summed as they are swept, so no attempt holds more of the sphere than a
-few slabs.
+Zero search: 4-cells whose 16 corners span 0 in every component seed
+damped Newton iterations (sign screening over-fires on coarse grids, so
+Newton is the arbiter).  The screen (:func:`_screen`) reads phi's values
+one axis-0 slab at a time, component-major, so a generated field computes
+each plane once and never holds its values whole; the same pass marks the
+cells whose corners span y and keeps their corners for the count.  Newton
+reads phi through one evaluator of values and derivatives: the analytic
+sampler attached by the generators, which gives machine-precision roots,
+or for lattice-only fields the multilinear interpolant and its exact
+gradient, with O(h^2) positions, read from the bounding block of the
+points only.
 """
 
 from __future__ import annotations
@@ -54,34 +40,40 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chern_density import _det4, boundary_degree, check_flux_box
-from .errors import DegreeResolutionError, FieldError, LatticeError, ZeroLocationError
+from .errors import FieldError, LatticeError, ZeroLocationError
 from .fields import PhiField, _finite_max, _norms
-from .generators import s3_chart_grid, s3_points
-from .lattice import (Grid, Quadrature, component_major, derivative_stack,
+from .lattice import (Grid, _fractional_index, component_major, derivative_stack,
                       interpolate, interpolate_with_gradient, interpolation_window,
-                      slabs, stencil_windows)
+                      slabs)
 
 DEGENERACY_TOL = 1e-8
 NEWTON_TOL = 1e-10           # |phi| at an accepted (refined) zero
 NEWTON_MAX_ITER = 40
-SPHERE_RESOLUTION = (32, 32, 64)   # (chi, theta, phi) samples, first attempt
-SPHERE_REFINEMENTS = 2       # resolution doublings before a degree is rejected
+#: The direction v of the counted value y, a fixed generic unit vector.
+Y_DIRECTION = np.array([0.5377, -0.1826, 0.7231, 0.3959])
+Y_DIRECTION /= np.linalg.norm(Y_DIRECTION)
+_PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+#: The Kuhn simplices of a cell: the corner indices (bit k of a corner is
+#: its offset on axis k) of v_0..v_4 for each permutation pi, and sgn pi.
+_KUHN = np.cumsum(np.hstack([np.zeros((24, 1), int), 1 << _PERMUTATIONS]), axis=1)
+_KUHN_SIGNS = np.rint(np.linalg.det(np.eye(4)[_PERMUTATIONS])).astype(int)
 
 
 @dataclass(frozen=True)
 class ZeroPoint:
-    """A located zero with its local topological data."""
+    """A located zero with its local topological data: ``degree``, the
+    sum of its simplices, is set by :func:`locate_zeros`; ``beta``,
+    ``eta`` and ``degenerate`` by :func:`local_degree`."""
 
     position: tuple
     cell_index: tuple
     refined: bool
     phi_norm: float
     jacobian: float
-    degree: int | None = None
+    degree: int
     beta: int | None = None
     eta: int | None = None
     degenerate: bool = False
-    degree_deviation: float | None = None
 
 
 @dataclass(frozen=True)
@@ -98,30 +90,19 @@ class ZeroSearch:
 
 
 def _evaluator(phi: PhiField):
-    """``points (n, 4) -> (values (n, 4), jacobians (n, 4, 4))`` of phi."""
+    """``points (n, 4) -> (values (n, 4), jacobians (n, 4, 4))`` of phi:
+    its sampler, or the multilinear interpolant of its samples and its
+    gradient, read on the bounding block of the points only, whose values
+    are the whole-grid ones bit for bit; the points' lattice indices are
+    taken once for the block and the interpolant."""
     if phi.sampler is not None:
         return phi.sampler
-    return _interpolant(phi, interpolate_with_gradient)
 
-
-def _values_evaluator(phi: PhiField):
-    """``points (n, 4) -> values (n, 4)`` of phi, for sphere sampling."""
-    if phi.sampler is not None:
-        return lambda pts: phi.sampler(pts, jet=False)[0]
-    return _interpolant(phi, interpolate)
-
-
-def _interpolant(phi: PhiField, interpolator):
-    """``interpolator`` (:func:`~su2topo.lattice.interpolate` or its
-    gradient form) of phi's samples at the points, read on the bounding
-    block of the points only (:func:`~su2topo.lattice.interpolation_window`)
-    through :meth:`~su2topo.lattice.LatticeField.values_at`; the corners
-    are shifted into the block, so every value is the whole-grid one bit
-    for bit."""
     def evaluate(points):
-        take = interpolation_window(phi.grid, points)
-        return interpolator(_window(phi.values_at, take), phi.grid, points,
-                            [int(t[0]) for t in take])
+        index = _fractional_index(phi.grid, points)
+        take = interpolation_window(phi.grid, points, index)
+        return interpolate_with_gradient(_window(phi.values_at, take), phi.grid, points,
+                                         [int(t[0]) for t in take], index)
     return evaluate
 
 
@@ -169,24 +150,21 @@ def _newton(evaluate, x0: np.ndarray, bounds):
     return x, best, best < NEWTON_TOL, jx
 
 
-def _cell_mask(lower: np.ndarray, upper: np.ndarray, grid: Grid) -> np.ndarray:
-    """The sign-change mask of the rows of cells between the component-major
-    axis-0 site planes ``lower`` ``(rows, 4, ...)`` and the planes ``upper``
-    one step above them (a cell spans sites k and k+1 on each axis, and
-    k+1 wraps on periodic axes).
-
-    A cell spans 0 in a component when some corner is <= 0 and some
-    corner is >= 0: the closed range min <= 0 <= max, so a zero whose
-    coordinates lie on lattice planes, where a component is exactly 0 on
-    a whole plane of corners, still marks the cells around it; Newton and
-    the half-cell deduplication settle the extra candidates.  Both tests
-    are OR-reduced over the corners one axis at a time, pairwise over
-    neighbouring slices: 4 passes instead of 16 corner copies.  On finite
-    values, the only ones :meth:`~su2topo.lattice.LatticeField.values_at`
-    serves, this is the corner min/max rule exactly.
+def _cell_mask(lower: np.ndarray, upper: np.ndarray, grid: Grid,
+               band: float) -> np.ndarray:
+    """The mask of the rows of cells between the component-major axis-0
+    site planes ``lower`` ``(rows, 4, ...)`` and the planes ``upper`` one
+    step above them (k+1 wraps on periodic axes) that span the band
+    [-band, band] in every component: some corner <= band and some corner
+    >= -band.  At band 0 that is the closed range min <= 0 <= max, so a
+    zero on lattice planes, where a component is 0 on a whole plane of
+    corners, still marks the cells around it.  Both tests are OR-reduced
+    one axis at a time, pairwise over neighbouring slices: 4 passes
+    instead of 16 corner copies, and on finite values the corner min/max
+    rule exactly.
     """
-    low = (lower <= 0.0) | (upper <= 0.0)
-    high = (lower >= 0.0) | (upper >= 0.0)
+    low = (lower <= band) | (upper <= band)
+    high = (lower >= -band) | (upper >= -band)
     for ax in range(1, grid.rank):
         axis = ax + 1                      # the components are axis 1
         if grid.periodic[ax]:
@@ -201,40 +179,71 @@ def _cell_mask(lower: np.ndarray, upper: np.ndarray, grid: Grid) -> np.ndarray:
     return span[:, 0] & span[:, 1] & span[:, 2] & span[:, 3]
 
 
+def _cell_corners(lower: np.ndarray, upper: np.ndarray, cells: np.ndarray,
+                  grid: Grid) -> np.ndarray:
+    """The values ``(k, 16, 4)`` at the 16 corners of the cells ``(k, 4)``
+    of :func:`_cell_mask`'s rows (row 0 the first of ``lower``); bit ``a``
+    of a corner's index is its offset on axis ``a``."""
+    out = np.empty((len(cells), 16, 4))
+    for corner in range(16):
+        index = [cells[:, 0], slice(None)]
+        for axis in range(1, 4):
+            site = cells[:, axis] + ((corner >> axis) & 1)
+            index.append(site % grid.shape[axis] if grid.periodic[axis] else site)
+        out[:, corner] = (upper if corner & 1 else lower)[tuple(index)]
+    return out
+
+
+def _spans(corners: np.ndarray, y) -> np.ndarray:
+    """Which of the cells' corner values ``(k, 16, 4)`` span ``y`` (0 or a
+    4-vector) in every component: some corner <= y and some >= y."""
+    return np.all(np.any(corners <= y, axis=1) & np.any(corners >= y, axis=1), axis=1)
+
+
 def _screen(phi: PhiField):
-    """The Newton starts of the zero search: ``(cells, sites)``, index arrays
-    ``(k, 4)`` in row-major order.
+    """The Newton starts and the counted simplices of the zero search:
+    ``(cells, sites, points, signs)``.
 
     ``cells`` are the 4-cells whose 16 corners span 0 in every component
-    (:func:`_cell_mask`) and ``sites`` the lattice sites where |phi| <
-    1e-9 max(1, max|phi|).  Both are taken from phi's values one axis-0
-    slab (:func:`~su2topo.lattice.slabs`) at a time, as
-    :meth:`~su2topo.lattice.LatticeField.values_at` serves them, taken
-    component-major (:func:`~su2topo.lattice.component_major`, no copy for
-    a box field's blocks), so each plane is read once: when a slab
-    arrives, the row of cells between the last plane of the slab before,
-    carried on, and its first plane is screened, then the rows between its
-    own planes (on a periodic axis 0 the first plane is kept too, for the
-    row that wraps).  A slab's norms are taken again only when its
-    smallest norm is below that threshold, which is known once every slab
-    is seen.  The lists are those of ``np.argwhere`` on the whole-grid
-    masks.
+    and ``sites`` the lattice sites where |phi| < 1e-9 max(1, max|phi|),
+    index arrays ``(k, 4)`` in the row-major order of ``np.argwhere`` on
+    the whole grid; ``points`` and ``signs`` are :func:`_simplex_count` of
+    the cells whose corners span y = 1e-9 max|phi_0| ``Y_DIRECTION``, with
+    max|phi_0| over the first axis-0 plane, the one read before any cell.
+    phi's values are read one axis-0 slab at a time, component-major, so
+    each plane is read once: a slab's rows of cells are screened as it
+    arrives, the first with the plane carried from the slab before (on a
+    periodic axis 0 the first plane is kept for the row that wraps).  One
+    mask with the band max|y| finds the cells that may span 0 or y, and
+    their corners are tested exactly.  A slab's norms are taken again only
+    when its smallest norm is below the site threshold, known once every
+    slab is seen.
     """
     grid = phi.grid
-    cells, lows = [], []
-    top = 0.0
-    first = carried = None
+    cells, marked, corners, lows = [], [], [], []
+    top = band = 0.0
+    first = carried = y = None
 
     def screen(lower, upper, row):
-        cells.append(np.argwhere(_cell_mask(lower, upper, grid)) + (row, 0, 0, 0))
+        found = np.argwhere(_cell_mask(lower, upper, grid, band))
+        if len(found):
+            values = _cell_corners(lower, upper, found, grid)
+            found += (row, 0, 0, 0)
+            cells.append(found[_spans(values, 0.0)])
+            counted = _spans(values, y)
+            marked.append(found[counted])
+            corners.append(values[counted])
 
     for slab in slabs(grid):
         block = component_major(phi.values_at(slab), 4)
+        norms = _norms(block)
+        top = max(top, _finite_max(norms, "phi", slab.start))
+        if y is None:
+            y = 1e-9 * float(np.max(norms[0])) * Y_DIRECTION
+            band = float(np.max(np.abs(y)))
         if carried is not None:
             screen(carried, block[:1], slab.start - 1)
         screen(block[:-1], block[1:], slab.start)
-        norms = _norms(block)
-        top = max(top, _finite_max(norms, "phi", slab.start))
         lows.append((slab, float(np.min(norms))))
         carried = block[-1:]
         if first is None and grid.periodic[0]:
@@ -244,11 +253,62 @@ def _screen(phi: PhiField):
     site_tol = 1e-9 * max(1.0, top)
     sites = [np.argwhere(_norms(component_major(phi.values_at(slab), 4)) < site_tol)
              + (slab.start, 0, 0, 0) for slab, low in lows if low < site_tol]
-    return np.concatenate(cells), np.concatenate([np.empty((0, 4), int)] + sites)
+    empty = [np.empty((0, 4), int)]
+    return (np.concatenate(empty + cells), np.concatenate(empty + sites),
+            *_simplex_count(np.concatenate(empty + marked),
+                            np.concatenate([np.empty((0, 16, 4))] + corners), y, grid))
+
+
+def _simplex_count(cells: np.ndarray, corners: np.ndarray, y: np.ndarray, grid: Grid):
+    """The Kuhn simplices of the cells ``(k, 4)``, with corner values
+    ``(k, 16, 4)``, on which the linear interpolant of phi takes the value
+    ``y``: their preimages ``(s, 4)`` of y and their degrees ``(s,)``,
+    sgn pi sign det D, with row m of D phi(v_{m+1}) - phi(v_0).
+
+    By Cramer's rule (:func:`~su2topo.chern_density._det4`, one call per
+    row for all simplices at once) y - phi(v_0) = sum_m mu_m D_m, mu_m =
+    det D_m / det D with row m of D replaced by y - phi(v_0).  A simplex
+    counts when det D != 0 and the barycentric coordinates mu_m and 1 -
+    sum mu are all >= 0: det D_m and det D - sum det D_m have the sign of
+    det D or vanish.
+    """
+    values = corners[:, _KUHN]                          # (k, 24, 5, 4)
+    rows = [(values[:, :, m + 1] - values[:, :, 0]).reshape(-1, 4) for m in range(4)]
+    rhs = (y - values[:, :, 0]).reshape(-1, 4)
+    det = _det4(*rows)
+    parts = [_det4(*rows[:m], rhs, *rows[m + 1:]) for m in range(4)]
+    orient = np.sign(det)
+    inside = (det != 0.0) & (orient * (det - sum(parts)) >= 0.0)
+    for part in parts:
+        inside &= orient * part >= 0.0
+    cell, perm = np.divmod(np.flatnonzero(inside), 24)
+    mu = np.stack(parts, axis=1)[inside] / det[inside, None]
+    # v_0 + sum_m mu_m (v_{m+1} - v_0): axis pi(j) moves by sum_{m >= j} mu_m
+    frac = np.zeros_like(mu)
+    np.put_along_axis(frac, _PERMUTATIONS[perm],
+                      np.cumsum(mu[:, ::-1], axis=1)[:, ::-1], axis=1)
+    offset = 0.5 if grid.cell_centered else 0.0
+    points = np.asarray(grid.origin) + (cells[cell] + frac + offset) * np.asarray(grid.spacing)
+    return points, _KUHN_SIGNS[perm] * orient[inside].astype(int)
+
+
+def _assign(points: np.ndarray, signs: np.ndarray, zeros: list, grid: Grid) -> np.ndarray:
+    """The degree of each zero: the sum of the ``signs`` of the simplices
+    whose preimage ``points`` lie nearer to it than to any other zero
+    (across the wrap on periodic axes).  Without zeros nothing is
+    assigned."""
+    degrees = np.zeros(len(zeros), int)
+    if zeros:
+        diff = points[:, None] - np.asarray(zeros)[None]
+        for axis in np.flatnonzero(grid.periodic):
+            period = grid.shape[axis] * grid.spacing[axis]
+            diff[..., axis] -= period * np.rint(diff[..., axis] / period)
+        np.add.at(degrees, np.argmin(np.linalg.norm(diff, axis=2), axis=1), signs)
+    return degrees
 
 
 def locate_zeros(phi: PhiField) -> ZeroSearch:
-    """Find the isolated zeros of phi on a rank-4 grid.
+    """Find the isolated zeros of phi on a rank-4 grid, with their degrees.
 
     Candidate cells are 4-cells whose 16 corners span 0 in every
     component; lattice sites where phi itself (nearly) vanishes seed
@@ -257,31 +317,27 @@ def locate_zeros(phi: PhiField) -> ZeroSearch:
     separate them and raise :class:`ZeroLocationError`.  A zero's
     ``jacobian`` is det J from the sampler's last Newton evaluation, or for
     lattice-only fields the site Jacobians det[d_mu phi^a] interpolated at
-    the zero (:func:`_zero_jacobian`).
+    the zero (:func:`_zero_jacobian`).  Its ``degree`` is the sum of the
+    counted simplices (:func:`_simplex_count`) nearest to it
+    (:func:`_assign`).
     """
     grid = phi.grid
     if grid.rank != 4:
         raise FieldError("zero location needs a rank-4 grid")
     hmax = max(grid.spacing)
-    cells, seed_sites = _screen(phi)
+    cells, seed_sites, points, signs = _screen(phi)
 
     evaluate = _evaluator(phi)
-    starts = []
+    origin, spacing = np.asarray(grid.origin), np.asarray(grid.spacing)
     offset = 0.5 if grid.cell_centered else 0.0
-    for cell in cells:
-        center = np.array([grid.origin[i] + (cell[i] + 0.5 + offset) * grid.spacing[i]
-                           for i in range(4)])
-        starts.append((tuple(int(c) for c in cell), center))
-    for site in seed_sites:
-        point = np.array([grid.origin[i] + (site[i] + offset) * grid.spacing[i]
-                          for i in range(4)])
-        starts.append((tuple(int(c) for c in site), point))
+    starts = [(cell, cell + 0.5 + offset) for cell in cells]
+    starts += [(site, site + offset) for site in seed_sites]
 
     accepted = []
     suspicious = []
-    for cell, center in starts:
-        half = np.array([1.5 * h for h in grid.spacing])
-        bounds = (center - half, center + half)
+    for cell, index in starts:
+        cell, center = tuple(int(c) for c in cell), origin + index * spacing
+        bounds = (center - 1.5 * spacing, center + 1.5 * spacing)
         x, fnorm, ok, jmat = _newton(evaluate, center, bounds)
         if ok:
             accepted.append((cell, x, fnorm, jmat))
@@ -305,15 +361,16 @@ def locate_zeros(phi: PhiField) -> ZeroSearch:
                     f"two zeros separated by {dist:.3e} < cell width {hmax:.3e}; "
                     "refine the grid to separate them")
 
+    degrees = _assign(points, signs, [x for _, x, _, _ in unique], grid)
     zeros = []
-    for cell, x, fnorm, jmat in unique:
+    for (cell, x, fnorm, jmat), degree in zip(unique, degrees):
         if phi.sampler is not None:
             det = float(np.linalg.det(jmat))
         else:
             det = _zero_jacobian(phi, x)
         zeros.append(ZeroPoint(position=tuple(float(v) for v in x),
                                cell_index=cell, refined=fnorm < NEWTON_TOL,
-                               phi_norm=fnorm, jacobian=det))
+                               phi_norm=fnorm, jacobian=det, degree=int(degree)))
     return ZeroSearch(tuple(zeros), tuple(suspicious))
 
 
@@ -374,80 +431,11 @@ def _window(read, take) -> np.ndarray | None:
     return out
 
 
-def surface_degree(evaluate, center, radius: float):
-    """Degree of phi/|phi| over the 3-sphere of ``radius`` around ``center``.
-
-    ``evaluate`` maps points ``(n, 4)`` to values ``(n, 4)``.  The sphere
-    is sampled on the cell-centered hyperspherical chart
-    :func:`~su2topo.generators.s3_chart_grid`, starting at
-    ``SPHERE_RESOLUTION``; the angular resolution doubles automatically
-    while the rounding deviation exceeds 0.1, up to ``SPHERE_REFINEMENTS``
-    times, and a deviation that stays >= 0.2 raises
-    :class:`DegreeResolutionError`.  Each attempt evaluates phi on one
-    chi-slab of the chart (:func:`~su2topo.lattice.slabs`) at a time and
-    takes the three chart derivatives of n a slab behind, on the slab's own
-    n and the held planes next to it that their stencils read
-    (:func:`~su2topo.lattice.stencil_windows`; chi and theta open, phi
-    periodic), and the determinants of the 4x4 matrices
-    [n, d n] are fed to a :class:`~su2topo.lattice.Quadrature` slab by
-    slab, so no array of the whole sphere is kept; each determinant, and
-    the sum, which does not depend on the slabs, equals the whole-sphere
-    evaluation bit for bit.
-
-    Returns ``(degree, raw_value, deviation)``.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    resolution = SPHERE_RESOLUTION
-    for attempt in range(SPHERE_REFINEMENTS + 1):
-        agrid = s3_chart_grid(resolution)
-        quadrature = Quadrature(agrid)
-        for slab, (n,), (held,) in stencil_windows(
-                agrid, 2, _sphere_slabs(evaluate, center, radius, agrid)):
-            quadrature.add(slab, _slab_dets(n, held, agrid, slab))
-        value = quadrature.total() / (2.0 * np.pi**2)
-        degree = int(np.rint(value))
-        deviation = abs(value - degree)
-        if deviation <= 0.1 or attempt == SPHERE_REFINEMENTS:
-            if deviation >= 0.2:
-                raise DegreeResolutionError(
-                    f"surface degree {value:.4f} not near an integer at "
-                    f"resolution {resolution}")
-            return degree, value, deviation
-        resolution = tuple(2 * r for r in resolution)
-    raise AssertionError("unreachable")
-
-
-def _slab_dets(n: np.ndarray, held: dict, agrid: Grid, slab: slice) -> np.ndarray:
-    """det[n, d n] (:func:`~su2topo.chern_density._det4`) on the planes
-    ``slab`` of the sphere chart, from their component-major n and the
-    ``held`` planes next to them that the stencils read."""
-    dn = derivative_stack(n, agrid, 2, slab, held, components_first=True)
-    return _det4(n, dn[:, 0], dn[:, 1], dn[:, 2])
-
-
-def _sphere_slabs(evaluate, center: np.ndarray, radius: float, agrid: Grid):
-    """Yield ``(slab, [n])`` for each chi-slab of the sphere chart
-    ``agrid``: n = phi/|phi| at the slab's points, component-major, for
-    :func:`~su2topo.lattice.stencil_windows`."""
-    for slab in slabs(agrid):
-        points = center + radius * s3_points(agrid, slab)
-        samples = component_major(
-            np.asarray(evaluate(points.reshape(-1, 4))).reshape(points.shape), 3)
-        norms = _norms(samples)
-        if np.min(norms) <= 0.0 or not np.all(np.isfinite(norms)):
-            raise ZeroLocationError(
-                "phi vanishes on the sampling sphere; another zero within radius")
-        yield slab, [samples / norms[:, None]]
-
-
 def _check_sphere_inside(grid: Grid, center, radius: float) -> None:
     """Raise :class:`ZeroLocationError` when the sphere of ``radius`` around
-    ``center`` reaches past the first or last sites of an open axis.
-
-    The rule is checked before any sampling, so a field with an analytic
-    sampler, which could evaluate outside the box, gets the same verdict
-    as a lattice-only one, whose interpolant cannot.
-    """
+    ``center`` reaches past the first or last sites of an open axis: a
+    zero that close to a face is rejected, whatever its evaluator, by the
+    rule and message of the degree spheres the count replaced."""
     for axis in range(grid.rank):
         coords = grid.coords(axis)
         if not grid.periodic[axis] and (center[axis] - radius < coords[0]
@@ -461,39 +449,29 @@ def _check_sphere_inside(grid: Grid, center, radius: float) -> None:
 
 def local_degree(phi: PhiField, zero: ZeroPoint,
                  radius: float | None = None) -> ZeroPoint:
-    """Classify one zero: local degree d, Hopf index beta, Brouwer degree eta.
+    """Classify one zero of :func:`locate_zeros` by its degree d (the sum of
+    its simplices): Hopf index beta and Brouwer degree eta.
 
-    For regular zeros (|Jacobian| above 1e-8) eta is the Jacobian sign and
-    beta = |d|; at degenerate zeros the Jacobian-sign definition does not
-    apply, so eta falls back to sign(d) and the degeneracy flag is set.
-    A degree of zero marks a non-topological sign-change artifact; it is
-    returned (degree 0) and later excluded from the ledger with a warning.
+    A zero within ``radius`` (3 cell widths by default) of an open face
+    is rejected (:func:`_check_sphere_inside`).  For regular zeros
+    (|Jacobian| above 1e-8) eta is the Jacobian sign and beta = |d|; at
+    degenerate zeros the Jacobian-sign definition does not apply, so eta
+    falls back to sign(d) and the degeneracy flag is set.  A degree of
+    zero marks a non-topological sign-change artifact; it is returned
+    unclassified and later excluded from the ledger with a warning.
     """
-    grid = phi.grid
     if radius is None:
-        radius = 3.0 * max(grid.spacing)
-    _check_sphere_inside(grid, zero.position, radius)
-    degree, value, deviation = surface_degree(_values_evaluator(phi),
-                                              zero.position, radius)
+        radius = 3.0 * max(phi.grid.spacing)
+    _check_sphere_inside(phi.grid, zero.position, radius)
+    degree, degenerate = zero.degree, abs(zero.jacobian) <= DEGENERACY_TOL
     if degree == 0:
-        return replace(zero, degree=0, beta=None, eta=None,
-                       degenerate=abs(zero.jacobian) <= DEGENERACY_TOL,
-                       degree_deviation=deviation)
-    beta = abs(degree)
-    if abs(zero.jacobian) > DEGENERACY_TOL:
-        eta = int(np.sign(zero.jacobian))
-        degenerate = False
-        if eta * beta != degree:
-            warnings.warn(
-                f"Jacobian sign {eta} conflicts with surface degree {degree} "
-                f"at {zero.position}; treating the zero as degenerate")
-            eta = int(np.sign(degree))
-            degenerate = True
-    else:
-        eta = int(np.sign(degree))
-        degenerate = True
-    return replace(zero, degree=degree, beta=beta, eta=eta,
-                   degenerate=degenerate, degree_deviation=deviation)
+        return replace(zero, degenerate=degenerate)
+    eta = int(np.sign(degree if degenerate else zero.jacobian))
+    if eta * abs(degree) != degree:
+        warnings.warn(f"Jacobian sign {eta} conflicts with degree {degree} "
+                      f"at {zero.position}; treating the zero as degenerate")
+        eta, degenerate = int(np.sign(degree)), True
+    return replace(zero, beta=abs(degree), eta=eta, degenerate=degenerate)
 
 
 @dataclass(frozen=True)
@@ -521,10 +499,10 @@ def charge_ledger(zeros, boundary_c2: float, tolerance: float = 0.05) -> Ledger:
     """
     kept = []
     for zero in zeros:
-        if zero.degree is None:
+        if zero.degree and zero.beta is None:
             raise FieldError("ledger needs classified zeros (run local_degree)")
         if zero.degree == 0:
-            warnings.warn(f"zero at {zero.position} has surface degree 0; "
+            warnings.warn(f"zero at {zero.position} has degree 0; "
                           "excluded from the ledger")
             continue
         kept.append(zero)
@@ -547,14 +525,16 @@ class LedgerAnalysis:
 def analyze(phi: PhiField, ledger_tol: float = 0.05) -> LedgerAnalysis:
     """Locate zeros, classify them, and check the ledger against the boundary.
 
-    Each zero's degree sphere has a radius of three cell widths, shrunk to
-    0.45 of the smallest zero separation.  The ledger sum is compared with
+    A zero is rejected when it lies within three cell widths, shrunk to
+    0.45 of the smallest zero separation, of an open face (the radius of
+    the degree spheres the count replaced).  The ledger sum, the whole
+    simplex count of the box, is compared with
     :func:`~su2topo.chern_density.boundary_degree` of phi, which reads only
-    the 8 faces of the box: the two sides share no computed quantity but
-    the determinant kernel, so a missed or misclassified zero shows as a
-    discrepancy.  A grid whose faces
-    cannot be summed is rejected before the search.  The zeros are
-    classified one after another, in the search's order.
+    the 8 faces of the box: an exact count against an O(h^2) quadrature
+    that share no computed quantity but the determinant kernel, so a
+    miscounted simplex shows as a discrepancy.  A grid whose faces cannot
+    be summed is rejected before the search.  The zeros are classified one
+    after another, in the search's order.
     """
     check_flux_box(phi.grid)
     search = locate_zeros(phi)
@@ -563,10 +543,10 @@ def analyze(phi: PhiField, ledger_tol: float = 0.05) -> LedgerAnalysis:
     if len(positions) > 1:
         gap = min(np.linalg.norm(a - b) for i, a in enumerate(positions)
                   for b in positions[i + 1:])
-        radius = min(radius, 0.45 * gap)   # keep other zeros off the sphere
+        radius = min(radius, 0.45 * gap)
 
     # the faces first: a zero on a face site is reported as such, not as a
-    # degree sphere that leaves the box
+    # zero too close to the boundary
     flux = boundary_degree(phi)
     classified = [local_degree(phi, z, radius=radius) for z in search.zeros]
     ledger = charge_ledger(classified, flux, tolerance=ledger_tol)

@@ -107,6 +107,27 @@ def sigma_apply(c: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def parallel_components(current: np.ndarray) -> np.ndarray:
+    """A^a = -2 Im J^a of a component-major spinor current ``J``: shape
+    ``(planes, rank, 3, ...)``."""
+    return np.multiply(current[:, :, 1:].imag, -2.0)
+
+
+def _im_pair(dvalues: np.ndarray, j: int, k: int) -> np.ndarray:
+    """Im (d_j Psi^dag d_k Psi) of component-major jets ``(planes, rank,
+    2, ...)``, summed over the two spinor components."""
+    re, im = dvalues.real, dvalues.imag
+    return ((re[:, j, 0] * im[:, k, 0] - im[:, j, 0] * re[:, k, 0])
+            + (re[:, j, 1] * im[:, k, 1] - im[:, j, 1] * re[:, k, 1]))
+
+
+def _colour_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^a y^a of component-major color vectors ``(planes, 3, ...)``, summed
+    as (x^0 y^0 + x^2 y^2) + x^1 y^1: the order ``np.einsum('...a,...a->...')``
+    takes on color-last rows, so the trace density keeps its bits."""
+    return (x[:, 0] * y[:, 0] + x[:, 2] * y[:, 2]) + x[:, 1] * y[:, 1]
+
+
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
 

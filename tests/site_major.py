@@ -31,12 +31,14 @@ call and must equal bit for bit, zero signs included.
 The rank-4 forms take points ``(..., 4)`` with jets ``(..., rank, 4)``:
 the quaternion kernels of the box and chart generators, the box maps'
 values and jets, the zero screen's corner min/max mask on the whole grid,
-the site Jacobians (:func:`jacobian`) and :func:`normalize`'s quotient
-rule.
+the site Jacobians (:func:`jacobian`), :func:`normalize`'s quotient
+rule and, simplex by simplex over every cell, the zero screen's count of
+the preimages of y (:func:`simplex_count`).
 """
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -541,10 +543,11 @@ def linear_with_jet(matrix, shift, x):
 # the zero screen and the quotient rule, components last
 # --------------------------------------------------------------------------
 
-def cell_mask(lower, upper, grid):
-    """The sign-change mask of the rows of cells between the site planes
-    ``lower`` and ``upper`` by the closed corner min/max rule, min <= 0 <=
-    max, the min and max taken pairwise one axis at a time."""
+def cell_mask(lower, upper, grid, band=0.0):
+    """The mask of the rows of cells between the site planes ``lower`` and
+    ``upper`` that span the band [-band, band] by the closed corner min/max
+    rule, min <= band and max >= -band (min <= 0 <= max at band 0), the min
+    and max taken pairwise one axis at a time."""
     mins = np.minimum(lower, upper)
     maxs = np.maximum(lower, upper)
     for ax in range(1, grid.rank):
@@ -556,7 +559,7 @@ def cell_mask(lower, upper, grid):
             hi = (slice(None),) * ax + (slice(1, None),)
             mins = np.minimum(mins[lo], mins[hi])
             maxs = np.maximum(maxs[lo], maxs[hi])
-    return np.all((mins <= 0.0) & (maxs >= 0.0), axis=-1)
+    return np.all((mins <= band) & (maxs >= -band), axis=-1)
 
 
 def sign_change_cells(values, grid):
@@ -573,3 +576,32 @@ def quotient(samples, jet, norms):
     norm = norms[..., None]
     dnorm = np.einsum("...c,...mc->...m", np.conj(samples), jet).real / norm
     return jet / norm[..., None] - samples[..., None, :] * (dnorm / norm ** 2)[..., None]
+
+
+def simplex_count(values, grid, y):
+    """The simplices of the Kuhn triangulation of every cell of an open
+    grid on which the linear interpolant of the samples ``values`` takes
+    the value ``y``: a list of ``(sign, point)``, sgn pi times the sign of
+    the simplex's Jacobian and the preimage in grid coordinates, sorted.
+    Each simplex is solved on its own by ``np.linalg.solve`` and
+    ``np.linalg.det``, over every cell of the grid: the count the zero
+    screen takes on the cells it marks only, by Cramer's rule."""
+    cells = tuple(n - 1 for n in grid.shape)
+    found = []
+    for perm in itertools.permutations(range(4)):
+        steps = np.eye(4, dtype=int)[list(perm)]          # row k: e_pi(k)
+        vertices = np.vstack([np.zeros(4, int), np.cumsum(steps, axis=0)])
+        at = [values[tuple(slice(v[a], v[a] + cells[a]) for a in range(4))]
+              for v in vertices]
+        edges = np.stack([vertex - at[0] for vertex in at[1:]], axis=-1)
+        det = np.linalg.det(edges)
+        edges[det == 0.0] = np.eye(4)      # a flat simplex takes no value once
+        mu = np.linalg.solve(edges, (y - at[0])[..., None])[..., 0]
+        inside = (np.all(mu >= 0.0, axis=-1) & (mu.sum(axis=-1) <= 1.0)
+                  & (det != 0.0))
+        orient = round(np.linalg.det(steps)) * np.sign(det)
+        for cell in np.argwhere(inside):
+            index = cell + mu[tuple(cell)] @ vertices[1:]
+            point = np.asarray(grid.origin) + index * np.asarray(grid.spacing)
+            found.append((int(orient[tuple(cell)]), tuple(point)))
+    return sorted(found)

@@ -196,7 +196,7 @@ def test_criterion_09_ledger_theorem():
     gridq = st.box_grid((16, 16, 16, 16), -1.0, 1.0)
     q2 = st.quaternion_power_field(2, gridq)
     zero = st.local_degree(q2, st.locate_zeros(q2).zeros[0])
-    ok_d = zero.degree == 2 and zero.degree_deviation < 0.05
+    ok_d = zero.degree == 2 and zero.degenerate
 
     elapsed = time.perf_counter() - start
     report(9, "ledger theorem",
@@ -205,7 +205,7 @@ def test_criterion_09_ledger_theorem():
            f"(b) C2 = {analysis_b.ledger.boundary_c2:+.4f}; "
            f"(c) sum = {analysis_c.ledger.index_sum}, "
            f"root error {pos_err:.2e}, C2 = {analysis_c.ledger.boundary_c2:.4f}; "
-           f"(d) d = {zero.degree}, deviation {zero.degree_deviation:.3f}; "
+           f"(d) d = {zero.degree}, degenerate {zero.degenerate}; "
            f"runtime {elapsed:.0f}s (< 300s)")
 
 

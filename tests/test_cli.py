@@ -1019,6 +1019,49 @@ def test_flipping_one_eta_fails_the_ledger(capsys, monkeypatch):
     assert _ledger_check(out) == "FAIL"
 
 
+def test_flipping_one_simplex_fails_the_ledger(capsys, monkeypatch):
+    # the ledger's sum is the simplex count: one simplex counted with the
+    # wrong orientation moves it off the boundary flux
+    import su2topo.phi_mapping as phi_mapping
+    real = phi_mapping._simplex_count
+
+    def flip_first(*args):
+        points, signs = real(*args)
+        assert len(signs) == 2
+        return points, np.concatenate([-signs[:1], signs[1:]])
+
+    monkeypatch.setattr(phi_mapping, "_simplex_count", flip_first)
+    # the flipped zero's degree also conflicts with its Jacobian's sign
+    with pytest.warns(UserWarning, match="Jacobian sign 1 conflicts with degree -1"):
+        code, out, _ = run(capsys, "verify", "qpoly", "--no-color")
+    assert code == 1
+    assert "index_sum: 0" in out
+    assert _ledger_check(out) == "FAIL"
+
+
+def test_zeros_counts_the_triple_zero_of_a_qpower_file(tmp_path, capsys):
+    # Newton splits the degree -3 zero of q^-3 into three zeros; at 16^4
+    # each gets one of its three simplices, where the degree spheres gave
+    # the middle one degree 0 and the ledger -2.  The grids whose Newton
+    # zeros come closer than a cell still ask for a finer grid.
+    outs = {}
+    for n in (12, 16, 20):
+        path = str(tmp_path / f"q-3-{n}.fld")
+        assert run(capsys, "generate", "--kind", "qpower", "--power", "-3", "--chart",
+                   "box", "--grid", ",".join([str(n)] * 4), "--out", path)[0] == 0
+        outs[n] = run(capsys, "zeros", path, "--no-color")
+    code, out, _ = outs[16]
+    assert code == 0
+    assert "zero_count: 3" in out and "index_sum: -3" in out
+    assert "C2_boundary: -2.996276955434688" in out
+    assert out.count("degree: -1") == 3
+    assert _ledger_check(out) == "PASS"
+    for n in (12, 20):
+        code, out, err = outs[n]
+        assert code == 3 and out == ""
+        assert "refine the grid to separate them" in err
+
+
 def test_zeros_without_jets_passes_the_ledger(tmp_path, capsys):
     grid = st.box_grid((24, 24, 24, 24), -2.0, 2.0)
     roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])

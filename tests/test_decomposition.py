@@ -360,7 +360,7 @@ def test_folded_maxima_keep_a_nan():
 def test_max_b_keeps_a_nan_in_one_component(monkeypatch, colour):
     # max|b| joins max|b^3| and max|b^2 + i b^1| by np.maximum, so a NaN in
     # any one color of b survives (the builtin max(0.5, nan) is 0.5)
-    from su2topo import decomposition
+    from su2topo import decomposition, su2_algebra
     real = decomposition._axis_parts
 
     def planted(*args):
@@ -370,7 +370,7 @@ def test_max_b_keeps_a_nan_in_one_component(monkeypatch, colour):
 
     psi = st.identity_map_s3(8)
     slab, samples, dvalues, current = next(psi.slab_currents())
-    gauge = decomposition.parallel_components(current)
+    gauge = su2_algebra.parallel_components(current)
     norms = st.norm_squared(samples, slab.start)
     clean = decomposition.slab_maxima(samples, dvalues, current, norms, gauge)
     assert not np.isnan(clean).any()

@@ -308,11 +308,32 @@ def test_interpolation_reproduces_multilinear_data():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def reference_fractional_index(grid, points):
+    """The per-axis loop of ``_fractional_index`` before it took every axis
+    at once: lists of per-axis base indices and fractions."""
+    bases, fracs = [], []
+    off = 0.5 if grid.cell_centered else 0.0
+    for i in range(grid.rank):
+        t = (points[:, i] - grid.origin[i]) / grid.spacing[i] - off
+        n = grid.shape[i]
+        if grid.periodic[i]:
+            base = np.floor(t).astype(np.int64)
+            frac = t - base
+            base %= n
+        else:
+            t = np.clip(t, 0.0, n - 1.0)
+            base = np.minimum(np.floor(t).astype(np.int64), n - 2)
+            frac = t - base
+        bases.append(base)
+        fracs.append(frac)
+    return bases, fracs
+
+
 def reference_interpolate(values, grid, points):
     """The corner loop of ``interpolate`` as it was before the corners
     carried their per-axis factors: the weight built up axis by axis."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    bases, fracs = _fractional_index(grid, points)
+    bases, fracs = reference_fractional_index(grid, points)
     comp_shape = values.shape[grid.rank:]
     out = np.zeros((points.shape[0],) + comp_shape, dtype=values.dtype)
     for corner in range(1 << grid.rank):
@@ -332,7 +353,7 @@ def reference_interpolate(values, grid, points):
 def reference_interpolate_with_gradient(values, grid, points):
     """The separate corner loop ``interpolate_with_gradient`` had."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    bases, fracs = _fractional_index(grid, points)
+    bases, fracs = reference_fractional_index(grid, points)
     comp_shape = values.shape[grid.rank:]
     npts = points.shape[0]
     vals = np.zeros((npts,) + comp_shape, dtype=values.dtype)
@@ -390,6 +411,10 @@ def test_interpolation_equals_the_reference_corner_loops(shape, data, cell_cente
     points[:, list(periodic)] += rng.uniform(-2.0, 2.0, (40, sum(periodic))) * span[list(periodic)]
     points[0] = lo                                     # a site and a far corner
     points[1] = lo + span
+    bases, fracs = _fractional_index(grid, points)
+    ref_bases, ref_fracs = reference_fractional_index(grid, points)
+    assert bases.T.tobytes() == np.array(ref_bases).tobytes()
+    assert fracs.T.tobytes() == np.array(ref_fracs).tobytes()
     got = interpolate(values, grid, points)
     assert got.tobytes() == reference_interpolate(values, grid, points).tobytes()
     vals, grads = interpolate_with_gradient(values, grid, points)
@@ -494,11 +519,11 @@ def test_windowed_stacks_equal_the_whole_grid_stack(order, periodic, planes, mon
 
 
 def test_the_sweeps_copy_no_held_plane(monkeypatch):
-    # at one plane a slab, every array the stencils of the knot-charge, the
-    # Chern and the degree-sphere sweeps read is a slab's own array as
-    # their first pass made it, or a plane of one: no held plane is copied
+    # at one plane a slab, every array the stencils of the knot-charge and
+    # the Chern sweeps read is a slab's own array as their first pass made
+    # it, or a plane of one: no held plane is copied
     import su2topo as st
-    from su2topo import chern_density, chern_simons, phi_mapping
+    from su2topo import chern_density, chern_simons
     monkeypatch.setattr(lattice, "SLAB_SITES", 1)
     made, read = [], []
 
@@ -513,15 +538,14 @@ def test_the_sweeps_copy_no_held_plane(monkeypatch):
         read.append([values, *held.values()])
         return derivative_stack(values, grid, order, slab, held, **kwargs)
 
-    for module in (chern_simons, chern_density, phi_mapping):
+    for module in (chern_simons, chern_density):
         monkeypatch.setattr(module, "stencil_windows", tapped)
         monkeypatch.setattr(module, "derivative_stack", recorded)
     chern_simons.chern_simons(st.identity_map_s3(12))
     chern_density.chern_numbers(st.random_config(5, "spinor", st.box_grid((5, 4, 4, 4),
                                                                            -1.0, 1.0)),
                                 ("trace",))
-    phi_mapping.surface_degree(lambda points: points, np.zeros(4), 0.5)
-    assert len(read) == 12 * 2 + 5 + phi_mapping.SPHERE_RESOLUTION[0]
+    assert len(read) == 12 * 2 + 5
     for values, *planes in read:
         assert any(values is array for array in made)
         assert planes and all(any(np.shares_memory(plane, array) for array in made)

@@ -9,9 +9,9 @@ from su2topo import ZeroLocationError
 from su2topo.fldio import read_field, write_field
 from su2topo.lattice import interpolate
 from su2topo import lattice, phi_mapping
-from su2topo.phi_mapping import _cell_mask, _screen, _zero_jacobian, surface_degree
+from su2topo.phi_mapping import _cell_mask, _screen, _window, _zero_jacobian
 import site_major as oracle
-from site_major import cell_mask, qpoly_with_jet, quadrature, sign_change_cells
+from site_major import cell_mask, qpoly_with_jet, sign_change_cells, simplex_count
 
 
 def box(n=16, half=1.0):
@@ -111,7 +111,6 @@ def test_local_degree_quaternion_square_degenerate():
     assert (zero.degree, zero.beta, zero.eta) == (2, 2, 1)
     assert zero.degenerate
     assert abs(zero.jacobian) <= 1e-8
-    assert zero.degree_deviation < 0.05
 
 
 def test_local_degree_radius_independent():
@@ -125,16 +124,16 @@ def test_local_degree_radius_independent():
 
 
 def test_degree_additivity_over_enclosing_sphere():
+    # the zeros' degrees add up to the degree of phi on the enclosing
+    # 3-sphere that is the box's boundary, which the boundary flux measures
+    # from the faces alone
     grid = st.box_grid((20, 20, 20, 20), -2.0, 2.0)
     roots = np.array([[-0.7, 0.1, -0.05, 0.08], [0.7, -0.1, 0.06, -0.07]])
     phi = st.quaternion_polynomial_field(roots, grid)
     search = st.locate_zeros(phi)
     zeros = [st.local_degree(phi, z) for z in search.zeros]
-    total = sum(z.degree for z in zeros)
-    big_degree, _, dev = surface_degree(lambda p: phi.sampler(p)[0],
-                                        np.zeros(4), 1.6)
-    assert big_degree == total
-    assert dev < 0.1
+    assert [z.degree for z in zeros] == [1, 1]
+    assert sum(z.degree for z in zeros) == round(st.boundary_degree(phi)) == 2
 
 
 def test_orientation_flip_property():
@@ -148,7 +147,7 @@ def test_orientation_flip_property():
     flipped_values = whole.values @ flip
     flipped_jet = whole.jet @ flip
 
-    def sampler(points, jet=True):
+    def sampler(points):
         values, jacobians = phi.sampler(points)
         return values @ flip, jacobians @ flip
 
@@ -215,7 +214,7 @@ def test_ledger_quaternion_square_degenerate_charge():
 def test_ledger_excludes_degree_zero_with_warning():
     grid = box(17)
 
-    def sampler(points, jet=True):
+    def sampler(points):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = points.copy()
         out[:, 3] = points[:, 3] ** 2   # fold: no sign change, degree 0
@@ -321,13 +320,13 @@ def test_sign_screen_finds_a_change_across_the_periodic_wrap():
        zero_planes=hst.lists(hst.tuples(hst.integers(0, 3), hst.integers(1, 3),
                                         hst.integers(0, 5), hst.sampled_from([0.0, -0.0]),
                                         hst.booleans()), max_size=6),
-       seed=hst.integers(0, 2**32 - 1))
+       seed=hst.integers(0, 2**32 - 1), band=hst.sampled_from([0.0, 0.7]))
 def test_boolean_cell_mask_equals_the_corner_min_max_rule(rows, plane, periodic, zero_planes,
-                                                          seed):
+                                                          seed, band):
     # component-major planes whose cells span 0 in few to most components:
-    # the boolean mask (some corner <= 0 and some corner >= 0) equals the
-    # site-major corner min/max rule, with zeros of both signs and exact
-    # zeros on whole planes of corners, on open and periodic axes
+    # the boolean mask (some corner <= band and some corner >= -band)
+    # equals the site-major corner min/max rule, with zeros of both signs
+    # and exact zeros on whole planes of corners, on open and periodic axes
     grid = st.Grid((4,) + plane, (0.0,) * 4, (0.25,) * 4, (False,) + periodic)
     rng = np.random.default_rng(seed)
     shape = (rows, 4) + plane
@@ -338,8 +337,9 @@ def test_boolean_cell_mask_equals_the_corner_min_max_rule(rows, plane, periodic,
         lower[take] = zero
         if both:
             upper[take] = zero
-    mask = _cell_mask(lower, upper, grid)
-    expected = cell_mask(lattice.site_major(lower, 4), lattice.site_major(upper, 4), grid)
+    mask = _cell_mask(lower, upper, grid, band)
+    expected = cell_mask(lattice.site_major(lower, 4), lattice.site_major(upper, 4), grid,
+                         band)
     assert mask.dtype == bool and mask.shape == expected.shape
     assert np.array_equal(mask, expected)
     norms = np.linalg.norm(lattice.site_major(lower, 4), axis=-1)
@@ -369,101 +369,12 @@ def test_slab_screen_lists_the_whole_grid_candidates(shape, periodic0, plane_bud
     with pytest.MonkeyPatch.context() as mp:
         if plane_budget:
             mp.setattr(lattice, "SLAB_SITES", 1)
-        cells, sites = _screen(st.PhiField(grid, values))
+        cells, sites, _, _ = _screen(st.PhiField(grid, values))
     mask = sign_change_cells(values, grid)
     assert np.array_equal(mask, _corner_screen_reference(values, grid))
     assert np.array_equal(cells, np.argwhere(mask))
     norms = np.linalg.norm(values, axis=-1)
     assert np.array_equal(sites, np.argwhere(norms < 1e-9 * max(1.0, norms.max())))
-
-
-def _whole_stack_degree(evaluate, center, radius):
-    """:func:`surface_degree` as it was before the per-slab determinants:
-    one whole-sphere matrix stack per attempt."""
-    from su2topo.generators import s3_chart_grid, s3_points
-    from su2topo.lattice import derivative_stack
-    resolution = phi_mapping.SPHERE_RESOLUTION
-    for attempt in range(phi_mapping.SPHERE_REFINEMENTS + 1):
-        agrid = s3_chart_grid(resolution)
-        pts = center + radius * s3_points(agrid).reshape(-1, 4)
-        samples = np.asarray(evaluate(pts)).reshape(agrid.shape + (4,))
-        n = samples / np.linalg.norm(samples, axis=-1)[..., None]
-        mats = np.concatenate([n[..., None, :], derivative_stack(n, agrid)], axis=-2)
-        value = quadrature(np.linalg.det(mats), agrid) / (2.0 * np.pi**2)
-        degree = int(np.rint(value))
-        if abs(value - degree) <= 0.1 or attempt == phi_mapping.SPHERE_REFINEMENTS:
-            return degree, value, abs(value - degree)
-        resolution = tuple(2 * r for r in resolution)
-
-
-@pytest.mark.parametrize("plane_budget", [False, True])
-@pytest.mark.parametrize("stretch", [np.diag([1.0, 1.0, 1.0, 8.0]),
-                                     np.diag([1.0, -1.0, 12.0, 1.0])])
-def test_refined_surface_degree_equals_the_whole_stack(monkeypatch, stretch,
-                                                       plane_budget):
-    # a coarse first sphere makes the stretched map refine twice; each
-    # attempt samples phi one chi-slab at a time, every site once, and the
-    # streamed determinants give the whole-stack degree, value and
-    # deviation bit for bit
-    monkeypatch.setattr(phi_mapping, "SPHERE_RESOLUTION", (8, 8, 16))
-    if plane_budget:
-        monkeypatch.setattr(lattice, "SLAB_SITES", 1)
-    phi = st.linear_phi_field(stretch, np.zeros(4), box(9))
-    calls = []
-
-    def evaluate(points):
-        calls.append(len(points))
-        return phi.sampler(points)[0]
-
-    got = surface_degree(evaluate, np.zeros(4), 0.5)
-    assert calls == [(part.stop - part.start) * res[1] * res[2]
-                     for res in ((8, 8, 16), (16, 16, 32), (32, 32, 64))
-                     for part in lattice.slabs(st.s3_chart_grid(res))]
-    assert sum(calls) == 8 * 8 * 16 + 16 * 16 * 32 + 32 * 32 * 64
-    assert len(calls) == (8 + 16 + 32 if plane_budget else 1 + 1 + 4)
-    expected = _whole_stack_degree(evaluate, np.zeros(4), 0.5)
-    assert got[0] == expected[0] == int(np.sign(np.linalg.det(stretch)))
-    assert got[1:] == expected[1:]
-    assert got[2] <= 0.1
-
-
-@pytest.mark.parametrize("planes", [1, 2, 5])
-def test_streamed_sphere_equals_the_whole_stack(planes, monkeypatch):
-    # each attempt's sphere is sampled and differenced one chi-slab of
-    # ``planes`` planes at a time; the degree, value and deviation are the
-    # whole-stack ones bit for bit, on a field whose first sphere settles
-    # and on one that refines twice
-    monkeypatch.setattr(phi_mapping, "SPHERE_RESOLUTION", (8, 10, 16))
-    monkeypatch.setattr(lattice, "SLAB_SITES", planes * 10 * 16)
-    for stretch in (np.diag([1.0, -1.0, 1.0, 1.0]), np.diag([1.0, 1.0, 1.0, 8.0])):
-        phi = st.linear_phi_field(stretch, np.zeros(4), box(9))
-
-        def evaluate(points):
-            return phi.sampler(points, jet=False)[0]
-
-        got = surface_degree(evaluate, np.full(4, 0.01), 0.5)
-        assert got == _whole_stack_degree(evaluate, np.full(4, 0.01), 0.5)
-
-
-def test_refined_sphere_peaks_at_a_multiple_of_one_slab(monkeypatch):
-    # two refinements: the last attempt samples 65536 points, one chi-slab
-    # (8 planes, 16384 points) at a time.  Traced peak over one slab of
-    # n = phi/|phi|: 14.1 with the determinants summed as they are swept,
-    # 14.8 with the sphere's determinants kept, 35.1 with the whole
-    # sphere's n and its three chart derivatives held at once.
-    monkeypatch.setattr(phi_mapping, "SPHERE_RESOLUTION", (8, 8, 16))
-    phi = st.linear_phi_field(np.diag([1.0, 1.0, 1.0, 8.0]), np.zeros(4), box(9))
-    slab_bytes = next(lattice.slabs(st.s3_chart_grid((32, 32, 64)))).stop * 32 * 64 * 4 * 8
-    calls = []
-
-    def evaluate(points):
-        calls.append(len(points))
-        return phi.sampler(points, jet=False)[0]
-
-    peak, (degree, _, _) = peak_traced_bytes(
-        lambda: surface_degree(evaluate, np.zeros(4), 0.5))
-    assert degree == 1 and sum(calls) == 8 * 8 * 16 + 16 * 16 * 32 + 32 * 32 * 64
-    assert peak < 15 * slab_bytes
 
 
 @pytest.mark.parametrize("planes", [1, 2, 5])
@@ -479,13 +390,16 @@ def test_screen_of_served_values_equals_the_whole_grid_screen(planes, monkeypatc
         site = g.points()[6, 4, 5, 5]
         phi = st.quaternion_polynomial_field([site, [0.6, -0.55, 0.6, 0.5]], g)
         values = oracle.stored(phi).values
-        cells, sites = _screen(phi)
+        cells, sites, points, signs = _screen(phi)
         assert np.array_equal(cells, np.argwhere(sign_change_cells(values, g)))
         norms = np.linalg.norm(values, axis=-1)
         assert np.array_equal(sites, np.argwhere(norms < 1e-9 * max(1.0, norms.max())))
         assert [6, 4, 5, 5] in sites.tolist() and len(cells)
         stored = _screen(st.PhiField(g, values))
         assert np.array_equal(stored[0], cells) and np.array_equal(stored[1], sites)
+        # the counted simplices too, bit for bit
+        assert stored[2].tobytes() == points.tobytes() and len(points)
+        assert np.array_equal(stored[3], signs)
 
 
 def test_analyze_on_a_box_holds_no_whole_values():
@@ -650,7 +564,7 @@ def test_zero_jacobian_on_periodic_and_boundary_cells():
 
 
 def test_interpolants_read_the_bounding_block_of_their_points(tmp_path):
-    # Newton and the degree spheres of a lattice-only field read the block
+    # Newton and the zero Jacobian of a lattice-only field read the block
     # that bounds their points, wrapped on periodic axes, from the file;
     # the values and gradients equal whole-grid interpolation bit for bit,
     # for clusters of points across the wrap and for points spread over
@@ -666,13 +580,21 @@ def test_interpolants_read_the_bounding_block_of_their_points(tmp_path):
     hi = np.array([grid.coords(i)[-1] for i in range(4)])
     reads = []
     real = back.block_values
+
+    def values_evaluator(field):
+        def evaluate(points):
+            take = lattice.interpolation_window(field.grid, points)
+            return st.interpolate(_window(field.values_at, take), field.grid, points,
+                                  [int(t[0]) for t in take])
+        return evaluate
+
     object.__setattr__(back, "block_values",
                        lambda block: reads.append(block) or real(block))
     for center, radius in [(rng.uniform(lo, hi), 0.6) for _ in range(20)] + [
             (hi, 0.3), ((lo + hi) / 2, 10.0)]:
         points = center + radius * rng.uniform(-1.0, 1.0, (50, 4))
         points[:, [0, 2]] = np.clip(points[:, [0, 2]], lo[[0, 2]], hi[[0, 2]])
-        for interpolator, evaluator in ((st.interpolate, phi_mapping._values_evaluator),
+        for interpolator, evaluator in ((st.interpolate, values_evaluator),
                                         (lattice.interpolate_with_gradient,
                                          phi_mapping._evaluator)):
             reads.clear()
@@ -713,8 +635,7 @@ def test_zeros_of_a_jet_file_equal_those_of_the_stored_jet(tmp_path):
     assert len(got.ledger.zeros) == 2
     assert got.ledger.boundary_c2 == expected.ledger.boundary_c2
     for a, b in zip(got.ledger.zeros, expected.ledger.zeros):
-        assert (a.position, a.jacobian, a.degree, a.degree_deviation) == \
-            (b.position, b.jacobian, b.degree, b.degree_deviation)
+        assert (a.position, a.jacobian, a.degree) == (b.position, b.jacobian, b.degree)
     assert got == expected
 
 
@@ -737,8 +658,8 @@ def test_zeros_on_a_jet_file_peaks_below_the_values_and_one_plane(tmp_path):
     # the jet (4x the values) and the values stay in the file.  Every jet
     # reader on the zeros path (read, zero search, boundary flux) peaks
     # within a few jet planes, below the values (5 jet planes) and one
-    # plane, and the whole analysis, whose degree spheres read values
-    # only, within one plane of a values-only copy of the file
+    # plane, and the whole analysis within one plane of a values-only copy
+    # of the file
     grid = st.box_grid((20, 20, 20, 20), -2.0, 2.0)
     roots = np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]])
     phi = st.quaternion_polynomial_field(roots, grid)
@@ -766,34 +687,94 @@ def test_zeros_on_a_jet_file_peaks_below_the_values_and_one_plane(tmp_path):
     assert jet_peak < bare_peak + plane
 
 
-@pytest.mark.parametrize("build, jet_fn", [
-    (lambda: st.quaternion_polynomial_field(
-        np.array([[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]]),
-        box(16, 2.0)), "_qpoly_with_jet"),
-    (lambda: st.quaternion_power_field(2, box(16)), "_qpower_with_jet"),
-    (lambda: st.quaternion_power_field(-1, box(16)), "_qpower_with_jet"),
-], ids=["qpoly", "qpower2", "qpower-1"])
-def test_degree_spheres_sample_values_only(build, jet_fn, monkeypatch):
-    # asked for values only, the box sampler runs the values function that
-    # filled the lattice and no product-rule jet; the degrees and their
-    # deviations equal those of the jet-computing sampler bit for bit
-    from su2topo import generators
-    phi = build()
-    computes_jets = st.PhiField(phi.grid, oracle.stored(phi).values,
-                                sampler=lambda points, jet=True: phi.sampler(points))
-    zeros = st.locate_zeros(phi).zeros
-    assert zeros
-    expected = [st.local_degree(computes_jets, zero) for zero in zeros]
-    pts = np.random.default_rng(2).uniform(-0.9, 0.9, size=(500, 4))
-    values = phi.sampler(pts)[0]
+# --------------------------------------------------------------------------
+# the simplex count
+# --------------------------------------------------------------------------
 
-    def no_jets(*args):
-        raise AssertionError("a jet was computed for values-only sampling")
+def _counted_fields():
+    grid = st.box_grid((10,) * 4, -2.0, 2.0)
+    matrix = np.array([[1.0, 0.2, 0.0, 0.1], [0.0, -1.0, 0.3, 0.0],
+                       [0.1, 0.0, 1.0, 0.2], [0.0, 0.4, 0.0, 1.0]])
+    return {
+        "qpoly": st.quaternion_polynomial_field(
+            [[-1.0, 0.11, -0.07, 0.13], [1.0, -0.12, 0.08, -0.1]], grid),
+        "qpower-3": st.quaternion_power_field(-3, grid),
+        "qpower2": st.quaternion_power_field(2, grid),
+        "linear": st.linear_phi_field(matrix, [0.05, -0.03, 0.02, 0.01], grid),
+        # a zero on a site: three components vanish on whole planes
+        "linear on a site": st.linear_phi_field(np.eye(4), grid.points()[4, 5, 5, 5], grid),
+    }
 
-    monkeypatch.setattr(generators, jet_fn, no_jets)
-    got, none = phi.sampler(pts, jet=False)
-    assert none is None and np.array_equal(got, values)
-    for zero, reference in zip(zeros, expected):
-        degree = st.local_degree(phi, zero)
-        assert degree.degree == reference.degree != 0
-        assert degree.degree_deviation == reference.degree_deviation
+
+@pytest.mark.parametrize("name", ["qpoly", "qpower-3", "qpower2", "linear",
+                                  "linear on a site"])
+def test_the_count_equals_a_simplex_by_simplex_solve(name, monkeypatch):
+    # the screen counts the simplices of the cells whose corners span y;
+    # a solve of every simplex of every cell finds the same ones, with the
+    # same signs and preimages, at any slab size
+    phi = _counted_fields()[name]
+    values = oracle.stored(phi).values
+    y = 1e-9 * np.linalg.norm(values[0], axis=-1).max() * phi_mapping.Y_DIRECTION
+    expected = simplex_count(values, phi.grid, y)
+    for planes in (1, 3):
+        monkeypatch.setattr(lattice, "SLAB_SITES", planes * 10**3)
+        _, _, points, signs = _screen(phi)
+        got = sorted(zip(signs.tolist(), map(tuple, points)))
+        assert [sign for sign, _ in got] == [sign for sign, _ in expected]
+        assert np.allclose([p for _, p in got], [p for _, p in expected],
+                           rtol=0.0, atol=1e-12)
+    total = {"qpoly": 2, "qpower-3": -3, "qpower2": 2, "linear": -1,
+             "linear on a site": 1}[name]
+    assert sum(sign for sign, _ in expected) == total
+
+
+def test_a_zero_gets_the_simplices_nearest_to_it():
+    # the three simplices of the triple zero of q^-3 are counted once each,
+    # at the Newton zero nearest to each; a zero with no simplex has degree 0
+    grid = st.box_grid((16,) * 4, -2.0, 2.0)
+    bare = st.PhiField(grid, oracle.stored(st.quaternion_power_field(-3, grid)).values)
+    search = st.locate_zeros(bare)
+    _, _, points, signs = _screen(bare)
+    assert signs.tolist() == [-1, -1, -1]
+    assert [z.degree for z in search.zeros] == [-1, -1, -1]
+    positions = np.array([z.position for z in search.zeros])
+    nearest = np.argmin(np.linalg.norm(points[:, None] - positions[None], axis=2), axis=1)
+    assert sorted(nearest.tolist()) == [0, 1, 2]
+    assert phi_mapping._assign(points, signs, [positions[0]], grid).tolist() == [-3]
+    assert phi_mapping._assign(points[:0], signs[:0], list(positions), grid).tolist() == \
+        [0, 0, 0]
+
+
+@pytest.mark.parametrize("power", [1, -1, 2, -2])
+@pytest.mark.parametrize("n", [12, 16])
+def test_sampler_jet_file_and_bare_copy_count_alike(tmp_path, n, power):
+    # box q^n through its sampler, its jet file and a values-only copy:
+    # the same index sum and a PASS on each.  For q^+-1 the zeros, their
+    # degrees, beta and eta agree too; Newton on the interpolant splits the
+    # degree-2 zero of q^+-2 into two zeros, which share its two simplices
+    phi = st.quaternion_power_field(power, st.box_grid((n,) * 4, -2.0, 2.0))
+    path = str(tmp_path / "q.fld")
+    write_field(phi, path)
+    routes = [phi, read_field(path), st.PhiField(phi.grid, oracle.stored(phi).values)]
+    ledgers = [st.analyze(field).ledger for field in routes]
+    for ledger in ledgers:
+        assert ledger.index_sum == power and ledger.passed
+        assert sum(z.degree for z in ledger.zeros) == power
+    zeros = [[(z.degree, z.beta, z.eta) for z in ledger.zeros] for ledger in ledgers]
+    if abs(power) == 1:
+        assert zeros[0] == zeros[1] == zeros[2] == [(power, 1, power)]
+    else:
+        assert zeros[0] == [(power, 2, power // 2)]
+        assert zeros[1] == zeros[2] == [(power // 2, 1, power // 2)] * 2
+
+
+def test_sampler_jet_file_and_bare_copy_count_a_qpoly_alike(tmp_path):
+    roots = [[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]]
+    phi = st.quaternion_polynomial_field(roots, st.box_grid((16,) * 4, -2.0, 2.0))
+    path = str(tmp_path / "q.fld")
+    write_field(phi, path)
+    routes = [phi, read_field(path), st.PhiField(phi.grid, oracle.stored(phi).values)]
+    zeros = [[(z.cell_index, z.degree, z.beta, z.eta) for z in st.analyze(f).ledger.zeros]
+             for f in routes]
+    assert zeros[0] == zeros[1] == zeros[2]
+    assert [z[1:] for z in zeros[0]] == [(1, 1, 1)] * 2
