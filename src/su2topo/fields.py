@@ -44,6 +44,7 @@ d Psi once, on entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,12 +236,16 @@ def _check_nonvanishing(psi: SpinorField, start: int) -> float:
     for slab in slabs(psi.grid):
         if slab.start >= start:
             squares = norm_squared(np.moveaxis(psi.values_at(slab), -1, 1), slab.start)
-            worst = max(worst, _max_abs(squares - 1.0))
-            norms = np.sqrt(squares)
-            index = np.unravel_index(int(np.argmin(norms)), norms.shape)
-            if norms[index] < least:
-                least = float(norms[index])
-                site = (slab.start + int(index[0]),) + tuple(map(int, index[1:]))
+            # x - 1 and sqrt x are monotone: max|x - 1| and min sqrt x are
+            # exactly those of the extremes
+            low, high = float(np.min(squares)), float(np.max(squares))
+            worst = max(worst, high - 1.0, -(low - 1.0))
+            if math.sqrt(low) < least:
+                least = math.sqrt(low)
+                if least < EPS_ZERO:    # the first site of the least norm
+                    norms = np.sqrt(squares)
+                    index = np.unravel_index(int(np.argmin(norms)), norms.shape)
+                    site = (slab.start + int(index[0]),) + tuple(map(int, index[1:]))
     if least < EPS_ZERO:
         raise NormalizationError(
             f"spinor norm {least:.3e} < {EPS_ZERO:.1e} at site {site}", site=site)
@@ -337,7 +342,8 @@ def phi_to_spinor(phi: PhiField) -> SpinorField:
 def sigma_model_field(samples: np.ndarray) -> np.ndarray:
     """m_a = Psi^dag sigma_a Psi of a slab's component-major spinor
     ``samples`` ``(planes, 2, ...)`` (:func:`~su2topo.lattice.component_major`),
-    shape ``(planes, 3, ...)``.
+    a contiguous real array ``(planes, 3, ...)``, which the curvature
+    kernels read three times.
 
     |m| = |Psi|^2, so m is the unit vector of a normalized spinor, which
     the caller checks.  The imaginary residue of the bilinear is a
@@ -347,7 +353,7 @@ def sigma_model_field(samples: np.ndarray) -> np.ndarray:
     residue = _max_abs(m.imag)
     if residue > IMAG_TOL:
         raise FieldError(f"m field imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")
-    return m.real
+    return np.ascontiguousarray(m.real)
 
 
 def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:

@@ -19,15 +19,18 @@ Layout (all little-endian):
     trailer     8 bytes: CRC-32 (zlib) of all preceding bytes, as a u64
 
 CRC-32 detects every single-bit error and every error burst of up to 32
-bits.  Writes stream the header, the values' own buffer and the jet one
-axis-0 slab at a time into a temp file that is then renamed, so a failed
-write never leaves a partial file behind, no serialized copy of the
-payload is built and a served jet is never whole.  Reads validate magic,
+bits.  Writes stream the header, then the values and the jet a block of
+at most ``lattice.SLAB_SITES`` sites at a time
+(:func:`~su2topo.lattice.budget_blocks`), into a temp file that is then
+renamed, so a failed write never leaves a partial file behind, no
+serialized copy of the payload is built and values or a jet that a
+field serves are held one block at a time.  Reads validate magic,
 header sanity and byte count as distinct error types, then checksum every
 byte before the field is built.  The values and a jet, of any kind, are
-checksummed, and checked finite, one axis-0 plane at a time through one
-reused buffer and stay in the file: the field's ``block_values`` and
-``block_jet`` read the planes a block covers when something asks for
+checksummed, and checked finite, in chunks of at most ``SLAB_SITES``
+sites, and of one plane, through one reused buffer and stay in the
+file: the field's ``block_values`` and ``block_jet`` read the
+planes a block covers when something asks for
 them (the zero search reads the screen's slabs, the box faces a face
 slab at a time, the bounding block of each Newton step's points and a
 4^4 window per zero; the charge sweep and
@@ -50,7 +53,8 @@ import numpy as np
 from .errors import (BadMagicError, ChecksumError, CountMismatchError, FieldError,
                      FieldFormatError, FileChangedError, HeaderError, LatticeError)
 from .fields import GaugeField, PhiField, SpinorField
-from .lattice import Grid, slabs
+from . import lattice
+from .lattice import Grid, budget_blocks
 
 MAGIC = b"FLD2"
 RETIRED_MAGIC = b"FLD1"
@@ -72,18 +76,21 @@ def write_field(field, path: str) -> None:
     """Serialize a field to an FLD2 file atomically.
 
     The jets written are the field's exact jet: the stored one, or the
-    one its ``block_jet`` serves (a generator's or a file's).  The values
-    and then the jet are read and written one axis-0 slab at a time
-    (:func:`slabs`), the CRC chained over the parts, so values or a jet
-    that a field computes per block never exist whole.
+    one its ``block_jet`` serves (a generator's or a file's); a field has
+    one if it has either.  The values and then the jet are read and
+    written in file order, one block of
+    :func:`~su2topo.lattice.budget_blocks` at a time (whole axis-0 slabs,
+    or runs of axis-1 rows where one plane exceeds ``SLAB_SITES``), the
+    CRC chained over the parts, so values or a jet that a field computes
+    per block are held one block at a time, never a whole plane of more
+    than ``SLAB_SITES`` sites.
     """
     kind = getattr(field, "FLD_KIND", None)
     if kind is None:
         raise FieldFormatError(f"cannot serialize {type(field).__name__}")
     grid = field.grid
-    jets = (field.exact_jet(slab) for slab in slabs(grid))
-    first = next(jets)
-    flags = ((FLAG_JETS if first is not None else 0)
+    has_jet = field.jet is not None or field.block_jet is not None
+    flags = ((FLAG_JETS if has_jet else 0)
              | (FLAG_CELL_CENTERED if grid.cell_centered else 0)
              | (FLAG_REVERSED if grid.orientation == -1 else 0))
 
@@ -91,14 +98,27 @@ def write_field(field, path: str) -> None:
     for i in range(grid.rank):
         header.append(struct.pack("<IddB", grid.shape[i], grid.origin[i],
                                   grid.spacing[i], 1 if grid.periodic[i] else 0))
+    # The blocks are taken one at a time as the loop below writes.
     # Contiguous arrays already in the file layout are written without a
-    # copy; the slabs are taken one at a time as the loop below writes.
+    # copy; any other is copied into one reused buffer, since fresh memory
+    # for each block costs a page fault a page.
     dtype = _file_dtype(type(field))
-    arrays = itertools.chain((field.values_at(slab) for slab in slabs(grid)),
-                             [] if first is None else itertools.chain([first], jets))
-    parts = itertools.chain([b"".join(header)],
-                            (memoryview(np.ascontiguousarray(array, dtype=dtype))
-                             for array in arrays))
+    arrays = itertools.chain((field.values_at(block) for block in budget_blocks(grid)),
+                             (field.exact_jet(block) for block in budget_blocks(grid))
+                             if has_jet else ())
+    buffer = np.empty(0, dtype)
+
+    def serialized(array):
+        nonlocal buffer
+        if array.flags.c_contiguous and array.dtype == dtype:
+            return memoryview(array)
+        if buffer.size < array.size:
+            buffer = np.empty(array.size, dtype)
+        part = buffer[:array.size].reshape(array.shape)
+        np.copyto(part, array)
+        return memoryview(part)
+
+    parts = itertools.chain([b"".join(header)], map(serialized, arrays))
 
     import tempfile                     # only a write needs it
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -125,9 +145,10 @@ def read_field(path: str):
     The header is read and checked first; the file size (``os.fstat``) is
     checked against the layout before any payload buffer is allocated, so
     a corrupt header cannot ask for a huge one.  The CRC is checked over
-    every byte before the field is returned.  The values and a jet are
-    checksummed and checked finite one axis-0 plane at a time through one
-    buffer of a plane (a non-finite entry raises
+    every byte before the field is returned.  The values and then a jet
+    are checksummed and checked finite, each section on its own, in
+    chunks of the sites of one plane or of ``lattice.SLAB_SITES`` sites,
+    the fewer, through one buffer (a non-finite entry raises
     :class:`~su2topo.errors.FieldError`, naming the values or the jet,
     once the checksum holds), and no payload is kept: the field of any
     kind is built with ``values=None`` and reads its values, and its jet,
@@ -192,22 +213,24 @@ def read_field(path: str):
         except LatticeError as exc:
             raise HeaderError(f"{path}: {exc}") from exc
 
-        # the values and a jet are checksummed, and checked finite, plane
-        # by plane through one buffer, and left in the file
-        plane = nvals // shape[0]
-        buffer = np.empty(plane * (rank if has_jet else 1), dtype="<f8")
-        parts = [("values", buffer[:plane])] * shape[0]
-        if has_jet:
-            parts += [("jet", buffer)] * shape[0]
+        # the values and a jet are checksummed, and checked finite, in
+        # chunks of the sites of a plane or of the site budget, the fewer,
+        # through one buffer, and left in the file
+        sites = min(math.prod(shape[1:]), lattice.SLAB_SITES)
+        per_site = nvals // math.prod(shape)            # floats of values a site
+        buffer = np.empty(sites * per_site * (rank if has_jet else 1), dtype="<f8")
         actual = zlib.crc32(axes, zlib.crc32(head))
         non_finite = set()
-        for name, part in parts:
-            view = memoryview(part).cast("B")
-            if handle.readinto(view) != len(view):
-                raise CountMismatchError(f"{path}: file changed size while being read")
-            actual = zlib.crc32(view, actual)
-            if not np.all(np.isfinite(part)):
-                non_finite.add(name)
+        for name, count, chunk in (("values", nvals, sites * per_site),
+                                   ("jet", nvals * rank if has_jet else 0, buffer.size)):
+            for start in range(0, count, chunk):
+                part = buffer[:min(chunk, count - start)]
+                view = memoryview(part).cast("B")
+                if handle.readinto(view) != len(view):
+                    raise CountMismatchError(f"{path}: file changed size while being read")
+                actual = zlib.crc32(view, actual)
+                if not np.all(np.isfinite(part)):
+                    non_finite.add(name)
         trailer = handle.read()
         if len(trailer) != 8:
             raise CountMismatchError(f"{path}: file changed size while being read")
@@ -242,12 +265,13 @@ class _FileBlocks:
     indexing a stored array gives it.  It is read as runs of whole sites: a
     run fixes the block's indices on the axes before some axis and spans
     that axis from the block's first index to its last, with every later
-    axis whole.  The axis is chosen
-    for the fewest bytes read, a read counting as ``READ_BYTES``: axis-0
-    slabs are one read, a face of axis 1 one row per plane, a face of the
-    last axis whole planes.  Runs go through one small buffer per call, or
-    straight into the result where a run is exactly its part of the block;
-    no file mapping is used, since mapped pages count in the resident set.
+    axis whole.  The axis is chosen for the fewest bytes read, a read
+    counting as ``READ_BYTES``: axis-0 slabs are one read, a face of axis
+    1 one row per plane, a face of the last axis a run of rows per row of
+    axis 1.  Runs go straight into the result where a run is exactly its
+    part of the block, else through one buffer per call of at most
+    ``lattice.SLAB_SITES`` sites, or of one run of the last axis; no file
+    mapping is used, since mapped pages count in the resident set.
     Each call first checks (``os.fstat``) that the file has the device,
     inode, size and modification time it had when it was verified, and
     raises :class:`FileChangedError` if not: a changed file is an input
@@ -290,23 +314,36 @@ class _FileBlocks:
             reads = math.prod(out.shape[:axis])
             return reads * (self.READ_BYTES + spans[axis] * sites_after[axis] * site)
 
-        # runs along axis 0 are read only straight into the result, so a
-        # buffer never holds more than one plane
-        axis = min((axis for axis in range(len(shape))
-                    if axis or run_shape(0) == out.shape), key=cost)
+        def buffered(axis):     # sites of the buffer of runs along ``axis``
+            return 0 if run_shape(axis) == out.shape[axis:] else (
+                spans[axis] * sites_after[axis])
+
+        def allowed(axis):
+            # runs along axis 0 go straight into the result only, and a
+            # buffer holds at most SLAB_SITES sites, or one run of the last axis
+            sites = buffered(axis)
+            return not sites or axis > 0 and (sites <= lattice.SLAB_SITES
+                                              or axis == len(shape) - 1)
+
+        axis = min(filter(allowed, range(len(shape))), key=cost)
         run = ranges[axis]
-        buffer = (None if run_shape(axis) == out.shape[axis:]
-                  else np.empty(run_shape(axis), self.dtype))
-        inner = (slice(None, None, run.step),) + parts[axis + 1:]
+        # the first site of each run, in the C order of the result's axes
+        # before ``axis``
+        firsts = run.start * sites_after[axis]
+        for r, n in zip(ranges[:axis], sites_after):
+            firsts = np.add.outer(firsts, np.arange(r.start, r.stop, r.step) * n)
+        buffer = np.empty(run_shape(axis), self.dtype) if buffered(axis) else None
+        part = None if buffer is None else buffer[
+            (slice(None, None, run.step),) + parts[axis + 1:]]
         with self._open() as handle:
-            for k in np.ndindex(*out.shape[:axis]):
-                first = sum(r[i] * n for r, i, n in zip(ranges, k, sites_after))
-                handle.seek(self.offset + (first + run.start * sites_after[axis]) * site)
-                target = out[k] if buffer is None else buffer
-                if handle.readinto(memoryview(target).cast("B")) != target.nbytes:
+            for target, first in zip(out.reshape((-1,) + out.shape[axis:]),
+                                     np.ravel(firsts).tolist()):
+                into = target if buffer is None else buffer
+                handle.seek(self.offset + first * site)
+                if handle.readinto(memoryview(into).cast("B")) != into.nbytes:
                     raise FileChangedError(f"{self.path}: file shrank after it was verified")
-                if buffer is not None:
-                    out[k] = buffer[inner]
+                if part is not None:
+                    target[...] = part
         return out
 
     def _open(self):

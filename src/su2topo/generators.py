@@ -20,7 +20,9 @@ slab.
 Fields on the rank-3 chart store nothing either: the sin and cos of the
 chart coordinates are taken once, and the values and the exact jet of a
 block are the chart formula on that block, computed when the block is
-read and equal to the whole chart's bit for bit.  The random fields store
+read and equal to the whole chart's bit for bit.  The identity chart
+computes its spinor and jet in the kernels' component-major complex
+layout, so the sweep takes them without a copy.  The random fields store
 their values and jets.  Every generator hands its fresh
 arrays to the field read-only, so the field adopts them without a copy.
 
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError
-from .fields import GaugeField, PhiField, SpinorField, phi_to_spinor
+from .fields import GaugeField, PhiField, SpinorField
 from .lattice import Grid, read_only, site_major
 
 
@@ -329,12 +331,13 @@ def _chart_jet(trig: tuple, block) -> np.ndarray:
 # generators
 # --------------------------------------------------------------------------
 
-def _box_axes(grid: Grid, block) -> tuple:
+def _box_axes(coords: list, block) -> tuple:
     """The four components of q = x on ``block`` (an axis-0 slice or a
-    tuple of per-axis slices): each axis's coordinates on the block,
-    shaped to broadcast, with length on that axis only."""
+    tuple of per-axis slices), from the grid's per-axis ``coords``: each
+    axis's coordinates on the block, shaped to broadcast, with length on
+    that axis only."""
     parts = (block if isinstance(block, tuple) else (block,)) + (slice(None),) * 4
-    return tuple(grid.coords(axis)[parts[axis]].reshape((1,) * axis + (-1,) + (1,) * (3 - axis))
+    return tuple(coords[axis][parts[axis]].reshape((1,) * axis + (-1,) + (1,) * (3 - axis))
                  for axis in range(4))
 
 
@@ -349,8 +352,7 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
     as they are served) and the jet (``block_jet``) of a block are the
     kernels on its :func:`_box_axes`, computed when the block is read and
     not kept, and written component-major, so the site-major block served
-    is a view (:func:`~su2topo.lattice.site_major`); a whole-grid read is
-    filled one axis-0 slab at a time (:func:`~su2topo.lattice.slabs`).
+    is a view (:func:`~su2topo.lattice.site_major`).
     The sampler only evaluates points (Newton steps): it runs ``value_fn``
     and ``jet_fn`` on the components of its points, ``points.T``, and
     returns ``(n, 4)`` values and ``(n, 4, 4)`` jets, so its values equal
@@ -370,30 +372,71 @@ def _box_field(grid: Grid, value_fn, jet_fn) -> PhiField:
         n, q = points.shape[:1], points.T
         return run(n, value_fn, q, (4,)), run(n, jet_fn, q, (4, 4))
 
+    coords = [grid.coords(axis) for axis in range(4)]
+
     def served(kernel, comps):
         def block_array(block):
-            q = _box_axes(grid, block)
-            return site_major(run(_shape(q), kernel, q, comps), 4)
+            q = _box_axes(coords, block)
+            return site_major(run(tuple(map(np.size, q)), kernel, q, comps), 4)
         return block_array
 
     return PhiField(grid, None, sampler=evaluate, block_values=served(value_fn, (4,)),
                     block_jet=served(jet_fn, (4, 4)))
 
 
+def _chart_spinor(trig: tuple, block) -> np.ndarray:
+    """The chart points of :func:`s3_points` on ``block`` as spinors,
+    Psi = (n0 + i n1, n2 + i n3), in the component-major complex layout
+    ``(planes, 2, ...)`` (:func:`~su2topo.lattice.component_major`); each
+    part is the product of :func:`s3_points`, in its operand order."""
+    sc, cc, st, ct, sp, cp = _block_trig(trig, block)
+    shape = np.broadcast_shapes(sc.shape, st.shape, sp.shape)
+    psi = np.empty(shape[:1] + (2,) + shape[1:], dtype=np.complex128)
+    psi[:, 0].real = cc
+    psi[:, 0].imag = sc * ct
+    psi[:, 1].real = sc * st * cp
+    psi[:, 1].imag = sc * st * sp
+    return psi
+
+
+def _chart_spinor_jet(trig: tuple, block) -> np.ndarray:
+    """The jet of :func:`_chart_spinor` on ``block``, component-major
+    ``(planes, 3, 2, ...)``: the chart jet of :func:`_chart_jet` as
+    spinors, each entry its product in its operand order and the entries
+    it leaves zero +0.0."""
+    sc, cc, st, ct, sp, cp = _block_trig(trig, block)
+    shape = np.broadcast_shapes(sc.shape, st.shape, sp.shape)
+    dpsi = np.empty(shape[:1] + (3, 2) + shape[1:], dtype=np.complex128)
+    dpsi[:, 0, 0].real = -sc
+    dpsi[:, 0, 0].imag = cc * ct
+    dpsi[:, 0, 1].real = cc * st * cp
+    dpsi[:, 0, 1].imag = cc * st * sp
+    dpsi[:, 1, 0].real = 0.0
+    dpsi[:, 1, 0].imag = -sc * st
+    dpsi[:, 1, 1].real = sc * ct * cp
+    dpsi[:, 1, 1].imag = sc * ct * sp
+    dpsi[:, 2, 0] = 0.0
+    dpsi[:, 2, 1].real = -sc * st * sp
+    dpsi[:, 2, 1].imag = sc * st * cp
+    return dpsi
+
+
 def identity_map_s3(resolution=32) -> SpinorField:
     """The canonical unit-norm spinor of the 3-sphere chart (degree +1).
 
     Nothing is stored: the samples of a block are the chart points
-    :func:`s3_points` of that block (``block_values``, checked finite as
-    they are served), and its exact jet is the chart formula of
-    :func:`s3_unit_vectors` there.
+    :func:`s3_points` of that block as spinors (``block_values``, checked
+    finite as they are served), and its exact jet is the chart formula of
+    :func:`s3_unit_vectors` there.  Both are computed component-major
+    (:func:`_chart_spinor`, :func:`_chart_spinor_jet`) and served as
+    site-major views (:func:`~su2topo.lattice.site_major`), so the
+    kernels take them component-major again without a copy.
     """
     grid = s3_chart_grid(resolution)
     trig = _chart_trig(grid)
-    phi = PhiField(grid, None,
-                   block_values=lambda block: s3_points(grid, block, trig),
-                   block_jet=lambda block: _chart_jet(trig, block))
-    return phi_to_spinor(phi)
+    return SpinorField(grid, None,
+                       block_values=lambda block: site_major(_chart_spinor(trig, block), 3),
+                       block_jet=lambda block: site_major(_chart_spinor_jet(trig, block), 3))
 
 
 def quaternion_power_field(n: int, grid: Grid) -> PhiField:

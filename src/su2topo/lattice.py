@@ -6,20 +6,23 @@ on the boundary layers of open axes.  Quadrature is the midpoint rule on
 periodic and cell-centered axes and the trapezoidal rule on vertex-centered
 open axes; both are O(h^2) on smooth integrands.
 
-Pointwise work runs one axis-0 slab at a time (:func:`slabs`): a route
-reads each slab of its inputs, with ``derivative_stack(..., slab=...)``
-reading the ``order // 2`` neighbouring planes the stencils need, hands
-the slab's arrays to kernels that read no field, and folds or sums what
-they return (:class:`Quadrature`).  A route that differentiates what its
-own sweep computes runs those stencils a slab behind
-(:func:`stencil_windows`), on each slab's own arrays and the planes of
-other slabs next to it, held where they were made: no plane is copied,
-and that input is never held for the whole grid.  A field that computes
-its samples from the coordinates (:meth:`Grid.coords`) of a block, or
-from another field's samples, serves them a block at a time
-(:meth:`LatticeField.values_at`) without storing them, and is never read
-whole.  Every value is computed by
-the same operations as on the whole grid, so slabbing changes no bit.
+Pointwise work holds at most ``SLAB_SITES`` sites at a time.  Stencils
+and plane sums need whole planes, so they run one axis-0 slab at a time
+(:func:`slabs`), of one plane at least; a pass that needs no whole plane,
+as the FLD writer, takes runs of rows of a plane that exceeds the budget
+(:func:`budget_blocks`).  A route reads each slab of its inputs, with
+``derivative_stack(..., slab=...)`` reading the ``order // 2``
+neighbouring planes the stencils need, hands the slab's arrays to
+kernels that read no field, and folds or sums what they return
+(:class:`Quadrature`).  A route that differentiates what its own sweep
+computes runs those stencils a slab behind (:func:`stencil_windows`), on
+each slab's own arrays and the planes of other slabs next to it, held
+where they were made: no plane is copied, and that input is never held
+for the whole grid.  A field that computes its samples from the
+coordinates (:meth:`Grid.coords`) of a block, or from another field's
+samples, serves them a block at a time (:meth:`LatticeField.values_at`)
+without storing them, and is never read whole.  Every value is computed
+by the same operations as on the whole grid, so blocking changes no bit.
 
 Fields store their samples site-major, ``(*shape, *components)``.  The
 per-slab kernels of the rank-3 sweep take them component-major
@@ -51,8 +54,10 @@ from .errors import FieldError, LatticeError
 OPEN = "open"
 PERIODIC = "periodic"
 
-#: Sites per axis-0 slab in slab-wise evaluation; a slab holds one plane at least.
-SLAB_SITES = 1 << 14
+#: The sites that one block of a pointwise pass holds: an axis-0 slab of
+#: :func:`slabs`, whose stencils and quadrature still take one plane at
+#: least, or a run of axis-1 rows of one plane (:func:`budget_blocks`).
+SLAB_SITES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -300,12 +305,29 @@ def _immutable(array: np.ndarray) -> bool:
 def slabs(grid: Grid):
     """Yield the axis-0 slabs of ``grid`` in order, as slices.
 
-    Each slab holds at most ``SLAB_SITES`` sites, and one plane at least.
+    Each slab holds at most ``SLAB_SITES`` sites, or one plane where a
+    plane holds more: a stencil or a plane sum needs whole planes.
     """
-    plane = int(np.prod(grid.shape[1:]))
+    plane = math.prod(grid.shape[1:])
     step = max(1, SLAB_SITES // plane)
     for start in range(0, grid.shape[0], step):
         yield slice(start, min(start + step, grid.shape[0]))
+
+
+def budget_blocks(grid: Grid):
+    """Yield blocks that cover ``grid`` in C order, for a pass that needs
+    no whole plane: the :func:`slabs` where a plane fits ``SLAB_SITES``,
+    else runs of at most that many sites of axis-1 rows of one plane, as
+    tuples of slices, and one row at least."""
+    n0, n1 = grid.shape[:2]
+    row = math.prod(grid.shape[2:])
+    if n1 * row <= SLAB_SITES:
+        yield from slabs(grid)
+        return
+    step = max(1, SLAB_SITES // row)
+    for plane in range(n0):
+        for start in range(0, n1, step):
+            yield slice(plane, plane + 1), slice(start, min(start + step, n1))
 
 
 def component_major(block: np.ndarray, rank: int) -> np.ndarray:
@@ -546,22 +568,25 @@ class Quadrature:
     def __init__(self, grid: Grid):
         self.grid = grid
         self._axes = grid._axis_weights()
+        # the weights of a plane, (w0 w1) w2 ... in axis order, built once
+        # for each distinct axis-0 weight
+        self._planes = {w: reduce(np.multiply.outer, self._axes[1:], np.float64(w))
+                        for w in set(self._axes[0].tolist())}
         self._sums = [None] * grid.shape[0]     # each plane's sum, once fed
 
     def add(self, slab: slice, values: np.ndarray) -> None:
         """Feed the samples ``values`` on the planes ``slab`` of axis 0;
         :class:`LatticeError` if one of them was fed before."""
         lo, hi, _ = slab.indices(self.grid.shape[0])
-        weights = reduce(np.multiply.outer, self._axes[1:], self._axes[0][lo:hi])
         values = np.asarray(values)
-        if values.shape != weights.shape:
+        if values.shape != (hi - lo,) + self.grid.shape[1:]:
             raise LatticeError("value array does not match grid shape")
         if any(s is not None for s in self._sums[lo:hi]):
             raise LatticeError(f"quadrature fed a plane of {lo}..{hi - 1} twice")
         with np.errstate(over="ignore", invalid="ignore"):
-            weighted = values * weights
-            self._sums[lo:hi] = [float(np.add.reduce(plane.reshape(-1)))
-                                 for plane in weighted]
+            self._sums[lo:hi] = [
+                float(np.add.reduce((plane * self._planes[weight]).reshape(-1)))
+                for plane, weight in zip(values, self._axes[0][lo:hi].tolist())]
 
     def total(self) -> float:
         """The quadrature of the samples fed.  Raises :class:`LatticeError`

@@ -94,16 +94,14 @@ def _sweep_charts():
 
 def _slab_sizes(monkeypatch, make):
     """Yield ``make()`` with the whole grid as one slab and with slabs of
-    1, 2 and 5 planes (the last one shorter)."""
+    1, 2 and 5 planes (the last one shorter), each by its own budget."""
     from su2topo import lattice
     for planes in (None, 1, 2, 5):
         psi = make()
+        planes = planes or psi.grid.shape[0]
         with monkeypatch.context() as mp:
-            if planes is not None:
-                mp.setattr(lattice, "SLAB_SITES",
-                           planes * psi.grid.shape[1] * psi.grid.shape[2])
-            assert len(list(lattice.slabs(psi.grid))) == (
-                1 if planes is None else -(-psi.grid.shape[0] // planes))
+            mp.setattr(lattice, "SLAB_SITES", planes * psi.grid.shape[1] * psi.grid.shape[2])
+            assert len(list(lattice.slabs(psi.grid))) == -(-psi.grid.shape[0] // planes)
             yield psi
 
 
@@ -475,15 +473,15 @@ def test_a_nan_in_one_slab_of_the_jet_never_passes(monkeypatch, capsys):
     # which would let the residual check pass.)
     from su2topo import generators
     from su2topo.cli import main
-    real = generators._chart_jet
+    real = generators._chart_spinor_jet
 
     def poisoned(trig, block):
-        dn = real(trig, block)
+        dpsi = real(trig, block)        # component-major (planes, 3, 2, ...)
         if block == slice(0, 1):        # the first plane (one plane a slab)
-            dn[0, 3, 1, 2] = np.nan
-        return dn
+            dpsi[0, 2, :, 3, 1] = complex(np.nan, np.nan)
+        return dpsi
 
-    monkeypatch.setattr(generators, "_chart_jet", poisoned)
+    monkeypatch.setattr(generators, "_chart_spinor_jet", poisoned)
     from su2topo import lattice
     monkeypatch.setattr(lattice, "SLAB_SITES", 16 * 16)
     with pytest.raises(st.ReconstructionError, match="not a potential for H"):

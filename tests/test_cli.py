@@ -428,7 +428,7 @@ def test_decompose_on_different_grids_names_both_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("plane", ["first", "last"])
 def test_corrupt_jet_plane_exits_3(tmp_path, capsys, plane):
-    # a file's jet is checksummed one plane at a time and left in the
+    # a file's jet is checksummed a chunk at a time and left in the
     # file; a flipped bit in its first or its last plane still exits 3, in
     # a phi, a spinor and a gauge file
     grid = st.box_grid((12,) * 4, -2.0, 2.0)
@@ -502,7 +502,7 @@ def test_values_of_a_file_changed_after_its_read_exit_3(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_non_finite_values_exit_3_naming_the_values(tmp_path, capsys, entry):
-    # the reader checks each values plane as it checksums it: a CRC-valid
+    # the reader checks each chunk of values as it checksums it: a CRC-valid
     # file with a non-finite value in its first, a middle or its last
     # plane is one input error on every command, which names the values
     for plane in (0, 7, 11):
@@ -945,9 +945,10 @@ def test_box_files_keep_their_bytes(kind, tmp_path, capsys):
 ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x))
 def test_one_plane_slabs_keep_the_report_bytes(argv, plane, tmp_path, capsys, monkeypatch):
     # the benchmark's 96^3 sweep runs one plane a slab, where each stencil
-    # reads its neighbour planes from the held planes of other slabs; the
-    # pinned digests run several planes a slab, so each run here must give
-    # the bytes of its default-slab run
+    # reads its neighbour planes from the held planes of other slabs; a
+    # budget of three planes a slab (an uneven last slab) reads most of
+    # them from the slab's own planes, and each one-plane run here must
+    # give its bytes
     from su2topo import lattice
     if "spinor-16" in argv:
         path = str(tmp_path / "spinor.fld")
@@ -955,10 +956,49 @@ def test_one_plane_slabs_keep_the_report_bytes(argv, plane, tmp_path, capsys, mo
                    "--seed", "3", "--out", path)[0] == 0
         argv = [path if arg == "spinor-16" else arg for arg in argv]
     argv = [*argv, "--no-color"]
-    default = run(capsys, *argv)
-    assert plane < lattice.SLAB_SITES
+    monkeypatch.setattr(lattice, "SLAB_SITES", 3 * plane)
+    several = run(capsys, *argv)
     monkeypatch.setattr(lattice, "SLAB_SITES", plane)
-    assert run(capsys, *argv) == default
+    assert run(capsys, *argv) == several
+
+
+def test_site_budgets_keep_the_file_and_zeros_bytes(tmp_path, capsys, monkeypatch):
+    # the writer takes blocks of at most SLAB_SITES sites: rows of one plane
+    # under a budget of one site, runs of 5 rows (5, 5, 2) under a budget
+    # that divides no plane, and slabs of two planes under the default; the
+    # checksum read, the zero screen and the face slabs follow the same
+    # budget.  The file keeps its pinned bytes, and zeros its report.
+    from su2topo import lattice
+    argv = ("qpoly", "--grid", "12,12,12,12")
+    path = str(tmp_path / "phi.fld")
+    reports = set()
+    for budget in (1, 5 * 12**2 + 7, lattice.SLAB_SITES):
+        monkeypatch.setattr(lattice, "SLAB_SITES", budget)
+        assert run(capsys, "generate", "--kind", *argv, "--out", path)[0] == 0
+        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert digest == _BOX_FILE_DIGESTS[argv], budget
+        code, out, _ = run(capsys, "zeros", path, "--no-color")
+        assert code == 0 and "index_sum: 2" in out
+        reports.add(out)
+    assert len(reports) == 1
+
+
+def test_generate_and_zeros_peak_below_the_budgets_at_24(tmp_path, capsys):
+    # a 24^4 write holds one block of 4032 sites of values or jet at a
+    # time, never a 13824-site plane, and zeros reads the faces a slab of
+    # 7 planes at a time through buffers of at most SLAB_SITES sites.
+    # Traced peaks, 10^6 B: write 7.12 with whole-plane slabs and the
+    # first jet slab held, 1.22 with blocks of at most 2^12 sites; zeros
+    # 6.05 with whole faces and plane buffers, 2.13 with the budget
+    path = str(tmp_path / "phi.fld")
+    grid = st.box_grid((24,) * 4, -2.0, 2.0)
+    phi = st.quaternion_polynomial_field(
+        [[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]], grid)
+    peak, _ = peak_traced_bytes(lambda: write_field(phi, path))
+    assert peak <= 3e6
+    peak, (code, out, _) = peak_traced_bytes(lambda: run(capsys, "zeros", path, "--no-color"))
+    assert code == 0 and "index_sum: 2" in out
+    assert peak <= 2.5e6
 
 
 @pytest.mark.parametrize("periodic, cell_centered", [((False, True, False, False), False),

@@ -39,6 +39,17 @@ def test_normalized_is_read_from_the_samples():
     assert st.normalize(scaled) is not scaled
 
 
+def test_normalize_reads_the_norms_below_one_too():
+    # the check reads each slab's smallest and largest |Psi|^2 only: norms
+    # that all fall short of 1 by more than NORM_TOL are not unit, and by
+    # less they are
+    grid = small_grid()
+    short = constant_spinor(grid, (1.0 - 1e-6, 0.0))        # |Psi|^2 - 1 = -2e-6
+    assert st.normalize(short) is not short
+    near = constant_spinor(grid, (1.0 - 1e-11, 0.0))        # -2e-11
+    assert st.normalize(near) is near
+
+
 def test_normalize_scales_components():
     grid = small_grid()
     psi = constant_spinor(grid, (3.0 + 4.0j, 0.0))

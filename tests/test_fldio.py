@@ -330,8 +330,8 @@ def _patch(path, offset, data, fix_crc=True):
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_non_finite_jet_entry_is_an_error_once_the_checksum_holds(tmp_path, entry):
-    # the reader checks each jet plane as it checksums it; a corrupted
-    # file is still a checksum error first
+    # the reader checks each chunk of the jet as it checksums it; a
+    # corrupted file is still a checksum error first
     grid = st.box_grid((6, 5, 4, 5), -1.0, 1.0)
     phi = st.linear_phi_field(np.eye(4), [0.1, 0.0, 0.0, 0.0], grid)
     path = str(tmp_path / "phi.fld")
@@ -344,6 +344,33 @@ def test_non_finite_jet_entry_is_an_error_once_the_checksum_holds(tmp_path, entr
     _patch(path, site, struct.pack("<d", entry))
     with pytest.raises(st.FieldError, match="phi jet contains non-finite samples"):
         read_field(path)
+
+
+def test_a_nan_next_to_a_buffer_boundary_names_the_jet(tmp_path, capsys, monkeypatch):
+    # the checksum read takes the values and then the jet in chunks of
+    # min(plane, SLAB_SITES) sites: 1000 sites, a budget that divides no
+    # plane here, so 4000 floats of values and 16000 of the jet.  A
+    # CRC-valid file with a NaN in the first float of the jet (right after
+    # the values' last, shorter chunk), or in the last float before or
+    # the first after a chunk boundary inside the jet, exits 3 naming the
+    # jet
+    from su2topo import lattice
+    from su2topo.cli import main
+    monkeypatch.setattr(lattice, "SLAB_SITES", 1000)
+    grid = st.box_grid((12,) * 4, -2.0, 2.0)
+    phi = st.quaternion_polynomial_field(
+        [[-0.8, 0.11, -0.07, 0.13], [0.8, -0.12, 0.08, -0.1]], grid)
+    jet_at = 8 + 4 * 21 + 8 * 4 * 12**4
+    chunk = 8 * 16 * 1000
+    path = str(tmp_path / "phi.fld")
+    for at in (jet_at, jet_at + 5 * chunk - 8, jet_at + 5 * chunk):
+        write_field(phi, path)
+        _patch(path, at, struct.pack("<d", np.nan))
+        with pytest.raises(st.FieldError, match="phi jet contains non-finite samples"):
+            read_field(path)
+        assert main(["zeros", path, "--no-color"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"su2topo: error: {path}: phi jet contains non-finite samples\n"
 
 
 @pytest.mark.parametrize("field_at, value", [
@@ -416,9 +443,12 @@ class _CountedReads(io.FileIO):
 
 def test_file_jet_reads_runs_of_the_block(tmp_path, monkeypatch):
     # a block is read in runs of whole sites along the axis that reads the
-    # fewest bytes, a read counting as READ_BYTES: one read of a face of
+    # fewest bytes, a read counting as READ_BYTES, with a buffer of at most
+    # SLAB_SITES sites: under a budget of a plane, one read of a face of
     # axis 0, one row per plane for axis 1, a row's run of sites per row
-    # for axis 2, and whole planes for the last axis
+    # for axis 2, and whole planes for the last axis; under the default
+    # budget, the last axis's face in runs of rows of axes 2 and 3
+    from su2topo import lattice
     rng = np.random.default_rng(4)
     shape = (6, 24, 24, 24)
     grid = st.Grid(shape, (0.0,) * 4, (0.1,) * 4, (False,) * 4)
@@ -432,11 +462,14 @@ def test_file_jet_reads_runs_of_the_block(tmp_path, monkeypatch):
     site = 4 * 4 * 8
     plans = {0: [24**3 * site], 1: [24**2 * site] * 6, 2: [24 * site] * (6 * 24),
              3: [24**3 * site] * 6}
-    for axis, reads in plans.items():
-        face = (slice(None),) * axis + (slice(shape[axis] - 1, shape[axis]),)
-        _CountedReads.reads.clear()
-        assert np.array_equal(back.exact_jet(face), phi.jet[face])
-        assert _CountedReads.reads == reads, axis
+    default = lattice.SLAB_SITES
+    for budget, last in ((24**3, plans[3]), (default, [24**2 * site] * (6 * 24))):
+        monkeypatch.setattr(lattice, "SLAB_SITES", budget)
+        for axis, reads in {**plans, 3: last}.items():
+            face = (slice(None),) * axis + (slice(shape[axis] - 1, shape[axis]),)
+            _CountedReads.reads.clear()
+            assert np.array_equal(back.exact_jet(face), phi.jet[face])
+            assert _CountedReads.reads == reads, (budget, axis)
     # with reads free, only the block's own sites are read; with reads
     # dear, one run per plane from the block's first row to its last, and
     # a slab of whole planes in one read straight into the result

@@ -581,6 +581,16 @@ def _assert_jets_equal(field, reference, blocks):
         assert _bit_equal(field.exact_jet(block), reference[block]), block
 
 
+def test_the_identity_chart_is_served_component_major():
+    # the identity chart computes each block's Psi and d Psi in the
+    # kernels' component-major complex layout and serves site-major views
+    # of them, so the sweep takes them component-major without a copy
+    psi = st.identity_map_s3((9, 10, 12))
+    for block in _blocks(psi.grid):
+        for got in (psi.values_at(block), psi.exact_jet(block)):
+            assert np.shares_memory(component_major(got, 3), got), block
+
+
 @pytest.mark.parametrize("shape", [(9, 10, 12), (24, 24, 24)], ids=str)
 def test_chart_jets_equal_the_whole_chart_formula(shape, monkeypatch):
     # five planes a slab leave an uneven last slab on both charts

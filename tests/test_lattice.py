@@ -202,6 +202,22 @@ def test_streamed_quadrature_equals_the_whole_grid_sum(shape, periodic, cell_cen
         _fed(grid, values, [slice(None), planes[-1]])
 
 
+def test_quadrature_weights_keep_their_product_order():
+    # each plane's weights are built once per distinct axis-0 weight, in
+    # the order (w0 w1) w2 of the whole-grid outer product; with these
+    # spacings w0 (w1 w2) rounds otherwise at every site, and its total
+    # differs
+    grid = Grid((5, 4, 6), (0.0,) * 3, (0.1, 0.2, 0.3), (False,) * 3)
+    values = np.ones(grid.shape)
+    expected = oracle.plane_quadrature(values, grid)
+    w0, w1, w2 = grid._axis_weights()
+    assert math.fsum(float(np.add.reduce(np.multiply.outer(w, np.multiply.outer(w1, w2))
+                                         .reshape(-1))) for w in w0) != expected
+    planes = [slice(i, i + 1) for i in range(5)]
+    for parts in (planes, planes[::-1], [slice(0, 2), slice(2, 5)], [slice(None)]):
+        assert _fed(grid, values, parts) == expected, parts
+
+
 def test_quadrature_sums_the_plane_sums_exactly():
     # plane sums 1e16, 1 and -1e16: summed in turn they give 0, since
     # 1e16 + 1 rounds to 1e16; the exact sum is 1 in every feed order
