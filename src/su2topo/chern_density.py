@@ -14,16 +14,19 @@ field: the whole charge concentrates at those zeros, where the unit
 spinor is singular.
 
 :func:`chern_numbers` integrates the routes it is asked for in one sweep
-over the axis-0 slabs (``LatticeField.slab_samples``), as the rank-3
-knot-charge sweep does, and feeds each slab's density of each route to
-that route's :class:`~su2topo.lattice.Quadrature`; no density is kept.
-Each route's kernel takes one slab's component-major arrays.  The spinor
+over the axis-0 slabs, as the rank-3 knot-charge sweep does: its
+pointwise kernels run on blocks of at most ``SLAB_SITES`` sites
+(``LatticeField.block_samples``), write each block's density of each
+route and its A into arrays of the slab's planes, and each slab's
+density of each route is fed to that route's
+:class:`~su2topo.lattice.Quadrature`; no density is kept.
+Each route's kernel takes one block's component-major arrays.  The spinor
 kernel reads d Psi only through Im t_mn, t_mn = sum_c d_m Psi_c^* d_n
 Psi_c, since t_mn - t_nm = 2i Im t_mn, so its density is real by
 construction.  The unit kernel takes the determinant (:func:`_det4`) of
 the four rows d_m n, the real and imaginary parts of d_m Psi.  Only the
 trace route computes the spinor current J: its kernel reads the parallel
-potential A^a = -2 Im J^a of each slab and its finite differences, taken
+potential A^a = -2 Im J^a of each block and its finite differences, taken
 a slab behind on the slab's own A and the held planes next to it
 (:func:`~su2topo.lattice.stencil_windows`), so neither A nor dA is held
 for the whole grid and no plane is copied.  F reads d_m A_n for m != n
@@ -46,8 +49,8 @@ from .conventions import ORIENTATION_SIGN, PAIRS4
 from .errors import FieldError, NormalizationError
 from .fields import (EPS_ZERO, PhiField, SpinorField, _check_nonvanishing, _norms,
                      _slab_current, face_restrict, normalize, phi_to_spinor)
-from .lattice import (Grid, Quadrature, component_major, derivative_stack, slabs,
-                      stencil_windows)
+from .lattice import (Grid, Quadrature, block_rows, component_major, derivative_stack,
+                      slabs, stencil_windows)
 from .su2_algebra import _colour_dot, _im_pair, parallel_components
 
 #: The Chern-density routes, in the order reports list them.
@@ -79,19 +82,30 @@ def chern_numbers(psi: SpinorField, routes) -> dict[str, float]:
     sums = {route: Quadrature(grid) for route in routes}
 
     def first_pass():
-        for slab in slabs(grid):
-            samples, dvalues = (component_major(block, 4) for block in psi.slab_samples(slab))
+        for block, samples, dvalues in psi.block_samples():
+            slab, rows = block_rows(grid, block)
+            at = (Ellipsis, rows, slice(None), slice(None))     # the block's rows
+            if not rows.start:
+                shape = (len(range(*slab.indices(grid.shape[0]))),) + grid.shape[1:]
+                densities = {route: np.empty(shape) for route in sums if route != "trace"}
+                gauge = np.empty(shape[:1] + (4, 3) + shape[1:]) if "trace" in sums else None
+            samples, dvalues = component_major(samples, 4), component_major(dvalues, 4)
             for route, kernel in (("spinor", _spinor_values), ("unit", _unit_values)):
-                if route in sums:
-                    sums[route].add(slab, sign * kernel(dvalues))
-            if "trace" in sums:
-                gauge = parallel_components(_slab_current(slab, samples, dvalues)[3])
-                del samples, dvalues         # not held through the trace pass
-                yield slab, [gauge]
+                if route in densities:
+                    densities[route][at] = sign * kernel(dvalues)
+            if gauge is not None:
+                parallel_components(_slab_current(block, samples, dvalues)[3], gauge[at])
+            del samples, dvalues             # not held through the trace pass
+            if rows.stop == grid.shape[1]:
+                for route, density in densities.items():
+                    sums[route].add(slab, density)
+                if gauge is not None:
+                    yield slab, [gauge]
 
     for slab, (gauge,), (held,) in stencil_windows(grid, order, first_pass()):
         sums["trace"].add(slab, sign * _trace_values(gauge, derivative_stack(
             gauge, grid, order, slab, held, components_first=True, diagonal=False)))
+        del gauge, held     # the next slab's first pass holds no plane of this one
     return {route: quadrature.total() for route, quadrature in sums.items()}
 
 

@@ -23,16 +23,20 @@ route the parallel potential A^a = -2 Im J^a, and the Abelian route
 d m^a = 2 Re J^a and C = -2 Im J^0.
 
 :func:`chern_simons` runs the three routes in one sweep over the axis-0
-slabs (:func:`~su2topo.lattice.slabs`).  It reads each slab's samples once
-(a chart field computes them then, see
+slabs (:func:`~su2topo.lattice.slabs`).  Its pointwise pass runs on
+blocks of at most ``SLAB_SITES`` sites (:func:`~su2topo.lattice.budget_blocks`:
+a slab, or a run of axis-1 rows of its one plane).  It reads each block's
+samples once (a chart field computes them then, see
 :meth:`~su2topo.lattice.LatticeField.values_at`) and takes d Psi once per
-slab (finite differences for bare samples) and J from them
-(``SpinorField.slab_currents``, which never stores J), and from these the
-spinor and Abelian densities and the slab's A, c and h_pairs.  The
-kernels take the slab's arrays and read no field; each runs once a slab,
-for every derivative axis at once, and writes into its output arrays.
-The sweep drops each slab's samples, d Psi and J before the trace pass
-runs.  dA and dC read the planes next to each slab, so the trace density
+block (bare samples are differenced a slab at a time, and each block gets
+its rows) and J from them (``SpinorField.slab_currents``, which never
+stores J), and from these the spinor and Abelian densities and the
+block's A, c and h_pairs, written into arrays of the slab's planes.  The
+kernels take the block's arrays and read no field; each runs once a
+block, for every derivative axis at once.  The sweep drops each block's
+samples, d Psi and J before the next block: only the stencils and the
+plane sums hold whole planes.  dA and dC read the planes next to each
+slab, so the trace density
 and the exactness residual run a slab behind
 (:func:`~su2topo.lattice.stencil_windows`), on each slab's own A and c and
 the planes of its neighbours, held as the first pass made them and never
@@ -40,19 +44,19 @@ copied: A and c are held as a halo of planes and H for the slabs still to
 be read, never for the whole grid.  The trace density reads d_j A_k for
 j != k only, so d_i A_i is not computed; dC is taken whole, since its
 maximum bounds the exactness residual.  Asked for the parallel condition,
-the sweep also runs the per-slab kernel of
-:func:`~su2topo.decomposition.decompose` on the slab's samples, d Psi, J,
-norms and A.  Every per-slab kernel here is component-major
-(:func:`~su2topo.lattice.component_major`): a slab has the shape
-``(planes, components..., n1, n2)``, so each ufunc runs over a plane's
+the sweep also runs the per-block kernel of
+:func:`~su2topo.decomposition.decompose` on the block's samples, d Psi, J,
+norms and A.  Every kernel here is component-major
+(:func:`~su2topo.lattice.component_major`): a block has the shape
+``(planes, components..., rows, n2)``, so each ufunc runs over a block's
 contiguous sites, and A and c are differenced in that layout
 (``derivative_stack(..., components_first=True)``).  The trace density
 sums its color contraction in einsum's order on color-last rows,
 (A^0 D^0 + A^2 D^2) + A^1 D^1, so every density keeps its bits.  Each
-density is summed as it is swept (:class:`~su2topo.lattice.Quadrature`,
+density is summed a slab at a time (:class:`~su2topo.lattice.Quadrature`,
 whose total does not depend on the slabs), bit for bit the quadrature of
 the whole-grid density, and not kept; the exactness residual and the
-decomposition's reductions are maxima over the slabs, folded so that a
+decomposition's reductions are maxima over the slabs and blocks, folded so that a
 NaN survives.  No density, potential or curvature is kept whole: a
 caller gets the charges and those maxima (:class:`KnotCharges`).
 """
@@ -69,7 +73,8 @@ from .decomposition import Decomposition, fold_maxima, slab_maxima
 from .errors import FieldError, ReconstructionError
 from .fields import (GaugeField, SpinorField, _max_abs, norm_squared, normalize,
                      sigma_model_field)
-from .lattice import Quadrature, component_major, derivative_stack, stencil_windows
+from .lattice import (Quadrature, block_rows, component_major, derivative_stack,
+                      stencil_windows)
 from .su2_algebra import _colour_dot, _im_pair, parallel_components
 
 _CYCLIC3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # even permutations of (0,1,2)
@@ -161,18 +166,19 @@ class KnotCharges:
 RESIDUAL_FACTOR = 320.0
 
 
-def _potentials(samples: np.ndarray, current: np.ndarray) -> tuple:
+def _potentials(samples: np.ndarray, current: np.ndarray, out: tuple | None = None) -> tuple:
     """The sweep's kernel: the parallel potential A^a = -2 Im J^a, the
     Abelian potential C = -2 Im J^0 and the curvature pairs
-    H_ij = -m . (d_i m x d_j m), d m^a = 2 Re J^a, of one slab of a
+    H_ij = -m . (d_i m x d_j m), d m^a = 2 Re J^a, of one block of a
     normalized spinor, from its samples and spinor current, all
-    component-major."""
+    component-major; C and H are written into the arrays ``out`` (new
+    ones if None)."""
     m = sigma_model_field(samples)
     dm = 2.0 * current[:, :, 1:].real
-    h_pairs = np.empty(m.shape)
+    c, h_pairs = out or (None, np.empty(m.shape))
     for idx, (i, j) in enumerate(H_PAIRS):
-        h_pairs[:, idx] = -_triple(m, dm[:, i], dm[:, j])
-    return (parallel_components(current), np.multiply(current[:, :, 0].imag, -2.0),
+        np.negative(_triple(m, dm[:, i], dm[:, j]), out=h_pairs[:, idx])
+    return (parallel_components(current), np.multiply(current[:, :, 0].imag, -2.0, out=c),
             h_pairs)
 
 
@@ -195,8 +201,8 @@ def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
     (:class:`~su2topo.lattice.Quadrature`) and not kept; a charge that is
     not finite raises :class:`FieldError`.
 
-    With ``parallel``, the sweep also runs the per-slab kernel of
-    :func:`~su2topo.decomposition.decompose` on each slab's samples,
+    With ``parallel``, the sweep also runs the per-block kernel of
+    :func:`~su2topo.decomposition.decompose` on each block's samples,
     d Psi, current, norms and A, so ``KnotCharges.parallel`` needs no
     second sweep.
     """
@@ -207,11 +213,13 @@ def chern_simons(psi: SpinorField, *, parallel: bool = False) -> KnotCharges:
 
 
 def _sweep(psi: SpinorField, parallel: bool) -> KnotCharges:
-    """The one sweep of :func:`chern_simons`: each slab's density of each
-    route is fed to that route's :class:`~su2topo.lattice.Quadrature` as
-    it is computed, the trace route's a slab behind, and with
+    """The one sweep of :func:`chern_simons`: the first pass takes each
+    block of :meth:`SpinorField.slab_currents` and writes its densities,
+    A, c and H into arrays of the slab's planes; each slab's density of
+    each route is fed to that route's :class:`~su2topo.lattice.Quadrature`
+    once its planes are whole, the trace route's a slab behind, and with
     ``parallel`` the :func:`~su2topo.decomposition.slab_maxima` of the
-    slabs are folded; raises :class:`ReconstructionError` as
+    blocks are folded; raises :class:`ReconstructionError` as
     :func:`chern_simons` describes."""
     grid = psi.grid
     sign = ORIENTATION_SIGN * grid.orientation
@@ -222,16 +230,30 @@ def _sweep(psi: SpinorField, parallel: bool) -> KnotCharges:
 
     def first_pass():
         nonlocal maxima
-        for slab, samples, dvalues, current in psi.slab_currents():
-            sums["spinor"].add(slab, (sign * spinor_cs_values(current[:, :, 0], dvalues)).real)
-            gauge, c, h_pairs = _potentials(samples, current)
-            sums["fn"].add(slab, fn_pointwise(c, h_pairs) * sign / (8.0 * np.pi**2))
+        for block, samples, dvalues, current in psi.slab_currents():
+            slab, rows = block_rows(grid, block)
+            at = (Ellipsis, rows, slice(None))      # the block's rows of a slab's planes
+            if not rows.start:
+                shape = (len(range(*slab.indices(grid.shape[0]))),) + grid.shape[1:]
+                spinor, fn = np.empty(shape), np.empty(shape)
+                gauge, c, h_pairs = (np.empty(shape[:1] + comps + shape[1:])
+                                     for comps in ((3, 3), (3,), (3,)))
+            spinor[at] = (sign * spinor_cs_values(current[:, :, 0], dvalues)).real
+            # A is made whole and copied into its plane: the reductions of
+            # slab_maxima run over contiguous blocks at twice the speed
+            gauge[at] = potential = _potentials(samples, current, (c[at], h_pairs[at]))[0]
+            np.divide(fn_pointwise(c[at], h_pairs[at]) * sign, 8.0 * np.pi**2, out=fn[at])
             if parallel:
                 maxima = fold_maxima(maxima, slab_maxima(
-                    samples, dvalues, current, norm_squared(samples, slab.start), gauge))
-            h_of[slab.start] = h_pairs
-            del samples, dvalues, current   # not held through the trace pass
-            yield slab, (gauge, c)
+                    samples, dvalues, current,
+                    norm_squared(samples, (slab.start, rows.start)), potential))
+            del samples, dvalues, current, potential    # not held through the trace pass
+            if rows.stop == grid.shape[1]:
+                sums["spinor"].add(slab, spinor)
+                sums["fn"].add(slab, fn)
+                del spinor, fn
+                h_of[slab.start] = h_pairs
+                yield slab, (gauge, c)
 
     # dA and dC read the planes next to each slab: a slab's second pass
     # runs once they are swept, and only those planes are held.  Maxima
@@ -247,6 +269,9 @@ def _sweep(psi: SpinorField, parallel: bool) -> KnotCharges:
             curl_res = np.maximum(curl_res, _max_abs(dc[:, i, j] - dc[:, j, i] - h[:, idx]))
         h_max = np.maximum(h_max, _max_abs(h))
         dc_max = np.maximum(dc_max, _max_abs(dc))
+        # the first pass of the next slab runs as the loop asks for it: it
+        # holds none of this slab's planes
+        del gauge, c, held_a, held_c, dc, h
     resolution = max((h / grid.axis_extent(i)) ** 2 for i, h in enumerate(grid.spacing))
     if not curl_res <= RESIDUAL_FACTOR * resolution * np.maximum(h_max, dc_max):
         raise ReconstructionError(

@@ -20,17 +20,18 @@ Psi^dag sigma_a D_mu Psi, a bilinear of the computed covariant derivative:
 deriving it from J by the Pauli product rule would make the reconstruction
 check true by construction.
 
-Every part is pointwise in (Psi, dPsi, A), so the per-slab kernels
+Every part is pointwise in (Psi, dPsi, A), so the per-block kernels
 (:func:`covariant_derivative` and :func:`_axis_parts`) give D Psi, a and b
-on one axis-0 slab (:func:`~su2topo.lattice.slabs`) at a time from the
-slab's samples, d Psi, current, norms Psi^dag Psi and A, each taken once
-by the sweep; no kernel reads a field.  They are
+on one block of at most ``SLAB_SITES`` sites
+(:func:`~su2topo.lattice.budget_blocks`) at a time from the block's
+samples, d Psi, current, norms Psi^dag Psi and A, each taken once by the
+sweep; no kernel reads a field.  They are
 component-major (:func:`~su2topo.lattice.component_major`): the
-components follow axis 0 and the sites of a plane come last, so every
-ufunc runs over a plane's contiguous sites, and each runs once a slab
+components follow axis 0 and the sites of a block come last, so every
+ufunc runs over a block's contiguous sites, and each runs once a block
 for every derivative axis, Psi broadcast over them.  A is the
-given potential's slab or, with none given, the parallel potential of the
-slab's own current, never held whole.  :func:`decompose` keeps only the
+given potential's block or, with none given, the parallel potential of
+the block's own current, never held whole.  :func:`decompose` keeps only the
 kernels' maxima (:func:`slab_maxima`), as the knot-charge sweep
 (:func:`~su2topo.chern_simons.chern_simons`) does on the inputs it holds:
 no part is kept, and maxima are exact in any order.
@@ -46,7 +47,7 @@ from . import su2_algebra
 from .errors import FieldError, ReconstructionError
 from .fields import (EPS_ZERO, GaugeField, SpinorField, _check_nonvanishing, _max_abs,
                      norm_squared, normalize)
-from .lattice import component_major
+from .lattice import block_rows, component_major
 
 #: Largest max|a^c + b^c - A^c| accepted, relative to 1 + max|A^c|.
 RECONSTRUCTION_TOL = 1e-12
@@ -54,7 +55,7 @@ RECONSTRUCTION_TOL = 1e-12
 
 def covariant_derivative(samples: np.ndarray, dvalues: np.ndarray,
                          gauge: np.ndarray) -> np.ndarray:
-    """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi of one slab, from its
+    """D_mu Psi = d_mu Psi - (1/2i) A_mu^a sigma_a Psi of one block, from its
     component-major spinor ``samples`` ``(planes, 2, ...)``, d Psi
     ``dvalues`` ``(planes, rank, 2, ...)`` and components of A ``gauge``
     ``(planes, rank, 3, ...)``.
@@ -73,7 +74,7 @@ def covariant_derivative(samples: np.ndarray, dvalues: np.ndarray,
 
 def _axis_parts(samples: np.ndarray, current: np.ndarray, norms: np.ndarray,
                 dcov: np.ndarray) -> tuple:
-    """The component-major components of a_mu and b_mu of one slab, each
+    """The component-major components of a_mu and b_mu of one block, each
     ``(planes, rank, 3, ...)``.
 
     a^c = -2 w Im J^c and b^c = 2 w Im t^c with w = 1/(Psi^dag Psi), J the
@@ -91,8 +92,8 @@ def _axis_parts(samples: np.ndarray, current: np.ndarray, norms: np.ndarray,
 
 def slab_maxima(samples: np.ndarray, dvalues: np.ndarray, current: np.ndarray,
                 norms: np.ndarray, gauge: np.ndarray) -> tuple:
-    """The per-slab kernel of :func:`decompose`: max|a + b - A|, max|A|,
-    max|D Psi| and max|b| of one slab, from its component-major
+    """The per-block kernel of :func:`decompose`: max|a + b - A|, max|A|,
+    max|D Psi| and max|b| of one block, from its component-major
     ``samples``, d Psi ``dvalues``, current and A ``gauge``, and its
     Psi^dag Psi ``norms``.
 
@@ -109,8 +110,8 @@ def slab_maxima(samples: np.ndarray, dvalues: np.ndarray, current: np.ndarray,
     half = np.multiply(b, 0.5, out=b)
     off = np.empty(half.shape[:2] + half.shape[3:], dtype=np.complex128)
     off.real, off.imag = half[:, :, 1], half[:, :, 0]
-    return (_max_abs(mismatch), _max_abs(gauge), float(np.max(np.abs(dcov))),
-            float(np.maximum(_max_abs(half[:, :, 2]), np.max(np.abs(off)))))
+    return (_max_abs(mismatch), _max_abs(gauge), float(np.abs(dcov).max()),
+            float(np.maximum(_max_abs(half[:, :, 2]), np.abs(off).max())))
 
 
 def fold_maxima(maxima: tuple, more: tuple) -> tuple:
@@ -152,13 +153,13 @@ class Decomposition:
 
 
 def _slab_inputs(psi: SpinorField, gauge: GaugeField | None):
-    """``psi.slab_currents()`` with the slab's component-major A appended:
+    """``psi.slab_currents()`` with the block's component-major A appended:
     that of ``gauge``, or without one the parallel potential of the
     current."""
-    for slab, samples, dvalues, current in psi.slab_currents():
-        yield slab, samples, dvalues, current, (
+    for block, samples, dvalues, current in psi.slab_currents():
+        yield block, samples, dvalues, current, (
             su2_algebra.parallel_components(current) if gauge is None
-            else component_major(gauge.values_at(slab), psi.grid.rank))
+            else component_major(gauge.values_at(block), psi.grid.rank))
 
 
 def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decomposition:
@@ -185,11 +186,12 @@ def decompose(psi: SpinorField, gauge: GaugeField | None = None) -> Decompositio
     elif psi.grid != gauge.grid:
         raise FieldError("spinor and gauge grids differ")
     maxima = (0.0,) * 4
-    for slab, samples, dvalues, current, potential in _slab_inputs(psi, gauge):
-        norms = norm_squared(samples, slab.start)
-        if np.sqrt(np.min(norms)) < EPS_ZERO:
-            # no earlier slab holds such a norm: the grid's smallest is here
-            # or later
+    for block, samples, dvalues, current, potential in _slab_inputs(psi, gauge):
+        slab, rows = block_rows(psi.grid, block)
+        norms = norm_squared(samples, (slab.start, rows.start))
+        if np.sqrt(norms.min()) < EPS_ZERO:
+            # no earlier block holds such a norm: the grid's smallest is in
+            # this slab or later
             _check_nonvanishing(psi, slab.start)
         maxima = fold_maxima(maxima, slab_maxima(samples, dvalues, current, norms,
                                                  potential))

@@ -26,19 +26,20 @@ A field may store no samples either: a box or chart field serves each
 block's from its formula
 (:meth:`~su2topo.lattice.LatticeField.values_at`), :func:`normalize`
 serves each block's from the input's, and the conversions hand that on.
-:meth:`SpinorField.slab_currents` and the one check of :func:`normalize`
-(zero, overflow and unit norms) read the samples one axis-0 slab
-(:func:`~su2topo.lattice.slabs`) at a time; nothing here reads them
-whole.
+:meth:`SpinorField.slab_currents` reads the samples a block of at most
+``SLAB_SITES`` sites at a time (:func:`~su2topo.lattice.budget_blocks`),
+and the one check of :func:`normalize` (zero, overflow and unit norms)
+one axis-0 slab (:func:`~su2topo.lattice.slabs`) at a time; nothing here
+reads them whole.
 
 The kernels here (:func:`norm_squared`, :func:`sigma_model_field` and the
-spinor current of :meth:`SpinorField.slab_currents`) take one slab's
-arrays and read no field, so only a slab of the current, and of finite
-differences for bare samples, exists at once; every entry equals the
-whole-grid evaluation bit for bit.  Like every per-slab kernel they are
-component-major (:func:`~su2topo.lattice.component_major`): the
-components follow axis 0 and the sites of a plane come last, and
-:meth:`SpinorField.slab_currents` transposes each slab's samples and
+spinor current of :meth:`SpinorField.slab_currents`) take one block's
+arrays and read no field, so only a block of the current, and a slab of
+finite differences for bare samples, exists at once; every entry equals
+the whole-grid evaluation bit for bit.  Like every per-block kernel they
+are component-major (:func:`~su2topo.lattice.component_major`): the
+components follow axis 0 and the sites of a block come last, and
+:meth:`SpinorField.slab_currents` transposes each block's samples and
 d Psi once, on entry.
 """
 
@@ -71,7 +72,7 @@ class SpinorField(LatticeField):
     field's block jet as a complex view.  The samples are stored too, or
     served block by block (``block_values``, a field built with
     ``values=None``): :func:`phi_to_spinor` hands on a chart field's.  The
-    rank-3 routes and the decomposition take each slab's samples, d Psi
+    rank-3 routes and the decomposition take each block's samples, d Psi
     and current from :meth:`slab_currents` and pass them to their kernels.
     """
 
@@ -87,23 +88,24 @@ class SpinorField(LatticeField):
     LABEL = "spinor"
 
     def slab_currents(self):
-        """Yield ``(slab, samples, dvalues, current)`` for each axis-0 slab
-        (:func:`~su2topo.lattice.slabs`), all component-major: the slab's
-        samples and derivatives, taken once
-        (:meth:`~su2topo.lattice.LatticeField.slab_samples`, which reads
-        bare samples once a slab) and transposed once, and the spinor
-        current computed from them (:func:`_slab_current`).  The tuple is
-        built by that helper, so the suspended generator holds no slab
-        array and a sweep that drops a slab's arrays frees them."""
+        """Yield ``(block, samples, dvalues, current)`` for each block of
+        :func:`~su2topo.lattice.budget_blocks`, all component-major: the
+        block's samples and derivatives, taken once
+        (:meth:`~su2topo.lattice.LatticeField.block_samples`, which
+        differences bare samples once a slab) and transposed once, and the
+        spinor current computed from them (:func:`_slab_current`).  The
+        tuple is built by that helper, so the suspended generator holds no
+        block array and a sweep that drops a block's arrays frees them."""
         rank = self.grid.rank
-        for slab in slabs(self.grid):
-            yield _slab_current(slab, *(component_major(block, rank)
-                                        for block in self.slab_samples(slab)))
+
+        def current(parts):
+            return _slab_current(parts[0], *(component_major(x, rank) for x in parts[1:]))
+        yield from map(current, self.block_samples())
 
 
 def _slab_current(slab: slice, samples: np.ndarray, dvalues: np.ndarray) -> tuple:
     """``(slab, samples, dvalues, current)``: the spinor current
-    J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1, of one slab's
+    J_mu^A = Psi^dag sigma_A d_mu Psi, sigma_0 = 1, of one block's
     component-major ``samples`` ``(planes, 2, ...)`` and d Psi ``dvalues``
     ``(planes, rank, 2, ...)``, shape ``(planes, rank, 4, ...)``.
 
@@ -184,10 +186,11 @@ class GaugeField(LatticeField):
         return (rank, 3)
 
 
-def norm_squared(samples: np.ndarray, first: int) -> np.ndarray:
-    """Pointwise Psi^dag Psi (real, equals phi_a phi_a) of a slab's
+def norm_squared(samples: np.ndarray, first: int | tuple) -> np.ndarray:
+    """Pointwise Psi^dag Psi (real, equals phi_a phi_a) of a block's
     component-major spinor ``samples`` ``(planes, 2, ...)``, whose axis 0
-    starts at plane ``first``: |Psi_1|^2 + |Psi_2|^2 of the two component
+    starts at plane ``first`` (or whose leading axes start at the sites of
+    the tuple ``first``): |Psi_1|^2 + |Psi_2|^2 of the two component
     planes, bit for bit numpy's sum over a trailing component axis.  A
     norm that overflows raises :class:`FieldError` naming its site."""
     with np.errstate(over="ignore"):
@@ -208,18 +211,21 @@ def _norms(block: np.ndarray) -> np.ndarray:
 
 def _max_abs(x: np.ndarray) -> float:
     """max|x| of a real array, as max(max x, -min x), which makes no
-    temporary: exact, and a NaN survives."""
-    return abs(float(np.maximum(np.max(x), -np.min(x))))
+    temporary: exact, and a NaN survives (a NaN is both extremes, and
+    ``max`` keeps a first argument that is NaN)."""
+    return abs(max(float(x.max()), -float(x.min())))
 
 
-def _finite_max(norms: np.ndarray, name: str, first: int = 0) -> float:
+def _finite_max(norms: np.ndarray, name: str, first: int | tuple = 0) -> float:
     """The largest of per-site ``norms``, whose axis 0 starts at plane
+    ``first``, or whose leading axes start at the sites of the tuple
     ``first``.  A norm that is not finite, of samples too large to square,
     raises :class:`FieldError` naming its site."""
-    top = float(np.max(norms))
-    if not np.isfinite(top):
+    top = float(norms.max())
+    if not math.isfinite(top):
         site = np.unravel_index(int(np.argmin(np.isfinite(norms))), norms.shape)
-        site = (first + int(site[0]),) + tuple(map(int, site[1:]))
+        starts = (first if isinstance(first, tuple) else (first,)) + (0,) * norms.ndim
+        site = tuple(int(index) + start for index, start in zip(site, starts))
         raise FieldError(f"{name} norm overflows at site {site}: its samples are too "
                          "large to square")
     return top
@@ -349,8 +355,9 @@ def sigma_model_field(samples: np.ndarray) -> np.ndarray:
     the caller checks.  The imaginary residue of the bilinear is a
     data-corruption indicator and raises above ``IMAG_TOL``.
     """
-    m = su2_algebra.sigma_bilinear(samples, samples)
-    residue = _max_abs(m.imag)
+    m = su2_algebra.sigma_bilinear(samples, samples, np.empty(
+        samples.shape[:1] + (3,) + samples.shape[2:], dtype=np.complex128))
+    residue = float(np.abs(m.imag).max())      # of a strided view: one pass, not two
     if residue > IMAG_TOL:
         raise FieldError(f"m field imaginary residue {residue:.3e} > {IMAG_TOL:.1e}")
     return np.ascontiguousarray(m.real)
@@ -359,17 +366,20 @@ def sigma_model_field(samples: np.ndarray) -> np.ndarray:
 def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
     """Restrict a rank-4 field to one boundary face of an open axis.
 
-    ``side`` is 0 for the low face, 1 for the high face.  The face's values
-    are :meth:`~LatticeField.values_at` of its one-plane block, so a field
-    that computes its samples computes the face's only.  Its jet keeps the
-    in-face derivative components and is served block by block
-    (``block_jet``) whenever the field has a jet, stored or served: each
-    block of the face is read as ``exact_jet`` of the field on that block,
-    so the face's jet is never whole; bare samples give a bare face.  A
+    ``side`` is 0 for the low face, 1 for the high face.  A field with a
+    jet, stored or served, gives a face that serves its values and its jet
+    block by block (``block_values``, ``block_jet``): each block of the
+    face is read as :meth:`~LatticeField.values_at` and ``exact_jet`` of
+    the field on that block, so neither is ever whole, and a field that
+    computes its samples computes the face's only.  The jet keeps the
+    in-face derivative components.  Bare samples give a bare face that
+    stores its values, :meth:`~LatticeField.values_at` of its one-plane
+    block: its stencils read each face plane beside its own slab.  A
     component axis that runs over the grid axes (a gauge field's A_mu)
-    keeps its in-face entries too, in the values and the jet.  Faces of vertex-centered grids lie exactly on the domain
-    boundary, as boundary-flux sums require.  The face is a field of the
-    same kind, so a phi field's sampler is dropped.
+    keeps its in-face entries too, in the values and the jet.  Faces of
+    vertex-centered grids lie exactly on the domain boundary, as
+    boundary-flux sums require.  The face is a field of the same kind, so
+    a phi field's sampler is dropped.
     """
     grid = field.grid
     if grid.periodic[axis]:
@@ -384,13 +394,18 @@ def face_restrict(field: LatticeField, axis: int, side: int) -> LatticeField:
                         field.component_shape(grid.rank - 1)))
 
     fgrid = grid.drop_axis(axis)
-    values = field.values_at(face).squeeze(axis)[comps]
     if field.jet is None and field.block_jet is None:
-        return type(field)(fgrid, values)
+        return type(field)(fgrid, field.values_at(face).squeeze(axis)[comps])
 
-    def block_jet(block):
-        parts = ((block if isinstance(block, tuple) else (block,))
-                 + (slice(None),) * grid.rank)[:grid.rank - 1]
-        jet = field.exact_jet(parts[:axis] + (face[axis],) + parts[axis:])
-        return jet.squeeze(axis)[(slice(None),) * (grid.rank - 1) + (keep,)][comps]
-    return type(field)(fgrid, values, block_jet=block_jet)
+    def served(read, *selections):
+        def block_array(block):
+            parts = ((block if isinstance(block, tuple) else (block,))
+                     + (slice(None),) * grid.rank)[:grid.rank - 1]
+            array = read(parts[:axis] + (face[axis],) + parts[axis:]).squeeze(axis)
+            for selection in selections:
+                array = array[selection]
+            return array
+        return block_array
+    return type(field)(fgrid, None, block_values=served(field.values_at, comps),
+                       block_jet=served(field.exact_jet,
+                                        (slice(None),) * (grid.rank - 1) + (keep,), comps))

@@ -33,8 +33,9 @@ file: the field's ``block_values`` and ``block_jet`` read the
 planes a block covers when something asks for
 them (the zero search reads the screen's slabs, the box faces a face
 slab at a time, the bounding block of each Newton step's points and a
-4^4 window per zero; the charge sweep and
-``decompose`` read one slab and its stencil planes at a time), after
+4^4 window per zero; the charge sweep and ``decompose`` read a block
+of at most ``SLAB_SITES`` sites at a time, or for a values-only file one
+slab and its stencil planes), after
 checking that the file is still the one that was verified.
 The retired FLD1 format (FNV-1a trailer, no orientation) is rejected as
 bad magic.

@@ -277,9 +277,10 @@ def _chart_trig(grid: Grid) -> tuple:
 def _block_trig(trig: tuple, block) -> tuple:
     """The factors of ``trig`` on ``block`` (an axis-0 slice or a tuple of
     per-axis slices), shaped to broadcast."""
-    parts = (block if isinstance(block, tuple) else (block,)) + (slice(None),) * 3
-    return tuple(f[(None,) * axis + (parts[axis],) + (None,) * (2 - axis)]
-                 for axis, pair in enumerate(trig) for f in pair)
+    (s0, c0), (s1, c1), (s2, c2) = trig
+    b0, b1, b2 = ((block if isinstance(block, tuple) else (block,)) + (slice(None),) * 3)[:3]
+    return (s0[b0, None, None], c0[b0, None, None], s1[None, b1, None], c1[None, b1, None],
+            s2[None, None, b2], c2[None, None, b2])
 
 
 def s3_points(grid: Grid, block=slice(None), trig=None) -> np.ndarray:
@@ -388,36 +389,37 @@ def _chart_spinor(trig: tuple, block) -> np.ndarray:
     """The chart points of :func:`s3_points` on ``block`` as spinors,
     Psi = (n0 + i n1, n2 + i n3), in the component-major complex layout
     ``(planes, 2, ...)`` (:func:`~su2topo.lattice.component_major`); each
-    part is the product of :func:`s3_points`, in its operand order."""
+    part is the product of :func:`s3_points`, in its operand order, written
+    into its place."""
     sc, cc, st, ct, sp, cp = _block_trig(trig, block)
-    shape = np.broadcast_shapes(sc.shape, st.shape, sp.shape)
-    psi = np.empty(shape[:1] + (2,) + shape[1:], dtype=np.complex128)
+    psi = np.empty((sc.shape[0], 2, st.shape[1], sp.shape[2]), dtype=np.complex128)
     psi[:, 0].real = cc
     psi[:, 0].imag = sc * ct
-    psi[:, 1].real = sc * st * cp
-    psi[:, 1].imag = sc * st * sp
+    scst = sc * st
+    np.multiply(scst, cp, out=psi[:, 1].real)
+    np.multiply(scst, sp, out=psi[:, 1].imag)
     return psi
 
 
 def _chart_spinor_jet(trig: tuple, block) -> np.ndarray:
     """The jet of :func:`_chart_spinor` on ``block``, component-major
     ``(planes, 3, 2, ...)``: the chart jet of :func:`_chart_jet` as
-    spinors, each entry its product in its operand order and the entries
-    it leaves zero +0.0."""
+    spinors, each entry its product in its operand order (a factor -x
+    negates the product exactly) and the entries it leaves zero +0.0."""
     sc, cc, st, ct, sp, cp = _block_trig(trig, block)
-    shape = np.broadcast_shapes(sc.shape, st.shape, sp.shape)
-    dpsi = np.empty(shape[:1] + (3, 2) + shape[1:], dtype=np.complex128)
+    dpsi = np.empty((sc.shape[0], 3, 2, st.shape[1], sp.shape[2]), dtype=np.complex128)
+    ccst, scct, scst = cc * st, sc * ct, sc * st
     dpsi[:, 0, 0].real = -sc
     dpsi[:, 0, 0].imag = cc * ct
-    dpsi[:, 0, 1].real = cc * st * cp
-    dpsi[:, 0, 1].imag = cc * st * sp
+    np.multiply(ccst, cp, out=dpsi[:, 0, 1].real)
+    np.multiply(ccst, sp, out=dpsi[:, 0, 1].imag)
     dpsi[:, 1, 0].real = 0.0
-    dpsi[:, 1, 0].imag = -sc * st
-    dpsi[:, 1, 1].real = sc * ct * cp
-    dpsi[:, 1, 1].imag = sc * ct * sp
+    dpsi[:, 1, 0].imag = -scst
+    np.multiply(scct, cp, out=dpsi[:, 1, 1].real)
+    np.multiply(scct, sp, out=dpsi[:, 1, 1].imag)
     dpsi[:, 2, 0] = 0.0
-    dpsi[:, 2, 1].real = -sc * st * sp
-    dpsi[:, 2, 1].imag = sc * st * cp
+    np.multiply(-scst, sp, out=dpsi[:, 2, 1].real)
+    np.multiply(scst, cp, out=dpsi[:, 2, 1].imag)
     return dpsi
 
 

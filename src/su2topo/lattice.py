@@ -6,15 +6,18 @@ on the boundary layers of open axes.  Quadrature is the midpoint rule on
 periodic and cell-centered axes and the trapezoidal rule on vertex-centered
 open axes; both are O(h^2) on smooth integrands.
 
-Pointwise work holds at most ``SLAB_SITES`` sites at a time.  Stencils
-and plane sums need whole planes, so they run one axis-0 slab at a time
-(:func:`slabs`), of one plane at least; a pass that needs no whole plane,
-as the FLD writer, takes runs of rows of a plane that exceeds the budget
-(:func:`budget_blocks`).  A route reads each slab of its inputs, with
-``derivative_stack(..., slab=...)`` reading the ``order // 2``
-neighbouring planes the stencils need, hands the slab's arrays to
-kernels that read no field, and folds or sums what they return
-(:class:`Quadrature`).  A route that differentiates what its own sweep
+Pointwise work holds at most ``SLAB_SITES`` sites at a time: it runs on
+the blocks of :func:`budget_blocks`, each axis-0 slab of :func:`slabs`
+where a plane fits the budget, else runs of axis-1 rows of a plane
+(:func:`slab_blocks`).  Only stencils and plane sums hold whole planes,
+one axis-0 slab at a time, of one plane at least.  A route reads each
+block of its inputs (:meth:`LatticeField.block_samples`; bare samples are
+differenced a slab at a time, with ``derivative_stack(..., slab=...)``
+reading the ``order // 2`` neighbouring planes the stencils need, and
+each block gets its rows), hands the block's arrays to kernels that
+read no field, writes what a stencil or a plane sum needs into arrays
+of the slab's planes, and folds the rest (:class:`Quadrature` sums a
+slab's planes).  A route that differentiates what its own sweep
 computes runs those stencils a slab behind (:func:`stencil_windows`), on
 each slab's own arrays and the planes of other slabs next to it, held
 where they were made: no plane is copied, and that input is never held
@@ -25,11 +28,11 @@ without storing them, and is never read whole.  Every value is computed
 by the same operations as on the whole grid, so blocking changes no bit.
 
 Fields store their samples site-major, ``(*shape, *components)``.  The
-per-slab kernels of the rank-3 sweep take them component-major
+per-block kernels of the sweeps take them component-major
 (:func:`component_major`), ``(planes, *components, *shape[1:])``: axis 0
-keeps its planes, and each component is a contiguous array of a plane's
-sites, so their ufuncs run over whole planes instead of the short
-component axes.  :func:`derivative_stack` differences either layout.
+keeps its planes, and each component is a contiguous array of a block's
+sites, so their ufuncs run over those instead of the short component
+axes.  :func:`derivative_stack` differences either layout.
 Periodic stencils read slices of their input and wrap only the rows at
 its ends.
 
@@ -55,8 +58,8 @@ OPEN = "open"
 PERIODIC = "periodic"
 
 #: The sites that one block of a pointwise pass holds: an axis-0 slab of
-#: :func:`slabs`, whose stencils and quadrature still take one plane at
-#: least, or a run of axis-1 rows of one plane (:func:`budget_blocks`).
+#: :func:`slabs`, or a run of axis-1 rows of one plane that exceeds it
+#: (:func:`budget_blocks`); stencils and quadrature take one plane at least.
 SLAB_SITES = 1 << 12
 
 
@@ -230,7 +233,7 @@ class LatticeField:
             self._freeze("jet", grid.shape + (grid.rank,) + comps)
 
     def _check_finite(self, samples: np.ndarray) -> None:
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise FieldError(f"{self.LABEL} contains non-finite samples")
 
     def _freeze(self, name: str, expected: tuple) -> None:
@@ -283,6 +286,29 @@ class LatticeField:
         held = {q % n: window[q - planes.start] for q in planes if not lo <= q % n < hi}
         return own, derivative_stack(own, self.grid, order, slab, held)
 
+    def block_samples(self, order: int = 2):
+        """Yield ``(block, values, derivatives)`` for each block of
+        :func:`budget_blocks`, as :meth:`slab_samples` gives them: a jet
+        is read a block at a time, while bare samples are differenced a
+        whole slab at a time, since stencils need whole planes, and each
+        block gets views of that.  The generator holds no array of a
+        block it has yielded, nor, once the last block of a slab is
+        yielded, that slab's differences."""
+        grid = self.grid
+        for slab in slabs(grid):
+            blocks = list(slab_blocks(grid, slab))
+            if self.jet is not None or self.block_jet is not None:
+                for block in blocks:
+                    yield block, self.values_at(block), self.exact_jet(block)
+                continue
+            values, derivatives = self.slab_samples(slab, order)
+            rows = [block_rows(grid, block)[1] for block in blocks]
+            parts = [(block, values[:, run], derivatives[:, run])
+                     for block, run in zip(blocks, rows)]
+            del values, derivatives
+            while parts:
+                yield parts.pop(0)
+
 
 def read_only(array: np.ndarray) -> np.ndarray:
     """``array``, flagged read-only so that a field constructor adopts it."""
@@ -319,32 +345,44 @@ def budget_blocks(grid: Grid):
     no whole plane: the :func:`slabs` where a plane fits ``SLAB_SITES``,
     else runs of at most that many sites of axis-1 rows of one plane, as
     tuples of slices, and one row at least."""
-    n0, n1 = grid.shape[:2]
-    row = math.prod(grid.shape[2:])
+    for slab in slabs(grid):
+        yield from slab_blocks(grid, slab)
+
+
+def slab_blocks(grid: Grid, slab: slice):
+    """Yield the blocks of :func:`budget_blocks` that cover the slab
+    ``slab`` of :func:`slabs`: the slab itself where a plane fits
+    ``SLAB_SITES``, else runs of axis-1 rows of its one plane."""
+    n1, row = grid.shape[1], math.prod(grid.shape[2:])
     if n1 * row <= SLAB_SITES:
-        yield from slabs(grid)
+        yield slab
         return
     step = max(1, SLAB_SITES // row)
-    for plane in range(n0):
-        for start in range(0, n1, step):
-            yield slice(plane, plane + 1), slice(start, min(start + step, n1))
+    for start in range(0, n1, step):
+        yield slab, slice(start, min(start + step, n1))
+
+
+def block_rows(grid: Grid, block: slice | tuple) -> tuple:
+    """``(slab, rows)`` of a block of :func:`slab_blocks`: its axis-0 slab
+    and the run of axis-1 rows it covers, all of them for a whole slab."""
+    return block if isinstance(block, tuple) else (block, slice(0, grid.shape[1]))
 
 
 def component_major(block: np.ndarray, rank: int) -> np.ndarray:
     """A new contiguous copy of the site-major ``block`` of a rank-``rank``
     grid, ``(planes, *plane, *components)``, with its component axes moved
     right after axis 0: ``(planes, *components, *plane)``, the layout of
-    the per-slab kernels.  Axis 0 keeps its planes, and each component is
+    the per-block kernels.  Axis 0 keeps its planes, and each component is
     a contiguous array of a plane's sites."""
-    comps = range(rank, block.ndim)
-    return np.ascontiguousarray(np.moveaxis(block, comps, range(1, 1 + len(comps))))
+    return np.ascontiguousarray(block.transpose(
+        (0, *range(rank, block.ndim), *range(1, rank))))
 
 
 def site_major(block: np.ndarray, rank: int) -> np.ndarray:
     """The component-major ``block`` as a site-major view, the inverse of
     :func:`component_major`."""
-    comps = range(1, 1 + block.ndim - rank)
-    return np.moveaxis(block, comps, range(rank, block.ndim))
+    comps = block.ndim - rank
+    return block.transpose((0, *range(comps + 1, block.ndim), *range(1, comps + 1)))
 
 
 def derivative_stack(values: np.ndarray, grid: Grid, order: int = 2,

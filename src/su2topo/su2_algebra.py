@@ -107,10 +107,10 @@ def sigma_apply(c: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def parallel_components(current: np.ndarray) -> np.ndarray:
+def parallel_components(current: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A^a = -2 Im J^a of a component-major spinor current ``J``: shape
-    ``(planes, rank, 3, ...)``."""
-    return np.multiply(current[:, :, 1:].imag, -2.0)
+    ``(planes, rank, 3, ...)``, written into ``out`` (a new array if None)."""
+    return np.multiply(current[:, :, 1:].imag, -2.0, out=out)
 
 
 def _im_pair(dvalues: np.ndarray, j: int, k: int) -> np.ndarray:

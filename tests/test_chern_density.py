@@ -377,8 +377,8 @@ def test_boundary_degree_equals_the_spinor_face_flux():
             # the sampler-backed face jet is the face of the whole exact jet
             face = st.face_restrict(qpoly, axis, side)
             assert isinstance(face, st.PhiField) and face.sampler is None
-            assert face.jet is None
-            np.testing.assert_array_equal(face.values,
+            assert face.values is None and face.jet is None
+            np.testing.assert_array_equal(oracle.stored(face).values,
                                           np.take(oracle.stored(qpoly).values, index, axis))
             np.testing.assert_array_equal(oracle.stored(face).jet,
                                           np.take(jet, index, axis)[..., keep, :])

@@ -377,12 +377,13 @@ def test_chart_sweep_peaks_below_any_whole_grid_array(monkeypatch):
     # the knot charges and the parallel condition computes both slab by
     # slab from the chart formula, holds A and c only as a halo of planes
     # and H only for the slabs the trace pass has not read, and sums each
-    # density as it is swept.  At one plane a slab it peaks below 1.6
+    # density as it is swept.  At one plane a slab it peaks below 1.5
     # slabs of temporaries (d Psi, the current, the decomposition kernel
     # and the derivative stacks of A and c, at 1 KB a site): measured
-    # 3.02 MB with the stencils on held planes, no window copied and d_i
-    # A_i not computed (3.41 MB with windows copied, under a bound of 1.8
-    # slabs; 4.11 MB site-major, under two).  Neither the 3.5 MB of values
+    # 2.86 MB with the trace pass dropping its slab's planes before the
+    # next first pass (3.02 MB while it held them, under a bound of 1.6
+    # slabs; 3.41 MB with windows copied, under 1.8; 4.11 MB site-major,
+    # under two).  Neither the 3.5 MB of values
     # nor one whole-grid density (0.9 MB), the 10.6 MB jet of 48^3 sites
     # or a whole-grid A, c and H (13.3 MB) fits in it beside that peak.
     from su2topo import lattice
@@ -396,7 +397,7 @@ def test_chart_sweep_peaks_below_any_whole_grid_array(monkeypatch):
         return psi
 
     peak, psi = peak_traced_bytes(sweep)
-    bound = 8 * n * n * 1024 // 5
+    bound = 3 * n * n * 1024 // 2
     assert peak < bound
     assert psi.jet is None and psi.values is None
     for resident in (sites * 2 * 16, sites * 8, sites * 3 * 2 * 16, sites * 8 * 15):
@@ -405,12 +406,13 @@ def test_chart_sweep_peaks_below_any_whole_grid_array(monkeypatch):
 
 def test_the_first_pass_drops_each_slab_before_the_trace_pass(monkeypatch):
     # The trace pass runs a slab behind the first pass.  By then the sweep
-    # has dropped the newest slab's component-major samples and d Psi and
-    # its current J, and nothing else holds them: not the suspended
-    # generator of the slabs, whose frame binds no slab array.
+    # has dropped the component-major samples and d Psi and the current J
+    # of every block of the newest slab, and nothing else holds them: not
+    # the suspended generator of the blocks, whose frame binds no block
+    # array.
     import weakref
     from su2topo import fields, lattice, su2_algebra
-    monkeypatch.setattr(lattice, "SLAB_SITES", 1)            # one plane a slab
+    monkeypatch.setattr(lattice, "SLAB_SITES", 1)            # one row a block
     refs, alive = [], []
     real_major, real_current = fields.component_major, su2_algebra.spinor_current
     real_trace = cs.trace_cs_values
@@ -432,7 +434,7 @@ def test_the_first_pass_drops_each_slab_before_the_trace_pass(monkeypatch):
     monkeypatch.setattr(su2_algebra, "spinor_current", spinor_current)
     monkeypatch.setattr(cs, "trace_cs_values", trace_cs_values)
     cs.chern_simons(st.identity_map_s3(16))
-    assert len(refs) == 16 * (2 + 1) and alive == [0] * 16
+    assert len(refs) == 16 * 16 * (2 + 1) and alive == [0] * 16
 
 
 def test_the_sweep_reads_each_slab_of_served_values_once(monkeypatch):

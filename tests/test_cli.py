@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import re
 import struct
@@ -373,32 +374,41 @@ def test_spacings_that_break_the_quadrature_exit_3(tmp_path, capsys, command, sp
 
 def test_norms_that_overflow_exit_3(tmp_path, capsys, monkeypatch):
     # finite samples whose |phi|^2 overflows: an input error on every
-    # command, not a ledger FAIL, a warning or a normalization message
+    # command, not a ledger FAIL, a warning or a normalization message,
+    # naming the same site under the default budget and under one of a
+    # row and 3 sites, whose blocks start at the site's row
+    from su2topo import lattice
     monkeypatch.chdir(tmp_path)
-    err = _one_input_error(capsys, "verify", "linear", "--grid", "8,8,8,8",
-                           "--box=1e154:2e154")
-    assert err == "su2topo: error: phi norm overflows at site (0, 0, 0, 0): its " \
-                  "samples are too large to square\n"
     path = _phi_file(tmp_path)
     _patch(path, 8 + 4 * 21 + 8 * 1000, struct.pack("<d", 1e300))
-    for command in _FILE_COMMANDS:
-        err = _one_input_error(capsys, *command, path)
-        name = "phi" if command == ("zeros",) else "spinor"
-        assert err == (f"su2topo: error: {name} norm overflows at site (0, 1, 8, 10): "
-                       "its samples are too large to square\n"), command
+    for budget in (lattice.SLAB_SITES, 12 * 12 + 3):
+        monkeypatch.setattr(lattice, "SLAB_SITES", budget)
+        err = _one_input_error(capsys, "verify", "linear", "--grid", "8,8,8,8",
+                               "--box=1e154:2e154")
+        assert err == "su2topo: error: phi norm overflows at site (0, 0, 0, 0): its " \
+                      "samples are too large to square\n"
+        for command in _FILE_COMMANDS:
+            err = _one_input_error(capsys, *command, path)
+            name = "phi" if command == ("zeros",) else "spinor"
+            assert err == (f"su2topo: error: {name} norm overflows at site (0, 1, 8, 10): "
+                           "its samples are too large to square\n"), (command, budget)
 
 
-def test_a_zero_of_the_spinor_exits_3_on_every_unit_route(tmp_path, capsys):
+def test_a_zero_of_the_spinor_exits_3_on_every_unit_route(tmp_path, capsys, monkeypatch):
     # Psi = 0 at one site of a chart file: each command that takes the unit
     # spinor stops at normalize's check, with the site, whichever route
-    # calls it (chern before its rank check)
+    # calls it (chern before its rank check), under the default budget
+    # and under one of a row and 3 sites, whose blocks start at the row
+    from su2topo import lattice
     path = _chart_file(tmp_path)
     capsys.readouterr()
     site = (2, 3, 4)
     _patch(path, 8 + 3 * 21 + 32 * int(np.ravel_multi_index(site, (8, 8, 8))), bytes(32))
-    for command in (("decompose", "--psi"), ("cs",), ("chern",)):
-        err = _one_input_error(capsys, *command, path)
-        assert err == f"su2topo: error: spinor norm 0.000e+00 < 1.0e-12 at site {site}\n"
+    for budget in (lattice.SLAB_SITES, 8 + 3):
+        monkeypatch.setattr(lattice, "SLAB_SITES", budget)
+        for command in (("decompose", "--psi"), ("cs",), ("chern",)):
+            err = _one_input_error(capsys, *command, path)
+            assert err == f"su2topo: error: spinor norm 0.000e+00 < 1.0e-12 at site {site}\n"
 
 
 def test_a_jacobian_that_overflows_at_a_zero_exits_3(tmp_path, capsys):
@@ -655,9 +665,9 @@ def test_verify_identity_builds_the_parallel_potential_once(capsys, monkeypatch)
         built.append(self.grid.shape)
         real(self)
 
-    def components(current):
+    def components(current, *out):
         slabs.append(current.shape[0])
-        return real_components(current)
+        return real_components(current, *out)
 
     monkeypatch.setattr(st.GaugeField, "__post_init__", counted)
     monkeypatch.setattr(chern_simons, "parallel_components", components)
@@ -836,7 +846,10 @@ def test_chart_files_keep_their_bytes(kind, tmp_path, capsys):
 # their imag_residue, which was 0.0 on every input: C2_spinor
 # 0.000631233631116998 -> 1.2554718767481276e-19, C2_unit
 # 1.355807448794972e-19 -> 1.444853693466068e-19, the spread 6.312e-04 ->
-# 1.323e-04; C2_trace 0.00013231347149549464 kept its bits.
+# 1.323e-04; C2_trace 0.00013231347149549464 kept its bits.  That of
+# "verify identity" at 72^3, whose 5184-site planes the default budget
+# cuts into two row blocks (56 and 16 rows), was recorded while every
+# pointwise kernel still took whole planes.
 _REPORT_DIGESTS = {
     ("decompose", "--psi", "chart"):
         (0, "5755dad2862c6b79d66191da54dccf038665866a8aacc946bba954f9a8936070"),
@@ -864,6 +877,8 @@ _REPORT_DIGESTS = {
         (0, "d6af304a1bc0654e3e2db32a84f85b9a993b809abe8f0bdb49b01e91c877332d"),
     ("verify", "identity", "--grid", "48,48,48"):
         (0, "ff746648405ddb03d23188f4d0e9306c3894a2fa5458691a3ea38c4914375746"),
+    ("verify", "identity", "--grid", "72,72,72"):
+        (0, "9e246a822eed8c4042a21a43181029ea1b49b881592ac251aff904a899c3465a"),
     ("verify", "qpower:-2", "--grid", "24,24,24"):
         (1, "493829045fc12cdb1931cf695aa4e91d612ad0d89cfd16ca1c9ffc5d0e7d0ba5"),
 }
@@ -962,6 +977,48 @@ def test_one_plane_slabs_keep_the_report_bytes(argv, plane, tmp_path, capsys, mo
     assert run(capsys, *argv) == several
 
 
+def _row_block_files(tmp_path, capsys):
+    """The files of :func:`test_row_blocks_keep_the_report_bytes`: a
+    values-only 8^3 identity chart, the chart with its values and jet
+    doubled (not unit), and a 16^4 random spinor."""
+    chart = _chart_file(tmp_path)
+    field = st.read_field(chart)
+    paths = {"chart-bare": _bare_copy(chart, str(tmp_path / "bare.fld")),
+             "chart-x2": str(tmp_path / "x2.fld"), "spinor-16": str(tmp_path / "spinor.fld")}
+    whole = stored(field)
+    write_field(type(field)(field.grid, 2.0 * whole.values, jet=2.0 * whole.jet),
+                paths["chart-x2"])
+    assert run(capsys, "generate", "--kind", "random-spinor", "--grid", "16,16,16,16",
+               "--seed", "3", "--out", paths["spinor-16"])[0] == 0
+    return paths
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (("verify", "identity", "--grid", "48,48,48"), (48, 48, 48)),
+    (("verify", "qpower:-3", "--grid", "32,32,32"), (32, 32, 32)),
+    (("cs", "chart-bare"), (8, 8, 8)),
+    (("decompose", "--psi", "chart-x2"), (8, 8, 8)),
+    (("chern", "spinor-16"), (16, 16, 16, 16)),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) and isinstance(x[0], str) else None)
+def test_row_blocks_keep_the_report_bytes(argv, shape, tmp_path, capsys, monkeypatch):
+    # a plane of more than SLAB_SITES sites is cut into runs of axis-1 rows
+    # for the pointwise kernels (the default budget does so from 65^3 on);
+    # a budget of 5 rows plus 3 sites cuts every plane here into blocks of
+    # 5 rows and a shorter last one, and each run gives the bytes of whole
+    # one-plane slabs: bare input differences whole planes and hands each
+    # block its rows, a jet and the unit spinor of a non-unit file are
+    # read a block at a time
+    from su2topo import lattice
+    paths = _row_block_files(tmp_path, capsys) if len(argv) < 4 else {}
+    argv = [*(paths.get(arg, arg) for arg in argv), "--no-color"]
+    row = math.prod(shape[2:])
+    monkeypatch.setattr(lattice, "SLAB_SITES", shape[1] * row)
+    whole = run(capsys, *argv)
+    assert whole[0] in (0, 1) and whole[1]
+    monkeypatch.setattr(lattice, "SLAB_SITES", 5 * row + 3)
+    assert run(capsys, *argv) == whole
+
+
 def test_site_budgets_keep_the_file_and_zeros_bytes(tmp_path, capsys, monkeypatch):
     # the writer takes blocks of at most SLAB_SITES sites: rows of one plane
     # under a budget of one site, runs of 5 rows (5, 5, 2) under a budget
@@ -989,7 +1046,8 @@ def test_generate_and_zeros_peak_below_the_budgets_at_24(tmp_path, capsys):
     # 7 planes at a time through buffers of at most SLAB_SITES sites.
     # Traced peaks, 10^6 B: write 7.12 with whole-plane slabs and the
     # first jet slab held, 1.22 with blocks of at most 2^12 sites; zeros
-    # 6.05 with whole faces and plane buffers, 2.13 with the budget
+    # 6.05 with whole faces and plane buffers, 2.13 with the budget and
+    # whole face values, 1.77 with face values served a face slab at a time
     path = str(tmp_path / "phi.fld")
     grid = st.box_grid((24,) * 4, -2.0, 2.0)
     phi = st.quaternion_polynomial_field(
@@ -998,7 +1056,7 @@ def test_generate_and_zeros_peak_below_the_budgets_at_24(tmp_path, capsys):
     assert peak <= 3e6
     peak, (code, out, _) = peak_traced_bytes(lambda: run(capsys, "zeros", path, "--no-color"))
     assert code == 0 and "index_sum: 2" in out
-    assert peak <= 2.5e6
+    assert peak <= 2.2e6
 
 
 @pytest.mark.parametrize("periodic, cell_centered", [((False, True, False, False), False),

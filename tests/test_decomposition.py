@@ -130,6 +130,27 @@ def test_decompose_names_the_smallest_norm_of_the_grid(monkeypatch):
     assert str(info.value) == str(whole.value)
 
 
+def test_decompose_names_an_overflowing_norm_in_a_row_block(monkeypatch):
+    # with a given potential, decompose takes Psi^dag Psi a block at a
+    # time: under a budget of a row and 3 sites each block is one row of a
+    # plane, and the first norm that overflows is named at its site, the
+    # block's row offset included, as under slabs of one plane (row 5 of
+    # plane 2 is 1e160, flat along its row and across planes 1 to 3)
+    import warnings
+    from su2topo import lattice
+    grid = st.box_grid((6, 7, 6), -1.0, 1.0)
+    values = np.ones(grid.shape + (2,), dtype=complex)
+    values[2, 5] = 1e160
+    psi = st.SpinorField(grid, values)
+    gauge = st.GaugeField(grid, np.zeros(grid.shape + (3, 3)))
+    for budget in (7 * 6, 6 + 3):
+        monkeypatch.setattr(lattice, "SLAB_SITES", budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(st.FieldError, match=r"norm overflows at site \(2, 5, 0\):"):
+                st.decompose(psi, gauge)
+
+
 def test_the_zero_path_of_decompose_reads_slabs_only(monkeypatch):
     # a spinor that serves its samples: decompose, its error path
     # included, asks for no block as large as the grid (a whole-grid read

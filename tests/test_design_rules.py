@@ -1,9 +1,13 @@
 """Design rules of the package that its code alone can check."""
 
 import ast
+import math
 import pathlib
 
+import numpy as np
+
 import su2topo
+from conftest import peak_traced_bytes
 
 PACKAGE = pathlib.Path(su2topo.__file__).parent
 #: Public routes nothing in the package calls, kept as references that
@@ -273,3 +277,71 @@ def convert(x: np.ndarray):
 
 def test_the_import_guard_reports_each_planted_unused_name():
     assert _unused_imports(ast.parse(PLANTED_IMPORTS)) == ["normalize", "os"]
+
+
+def _sites(block: np.ndarray, rank: int) -> int:
+    """The grid sites of a component-major block ``(planes, *components,
+    *plane)`` of a rank-``rank`` grid."""
+    return block.shape[0] * math.prod(block.shape[block.ndim - rank + 1:])
+
+
+def test_no_pointwise_kernel_of_a_sweep_takes_more_than_the_budget(monkeypatch):
+    # "pointwise work holds at most SLAB_SITES sites": on grids whose planes
+    # exceed a budget of 5 rows and 3 sites, no call of a first-pass kernel
+    # of the knot-charge sweep, of decompose or of the Chern sweep sees more
+    # sites than that, whether a jet is read a block at a time or bare
+    # samples are differenced a plane at a time
+    from su2topo import chern_density, chern_simons, decomposition, fields, lattice, su2_algebra
+    seen, rank = {}, [3]
+
+    def watch(module, name):
+        real = getattr(module, name)
+
+        def watched(block, *args):
+            seen.setdefault(name, []).append((_sites(block, rank[0]), lattice.SLAB_SITES))
+            return real(block, *args)
+        monkeypatch.setattr(module, name, watched)
+
+    for module, names in ((su2_algebra, ("spinor_current",)),
+                          (chern_simons, ("spinor_cs_values", "sigma_model_field",
+                                          "slab_maxima")),
+                          (fields, ("sigma_model_field",)),
+                          (decomposition, ("slab_maxima",)),
+                          (chern_density, ("_spinor_values", "_unit_values"))):
+        for name in names:
+            watch(module, name)
+    psi = su2topo.identity_map_s3(16)
+    bare = su2topo.SpinorField(psi.grid, np.concatenate(
+        [psi.values_at(slab) for slab in lattice.slabs(psi.grid)]))
+    monkeypatch.setattr(lattice, "SLAB_SITES", 5 * 16 + 3)
+    for spinor in (psi, bare):
+        chern_simons.chern_simons(spinor, parallel=True)
+        su2topo.decompose(spinor)
+    rank[0] = 4
+    spinor = su2topo.random_config(3, "spinor", su2topo.box_grid((8,) * 4, -1.0, 1.0))
+    monkeypatch.setattr(lattice, "SLAB_SITES", 5 * 8**2 + 3)
+    su2topo.chern_numbers(spinor, chern_density.ROUTES)
+    assert {name for name in seen} == {"spinor_current", "spinor_cs_values",
+                                       "sigma_model_field", "slab_maxima",
+                                       "_spinor_values", "_unit_values"}
+    for name, calls in seen.items():
+        assert all(sites <= budget for sites, budget in calls), (name, max(calls))
+
+
+def test_the_row_blocked_sweep_peaks_below_one_plane_of_temporaries(monkeypatch):
+    # the knot charges and the parallel condition of a 48^3 chart under a
+    # budget of 5 rows and 3 sites: every pointwise kernel takes a tenth of
+    # a plane, and only A, c and H (held as a halo of planes), the density
+    # planes and the trace pass's stencils hold whole planes.  Measured
+    # 1.75 MB, under 0.9 planes of temporaries at 1 KB a site (2.69 MB with
+    # whole-plane kernels); neither a whole-grid density (0.9 MB) nor one
+    # plane of the current J (0.44 MB) fits beside it.
+    from su2topo import chern_simons, lattice
+    n = 48
+    monkeypatch.setattr(lattice, "SLAB_SITES", 5 * n + 3)
+    peak, _ = peak_traced_bytes(
+        lambda: chern_simons.chern_simons(su2topo.identity_map_s3(n), parallel=True))
+    bound = 9 * n * n * 1024 // 10
+    assert peak < bound
+    for resident in (n**3 * 8, n * n * 3 * 4 * 16):
+        assert peak + resident > bound
