@@ -286,7 +286,7 @@ class LatticeField:
         held = {q % n: window[q - planes.start] for q in planes if not lo <= q % n < hi}
         return own, derivative_stack(own, self.grid, order, slab, held)
 
-    def block_samples(self, order: int = 2):
+    def block_samples(self):
         """Yield ``(block, values, derivatives)`` for each block of
         :func:`budget_blocks`, as :meth:`slab_samples` gives them: a jet
         is read a block at a time, while bare samples are differenced a
@@ -301,7 +301,7 @@ class LatticeField:
                 for block in blocks:
                     yield block, self.values_at(block), self.exact_jet(block)
                 continue
-            values, derivatives = self.slab_samples(slab, order)
+            values, derivatives = self.slab_samples(slab)
             rows = [block_rows(grid, block)[1] for block in blocks]
             parts = [(block, values[:, run], derivatives[:, run])
                      for block, run in zip(blocks, rows)]
